@@ -26,7 +26,7 @@ use crate::ownership::{DmaEngine, DmaOwnershipViolation};
 use bytes::Bytes;
 use outboard_host::{MemFault, TaskId, UserMemory};
 use outboard_sim::obs::Scope;
-use outboard_sim::{BufPool, Dur, Time};
+use outboard_sim::{pooled_copy, BufPool, Dur, Time};
 use outboard_wire::checksum::{fold, Accumulator};
 use outboard_wire::hippi::HippiAddr;
 use std::collections::BTreeMap;
@@ -61,6 +61,17 @@ impl SgEntry {
     /// True for a zero-length entry.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// The bytes a scatter/gather entry contributes, borrowed from where they
+/// live (kernel `Bytes` or the pinned user region).
+fn sg_bytes<'a>(e: &'a SgEntry, mem: &'a dyn UserMemory) -> Result<&'a [u8], CabError> {
+    match e {
+        SgEntry::Inline(b) => Ok(b),
+        SgEntry::User { task, vaddr, len } => mem
+            .user_slice(*task, *vaddr, *len)
+            .map_err(CabError::MemFault),
     }
 }
 
@@ -280,7 +291,7 @@ pub struct Cab {
     pub per_channel_tx: BTreeMap<u16, u64>,
     /// Adaptor-side fault injection (transparent by default).
     pub faults: FaultInjector,
-    /// Shared buffer pool for staging copies and outbound frames.
+    /// Shared buffer pool for outbound frames and kernel copy-outs.
     pool: Option<Arc<BufPool>>,
 }
 
@@ -302,7 +313,7 @@ impl Cab {
         }
     }
 
-    /// Recycle packet-buffer, staging, and frame storage through a shared
+    /// Recycle packet-buffer and frame storage through a shared
     /// [`BufPool`] so steady-state transfers stop allocating per frame.
     pub fn set_pool(&mut self, pool: Arc<BufPool>) {
         self.netmem.set_pool(Arc::clone(&pool));
@@ -436,7 +447,7 @@ impl Cab {
         }
         let total: usize = req.sg.iter().map(|e| e.len()).sum();
         let (pkt_cap, pkt_valid, pkt_saved_csum) = match self.netmem.get(req.packet) {
-            Some(p) => (p.cap, p.valid, p.saved_body_csum),
+            Some(p) => (p.cap, p.data.len(), p.saved_body_csum),
             None => return Err(self.missing_packet(req.packet, DmaEngine::Sdma, now)),
         };
 
@@ -495,31 +506,10 @@ impl Cab {
             None => {}
         }
 
-        // Gather the bytes into a (recycled) staging buffer.
-        let (mut staged, staged_ticket) = match &self.pool {
-            Some(p) => {
-                let (b, t) = p.acquire(total);
-                (b, Some(t))
-            }
-            None => (vec![0u8; total], None),
-        };
-        let mut off = 0usize;
+        // Check every user range before the first byte moves, so a fault
+        // never leaves a half-written packet behind.
         for e in &req.sg {
-            match e {
-                SgEntry::Inline(b) => {
-                    staged[off..off + b.len()].copy_from_slice(b);
-                    off += b.len();
-                }
-                SgEntry::User { task, vaddr, len } => {
-                    if let Err(f) = mem.read_user(*task, *vaddr, &mut staged[off..off + len]) {
-                        if let (Some(p), Some(t)) = (&self.pool, staged_ticket) {
-                            p.release(staged, t);
-                        }
-                        return Err(CabError::MemFault(f));
-                    }
-                    off += len;
-                }
-            }
+            sg_bytes(e, mem)?;
         }
 
         let misaligned = self.count_misaligned(&req.sg);
@@ -539,19 +529,23 @@ impl Cab {
             }
         }
 
-        // Commit to network memory and run the checksum engine.
+        // Gather straight into network memory and run the checksum engine.
         let Some(pkt) = self.netmem.get_mut(req.packet) else {
-            if let (Some(p), Some(t)) = (&self.pool, staged_ticket) {
-                p.release(staged, t);
-            }
             return Err(CabError::UnknownPacket(req.packet));
         };
-        pkt.data[..total].copy_from_slice(&staged);
-        if let (Some(p), Some(t)) = (&self.pool, staged_ticket) {
-            p.release(staged, t);
-        }
-        if !req.reuse_body_csum {
-            pkt.valid = total;
+        if req.reuse_body_csum {
+            // Only a fresh header: overwrite the front of the valid bytes.
+            let mut off = 0usize;
+            for e in &req.sg {
+                let src = sg_bytes(e, mem)?;
+                pkt.data[off..off + src.len()].copy_from_slice(src);
+                off += src.len();
+            }
+        } else {
+            pkt.data.clear();
+            for e in &req.sg {
+                pkt.data.extend_from_slice(sg_bytes(e, mem)?);
+            }
         }
         if let Some(spec) = req.csum {
             let skip = spec.skip_words * 4;
@@ -563,7 +557,7 @@ impl Cab {
                 }
             } else {
                 let mut acc = Accumulator::new();
-                acc.add_bytes(&pkt.data[skip..pkt.valid]);
+                acc.add_bytes(&pkt.data[skip..]);
                 let s = acc.partial();
                 pkt.saved_body_csum = Some(s);
                 s
@@ -607,7 +601,7 @@ impl Cab {
             }
         }
         let pkt_valid = match self.netmem.get(req.packet) {
-            Some(p) => p.valid,
+            Some(p) => p.data.len(),
             None => return Err(self.missing_packet(req.packet, DmaEngine::Sdma, now)),
         };
         if req.src_off + req.len > pkt_valid {
@@ -634,18 +628,6 @@ impl Cab {
             }
             None => {}
         }
-        let Some(pkt) = self.netmem.get(req.packet) else {
-            return Err(CabError::UnknownPacket(req.packet));
-        };
-        let (mut buf, buf_ticket) = match &self.pool {
-            Some(p) => {
-                let (b, t) = p.acquire(req.len);
-                (b, Some(t))
-            }
-            None => (vec![0u8; req.len], None),
-        };
-        buf.copy_from_slice(&pkt.data[req.src_off..req.src_off + req.len]);
-
         let misaligned = match req.dst {
             SdmaDst::User { vaddr, .. } => {
                 let a = self.cfg.burst_align as u64;
@@ -661,19 +643,17 @@ impl Cab {
         self.netmem
             .journal_record(req.packet, DmaEngine::Sdma, Some(done));
 
+        let Some(pkt) = self.netmem.get(req.packet) else {
+            return Err(CabError::UnknownPacket(req.packet));
+        };
+        let src = &pkt.data[req.src_off..req.src_off + req.len];
         let data = match req.dst {
             SdmaDst::User { task, vaddr } => {
-                let wrote = mem.write_user(task, vaddr, &buf);
-                if let (Some(p), Some(t)) = (&self.pool, buf_ticket) {
-                    p.release(buf, t);
-                }
-                wrote.map_err(CabError::MemFault)?;
+                mem.write_user(task, vaddr, src)
+                    .map_err(CabError::MemFault)?;
                 None
             }
-            SdmaDst::Kernel => Some(match (&self.pool, buf_ticket) {
-                (Some(p), Some(t)) => p.freeze(buf, t),
-                _ => Bytes::from(buf),
-            }),
+            SdmaDst::Kernel => Some(pooled_copy(&self.pool, src)),
         };
         if req.free_packet {
             self.netmem.free(req.packet);
@@ -704,15 +684,12 @@ impl Cab {
         }
         let frame = match self.netmem.get(packet) {
             Some(pkt) => {
-                if pkt.valid == 0 {
+                if pkt.data.is_empty() {
                     return Err(CabError::BadRequest("mdma of empty packet"));
                 }
-                match &self.pool {
-                    // Pooled frame: if a fault path below abandons it, the
-                    // drop hook still returns the storage.
-                    Some(p) => p.copy_from_slice(&pkt.data[..pkt.valid]),
-                    None => Bytes::copy_from_slice(&pkt.data[..pkt.valid]),
-                }
+                // Pooled frame: if a fault path below abandons it, the
+                // drop hook still returns the storage.
+                pooled_copy(&self.pool, &pkt.data)
             }
             None => return Err(self.missing_packet(packet, DmaEngine::MdmaTx, now)),
         };
@@ -794,8 +771,8 @@ impl Cab {
             self.cfg.media_bps(),
         );
         if let Some(pkt) = self.netmem.get_mut(id) {
-            pkt.data[..len].copy_from_slice(&frame);
-            pkt.valid = len;
+            pkt.data.clear();
+            pkt.data.extend_from_slice(&frame);
         } else {
             // Freshly allocated above; only reachable if the board is being
             // reset underneath us — treat the frame as lost.

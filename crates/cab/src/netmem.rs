@@ -24,10 +24,10 @@ pub struct PacketId(pub u64);
 pub struct PacketBuf {
     /// Allocated (maximum) length in bytes.
     pub cap: usize,
-    /// Packet contents (`cap` bytes; `valid` of them written so far).
+    /// Exactly the bytes written so far (SDMA progress / full frame length
+    /// on receive; at most `cap`). The storage is recycled and not zeroed,
+    /// so nothing past `data.len()` can be read at all.
     pub data: Vec<u8>,
-    /// Bytes written so far (SDMA progress / full frame length on receive).
-    pub valid: usize,
     /// Body checksum saved by the transmit SDMA engine on the first
     /// transfer, reused when the host retransmits with a fresh header
     /// (§4.3: "adds in the checksum of the body of the packet, which it had
@@ -176,17 +176,16 @@ impl NetworkMemory {
         self.next_id += 1;
         let (data, ticket) = match &self.pool {
             Some(pool) => {
-                let (buf, t) = pool.acquire(len);
+                let (buf, t) = pool.acquire_empty(len);
                 (buf, Some(t))
             }
-            None => (vec![0; len], None),
+            None => (Vec::with_capacity(len), None),
         };
         self.packets.insert(
             id,
             PacketBuf {
                 cap: len,
                 data,
-                valid: 0,
                 saved_body_csum: None,
                 pages,
                 ticket,
@@ -278,13 +277,13 @@ impl NetworkMemory {
 
     /// Read `dst.len()` bytes at `off` from a packet.
     pub fn read(&self, id: PacketId, off: usize, dst: &mut [u8]) -> bool {
-        match self.packets.get(&id) {
-            Some(p) if off + dst.len() <= p.valid => {
-                dst.copy_from_slice(&p.data[off..off + dst.len()]);
-                true
-            }
-            _ => false,
-        }
+        let src = self
+            .packets
+            .get(&id)
+            .and_then(|p| p.data.get(off..off + dst.len()));
+        let Some(src) = src else { return false };
+        dst.copy_from_slice(src);
+        true
     }
 }
 
@@ -335,8 +334,8 @@ mod tests {
         let id = nm.alloc(100).unwrap();
         {
             let p = nm.get_mut(id).unwrap();
-            p.data[..50].copy_from_slice(&[7u8; 50]);
-            p.valid = 50;
+            assert!(p.data.is_empty(), "a fresh buffer holds no bytes");
+            p.data.extend_from_slice(&[7u8; 50]);
         }
         let mut buf = [0u8; 10];
         assert!(nm.read(id, 40, &mut buf));

@@ -38,7 +38,7 @@ use outboard_host::{Charge, HostMem, MachineConfig, MemorySystem, TaskId, UserMe
 use outboard_mbuf::{Chain, Mbuf, MbufData, MbufStats, UioDesc, UioRegion, WcabDesc};
 use outboard_sim::span::{FlowId, SpanSink, Stage};
 use outboard_sim::trace::Trace;
-use outboard_sim::{BufPool, Dur, Ticket, Time};
+use outboard_sim::{pooled_copy, BufPool, Dur, Ticket, Time};
 use outboard_wire::ether::MacAddr;
 use outboard_wire::ipv4::IPV4_HEADER_LEN;
 use outboard_wire::udp::UDP_HEADER_LEN;
@@ -800,11 +800,11 @@ impl Kernel {
                 let fix = (4 - (cur_addr % 4) as usize).min(remaining);
                 let cost = self.memsys.copy_cost(fix, fix.max(64));
                 self.cpu_dur(cost, charge);
-                let (mut buf, ticket) = self.cluster_alloc(fix);
-                mem.read_user(bw.region.task, cur_addr, &mut buf)
+                let src = mem
+                    .user_slice(bw.region.task, cur_addr, fix)
                     // lint: allow(panic-hot-path, syscall-time access to the caller's live buffer; zero-fill fault tolerance applies only at DMA time)
                     .expect("user write buffer readable");
-                let m = Mbuf::kernel(self.cluster_freeze(buf, ticket));
+                let m = Mbuf::kernel(pooled_copy(&self.pool, src));
                 self.mbuf_stats.count(&m);
                 self.sock_mut(sock).so_snd.chain.append(m);
                 // The copy satisfies copy semantics for these bytes now.
@@ -849,15 +849,11 @@ impl Kernel {
                 // Traditional path: copy through kernel buffers.
                 let cost = self.memsys.copy_cost(chunk, bw.total.max(chunk));
                 self.cpu_dur(cost, charge);
-                let (mut buf, ticket) = self.cluster_alloc(chunk);
-                mem.read_user(
-                    bw.region.task,
-                    bw.region.base + bw.appended as u64,
-                    &mut buf,
-                )
-                // lint: allow(panic-hot-path, syscall-time access to the caller's live buffer; zero-fill fault tolerance applies only at DMA time)
-                .expect("user write buffer readable");
-                let m = Mbuf::kernel(self.cluster_freeze(buf, ticket));
+                let src = mem
+                    .user_slice(bw.region.task, cur_addr, chunk)
+                    // lint: allow(panic-hot-path, syscall-time access to the caller's live buffer; zero-fill fault tolerance applies only at DMA time)
+                    .expect("user write buffer readable");
+                let m = Mbuf::kernel(pooled_copy(&self.pool, src));
                 self.mbuf_stats.count(&m);
                 self.sock_mut(sock).so_snd.chain.append(m);
             }

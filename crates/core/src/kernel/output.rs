@@ -10,7 +10,7 @@ use crate::tcp::SegmentPlan;
 use crate::types::{Effect, IfaceId, SockAddr, SockId, TimerKind};
 use bytes::Bytes;
 use outboard_cab::{CabError, ChecksumSpec, PacketId, SdmaTx, SgEntry};
-use outboard_host::{Charge, HostMem};
+use outboard_host::{Charge, HostMem, UserMemory};
 use outboard_mbuf::{Chain, CsumPlan, MbufData};
 use outboard_sim::span::{FlowId, Stage};
 use outboard_sim::Time;
@@ -292,13 +292,25 @@ impl Kernel {
         self.ip_output(src, dst, ip_proto, packet, iface_id, meta, mem, now);
     }
 
+    /// Copy an `M_UIO` descriptor's bytes into a kernel cluster. A range
+    /// that faults is counted and yields zeros of the same length.
+    fn uio_copyin(&mut self, d: &outboard_mbuf::UioDesc, mem: &HostMem) -> Bytes {
+        match mem.user_slice(d.region.task, d.vaddr(), d.len) {
+            Ok(src) => outboard_sim::pooled_copy(&self.pool, src),
+            Err(_) => {
+                self.stats.user_mem_faults += 1;
+                let (buf, ticket) = self.cluster_alloc(d.len);
+                self.cluster_freeze(buf, ticket)
+            }
+        }
+    }
+
     /// §5's conversion layer for legacy devices, applied at the source: the
     /// user data is copied into kernel mbufs now ("a copy has merely been
     /// delayed"), the send queue's `M_UIO` range becomes regular data, and
     /// the write's UIO counter is credited — exactly what the `M_WCAB`
     /// conversion does on the CAB path, with a memory copy in place of DMA.
     fn legacy_convert_uio(&mut self, meta: &TxMeta, data: Chain, mem: &HostMem) -> Chain {
-        use outboard_host::UserMemory;
         let uio_bytes: usize = data
             .iter()
             .filter_map(|m| match m.data() {
@@ -320,16 +332,10 @@ impl Kernel {
         for m in data.iter() {
             match m.data() {
                 MbufData::Uio(d) => {
-                    let (mut buf, ticket) = self.cluster_alloc(d.len);
-                    if mem.read_user(d.region.task, d.vaddr(), &mut buf).is_err() {
-                        self.stats.user_mem_faults += 1;
-                    }
                     if let Some(c) = d.counter {
                         credited.push((c, d.len));
                     }
-                    out.append(outboard_mbuf::Mbuf::kernel(
-                        self.cluster_freeze(buf, ticket),
-                    ));
+                    out.append(outboard_mbuf::Mbuf::kernel(self.uio_copyin(d, mem)));
                 }
                 _ => out.append(m.clone()),
             }
@@ -412,7 +418,6 @@ impl Kernel {
     /// (outboard memory) descriptors without charging costs (helper for
     /// conversions that have already accounted the copy).
     fn chain_bytes(&mut self, chain: &Chain, mem: &HostMem) -> Vec<u8> {
-        use outboard_host::UserMemory;
         let mut outb = Vec::with_capacity(chain.len());
         for m in chain.iter() {
             match m.data() {
@@ -448,7 +453,6 @@ impl Kernel {
     /// Software ones-complement sum over a chain, resolving external
     /// descriptors (traditional path and conversion layers).
     pub(crate) fn software_chain_sum(&mut self, chain: &Chain, mem: &HostMem) -> u16 {
-        use outboard_host::UserMemory;
         let mut acc = Accumulator::new();
         // External descriptors resolve through the recycled scratch buffer
         // instead of a fresh allocation per mbuf.
@@ -734,12 +738,8 @@ impl Kernel {
                             // start address; fall back to a kernel copy for
                             // this entry ("the traditional path is used for
                             // unaligned accesses").
-                            use outboard_host::UserMemory;
                             k.stats.aligned_fallbacks += 1;
-                            let (mut buf, ticket) = k.cluster_alloc(d.len);
-                            if mem.read_user(d.region.task, d.vaddr(), &mut buf).is_err() {
-                                k.stats.user_mem_faults += 1;
-                            }
+                            let copied = k.uio_copyin(d, mem);
                             let cost = k.memsys.copy_cost(d.len, d.len.max(4096));
                             k.cpu_dur(cost, Charge::Syscall);
                             // The bytes are copied, so the write's counter
@@ -747,7 +747,7 @@ impl Kernel {
                             // handler will find no UIO descriptor to
                             // convert, so credit here).
                             uio_bytes += d.len;
-                            sg.push(SgEntry::Inline(k.cluster_freeze(buf, ticket)));
+                            sg.push(SgEntry::Inline(copied));
                         } else {
                             uio_bytes += d.len;
                             match &mut pinned {
@@ -982,7 +982,6 @@ impl Kernel {
     /// Resolve a possibly-mixed chain to flat kernel bytes for a legacy
     /// device, charging the conversion copies (§5).
     pub(crate) fn flatten_for_legacy(&mut self, chain: &Chain, mem: &HostMem) -> Vec<u8> {
-        use outboard_host::UserMemory;
         let mut out = Vec::with_capacity(chain.len());
         let mut uio_copied = 0usize;
         let mut wcab_copied = 0usize;

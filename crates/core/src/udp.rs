@@ -59,11 +59,7 @@ pub fn software_sum(
     for m in chain.iter() {
         match m.data() {
             MbufData::Kernel(b) => acc.add_bytes(b),
-            MbufData::Uio(d) => {
-                let mut buf = vec![0u8; d.len];
-                mem.read_user(d.region.task, d.vaddr(), &mut buf)?;
-                acc.add_bytes(&buf);
-            }
+            MbufData::Uio(d) => acc.add_bytes(mem.user_slice(d.region.task, d.vaddr(), d.len)?),
             MbufData::Wcab(d) => {
                 let mut buf = vec![0u8; d.len];
                 let ok = resolve_wcab(d.cab, d.packet, d.off, d.len, &mut buf);

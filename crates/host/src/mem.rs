@@ -34,10 +34,27 @@ impl std::error::Error for MemFault {}
 
 /// Access to pinned user memory, as the DMA engine sees it.
 pub trait UserMemory {
+    /// Borrow `len` bytes of a task's address space at `vaddr`.
+    fn user_slice(&self, task: TaskId, vaddr: u64, len: usize) -> Result<&[u8], MemFault>;
+    /// Mutably borrow `len` bytes of a task's address space at `vaddr`.
+    fn user_slice_mut(
+        &mut self,
+        task: TaskId,
+        vaddr: u64,
+        len: usize,
+    ) -> Result<&mut [u8], MemFault>;
+
     /// Read `dst.len()` bytes from a task's address space at `vaddr`.
-    fn read_user(&self, task: TaskId, vaddr: u64, dst: &mut [u8]) -> Result<(), MemFault>;
+    fn read_user(&self, task: TaskId, vaddr: u64, dst: &mut [u8]) -> Result<(), MemFault> {
+        dst.copy_from_slice(self.user_slice(task, vaddr, dst.len())?);
+        Ok(())
+    }
     /// Write `src` into a task's address space at `vaddr`.
-    fn write_user(&mut self, task: TaskId, vaddr: u64, src: &[u8]) -> Result<(), MemFault>;
+    fn write_user(&mut self, task: TaskId, vaddr: u64, src: &[u8]) -> Result<(), MemFault> {
+        self.user_slice_mut(task, vaddr, src.len())?
+            .copy_from_slice(src);
+        Ok(())
+    }
 }
 
 #[derive(Debug)]
@@ -71,16 +88,6 @@ impl HostMem {
         );
     }
 
-    /// Base virtual address of a task's region.
-    pub fn region_base(&self, task: TaskId) -> Option<u64> {
-        self.regions.get(&task).map(|r| r.base)
-    }
-
-    /// Size of a task's buffer region.
-    pub fn region_len(&self, task: TaskId) -> Option<usize> {
-        self.regions.get(&task).map(|r| r.data.len())
-    }
-
     /// Direct mutable access for test setup / application writes.
     pub fn region_mut(&mut self, task: TaskId) -> Option<&mut Vec<u8>> {
         self.regions.get_mut(&task).map(|r| &mut r.data)
@@ -90,36 +97,35 @@ impl HostMem {
     pub fn region(&self, task: TaskId) -> Option<&[u8]> {
         self.regions.get(&task).map(|r| r.data.as_slice())
     }
+}
 
-    fn slice_of(&self, task: TaskId, vaddr: u64, len: usize) -> Result<(usize, usize), MemFault> {
-        let fault = MemFault { task, vaddr, len };
-        let region = self.regions.get(&task).ok_or(fault)?;
-        let off = vaddr.checked_sub(region.base).ok_or(fault)? as usize;
-        let end = off.checked_add(len).ok_or(fault)?;
-        if end > region.data.len() {
-            return Err(fault);
-        }
-        Ok((off, end))
+impl Region {
+    /// The byte range `[vaddr, vaddr + len)` as offsets into `data`.
+    fn range(&self, vaddr: u64, len: usize) -> Option<std::ops::Range<usize>> {
+        let off = usize::try_from(vaddr.checked_sub(self.base)?).ok()?;
+        let end = off.checked_add(len)?;
+        (end <= self.data.len()).then_some(off..end)
     }
 }
 
 impl UserMemory for HostMem {
-    fn read_user(&self, task: TaskId, vaddr: u64, dst: &mut [u8]) -> Result<(), MemFault> {
-        let (off, end) = self.slice_of(task, vaddr, dst.len())?;
-        dst.copy_from_slice(&self.regions[&task].data[off..end]);
-        Ok(())
+    fn user_slice(&self, task: TaskId, vaddr: u64, len: usize) -> Result<&[u8], MemFault> {
+        let fault = MemFault { task, vaddr, len };
+        let region = self.regions.get(&task).ok_or(fault)?;
+        let range = region.range(vaddr, len).ok_or(fault)?;
+        Ok(&region.data[range])
     }
 
-    fn write_user(&mut self, task: TaskId, vaddr: u64, src: &[u8]) -> Result<(), MemFault> {
-        let (off, end) = self.slice_of(task, vaddr, src.len())?;
-        let fault = MemFault {
-            task,
-            vaddr,
-            len: src.len(),
-        };
+    fn user_slice_mut(
+        &mut self,
+        task: TaskId,
+        vaddr: u64,
+        len: usize,
+    ) -> Result<&mut [u8], MemFault> {
+        let fault = MemFault { task, vaddr, len };
         let region = self.regions.get_mut(&task).ok_or(fault)?;
-        region.data[off..end].copy_from_slice(src);
-        Ok(())
+        let range = region.range(vaddr, len).ok_or(fault)?;
+        Ok(&mut region.data[range])
     }
 }
 

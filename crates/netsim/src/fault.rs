@@ -108,8 +108,8 @@ impl FaultInjector {
     fn edited_copy(&self, payload: &Bytes, edit: impl FnOnce(&mut [u8])) -> Bytes {
         match &self.pool {
             Some(p) => {
-                let (mut buf, ticket) = p.acquire(payload.len());
-                buf.copy_from_slice(payload);
+                let (mut buf, ticket) = p.acquire_empty(payload.len());
+                buf.extend_from_slice(payload);
                 edit(&mut buf);
                 p.freeze(buf, ticket)
             }

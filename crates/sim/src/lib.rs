@@ -48,7 +48,7 @@ pub mod wheel;
 pub use chaos::{ChaosAction, ChaosEvent, ChaosSchedule};
 pub use engine::{EngineKind, EventEngine};
 pub use obs::{BusyTracker, Metric, MetricsRegistry};
-pub use pool::{BufPool, PoolStats, Ticket};
+pub use pool::{pooled_copy, BufPool, PoolStats, Ticket};
 pub use queue::EventQueue;
 pub use rng::{check_probability, FaultConfigError, Pcg32};
 pub use span::{FlowId, Span, SpanSink, Stage};

@@ -3,10 +3,11 @@
 //! Every frame that crosses the simulated fabric used to allocate a fresh
 //! `Vec<u8>` (netsim wire frames, CAB packet buffers, mbuf clusters). A
 //! [`BufPool`] recycles that storage: `acquire` hands out a zero-filled
-//! buffer from a power-of-two size-class freelist (or the allocator on a
-//! miss), and the buffer comes back either explicitly via `release` or
-//! automatically when the last [`Bytes`] view of a `freeze`d buffer drops
-//! (through the vendored `bytes` crate's [`StorageHook`]).
+//! buffer (`acquire_empty` an empty one with the capacity, for callers that
+//! write every byte) from a power-of-two size-class freelist (or the
+//! allocator on a miss), and the buffer comes back either explicitly via
+//! `release` or automatically when the last [`Bytes`] view of a `freeze`d
+//! buffer drops (through the vendored `bytes` crate's [`StorageHook`]).
 //!
 //! Every acquisition is tagged with a generation-tagged [`Ticket`]
 //! (`slot << 32 | generation`): releasing a stale or already-released
@@ -15,10 +16,10 @@
 //! detected rather than silent.
 //!
 //! Determinism: the pool affects only *where* buffer storage comes from,
-//! never its contents (buffers are zeroed on acquire, exactly like the
-//! `vec![0; len]` call sites it replaces) and never simulation order. Stats
-//! are plain counters, identical across heap/wheel engines and across
-//! serial/parallel sweeps of the same run.
+//! never its contents (`acquire` zeroes, exactly like the `vec![0; len]`
+//! call sites it replaces; `acquire_empty` exposes no recycled byte) and
+//! never simulation order. Stats are plain counters, identical across
+//! heap/wheel engines and across serial/parallel sweeps of the same run.
 
 use bytes::{Bytes, StorageHook};
 use std::sync::{Arc, Mutex};
@@ -135,26 +136,29 @@ impl BufPool {
     /// Hand out a zero-filled buffer of exactly `len` bytes plus the ticket
     /// that must accompany its return.
     pub fn acquire(&self, len: usize) -> (Vec<u8>, Ticket) {
+        // Same contents contract as the `vec![0; len]` sites this replaces:
+        // all zero, exact length.
+        let (mut buf, ticket) = self.acquire_empty(len);
+        buf.resize(len, 0);
+        (buf, ticket)
+    }
+
+    /// Hand out an *empty* buffer with room for at least `cap` bytes, for
+    /// callers that write every byte themselves (`extend_from_slice`): the
+    /// recycled storage is neither zeroed nor readable until written.
+    pub fn acquire_empty(&self, cap: usize) -> (Vec<u8>, Ticket) {
         let mut g = self.state();
-        let buf = match class_of(len).and_then(|c| g.classes[c].pop()) {
+        let class = class_of(cap);
+        let buf = match class.and_then(|c| g.classes[c].pop()) {
             Some(mut b) => {
                 g.stats.hits += 1;
-                // Same contents contract as the `vec![0; len]` sites this
-                // replaces: all zero, exact length.
                 b.clear();
-                b.resize(len, 0);
                 b
             }
             None => {
                 g.stats.misses += 1;
-                // Allocate the whole class so the capacity recycles; the
-                // length is still exactly `len`.
-                let cap = class_of(len)
-                    .map(|c| 1usize << (c as u32 + MIN_CLASS))
-                    .unwrap_or(len);
-                let mut b = Vec::with_capacity(cap);
-                b.resize(len, 0);
-                b
+                // Allocate the whole class so the capacity recycles.
+                Vec::with_capacity(class.map_or(cap, |c| 1usize << (c as u32 + MIN_CLASS)))
             }
         };
         let slot = match g.free_slots.pop() {
@@ -210,8 +214,8 @@ impl BufPool {
     /// Acquire, fill with `src`, and freeze in one step — the pooled
     /// equivalent of `Bytes::copy_from_slice`.
     pub fn copy_from_slice(self: &Arc<Self>, src: &[u8]) -> Bytes {
-        let (mut buf, ticket) = self.acquire(src.len());
-        buf.copy_from_slice(src);
+        let (mut buf, ticket) = self.acquire_empty(src.len());
+        buf.extend_from_slice(src);
         self.freeze(buf, ticket)
     }
 
@@ -225,6 +229,15 @@ impl BufPool {
     pub fn balanced(&self) -> bool {
         let g = self.state();
         g.outstanding == 0 && g.stats.ticket_errors == 0
+    }
+}
+
+/// A copy of `src` in pooled storage when there is a pool, in plain
+/// storage otherwise (pool-less unit-test devices).
+pub fn pooled_copy(pool: &Option<Arc<BufPool>>, src: &[u8]) -> Bytes {
+    match pool {
+        Some(p) => p.copy_from_slice(src),
+        None => Bytes::copy_from_slice(src),
     }
 }
 

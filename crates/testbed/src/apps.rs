@@ -3,7 +3,7 @@
 
 use crate::world::{App, Step, SysCtx};
 use bytes::Bytes;
-use outboard_host::TaskId;
+use outboard_host::{TaskId, UserMemory};
 use outboard_mbuf::Chain;
 use outboard_stack::{Proto, ReadResult, SockAddr, SockId, StackError, WriteResult};
 
@@ -38,13 +38,40 @@ pub struct TtcpSender {
     pub bytes_written: usize,
     /// write(2) calls completed.
     pub writes: u64,
-    /// Deterministic payload function so the receiver can verify integrity.
-    pub pattern: fn(usize) -> u8,
 }
 
-/// The byte every ttcp transfer places at stream offset `i`.
+/// The byte every ttcp transfer places at stream offset `i`: a
+/// deterministic payload, so the receiver can verify integrity.
 pub fn ttcp_pattern(i: usize) -> u8 {
     (i as u32).wrapping_mul(2654435761).to_le_bytes()[0]
+}
+
+/// One period of the pattern, from stream offset `base`: only the low byte
+/// of `i` reaches the low byte of the product, so it repeats every 256.
+fn pattern_period(base: usize) -> [u8; 256] {
+    std::array::from_fn(|i| ttcp_pattern(base + i))
+}
+
+/// Fill `dst` with the pattern bytes of stream offsets `base..`, a period
+/// per copy.
+pub fn ttcp_fill(dst: &mut [u8], base: usize) {
+    let period = pattern_period(base);
+    for chunk in dst.chunks_mut(period.len()) {
+        chunk.copy_from_slice(&period[..chunk.len()]);
+    }
+}
+
+/// How many bytes of `src` differ from the pattern at stream offsets
+/// `base..`; only a period that differs is compared byte by byte.
+pub fn ttcp_mismatches(src: &[u8], base: usize) -> u64 {
+    let period = pattern_period(base);
+    let mut wrong = 0;
+    for chunk in src.chunks(period.len()) {
+        if *chunk != period[..chunk.len()] {
+            wrong += chunk.iter().zip(&period).filter(|(b, p)| b != p).count() as u64;
+        }
+    }
+    wrong
 }
 
 impl TtcpSender {
@@ -60,26 +87,12 @@ impl TtcpSender {
             state: TxState::Start,
             bytes_written: 0,
             writes: 0,
-            pattern: ttcp_pattern,
         }
     }
 
     /// The connected socket, once created.
     pub fn sock(&self) -> Option<SockId> {
         self.sock
-    }
-
-    fn fill_buffer(&self, ctx: &mut SysCtx<'_>) {
-        // The user buffer holds the stream bytes for the *next* write; ttcp
-        // reuses one buffer, so refill per write with the right offsets.
-        let mut data = vec![0u8; self.write_size];
-        for (i, b) in data.iter_mut().enumerate() {
-            *b = (self.pattern)(self.bytes_written + i);
-        }
-        use outboard_host::UserMemory;
-        ctx.mem
-            .write_user(self.task, self.buf_vaddr, &data)
-            .expect("sender buffer");
     }
 }
 
@@ -141,7 +154,12 @@ impl TtcpSender {
         }
         ctx.user_cpu(TTCP_LOOP_US);
         let len = self.write_size.min(self.total_bytes - self.bytes_written);
-        self.fill_buffer(ctx);
+        // ttcp reuses one buffer: refill it with this write's stream bytes.
+        let buf = ctx
+            .mem
+            .user_slice_mut(self.task, self.buf_vaddr, len)
+            .expect("sender buffer");
+        ttcp_fill(buf, self.bytes_written);
         let r = ctx.kernel.sys_write(
             self.sock.unwrap(),
             self.task,
@@ -203,8 +221,6 @@ pub struct TtcpReceiver {
     pub verify: bool,
     /// Bytes that did not match the pattern.
     pub verify_errors: u64,
-    /// Expected byte at each stream offset.
-    pub pattern: fn(usize) -> u8,
 }
 
 impl TtcpReceiver {
@@ -223,7 +239,6 @@ impl TtcpReceiver {
             pending_dma: None,
             verify: true,
             verify_errors: 0,
-            pattern: ttcp_pattern,
         }
     }
 
@@ -236,16 +251,11 @@ impl TtcpReceiver {
         if !self.verify {
             return;
         }
-        use outboard_host::UserMemory;
-        let mut data = vec![0u8; len];
-        ctx.mem
-            .read_user(self.task, self.buf_vaddr, &mut data)
+        let data = ctx
+            .mem
+            .user_slice(self.task, self.buf_vaddr, len)
             .expect("receiver buffer");
-        for (i, &b) in data.iter().enumerate() {
-            if b != (self.pattern)(base_off + i) {
-                self.verify_errors += 1;
-            }
-        }
+        self.verify_errors += ttcp_mismatches(data, base_off);
     }
 }
 
@@ -469,7 +479,6 @@ impl FileClient {
     }
 
     fn send_request(&mut self, ctx: &mut SysCtx<'_>) {
-        use outboard_host::UserMemory;
         let mut req = [0u8; 12];
         req[..2].copy_from_slice(b"RD");
         req[2..6].copy_from_slice(&self.next_block.to_be_bytes());
@@ -491,10 +500,9 @@ impl FileClient {
     }
 
     fn check_reply(&mut self, ctx: &mut SysCtx<'_>, bytes: usize) {
-        use outboard_host::UserMemory;
-        let mut data = vec![0u8; bytes];
-        ctx.mem
-            .read_user(self.task, self.buf_vaddr, &mut data)
+        let data = ctx
+            .mem
+            .user_slice(self.task, self.buf_vaddr, bytes)
             .expect("client buffer");
         if bytes < 4 {
             self.verify_errors += 1;
@@ -579,6 +587,51 @@ impl App for FileClient {
             }
             Err(StackError::InvalidState(_)) => Step::Wait,
             Err(e) => panic!("file client read: {e}"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn any_base() -> impl Strategy<Value = usize> {
+        // Every phase of the period, either near zero or straddling
+        // `u32::MAX` (the pattern truncates the offset to 32 bits).
+        (any::<bool>(), 0usize..1024)
+            .prop_map(|(high, x)| if high { u32::MAX as usize - 512 + x } else { x })
+    }
+
+    proptest! {
+        #[test]
+        fn bulk_fill_equals_the_per_byte_pattern(base in any_base(), len in 0usize..2000) {
+            let mut buf = vec![0xEEu8; len];
+            ttcp_fill(&mut buf, base);
+            for (i, &b) in buf.iter().enumerate() {
+                prop_assert_eq!(b, ttcp_pattern(base + i), "offset {}", base + i);
+            }
+        }
+
+        #[test]
+        fn bulk_verify_counts_what_a_per_byte_compare_counts(
+            base in any_base(),
+            len in 1usize..2000,
+            flips in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..12),
+        ) {
+            let mut buf = vec![0u8; len];
+            ttcp_fill(&mut buf, base);
+            prop_assert_eq!(ttcp_mismatches(&buf, base), 0);
+            for (at, xor) in flips {
+                // A zero `xor` plants nothing; both counts must agree on that.
+                buf[at % len] ^= xor;
+            }
+            let per_byte = buf
+                .iter()
+                .enumerate()
+                .filter(|(i, &b)| b != ttcp_pattern(base + i))
+                .count() as u64;
+            prop_assert_eq!(ttcp_mismatches(&buf, base), per_byte);
         }
     }
 }

@@ -485,6 +485,17 @@ mod tests {
     }
 
     #[test]
+    fn ragged_final_write_is_filled_and_verified() {
+        // 100 000 B in 64 KB writes: the second write is 34 464 B.
+        for stack in [StackConfig::single_copy(), StackConfig::unmodified()] {
+            let m = quick(stack, 64 * 1024, 100_000);
+            assert!(m.completed, "transfer stalled: {m:?}");
+            assert_eq!(m.bytes, 100_000);
+            assert_eq!(m.verify_errors, 0);
+        }
+    }
+
+    #[test]
     fn single_copy_is_more_efficient_at_large_writes() {
         let sc = quick(StackConfig::single_copy(), 256 * 1024, 4 * 1024 * 1024);
         let un = quick(StackConfig::unmodified(), 256 * 1024, 4 * 1024 * 1024);

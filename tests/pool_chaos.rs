@@ -17,7 +17,11 @@
 //!   engine while another engine or the host still owns it (the pool's
 //!   generation tags must prevent recycled-handle aliasing).
 
-use outboard::host::MachineConfig;
+use bytes::Bytes;
+use outboard::cab::{
+    Cab, CabConfig, CabError, CabEvent, ChecksumSpec, SdmaDst, SdmaRx, SdmaTx, SgEntry,
+};
+use outboard::host::{HostMem, MachineConfig, TaskId};
 use outboard::sim::{BufPool, ChaosSchedule, Dur, PoolStats, Time};
 use outboard::stack::StackConfig;
 use outboard::testbed::experiment::build_ttcp_world;
@@ -267,4 +271,146 @@ fn pool_balances_after_chaos_world_teardown() {
         drop(w);
         assert_conservation(pool, "chaos-teardown");
     }
+}
+
+/// A transmit gather of `sg` into `packet`, checksummed over everything
+/// past a 64-byte header.
+fn gather_req(packet: outboard::cab::PacketId, sg: Vec<SgEntry>) -> SdmaTx {
+    SdmaTx {
+        packet,
+        sg,
+        csum: Some(ChecksumSpec {
+            csum_offset: 60,
+            skip_words: 16,
+        }),
+        reuse_body_csum: false,
+        interrupt_on_complete: false,
+        token: 0,
+    }
+}
+
+#[test]
+fn faulting_gather_leaves_the_packet_untouched() {
+    // The gather goes straight into network memory, so every user range
+    // must be checked before the first byte moves.
+    let pool = Arc::new(BufPool::new());
+    let mut cab = Cab::new(1, CabConfig::default());
+    cab.set_pool(Arc::clone(&pool));
+    let mut hm = HostMem::new();
+    let task = TaskId(1);
+    hm.create_region(task, 0x1000, 4096);
+    hm.region_mut(task).unwrap().fill(0x11);
+    let user = |vaddr| SgEntry::User {
+        task,
+        vaddr,
+        len: 1024,
+    };
+    let id = cab.alloc_packet(64 + 2048).unwrap();
+    let header = |fill| SgEntry::Inline(Bytes::from(vec![fill; 64]));
+    let sg = vec![header(0x22), user(0x1000), user(0x1400)];
+    let done = cab
+        .sdma_tx(gather_req(id, sg), Time::ZERO, &hm)
+        .unwrap()
+        .at();
+    let snapshot = |cab: &Cab| {
+        let p = cab.netmem().get(id).unwrap();
+        (p.data.clone(), p.saved_body_csum)
+    };
+    let before = snapshot(&cab);
+    assert_eq!(before.0.len(), 64 + 2048);
+    assert!(before.1.is_some());
+
+    // Same shape, different bytes, but the second user range runs off the
+    // end of the region.
+    hm.region_mut(task).unwrap().fill(0x33);
+    let sg = vec![header(0x44), user(0x1000), user(0x1000 + 3584)];
+    let err = cab.sdma_tx(gather_req(id, sg), done, &hm).unwrap_err();
+    assert!(matches!(err, CabError::MemFault(f) if f.vaddr == 0x1000 + 3584));
+    assert!(snapshot(&cab) == before, "a refused gather moved bytes");
+
+    assert!(cab.free_packet(id, done));
+    drop(cab);
+    assert_conservation(pool, "faulting-gather");
+}
+
+#[test]
+fn recycled_storage_never_shows_a_stale_byte() {
+    // Packet buffers and frames are not zero-filled: whatever a recycled
+    // buffer held must be unreachable past the bytes actually written.
+    const LEN: usize = 3000; // shares the 4 KB class with the dirty buffers
+    let pool = Arc::new(BufPool::new());
+    let dirty: Vec<_> = (0..8)
+        .map(|_| {
+            let (mut buf, ticket) = pool.acquire(4096);
+            buf.fill(0xFF);
+            (buf, ticket)
+        })
+        .collect();
+    for (buf, ticket) in dirty {
+        pool.release(buf, ticket);
+    }
+    let mut tx = Cab::new(1, CabConfig::default());
+    let mut rx = Cab::new(2, CabConfig::default());
+    tx.set_pool(Arc::clone(&pool));
+    rx.set_pool(Arc::clone(&pool));
+    let payload: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
+
+    let id = tx.alloc_packet(LEN).unwrap();
+    let mut probe = [0u8; 1];
+    assert!(!tx.read_packet(id, 0, &mut probe), "nothing written yet");
+    let mut req = gather_req(id, vec![SgEntry::Inline(Bytes::from(payload.clone()))]);
+    req.csum = None;
+    let gathered = tx.sdma_tx(req, Time::ZERO, &HostMem::new()).unwrap().at();
+    assert_eq!(tx.netmem().get(id).unwrap().data.len(), LEN);
+    let mut out = vec![0u8; LEN];
+    assert!(tx.netmem().read(id, 0, &mut out));
+    assert_eq!(out, payload);
+    assert!(!tx.read_packet(id, LEN, &mut probe), "past the watermark");
+
+    let CabEvent::FrameOut { frame, .. } = tx.mdma_tx(id, 2, 0, gathered, true).unwrap() else {
+        panic!("mdma_tx yields a frame")
+    };
+    assert_eq!(&frame[..], &payload[..]);
+
+    let CabEvent::RxReady {
+        at,
+        packet: Some(pkt),
+        ..
+    } = rx.receive_frame(frame, Time(1_000_000))
+    else {
+        panic!("frame stays outboard")
+    };
+    assert_eq!(rx.netmem().get(pkt).unwrap().data.len(), LEN);
+    let copy_out = |dst| SdmaRx {
+        packet: pkt,
+        src_off: 0,
+        len: LEN,
+        dst,
+        free_packet: false,
+        interrupt_on_complete: false,
+        token: 0,
+    };
+    let mut hm = HostMem::new();
+    let task = TaskId(2);
+    hm.create_region(task, 0x8000, 4096);
+    let to_user = SdmaDst::User {
+        task,
+        vaddr: 0x8000,
+    };
+    let copied = rx.sdma_rx(copy_out(to_user), at, &mut hm).unwrap().at();
+    let region = hm.region(task).unwrap();
+    assert_eq!(&region[..LEN], &payload[..]);
+    assert!(region[LEN..].iter().all(|&b| b == 0), "copy-out overran");
+    let CabEvent::SdmaDone {
+        data: Some(data), ..
+    } = rx
+        .sdma_rx(copy_out(SdmaDst::Kernel), copied, &mut hm)
+        .unwrap()
+    else {
+        panic!("kernel copy-out returns the bytes")
+    };
+    assert_eq!(&data[..], &payload[..]);
+
+    drop((data, tx, rx));
+    assert_conservation(pool, "stale-bytes");
 }
