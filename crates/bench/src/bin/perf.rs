@@ -30,8 +30,10 @@
 
 use outboard_bench::sweep;
 use outboard_host::MachineConfig;
-use outboard_sim::{EngineKind, EventEngine, Time};
+use outboard_sim::{Dur, EngineKind, EventEngine, Time};
 use outboard_stack::StackConfig;
+use outboard_testbed::experiment::build_ttcp_world;
+use outboard_testbed::world::Host;
 use outboard_testbed::{run_ttcp, ExperimentConfig, Metrics};
 use outboard_wire::checksum::Accumulator;
 use std::fmt::Write as _;
@@ -168,22 +170,38 @@ fn main() {
     // baseline. Recording you never read must stay cheap; min-of-3 with an
     // absolute floor so scheduler noise on fast smoke runs cannot trip the
     // gate.
-    let min3_us = |cfg: &ExperimentConfig| {
+    let min3_us = |call: &dyn Fn()| {
         (0..3)
             .map(|_| {
                 let t0 = Instant::now();
-                criterion::black_box(run_ttcp(cfg));
-                t0.elapsed().as_micros() as f64
+                call();
+                t0.elapsed().as_secs_f64() * 1e6
             })
             .fold(f64::INFINITY, f64::min)
     };
-    let untraced_us = min3_us(&cfg);
+    let run_us = |cfg: &ExperimentConfig| min3_us(&|| drop(criterion::black_box(run_ttcp(cfg))));
+    let untraced_us = run_us(&cfg);
     let mut traced_cfg = cfg.clone();
     traced_cfg.trace_spans = true;
     traced_cfg.trace_export = false;
-    let traced_us = min3_us(&traced_cfg);
+    let traced_us = run_us(&traced_cfg);
     let overhead_pct = (traced_us - untraced_us) / untraced_us.max(1.0) * 100.0;
     let trace_overhead_ok = overhead_pct <= 2.0 || (traced_us - untraced_us) < 2_000.0;
+    // What reading the recording costs on top: `overhead_pct` runs with
+    // `trace_export` off, so rendering the trace file and attributing the
+    // critical path are timed separately (min-of-3 each) on one traced run.
+    let (export_us, critical_path_us) = {
+        let mut w = build_ttcp_world(&traced_cfg);
+        let unfinished = |h: &Host| h.apps[0].as_ref().is_some_and(|a| !a.finished());
+        w.run_while(Time::ZERO + Dur::from_secs_f64(30.0), |w| {
+            w.hosts.iter().any(unfinished)
+        });
+        w.finish_spans(w.now());
+        (
+            min3_us(&|| drop(criterion::black_box(w.export_trace(traced_cfg.trace_flows)))),
+            min3_us(&|| drop(criterion::black_box(w.critical_path()))),
+        )
+    };
     workloads.push(Workload {
         name: "trace_overhead",
         fields: vec![
@@ -191,6 +209,8 @@ fn main() {
             ("traced_us", traced_us),
             ("overhead_pct", overhead_pct),
             ("within_budget", if trace_overhead_ok { 1.0 } else { 0.0 }),
+            ("export_us", export_us),
+            ("critical_path_us", critical_path_us),
         ],
     });
 
@@ -201,7 +221,7 @@ fn main() {
     let mut sampled_cfg = cfg.clone();
     sampled_cfg.timeline_enabled = true;
     sampled_cfg.timeline_export = false;
-    let sampled_us = min3_us(&sampled_cfg);
+    let sampled_us = run_us(&sampled_cfg);
     let timeline_pct = (sampled_us - untraced_us) / untraced_us.max(1.0) * 100.0;
     let timeline_overhead_ok = timeline_pct <= 2.0 || (sampled_us - untraced_us) < 2_000.0;
     workloads.push(Workload {

@@ -489,29 +489,77 @@ impl SpanSink {
     }
 }
 
-/// Render one nanosecond timestamp as the trace-event microsecond field
-/// (exact decimal, no floating point: determinism). Shared with the
-/// timeline module so counter tracks and span slices agree byte-for-byte
-/// on timestamp rendering.
-pub(crate) fn ts_us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
+/// Append `v` in decimal. The exporters append every number digit-wise
+/// into the one output buffer: no `format!`, no per-event `String`.
+pub(crate) fn push_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(buf[i..].iter().map(|&b| char::from(b)));
 }
 
-fn push_event(out: &mut String, ph: char, pid: u32, tid: u32, ns: u64, name: &str, extra: &str) {
-    let _ = write!(
-        out,
-        "{{\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"name\":\"{name}\"{extra}}}",
-        ts_us(ns)
-    );
+/// Append one nanosecond value as the trace-event microsecond field
+/// (`µs.nnn`: exact decimal, no floating point — determinism).
+fn push_ts_us(out: &mut String, ns: u64) {
+    push_u64(out, ns / 1_000);
+    let frac = ns % 1_000;
+    out.push('.');
+    for d in [frac / 100, frac / 10 % 10, frac % 10] {
+        out.push(char::from(b'0' + d as u8));
+    }
+}
+
+/// Append a flow group as its 8-digit lower-case hex id.
+fn push_hex8(out: &mut String, v: u32) {
+    for shift in (0..8).rev() {
+        out.push(char::from(
+            b"0123456789abcdef"[(v >> (shift * 4)) as usize & 0xf],
+        ));
+    }
+}
+
+/// Append the fields every trace event starts with, leaving the object
+/// open: `{"ph":"P","pid":N,"tid":N,"ts":µs.nnn,"name":"NAME"`. Shared with
+/// the timeline module so counter tracks and span slices agree
+/// byte-for-byte on field order and timestamp rendering.
+pub(crate) fn push_event_head(out: &mut String, ph: char, pid: u32, tid: u32, ns: u64, name: &str) {
+    out.push_str("{\"ph\":\"");
+    out.push(ph);
+    out.push_str("\",\"pid\":");
+    push_u64(out, u64::from(pid));
+    out.push_str(",\"tid\":");
+    push_u64(out, u64::from(tid));
+    out.push_str(",\"ts\":");
+    push_ts_us(out, ns);
+    out.push_str(",\"name\":\"");
+    out.push_str(name);
+    out.push('"');
+}
+
+const TRACE_HEAD: &str = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
+
+/// Separate trace events: nothing before the first, `,\n` before the rest.
+fn push_sep(out: &mut String) {
+    if out.len() > TRACE_HEAD.len() {
+        out.push_str(",\n");
+    }
 }
 
 /// Export a set of sinks as Chrome trace-event / Perfetto JSON.
 ///
-/// `tracks` pairs each sink with a process id and a process name (one
-/// process per host, plus one for the fabric). Within a process, each
-/// engine lane gets its own thread track. Flow arrows (`s`/`t`/`f` events)
-/// follow each flow group across processes; `flow_limit` bounds how many
-/// groups get arrows (`None` = all), selected in order of first appearance.
+/// `tracks` pairs each sink with a process id (distinct per track) and a
+/// process name (one process per host, plus one for the fabric). Within a
+/// process, each engine lane gets its own thread track. Flow arrows
+/// (`s`/`t`/`f` events) follow each flow group across processes;
+/// `flow_limit` bounds how many groups get arrows (`None` = all), selected
+/// in order of first appearance.
 ///
 /// The output is byte-deterministic for identical inputs.
 pub fn export_chrome_trace(
@@ -531,89 +579,92 @@ pub fn export_chrome_trace_with(
     flow_limit: Option<usize>,
     extra_events: &[String],
 ) -> String {
-    let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if !out.is_empty() {
-            if first {
-                first = false;
-            } else {
-                out.push_str(",\n");
-            }
-        }
-    };
+    let mut out = String::from(TRACE_HEAD);
 
-    // Lane → tid assignment, deterministic per process: sorted lane names.
-    let mut tids: BTreeMap<(u32, &'static str), u32> = BTreeMap::new();
+    // Stage → tid per track, deterministic: a track's lanes in sorted name
+    // order, numbered from 0.
+    let mut tids: Vec<[u32; STAGE_COUNT]> = Vec::with_capacity(tracks.len());
     for (pid, pname, sink) in tracks {
-        let mut lanes: Vec<&'static str> = sink.spans().map(|s| s.stage.lane()).collect();
+        let mut seen = [false; STAGE_COUNT];
+        for s in sink.spans() {
+            seen[s.stage.index()] = true;
+        }
+        let used = Stage::ALL.iter().filter(|st| seen[st.index()]);
+        let mut lanes: Vec<&'static str> = used.map(|st| st.lane()).collect();
         lanes.sort_unstable();
         lanes.dedup();
-        sep(&mut out);
+        push_sep(&mut out);
         let _ = write!(
             out,
             "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\"args\":{{\"name\":\"{pname}\"}}}}"
         );
-        for (i, lane) in lanes.iter().enumerate() {
-            let tid = i as u32;
-            tids.insert((*pid, lane), tid);
-            sep(&mut out);
+        for (tid, lane) in lanes.iter().enumerate() {
+            push_sep(&mut out);
             let _ = write!(
                 out,
                 "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"{lane}\"}}}}"
             );
         }
+        tids.push(Stage::ALL.map(|st| {
+            let tid = lanes.iter().position(|l| *l == st.lane());
+            tid.unwrap_or(0) as u32
+        }));
     }
 
     // Merge every span with a stable order: (start, pid, seq).
-    let mut all: Vec<(u32, &Span)> = Vec::new();
-    for (pid, _, sink) in tracks {
-        all.extend(sink.spans().map(|s| (*pid, s)));
+    let mut all: Vec<(usize, &Span)> = Vec::new();
+    for (track, (_, _, sink)) in tracks.iter().enumerate() {
+        all.extend(sink.spans().map(|s| (track, s)));
     }
-    all.sort_by_key(|(pid, s)| (s.start, *pid, s.seq));
+    all.sort_by_key(|(track, s)| (s.start, tracks[*track].0, s.seq));
 
-    for (pid, s) in &all {
-        let tid = tids[&(*pid, s.stage.lane())];
-        let dur = s.end.since(s.start).as_nanos();
-        sep(&mut out);
-        let extra = format!(
-            ",\"cat\":\"span\",\"dur\":{},\"args\":{{\"flow\":\"{:08x}\",\"seq_lo\":{},\"bytes\":{},\"fate\":\"{}\"}}",
-            ts_us(dur),
-            s.flow.group(),
-            s.flow.seq_lo(),
-            s.bytes,
-            if s.dropped { "dropped" } else { "ok" },
-        );
-        push_event(
-            &mut out,
-            'X',
-            *pid,
-            tid,
-            s.start.nanos(),
-            s.stage.name(),
-            &extra,
-        );
+    for (track, s) in &all {
+        push_sep(&mut out);
+        let (pid, tid) = (tracks[*track].0, tids[*track][s.stage.index()]);
+        push_event_head(&mut out, 'X', pid, tid, s.start.nanos(), s.stage.name());
+        out.push_str(",\"cat\":\"span\",\"dur\":");
+        push_ts_us(&mut out, s.end.since(s.start).as_nanos());
+        out.push_str(",\"args\":{\"flow\":\"");
+        push_hex8(&mut out, s.flow.group());
+        out.push_str("\",\"seq_lo\":");
+        push_u64(&mut out, u64::from(s.flow.seq_lo()));
+        out.push_str(",\"bytes\":");
+        push_u64(&mut out, s.bytes);
+        out.push_str(if s.dropped {
+            ",\"fate\":\"dropped\"}}"
+        } else {
+            ",\"fate\":\"ok\"}}"
+        });
     }
 
-    // Flow arrows, per group, in order of first appearance.
-    let mut groups: Vec<u32> = Vec::new();
-    for (_, s) in &all {
+    // Flow arrows, per group, in order of first appearance: one pass gives
+    // each group a chain (none past `flow_limit`) of its spans' indices.
+    let limit = flow_limit.unwrap_or(usize::MAX);
+    let mut slots: BTreeMap<u32, Option<usize>> = BTreeMap::new();
+    let mut chains: Vec<(u32, Vec<usize>)> = Vec::new();
+    for (i, (_, s)) in all.iter().enumerate() {
         let g = s.flow.group();
-        if g != 0 && !groups.contains(&g) {
-            groups.push(g);
+        if g == 0 {
+            continue;
+        }
+        let slot = *slots.entry(g).or_insert_with(|| {
+            (chains.len() < limit).then(|| {
+                chains.push((g, Vec::new()));
+                chains.len() - 1
+            })
+        });
+        if let Some(slot) = slot {
+            chains[slot].1.push(i);
         }
     }
-    if let Some(limit) = flow_limit {
-        groups.truncate(limit);
-    }
-    for g in groups {
-        let chain: Vec<&(u32, &Span)> = all.iter().filter(|(_, s)| s.flow.group() == g).collect();
+    for (g, chain) in &chains {
         let n = chain.len();
         if n < 2 {
             continue;
         }
-        for (i, (pid, s)) in chain.iter().enumerate() {
-            let tid = tids[&(*pid, s.stage.lane())];
+        for (i, &at) in chain.iter().enumerate() {
+            let (track, s) = all[at];
+            let (pid, tid) = (tracks[track].0, tids[track][s.stage.index()]);
             let ph = if i == 0 {
                 's'
             } else if i + 1 == n {
@@ -621,15 +672,16 @@ pub fn export_chrome_trace_with(
             } else {
                 't'
             };
-            sep(&mut out);
-            let bp = if ph == 'f' { ",\"bp\":\"e\"" } else { "" };
-            let extra = format!(",\"cat\":\"flow\",\"id\":\"{g:08x}\"{bp}");
-            push_event(&mut out, ph, *pid, tid, s.start.nanos(), "flow", &extra);
+            push_sep(&mut out);
+            push_event_head(&mut out, ph, pid, tid, s.start.nanos(), "flow");
+            out.push_str(",\"cat\":\"flow\",\"id\":\"");
+            push_hex8(&mut out, *g);
+            out.push_str(if ph == 'f' { "\",\"bp\":\"e\"}" } else { "\"}" });
         }
     }
 
     for ev in extra_events {
-        sep(&mut out);
+        push_sep(&mut out);
         out.push_str(ev);
     }
 
@@ -691,53 +743,246 @@ impl CriticalPath {
 
 /// Attribute a flow group's end-to-end latency to stages.
 ///
-/// Boundary sweep: each instant between the group's first span start and
-/// last span end is attributed to the *most recently started* span active
-/// at that instant (latest start wins; ties break toward the span emitted
-/// last), or to `"idle"` when none covers it. Shares therefore sum to the
-/// end-to-end total exactly. Returns `None` when the group has no spans.
+/// Each instant between the group's first span start and last span end is
+/// attributed to the *most recently started* span active at that instant
+/// (latest start wins; ties break toward the span emitted last, and equal
+/// `(start, seq)` from different sinks toward the one later in `spans`), or
+/// to `"idle"` when none covers it. Shares therefore sum to the end-to-end
+/// total exactly. Returns `None` when the group has no spans.
+///
+/// One sort plus one sweep: spans are pushed in `(start, seq)` order, so
+/// the active set is a stack whose top owns the current instant, and
+/// expired tops are popped lazily.
 pub fn critical_path<'a>(
     spans: impl Iterator<Item = &'a Span>,
     group: u32,
 ) -> Option<CriticalPath> {
+    const IDLE: usize = STAGE_COUNT;
     let mut flow: Vec<&Span> = spans.filter(|s| s.flow.group() == group).collect();
-    if flow.is_empty() {
-        return None;
-    }
     flow.sort_by_key(|s| (s.start, s.seq));
-    let start = flow.iter().map(|s| s.start).min().unwrap();
-    let end = flow.iter().map(|s| s.end).max().unwrap();
-    let mut bounds: Vec<u64> = flow
-        .iter()
-        .flat_map(|s| [s.start.nanos(), s.end.nanos()])
-        .collect();
-    bounds.sort_unstable();
-    bounds.dedup();
-    let mut shares: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for w in bounds.windows(2) {
-        let (t0, t1) = (w[0], w[1]);
-        // Active spans cover [start, end) of the segment; the most recently
-        // started one owns it.
-        let owner = flow
-            .iter()
-            .filter(|s| s.start.nanos() <= t0 && s.end.nanos() >= t1 && s.start != s.end)
-            .max_by_key(|s| (s.start, s.seq))
-            .map(|s| s.stage.name())
-            .unwrap_or("idle");
-        *shares.entry(owner).or_insert(0) += t1 - t0;
+    let start = flow.first()?.start;
+    let mut ns = [0u64; STAGE_COUNT + 1];
+    let mut active: Vec<&Span> = Vec::new();
+    let (mut t, mut next) = (start, 0);
+    loop {
+        while let Some(s) = flow.get(next).filter(|s| s.start <= t) {
+            active.push(s);
+            next += 1;
+        }
+        // Zero-length spans expire the instant they start: they own nothing.
+        while active.last().is_some_and(|s| s.end <= t) {
+            active.pop();
+        }
+        // The owner holds until it ends or a later span starts.
+        let next_start = flow.get(next).map(|s| s.start);
+        let (owner, until) = match (active.last(), next_start) {
+            (Some(s), Some(n)) => (s.stage.index(), s.end.min(n)),
+            (Some(s), None) => (s.stage.index(), s.end),
+            (None, Some(n)) => (IDLE, n),
+            (None, None) => break,
+        };
+        ns[owner] += until.since(t).as_nanos();
+        t = until;
     }
-    let mut shares: Vec<StageShare> = shares
-        .into_iter()
-        .map(|(stage, ns)| StageShare { stage, ns })
+    let name = |i: usize| Stage::ALL.get(i).map_or("idle", |st| st.name());
+    let mut shares: Vec<StageShare> = (0..=STAGE_COUNT)
+        .filter(|&i| ns[i] > 0)
+        .map(|i| StageShare {
+            stage: name(i),
+            ns: ns[i],
+        })
         .collect();
     shares.sort_by(|a, b| b.ns.cmp(&a.ns).then(a.stage.cmp(b.stage)));
     Some(CriticalPath {
         group,
         start,
-        end,
-        total_ns: end.since(start).as_nanos(),
+        end: t,
+        total_ns: t.since(start).as_nanos(),
         shares,
     })
+}
+
+/// The pre-sweep implementations, kept verbatim as the oracle the property
+/// tests hold the linear-time versions to (byte-for-byte, share-for-share).
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    fn ts_us(ns: u64) -> String {
+        format!("{}.{:03}", ns / 1_000, ns % 1_000)
+    }
+
+    fn push_event(
+        out: &mut String,
+        ph: char,
+        pid: u32,
+        tid: u32,
+        ns: u64,
+        name: &str,
+        extra: &str,
+    ) {
+        let _ = write!(
+            out,
+            "{{\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"name\":\"{name}\"{extra}}}",
+            ts_us(ns)
+        );
+    }
+
+    pub fn export_chrome_trace_with(
+        tracks: &[(u32, String, &SpanSink)],
+        flow_limit: Option<usize>,
+        extra_events: &[String],
+    ) -> String {
+        let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
+        let mut first = true;
+        let mut sep = |out: &mut String| {
+            if !out.is_empty() {
+                if first {
+                    first = false;
+                } else {
+                    out.push_str(",\n");
+                }
+            }
+        };
+
+        // Lane → tid assignment, deterministic per process: sorted lane names.
+        let mut tids: BTreeMap<(u32, &'static str), u32> = BTreeMap::new();
+        for (pid, pname, sink) in tracks {
+            let mut lanes: Vec<&'static str> = sink.spans().map(|s| s.stage.lane()).collect();
+            lanes.sort_unstable();
+            lanes.dedup();
+            sep(&mut out);
+            let _ = write!(
+                out,
+                "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\"args\":{{\"name\":\"{pname}\"}}}}"
+            );
+            for (i, lane) in lanes.iter().enumerate() {
+                let tid = i as u32;
+                tids.insert((*pid, lane), tid);
+                sep(&mut out);
+                let _ = write!(
+                    out,
+                    "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"{lane}\"}}}}"
+                );
+            }
+        }
+
+        // Merge every span with a stable order: (start, pid, seq).
+        let mut all: Vec<(u32, &Span)> = Vec::new();
+        for (pid, _, sink) in tracks {
+            all.extend(sink.spans().map(|s| (*pid, s)));
+        }
+        all.sort_by_key(|(pid, s)| (s.start, *pid, s.seq));
+
+        for (pid, s) in &all {
+            let tid = tids[&(*pid, s.stage.lane())];
+            let dur = s.end.since(s.start).as_nanos();
+            sep(&mut out);
+            let extra = format!(
+                ",\"cat\":\"span\",\"dur\":{},\"args\":{{\"flow\":\"{:08x}\",\"seq_lo\":{},\"bytes\":{},\"fate\":\"{}\"}}",
+                ts_us(dur),
+                s.flow.group(),
+                s.flow.seq_lo(),
+                s.bytes,
+                if s.dropped { "dropped" } else { "ok" },
+            );
+            push_event(
+                &mut out,
+                'X',
+                *pid,
+                tid,
+                s.start.nanos(),
+                s.stage.name(),
+                &extra,
+            );
+        }
+
+        // Flow arrows, per group, in order of first appearance.
+        let mut groups: Vec<u32> = Vec::new();
+        for (_, s) in &all {
+            let g = s.flow.group();
+            if g != 0 && !groups.contains(&g) {
+                groups.push(g);
+            }
+        }
+        if let Some(limit) = flow_limit {
+            groups.truncate(limit);
+        }
+        for g in groups {
+            let chain: Vec<&(u32, &Span)> =
+                all.iter().filter(|(_, s)| s.flow.group() == g).collect();
+            let n = chain.len();
+            if n < 2 {
+                continue;
+            }
+            for (i, (pid, s)) in chain.iter().enumerate() {
+                let tid = tids[&(*pid, s.stage.lane())];
+                let ph = if i == 0 {
+                    's'
+                } else if i + 1 == n {
+                    'f'
+                } else {
+                    't'
+                };
+                sep(&mut out);
+                let bp = if ph == 'f' { ",\"bp\":\"e\"" } else { "" };
+                let extra = format!(",\"cat\":\"flow\",\"id\":\"{g:08x}\"{bp}");
+                push_event(&mut out, ph, *pid, tid, s.start.nanos(), "flow", &extra);
+            }
+        }
+
+        for ev in extra_events {
+            sep(&mut out);
+            out.push_str(ev);
+        }
+
+        out.push_str("\n]}\n");
+        out
+    }
+
+    pub fn critical_path<'a>(
+        spans: impl Iterator<Item = &'a Span>,
+        group: u32,
+    ) -> Option<CriticalPath> {
+        let mut flow: Vec<&Span> = spans.filter(|s| s.flow.group() == group).collect();
+        if flow.is_empty() {
+            return None;
+        }
+        flow.sort_by_key(|s| (s.start, s.seq));
+        let start = flow.iter().map(|s| s.start).min().unwrap();
+        let end = flow.iter().map(|s| s.end).max().unwrap();
+        let mut bounds: Vec<u64> = flow
+            .iter()
+            .flat_map(|s| [s.start.nanos(), s.end.nanos()])
+            .collect();
+        bounds.sort_unstable();
+        bounds.dedup();
+        let mut shares: BTreeMap<&'static str, u64> = BTreeMap::new();
+        for w in bounds.windows(2) {
+            let (t0, t1) = (w[0], w[1]);
+            // Active spans cover [start, end) of the segment; the most recently
+            // started one owns it.
+            let owner = flow
+                .iter()
+                .filter(|s| s.start.nanos() <= t0 && s.end.nanos() >= t1 && s.start != s.end)
+                .max_by_key(|s| (s.start, s.seq))
+                .map(|s| s.stage.name())
+                .unwrap_or("idle");
+            *shares.entry(owner).or_insert(0) += t1 - t0;
+        }
+        let mut shares: Vec<StageShare> = shares
+            .into_iter()
+            .map(|(stage, ns)| StageShare { stage, ns })
+            .collect();
+        shares.sort_by(|a, b| b.ns.cmp(&a.ns).then(a.stage.cmp(b.stage)));
+        Some(CriticalPath {
+            group,
+            start,
+            end,
+            total_ns: end.since(start).as_nanos(),
+            shares,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -859,5 +1104,113 @@ mod tests {
         assert_eq!(f.seq_lo(), 42);
         assert!(!f.is_none());
         assert!(FlowId::NONE.is_none());
+    }
+
+    #[test]
+    fn number_rendering_matches_format() {
+        for v in [0, 7, 10, 999, 1_000, 1_001, 123_456_789, u64::MAX] {
+            let (mut a, mut b) = (String::new(), String::new());
+            push_u64(&mut a, v);
+            push_ts_us(&mut b, v);
+            assert_eq!(a, v.to_string());
+            assert_eq!(b, format!("{}.{:03}", v / 1_000, v % 1_000));
+        }
+        for v in [0, 1, 0xAB, 0xdead_beef, u32::MAX] {
+            let mut h = String::new();
+            push_hex8(&mut h, v);
+            assert_eq!(h, format!("{v:08x}"));
+        }
+    }
+
+    #[test]
+    fn critical_path_of_a_single_span_group() {
+        let mut s = SpanSink::enabled(4);
+        s.span(FlowId::from_parts(9, 0), Stage::Wire, t(3), t(5), 0);
+        s.span(FlowId::NONE, Stage::Degraded, t(0), t(9), 0);
+        let cp = critical_path(s.spans(), 9).unwrap();
+        assert_eq!((cp.start, cp.end, cp.total_ns), (t(3), t(5), 2_000));
+        assert_eq!(
+            cp.shares,
+            vec![StageShare {
+                stage: "wire",
+                ns: 2_000
+            }]
+        );
+        assert!(critical_path(s.spans(), 8).is_none());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const GROUPS: [u32; 4] = [0, 1, 0xAB, 0xdead_beef];
+
+    /// ((group pick, seq_lo, stage), (start step, length step, bytes, dropped)).
+    type Raw = ((usize, u32, usize), (u64, u64, u32, bool));
+
+    fn raw_spans(max: usize) -> impl Strategy<Value = Vec<Raw>> {
+        let one = (
+            (0..GROUPS.len(), any::<u32>(), 0..STAGE_COUNT),
+            (0u64..16, 0u64..12, any::<u32>(), any::<bool>()),
+        );
+        proptest::collection::vec(one, 0..max)
+    }
+
+    /// Few distinct starts, lengths from zero up: overlaps, nesting,
+    /// zero-length spans and equal `(start, seq)` across sinks (`seq` is
+    /// the per-sink emission index) all come up at these sizes; group 0 is
+    /// `FlowId::NONE`, and sinks may be empty.
+    fn sink(raw: &[Raw]) -> SpanSink {
+        let mut s = SpanSink::enabled(64);
+        for &((g, seq_lo, stage), (start, len, bytes, dropped)) in raw {
+            let flow = FlowId::from_parts(GROUPS[g], if GROUPS[g] == 0 { 0 } else { seq_lo });
+            let (start, stage) = (Time(start * 250), Stage::ALL[stage]);
+            let end = Time(start.nanos() + len * 125);
+            s.emit(flow, stage, start, end, u64::from(bytes), dropped);
+        }
+        s
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        #[test]
+        fn export_matches_reference(
+            a in raw_spans(24), b in raw_spans(24), c in raw_spans(8),
+            limit in 0usize..4, extra in 0usize..3,
+        ) {
+            let (a, b, c) = (sink(&a), sink(&b), sink(&c));
+            let tracks = [(0, "host0".to_string(), &a), (1, "host1".to_string(), &b),
+                          (2, "fabric".to_string(), &c)];
+            let limit = [None, Some(0), Some(1), Some(GROUPS.len())][limit];
+            let extra: Vec<String> = (0..extra).map(|i| format!("{{\"ph\":\"C\",\"n\":{i}}}")).collect();
+            prop_assert_eq!(
+                export_chrome_trace_with(&tracks, limit, &extra),
+                reference::export_chrome_trace_with(&tracks, limit, &extra)
+            );
+        }
+
+        /// The sweep over the sinks chained in pid order against the
+        /// reference over the `(start, pid, seq)`-merged vector, which is
+        /// what `World::critical_path` used to hand over.
+        #[test]
+        fn critical_path_matches_reference(
+            a in raw_spans(24), b in raw_spans(24), c in raw_spans(8),
+        ) {
+            let sinks = [sink(&a), sink(&b), sink(&c)];
+            let mut merged: Vec<(u32, Span)> = Vec::new();
+            for (pid, s) in sinks.iter().enumerate() {
+                merged.extend(s.spans().map(|x| (pid as u32, *x)));
+            }
+            merged.sort_by_key(|(pid, s)| (s.start, *pid, s.seq));
+            for g in GROUPS.into_iter().chain([77]) {
+                prop_assert_eq!(
+                    critical_path(sinks.iter().flat_map(|s| s.spans()), g),
+                    reference::critical_path(merged.iter().map(|(_, s)| s), g)
+                );
+            }
+        }
     }
 }

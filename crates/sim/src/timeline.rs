@@ -27,7 +27,7 @@
 //! [`Timeline::sparklines`] for a terminal summary, and
 //! [`Timeline::tail_json`] for the flight recorder's last-N-windows dump.
 
-use crate::span::ts_us;
+use crate::span::{push_event_head, push_u64};
 use crate::time::Dur;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -388,14 +388,19 @@ impl Timeline {
         let retained = self.series.first().map(|s| s.samples.len()).unwrap_or(0);
         let mut out = Vec::with_capacity(retained * self.series.len());
         for i in 0..retained {
-            let k = self.evicted + i as u64;
-            let ts = ts_us(self.window_start_ns(k));
+            let ts_ns = self.window_start_ns(self.evicted + i as u64);
             for s in &self.series {
-                out.push(format!(
-                    "{{\"ph\":\"C\",\"pid\":{},\"tid\":0,\"ts\":{},\"name\":\"{}\",\
-                     \"cat\":\"timeline\",\"args\":{{\"{}\":{}}}}}",
-                    s.pid, ts, s.name, s.unit, s.samples[i]
-                ));
+                let mut ev = String::with_capacity(128);
+                push_event_head(&mut ev, 'C', s.pid, 0, ts_ns, &s.name);
+                ev.push_str(",\"cat\":\"timeline\",\"args\":{\"");
+                ev.push_str(s.unit);
+                ev.push_str("\":");
+                if s.samples[i] < 0 {
+                    ev.push('-');
+                }
+                push_u64(&mut ev, s.samples[i].unsigned_abs());
+                ev.push_str("}}");
+                out.push(ev);
             }
         }
         out

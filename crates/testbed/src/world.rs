@@ -697,21 +697,26 @@ impl World {
     }
 
     /// Critical-path attribution for the busiest flow group (most spans;
-    /// ties break toward the smallest group id). None when no group has
-    /// at least two spans.
+    /// ties break toward the smallest group id). A group with a single
+    /// span still yields a path; `None` only when no recorded span carries
+    /// a flow group.
     pub fn critical_path(&self) -> Option<CriticalPath> {
-        let spans = self.merged_spans();
+        // Hosts then fabric: the pid order `merged_spans` breaks ties in.
+        let sinks = || {
+            let hosts = self.hosts.iter().map(|h| &h.kernel.spans);
+            hosts
+                .chain([&self.wire_spans])
+                .flat_map(|sink| sink.spans())
+        };
         let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
-        for s in &spans {
-            if s.flow.group() != 0 {
-                *counts.entry(s.flow.group()).or_insert(0) += 1;
-            }
+        for s in sinks().filter(|s| s.flow.group() != 0) {
+            *counts.entry(s.flow.group()).or_insert(0) += 1;
         }
         let group = counts
             .iter()
             .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
             .map(|(g, _)| *g)?;
-        span::critical_path(spans.iter(), group)
+        span::critical_path(sinks(), group)
     }
 
     /// Current virtual time (the last dispatched event's timestamp).
@@ -1353,5 +1358,29 @@ impl World {
 impl Default for World {
     fn default() -> Self {
         World::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use outboard_sim::span::FlowId;
+
+    #[test]
+    fn critical_path_needs_a_flow_group_not_two_spans() {
+        let mut w = World::new();
+        w.enable_span_tracing(8);
+        assert!(w.critical_path().is_none(), "no spans at all");
+        w.wire_spans
+            .span(FlowId::NONE, Stage::Degraded, Time(0), Time(9), 0);
+        assert!(w.critical_path().is_none(), "only a group-0 span");
+        w.wire_spans
+            .span(FlowId::group_only(7), Stage::Wire, Time(2), Time(5), 0);
+        let cp = w.critical_path().expect("one grouped span is enough");
+        assert_eq!((cp.group, cp.total_ns, cp.dominant()), (7, 3, "wire"));
+        // Equal span counts: the smallest group id wins.
+        w.wire_spans
+            .span(FlowId::group_only(3), Stage::Ack, Time(4), Time(8), 0);
+        assert_eq!(w.critical_path().map(|cp| cp.group), Some(3));
     }
 }

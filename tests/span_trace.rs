@@ -1,12 +1,22 @@
 //! Causal-tracing integration tests: trace determinism, span conservation
-//! (with and without the fault matrix), critical-path exactness, and the
-//! completeness of the per-packet causal chain.
+//! (with and without the fault matrix), critical-path exactness, the
+//! completeness of the per-packet causal chain, and cross-binary goldens.
+//!
+//! The goldens under `tests/golden/` were written by the binary of the
+//! commit *before* the exporters were rewritten (PR 12, 73d7c24), so they
+//! prove the trace file and the critical-path table did not change across
+//! the rewrite, not merely that the exporter agrees with itself. To
+//! regenerate after an intended format change, run
+//! `cargo test --test span_trace -- --ignored regenerate_goldens` on the
+//! commit whose output is the new reference (copy this file into a checkout
+//! of it if it predates the test) and commit `tests/golden/`.
 
 use outboard::host::MachineConfig;
 use outboard::stack::StackConfig;
 use outboard::testbed::{run_ttcp, ExperimentConfig, Metrics};
 
 const TOTAL: usize = 1024 * 1024;
+const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
 
 fn traced(seed: u64, faults: bool) -> Metrics {
     let mut stack = StackConfig::single_copy();
@@ -130,4 +140,56 @@ fn untraced_runs_publish_no_span_metrics() {
     // The trace-eviction counter is published unconditionally (satellite:
     // eviction must be detectable from artifacts).
     assert!(m.stats.to_json().contains("world.trace.evicted"));
+}
+
+/// The golden runs: 64 KB single-copy in 8 KB writes, seed 7, spans and
+/// the 1 ms timeline on (so the trace carries counter tracks too), clean
+/// and under the `fault_soak` matrix. Returns `(file name, contents)`.
+fn golden_outputs() -> Vec<(&'static str, String)> {
+    let mut out = Vec::new();
+    for (faults, trace_name, cp_name) in [
+        (false, "trace_small.json", "critical_path_small.txt"),
+        (
+            true,
+            "trace_small_faults.json",
+            "critical_path_small_faults.txt",
+        ),
+    ] {
+        let mut stack = StackConfig::single_copy();
+        stack.force_single_copy = true;
+        let mut cfg = ExperimentConfig::new(MachineConfig::alpha_3000_400(), stack, 8 * 1024);
+        cfg.total_bytes = 64 * 1024;
+        cfg.seed = 7;
+        cfg.trace_spans = true;
+        cfg.timeline_enabled = true;
+        if faults {
+            cfg.drop_p = 0.05;
+            cfg.corrupt_p = 0.01;
+            cfg.dup_p = 0.01;
+            cfg.cab_alloc_fail_p = 0.05;
+        }
+        let m = run_ttcp(&cfg);
+        assert!(m.completed);
+        out.push((trace_name, m.trace_json.expect("traced run")));
+        out.push((cp_name, m.critical_path.expect("traced run").render()));
+    }
+    out
+}
+
+#[test]
+fn trace_and_critical_path_match_the_parent_binarys_goldens() {
+    for (name, got) in golden_outputs() {
+        let want = std::fs::read_to_string(format!("{GOLDEN_DIR}/{name}"))
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(got == want, "{name} differs from tests/golden/{name}");
+    }
+}
+
+#[test]
+#[ignore = "writes tests/golden/; see the file header"]
+fn regenerate_goldens() {
+    std::fs::create_dir_all(GOLDEN_DIR).unwrap();
+    for (name, got) in golden_outputs() {
+        std::fs::write(format!("{GOLDEN_DIR}/{name}"), got).unwrap();
+    }
 }
