@@ -11,13 +11,18 @@
 use crate::ownership::{DmaEngine, DmaOwnershipViolation, OwnershipJournal};
 #[cfg(feature = "dma-check")]
 use outboard_sim::Time;
-use outboard_sim::{BufPool, Ticket};
-use std::collections::BTreeMap;
+use outboard_sim::{BufPool, IdTable, Ticket};
 use std::sync::Arc;
 
 /// Identifies a packet buffer in one CAB's network memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PacketId(pub u64);
+
+impl From<PacketId> for u64 {
+    fn from(id: PacketId) -> u64 {
+        id.0
+    }
+}
 
 /// One packet buffer.
 #[derive(Debug)]
@@ -49,10 +54,11 @@ pub struct NetworkMemory {
     alloc_failures: u64,
     frees: u64,
     reserved_pages: usize,
-    // BTreeMap, not HashMap: `free_all` drains this map, and a
-    // hash-ordered drain would make reset bookkeeping order (and anything
-    // downstream of it) vary run to run.
-    packets: BTreeMap<PacketId, PacketBuf>,
+    // Slots addressed by `id - base` (ids are issued in sequence and never
+    // reused). `free_all` drains the table in ascending id order, so reset
+    // bookkeeping order (and anything downstream of it) is the same run to
+    // run.
+    packets: IdTable<PacketBuf>,
     next_id: u64,
     /// Optional shared buffer pool behind `PacketBuf::data`; without one,
     /// every allocation is a fresh `Vec` (standalone unit tests).
@@ -76,7 +82,7 @@ impl NetworkMemory {
             alloc_failures: 0,
             frees: 0,
             reserved_pages: 0,
-            packets: BTreeMap::new(),
+            packets: IdTable::new(),
             next_id: 1,
             pool: None,
             #[cfg(feature = "dma-check")]
@@ -141,7 +147,7 @@ impl NetworkMemory {
     /// state). Returns the number of buffers released.
     pub fn free_all(&mut self) -> usize {
         let n = self.packets.len();
-        for (_, p) in std::mem::take(&mut self.packets) {
+        for (_, p) in self.packets.drain() {
             self.pages_free += p.pages;
             self.frees += 1;
             self.recycle(p);
@@ -197,7 +203,7 @@ impl NetworkMemory {
     /// Free a packet buffer (host command; TCP frees transmit buffers when
     /// the data is acknowledged, the receive path after copy-out).
     pub fn free(&mut self, id: PacketId) -> bool {
-        if let Some(p) = self.packets.remove(&id) {
+        if let Some(p) = self.packets.remove(id) {
             self.pages_free += p.pages;
             self.frees += 1;
             self.recycle(p);
@@ -211,12 +217,12 @@ impl NetworkMemory {
 
     /// Look up a packet buffer.
     pub fn get(&self, id: PacketId) -> Option<&PacketBuf> {
-        self.packets.get(&id)
+        self.packets.get(id)
     }
 
     /// Mutable access to a packet buffer (device internals and tests).
     pub fn get_mut(&mut self, id: PacketId) -> Option<&mut PacketBuf> {
-        self.packets.get_mut(&id)
+        self.packets.get_mut(id)
     }
 
     /// Would `engine` starting a transfer on `id` at `now` violate an
@@ -230,7 +236,7 @@ impl NetworkMemory {
         engine: DmaEngine,
         now: Time,
     ) -> Result<(), DmaOwnershipViolation> {
-        if self.packets.contains_key(&id) {
+        if self.packets.contains(id) {
             return self.journal.check_transfer(id, engine, now);
         }
         let ever = id.0 >= 1 && id.0 < self.next_id;
@@ -255,7 +261,7 @@ impl NetworkMemory {
         id: PacketId,
         now: Time,
     ) -> Result<(), DmaOwnershipViolation> {
-        if !self.packets.contains_key(&id) {
+        if !self.packets.contains(id) {
             // Freeing an already-gone id is today's benign no-op (`free`
             // returns false); ids are never reused so it cannot dangle.
             return Ok(());
@@ -279,7 +285,7 @@ impl NetworkMemory {
     pub fn read(&self, id: PacketId, off: usize, dst: &mut [u8]) -> bool {
         let src = self
             .packets
-            .get(&id)
+            .get(id)
             .and_then(|p| p.data.get(off..off + dst.len()));
         let Some(src) = src else { return false };
         dst.copy_from_slice(src);
@@ -292,7 +298,7 @@ impl Drop for NetworkMemory {
     /// world-level conservation check (`acquires == releases`) holds even
     /// when a run ends with frames in flight.
     fn drop(&mut self) {
-        for (_, p) in std::mem::take(&mut self.packets) {
+        for (_, p) in self.packets.drain() {
             self.recycle(p);
         }
     }

@@ -17,6 +17,7 @@
 use crate::types::{SockAddr, SockId};
 use outboard_cab::{Cab, ChecksumSpec, PacketId, SgEntry};
 use outboard_sim::obs::Scope;
+use outboard_sim::IdTable;
 use outboard_wire::ether::MacAddr;
 use outboard_wire::hippi::HippiAddr;
 use std::collections::{HashMap, VecDeque};
@@ -168,22 +169,19 @@ pub struct CabIface {
     // lint: allow(nondet-order, keyed lookup only, never iterated)
     pub arp: HashMap<Ipv4Addr, HippiAddr>,
     next_token: u64,
-    // lint: allow(nondet-order, completion lookup by token, never iterated)
-    pending: HashMap<u64, SdmaPurpose>,
+    /// In-flight SDMA requests by completion token (issued in sequence).
+    pending: IdTable<SdmaPurpose>,
     /// Logical channel assigned per destination (§2.1).
     // lint: allow(nondet-order, keyed lookup only, never iterated)
     channels: HashMap<HippiAddr, u16>,
     next_channel: u16,
     /// Receive packets: payload bytes not yet copied out of network memory.
-    // lint: allow(nondet-order, keyed lookup only, never iterated)
-    pub rx_remaining: HashMap<PacketId, usize>,
+    pub rx_remaining: IdTable<usize>,
     /// Transmit packets: data bytes not yet acknowledged (the packet stays
     /// outboard for retransmission until this drains).
-    // lint: allow(nondet-order, keyed lookup only, never iterated)
-    pub tx_remaining: HashMap<PacketId, usize>,
+    pub tx_remaining: IdTable<usize>,
     /// Transmit packets' header length (for retransmission geometry).
-    // lint: allow(nondet-order, keyed lookup only, never iterated)
-    pub tx_hdr_len: HashMap<PacketId, usize>,
+    pub tx_hdr_len: IdTable<usize>,
     /// Transmissions parked for the retry-backoff timer.
     pub retry_q: VecDeque<PendingTx>,
     /// Degraded-mode / retry / watchdog state.
@@ -197,12 +195,12 @@ impl CabIface {
             cab,
             arp: HashMap::new(),
             next_token: 1,
-            pending: HashMap::new(),
+            pending: IdTable::new(),
             channels: HashMap::new(),
             next_channel: 0,
-            rx_remaining: HashMap::new(),
-            tx_remaining: HashMap::new(),
-            tx_hdr_len: HashMap::new(),
+            rx_remaining: IdTable::new(),
+            tx_remaining: IdTable::new(),
+            tx_hdr_len: IdTable::new(),
             retry_q: VecDeque::new(),
             health: IfaceHealth::default(),
         }
@@ -236,25 +234,25 @@ impl CabIface {
 
     /// Resolve a completion token.
     pub fn complete(&mut self, token: u64) -> Option<SdmaPurpose> {
-        self.pending.remove(&token)
+        self.pending.remove(token)
     }
 
     /// Drop every pending transmit-conversion token (watchdog reset path):
     /// their completions must not rewrite send-queue ranges toward outboard
     /// buffers the reset is about to free. Receive completions carry their
     /// data in the event itself and stay pending. Tokens are drained in
-    /// sorted order so the reset is deterministic.
+    /// ascending order (the table's iteration order), so the reset is
+    /// deterministic.
     pub fn drop_pending_tx(&mut self) -> Vec<SdmaPurpose> {
-        let mut tokens: Vec<u64> = self
+        let tokens: Vec<u64> = self
             .pending
             .iter()
             .filter(|(_, p)| matches!(p, SdmaPurpose::TxSegment { .. }))
-            .map(|(t, _)| *t)
+            .map(|(t, _)| t)
             .collect();
-        tokens.sort_unstable();
         tokens
             .into_iter()
-            .filter_map(|t| self.pending.remove(&t))
+            .filter_map(|t| self.pending.remove(t))
             .collect()
     }
 

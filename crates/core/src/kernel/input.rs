@@ -352,7 +352,7 @@ impl Kernel {
     fn discard_outboard(&mut self, rx: &RxPacket, now: Time) {
         if let Some((packet, _)) = rx.outboard {
             self.with_cab(rx.iface, |_k, cab| {
-                cab.rx_remaining.remove(&packet);
+                cab.rx_remaining.remove(packet);
                 cab.cab.free_packet(packet, now);
             });
         }
@@ -369,7 +369,7 @@ impl Kernel {
             let d = *d;
             let packet = PacketId(d.packet);
             self.with_cab(IfaceId(d.cab), |_k, cab| {
-                let done = match cab.rx_remaining.get_mut(&packet) {
+                let done = match cab.rx_remaining.get_mut(packet) {
                     Some(rem) => {
                         *rem = rem.saturating_sub(d.len);
                         *rem == 0
@@ -377,7 +377,7 @@ impl Kernel {
                     None => false,
                 };
                 if done {
-                    cab.rx_remaining.remove(&packet);
+                    cab.rx_remaining.remove(packet);
                     cab.cab.free_packet(packet, now);
                 }
             });
@@ -526,7 +526,7 @@ impl Kernel {
                     .copied()
                     .filter(|s| {
                         self.sockets
-                            .get(s)
+                            .get(*s)
                             .map(|s| s.is_listener())
                             .unwrap_or(false)
                     })
@@ -550,10 +550,17 @@ impl Kernel {
             return;
         };
 
+        // A demux entry that outlived its socket: drop and count.
+        let Some((listening, owner)) = self.sockets.get(sock).map(|s| (s.is_listener(), s.owner))
+        else {
+            self.stats.no_socket_drops += 1;
+            self.discard_chain(payload, now);
+            return;
+        };
         // A SYN to a listener spawns a child connection (§4.1's single
         // stack: the child lives on whatever interface the SYN arrived on).
-        let sock = if self.sockets[&sock].is_listener() && thdr.flags.syn() && !thdr.flags.ack() {
-            self.spawn_child(sock, iface, local, remote)
+        let sock = if listening && thdr.flags.syn() && !thdr.flags.ack() {
+            self.spawn_child(sock, owner, iface, local, remote)
         } else {
             sock
         };
@@ -564,18 +571,23 @@ impl Kernel {
     fn spawn_child(
         &mut self,
         listener: SockId,
+        owner: Owner,
         iface: IfaceId,
         local: SockAddr,
         remote: SockAddr,
     ) -> SockId {
-        let child = self.kernelish_child(listener);
+        // The child is owned as its listener is.
+        let child = match owner {
+            Owner::User => self.sys_socket(Proto::Tcp),
+            Owner::Kernel => self.kernel_socket(Proto::Tcp),
+        };
         let iface_mss = self.ifaces[iface.0 as usize].tcp_mss();
         let buf = self.cfg.sock_buf;
         let nagle = self.effective_nagle();
         let iss = self.next_iss();
         let mut tcb = crate::tcp::Tcb::new(&self.cfg, iss, nagle);
         tcb.listen(iface_mss, buf);
-        let Some(s) = self.sockets.get_mut(&child) else {
+        let Some(s) = self.sockets.get_mut(child) else {
             return child;
         };
         s.local = Some(local);
@@ -585,14 +597,6 @@ impl Kernel {
         s.tcb = Some(tcb);
         self.conns.insert((Proto::Tcp, local, remote), child);
         child
-    }
-
-    fn kernelish_child(&mut self, listener: SockId) -> SockId {
-        let owner = self.sockets[&listener].owner;
-        match owner {
-            Owner::User => self.sys_socket(Proto::Tcp),
-            Owner::Kernel => self.kernel_socket(Proto::Tcp),
-        }
     }
 
     /// Core TCP segment processing against a socket's TCB.
@@ -605,7 +609,7 @@ impl Kernel {
         now: Time,
     ) {
         let r = {
-            let Some(s) = self.sockets.get_mut(&sock) else {
+            let Some(s) = self.sockets.get_mut(sock) else {
                 self.discard_chain(data, now);
                 return;
             };
@@ -619,7 +623,7 @@ impl Kernel {
 
         // RST out for pathological segments.
         if let Some((seq, ack, flags)) = r.rst_out {
-            let endpoints = self.sockets.get(&sock).and_then(|s| s.local.zip(s.remote));
+            let endpoints = self.sockets.get(sock).and_then(|s| s.local.zip(s.remote));
             if let Some((local, remote)) = endpoints {
                 self.emit_rst(local, remote, seq, ack, flags, mem, now);
             }
@@ -630,7 +634,7 @@ impl Kernel {
             self.span_ack(sock, r.acked_bytes as u64, now);
             self.ack_free(sock, r.acked_bytes, now);
             // Restart the retransmission timer from the new left edge.
-            if let Some(s) = self.sockets.get_mut(&sock) {
+            if let Some(s) = self.sockets.get_mut(sock) {
                 s.rexmt_armed = false;
                 s.rexmt_gen += 1;
             }
@@ -648,7 +652,7 @@ impl Kernel {
             self.on_connected(sock);
         }
         if r.fin_reached {
-            if let Some(s) = self.sockets.get_mut(&sock) {
+            if let Some(s) = self.sockets.get_mut(sock) {
                 s.rcv_eof = true;
                 if let Some(w) = s.waiting_reader.take() {
                     self.wake(w.task, sock, Charge::Interrupt);
@@ -657,7 +661,7 @@ impl Kernel {
         }
         if delivered {
             let (waker, kernel_chain) = {
-                let Some(s) = self.sockets.get_mut(&sock) else {
+                let Some(s) = self.sockets.get_mut(sock) else {
                     return;
                 };
                 let waker = s.waiting_reader.take();
@@ -685,7 +689,7 @@ impl Kernel {
             self.append_write_chunks(sock, mem, Charge::Interrupt, now);
             // Traditional-path writes complete once fully copied.
             let wake = {
-                match self.sockets.get_mut(&sock) {
+                match self.sockets.get_mut(sock) {
                     Some(s) => match s.blocked_write {
                         Some(bw) if !bw.uio_path && bw.appended == bw.total => {
                             s.blocked_write = None;
@@ -716,7 +720,7 @@ impl Kernel {
 
         // TIME_WAIT arming.
         let tw = {
-            let s = self.sockets.get_mut(&sock);
+            let s = self.sockets.get_mut(sock);
             match s {
                 Some(s) => {
                     let is_tw = s
@@ -751,7 +755,7 @@ impl Kernel {
         dgram_from: Option<SockAddr>,
         now: Time,
     ) {
-        let Some(s) = self.sockets.get_mut(&sock) else {
+        let Some(s) = self.sockets.get_mut(sock) else {
             self.discard_chain(chain, now);
             return;
         };
@@ -770,7 +774,7 @@ impl Kernel {
 
     fn on_connected(&mut self, sock: SockId) {
         let (connector, parent) = {
-            let Some(s) = self.sockets.get_mut(&sock) else {
+            let Some(s) = self.sockets.get_mut(sock) else {
                 return;
             };
             (s.connector.take(), s.listen_parent)
@@ -780,7 +784,7 @@ impl Kernel {
         }
         if let Some(parent) = parent {
             let acceptor = {
-                let Some(p) = self.sockets.get_mut(&parent) else {
+                let Some(p) = self.sockets.get_mut(parent) else {
                     return;
                 };
                 p.accept_queue.push_back(sock);
@@ -796,7 +800,7 @@ impl Kernel {
     /// the outboard packets they lived in.
     fn ack_free(&mut self, sock: SockId, bytes: usize, now: Time) {
         let dropped = {
-            let Some(s) = self.sockets.get_mut(&sock) else {
+            let Some(s) = self.sockets.get_mut(sock) else {
                 return;
             };
             let n = bytes.min(s.so_snd.chain.len());
@@ -807,7 +811,7 @@ impl Kernel {
                 let packet = PacketId(d.packet);
                 let iface = IfaceId(d.cab);
                 self.with_cab(iface, |_k, cab| {
-                    let free = match cab.tx_remaining.get_mut(&packet) {
+                    let free = match cab.tx_remaining.get_mut(packet) {
                         Some(rem) => {
                             *rem = rem.saturating_sub(d.len);
                             *rem == 0
@@ -815,8 +819,8 @@ impl Kernel {
                         None => false,
                     };
                     if free {
-                        cab.tx_remaining.remove(&packet);
-                        cab.tx_hdr_len.remove(&packet);
+                        cab.tx_remaining.remove(packet);
+                        cab.tx_hdr_len.remove(packet);
                         cab.cab.free_packet(packet, now);
                     }
                 });
@@ -882,18 +886,20 @@ impl Kernel {
             self.discard_chain(payload, now);
             return;
         };
+        // A port binding that outlived its socket drops like an unbound port.
+        let Some((owner, space)) = self.sockets.get(sock).map(|s| (s.owner, s.so_rcv.space()))
+        else {
+            self.stats.no_socket_drops += 1;
+            self.discard_chain(payload, now);
+            return;
+        };
         let from = SockAddr::new(src, uhdr.src_port);
         self.stats.udp_datagrams_in += 1;
-        let owner = self.sockets[&sock].owner;
         match owner {
             Owner::Kernel => self.deliver_to_kernel_queue(sock, payload, from, mem, now),
             Owner::User => {
                 // Respect the receive buffer (datagrams drop when full).
-                let fits = {
-                    let s = &self.sockets[&sock];
-                    s.so_rcv.space() >= payload.len()
-                };
-                if !fits {
+                if space < payload.len() {
                     self.stats.no_socket_drops += 1;
                     self.discard_chain(payload, now);
                     return;
@@ -901,7 +907,7 @@ impl Kernel {
                 self.deliver_data(sock, payload, Some(from), now);
                 let waker = self
                     .sockets
-                    .get_mut(&sock)
+                    .get_mut(sock)
                     .and_then(|s| s.waiting_reader.take());
                 if let Some(w) = waker {
                     self.wake(w.task, sock, Charge::Interrupt);
@@ -946,7 +952,7 @@ impl Kernel {
             };
             self.with_cab(iface, |k, cab| {
                 let free = {
-                    match cab.rx_remaining.get_mut(&packet) {
+                    match cab.rx_remaining.get_mut(packet) {
                         Some(rem) => {
                             *rem = rem.saturating_sub(d.len);
                             *rem == 0
@@ -955,7 +961,7 @@ impl Kernel {
                     }
                 };
                 if free {
-                    cab.rx_remaining.remove(&packet);
+                    cab.rx_remaining.remove(packet);
                 }
                 let token = cab.issue(purpose);
                 let req = SdmaRx {
@@ -971,7 +977,7 @@ impl Kernel {
             });
         }
         let ready = converting == 0;
-        let Some(s) = self.sockets.get_mut(&sock) else {
+        let Some(s) = self.sockets.get_mut(sock) else {
             return;
         };
         s.kq.push_back(KqEntry {
@@ -1064,7 +1070,7 @@ impl Kernel {
                     }
                 }
                 let done = {
-                    let Some(s) = self.sockets.get(&sock) else {
+                    let Some(s) = self.sockets.get(sock) else {
                         return self.take_effects();
                     };
                     s.blocked_read
@@ -1074,7 +1080,7 @@ impl Kernel {
                     if self.uio.complete(counter, bytes).is_some() {
                         let cost = self.vm.release(task, pv, pl);
                         self.cpu_dur(cost, Charge::Interrupt);
-                        if let Some(s) = self.sockets.get_mut(&sock) {
+                        if let Some(s) = self.sockets.get_mut(sock) {
                             s.blocked_read = None;
                         }
                         self.span_recv_complete(sock, now);
@@ -1099,7 +1105,7 @@ impl Kernel {
                     }
                 };
                 let ready = {
-                    let Some(s) = self.sockets.get_mut(&sock) else {
+                    let Some(s) = self.sockets.get_mut(sock) else {
                         return self.take_effects();
                     };
                     let Some(entry) = s.kq.iter_mut().find(|e| e.serial == serial) else {
@@ -1135,7 +1141,7 @@ impl Kernel {
         hdr_len: usize,
     ) {
         use outboard_wire::tcp::seq;
-        let Some(s) = self.sockets.get_mut(&sock) else {
+        let Some(s) = self.sockets.get_mut(sock) else {
             return;
         };
         let Some(tcb) = s.tcb.as_ref() else { return };
@@ -1181,7 +1187,7 @@ impl Kernel {
             }
         }
         for (task, wsock) in wakes {
-            if let Some(s) = self.sockets.get_mut(&wsock) {
+            if let Some(s) = self.sockets.get_mut(wsock) {
                 s.blocked_write = None;
             }
             self.wake(task, wsock, Charge::Interrupt);
@@ -1198,13 +1204,13 @@ impl Kernel {
             TimerKind::TcpRexmt { sock, generation } => {
                 let valid = self
                     .sockets
-                    .get(&sock)
+                    .get(sock)
                     .map(|s| s.rexmt_armed && s.rexmt_gen == generation)
                     .unwrap_or(false);
                 if valid {
                     self.cpu(self.machine.cost_interrupt_us, Charge::Interrupt);
                     let (window_closed, has_data) = {
-                        let Some(s) = self.sockets.get_mut(&sock) else {
+                        let Some(s) = self.sockets.get_mut(sock) else {
                             return self.take_effects();
                         };
                         s.rexmt_armed = false;
@@ -1227,7 +1233,7 @@ impl Kernel {
             TimerKind::TcpDelack { sock, generation } => {
                 let fire = self
                     .sockets
-                    .get_mut(&sock)
+                    .get_mut(sock)
                     .filter(|s| s.delack_gen == generation)
                     .and_then(|s| s.tcb.as_mut())
                     .map(|t| t.take_delack())
@@ -1240,7 +1246,7 @@ impl Kernel {
             TimerKind::TcpTimeWait { sock, generation } => {
                 let expire = self
                     .sockets
-                    .get_mut(&sock)
+                    .get_mut(sock)
                     .filter(|s| s.rexmt_gen == generation)
                     .and_then(|s| s.tcb.as_mut())
                     .map(|t| t.on_time_wait_expired())
@@ -1292,7 +1298,7 @@ impl Kernel {
     /// re-advertise (BSD's persist logic, folded into the rexmt timer).
     fn send_window_probe(&mut self, sock: SockId, mem: &mut HostMem, now: Time) {
         let (local, remote, plan) = {
-            let Some(s) = self.sockets.get(&sock) else {
+            let Some(s) = self.sockets.get(sock) else {
                 return;
             };
             let Some(tcb) = s.tcb.as_ref() else {
@@ -1332,7 +1338,7 @@ impl Kernel {
         // borrow of the plan local.
         self.cpu(self.machine.cost_tcp_output_us, Charge::Interrupt);
         let data = {
-            let Some(s) = self.sockets.get(&sock) else {
+            let Some(s) = self.sockets.get(sock) else {
                 return;
             };
             s.so_snd.chain.copy_range(plan.data_off, plan.data_len)

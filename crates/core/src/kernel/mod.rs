@@ -27,7 +27,7 @@ use crate::ip::Reassembler;
 use crate::route::RouteTable;
 use crate::sockbuf::UioCounters;
 use crate::socket::{BlockedRead, BlockedWrite, Owner, Socket, WaitingReader};
-use crate::tcp::{Tcb, TcpState, TcpStats};
+use crate::tcp::{SegmentPlan, Tcb, TcpState, TcpStats};
 use crate::types::{
     Effect, IfaceId, Proto, ReadResult, SockAddr, SockId, StackConfig, StackError, StackMode,
     WriteResult,
@@ -38,11 +38,11 @@ use outboard_host::{Charge, HostMem, MachineConfig, MemorySystem, TaskId, UserMe
 use outboard_mbuf::{Chain, Mbuf, MbufData, MbufStats, UioDesc, UioRegion, WcabDesc};
 use outboard_sim::span::{FlowId, SpanSink, Stage};
 use outboard_sim::trace::Trace;
-use outboard_sim::{pooled_copy, BufPool, Dur, Ticket, Time};
+use outboard_sim::{pooled_copy, BufPool, Dur, IdTable, Ticket, Time};
 use outboard_wire::ether::MacAddr;
 use outboard_wire::ipv4::IPV4_HEADER_LEN;
 use outboard_wire::udp::UDP_HEADER_LEN;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -142,9 +142,10 @@ pub struct Kernel {
     pub memsys: MemorySystem,
     /// VM pin/map bookkeeping and costs.
     pub vm: VmSystem,
-    // BTreeMap: socket-table sweeps (degraded-mode rescue, stats rollup)
-    // iterate this map, so its order reaches the event stream.
-    pub(crate) sockets: BTreeMap<SockId, Socket>,
+    // Socket-table sweeps (degraded-mode rescue, stats rollup) iterate this
+    // table, so its ascending-id order reaches the event stream. Boxed: a
+    // freed slot costs a pointer, not a `Socket`.
+    pub(crate) sockets: IdTable<Box<Socket>>,
     next_sock: u32,
     next_port: u16,
     /// Bound (listener / datagram) sockets by port.
@@ -165,6 +166,9 @@ pub struct Kernel {
     pub(crate) reass: Reassembler,
     pub(crate) uio: UioCounters,
     pub(crate) fx: Vec<Effect>,
+    /// An emptied effect list handed back by the harness; `take_effects`
+    /// swaps it in so a kernel entry allocates no list of its own.
+    fx_spare: Vec<Effect>,
     pub(crate) ip_id: u16,
     iss: u32,
     pub(crate) kq_serial: u64,
@@ -179,6 +183,8 @@ pub struct Kernel {
     pub trace: Trace,
     /// Per-packet causal span sink (disabled by default; see `sim::span`).
     pub spans: SpanSink,
+    /// Reusable list `tcp_send` lends to `Tcb::output` for its segment plans.
+    plans: Vec<SegmentPlan>,
     /// Reusable scratch buffer for header assembly and descriptor reads on
     /// the transmit/checksum hot paths (grown once, then recycled).
     pub(crate) scratch: Vec<u8>,
@@ -196,7 +202,7 @@ impl Kernel {
             vm: VmSystem::new(machine.clone(), cfg.lazy_vm),
             machine,
             cfg,
-            sockets: BTreeMap::new(),
+            sockets: IdTable::new(),
             next_sock: 1,
             next_port: 20_000,
             ports: HashMap::new(),
@@ -207,6 +213,7 @@ impl Kernel {
             reass: Reassembler::new(),
             uio: UioCounters::new(),
             fx: Vec::new(),
+            fx_spare: Vec::new(),
             ip_id: 1,
             iss: 10_000,
             kq_serial: 1,
@@ -215,6 +222,7 @@ impl Kernel {
             mbuf_stats: MbufStats::default(),
             trace: Trace::new(16 * 1024),
             spans: SpanSink::disabled(),
+            plans: Vec::new(),
             scratch: Vec::new(),
             pool: None,
         }
@@ -321,12 +329,21 @@ impl Kernel {
 
     /// Inspect a socket (tests and harnesses).
     pub fn socket_ref(&self, id: SockId) -> Option<&Socket> {
-        self.sockets.get(&id)
+        self.sockets.get(id).map(Box::as_ref)
     }
 
     /// Take the accumulated effects.
     pub fn take_effects(&mut self) -> Vec<Effect> {
-        std::mem::take(&mut self.fx)
+        std::mem::replace(&mut self.fx, std::mem::take(&mut self.fx_spare))
+    }
+
+    /// Hand a list from [`Kernel::take_effects`] back once it is applied;
+    /// its storage carries the next entry's effects.
+    pub fn recycle_effects(&mut self, mut fx: Vec<Effect>) {
+        fx.clear();
+        if fx.capacity() > self.fx_spare.capacity() {
+            self.fx_spare = fx;
+        }
     }
 
     // ------------------------------------------------------------------
@@ -338,7 +355,7 @@ impl Kernel {
     /// with an in-flight syscall, so the entry outlives the whole call.
     fn sock_mut(&mut self, sock: SockId) -> &mut Socket {
         self.sockets
-            .get_mut(&sock)
+            .get_mut(sock)
             // lint: allow(panic-hot-path, socket validated at syscall entry and close cannot interleave)
             .expect("socket present for in-flight syscall")
     }
@@ -351,18 +368,28 @@ impl Kernel {
         self.uio.issue(counter, bytes).expect("live uio counter");
     }
 
+    /// A `us` that rounds to zero nanoseconds is still pushed: running it
+    /// moves the harness's cursor up to the CPU's `busy_until`.
     pub(crate) fn cpu(&mut self, us: f64, charge: Charge) {
         if us > 0.0 {
-            self.fx.push(Effect::Cpu {
-                dur: Dur::from_micros_f64(us),
-                charge,
-            });
+            self.push_cpu(Dur::from_micros_f64(us), charge);
         }
     }
 
     pub(crate) fn cpu_dur(&mut self, dur: Dur, charge: Charge) {
         if !dur.is_zero() {
-            self.fx.push(Effect::Cpu { dur, charge });
+            self.push_cpu(dur, charge);
+        }
+    }
+
+    /// Add CPU work to the effect list, onto a trailing `Cpu` effect of the
+    /// same charge when there is one: `Cpu::run` is additive in `dur` and a
+    /// second run would start exactly where the first is done, so one run
+    /// of the sum leaves the same cursor and the same accounting.
+    fn push_cpu(&mut self, dur: Dur, charge: Charge) {
+        match self.fx.last_mut() {
+            Some(Effect::Cpu { dur: d, charge: c }) if *c == charge => *d += dur,
+            _ => self.fx.push(Effect::Cpu { dur, charge }),
         }
     }
 
@@ -396,8 +423,8 @@ impl Kernel {
     fn alloc_sock(&mut self, proto: Proto, owner: Owner) -> SockId {
         let id = SockId(self.next_sock);
         self.next_sock += 1;
-        self.sockets
-            .insert(id, Socket::new(id, proto, owner, self.cfg.sock_buf));
+        let s = Socket::new(id, proto, owner, self.cfg.sock_buf);
+        self.sockets.insert(id, Box::new(s));
         id
     }
 
@@ -413,7 +440,7 @@ impl Kernel {
 
     /// `bind(2)`: claim a local port.
     pub fn sys_bind(&mut self, sock: SockId, port: u16) -> Result<(), StackError> {
-        let proto = self.sockets.get(&sock).ok_or(StackError::BadSocket)?.proto;
+        let proto = self.sockets.get(sock).ok_or(StackError::BadSocket)?.proto;
         if self.ports.contains_key(&(proto, port)) {
             return Err(StackError::AddrInUse);
         }
@@ -434,14 +461,14 @@ impl Kernel {
     /// `listen(2)`: turn a bound TCP socket into a listener.
     pub fn sys_listen(&mut self, sock: SockId) -> Result<(), StackError> {
         let nagle = self.effective_nagle();
-        let s = self.sockets.get(&sock).ok_or(StackError::BadSocket)?;
+        let s = self.sockets.get(sock).ok_or(StackError::BadSocket)?;
         let buf = s.so_rcv.hiwat;
         if s.proto != Proto::Tcp {
             return Err(StackError::InvalidState("listen on non-TCP socket"));
         }
         let mut tcb = Tcb::new(&self.cfg, 0, nagle);
         tcb.listen(536, buf);
-        let s = self.sockets.get_mut(&sock).ok_or(StackError::BadSocket)?;
+        let s = self.sockets.get_mut(sock).ok_or(StackError::BadSocket)?;
         s.tcb = Some(tcb);
         Ok(())
     }
@@ -481,14 +508,14 @@ impl Kernel {
         let nagle = self.effective_nagle();
         let iss = self.next_iss();
         {
-            let s = self.sockets.get(&sock).ok_or(StackError::BadSocket)?;
+            let s = self.sockets.get(sock).ok_or(StackError::BadSocket)?;
             if s.remote.is_some() {
                 return Err(StackError::AlreadyConnected);
             }
         }
         let mut tcb = Tcb::new(&self.cfg, iss, nagle);
         {
-            let s = self.sockets.get_mut(&sock).ok_or(StackError::BadSocket)?;
+            let s = self.sockets.get_mut(sock).ok_or(StackError::BadSocket)?;
             let buf = s.so_rcv.hiwat;
             s.local = Some(local);
             s.remote = Some(dst);
@@ -512,7 +539,7 @@ impl Kernel {
     ) -> Result<Option<SockId>, StackError> {
         let s = self
             .sockets
-            .get_mut(&listener)
+            .get_mut(listener)
             .ok_or(StackError::BadSocket)?;
         if let Some(child) = s.accept_queue.pop_front() {
             s.acceptor = None;
@@ -527,7 +554,7 @@ impl Kernel {
     /// valid before a TCP connection is established (the window scale is
     /// negotiated from the buffer size on SYN).
     pub fn sys_setsockbuf(&mut self, sock: SockId, bytes: usize) -> Result<(), StackError> {
-        let s = self.sockets.get_mut(&sock).ok_or(StackError::BadSocket)?;
+        let s = self.sockets.get_mut(sock).ok_or(StackError::BadSocket)?;
         if s.tcb
             .as_ref()
             .map(|t| t.state.is_synchronized())
@@ -554,16 +581,17 @@ impl Kernel {
         now: Time,
     ) -> Result<(WriteResult, Vec<Effect>), StackError> {
         self.cpu(self.machine.cost_syscall_us, Charge::Syscall);
-        {
-            let s = self.sockets.get(&sock).ok_or(StackError::BadSocket)?;
+        let bound = {
+            let s = self.sockets.get(sock).ok_or(StackError::BadSocket)?;
             if s.proto != Proto::Udp {
                 return Err(StackError::InvalidState("sendto is UDP-only"));
             }
-        }
+            s.local
+        };
         // Ensure a local binding and a per-destination iface hint.
         let iface_id = self.routes.lookup(dst.ip).ok_or(StackError::NoRoute)?;
         let local_ip = self.ifaces[iface_id.0 as usize].ip;
-        let local = match self.sockets[&sock].local {
+        let local = match bound {
             Some(l) if l.ip != Ipv4Addr::UNSPECIFIED => l,
             Some(l) => {
                 // Bound port, unspecified address: fill in per route.
@@ -604,7 +632,7 @@ impl Kernel {
     ) -> Result<(ReadResult, Option<SockAddr>, Vec<Effect>), StackError> {
         let from = self
             .sockets
-            .get(&sock)
+            .get(sock)
             .ok_or(StackError::BadSocket)?
             .dgram_bounds
             .front()
@@ -618,7 +646,7 @@ impl Kernel {
         let iface_id = self.routes.lookup(dst.ip).ok_or(StackError::NoRoute)?;
         let local_ip = self.ifaces[iface_id.0 as usize].ip;
         let port = self.alloc_port(Proto::Udp);
-        let s = self.sockets.get_mut(&sock).ok_or(StackError::BadSocket)?;
+        let s = self.sockets.get_mut(sock).ok_or(StackError::BadSocket)?;
         s.local = Some(SockAddr::new(local_ip, port));
         s.remote = Some(dst);
         s.iface_hint = Some(iface_id);
@@ -631,7 +659,7 @@ impl Kernel {
         self.cpu(self.machine.cost_syscall_us, Charge::Syscall);
         let has_tcb = self
             .sockets
-            .get(&sock)
+            .get(sock)
             .map(|s| s.tcb.is_some())
             .unwrap_or(false);
         if has_tcb {
@@ -646,7 +674,7 @@ impl Kernel {
             } else {
                 self.tcp_send(sock, mem, now, false);
             }
-        } else if self.sockets.contains_key(&sock) {
+        } else if self.sockets.contains(sock) {
             self.teardown(sock, now);
         }
         self.take_effects()
@@ -663,7 +691,7 @@ impl Kernel {
         now: Time,
     ) -> Result<(WriteResult, Vec<Effect>), StackError> {
         self.cpu(self.machine.cost_syscall_us, Charge::Syscall);
-        let proto = self.sockets.get(&sock).ok_or(StackError::BadSocket)?.proto;
+        let proto = self.sockets.get(sock).ok_or(StackError::BadSocket)?.proto;
         if self.spans.on() {
             let flow = self.flow_id_tx(sock);
             let end = now + Dur::from_micros_f64(self.machine.cost_syscall_us);
@@ -685,7 +713,7 @@ impl Kernel {
         now: Time,
     ) -> Result<(WriteResult, Vec<Effect>), StackError> {
         {
-            let s = self.sockets.get(&sock).ok_or(StackError::BadSocket)?;
+            let s = self.sockets.get(sock).ok_or(StackError::BadSocket)?;
             let tcb = s.tcb.as_ref().ok_or(StackError::NotConnected)?;
             if !tcb.state.can_send() {
                 return Err(StackError::NotConnected);
@@ -743,9 +771,12 @@ impl Kernel {
         if self.cfg.mode != StackMode::SingleCopy {
             return false;
         }
-        let s = &self.sockets[&sock];
-        let iface_ok = s
-            .iface_hint
+        // A vanished socket takes the traditional path; its caller's next
+        // lookup reports `BadSocket`.
+        let iface_ok = self
+            .sockets
+            .get(sock)
+            .and_then(|s| s.iface_hint)
             .map(|i| self.ifaces[i.0 as usize].single_copy_capable())
             .unwrap_or(false);
         if !iface_ok {
@@ -778,7 +809,7 @@ impl Kernel {
         now: Time,
     ) {
         loop {
-            let Some(s) = self.sockets.get(&sock) else {
+            let Some(s) = self.sockets.get(sock) else {
                 return;
             };
             let Some(bw) = s.blocked_write else { return };
@@ -875,7 +906,7 @@ impl Kernel {
     ) -> Result<(ReadResult, Vec<Effect>), StackError> {
         self.cpu(self.machine.cost_syscall_us, Charge::Syscall);
         let take = {
-            let s = self.sockets.get_mut(&sock).ok_or(StackError::BadSocket)?;
+            let s = self.sockets.get_mut(sock).ok_or(StackError::BadSocket)?;
             if s.blocked_read.is_some() {
                 return Err(StackError::InvalidState("read already in progress"));
             }
@@ -990,7 +1021,7 @@ impl Kernel {
         let packet = PacketId(d.packet);
         self.with_cab(iface_id, |k, cab| {
             // Free the outboard buffer once every payload byte is out.
-            let free = match cab.rx_remaining.get_mut(&packet) {
+            let free = match cab.rx_remaining.get_mut(packet) {
                 Some(rem) => {
                     *rem = rem.saturating_sub(d.len);
                     *rem == 0
@@ -1000,7 +1031,7 @@ impl Kernel {
                 None => false,
             };
             if free {
-                cab.rx_remaining.remove(&packet);
+                cab.rx_remaining.remove(packet);
             }
             let dst = if aligned {
                 SdmaDst::User {
@@ -1034,7 +1065,7 @@ impl Kernel {
     /// (BSD: by two segments or half the buffer).
     pub(crate) fn maybe_window_update(&mut self, sock: SockId, mem: &mut HostMem, now: Time) {
         let needs = {
-            let Some(s) = self.sockets.get(&sock) else {
+            let Some(s) = self.sockets.get(sock) else {
                 return;
             };
             let Some(tcb) = s.tcb.as_ref() else { return };
@@ -1064,11 +1095,12 @@ impl Kernel {
         mem: &mut HostMem,
         now: Time,
     ) -> Result<Vec<Effect>, StackError> {
-        {
-            let s = self.sockets.get(&sock).ok_or(StackError::BadSocket)?;
+        let bound = {
+            let s = self.sockets.get(sock).ok_or(StackError::BadSocket)?;
             assert_eq!(s.owner, Owner::Kernel, "kernel_sendto on a user socket");
-        }
-        let local = match self.sockets[&sock].local {
+            s.local
+        };
+        let local = match bound {
             Some(l) => l,
             None => {
                 let port = self.alloc_port(Proto::Udp);
@@ -1097,7 +1129,7 @@ impl Kernel {
         now: Time,
     ) -> Result<usize, StackError> {
         let accepted = {
-            let s = self.sockets.get_mut(&sock).ok_or(StackError::BadSocket)?;
+            let s = self.sockets.get_mut(sock).ok_or(StackError::BadSocket)?;
             assert_eq!(s.owner, Owner::Kernel, "kernel_send on a user socket");
             if s.proto != Proto::Tcp {
                 return Err(StackError::InvalidState("kernel_send is TCP-only"));
@@ -1136,7 +1168,7 @@ impl Kernel {
 
     /// Pop an established child from an in-kernel listener.
     pub fn kernel_accept(&mut self, listener: SockId) -> Option<SockId> {
-        let s = self.sockets.get_mut(&listener)?;
+        let s = self.sockets.get_mut(listener)?;
         s.accept_queue.pop_front()
     }
 
@@ -1156,7 +1188,7 @@ impl Kernel {
     /// Register an in-kernel socket as the raw-IP handler for `proto`.
     /// Matching datagrams are queued (with `M_WCAB` conversion) on it.
     pub fn kernel_register_raw(&mut self, proto: u8, sock: SockId) -> Result<(), StackError> {
-        let s = self.sockets.get(&sock).ok_or(StackError::BadSocket)?;
+        let s = self.sockets.get(sock).ok_or(StackError::BadSocket)?;
         assert_eq!(s.owner, Owner::Kernel, "raw handlers are kernel sockets");
         self.raw_protos.insert(proto, sock);
         Ok(())
@@ -1182,7 +1214,7 @@ impl Kernel {
     /// Share-semantics receive: ready (fully converted) chains in arrival
     /// order (§5's ordering requirement).
     pub fn kernel_recv(&mut self, sock: SockId) -> Option<(Chain, SockAddr)> {
-        let s = self.sockets.get_mut(&sock)?;
+        let s = self.sockets.get_mut(sock)?;
         if s.kq.front().map(|e| e.converting == 0).unwrap_or(false) {
             let e = s.kq.pop_front().unwrap();
             Some((e.chain, e.from))
@@ -1204,10 +1236,10 @@ impl Kernel {
         mem: &mut HostMem,
         now: Time,
     ) -> Result<(WriteResult, Vec<Effect>), StackError> {
-        let (local, remote) = {
-            let s = self.sockets.get(&sock).ok_or(StackError::BadSocket)?;
+        let (local, remote, iface_hint) = {
+            let s = self.sockets.get(sock).ok_or(StackError::BadSocket)?;
             match (s.local, s.remote) {
-                (Some(l), Some(r)) => (l, r),
+                (Some(l), Some(r)) => (l, r, s.iface_hint),
                 _ => return Err(StackError::NotConnected),
             }
         };
@@ -1215,8 +1247,7 @@ impl Kernel {
             return Err(StackError::MessageTooBig);
         }
         let fits_mtu = {
-            let mtu = self.sockets[&sock]
-                .iface_hint
+            let mtu = iface_hint
                 .map(|i| self.ifaces[i.0 as usize].mtu)
                 .unwrap_or(1500);
             len + UDP_HEADER_LEN + IPV4_HEADER_LEN <= mtu
@@ -1270,7 +1301,7 @@ impl Kernel {
 
     /// Tear a socket down: free outboard buffers, cancel counters, unbind.
     pub(crate) fn teardown(&mut self, sock: SockId, now: Time) {
-        let Some(s) = self.sockets.remove(&sock) else {
+        let Some(s) = self.sockets.remove(sock) else {
             return;
         };
         // Any sockbuf-dwell or blocked-read spans die with the socket.
@@ -1301,9 +1332,9 @@ impl Kernel {
                 let iface_id = IfaceId(d.cab);
                 let packet = PacketId(d.packet);
                 self.with_cab(iface_id, |_k, cab| {
-                    cab.tx_remaining.remove(&packet);
-                    cab.tx_hdr_len.remove(&packet);
-                    cab.rx_remaining.remove(&packet);
+                    cab.tx_remaining.remove(packet);
+                    cab.tx_hdr_len.remove(packet);
+                    cab.rx_remaining.remove(packet);
                     cab.cab.free_packet(packet, now);
                 });
             }
@@ -1345,7 +1376,7 @@ impl Kernel {
     /// Data-direction flow id for bytes this socket is *sending*
     /// (`local → remote`, sequence = next send sequence number).
     pub(crate) fn flow_id_tx(&self, sock: SockId) -> FlowId {
-        let Some(s) = self.sockets.get(&sock) else {
+        let Some(s) = self.sockets.get(sock) else {
             return FlowId::NONE;
         };
         let (Some(l), Some(r)) = (s.local, s.remote) else {
@@ -1360,7 +1391,7 @@ impl Kernel {
     /// (`remote → local`; group only — receive spans cover byte ranges,
     /// not individual segments).
     pub(crate) fn flow_id_rx(&self, sock: SockId) -> FlowId {
-        let Some(s) = self.sockets.get(&sock) else {
+        let Some(s) = self.sockets.get(sock) else {
             return FlowId::NONE;
         };
         let (Some(l), Some(r)) = (s.local, s.remote) else {

@@ -27,8 +27,8 @@ impl Kernel {
     /// Run tcp_output for a socket: materialize every segment the TCB wants
     /// to send and push it down through IP to the driver.
     pub(crate) fn tcp_send(&mut self, sock: SockId, mem: &mut HostMem, now: Time, force_ack: bool) {
-        let (local, remote, plans) = {
-            let Some(s) = self.sockets.get_mut(&sock) else {
+        let (local, remote, mut plans) = {
+            let Some(s) = self.sockets.get_mut(sock) else {
                 return;
             };
             let (local, remote) = match (s.local, s.remote) {
@@ -38,11 +38,17 @@ impl Kernel {
             let Some(tcb) = s.tcb.as_mut() else { return };
             let snd_q = s.so_snd.chain.len();
             let rcv_space = s.so_rcv.space();
-            (local, remote, tcb.output(snd_q, rcv_space, force_ack, now))
+            let plans = std::mem::take(&mut self.plans);
+            (
+                local,
+                remote,
+                tcb.output(snd_q, rcv_space, force_ack, now, plans),
+            )
         };
-        for plan in plans {
+        for plan in plans.drain(..) {
             self.emit_tcp_segment(sock, local, remote, &plan, mem, now);
         }
+        self.plans = plans;
         self.arm_tcp_timers(sock, now);
     }
 
@@ -57,7 +63,7 @@ impl Kernel {
     ) {
         self.cpu(self.machine.cost_tcp_output_us, Charge::Syscall);
         let data = {
-            let Some(s) = self.sockets.get(&sock) else {
+            let Some(s) = self.sockets.get(sock) else {
                 return;
             };
             s.so_snd.chain.copy_range(plan.data_off, plan.data_len)
@@ -156,7 +162,7 @@ impl Kernel {
 
     /// (Re)arm TCP timers after input/output activity.
     pub(crate) fn arm_tcp_timers(&mut self, sock: SockId, _now: Time) {
-        let Some(s) = self.sockets.get_mut(&sock) else {
+        let Some(s) = self.sockets.get_mut(sock) else {
             return;
         };
         let Some(tcb) = s.tcb.as_mut() else { return };
@@ -176,7 +182,7 @@ impl Kernel {
             s.rexmt_armed = false;
             s.rexmt_gen += 1;
         }
-        let Some(s) = self.sockets.get_mut(&sock) else {
+        let Some(s) = self.sockets.get_mut(sock) else {
             return;
         };
         let Some(tcb) = s.tcb.as_mut() else { return };
@@ -263,7 +269,7 @@ impl Kernel {
             thdr[csum_offset + 1] = 0;
             let working_set = meta
                 .sock
-                .and_then(|s| self.sockets.get(&s))
+                .and_then(|s| self.sockets.get(s))
                 .map(|s| s.so_snd.chain.len())
                 .unwrap_or(0)
                 .max(transport_len);
@@ -347,7 +353,7 @@ impl Kernel {
         // counting; datagram sockets (nothing retained) credit directly.
         let mut rewrote_queue = false;
         if let Some(sock) = meta.sock {
-            if let Some(s) = self.sockets.get_mut(&sock) {
+            if let Some(s) = self.sockets.get_mut(sock) {
                 if let Some(tcb) = s.tcb.as_ref() {
                     use outboard_wire::tcp::seq;
                     let base = tcb.snd_una;
@@ -365,7 +371,7 @@ impl Kernel {
                                 let piece = out.copy_range(skip_front, len);
                                 self.chain_bytes(&piece, mem)
                             };
-                            if let Some(sref) = self.sockets.get_mut(&sock) {
+                            if let Some(sref) = self.sockets.get_mut(sock) {
                                 rewrote_queue = true;
                                 let chain = std::mem::take(&mut sref.so_snd.chain);
                                 let (new_chain, removed) = crate::kernel::replace_range_take(
@@ -386,7 +392,7 @@ impl Kernel {
                                     }
                                 }
                                 for (task, wsock) in wakes {
-                                    if let Some(s) = self.sockets.get_mut(&wsock) {
+                                    if let Some(s) = self.sockets.get_mut(wsock) {
                                         s.blocked_write = None;
                                     }
                                     self.wake(task, wsock, Charge::Syscall);
@@ -405,7 +411,7 @@ impl Kernel {
                 }
             }
             for (task, wsock) in wakes {
-                if let Some(s) = self.sockets.get_mut(&wsock) {
+                if let Some(s) = self.sockets.get_mut(wsock) {
                     s.blocked_write = None;
                 }
                 self.wake(task, wsock, Charge::Syscall);
@@ -595,7 +601,7 @@ impl Kernel {
                 if descs.len() == 2 {
                     if let MbufData::Wcab(d) = descs[1].data() {
                         let packet = PacketId(d.packet);
-                        let geom_ok = cab.tx_hdr_len.get(&packet).copied() == Some(d.off)
+                        let geom_ok = cab.tx_hdr_len.get(packet).copied() == Some(d.off)
                             && cab
                                 .cab
                                 .netmem()
@@ -896,8 +902,8 @@ impl Kernel {
                     // engine has seized the buffer mid-gather; the board
                     // reset reclaims it, so the host must not free it here.
                     cab.complete(token);
-                    cab.tx_remaining.remove(&packet);
-                    cab.tx_hdr_len.remove(&packet);
+                    cab.tx_remaining.remove(packet);
+                    cab.tx_hdr_len.remove(packet);
                     if !matches!(e, CabError::EngineWedged(_)) {
                         cab.cab.free_packet(packet, now);
                     }
@@ -1037,7 +1043,7 @@ impl Kernel {
         self.cpu(self.machine.cost_udp_us, Charge::Syscall);
         // In-kernel applications may hand us chains whose format the CAB
         // driver cannot take; check and convert (§5).
-        let owner = self.sockets.get(&sock).map(|s| s.owner);
+        let owner = self.sockets.get(sock).map(|s| s.owner);
         if owner == Some(Owner::Kernel) && data.has_wcab() {
             let flat = self.flatten_for_legacy(&data, mem);
             data = Chain::from_slice(&flat);

@@ -222,8 +222,8 @@ impl Kernel {
                     }
                     Err(e) => {
                         cab.complete(token);
-                        cab.tx_remaining.remove(&packet);
-                        cab.tx_hdr_len.remove(&packet);
+                        cab.tx_remaining.remove(packet);
+                        cab.tx_hdr_len.remove(packet);
                         // A wedge seizes the buffer; the reset reclaims it.
                         if !matches!(e, CabError::EngineWedged(_)) {
                             cab.cab.free_packet(packet, now);
@@ -346,7 +346,7 @@ impl Kernel {
         socks.sort();
         socks.dedup();
         for sock in socks {
-            if let Some(tcb) = self.sockets.get_mut(&sock).and_then(|s| s.tcb.as_mut()) {
+            if let Some(tcb) = self.sockets.get_mut(sock).and_then(|s| s.tcb.as_mut()) {
                 tcb.rewind_for_rebuild();
             }
             self.tcp_send(sock, mem, now, false);
@@ -453,8 +453,7 @@ impl Kernel {
         //    DMA engines stuck, so every M_WCAB descriptor (this interface)
         //    still in a socket buffer is read out by PIO into host mbufs
         //    before the reset frees its backing packet.
-        let mut to_rescue: Vec<SockId> = self.sockets.keys().copied().collect();
-        to_rescue.sort();
+        let to_rescue: Vec<SockId> = self.sockets.values().map(|s| s.id).collect();
         let mut affected: Vec<SockId> = Vec::new();
         for sock in to_rescue {
             if self.rescue_sock_buffers(sock, iface_id) {
@@ -523,14 +522,14 @@ impl Kernel {
     fn rescue_sock_buffers(&mut self, sock: SockId, iface_id: IfaceId) -> bool {
         let mut rescued = false;
         let mut targets = vec![RescueChain::Snd, RescueChain::Rcv];
-        if let Some(tcb) = self.sockets.get(&sock).and_then(|s| s.tcb.as_ref()) {
+        if let Some(tcb) = self.sockets.get(sock).and_then(|s| s.tcb.as_ref()) {
             targets.extend(tcb.reass_keys().into_iter().map(RescueChain::Reass));
         }
         for which in targets {
             loop {
                 // Locate the first outboard descriptor of this interface.
                 let found = {
-                    let Some(s) = self.sockets.get(&sock) else {
+                    let Some(s) = self.sockets.get(sock) else {
                         break;
                     };
                     let Some(chain) = which.chain(s) else {
@@ -562,7 +561,7 @@ impl Kernel {
                     k.cpu_dur(cost, Charge::Interrupt);
                 });
                 let rescued_mbuf = Mbuf::kernel(self.cluster_freeze(buf, ticket));
-                let Some(s) = self.sockets.get_mut(&sock) else {
+                let Some(s) = self.sockets.get_mut(sock) else {
                     break;
                 };
                 let Some(chain) = which.chain_mut(s) else {

@@ -422,3 +422,123 @@ fn setsockbuf_resizes_and_locks_after_handshake() {
         Err(StackError::InvalidState(_))
     ));
 }
+
+// ----------------------------------------------------------------------
+// effect-list coalescing
+// ----------------------------------------------------------------------
+
+/// Replay an effect list the way `World` does: CPU effects serialize on the
+/// host CPU and move the cursor; every other effect is scheduled at the
+/// cursor it finds. Returns the CPU, the final cursor, and the cursor each
+/// non-CPU effect saw.
+fn replay_on_cpu(
+    fx: &[Effect],
+    now: Time,
+    busy_until: Time,
+    ttcp_on_cpu: bool,
+) -> (outboard_host::Cpu, Time, Vec<Time>) {
+    let mut cpu = outboard_host::Cpu::new(MachineConfig::alpha_3000_400());
+    cpu.run(busy_until, Dur::ZERO, Charge::Syscall);
+    cpu.set_ttcp_on_cpu(ttcp_on_cpu);
+    let mut cursor = now;
+    let mut seen = Vec::new();
+    for e in fx {
+        match e {
+            Effect::Cpu { dur, charge } => cursor = cpu.run(cursor, *dur, *charge),
+            _ => seen.push(cursor),
+        }
+    }
+    (cpu, cursor, seen)
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig { cases: 256, ..Default::default() })]
+
+    /// `Kernel::cpu` / `cpu_dur` fold work onto a trailing `Cpu` effect of
+    /// the same charge. Against the list the kernel used to build (one
+    /// effect per call), the CPU's `busy_until`, every accounting bucket,
+    /// the returned cursor and the cursor each wake sees must be identical:
+    /// in both `ttcp_on_cpu` states, with the CPU already busy past `now`,
+    /// and with charges that round to zero nanoseconds in the list.
+    #[test]
+    fn coalesced_cpu_effects_replay_identically(
+        ops in proptest::collection::vec((proptest::prelude::any::<u8>(), 0u64..40_000), 1..60),
+        busy_ahead in 0u64..50_000,
+        ttcp_on_cpu in proptest::prelude::any::<bool>(),
+    ) {
+        let mut k = Kernel::new("fx", MachineConfig::alpha_3000_400(), StackConfig::single_copy());
+        let mut plain: Vec<Effect> = Vec::new();
+        for (kind, ns) in ops {
+            let charge = [Charge::Syscall, Charge::Interrupt, Charge::TtcpUser][(kind % 3) as usize];
+            match (kind / 3) % 5 {
+                // `cpu`: positive microseconds, pushed even at 0 ns.
+                0 | 1 => {
+                    let us = ns as f64 / 1e3;
+                    k.cpu(us, charge);
+                    if us > 0.0 {
+                        plain.push(Effect::Cpu { dur: Dur::from_micros_f64(us), charge });
+                    }
+                }
+                // Sub-nanosecond charge: rounds to a zero-length effect.
+                2 => {
+                    k.cpu(0.0004, charge);
+                    plain.push(Effect::Cpu { dur: Dur::ZERO, charge });
+                }
+                // `cpu_dur`: zero durations are skipped on both sides.
+                3 => {
+                    k.cpu_dur(Dur::nanos(ns % 3 * ns), charge);
+                    if ns % 3 * ns > 0 {
+                        plain.push(Effect::Cpu { dur: Dur::nanos(ns % 3 * ns), charge });
+                    }
+                }
+                // Anything else ends a run of CPU effects.
+                _ => {
+                    k.wake(TaskId(1), SockId(1), charge);
+                    let us = k.machine.cost_wakeup_us;
+                    plain.push(Effect::Cpu { dur: Dur::from_micros_f64(us), charge });
+                    plain.push(Effect::Wake { task: TaskId(1), sock: SockId(1) });
+                }
+            }
+        }
+        let fx = k.take_effects();
+        assert!(fx.len() <= plain.len());
+        let adjacent_same_charge = fx.windows(2).any(|w| {
+            matches!((&w[0], &w[1]), (Effect::Cpu { charge: a, .. }, Effect::Cpu { charge: b, .. }) if a == b)
+        });
+        assert!(!adjacent_same_charge, "same-charge neighbours are merged");
+        let now = Time(1_000_000);
+        let busy = Time(1_000_000 - 25_000 + busy_ahead);
+        let (cpu_a, cur_a, seen_a) = replay_on_cpu(&plain, now, busy, ttcp_on_cpu);
+        let (cpu_b, cur_b, seen_b) = replay_on_cpu(&fx, now, busy, ttcp_on_cpu);
+        assert_eq!(cpu_a.busy_until(), cpu_b.busy_until());
+        assert_eq!(cpu_a.acct, cpu_b.acct);
+        assert_eq!(cur_a, cur_b);
+        assert_eq!(seen_a, seen_b);
+    }
+}
+
+#[test]
+fn recycled_effect_storage_is_reused() {
+    let mut k = Kernel::new(
+        "fx",
+        MachineConfig::alpha_3000_400(),
+        StackConfig::single_copy(),
+    );
+    k.cpu(5.0, Charge::Syscall);
+    k.wake(TaskId(1), SockId(1), Charge::Syscall);
+    let fx = k.take_effects();
+    let (ptr, cap) = (fx.as_ptr(), fx.capacity());
+    assert_eq!(fx.len(), 2);
+    k.recycle_effects(fx);
+    // `take_effects` swaps the spare in, so the storage carries the list
+    // after the next one.
+    k.cpu(5.0, Charge::Syscall);
+    let second = k.take_effects();
+    assert_eq!(second.len(), 1);
+    k.cpu(5.0, Charge::Interrupt);
+    let third = k.take_effects();
+    assert_eq!(
+        (third.as_ptr(), third.capacity(), third.len()),
+        (ptr, cap, 1)
+    );
+}

@@ -10,7 +10,7 @@
 
 use crate::types::{SockId, StackError};
 use outboard_mbuf::{Chain, TaskId, UioCounterId};
-use std::collections::HashMap;
+use outboard_sim::IdTable;
 
 /// A bounded socket buffer.
 #[derive(Clone, Debug)]
@@ -71,8 +71,8 @@ impl UioState {
 #[derive(Debug, Default)]
 pub struct UioCounters {
     next: u64,
-    // lint: allow(nondet-order, keyed lookup by counter id, never iterated)
-    live: HashMap<UioCounterId, UioState>,
+    /// Live counters by id (issued in sequence from `next`).
+    live: IdTable<UioState>,
 }
 
 impl UioCounters {
@@ -86,7 +86,7 @@ impl UioCounters {
         let id = UioCounterId(self.next);
         self.next += 1;
         self.live.insert(
-            id,
+            id.0,
             UioState {
                 task,
                 sock,
@@ -99,13 +99,13 @@ impl UioCounters {
 
     /// Inspect a live counter.
     pub fn get(&self, id: UioCounterId) -> Option<&UioState> {
-        self.live.get(&id)
+        self.live.get(id.0)
     }
 
     /// Move `bytes` from un-issued to outstanding (data handed down to the
     /// transport layer / DMA issued).
     pub fn issue(&mut self, id: UioCounterId, bytes: usize) -> Result<(), StackError> {
-        let st = self.live.get_mut(&id).ok_or(StackError::BadSocket)?;
+        let st = self.live.get_mut(id.0).ok_or(StackError::BadSocket)?;
         assert!(st.unissued >= bytes, "issuing more than remains");
         st.unissued -= bytes;
         st.outstanding += bytes;
@@ -115,11 +115,11 @@ impl UioCounters {
     /// Record DMA completion of `bytes`; returns the state if the whole
     /// operation just drained (caller wakes the process and removes it).
     pub fn complete(&mut self, id: UioCounterId, bytes: usize) -> Option<UioState> {
-        let st = self.live.get_mut(&id)?;
+        let st = self.live.get_mut(id.0)?;
         assert!(st.outstanding >= bytes, "completing more than outstanding");
         st.outstanding -= bytes;
         if st.drained() {
-            self.live.remove(&id)
+            self.live.remove(id.0)
         } else {
             None
         }
@@ -127,7 +127,7 @@ impl UioCounters {
 
     /// Drop a counter without waking (socket torn down).
     pub fn cancel(&mut self, id: UioCounterId) {
-        self.live.remove(&id);
+        self.live.remove(id.0);
     }
 
     /// Counters not yet drained.

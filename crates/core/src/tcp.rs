@@ -344,15 +344,16 @@ impl Tcb {
     /// Decide what to transmit. `snd_q_len` is the length of `so_snd`
     /// (bytes from `snd_una` onward); `rcv_space` is free receive-buffer
     /// space; `force_ack` requests a pure ACK (delayed-ACK timer fired or
-    /// window update).
+    /// window update). The plans are appended to `plans` — an empty list
+    /// whose storage the caller recycles from call to call — and returned.
     pub fn output(
         &mut self,
         snd_q_len: usize,
         rcv_space: usize,
         force_ack: bool,
         now: Time,
+        mut plans: Vec<SegmentPlan>,
     ) -> Vec<SegmentPlan> {
-        let mut plans = Vec::new();
         let win = self.window_field(rcv_space);
         match self.state {
             TcpState::SynSent => {
@@ -1061,8 +1062,13 @@ mod tests {
         }
 
         fn plans(&mut self, force_ack: bool) -> Vec<SegmentPlan> {
-            self.tcb
-                .output(self.snd_q.len(), self.rcv_space(), force_ack, self.now)
+            self.tcb.output(
+                self.snd_q.len(),
+                self.rcv_space(),
+                force_ack,
+                self.now,
+                Vec::new(),
+            )
         }
 
         fn emit(&mut self, force_ack: bool) -> Vec<(TcpHeader, Chain)> {
@@ -1403,8 +1409,8 @@ mod edge_tests {
         let mut b = Tcb::new(&cfg, 9000, false);
         a.connect(1460, BUF);
         b.connect(1460, BUF);
-        let pa = a.output(0, BUF, false, Time::ZERO);
-        let pb = b.output(0, BUF, false, Time::ZERO);
+        let pa = a.output(0, BUF, false, Time::ZERO, Vec::new());
+        let pb = b.output(0, BUF, false, Time::ZERO, Vec::new());
         assert!(pa[0].flags.syn() && pb[0].flags.syn());
         // Cross-deliver the SYNs.
         let mut ha = hdr(pa[0].seq, 0, TcpFlags::SYN, pa[0].window);
@@ -1419,8 +1425,8 @@ mod edge_tests {
         assert_eq!(a.state, TcpState::SynRcvd);
         assert_eq!(b.state, TcpState::SynRcvd);
         // Cross-deliver the SYN|ACKs.
-        let pa2 = a.output(0, BUF, false, Time::ZERO);
-        let pb2 = b.output(0, BUF, false, Time::ZERO);
+        let pa2 = a.output(0, BUF, false, Time::ZERO, Vec::new());
+        let pb2 = b.output(0, BUF, false, Time::ZERO, Vec::new());
         let ha2 = {
             let mut h = hdr(pa2[0].seq, pa2[0].ack, pa2[0].flags, pa2[0].window);
             h.mss = pa2[0].mss_opt;
@@ -1449,17 +1455,17 @@ mod edge_tests {
         // Hand-establish.
         a.connect(1460, BUF);
         b.listen(1460, BUF);
-        let pa = a.output(0, BUF, false, Time::ZERO);
+        let pa = a.output(0, BUF, false, Time::ZERO, Vec::new());
         let mut syn = hdr(pa[0].seq, 0, TcpFlags::SYN, pa[0].window);
         syn.mss = pa[0].mss_opt;
         syn.window_scale = pa[0].ws_opt;
         b.input(&syn, Chain::new(), BUF, Time::ZERO);
-        let pb = b.output(0, BUF, false, Time::ZERO);
+        let pb = b.output(0, BUF, false, Time::ZERO, Vec::new());
         let mut synack = hdr(pb[0].seq, pb[0].ack, pb[0].flags, pb[0].window);
         synack.mss = pb[0].mss_opt;
         synack.window_scale = pb[0].ws_opt;
         a.input(&synack, Chain::new(), BUF, Time::ZERO);
-        let pa2 = a.output(0, BUF, true, Time::ZERO);
+        let pa2 = a.output(0, BUF, true, Time::ZERO, Vec::new());
         b.input(
             &hdr(pa2[0].seq, pa2[0].ack, pa2[0].flags, pa2[0].window),
             Chain::new(),
@@ -1472,8 +1478,8 @@ mod edge_tests {
         // Both close; FINs cross.
         a.close();
         b.close();
-        let fa = a.output(0, BUF, false, Time::ZERO);
-        let fb = b.output(0, BUF, false, Time::ZERO);
+        let fa = a.output(0, BUF, false, Time::ZERO, Vec::new());
+        let fb = b.output(0, BUF, false, Time::ZERO, Vec::new());
         assert!(fa[0].flags.fin() && fb[0].flags.fin());
         a.input(
             &hdr(fb[0].seq, fb[0].ack, fb[0].flags, fb[0].window),
@@ -1490,8 +1496,8 @@ mod edge_tests {
         assert_eq!(a.state, TcpState::Closing);
         assert_eq!(b.state, TcpState::Closing);
         // Exchange the final ACKs.
-        let aa = a.output(0, BUF, true, Time::ZERO);
-        let ab = b.output(0, BUF, true, Time::ZERO);
+        let aa = a.output(0, BUF, true, Time::ZERO, Vec::new());
+        let ab = b.output(0, BUF, true, Time::ZERO, Vec::new());
         a.input(
             &hdr(ab[0].seq, ab[0].ack, ab[0].flags, ab[0].window),
             Chain::new(),
@@ -1521,8 +1527,8 @@ mod edge_tests {
             h
         };
         b.input(&syn, Chain::new(), BUF, Time::ZERO);
-        b.output(0, BUF, false, Time::ZERO); // SYN|ACK out
-                                             // Complete handshake.
+        b.output(0, BUF, false, Time::ZERO, Vec::new()); // SYN|ACK out
+                                                         // Complete handshake.
         b.input(
             &hdr(5001, b.snd_nxt, TcpFlags::ACK, 1000),
             Chain::new(),
@@ -1545,7 +1551,7 @@ mod edge_tests {
         let mut syn = hdr(5000, 0, TcpFlags::SYN, 1000);
         syn.mss = Some(1460);
         b.input(&syn, Chain::new(), BUF, Time::ZERO);
-        b.output(0, BUF, false, Time::ZERO);
+        b.output(0, BUF, false, Time::ZERO, Vec::new());
         b.input(
             &hdr(5001, b.snd_nxt, TcpFlags::ACK, 1000),
             Chain::new(),

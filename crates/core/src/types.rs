@@ -11,6 +11,12 @@ use std::net::Ipv4Addr;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SockId(pub u32);
 
+impl From<SockId> for u64 {
+    fn from(id: SockId) -> u64 {
+        u64::from(id.0)
+    }
+}
+
 /// Interface index within one kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct IfaceId(pub u32);

@@ -14,6 +14,9 @@
 //! * [`BufPool`] — generation-tagged slab/freelist pools behind the wire
 //!   frame and packet-buffer hot paths (steady-state transfers recycle
 //!   buffers instead of allocating per frame),
+//! * [`IdTable`] — directly indexed tables for the ids the simulator issues
+//!   in sequence (sockets, packet buffers, DMA tokens): no keyed-map search
+//!   per event, ascending-id iteration for free,
 //! * [`Pcg32`] — a small, seedable PRNG with a stable stream (we deliberately
 //!   do not depend on an external RNG crate whose stream could change across
 //!   versions),
@@ -34,6 +37,7 @@
 
 pub mod chaos;
 pub mod engine;
+pub mod idtable;
 pub mod obs;
 pub mod pool;
 pub mod queue;
@@ -47,6 +51,7 @@ pub mod wheel;
 
 pub use chaos::{ChaosAction, ChaosEvent, ChaosSchedule};
 pub use engine::{EngineKind, EventEngine};
+pub use idtable::IdTable;
 pub use obs::{BusyTracker, Metric, MetricsRegistry};
 pub use pool::{pooled_copy, BufPool, PoolStats, Ticket};
 pub use queue::EventQueue;

@@ -94,9 +94,11 @@ impl SysCtx<'_> {
         self.user_us += us;
     }
 
-    /// Collect effects returned by a kernel call for the harness to apply.
-    pub fn absorb(&mut self, fx: Vec<Effect>) {
-        self.effects.extend(fx);
+    /// Collect effects returned by a kernel call for the harness to apply;
+    /// the emptied list goes straight back to the kernel for its next call.
+    pub fn absorb(&mut self, mut fx: Vec<Effect>) {
+        self.effects.append(&mut fx);
+        self.kernel.recycle_effects(fx);
     }
 }
 
@@ -129,13 +131,16 @@ pub struct Host {
     /// The process whose syscalls count as `ttcp` in the accounting.
     pub measured_task: Option<TaskId>,
     finished_apps: usize,
+    /// Slot in `apps` of each task's app, filled by [`World::add_app`]; the
+    /// first app registered under a task keeps it.
+    app_slots: BTreeMap<TaskId, usize>,
+    /// The effect list [`SysCtx`] collects into, kept between app quanta.
+    app_fx: Vec<Effect>,
 }
 
 impl Host {
     fn app_index(&self, task: TaskId) -> Option<usize> {
-        self.apps
-            .iter()
-            .position(|a| a.as_ref().map(|a| a.task()) == Some(task))
+        self.app_slots.get(&task).copied()
     }
 }
 
@@ -887,6 +892,8 @@ impl World {
             apps: Vec::new(),
             measured_task: None,
             finished_apps: 0,
+            app_slots: BTreeMap::new(),
+            app_fx: Vec::new(),
         });
         self.hosts.len() - 1
     }
@@ -968,7 +975,9 @@ impl World {
         if measured {
             self.hosts[host].measured_task = Some(task);
         }
-        self.hosts[host].apps.push(Some(app));
+        let h = &mut self.hosts[host];
+        h.app_slots.entry(task).or_insert(h.apps.len());
+        h.apps.push(Some(app));
         self.queue
             .push(self.queue.now(), Event::AppStep { host, task });
     }
@@ -979,11 +988,20 @@ impl World {
         self.kernel_socks.insert((host, sock), idx);
     }
 
-    /// Apply kernel effects produced on `host` at `now`; returns the time
-    /// the effects' CPU work completes (the app-continuation time).
-    fn apply_effects(&mut self, host: usize, effects: Vec<Effect>, now: Time) -> Time {
+    /// Apply kernel effects produced on `host` at `now` and hand the emptied
+    /// list back to that kernel; returns the time the effects' CPU work
+    /// completes (the app-continuation time).
+    fn apply_effects(&mut self, host: usize, mut effects: Vec<Effect>, now: Time) -> Time {
+        let cursor = self.drain_effects(host, &mut effects, now);
+        self.hosts[host].kernel.recycle_effects(effects);
+        cursor
+    }
+
+    /// [`World::apply_effects`] on a list the caller keeps: `effects` is
+    /// left empty with its storage intact.
+    fn drain_effects(&mut self, host: usize, effects: &mut Vec<Effect>, now: Time) -> Time {
         let mut cursor = now;
-        for e in effects {
+        for e in effects.drain(..) {
             match e {
                 Effect::Cpu { dur, charge } => {
                     cursor = self.hosts[host].cpu.run(cursor, dur, charge);
@@ -1074,24 +1092,22 @@ impl World {
         cursor
     }
 
-    /// Run one application quantum.
-    fn run_app(&mut self, host: usize, task: TaskId, now: Time, ready_sock: Option<SockId>) {
-        let Some(idx) = self.hosts[host].app_index(task) else {
-            return;
-        };
+    /// Run one quantum of the app in slot `idx` of `host`.
+    fn run_app(&mut self, host: usize, idx: usize, now: Time, ready_sock: Option<SockId>) {
         let mut app = self.hosts[host].apps[idx].take().expect("app present");
+        let task = app.task();
         let measured = self.hosts[host].measured_task == Some(task);
         if measured {
             self.hosts[host].cpu.set_ttcp_on_cpu(true);
         }
-        let (step, effects, user_us) = {
+        let (step, mut effects, user_us) = {
             let h = &mut self.hosts[host];
             let mut ctx = SysCtx {
                 now,
                 task,
                 kernel: &mut h.kernel,
                 mem: &mut h.mem,
-                effects: Vec::new(),
+                effects: std::mem::take(&mut h.app_fx),
                 user_us: 0.0,
             };
             let step = match ready_sock {
@@ -1111,7 +1127,8 @@ impl World {
                 .cpu
                 .run(cursor, Dur::from_micros_f64(user_us), charge);
         }
-        cursor = self.apply_effects(host, effects, cursor);
+        cursor = self.drain_effects(host, &mut effects, cursor);
+        self.hosts[host].app_fx = effects;
         match step {
             Step::Continue => {
                 self.queue.push(cursor, Event::AppStep { host, task });
@@ -1163,22 +1180,20 @@ impl World {
         self.events_dispatched += 1;
         match ev {
             Event::AppStep { host, task } => {
-                let finished = self.hosts[host]
-                    .app_index(task)
-                    .and_then(|i| self.hosts[host].apps[i].as_ref())
-                    .map(|a| a.finished())
-                    .unwrap_or(true);
-                if !finished {
-                    self.run_app(host, task, now, None);
+                let h = &self.hosts[host];
+                let runnable = h.app_index(task).filter(|&i| {
+                    h.apps
+                        .get(i)
+                        .and_then(|a| a.as_ref())
+                        .is_some_and(|a| !a.finished())
+                });
+                if let Some(idx) = runnable {
+                    self.run_app(host, idx, now, None);
                 }
             }
             Event::KernelReady { host, sock } => {
                 if let Some(&idx) = self.kernel_socks.get(&(host, sock)) {
-                    let task = self.hosts[host].apps[idx]
-                        .as_ref()
-                        .map(|a| a.task())
-                        .expect("app present");
-                    self.run_app(host, task, now, Some(sock));
+                    self.run_app(host, idx, now, Some(sock));
                 }
             }
             Event::SdmaDone {
@@ -1365,6 +1380,68 @@ impl Default for World {
 mod tests {
     use super::*;
     use outboard_sim::span::FlowId;
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    /// Counts its quanta and finishes after `budget` of them.
+    struct Counter {
+        task: TaskId,
+        steps: Rc<Cell<u32>>,
+        budget: u32,
+    }
+
+    impl App for Counter {
+        fn task(&self) -> TaskId {
+            self.task
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn step(&mut self, ctx: &mut SysCtx<'_>) -> Step {
+            self.steps.set(self.steps.get() + 1);
+            ctx.user_cpu(1.0);
+            if self.finished() {
+                Step::Done
+            } else {
+                Step::Continue
+            }
+        }
+        fn finished(&self) -> bool {
+            self.steps.get() >= self.budget
+        }
+    }
+
+    #[test]
+    fn duplicate_task_id_dispatches_to_the_first_app() {
+        let mut w = World::new();
+        let h = w.add_host(
+            "h",
+            MachineConfig::alpha_3000_400(),
+            StackConfig::single_copy(),
+        );
+        let counts: Vec<Rc<Cell<u32>>> = (0..3).map(|_| Rc::new(Cell::new(0))).collect();
+        for (i, task) in [TaskId(7), TaskId(7), TaskId(3)].into_iter().enumerate() {
+            let app = Counter {
+                task,
+                steps: Rc::clone(&counts[i]),
+                budget: 4,
+            };
+            w.add_app(h, Box::new(app), false);
+        }
+        w.run_until(Time(1_000_000_000));
+        // Both registrations of task 7 schedule a step, and every one of
+        // them lands on the first app registered under it (slot 0), as the
+        // `position` scan did; the second never runs.
+        let steps: Vec<u32> = counts.iter().map(|c| c.get()).collect();
+        assert_eq!(steps, [4, 0, 4]);
+        assert_eq!(w.hosts[h].app_index(TaskId(7)), Some(0));
+        assert_eq!(w.hosts[h].app_index(TaskId(3)), Some(2));
+        assert_eq!(w.hosts[h].app_index(TaskId(9)), None);
+        // A wake for a task nobody registered is dropped, not a panic.
+        w.schedule_app(h, TaskId(9), w.now());
+        w.run_until(Time(2_000_000_000));
+        assert_eq!(w.hosts[h].apps.len(), 3);
+    }
 
     #[test]
     fn critical_path_needs_a_flow_group_not_two_spans() {

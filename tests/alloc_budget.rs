@@ -1,0 +1,151 @@
+//! The per-event budget (DESIGN.md §12) as a regression guard: heap
+//! allocations per dispatched event, counted by this test binary's own
+//! `#[global_allocator]`, on the two shapes the budget was sized on — one
+//! connection making small single-copy writes, and a world of concurrent
+//! flows sharing one adaptor. Counting starts after a warm-up (world built,
+//! connections established, pools and effect lists at their working size),
+//! so what is held is the steady-state cost of the event loop itself.
+//!
+//! Where the allocations come from — every allocation of one whole
+//! `small_writes` pass (2 MB in 1 KB single-copy writes, 20 053 events)
+//! attributed to its call site by a backtrace-recording allocator in a
+//! scratch build, in allocations per event, parent commit → this one:
+//!
+//! | site | before | after |
+//! |---|---|---|
+//! | `Vec<Effect>`: first push of each kernel entry (`Kernel::cpu`, `frame_arrive`, `arm_tcp_timers`), `SysCtx::absorb` growth | 1.227 | 0 |
+//! | map nodes: `BTreeMap` leaf per packet buffer (`NetworkMemory::alloc`), `HashMap` growth | 0.025 | 0 |
+//! | mbuf chain storage: `VecDeque` growth in `Chain::{append, prepend}` under `split_front` / `concat` / `copy_range` / `build_rx_chain` | 0.922 | 0.922 |
+//! | header and scatter/gather `Vec`s in `cab_output` (`to_vec`, `push`, `insert`) + `TcpHeader::build` | 0.616 | 0.616 |
+//! | `Bytes` shared headers (`Box` in `transport`, `cab_output`, `BufPool::freeze`) | 0.462 | 0.462 |
+//! | `Tcb::output` segment plans (now a list `tcp_send` lends and keeps) | 0.154 | 0 |
+//! | `Tcb::input` action lists, `convert_uio` ranges | 0.204 | 0.204 |
+//! | timing-wheel slot growth, pool misses, `World::metrics` names | 0.118 | 0.119 |
+//! | total (`testbed.allocs_per_event`) | 3.728 | 2.324 |
+//!
+//! (`many_flows`, 48 998 events: 3.758 → 2.388.) The steady-state figures
+//! this test holds are a little higher than the whole-pass ones because the
+//! handshake and teardown events, which allocate little, are warmed past.
+//!
+//! The bounds are the measured values plus 10 %; a change that adds an
+//! allocation to every event (a list, a boxed closure, a map node) trips
+//! them, a change that removes one should lower them.
+
+use outboard::host::{MachineConfig, TaskId};
+use outboard::sim::{Dur, Time};
+use outboard::stack::{SockAddr, StackConfig};
+use outboard::testbed::apps::{TtcpReceiver, TtcpSender};
+use outboard::testbed::experiment::{build_ttcp_world, RECEIVER_IP, SENDER_IP};
+use outboard::testbed::{ExperimentConfig, World};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations made by this thread (`alloc` and `realloc` calls).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count() {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter is a
+// thread-local `Cell<u64>` with no destructor and no allocation of its own.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's contract is passed through to `System`.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: as for `dealloc`; the size contract is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Measured on this commit (the parent commit: 3.946 and 3.951).
+const SINGLE_FLOW_ALLOCS_PER_EVENT: f64 = 2.419;
+const MANY_FLOWS_ALLOCS_PER_EVENT: f64 = 2.414;
+
+fn single_copy() -> StackConfig {
+    let mut s = StackConfig::single_copy();
+    s.force_single_copy = true;
+    s
+}
+
+fn all_finished(w: &World) -> bool {
+    w.hosts
+        .iter()
+        .flat_map(|h| h.apps.iter())
+        .all(|a| a.as_ref().is_none_or(|a| a.finished()))
+}
+
+/// Run `w` to completion; returns (allocations, events) of everything after
+/// the first `warmup` events.
+fn steady_state(mut w: World, warmup: u64) -> (u64, u64) {
+    let deadline = Time::ZERO + Dur::secs(60);
+    assert!(w.run_while(deadline, |w| w.events_dispatched < warmup));
+    assert!(!all_finished(&w), "warm-up swallowed the whole run");
+    let (a0, e0) = (ALLOCS.with(Cell::get), w.events_dispatched);
+    assert!(w.run_while(deadline, |w| !all_finished(w)), "run stalled");
+    let (a1, e1) = (ALLOCS.with(Cell::get), w.events_dispatched);
+    (a1 - a0, e1 - e0)
+}
+
+fn assert_budget(name: &str, (allocs, events): (u64, u64), measured: f64) {
+    let per_event = allocs as f64 / events as f64;
+    println!("{name}: {allocs} allocations over {events} events = {per_event:.3} per event");
+    assert!(events > 1000, "{name}: too few events to mean anything");
+    assert!(
+        per_event <= measured * 1.10,
+        "{name}: {per_event:.3} allocations per event, budget {measured:.3} + 10 %"
+    );
+}
+
+/// One `#[test]` so the two worlds run on one thread, one after the other.
+#[test]
+fn allocations_per_event_stay_within_budget() {
+    // 256 KB in 1 KB single-copy writes (the `small_writes` shape).
+    let mut cfg = ExperimentConfig::new(MachineConfig::alpha_3000_400(), single_copy(), 1024);
+    cfg.total_bytes = 256 * 1024;
+    cfg.verify = false;
+    assert_budget(
+        "single flow, 1 KB writes",
+        steady_state(build_ttcp_world(&cfg), 500),
+        SINGLE_FLOW_ALLOCS_PER_EVENT,
+    );
+
+    // 16 concurrent ttcp pairs over one CAB link, 4 KB writes (the
+    // `many_flows` shape at a sixteenth of its size).
+    let machine = MachineConfig::alpha_3000_400();
+    let mut w = World::new();
+    let a = w.add_host("sender", machine.clone(), single_copy());
+    let b = w.add_host("receiver", machine, single_copy());
+    w.connect_cab(a, SENDER_IP, b, RECEIVER_IP, Dur::micros(5), 1);
+    for i in 0..16u32 {
+        let rx = TtcpReceiver::new(TaskId(2000 + i), 5001 + i as u16, 4096);
+        w.add_app(b, Box::new(rx), i == 0);
+    }
+    for i in 0..16u32 {
+        let dst = SockAddr::new(RECEIVER_IP, 5001 + i as u16);
+        let mut tx = TtcpSender::new(TaskId(1000 + i), dst, 4096, 64 * 1024);
+        tx.buf_vaddr += u64::from(i) * 0x1_0000;
+        w.add_app(a, Box::new(tx), i == 0);
+    }
+    assert_budget(
+        "16 flows, 4 KB writes",
+        steady_state(w, 600),
+        MANY_FLOWS_ALLOCS_PER_EVENT,
+    );
+}
