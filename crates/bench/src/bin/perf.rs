@@ -18,11 +18,11 @@
 //!    each engine, reporting events/sec and wall µs (the wheel must be no
 //!    worse end to end);
 //! 6. `checksum_wide` / `checksum_scalar` — ones-complement checksum
-//!    MB/s through the 8-byte-lane path vs the 16-bit reference path,
-//!    via the vendored criterion stand-in's measurement loop. The
-//!    wide-over-scalar speedup is a regression gate: below 4x the binary
-//!    exits 1 so scheduler work can't silently regress the checksum
-//!    pillar.
+//!    MB/s through the native-endian eight-lane block kernel vs the
+//!    16-bit reference path, via the vendored criterion stand-in's
+//!    measurement loop. The wide-over-scalar speedup is reported
+//!    (`gate_4x_ok`); the assertion itself is a tier-1 test in
+//!    `outboard-wire` (best of seven, so a stall cannot trip it).
 //!
 //! `--smoke` shrinks every workload for CI; `--jobs N`/`OUTBOARD_JOBS`
 //! picks the parallel worker count (default: `min(4, cores)`, so the
@@ -383,8 +383,8 @@ fn main() {
         ],
     });
 
-    // 6. Checksum throughput: wide 8-byte lanes vs the scalar reference,
-    // measured with the vendored criterion stand-in.
+    // 6. Checksum throughput: the eight-lane block kernel vs the scalar
+    // reference, measured with the vendored criterion stand-in.
     let buf_len = if smoke { 256 * 1024 } else { 4 * 1024 * 1024 };
     let buf: Vec<u8> = (0..buf_len).map(|i| (i * 31 + 7) as u8).collect();
     let iters = if smoke { 20 } else { 50 };
@@ -400,8 +400,8 @@ fn main() {
     });
     let wide_mbps = wide.mb_per_sec(buf_len as u64);
     let scalar_mbps = scalar.mb_per_sec(buf_len as u64);
-    // PR-3's pillar, pinned: the wide path must stay >= 4x the scalar
-    // reference on the same machine or the harness fails.
+    // Reported only: one single-shot measurement stalls often enough that
+    // the >= 4x assertion lives in `outboard-wire`'s tests instead.
     let checksum_speedup = wide_mbps / scalar_mbps.max(1e-9);
     let checksum_ok = checksum_speedup >= 4.0;
     workloads.push(Workload {
@@ -478,13 +478,6 @@ fn main() {
         eprintln!(
             "perf: windowed sampling costs {timeline_pct:.1}% wall-clock on \
              tcp_large_window (budget: 2%) — failing"
-        );
-        std::process::exit(1);
-    }
-    if !checksum_ok {
-        eprintln!(
-            "perf: wide checksum is only {checksum_speedup:.2}x the scalar \
-             reference (gate: 4x) — failing"
         );
         std::process::exit(1);
     }

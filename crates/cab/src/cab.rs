@@ -26,7 +26,7 @@ use crate::ownership::{DmaEngine, DmaOwnershipViolation};
 use bytes::Bytes;
 use outboard_host::{MemFault, TaskId, UserMemory};
 use outboard_sim::obs::Scope;
-use outboard_sim::{pooled_copy, BufPool, Dur, Time};
+use outboard_sim::{BufPool, Dur, PooledBuf, Time};
 use outboard_wire::checksum::{fold, Accumulator};
 use outboard_wire::hippi::HippiAddr;
 use std::collections::BTreeMap;
@@ -291,7 +291,7 @@ pub struct Cab {
     pub per_channel_tx: BTreeMap<u16, u64>,
     /// Adaptor-side fault injection (transparent by default).
     pub faults: FaultInjector,
-    /// Shared buffer pool for outbound frames and kernel copy-outs.
+    /// Shared buffer pool behind the packets a transmit gather fills.
     pool: Option<Arc<BufPool>>,
 }
 
@@ -313,10 +313,9 @@ impl Cab {
         }
     }
 
-    /// Recycle packet-buffer and frame storage through a shared
-    /// [`BufPool`] so steady-state transfers stop allocating per frame.
+    /// Recycle packet storage through a shared [`BufPool`] so steady-state
+    /// transfers stop allocating per packet.
     pub fn set_pool(&mut self, pool: Arc<BufPool>) {
-        self.netmem.set_pool(Arc::clone(&pool));
         self.pool = Some(pool);
     }
 
@@ -470,8 +469,8 @@ impl Cab {
             ));
         }
         if let Some(spec) = req.csum {
-            // Validate the spec before any bytes move so an error never
-            // leaves a half-written packet behind.
+            // The checksum engine indexes the gathered bytes with these:
+            // they must lie inside what the packet will hold.
             let new_valid = if req.reuse_body_csum {
                 pkt_valid
             } else {
@@ -506,11 +505,20 @@ impl Cab {
             None => {}
         }
 
-        // Check every user range before the first byte moves, so a fault
-        // never leaves a half-written packet behind.
+        // Gather into fresh storage: a faulting user range drops it and the
+        // packet is as it was. A retransmit carries only a fresh header, so
+        // the body is copied from the old storage rather than rewritten in
+        // place — a frame still in flight (or adopted by the peer's network
+        // memory) views those bytes.
+        let body = match self.netmem.get(req.packet) {
+            Some(p) if req.reuse_body_csum => &p.data[total..],
+            _ => &[],
+        };
+        let mut data = PooledBuf::with_capacity(&self.pool, total + body.len());
         for e in &req.sg {
-            sg_bytes(e, mem)?;
+            data.extend_from_slice(sg_bytes(e, mem)?);
         }
+        data.extend_from_slice(body);
 
         let misaligned = self.count_misaligned(&req.sg);
         let extra = self.sdma_cost_extra(req.sg.len(), misaligned);
@@ -529,24 +537,11 @@ impl Cab {
             }
         }
 
-        // Gather straight into network memory and run the checksum engine.
+        // Run the checksum engine, then the finished packet becomes the
+        // buffer's (immutable) contents.
         let Some(pkt) = self.netmem.get_mut(req.packet) else {
             return Err(CabError::UnknownPacket(req.packet));
         };
-        if req.reuse_body_csum {
-            // Only a fresh header: overwrite the front of the valid bytes.
-            let mut off = 0usize;
-            for e in &req.sg {
-                let src = sg_bytes(e, mem)?;
-                pkt.data[off..off + src.len()].copy_from_slice(src);
-                off += src.len();
-            }
-        } else {
-            pkt.data.clear();
-            for e in &req.sg {
-                pkt.data.extend_from_slice(sg_bytes(e, mem)?);
-            }
-        }
         if let Some(spec) = req.csum {
             let skip = spec.skip_words * 4;
             let body_sum = if req.reuse_body_csum {
@@ -557,13 +552,12 @@ impl Cab {
                 }
             } else {
                 let mut acc = Accumulator::new();
-                acc.add_bytes(&pkt.data[skip..]);
+                acc.add_bytes(&data[skip..]);
                 let s = acc.partial();
                 pkt.saved_body_csum = Some(s);
                 s
             };
-            let seed =
-                u16::from_be_bytes([pkt.data[spec.csum_offset], pkt.data[spec.csum_offset + 1]]);
+            let seed = u16::from_be_bytes([data[spec.csum_offset], data[spec.csum_offset + 1]]);
             let mut final_csum = !fold(seed as u32 + body_sum as u32);
             // An injected checksum-engine fault inserts a wrong sum; the
             // receiver's verification catches it and the transport recovers
@@ -571,9 +565,9 @@ impl Cab {
             if self.faults.csum_miscomputes() {
                 final_csum ^= 0x5555;
             }
-            pkt.data[spec.csum_offset..spec.csum_offset + 2]
-                .copy_from_slice(&final_csum.to_be_bytes());
+            data[spec.csum_offset..spec.csum_offset + 2].copy_from_slice(&final_csum.to_be_bytes());
         }
+        pkt.data = data.freeze();
 
         self.stats.sdma_tx_requests += 1;
         Ok(CabEvent::SdmaDone {
@@ -646,14 +640,15 @@ impl Cab {
         let Some(pkt) = self.netmem.get(req.packet) else {
             return Err(CabError::UnknownPacket(req.packet));
         };
-        let src = &pkt.data[req.src_off..req.src_off + req.len];
+        let src = req.src_off..req.src_off + req.len;
         let data = match req.dst {
             SdmaDst::User { task, vaddr } => {
-                mem.write_user(task, vaddr, src)
+                mem.write_user(task, vaddr, &pkt.data[src])
                     .map_err(CabError::MemFault)?;
                 None
             }
-            SdmaDst::Kernel => Some(pooled_copy(&self.pool, src)),
+            // A view of the packet's storage: it outlives the packet id.
+            SdmaDst::Kernel => Some(pkt.data.slice(src)),
         };
         if req.free_packet {
             self.netmem.free(req.packet);
@@ -687,9 +682,8 @@ impl Cab {
                 if pkt.data.is_empty() {
                     return Err(CabError::BadRequest("mdma of empty packet"));
                 }
-                // Pooled frame: if a fault path below abandons it, the
-                // drop hook still returns the storage.
-                pooled_copy(&self.pool, &pkt.data)
+                // The frame is the packet: one storage, two views.
+                pkt.data.clone()
             }
             None => return Err(self.missing_packet(packet, DmaEngine::MdmaTx, now)),
         };
@@ -771,8 +765,8 @@ impl Cab {
             self.cfg.media_bps(),
         );
         if let Some(pkt) = self.netmem.get_mut(id) {
-            pkt.data.clear();
-            pkt.data.extend_from_slice(&frame);
+            // The arriving frame's storage becomes the packet's.
+            pkt.data = frame.clone();
         } else {
             // Freshly allocated above; only reachable if the board is being
             // reset underneath us — treat the frame as lost.
@@ -1012,30 +1006,140 @@ mod tests {
         let (id, _) = tx_packet(&mut cab, &hm, task, 0x1111, 0x10000, 4096);
         // Retransmit with a fresh header (different seed, e.g. new ack
         // field): only the header goes over the bus.
-        let ev = cab
-            .sdma_tx(
-                SdmaTx {
-                    packet: id,
-                    sg: vec![SgEntry::Inline(Bytes::from(header_with_seed(0x2222)))],
-                    csum: Some(ChecksumSpec {
-                        csum_offset: CSUM_OFF,
-                        skip_words: SKIP_WORDS,
-                    }),
-                    reuse_body_csum: true,
-                    interrupt_on_complete: false,
-                    token: 8,
-                },
-                Time(1_000_000),
-                &hm,
-            )
-            .unwrap();
-        assert!(matches!(ev, CabEvent::SdmaDone { .. }));
+        retransmit(&mut cab, &hm, id, header_with_seed(0x2222), Time(1_000_000));
         assert_eq!(cab.stats.body_csum_reuses, 1);
         let mut body = vec![0u8; 4096];
         hm.read_user(task, 0x10000, &mut body).unwrap();
         let mut got = [0u8; 2];
         cab.read_packet(id, CSUM_OFF, &mut got);
         assert_eq!(u16::from_be_bytes(got), expected_csum(0x2222, &body));
+    }
+
+    /// A header-only retransmit of `id`: only `header` crosses the bus.
+    fn retransmit(cab: &mut Cab, hm: &HostMem, id: PacketId, header: Vec<u8>, now: Time) {
+        cab.sdma_tx(
+            SdmaTx {
+                packet: id,
+                sg: vec![SgEntry::Inline(Bytes::from(header))],
+                csum: Some(ChecksumSpec {
+                    csum_offset: CSUM_OFF,
+                    skip_words: SKIP_WORDS,
+                }),
+                reuse_body_csum: true,
+                interrupt_on_complete: false,
+                token: 8,
+            },
+            now,
+            hm,
+        )
+        .unwrap();
+    }
+
+    #[test]
+    fn frame_and_packet_share_one_pooled_buffer() {
+        let (mut cab_a, hm, task) = setup();
+        let mut cab_b = Cab::new(2, CabConfig::default());
+        let pool = Arc::new(BufPool::new());
+        cab_a.set_pool(Arc::clone(&pool));
+        cab_b.set_pool(Arc::clone(&pool));
+
+        let (id, sdma) = tx_packet(&mut cab_a, &hm, task, 0x4242, 0x10000, 8192);
+        let CabEvent::FrameOut { frame, .. } = cab_a.mdma_tx(id, 2, 0, sdma.at(), false).unwrap()
+        else {
+            panic!()
+        };
+        let sent = &cab_a.netmem().get(id).unwrap().data;
+        assert_eq!(frame.as_ptr(), sent.as_ptr(), "the frame is the packet");
+        assert_eq!(
+            pool.stats().acquires,
+            1,
+            "one buffer per transmitted packet"
+        );
+
+        // The receiver adopts the arriving storage: no copy, no acquire.
+        let CabEvent::RxReady {
+            packet: Some(pkt),
+            autodma,
+            at,
+            ..
+        } = cab_b.receive_frame(frame.clone(), Time(2_000_000))
+        else {
+            panic!()
+        };
+        assert_eq!(
+            cab_b.netmem().get(pkt).unwrap().data.as_ptr(),
+            frame.as_ptr()
+        );
+        assert_eq!(autodma.as_ptr(), frame.as_ptr());
+        assert_eq!(pool.stats().acquires, 1);
+
+        // A kernel-destination copy-out is a view that outlives the packet.
+        let CabEvent::SdmaDone {
+            data: Some(data), ..
+        } = cab_b
+            .sdma_rx(
+                SdmaRx {
+                    packet: pkt,
+                    src_off: HDR,
+                    len: 8192,
+                    dst: SdmaDst::Kernel,
+                    free_packet: true,
+                    interrupt_on_complete: false,
+                    token: 3,
+                },
+                at,
+                &mut HostMem::new(),
+            )
+            .unwrap()
+        else {
+            panic!()
+        };
+        assert!(!cab_b.packet_exists(pkt));
+        assert_eq!(data.as_ptr(), frame[HDR..].as_ptr());
+        assert_eq!(pool.stats().acquires, 1);
+        let mut body = vec![0u8; 8192];
+        hm.read_user(task, 0x10000, &mut body).unwrap();
+        assert!(cab_a.free_packet(id, at));
+        drop(frame);
+        drop(autodma);
+        assert_eq!(pool.stats().releases, 0, "the kernel's view holds it");
+        assert_eq!(data, body, "still readable with both packet ids gone");
+        drop(data);
+        assert!(pool.balanced());
+    }
+
+    #[test]
+    fn header_only_retransmit_never_rewrites_a_frame_in_flight() {
+        let (mut cab, hm, task) = setup();
+        let (id, sdma) = tx_packet(&mut cab, &hm, task, 0x1111, 0x10000, 4096);
+        let CabEvent::FrameOut { frame: first, .. } =
+            cab.mdma_tx(id, 2, 0, sdma.at(), false).unwrap()
+        else {
+            panic!()
+        };
+        let first_bytes = first.to_vec();
+        let saved = cab.netmem().get(id).unwrap().saved_body_csum.unwrap();
+
+        let mut header = header_with_seed(0x2222);
+        header[0] ^= 0xFF; // a header that differs beyond the checksum field
+        retransmit(&mut cab, &hm, id, header.clone(), Time(1_000_000));
+        let CabEvent::FrameOut { frame: second, .. } =
+            cab.mdma_tx(id, 2, 0, Time(2_000_000), false).unwrap()
+        else {
+            panic!()
+        };
+
+        assert_eq!(first, first_bytes, "the held frame was rewritten");
+        assert_ne!(first.as_ptr(), second.as_ptr());
+        header[CSUM_OFF..CSUM_OFF + 2]
+            .copy_from_slice(&(!fold(0x2222 + saved as u32)).to_be_bytes());
+        assert_eq!(
+            second[..HDR],
+            header[..],
+            "new header, checksum from the saved sum"
+        );
+        assert_eq!(second[HDR..], first[HDR..], "old body");
+        assert_eq!(cab.netmem().get(id).unwrap().saved_body_csum, Some(saved));
     }
 
     #[test]

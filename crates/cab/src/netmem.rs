@@ -9,10 +9,10 @@
 
 #[cfg(feature = "dma-check")]
 use crate::ownership::{DmaEngine, DmaOwnershipViolation, OwnershipJournal};
+use bytes::Bytes;
+use outboard_sim::IdTable;
 #[cfg(feature = "dma-check")]
 use outboard_sim::Time;
-use outboard_sim::{BufPool, IdTable, Ticket};
-use std::sync::Arc;
 
 /// Identifies a packet buffer in one CAB's network memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -29,18 +29,18 @@ impl From<PacketId> for u64 {
 pub struct PacketBuf {
     /// Allocated (maximum) length in bytes.
     pub cap: usize,
-    /// Exactly the bytes written so far (SDMA progress / full frame length
-    /// on receive; at most `cap`). The storage is recycled and not zeroed,
-    /// so nothing past `data.len()` can be read at all.
-    pub data: Vec<u8>,
+    /// The packet's bytes (at most `cap`): empty until a transmit gather
+    /// or an arriving frame fills it, immutable and reference-counted from
+    /// then on. A frame on the media and the buffer it left from (or landed
+    /// in) are views of this one storage, so changing a filled packet means
+    /// installing a new `Bytes`, never writing through this one.
+    pub data: Bytes,
     /// Body checksum saved by the transmit SDMA engine on the first
     /// transfer, reused when the host retransmits with a fresh header
     /// (§4.3: "adds in the checksum of the body of the packet, which it had
     /// saved from when the packet was transferred the first time").
     pub saved_body_csum: Option<u16>,
     pages: usize,
-    /// Proof of acquisition when `data` came from a shared buffer pool.
-    ticket: Option<Ticket>,
 }
 
 /// The network-memory page pool.
@@ -60,9 +60,6 @@ pub struct NetworkMemory {
     // run.
     packets: IdTable<PacketBuf>,
     next_id: u64,
-    /// Optional shared buffer pool behind `PacketBuf::data`; without one,
-    /// every allocation is a fresh `Vec` (standalone unit tests).
-    pool: Option<Arc<BufPool>>,
     /// DMA ownership journal (§4.4.2's counter handshake as a checked
     /// invariant). Only consulted when the `dma-check` feature is on.
     #[cfg(feature = "dma-check")]
@@ -84,16 +81,9 @@ impl NetworkMemory {
             reserved_pages: 0,
             packets: IdTable::new(),
             next_id: 1,
-            pool: None,
             #[cfg(feature = "dma-check")]
             journal: OwnershipJournal::default(),
         }
-    }
-
-    /// Back packet-buffer storage with a shared [`BufPool`] so steady-state
-    /// transfers recycle the same slabs instead of allocating per packet.
-    pub fn set_pool(&mut self, pool: Arc<BufPool>) {
-        self.pool = Some(pool);
     }
 
     /// Pages currently free.
@@ -150,22 +140,15 @@ impl NetworkMemory {
         for (_, p) in self.packets.drain() {
             self.pages_free += p.pages;
             self.frees += 1;
-            self.recycle(p);
         }
         #[cfg(feature = "dma-check")]
         self.journal.release_all();
         n
     }
 
-    /// Hand a retired buffer's storage back to the pool it came from.
-    fn recycle(&self, p: PacketBuf) {
-        if let (Some(pool), Some(t)) = (&self.pool, p.ticket) {
-            pool.release(p.data, t);
-        }
-    }
-
-    /// Allocate a page-aligned packet buffer of `len` bytes. Returns `None`
-    /// when the pool cannot satisfy the request.
+    /// Allocate a page-aligned packet buffer of `len` bytes (pages are
+    /// accounted now; storage arrives with the bytes). Returns `None` when
+    /// the pool cannot satisfy the request.
     pub fn alloc(&mut self, len: usize) -> Option<PacketId> {
         if len == 0 {
             return None;
@@ -180,21 +163,13 @@ impl NetworkMemory {
         self.allocs += 1;
         let id = PacketId(self.next_id);
         self.next_id += 1;
-        let (data, ticket) = match &self.pool {
-            Some(pool) => {
-                let (buf, t) = pool.acquire_empty(len);
-                (buf, Some(t))
-            }
-            None => (Vec::with_capacity(len), None),
-        };
         self.packets.insert(
             id,
             PacketBuf {
                 cap: len,
-                data,
+                data: Bytes::new(),
                 saved_body_csum: None,
                 pages,
-                ticket,
             },
         );
         Some(id)
@@ -206,7 +181,6 @@ impl NetworkMemory {
         if let Some(p) = self.packets.remove(id) {
             self.pages_free += p.pages;
             self.frees += 1;
-            self.recycle(p);
             #[cfg(feature = "dma-check")]
             self.journal.release(id);
             true
@@ -293,17 +267,6 @@ impl NetworkMemory {
     }
 }
 
-impl Drop for NetworkMemory {
-    /// Return still-live packet storage to the pool at teardown so the
-    /// world-level conservation check (`acquires == releases`) holds even
-    /// when a run ends with frames in flight.
-    fn drop(&mut self) {
-        for (_, p) in self.packets.drain() {
-            self.recycle(p);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,7 +304,7 @@ mod tests {
         {
             let p = nm.get_mut(id).unwrap();
             assert!(p.data.is_empty(), "a fresh buffer holds no bytes");
-            p.data.extend_from_slice(&[7u8; 50]);
+            p.data = Bytes::from(vec![7u8; 50]);
         }
         let mut buf = [0u8; 10];
         assert!(nm.read(id, 40, &mut buf));

@@ -53,7 +53,7 @@ pub use chaos::{ChaosAction, ChaosEvent, ChaosSchedule};
 pub use engine::{EngineKind, EventEngine};
 pub use idtable::IdTable;
 pub use obs::{BusyTracker, Metric, MetricsRegistry};
-pub use pool::{pooled_copy, BufPool, PoolStats, Ticket};
+pub use pool::{pooled_copy, BufPool, PoolStats, PooledBuf, Ticket};
 pub use queue::EventQueue;
 pub use rng::{check_probability, FaultConfigError, Pcg32};
 pub use span::{FlowId, Span, SpanSink, Stage};

@@ -241,6 +241,65 @@ pub fn pooled_copy(pool: &Option<Arc<BufPool>>, src: &[u8]) -> Bytes {
     }
 }
 
+/// Writable storage on its way to becoming a frozen [`Bytes`]: pooled when
+/// there is a pool, plain otherwise. Dropped unfrozen (an error path), the
+/// storage goes straight back, so a builder can return early at any point.
+#[derive(Debug)]
+pub struct PooledBuf {
+    buf: Vec<u8>,
+    home: Option<(Arc<BufPool>, Ticket)>,
+}
+
+impl PooledBuf {
+    /// An empty buffer with room for at least `cap` bytes.
+    pub fn with_capacity(pool: &Option<Arc<BufPool>>, cap: usize) -> PooledBuf {
+        match pool {
+            Some(p) => {
+                let (buf, ticket) = p.acquire_empty(cap);
+                PooledBuf {
+                    buf,
+                    home: Some((Arc::clone(p), ticket)),
+                }
+            }
+            None => PooledBuf {
+                buf: Vec::with_capacity(cap),
+                home: None,
+            },
+        }
+    }
+
+    /// Freeze into an immutable [`Bytes`]; pooled storage returns to the
+    /// pool when the last view drops.
+    pub fn freeze(mut self) -> Bytes {
+        let buf = std::mem::take(&mut self.buf);
+        match self.home.take() {
+            Some((pool, ticket)) => pool.freeze(buf, ticket),
+            None => Bytes::from(buf),
+        }
+    }
+}
+
+impl std::ops::Deref for PooledBuf {
+    type Target = Vec<u8>;
+    fn deref(&self) -> &Vec<u8> {
+        &self.buf
+    }
+}
+
+impl std::ops::DerefMut for PooledBuf {
+    fn deref_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+}
+
+impl Drop for PooledBuf {
+    fn drop(&mut self) {
+        if let Some((pool, ticket)) = self.home.take() {
+            pool.release(std::mem::take(&mut self.buf), ticket);
+        }
+    }
+}
+
 impl std::fmt::Debug for BufPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BufPool")
@@ -358,6 +417,26 @@ mod tests {
         let s = p.stats();
         assert_eq!(s.discards, 10);
         assert!(p.balanced());
+    }
+
+    #[test]
+    fn pooled_buf_freezes_or_returns_its_storage() {
+        let pool = Some(Arc::new(BufPool::new()));
+        let mut kept = PooledBuf::with_capacity(&pool, 2000);
+        kept.extend_from_slice(b"kept");
+        let abandoned = PooledBuf::with_capacity(&pool, 2000);
+        drop(abandoned);
+        let p = pool.as_ref().unwrap();
+        assert_eq!((p.stats().acquires, p.stats().releases), (2, 1));
+        let frozen = kept.freeze();
+        assert_eq!(&frozen[..], b"kept");
+        assert_eq!(p.stats().releases, 1, "frozen storage is still out");
+        drop(frozen);
+        assert!(p.balanced());
+        // No pool: plain storage, same contents contract.
+        let mut plain = PooledBuf::with_capacity(&None, 16);
+        plain.extend_from_slice(b"plain");
+        assert_eq!(&plain.freeze()[..], b"plain");
     }
 
     #[test]

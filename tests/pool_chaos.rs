@@ -314,7 +314,8 @@ fn faulting_gather_leaves_the_packet_untouched() {
         .at();
     let snapshot = |cab: &Cab| {
         let p = cab.netmem().get(id).unwrap();
-        (p.data.clone(), p.saved_body_csum)
+        // A copy, not a view: a held `Bytes` would keep the storage out.
+        (p.data.to_vec(), p.saved_body_csum)
     };
     let before = snapshot(&cab);
     assert_eq!(before.0.len(), 64 + 2048);

@@ -5,8 +5,11 @@
 //! The goldens under `tests/golden/` were written by the binary of the
 //! commit *before* the exporters were rewritten (PR 12, 73d7c24), so they
 //! prove the trace file and the critical-path table did not change across
-//! the rewrite, not merely that the exporter agrees with itself. To
-//! regenerate after an intended format change, run
+//! the rewrite, not merely that the exporter agrees with itself. (The two
+//! trace files were rewritten once since, when frames began to share
+//! network-memory storage: only the `args.bufs` of four
+//! `world.pool_in_use` counter events each changed.) To regenerate after
+//! an intended format change, run
 //! `cargo test --test span_trace -- --ignored regenerate_goldens` on the
 //! commit whose output is the new reference (copy this file into a checkout
 //! of it if it predates the test) and commit `tests/golden/`.
