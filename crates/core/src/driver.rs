@@ -17,10 +17,10 @@
 use crate::types::{SockAddr, SockId};
 use outboard_cab::{Cab, ChecksumSpec, PacketId, SgEntry};
 use outboard_sim::obs::Scope;
-use outboard_sim::IdTable;
+use outboard_sim::{DetMap, IdTable};
 use outboard_wire::ether::MacAddr;
 use outboard_wire::hippi::HippiAddr;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 /// Why an SDMA request was issued; consulted on its completion interrupt.
@@ -166,14 +166,12 @@ pub struct CabIface {
     /// The device itself.
     pub cab: Cab,
     /// IP → fabric address resolution (static ARP for the simulation).
-    // lint: allow(nondet-order, keyed lookup only, never iterated)
-    pub arp: HashMap<Ipv4Addr, HippiAddr>,
+    pub arp: DetMap<Ipv4Addr, HippiAddr>,
     next_token: u64,
     /// In-flight SDMA requests by completion token (issued in sequence).
     pending: IdTable<SdmaPurpose>,
     /// Logical channel assigned per destination (§2.1).
-    // lint: allow(nondet-order, keyed lookup only, never iterated)
-    channels: HashMap<HippiAddr, u16>,
+    channels: DetMap<HippiAddr, u16>,
     next_channel: u16,
     /// Receive packets: payload bytes not yet copied out of network memory.
     pub rx_remaining: IdTable<usize>,
@@ -193,10 +191,10 @@ impl CabIface {
     pub fn new(cab: Cab) -> CabIface {
         CabIface {
             cab,
-            arp: HashMap::new(),
+            arp: DetMap::new(),
             next_token: 1,
             pending: IdTable::new(),
-            channels: HashMap::new(),
+            channels: DetMap::new(),
             next_channel: 0,
             rx_remaining: IdTable::new(),
             tx_remaining: IdTable::new(),
@@ -265,7 +263,7 @@ impl CabIface {
     /// destination, assigned round-robin over the hardware's channel set.
     pub fn channel_for(&mut self, dst: HippiAddr) -> u16 {
         let n = self.cab.config().num_channels as u16;
-        *self.channels.entry(dst).or_insert_with(|| {
+        *self.channels.get_or_insert_with(dst, || {
             let c = self.next_channel % n;
             self.next_channel = self.next_channel.wrapping_add(1);
             c
@@ -279,8 +277,7 @@ pub struct EthIface {
     /// This interface's hardware address.
     pub mac: MacAddr,
     /// IP to MAC resolution (static for the simulation).
-    // lint: allow(nondet-order, keyed lookup only, never iterated)
-    pub arp: HashMap<Ipv4Addr, MacAddr>,
+    pub arp: DetMap<Ipv4Addr, MacAddr>,
 }
 
 impl EthIface {
@@ -288,7 +285,7 @@ impl EthIface {
     pub fn new(mac: MacAddr) -> EthIface {
         EthIface {
             mac,
-            arp: HashMap::new(),
+            arp: DetMap::new(),
         }
     }
 }

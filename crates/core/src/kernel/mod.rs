@@ -38,11 +38,10 @@ use outboard_host::{Charge, HostMem, MachineConfig, MemorySystem, TaskId, UserMe
 use outboard_mbuf::{Chain, Mbuf, MbufData, MbufStats, UioDesc, UioRegion, WcabDesc};
 use outboard_sim::span::{FlowId, SpanSink, Stage};
 use outboard_sim::trace::Trace;
-use outboard_sim::{pooled_copy, BufPool, Dur, IdTable, Ticket, Time};
+use outboard_sim::{pooled_copy, BufPool, DetMap, Dur, IdTable, Ticket, Time};
 use outboard_wire::ether::MacAddr;
 use outboard_wire::ipv4::IPV4_HEADER_LEN;
 use outboard_wire::udp::UDP_HEADER_LEN;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -149,16 +148,13 @@ pub struct Kernel {
     next_sock: u32,
     next_port: u16,
     /// Bound (listener / datagram) sockets by port.
-    // lint: allow(nondet-order, keyed demux lookup only, never iterated)
-    pub(crate) ports: HashMap<(Proto, u16), SockId>,
+    pub(crate) ports: DetMap<(Proto, u16), SockId>,
     /// Fully-specified connections (proto, local, remote).
-    // lint: allow(nondet-order, keyed demux lookup only, never iterated)
-    pub(crate) conns: HashMap<(Proto, SockAddr, SockAddr), SockId>,
+    pub(crate) conns: DetMap<(Proto, SockAddr, SockAddr), SockId>,
     /// Raw-IP protocol handlers: protocol number → kernel socket whose
     /// queue receives matching datagrams' payloads (§5: in-kernel
     /// applications "use TCP or UDP over IP, or raw IP").
-    // lint: allow(nondet-order, keyed demux lookup only, never iterated)
-    pub(crate) raw_protos: HashMap<u8, SockId>,
+    pub(crate) raw_protos: DetMap<u8, SockId>,
     /// Network interfaces, indexed by [`IfaceId`].
     pub ifaces: Vec<Iface>,
     /// The routing table.
@@ -205,9 +201,9 @@ impl Kernel {
             sockets: IdTable::new(),
             next_sock: 1,
             next_port: 20_000,
-            ports: HashMap::new(),
-            conns: HashMap::new(),
-            raw_protos: HashMap::new(),
+            ports: DetMap::new(),
+            conns: DetMap::new(),
+            raw_protos: DetMap::new(),
             ifaces: Vec::new(),
             routes: RouteTable::new(),
             reass: Reassembler::new(),

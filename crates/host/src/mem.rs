@@ -7,7 +7,7 @@
 //! against these bytes end to end.
 
 use crate::TaskId;
-use std::collections::HashMap;
+use outboard_sim::DetMap;
 
 /// A failed user-memory access (bad task or out-of-range address).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,8 +66,7 @@ struct Region {
 /// All user address spaces on one host.
 #[derive(Debug, Default)]
 pub struct HostMem {
-    // lint: allow(nondet-order, keyed lookup by task id, never iterated)
-    regions: HashMap<TaskId, Region>,
+    regions: DetMap<TaskId, Region>,
 }
 
 impl HostMem {

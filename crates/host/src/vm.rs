@@ -16,8 +16,8 @@
 use crate::config::MachineConfig;
 use crate::TaskId;
 use outboard_sim::obs::Scope;
-use outboard_sim::Dur;
-use std::collections::{HashMap, VecDeque};
+use outboard_sim::{DetMap, Dur};
+use std::collections::VecDeque;
 
 /// Statistics over VM activity, for tests and the crossover experiments.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -53,8 +53,7 @@ enum PageState {
 pub struct VmSystem {
     cfg: MachineConfig,
     lazy: bool,
-    // lint: allow(nondet-order, keyed lookup; only whole-map retain, which is order-independent)
-    pages: HashMap<(TaskId, u64), PageState>,
+    pages: DetMap<(TaskId, u64), PageState>,
     /// LRU order of `Cached` pages (front = oldest).
     cached_lru: VecDeque<(TaskId, u64)>,
     stats: VmStats,
@@ -66,7 +65,7 @@ impl VmSystem {
         VmSystem {
             cfg,
             lazy: lazy_unpin,
-            pages: HashMap::new(),
+            pages: DetMap::new(),
             cached_lru: VecDeque::new(),
             stats: VmStats::default(),
         }

@@ -17,6 +17,9 @@
 //! * [`IdTable`] — directly indexed tables for the ids the simulator issues
 //!   in sequence (sockets, packet buffers, DMA tokens): no keyed-map search
 //!   per event, ascending-id iteration for free,
+//! * [`DetMap`] — keyed lookup for everything else (demux tables, ARP,
+//!   pinned pages): a fixed-key hash and no iteration API, so hash order
+//!   cannot reach a run,
 //! * [`Pcg32`] — a small, seedable PRNG with a stable stream (we deliberately
 //!   do not depend on an external RNG crate whose stream could change across
 //!   versions),
@@ -36,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
+pub mod detmap;
 pub mod engine;
 pub mod idtable;
 pub mod obs;
@@ -50,6 +54,7 @@ pub mod trace;
 pub mod wheel;
 
 pub use chaos::{ChaosAction, ChaosEvent, ChaosSchedule};
+pub use detmap::DetMap;
 pub use engine::{EngineKind, EventEngine};
 pub use idtable::IdTable;
 pub use obs::{BusyTracker, Metric, MetricsRegistry};

@@ -6,8 +6,10 @@
 //! Ids are drawn the way the simulator issues them (a counter that only
 //! goes up), plus the shapes where a slot table could plausibly go wrong:
 //! ids registered late (below the first live id), ids that leave a gap,
-//! stale ids below the trimmed front, ids past the end, and a long-lived
-//! low id that pins the front while everything above it churns.
+//! stale ids below the trimmed front, ids past the end, a long-lived low id
+//! that pins the front while everything above it churns, and a long-lived
+//! id in the middle of a live band under a newest id that is inserted and
+//! removed at once (the freed tail the table keeps).
 
 use outboard_sim::IdTable;
 use proptest::prelude::*;
@@ -17,6 +19,8 @@ use std::collections::BTreeMap;
 enum Op {
     /// Insert under the next id in sequence.
     Issue,
+    /// Insert under the next id in sequence and remove it at once.
+    Churn,
     /// Insert under an id picked relative to the live range (overwrites,
     /// gaps, ids below the front).
     InsertNear(u64),
@@ -44,6 +48,19 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     })
 }
 
+/// Mostly insert-newest / remove-newest rounds, with enough other traffic
+/// to move the front and reuse freed tail slots.
+fn churn_strategy() -> impl Strategy<Value = Op> {
+    (any::<u8>(), any::<u64>()).prop_map(|(kind, raw)| match kind % 16 {
+        0..=8 => Op::Churn,
+        9 => Op::Issue,
+        10..=11 => Op::RemoveLive(raw),
+        12 => Op::InsertNear(raw),
+        13 => Op::RemoveNear(raw),
+        _ => Op::Probe(raw),
+    })
+}
+
 /// An id within 8 of the model's live range on either side (or of `next`
 /// when nothing is live): covers stale ids below the front, gaps inside,
 /// and ids past the end.
@@ -64,24 +81,30 @@ fn check_same(table: &IdTable<u32>, model: &BTreeMap<u64, u32>) {
     assert_eq!(vals, model.values().copied().collect::<Vec<_>>());
 }
 
-/// Run `ops` against both maps. With `pinned`, id 1 is inserted first and
-/// never removed by the random removes: the front cannot trim past it.
-fn run_differential(ops: Vec<Op>, pinned: bool) {
+/// Run `ops` against both maps. Ids `1..=band` are inserted first, and the
+/// random removes never take `pinned`: the front cannot trim past it.
+fn run_differential(ops: Vec<Op>, band: u64, pinned: Option<u64>) {
     let mut table: IdTable<u32> = IdTable::new();
     let mut model: BTreeMap<u64, u32> = BTreeMap::new();
     let mut next = 1u64;
     let mut stamp = 0u32;
-    if pinned {
+    while next <= band {
         assert_eq!(table.insert(next, 7), None);
         model.insert(next, 7);
         next += 1;
     }
-    let keep = |id: u64| pinned && id == 1;
+    let keep = |id: u64| pinned == Some(id);
     for op in ops {
         stamp += 1;
         match op {
             Op::Issue => {
                 assert_eq!(table.insert(next, stamp), model.insert(next, stamp));
+                next += 1;
+            }
+            Op::Churn => {
+                assert_eq!(table.insert(next, stamp), None);
+                assert_eq!(table.get(next), Some(&stamp));
+                assert_eq!(table.remove(next), Some(stamp));
                 next += 1;
             }
             Op::InsertNear(raw) => {
@@ -137,12 +160,17 @@ proptest! {
 
     #[test]
     fn idtable_matches_btreemap(ops in proptest::collection::vec(op_strategy(), 1..300)) {
-        run_differential(ops, false);
+        run_differential(ops, 0, None);
     }
 
     #[test]
     fn idtable_matches_btreemap_with_pinned_low_id(ops in proptest::collection::vec(op_strategy(), 1..300)) {
-        run_differential(ops, true);
+        run_differential(ops, 1, Some(1));
+    }
+
+    #[test]
+    fn idtable_matches_btreemap_under_newest_id_churn(ops in proptest::collection::vec(churn_strategy(), 1..300)) {
+        run_differential(ops, 64, Some(32));
     }
 }
 

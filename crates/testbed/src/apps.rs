@@ -42,14 +42,27 @@ pub struct TtcpSender {
 
 /// The byte every ttcp transfer places at stream offset `i`: a
 /// deterministic payload, so the receiver can verify integrity.
-pub fn ttcp_pattern(i: usize) -> u8 {
+pub const fn ttcp_pattern(i: usize) -> u8 {
     (i as u32).wrapping_mul(2654435761).to_le_bytes()[0]
 }
 
-/// One period of the pattern, from stream offset `base`: only the low byte
-/// of `i` reaches the low byte of the product, so it repeats every 256.
-fn pattern_period(base: usize) -> [u8; 256] {
-    std::array::from_fn(|i| ttcp_pattern(base + i))
+/// Two periods of the pattern: only the low byte of `i` reaches the low
+/// byte of the product, so it repeats every 256 and the period starting at
+/// any stream offset `base` is the window `base & 255 ..` of this table.
+static PATTERN_PERIODS: [u8; 512] = {
+    let mut table = [0; 512];
+    let mut i = 0;
+    while i < table.len() {
+        table[i] = ttcp_pattern(i);
+        i += 1;
+    }
+    table
+};
+
+/// One period of the pattern, from stream offset `base`.
+fn pattern_period(base: usize) -> &'static [u8] {
+    let start = base & 255;
+    &PATTERN_PERIODS[start..start + 256]
 }
 
 /// Fill `dst` with the pattern bytes of stream offsets `base..`, a period
@@ -68,7 +81,7 @@ pub fn ttcp_mismatches(src: &[u8], base: usize) -> u64 {
     let mut wrong = 0;
     for chunk in src.chunks(period.len()) {
         if *chunk != period[..chunk.len()] {
-            wrong += chunk.iter().zip(&period).filter(|(b, p)| b != p).count() as u64;
+            wrong += chunk.iter().zip(period).filter(|(b, p)| b != p).count() as u64;
         }
     }
     wrong
@@ -601,6 +614,17 @@ mod tests {
         // `u32::MAX` (the pattern truncates the offset to 32 bits).
         (any::<bool>(), 0usize..1024)
             .prop_map(|(high, x)| if high { u32::MAX as usize - 512 + x } else { x })
+    }
+
+    /// Every phase of the table, and offsets where only the truncation to
+    /// 32 bits keeps the period aligned.
+    #[test]
+    fn the_table_window_is_the_pattern_from_any_base() {
+        for base in (0..512).chain([u32::MAX as usize - 100, u32::MAX as usize + 1]) {
+            for (i, &b) in pattern_period(base).iter().enumerate() {
+                assert_eq!(b, ttcp_pattern(base + i), "base {base} + {i}");
+            }
+        }
     }
 
     proptest! {
