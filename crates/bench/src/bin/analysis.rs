@@ -1,7 +1,6 @@
 //! §7.3: analytic efficiency estimates vs full-simulation measurements.
 
 use outboard_bench::figure_point;
-use outboard_bench::sweep::run_sweep;
 use outboard_host::MachineConfig;
 use outboard_testbed::analysis::{
     per_packet_overhead_us, single_copy_estimate, unmodified_estimate,
@@ -32,10 +31,8 @@ fn main() {
         sc.efficiency_mbps / un.efficiency_mbps
     );
     println!("\nsimulated (512 KB writes, 32 KB MTU):");
-    let sims = run_sweep("analysis", &[false, true], |&sc| {
-        figure_point(&m, sc, 512 * 1024)
-    });
-    let (mu, ms) = (&sims[0], &sims[1]);
+    let mu = figure_point(&m, false, 512 * 1024);
+    let ms = figure_point(&m, true, 512 * 1024);
     println!(
         "  unmodified : {:6.0} Mbit/s at {:4.2} utilization",
         mu.sender_efficiency_mbps, mu.sender_utilization

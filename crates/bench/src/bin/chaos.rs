@@ -5,15 +5,14 @@
 //! byte-identically with `--replay`.
 //!
 //! ```text
-//! chaos [--seeds N] [--start-seed S] [--events K] [--smoke] [--jobs J]
-//!       [--out DIR] [--plant-bug] [--replay FILE] [--stats]
+//! chaos [--seeds N] [--start-seed S] [--events K] [--smoke] [--out DIR]
+//!       [--plant-bug] [--replay FILE] [--stats]
 //! ```
 //!
 //! * `--seeds N`      schedules to sweep (default 32, smoke default 8)
 //! * `--start-seed S` first seed (default 1)
 //! * `--events K`     events per generated schedule (default 6)
 //! * `--smoke`        small transfers for CI
-//! * `--jobs J`       sweep worker threads (also `OUTBOARD_JOBS`)
 //! * `--out DIR`      where repro files go (default `.`)
 //! * `--plant-bug`    add a checksum-preserving corruption event to every
 //!   schedule — the oracle must catch it (exits 1)
@@ -22,29 +21,13 @@
 //!
 //! Exit status: 0 all seeds clean, 1 oracle violation, 2 usage error.
 
-use outboard_bench::sweep;
+use outboard_bench::arg_value;
 use outboard_host::MachineConfig;
 use outboard_sim::chaos::{ChaosAction, ChaosEvent, ChaosSchedule};
 use outboard_sim::Dur;
 use outboard_stack::StackConfig;
 use outboard_testbed::chaos::{run_chaos, shrink_failure, DEFAULT_LIVENESS_BUDGET};
 use outboard_testbed::ExperimentConfig;
-
-fn arg_value(name: &str) -> Option<String> {
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 0;
-    while i < argv.len() {
-        if let Some((flag, val)) = argv[i].split_once('=') {
-            if flag == name {
-                return Some(val.to_string());
-            }
-        } else if argv[i] == name {
-            return Some(argv.get(i + 1).cloned().unwrap_or_default());
-        }
-        i += 1;
-    }
-    None
-}
 
 fn flag_present(name: &str) -> bool {
     std::env::args().any(|a| a == name)
@@ -77,9 +60,8 @@ fn base_cfg(seed: u64, total: usize) -> ExperimentConfig {
     cfg
 }
 
-/// One seed's verdict, rendered in seed order after the sweep.
+/// One seed's verdict.
 struct SeedReport {
-    seed: u64,
     line: String,
     failed: bool,
     repro_json: Option<String>,
@@ -104,7 +86,6 @@ fn sweep_seed(seed: u64, events: usize, total: usize, plant_bug: bool) -> SeedRe
     let outcome = run_chaos(&cfg, &schedule, DEFAULT_LIVENESS_BUDGET);
     if outcome.passed() {
         return SeedReport {
-            seed,
             line: format!(
                 "seed {seed:>5}  PASS  {} events applied, {} heals, {} deferred, {} in {}",
                 outcome.chaos.events_applied,
@@ -125,7 +106,6 @@ fn sweep_seed(seed: u64, events: usize, total: usize, plant_bug: bool) -> SeedRe
             None => (schedule.events.len(), 0, Some(schedule.to_json())),
         };
     SeedReport {
-        seed,
         line: format!(
             "seed {seed:>5}  FAIL  {first}  (shrunk to {events_left} events in {runs} runs)"
         ),
@@ -215,25 +195,21 @@ fn main() {
         if plant_bug { ", planted bug" } else { "" }
     );
 
-    let seed_list: Vec<u64> = (start..start + seeds).collect();
-    let reports = sweep::run_sweep("chaos", &seed_list, |&seed| {
-        sweep_seed(seed, events, total, plant_bug)
-    });
-
     let mut failures = 0u64;
-    for r in &reports {
+    for seed in start..start + seeds {
+        let r = sweep_seed(seed, events, total, plant_bug);
         println!("{}", r.line);
         if r.failed {
             failures += 1;
             if let Some(json) = &r.repro_json {
-                let path = format!("{}/repro_{}.json", out_dir, r.seed);
+                let path = format!("{out_dir}/repro_{seed}.json");
                 match std::fs::write(&path, json) {
                     Ok(()) => println!("          repro written to {path}"),
                     Err(e) => eprintln!("          cannot write {path}: {e}"),
                 }
             }
             if let Some(flight) = &r.flight_json {
-                let path = format!("{}/flight_{}.json", out_dir, r.seed);
+                let path = format!("{out_dir}/flight_{seed}.json");
                 match std::fs::write(&path, flight) {
                     Ok(()) => println!("          flight recorder written to {path}"),
                     Err(e) => eprintln!("          cannot write {path}: {e}"),
@@ -241,11 +217,7 @@ fn main() {
             }
         }
     }
-    println!(
-        "{}/{} seeds clean",
-        reports.len() as u64 - failures,
-        reports.len()
-    );
+    println!("{}/{seeds} seeds clean", seeds - failures);
     if failures > 0 {
         std::process::exit(1);
     }

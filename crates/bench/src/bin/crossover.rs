@@ -1,10 +1,5 @@
 //! Ablations: §4.4.3 size-based path choice and §4.5 alignment fallback.
-//!
-//! Each ablation is a sweep of independent runs, fanned out across the
-//! shared `--jobs`/`OUTBOARD_JOBS` worker pool and rendered in fixed
-//! order so output is byte-identical to a serial run.
 
-use outboard_bench::sweep::run_sweep;
 use outboard_host::MachineConfig;
 use outboard_stack::StackConfig;
 use outboard_testbed::{run_ttcp, ExperimentConfig};
@@ -22,17 +17,11 @@ fn run(
     run_ttcp(&cfg)
 }
 
-/// The three stack variants of ablation 1, in column order.
-fn ablation1_stack(variant: usize) -> StackConfig {
-    match variant {
-        0 => {
-            let mut forced = StackConfig::single_copy();
-            forced.force_single_copy = true;
-            forced
-        }
-        1 => StackConfig::single_copy(), // adaptive, 16 KB threshold
-        _ => StackConfig::unmodified(),
-    }
+/// The single-copy stack with the §4.4.3 size check overridden.
+fn forced_single_copy() -> StackConfig {
+    let mut forced = StackConfig::single_copy();
+    forced.force_single_copy = true;
+    forced
 }
 
 fn main() {
@@ -42,13 +31,10 @@ fn main() {
         "{:>8} | {:>10} {:>10} {:>10}",
         "size_KB", "forced_eff", "adapt_eff", "unmod_eff"
     );
-    let ks = [1usize, 4, 8, 16, 64];
-    let items: Vec<(usize, usize)> = ks.iter().flat_map(|&k| [(k, 0), (k, 1), (k, 2)]).collect();
-    let runs = run_sweep("crossover-path-choice", &items, |&(k, variant)| {
-        run(&m, ablation1_stack(variant), k * 1024, 0)
-    });
-    for (i, &k) in ks.iter().enumerate() {
-        let (f, a, u) = (&runs[3 * i], &runs[3 * i + 1], &runs[3 * i + 2]);
+    for k in [1usize, 4, 8, 16, 64] {
+        let f = run(&m, forced_single_copy(), k * 1024, 0);
+        let a = run(&m, StackConfig::single_copy(), k * 1024, 0); // adaptive, 16 KB threshold
+        let u = run(&m, StackConfig::unmodified(), k * 1024, 0);
         println!(
             "{:>8} | {:>10.0} {:>10.0} {:>10.0}",
             k, f.sender_efficiency_mbps, a.sender_efficiency_mbps, u.sender_efficiency_mbps
@@ -61,14 +47,10 @@ fn main() {
         "{:>10} {:>11} | {:>9} {:>8} {:>9}",
         "misalign_B", "align_split", "thr_Mbps", "util", "eff_Mbps"
     );
-    let align_items = [(0u64, false), (1, false), (2, false), (2, true)];
-    let align_runs = run_sweep("crossover-alignment", &align_items, |&(mis, split)| {
-        let mut forced = StackConfig::single_copy();
-        forced.force_single_copy = true;
+    for (mis, split) in [(0u64, false), (1, false), (2, false), (2, true)] {
+        let mut forced = forced_single_copy();
         forced.align_split = split;
-        run(&m, forced, 256 * 1024, mis)
-    });
-    for ((mis, split), r) in align_items.iter().zip(&align_runs) {
+        let r = run(&m, forced, 256 * 1024, mis);
         println!(
             "{:>10} {:>11} | {:>9.1} {:>8.2} {:>9.0}",
             mis, split, r.throughput_mbps, r.sender_utilization, r.sender_efficiency_mbps
@@ -83,14 +65,10 @@ fn main() {
         "{:>6} | {:>9} {:>8} {:>9}",
         "lazy", "thr_Mbps", "util", "eff_Mbps"
     );
-    let lazy_items = [false, true];
-    let lazy_runs = run_sweep("crossover-lazy-vm", &lazy_items, |&lazy| {
-        let mut stack = StackConfig::single_copy();
-        stack.force_single_copy = true;
+    for lazy in [false, true] {
+        let mut stack = forced_single_copy();
         stack.lazy_vm = lazy;
-        run(&m, stack, 64 * 1024, 0)
-    });
-    for (lazy, r) in lazy_items.iter().zip(&lazy_runs) {
+        let r = run(&m, stack, 64 * 1024, 0);
         println!(
             "{:>6} | {:>9.1} {:>8.2} {:>9.0}",
             lazy, r.throughput_mbps, r.sender_utilization, r.sender_efficiency_mbps
@@ -103,16 +81,13 @@ fn main() {
         "{:>9} | {:>9} {:>8} {:>9}",
         "window_KB", "thr_Mbps", "util", "eff_Mbps"
     );
-    let windows = [64usize, 128, 256, 512];
-    let window_runs = run_sweep("crossover-window", &windows, |&wk| {
+    for wk in [64usize, 128, 256, 512] {
         let mut stack = StackConfig::unmodified();
         stack.sock_buf = wk * 1024;
         let mut cfg = ExperimentConfig::new(m.clone(), stack, 256 * 1024);
         cfg.total_bytes = 8 * 1024 * 1024;
         cfg.verify = false;
-        run_ttcp(&cfg)
-    });
-    for (wk, r) in windows.iter().zip(&window_runs) {
+        let r = run_ttcp(&cfg);
         println!(
             "{:>9} | {:>9.1} {:>8.2} {:>9.0}",
             wk, r.throughput_mbps, r.sender_utilization, r.sender_efficiency_mbps

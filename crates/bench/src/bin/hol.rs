@@ -1,22 +1,14 @@
 //! §2.1: FIFO head-of-line blocking vs logical channels on a saturated
 //! input-queued switch (the Hluchyj-Karol 58.6 % limit).
-//!
-//! All three studies sweep independent simulations through the shared
-//! `--jobs`/`OUTBOARD_JOBS` worker pool; rendering order is fixed.
 
-use outboard_bench::sweep::run_sweep;
 use outboard_cab::{HolSim, MacMode};
 
 fn main() {
     println!("== HOL blocking: saturated uniform random traffic ==\n");
     println!("{:>6} {:>10} {:>12}", "nodes", "FIFO", "16 channels");
-    let node_counts = [4usize, 8, 16, 32];
-    let node_runs = run_sweep("hol-nodes", &node_counts, |&nodes| {
+    for nodes in [4usize, 8, 16, 32] {
         let fifo = HolSim::new(nodes, MacMode::Fifo, 42).run(20_000);
         let lc = HolSim::new(nodes, MacMode::LogicalChannels { channels: 16 }, 42).run(20_000);
-        (fifo, lc)
-    });
-    for (nodes, (fifo, lc)) in node_counts.iter().zip(&node_runs) {
         println!(
             "{:>6} {:>9.1}% {:>11.1}%",
             nodes,
@@ -25,23 +17,16 @@ fn main() {
         );
     }
     println!("\nchannel sweep at 16 nodes:");
-    let channels = [1usize, 2, 4, 8, 16];
-    let channel_runs = run_sweep("hol-channels", &channels, |&ch| {
-        HolSim::new(16, MacMode::LogicalChannels { channels: ch }, 7).run(20_000)
-    });
-    for (ch, r) in channels.iter().zip(&channel_runs) {
+    for ch in [1usize, 2, 4, 8, 16] {
+        let r = HolSim::new(16, MacMode::LogicalChannels { channels: ch }, 7).run(20_000);
         println!("  {ch:>2} channels: {:5.1}%", r.utilization * 100.0);
     }
     println!("\nfinite-load stability at 16 nodes (mean backlog after 20k slots):");
     println!("{:>6} {:>12} {:>14}", "load", "FIFO", "16 channels");
-    let loads = [0.40, 0.50, 0.55, 0.60, 0.70, 0.80];
-    let load_runs = run_sweep("hol-loads", &loads, |&load| {
+    for load in [0.40, 0.50, 0.55, 0.60, 0.70, 0.80] {
         let f = HolSim::new(16, MacMode::Fifo, 5).run_with_load(20_000, load);
         let l = HolSim::new(16, MacMode::LogicalChannels { channels: 16 }, 5)
             .run_with_load(20_000, load);
-        (f, l)
-    });
-    for (load, (f, l)) in loads.iter().zip(&load_runs) {
         println!(
             "{:>6.2} {:>12.1} {:>14.1}",
             load, f.mean_backlog, l.mean_backlog

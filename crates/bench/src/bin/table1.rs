@@ -2,35 +2,28 @@
 //! checksum location, adaptor architecture) cell, with the efficiency
 //! class each cell falls into.
 
-use outboard_bench::sweep::run_sweep;
 use outboard_taxonomy::*;
 
 fn main() {
     println!("== Table 1: host interface taxonomy (transmit operations) ==\n");
     println!("{}", render_table());
     println!("\nclassification:");
-    // Each cell classifies independently; render the sweep's ordered lines.
-    let cells: Vec<_> = table_rows()
-        .into_iter()
-        .flat_map(|(api, csum)| adaptor_columns().into_iter().map(move |a| (api, csum, a)))
-        .collect();
-    let lines = run_sweep("table1-cells", &cells, |&(api, csum, a)| {
-        let ops = transmit_ops(api, csum, a);
-        let cls = classify(&ops);
-        let ops_s: Vec<String> = ops.iter().map(|o| o.to_string()).collect();
-        format!(
-            "  {:?}/{:?} + {:?}/{:?}: {:24} -> {} ({} CPU accesses/byte)",
-            api,
-            csum,
-            a.buffering,
-            a.mover,
-            ops_s.join(" "),
-            cls,
-            cell_cpu_accesses(api, csum, a)
-        )
-    });
-    for line in lines {
-        println!("{line}");
+    for (api, csum) in table_rows() {
+        for a in adaptor_columns() {
+            let ops = transmit_ops(api, csum, a);
+            let cls = classify(&ops);
+            let ops_s: Vec<String> = ops.iter().map(|o| o.to_string()).collect();
+            println!(
+                "  {:?}/{:?} + {:?}/{:?}: {:24} -> {} ({} CPU accesses/byte)",
+                api,
+                csum,
+                a.buffering,
+                a.mover,
+                ops_s.join(" "),
+                cls,
+                cell_cpu_accesses(api, csum, a)
+            );
+        }
     }
     println!("\nThe paper's focus cell — Copy/Header over Outboard/DMA+C (sockets");
     println!("over the CAB) — is single-copy with zero CPU data accesses.");

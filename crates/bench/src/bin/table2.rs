@@ -4,7 +4,6 @@
 //! compared with the paper's (which are also the model inputs — this
 //! binary demonstrates the measurement pipeline is faithful end to end).
 
-use outboard_bench::sweep::run_sweep;
 use outboard_host::{MachineConfig, TaskId, VmSystem};
 use outboard_sim::stats::linreg;
 
@@ -12,9 +11,9 @@ fn main() {
     let machine = MachineConfig::alpha_3000_400();
     println!("== Table 2: VM operation cost (us) as a function of pages n ==\n");
     let ns: Vec<f64> = (1..=64).map(|n| n as f64).collect();
-    // Each page count measures independently (its own VmSystem); sweep the
-    // points and unzip in order.
-    let costs = run_sweep("table2-vm-costs", &ns, |&nf| {
+    // Each page count measures on its own VmSystem.
+    let (mut pin_y, mut unpin_y, mut map_y) = (Vec::new(), Vec::new(), Vec::new());
+    for &nf in &ns {
         let mut vm = VmSystem::new(machine.clone(), false);
         let n = nf as usize;
         let len = n * machine.page_size;
@@ -28,11 +27,10 @@ fn main() {
         let rel = vm.release(TaskId(1), 0, len).as_micros_f64();
         assert!((prep - (pin + map)).abs() < 1e-6);
         assert!((rel - unpin).abs() < 1e-6);
-        (pin, unpin, map)
-    });
-    let pin_y: Vec<f64> = costs.iter().map(|c| c.0).collect();
-    let unpin_y: Vec<f64> = costs.iter().map(|c| c.1).collect();
-    let map_y: Vec<f64> = costs.iter().map(|c| c.2).collect();
+        pin_y.push(pin);
+        unpin_y.push(unpin);
+        map_y.push(map);
+    }
     let rows = [
         ("Pin", linreg(&ns, &pin_y), (35.0, 29.0)),
         ("Unpin", linreg(&ns, &unpin_y), (48.0, 3.9)),

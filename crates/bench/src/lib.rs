@@ -63,35 +63,16 @@ pub struct FigureRow {
     pub raw_mbps: f64,
 }
 
-/// Compute every point of one figure, fanning the independent experiment
-/// runs across the sweep runner (`--jobs`/`OUTBOARD_JOBS`). Results come
-/// back in size order, so rendering is identical to a serial run.
+/// Compute every point of one figure: for each size the unmodified run,
+/// the single-copy run, then the closed-form raw-HIPPI bound.
 pub fn compute_figure(machine: &MachineConfig) -> Vec<FigureRow> {
-    let sizes = figure_sizes();
-    // Two runs per size, interleaved (un, sc) exactly like the old serial
-    // loop so a `--jobs 1` sweep reproduces the historical run order.
-    let items: Vec<(usize, bool)> = sizes
-        .iter()
-        .flat_map(|&s| [(s, false), (s, true)])
-        .collect();
-    let mut results = sweep::run_sweep("figure", &items, |&(size, sc)| {
-        figure_point(machine, sc, size)
-    })
-    .into_iter();
-    sizes
+    figure_sizes()
         .into_iter()
-        .map(|size| {
-            let un = results.next().expect("figure sweep lost a point");
-            let sc = results.next().expect("figure sweep lost a point");
-            // The raw-HIPPI bound is a closed-form microbench, cheap enough
-            // to fill in serially during row assembly.
-            let raw = outboard_testbed::raw_hippi_throughput(machine, size.min(32 * 1024), 200);
-            FigureRow {
-                size,
-                un,
-                sc,
-                raw_mbps: raw,
-            }
+        .map(|size| FigureRow {
+            size,
+            un: figure_point(machine, false, size),
+            sc: figure_point(machine, true, size),
+            raw_mbps: outboard_testbed::raw_hippi_throughput(machine, size.min(32 * 1024), 200),
         })
         .collect()
 }
@@ -210,62 +191,53 @@ impl FaultArgs {
     }
 }
 
+/// Value of `name` in `argv`, spelled `--flag VAL` or `--flag=VAL` (a
+/// value may itself contain `=`); the first occurrence wins. A flag that
+/// ends `argv` yields `Some("")`, which no caller accepts as a value, so a
+/// forgotten value aborts instead of reading as "flag absent".
+pub fn arg_value_in(argv: &[String], name: &str) -> Option<String> {
+    argv.iter()
+        .enumerate()
+        .find_map(|(i, arg)| match arg.split_once('=') {
+            Some((flag, val)) => (flag == name).then(|| val.to_string()),
+            None => (arg == name).then(|| argv.get(i + 1).cloned().unwrap_or_default()),
+        })
+}
+
+/// [`arg_value_in`] over this process's arguments.
+pub fn arg_value(name: &str) -> Option<String> {
+    let argv: Vec<String> = std::env::args().collect();
+    arg_value_in(&argv, name)
+}
+
 /// Parse the shared `--fault-*` flags (`--fault-drop 0.05` or
 /// `--fault-drop=0.05`). Unknown flags are left for the binary; a malformed
 /// probability aborts with a message rather than silently running fault-free.
 pub fn fault_args() -> FaultArgs {
-    let mut f = FaultArgs::default();
     let argv: Vec<String> = std::env::args().collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let (flag, inline) = match argv[i].split_once('=') {
-            Some((name, val)) => (name, Some(val.to_string())),
-            None => (argv[i].as_str(), None),
+    let prob = |flag: &str| {
+        let Some(val) = arg_value_in(&argv, flag) else {
+            return 0.0;
         };
-        let slot = match flag {
-            "--fault-drop" => Some(0),
-            "--fault-corrupt" => Some(1),
-            "--fault-reorder" => Some(2),
-            "--fault-dup" => Some(3),
-            "--fault-cab-alloc" => Some(4),
-            "--fault-cab-sdma" => Some(5),
-            "--fault-cab-mdma" => Some(6),
-            "--fault-cab-wedge" => Some(7),
-            "--fault-cab-csum" => Some(8),
-            _ => None,
-        };
-        let Some(slot) = slot else {
-            i += 1;
-            continue;
-        };
-        let val = match inline {
-            Some(v) => v,
-            None => {
-                i += 1;
-                argv.get(i).cloned().unwrap_or_default()
-            }
-        };
-        let p: f64 = match val.parse() {
+        match val.parse::<f64>() {
             Ok(p) if (0.0..=1.0).contains(&p) => p,
             _ => {
                 eprintln!("{flag} needs a probability in [0, 1], got {val:?}");
                 std::process::exit(2);
             }
-        };
-        match slot {
-            0 => f.drop_p = p,
-            1 => f.corrupt_p = p,
-            2 => f.reorder_p = p,
-            3 => f.dup_p = p,
-            4 => f.cab_alloc_fail_p = p,
-            5 => f.cab_sdma_fail_p = p,
-            6 => f.cab_mdma_fail_p = p,
-            7 => f.cab_wedge_p = p,
-            _ => f.cab_csum_error_p = p,
         }
-        i += 1;
+    };
+    FaultArgs {
+        drop_p: prob("--fault-drop"),
+        corrupt_p: prob("--fault-corrupt"),
+        reorder_p: prob("--fault-reorder"),
+        dup_p: prob("--fault-dup"),
+        cab_alloc_fail_p: prob("--fault-cab-alloc"),
+        cab_sdma_fail_p: prob("--fault-cab-sdma"),
+        cab_mdma_fail_p: prob("--fault-cab-mdma"),
+        cab_wedge_p: prob("--fault-cab-wedge"),
+        cab_csum_error_p: prob("--fault-cab-csum"),
     }
-    f
 }
 
 /// Causal-trace knobs shared by every benchmark binary.
@@ -286,41 +258,22 @@ pub struct TraceArgs {
 /// aborts rather than silently running untraced.
 pub fn trace_args() -> TraceArgs {
     let mut t = TraceArgs::default();
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let (flag, inline) = match argv[i].split_once('=') {
-            Some((name, val)) => (name, Some(val.to_string())),
-            None => (argv[i].as_str(), None),
-        };
-        if flag != "--trace-out" && flag != "--trace-flows" {
-            i += 1;
-            continue;
+    if let Some(val) = arg_value("--trace-out") {
+        if val.is_empty() || val.starts_with("--") {
+            eprintln!("--trace-out needs a filename, got {val:?}");
+            std::process::exit(2);
         }
-        let val = match inline {
-            Some(v) => v,
-            None => {
-                i += 1;
-                argv.get(i).cloned().unwrap_or_default()
-            }
-        };
-        if flag == "--trace-out" {
-            if val.is_empty() || val.starts_with("--") {
-                eprintln!("--trace-out needs a filename, got {val:?}");
+        t.out = Some(val);
+    }
+    if let Some(val) = arg_value("--trace-flows") {
+        match val.parse::<usize>() {
+            Ok(0) => t.flows = Some(None),
+            Ok(n) => t.flows = Some(Some(n)),
+            Err(_) => {
+                eprintln!("--trace-flows needs a count (0 = all), got {val:?}");
                 std::process::exit(2);
             }
-            t.out = Some(val);
-        } else {
-            match val.parse::<usize>() {
-                Ok(0) => t.flows = Some(None),
-                Ok(n) => t.flows = Some(Some(n)),
-                Err(_) => {
-                    eprintln!("--trace-flows needs a count (0 = all), got {val:?}");
-                    std::process::exit(2);
-                }
-            }
         }
-        i += 1;
     }
     t
 }
@@ -357,38 +310,21 @@ impl TimelineArgs {
 /// `--timeline-window-us 500` or `--timeline-window-us=500`). A malformed
 /// window aborts rather than silently sampling on the default.
 pub fn timeline_args() -> TimelineArgs {
-    let mut t = TimelineArgs::default();
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let (flag, inline) = match argv[i].split_once('=') {
-            Some((name, val)) => (name, Some(val.to_string())),
-            None => (argv[i].as_str(), None),
-        };
-        match flag {
-            "--timeline" => t.enabled = true,
-            "--timeline-window-us" => {
-                let val = match inline {
-                    Some(v) => v,
-                    None => {
-                        i += 1;
-                        argv.get(i).cloned().unwrap_or_default()
-                    }
-                };
-                match val.parse::<u64>() {
-                    Ok(us) if us > 0 => {
-                        t.enabled = true;
-                        t.window_us = Some(us);
-                    }
-                    _ => {
-                        eprintln!("--timeline-window-us needs a positive count, got {val:?}");
-                        std::process::exit(2);
-                    }
-                }
+    let mut t = TimelineArgs {
+        enabled: std::env::args().any(|a| a == "--timeline"),
+        window_us: None,
+    };
+    if let Some(val) = arg_value("--timeline-window-us") {
+        match val.parse::<u64>() {
+            Ok(us) if us > 0 => {
+                t.enabled = true;
+                t.window_us = Some(us);
             }
-            _ => {}
+            _ => {
+                eprintln!("--timeline-window-us needs a positive count, got {val:?}");
+                std::process::exit(2);
+            }
         }
-        i += 1;
     }
     t
 }
@@ -442,7 +378,7 @@ pub fn emit_trace(machine: &MachineConfig) {
 /// deterministic [`MetricsRegistry::report`] (SDMA/MDMA busy fractions,
 /// page-pool high-water marks, CPU shares, netstat-style TCP counters, link
 /// and fabric totals), and writes machine-readable `stats_<tag>.json` and
-/// `stats_<tag>.csv` snapshots next to the figure's results files.
+/// `stats_<tag>.csv` snapshots into the current directory.
 ///
 /// [`MetricsRegistry::report`]: outboard_sim::MetricsRegistry::report
 pub fn emit_stats(tag: &str, machine: &MachineConfig) {
@@ -469,5 +405,48 @@ pub fn emit_stats(tag: &str, machine: &MachineConfig) {
             Ok(()) => println!("\nwrote {tjson} and {tcsv}"),
             Err(e) => eprintln!("\nfailed to write timeline snapshots: {e}"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::arg_value_in;
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn arg_value_reads_both_spellings() {
+        let a = argv(&["fig5", "--seeds", "8", "--out=dir", "--stats"]);
+        assert_eq!(arg_value_in(&a, "--seeds").as_deref(), Some("8"));
+        assert_eq!(arg_value_in(&a, "--out").as_deref(), Some("dir"));
+    }
+
+    #[test]
+    fn arg_value_of_absent_flag_is_none() {
+        // A longer flag is not a match in either spelling.
+        let a = argv(&["fig5", "--outdir=x", "--outer", "y"]);
+        assert_eq!(arg_value_in(&a, "--out"), None);
+        assert_eq!(arg_value_in(&[], "--out"), None);
+    }
+
+    #[test]
+    fn arg_value_of_trailing_flag_is_empty() {
+        let a = argv(&["fig5", "--trace-out"]);
+        assert_eq!(arg_value_in(&a, "--trace-out").as_deref(), Some(""));
+    }
+
+    #[test]
+    fn arg_value_keeps_equals_signs_in_the_value() {
+        let a = argv(&["chaos", "--out=a=b", "--replay", "k=v.json"]);
+        assert_eq!(arg_value_in(&a, "--out").as_deref(), Some("a=b"));
+        assert_eq!(arg_value_in(&a, "--replay").as_deref(), Some("k=v.json"));
+    }
+
+    #[test]
+    fn arg_value_takes_the_first_occurrence() {
+        let a = argv(&["chaos", "--seeds=1", "--seeds", "2"]);
+        assert_eq!(arg_value_in(&a, "--seeds").as_deref(), Some("1"));
     }
 }

@@ -1,214 +1,40 @@
-//! Parallel sweep runner for independent experiment points.
-//!
-//! The paper's results are sweeps: Figures 5–6, Tables 1–2, the HOL and
-//! crossover studies are each dozens of *independent* simulated transfers.
-//! Every [`run_ttcp`] call builds its own seeded [`World`], so the points
-//! are embarrassingly parallel — this module fans them out across OS
-//! threads with [`std::thread::scope`] (no external dependencies) while
-//! keeping the output **byte-identical** to a serial run:
-//!
-//! * results are collected into index-ordered slots, so callers render
-//!   rows in the same order regardless of completion order;
-//! * all timing/speedup chatter goes to **stderr**; stdout (tables, CSV)
-//!   is produced by the caller from the ordered results.
-//!
-//! The worker count comes from the shared `--jobs N` / `--jobs=N` flag,
-//! the `OUTBOARD_JOBS` environment variable, or the machine's available
-//! parallelism, in that order of precedence.
-//!
-//! [`run_ttcp`]: outboard_testbed::run_ttcp
-//! [`World`]: outboard_testbed::World
+//! Every sweep is a plain loop at its call site; nothing is left here but
+//! the worker count the frozen `benchmark/` crate still asks for.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Instant;
-
-/// Like [`jobs`], but when neither `--jobs` nor `OUTBOARD_JOBS` is given
-/// the fallback is `min(cap, cores)` instead of every core. The perf
-/// harness uses `cap = 4` so its committed smoke numbers measure real
-/// parallelism (not fan-out overhead on a busy box) yet stay comparable
-/// across machines.
-pub fn jobs_capped(cap: usize) -> usize {
-    match explicit_jobs() {
-        Some(n) => n,
-        None => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(cap.max(1)),
-    }
-}
-
-/// The worker count explicitly requested via `--jobs N`/`--jobs=N` or
-/// `OUTBOARD_JOBS`, if any. A malformed value aborts with a message rather
-/// than silently running serial.
-fn explicit_jobs() -> Option<usize> {
-    let argv: Vec<String> = std::env::args().collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let (flag, inline) = match argv[i].split_once('=') {
-            Some((name, val)) => (name, Some(val.to_string())),
-            None => (argv[i].as_str(), None),
-        };
-        if flag == "--jobs" {
-            let val = match inline {
-                Some(v) => v,
-                None => {
-                    i += 1;
-                    argv.get(i).cloned().unwrap_or_default()
-                }
-            };
-            return Some(parse_jobs("--jobs", &val));
-        }
-        i += 1;
-    }
-    std::env::var("OUTBOARD_JOBS")
-        .ok()
-        .map(|val| parse_jobs("OUTBOARD_JOBS", &val))
-}
-
-/// Resolve the worker count: `--jobs N`/`--jobs=N` beats `OUTBOARD_JOBS`
-/// beats [`std::thread::available_parallelism`]. A malformed value aborts
-/// with a message rather than silently running serial.
+/// Always 1. Kept only because `benchmark/src/{cli,run}.rs` call it
+/// (`benchmark/README.md`, "Public surface"); it goes with them.
 pub fn jobs() -> usize {
-    match explicit_jobs() {
-        Some(n) => n,
-        None => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
-}
-
-fn parse_jobs(src: &str, val: &str) -> usize {
-    match val.parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => {
-            eprintln!("{src} needs a positive integer worker count, got {val:?}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Run `f` over every item with the worker count from [`jobs`], returning
-/// results in item order. See [`run_sweep_jobs`].
-pub fn run_sweep<T, R, F>(label: &str, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    run_sweep_jobs(label, jobs(), items, f)
-}
-
-/// Run `f` over every item on `jobs` OS threads, returning results in item
-/// order (deterministic regardless of completion order). With `jobs <= 1`
-/// or a single item the sweep runs inline, with zero thread overhead —
-/// that path is the byte-identical reference the parallel path must match.
-///
-/// Reports wall time, aggregate item time, and the resulting speedup on
-/// stderr; stdout is untouched.
-pub fn run_sweep_jobs<T, R, F>(label: &str, jobs: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let started = Instant::now();
-    let n = items.len();
-    if jobs <= 1 || n <= 1 {
-        let out: Vec<R> = items.iter().map(&f).collect();
-        report(label, 1, n, started.elapsed().as_micros() as u64, None);
-        return out;
-    }
-
-    let workers = jobs.min(n);
-    let next = AtomicUsize::new(0);
-    let item_us = AtomicU64::new(0);
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let next = &next;
-            let item_us = &item_us;
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                let mut done: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let t0 = Instant::now();
-                    let r = f(&items[i]);
-                    item_us.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
-                    done.push((i, r));
-                }
-                done
-            }));
-        }
-        for h in handles {
-            // A panicking item propagates, as it would serially.
-            for (i, r) in h.join().expect("sweep worker panicked") {
-                slots[i] = Some(r);
-            }
-        }
-    });
-
-    let out: Vec<R> = slots
-        .into_iter()
-        .map(|s| s.expect("sweep slot unfilled"))
-        .collect();
-    report(
-        label,
-        workers,
-        n,
-        started.elapsed().as_micros() as u64,
-        Some(item_us.load(Ordering::Relaxed)),
-    );
-    out
-}
-
-/// Stderr-only sweep summary (stdout must stay byte-identical to serial).
-fn report(label: &str, workers: usize, items: usize, wall_us: u64, item_us: Option<u64>) {
-    match item_us {
-        Some(total) if wall_us > 0 => eprintln!(
-            "sweep {label}: {items} items on {workers} threads in {:.2}s \
-             (aggregate {:.2}s, speedup {:.2}x)",
-            wall_us as f64 / 1e6,
-            total as f64 / 1e6,
-            total as f64 / wall_us as f64
-        ),
-        _ => eprintln!(
-            "sweep {label}: {items} items serial in {:.2}s",
-            wall_us as f64 / 1e6
-        ),
-    }
+    1
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    //! The threaded runner's unit-test names, which the pipeline's test
+    //! floor lists, on the serial properties that took their subjects'
+    //! place.
 
+    use outboard_host::MachineConfig;
+
+    /// `compute_figure` returns one row per `figure_sizes()` entry, in that
+    /// order, with the unmodified run in `un` and the single-copy run in
+    /// `sc` — what `print_figure` and the benchmark's digest rely on.
     #[test]
     fn results_are_index_ordered() {
-        let items: Vec<usize> = (0..37).collect();
-        let serial = run_sweep_jobs("test-serial", 1, &items, |&i| i * 3);
-        let par = run_sweep_jobs("test-par", 4, &items, |&i| i * 3);
-        assert_eq!(serial, par);
-        assert_eq!(par, (0..37).map(|i| i * 3).collect::<Vec<_>>());
+        let rows = crate::compute_figure(&MachineConfig::alpha_3000_400());
+        let sizes: Vec<usize> = rows.iter().map(|r| r.size).collect();
+        assert_eq!(sizes, crate::figure_sizes());
+        for r in &rows {
+            assert_eq!(r.un.writes as usize, crate::total_for(r.size) / r.size);
+            assert_eq!(r.sc.writes, r.un.writes);
+            assert_eq!(r.un.hw_checksums, 0, "{} B: `un` ran single-copy", r.size);
+            assert!(r.sc.hw_checksums > 0, "{} B: `sc` ran unmodified", r.size);
+        }
     }
 
+    /// The benchmark reports `jobs()` as `bench.sweep.workers` and divides
+    /// the sweep's speedup by it: one loop, one worker, whatever the box.
     #[test]
     fn more_workers_than_items() {
-        let items = [1usize, 2];
-        let out = run_sweep_jobs("test-few", 16, &items, |&i| i + 1);
-        assert_eq!(out, vec![2, 3]);
-    }
-
-    #[test]
-    fn empty_sweep() {
-        let items: [usize; 0] = [];
-        let out = run_sweep_jobs("test-empty", 4, &items, |&i| i);
-        assert!(out.is_empty());
+        assert_eq!(super::jobs(), 1);
     }
 }

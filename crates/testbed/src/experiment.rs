@@ -60,7 +60,7 @@ pub struct ExperimentConfig {
     pub trace_flows: Option<usize>,
     /// Render the trace JSON and critical path after a traced run. Turning
     /// this off measures the pure recording cost of enabled-but-unused
-    /// tracing (the perf harness's `trace_overhead` gate).
+    /// tracing (the benchmark's `sim.obs.record_overhead_pct`).
     pub trace_export: bool,
     /// Event-scheduler engine (wheel by default; `OUTBOARD_ENGINE=heap`
     /// re-runs on the reference heap for byte-identity checks).
@@ -74,7 +74,7 @@ pub struct ExperimentConfig {
     pub timeline_capacity: usize,
     /// Render timeline JSON/CSV/sparklines after a sampled run. Turning
     /// this off measures the pure recording cost of enabled-but-unexported
-    /// sampling (the perf harness's `timeline_overhead` gate).
+    /// sampling (the chaos flight recorder runs this way).
     pub timeline_export: bool,
 }
 
@@ -167,8 +167,8 @@ pub struct Metrics {
     pub hw_checksums: u64,
     /// Packets checksummed in software.
     pub sw_checksums: u64,
-    /// Simulation events the engine dispatched during the run (the perf
-    /// harness divides by wall time for an events/sec figure).
+    /// Simulation events the engine dispatched during the run (the
+    /// benchmark divides by wall time for an events/sec figure).
     pub events_dispatched: u64,
     /// Full metrics snapshot of the world at the end of the run (hosts,
     /// links, fabric totals) over the run's elapsed virtual time.

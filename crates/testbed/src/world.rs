@@ -224,7 +224,7 @@ pub struct World {
     /// Optional tcpdump-style capture of every frame entering a link.
     pub capture: Option<Capture>,
     /// Events dispatched by the engine (wall-clock work proxy for the
-    /// perf harness's events/sec figure).
+    /// benchmark's events/sec figure).
     pub events_dispatched: u64,
     /// Wire-transit spans (one sink for the whole fabric; disabled by
     /// default — see [`World::enable_span_tracing`]).

@@ -166,7 +166,7 @@ impl Accumulator {
     }
 
     /// Reference scalar path: 16-bit words, one at a time. Kept `pub` so
-    /// property tests and the perf harness can compare the wide-lane
+    /// the tests in `tests/checksum_wide.rs` can compare the wide-lane
     /// [`Accumulator::add_bytes`] against it on arbitrary split boundaries.
     pub fn add_bytes_scalar(&mut self, mut data: &[u8]) {
         self.len += data.len();
