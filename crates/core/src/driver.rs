@@ -25,7 +25,7 @@ use std::net::Ipv4Addr;
 
 /// Why an SDMA request was issued; consulted on its completion interrupt.
 #[derive(Clone, Copy, Debug)]
-#[allow(missing_docs)] // variant docs describe the payload fields
+#[allow(missing_docs, reason = "variant docs describe the payload fields")]
 pub enum SdmaPurpose {
     /// Transmit copy-in of a data segment. On completion the kernel
     /// replaces the `[seq_lo, seq_lo+data_len)` range of the socket's send

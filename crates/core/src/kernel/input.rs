@@ -109,7 +109,7 @@ impl Kernel {
 
     /// The CAB's receive interrupt: the first L words are in host memory,
     /// the body checksum is computed, large packets wait outboard (§2.2).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "BSD-shaped parameter list")]
     pub fn rx_interrupt(
         &mut self,
         iface: IfaceId,
@@ -424,7 +424,7 @@ impl Kernel {
     // transport demux
     // ------------------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "BSD-shaped parameter list")]
     fn dispatch_transport(
         &mut self,
         iface: IfaceId,
@@ -463,7 +463,7 @@ impl Kernel {
         Some(b.slice(..b.len().min(max)))
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "BSD-shaped parameter list")]
     fn tcp_rx(
         &mut self,
         iface: IfaceId,
@@ -832,7 +832,7 @@ impl Kernel {
     // UDP input
     // ------------------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "BSD-shaped parameter list")]
     fn udp_rx(
         &mut self,
         _iface: IfaceId,
@@ -1021,7 +1021,7 @@ impl Kernel {
     // ------------------------------------------------------------------
 
     /// An SDMA request completed (the end-of-DMA notification, §4.4.2).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "BSD-shaped parameter list")]
     pub fn sdma_done(
         &mut self,
         iface: IfaceId,

@@ -349,18 +349,24 @@ impl Kernel {
     /// Socket entry for an id already validated at syscall entry. Sockets
     /// leave the table only through `sys_close`, which cannot interleave
     /// with an in-flight syscall, so the entry outlives the whole call.
+    #[expect(
+        clippy::expect_used,
+        reason = "socket validated at syscall entry and close cannot interleave"
+    )]
     fn sock_mut(&mut self, sock: SockId) -> &mut Socket {
         self.sockets
             .get_mut(sock)
-            // lint: allow(panic-hot-path, socket validated at syscall entry and close cannot interleave)
             .expect("socket present for in-flight syscall")
     }
 
     /// Issue bytes on a UIO counter created earlier in the same syscall.
     /// The counter cannot have drained yet: `complete` only runs from DMA
     /// completions, which are events the current call has not returned to.
+    #[expect(
+        clippy::expect_used,
+        reason = "counter created in this syscall and DMA completions cannot preempt it"
+    )]
     fn uio_issue(&mut self, counter: outboard_mbuf::UioCounterId, bytes: usize) {
-        // lint: allow(panic-hot-path, counter created in this syscall and DMA completions cannot preempt it)
         self.uio.issue(counter, bytes).expect("live uio counter");
     }
 
@@ -396,6 +402,10 @@ impl Kernel {
 
     /// Temporarily detach a CAB interface so device calls can run while
     /// other kernel state is borrowed.
+    #[expect(
+        clippy::panic,
+        reason = "caller contract: with_cab is only invoked on ifaces routed as CABs"
+    )]
     pub(crate) fn with_cab<R>(
         &mut self,
         iface: IfaceId,
@@ -404,7 +414,6 @@ impl Kernel {
         let idx = iface.0 as usize;
         let kind = std::mem::replace(&mut self.ifaces[idx].kind, IfaceKind::Loopback);
         let IfaceKind::Cab(mut cab) = kind else {
-            // lint: allow(panic-hot-path, caller contract - with_cab is only invoked on ifaces routed as CABs)
             panic!("iface {iface:?} is not a CAB");
         };
         let r = f(self, &mut cab);
@@ -565,7 +574,7 @@ impl Kernel {
 
     /// `sendto(2)`: one datagram to an explicit destination from an
     /// unconnected UDP socket (binds an ephemeral local port on first use).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "BSD-shaped parameter list")]
     pub fn sys_sendto(
         &mut self,
         sock: SockId,
@@ -616,7 +625,7 @@ impl Kernel {
 
     /// `recvfrom(2)`: like `sys_read` but also reports the datagram's
     /// source address.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "BSD-shaped parameter list")]
     pub fn sys_recvfrom(
         &mut self,
         sock: SockId,
@@ -653,25 +662,16 @@ impl Kernel {
     /// Application close.
     pub fn sys_close(&mut self, sock: SockId, mem: &mut HostMem, now: Time) -> Vec<Effect> {
         self.cpu(self.machine.cost_syscall_us, Charge::Syscall);
-        let has_tcb = self
-            .sockets
-            .get(sock)
-            .map(|s| s.tcb.is_some())
-            .unwrap_or(false);
-        if has_tcb {
-            let closed = {
-                let s = self.sock_mut(sock);
-                let tcb = s.tcb.as_mut().unwrap();
-                tcb.close();
-                tcb.state == TcpState::Closed
-            };
-            if closed {
-                self.teardown(sock, now);
-            } else {
-                self.tcp_send(sock, mem, now, false);
-            }
-        } else if self.sockets.contains(sock) {
-            self.teardown(sock, now);
+        let tcb = self.sockets.get_mut(sock).and_then(|s| s.tcb.as_mut());
+        let closed = tcb.map(|tcb| {
+            tcb.close();
+            tcb.state == TcpState::Closed
+        });
+        match closed {
+            Some(false) => self.tcp_send(sock, mem, now, false),
+            Some(true) => self.teardown(sock, now),
+            None if self.sockets.contains(sock) => self.teardown(sock, now),
+            None => {}
         }
         self.take_effects()
     }
@@ -827,9 +827,12 @@ impl Kernel {
                 let fix = (4 - (cur_addr % 4) as usize).min(remaining);
                 let cost = self.memsys.copy_cost(fix, fix.max(64));
                 self.cpu_dur(cost, charge);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "syscall-time access to the caller's live buffer; zero-fill fault tolerance applies only at DMA time"
+                )]
                 let src = mem
                     .user_slice(bw.region.task, cur_addr, fix)
-                    // lint: allow(panic-hot-path, syscall-time access to the caller's live buffer; zero-fill fault tolerance applies only at DMA time)
                     .expect("user write buffer readable");
                 let m = Mbuf::kernel(pooled_copy(&self.pool, src));
                 self.mbuf_stats.count(&m);
@@ -845,9 +848,12 @@ impl Kernel {
                         return;
                     }
                 }
-                let s = self.sock_mut(sock);
-                // lint: allow(panic-hot-path, blocked_write installed at sys_write entry; only completion clears it, which returned above)
-                s.blocked_write.as_mut().unwrap().appended += fix;
+                // Installed at sys_write entry; only completion clears it,
+                // which returned above.
+                let Some(w) = self.sock_mut(sock).blocked_write.as_mut() else {
+                    return;
+                };
+                w.appended += fix;
                 // Flush the fragment as its own short packet (the paper:
                 // "send a first packet of 16 bits") so every subsequent
                 // segment boundary lands word-aligned in user space.
@@ -876,17 +882,21 @@ impl Kernel {
                 // Traditional path: copy through kernel buffers.
                 let cost = self.memsys.copy_cost(chunk, bw.total.max(chunk));
                 self.cpu_dur(cost, charge);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "syscall-time access to the caller's live buffer; zero-fill fault tolerance applies only at DMA time"
+                )]
                 let src = mem
                     .user_slice(bw.region.task, cur_addr, chunk)
-                    // lint: allow(panic-hot-path, syscall-time access to the caller's live buffer; zero-fill fault tolerance applies only at DMA time)
                     .expect("user write buffer readable");
                 let m = Mbuf::kernel(pooled_copy(&self.pool, src));
                 self.mbuf_stats.count(&m);
                 self.sock_mut(sock).so_snd.chain.append(m);
             }
-            let s = self.sock_mut(sock);
-            // lint: allow(panic-hot-path, blocked_write installed at sys_write entry; only completion clears it, which returned above)
-            s.blocked_write.as_mut().unwrap().appended += chunk;
+            let Some(w) = self.sock_mut(sock).blocked_write.as_mut() else {
+                return;
+            };
+            w.appended += chunk;
         }
     }
 
@@ -949,8 +959,11 @@ impl Kernel {
                 MbufData::Kernel(b) => {
                     let cost = self.memsys.copy_cost(b.len(), take);
                     self.cpu_dur(cost, Charge::Syscall);
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "syscall-time access to the caller's live buffer; zero-fill fault tolerance applies only at DMA time"
+                    )]
                     mem.write_user(task, vaddr + dst_off as u64, b)
-                        // lint: allow(panic-hot-path, syscall-time access to the caller's live buffer; zero-fill fault tolerance applies only at DMA time)
                         .expect("user read buffer writable");
                 }
                 MbufData::Wcab(d) => {
@@ -965,7 +978,10 @@ impl Kernel {
                     }
                     self.issue_rx_copyout(sock, *d, task, user_dst, aligned, mem, now);
                 }
-                // lint: allow(panic-hot-path, receive chains hold only kernel or WCAB mbufs; M_UIO exists solely on send queues)
+                #[expect(
+                    clippy::unreachable,
+                    reason = "receive chains hold only kernel or WCAB mbufs; M_UIO exists solely on send queues"
+                )]
                 MbufData::Uio(_) => unreachable!("M_UIO never appears in so_rcv"),
             }
             self.cpu(self.machine.cost_socket_pkt_us, Charge::Syscall);
@@ -1001,7 +1017,7 @@ impl Kernel {
     }
 
     /// Issue the copy-out SDMA for one `M_WCAB` descriptor of a read.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "BSD-shaped parameter list")]
     fn issue_rx_copyout(
         &mut self,
         sock: SockId,
@@ -1211,12 +1227,11 @@ impl Kernel {
     /// order (§5's ordering requirement).
     pub fn kernel_recv(&mut self, sock: SockId) -> Option<(Chain, SockAddr)> {
         let s = self.sockets.get_mut(sock)?;
-        if s.kq.front().map(|e| e.converting == 0).unwrap_or(false) {
-            let e = s.kq.pop_front().unwrap();
-            Some((e.chain, e.from))
-        } else {
-            None
+        if s.kq.front()?.converting != 0 {
+            return None;
         }
+        let e = s.kq.pop_front()?;
+        Some((e.chain, e.from))
     }
 
     // ------------------------------------------------------------------
@@ -1269,7 +1284,10 @@ impl Kernel {
             let cost = self.memsys.copy_cost(len, len.max(4096));
             self.cpu_dur(cost, Charge::Syscall);
             let (mut buf, ticket) = self.cluster_alloc(len);
-            // lint: allow(panic-hot-path, syscall-time access to the caller's live buffer; zero-fill fault tolerance applies only at DMA time)
+            #[expect(
+                clippy::expect_used,
+                reason = "syscall-time access to the caller's live buffer; zero-fill fault tolerance applies only at DMA time"
+            )]
             mem.read_user(task, vaddr, &mut buf).expect("readable");
             chain.append(Mbuf::kernel(self.cluster_freeze(buf, ticket)));
             None
@@ -1365,8 +1383,9 @@ impl Kernel {
     // causal-span helpers
     //
     // Hot-path files (output/input/robust/driver) never call `span_open`
-    // directly — cross-function opens route through these helpers so the
-    // lint `span-balance` rule can check open/close pairing per function.
+    // directly — cross-function opens route through these helpers so each
+    // open sits beside its close; a leaked open shows as
+    // `world.spans.dropped` (tests/span_trace.rs holds it to 0).
     // ------------------------------------------------------------------
 
     /// Data-direction flow id for bytes this socket is *sending*

@@ -127,7 +127,7 @@ impl Kernel {
     }
 
     /// Emit a bare RST (segment to a closed/refusing endpoint).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "BSD-shaped parameter list")]
     pub(crate) fn emit_rst(
         &mut self,
         local: SockAddr,
@@ -198,7 +198,7 @@ impl Kernel {
     }
 
     /// Shared TCP/UDP transmit tail: checksum strategy, IP, driver.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "BSD-shaped parameter list")]
     pub(crate) fn transport_output(
         &mut self,
         src: Ipv4Addr,
@@ -493,7 +493,7 @@ impl Kernel {
     }
 
     /// IP output: header, fragmentation, dispatch to the driver.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "BSD-shaped parameter list")]
     pub(crate) fn ip_output(
         &mut self,
         src: Ipv4Addr,
@@ -1115,7 +1115,7 @@ impl Kernel {
     }
 
     /// ICMP echo reply — the resident in-kernel application (§5).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "BSD-shaped parameter list")]
     pub(crate) fn icmp_reply(
         &mut self,
         src: Ipv4Addr,

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 /// Connection states (RFC 793).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[allow(missing_docs)] // the RFC 793 state names are the documentation
+#[allow(missing_docs, reason = "the RFC 793 state names are the documentation")]
 pub enum TcpState {
     Closed,
     Listen,
@@ -561,12 +561,8 @@ impl Tcb {
             }
             Some(srtt) => {
                 // RFC 6298 with alpha=1/8, beta=1/4 in integer arithmetic.
-                let delta = if sample >= srtt {
-                    sample - srtt
-                } else {
-                    srtt - sample
-                };
-                self.rttvar = Dur::nanos((self.rttvar.as_nanos() * 3 + delta.as_nanos()) / 4);
+                let delta = sample.as_nanos().abs_diff(srtt.as_nanos());
+                self.rttvar = Dur::nanos((self.rttvar.as_nanos() * 3 + delta) / 4);
                 Dur::nanos((srtt.as_nanos() * 7 + sample.as_nanos()) / 8)
             }
         };

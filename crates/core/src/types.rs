@@ -151,7 +151,10 @@ impl StackConfig {
 
 /// Timer identities (owner plus a generation to ignore stale firings).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[allow(missing_docs)] // field names (sock/iface, generation) are the documentation
+#[allow(
+    missing_docs,
+    reason = "field names (sock/iface, generation) are the documentation"
+)]
 pub enum TimerKind {
     /// Retransmission timeout.
     TcpRexmt { sock: SockId, generation: u64 },
@@ -186,7 +189,7 @@ impl TimerKind {
 
 /// Side effects a kernel entry point hands back to the harness.
 #[derive(Clone, Debug)]
-#[allow(missing_docs)] // the variant docs describe the payload fields
+#[allow(missing_docs, reason = "the variant docs describe the payload fields")]
 pub enum Effect {
     /// Charge CPU time on this host.
     Cpu { dur: Dur, charge: Charge },
@@ -210,7 +213,7 @@ pub enum Effect {
 
 /// Outcome of `sys_write`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "the variant docs describe the payload fields")]
 pub enum WriteResult {
     /// All bytes accepted; the call returns to the application immediately.
     Done { bytes: usize },
@@ -222,7 +225,7 @@ pub enum WriteResult {
 
 /// Outcome of `sys_read`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "the variant docs describe the payload fields")]
 pub enum ReadResult {
     /// `bytes` are in the user buffer (kernel-resident data was copied
     /// synchronously).

@@ -226,6 +226,10 @@ impl Chain {
     /// if the chain contains any external descriptor (whose bytes live
     /// elsewhere) — callers needing those must go through the driver.
     pub fn flatten_kernel(&self) -> Option<Vec<u8>> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "app- and test-side read of small kernel-resident messages; nothing per frame calls it"
+        )]
         let mut out = Vec::with_capacity(self.len);
         for m in &self.mbufs {
             match m.data() {
@@ -264,7 +268,10 @@ impl Chain {
                 MbufData::Kernel(b) => {
                     dst[filled..filled + take].copy_from_slice(&b[skip..skip + take])
                 }
-                // lint: allow(panic-hot-path, caller contract - input paths only call this over header bytes, which are always kernel resident)
+                #[expect(
+                    clippy::panic,
+                    reason = "caller contract: only called over header bytes, which are always kernel resident"
+                )]
                 _ => panic!("copy_kernel_out over non-kernel data"),
             }
             filled += take;

@@ -114,7 +114,10 @@ impl FaultInjector {
                 p.freeze(buf, ticket)
             }
             None => {
-                // lint: allow(payload-alloc, pool-less fallback for standalone injectors; worlds always share a pool)
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "pool-less fallback for standalone injectors; worlds always share a pool"
+                )]
                 let mut buf = payload.to_vec();
                 edit(&mut buf);
                 Bytes::from(buf)

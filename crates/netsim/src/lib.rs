@@ -9,6 +9,11 @@
 //! checksum actually rejects bad data end to end.
 
 #![warn(missing_docs)]
+#![cfg_attr(test, allow(clippy::disallowed_macros, reason = "tests use vec!"))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
 
 pub mod capture;
 pub mod fault;

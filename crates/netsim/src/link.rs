@@ -62,12 +62,12 @@ impl Deliveries {
     }
 }
 
+#[cfg(test)]
 impl std::ops::Index<usize> for Deliveries {
     type Output = Delivery;
     fn index(&self, i: usize) -> &Delivery {
         match (self, i) {
             (Deliveries::One(d), 0) | (Deliveries::Two(d, _), 0) | (Deliveries::Two(_, d), 1) => d,
-            // lint: allow(panic-hot-path, std::ops::Index contract - out-of-bounds must panic, mirroring slice indexing)
             _ => panic!("delivery index {i} out of bounds (len {})", self.len()),
         }
     }

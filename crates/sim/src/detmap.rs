@@ -15,7 +15,6 @@
 //! rotate-xor-multiply, a few cycles per key where SipHash spends dozens.
 //! Do not put keys from outside the program in one.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
@@ -47,11 +46,10 @@ impl Hasher for DetHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.mix(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        let (words, rest) = bytes.as_chunks::<8>();
+        for w in words {
+            self.mix(u64::from_le_bytes(*w));
         }
-        let rest = chunks.remainder();
         if !rest.is_empty() {
             let mut last = [0u8; 8];
             last[..rest.len()].copy_from_slice(rest);
@@ -91,10 +89,15 @@ impl Hasher for DetHasher {
     }
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "DetMap exposes no iteration and `retain` takes an `Fn`, so hash order cannot leak"
+)]
+type Table<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<DetHasher>>;
+
 /// A hash map with keyed access only (see the module docs).
 pub struct DetMap<K, V> {
-    // lint: allow(nondet-order, the wrapper exposes no iteration and `retain` takes an `Fn`)
-    map: HashMap<K, V, BuildHasherDefault<DetHasher>>,
+    map: Table<K, V>,
 }
 
 impl<K, V> Default for DetMap<K, V> {
@@ -116,7 +119,7 @@ impl<K, V> DetMap<K, V> {
     /// An empty map.
     pub fn new() -> DetMap<K, V> {
         DetMap {
-            map: HashMap::default(),
+            map: Table::default(),
         }
     }
 

@@ -21,37 +21,11 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Parse `"heap"` / `"wheel"` (CLI `--engine` flags).
-    pub fn parse(s: &str) -> Option<EngineKind> {
-        match s {
-            "heap" => Some(EngineKind::Heap),
-            "wheel" => Some(EngineKind::Wheel),
-            _ => None,
-        }
-    }
-
     /// The CLI name of this engine.
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Heap => "heap",
             EngineKind::Wheel => "wheel",
-        }
-    }
-
-    /// Resolve the engine from `OUTBOARD_ENGINE` (`"heap"` / `"wheel"`),
-    /// defaulting to the wheel. Lets the CI byte-identity steps re-run any
-    /// bin on the reference heap without per-bin flags. Aborts on a
-    /// malformed value rather than silently falling back.
-    pub fn from_env() -> EngineKind {
-        match std::env::var("OUTBOARD_ENGINE") {
-            Ok(v) => match EngineKind::parse(&v) {
-                Some(k) => k,
-                None => {
-                    eprintln!("OUTBOARD_ENGINE must be \"heap\" or \"wheel\", got {v:?}");
-                    std::process::exit(2);
-                }
-            },
-            Err(_) => EngineKind::default(),
         }
     }
 }
@@ -60,10 +34,10 @@ impl EngineKind {
 /// behind the [`EventQueue`] API. `peek_time` takes `&mut self` because the
 /// wheel's peek may advance its internal cursor (never past the earliest
 /// pending event).
-// One engine lives per world and is never moved on the hot path, so the
-// size gap between the inline wheel and the heap doesn't matter; boxing
-// the wheel would put a pointer chase on every push/pop instead.
-#[allow(clippy::large_enum_variant)]
+#[allow(
+    clippy::large_enum_variant,
+    reason = "one engine per world, never moved on the hot path; boxing the wheel would put a pointer chase on every push/pop"
+)]
 pub enum EventEngine<E> {
     /// Reference heap scheduler.
     Heap(EventQueue<E>),
@@ -162,9 +136,6 @@ mod tests {
 
     #[test]
     fn kind_round_trips() {
-        assert_eq!(EngineKind::parse("heap"), Some(EngineKind::Heap));
-        assert_eq!(EngineKind::parse("wheel"), Some(EngineKind::Wheel));
-        assert_eq!(EngineKind::parse("splay"), None);
         assert_eq!(EngineKind::Heap.name(), "heap");
         assert_eq!(EngineKind::Wheel.name(), "wheel");
         assert_eq!(EngineKind::default(), EngineKind::Wheel);

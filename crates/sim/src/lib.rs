@@ -37,6 +37,10 @@
 //!   exported as Perfetto counter tracks, JSON/CSV, and sparklines.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
 
 pub mod chaos;
 pub mod detmap;

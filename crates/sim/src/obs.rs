@@ -255,6 +255,17 @@ pub enum Metric {
     },
 }
 
+/// Lowercase dotted snake_case with no empty segment
+/// (`host0.cab0.channel.0.frames_tx`, `world.spans.opened`).
+fn valid_metric_name(name: &str) -> bool {
+    name.split('.').all(|seg| {
+        !seg.is_empty()
+            && seg
+                .bytes()
+                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == b'_')
+    })
+}
+
 /// A flat, deterministically ordered snapshot of every published metric.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsRegistry {
@@ -285,7 +296,13 @@ impl MetricsRegistry {
         }
     }
 
+    /// The one way a name gets in, so the taxonomy is checked here: names
+    /// are formatted by now, whichever variable or scope built them.
     fn insert(&mut self, name: String, m: Metric) {
+        debug_assert!(
+            valid_metric_name(&name),
+            "metric name {name:?} is off the taxonomy (lowercase dotted snake_case)"
+        );
         self.metrics.insert(name, m);
     }
 
@@ -532,6 +549,39 @@ mod tests {
         g.adjust(-6);
         assert_eq!(g.get(), 1);
         assert_eq!(g.high_water(), 7);
+    }
+
+    #[test]
+    fn metric_names_follow_the_taxonomy() {
+        for ok in [
+            "tcp.segs_out",
+            "host0.cab0.channel.0.frames_tx",
+            "world.spans.opened",
+            "world.spans.mdma_rx.p99_ns",
+            "world.chaos.down_drops",
+            "world.timeline.window_ns",
+            "host1.engine_busy_ns",
+            "world.pool_in_use",
+        ] {
+            assert!(valid_metric_name(ok), "{ok}");
+        }
+        for bad in [
+            "Bad Name",
+            "world.chaos.Bad-Kind",
+            "world.timeline.Window NS",
+            "",
+            "tcp..segs_out",
+            "tcp.segs_out.",
+        ] {
+            assert!(!valid_metric_name(bad), "{bad:?}");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "off the taxonomy")]
+    fn publishing_a_bad_name_panics_in_debug_builds() {
+        MetricsRegistry::new(Dur::ZERO).counter("Bad.Name", 1);
     }
 
     #[test]

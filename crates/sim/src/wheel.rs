@@ -393,17 +393,17 @@ impl<E> TimingWheel<E> {
                     self.occupied[level].clear(j);
                     let idx = level * SLOTS + j;
                     let mut entries = std::mem::take(&mut self.slots[idx]);
-                    let min_at = entries
-                        .iter()
-                        .map(|e| e.at.nanos())
-                        .min()
-                        // lint: allow(panic-hot-path, occupied bitmap bit is set iff the slot holds entries; place/clear keep them paired)
-                        .expect("occupied slot is nonempty");
-                    // The slot's window start is grain-aligned and strictly
-                    // above the cursor, so this advances monotonically.
-                    let next = min_at & !((1u64 << GRAIN) - 1);
-                    debug_assert!(next > self.cursor);
-                    self.cursor = next;
+                    // `place` / `clear` keep the bitmap bit paired with a
+                    // nonempty slot.
+                    debug_assert!(!entries.is_empty());
+                    if let Some(min_at) = entries.iter().map(|e| e.at.nanos()).min() {
+                        // The slot's window start is grain-aligned and
+                        // strictly above the cursor, so this advances
+                        // monotonically.
+                        let next = min_at & !((1u64 << GRAIN) - 1);
+                        debug_assert!(next > self.cursor);
+                        self.cursor = next;
+                    }
                     for e in entries.drain(..) {
                         self.place(e);
                     }

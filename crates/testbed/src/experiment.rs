@@ -62,8 +62,8 @@ pub struct ExperimentConfig {
     /// this off measures the pure recording cost of enabled-but-unused
     /// tracing (the benchmark's `sim.obs.record_overhead_pct`).
     pub trace_export: bool,
-    /// Event-scheduler engine (wheel by default; `OUTBOARD_ENGINE=heap`
-    /// re-runs on the reference heap for byte-identity checks).
+    /// Event-scheduler engine (wheel by default; tests re-run on the
+    /// reference heap for byte-identity checks).
     pub engine: EngineKind,
     /// Enable windowed time-series telemetry (off by default; sampled runs
     /// additionally publish `world.timeline.*` and can export timelines).
@@ -102,7 +102,7 @@ impl ExperimentConfig {
             trace_capacity: 1 << 16,
             trace_flows: Some(64),
             trace_export: true,
-            engine: EngineKind::from_env(),
+            engine: EngineKind::default(),
             timeline_enabled: false,
             timeline_window: Dur::millis(1),
             timeline_capacity: 1 << 16,

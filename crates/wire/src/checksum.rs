@@ -377,6 +377,10 @@ mod tests {
         use std::time::{Duration, Instant};
         let buf: Vec<u8> = (0..32 * 1024u32).map(|i| (i * 31 + 7) as u8).collect();
         let sample = |sum: fn(&mut Accumulator, &[u8])| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the one wall-clock read outside benchmark/: a host-speed gate on the kernel, nothing simulated"
+            )]
             let t = Instant::now();
             for _ in 0..64 {
                 let mut acc = Accumulator::new();

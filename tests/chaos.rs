@@ -9,7 +9,7 @@
 
 use outboard::host::MachineConfig;
 use outboard::sim::chaos::{ChaosAction, ChaosEvent, ChaosSchedule};
-use outboard::sim::Dur;
+use outboard::sim::{Dur, EngineKind};
 use outboard::stack::StackConfig;
 use outboard::testbed::chaos::{run_chaos, shrink_failure, DEFAULT_LIVENESS_BUDGET};
 use outboard::testbed::oracle::violation_category;
@@ -58,6 +58,27 @@ fn chaos_runs_are_byte_identical_per_seed() {
         other.stats.report(),
         "different seeds should not collide"
     );
+}
+
+/// The `chaos --smoke --seeds 4` sweep on both engines: what a seed's stdout
+/// line reports, and the whole registry, must not depend on the scheduler.
+#[test]
+fn heap_and_wheel_engines_agree_on_chaos_smoke_seeds() {
+    for seed in 1..=4 {
+        let run = |engine| {
+            let mut cfg = base_cfg(2 * 1024 * 1024, seed);
+            cfg.timeline_enabled = true;
+            cfg.timeline_export = false;
+            cfg.engine = engine;
+            let schedule = ChaosSchedule::generate(seed, 6, 2);
+            run_chaos(&cfg, &schedule, DEFAULT_LIVENESS_BUDGET)
+        };
+        let (wheel, heap) = (run(EngineKind::Wheel), run(EngineKind::Heap));
+        assert_eq!(wheel.violations, heap.violations, "seed {seed}");
+        assert_eq!(wheel.elapsed, heap.elapsed, "seed {seed}");
+        assert_eq!(wheel.bytes_read, heap.bytes_read, "seed {seed}");
+        assert_eq!(wheel.stats.to_json(), heap.stats.to_json(), "seed {seed}");
+    }
 }
 
 #[test]

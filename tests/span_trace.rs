@@ -24,6 +24,10 @@ const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
 fn traced(seed: u64, faults: bool) -> Metrics {
     let mut stack = StackConfig::single_copy();
     stack.force_single_copy = true;
+    traced_on(stack, seed, faults)
+}
+
+fn traced_on(stack: StackConfig, seed: u64, faults: bool) -> Metrics {
     let mut cfg = ExperimentConfig::new(MachineConfig::alpha_3000_400(), stack, 64 * 1024);
     cfg.total_bytes = TOTAL;
     cfg.seed = seed;
@@ -94,6 +98,22 @@ fn different_seeds_still_trace_complete_chains() {
     assert!(t.contains("\"ph\":\"X\"") && t.contains("\"pid\":"));
     assert!(t.contains("\"ph\":\"s\"") && t.contains("\"ph\":\"f\""));
     assert_conserved(&m);
+}
+
+/// A `span_open` whose close never runs surfaces as `dropped` at teardown.
+/// Without faults every open has its close, on either stack.
+#[test]
+fn clean_runs_drop_no_spans_on_either_stack() {
+    for stack in [StackConfig::single_copy(), StackConfig::unmodified()] {
+        let m = traced_on(stack, 7, false);
+        assert!(m.completed);
+        assert_conserved(&m);
+        assert_eq!(
+            m.stats.counter_value("world.spans.dropped"),
+            0,
+            "a span was opened and never closed"
+        );
+    }
 }
 
 #[test]

@@ -86,12 +86,17 @@ fn same_seed_timelines_are_byte_identical() {
 
 #[test]
 fn heap_and_wheel_engines_agree_on_timelines() {
-    let wheel = sampled(13, true, false, Some(EngineKind::Wheel));
-    let heap = sampled(13, true, false, Some(EngineKind::Heap));
+    let wheel = sampled(13, true, true, Some(EngineKind::Wheel));
+    let heap = sampled(13, true, true, Some(EngineKind::Heap));
     assert_eq!(
         wheel.timeline_json.unwrap(),
         heap.timeline_json.unwrap(),
         "engines must sample identical timelines"
+    );
+    assert_eq!(
+        wheel.trace_json.expect("traced run exports a trace"),
+        heap.trace_json.unwrap(),
+        "engines must export identical span + counter-track traces"
     );
     assert_eq!(wheel.stats.to_json(), heap.stats.to_json());
 }
