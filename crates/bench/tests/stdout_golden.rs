@@ -56,3 +56,71 @@ fn regenerate_goldens() {
         std::fs::write(format!("{GOLDEN_DIR}/{name}.txt"), stdout_of(name)).unwrap();
     }
 }
+
+/// `fig5 --timeline --trace-out FILE` writes one Perfetto file that parses,
+/// is byte-identical across two processes, and carries span slices, flow
+/// arrows and counter tracks on the span pids. (Within one process the
+/// same holds by `tests/span_trace.rs` and `tests/timeline.rs`; this is
+/// the binary's own file.)
+#[test]
+fn fig5_timeline_trace_file_parses_and_is_byte_identical() {
+    use outboard_sim::chaos::json::{self, Value};
+    use std::collections::BTreeSet;
+    fn field<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
+        json::get(v.as_object()?, key)
+    }
+
+    let dir = env!("CARGO_TARGET_TMPDIR");
+    let write_trace = |run: u32| {
+        let path = format!("{dir}/fig5_timeline_trace_{run}.json");
+        let out = Command::new(env!("CARGO_BIN_EXE_fig5"))
+            .args(["--timeline", "--trace-out", &path])
+            .current_dir(dir)
+            .output()
+            .unwrap_or_else(|e| panic!("cannot start fig5: {e}"));
+        assert!(out.status.success(), "fig5 exited {}", out.status);
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    };
+    let trace = write_trace(0);
+    // Not `assert_eq!`: a failure would print two multi-megabyte files.
+    assert!(
+        trace == write_trace(1),
+        "two fig5 processes wrote different traces"
+    );
+
+    let doc = json::parse(&trace).expect("the trace file is JSON");
+    let events = field(&doc, "traceEvents").and_then(Value::as_array);
+    let events = events.expect("a traceEvents array");
+    let of_ph = |ph: &str| -> Vec<&Value> {
+        let is = |e: &&Value| field(e, "ph").and_then(Value::as_str) == Some(ph);
+        events.iter().filter(is).collect()
+    };
+
+    let slices = of_ph("X");
+    assert!(!slices.is_empty(), "no span slices");
+    for e in &slices {
+        for key in ["pid", "tid", "ts", "dur", "name"] {
+            assert!(field(e, key).is_some(), "slice without {key}: {e:?}");
+        }
+    }
+    assert!(!of_ph("s").is_empty(), "no flow arrows");
+
+    let pid = |e: &Value| field(e, "pid").and_then(Value::as_u64);
+    let span_pids: BTreeSet<u64> = slices.iter().filter_map(|e| pid(e)).collect();
+    let mut tracks = BTreeSet::new();
+    for e in of_ph("C") {
+        assert!(
+            pid(e).is_some_and(|p| span_pids.contains(&p)),
+            "counter off the span pids: {e:?}"
+        );
+        let args = field(e, "args")
+            .and_then(Value::as_object)
+            .unwrap_or_default();
+        assert!(
+            args.len() == 1 && args[0].1.as_f64().is_some(),
+            "counter args: {e:?}"
+        );
+        tracks.extend(field(e, "name").and_then(Value::as_str));
+    }
+    assert!(tracks.len() >= 6, "counter tracks: {tracks:?}");
+}

@@ -1220,8 +1220,6 @@ impl Kernel {
                         tcb.on_rexmt_timeout();
                         (tcb.snd_wnd == 0, !s.so_snd.chain.is_empty())
                     };
-                    self.trace
-                        .record(now, "tcp", "rto", format!("sock {sock:?}"));
                     if window_closed && has_data {
                         self.send_window_probe(sock, mem, now);
                     } else {
@@ -1320,8 +1318,6 @@ impl Kernel {
             };
             (local, remote, plan)
         };
-        self.trace
-            .record(now, "tcp", "window_probe", format!("sock {sock:?}"));
         self.emit_segment_for_probe(sock, local, remote, &plan, mem, now);
     }
 

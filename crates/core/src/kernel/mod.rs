@@ -37,7 +37,6 @@ use outboard_cab::{Cab, PacketId, SdmaDst, SdmaRx};
 use outboard_host::{Charge, HostMem, MachineConfig, MemorySystem, TaskId, UserMemory, VmSystem};
 use outboard_mbuf::{Chain, Mbuf, MbufData, MbufStats, UioDesc, UioRegion, WcabDesc};
 use outboard_sim::span::{FlowId, SpanSink, Stage};
-use outboard_sim::trace::Trace;
 use outboard_sim::{pooled_copy, BufPool, DetMap, Dur, IdTable, Ticket, Time};
 use outboard_wire::ether::MacAddr;
 use outboard_wire::ipv4::IPV4_HEADER_LEN;
@@ -175,8 +174,6 @@ pub struct Kernel {
     pub(crate) tcp_closed: TcpStats,
     /// Mbuf allocation statistics.
     pub mbuf_stats: MbufStats,
-    /// Mechanism-level event trace.
-    pub trace: Trace,
     /// Per-packet causal span sink (disabled by default; see `sim::span`).
     pub spans: SpanSink,
     /// Reusable list `tcp_send` lends to `Tcb::output` for its segment plans.
@@ -216,7 +213,6 @@ impl Kernel {
             stats: KernelStats::default(),
             tcp_closed: TcpStats::default(),
             mbuf_stats: MbufStats::default(),
-            trace: Trace::new(16 * 1024),
             spans: SpanSink::disabled(),
             plans: Vec::new(),
             scratch: Vec::new(),
@@ -1517,19 +1513,6 @@ impl Kernel {
         s.counter("mbuf.uio_allocs", self.mbuf_stats.uio_allocs);
         s.counter("mbuf.wcab_allocs", self.mbuf_stats.wcab_allocs);
         s.counter("mbuf.user_mem_faults", st.user_mem_faults);
-
-        s.counter("trace.events_evicted", self.trace.dropped());
-
-        // Span accounting is published only while tracing is enabled so
-        // untraced runs keep byte-identical stats (parallel-sweep gate).
-        if self.spans.on() {
-            let mut sp = s.sub("spans");
-            sp.counter("opened", self.spans.opened());
-            sp.counter("closed", self.spans.closed());
-            sp.counter("dropped", self.spans.dropped());
-            sp.counter("evicted", self.spans.evicted());
-            sp.counter("open", self.spans.open_count() as u64);
-        }
 
         self.vm.publish_metrics(&mut s.sub("vm"));
         for iface in &self.ifaces {

@@ -102,12 +102,6 @@ impl Kernel {
         }
         if plan.retransmit {
             self.stats.tcp_retransmit_segs += 1;
-            self.trace.record(
-                now,
-                "tcp",
-                "retransmit",
-                format!("seq {} len {}", plan.seq, plan.data_len),
-            );
             if self.spans.on() {
                 self.spans
                     .span(flow, Stage::Retransmit, now, now, plan.data_len as u64);
@@ -695,12 +689,6 @@ impl Kernel {
                                         }
                                     }
                                     k.stats.retransmit_header_only += 1;
-                                    k.trace.record(
-                                        now,
-                                        "cab.driver",
-                                        "retransmit_header_only",
-                                        format!("packet {packet:?}"),
-                                    );
                                     return;
                                 }
                                 Err(e) => {

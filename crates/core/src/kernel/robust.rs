@@ -331,12 +331,6 @@ impl Kernel {
                 socks.push(s);
             }
         }
-        self.trace.record(
-            now,
-            "cab.driver",
-            "degraded_enter",
-            format!("iface {} retries exhausted", iface_id.0),
-        );
         self.rebuild_transmit(socks, mem, now);
     }
 
@@ -357,9 +351,9 @@ impl Kernel {
     /// and an allocation succeeds) and either return to the single-copy
     /// path or re-arm the probe.
     pub(crate) fn cab_probe_fire(&mut self, iface_id: IfaceId, now: Time) {
-        let recovered = self.with_cab(iface_id, |k, cab| {
+        self.with_cab(iface_id, |k, cab| {
             if !cab.health.degraded {
-                return false;
+                return;
             }
             let healthy = !cab.cab.any_engine_wedged()
                 && match cab.cab.alloc_packet(1) {
@@ -383,16 +377,7 @@ impl Kernel {
                     },
                 });
             }
-            healthy
         });
-        if recovered {
-            self.trace.record(
-                now,
-                "cab.driver",
-                "degraded_exit",
-                format!("iface {} probe healthy", iface_id.0),
-            );
-        }
     }
 
     /// The watchdog fired: if an engine is still wedged, rescue outboard
@@ -407,7 +392,7 @@ impl Kernel {
         if !still_wedged {
             return;
         }
-        self.cab_reset_recover(iface_id, mem, now, "watchdog_reset");
+        self.cab_reset_recover(iface_id, mem, now);
     }
 
     /// The board crashed out of band (chaos `board_crash`): run the same
@@ -429,7 +414,7 @@ impl Kernel {
         self.with_cab(iface_id, |_k, cab| {
             cab.health.stats.board_crashes += 1;
         });
-        self.cab_reset_recover(iface_id, mem, now, "board_crash");
+        self.cab_reset_recover(iface_id, mem, now);
         self.take_effects()
     }
 
@@ -437,13 +422,7 @@ impl Kernel {
     /// drop in-flight conversions and parked retries, reset the board,
     /// enter degraded mode with a recovery probe, and rebuild transmit from
     /// the socket send queues.
-    fn cab_reset_recover(
-        &mut self,
-        iface_id: IfaceId,
-        mem: &mut HostMem,
-        now: Time,
-        reason: &'static str,
-    ) {
+    fn cab_reset_recover(&mut self, iface_id: IfaceId, mem: &mut HostMem, now: Time) {
         self.cpu(self.machine.cost_interrupt_us, Charge::Interrupt);
         self.span_detour(Stage::WatchdogReset, now, now, 0);
         // Parked transmissions die with the reset; their dwell is abandoned.
@@ -500,12 +479,6 @@ impl Kernel {
                 affected.push(s);
             }
         }
-        self.trace.record(
-            now,
-            "cab.driver",
-            reason,
-            format!("iface {} board reset", iface_id.0),
-        );
         self.rebuild_transmit(affected, mem, now);
     }
 

@@ -23,13 +23,14 @@
 //! * [`Pcg32`] — a small, seedable PRNG with a stable stream (we deliberately
 //!   do not depend on an external RNG crate whose stream could change across
 //!   versions),
-//! * [`stats`] — counters, running means, histograms, and the least-squares
-//!   fit used to regenerate Table 2,
-//! * [`trace`] — a bounded in-memory event trace for debugging experiments,
+//! * [`stats`] — the least-squares fit used to regenerate Table 2 and the
+//!   bytes-over-time → Mbit/s conversion,
 //! * [`span`] — per-packet causal tracing: bounded span timelines with
 //!   Chrome-trace/Perfetto export and critical-path attribution,
 //! * [`obs`] — the workspace-wide metrics registry (busy fractions, queue
-//!   high-water marks, netstat-style counters) behind every run report,
+//!   high-water marks, netstat-style counters) behind every run report;
+//!   with the span rings it is the one event log (a counter says how
+//!   often, a span says when and for which flow),
 //! * [`chaos`] — deterministic, replayable fault schedules with a
 //!   delta-debugging shrinker for minimal failure repros,
 //! * [`timeline`] — windowed time-series telemetry: bounded rings of
@@ -54,7 +55,6 @@ pub mod span;
 pub mod stats;
 pub mod time;
 pub mod timeline;
-pub mod trace;
 pub mod wheel;
 
 pub use chaos::{ChaosAction, ChaosEvent, ChaosSchedule};

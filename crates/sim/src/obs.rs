@@ -5,9 +5,10 @@
 //! component of the simulation exposes its counters through one uniform
 //! layer. This module provides:
 //!
-//! * instrument types — monotonic [`Counter`]s, [`Gauge`]s with a high-water
-//!   mark, value [`ValueHist`]ograms, and a time-weighted [`BusyTracker`]
-//!   for busy-fraction/occupancy accounting over *virtual* time;
+//! * instrument types — value [`ValueHist`]ograms and a time-weighted
+//!   [`BusyTracker`] for busy-fraction/occupancy accounting over *virtual*
+//!   time (plain counts and levels are fields of the component that owns
+//!   them);
 //! * [`MetricsRegistry`] — a flat, deterministically-ordered name → value
 //!   map that components publish snapshots into (via [`Scope`] prefixes);
 //! * renderers — a human-readable [`MetricsRegistry::report`], plus
@@ -21,58 +22,6 @@
 use crate::time::{Dur, Time};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// A monotonically increasing event count.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Count one event.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Count `n` events.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
-/// An instantaneous level (queue depth, pages in use) with its high-water
-/// mark.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Gauge {
-    value: i64,
-    hwm: i64,
-}
-
-impl Gauge {
-    /// Set the level.
-    pub fn set(&mut self, v: i64) {
-        self.value = v;
-        self.hwm = self.hwm.max(v);
-    }
-
-    /// Adjust the level by a signed delta.
-    pub fn adjust(&mut self, delta: i64) {
-        self.set(self.value + delta);
-    }
-
-    /// Current level.
-    pub fn get(&self) -> i64 {
-        self.value
-    }
-
-    /// Highest level ever set.
-    pub fn high_water(&self) -> i64 {
-        self.hwm
-    }
-}
 
 /// A streaming summary of observed values (count / sum / min / max), with a
 /// fixed set of power-of-two buckets for deterministic quantile estimates.
@@ -124,15 +73,6 @@ impl ValueHist {
         self.count += 1;
         self.sum += v;
         self.buckets[Self::bucket_of(v)] += 1;
-    }
-
-    /// Mean of recorded values (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 
     /// A deterministic quantile estimate: the upper bound of the
@@ -501,11 +441,6 @@ impl Scope<'_> {
             .insert(self.name(name), Metric::Gauge { value, hwm });
     }
 
-    /// Publish a [`Gauge`] instrument.
-    pub fn gauge_of(&mut self, name: &str, g: &Gauge) {
-        self.gauge(name, g.get(), g.high_water());
-    }
-
     /// Publish a fraction.
     pub fn frac(&mut self, name: &str, v: f64) {
         self.reg.insert(self.name(name), Metric::Frac(v));
@@ -535,21 +470,6 @@ impl Scope<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_and_gauge_basics() {
-        let mut c = Counter::default();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-
-        let mut g = Gauge::default();
-        g.set(3);
-        g.adjust(4);
-        g.adjust(-6);
-        assert_eq!(g.get(), 1);
-        assert_eq!(g.high_water(), 7);
-    }
 
     #[test]
     fn metric_names_follow_the_taxonomy() {
@@ -587,12 +507,12 @@ mod tests {
     #[test]
     fn hist_summary() {
         let mut h = ValueHist::default();
-        assert_eq!(h.mean(), 0.0);
+        assert_eq!((h.count, h.quantile(0.5)), (0, 0));
         for v in [10, 2, 6] {
             h.record(v);
         }
         assert_eq!((h.count, h.sum, h.min, h.max), (3, 18, 2, 10));
-        assert!((h.mean() - 6.0).abs() < 1e-12);
+        assert_eq!(h.quantile(0.5), 7, "upper bound of 6's bucket [4, 7]");
     }
 
     #[test]

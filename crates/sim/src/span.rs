@@ -15,7 +15,7 @@
 //! * [`SpanSink`] — a bounded, ring-buffered store of closed [`Span`]s with
 //!   open/close/drop conservation counters. Disabled sinks do nothing and
 //!   allocate nothing: the hot path stays on the allocation diet.
-//! * exporters — [`export_chrome_trace`] renders Chrome trace-event /
+//! * exporters — [`export_chrome_trace_with`] renders Chrome trace-event /
 //!   Perfetto JSON (one track per engine lane, flow arrows following a
 //!   [`FlowId`] across hosts), and [`critical_path`] attributes a flow's
 //!   end-to-end latency to stages exactly (the shares sum to the total).
@@ -559,21 +559,13 @@ fn push_sep(out: &mut String) {
 /// process, each engine lane gets its own thread track. Flow arrows
 /// (`s`/`t`/`f` events) follow each flow group across processes;
 /// `flow_limit` bounds how many groups get arrows (`None` = all), selected
-/// in order of first appearance.
+/// in order of first appearance. `extra_events` are pre-rendered trace
+/// events (one JSON object per string, no separators) appended after the
+/// slices and arrows — the hook the timeline module uses to merge Perfetto
+/// counter tracks (`ph:"C"`) into the same file, sharing the span pid
+/// space.
 ///
 /// The output is byte-deterministic for identical inputs.
-pub fn export_chrome_trace(
-    tracks: &[(u32, String, &SpanSink)],
-    flow_limit: Option<usize>,
-) -> String {
-    export_chrome_trace_with(tracks, flow_limit, &[])
-}
-
-/// [`export_chrome_trace`] plus a set of pre-rendered extra trace events
-/// (one JSON object per string, no separators) appended after the span
-/// slices and flow arrows — the hook the timeline module uses to merge
-/// Perfetto counter tracks (`ph:"C"`) into the same file, sharing the
-/// span pid space. Byte-deterministic for identical inputs.
 pub fn export_chrome_trace_with(
     tracks: &[(u32, String, &SpanSink)],
     flow_limit: Option<usize>,
@@ -1056,7 +1048,8 @@ mod tests {
             a.span(f, Stage::Sdma, t(1), t(3), 64);
             let mut b = SpanSink::enabled(16);
             b.span(f, Stage::Demux, t(4), t(5), 64);
-            export_chrome_trace(&[(1, "host0".into(), &a), (2, "host1".into(), &b)], None)
+            let tracks = [(1, "host0".into(), &a), (2, "host1".into(), &b)];
+            export_chrome_trace_with(&tracks, None, &[])
         };
         let x = build();
         assert_eq!(x, build());

@@ -1,161 +1,10 @@
 //! Statistics helpers used by the experiment harnesses.
 //!
-//! * [`Running`] — streaming mean/variance (Welford),
-//! * [`Histogram`] — fixed-bucket latency/size histogram,
 //! * [`linreg`] — ordinary least squares `y = a + b·x`, used to recover the
 //!   Table 2 coefficients from simulated VM-operation timings,
-//! * [`Rates`] — throughput bookkeeping (bytes over an interval → Mbit/s).
+//! * [`mbps`] — bytes moved over a virtual interval → Mbit/s.
 
-use crate::time::{Dur, Time};
-
-/// Streaming mean / variance accumulator (Welford's algorithm).
-#[derive(Clone, Debug, Default)]
-pub struct Running {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Running {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Running {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Fold one sample into the running statistics.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples seen.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean of the samples.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest sample.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
-/// A histogram over `[lo, hi)` with uniform buckets plus under/overflow.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// A histogram over `[lo, hi)` with `nbuckets` uniform buckets.
-    pub fn new(lo: f64, hi: f64, nbuckets: usize) -> Self {
-        assert!(hi > lo && nbuckets > 0);
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; nbuckets],
-            underflow: 0,
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        self.total += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let idx = ((x - self.lo) / (self.hi - self.lo) * self.buckets.len() as f64) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Total observations recorded (including under/overflow).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Per-bucket counts.
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Observations below the histogram range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the histogram range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Approximate quantile from bucket midpoints (clamped to range ends for
-    /// under/overflow mass).
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q));
-        if self.total == 0 {
-            return f64::NAN;
-        }
-        let target = (q * self.total as f64).ceil() as u64;
-        let mut seen = self.underflow;
-        if seen >= target && self.underflow > 0 {
-            return self.lo;
-        }
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return self.lo + (i as f64 + 0.5) * width;
-            }
-        }
-        self.hi
-    }
-}
+use crate::time::Dur;
 
 /// Result of an ordinary-least-squares fit `y = intercept + slope * x`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -210,52 +59,9 @@ pub fn mbps(bytes: u64, elapsed: Dur) -> f64 {
     bytes as f64 * 8.0 / elapsed.as_secs_f64() / 1e6
 }
 
-/// Simple throughput bookkeeping over a measurement window.
-#[derive(Clone, Debug)]
-pub struct Rates {
-    start: Time,
-    bytes: u64,
-}
-
-impl Rates {
-    /// Start a measurement window at `start`.
-    pub fn start_at(start: Time) -> Self {
-        Rates { start, bytes: 0 }
-    }
-
-    /// Count `n` bytes moved in this window.
-    pub fn add_bytes(&mut self, n: u64) {
-        self.bytes += n;
-    }
-
-    /// Bytes counted so far.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Throughput in Mbit/s over the window ending at `now`.
-    pub fn mbps_at(&self, now: Time) -> f64 {
-        mbps(self.bytes, now.since(self.start))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn running_matches_closed_form() {
-        let mut r = Running::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            r.push(x);
-        }
-        assert_eq!(r.count(), 8);
-        assert!((r.mean() - 5.0).abs() < 1e-12);
-        // Population variance is 4.0; sample variance is 32/7.
-        assert!((r.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(r.min(), 2.0);
-        assert_eq!(r.max(), 9.0);
-    }
 
     #[test]
     fn linreg_recovers_exact_line() {
@@ -277,31 +83,9 @@ mod tests {
     }
 
     #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new(0.0, 100.0, 10);
-        for i in 0..100 {
-            h.record(i as f64);
-        }
-        assert_eq!(h.total(), 100);
-        let med = h.quantile(0.5);
-        assert!((40.0..60.0).contains(&med), "median {med}");
-        h.record(-1.0);
-        h.record(1000.0);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-    }
-
-    #[test]
     fn mbps_conversion() {
         // 12.5 MB in one second = 100 Mbit/s.
         assert!((mbps(12_500_000, Dur::secs(1)) - 100.0).abs() < 1e-9);
         assert_eq!(mbps(1, Dur::ZERO), 0.0);
-    }
-
-    #[test]
-    fn rates_window() {
-        let mut r = Rates::start_at(Time::ZERO);
-        r.add_bytes(12_500_000);
-        assert!((r.mbps_at(Time::ZERO + Dur::secs(1)) - 100.0).abs() < 1e-9);
     }
 }

@@ -139,11 +139,6 @@ impl Timeline {
         self.window
     }
 
-    /// Retention capacity in windows.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Total windows recorded, including evicted ones.
     pub fn windows(&self) -> u64 {
         self.windows
@@ -151,11 +146,6 @@ impl Timeline {
 
     /// Windows evicted from the rings (0 until `capacity` is exceeded).
     pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Index of the oldest retained window.
-    pub fn first_retained(&self) -> u64 {
         self.evicted
     }
 
@@ -493,7 +483,6 @@ mod tests {
         }
         assert_eq!(tl.windows(), 10);
         assert_eq!(tl.evicted(), 6);
-        assert_eq!(tl.first_retained(), 6);
         let v = tl.series_view(0);
         assert_eq!(v.samples.len(), 4);
         assert_eq!(v.base, 60); // six evicted windows of +10 each

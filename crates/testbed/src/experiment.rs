@@ -132,6 +132,12 @@ impl ExperimentConfig {
                 value: 0.0,
             });
         }
+        if self.trace_spans && self.trace_capacity == 0 {
+            return Err(outboard_sim::FaultConfigError {
+                knob: "trace_capacity",
+                value: 0.0,
+            });
+        }
         Ok(())
     }
 }
@@ -155,7 +161,7 @@ pub struct Metrics {
     pub sender_efficiency_mbps: f64,
     /// Receiver-side efficiency.
     pub receiver_efficiency_mbps: f64,
-    /// TCP retransmissions (from the sender's trace).
+    /// TCP segments the sender retransmitted (its `tcp.retransmit_segs`).
     pub retransmits: u64,
     /// Received bytes that failed pattern verification.
     pub verify_errors: u64,
@@ -295,20 +301,10 @@ pub fn run_ttcp(cfg: &ExperimentConfig) -> Metrics {
     let sender_util = w.hosts[0].cpu.acct.utilization(elapsed, bg);
     let receiver_util = w.hosts[1].cpu.acct.utilization(elapsed, bg);
     let throughput = stats::mbps(bytes_read as u64, elapsed);
-    let retransmits = sum_retransmits(&w, 0);
+    let retransmits = w.hosts[0].kernel.stats.tcp_retransmit_segs;
     let header_only = w.hosts[0].kernel.stats.retransmit_header_only;
     let hw_checksums = w.hosts[0].kernel.stats.hw_checksums;
     let sw_checksums = w.hosts[0].kernel.stats.sw_checksums;
-    // Eviction is surfaced in the registry (`world.trace.evicted`, always
-    // published) so it is visible from --stats artifacts, not just stderr.
-    if w.hosts[0].kernel.trace.dropped() > 0 {
-        eprintln!(
-            "warning: sender trace ring evicted {} events (see \
-             world.trace.evicted in --stats); counters in Metrics come \
-             from the registry and are unaffected",
-            w.hosts[0].kernel.trace.dropped()
-        );
-    }
     // Close out in-flight spans before snapshotting so the conservation
     // identity (opened == closed + dropped) holds in the registry.
     let traced = w.span_tracing_on();
@@ -364,12 +360,6 @@ pub fn run_ttcp(cfg: &ExperimentConfig) -> Metrics {
         timeline_csv,
         timeline_summary,
     }
-}
-
-fn sum_retransmits(w: &World, host: usize) -> u64 {
-    // Emission-site counter in the kernel, not the bounded trace ring: the
-    // ring evicts old events on long runs and undercounts.
-    w.hosts[host].kernel.stats.tcp_retransmit_segs
 }
 
 /// The "raw HIPPI" bound (Figure 5a): well-formed packets of `packet_size`

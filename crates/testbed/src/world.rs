@@ -184,6 +184,42 @@ struct TimelineState {
     next_boundary: Time,
 }
 
+/// A windowed series: its name under `host{i}.` or `world.`, its kind, the
+/// unit label, and the read of its absolute value.
+type SeriesDef<T> = (&'static str, SeriesKind, &'static str, fn(&T) -> i64);
+
+/// The timeline's series in declaration order: each host's, on trace pid
+/// `i`, then the world's, on pid = host count (the fabric's span pid).
+const HOST_SERIES: [SeriesDef<Host>; 4] = [
+    ("tx_bytes", SeriesKind::Counter, "bytes", |h| {
+        h.kernel.stats.tx_bytes as i64
+    }),
+    (
+        "netmem_pages",
+        SeriesKind::Gauge,
+        "pages",
+        World::host_netmem_pages,
+    ),
+    ("retransmits", SeriesKind::Counter, "segs", |h| {
+        h.kernel.stats.tcp_retransmit_segs as i64
+    }),
+    (
+        "engine_busy_ns",
+        SeriesKind::Counter,
+        "ns",
+        World::host_engine_busy_ns,
+    ),
+];
+const WORLD_SERIES: [SeriesDef<World>; 2] = [
+    ("pool_in_use", SeriesKind::Gauge, "bufs", World::pool_in_use),
+    (
+        "faults",
+        SeriesKind::Counter,
+        "events",
+        World::fault_events_total,
+    ),
+];
+
 /// Installed chaos schedule plus its runtime bookkeeping.
 struct ChaosState {
     schedule: ChaosSchedule,
@@ -489,7 +525,16 @@ impl World {
 
     /// True when span tracing is enabled anywhere in the world.
     pub fn span_tracing_on(&self) -> bool {
-        self.wire_spans.on() || self.hosts.iter().any(|h| h.kernel.spans.on())
+        self.span_sinks().any(|(_, sink)| sink.on())
+    }
+
+    /// Every span sink with its trace pid: the hosts in pid order, then the
+    /// fabric (pid = host count). Exports, the critical path and the
+    /// registry all walk the sinks in this one order.
+    fn span_sinks(&self) -> impl Iterator<Item = (u32, &SpanSink)> {
+        let hosts = self.hosts.iter().map(|h| &h.kernel.spans);
+        let sinks = hosts.chain([&self.wire_spans]);
+        sinks.enumerate().map(|(pid, sink)| (pid as u32, sink))
     }
 
     /// Force-close every span still open (run teardown): in-flight work at
@@ -510,53 +555,15 @@ impl World {
     /// only one branch per event and stay byte-identical.
     pub fn enable_timeline(&mut self, window: Dur, capacity: usize) {
         let mut tl = Timeline::new(window, capacity);
-        let world_pid = self.hosts.len() as u32;
-        for (i, host) in self.hosts.iter().enumerate() {
-            let pid = i as u32;
-            tl.declare(
-                &format!("host{i}.tx_bytes"),
-                SeriesKind::Counter,
-                "bytes",
-                pid,
-                host.kernel.stats.tx_bytes as i64,
-            );
-            tl.declare(
-                &format!("host{i}.netmem_pages"),
-                SeriesKind::Gauge,
-                "pages",
-                pid,
-                Self::host_netmem_pages(host),
-            );
-            tl.declare(
-                &format!("host{i}.retransmits"),
-                SeriesKind::Counter,
-                "segs",
-                pid,
-                host.kernel.stats.tcp_retransmit_segs as i64,
-            );
-            tl.declare(
-                &format!("host{i}.engine_busy_ns"),
-                SeriesKind::Counter,
-                "ns",
-                pid,
-                Self::host_engine_busy_ns(host),
-            );
+        let n = self.hosts.len();
+        let hosts = (0..n).flat_map(|i| {
+            HOST_SERIES.map(|(name, kind, unit, _)| (format!("host{i}.{name}"), kind, unit, i))
+        });
+        let world =
+            WORLD_SERIES.map(|(name, kind, unit, _)| (format!("world.{name}"), kind, unit, n));
+        for ((name, kind, unit, pid), initial) in hosts.chain(world).zip(self.timeline_values()) {
+            tl.declare(&name, kind, unit, pid as u32, initial);
         }
-        let ps = self.pool.stats();
-        tl.declare(
-            "world.pool_in_use",
-            SeriesKind::Gauge,
-            "bufs",
-            world_pid,
-            ps.acquires as i64 - ps.releases as i64,
-        );
-        tl.declare(
-            "world.faults",
-            SeriesKind::Counter,
-            "events",
-            world_pid,
-            self.fault_events_total(),
-        );
         self.timeline = Some(Box::new(TimelineState {
             next_boundary: Time::ZERO + window,
             tl,
@@ -596,6 +603,13 @@ impl World {
         ns
     }
 
+    /// Shared-pool buffers currently handed out (the timeline's
+    /// `world.pool_in_use` gauge).
+    fn pool_in_use(&self) -> i64 {
+        let ps = self.pool.stats();
+        ps.acquires as i64 - ps.releases as i64
+    }
+
     /// Total injected/suffered fault events across every link (the
     /// timeline's `world.faults` counter).
     fn fault_events_total(&self) -> i64 {
@@ -610,16 +624,12 @@ impl World {
 
     /// Absolute values of every declared series, in declaration order.
     fn timeline_values(&self) -> Vec<i64> {
-        let mut vals = Vec::with_capacity(self.hosts.len() * 4 + 2);
+        let n = self.hosts.len() * HOST_SERIES.len() + WORLD_SERIES.len();
+        let mut vals = Vec::with_capacity(n);
         for host in &self.hosts {
-            vals.push(host.kernel.stats.tx_bytes as i64);
-            vals.push(Self::host_netmem_pages(host));
-            vals.push(host.kernel.stats.tcp_retransmit_segs as i64);
-            vals.push(Self::host_engine_busy_ns(host));
+            vals.extend(HOST_SERIES.iter().map(|s| (s.3)(host)));
         }
-        let ps = self.pool.stats();
-        vals.push(ps.acquires as i64 - ps.releases as i64);
-        vals.push(self.fault_events_total());
+        vals.extend(WORLD_SERIES.iter().map(|s| (s.3)(self)));
         vals
     }
 
@@ -663,18 +673,12 @@ impl World {
     /// Every recorded span, merged across hosts and the fabric in stable
     /// (start-time, track, emission) order.
     pub fn merged_spans(&self) -> Vec<Span> {
-        let mut all: Vec<(u64, u32, u64, Span)> = Vec::new();
-        for (i, host) in self.hosts.iter().enumerate() {
-            for s in host.kernel.spans.spans() {
-                all.push((s.start.nanos(), i as u32, s.seq, *s));
-            }
-        }
-        let fabric_pid = self.hosts.len() as u32;
-        for s in self.wire_spans.spans() {
-            all.push((s.start.nanos(), fabric_pid, s.seq, *s));
-        }
-        all.sort_by_key(|(start, pid, seq, _)| (*start, *pid, *seq));
-        all.into_iter().map(|(_, _, _, s)| s).collect()
+        let mut all: Vec<(u32, &Span)> = self
+            .span_sinks()
+            .flat_map(|(pid, sink)| sink.spans().map(move |s| (pid, s)))
+            .collect();
+        all.sort_by_key(|(pid, s)| (s.start, *pid, s.seq));
+        all.into_iter().map(|(_, s)| *s).collect()
     }
 
     /// Export every recorded span as Chrome trace-event JSON (one process
@@ -684,15 +688,18 @@ impl World {
     /// sharing the span pid space, so spans and system curves line up on
     /// one Perfetto timeline.
     pub fn export_trace(&self, flow_limit: Option<usize>) -> String {
-        let mut tracks: Vec<(u32, String, &SpanSink)> = Vec::new();
-        for (i, host) in self.hosts.iter().enumerate() {
-            tracks.push((i as u32, format!("host{i}"), &host.kernel.spans));
-        }
-        tracks.push((
-            self.hosts.len() as u32,
-            "fabric".to_string(),
-            &self.wire_spans,
-        ));
+        let fabric = self.hosts.len() as u32;
+        let tracks: Vec<(u32, String, &SpanSink)> = self
+            .span_sinks()
+            .map(|(pid, sink)| {
+                let name = if pid == fabric {
+                    "fabric".to_string()
+                } else {
+                    format!("host{pid}")
+                };
+                (pid, name, sink)
+            })
+            .collect();
         let counters = self
             .timeline
             .as_ref()
@@ -706,13 +713,8 @@ impl World {
     /// span still yields a path; `None` only when no recorded span carries
     /// a flow group.
     pub fn critical_path(&self) -> Option<CriticalPath> {
-        // Hosts then fabric: the pid order `merged_spans` breaks ties in.
-        let sinks = || {
-            let hosts = self.hosts.iter().map(|h| &h.kernel.spans);
-            hosts
-                .chain([&self.wire_spans])
-                .flat_map(|sink| sink.spans())
-        };
+        // Pid order: the order `merged_spans` breaks ties in.
+        let sinks = || self.span_sinks().flat_map(|(_, sink)| sink.spans());
         let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
         for s in sinks().filter(|s| s.flow.group() != 0) {
             *counts.entry(s.flow.group()).or_insert(0) += 1;
@@ -794,11 +796,6 @@ impl World {
             c.counter("deferred_events", st.deferred_events);
             c.counter("down_drops", down_drops);
         }
-        // Mechanism-trace eviction is always surfaced (satellite of the
-        // bounded-ring fix): undercounting must be visible from artifacts,
-        // not just stderr.
-        let trace_evicted: u64 = self.hosts.iter().map(|h| h.kernel.trace.dropped()).sum();
-        w.counter("trace.evicted", trace_evicted);
         // Pool counters publish only once the pool has been used, so worlds
         // that never touch it (unit fixtures) keep byte-identical registries
         // — the same gate the chaos and span stats use.
@@ -824,42 +821,18 @@ impl World {
             t.counter("window_ns", st.tl.window().as_nanos());
         }
         // Span stats publish only while tracing is on, so untraced runs
-        // keep byte-identical registries (parallel-sweep gate).
+        // keep byte-identical registries (parallel-sweep gate). This is the
+        // one place span counts are booked: world-wide, summed over sinks.
         if self.span_tracing_on() {
             let mut agg = SpanSink::disabled();
-            for host in &self.hosts {
-                agg.absorb_stats(&host.kernel.spans);
+            for (_, sink) in self.span_sinks() {
+                agg.absorb_stats(sink);
             }
-            agg.absorb_stats(&self.wire_spans);
-            let opened: u64 = self
-                .hosts
-                .iter()
-                .map(|h| h.kernel.spans.opened())
-                .sum::<u64>()
-                + self.wire_spans.opened();
-            let closed: u64 = self
-                .hosts
-                .iter()
-                .map(|h| h.kernel.spans.closed())
-                .sum::<u64>()
-                + self.wire_spans.closed();
-            let dropped: u64 = self
-                .hosts
-                .iter()
-                .map(|h| h.kernel.spans.dropped())
-                .sum::<u64>()
-                + self.wire_spans.dropped();
-            let evicted: u64 = self
-                .hosts
-                .iter()
-                .map(|h| h.kernel.spans.evicted())
-                .sum::<u64>()
-                + self.wire_spans.evicted();
             let mut sp = w.sub("spans");
-            sp.counter("opened", opened);
-            sp.counter("closed", closed);
-            sp.counter("dropped", dropped);
-            sp.counter("evicted", evicted);
+            sp.counter("opened", agg.opened());
+            sp.counter("closed", agg.closed());
+            sp.counter("dropped", agg.dropped());
+            sp.counter("evicted", agg.evicted());
             for stage in Stage::ALL {
                 let hist = agg.stage_hist(stage);
                 if hist.count == 0 {

@@ -7,7 +7,8 @@
 //!
 //! This crate is a façade that re-exports the workspace:
 //!
-//! * [`sim`] — discrete-event core (time, queue, RNG, statistics, trace),
+//! * [`sim`] — discrete-event core (time, queue, RNG, the metrics registry,
+//!   causal spans and the windowed timeline),
 //! * [`wire`] — Internet checksum algebra and protocol headers,
 //! * [`mbuf`] — the mbuf framework with `M_UIO` / `M_WCAB` descriptors,
 //! * [`cab`] — the CAB adaptor model (network memory, SDMA/MDMA engines,

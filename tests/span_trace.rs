@@ -54,6 +54,17 @@ fn assert_conserved(m: &Metrics) {
         closed + dropped,
         "span leak: opened {opened} != closed {closed} + dropped {dropped}"
     );
+    // Span counts are booked once, world-wide: no per-host copy.
+    let per_host: Vec<&str> = m
+        .stats
+        .iter()
+        .map(|(name, _)| name)
+        .filter(|name| name.starts_with("host") && name.contains(".spans."))
+        .collect();
+    assert!(
+        per_host.is_empty(),
+        "span counts booked per host too: {per_host:?}"
+    );
 }
 
 #[test]
@@ -160,9 +171,18 @@ fn untraced_runs_publish_no_span_metrics() {
     assert!(m.critical_path.is_none());
     assert_eq!(m.stats.counter_value("world.spans.opened"), 0);
     assert!(!m.stats.to_json().contains("world.spans."));
-    // The trace-eviction counter is published unconditionally (satellite:
-    // eviction must be detectable from artifacts).
-    assert!(m.stats.to_json().contains("world.trace.evicted"));
+    // The spans and the registry are the one event log: there is no
+    // mechanism-trace ring left to report on.
+    let trace_keys: Vec<&str> = m
+        .stats
+        .iter()
+        .map(|(name, _)| name)
+        .filter(|name| name.contains(".trace."))
+        .collect();
+    assert!(
+        trace_keys.is_empty(),
+        "trace-ring keys published: {trace_keys:?}"
+    );
 }
 
 /// The golden runs: 64 KB single-copy in 8 KB writes, seed 7, spans and
