@@ -87,6 +87,27 @@ impl<E> EventEngine<E> {
         }
     }
 
+    /// Take the next insertion sequence number without queueing anything
+    /// (see [`EventQueue::reserve_seq`]).
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
+        match self {
+            EventEngine::Heap(q) => q.reserve_seq(),
+            EventEngine::Wheel(w) => w.reserve_seq(),
+        }
+    }
+
+    /// Schedule `event` at `at` under a sequence number from
+    /// [`EventEngine::reserve_seq`]: it pops where a [`EventEngine::push`]
+    /// made at reservation time would have.
+    #[inline]
+    pub fn push_seq(&mut self, at: Time, seq: u64, event: E) {
+        match self {
+            EventEngine::Heap(q) => q.push_seq(at, seq, event),
+            EventEngine::Wheel(w) => w.push_seq(at, seq, event),
+        }
+    }
+
     /// Pop the earliest event and advance the clock to its timestamp.
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, E)> {
@@ -158,6 +179,24 @@ mod tests {
             if a.is_none() {
                 break;
             }
+        }
+    }
+
+    #[test]
+    fn a_reserved_seq_pops_where_its_push_would_have() {
+        for kind in [EngineKind::Heap, EngineKind::Wheel] {
+            let mut q = EventEngine::<&str>::new(kind);
+            let early = q.reserve_seq();
+            q.push(Time(10), "b");
+            let unused = q.reserve_seq();
+            q.push(Time(10), "d");
+            assert_eq!(q.pop(), Some((Time(10), "b")));
+            // Queued after a pop, still ahead of everything pushed after it
+            // at the same instant.
+            q.push_seq(Time(10), early, "a");
+            q.push_seq(Time(10), unused, "c");
+            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+            assert_eq!(order, ["a", "c", "d"], "{}", kind.name());
         }
     }
 }

@@ -76,13 +76,31 @@ impl<E> EventQueue<E> {
     /// Panics if `at` is in the past — scheduling into the past is always a
     /// logic error in a discrete-event simulation.
     pub fn push(&mut self, at: Time, event: E) {
+        let seq = self.reserve_seq();
+        self.push_seq(at, seq, event);
+    }
+
+    /// Take the next insertion sequence number without queueing anything:
+    /// an event queued later with [`EventQueue::push_seq`] under this
+    /// number sorts as if it had been pushed now.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Schedule `event` at `at` under a sequence number taken earlier from
+    /// [`EventQueue::reserve_seq`]. Panics like [`EventQueue::push`].
+    pub fn push_seq(&mut self, at: Time, seq: u64, event: E) {
         assert!(
             at >= self.now,
             "scheduled event at {at:?} but the clock is already at {:?}",
             self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        debug_assert!(
+            seq < self.next_seq,
+            "sequence number {seq} was never reserved"
+        );
         self.heap.push(Entry { at, seq, event });
     }
 

@@ -36,7 +36,8 @@ pub struct ChaosOutcome {
     pub violations: Vec<String>,
     /// The transfer finished and the receiver read every byte.
     pub completed: bool,
-    /// Virtual time consumed.
+    /// Virtual time consumed: [`World::now`] once the settle window has
+    /// run, the last event popped before it closed.
     pub elapsed: Dur,
     /// Bytes the receiver read.
     pub bytes_read: usize,

@@ -18,6 +18,7 @@ pub mod apps;
 pub mod chaos;
 pub mod experiment;
 pub mod oracle;
+mod timers;
 pub mod world;
 
 pub use chaos::{run_chaos, shrink_failure, ChaosOutcome, DEFAULT_LIVENESS_BUDGET};

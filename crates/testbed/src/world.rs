@@ -6,6 +6,7 @@
 //! syscall rates and interrupt load throttle exactly as on a real machine.
 //! Device events carry their own completion times from the engine models.
 
+use crate::timers::TimerTable;
 use bytes::Bytes;
 use outboard_cab::{CabEvent, PacketId};
 use outboard_host::{Charge, Cpu, HostMem, MachineConfig, TaskId};
@@ -57,8 +58,13 @@ pub enum Event {
         iface: IfaceId,
         frame: Bytes,
     },
-    /// TCP timer.
-    Timer { host: usize, kind: TimerKind },
+    /// The wakeup of one timer slot, queued under sequence number `seq`
+    /// (see `timers`); only the slot's latest arm is delivered.
+    Timer {
+        host: usize,
+        kind: TimerKind,
+        seq: u64,
+    },
     /// A scheduled chaos action fires (`heal` closes a durable window).
     Chaos { idx: usize, heal: bool },
 }
@@ -168,7 +174,9 @@ pub struct ChaosStats {
     pub host_pauses: u64,
     /// Stealth (checksum-preserving) corruptions armed.
     pub stealth_corrupts: u64,
-    /// Events re-queued because their host was paused.
+    /// Events re-queued because their host was paused (a timer counts
+    /// only when it is its slot's latest arm; superseded ones never reach
+    /// the pause check).
     pub deferred_events: u64,
 }
 
@@ -239,6 +247,8 @@ pub struct World {
     /// All simulated hosts.
     pub hosts: Vec<Host>,
     queue: EventEngine<Event>,
+    /// One queued wakeup per armed timer.
+    timers: TimerTable,
     /// Shared frame/cluster buffer pool (every host kernel, CAB, and link
     /// recycles storage through it; see `sim::pool`).
     pub pool: Arc<BufPool>,
@@ -260,7 +270,8 @@ pub struct World {
     /// Optional tcpdump-style capture of every frame entering a link.
     pub capture: Option<Capture>,
     /// Events dispatched by the engine (wall-clock work proxy for the
-    /// benchmark's events/sec figure).
+    /// benchmark's events/sec figure). A timer wakeup counts only when it
+    /// delivers its slot's latest arm.
     pub events_dispatched: u64,
     /// Wire-transit spans (one sink for the whole fabric; disabled by
     /// default — see [`World::enable_span_tracing`]).
@@ -286,6 +297,7 @@ impl World {
         World {
             hosts: Vec::new(),
             queue: EventEngine::new(kind),
+            timers: TimerTable::default(),
             pool: Arc::new(BufPool::new()),
             links: BTreeMap::new(),
             hippi_map: BTreeMap::new(),
@@ -726,7 +738,11 @@ impl World {
         span::critical_path(sinks(), group)
     }
 
-    /// Current virtual time (the last dispatched event's timestamp).
+    /// Current virtual time: the timestamp of the last event the queue
+    /// popped. That is the last dispatched event, or a later timer wakeup
+    /// that found its slot re-armed further out and went back into the
+    /// queue (or found an earlier wakeup had replaced it). It is never a
+    /// run's deadline unless an event fell exactly there.
     pub fn now(&self) -> Time {
         self.queue.now()
     }
@@ -1055,7 +1071,7 @@ impl World {
                     self.queue.push(cursor, Event::AppStep { host, task });
                 }
                 Effect::Timer { after, kind } => {
-                    self.queue.push(now + after, Event::Timer { host, kind });
+                    self.timers.arm(&mut self.queue, host, now + after, kind);
                 }
                 Effect::KernelReady { sock } => {
                     self.queue.push(cursor, Event::KernelReady { host, sock });
@@ -1124,6 +1140,13 @@ impl World {
     }
 
     fn dispatch(&mut self, ev: Event, now: Time) {
+        // A timer wakeup that is not its slot's latest arm stops here: it
+        // is dead, or it has re-queued itself at the latest arm's time.
+        if let Event::Timer { host, kind, seq } = ev {
+            if !self.timers.wakeup(&mut self.queue, host, kind, seq) {
+                return;
+            }
+        }
         // Windowed telemetry samples lazily at boundary crossings, before
         // the crossing event mutates any counters. Disabled runs pay only
         // this one branch (zero-overhead-off, byte-identical outputs).
@@ -1140,7 +1163,7 @@ impl World {
                 match ch.paused_until.get(&h).copied() {
                     Some(until) if now < until => {
                         ch.stats.deferred_events += 1;
-                        self.queue.push(until, ev);
+                        self.timers.defer(&mut self.queue, until, ev);
                         return;
                     }
                     Some(_) => {
@@ -1277,7 +1300,7 @@ impl World {
                 };
                 self.apply_effects(host, fx, now);
             }
-            Event::Timer { host, kind } => {
+            Event::Timer { host, kind, .. } => {
                 let fx = {
                     let h = &mut self.hosts[host];
                     h.kernel.timer_fire(kind, &mut h.mem, now)
@@ -1290,8 +1313,9 @@ impl World {
         }
     }
 
-    /// Run until the queue drains or `deadline` passes. Returns the final
-    /// virtual time.
+    /// Run until the queue drains or its next event lies past `deadline`.
+    /// Returns [`World::now`]: the time of the last event popped, at or
+    /// before `deadline`, not `deadline` itself.
     pub fn run_until(&mut self, deadline: Time) -> Time {
         while let Some(t) = self.queue.peek_time() {
             if t > deadline {
@@ -1337,7 +1361,8 @@ impl World {
         self.queue.push(at, Event::AppStep { host, task });
     }
 
-    /// Number of pending events (diagnostics).
+    /// Number of pending events (diagnostics): one wakeup per armed timer,
+    /// plus the rare dead one an earlier re-arm left behind.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
     }

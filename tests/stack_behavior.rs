@@ -462,3 +462,29 @@ fn sequential_connections_do_not_leak() {
         );
     }
 }
+
+/// Net/2 keeps one retransmit callout per connection and resets it on each
+/// ACK; the world keeps one queued wakeup per timer the same way, so a
+/// steady transfer holds a handful of pending events however many ACKs it
+/// sees.
+#[test]
+fn pending_events_stay_bounded_through_a_transfer() {
+    use outboard::testbed::experiment::build_ttcp_world;
+    use outboard::testbed::ExperimentConfig;
+
+    let mut stack = StackConfig::single_copy();
+    stack.force_single_copy = true;
+    let mut cfg = ExperimentConfig::new(MachineConfig::alpha_3000_400(), stack, 1024);
+    cfg.total_bytes = 256 * 1024;
+    let mut w = build_ttcp_world(&cfg);
+    let mut max_pending = 0;
+    let done = w.run_while(Time::ZERO + Dur::secs(60), |w| {
+        max_pending = max_pending.max(w.pending_events());
+        !finished(w)
+    });
+    assert!(done, "transfer stalled");
+    assert!(
+        max_pending <= 16,
+        "{max_pending} events pending at once during a one-connection transfer"
+    );
+}
