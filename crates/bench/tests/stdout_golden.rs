@@ -6,7 +6,11 @@
 //! *intended* change of a simulated value, run
 //! `cargo test -p outboard-bench --test stdout_golden -- --ignored regenerate_goldens`,
 //! list the moved points in EXPERIMENTS.md and commit `tests/golden/`.
+//!
+//! Two binaries' output files are checked here too: `fig5`'s Perfetto
+//! trace and the flight recording of a `chaos` sweep with a planted bug.
 
+use outboard_sim::chaos::json::{self, Value};
 use std::process::Command;
 
 const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
@@ -57,6 +61,11 @@ fn regenerate_goldens() {
     }
 }
 
+/// `key` of a JSON object, `None` when `v` is not an object or lacks it.
+fn field<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
+    json::get(v.as_object()?, key)
+}
+
 /// `fig5 --timeline --trace-out FILE` writes one Perfetto file that parses,
 /// is byte-identical across two processes, and carries span slices, flow
 /// arrows and counter tracks on the span pids. (Within one process the
@@ -64,11 +73,7 @@ fn regenerate_goldens() {
 /// the binary's own file.)
 #[test]
 fn fig5_timeline_trace_file_parses_and_is_byte_identical() {
-    use outboard_sim::chaos::json::{self, Value};
     use std::collections::BTreeSet;
-    fn field<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
-        json::get(v.as_object()?, key)
-    }
 
     let dir = env!("CARGO_TARGET_TMPDIR");
     let write_trace = |run: u32| {
@@ -123,4 +128,61 @@ fn fig5_timeline_trace_file_parses_and_is_byte_identical() {
         tracks.extend(field(e, "name").and_then(Value::as_str));
     }
     assert!(tracks.len() >= 6, "counter tracks: {tracks:?}");
+}
+
+/// The flight-recorder smoke: `chaos --smoke --seeds 1 --plant-bug` must
+/// catch the planted checksum-preserving corruption (exit 1) and dump one
+/// `flight_<seed>.json` whose violations are listed, whose counter series
+/// conserve (`base + Σ samples == final`) and which carries a span tail.
+#[test]
+fn planted_bug_fails_the_chaos_smoke_and_dumps_a_flight_recording() {
+    fn get<'a>(v: &'a Value, key: &str) -> &'a Value {
+        field(v, key).unwrap_or_else(|| panic!("no {key}"))
+    }
+
+    let out_dir = format!("{}/flight_smoke", env!("CARGO_TARGET_TMPDIR"));
+    let _ = std::fs::remove_dir_all(&out_dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_chaos"))
+        .args(["--smoke", "--seeds", "1", "--plant-bug", "--out", &out_dir])
+        .current_dir(env!("CARGO_TARGET_TMPDIR"))
+        .output()
+        .unwrap_or_else(|e| panic!("cannot start chaos: {e}"));
+    assert_eq!(out.status.code(), Some(1), "the planted bug went uncaught");
+
+    let flights: Vec<_> = std::fs::read_dir(&out_dir)
+        .unwrap_or_else(|e| panic!("{out_dir}: {e}"))
+        .map(|e| e.expect("directory entry").path())
+        .filter(|p| {
+            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            name.starts_with("flight_") && name.ends_with(".json")
+        })
+        .collect();
+    assert_eq!(flights.len(), 1, "flight files: {flights:?}");
+    let text = std::fs::read_to_string(&flights[0]).expect("flight file is readable");
+    let doc = json::parse(&text).expect("the flight file is JSON");
+
+    assert_eq!(get(&doc, "schema").as_str(), Some("outboard-flight-v1"));
+    let violations = get(&doc, "violations")
+        .as_array()
+        .expect("violations array");
+    assert!(
+        !violations.is_empty(),
+        "flight recording without violations"
+    );
+    let series = get(get(&doc, "timeline"), "series").as_array();
+    let series = series.expect("timeline series array");
+    assert!(!series.is_empty());
+    for s in series {
+        if get(s, "kind").as_str() != Some("counter") {
+            continue;
+        }
+        let int = |key: &str| get(s, key).as_f64().expect("a number") as i64;
+        let samples = get(s, "samples").as_array().expect("samples array");
+        let sum: i64 = samples
+            .iter()
+            .map(|v| v.as_f64().expect("a number") as i64)
+            .sum();
+        assert_eq!(int("base") + sum, int("final"), "{:?}", get(s, "name"));
+    }
+    assert!(get(get(&doc, "spans"), "tail").as_array().is_some());
 }

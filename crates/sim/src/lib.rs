@@ -6,11 +6,12 @@
 //! must be exactly reproducible), so this crate provides:
 //!
 //! * [`Time`] / [`Dur`] — nanosecond-resolution virtual time,
-//! * [`EventQueue`] — a priority queue with FIFO tie-breaking so same-time
-//!   events run in insertion order on every platform,
-//! * [`TimingWheel`] / [`EventEngine`] — a hierarchical timing wheel with
-//!   the same FIFO semantics but O(1) schedule/expire (the default engine;
-//!   the heap stays as the differential-testing reference),
+//! * [`EventEngine`] — the scheduler every world runs on: a priority queue
+//!   with FIFO tie-breaking, so same-time events run in insertion order on
+//!   every platform; one binary heap below 512 pending events, a
+//!   hierarchical timing wheel with O(1) schedule/expire above,
+//! * [`EventQueue`] — the plain binary-heap reference the engine's
+//!   differential tests hold it against,
 //! * [`BufPool`] — generation-tagged slab/freelist pools behind the wire
 //!   frame and packet-buffer hot paths (steady-state transfers recycle
 //!   buffers instead of allocating per frame),
@@ -45,7 +46,6 @@
 
 pub mod chaos;
 pub mod detmap;
-pub mod engine;
 pub mod idtable;
 pub mod obs;
 pub mod pool;
@@ -59,7 +59,6 @@ pub mod wheel;
 
 pub use chaos::{ChaosAction, ChaosEvent, ChaosSchedule};
 pub use detmap::DetMap;
-pub use engine::{EngineKind, EventEngine};
 pub use idtable::IdTable;
 pub use obs::{BusyTracker, Metric, MetricsRegistry};
 pub use pool::{pooled_copy, BufPool, PoolStats, PooledBuf, Ticket};
@@ -68,4 +67,4 @@ pub use rng::{check_probability, FaultConfigError, Pcg32};
 pub use span::{FlowId, Span, SpanSink, Stage};
 pub use time::{Dur, Time};
 pub use timeline::{SeriesId, SeriesKind, Timeline};
-pub use wheel::TimingWheel;
+pub use wheel::{EngineKind, EventEngine};

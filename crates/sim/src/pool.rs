@@ -19,7 +19,7 @@
 //! never its contents (`acquire` zeroes, exactly like the `vec![0; len]`
 //! call sites it replaces; `acquire_empty` exposes no recycled byte) and
 //! never simulation order. Stats are plain counters, identical across
-//! heap/wheel engines and across serial/parallel sweeps of the same run.
+//! repeated runs of the same seed.
 
 use bytes::{Bytes, StorageHook};
 use std::sync::{Arc, Mutex};

@@ -1,18 +1,22 @@
-//! Stable event queue.
+//! Stable event queue: the reference scheduler.
 //!
 //! A binary heap keyed on `(Time, sequence)` where the sequence number is a
 //! monotonically increasing insertion counter. Two events scheduled for the
 //! same instant therefore pop in the order they were pushed, which keeps the
 //! simulation deterministic regardless of heap implementation details.
+//! Worlds run on [`EventEngine`](crate::EventEngine); this queue is what the
+//! engine's differential tests hold it against.
 
 use crate::time::Time;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-struct Entry<E> {
-    at: Time,
-    seq: u64,
-    event: E,
+/// A queued event and its `(at, seq)` key; also the entry type of every
+/// heap, slot and batch in [`EventEngine`](crate::EventEngine).
+pub(crate) struct Entry<E> {
+    pub(crate) at: Time,
+    pub(crate) seq: u64,
+    pub(crate) event: E,
 }
 
 impl<E> PartialEq for Entry<E> {

@@ -1,8 +1,10 @@
-//! Hierarchical timing wheel (Varghese & Lauck, SOSP '87).
+//! The event scheduler: a hierarchical timing wheel (Varghese & Lauck,
+//! SOSP '87) that runs as one binary heap while the schedule is small.
 //!
-//! A drop-in replacement for [`EventQueue`](crate::EventQueue) with the same
-//! `(Time, seq)` FIFO tie-break semantics but amortized O(1) schedule and
-//! expire instead of the heap's O(log n). The wheel has four levels of 256
+//! [`EventEngine`] has the reference [`EventQueue`](crate::EventQueue)'s
+//! `(Time, seq)` FIFO tie-break semantics. Below [`SPILL`] pending entries
+//! it *is* that heap (see *Heap mode*); above it, schedule and expire are
+//! amortized O(1) instead of O(log n). The wheel has four levels of 256
 //! slots each, 8 bits of nanoseconds per level, on top of a 2^8 ns *grain*:
 //! a level-0 slot spans a 256 ns window rather than a single instant, so
 //! the timer deltas real protocol schedules generate (µs-to-ms apart) land
@@ -39,7 +41,7 @@
 //! (a) land in the same slot / batch, where the `(at, seq)` order *is* FIFO
 //! order, or (b) land in different levels at different times because the
 //! cursor moved between the pushes. Case (b) resolves in
-//! [`TimingWheel::scan`]: a slot is only drained after the cursor has
+//! [`EventEngine::scan`]: a slot is only drained after the cursor has
 //! advanced to its window start, at which point every entry for that window
 //! — whatever level it was pushed at — has cascaded into the same batch
 //! before the first pop of the window.
@@ -61,11 +63,13 @@
 //! when it fully drains, so protocol simulations (which idle at tens of
 //! pending events) run at reference-heap speed while timer-churn workloads
 //! (tens of thousands pending) spill once and run on the O(1) hierarchy —
-//! the classic calendar-queue density adaptation.
+//! the classic calendar-queue density adaptation. This fallback is the only
+//! choice of scheduler there is: the queue depth makes it, not a setting.
+//! The slot machinery (`spill`, `place`, `scan`) stays out of line, so heap
+//! mode's push and pop compile to the reference heap's.
 
-use crate::queue::EventQueue;
+use crate::queue::Entry;
 use crate::time::Time;
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
@@ -87,36 +91,6 @@ const GRAIN: u32 = 8;
 /// the wheel's O(1) wins by integer factors) sits in the tens of
 /// thousands.
 const SPILL: usize = 512;
-
-struct Entry<E> {
-    at: Time,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Inverted so BinaryHeap's max is the earliest (then first-pushed)
-        // entry — same trick as the reference EventQueue.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
 
 /// A 256-bit occupancy bitmap over one level's slots.
 #[derive(Default, Clone, Copy)]
@@ -143,11 +117,27 @@ impl Bitmap {
     }
 }
 
+/// Names the one scheduler, [`EventEngine`], and selects nothing. It is
+/// kept only because the frozen `benchmark/` crate names it (in
+/// [`EventEngine::new`], `World::new_with_engine` and
+/// `ExperimentConfig::engine`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub struct EngineKind;
+
+impl EngineKind {
+    /// The name the benchmark prints for the scheduler.
+    pub fn name(self) -> &'static str {
+        "wheel"
+    }
+}
+
 /// A time-ordered event scheduler with FIFO tie-breaking, API-compatible
-/// with [`EventQueue`] (modulo `peek_time` taking `&mut self`).
-pub struct TimingWheel<E> {
+/// with [`EventQueue`](crate::EventQueue) (modulo `peek_time` taking
+/// `&mut self`, because a peek may advance the cursor, never past the
+/// earliest pending event).
+pub struct EventEngine<E> {
     /// `LEVELS * SLOTS` slot vectors, flattened level-major. Empty until
-    /// the first [`TimingWheel::spill`] — heap-mode schedules never pay
+    /// the first [`EventEngine::spill`] — heap-mode schedules never pay
     /// for it.
     slots: Vec<Vec<Entry<E>>>,
     occupied: [Bitmap; LEVELS],
@@ -156,7 +146,7 @@ pub struct TimingWheel<E> {
     batch: VecDeque<Entry<E>>,
     /// Heap mode: all entries live in `early` and the slots are untouched.
     /// Entered at construction and whenever the queue fully drains; left
-    /// (via [`TimingWheel::spill`]) when the count crosses `spill`.
+    /// (via [`EventEngine::spill`]) when the count crosses `spill`.
     small: bool,
     /// Pending-entry count above which heap mode spills into the slots
     /// ([`SPILL`] unless overridden for tests/benches).
@@ -176,16 +166,10 @@ pub struct TimingWheel<E> {
     len: usize,
 }
 
-impl<E> Default for TimingWheel<E> {
+impl<E> Default for EventEngine<E> {
+    /// An empty engine with the clock at time zero.
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> TimingWheel<E> {
-    /// An empty wheel with the clock at time zero.
-    pub fn new() -> Self {
-        TimingWheel {
+        EventEngine {
             slots: Vec::new(),
             occupied: [Bitmap::default(); LEVELS],
             batch: VecDeque::new(),
@@ -199,15 +183,24 @@ impl<E> TimingWheel<E> {
             len: 0,
         }
     }
+}
 
-    /// An empty wheel that leaves heap mode once more than `threshold`
+impl<E> EventEngine<E> {
+    /// The same as [`EventEngine::default`]; the argument selects nothing
+    /// (see [`EngineKind`]).
+    pub fn new(_: EngineKind) -> Self {
+        Self::default()
+    }
+
+    /// An empty engine that leaves heap mode once more than `threshold`
     /// entries are pending (`0` puts the first push straight into the slot
     /// hierarchy). For tests and benchmarks that need to exercise the
     /// wheel paths at small queue depths.
     pub fn with_spill_threshold(threshold: usize) -> Self {
-        let mut w = Self::new();
-        w.spill = threshold;
-        w
+        EventEngine {
+            spill: threshold,
+            ..Self::default()
+        }
     }
 
     /// The instant of the most recently popped event.
@@ -236,9 +229,10 @@ impl<E> TimingWheel<E> {
     }
 
     /// Schedule `event` at `at` under a sequence number taken earlier from
-    /// [`TimingWheel::reserve_seq`]. Every placement below orders by
+    /// [`EventEngine::reserve_seq`]. Every placement below orders by
     /// `(at, seq)`, so an old number sorts where the push it stands for
-    /// would have. Panics like [`TimingWheel::push`].
+    /// would have. Panics like [`EventEngine::push`].
+    #[inline]
     pub fn push_seq(&mut self, at: Time, seq: u64, event: E) {
         assert!(
             at >= self.now,
@@ -264,6 +258,7 @@ impl<E> TimingWheel<E> {
     }
 
     /// Pop the earliest event and advance the clock to its timestamp.
+    #[inline]
     pub fn pop(&mut self) -> Option<(Time, E)> {
         // `early` is the whole schedule in heap mode, and always earlier
         // than the wheel otherwise, so it pops first either way.
@@ -294,6 +289,7 @@ impl<E> TimingWheel<E> {
     ///
     /// Unlike the heap, peeking may advance the internal cursor (never past
     /// the earliest pending event), which is why this takes `&mut self`.
+    #[inline]
     pub fn peek_time(&mut self) -> Option<Time> {
         if let Some(e) = self.early.peek() {
             return Some(e.at);
@@ -335,6 +331,7 @@ impl<E> TimingWheel<E> {
     /// pending entry is `>= now` (pops always take the global minimum), so
     /// anchoring the cursor at `now` lets `place` take all of them; entries
     /// inside the cursor's grain window land in the batch.
+    #[inline(never)]
     fn spill(&mut self) {
         self.small = false;
         self.cursor = self.now.nanos();
@@ -349,6 +346,7 @@ impl<E> TimingWheel<E> {
 
     /// Place an entry with `at >= cursor` into the batch, a wheel slot, or
     /// the overflow heap.
+    #[inline(never)]
     fn place(&mut self, e: Entry<E>) {
         let at = e.at.nanos();
         debug_assert!(at >= self.cursor);
@@ -376,6 +374,7 @@ impl<E> TimingWheel<E> {
     /// Advance the cursor to the earliest pending grain window and fill the
     /// batch with every entry in that window. No-op if the batch is
     /// nonempty; leaves it empty only when nothing is scheduled.
+    #[inline(never)]
     fn scan(&mut self) {
         loop {
             if !self.batch.is_empty() {
@@ -467,28 +466,40 @@ impl<E> TimingWheel<E> {
     }
 }
 
-impl<E> From<EventQueue<E>> for TimingWheel<E> {
-    /// Rebuild a wheel from a drained reference queue (same clock, same
-    /// pending events, same FIFO order).
-    fn from(mut q: EventQueue<E>) -> Self {
-        let mut w = TimingWheel::new();
-        w.now = q.now();
-        w.cursor = q.now().nanos();
-        while let Some((at, ev)) = q.pop() {
-            w.push(at, ev);
-        }
-        w
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::time::Dur;
+    use crate::EventQueue;
+
+    #[test]
+    fn kind_round_trips() {
+        assert_eq!(EngineKind.name(), "wheel");
+        let mut q = EventEngine::new(EngineKind);
+        q.push(Time(3), 'a');
+        assert_eq!((q.len(), q.pop()), (1, Some((Time(3), 'a'))));
+    }
+
+    #[test]
+    fn a_reserved_seq_pops_where_its_push_would_have() {
+        for mut q in [EventEngine::default(), EventEngine::with_spill_threshold(0)] {
+            let early = q.reserve_seq();
+            q.push(Time(10), "b");
+            let unused = q.reserve_seq();
+            q.push(Time(10), "d");
+            assert_eq!(q.pop(), Some((Time(10), "b")));
+            // Queued after a pop, still ahead of everything pushed after it
+            // at the same instant.
+            q.push_seq(Time(10), early, "a");
+            q.push_seq(Time(10), unused, "c");
+            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+            assert_eq!(order, ["a", "c", "d"]);
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = TimingWheel::new();
+        let mut q = EventEngine::default();
         q.push(Time(30), "c");
         q.push(Time(10), "a");
         q.push(Time(20), "b");
@@ -500,7 +511,7 @@ mod tests {
 
     #[test]
     fn same_time_is_fifo() {
-        let mut q = TimingWheel::new();
+        let mut q = EventEngine::default();
         for i in 0..100 {
             q.push(Time(42), i);
         }
@@ -515,7 +526,7 @@ mod tests {
         // cursor 0 in the second digit above the grain); entry 1 at the same
         // instant is pushed after the cursor has moved near it and lands in
         // level 0. Both must pop FIFO. Threshold 0 forces wheel mode.
-        let mut q = TimingWheel::with_spill_threshold(0);
+        let mut q = EventEngine::with_spill_threshold(0);
         q.push(Time(0x123400), 0u32);
         q.push(Time(0x120000), 99);
         assert_eq!(q.pop(), Some((Time(0x120000), 99)));
@@ -526,7 +537,7 @@ mod tests {
 
     #[test]
     fn clock_advances_with_pops() {
-        let mut q = TimingWheel::new();
+        let mut q = EventEngine::default();
         q.push(Time::ZERO + Dur::micros(5), ());
         assert_eq!(q.now(), Time::ZERO);
         q.pop();
@@ -536,7 +547,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "scheduled event")]
     fn scheduling_into_the_past_panics() {
-        let mut q = TimingWheel::new();
+        let mut q = EventEngine::default();
         q.push(Time(10), ());
         q.pop();
         q.push(Time(5), ());
@@ -544,7 +555,7 @@ mod tests {
 
     #[test]
     fn peek_and_len() {
-        let mut q = TimingWheel::new();
+        let mut q = EventEngine::default();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
         q.push(Time(7), 1u8);
@@ -557,7 +568,7 @@ mod tests {
 
     #[test]
     fn push_below_cursor_after_peek_still_pops_in_order() {
-        let mut q = TimingWheel::with_spill_threshold(0);
+        let mut q = EventEngine::with_spill_threshold(0);
         q.push(Time(1_000_000), "far");
         // The peek advances the cursor to 1 ms.
         assert_eq!(q.peek_time(), Some(Time(1_000_000)));
@@ -573,7 +584,7 @@ mod tests {
 
     #[test]
     fn overflow_heap_round_trips() {
-        let mut q = TimingWheel::with_spill_threshold(0);
+        let mut q = EventEngine::with_spill_threshold(0);
         let far = Time(2_000_000_000_000); // ~33 min: beyond the 2^40 ns window
         let farther = Time(4_000_000_000_000);
         q.push(far, "a");
@@ -589,7 +600,7 @@ mod tests {
 
     #[test]
     fn interleaved_push_pop_stays_stable() {
-        let mut q = TimingWheel::with_spill_threshold(0);
+        let mut q = EventEngine::with_spill_threshold(0);
         q.push(Time(1), 0);
         q.push(Time(2), 1);
         assert_eq!(q.pop().unwrap().1, 0);
@@ -599,34 +610,20 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_from_reference_queue() {
-        let mut q = EventQueue::new();
-        q.push(Time(10), 1u8);
-        q.push(Time(10), 2);
-        q.push(Time(5), 3);
-        q.pop(); // clock at 5
-        let mut w = TimingWheel::from(q);
-        assert_eq!(w.now(), Time(5));
-        assert_eq!(w.pop(), Some((Time(10), 1)));
-        assert_eq!(w.pop(), Some((Time(10), 2)));
-        assert_eq!(w.pop(), None);
-    }
-
-    #[test]
     fn differential_vs_heap_exhaustive_small() {
         // Default threshold: crosses in and out of heap mode as the
         // pending count swings.
-        run_differential(TimingWheel::new());
+        run_differential(EventEngine::default());
     }
 
     #[test]
     fn differential_vs_heap_wheel_mode_only() {
         // Threshold 0: every entry takes the slot-hierarchy paths.
-        run_differential(TimingWheel::with_spill_threshold(0));
+        run_differential(EventEngine::with_spill_threshold(0));
     }
 
     /// Deterministic mixed workload crossing every level boundary.
-    fn run_differential(mut wheel: TimingWheel<u64>) {
+    fn run_differential(mut wheel: EventEngine<u64>) {
         let mut heap = EventQueue::new();
         let mut x = 0x9e3779b97f4a7c15u64;
         let mut step = |q_at: u64| {
@@ -682,7 +679,7 @@ mod proptests {
         /// queue depths proptest generates.
         #[test]
         fn ordering_invariant(ops in proptest::collection::vec((0u64..1000, any::<bool>()), 1..200)) {
-            let mut q = TimingWheel::with_spill_threshold(0);
+            let mut q = EventEngine::with_spill_threshold(0);
             let mut last: Option<(Time, u64)> = None;
             for (seq, (dt, do_pop)) in ops.into_iter().enumerate() {
                 let at = Time(q.now().nanos() + dt);

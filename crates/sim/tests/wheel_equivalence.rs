@@ -1,4 +1,4 @@
-//! Differential property test: the timing wheel must be observationally
+//! Differential property test: the event engine must be observationally
 //! identical to the reference heap queue under arbitrary interleavings of
 //! schedules and expiries — same pop order, same timestamps, same clock,
 //! same length at every step.
@@ -10,11 +10,15 @@
 //! * scheduling while draining (pushes landing at or before the cursor
 //!   after peeks advanced it);
 //! * far-future times that overflow the wheel's 2^40 ns window;
+//! * out-of-order sequence numbers: a number reserved now and queued with
+//!   `push_seq` after later pushes and pops, as `testbed::timers` does for
+//!   every timer arm, so low-`seq` entries arrive late in the batch, in a
+//!   slot that later cascades, or in the overflow heap;
 //! * the heap-mode/wheel-mode transition (exercised both ways: the default
 //!   spill threshold crosses naturally on large pending sets, and a zero
 //!   threshold forces every entry through the slot hierarchy).
 
-use outboard_sim::{EventQueue, Time, TimingWheel};
+use outboard_sim::{EventEngine, EventQueue, Time};
 use proptest::prelude::*;
 
 /// One step of the differential workload.
@@ -29,6 +33,11 @@ enum Op {
     /// Peek (may advance the wheel cursor), then push below the peeked
     /// time, then pop — the schedule-while-draining shape.
     PeekPushPop(u64),
+    /// Take a sequence number on both sides and queue nothing yet.
+    Reserve,
+    /// Queue one of the reserved numbers (picked by index) at `now +
+    /// offset`.
+    PushReserved(u8, u64),
 }
 
 /// Map a (class, raw) pair to an offset whose class picks the wheel level
@@ -45,24 +54,28 @@ fn offset(class: u8, raw: u64) -> u64 {
     }
 }
 
-/// Generate one op from primitive draws: `kind` weights pushes and pops
-/// 3:3:1:1 so sequences both grow and drain.
+/// Generate one op from primitive draws: `kind` weights push, pop, burst,
+/// peek-push-pop, reserve and push-reserved 3:3:1:1:1:1 so sequences both
+/// grow and drain.
 fn op_strategy() -> impl Strategy<Value = Op> {
     (any::<u8>(), any::<u8>(), any::<u64>(), any::<u8>()).prop_map(|(kind, class, raw, n)| {
-        match kind % 8 {
+        match kind % 10 {
             0..=2 => Op::Push(offset(class, raw)),
             3..=5 => Op::Pop,
             6 => Op::Burst(offset(class, raw), 1 + n % 11),
-            _ => Op::PeekPushPop(offset(class, raw)),
+            7 => Op::PeekPushPop(offset(class, raw)),
+            8 => Op::Reserve,
+            _ => Op::PushReserved(n, offset(class, raw)),
         }
     })
 }
 
 /// Run the op sequence against both schedulers, asserting identical
 /// observable behavior after every operation.
-fn run_differential(ops: Vec<Op>, mut wheel: TimingWheel<u64>) {
+fn run_differential(ops: Vec<Op>, mut wheel: EventEngine<u64>) {
     let mut heap = EventQueue::new();
     let mut id = 0u64;
+    let mut reserved = Vec::new();
     for op in ops {
         match op {
             Op::Push(off) => {
@@ -92,6 +105,20 @@ fn run_differential(ops: Vec<Op>, mut wheel: TimingWheel<u64>) {
                 id += 1;
                 assert_eq!(heap.pop(), wheel.pop());
             }
+            Op::Reserve => {
+                let seq = heap.reserve_seq();
+                assert_eq!(seq, wheel.reserve_seq());
+                reserved.push(seq);
+            }
+            Op::PushReserved(i, off) => {
+                if !reserved.is_empty() {
+                    let seq = reserved.swap_remove(usize::from(i) % reserved.len());
+                    let at = Time(heap.now().nanos() + off);
+                    heap.push_seq(at, seq, id);
+                    wheel.push_seq(at, seq, id);
+                    id += 1;
+                }
+            }
         }
         assert_eq!(heap.len(), wheel.len());
         assert_eq!(heap.now(), wheel.now());
@@ -112,12 +139,12 @@ proptest! {
 
     #[test]
     fn wheel_matches_heap_default_threshold(ops in proptest::collection::vec(op_strategy(), 1..400)) {
-        run_differential(ops, TimingWheel::new());
+        run_differential(ops, EventEngine::default());
     }
 
     #[test]
     fn wheel_matches_heap_forced_wheel_mode(ops in proptest::collection::vec(op_strategy(), 1..400)) {
-        run_differential(ops, TimingWheel::with_spill_threshold(0));
+        run_differential(ops, EventEngine::with_spill_threshold(0));
     }
 }
 
@@ -127,7 +154,7 @@ proptest! {
 #[test]
 fn same_instant_burst_across_spill_transition() {
     let mut heap = EventQueue::new();
-    let mut wheel = TimingWheel::new();
+    let mut wheel = EventEngine::default();
     let at = Time(1_000_000);
     for id in 0..2000u64 {
         heap.push(at, id);
@@ -144,7 +171,7 @@ fn same_instant_burst_across_spill_transition() {
 #[test]
 fn overflow_migration_preserves_order() {
     let mut heap = EventQueue::new();
-    let mut wheel = TimingWheel::with_spill_threshold(0);
+    let mut wheel = EventEngine::with_spill_threshold(0);
     let far = 0x200_0000_0000u64; // > 2^40: overflow heap territory
     for id in 0..8u64 {
         let at = Time(far + (id % 2) * 0x100_0000_0000);

@@ -62,8 +62,8 @@ pub struct ExperimentConfig {
     /// this off measures the pure recording cost of enabled-but-unused
     /// tracing (the benchmark's `sim.obs.record_overhead_pct`).
     pub trace_export: bool,
-    /// Event-scheduler engine (wheel by default; tests re-run on the
-    /// reference heap for byte-identity checks).
+    /// Has no effect: there is one scheduler. Kept because the `benchmark/`
+    /// crate sets it.
     pub engine: EngineKind,
     /// Enable windowed time-series telemetry (off by default; sampled runs
     /// additionally publish `world.timeline.*` and can export timelines).
@@ -102,7 +102,7 @@ impl ExperimentConfig {
             trace_capacity: 1 << 16,
             trace_flows: Some(64),
             trace_export: true,
-            engine: EngineKind::default(),
+            engine: EngineKind,
             timeline_enabled: false,
             timeline_window: Dur::millis(1),
             timeline_capacity: 1 << 16,
@@ -207,7 +207,7 @@ pub fn build_ttcp_world(cfg: &ExperimentConfig) -> World {
     if let Err(e) = cfg.validate() {
         panic!("invalid ExperimentConfig: {e}");
     }
-    let mut w = World::new_with_engine(cfg.engine);
+    let mut w = World::new();
     let a = w.add_host("sender", cfg.machine.clone(), cfg.stack.clone());
     let b = w.add_host("receiver", cfg.machine.clone(), cfg.stack.clone());
     let (if_a, if_b) = w.connect_cab(a, SENDER_IP, b, RECEIVER_IP, Dur::micros(5), cfg.seed);

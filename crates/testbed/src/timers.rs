@@ -146,7 +146,6 @@ impl TimerTable {
 mod tests {
     use super::*;
     use outboard_host::TaskId;
-    use outboard_sim::{EventQueue, TimingWheel};
     use outboard_stack::{IfaceId, SockId};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
@@ -342,21 +341,19 @@ mod tests {
         }
     }
 
-    /// The engines the differential runs on: the reference heap, the wheel
-    /// as worlds build it, and the wheel in slot mode from the first push.
+    /// The engine setups the differential runs on: as worlds build it
+    /// (heap mode at these depths), and in slot mode from the first push.
     #[derive(Clone, Copy, Debug)]
     enum Engine {
-        Heap,
-        Wheel,
-        WheelSlots,
+        Default,
+        Slots,
     }
 
     impl Engine {
         fn build(self) -> EventEngine<Event> {
             match self {
-                Engine::Heap => EventEngine::Heap(EventQueue::new()),
-                Engine::Wheel => EventEngine::Wheel(TimingWheel::new()),
-                Engine::WheelSlots => EventEngine::Wheel(TimingWheel::with_spill_threshold(0)),
+                Engine::Default => EventEngine::default(),
+                Engine::Slots => EventEngine::with_spill_threshold(0),
             }
         }
     }
@@ -395,13 +392,13 @@ mod tests {
 
         /// Timers whose generation is current are delivered at the same
         /// times and in the same order, interleaved identically with other
-        /// events and host pauses, on both engines; and the table never
+        /// events and host pauses, in both engine setups; and the table never
         /// delivers an arm that a later one superseded.
         #[test]
         fn table_delivers_what_pushing_every_arm_does(
             ops in proptest::collection::vec(op(), 1..120)
         ) {
-            for engine in [Engine::Heap, Engine::Wheel, Engine::WheelSlots] {
+            for engine in [Engine::Default, Engine::Slots] {
                 let (want, got, _) = run(engine, &ops);
                 prop_assert_eq!(&got, &want, "{:?}", engine);
             }
@@ -424,7 +421,7 @@ mod tests {
                 delay: 10,
             }])
             .collect();
-        let (want, got, max_pending) = run(Engine::Wheel, &ops);
+        let (want, got, max_pending) = run(Engine::Default, &ops);
         assert_eq!(got, want);
         assert_eq!(max_pending, 2);
         assert_eq!(got.len(), 1);

@@ -284,19 +284,11 @@ pub struct World {
 }
 
 impl World {
-    /// An empty world (add hosts, wire links, add apps, run) on the default
-    /// (timing-wheel) event engine.
+    /// An empty world (add hosts, wire links, add apps, run).
     pub fn new() -> World {
-        World::new_with_engine(EngineKind::default())
-    }
-
-    /// An empty world scheduling through the given event engine. The heap
-    /// engine is kept as a reference for differential testing; both produce
-    /// byte-identical runs.
-    pub fn new_with_engine(kind: EngineKind) -> World {
         World {
             hosts: Vec::new(),
-            queue: EventEngine::new(kind),
+            queue: EventEngine::default(),
             timers: TimerTable::default(),
             pool: Arc::new(BufPool::new()),
             links: BTreeMap::new(),
@@ -312,6 +304,12 @@ impl World {
             chaos: None,
             timeline: None,
         }
+    }
+
+    /// The same as [`World::new`]; the argument selects nothing (see
+    /// [`EngineKind`]) and is kept for the `benchmark/` crate.
+    pub fn new_with_engine(_: EngineKind) -> World {
+        World::new()
     }
 
     /// Install a chaos schedule: every event (and, for durable actions, its
@@ -863,11 +861,6 @@ impl World {
             }
         }
         reg
-    }
-
-    /// The event engine this world schedules through.
-    pub fn engine_kind(&self) -> EngineKind {
-        self.queue.kind()
     }
 
     /// Add a host with the given machine and stack configuration.
