@@ -14,6 +14,7 @@
 //!
 //! Criterion micro-benches live in `benches/`.
 
+#![deny(unreachable_pub)]
 use outboard_host::MachineConfig;
 use outboard_sim::Dur;
 use outboard_stack::StackConfig;
@@ -150,7 +151,7 @@ pub fn stats_requested() -> bool {
 /// figure can be re-run under loss, corruption, or adaptor faults to watch
 /// the recovery machinery's cost.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct FaultArgs {
+pub(crate) struct FaultArgs {
     /// `--fault-drop`: forward-link drop probability.
     pub drop_p: f64,
     /// `--fault-corrupt`: forward-link bit-flip probability.
@@ -173,7 +174,7 @@ pub struct FaultArgs {
 
 impl FaultArgs {
     /// Copy the knobs into an experiment configuration.
-    pub fn apply(&self, cfg: &mut ExperimentConfig) {
+    pub(crate) fn apply(&self, cfg: &mut ExperimentConfig) {
         cfg.drop_p = self.drop_p;
         cfg.corrupt_p = self.corrupt_p;
         cfg.reorder_p = self.reorder_p;
@@ -186,7 +187,7 @@ impl FaultArgs {
     }
 
     /// True when any knob is non-zero (used to annotate figure headers).
-    pub fn any(&self) -> bool {
+    pub(crate) fn any(&self) -> bool {
         *self != FaultArgs::default()
     }
 }
@@ -195,7 +196,7 @@ impl FaultArgs {
 /// value may itself contain `=`); the first occurrence wins. A flag that
 /// ends `argv` yields `Some("")`, which no caller accepts as a value, so a
 /// forgotten value aborts instead of reading as "flag absent".
-pub fn arg_value_in(argv: &[String], name: &str) -> Option<String> {
+pub(crate) fn arg_value_in(argv: &[String], name: &str) -> Option<String> {
     argv.iter()
         .enumerate()
         .find_map(|(i, arg)| match arg.split_once('=') {
@@ -204,7 +205,7 @@ pub fn arg_value_in(argv: &[String], name: &str) -> Option<String> {
         })
 }
 
-/// [`arg_value_in`] over this process's arguments.
+/// `arg_value_in` over this process's arguments.
 pub fn arg_value(name: &str) -> Option<String> {
     let argv: Vec<String> = std::env::args().collect();
     arg_value_in(&argv, name)
@@ -213,7 +214,7 @@ pub fn arg_value(name: &str) -> Option<String> {
 /// Parse the shared `--fault-*` flags (`--fault-drop 0.05` or
 /// `--fault-drop=0.05`). Unknown flags are left for the binary; a malformed
 /// probability aborts with a message rather than silently running fault-free.
-pub fn fault_args() -> FaultArgs {
+pub(crate) fn fault_args() -> FaultArgs {
     let argv: Vec<String> = std::env::args().collect();
     let prob = |flag: &str| {
         let Some(val) = arg_value_in(&argv, flag) else {
@@ -246,7 +247,7 @@ pub fn fault_args() -> FaultArgs {
 /// experiment and write a Chrome trace-event / Perfetto JSON timeline to
 /// `FILE`; `--trace-flows N` caps how many flows get flow arrows (0 = all).
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct TraceArgs {
+pub(crate) struct TraceArgs {
     /// `--trace-out`: destination file for the Perfetto JSON trace.
     pub out: Option<String>,
     /// `--trace-flows`: flow-arrow cap (`None` = the experiment default).
@@ -256,7 +257,7 @@ pub struct TraceArgs {
 /// Parse the shared `--trace-*` flags (`--trace-out trace.json` or
 /// `--trace-out=trace.json`). A missing filename or malformed flow count
 /// aborts rather than silently running untraced.
-pub fn trace_args() -> TraceArgs {
+pub(crate) fn trace_args() -> TraceArgs {
     let mut t = TraceArgs::default();
     if let Some(val) = arg_value("--trace-out") {
         if val.is_empty() || val.starts_with("--") {

@@ -218,9 +218,10 @@ pub enum CabError {
     /// driver resets the board.
     EngineWedged(&'static str),
     /// A DMA ownership invariant was violated (overlapping engines,
-    /// use-after-free, free-while-DMA). Only constructed when the
-    /// `dma-check` feature is on; without it the same access proceeds
-    /// silently, exactly as the real hardware would corrupt silently.
+    /// use-after-free, free-while-DMA). Only constructed in debug builds,
+    /// where the ownership journal is armed; a release build lets the same
+    /// access proceed silently, exactly as the real hardware would corrupt
+    /// silently.
     Ownership(DmaOwnershipViolation),
 }
 
@@ -363,38 +364,32 @@ impl Cab {
 
     /// Host command: free a packet buffer (on TCP acknowledgement or after
     /// the last receive copy-out). `now` is when the host issues the
-    /// command; with `dma-check` on, a free inside an engine's open
+    /// command; in a debug build a free inside an engine's open
     /// transfer window is refused and recorded — the hazard the paper's
     /// DMA-counter handshake (§4.4.2) exists to prevent.
     pub fn free_packet(&mut self, id: PacketId, now: Time) -> bool {
-        #[cfg(not(feature = "dma-check"))]
-        let _ = now;
-        #[cfg(feature = "dma-check")]
         if self.netmem.journal_check_host_free(id, now).is_err() {
             return false;
         }
         self.netmem.free(id)
     }
 
-    /// Ownership violations recorded by the `dma-check` journal.
-    #[cfg(feature = "dma-check")]
+    /// Ownership violations recorded by the journal (debug builds).
     pub fn ownership_violations(&self) -> &[DmaOwnershipViolation] {
         self.netmem.journal_violations()
     }
 
-    /// Transfer windows the `dma-check` journal has recorded (lets tests
-    /// assert the checker actually observed traffic).
-    #[cfg(feature = "dma-check")]
+    /// Transfer windows the journal has recorded (lets tests assert the
+    /// checker actually observed traffic).
     pub fn ownership_transitions(&self) -> u64 {
         self.netmem.journal_transitions()
     }
 
     /// `UnknownPacket`, upgraded to a use-after-free ownership violation
-    /// when the id was live once and `dma-check` is on (ids are never
+    /// when the id was live once and the journal is armed (ids are never
     /// reused, so a dangling DMA is distinguishable from a typo).
-    fn missing_packet(&mut self, id: PacketId, _engine: DmaEngine, _now: Time) -> CabError {
-        #[cfg(feature = "dma-check")]
-        if let Err(v) = self.netmem.journal_check_transfer(id, _engine, _now) {
+    fn missing_packet(&mut self, id: PacketId, engine: DmaEngine, now: Time) -> CabError {
+        if let Err(v) = self.netmem.journal_check_transfer(id, engine, now) {
             return CabError::Ownership(v);
         }
         CabError::UnknownPacket(id)
@@ -482,7 +477,6 @@ impl Cab {
         }
 
         // Would this transfer overlap another engine's claim on the buffer?
-        #[cfg(feature = "dma-check")]
         self.netmem
             .journal_check_transfer(req.packet, DmaEngine::Sdma, now)
             .map_err(CabError::Ownership)?;
@@ -494,7 +488,6 @@ impl Cab {
                 self.sdma.wedge();
                 // The engine stalled mid-gather: it holds the buffer until
                 // board reset (open-ended window).
-                #[cfg(feature = "dma-check")]
                 self.netmem
                     .journal_record(req.packet, DmaEngine::Sdma, None);
                 return Err(CabError::EngineWedged("sdma"));
@@ -527,14 +520,11 @@ impl Cab {
         // The gather occupies the buffer for [now, done); the checksum
         // engine computes during the same window (§4.3's sanctioned
         // concurrency).
-        #[cfg(feature = "dma-check")]
-        {
+        self.netmem
+            .journal_record(req.packet, DmaEngine::Sdma, Some(done));
+        if req.csum.is_some() {
             self.netmem
-                .journal_record(req.packet, DmaEngine::Sdma, Some(done));
-            if req.csum.is_some() {
-                self.netmem
-                    .journal_record(req.packet, DmaEngine::ChecksumEngine, Some(done));
-            }
+                .journal_record(req.packet, DmaEngine::ChecksumEngine, Some(done));
         }
 
         // Run the checksum engine, then the finished packet becomes the
@@ -601,7 +591,6 @@ impl Cab {
         if req.src_off + req.len > pkt_valid {
             return Err(CabError::BadRequest("copy-out beyond valid packet data"));
         }
-        #[cfg(feature = "dma-check")]
         self.netmem
             .journal_check_transfer(req.packet, DmaEngine::Sdma, now)
             .map_err(CabError::Ownership)?;
@@ -612,7 +601,6 @@ impl Cab {
                 // reset. The driver's PIO fallback may still *read* it
                 // (network memory is host-addressable) but must not free
                 // it out from under the engine.
-                #[cfg(feature = "dma-check")]
                 self.netmem
                     .journal_record(req.packet, DmaEngine::Sdma, None);
                 return Err(CabError::EngineWedged("sdma"));
@@ -633,7 +621,6 @@ impl Cab {
         let extra = self.sdma_cost_extra(1, misaligned);
         let done = self.sdma.run(now, extra, req.len, self.cfg.sdma_bps());
 
-        #[cfg(feature = "dma-check")]
         self.netmem
             .journal_record(req.packet, DmaEngine::Sdma, Some(done));
 
@@ -689,7 +676,6 @@ impl Cab {
         };
         // The three-concurrent-engine hazard (§3): outflow must not start
         // while another engine still claims the buffer.
-        #[cfg(feature = "dma-check")]
         self.netmem
             .journal_check_transfer(packet, DmaEngine::MdmaTx, now)
             .map_err(CabError::Ownership)?;
@@ -697,7 +683,6 @@ impl Cab {
             Some(TransferFault::Wedge) => {
                 self.mdma_tx.wedge();
                 // Stalled mid-outflow: the buffer is seized until reset.
-                #[cfg(feature = "dma-check")]
                 self.netmem.journal_record(packet, DmaEngine::MdmaTx, None);
                 return Err(CabError::EngineWedged("mdma_tx"));
             }
@@ -712,7 +697,6 @@ impl Cab {
             frame.len(),
             self.cfg.media_bps(),
         );
-        #[cfg(feature = "dma-check")]
         self.netmem
             .journal_record(packet, DmaEngine::MdmaTx, Some(done));
         if free_after {
@@ -796,14 +780,11 @@ impl Cab {
         // Inflow claims the fresh buffer for [now, mdma_done) with the
         // checksum engine computing alongside (§4.3); the auto-DMA to the
         // host takes [mdma_done, done) — strictly sequential windows.
-        #[cfg(feature = "dma-check")]
-        {
-            self.netmem
-                .journal_record(id, DmaEngine::MdmaRx, Some(mdma_done));
-            self.netmem
-                .journal_record(id, DmaEngine::ChecksumEngine, Some(mdma_done));
-            self.netmem.journal_record(id, DmaEngine::Sdma, Some(done));
-        }
+        self.netmem
+            .journal_record(id, DmaEngine::MdmaRx, Some(mdma_done));
+        self.netmem
+            .journal_record(id, DmaEngine::ChecksumEngine, Some(mdma_done));
+        self.netmem.journal_record(id, DmaEngine::Sdma, Some(done));
 
         self.stats.frames_rx += 1;
         self.stats.bytes_rx += len as u64;
@@ -837,16 +818,6 @@ impl Cab {
     /// receive interrupts that crossed a reset in flight.
     pub fn packet_exists(&self, id: PacketId) -> bool {
         self.netmem.get(id).is_some()
-    }
-
-    /// SDMA engine busy time so far (for adaptor-utilization reporting).
-    pub fn sdma_busy(&self) -> Dur {
-        self.sdma.total_busy()
-    }
-
-    /// When the SDMA engine's current backlog drains.
-    pub fn sdma_busy_until(&self) -> Time {
-        self.sdma.busy_until()
     }
 
     /// Total busy time across all three DMA engines (SDMA + both MDMA
@@ -1201,7 +1172,7 @@ mod tests {
         let (id, sdma) = tx_packet(&mut cab_a, &hm, task, 0x4242, 0x10000, 8192);
         // MDMA starts when the SDMA gather completes (the driver's
         // sdma_done -> mdma convention; overlapping the two is the
-        // ownership hazard dma-check exists to catch).
+        // ownership hazard the ownership journal exists to catch).
         let ev = cab_a.mdma_tx(id, 2, 0, sdma.at(), false).unwrap();
         let CabEvent::FrameOut { frame, dst, .. } = ev else {
             panic!()

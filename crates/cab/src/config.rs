@@ -71,28 +71,31 @@ impl Default for CabConfig {
 
 impl CabConfig {
     /// Effective SDMA bandwidth in bit/s after the Turbochannel scale.
-    pub fn sdma_bps(&self) -> f64 {
+    pub(crate) fn sdma_bps(&self) -> f64 {
         self.sdma_bw_mbps * 1e6 * self.tc_speed_scale
     }
 
     /// Media bandwidth in bit/s.
-    pub fn media_bps(&self) -> f64 {
+    pub(crate) fn media_bps(&self) -> f64 {
         self.media_bw_mbps * 1e6
     }
 
     /// Auto-DMA buffer size in bytes.
-    pub fn autodma_bytes(&self) -> usize {
+    pub(crate) fn autodma_bytes(&self) -> usize {
         self.autodma_words * 4
+    }
+}
+
+#[cfg(test)]
+impl CabConfig {
+    /// Total page count in network memory.
+    pub(crate) fn total_pages(&self) -> usize {
+        self.net_mem_bytes / self.page_size
     }
 
     /// Pages needed for a packet of `len` bytes.
-    pub fn pages_for(&self, len: usize) -> usize {
+    pub(crate) fn pages_for(&self, len: usize) -> usize {
         len.div_ceil(self.page_size).max(1)
-    }
-
-    /// Total page count in network memory.
-    pub fn total_pages(&self) -> usize {
-        self.net_mem_bytes / self.page_size
     }
 }
 

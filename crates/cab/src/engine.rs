@@ -16,7 +16,7 @@ use outboard_sim::{Dur, Time};
 
 /// One DMA engine's occupancy timeline.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct EngineTimeline {
+pub(crate) struct EngineTimeline {
     timeline: BusyTracker,
     /// Requests processed.
     pub requests: u64,
@@ -27,18 +27,13 @@ pub struct EngineTimeline {
 
 impl EngineTimeline {
     /// An idle engine at time zero.
-    pub fn new() -> EngineTimeline {
+    pub(crate) fn new() -> EngineTimeline {
         EngineTimeline::default()
-    }
-
-    /// When the current backlog drains.
-    pub fn busy_until(&self) -> Time {
-        self.timeline.busy_until()
     }
 
     /// Occupy the engine for a transfer of `bytes` at `bps` with `setup`
     /// fixed overhead, starting no earlier than `now`. Returns completion.
-    pub fn run(&mut self, now: Time, setup: Dur, bytes: usize, bps: f64) -> Time {
+    pub(crate) fn run(&mut self, now: Time, setup: Dur, bytes: usize, bps: f64) -> Time {
         let xfer = if bytes == 0 {
             Dur::ZERO
         } else {
@@ -50,32 +45,27 @@ impl EngineTimeline {
     }
 
     /// Wedge the engine: it accepts no further requests until reset.
-    pub fn wedge(&mut self) {
+    pub(crate) fn wedge(&mut self) {
         self.wedged = true;
     }
 
     /// Clear a wedge (board reset).
-    pub fn clear_wedge(&mut self) {
+    pub(crate) fn clear_wedge(&mut self) {
         self.wedged = false;
     }
 
     /// Is the engine wedged?
-    pub fn is_wedged(&self) -> bool {
+    pub(crate) fn is_wedged(&self) -> bool {
         self.wedged
     }
 
     /// Cumulative busy time.
-    pub fn total_busy(&self) -> Dur {
+    pub(crate) fn total_busy(&self) -> Dur {
         self.timeline.total_busy()
     }
 
-    /// Engine utilization over an elapsed interval.
-    pub fn utilization(&self, elapsed: Dur) -> f64 {
-        self.timeline.busy_fraction(elapsed)
-    }
-
     /// The underlying occupancy tracker (for metrics publication).
-    pub fn tracker(&self) -> &BusyTracker {
+    pub(crate) fn tracker(&self) -> &BusyTracker {
         &self.timeline
     }
 }
@@ -102,6 +92,6 @@ mod tests {
         e.run(Time::ZERO, Dur::micros(10), 0, 1e6);
         e.run(Time(1_000_000), Dur::micros(10), 0, 1e6);
         assert_eq!(e.total_busy(), Dur::micros(20));
-        assert!((e.utilization(Dur::millis(2)) - 0.01).abs() < 1e-9);
+        assert!((e.tracker().busy_fraction(Dur::millis(2)) - 0.01).abs() < 1e-9);
     }
 }

@@ -5,20 +5,21 @@
 //! transfers, wedge an engine (stuck until the driver resets the board),
 //! miscompute the outboard checksum, and force network-memory allocation
 //! failures. It mirrors the netsim injector's shape: probabilistic knobs
-//! plus `force_*_next` queues for hitting exact protocol states in tests.
+//! (a probability of 1 makes a fault certain) plus `force_*_wedge_next`
+//! queues that wedge an engine on its next transfer (chaos schedules and
+//! tests).
 //!
 //! Like the link injector, every draw comes from a private seeded
 //! [`Pcg32`], and the RNG is only consulted when a probability is nonzero,
 //! so a transparent injector perturbs nothing.
 
 use outboard_sim::obs::Scope;
-use outboard_sim::rng::{check_probability, FaultConfigError};
-use outboard_sim::Pcg32;
+use outboard_sim::{check_probability, FaultConfigError, Pcg32};
 use std::collections::VecDeque;
 
 /// How an injected transfer fault manifests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TransferFault {
+pub(crate) enum TransferFault {
     /// The transfer fails with a transient, retryable error.
     Error,
     /// The engine wedges: this request and all later ones are stuck until
@@ -63,8 +64,6 @@ pub struct FaultInjector {
     rng: Pcg32,
     forced_sdma: VecDeque<TransferFault>,
     forced_mdma: VecDeque<TransferFault>,
-    forced_csum: u32,
-    forced_alloc: u32,
     /// Cumulative injection counts.
     pub stats: FaultStats,
 }
@@ -81,8 +80,6 @@ impl FaultInjector {
             rng: Pcg32::new(seed),
             forced_sdma: VecDeque::new(),
             forced_mdma: VecDeque::new(),
-            forced_csum: 0,
-            forced_alloc: 0,
             stats: FaultStats::default(),
         }
     }
@@ -119,23 +116,9 @@ impl FaultInjector {
         Ok(())
     }
 
-    /// Force the next `count` SDMA transfers to fail transiently.
-    pub fn force_sdma_fail_next(&mut self, count: usize) {
-        for _ in 0..count {
-            self.forced_sdma.push_back(TransferFault::Error);
-        }
-    }
-
     /// Force the next SDMA transfer to wedge the engine.
     pub fn force_sdma_wedge_next(&mut self) {
         self.forced_sdma.push_back(TransferFault::Wedge);
-    }
-
-    /// Force the next `count` MDMA transfers to fail transiently.
-    pub fn force_mdma_fail_next(&mut self, count: usize) {
-        for _ in 0..count {
-            self.forced_mdma.push_back(TransferFault::Error);
-        }
     }
 
     /// Force the next MDMA transfer to wedge the engine.
@@ -143,18 +126,8 @@ impl FaultInjector {
         self.forced_mdma.push_back(TransferFault::Wedge);
     }
 
-    /// Force the next outboard checksum to be miscomputed.
-    pub fn force_csum_error_next(&mut self) {
-        self.forced_csum += 1;
-    }
-
-    /// Force the next `count` network-memory allocations to fail.
-    pub fn force_alloc_fail_next(&mut self, count: usize) {
-        self.forced_alloc += count as u32;
-    }
-
     /// Draw the fate of one SDMA transfer.
-    pub fn sdma_fate(&mut self) -> Option<TransferFault> {
+    pub(crate) fn sdma_fate(&mut self) -> Option<TransferFault> {
         self.stats.sdma_offered += 1;
         if let Some(forced) = self.forced_sdma.pop_front() {
             return Some(self.count_transfer(forced, true));
@@ -169,7 +142,7 @@ impl FaultInjector {
     }
 
     /// Draw the fate of one MDMA transfer.
-    pub fn mdma_fate(&mut self) -> Option<TransferFault> {
+    pub(crate) fn mdma_fate(&mut self) -> Option<TransferFault> {
         self.stats.mdma_offered += 1;
         if let Some(forced) = self.forced_mdma.pop_front() {
             return Some(self.count_transfer(forced, false));
@@ -193,12 +166,7 @@ impl FaultInjector {
     }
 
     /// Should this checksum insertion be miscomputed?
-    pub fn csum_miscomputes(&mut self) -> bool {
-        if self.forced_csum > 0 {
-            self.forced_csum -= 1;
-            self.stats.csum_miscomputed += 1;
-            return true;
-        }
+    pub(crate) fn csum_miscomputes(&mut self) -> bool {
         if self.csum_error_p > 0.0 && self.rng.chance(self.csum_error_p) {
             self.stats.csum_miscomputed += 1;
             return true;
@@ -207,12 +175,7 @@ impl FaultInjector {
     }
 
     /// Should this network-memory allocation fail?
-    pub fn alloc_fails(&mut self) -> bool {
-        if self.forced_alloc > 0 {
-            self.forced_alloc -= 1;
-            self.stats.alloc_failed += 1;
-            return true;
-        }
+    pub(crate) fn alloc_fails(&mut self) -> bool {
         if self.alloc_fail_p > 0.0 && self.rng.chance(self.alloc_fail_p) {
             self.stats.alloc_failed += 1;
             return true;
@@ -258,24 +221,20 @@ mod tests {
 
     #[test]
     fn forced_faults_win_then_clear() {
+        // A forced wedge wins over a certain transient error, once.
         let mut f = FaultInjector::none(2);
-        f.force_sdma_fail_next(2);
+        (f.sdma_fail_p, f.mdma_fail_p) = (1.0, 1.0);
         f.force_sdma_wedge_next();
-        assert_eq!(f.sdma_fate(), Some(TransferFault::Error));
-        assert_eq!(f.sdma_fate(), Some(TransferFault::Error));
+        f.force_mdma_wedge_next();
         assert_eq!(f.sdma_fate(), Some(TransferFault::Wedge));
-        assert_eq!(f.sdma_fate(), None);
-        f.force_mdma_fail_next(1);
+        assert_eq!(f.sdma_fate(), Some(TransferFault::Error));
+        assert_eq!(f.mdma_fate(), Some(TransferFault::Wedge));
         assert_eq!(f.mdma_fate(), Some(TransferFault::Error));
-        assert_eq!(f.mdma_fate(), None);
-        f.force_csum_error_next();
+        (f.csum_error_p, f.alloc_fail_p) = (1.0, 1.0);
         assert!(f.csum_miscomputes());
-        assert!(!f.csum_miscomputes());
-        f.force_alloc_fail_next(1);
         assert!(f.alloc_fails());
-        assert!(!f.alloc_fails());
-        assert_eq!(f.stats.sdma_failed, 2);
-        assert_eq!(f.stats.wedges, 1);
+        assert_eq!(f.stats.wedges, 2);
+        assert_eq!(f.stats.sdma_failed, 1);
         assert_eq!(f.stats.mdma_failed, 1);
         assert_eq!(f.stats.csum_miscomputed, 1);
         assert_eq!(f.stats.alloc_failed, 1);

@@ -2,21 +2,21 @@
 //!
 //! §2 of the paper, reproduced as a deterministic device model:
 //!
-//! * [`netmem`] — the outboard **network memory**: a page-granular pool in
+//! * `netmem` — the outboard **network memory**: a page-granular pool in
 //!   which every packet starts on a page boundary and all but the last page
 //!   are full (the rule that forces fully-formed packets and symbolic
 //!   packetization in the host stack),
-//! * [`engine`] — the three concurrent DMA timelines: one **SDMA** engine
+//! * `engine` — the three concurrent DMA timelines: one **SDMA** engine
 //!   (host ↔ network memory, scatter/gather) and two **MDMA** engines
 //!   (network memory ↔ media),
-//! * [`cab`] — the register-file-level interface the driver programs:
+//! * `cab` — the register-file-level interface the driver programs:
 //!   transmit SDMA with **outboard checksum insertion** (seed + skip-words +
 //!   saved body checksum for retransmission), receive processing with
 //!   **auto-DMA buffers** and hardware receive checksums, packet
 //!   alloc/free commands, and interrupt raising,
-//! * [`mac`] — media access control: FIFO versus **logical channels**
+//! * `mac` — media access control: FIFO versus **logical channels**
 //!   (§2.1), used by the head-of-line-blocking experiment,
-//! * [`fault`] — seeded adaptor-side **fault injection**: transient
+//! * `fault` — seeded adaptor-side **fault injection**: transient
 //!   SDMA/MDMA failures, engine wedges, checksum miscomputations, and
 //!   allocation failures, exercising the driver's "transient
 //!   out-of-resources" recovery paths.
@@ -30,18 +30,19 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+#![deny(unreachable_pub)]
 
-pub mod cab;
-pub mod config;
-pub mod engine;
-pub mod fault;
-pub mod mac;
-pub mod netmem;
-pub mod ownership;
+mod cab;
+mod config;
+mod engine;
+mod fault;
+mod mac;
+mod netmem;
+mod ownership;
 
-pub use cab::{Cab, CabError, CabEvent, CabStats, ChecksumSpec, SdmaDst, SdmaRx, SdmaTx, SgEntry};
+pub use cab::{Cab, CabError, CabEvent, ChecksumSpec, SdmaDst, SdmaRx, SdmaTx, SgEntry};
 pub use config::CabConfig;
-pub use fault::{FaultInjector as CabFaultInjector, TransferFault};
-pub use mac::{HolResult, HolSim, MacMode, MacModel};
+pub use fault::FaultInjector as CabFaultInjector;
+pub use mac::{HolSim, MacMode};
 pub use netmem::{NetworkMemory, PacketId};
-pub use ownership::{DmaEngine, DmaOwnershipViolation, ViolationKind};
+pub use ownership::{DmaEngine, ViolationKind};

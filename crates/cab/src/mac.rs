@@ -33,19 +33,19 @@ pub enum MacMode {
 /// The MAC abstraction the CAB exposes: pick which queued packet may be
 /// offered to the switch this slot.
 #[derive(Clone, Debug)]
-pub struct MacModel {
+pub(crate) struct MacModel {
     /// The configured discipline.
     pub mode: MacMode,
 }
 
 impl MacModel {
     /// A MAC with the given discipline.
-    pub fn new(mode: MacMode) -> MacModel {
+    pub(crate) fn new(mode: MacMode) -> MacModel {
         MacModel { mode }
     }
 
     /// Channel a packet for `dst` is queued on.
-    pub fn channel_for(&self, dst: usize) -> usize {
+    pub(crate) fn channel_for(&self, dst: usize) -> usize {
         match self.mode {
             MacMode::Fifo => 0,
             MacMode::LogicalChannels { channels } => dst % channels.max(1),
@@ -53,7 +53,7 @@ impl MacModel {
     }
 
     /// Number of queues this MAC maintains.
-    pub fn queue_count(&self) -> usize {
+    pub(crate) fn queue_count(&self) -> usize {
         match self.mode {
             MacMode::Fifo => 1,
             MacMode::LogicalChannels { channels } => channels.max(1),
@@ -141,11 +141,6 @@ impl HolSim {
             stalls: self.stalls - stalls_before,
             utilization: delivered as f64 / (slots as f64 * self.n as f64),
         }
-    }
-
-    /// Cumulative stalled input-slots across every slot simulated so far.
-    pub fn total_stalls(&self) -> u64 {
-        self.stalls
     }
 
     /// One crossbar slot: collect offers (one per channel head), grant one

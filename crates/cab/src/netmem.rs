@@ -7,12 +7,9 @@
 //! is exhausted (the driver sees that as a transient out-of-resources
 //! condition, the network sees a dropped packet).
 
-#[cfg(feature = "dma-check")]
 use crate::ownership::{DmaEngine, DmaOwnershipViolation, OwnershipJournal};
 use bytes::Bytes;
-use outboard_sim::IdTable;
-#[cfg(feature = "dma-check")]
-use outboard_sim::Time;
+use outboard_sim::{IdTable, Time};
 
 /// Identifies a packet buffer in one CAB's network memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -61,8 +58,7 @@ pub struct NetworkMemory {
     packets: IdTable<PacketBuf>,
     next_id: u64,
     /// DMA ownership journal (§4.4.2's counter handshake as a checked
-    /// invariant). Only consulted when the `dma-check` feature is on.
-    #[cfg(feature = "dma-check")]
+    /// invariant), armed in debug builds.
     journal: OwnershipJournal,
 }
 
@@ -81,7 +77,6 @@ impl NetworkMemory {
             reserved_pages: 0,
             packets: IdTable::new(),
             next_id: 1,
-            #[cfg(feature = "dma-check")]
             journal: OwnershipJournal::default(),
         }
     }
@@ -122,14 +117,14 @@ impl NetworkMemory {
     }
 
     /// Pages withheld from the allocator (capacity squeeze).
-    pub fn reserved_pages(&self) -> usize {
+    pub(crate) fn reserved_pages(&self) -> usize {
         self.reserved_pages
     }
 
     /// Withhold `pages` from the allocator, temporarily shrinking the pool.
     /// Already-allocated buffers are untouched; new allocations only see
     /// `pages_free - reserved` pages. Pass 0 to restore full capacity.
-    pub fn set_reserved_pages(&mut self, pages: usize) {
+    pub(crate) fn set_reserved_pages(&mut self, pages: usize) {
         self.reserved_pages = pages.min(self.pages_total);
     }
 
@@ -141,7 +136,6 @@ impl NetworkMemory {
             self.pages_free += p.pages;
             self.frees += 1;
         }
-        #[cfg(feature = "dma-check")]
         self.journal.release_all();
         n
     }
@@ -181,8 +175,6 @@ impl NetworkMemory {
         if let Some(p) = self.packets.remove(id) {
             self.pages_free += p.pages;
             self.frees += 1;
-            #[cfg(feature = "dma-check")]
-            self.journal.release(id);
             true
         } else {
             false
@@ -203,8 +195,7 @@ impl NetworkMemory {
     /// ownership invariant? Distinguishes dangling DMA (the id was live
     /// once) from a plain unknown id, which the caller reports as
     /// `UnknownPacket`.
-    #[cfg(feature = "dma-check")]
-    pub fn journal_check_transfer(
+    pub(crate) fn journal_check_transfer(
         &mut self,
         id: PacketId,
         engine: DmaEngine,
@@ -214,23 +205,20 @@ impl NetworkMemory {
             return self.journal.check_transfer(id, engine, now);
         }
         let ever = id.0 >= 1 && id.0 < self.next_id;
-        match self.journal.check_use_after_free(id, engine, now, ever) {
-            Some(v) => Err(v),
-            None => Ok(()),
-        }
+        self.journal
+            .check_use_after_free(id, engine, now, ever)
+            .map_or(Ok(()), Err)
     }
 
     /// Record a transfer window (`end == None`: wedged engine, held until
     /// board reset).
-    #[cfg(feature = "dma-check")]
-    pub fn journal_record(&mut self, id: PacketId, engine: DmaEngine, end: Option<Time>) {
+    pub(crate) fn journal_record(&mut self, id: PacketId, engine: DmaEngine, end: Option<Time>) {
         self.journal.record(id, engine, end);
     }
 
     /// May the host free `id` at `now`? Refusal means an engine window is
     /// still open — the §4.4.2 counter-handshake hazard.
-    #[cfg(feature = "dma-check")]
-    pub fn journal_check_host_free(
+    pub(crate) fn journal_check_host_free(
         &mut self,
         id: PacketId,
         now: Time,
@@ -244,14 +232,12 @@ impl NetworkMemory {
     }
 
     /// Ownership violations recorded so far.
-    #[cfg(feature = "dma-check")]
-    pub fn journal_violations(&self) -> &[DmaOwnershipViolation] {
+    pub(crate) fn journal_violations(&self) -> &[DmaOwnershipViolation] {
         self.journal.violations()
     }
 
     /// Transfer windows recorded so far (did the checker actually run?).
-    #[cfg(feature = "dma-check")]
-    pub fn journal_transitions(&self) -> u64 {
+    pub(crate) fn journal_transitions(&self) -> u64 {
         self.journal.transitions()
     }
 

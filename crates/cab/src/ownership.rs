@@ -1,4 +1,4 @@
-//! DMA ownership checking (the `dma-check` feature).
+//! DMA ownership checking, armed in debug builds.
 //!
 //! The paper's single-copy path is safe only because ownership of every
 //! outboard byte is unambiguous: the host, the SDMA engine, and the two
@@ -10,7 +10,9 @@
 //!
 //! The journal models each engine's claim on a packet as a transfer
 //! *window* `[start, end)` in simulated time (a wedged engine holds an
-//! open-ended window until board reset). Checked invariants:
+//! open-ended window until board reset). Each packet keeps one claim per
+//! engine: a later window of the same engine extends it, and a wedge
+//! outlasts any close time. Checked invariants:
 //!
 //! * **Overlap** — two different engines may not hold windows on the same
 //!   packet at the same time. The one sanctioned concurrency of §4.3 is
@@ -23,13 +25,17 @@
 //!   open window is exactly the hazard the DMA counters guard against;
 //!   the free is refused and the violation recorded.
 //!
-//! Everything here is compiled unconditionally (so `CabError::Ownership`
-//! always exists and drivers can match on it); the journal is only
-//! *instantiated and consulted* when the `dma-check` feature is on.
+//! Every build compiles the journal and calls it on every transition (so
+//! `CabError::Ownership` always exists and drivers can match on it). It is
+//! armed by `debug_assertions` alone, so every debug test checks the
+//! handshake; in a release build each call returns at once and nothing is
+//! stored.
 
 use crate::netmem::PacketId;
-use outboard_sim::Time;
-use std::collections::BTreeMap;
+use outboard_sim::{IdTable, Time};
+
+/// The journal checks and records only in debug builds.
+const ARMED: bool = cfg!(debug_assertions);
 
 /// An agent that can claim a packet buffer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -48,6 +54,15 @@ pub enum DmaEngine {
 }
 
 impl DmaEngine {
+    /// Every engine, in the order of its claim slot.
+    const ALL: [DmaEngine; 5] = [
+        DmaEngine::Host,
+        DmaEngine::Sdma,
+        DmaEngine::MdmaTx,
+        DmaEngine::MdmaRx,
+        DmaEngine::ChecksumEngine,
+    ];
+
     fn name(self) -> &'static str {
         match self {
             DmaEngine::Host => "host",
@@ -115,142 +130,163 @@ fn sanctioned_pair(a: DmaEngine, b: DmaEngine) -> bool {
     )
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Window {
-    engine: DmaEngine,
-    /// `None` = open-ended: the engine wedged mid-transfer and holds the
-    /// buffer until board reset.
-    end: Option<Time>,
+/// The end of one engine's window. The order is the one `record` keeps:
+/// a later close time wins, and a wedge wins over any close time.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum End {
+    At(Time),
+    /// The engine wedged mid-transfer and holds the buffer until board
+    /// reset.
+    Wedged,
 }
 
-/// Per-packet transfer windows plus the violations seen so far.
+/// One packet's claims, one slot per engine.
+#[derive(Clone, Copy, Debug, Default)]
+struct Claims {
+    /// Indexed by `DmaEngine as usize`.
+    ends: [Option<End>; 5],
+    /// The engine that recorded last (use-after-free attribution).
+    last: Option<DmaEngine>,
+}
+
+impl Claims {
+    /// Engines whose window is still open at `now`, in slot order.
+    fn open_at(&self, now: Time) -> impl Iterator<Item = DmaEngine> + '_ {
+        DmaEngine::ALL
+            .into_iter()
+            .zip(self.ends)
+            .filter_map(move |(engine, end)| match end? {
+                End::At(t) if t <= now => None,
+                _ => Some(engine),
+            })
+    }
+}
+
+/// Per-packet claims plus the violations seen so far.
+///
+/// A packet's claims outlive its free, so a dangling transfer can name the
+/// engine that held the buffer last; board reset drops them all. Recording
+/// overwrites a fixed-size slot, so a transition allocates nothing beyond
+/// the table's amortised growth.
 #[derive(Debug, Default)]
-pub struct OwnershipJournal {
-    windows: BTreeMap<u64, Vec<Window>>,
-    /// Last engine that ever held each retired packet (use-after-free
-    /// attribution). Bounded by total allocations; `dma-check` is a
-    /// test/CI feature, so the memory is acceptable.
-    last_holder: BTreeMap<u64, DmaEngine>,
+pub(crate) struct OwnershipJournal {
+    claims: IdTable<Claims>,
     violations: Vec<DmaOwnershipViolation>,
     transitions: u64,
 }
 
 impl OwnershipJournal {
-    /// Windows whose end is `<= now` have completed; drop them.
-    fn prune(windows: &mut Vec<Window>, now: Time) {
-        windows.retain(|w| w.end.is_none_or(|e| e > now));
-    }
-
     /// Would `engine` starting a transfer on live packet `id` at `now`
     /// conflict with an open window? Record and return the violation if so.
-    pub fn check_transfer(
+    pub(crate) fn check_transfer(
         &mut self,
         id: PacketId,
         engine: DmaEngine,
         now: Time,
     ) -> Result<(), DmaOwnershipViolation> {
-        if let Some(ws) = self.windows.get_mut(&id.0) {
-            Self::prune(ws, now);
-            if let Some(w) = ws
-                .iter()
-                .find(|w| w.engine != engine && !sanctioned_pair(w.engine, engine))
-            {
-                let v = DmaOwnershipViolation {
-                    kind: ViolationKind::OverlappingDma,
-                    packet: id,
-                    actor: engine,
-                    holder: w.engine,
-                    at: now,
-                };
-                self.violations.push(v);
-                return Err(v);
-            }
+        if !ARMED {
+            return Ok(());
         }
-        Ok(())
+        let holder = self.claims.get(id).and_then(|c| {
+            c.open_at(now)
+                .find(|&h| h != engine && !sanctioned_pair(h, engine))
+        });
+        match holder {
+            Some(holder) => {
+                Err(self.violate(ViolationKind::OverlappingDma, id, engine, holder, now))
+            }
+            None => Ok(()),
+        }
     }
 
     /// A transfer on a packet that no longer exists: if it ever existed
     /// this is a dangling DMA. Records and returns the violation, or
     /// `None` when the id was never allocated (plain unknown packet).
-    pub fn check_use_after_free(
+    pub(crate) fn check_use_after_free(
         &mut self,
         id: PacketId,
         engine: DmaEngine,
         now: Time,
         ever_allocated: bool,
     ) -> Option<DmaOwnershipViolation> {
-        if !ever_allocated {
+        if !ARMED || !ever_allocated {
             return None;
         }
         let holder = self
-            .last_holder
-            .get(&id.0)
-            .copied()
+            .claims
+            .get(id)
+            .and_then(|c| c.last)
             .unwrap_or(DmaEngine::Host);
-        let v = DmaOwnershipViolation {
-            kind: ViolationKind::UseAfterFree,
-            packet: id,
-            actor: engine,
-            holder,
-            at: now,
-        };
-        self.violations.push(v);
-        Some(v)
+        Some(self.violate(ViolationKind::UseAfterFree, id, engine, holder, now))
     }
 
     /// Record a transfer window. `end == None` marks a wedged engine
     /// seizing the buffer until reset.
-    pub fn record(&mut self, id: PacketId, engine: DmaEngine, end: Option<Time>) {
+    pub(crate) fn record(&mut self, id: PacketId, engine: DmaEngine, end: Option<Time>) {
+        if !ARMED {
+            return;
+        }
         self.transitions += 1;
-        self.last_holder.insert(id.0, engine);
-        self.windows
-            .entry(id.0)
-            .or_default()
-            .push(Window { engine, end });
+        let mut c = self.claims.get(id).copied().unwrap_or_default();
+        let end = Some(end.map_or(End::Wedged, End::At));
+        let slot = &mut c.ends[engine as usize];
+        *slot = (*slot).max(end);
+        c.last = Some(engine);
+        self.claims.insert(id, c);
     }
 
     /// Host free: refuse (and record) when any engine window is open.
-    pub fn check_host_free(
+    pub(crate) fn check_host_free(
         &mut self,
         id: PacketId,
         now: Time,
     ) -> Result<(), DmaOwnershipViolation> {
-        if let Some(ws) = self.windows.get_mut(&id.0) {
-            Self::prune(ws, now);
-            if let Some(w) = ws.first() {
-                let v = DmaOwnershipViolation {
-                    kind: ViolationKind::FreeWhileDma,
-                    packet: id,
-                    actor: DmaEngine::Host,
-                    holder: w.engine,
-                    at: now,
-                };
-                self.violations.push(v);
-                return Err(v);
-            }
+        if !ARMED {
+            return Ok(());
         }
-        Ok(())
+        match self.claims.get(id).and_then(|c| c.open_at(now).next()) {
+            Some(holder) => Err(self.violate(
+                ViolationKind::FreeWhileDma,
+                id,
+                DmaEngine::Host,
+                holder,
+                now,
+            )),
+            None => Ok(()),
+        }
     }
 
-    /// The packet is gone (freed by host after a clean check, released by
-    /// an engine at the end of its own window, or dropped by board reset):
-    /// forget its windows.
-    pub fn release(&mut self, id: PacketId) {
-        self.windows.remove(&id.0);
+    /// Board reset: every claim dies with the outboard state.
+    pub(crate) fn release_all(&mut self) {
+        self.claims.clear();
     }
 
-    /// Board reset: every window dies with the outboard state.
-    pub fn release_all(&mut self) {
-        self.windows.clear();
+    fn violate(
+        &mut self,
+        kind: ViolationKind,
+        packet: PacketId,
+        actor: DmaEngine,
+        holder: DmaEngine,
+        at: Time,
+    ) -> DmaOwnershipViolation {
+        let v = DmaOwnershipViolation {
+            kind,
+            packet,
+            actor,
+            holder,
+            at,
+        };
+        self.violations.push(v);
+        v
     }
 
     /// Violations recorded so far (accumulates across resets).
-    pub fn violations(&self) -> &[DmaOwnershipViolation] {
+    pub(crate) fn violations(&self) -> &[DmaOwnershipViolation] {
         &self.violations
     }
 
     /// Total windows recorded (journal activity check for tests).
-    pub fn transitions(&self) -> u64 {
+    pub(crate) fn transitions(&self) -> u64 {
         self.transitions
     }
 }
@@ -315,5 +351,59 @@ mod tests {
         let id = PacketId(5);
         j.record(id, DmaEngine::Sdma, Some(t(10)));
         j.check_host_free(id, t(10)).unwrap();
+    }
+
+    #[test]
+    fn same_engine_re_record_keeps_the_later_end() {
+        let mut j = OwnershipJournal::default();
+        let id = PacketId(6);
+        j.record(id, DmaEngine::Sdma, Some(t(20)));
+        // An earlier close recorded afterwards does not shorten the claim.
+        j.record(id, DmaEngine::Sdma, Some(t(10)));
+        let v = j.check_transfer(id, DmaEngine::MdmaTx, t(15)).unwrap_err();
+        assert_eq!(v.holder, DmaEngine::Sdma);
+        // A later one extends it.
+        j.record(id, DmaEngine::Sdma, Some(t(30)));
+        j.check_transfer(id, DmaEngine::MdmaTx, t(25)).unwrap_err();
+        j.check_transfer(id, DmaEngine::MdmaTx, t(30)).unwrap();
+        assert_eq!(j.violations().len(), 2);
+        assert_eq!(j.transitions(), 3);
+    }
+
+    #[test]
+    fn wedge_after_a_closed_window_stays_open_until_release_all() {
+        let mut j = OwnershipJournal::default();
+        let id = PacketId(7);
+        j.record(id, DmaEngine::MdmaTx, Some(t(10)));
+        j.record(id, DmaEngine::MdmaTx, None);
+        // A close recorded after the wedge does not end it either.
+        j.record(id, DmaEngine::MdmaTx, Some(t(20)));
+        let v = j
+            .check_transfer(id, DmaEngine::Sdma, t(1_000_000))
+            .unwrap_err();
+        assert_eq!(v.holder, DmaEngine::MdmaTx);
+        j.release_all();
+        j.check_transfer(id, DmaEngine::Sdma, t(1_000_001)).unwrap();
+    }
+
+    #[test]
+    fn host_free_names_the_open_holder() {
+        let mut j = OwnershipJournal::default();
+        let id = PacketId(8);
+        // Inflow with the checksum engine alongside has closed; the
+        // auto-DMA to the host is still running.
+        j.record(id, DmaEngine::MdmaRx, Some(t(10)));
+        j.record(id, DmaEngine::ChecksumEngine, Some(t(10)));
+        j.record(id, DmaEngine::Sdma, Some(t(20)));
+        let v = j.check_host_free(id, t(15)).unwrap_err();
+        assert_eq!(
+            (v.kind, v.actor, v.holder),
+            (
+                ViolationKind::FreeWhileDma,
+                DmaEngine::Host,
+                DmaEngine::Sdma
+            )
+        );
+        j.check_host_free(id, t(20)).unwrap();
     }
 }

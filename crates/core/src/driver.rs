@@ -14,7 +14,7 @@
 //!   regular mbufs by a thin layer at its entry (§5);
 //! * `Loopback` — frames re-injected into the same kernel.
 
-use crate::types::{SockAddr, SockId};
+use crate::types::SockId;
 use outboard_cab::{Cab, ChecksumSpec, PacketId, SgEntry};
 use outboard_sim::obs::Scope;
 use outboard_sim::{DetMap, IdTable};
@@ -205,7 +205,7 @@ impl CabIface {
     }
 
     /// Publish the driver's robustness counters into a registry scope.
-    pub fn publish_driver_metrics(&self, s: &mut Scope<'_>) {
+    pub(crate) fn publish_driver_metrics(&self, s: &mut Scope<'_>) {
         let d = &self.health.stats;
         s.counter("drv.tx_retries", d.tx_retries);
         s.counter("drv.backoff_us", d.backoff_us);
@@ -241,7 +241,7 @@ impl CabIface {
     /// data in the event itself and stay pending. Tokens are drained in
     /// ascending order (the table's iteration order), so the reset is
     /// deterministic.
-    pub fn drop_pending_tx(&mut self) -> Vec<SdmaPurpose> {
+    pub(crate) fn drop_pending_tx(&mut self) -> Vec<SdmaPurpose> {
         let tokens: Vec<u64> = self
             .pending
             .iter()
@@ -318,12 +318,12 @@ impl Iface {
     /// Does this interface take the single-copy path (outboard buffering
     /// and checksumming)? A degraded CAB answers no: the stack falls back
     /// to the traditional path until a probe finds the adaptor healthy.
-    pub fn single_copy_capable(&self) -> bool {
+    pub(crate) fn single_copy_capable(&self) -> bool {
         matches!(&self.kind, IfaceKind::Cab(c) if !c.health.degraded)
     }
 
     /// Maximum TCP segment this interface supports.
-    pub fn tcp_mss(&self) -> usize {
+    pub(crate) fn tcp_mss(&self) -> usize {
         self.mtu - outboard_wire::ipv4::IPV4_HEADER_LEN - outboard_wire::tcp::TCP_HEADER_LEN
     }
 
@@ -342,13 +342,6 @@ impl Iface {
             _ => None,
         }
     }
-}
-
-/// A parsed destination for in-kernel send APIs.
-#[derive(Clone, Copy, Debug)]
-pub struct Dest {
-    /// The resolved endpoint.
-    pub addr: SockAddr,
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ use std::net::Ipv4Addr;
 
 /// One planned fragment: payload byte range and MF flag.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FragPart {
+pub(crate) struct FragPart {
     /// Byte offset of this fragment's payload in the datagram.
     pub offset: usize,
     /// Fragment payload length.
@@ -30,7 +30,7 @@ pub struct FragPart {
 
 /// Split a transport payload of `len` bytes across an IP MTU. Fragment
 /// payloads (except the last) must be multiples of 8 bytes.
-pub fn fragment_plan(len: usize, mtu: usize, ip_header_len: usize) -> Vec<FragPart> {
+pub(crate) fn fragment_plan(len: usize, mtu: usize, ip_header_len: usize) -> Vec<FragPart> {
     let max_payload = (mtu - ip_header_len) & !7;
     assert!(max_payload > 0, "mtu too small to fragment into");
     if len <= mtu - ip_header_len {
@@ -57,7 +57,7 @@ pub fn fragment_plan(len: usize, mtu: usize, ip_header_len: usize) -> Vec<FragPa
 
 /// Key identifying a datagram being reassembled.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct FragKey {
+pub(crate) struct FragKey {
     /// Datagram source.
     pub src: Ipv4Addr,
     /// Datagram destination.
@@ -82,7 +82,7 @@ struct FragBuf {
 
 /// A completed reassembly.
 #[derive(Debug)]
-pub struct Reassembled {
+pub(crate) struct Reassembled {
     /// The reassembled transport payload.
     pub payload: Chain,
     /// Combined hardware checksum over the whole transport payload, when
@@ -92,7 +92,7 @@ pub struct Reassembled {
 
 /// IP fragment reassembler with a bounded number of concurrent datagrams.
 #[derive(Debug, Default)]
-pub struct Reassembler {
+pub(crate) struct Reassembler {
     bufs: BTreeMap<FragKey, FragBuf>,
 }
 
@@ -101,19 +101,14 @@ const MAX_REASS: usize = 32;
 
 impl Reassembler {
     /// An empty reassembler.
-    pub fn new() -> Reassembler {
+    pub(crate) fn new() -> Reassembler {
         Reassembler::default()
-    }
-
-    /// Datagrams currently mid-reassembly.
-    pub fn pending(&self) -> usize {
-        self.bufs.len()
     }
 
     /// Feed one fragment. `hw_sum` is the CAB's partial checksum over this
     /// fragment's transport bytes, when it arrived through a CAB.
     /// Returns the reassembled payload once complete.
-    pub fn feed(
+    pub(crate) fn feed(
         &mut self,
         key: FragKey,
         hdr: &Ipv4Header,
@@ -174,18 +169,18 @@ impl Reassembler {
 }
 
 /// ICMP echo: the minimal in-kernel application.
-pub mod icmp {
+pub(crate) mod icmp {
     use bytes::Bytes;
     use outboard_mbuf::Chain;
     use outboard_wire::checksum::Checksum;
 
     /// ICMP type: echo request (ping).
-    pub const ECHO_REQUEST: u8 = 8;
+    pub(crate) const ECHO_REQUEST: u8 = 8;
     /// ICMP type: echo reply.
-    pub const ECHO_REPLY: u8 = 0;
+    pub(crate) const ECHO_REPLY: u8 = 0;
 
     /// Build an ICMP echo message (kernel mbuf chain).
-    pub fn build_echo(kind: u8, ident: u16, seq: u16, payload: &[u8]) -> Chain {
+    pub(crate) fn build_echo(kind: u8, ident: u16, seq: u16, payload: &[u8]) -> Chain {
         let mut b = vec![0u8; 8 + payload.len()];
         b[0] = kind;
         b[4..6].copy_from_slice(&ident.to_be_bytes());
@@ -198,7 +193,7 @@ pub mod icmp {
 
     /// Parse an ICMP message; returns (type, ident, seq, payload) when it is
     /// an echo request/reply with a valid checksum.
-    pub fn parse_echo(data: &[u8]) -> Option<(u8, u16, u16, &[u8])> {
+    pub(crate) fn parse_echo(data: &[u8]) -> Option<(u8, u16, u16, &[u8])> {
         if data.len() < 8 {
             return None;
         }
@@ -214,6 +209,14 @@ pub mod icmp {
         let ident = u16::from_be_bytes([data[4], data[5]]);
         let seq = u16::from_be_bytes([data[6], data[7]]);
         Some((kind, ident, seq, &data[8..]))
+    }
+}
+
+#[cfg(test)]
+impl Reassembler {
+    /// Datagrams currently mid-reassembly.
+    pub(crate) fn pending(&self) -> usize {
+        self.bufs.len()
     }
 }
 

@@ -117,7 +117,7 @@ pub(crate) struct TxMeta {
 }
 
 impl TxMeta {
-    pub fn plain() -> TxMeta {
+    pub(crate) fn plain() -> TxMeta {
         TxMeta {
             sock: None,
             seq_lo: 0,

@@ -12,17 +12,17 @@
 //!
 //! Layer map (paper section in parentheses):
 //!
-//! * [`socket`] + [`sockbuf`] — sockets with copy semantics, the
+//! * `socket` + `sockbuf` — sockets with copy semantics, the
 //!   UIO-vs-regular fast-path decision (§4.4.3), write/read blocking on
 //!   outstanding DMA via UIO counters (§4.4.2), word-alignment fallback
 //!   (§4.5);
-//! * [`tcp`] — the transport: window scaling, MSS, delayed ACKs, RTO and
+//! * `tcp` — the transport: window scaling, MSS, delayed ACKs, RTO and
 //!   fast retransmit, with the transmit queue *search routine* that
 //!   assembles a packet's worth of data from mixed regular/`M_UIO`/`M_WCAB`
 //!   mbufs (§4.2), and retransmission *from outboard memory* (§4.3);
-//! * [`udp`] — datagrams, with fragmented datagrams falling back to the
+//! * `udp` — datagrams, with fragmented datagrams falling back to the
 //!   traditional path (fragment checksums cannot be inserted by the CAB);
-//! * [`ip`] — output/input, header checksum, fragmentation/reassembly,
+//! * `ip` — output/input, header checksum, fragmentation/reassembly,
 //!   ICMP echo as a resident in-kernel application;
 //! * [`driver`] — the CAB driver implementing copy-in/copy-out (§3),
 //!   checksum plans → SDMA requests, UIO→WCAB conversion on DMA completion,
@@ -37,16 +37,17 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+#![deny(unreachable_pub)]
 
 pub mod driver;
-pub mod ip;
+mod ip;
 pub mod kernel;
-pub mod route;
-pub mod sockbuf;
-pub mod socket;
-pub mod tcp;
-pub mod types;
-pub mod udp;
+mod route;
+mod sockbuf;
+mod socket;
+mod tcp;
+mod types;
+mod udp;
 
 pub use kernel::Kernel;
 pub use types::{

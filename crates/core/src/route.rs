@@ -11,7 +11,7 @@ use std::net::Ipv4Addr;
 
 /// One route: `dest/prefix_len` reachable via `iface`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Route {
+pub(crate) struct Route {
     /// Destination network.
     pub dest: Ipv4Addr,
     /// Prefix length in bits (32 = host route).

@@ -48,7 +48,7 @@ impl SockBuf {
 
 /// State of one blocked single-copy operation (§4.4.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct UioState {
+pub(crate) struct UioState {
     /// The blocked process.
     pub task: TaskId,
     /// The socket the operation runs on.
@@ -62,14 +62,14 @@ pub struct UioState {
 
 impl UioState {
     /// The operation is complete and its process may be woken.
-    pub fn drained(&self) -> bool {
+    pub(crate) fn drained(&self) -> bool {
         self.outstanding == 0 && self.unissued == 0
     }
 }
 
 /// Registry of live UIO counters on one host.
 #[derive(Debug, Default)]
-pub struct UioCounters {
+pub(crate) struct UioCounters {
     next: u64,
     /// Live counters by id (issued in sequence from `next`).
     live: IdTable<UioState>,
@@ -77,12 +77,12 @@ pub struct UioCounters {
 
 impl UioCounters {
     /// An empty registry.
-    pub fn new() -> UioCounters {
+    pub(crate) fn new() -> UioCounters {
         UioCounters::default()
     }
 
     /// Register a blocked operation covering `total` bytes.
-    pub fn create(&mut self, task: TaskId, sock: SockId, total: usize) -> UioCounterId {
+    pub(crate) fn create(&mut self, task: TaskId, sock: SockId, total: usize) -> UioCounterId {
         let id = UioCounterId(self.next);
         self.next += 1;
         self.live.insert(
@@ -98,13 +98,13 @@ impl UioCounters {
     }
 
     /// Inspect a live counter.
-    pub fn get(&self, id: UioCounterId) -> Option<&UioState> {
+    pub(crate) fn get(&self, id: UioCounterId) -> Option<&UioState> {
         self.live.get(id.0)
     }
 
     /// Move `bytes` from un-issued to outstanding (data handed down to the
     /// transport layer / DMA issued).
-    pub fn issue(&mut self, id: UioCounterId, bytes: usize) -> Result<(), StackError> {
+    pub(crate) fn issue(&mut self, id: UioCounterId, bytes: usize) -> Result<(), StackError> {
         let st = self.live.get_mut(id.0).ok_or(StackError::BadSocket)?;
         assert!(st.unissued >= bytes, "issuing more than remains");
         st.unissued -= bytes;
@@ -114,7 +114,7 @@ impl UioCounters {
 
     /// Record DMA completion of `bytes`; returns the state if the whole
     /// operation just drained (caller wakes the process and removes it).
-    pub fn complete(&mut self, id: UioCounterId, bytes: usize) -> Option<UioState> {
+    pub(crate) fn complete(&mut self, id: UioCounterId, bytes: usize) -> Option<UioState> {
         let st = self.live.get_mut(id.0)?;
         assert!(st.outstanding >= bytes, "completing more than outstanding");
         st.outstanding -= bytes;
@@ -126,12 +126,15 @@ impl UioCounters {
     }
 
     /// Drop a counter without waking (socket torn down).
-    pub fn cancel(&mut self, id: UioCounterId) {
+    pub(crate) fn cancel(&mut self, id: UioCounterId) {
         self.live.remove(id.0);
     }
+}
 
+#[cfg(test)]
+impl UioCounters {
     /// Counters not yet drained.
-    pub fn live_count(&self) -> usize {
+    pub(crate) fn live_count(&self) -> usize {
         self.live.len()
     }
 }

@@ -163,7 +163,7 @@ impl Socket {
     }
 
     /// True when this socket is a TCP listener.
-    pub fn is_listener(&self) -> bool {
+    pub(crate) fn is_listener(&self) -> bool {
         self.tcb
             .as_ref()
             .map(|t| t.state == crate::tcp::TcpState::Listen)

@@ -35,12 +35,12 @@ pub enum TcpState {
 
 impl TcpState {
     /// May the application still send data?
-    pub fn can_send(self) -> bool {
+    pub(crate) fn can_send(self) -> bool {
         matches!(self, TcpState::Established | TcpState::CloseWait)
     }
 
     /// Has the connection finished the handshake?
-    pub fn is_synchronized(self) -> bool {
+    pub(crate) fn is_synchronized(self) -> bool {
         !matches!(
             self,
             TcpState::Closed | TcpState::Listen | TcpState::SynSent
@@ -202,7 +202,6 @@ pub struct Tcb {
     /// ACKs released by the delayed-ACK timer.
     pub delayed_acks: u64,
     cfg_delack_every: u32,
-    cfg_rto_initial: Dur,
     cfg_rto_min: Dur,
 }
 
@@ -214,17 +213,17 @@ impl Tcb {
     /// board-reset rescue walks these: reassembly chains can hold outboard
     /// (`M_WCAB`) descriptors whose bytes die with the reset, and they are
     /// delivered to the application later with no checksum left to object.
-    pub fn reass_keys(&self) -> Vec<u32> {
+    pub(crate) fn reass_keys(&self) -> Vec<u32> {
         self.reass.keys().copied().collect()
     }
 
     /// The reassembly chain queued at sequence `seq`, if any.
-    pub fn reass_chain(&self, seq: u32) -> Option<&Chain> {
+    pub(crate) fn reass_chain(&self, seq: u32) -> Option<&Chain> {
         self.reass.get(&seq)
     }
 
     /// Mutable access to the reassembly chain queued at sequence `seq`.
-    pub fn reass_chain_mut(&mut self, seq: u32) -> Option<&mut Chain> {
+    pub(crate) fn reass_chain_mut(&mut self, seq: u32) -> Option<&mut Chain> {
         self.reass.get_mut(&seq)
     }
 
@@ -274,13 +273,12 @@ impl Tcb {
             bytes_retx: 0,
             delayed_acks: 0,
             cfg_delack_every: cfg.delack_every,
-            cfg_rto_initial: cfg.rto_initial,
             cfg_rto_min: cfg.rto_min,
         }
     }
 
     /// The window-scale shift needed to advertise `buf` bytes.
-    pub fn scale_for(buf: usize) -> u8 {
+    pub(crate) fn scale_for(buf: usize) -> u8 {
         let mut s = 0u8;
         while s < 14 && (buf >> s) > 0xFFFF {
             s += 1;
@@ -327,7 +325,7 @@ impl Tcb {
     }
 
     /// Bytes in flight.
-    pub fn flight_size(&self) -> usize {
+    pub(crate) fn flight_size(&self) -> usize {
         seq::diff(self.snd_max, self.snd_una) as usize
     }
 
@@ -515,13 +513,13 @@ impl Tcb {
     }
 
     /// Should the retransmission timer be (re)armed after output/input?
-    pub fn wants_rexmt_timer(&self) -> bool {
+    pub(crate) fn wants_rexmt_timer(&self) -> bool {
         seq::lt(self.snd_una, self.snd_max)
             && !matches!(self.state, TcpState::TimeWait | TcpState::Closed)
     }
 
     /// Retransmission timer fired: shrink to one segment and go again.
-    pub fn on_rexmt_timeout(&mut self) {
+    pub(crate) fn on_rexmt_timeout(&mut self) {
         self.rto_events += 1;
         self.rexmt_backoff = (self.rexmt_backoff + 1).min(12);
         self.rto =
@@ -544,7 +542,7 @@ impl Tcb {
     /// after a board reset: the data itself was never lost (it is retained
     /// in the send queue), only the adaptor's copy of it, so the next
     /// output pass re-emits everything from `snd_una`.
-    pub fn rewind_for_rebuild(&mut self) {
+    pub(crate) fn rewind_for_rebuild(&mut self) {
         self.snd_nxt = self.snd_una;
         if self.fin_sent && seq::lt(self.snd_nxt, self.snd_max) {
             self.fin_sent = false;
@@ -913,7 +911,7 @@ impl Tcb {
     }
 
     /// TIME_WAIT expired.
-    pub fn on_time_wait_expired(&mut self) -> bool {
+    pub(crate) fn on_time_wait_expired(&mut self) -> bool {
         if self.state == TcpState::TimeWait {
             self.state = TcpState::Closed;
             true
@@ -922,15 +920,8 @@ impl Tcb {
         }
     }
 
-    /// Reset the RTO back-off state after a successful fresh measurement
-    /// window (used by tests; `update_rtt` does this on samples).
-    pub fn reset_backoff(&mut self) {
-        self.rexmt_backoff = 0;
-        self.rto = self.cfg_rto_initial;
-    }
-
     /// Pull the delayed-ACK flag (delack timer fired).
-    pub fn take_delack(&mut self) -> bool {
+    pub(crate) fn take_delack(&mut self) -> bool {
         let fired = std::mem::take(&mut self.delack_pending);
         if fired {
             self.delayed_acks += 1;

@@ -7,14 +7,12 @@
 //! must put the final checksum and how many words to skip. On receive it
 //! *adjusts* the hardware's body sum with the pseudo-header and compares.
 
-use outboard_host::{MemFault, UserMemory};
-use outboard_mbuf::{Chain, MbufData};
 use outboard_wire::checksum::{pseudo_header_sum, Accumulator};
 use std::net::Ipv4Addr;
 
 /// The transport seed for outboard checksumming: partial ones-complement
 /// sum over pseudo-header + transport header (checksum field zeroed).
-pub fn transport_seed(
+pub(crate) fn transport_seed(
     src: Ipv4Addr,
     dst: Ipv4Addr,
     proto: u8,
@@ -32,7 +30,7 @@ pub fn transport_seed(
 /// `hw_sum` covers transport header + payload (the receive engine starts at
 /// the fixed word offset past the framing and IP headers). Valid iff
 /// folding in the pseudo-header yields all-ones.
-pub fn verify_hw(
+pub(crate) fn verify_hw(
     src: Ipv4Addr,
     dst: Ipv4Addr,
     proto: u8,
@@ -45,38 +43,40 @@ pub fn verify_hw(
     acc.partial() == 0xFFFF
 }
 
-/// Software checksum over a possibly-mixed chain: the traditional path's
-/// `Read_C`. Kernel bytes are summed directly; `M_UIO` bytes are read from
-/// user memory (they are mapped — §4.4.1 notes the mapping is needed for
-/// exactly this). `M_WCAB` bytes must be resolved by the caller (the bytes
-/// live outboard); `resolve_wcab` supplies them.
-pub fn software_sum(
-    chain: &Chain,
-    mem: &dyn UserMemory,
-    mut resolve_wcab: impl FnMut(u32, u64, usize, usize, &mut [u8]) -> bool,
-) -> Result<u16, MemFault> {
-    let mut acc = Accumulator::new();
-    for m in chain.iter() {
-        match m.data() {
-            MbufData::Kernel(b) => acc.add_bytes(b),
-            MbufData::Uio(d) => acc.add_bytes(mem.user_slice(d.region.task, d.vaddr(), d.len)?),
-            MbufData::Wcab(d) => {
-                let mut buf = vec![0u8; d.len];
-                let ok = resolve_wcab(d.cab, d.packet, d.off, d.len, &mut buf);
-                assert!(ok, "WCAB bytes unavailable for software checksum");
-                acc.add_bytes(&buf);
-            }
-        }
-    }
-    Ok(acc.partial())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use outboard_host::HostMem;
-    use outboard_mbuf::{Mbuf, TaskId, UioDesc, UioRegion};
+    use outboard_host::{HostMem, MemFault, UserMemory};
+    use outboard_mbuf::{Chain, Mbuf, MbufData, TaskId, UioDesc, UioRegion};
     use outboard_wire::checksum::Checksum;
+
+    /// Software checksum over a possibly-mixed chain: the traditional path's
+    /// `Read_C`. Kernel bytes are summed directly; `M_UIO` bytes are read from
+    /// user memory (they are mapped — §4.4.1 notes the mapping is needed for
+    /// exactly this). `M_WCAB` bytes must be resolved by the caller (the bytes
+    /// live outboard); `resolve_wcab` supplies them.
+    fn software_sum(
+        chain: &Chain,
+        mem: &dyn UserMemory,
+        mut resolve_wcab: impl FnMut(u32, u64, usize, usize, &mut [u8]) -> bool,
+    ) -> Result<u16, MemFault> {
+        let mut acc = Accumulator::new();
+        for m in chain.iter() {
+            match m.data() {
+                MbufData::Kernel(b) => acc.add_bytes(b),
+                MbufData::Uio(d) => {
+                    acc.add_bytes(mem.user_slice(d.region.task, d.vaddr(), d.len)?)
+                }
+                MbufData::Wcab(d) => {
+                    let mut buf = vec![0u8; d.len];
+                    let ok = resolve_wcab(d.cab, d.packet, d.off, d.len, &mut buf);
+                    assert!(ok, "WCAB bytes unavailable for software checksum");
+                    acc.add_bytes(&buf);
+                }
+            }
+        }
+        Ok(acc.partial())
+    }
 
     #[test]
     fn seed_plus_body_equals_direct_checksum() {

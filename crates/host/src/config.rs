@@ -180,9 +180,12 @@ impl MachineConfig {
             tc_speed_scale: 0.75,
         }
     }
+}
 
+#[cfg(test)]
+impl MachineConfig {
     /// Pages spanned by the byte range `[vaddr, vaddr + len)`.
-    pub fn pages_spanned(&self, vaddr: u64, len: usize) -> usize {
+    pub(crate) fn pages_spanned(&self, vaddr: u64, len: usize) -> usize {
         if len == 0 {
             return 0;
         }

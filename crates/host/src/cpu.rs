@@ -138,17 +138,6 @@ impl Cpu {
         done
     }
 
-    /// Convenience: run work expressed in microseconds from the config-level
-    /// cost tables.
-    pub fn run_us(&mut self, now: Time, us: f64, charge: Charge) -> Time {
-        self.run(now, Dur::from_micros_f64(us), charge)
-    }
-
-    /// Reset accounting (start of the measured interval).
-    pub fn reset_accounting(&mut self) {
-        self.acct = CpuAccounting::default();
-    }
-
     /// Publish the §7.1 CPU time split into a registry scope: user, system
     /// (syscall-path kernel time), and interrupt shares of the scope's
     /// elapsed window, plus the raw nanosecond buckets.
@@ -175,6 +164,14 @@ impl Cpu {
         s.counter("util_sys_ns", a.util_sys.as_nanos());
         s.counter("intr_ns", a.intr.as_nanos());
         s.counter("busy_ns", a.busy.as_nanos());
+    }
+}
+
+#[cfg(test)]
+impl Cpu {
+    /// Reset accounting (start of the measured interval).
+    pub(crate) fn reset_accounting(&mut self) {
+        self.acct = CpuAccounting::default();
     }
 }
 

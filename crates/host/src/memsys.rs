@@ -40,7 +40,7 @@ impl MemorySystem {
 
     /// Effective memcpy bandwidth (Mbit/s) for a working set of `region`
     /// bytes.
-    pub fn copy_bw_mbps(&self, region: usize) -> f64 {
+    pub(crate) fn copy_bw_mbps(&self, region: usize) -> f64 {
         self.bw_for(
             region,
             self.cfg.copy_bw_max_mbps,
@@ -50,7 +50,7 @@ impl MemorySystem {
     }
 
     /// Effective checksum-read bandwidth (Mbit/s).
-    pub fn read_bw_mbps(&self, region: usize) -> f64 {
+    pub(crate) fn read_bw_mbps(&self, region: usize) -> f64 {
         self.bw_for(
             region,
             self.cfg.read_bw_max_mbps,

@@ -82,7 +82,7 @@ impl VmSystem {
     }
 
     /// Maximum pages an application may keep pinned (config passthrough).
-    pub fn page_limit(&self) -> usize {
+    pub(crate) fn page_limit(&self) -> usize {
         self.cfg.pinned_page_limit
     }
 
@@ -239,9 +239,12 @@ impl VmSystem {
         s.counter("pinned_pages", self.pinned_page_count() as u64);
         s.counter("pinned_page_limit", self.page_limit() as u64);
     }
+}
 
+#[cfg(test)]
+impl VmSystem {
     /// Forget all pinned pages for a task (process exit).
-    pub fn release_task(&mut self, task: TaskId) -> Dur {
+    pub(crate) fn release_task(&mut self, task: TaskId) -> Dur {
         let before = self.pages.len();
         self.pages.retain(|(t, _), _| *t != task);
         self.cached_lru.retain(|(t, _)| *t != task);

@@ -70,20 +70,9 @@ impl Chain {
         self.len == 0
     }
 
-    /// Number of mbufs in the chain.
-    pub fn mbuf_count(&self) -> usize {
-        self.mbufs.len()
-    }
-
     /// Iterate the mbufs front to back.
     pub fn iter(&self) -> impl Iterator<Item = &Mbuf> {
         self.mbufs.iter()
-    }
-
-    /// True if every mbuf is a traditional kernel mbuf (safe to hand to a
-    /// legacy driver or in-kernel application without conversion, §5).
-    pub fn all_kernel(&self) -> bool {
-        self.mbufs.iter().all(|m| m.is_kernel())
     }
 
     /// True if any mbuf is an `M_UIO` descriptor.
@@ -278,11 +267,6 @@ impl Chain {
             skip = 0;
         }
     }
-
-    /// Take all mbufs out of the chain (driver hand-off).
-    pub fn into_mbufs(self) -> VecDeque<Mbuf> {
-        self.mbufs
-    }
 }
 
 impl FromIterator<Mbuf> for Chain {
@@ -292,6 +276,20 @@ impl FromIterator<Mbuf> for Chain {
             c.append(m);
         }
         c
+    }
+}
+
+#[cfg(test)]
+impl Chain {
+    /// True if every mbuf is a traditional kernel mbuf (safe to hand to a
+    /// legacy driver or in-kernel application without conversion, §5).
+    pub(crate) fn all_kernel(&self) -> bool {
+        self.mbufs.iter().all(|m| m.is_kernel())
+    }
+
+    /// Number of mbufs in the chain.
+    pub(crate) fn mbuf_count(&self) -> usize {
+        self.mbufs.len()
     }
 }
 

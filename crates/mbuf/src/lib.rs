@@ -27,11 +27,12 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+#![deny(unreachable_pub)]
 
-pub mod chain;
-pub mod mbuf;
+mod chain;
+mod mbuf;
 
-pub use chain::{Chain, PktHdr};
+pub use chain::Chain;
 pub use mbuf::{CsumPlan, Mbuf, MbufData, Segment, UioDesc, UioRegion, WcabDesc};
 
 /// Identifies a simulated task/process (owner of a user address space).
@@ -47,11 +48,7 @@ pub struct UioCounterId(pub u64);
 /// Size of a small mbuf's internal data area, bytes (BSD `MLEN`-ish). The
 /// socket layer copies writes smaller than a threshold into regular mbufs
 /// instead of building `M_UIO` descriptors (§4.4.3).
-pub const MLEN: usize = 128;
-
-/// Cluster size, bytes (BSD `MCLBYTES`). Used by the traditional path and by
-/// in-kernel applications with share semantics.
-pub const MCLBYTES: usize = 2048;
+pub(crate) const MLEN: usize = 128;
 
 /// Allocation statistics, kept by each kernel to expose mbuf-pool behaviour
 /// in tests and experiments.

@@ -163,18 +163,13 @@ impl Mbuf {
         self.len() == 0
     }
 
-    /// True for traditional kernel-resident storage.
-    pub fn is_kernel(&self) -> bool {
-        matches!(self.data, MbufData::Kernel(_))
-    }
-
     /// True for an `M_UIO` descriptor.
-    pub fn is_uio(&self) -> bool {
+    pub(crate) fn is_uio(&self) -> bool {
         matches!(self.data, MbufData::Uio(_))
     }
 
     /// True for an `M_WCAB` descriptor.
-    pub fn is_wcab(&self) -> bool {
+    pub(crate) fn is_wcab(&self) -> bool {
         matches!(self.data, MbufData::Wcab(_))
     }
 
@@ -258,6 +253,14 @@ impl Mbuf {
                 ..*d
             }),
         }
+    }
+}
+
+#[cfg(test)]
+impl Mbuf {
+    /// True for traditional kernel-resident storage.
+    pub(crate) fn is_kernel(&self) -> bool {
+        matches!(self.data, MbufData::Kernel(_))
     }
 }
 

@@ -2,17 +2,13 @@
 //!
 //! Modeled on the knobs the smoltcp examples expose (`--drop-chance`,
 //! `--corrupt-chance`, ...): every frame presented to a faulty link draws a
-//! fate from a seeded RNG. Tests can also force deterministic faults
-//! (`force_drop_next`) to hit exact protocol states — e.g. "drop precisely
-//! the third data segment and watch TCP retransmit it from outboard memory
-//! without re-DMAing the body".
+//! fate from a seeded RNG. A probability of 1 makes a fault certain, and
+//! the chaos engine can force one checksum-preserving corruption
+//! (`force_stealth_corrupt_next`) that only an end-to-end oracle catches.
 
 use bytes::Bytes;
-use outboard_sim::{BufPool, Dur, Pcg32};
-use std::collections::VecDeque;
+use outboard_sim::{check_probability, BufPool, Dur, FaultConfigError, Pcg32};
 use std::sync::Arc;
-
-pub use outboard_sim::rng::{check_probability, FaultConfigError};
 
 /// What happened to each frame, cumulatively.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -48,17 +44,6 @@ pub enum Fate {
     Drop,
 }
 
-/// A fate forced by a test, queued ahead of the probabilistic draws.
-/// Resolved against the real payload when the frame arrives at `fate`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ForcedFault {
-    Drop,
-    Corrupt,
-    Reorder,
-    Duplicate,
-    StealthCorrupt,
-}
-
 /// Configurable fault injector with a deterministic stream.
 #[derive(Debug)]
 pub struct FaultInjector {
@@ -74,7 +59,9 @@ pub struct FaultInjector {
     /// Probability a frame is delivered twice.
     pub dup_p: f64,
     rng: Pcg32,
-    forced: VecDeque<ForcedFault>,
+    /// Checksum-preserving corruptions forced ahead of the probabilistic
+    /// draws, applied to the next frames offered.
+    stealth_pending: u32,
     /// Cumulative fate counts.
     pub stats: FaultStats,
     /// Optional buffer pool for corruption copies (the only fates that
@@ -92,7 +79,7 @@ impl FaultInjector {
             reorder_delay: Dur::millis(1),
             dup_p: 0.0,
             rng: Pcg32::new(seed),
-            forced: VecDeque::new(),
+            stealth_pending: 0,
             stats: FaultStats::default(),
             pool: None,
         }
@@ -154,34 +141,12 @@ impl FaultInjector {
         Ok(())
     }
 
-    /// Force the next frame(s) to be dropped regardless of probabilities.
-    pub fn force_drop_next(&mut self, count: usize) {
-        for _ in 0..count {
-            self.forced.push_back(ForcedFault::Drop);
-        }
-    }
-
-    /// Force the next frame to be corrupted (one bit flipped).
-    pub fn force_corrupt_next(&mut self) {
-        self.forced.push_back(ForcedFault::Corrupt);
-    }
-
-    /// Force the next frame to arrive late (delayed by `reorder_delay`).
-    pub fn force_reorder_next(&mut self) {
-        self.forced.push_back(ForcedFault::Reorder);
-    }
-
-    /// Force the next frame to be delivered twice.
-    pub fn force_duplicate_next(&mut self) {
-        self.forced.push_back(ForcedFault::Duplicate);
-    }
-
     /// Force the next frame to be corrupted in a way that *preserves* the
     /// Internet checksum (the chaos engine's planted bug — the corruption
     /// must leak past the checksum layer so only an end-to-end oracle can
     /// catch it).
     pub fn force_stealth_corrupt_next(&mut self) {
-        self.forced.push_back(ForcedFault::StealthCorrupt);
+        self.stealth_pending += 1;
     }
 
     fn corrupt(&mut self, payload: &Bytes) -> Bytes {
@@ -239,38 +204,12 @@ impl FaultInjector {
     /// Draw the fate of one frame.
     pub fn fate(&mut self, payload: Bytes) -> Fate {
         self.stats.offered += 1;
-        if let Some(forced) = self.forced.pop_front() {
-            return match forced {
-                ForcedFault::Drop => {
-                    self.stats.dropped += 1;
-                    Fate::Drop
-                }
-                ForcedFault::Corrupt => Fate::Deliver {
-                    payload: self.corrupt(&payload),
-                    extra_delay: Dur::ZERO,
-                    duplicate: false,
-                },
-                ForcedFault::Reorder => {
-                    self.stats.reordered += 1;
-                    Fate::Deliver {
-                        payload,
-                        extra_delay: self.reorder_delay,
-                        duplicate: false,
-                    }
-                }
-                ForcedFault::Duplicate => {
-                    self.stats.duplicated += 1;
-                    Fate::Deliver {
-                        payload,
-                        extra_delay: Dur::ZERO,
-                        duplicate: true,
-                    }
-                }
-                ForcedFault::StealthCorrupt => Fate::Deliver {
-                    payload: self.stealth_corrupt(&payload),
-                    extra_delay: Dur::ZERO,
-                    duplicate: false,
-                },
+        if self.stealth_pending > 0 {
+            self.stealth_pending -= 1;
+            return Fate::Deliver {
+                payload: self.stealth_corrupt(&payload),
+                extra_delay: Dur::ZERO,
+                duplicate: false,
             };
         }
         if self.drop_p > 0.0 && self.rng.chance(self.drop_p) {
@@ -353,65 +292,16 @@ mod tests {
 
     #[test]
     fn forced_faults_win() {
-        let mut f = FaultInjector::none(4);
-        f.force_drop_next(2);
-        f.force_corrupt_next();
-        assert_eq!(f.fate(Bytes::from_static(b"a")), Fate::Drop);
+        // A certain drop still yields to a forced stealth corruption, once.
+        let mut f = FaultInjector::lossy(4, 1.0, 0.0).unwrap();
+        f.force_stealth_corrupt_next();
+        match f.fate(Bytes::from_static(b"a")) {
+            Fate::Deliver { payload, .. } => assert_eq!(payload, Bytes::from_static(b"a")),
+            Fate::Drop => panic!("the forced fate must win"),
+        }
         assert_eq!(f.fate(Bytes::from_static(b"b")), Fate::Drop);
-        match f.fate(Bytes::from_static(b"cc")) {
-            Fate::Deliver { payload, .. } => assert_ne!(payload, Bytes::from_static(b"cc")),
-            Fate::Drop => panic!(),
-        }
-        // Back to transparent.
-        match f.fate(Bytes::from_static(b"dd")) {
-            Fate::Deliver { payload, .. } => assert_eq!(payload, Bytes::from_static(b"dd")),
-            Fate::Drop => panic!(),
-        }
-    }
-
-    #[test]
-    fn forced_reorder_and_duplicate() {
-        let mut f = FaultInjector::none(6);
-        f.reorder_delay = Dur::micros(250);
-        f.force_reorder_next();
-        f.force_duplicate_next();
-        match f.fate(Bytes::from_static(b"r")) {
-            Fate::Deliver {
-                payload,
-                extra_delay,
-                duplicate,
-            } => {
-                assert_eq!(payload, Bytes::from_static(b"r"), "payload untouched");
-                assert_eq!(extra_delay, Dur::micros(250));
-                assert!(!duplicate);
-            }
-            Fate::Drop => panic!(),
-        }
-        match f.fate(Bytes::from_static(b"d")) {
-            Fate::Deliver {
-                extra_delay,
-                duplicate,
-                ..
-            } => {
-                assert_eq!(extra_delay, Dur::ZERO);
-                assert!(duplicate);
-            }
-            Fate::Drop => panic!(),
-        }
-        assert_eq!(f.stats.reordered, 1);
-        assert_eq!(f.stats.duplicated, 1);
-        // Back to transparent.
-        match f.fate(Bytes::from_static(b"z")) {
-            Fate::Deliver {
-                extra_delay,
-                duplicate,
-                ..
-            } => {
-                assert_eq!(extra_delay, Dur::ZERO);
-                assert!(!duplicate);
-            }
-            Fate::Drop => panic!(),
-        }
+        assert_eq!(f.fate(Bytes::from_static(b"c")), Fate::Drop);
+        assert_eq!((f.stats.offered, f.stats.dropped), (3, 2));
     }
 
     #[test]

@@ -14,38 +14,12 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+#![deny(unreachable_pub)]
 
-pub mod capture;
-pub mod fault;
-pub mod link;
+mod capture;
+mod fault;
+mod link;
 
-pub use capture::{Capture, CapturedFrame, Framing};
-pub use fault::{Fate, FaultConfigError, FaultInjector, FaultStats};
-pub use link::{Deliveries, Delivery, Link};
-
-use bytes::Bytes;
-
-/// A frame in flight between two adaptors.
-#[derive(Clone, Debug)]
-pub struct Frame {
-    /// Fabric address of the sender.
-    pub src: u32,
-    /// Fabric address of the destination.
-    pub dst: u32,
-    /// Logical channel tag (HIPPI MAC, §2.1); 0 for Ethernet.
-    pub channel: u16,
-    /// Frame contents (framing header + IP datagram).
-    pub payload: Bytes,
-}
-
-impl Frame {
-    /// Frame length in bytes.
-    pub fn len(&self) -> usize {
-        self.payload.len()
-    }
-
-    /// True for a zero-length frame.
-    pub fn is_empty(&self) -> bool {
-        self.payload.is_empty()
-    }
-}
+pub use capture::{Capture, Framing};
+pub use fault::{FaultInjector, FaultStats};
+pub use link::Link;

@@ -256,7 +256,7 @@ mod tests {
     #[test]
     fn dropped_frames_produce_no_delivery() {
         let mut l = Link::hippi(Dur::ZERO, 1);
-        l.faults.force_drop_next(1);
+        l.faults.drop_p = 1.0;
         assert!(l.transmit(Bytes::from_static(b"x"), Time::ZERO).is_empty());
         assert_eq!(l.frames_in, 1);
         assert_eq!(l.frames_delivered, 0);
@@ -308,8 +308,9 @@ mod tests {
     #[test]
     fn bytes_in_counts_dropped_frames_too() {
         let mut l = Link::hippi(Dur::ZERO, 1);
-        l.faults.force_drop_next(1);
+        l.faults.drop_p = 1.0;
         l.transmit(Bytes::from(vec![0u8; 64]), Time::ZERO);
+        l.faults.drop_p = 0.0;
         l.transmit(Bytes::from(vec![0u8; 36]), Time::ZERO);
         assert_eq!(l.bytes_in, 100);
         assert_eq!(l.bytes_delivered, 36);

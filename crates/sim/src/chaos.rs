@@ -105,7 +105,7 @@ impl ChaosAction {
 
     /// Replace the window length of a durable action (used by the shrinker to
     /// narrow windows). One-shot actions are returned unchanged.
-    pub fn with_duration(self, new: Dur) -> ChaosAction {
+    pub(crate) fn with_duration(self, new: Dur) -> ChaosAction {
         match self {
             ChaosAction::LinkDown { host, .. } => ChaosAction::LinkDown { host, dur: new },
             ChaosAction::Partition { .. } => ChaosAction::Partition { dur: new },

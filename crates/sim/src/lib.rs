@@ -10,8 +10,6 @@
 //!   with FIFO tie-breaking, so same-time events run in insertion order on
 //!   every platform; one binary heap below 512 pending events, a
 //!   hierarchical timing wheel with O(1) schedule/expire above,
-//! * [`EventQueue`] — the plain binary-heap reference the engine's
-//!   differential tests hold it against,
 //! * [`BufPool`] — generation-tagged slab/freelist pools behind the wire
 //!   frame and packet-buffer hot paths (steady-state transfers recycle
 //!   buffers instead of allocating per frame),
@@ -34,7 +32,7 @@
 //!   often, a span says when and for which flow),
 //! * [`chaos`] — deterministic, replayable fault schedules with a
 //!   delta-debugging shrinker for minimal failure repros,
-//! * [`timeline`] — windowed time-series telemetry: bounded rings of
+//! * [`Timeline`] — windowed time-series telemetry: bounded rings of
 //!   per-window counter deltas and gauge levels with exact conservation,
 //!   exported as Perfetto counter tracks, JSON/CSV, and sparklines.
 
@@ -43,28 +41,32 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+#![deny(unreachable_pub)]
 
 pub mod chaos;
-pub mod detmap;
-pub mod idtable;
+mod detmap;
+mod idtable;
 pub mod obs;
-pub mod pool;
-pub mod queue;
-pub mod rng;
+mod pool;
+mod rng;
 pub mod span;
 pub mod stats;
-pub mod time;
-pub mod timeline;
-pub mod wheel;
+mod time;
+mod timeline;
+mod wheel;
 
 pub use chaos::{ChaosAction, ChaosEvent, ChaosSchedule};
 pub use detmap::DetMap;
 pub use idtable::IdTable;
-pub use obs::{BusyTracker, Metric, MetricsRegistry};
+pub use obs::{BusyTracker, MetricsRegistry};
 pub use pool::{pooled_copy, BufPool, PoolStats, PooledBuf, Ticket};
-pub use queue::EventQueue;
 pub use rng::{check_probability, FaultConfigError, Pcg32};
 pub use span::{FlowId, Span, SpanSink, Stage};
 pub use time::{Dur, Time};
-pub use timeline::{SeriesId, SeriesKind, Timeline};
+pub use timeline::{SeriesKind, Timeline};
 pub use wheel::{EngineKind, EventEngine};
+
+#[cfg(test)]
+mod queue;
+#[cfg(test)]
+mod wheel_equivalence;

@@ -102,7 +102,7 @@ impl ValueHist {
     }
 
     /// Fold another histogram into this one.
-    pub fn merge(&mut self, other: &ValueHist) {
+    pub(crate) fn merge(&mut self, other: &ValueHist) {
         if other.count == 0 {
             return;
         }

@@ -12,8 +12,8 @@
 //! Every acquisition is tagged with a generation-tagged [`Ticket`]
 //! (`slot << 32 | generation`): releasing a stale or already-released
 //! ticket is counted in `ticket_errors` instead of corrupting the freelist,
-//! so recycled-handle aliasing (the bug class dma-check exists for) is
-//! detected rather than silent.
+//! so recycled-handle aliasing (the bug class the CAB's DMA ownership
+//! journal exists for) is detected rather than silent.
 //!
 //! Determinism: the pool affects only *where* buffer storage comes from,
 //! never its contents (`acquire` zeroes, exactly like the `vec![0; len]`

@@ -1,50 +1,19 @@
-//! Stable event queue: the reference scheduler.
+//! Stable event queue: the reference scheduler (test support).
 //!
 //! A binary heap keyed on `(Time, sequence)` where the sequence number is a
 //! monotonically increasing insertion counter. Two events scheduled for the
 //! same instant therefore pop in the order they were pushed, which keeps the
 //! simulation deterministic regardless of heap implementation details.
 //! Worlds run on [`EventEngine`](crate::EventEngine); this queue is what the
-//! engine's differential tests hold it against.
+//! engine's differential tests (`wheel_equivalence` and `wheel::tests`) hold
+//! it against.
 
 use crate::time::Time;
-use std::cmp::Ordering;
+use crate::wheel::Entry;
 use std::collections::BinaryHeap;
 
-/// A queued event and its `(at, seq)` key; also the entry type of every
-/// heap, slot and batch in [`EventEngine`](crate::EventEngine).
-pub(crate) struct Entry<E> {
-    pub(crate) at: Time,
-    pub(crate) seq: u64,
-    pub(crate) event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (and, within one
-        // instant, the first-inserted) entry is the maximum.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// A time-ordered queue of simulation events with FIFO tie-breaking.
-pub struct EventQueue<E> {
+pub(crate) struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
     now: Time,
@@ -58,7 +27,7 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// An empty queue with the clock at time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
@@ -69,7 +38,7 @@ impl<E> EventQueue<E> {
     /// The instant of the most recently popped event (the current virtual
     /// time of a simulation driven by this queue).
     #[inline]
-    pub fn now(&self) -> Time {
+    pub(crate) fn now(&self) -> Time {
         self.now
     }
 
@@ -79,7 +48,7 @@ impl<E> EventQueue<E> {
     ///
     /// Panics if `at` is in the past — scheduling into the past is always a
     /// logic error in a discrete-event simulation.
-    pub fn push(&mut self, at: Time, event: E) {
+    pub(crate) fn push(&mut self, at: Time, event: E) {
         let seq = self.reserve_seq();
         self.push_seq(at, seq, event);
     }
@@ -87,7 +56,7 @@ impl<E> EventQueue<E> {
     /// Take the next insertion sequence number without queueing anything:
     /// an event queued later with [`EventQueue::push_seq`] under this
     /// number sorts as if it had been pushed now.
-    pub fn reserve_seq(&mut self) -> u64 {
+    pub(crate) fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         seq
@@ -95,7 +64,7 @@ impl<E> EventQueue<E> {
 
     /// Schedule `event` at `at` under a sequence number taken earlier from
     /// [`EventQueue::reserve_seq`]. Panics like [`EventQueue::push`].
-    pub fn push_seq(&mut self, at: Time, seq: u64, event: E) {
+    pub(crate) fn push_seq(&mut self, at: Time, seq: u64, event: E) {
         assert!(
             at >= self.now,
             "scheduled event at {at:?} but the clock is already at {:?}",
@@ -109,7 +78,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Pop the earliest event and advance the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(Time, E)> {
+    pub(crate) fn pop(&mut self) -> Option<(Time, E)> {
         let entry = self.heap.pop()?;
         debug_assert!(entry.at >= self.now);
         self.now = entry.at;
@@ -117,22 +86,22 @@ impl<E> EventQueue<E> {
     }
 
     /// The timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<Time> {
+    pub(crate) fn peek_time(&self) -> Option<Time> {
         self.heap.peek().map(|e| e.at)
     }
 
     /// Number of scheduled events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// True when no events are scheduled.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 
     /// Drop every queued event (used when an experiment ends early).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.heap.clear();
     }
 }

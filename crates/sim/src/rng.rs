@@ -71,13 +71,6 @@ impl Pcg32 {
         rng
     }
 
-    /// Derive an independent child generator (for giving each component its
-    /// own stream without coupling their consumption patterns).
-    pub fn fork(&mut self) -> Pcg32 {
-        let seed = ((self.next_u32() as u64) << 32) | self.next_u32() as u64;
-        Pcg32::new(seed)
-    }
-
     /// The next 32 random bits (PCG-XSH-RR output function).
     pub fn next_u32(&mut self) -> u32 {
         let old = self.state;
@@ -113,7 +106,7 @@ impl Pcg32 {
     }
 
     /// Uniform float in `[0, 1)`.
-    pub fn unit_f64(&mut self) -> f64 {
+    pub(crate) fn unit_f64(&mut self) -> f64 {
         // 53 random bits into the mantissa.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
@@ -124,8 +117,19 @@ impl Pcg32 {
         self.unit_f64() < p
     }
 
+    /// Fisher-Yates shuffle.
+    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
+        for i in (1..xs.len()).rev() {
+            let j = self.below(i as u32 + 1) as usize;
+            xs.swap(i, j);
+        }
+    }
+}
+
+#[cfg(test)]
+impl Pcg32 {
     /// Fill `buf` with random bytes.
-    pub fn fill_bytes(&mut self, buf: &mut [u8]) {
+    pub(crate) fn fill_bytes(&mut self, buf: &mut [u8]) {
         let mut chunks = buf.chunks_exact_mut(4);
         for c in &mut chunks {
             c.copy_from_slice(&self.next_u32().to_le_bytes());
@@ -137,12 +141,11 @@ impl Pcg32 {
         }
     }
 
-    /// Fisher-Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u32 + 1) as usize;
-            xs.swap(i, j);
-        }
+    /// Derive an independent child generator (for giving each component its
+    /// own stream without coupling their consumption patterns).
+    pub(crate) fn fork(&mut self) -> Pcg32 {
+        let seed = ((self.next_u32() as u64) << 32) | self.next_u32() as u64;
+        Pcg32::new(seed)
     }
 }
 

@@ -31,7 +31,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
 /// Number of distinct [`Stage`]s.
-pub const STAGE_COUNT: usize = 16;
+pub(crate) const STAGE_COUNT: usize = 16;
 
 /// A lifecycle stage a traced unit of transfer passes through.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -457,11 +457,6 @@ impl SpanSink {
         self.dropped
     }
 
-    /// Spans still open.
-    pub fn open_count(&self) -> usize {
-        self.open.len()
-    }
-
     /// Per-stage duration histogram (nanoseconds), complete across
     /// evictions.
     pub fn stage_hist(&self, stage: Stage) -> &ValueHist {
@@ -797,6 +792,14 @@ pub fn critical_path<'a>(
 /// The pre-sweep implementations, kept verbatim as the oracle the property
 /// tests hold the linear-time versions to (byte-for-byte, share-for-share).
 #[cfg(test)]
+impl SpanSink {
+    /// Spans still open.
+    pub(crate) fn open_count(&self) -> usize {
+        self.open.len()
+    }
+}
+
+#[cfg(test)]
 mod reference {
     use super::*;
 
@@ -820,7 +823,7 @@ mod reference {
         );
     }
 
-    pub fn export_chrome_trace_with(
+    pub(super) fn export_chrome_trace_with(
         tracks: &[(u32, String, &SpanSink)],
         flow_limit: Option<usize>,
         extra_events: &[String],
@@ -932,7 +935,7 @@ mod reference {
         out
     }
 
-    pub fn critical_path<'a>(
+    pub(super) fn critical_path<'a>(
         spans: impl Iterator<Item = &'a Span>,
         group: u32,
     ) -> Option<CriticalPath> {

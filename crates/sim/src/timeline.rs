@@ -76,29 +76,6 @@ struct Series {
     samples: VecDeque<i64>,
 }
 
-/// Read-only view of one series, for exports and tests.
-pub struct SeriesView<'a> {
-    /// Dotted taxonomy name (`host0.tx_bytes`, `world.pool_in_use`).
-    pub name: &'a str,
-    /// Counter or gauge.
-    pub kind: SeriesKind,
-    /// Human unit label (`"bytes"`, `"pages"`, …) used as the Perfetto
-    /// counter-track argument key.
-    pub unit: &'static str,
-    /// Trace process the series belongs to (host index, or host-count for
-    /// world-wide series) — shares the span exporter's pid space.
-    pub pid: u32,
-    /// Value folded out of evicted windows.
-    pub base: i64,
-    /// Last absolute value sampled.
-    pub final_value: i64,
-    /// High-water mark of window samples: the peak per-window delta
-    /// (counters, i.e. the peak rate) or peak level (gauges).
-    pub hwm: i64,
-    /// Retained per-window samples, oldest first.
-    pub samples: &'a VecDeque<i64>,
-}
-
 /// A bounded, windowed, deterministic time-series recorder.
 ///
 /// Usage: [`declare`](Timeline::declare) every series up front, then call
@@ -188,21 +165,6 @@ impl Timeline {
             samples: VecDeque::new(),
         });
         SeriesId(self.series.len() - 1)
-    }
-
-    /// Read-only view of series `idx` (declaration order).
-    pub fn series_view(&self, idx: usize) -> SeriesView<'_> {
-        let s = &self.series[idx];
-        SeriesView {
-            name: &s.name,
-            kind: s.kind,
-            unit: s.unit,
-            pid: s.pid,
-            base: s.base,
-            final_value: s.last,
-            hwm: s.hwm,
-            samples: &s.samples,
-        }
     }
 
     /// Close one full window with the absolute values of every series, in
@@ -434,6 +396,34 @@ impl Timeline {
             );
         }
         out
+    }
+}
+
+/// Read-only view of one series' window state.
+#[cfg(test)]
+pub(crate) struct SeriesView<'a> {
+    /// Value folded out of evicted windows.
+    pub(crate) base: i64,
+    /// Last absolute value sampled.
+    pub(crate) final_value: i64,
+    /// High-water mark of window samples: the peak per-window delta
+    /// (counters, i.e. the peak rate) or peak level (gauges).
+    pub(crate) hwm: i64,
+    /// Retained per-window samples, oldest first.
+    pub(crate) samples: &'a VecDeque<i64>,
+}
+
+#[cfg(test)]
+impl Timeline {
+    /// Read-only view of series `idx` (declaration order).
+    pub(crate) fn series_view(&self, idx: usize) -> SeriesView<'_> {
+        let s = &self.series[idx];
+        SeriesView {
+            base: s.base,
+            final_value: s.last,
+            hwm: s.hwm,
+            samples: &s.samples,
+        }
     }
 }
 

@@ -1,8 +1,8 @@
 //! The event scheduler: a hierarchical timing wheel (Varghese & Lauck,
 //! SOSP '87) that runs as one binary heap while the schedule is small.
 //!
-//! [`EventEngine`] has the reference [`EventQueue`](crate::EventQueue)'s
-//! `(Time, seq)` FIFO tie-break semantics. Below [`SPILL`] pending entries
+//! [`EventEngine`] pops in `(Time, seq)` order: earliest first, and events
+//! at one instant in the order they were pushed (FIFO tie-break). Below [`SPILL`] pending entries
 //! it *is* that heap (see *Heap mode*); above it, schedule and expire are
 //! amortized O(1) instead of O(log n). The wheel has four levels of 256
 //! slots each, 8 bits of nanoseconds per level, on top of a 2^8 ns *grain*:
@@ -68,8 +68,8 @@
 //! The slot machinery (`spill`, `place`, `scan`) stays out of line, so heap
 //! mode's push and pop compile to the reference heap's.
 
-use crate::queue::Entry;
 use crate::time::Time;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 
@@ -91,6 +91,38 @@ const GRAIN: u32 = 8;
 /// the wheel's O(1) wins by integer factors) sits in the tens of
 /// thousands.
 const SPILL: usize = 512;
+
+/// A queued event and its `(at, seq)` key: the entry type of every heap,
+/// slot and batch in [`EventEngine`].
+pub(crate) struct Entry<E> {
+    pub(crate) at: Time,
+    pub(crate) seq: u64,
+    pub(crate) event: E,
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.seq == other.seq
+    }
+}
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap; invert so the earliest (and, within one
+        // instant, the first-inserted) entry is the maximum.
+        other
+            .at
+            .cmp(&self.at)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
 
 /// A 256-bit occupancy bitmap over one level's slots.
 #[derive(Default, Clone, Copy)]
@@ -131,10 +163,9 @@ impl EngineKind {
     }
 }
 
-/// A time-ordered event scheduler with FIFO tie-breaking, API-compatible
-/// with [`EventQueue`](crate::EventQueue) (modulo `peek_time` taking
-/// `&mut self`, because a peek may advance the cursor, never past the
-/// earliest pending event).
+/// A time-ordered event scheduler with FIFO tie-breaking. `peek_time` takes
+/// `&mut self` because a peek may advance the cursor, never past the
+/// earliest pending event.
 pub struct EventEngine<E> {
     /// `LEVELS * SLOTS` slot vectors, flattened level-major. Empty until
     /// the first [`EventEngine::spill`] — heap-mode schedules never pay
@@ -213,15 +244,16 @@ impl<E> EventEngine<E> {
     ///
     /// # Panics
     ///
-    /// Panics if `at` is in the past, exactly like
-    /// [`EventQueue::push`](crate::EventQueue::push).
+    /// Panics if `at` is in the past — scheduling into the past is always a
+    /// logic error in a discrete-event simulation.
     pub fn push(&mut self, at: Time, event: E) {
         let seq = self.reserve_seq();
         self.push_seq(at, seq, event);
     }
 
-    /// Take the next insertion sequence number without queueing anything,
-    /// exactly like [`EventQueue::reserve_seq`](crate::EventQueue::reserve_seq).
+    /// Take the next insertion sequence number without queueing anything:
+    /// an event queued later with [`EventEngine::push_seq`] under this
+    /// number sorts as if it had been pushed now.
     pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -314,7 +346,7 @@ impl<E> EventEngine<E> {
     }
 
     /// Drop every queued event (used when an experiment ends early). Keeps
-    /// the clock and the sequence counter, like the reference queue.
+    /// the clock and the sequence counter.
     pub fn clear(&mut self) {
         for s in &mut self.slots {
             s.clear();
@@ -469,8 +501,8 @@ impl<E> EventEngine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::EventQueue;
     use crate::time::Dur;
-    use crate::EventQueue;
 
     #[test]
     fn kind_round_trips() {

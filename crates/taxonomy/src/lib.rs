@@ -20,6 +20,7 @@
 //! **single copy**, which is the whole point of the system.
 
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
 use std::fmt;
 
@@ -98,28 +99,11 @@ pub enum Op {
 
 impl Op {
     /// CPU memory accesses per data byte (reads + writes).
-    pub fn cpu_accesses(self) -> u32 {
+    pub(crate) fn cpu_accesses(self) -> u32 {
         match self {
             Op::Copy | Op::CopyC => 2,
             Op::Pio | Op::PioC | Op::ReadC => 1,
             Op::Dma | Op::DmaC => 0,
-        }
-    }
-
-    /// IO-bus transfers per data byte.
-    pub fn bus_transfers(self) -> u32 {
-        match self {
-            Op::Pio | Op::PioC | Op::Dma | Op::DmaC => 1,
-            Op::Copy | Op::CopyC | Op::ReadC => 0,
-        }
-    }
-
-    /// Memory-system touches per data byte (every op that streams the data
-    /// through the memory system at least once).
-    pub fn memory_touches(self) -> u32 {
-        match self {
-            Op::Copy | Op::CopyC => 2,
-            _ => 1,
         }
     }
 }
@@ -292,6 +276,17 @@ pub fn cell_cpu_accesses(api: Api, csum: CsumLoc, adaptor: Adaptor) -> u32 {
         .iter()
         .map(|o| o.cpu_accesses())
         .sum()
+}
+
+#[cfg(test)]
+impl Op {
+    /// IO-bus transfers per data byte.
+    pub(crate) fn bus_transfers(self) -> u32 {
+        match self {
+            Op::Pio | Op::PioC | Op::Dma | Op::DmaC => 1,
+            Op::Copy | Op::CopyC | Op::ReadC => 0,
+        }
+    }
 }
 
 #[cfg(test)]

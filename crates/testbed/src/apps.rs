@@ -67,7 +67,7 @@ fn pattern_period(base: usize) -> &'static [u8] {
 
 /// Fill `dst` with the pattern bytes of stream offsets `base..`, a period
 /// per copy.
-pub fn ttcp_fill(dst: &mut [u8], base: usize) {
+pub(crate) fn ttcp_fill(dst: &mut [u8], base: usize) {
     let period = pattern_period(base);
     for chunk in dst.chunks_mut(period.len()) {
         chunk.copy_from_slice(&period[..chunk.len()]);
@@ -76,7 +76,7 @@ pub fn ttcp_fill(dst: &mut [u8], base: usize) {
 
 /// How many bytes of `src` differ from the pattern at stream offsets
 /// `base..`; only a period that differs is compared byte by byte.
-pub fn ttcp_mismatches(src: &[u8], base: usize) -> u64 {
+pub(crate) fn ttcp_mismatches(src: &[u8], base: usize) -> u64 {
     let period = pattern_period(base);
     let mut wrong = 0;
     for chunk in src.chunks(period.len()) {

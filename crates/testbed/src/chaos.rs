@@ -4,7 +4,7 @@
 //!
 //! The runner steps the world in fixed sim-time chunks with a progress
 //! watchdog: once every scheduled fault has healed
-//! ([`World::chaos_quiesce_at`]), a run that makes no application-level
+//! (`World::chaos_quiesce_at`), a run that makes no application-level
 //! progress for the liveness budget is declared livelocked; a drained event
 //! queue with the transfer unfinished is a deadlock. Because the world is a
 //! deterministic discrete-event simulation, the same config + schedule

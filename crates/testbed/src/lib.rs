@@ -2,7 +2,7 @@
 //! optionally an Ethernet segment), applications driving the socket API,
 //! and the experiment harness that reproduces the paper's measurements.
 //!
-//! * [`world`] — the discrete-event `World`: hosts (kernel + CPU + user
+//! * `world` — the discrete-event `World`: hosts (kernel + CPU + user
 //!   memory + apps), links, and the event dispatch loop that interprets
 //!   kernel [`outboard_stack::Effect`]s,
 //! * [`apps`] — `ttcp`-style sender/receiver processes and in-kernel
@@ -12,6 +12,7 @@
 //!   plus the raw-HIPPI bound and the §7.3 analytic model.
 
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
 pub mod analysis;
 pub mod apps;
@@ -19,8 +20,8 @@ pub mod chaos;
 pub mod experiment;
 pub mod oracle;
 mod timers;
-pub mod world;
+mod world;
 
-pub use chaos::{run_chaos, shrink_failure, ChaosOutcome, DEFAULT_LIVENESS_BUDGET};
+pub use chaos::{run_chaos, shrink_failure, DEFAULT_LIVENESS_BUDGET};
 pub use experiment::{raw_hippi_throughput, run_ttcp, ExperimentConfig, Metrics};
-pub use world::{App, ChaosStats, Step, SysCtx, World};
+pub use world::{SysCtx, World};

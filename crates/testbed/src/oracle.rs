@@ -25,7 +25,7 @@ use outboard_sim::MetricsRegistry;
 
 /// Fault fates that must aggregate exactly from per-link counters to the
 /// `world.faults.*` totals.
-pub const FAULT_FATES: [&str; 6] = [
+pub(crate) const FAULT_FATES: [&str; 6] = [
     "offered",
     "dropped",
     "corrupted",
@@ -100,7 +100,7 @@ pub fn conservation_violations(r: &MetricsRegistry, hosts: usize) -> Vec<String>
 /// Stream-integrity checks for a finished (or stalled) ttcp transfer:
 /// the receiver must hold exactly `total_bytes` pattern-verified bytes and
 /// the sender must have written them all.
-pub fn integrity_violations(w: &World, total_bytes: usize) -> Vec<String> {
+pub(crate) fn integrity_violations(w: &World, total_bytes: usize) -> Vec<String> {
     let mut v = Vec::new();
     let recv = w.hosts[1].apps[0]
         .as_ref()
@@ -142,7 +142,7 @@ pub fn integrity_violations(w: &World, total_bytes: usize) -> Vec<String> {
 /// timers given time to fire, each CAB interface must be back on the
 /// single-copy path with balanced degraded-mode transitions and no wedged
 /// engine.
-pub fn endstate_violations(w: &World) -> Vec<String> {
+pub(crate) fn endstate_violations(w: &World) -> Vec<String> {
     let mut v = Vec::new();
     for (h, host) in w.hosts.iter().enumerate() {
         for iface in &host.kernel.ifaces {

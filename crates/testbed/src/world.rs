@@ -13,8 +13,8 @@ use outboard_host::{Charge, Cpu, HostMem, MachineConfig, TaskId};
 use outboard_netsim::{Capture, Framing, Link};
 use outboard_sim::chaos::{ChaosAction, ChaosSchedule};
 use outboard_sim::span::{self, CriticalPath, Span, SpanSink, Stage};
-use outboard_sim::timeline::{SeriesKind, Timeline};
 use outboard_sim::{BufPool, Dur, EngineKind, EventEngine, MetricsRegistry, Time};
+use outboard_sim::{SeriesKind, Timeline};
 use outboard_stack::{Effect, IfaceId, Kernel, SockId, StackConfig, TimerKind};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -23,7 +23,7 @@ use std::sync::Arc;
 /// What a scheduled event does when it fires. (Field meanings follow the
 /// kernel entry points they feed; see [`outboard_stack::Kernel`].)
 #[allow(missing_docs)]
-pub enum Event {
+pub(crate) enum Event {
     /// Run (or resume) an application.
     AppStep { host: usize, task: TaskId },
     /// An in-kernel application's queue became ready.
@@ -96,7 +96,7 @@ pub struct SysCtx<'a> {
 
 impl SysCtx<'_> {
     /// Account app-level (user mode) CPU, e.g. the ttcp loop body.
-    pub fn user_cpu(&mut self, us: f64) {
+    pub(crate) fn user_cpu(&mut self, us: f64) {
         self.user_us += us;
     }
 
@@ -274,7 +274,7 @@ pub struct World {
     /// delivers its slot's latest arm.
     pub events_dispatched: u64,
     /// Wire-transit spans (one sink for the whole fabric; disabled by
-    /// default — see [`World::enable_span_tracing`]).
+    /// default — see `World::enable_span_tracing`).
     pub wire_spans: SpanSink,
     /// Installed chaos schedule (None for fault-free / knob-only runs).
     chaos: Option<ChaosState>,
@@ -337,20 +337,15 @@ impl World {
         });
     }
 
-    /// True when a chaos schedule has been installed.
-    pub fn chaos_installed(&self) -> bool {
-        self.chaos.is_some()
-    }
-
     /// Absolute time by which every durable chaos window has closed (the
     /// liveness oracle only counts stalls after this point). None without
     /// an installed schedule.
-    pub fn chaos_quiesce_at(&self) -> Option<Time> {
+    pub(crate) fn chaos_quiesce_at(&self) -> Option<Time> {
         self.chaos.as_ref().map(|c| c.quiesce)
     }
 
     /// Snapshot of the chaos-injection counters.
-    pub fn chaos_stats(&self) -> Option<ChaosStats> {
+    pub(crate) fn chaos_stats(&self) -> Option<ChaosStats> {
         self.chaos.as_ref().map(|c| c.stats)
     }
 
@@ -526,7 +521,7 @@ impl World {
     /// Turn on per-packet causal tracing: every host kernel plus the
     /// fabric gets a bounded span ring of `capacity` entries. Call after
     /// hosts are added; hosts added later stay untraced.
-    pub fn enable_span_tracing(&mut self, capacity: usize) {
+    pub(crate) fn enable_span_tracing(&mut self, capacity: usize) {
         self.wire_spans.enable(capacity);
         for host in &mut self.hosts {
             host.kernel.spans.enable(capacity);
@@ -563,7 +558,7 @@ impl World {
     /// added; hosts added later are not sampled. Sampling is lazy (driven
     /// by event dispatch crossing window boundaries), so disabled runs pay
     /// only one branch per event and stay byte-identical.
-    pub fn enable_timeline(&mut self, window: Dur, capacity: usize) {
+    pub(crate) fn enable_timeline(&mut self, window: Dur, capacity: usize) {
         let mut tl = Timeline::new(window, capacity);
         let n = self.hosts.len();
         let hosts = (0..n).flat_map(|i| {
@@ -682,7 +677,7 @@ impl World {
 
     /// Every recorded span, merged across hosts and the fabric in stable
     /// (start-time, track, emission) order.
-    pub fn merged_spans(&self) -> Vec<Span> {
+    pub(crate) fn merged_spans(&self) -> Vec<Span> {
         let mut all: Vec<(u32, &Span)> = self
             .span_sinks()
             .flat_map(|(pid, sink)| sink.spans().map(move |s| (pid, s)))
@@ -1349,11 +1344,6 @@ impl World {
         self.apply_effects(host, effects, now);
     }
 
-    /// Kick an application (initial scheduling or test-driven wake).
-    pub fn schedule_app(&mut self, host: usize, task: TaskId, at: Time) {
-        self.queue.push(at, Event::AppStep { host, task });
-    }
-
     /// Number of pending events (diagnostics): one wakeup per armed timer,
     /// plus the rare dead one an earlier re-arm left behind.
     pub fn pending_events(&self) -> usize {
@@ -1364,6 +1354,14 @@ impl World {
 impl Default for World {
     fn default() -> Self {
         World::new()
+    }
+}
+
+#[cfg(test)]
+impl World {
+    /// Kick an application (initial scheduling or test-driven wake).
+    pub(crate) fn schedule_app(&mut self, host: usize, task: TaskId, at: Time) {
+        self.queue.push(at, Event::AppStep { host, task });
     }
 }
 

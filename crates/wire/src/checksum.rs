@@ -60,12 +60,6 @@ pub fn add16(a: u16, b: u16) -> u16 {
     fold(a as u32 + b as u32)
 }
 
-/// Ones-complement subtraction: the value `d` such that `add16(b, d) == a`.
-#[inline]
-pub fn sub16(a: u16, b: u16) -> u16 {
-    add16(a, !b)
-}
-
 /// Streaming ones-complement accumulator that tolerates arbitrary slice
 /// boundaries (it tracks byte parity internally).
 #[derive(Clone, Copy, Debug, Default)]
@@ -195,12 +189,12 @@ impl Accumulator {
     }
 
     /// Append a 16-bit word (network order).
-    pub fn add_u16(&mut self, v: u16) {
+    pub(crate) fn add_u16(&mut self, v: u16) {
         self.add_word(v as u64, &v.to_be_bytes());
     }
 
     /// Append a 32-bit word (network order).
-    pub fn add_u32(&mut self, v: u32) {
+    pub(crate) fn add_u32(&mut self, v: u32) {
         self.add_word(v as u64, &v.to_be_bytes());
     }
 
@@ -260,9 +254,18 @@ pub fn pseudo_header_sum(src: [u8; 4], dst: [u8; 4], protocol: u8, transport_len
     acc.partial()
 }
 
+/// Verify a transport segment: sum over pseudo-header + header + payload
+/// (including the checksum field itself) must fold to `0xFFFF`.
+pub fn verify_transport(pseudo_sum: u16, segment: &[u8]) -> bool {
+    let mut acc = Accumulator::from_partial(pseudo_sum);
+    acc.add_bytes(segment);
+    acc.partial() == 0xFFFF
+}
+
 /// RFC 1624 incremental update: recompute a checksum after a 16-bit field
 /// changed from `old` to `new` without touching the rest of the data.
-pub fn incremental_update(old_csum: Checksum, old_field: u16, new_field: u16) -> Checksum {
+#[cfg(test)]
+pub(crate) fn incremental_update(old_csum: Checksum, old_field: u16, new_field: u16) -> Checksum {
     // HC' = ~(C + (-m) + m') computed in ones-complement arithmetic.
     let partial = !old_csum.0;
     let partial = add16(partial, !old_field);
@@ -270,12 +273,11 @@ pub fn incremental_update(old_csum: Checksum, old_field: u16, new_field: u16) ->
     Checksum(!partial)
 }
 
-/// Verify a transport segment: sum over pseudo-header + header + payload
-/// (including the checksum field itself) must fold to `0xFFFF`.
-pub fn verify_transport(pseudo_sum: u16, segment: &[u8]) -> bool {
-    let mut acc = Accumulator::from_partial(pseudo_sum);
-    acc.add_bytes(segment);
-    acc.partial() == 0xFFFF
+/// Ones-complement subtraction: the value `d` such that `add16(b, d) == a`.
+#[cfg(test)]
+#[inline]
+pub(crate) fn sub16(a: u16, b: u16) -> u16 {
+    add16(a, !b)
 }
 
 #[cfg(test)]

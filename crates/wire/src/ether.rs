@@ -12,18 +12,12 @@ use crate::{be16, put16, WireError};
 /// Ethernet II header length.
 pub const ETHER_HEADER_LEN: usize = 14;
 /// Ethertype for IPv4.
-pub const ETHERTYPE_IPV4: u16 = 0x0800;
-/// Classic Ethernet MTU.
-pub const ETHER_MTU: usize = 1500;
-
+pub(crate) const ETHERTYPE_IPV4: u16 = 0x0800;
 /// A 48-bit MAC address.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
-    /// The broadcast address, ff:ff:ff:ff:ff:ff.
-    pub const BROADCAST: MacAddr = MacAddr([0xFF; 6]);
-
     /// Deterministic locally-administered address derived from a host index.
     pub fn local(idx: u8) -> MacAddr {
         MacAddr([0x02, 0x00, 0x00, 0x00, 0x00, idx])

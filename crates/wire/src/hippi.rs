@@ -18,10 +18,10 @@ use crate::{be16, be32, put16, put32, WireError};
 pub const HIPPI_HEADER_LEN: usize = 40;
 
 /// `HIPPI_HEADER_LEN` in 32-bit words.
-pub const HIPPI_HEADER_WORDS: usize = HIPPI_HEADER_LEN / 4;
+pub(crate) const HIPPI_HEADER_WORDS: usize = HIPPI_HEADER_LEN / 4;
 
 /// ULP id we use for IPv4 ("IP-over-HIPPI" in this simulation).
-pub const ULP_IPV4: u8 = 4;
+pub(crate) const ULP_IPV4: u8 = 4;
 
 /// Receive checksum start offset in words: HIPPI (10) + IPv4 (5) headers.
 /// This is the simulation's analogue of the paper's "set to 20 words".
@@ -33,7 +33,7 @@ pub type HippiAddr = u32;
 /// The simplified HIPPI-FP header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HippiHeader {
-    /// Upper-layer protocol (always [`ULP_IPV4`] here).
+    /// Upper-layer protocol (always `ULP_IPV4` here).
     pub ulp: u8,
     /// D2 (payload) size in bytes — the IP datagram length.
     pub d2_size: u32,

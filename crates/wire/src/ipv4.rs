@@ -12,12 +12,10 @@ use std::net::Ipv4Addr;
 /// Fixed IPv4 header length without options.
 pub const IPV4_HEADER_LEN: usize = 20;
 
-/// Don't Fragment flag.
-pub const IP_DF: u16 = 0x4000;
 /// More Fragments flag.
 pub const IP_MF: u16 = 0x2000;
 /// Fragment offset mask (in 8-byte units).
-pub const IP_OFFMASK: u16 = 0x1FFF;
+pub(crate) const IP_OFFMASK: u16 = 0x1FFF;
 
 /// A parsed or to-be-serialized IPv4 header (options never generated).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,11 +66,6 @@ impl Ipv4Header {
     /// True when the MF flag is set (more fragments follow).
     pub fn more_fragments(&self) -> bool {
         self.flags_frag & IP_MF != 0
-    }
-
-    /// True when the DF flag is set.
-    pub fn dont_fragment(&self) -> bool {
-        self.flags_frag & IP_DF != 0
     }
 
     /// True when this datagram is a fragment (offset != 0 or MF set).
@@ -147,6 +140,18 @@ impl Ipv4Header {
             dst: Ipv4Addr::new(buf[16], buf[17], buf[18], buf[19]),
             header_len: ihl as u8,
         })
+    }
+}
+
+/// Don't Fragment flag.
+#[cfg(test)]
+pub(crate) const IP_DF: u16 = 0x4000;
+
+#[cfg(test)]
+impl Ipv4Header {
+    /// True when the DF flag is set.
+    pub(crate) fn dont_fragment(&self) -> bool {
+        self.flags_frag & IP_DF != 0
     }
 }
 

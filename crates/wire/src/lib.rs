@@ -27,6 +27,7 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+#![deny(unreachable_pub)]
 
 pub mod checksum;
 pub mod ether;

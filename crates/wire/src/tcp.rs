@@ -29,7 +29,7 @@ impl TcpFlags {
     /// Acknowledgment field is significant.
     pub const ACK: TcpFlags = TcpFlags(0x10);
     /// Urgent pointer is significant.
-    pub const URG: TcpFlags = TcpFlags(0x20);
+    pub(crate) const URG: TcpFlags = TcpFlags(0x20);
 
     /// True when every bit of `other` is set in `self`.
     pub fn contains(self, other: TcpFlags) -> bool {
@@ -37,7 +37,7 @@ impl TcpFlags {
     }
 
     /// Bitwise union of two flag sets.
-    pub fn union(self, other: TcpFlags) -> TcpFlags {
+    pub(crate) fn union(self, other: TcpFlags) -> TcpFlags {
         TcpFlags(self.0 | other.0)
     }
 
@@ -56,10 +56,6 @@ impl TcpFlags {
     /// RST set?
     pub fn rst(self) -> bool {
         self.contains(TcpFlags::RST)
-    }
-    /// PSH set?
-    pub fn psh(self) -> bool {
-        self.contains(TcpFlags::PSH)
     }
 }
 
@@ -135,7 +131,7 @@ impl TcpHeader {
     }
 
     /// Length this header will serialize to (20 + padded options).
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         let mut opt = 0usize;
         if self.mss.is_some() {
             opt += 4;

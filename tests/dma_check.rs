@@ -1,11 +1,9 @@
-//! The `dma-check` ownership journal catches the hazards the paper's
+//! The DMA ownership journal catches the hazards the paper's
 //! DMA-counter handshake (§4.4.2) exists to prevent: a host free or a
 //! second engine touching a packet while a DMA engine still owns it, and
 //! dangling transfers on freed buffers. These tests provoke each violation
-//! at the device interface and check the typed error surfaces.
-//!
-//! Build with `cargo test --features dma-check --test dma_check`.
-#![cfg(feature = "dma-check")]
+//! at the device interface and check the typed error surfaces. The journal
+//! is armed in debug builds, so a plain `cargo test` runs them.
 
 use bytes::Bytes;
 use outboard::cab::{Cab, CabConfig, CabError, DmaEngine, SdmaTx, SgEntry, ViolationKind};

@@ -8,8 +8,15 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
+#![deny(unreachable_pub)]
 
 use std::collections::HashMap as Map; //~ clippy::disallowed_types
+
+// The public surface is what other crates can name.
+mod inner { pub fn leaked() {} } //~ unreachable_pub
+pub fn reaches_inner() {
+    inner::leaked()
+}
 
 // No panic in any non-test fn: a helper nobody calls, a method, an operator.
 pub fn root(x: Option<u32>) -> u32 {

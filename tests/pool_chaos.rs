@@ -12,8 +12,8 @@
 //! * **steady state** — `misses` is bounded by `high_water + discards`:
 //!   allocation count tracks peak concurrency, not packet count, so the
 //!   hot path really is recycling rather than allocating;
-//! * **dma-check** — with `--features dma-check`, the CAB ownership
-//!   journals record no violations: recycled storage never reaches a DMA
+//! * **ownership** — the CAB ownership journals (armed in debug builds)
+//!   record no violations: recycled storage never reaches a DMA
 //!   engine while another engine or the host still owns it (the pool's
 //!   generation tags must prevent recycled-handle aliasing).
 
@@ -140,9 +140,7 @@ fn drive(w: &mut World, total_bytes: usize) -> bool {
 }
 
 /// Every CAB ownership journal in the world must be clean (and must have
-/// actually observed traffic). Compiled out without `dma-check`: the rest
-/// of the invariants still run, and CI's dma-check step arms this one.
-#[cfg(feature = "dma-check")]
+/// actually observed traffic).
 fn assert_journals_clean(w: &mut World, name: &str) {
     for (h, host) in w.hosts.iter_mut().enumerate() {
         for iface in &mut host.kernel.ifaces {
@@ -150,7 +148,7 @@ fn assert_journals_clean(w: &mut World, name: &str) {
                 let violations = ci.cab.ownership_violations();
                 assert!(
                     violations.is_empty(),
-                    "case {name}: host {h} dma-check journal recorded {} \
+                    "case {name}: host {h} ownership journal recorded {} \
                      ownership violations, first: {}",
                     violations.len(),
                     violations[0],
@@ -158,15 +156,12 @@ fn assert_journals_clean(w: &mut World, name: &str) {
                 assert!(
                     ci.cab.ownership_transitions() > 0,
                     "case {name}: host {h} journal saw no transfers — the \
-                     dma-check instrumentation is not wired up",
+                     journal is not wired up",
                 );
             }
         }
     }
 }
-
-#[cfg(not(feature = "dma-check"))]
-fn assert_journals_clean(_w: &mut World, _name: &str) {}
 
 /// Power-of-two size classes the pool maintains (1 KiB … 1 MiB). A miss is
 /// counted per class (the class's freelist was empty) while `high_water` is

@@ -135,11 +135,17 @@ fn every_model_crate_is_under_the_same_rules() {
         .filter(|l| l.starts_with("#![cfg_attr(not(test), deny("))
         .collect();
     assert_eq!(deny.len(), 4);
+    let surface = "\n#![deny(unreachable_pub)]\n";
+    assert!(planted.contains(surface));
     for (dir, _) in MODEL_CRATES {
         let lib = read(&format!("crates/{dir}/src/lib.rs"));
         assert!(
             lib.contains(&deny.join("\n")),
             "crates/{dir}/src/lib.rs lacks the deny lines"
+        );
+        assert!(
+            lib.contains(surface),
+            "crates/{dir}/src/lib.rs lacks the unreachable_pub line"
         );
     }
     let netsim = read("crates/netsim/clippy.toml");
