@@ -19,6 +19,7 @@
 //!   copy-out requests toward the reading process's buffer.
 
 use crate::config::CabConfig;
+use crate::cost::EngineCosts;
 use crate::engine::EngineTimeline;
 use crate::fault::{FaultInjector, TransferFault};
 use crate::netmem::{NetworkMemory, PacketId};
@@ -279,6 +280,8 @@ pub struct CabStats {
 #[derive(Debug)]
 pub struct Cab {
     cfg: CabConfig,
+    /// The engine costs, compiled from `cfg` once.
+    costs: EngineCosts,
     /// This adaptor's address in the HIPPI fabric.
     pub addr: HippiAddr,
     netmem: NetworkMemory,
@@ -301,6 +304,7 @@ impl Cab {
     pub fn new(addr: HippiAddr, cfg: CabConfig) -> Cab {
         let netmem = NetworkMemory::new(cfg.net_mem_bytes, cfg.page_size);
         Cab {
+            costs: EngineCosts::compile(&cfg),
             cfg,
             addr,
             netmem,
@@ -393,15 +397,6 @@ impl Cab {
             return CabError::Ownership(v);
         }
         CabError::UnknownPacket(id)
-    }
-
-    /// Engine-time bookkeeping for a host-bus transfer.
-    fn sdma_cost_extra(&self, sg_entries: usize, misaligned_edges: usize) -> Dur {
-        Dur::from_micros_f64(
-            self.cfg.sdma_setup_us
-                + self.cfg.sdma_per_sg_us * sg_entries as f64
-                + self.cfg.sdma_misalign_us * misaligned_edges as f64,
-        )
     }
 
     fn count_misaligned(&self, sg: &[SgEntry]) -> usize {
@@ -514,8 +509,8 @@ impl Cab {
         data.extend_from_slice(body);
 
         let misaligned = self.count_misaligned(&req.sg);
-        let extra = self.sdma_cost_extra(req.sg.len(), misaligned);
-        let done = self.sdma.run(now, extra, total, self.cfg.sdma_bps());
+        let extra = self.costs.sdma_extra.get(req.sg.len(), misaligned);
+        let done = self.sdma.run(now, extra, total, &self.costs.sdma);
 
         // The gather occupies the buffer for [now, done); the checksum
         // engine computes during the same window (§4.3's sanctioned
@@ -618,8 +613,8 @@ impl Cab {
             }
             SdmaDst::Kernel => 0,
         };
-        let extra = self.sdma_cost_extra(1, misaligned);
-        let done = self.sdma.run(now, extra, req.len, self.cfg.sdma_bps());
+        let extra = self.costs.sdma_extra.get(1, misaligned);
+        let done = self.sdma.run(now, extra, req.len, &self.costs.sdma);
 
         self.netmem
             .journal_record(req.packet, DmaEngine::Sdma, Some(done));
@@ -691,12 +686,9 @@ impl Cab {
             }
             None => {}
         }
-        let done = self.mdma_tx.run(
-            now,
-            Dur::from_micros_f64(self.cfg.mdma_setup_us),
-            frame.len(),
-            self.cfg.media_bps(),
-        );
+        let done = self
+            .mdma_tx
+            .run(now, self.costs.mdma_setup, frame.len(), &self.costs.media);
         self.netmem
             .journal_record(packet, DmaEngine::MdmaTx, Some(done));
         if free_after {
@@ -744,9 +736,9 @@ impl Cab {
         // matters for back-to-back arrival contention).
         let mdma_done = self.mdma_rx.run(
             now,
-            Dur::from_micros_f64(self.cfg.mdma_setup_us),
+            self.costs.mdma_setup,
             0, // serialization paid on the link; setup only
-            self.cfg.media_bps(),
+            &self.costs.media,
         );
         if let Some(pkt) = self.netmem.get_mut(id) {
             // The arriving frame's storage becomes the packet's.
@@ -772,9 +764,9 @@ impl Cab {
         let autodma = frame.slice(..auto_len);
         let done = self.sdma.run(
             mdma_done,
-            Dur::from_micros_f64(2.0),
+            self.costs.autodma_setup,
             auto_len,
-            self.cfg.sdma_bps(),
+            &self.costs.sdma,
         );
 
         // Inflow claims the fresh buffer for [now, mdma_done) with the

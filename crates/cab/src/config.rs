@@ -70,16 +70,6 @@ impl Default for CabConfig {
 }
 
 impl CabConfig {
-    /// Effective SDMA bandwidth in bit/s after the Turbochannel scale.
-    pub(crate) fn sdma_bps(&self) -> f64 {
-        self.sdma_bw_mbps * 1e6 * self.tc_speed_scale
-    }
-
-    /// Media bandwidth in bit/s.
-    pub(crate) fn media_bps(&self) -> f64 {
-        self.media_bw_mbps * 1e6
-    }
-
     /// Auto-DMA buffer size in bytes.
     pub(crate) fn autodma_bytes(&self) -> usize {
         self.autodma_words * 4
@@ -121,6 +111,7 @@ mod tests {
         assert_eq!(c.pages_for(4 * 1024 + 1), 2);
         assert_eq!(c.pages_for(32 * 1024 + 40), 9);
         c.tc_speed_scale = 0.5;
-        assert_eq!(c.sdma_bps(), 75e6);
+        let half = crate::cost::EngineCosts::compile(&c).sdma;
+        assert_eq!(half, outboard_sim::Rate::from_bps(75e6));
     }
 }

@@ -12,7 +12,7 @@
 //! `outboard-host`).
 
 use outboard_sim::obs::BusyTracker;
-use outboard_sim::{Dur, Time};
+use outboard_sim::{Dur, Rate, Time};
 
 /// One DMA engine's occupancy timeline.
 #[derive(Clone, Copy, Debug, Default)]
@@ -31,14 +31,10 @@ impl EngineTimeline {
         EngineTimeline::default()
     }
 
-    /// Occupy the engine for a transfer of `bytes` at `bps` with `setup`
+    /// Occupy the engine for a transfer of `bytes` at `rate` with `setup`
     /// fixed overhead, starting no earlier than `now`. Returns completion.
-    pub(crate) fn run(&mut self, now: Time, setup: Dur, bytes: usize, bps: f64) -> Time {
-        let xfer = if bytes == 0 {
-            Dur::ZERO
-        } else {
-            Dur::for_bytes_at_bps(bytes as u64, bps)
-        };
+    pub(crate) fn run(&mut self, now: Time, setup: Dur, bytes: usize, rate: &Rate) -> Time {
+        let xfer = rate.time_for(bytes as u64);
         self.requests += 1;
         self.bytes += bytes as u64;
         self.timeline.occupy(now, setup + xfer)
@@ -78,9 +74,10 @@ mod tests {
     fn serializes_back_to_back_requests() {
         let mut e = EngineTimeline::new();
         // 1250 bytes at 10 Mbit/s = 1 ms; setup 100 us.
-        let t1 = e.run(Time::ZERO, Dur::micros(100), 1250, 10e6);
+        let rate = Rate::from_bps(10e6);
+        let t1 = e.run(Time::ZERO, Dur::micros(100), 1250, &rate);
         assert_eq!(t1, Time::ZERO + Dur::micros(1100));
-        let t2 = e.run(Time::ZERO, Dur::micros(100), 1250, 10e6);
+        let t2 = e.run(Time::ZERO, Dur::micros(100), 1250, &rate);
         assert_eq!(t2, Time::ZERO + Dur::micros(2200));
         assert_eq!(e.requests, 2);
         assert_eq!(e.bytes, 2500);
@@ -89,8 +86,9 @@ mod tests {
     #[test]
     fn idle_gap_not_counted_busy() {
         let mut e = EngineTimeline::new();
-        e.run(Time::ZERO, Dur::micros(10), 0, 1e6);
-        e.run(Time(1_000_000), Dur::micros(10), 0, 1e6);
+        let rate = Rate::from_bps(1e6);
+        e.run(Time::ZERO, Dur::micros(10), 0, &rate);
+        e.run(Time(1_000_000), Dur::micros(10), 0, &rate);
         assert_eq!(e.total_busy(), Dur::micros(20));
         assert!((e.tracker().busy_fraction(Dur::millis(2)) - 0.01).abs() < 1e-9);
     }

@@ -11,10 +11,11 @@
 //!
 //! Like the link injector, every draw comes from a private seeded
 //! [`Pcg32`], and the RNG is only consulted when a probability is nonzero,
-//! so a transparent injector perturbs nothing.
+//! so a transparent injector perturbs nothing. Each knob is a [`Chance`],
+//! compiled once to the integer threshold a draw is compared with.
 
 use outboard_sim::obs::Scope;
-use outboard_sim::{check_probability, FaultConfigError, Pcg32};
+use outboard_sim::{check_probability, Chance, FaultConfigError, Pcg32};
 use std::collections::VecDeque;
 
 /// How an injected transfer fault manifests.
@@ -50,17 +51,17 @@ pub struct FaultStats {
 #[derive(Debug)]
 pub struct FaultInjector {
     /// Probability an SDMA transfer fails transiently.
-    pub sdma_fail_p: f64,
+    pub sdma_fail_p: Chance,
     /// Probability an MDMA transfer fails transiently.
-    pub mdma_fail_p: f64,
+    pub mdma_fail_p: Chance,
     /// Probability a transfer wedges its engine instead of completing.
-    pub wedge_p: f64,
+    pub wedge_p: Chance,
     /// Probability the outboard checksum engine miscomputes (the inserted
     /// checksum is wrong; the receiver's verification catches it).
-    pub csum_error_p: f64,
+    pub csum_error_p: Chance,
     /// Probability a network-memory allocation fails even when pages are
     /// free.
-    pub alloc_fail_p: f64,
+    pub alloc_fail_p: Chance,
     rng: Pcg32,
     forced_sdma: VecDeque<TransferFault>,
     forced_mdma: VecDeque<TransferFault>,
@@ -72,11 +73,11 @@ impl FaultInjector {
     /// A transparent injector (no faults).
     pub fn none(seed: u64) -> FaultInjector {
         FaultInjector {
-            sdma_fail_p: 0.0,
-            mdma_fail_p: 0.0,
-            wedge_p: 0.0,
-            csum_error_p: 0.0,
-            alloc_fail_p: 0.0,
+            sdma_fail_p: Chance::NEVER,
+            mdma_fail_p: Chance::NEVER,
+            wedge_p: Chance::NEVER,
+            csum_error_p: Chance::NEVER,
+            alloc_fail_p: Chance::NEVER,
             rng: Pcg32::new(seed),
             forced_sdma: VecDeque::new(),
             forced_mdma: VecDeque::new(),
@@ -88,8 +89,8 @@ impl FaultInjector {
     /// probabilities.
     ///
     /// Rejects probabilities outside `[0, 1]` — a misconfigured knob would
-    /// otherwise only trip a `debug_assert!` deep in the RNG, silently
-    /// misbehaving in release builds.
+    /// otherwise compile to a [`Chance`] that silently always or never
+    /// fires.
     pub fn flaky(
         seed: u64,
         dma_fail_p: f64,
@@ -98,9 +99,9 @@ impl FaultInjector {
         check_probability("dma_fail_p", dma_fail_p)?;
         check_probability("alloc_fail_p", alloc_fail_p)?;
         let mut f = FaultInjector::none(seed);
-        f.sdma_fail_p = dma_fail_p;
-        f.mdma_fail_p = dma_fail_p;
-        f.alloc_fail_p = alloc_fail_p;
+        f.sdma_fail_p = Chance::new(dma_fail_p);
+        f.mdma_fail_p = Chance::new(dma_fail_p);
+        f.alloc_fail_p = Chance::new(alloc_fail_p);
         Ok(f)
     }
 
@@ -108,11 +109,11 @@ impl FaultInjector {
     /// (the fields are public, so post-construction edits can still smuggle
     /// in a bad value; callers that accept external config should re-check).
     pub fn validate(&self) -> Result<(), FaultConfigError> {
-        check_probability("sdma_fail_p", self.sdma_fail_p)?;
-        check_probability("mdma_fail_p", self.mdma_fail_p)?;
-        check_probability("wedge_p", self.wedge_p)?;
-        check_probability("csum_error_p", self.csum_error_p)?;
-        check_probability("alloc_fail_p", self.alloc_fail_p)?;
+        check_probability("sdma_fail_p", self.sdma_fail_p.p())?;
+        check_probability("mdma_fail_p", self.mdma_fail_p.p())?;
+        check_probability("wedge_p", self.wedge_p.p())?;
+        check_probability("csum_error_p", self.csum_error_p.p())?;
+        check_probability("alloc_fail_p", self.alloc_fail_p.p())?;
         Ok(())
     }
 
@@ -132,10 +133,10 @@ impl FaultInjector {
         if let Some(forced) = self.forced_sdma.pop_front() {
             return Some(self.count_transfer(forced, true));
         }
-        if self.wedge_p > 0.0 && self.rng.chance(self.wedge_p) {
+        if self.wedge_p.possible() && self.rng.chance(self.wedge_p) {
             return Some(self.count_transfer(TransferFault::Wedge, true));
         }
-        if self.sdma_fail_p > 0.0 && self.rng.chance(self.sdma_fail_p) {
+        if self.sdma_fail_p.possible() && self.rng.chance(self.sdma_fail_p) {
             return Some(self.count_transfer(TransferFault::Error, true));
         }
         None
@@ -147,10 +148,10 @@ impl FaultInjector {
         if let Some(forced) = self.forced_mdma.pop_front() {
             return Some(self.count_transfer(forced, false));
         }
-        if self.wedge_p > 0.0 && self.rng.chance(self.wedge_p) {
+        if self.wedge_p.possible() && self.rng.chance(self.wedge_p) {
             return Some(self.count_transfer(TransferFault::Wedge, false));
         }
-        if self.mdma_fail_p > 0.0 && self.rng.chance(self.mdma_fail_p) {
+        if self.mdma_fail_p.possible() && self.rng.chance(self.mdma_fail_p) {
             return Some(self.count_transfer(TransferFault::Error, false));
         }
         None
@@ -167,7 +168,7 @@ impl FaultInjector {
 
     /// Should this checksum insertion be miscomputed?
     pub(crate) fn csum_miscomputes(&mut self) -> bool {
-        if self.csum_error_p > 0.0 && self.rng.chance(self.csum_error_p) {
+        if self.csum_error_p.possible() && self.rng.chance(self.csum_error_p) {
             self.stats.csum_miscomputed += 1;
             return true;
         }
@@ -176,7 +177,7 @@ impl FaultInjector {
 
     /// Should this network-memory allocation fail?
     pub(crate) fn alloc_fails(&mut self) -> bool {
-        if self.alloc_fail_p > 0.0 && self.rng.chance(self.alloc_fail_p) {
+        if self.alloc_fail_p.possible() && self.rng.chance(self.alloc_fail_p) {
             self.stats.alloc_failed += 1;
             return true;
         }
@@ -223,14 +224,14 @@ mod tests {
     fn forced_faults_win_then_clear() {
         // A forced wedge wins over a certain transient error, once.
         let mut f = FaultInjector::none(2);
-        (f.sdma_fail_p, f.mdma_fail_p) = (1.0, 1.0);
+        (f.sdma_fail_p, f.mdma_fail_p) = (Chance::new(1.0), Chance::new(1.0));
         f.force_sdma_wedge_next();
         f.force_mdma_wedge_next();
         assert_eq!(f.sdma_fate(), Some(TransferFault::Wedge));
         assert_eq!(f.sdma_fate(), Some(TransferFault::Error));
         assert_eq!(f.mdma_fate(), Some(TransferFault::Wedge));
         assert_eq!(f.mdma_fate(), Some(TransferFault::Error));
-        (f.csum_error_p, f.alloc_fail_p) = (1.0, 1.0);
+        (f.csum_error_p, f.alloc_fail_p) = (Chance::new(1.0), Chance::new(1.0));
         assert!(f.csum_miscomputes());
         assert!(f.alloc_fails());
         assert_eq!(f.stats.wedges, 2);
@@ -274,9 +275,9 @@ mod tests {
         );
         assert!(FaultInjector::flaky(1, f64::INFINITY, 0.0).is_err());
         let mut f = FaultInjector::none(1);
-        f.wedge_p = 7.0;
+        f.wedge_p = Chance::new(7.0);
         assert_eq!(f.validate().unwrap_err().knob, "wedge_p");
-        f.wedge_p = 0.0;
+        f.wedge_p = Chance::NEVER;
         assert!(f.validate().is_ok());
     }
 

@@ -31,9 +31,11 @@
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
 #![deny(unreachable_pub)]
+#![cfg_attr(not(test), deny(clippy::float_arithmetic))]
 
 mod cab;
 mod config;
+mod cost;
 mod engine;
 mod fault;
 mod mac;

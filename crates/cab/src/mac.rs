@@ -13,7 +13,7 @@
 //! recovering utilization as the channel count grows. The `hol` bench binary
 //! regenerates the claim.
 
-use outboard_sim::Pcg32;
+use outboard_sim::{Chance, Pcg32};
 use std::collections::VecDeque;
 
 /// MAC queueing discipline.
@@ -128,6 +128,10 @@ impl HolSim {
     /// Run `slots` switch slots under saturation; each output accepts at
     /// most one packet per slot, chosen uniformly among the inputs offering
     /// to it.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "report ratio of the §6 crossbar model, which no world event runs"
+    )]
     pub fn run(&mut self, slots: u64) -> HolResult {
         let mut delivered = 0u64;
         let stalls_before = self.stalls;
@@ -206,8 +210,13 @@ impl HolSim {
     /// Below the saturation throughput queues stay bounded; above it they
     /// grow without bound — which is how the Hluchyj-Karol limit shows up
     /// for finite load.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "report ratio of the §6 crossbar model, which no world event runs"
+    )]
     pub fn run_with_load(&mut self, slots: u64, load: f64) -> LoadResult {
         assert!((0.0..=1.0).contains(&load));
+        let arrival = Chance::new(load);
         // Empty the saturation backlog first.
         for q in self.queues.iter_mut().flatten() {
             q.clear();
@@ -218,7 +227,7 @@ impl HolSim {
         for _ in 0..slots {
             // Arrivals.
             for node in 0..self.n {
-                if self.rng.chance(load) {
+                if self.rng.chance(arrival) {
                     offered += 1;
                     let dst = loop {
                         let d = self.rng.below(self.n as u32) as usize;

@@ -14,7 +14,7 @@ use outboard_cab::{CabError, PacketId, SdmaDst, SdmaRx};
 use outboard_host::{Charge, HostMem, TaskId, UserMemory};
 use outboard_mbuf::{Chain, Mbuf, MbufData, WcabDesc};
 use outboard_sim::span::{FlowId, Stage};
-use outboard_sim::{Dur, Time};
+use outboard_sim::Time;
 use outboard_wire::hippi::{HippiHeader, HIPPI_HEADER_LEN};
 use outboard_wire::ipv4::Ipv4Header;
 use outboard_wire::tcp::{TcpFlags, TcpHeader};
@@ -73,7 +73,7 @@ impl Kernel {
             }
             IfaceKind::Eth(_) => {
                 // Conventional device: interrupt + copy into mbufs.
-                self.cpu(self.machine.cost_interrupt_us, Charge::Interrupt);
+                self.cpu(self.costs.interrupt, Charge::Interrupt);
                 let copy = self.memsys.copy_cost(frame.len(), frame.len().max(4096));
                 self.cpu_dur(copy, Charge::Interrupt);
                 match EtherHeader::parse(&frame) {
@@ -92,7 +92,7 @@ impl Kernel {
                 }
             }
             IfaceKind::Loopback => {
-                self.cpu(self.machine.cost_interrupt_us, Charge::Interrupt);
+                self.cpu(self.costs.interrupt, Charge::Interrupt);
                 let rx = RxPacket {
                     iface,
                     prefix: frame,
@@ -120,7 +120,7 @@ impl Kernel {
         mem: &mut HostMem,
         now: Time,
     ) -> Vec<Effect> {
-        self.cpu(self.machine.cost_interrupt_us, Charge::Interrupt);
+        self.cpu(self.costs.interrupt, Charge::Interrupt);
         // A board reset between this frame's arrival and its interrupt frees
         // the outboard buffer, but the interrupt (with its pre-reset hardware
         // checksum) still lands. Trusting it would queue a descriptor whose
@@ -162,10 +162,7 @@ impl Kernel {
             // The demux stage covers the interrupt + IP + transport input
             // CPU work charged on this path.
             let flow = super::frame_flow(&autodma, HIPPI_HEADER_LEN);
-            let us = self.machine.cost_interrupt_us
-                + self.machine.cost_ip_us
-                + self.machine.cost_tcp_input_us;
-            let end = now + Dur::from_micros_f64(us);
+            let end = now + self.costs.demux;
             self.spans
                 .span(flow, Stage::Demux, now, end, frame_len as u64);
         }
@@ -190,7 +187,7 @@ impl Kernel {
     }
 
     fn ip_input(&mut self, rx: RxPacket, mem: &mut HostMem, now: Time) {
-        self.cpu(self.machine.cost_ip_us, Charge::Interrupt);
+        self.cpu(self.costs.ip, Charge::Interrupt);
         self.stats.rx_packets += 1;
         let available = rx
             .outboard
@@ -407,7 +404,7 @@ impl Kernel {
         let flat = self.flatten_for_legacy(&payload, mem);
         self.discard_chain(payload, now);
         let chain = Chain::from_slice(&flat);
-        self.cpu(self.machine.cost_ip_us, Charge::Interrupt);
+        self.cpu(self.costs.ip, Charge::Interrupt);
         self.ip_output(
             hdr.src,
             hdr.dst,
@@ -475,7 +472,7 @@ impl Kernel {
         mem: &mut HostMem,
         now: Time,
     ) {
-        self.cpu(self.machine.cost_tcp_input_us, Charge::Interrupt);
+        self.cpu(self.costs.tcp_input, Charge::Interrupt);
         let transport_len = payload.len();
         let Some(hdr_bytes) = self.transport_header_bytes(&payload, 60) else {
             self.stats.ip_errors += 1;
@@ -844,7 +841,7 @@ impl Kernel {
         mem: &mut HostMem,
         now: Time,
     ) {
-        self.cpu(self.machine.cost_udp_us, Charge::Interrupt);
+        self.cpu(self.costs.udp, Charge::Interrupt);
         let transport_len = payload.len();
         let Some(hdr_bytes) = self.transport_header_bytes(&payload, UDP_HEADER_LEN) else {
             self.stats.ip_errors += 1;
@@ -1032,7 +1029,7 @@ impl Kernel {
         now: Time,
     ) -> Vec<Effect> {
         if interrupt {
-            self.cpu(self.machine.cost_interrupt_us, Charge::Interrupt);
+            self.cpu(self.costs.interrupt, Charge::Interrupt);
         }
         let purpose = self.with_cab(iface, |_k, cab| cab.complete(token));
         let Some(purpose) = purpose else {
@@ -1208,7 +1205,7 @@ impl Kernel {
                     .map(|s| s.rexmt_armed && s.rexmt_gen == generation)
                     .unwrap_or(false);
                 if valid {
-                    self.cpu(self.machine.cost_interrupt_us, Charge::Interrupt);
+                    self.cpu(self.costs.interrupt, Charge::Interrupt);
                     let (window_closed, has_data) = {
                         let Some(s) = self.sockets.get_mut(sock) else {
                             return self.take_effects();
@@ -1237,7 +1234,7 @@ impl Kernel {
                     .map(|t| t.take_delack())
                     .unwrap_or(false);
                 if fire {
-                    self.cpu(self.machine.cost_interrupt_us, Charge::Interrupt);
+                    self.cpu(self.costs.interrupt, Charge::Interrupt);
                     self.tcp_send(sock, mem, now, true);
                 }
             }
@@ -1261,7 +1258,7 @@ impl Kernel {
                     .map(|c| c.health.retry_armed && c.health.retry_gen == generation)
                     .unwrap_or(false);
                 if valid {
-                    self.cpu(self.machine.cost_interrupt_us, Charge::Interrupt);
+                    self.cpu(self.costs.interrupt, Charge::Interrupt);
                     self.cab_retry_fire(iface, mem, now);
                 }
             }
@@ -1273,7 +1270,7 @@ impl Kernel {
                     .map(|c| c.health.degraded && c.health.probe_gen == generation)
                     .unwrap_or(false);
                 if valid {
-                    self.cpu(self.machine.cost_interrupt_us, Charge::Interrupt);
+                    self.cpu(self.costs.interrupt, Charge::Interrupt);
                     self.cab_probe_fire(iface, now);
                 }
             }
@@ -1332,7 +1329,7 @@ impl Kernel {
     ) {
         // Same machinery as regular emission; lives here to keep the
         // borrow of the plan local.
-        self.cpu(self.machine.cost_tcp_output_us, Charge::Interrupt);
+        self.cpu(self.costs.tcp_output, Charge::Interrupt);
         let data = {
             let Some(s) = self.sockets.get(sock) else {
                 return;

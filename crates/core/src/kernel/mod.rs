@@ -34,7 +34,10 @@ use crate::types::{
 };
 use bytes::Bytes;
 use outboard_cab::{Cab, PacketId, SdmaDst, SdmaRx};
-use outboard_host::{Charge, HostMem, MachineConfig, MemorySystem, TaskId, UserMemory, VmSystem};
+use outboard_host::{
+    Charge, HostMem, MachineConfig, MemorySystem, PacketCost, PacketCosts, TaskId, UserMemory,
+    VmSystem,
+};
 use outboard_mbuf::{Chain, Mbuf, MbufData, MbufStats, UioDesc, UioRegion, WcabDesc};
 use outboard_sim::span::{FlowId, SpanSink, Stage};
 use outboard_sim::{pooled_copy, BufPool, DetMap, Dur, IdTable, Ticket, Time};
@@ -132,8 +135,10 @@ impl TxMeta {
 pub struct Kernel {
     /// Host name (diagnostics).
     pub name: String,
-    /// The machine cost model.
-    pub machine: MachineConfig,
+    /// The machine's Turbochannel speed, for [`Kernel::cab_config`].
+    tc_speed_scale: f64,
+    /// The machine's per-packet costs, compiled once by [`Kernel::new`].
+    pub(crate) costs: PacketCosts,
     /// Stack configuration.
     pub cfg: StackConfig,
     /// Per-byte cost model.
@@ -191,9 +196,10 @@ impl Kernel {
     pub fn new(name: &str, machine: MachineConfig, cfg: StackConfig) -> Kernel {
         Kernel {
             name: name.to_string(),
+            costs: PacketCosts::compile(&machine),
             memsys: MemorySystem::new(machine.clone()),
-            vm: VmSystem::new(machine.clone(), cfg.lazy_vm),
-            machine,
+            tc_speed_scale: machine.tc_speed_scale,
+            vm: VmSystem::new(machine, cfg.lazy_vm),
             cfg,
             sockets: IdTable::new(),
             next_sock: 1,
@@ -254,7 +260,7 @@ impl Kernel {
     /// The CAB configuration for this machine (Turbochannel speed applied).
     pub fn cab_config(&self) -> outboard_cab::CabConfig {
         outboard_cab::CabConfig {
-            tc_speed_scale: self.machine.tc_speed_scale,
+            tc_speed_scale: self.tc_speed_scale,
             ..outboard_cab::CabConfig::default()
         }
     }
@@ -366,11 +372,12 @@ impl Kernel {
         self.uio.issue(counter, bytes).expect("live uio counter");
     }
 
-    /// A `us` that rounds to zero nanoseconds is still pushed: running it
-    /// moves the harness's cursor up to the CPU's `busy_until`.
-    pub(crate) fn cpu(&mut self, us: f64, charge: Charge) {
-        if us > 0.0 {
-            self.push_cpu(Dur::from_micros_f64(us), charge);
+    /// Charge a per-packet cost. A positive cost that rounds to zero
+    /// nanoseconds is still pushed: running it moves the harness's cursor
+    /// up to the CPU's `busy_until`.
+    pub(crate) fn cpu(&mut self, cost: PacketCost, charge: Charge) {
+        if let Some(dur) = cost {
+            self.push_cpu(dur, charge);
         }
     }
 
@@ -392,7 +399,7 @@ impl Kernel {
     }
 
     pub(crate) fn wake(&mut self, task: TaskId, sock: SockId, charge: Charge) {
-        self.cpu(self.machine.cost_wakeup_us, charge);
+        self.cpu(self.costs.wakeup, charge);
         self.fx.push(Effect::Wake { task, sock });
     }
 
@@ -498,7 +505,7 @@ impl Kernel {
         mem: &mut HostMem,
         now: Time,
     ) -> Result<Vec<Effect>, StackError> {
-        self.cpu(self.machine.cost_syscall_us, Charge::Syscall);
+        self.cpu(self.costs.syscall, Charge::Syscall);
         let iface_id = self.routes.lookup(dst.ip).ok_or(StackError::NoRoute)?;
         let iface = &self.ifaces[iface_id.0 as usize];
         let local_ip = iface.ip;
@@ -581,7 +588,7 @@ impl Kernel {
         mem: &mut HostMem,
         now: Time,
     ) -> Result<(WriteResult, Vec<Effect>), StackError> {
-        self.cpu(self.machine.cost_syscall_us, Charge::Syscall);
+        self.cpu(self.costs.syscall, Charge::Syscall);
         let bound = {
             let s = self.sockets.get(sock).ok_or(StackError::BadSocket)?;
             if s.proto != Proto::Udp {
@@ -657,7 +664,7 @@ impl Kernel {
 
     /// Application close.
     pub fn sys_close(&mut self, sock: SockId, mem: &mut HostMem, now: Time) -> Vec<Effect> {
-        self.cpu(self.machine.cost_syscall_us, Charge::Syscall);
+        self.cpu(self.costs.syscall, Charge::Syscall);
         let tcb = self.sockets.get_mut(sock).and_then(|s| s.tcb.as_mut());
         let closed = tcb.map(|tcb| {
             tcb.close();
@@ -682,11 +689,11 @@ impl Kernel {
         mem: &mut HostMem,
         now: Time,
     ) -> Result<(WriteResult, Vec<Effect>), StackError> {
-        self.cpu(self.machine.cost_syscall_us, Charge::Syscall);
+        self.cpu(self.costs.syscall, Charge::Syscall);
         let proto = self.sockets.get(sock).ok_or(StackError::BadSocket)?.proto;
         if self.spans.on() {
             let flow = self.flow_id_tx(sock);
-            let end = now + Dur::from_micros_f64(self.machine.cost_syscall_us);
+            let end = now + self.costs.syscall.unwrap_or_default();
             self.spans.span(flow, Stage::Syscall, now, end, len as u64);
         }
         match proto {
@@ -813,7 +820,7 @@ impl Kernel {
             let mss = s.tcb.as_ref().map(|t| t.mss).unwrap_or(1460);
             let chunk = remaining.min(space).min(mss);
             // Socket-layer per-packet work.
-            self.cpu(self.machine.cost_socket_pkt_us, charge);
+            self.cpu(self.costs.socket_pkt, charge);
             let cur_addr = bw.region.base + bw.appended as u64;
             if bw.uio_path && !cur_addr.is_multiple_of(4) {
                 // Align-split extension (§4.5): copy the 1-3 bytes up to
@@ -906,7 +913,7 @@ impl Kernel {
         mem: &mut HostMem,
         now: Time,
     ) -> Result<(ReadResult, Vec<Effect>), StackError> {
-        self.cpu(self.machine.cost_syscall_us, Charge::Syscall);
+        self.cpu(self.costs.syscall, Charge::Syscall);
         let take = {
             let s = self.sockets.get_mut(sock).ok_or(StackError::BadSocket)?;
             if s.blocked_read.is_some() {
@@ -980,7 +987,7 @@ impl Kernel {
                 )]
                 MbufData::Uio(_) => unreachable!("M_UIO never appears in so_rcv"),
             }
-            self.cpu(self.machine.cost_socket_pkt_us, Charge::Syscall);
+            self.cpu(self.costs.socket_pkt, Charge::Syscall);
             dst_off += mlen;
         }
         // Receive-window update: tell the peer about the space we freed.
@@ -1024,7 +1031,7 @@ impl Kernel {
         mem: &mut HostMem,
         now: Time,
     ) {
-        self.cpu(self.machine.cost_driver_pkt_us, Charge::Syscall);
+        self.cpu(self.costs.driver_pkt, Charge::Syscall);
         let iface_id = IfaceId(d.cab);
         let packet = PacketId(d.packet);
         self.with_cab(iface_id, |k, cab| {
@@ -1154,7 +1161,7 @@ impl Kernel {
             s.so_snd.chain.concat(chain);
             n
         };
-        self.cpu(self.machine.cost_socket_pkt_us, Charge::Syscall);
+        self.cpu(self.costs.socket_pkt, Charge::Syscall);
         self.tcp_send(sock, mem, now, false);
         Ok(accepted)
     }
@@ -1214,7 +1221,7 @@ impl Kernel {
     ) -> Result<Vec<Effect>, StackError> {
         let iface_id = self.routes.lookup(dst).ok_or(StackError::NoRoute)?;
         let src = self.ifaces[iface_id.0 as usize].ip;
-        self.cpu(self.machine.cost_ip_us, Charge::Syscall);
+        self.cpu(self.costs.ip, Charge::Syscall);
         self.ip_output(src, dst, proto, chain, iface_id, TxMeta::plain(), mem, now);
         Ok(self.take_effects())
     }
@@ -1288,7 +1295,7 @@ impl Kernel {
             chain.append(Mbuf::kernel(self.cluster_freeze(buf, ticket)));
             None
         };
-        self.cpu(self.machine.cost_socket_pkt_us, Charge::Syscall);
+        self.cpu(self.costs.socket_pkt, Charge::Syscall);
         self.udp_output(sock, local, remote, chain, mem, now);
         // The legacy conversion layer may have drained the counter
         // synchronously (route fell back to a conventional device).

@@ -61,7 +61,7 @@ impl Kernel {
         mem: &mut HostMem,
         now: Time,
     ) {
-        self.cpu(self.machine.cost_tcp_output_us, Charge::Syscall);
+        self.cpu(self.costs.tcp_output, Charge::Syscall);
         let data = {
             let Some(s) = self.sockets.get(sock) else {
                 return;
@@ -96,7 +96,7 @@ impl Kernel {
         };
         self.stats.tcp_segs_out += 1;
         if self.spans.on() {
-            let end = now + outboard_sim::Dur::from_micros_f64(self.machine.cost_tcp_output_us);
+            let end = now + self.costs.tcp_output.unwrap_or_default();
             self.spans
                 .span(flow, Stage::KernelOutput, now, end, plan.data_len as u64);
         }
@@ -499,7 +499,7 @@ impl Kernel {
         mem: &mut HostMem,
         now: Time,
     ) {
-        self.cpu(self.machine.cost_ip_us, Charge::Syscall);
+        self.cpu(self.costs.ip, Charge::Syscall);
         let mtu = self.ifaces[iface_id.0 as usize].mtu;
         let id = self.ip_id;
         self.ip_id = self.ip_id.wrapping_add(1);
@@ -560,7 +560,7 @@ impl Kernel {
         mem: &mut HostMem,
         now: Time,
     ) {
-        self.cpu(self.machine.cost_driver_pkt_us, Charge::Syscall);
+        self.cpu(self.costs.driver_pkt, Charge::Syscall);
         let csum_plan = transport.hdr.csum_plan;
         let ip_bytes = ip_hdr.build();
         let frame_len = HIPPI_HEADER_LEN + ip_hdr.total_len as usize;
@@ -929,7 +929,7 @@ impl Kernel {
         mem: &HostMem,
         _now: Time,
     ) {
-        self.cpu(self.machine.cost_driver_pkt_us, Charge::Syscall);
+        self.cpu(self.costs.driver_pkt, Charge::Syscall);
         let flat = self.flatten_for_legacy(&transport, mem);
         // Routing only sends Ethernet-bound traffic here, but a stale route
         // table entry is a survivable error, not grounds to abort the host.
@@ -1028,7 +1028,7 @@ impl Kernel {
         mem: &mut HostMem,
         now: Time,
     ) {
-        self.cpu(self.machine.cost_udp_us, Charge::Syscall);
+        self.cpu(self.costs.udp, Charge::Syscall);
         // In-kernel applications may hand us chains whose format the CAB
         // driver cannot take; check and convert (§5).
         let owner = self.sockets.get(sock).map(|s| s.owner);
@@ -1057,7 +1057,7 @@ impl Kernel {
             flow,
         };
         if self.spans.on() {
-            let end = now + outboard_sim::Dur::from_micros_f64(self.machine.cost_udp_us);
+            let end = now + self.costs.udp.unwrap_or_default();
             self.spans
                 .span(flow, Stage::KernelOutput, now, end, data.len() as u64);
         }

@@ -95,7 +95,7 @@ impl Kernel {
         cab.health.retry_armed = true;
         cab.health.retry_gen += 1;
         let after = k.cab_backoff(cab.health.retry_round);
-        cab.health.stats.backoff_us += after.as_micros_f64() as u64;
+        cab.health.stats.backoff_us += after.as_nanos() / 1_000;
         k.fx.push(Effect::Timer {
             after,
             kind: TimerKind::CabRetry {
@@ -130,7 +130,7 @@ impl Kernel {
         now: Time,
         mem: &mut HostMem,
     ) {
-        k.cpu(k.machine.cost_driver_pkt_us, Charge::Interrupt);
+        k.cpu(k.costs.driver_pkt, Charge::Interrupt);
         match entry {
             PendingTx::Mdma {
                 packet,
@@ -272,7 +272,7 @@ impl Kernel {
             cab.health.retry_armed = true;
             cab.health.retry_gen += 1;
             let after = k.cab_backoff(cab.health.retry_round);
-            cab.health.stats.backoff_us += after.as_micros_f64() as u64;
+            cab.health.stats.backoff_us += after.as_nanos() / 1_000;
             k.fx.push(Effect::Timer {
                 after,
                 kind: TimerKind::CabRetry {
@@ -423,7 +423,7 @@ impl Kernel {
     /// enter degraded mode with a recovery probe, and rebuild transmit from
     /// the socket send queues.
     fn cab_reset_recover(&mut self, iface_id: IfaceId, mem: &mut HostMem, now: Time) {
-        self.cpu(self.machine.cost_interrupt_us, Charge::Interrupt);
+        self.cpu(self.costs.interrupt, Charge::Interrupt);
         self.span_detour(Stage::WatchdogReset, now, now, 0);
         // Parked transmissions die with the reset; their dwell is abandoned.
         self.span_detour_drop_all(iface_id, Stage::RetryDwell, now);

@@ -459,29 +459,34 @@ proptest::proptest! {
     /// effect per call), the CPU's `busy_until`, every accounting bucket,
     /// the returned cursor and the cursor each wake sees must be identical:
     /// in both `ttcp_on_cpu` states, with the CPU already busy past `now`,
-    /// and with charges that round to zero nanoseconds in the list.
+    /// and with charges that are zero nanoseconds long in the list.
     #[test]
     fn coalesced_cpu_effects_replay_identically(
         ops in proptest::collection::vec((proptest::prelude::any::<u8>(), 0u64..40_000), 1..60),
         busy_ahead in 0u64..50_000,
         ttcp_on_cpu in proptest::prelude::any::<bool>(),
     ) {
-        let mut k = Kernel::new("fx", MachineConfig::alpha_3000_400(), StackConfig::single_copy());
+        // A wakeup cost below a nanosecond: compiled, it is a zero-length
+        // charge that is still pushed.
+        let mut machine = MachineConfig::alpha_3000_400();
+        machine.cost_wakeup_us = 0.0004;
+        let mut k = Kernel::new("fx", machine, StackConfig::single_copy());
+        assert_eq!(k.costs.wakeup, Some(Dur::ZERO));
         let mut plain: Vec<Effect> = Vec::new();
         for (kind, ns) in ops {
             let charge = [Charge::Syscall, Charge::Interrupt, Charge::TtcpUser][(kind % 3) as usize];
             match (kind / 3) % 5 {
-                // `cpu`: positive microseconds, pushed even at 0 ns.
+                // `cpu`: a configured cost is pushed, a missing one is not.
                 0 | 1 => {
-                    let us = ns as f64 / 1e3;
-                    k.cpu(us, charge);
-                    if us > 0.0 {
-                        plain.push(Effect::Cpu { dur: Dur::from_micros_f64(us), charge });
+                    let cost = (ns % 4 != 0).then_some(Dur::nanos(ns));
+                    k.cpu(cost, charge);
+                    if let Some(dur) = cost {
+                        plain.push(Effect::Cpu { dur, charge });
                     }
                 }
-                // Sub-nanosecond charge: rounds to a zero-length effect.
+                // Sub-nanosecond charge: a zero-length effect.
                 2 => {
-                    k.cpu(0.0004, charge);
+                    k.cpu(Some(Dur::ZERO), charge);
                     plain.push(Effect::Cpu { dur: Dur::ZERO, charge });
                 }
                 // `cpu_dur`: zero durations are skipped on both sides.
@@ -494,8 +499,7 @@ proptest::proptest! {
                 // Anything else ends a run of CPU effects.
                 _ => {
                     k.wake(TaskId(1), SockId(1), charge);
-                    let us = k.machine.cost_wakeup_us;
-                    plain.push(Effect::Cpu { dur: Dur::from_micros_f64(us), charge });
+                    plain.push(Effect::Cpu { dur: Dur::ZERO, charge });
                     plain.push(Effect::Wake { task: TaskId(1), sock: SockId(1) });
                 }
             }
@@ -524,7 +528,7 @@ fn recycled_effect_storage_is_reused() {
         MachineConfig::alpha_3000_400(),
         StackConfig::single_copy(),
     );
-    k.cpu(5.0, Charge::Syscall);
+    k.cpu(Some(Dur::micros(5)), Charge::Syscall);
     k.wake(TaskId(1), SockId(1), Charge::Syscall);
     let fx = k.take_effects();
     let (ptr, cap) = (fx.as_ptr(), fx.capacity());
@@ -532,10 +536,10 @@ fn recycled_effect_storage_is_reused() {
     k.recycle_effects(fx);
     // `take_effects` swaps the spare in, so the storage carries the list
     // after the next one.
-    k.cpu(5.0, Charge::Syscall);
+    k.cpu(Some(Dur::micros(5)), Charge::Syscall);
     let second = k.take_effects();
     assert_eq!(second.len(), 1);
-    k.cpu(5.0, Charge::Interrupt);
+    k.cpu(Some(Dur::micros(5)), Charge::Interrupt);
     let third = k.take_effects();
     assert_eq!(
         (third.as_ptr(), third.capacity(), third.len()),

@@ -140,6 +140,10 @@ impl MachineConfig {
 
     /// The paper's second machine: Alpha 3000/300LX, 125 MHz, half-speed
     /// Turbochannel — "only about half as powerful".
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "preset: runs once when the config is built"
+    )]
     pub fn alpha_3000_300lx() -> MachineConfig {
         let base = MachineConfig::alpha_3000_400();
         MachineConfig {

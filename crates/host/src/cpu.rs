@@ -59,6 +59,10 @@ pub struct CpuAccounting {
 impl CpuAccounting {
     /// Communication CPU share per the paper's formula, given the elapsed
     /// wall time of the measurement and the background share.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "report: §7.1's utilization formula"
+    )]
     pub fn utilization(&self, elapsed: Dur, background_share: f64) -> f64 {
         let comm = (self.ttcp_user + self.ttcp_sys + self.util_sys).as_secs_f64();
         let avail = elapsed.as_secs_f64() * (1.0 - background_share);
@@ -141,6 +145,7 @@ impl Cpu {
     /// Publish the §7.1 CPU time split into a registry scope: user, system
     /// (syscall-path kernel time), and interrupt shares of the scope's
     /// elapsed window, plus the raw nanosecond buckets.
+    #[expect(clippy::float_arithmetic, reason = "report: shares of the window")]
     pub fn publish_metrics(&self, s: &mut Scope<'_>) {
         let elapsed = s.elapsed();
         let share = |d: Dur| {

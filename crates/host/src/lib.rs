@@ -16,7 +16,13 @@
 //!   (ttcp/util time buckets, interrupt-charging artifact, unaccounted
 //!   background share),
 //! * `mem` — simulated user address spaces holding real bytes, and the
-//!   [`UserMemory`] trait the CAB's SDMA engine uses to move them.
+//!   [`UserMemory`] trait the CAB's SDMA engine uses to move them,
+//! * `cost` — the per-packet costs compiled to [`outboard_sim::Dur`]s.
+//!
+//! Every cost is compiled from its f64 configuration once, when the kernel
+//! is built (per-packet costs, Table 2 rows, locality-curve rates); no event
+//! does float arithmetic, which `clippy::float_arithmetic` enforces outside
+//! the compilers and the report functions.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -24,14 +30,17 @@
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
 #![deny(unreachable_pub)]
+#![cfg_attr(not(test), deny(clippy::float_arithmetic))]
 
 mod config;
+mod cost;
 mod cpu;
 mod mem;
 mod memsys;
 mod vm;
 
 pub use config::MachineConfig;
+pub use cost::{PacketCost, PacketCosts};
 pub use cpu::{Charge, Cpu};
 pub use mem::{HostMem, MemFault, UserMemory};
 pub use memsys::MemorySystem;

@@ -48,10 +48,27 @@ enum PageState {
     Cached,
 }
 
+/// Largest Table 2 kept, in rows.
+const MAX_TABLE2_ROWS: usize = 8192;
+
+/// Table 2's three costs for one page count.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct PageCosts {
+    pin: Dur,
+    unpin: Dur,
+    map: Dur,
+}
+
 /// Per-host VM system tracking pinned user pages.
 #[derive(Debug)]
 pub struct VmSystem {
     cfg: MachineConfig,
+    /// Table 2 compiled per page count (row `n` = one call on `n` pages),
+    /// up to the pinned-page limit at construction and further on first
+    /// use.
+    table2: Vec<PageCosts>,
+    /// `pin_cache_hit_us`, compiled.
+    cache_hit: Dur,
     lazy: bool,
     pages: DetMap<(TaskId, u64), PageState>,
     /// LRU order of `Cached` pages (front = oldest).
@@ -62,13 +79,53 @@ pub struct VmSystem {
 impl VmSystem {
     /// A VM system; `lazy_unpin` enables the §4.4.1 optimization.
     pub fn new(cfg: MachineConfig, lazy_unpin: bool) -> VmSystem {
-        VmSystem {
+        let mut vm = VmSystem {
+            cache_hit: Dur::from_micros_f64(cfg.pin_cache_hit_us),
+            table2: Vec::new(),
             cfg,
             lazy: lazy_unpin,
             pages: DetMap::new(),
             cached_lru: VecDeque::new(),
             stats: VmStats::default(),
+        };
+        vm.compile_table2(vm.cfg.pinned_page_limit.min(MAX_TABLE2_ROWS - 1));
+        vm
+    }
+
+    /// Table 2 for one call on `n` pages, by the paper's linear formula.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "the table compiler: each page count once, at construction or on the first call that needs it"
+    )]
+    fn row(&self, n: usize) -> PageCosts {
+        if n == 0 {
+            return PageCosts::default();
         }
+        let (c, pages) = (&self.cfg, n as f64);
+        PageCosts {
+            pin: Dur::from_micros_f64(c.pin_base_us + c.pin_per_page_us * pages),
+            unpin: Dur::from_micros_f64(c.unpin_base_us + c.unpin_per_page_us * pages),
+            map: Dur::from_micros_f64(c.map_base_us + c.map_per_page_us * pages),
+        }
+    }
+
+    /// Extend the table through `n` pages.
+    fn compile_table2(&mut self, n: usize) {
+        while self.table2.len() <= n {
+            let row = self.row(self.table2.len());
+            self.table2.push(row);
+        }
+    }
+
+    /// Row `n`: from the table, grown to it up to `MAX_TABLE2_ROWS`, past
+    /// which (a call on more than 64 MB of 8 KB pages) it is evaluated on
+    /// its own.
+    fn costs(&mut self, n: usize) -> PageCosts {
+        if n >= MAX_TABLE2_ROWS {
+            return self.row(n);
+        }
+        self.compile_table2(n);
+        self.table2[n]
     }
 
     /// Snapshot of the activity counters.
@@ -87,27 +144,18 @@ impl VmSystem {
     }
 
     /// Table 2: cost of pinning `n` pages in one call.
-    pub fn pin_cost(&self, n: usize) -> Dur {
-        if n == 0 {
-            return Dur::ZERO;
-        }
-        Dur::from_micros_f64(self.cfg.pin_base_us + self.cfg.pin_per_page_us * n as f64)
+    pub fn pin_cost(&mut self, n: usize) -> Dur {
+        self.costs(n).pin
     }
 
     /// Table 2: cost of unpinning `n` pages in one call.
-    pub fn unpin_cost(&self, n: usize) -> Dur {
-        if n == 0 {
-            return Dur::ZERO;
-        }
-        Dur::from_micros_f64(self.cfg.unpin_base_us + self.cfg.unpin_per_page_us * n as f64)
+    pub fn unpin_cost(&mut self, n: usize) -> Dur {
+        self.costs(n).unpin
     }
 
     /// Table 2: cost of mapping `n` pages into kernel space in one call.
-    pub fn map_cost(&self, n: usize) -> Dur {
-        if n == 0 {
-            return Dur::ZERO;
-        }
-        Dur::from_micros_f64(self.cfg.map_base_us + self.cfg.map_per_page_us * n as f64)
+    pub fn map_cost(&mut self, n: usize) -> Dur {
+        self.costs(n).map
     }
 
     fn vpns(&self, vaddr: u64, len: usize) -> std::ops::Range<u64> {
@@ -153,11 +201,12 @@ impl VmSystem {
             self.stats.map_calls += 1;
             self.stats.pages_pinned += new_pages as u64;
             self.stats.pages_mapped += new_pages as u64;
-            cost += self.pin_cost(new_pages) + self.map_cost(new_pages);
+            let row = self.costs(new_pages);
+            cost += row.pin + row.map;
         }
         if hits > 0 {
             self.stats.cache_hits += hits as u64;
-            cost += Dur::from_micros_f64(self.cfg.pin_cache_hit_us);
+            cost += self.cache_hit;
         }
         cost += self.enforce_limit_cost();
         cost
@@ -219,6 +268,7 @@ impl VmSystem {
     /// Publish VM activity into a registry scope: pin/unpin/map call and
     /// page counts, the pinned-page cache hit rate (hits per page-prepare,
     /// the §4.4.1 reuse payoff), and current pinned pages against the limit.
+    #[expect(clippy::float_arithmetic, reason = "report: the hit-rate ratio")]
     pub fn publish_metrics(&self, s: &mut Scope<'_>) {
         let st = &self.stats;
         s.counter("pin_calls", st.pin_calls);
@@ -267,9 +317,47 @@ mod tests {
         VmSystem::new(MachineConfig::alpha_3000_400(), lazy)
     }
 
+    /// Table 2 as the event path evaluated it per call, before the rows
+    /// were compiled.
+    fn reference(base_us: f64, per_page_us: f64, n: usize) -> Dur {
+        if n == 0 {
+            return Dur::ZERO;
+        }
+        Dur::from_micros_f64(base_us + per_page_us * n as f64)
+    }
+
+    /// Every page count a call can name up to 64 MB of 8 KB pages, on both
+    /// machines, against the formula: the rows built at construction, the
+    /// ones grown on first use, and counts past the table.
+    #[test]
+    fn table2_rows_match_the_formula_exhaustively() {
+        for m in [
+            MachineConfig::alpha_3000_400(),
+            MachineConfig::alpha_3000_300lx(),
+        ] {
+            let mut v = VmSystem::new(m.clone(), false);
+            assert_eq!(v.table2.len(), m.pinned_page_limit + 1);
+            for n in (0..=8200).chain([100_000]) {
+                assert_eq!(
+                    v.pin_cost(n),
+                    reference(m.pin_base_us, m.pin_per_page_us, n)
+                );
+                assert_eq!(
+                    v.unpin_cost(n),
+                    reference(m.unpin_base_us, m.unpin_per_page_us, n)
+                );
+                assert_eq!(
+                    v.map_cost(n),
+                    reference(m.map_base_us, m.map_per_page_us, n)
+                );
+            }
+            assert_eq!(v.cache_hit, Dur::from_micros_f64(m.pin_cache_hit_us));
+        }
+    }
+
     #[test]
     fn table2_costs() {
-        let v = sys(false);
+        let mut v = sys(false);
         // Table 2 with n = 4 pages (one 32 KB aligned packet).
         assert!((v.pin_cost(4).as_micros_f64() - (35.0 + 29.0 * 4.0)).abs() < 1e-6);
         assert!((v.unpin_cost(4).as_micros_f64() - (48.0 + 3.9 * 4.0)).abs() < 1e-6);

@@ -5,9 +5,11 @@
 //! fate from a seeded RNG. A probability of 1 makes a fault certain, and
 //! the chaos engine can force one checksum-preserving corruption
 //! (`force_stealth_corrupt_next`) that only an end-to-end oracle catches.
+//! Each knob is a [`Chance`], compiled once to the integer threshold a draw
+//! is compared with.
 
 use bytes::Bytes;
-use outboard_sim::{check_probability, BufPool, Dur, FaultConfigError, Pcg32};
+use outboard_sim::{check_probability, BufPool, Chance, Dur, FaultConfigError, Pcg32};
 use std::sync::Arc;
 
 /// What happened to each frame, cumulatively.
@@ -48,16 +50,16 @@ pub enum Fate {
 #[derive(Debug)]
 pub struct FaultInjector {
     /// Probability a frame is dropped.
-    pub drop_p: f64,
+    pub drop_p: Chance,
     /// Probability one bit of a frame is flipped.
-    pub corrupt_p: f64,
+    pub corrupt_p: Chance,
     /// Probability a frame is delayed (arrives late).
-    pub reorder_p: f64,
+    pub reorder_p: Chance,
     /// Extra delay applied to "reordered" frames (they arrive late, after
     /// frames sent behind them).
     pub reorder_delay: Dur,
     /// Probability a frame is delivered twice.
-    pub dup_p: f64,
+    pub dup_p: Chance,
     rng: Pcg32,
     /// Checksum-preserving corruptions forced ahead of the probabilistic
     /// draws, applied to the next frames offered.
@@ -73,11 +75,11 @@ impl FaultInjector {
     /// A transparent injector (no faults).
     pub fn none(seed: u64) -> FaultInjector {
         FaultInjector {
-            drop_p: 0.0,
-            corrupt_p: 0.0,
-            reorder_p: 0.0,
+            drop_p: Chance::NEVER,
+            corrupt_p: Chance::NEVER,
+            reorder_p: Chance::NEVER,
             reorder_delay: Dur::millis(1),
-            dup_p: 0.0,
+            dup_p: Chance::NEVER,
             rng: Pcg32::new(seed),
             stealth_pending: 0,
             stats: FaultStats::default(),
@@ -115,8 +117,8 @@ impl FaultInjector {
     /// An injector with the given drop/corrupt probabilities.
     ///
     /// Rejects probabilities outside `[0, 1]` — a misconfigured knob would
-    /// otherwise only trip a `debug_assert!` deep in the RNG, silently
-    /// misbehaving in release builds.
+    /// otherwise compile to a [`Chance`] that silently always or never
+    /// fires.
     pub fn lossy(
         seed: u64,
         drop_p: f64,
@@ -125,8 +127,8 @@ impl FaultInjector {
         check_probability("drop_p", drop_p)?;
         check_probability("corrupt_p", corrupt_p)?;
         let mut f = FaultInjector::none(seed);
-        f.drop_p = drop_p;
-        f.corrupt_p = corrupt_p;
+        f.drop_p = Chance::new(drop_p);
+        f.corrupt_p = Chance::new(corrupt_p);
         Ok(f)
     }
 
@@ -134,10 +136,10 @@ impl FaultInjector {
     /// (the fields are public, so post-construction edits can still smuggle
     /// in a bad value; callers that accept external config should re-check).
     pub fn validate(&self) -> Result<(), FaultConfigError> {
-        check_probability("drop_p", self.drop_p)?;
-        check_probability("corrupt_p", self.corrupt_p)?;
-        check_probability("reorder_p", self.reorder_p)?;
-        check_probability("dup_p", self.dup_p)?;
+        check_probability("drop_p", self.drop_p.p())?;
+        check_probability("corrupt_p", self.corrupt_p.p())?;
+        check_probability("reorder_p", self.reorder_p.p())?;
+        check_probability("dup_p", self.dup_p.p())?;
         Ok(())
     }
 
@@ -212,22 +214,22 @@ impl FaultInjector {
                 duplicate: false,
             };
         }
-        if self.drop_p > 0.0 && self.rng.chance(self.drop_p) {
+        if self.drop_p.possible() && self.rng.chance(self.drop_p) {
             self.stats.dropped += 1;
             return Fate::Drop;
         }
-        let payload = if self.corrupt_p > 0.0 && self.rng.chance(self.corrupt_p) {
+        let payload = if self.corrupt_p.possible() && self.rng.chance(self.corrupt_p) {
             self.corrupt(&payload)
         } else {
             payload
         };
-        let extra_delay = if self.reorder_p > 0.0 && self.rng.chance(self.reorder_p) {
+        let extra_delay = if self.reorder_p.possible() && self.rng.chance(self.reorder_p) {
             self.stats.reordered += 1;
             self.reorder_delay
         } else {
             Dur::ZERO
         };
-        let duplicate = self.dup_p > 0.0 && self.rng.chance(self.dup_p);
+        let duplicate = self.dup_p.possible() && self.rng.chance(self.dup_p);
         if duplicate {
             self.stats.duplicated += 1;
         }
@@ -307,9 +309,9 @@ mod tests {
     #[test]
     fn reorder_and_duplicate() {
         let mut f = FaultInjector::none(5);
-        f.reorder_p = 1.0;
+        f.reorder_p = Chance::new(1.0);
         f.reorder_delay = Dur::micros(500);
-        f.dup_p = 1.0;
+        f.dup_p = Chance::new(1.0);
         match f.fate(Bytes::from_static(b"z")) {
             Fate::Deliver {
                 extra_delay,
@@ -343,9 +345,9 @@ mod tests {
         );
         assert!(FaultInjector::lossy(1, 0.0, f64::NAN).is_err());
         let mut f = FaultInjector::none(1);
-        f.reorder_p = 2.0;
+        f.reorder_p = Chance::new(2.0);
         assert_eq!(f.validate().unwrap_err().knob, "reorder_p");
-        f.reorder_p = 1.0;
+        f.reorder_p = Chance::new(1.0);
         assert!(f.validate().is_ok());
     }
 

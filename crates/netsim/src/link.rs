@@ -8,7 +8,7 @@
 use crate::fault::{Fate, FaultInjector};
 use bytes::Bytes;
 use outboard_sim::obs::Scope;
-use outboard_sim::{BufPool, Dur, Time};
+use outboard_sim::{BufPool, Dur, Rate, Time};
 use std::sync::Arc;
 
 /// A scheduled arrival at the far end of a link.
@@ -99,8 +99,8 @@ impl<'a> IntoIterator for &'a Deliveries {
 /// One direction of a point-to-point link.
 #[derive(Debug)]
 pub struct Link {
-    /// Serialization bandwidth in bit/s; `None` for pre-paced media.
-    pub bandwidth_bps: Option<f64>,
+    /// Serialization bandwidth, compiled; `None` for pre-paced media.
+    pub rate: Option<Rate>,
     /// Propagation latency.
     pub latency: Dur,
     busy_until: Time,
@@ -127,7 +127,7 @@ impl Link {
     /// A HIPPI-style link: pure latency, sender paces.
     pub fn hippi(latency: Dur, seed: u64) -> Link {
         Link {
-            bandwidth_bps: None,
+            rate: None,
             latency,
             busy_until: Time::ZERO,
             up: true,
@@ -144,7 +144,7 @@ impl Link {
     /// A serializing link (e.g. 10 Mbit/s Ethernet).
     pub fn serializing(bandwidth_bps: f64, latency: Dur, seed: u64) -> Link {
         Link {
-            bandwidth_bps: Some(bandwidth_bps),
+            rate: Some(Rate::from_bps(bandwidth_bps)),
             latency,
             busy_until: Time::ZERO,
             up: true,
@@ -184,10 +184,10 @@ impl Link {
         else {
             return Deliveries::None;
         };
-        let serialized_at = match self.bandwidth_bps {
-            Some(bps) => {
+        let serialized_at = match &self.rate {
+            Some(rate) => {
                 let start = now.max(self.busy_until);
-                let done = start + Dur::for_bytes_at_bps(payload.len() as u64, bps);
+                let done = start + rate.time_for(payload.len() as u64);
                 self.busy_until = done;
                 done
             }
@@ -234,6 +234,7 @@ impl Link {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use outboard_sim::Chance;
 
     #[test]
     fn latency_only_link() {
@@ -256,7 +257,7 @@ mod tests {
     #[test]
     fn dropped_frames_produce_no_delivery() {
         let mut l = Link::hippi(Dur::ZERO, 1);
-        l.faults.drop_p = 1.0;
+        l.faults.drop_p = Chance::new(1.0);
         assert!(l.transmit(Bytes::from_static(b"x"), Time::ZERO).is_empty());
         assert_eq!(l.frames_in, 1);
         assert_eq!(l.frames_delivered, 0);
@@ -265,7 +266,7 @@ mod tests {
     #[test]
     fn duplicate_delivers_twice() {
         let mut l = Link::hippi(Dur::ZERO, 2);
-        l.faults.dup_p = 1.0;
+        l.faults.dup_p = Chance::new(1.0);
         let d = l.transmit(Bytes::from_static(b"x"), Time::ZERO);
         assert_eq!(d.len(), 2);
         assert!(d[1].at > d[0].at);
@@ -308,11 +309,25 @@ mod tests {
     #[test]
     fn bytes_in_counts_dropped_frames_too() {
         let mut l = Link::hippi(Dur::ZERO, 1);
-        l.faults.drop_p = 1.0;
+        l.faults.drop_p = Chance::new(1.0);
         l.transmit(Bytes::from(vec![0u8; 64]), Time::ZERO);
-        l.faults.drop_p = 0.0;
+        l.faults.drop_p = Chance::NEVER;
         l.transmit(Bytes::from(vec![0u8; 36]), Time::ZERO);
         assert_eq!(l.bytes_in, 100);
         assert_eq!(l.bytes_delivered, 36);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 4096, ..Default::default() })]
+
+        /// The compiled serialization rate against the f64 model, at the
+        /// 10 Mbit/s Ethernet the worlds build and at 100 Mbit/s.
+        #[test]
+        fn ethernet_rate_matches_the_f64_model(bytes in 0u64..=1 << 20, fast in proptest::prelude::any::<bool>()) {
+            let bps = if fast { 100e6 } else { 10e6 };
+            let link = Link::serializing(bps, Dur::ZERO, 1);
+            let rate = link.rate.expect("serializing link");
+            proptest::prop_assert_eq!(rate.time_for(bytes), Dur::for_bytes_at_bps(bytes, bps));
+        }
     }
 }

@@ -13,7 +13,7 @@
 //! is locally minimal. The result serializes back to JSON as a replayable
 //! `repro_<seed>.json` artifact.
 
-use crate::rng::Pcg32;
+use crate::rng::{Chance, Pcg32};
 use crate::time::Dur;
 use std::fmt;
 
@@ -230,7 +230,7 @@ impl ChaosSchedule {
                 },
                 3 => ChaosAction::CabWedge {
                     host,
-                    mdma: rng.chance(0.5),
+                    mdma: rng.chance(Chance::new(0.5)),
                 },
                 4 => ChaosAction::BoardCrash { host },
                 5 => ChaosAction::NetmemSqueeze {

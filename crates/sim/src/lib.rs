@@ -60,9 +60,9 @@ pub use detmap::DetMap;
 pub use idtable::IdTable;
 pub use obs::{BusyTracker, MetricsRegistry};
 pub use pool::{pooled_copy, BufPool, PoolStats, PooledBuf, Ticket};
-pub use rng::{check_probability, FaultConfigError, Pcg32};
+pub use rng::{check_probability, Chance, FaultConfigError, Pcg32};
 pub use span::{FlowId, Span, SpanSink, Stage};
-pub use time::{Dur, Time};
+pub use time::{Dur, Rate, Time};
 pub use timeline::{SeriesKind, Timeline};
 pub use wheel::{EngineKind, EventEngine};
 

@@ -5,9 +5,10 @@
 //! when an external RNG crate revs its algorithm.
 
 /// A probability knob was configured outside `[0, 1]` (or was not a finite
-/// number). [`Pcg32::chance`] only `debug_assert!`s its argument, so release
-/// builds would silently misdraw; fault-injection constructors validate with
-/// [`check_probability`] and surface this typed error instead.
+/// number). [`Chance::new`] takes any value (above 1 always fires, below 0 or
+/// NaN never), so a bad knob would silently misdraw; fault-injection
+/// constructors validate with [`check_probability`] and surface this typed
+/// error instead.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultConfigError {
     /// Name of the offending knob (e.g. `"drop_p"`).
@@ -34,6 +35,49 @@ pub fn check_probability(knob: &'static str, value: f64) -> Result<(), FaultConf
         Ok(())
     } else {
         Err(FaultConfigError { knob, value })
+    }
+}
+
+/// A probability compiled once for [`Pcg32::chance`].
+///
+/// A draw of 53 random bits `k` stands for the float `k · 2^-53`, and
+/// `k · 2^-53 < p` exactly when `k < ⌈p·2^53⌉` (`p · 2^53` is exact in f64),
+/// so comparing `k` with that integer threshold makes the same decision as
+/// comparing the float, without any float work per draw.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Chance {
+    p: f64,
+    threshold: u64,
+}
+
+impl Chance {
+    /// The probability that never fires.
+    pub const NEVER: Chance = Chance {
+        p: 0.0,
+        threshold: 0,
+    };
+
+    /// Compile `p`. Values above 1 always fire; zero, negative and NaN
+    /// values never do ([`check_probability`] is what rejects them).
+    pub fn new(p: f64) -> Chance {
+        let threshold = if p > 0.0 {
+            // Saturating cast: every p >= 1 lands at or above 2^53.
+            (p * (1u64 << 53) as f64).ceil() as u64
+        } else {
+            0
+        };
+        Chance { p, threshold }
+    }
+
+    /// The probability this was compiled from.
+    pub fn p(self) -> f64 {
+        self.p
+    }
+
+    /// Whether a draw can succeed (`p > 0`). The fault injectors only draw
+    /// when it can, so a transparent knob leaves the stream untouched.
+    pub fn possible(self) -> bool {
+        self.threshold > 0
     }
 }
 
@@ -105,16 +149,11 @@ impl Pcg32 {
         lo + self.below(hi - lo)
     }
 
-    /// Uniform float in `[0, 1)`.
-    pub(crate) fn unit_f64(&mut self) -> f64 {
-        // 53 random bits into the mantissa.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Bernoulli trial with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
-        debug_assert!((0.0..=1.0).contains(&p));
-        self.unit_f64() < p
+    /// Bernoulli trial: one 53-bit draw `k` succeeds when `k < ⌈p·2^53⌉`.
+    /// Always consumes a draw; see [`Chance::possible`] for the fault
+    /// injectors' rule that a zero knob consumes none.
+    pub fn chance(&mut self, c: Chance) -> bool {
+        (self.next_u64() >> 11) < c.threshold
     }
 
     /// Fisher-Yates shuffle.
@@ -128,6 +167,12 @@ impl Pcg32 {
 
 #[cfg(test)]
 impl Pcg32 {
+    /// Uniform float in `[0, 1)`: the draw the float compare used.
+    pub(crate) fn unit_f64(&mut self) -> f64 {
+        // 53 random bits into the mantissa.
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
     /// Fill `buf` with random bytes.
     pub(crate) fn fill_bytes(&mut self, buf: &mut [u8]) {
         let mut chunks = buf.chunks_exact_mut(4);
@@ -199,8 +244,68 @@ mod tests {
     fn chance_extremes() {
         let mut rng = Pcg32::new(4);
         for _ in 0..100 {
-            assert!(!rng.chance(0.0));
-            assert!(rng.chance(1.0));
+            assert!(!rng.chance(Chance::new(0.0)));
+            assert!(rng.chance(Chance::new(1.0)));
+        }
+        assert!(!Chance::new(0.0).possible() && !Chance::NEVER.possible());
+        assert!(!Chance::new(-0.5).possible() && !Chance::new(f64::NAN).possible());
+        assert!(Chance::new(f64::MIN_POSITIVE).possible());
+        assert_eq!(Chance::new(2f64.powi(-53)).threshold, 1);
+        assert_eq!(Chance::new(1.0).threshold, 1 << 53);
+    }
+
+    /// The integer compare against the float compare it replaces, over
+    /// random and edge probabilities: the same decision on every draw.
+    fn same_decisions(seed: u64, p: f64) {
+        let (mut float, mut int) = (Pcg32::new(seed), Pcg32::new(seed));
+        let c = Chance::new(p);
+        for _ in 0..256 {
+            assert_eq!(
+                float.unit_f64() < p,
+                int.chance(c),
+                "p = {p:e}, seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn chance_edges_match_the_float_compare() {
+        let edges = [
+            0.0,
+            1.0,
+            2f64.powi(-53),
+            2f64.powi(-52),
+            0.5,
+            0.05,
+            0.01,
+            1.0 - 1e-16,
+        ];
+        for (seed, p) in (0..64).flat_map(|s| edges.map(|p| (s, p))) {
+            same_decisions(seed, p);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn chance_matches_the_float_compare(seed in 0u64.., p in 0.0f64..=1.0, k in 0i32..60) {
+            same_decisions(seed, p);
+            // Small probabilities, where the threshold has few bits.
+            same_decisions(seed, p * 2f64.powi(-k));
+        }
+    }
+
+    /// Near a threshold the float compare and the integer one must still
+    /// agree: every `k` at and around `⌈p·2^53⌉` for random `p`.
+    #[test]
+    fn chance_threshold_is_the_float_boundary() {
+        let mut rng = Pcg32::new(17);
+        for _ in 0..10_000 {
+            let p = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64 + 1e-17;
+            let t = Chance::new(p).threshold;
+            for k in t.saturating_sub(2)..t + 2 {
+                let unit = k as f64 * (1.0 / (1u64 << 53) as f64);
+                assert_eq!(unit < p, k < t, "p = {p:e}, k = {k}");
+            }
         }
     }
 

@@ -98,10 +98,9 @@ impl Dur {
         Dur::from_secs_f64(us / 1e6)
     }
 
-    /// The time it takes to move `bytes` at `bits_per_sec`.
-    ///
-    /// This is the workhorse of every bandwidth cost model in the workspace
-    /// (memory copies, DMA transfers, link serialization).
+    /// The time it takes to move `bytes` at `bits_per_sec`, evaluated in
+    /// f64. The model crates charge byte rates through [`Rate`] instead;
+    /// this is the reference a `Rate` is tested against.
     #[inline]
     pub fn for_bytes_at_bps(bytes: u64, bits_per_sec: f64) -> Dur {
         assert!(bits_per_sec > 0.0, "bandwidth must be positive");
@@ -114,7 +113,6 @@ impl Dur {
         self.0
     }
 
-    /// Length in (fractional) microseconds.
     /// Length in (fractional) microseconds.
     #[inline]
     pub fn as_micros_f64(self) -> f64 {
@@ -149,6 +147,60 @@ impl Dur {
     #[inline]
     pub fn min(self, other: Dur) -> Dur {
         Dur(self.0.min(other.0))
+    }
+}
+
+/// A bandwidth compiled once into integers, so charging a transfer does no
+/// floating-point work.
+///
+/// Every finite f64 is an integer times a power of two, so
+/// [`Rate::from_bps`] takes `bits_per_sec` apart into the exact fraction
+/// `P / Q` and [`Rate::time_for`] returns `bytes · 8e9 / bps` nanoseconds
+/// rounded half up, `⌊(2·bytes·8e9·Q + P) / 2P⌋`. That is the exact value
+/// [`Dur::for_bytes_at_bps`] approximates through two f64 roundings; the
+/// cost-model tests check the two agree on every rate the machine presets
+/// compile.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Rate {
+    /// `16e9 · Q`.
+    mul: u128,
+    /// `P`.
+    p: u128,
+}
+
+impl Rate {
+    /// Compile a bandwidth in bit/s, between 1 bit/s and 2^64 bit/s.
+    pub fn from_bps(bits_per_sec: f64) -> Rate {
+        assert!(
+            (1.0..18_446_744_073_709_551_616.0).contains(&bits_per_sec),
+            "bandwidth must be within [1, 2^64) bit/s"
+        );
+        // A normal f64 in range: value = (2^52 + fraction) · 2^(exponent - 1075).
+        let bits = bits_per_sec.to_bits();
+        let mantissa = (bits & ((1 << 52) - 1)) | (1 << 52);
+        let shift = ((bits >> 52) & 0x7ff) as i32 - 1075;
+        let zeros = mantissa.trailing_zeros() as i32;
+        let (m, e) = (u128::from(mantissa >> zeros), shift + zeros);
+        // 1 <= bps < 2^64 bounds e to [-52, 63]: Q <= 2^52, P < 2^64.
+        let (p, q) = if e >= 0 {
+            (m << e, 1)
+        } else {
+            (m, 1u128 << -e)
+        };
+        Rate {
+            mul: 16_000_000_000 * q,
+            p,
+        }
+    }
+
+    /// Time to move `bytes` at this rate (saturating at `u64::MAX` ns).
+    #[inline]
+    pub fn time_for(&self, bytes: u64) -> Dur {
+        let ns = u128::from(bytes)
+            .checked_mul(self.mul)
+            .and_then(|n| n.checked_add(self.p))
+            .map_or(u128::MAX, |n| n / (2 * self.p));
+        Dur(u64::try_from(ns).unwrap_or(u64::MAX))
     }
 }
 
@@ -276,6 +328,38 @@ mod tests {
         // HIPPI line rate: 100 MByte/s = 800 Mbit/s; 32 KB takes 327.68 us.
         let d = Dur::for_bytes_at_bps(32 * 1024, 800e6);
         assert_eq!(d.as_nanos(), 327_680);
+    }
+
+    #[test]
+    fn rate_matches_the_f64_model() {
+        // Integer rates, the LX SDMA rate and fractional locality-curve
+        // rates.
+        for bps in [
+            10e6,
+            100e6,
+            112.5e6,
+            150e6,
+            800e6,
+            412.345_678_9e6,
+            1.0,
+            7.3e9,
+        ] {
+            let rate = Rate::from_bps(bps);
+            for bytes in (0..5_000).chain([32 * 1024, 1 << 20, (1 << 20) + 7]) {
+                assert_eq!(
+                    rate.time_for(bytes),
+                    Dur::for_bytes_at_bps(bytes, bps),
+                    "{bytes} bytes at {bps} bit/s"
+                );
+            }
+        }
+        assert_eq!(Rate::from_bps(1.0).time_for(u64::MAX), Dur(u64::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "bandwidth must be within")]
+    fn rate_rejects_sub_bit_bandwidth() {
+        let _ = Rate::from_bps(0.5);
     }
 
     #[test]

@@ -5,11 +5,12 @@ use crate::world::{App, Step, SysCtx};
 use bytes::Bytes;
 use outboard_host::{TaskId, UserMemory};
 use outboard_mbuf::Chain;
+use outboard_sim::Dur;
 use outboard_stack::{Proto, ReadResult, SockAddr, SockId, StackError, WriteResult};
 
-/// Per-write user-mode loop overhead of ttcp (µs) — the tiny amount of
-/// user time the paper's ttcp consumes per iteration.
-const TTCP_LOOP_US: f64 = 3.0;
+/// Per-write user-mode loop overhead of ttcp — the tiny amount of user
+/// time the paper's ttcp consumes per iteration.
+const TTCP_LOOP: Dur = Dur::micros(3);
 
 /// Sender states.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -165,7 +166,7 @@ impl TtcpSender {
             self.state = TxState::Done;
             return Step::Done;
         }
-        ctx.user_cpu(TTCP_LOOP_US);
+        ctx.user_cpu(TTCP_LOOP);
         let len = self.write_size.min(self.total_bytes - self.bytes_written);
         // ttcp reuses one buffer: refill it with this write's stream bytes.
         let buf = ctx
@@ -323,7 +324,7 @@ impl App for TtcpReceiver {
                     self.bytes_read += bytes;
                     self.reads += 1;
                 }
-                ctx.user_cpu(TTCP_LOOP_US);
+                ctx.user_cpu(TTCP_LOOP);
                 let r = ctx.kernel.sys_read(
                     self.conn.unwrap(),
                     self.task,

@@ -12,7 +12,7 @@ use crate::world::World;
 use bytes::Bytes;
 use outboard_cab::{Cab, CabEvent, SdmaDst, SdmaRx, SdmaTx, SgEntry};
 use outboard_host::{HostMem, MachineConfig, TaskId};
-use outboard_sim::{stats, Dur, EngineKind, MetricsRegistry, Time};
+use outboard_sim::{stats, Chance, Dur, EngineKind, MetricsRegistry, Time};
 use outboard_stack::{SockAddr, StackConfig};
 use std::net::Ipv4Addr;
 
@@ -213,10 +213,10 @@ pub fn build_ttcp_world(cfg: &ExperimentConfig) -> World {
     let (if_a, if_b) = w.connect_cab(a, SENDER_IP, b, RECEIVER_IP, Dur::micros(5), cfg.seed);
     {
         let f = &mut w.links.get_mut(&(a, if_a)).unwrap().faults;
-        f.drop_p = cfg.drop_p;
-        f.corrupt_p = cfg.corrupt_p;
-        f.reorder_p = cfg.reorder_p;
-        f.dup_p = cfg.dup_p;
+        f.drop_p = Chance::new(cfg.drop_p);
+        f.corrupt_p = Chance::new(cfg.corrupt_p);
+        f.reorder_p = Chance::new(cfg.reorder_p);
+        f.dup_p = Chance::new(cfg.dup_p);
     }
     let cab_faulty = cfg.cab_alloc_fail_p > 0.0
         || cfg.cab_sdma_fail_p > 0.0
@@ -233,11 +233,11 @@ pub fn build_ttcp_world(cfg: &ExperimentConfig) -> World {
             let mut f = outboard_cab::CabFaultInjector::none(
                 cfg.seed.wrapping_mul(7).wrapping_add(5 + host as u64),
             );
-            f.alloc_fail_p = cfg.cab_alloc_fail_p;
-            f.sdma_fail_p = cfg.cab_sdma_fail_p;
-            f.mdma_fail_p = cfg.cab_mdma_fail_p;
-            f.wedge_p = cfg.cab_wedge_p;
-            f.csum_error_p = cfg.cab_csum_error_p;
+            f.alloc_fail_p = Chance::new(cfg.cab_alloc_fail_p);
+            f.sdma_fail_p = Chance::new(cfg.cab_sdma_fail_p);
+            f.mdma_fail_p = Chance::new(cfg.cab_mdma_fail_p);
+            f.wedge_p = Chance::new(cfg.cab_wedge_p);
+            f.csum_error_p = Chance::new(cfg.cab_csum_error_p);
             ci.cab.faults = f;
         }
     }

@@ -91,13 +91,13 @@ pub struct SysCtx<'a> {
     /// This host's user memory.
     pub mem: &'a mut HostMem,
     pub(crate) effects: Vec<Effect>,
-    pub(crate) user_us: f64,
+    pub(crate) user: Dur,
 }
 
 impl SysCtx<'_> {
     /// Account app-level (user mode) CPU, e.g. the ttcp loop body.
-    pub(crate) fn user_cpu(&mut self, us: f64) {
-        self.user_us += us;
+    pub(crate) fn user_cpu(&mut self, dur: Dur) {
+        self.user += dur;
     }
 
     /// Collect effects returned by a kernel call for the harness to apply;
@@ -1077,7 +1077,7 @@ impl World {
         if measured {
             self.hosts[host].cpu.set_ttcp_on_cpu(true);
         }
-        let (step, mut effects, user_us) = {
+        let (step, mut effects, user) = {
             let h = &mut self.hosts[host];
             let mut ctx = SysCtx {
                 now,
@@ -1085,24 +1085,22 @@ impl World {
                 kernel: &mut h.kernel,
                 mem: &mut h.mem,
                 effects: std::mem::take(&mut h.app_fx),
-                user_us: 0.0,
+                user: Dur::ZERO,
             };
             let step = match ready_sock {
                 Some(sock) => app.on_kernel_ready(&mut ctx, sock),
                 None => app.step(&mut ctx),
             };
-            (step, ctx.effects, ctx.user_us)
+            (step, ctx.effects, ctx.user)
         };
         let mut cursor = now;
-        if user_us > 0.0 {
+        if !user.is_zero() {
             let charge = if measured {
                 Charge::TtcpUser
             } else {
                 Charge::Syscall
             };
-            cursor = self.hosts[host]
-                .cpu
-                .run(cursor, Dur::from_micros_f64(user_us), charge);
+            cursor = self.hosts[host].cpu.run(cursor, user, charge);
         }
         cursor = self.drain_effects(host, &mut effects, cursor);
         self.hosts[host].app_fx = effects;
@@ -1388,7 +1386,7 @@ mod tests {
         }
         fn step(&mut self, ctx: &mut SysCtx<'_>) -> Step {
             self.steps.set(self.steps.get() + 1);
-            ctx.user_cpu(1.0);
+            ctx.user_cpu(Dur::micros(1));
             if self.finished() {
                 Step::Done
             } else {

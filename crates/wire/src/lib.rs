@@ -28,6 +28,7 @@
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
 #![deny(unreachable_pub)]
+#![cfg_attr(not(test), deny(clippy::float_arithmetic))]
 
 pub mod checksum;
 pub mod ether;

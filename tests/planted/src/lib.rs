@@ -2,13 +2,15 @@
 //! `tests/static_gate.rs` runs clippy here and expects exactly the lints
 //! named in the trailing `~` comments, on those lines; the ones tagged
 //! `payload` fire only under `crates/netsim/clippy.toml`. Lines without
-//! one are the negatives. The crate attribute is the one the seven model
-//! crates carry (the gate checks it is the same text).
+//! one are the negatives. The crate attributes are the ones the seven model
+//! crates carry (the gate checks it is the same text), except that `sim`
+//! does not carry the float line.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
 #![deny(unreachable_pub)]
+#![cfg_attr(not(test), deny(clippy::float_arithmetic))]
 
 use std::collections::HashMap as Map; //~ clippy::disallowed_types
 
@@ -69,6 +71,12 @@ pub fn environment() -> bool {
     std::env::var("PLANTED").is_ok() //~ clippy::disallowed_methods
 }
 
+// Costs are compiled integers: no float arithmetic outside a compiler or a
+// report (every model crate but sim).
+pub fn per_event(us: f64) -> f64 {
+    us * 1e3 //~ clippy::float_arithmetic
+}
+
 // Payload bytes come from the pool (netsim and mbuf only).
 pub fn frame(n: usize) -> Vec<u8> {
     vec![0u8; n] //~payload clippy::disallowed_macros
@@ -99,6 +107,13 @@ pub fn fallback(x: Option<u32>) -> u32 {
 #[expect(clippy::unwrap_used, reason = "the convention for a real exception")]
 pub fn excepted(x: Option<u32>) -> u32 {
     x.unwrap()
+}
+#[expect(clippy::float_arithmetic, reason = "a compiler: runs once, before any event")]
+pub fn compiled(us: f64) -> u64 {
+    (us * 1e3).round() as u64
+}
+pub fn compare(p: f64) -> bool {
+    p > 0.0
 }
 // x.unwrap(); panic!(); HashMap::new(); Instant::now(); vec![0u8; 4]
 pub const PROSE: &str = "x.unwrap(); panic!(); HashMap::new(); Instant::now(); vec![0u8; 4]";

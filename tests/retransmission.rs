@@ -2,7 +2,7 @@
 //! (§4.3) and the hardware receive checksum as an actual error detector.
 
 use outboard::host::MachineConfig;
-use outboard::sim::{Dur, Time};
+use outboard::sim::{Chance, Dur, Time};
 use outboard::stack::StackConfig;
 use outboard::testbed::experiment::build_ttcp_world;
 use outboard::testbed::{run_ttcp, ExperimentConfig};
@@ -64,7 +64,7 @@ fn corruption_is_caught_by_the_hardware_checksum() {
         .get_mut(&(0, outboard::stack::IfaceId(0)))
         .unwrap()
         .faults
-        .corrupt_p = 0.02;
+        .corrupt_p = Chance::new(0.02);
     let finished = w.run_while(Time::ZERO + Dur::secs(60), |w| {
         !(w.hosts[0].apps[0]
             .as_ref()
@@ -100,8 +100,8 @@ fn duplication_and_reordering_are_tolerated() {
     let mut w = build_ttcp_world(&cfg);
     {
         let link = w.links.get_mut(&(0, outboard::stack::IfaceId(0))).unwrap();
-        link.faults.dup_p = 0.05;
-        link.faults.reorder_p = 0.05;
+        link.faults.dup_p = Chance::new(0.05);
+        link.faults.reorder_p = Chance::new(0.05);
         link.faults.reorder_delay = Dur::millis(2);
     }
     let finished = w.run_while(Time::ZERO + Dur::secs(60), |w| {
@@ -160,7 +160,7 @@ fn unmodified_stack_detects_corruption_too() {
         .get_mut(&(0, outboard::stack::IfaceId(0)))
         .unwrap()
         .faults
-        .corrupt_p = 0.02;
+        .corrupt_p = Chance::new(0.02);
     let finished = w.run_while(Time::ZERO + Dur::secs(60), |w| {
         !(w.hosts[0].apps[0]
             .as_ref()

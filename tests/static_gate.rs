@@ -124,15 +124,17 @@ fn model_crates_are_clean() {
 }
 
 /// Clean means nothing unless the gate is armed: every model crate carries
-/// the planted package's deny lines verbatim, and the payload crates'
-/// `clippy.toml` (a nearer file *replaces* the root one) repeat every root
-/// entry.
+/// the planted package's deny lines verbatim (all but `sim` the float one
+/// too), and the payload crates' `clippy.toml` (a nearer file *replaces*
+/// the root one) repeat every root entry.
 #[test]
 fn every_model_crate_is_under_the_same_rules() {
     let planted = read("tests/planted/src/lib.rs");
+    let float = "\n#![cfg_attr(not(test), deny(clippy::float_arithmetic))]\n";
+    assert!(planted.contains(float));
     let deny: Vec<_> = planted
         .lines()
-        .filter(|l| l.starts_with("#![cfg_attr(not(test), deny("))
+        .filter(|l| l.starts_with("#![cfg_attr(not(test), deny(") && !float.contains(l))
         .collect();
     assert_eq!(deny.len(), 4);
     let surface = "\n#![deny(unreachable_pub)]\n";
@@ -146,6 +148,14 @@ fn every_model_crate_is_under_the_same_rules() {
         assert!(
             lib.contains(surface),
             "crates/{dir}/src/lib.rs lacks the unreachable_pub line"
+        );
+        // Sim owns the f64 reference models (`Dur::for_bytes_at_bps`) and
+        // the compilers of `Rate` and `Chance`; the crates an event's cost
+        // is charged in carry the deny.
+        assert_eq!(
+            lib.contains(float),
+            dir != "sim",
+            "crates/{dir}/src/lib.rs and the float_arithmetic line"
         );
     }
     let netsim = read("crates/netsim/clippy.toml");
