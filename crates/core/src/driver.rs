@@ -17,7 +17,7 @@
 use crate::types::SockId;
 use outboard_cab::{Cab, ChecksumSpec, PacketId, SgEntry};
 use outboard_sim::obs::Scope;
-use outboard_sim::{DetMap, IdTable};
+use outboard_sim::{DetMap, IdTable, Time};
 use outboard_wire::ether::MacAddr;
 use outboard_wire::hippi::HippiAddr;
 use std::collections::VecDeque;
@@ -65,48 +65,60 @@ pub enum SdmaPurpose {
     },
 }
 
+/// A frame gathered for the CAB: everything the SDMA→MDMA launch needs,
+/// and all a parked retry keeps. User-memory scatter/gather entries stay
+/// valid because the data is retained in the socket send queue (and its
+/// pages stay pinned) until completion.
+#[derive(Clone, Debug)]
+pub(crate) struct TxFrame {
+    /// Full frame length (header + data).
+    pub(crate) frame_len: usize,
+    /// Scatter/gather list, header first.
+    pub(crate) sg: Vec<SgEntry>,
+    /// Outboard checksum insertion spec, when hardware checksumming.
+    pub(crate) csum: Option<ChecksumSpec>,
+    /// Destination fabric address.
+    pub(crate) dst: HippiAddr,
+    /// Logical channel.
+    pub(crate) channel: u16,
+    /// Completion purpose (its `packet` field is rewritten on each alloc).
+    pub(crate) purpose: SdmaPurpose,
+    /// Free the outboard buffer right after the media transfer.
+    pub(crate) free_after_mdma: bool,
+    /// Payload bytes in the frame.
+    pub(crate) data_len: usize,
+    /// Header bytes in front of the payload.
+    pub(crate) hdr_len: usize,
+}
+
+/// The media transfer of a packet that sits complete in network memory.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct MdmaJob {
+    /// The outboard packet to put on the media.
+    pub(crate) packet: PacketId,
+    /// Destination fabric address.
+    pub(crate) dst: HippiAddr,
+    /// Logical channel.
+    pub(crate) channel: u16,
+    /// Free the outboard buffer after the media transfer.
+    pub(crate) free_after: bool,
+    /// When the packet's copy-in completes: the media transfer cannot
+    /// start earlier, however soon a retry round comes.
+    pub(crate) ready: Time,
+}
+
 /// A transmission parked after a transient failure, waiting for the
 /// retry-backoff timer. The paper's driver treats outboard exhaustion as a
 /// "transient out-of-resources condition"; these entries are how the
 /// condition stays transient instead of becoming a silent drop.
 #[derive(Clone, Debug)]
-pub enum PendingTx {
+pub(crate) enum PendingTx {
     /// The copy-in (SDMA) itself failed or network memory was exhausted:
-    /// everything needed to rebuild the request from scratch. User-memory
-    /// scatter/gather entries stay valid because the data is retained in
-    /// the socket send queue (and its pages stay pinned) until completion.
-    Sdma {
-        /// Full frame length (header + data).
-        frame_len: usize,
-        /// Scatter/gather list, header first.
-        sg: Vec<SgEntry>,
-        /// Outboard checksum insertion spec, when hardware checksumming.
-        csum: Option<ChecksumSpec>,
-        /// Destination fabric address.
-        dst: HippiAddr,
-        /// Logical channel.
-        channel: u16,
-        /// Completion purpose (its `packet` field is rewritten on re-alloc).
-        purpose: SdmaPurpose,
-        /// Free the outboard buffer right after the media transfer.
-        free_after_mdma: bool,
-        /// Payload bytes in the frame.
-        data_len: usize,
-        /// Header bytes in front of the payload.
-        hdr_len: usize,
-    },
-    /// The copy-in succeeded but the media transfer failed: the packet sits
-    /// complete in network memory, only the MDMA needs re-issuing.
-    Mdma {
-        /// The outboard packet to put on the media.
-        packet: PacketId,
-        /// Destination fabric address.
-        dst: HippiAddr,
-        /// Logical channel.
-        channel: u16,
-        /// Free the outboard buffer after the media transfer.
-        free_after: bool,
-    },
+    /// the frame is launched again from scratch.
+    Sdma(TxFrame),
+    /// The copy-in succeeded but the media transfer failed: only the MDMA
+    /// needs re-issuing.
+    Mdma(MdmaJob),
 }
 
 /// Robustness counters for one CAB interface's driver.
@@ -174,14 +186,14 @@ pub struct CabIface {
     channels: DetMap<HippiAddr, u16>,
     next_channel: u16,
     /// Receive packets: payload bytes not yet copied out of network memory.
-    pub rx_remaining: IdTable<usize>,
+    rx_remaining: IdTable<usize>,
     /// Transmit packets: data bytes not yet acknowledged (the packet stays
     /// outboard for retransmission until this drains).
-    pub tx_remaining: IdTable<usize>,
+    tx_remaining: IdTable<usize>,
     /// Transmit packets' header length (for retransmission geometry).
-    pub tx_hdr_len: IdTable<usize>,
+    tx_hdr_len: IdTable<usize>,
     /// Transmissions parked for the retry-backoff timer.
-    pub retry_q: VecDeque<PendingTx>,
+    pub(crate) retry_q: VecDeque<PendingTx>,
     /// Degraded-mode / retry / watchdog state.
     pub health: IfaceHealth,
 }
@@ -254,6 +266,58 @@ impl CabIface {
             .collect()
     }
 
+    /// Hold a received packet outboard until its `len` payload bytes are
+    /// copied out or discarded.
+    pub(crate) fn hold_rx(&mut self, packet: PacketId, len: usize) {
+        self.rx_remaining.insert(packet, len);
+    }
+
+    /// Hold a transmitted packet outboard until its `data_len` bytes are
+    /// acknowledged, with the header length a header-only retransmit needs.
+    pub(crate) fn hold_tx(&mut self, packet: PacketId, data_len: usize, hdr_len: usize) {
+        self.tx_remaining.insert(packet, data_len);
+        self.tx_hdr_len.insert(packet, hdr_len);
+    }
+
+    /// Header length of a held transmit packet.
+    pub(crate) fn held_header_len(&self, packet: PacketId) -> Option<usize> {
+        self.tx_hdr_len.get(packet).copied()
+    }
+
+    /// Count `len` bytes of a held receive packet as copied out or
+    /// discarded. True when they were the last: the hold ends and the
+    /// caller frees the packet, itself or through the copy-out. An
+    /// untracked packet (a board reset cleared the holds) is never freed
+    /// here.
+    pub(crate) fn rx_consume(&mut self, packet: PacketId, len: usize) -> bool {
+        countdown(&mut self.rx_remaining, packet, len)
+    }
+
+    /// Count `len` bytes of a held transmit packet as acknowledged, and
+    /// free the packet with the last of them.
+    pub(crate) fn tx_ack(&mut self, packet: PacketId, len: usize, now: Time) {
+        if countdown(&mut self.tx_remaining, packet, len) {
+            self.tx_hdr_len.remove(packet);
+            self.cab.free_packet(packet, now);
+        }
+    }
+
+    /// End every hold on `packet`; the caller frees it or has lost it.
+    pub(crate) fn forget(&mut self, packet: PacketId) {
+        self.rx_remaining.remove(packet);
+        self.tx_remaining.remove(packet);
+        self.tx_hdr_len.remove(packet);
+    }
+
+    /// Reset the board, which frees every outboard packet and so ends
+    /// every hold.
+    pub(crate) fn reset(&mut self) {
+        self.cab.reset();
+        self.rx_remaining.clear();
+        self.tx_remaining.clear();
+        self.tx_hdr_len.clear();
+    }
+
     /// SDMA requests in flight.
     pub fn pending_count(&self) -> usize {
         self.pending.len()
@@ -269,6 +333,19 @@ impl CabIface {
             c
         })
     }
+}
+
+/// Take `len` from a hold; true (and the hold ended) when it drains.
+fn countdown(table: &mut IdTable<usize>, packet: PacketId, len: usize) -> bool {
+    let Some(rem) = table.get_mut(packet) else {
+        return false;
+    };
+    *rem = rem.saturating_sub(len);
+    let drained = *rem == 0;
+    if drained {
+        table.remove(packet);
+    }
+    drained
 }
 
 /// Conventional Ethernet interface.

@@ -4,14 +4,14 @@
 //! conversion that realizes §4.2), and TCP timers.
 
 use super::{Kernel, TxMeta};
-use crate::driver::{IfaceKind, SdmaPurpose};
+use crate::driver::{IfaceHealth, IfaceKind, SdmaPurpose};
 use crate::ip::FragKey;
 use crate::socket::{KqEntry, Owner};
 use crate::tcp::{AckMode, SegmentPlan, TcpState};
 use crate::types::{Effect, IfaceId, Proto, SockAddr, SockId, TimerKind};
 use bytes::Bytes;
-use outboard_cab::{CabError, PacketId, SdmaDst, SdmaRx};
-use outboard_host::{Charge, HostMem, TaskId, UserMemory};
+use outboard_cab::{PacketId, SdmaDst, SdmaRx};
+use outboard_host::{Charge, HostMem, UserMemory};
 use outboard_mbuf::{Chain, Mbuf, MbufData, WcabDesc};
 use outboard_sim::span::{FlowId, Stage};
 use outboard_sim::Time;
@@ -299,18 +299,8 @@ impl Kernel {
                         Err(e) => {
                             // Engine refused the copy-in: fall back to
                             // programmed I/O so the packet still arrives.
-                            Kernel::watchdog_on_wedge(k, cab, iface, &e);
                             cab.complete(token);
-                            let (mut buf, ticket) = k.cluster_alloc(out_len);
-                            let _ = cab.cab.read_packet(packet, src_off, &mut buf);
-                            let cost = k.memsys.read_cost(out_len, out_len.max(4096));
-                            k.cpu_dur(cost, Charge::Interrupt);
-                            // A wedged SDMA engine still owns the buffer;
-                            // the watchdog's board reset will reclaim it.
-                            if !matches!(e, CabError::EngineWedged(_)) {
-                                cab.cab.free_packet(packet, now);
-                            }
-                            cab.health.stats.pio_fallbacks += 1;
+                            let (buf, ticket) = Kernel::pio_read(k, cab, iface, &req, &e, now);
                             k.cluster_freeze(buf, ticket)
                         }
                     }
@@ -332,9 +322,7 @@ impl Kernel {
                 let m = Mbuf::wcab(desc);
                 self.mbuf_stats.count(&m);
                 chain.append(m);
-                self.with_cab(rx.iface, |_k, cab| {
-                    cab.rx_remaining.insert(packet, out_len);
-                });
+                self.with_cab(rx.iface, |_k, cab| cab.hold_rx(packet, out_len));
             } else {
                 // Nothing left outboard: release immediately.
                 self.with_cab(rx.iface, |_k, cab| {
@@ -349,7 +337,7 @@ impl Kernel {
     fn discard_outboard(&mut self, rx: &RxPacket, now: Time) {
         if let Some((packet, _)) = rx.outboard {
             self.with_cab(rx.iface, |_k, cab| {
-                cab.rx_remaining.remove(packet);
+                cab.forget(packet);
                 cab.cab.free_packet(packet, now);
             });
         }
@@ -366,15 +354,7 @@ impl Kernel {
             let d = *d;
             let packet = PacketId(d.packet);
             self.with_cab(IfaceId(d.cab), |_k, cab| {
-                let done = match cab.rx_remaining.get_mut(packet) {
-                    Some(rem) => {
-                        *rem = rem.saturating_sub(d.len);
-                        *rem == 0
-                    }
-                    None => false,
-                };
-                if done {
-                    cab.rx_remaining.remove(packet);
+                if cab.rx_consume(packet, d.len) {
                     cab.cab.free_packet(packet, now);
                 }
             });
@@ -597,6 +577,10 @@ impl Kernel {
     }
 
     /// Core TCP segment processing against a socket's TCB.
+    #[expect(
+        clippy::too_many_lines,
+        reason = "tcp_input's per-segment tail in BSD's order: TCB input, ACK-driven frees, delivery, wakeups, output"
+    )]
     pub(crate) fn tcp_input_segment(
         &mut self,
         sock: SockId,
@@ -805,21 +789,8 @@ impl Kernel {
         };
         for m in dropped.iter() {
             if let MbufData::Wcab(d) = m.data() {
-                let packet = PacketId(d.packet);
-                let iface = IfaceId(d.cab);
-                self.with_cab(iface, |_k, cab| {
-                    let free = match cab.tx_remaining.get_mut(packet) {
-                        Some(rem) => {
-                            *rem = rem.saturating_sub(d.len);
-                            *rem == 0
-                        }
-                        None => false,
-                    };
-                    if free {
-                        cab.tx_remaining.remove(packet);
-                        cab.tx_hdr_len.remove(packet);
-                        cab.cab.free_packet(packet, now);
-                    }
+                self.with_cab(IfaceId(d.cab), |_k, cab| {
+                    cab.tx_ack(PacketId(d.packet), d.len, now);
                 });
             }
         }
@@ -948,18 +919,7 @@ impl Kernel {
                 len: d.len,
             };
             self.with_cab(iface, |k, cab| {
-                let free = {
-                    match cab.rx_remaining.get_mut(packet) {
-                        Some(rem) => {
-                            *rem = rem.saturating_sub(d.len);
-                            *rem == 0
-                        }
-                        None => false,
-                    }
-                };
-                if free {
-                    cab.rx_remaining.remove(packet);
-                }
+                let free = cab.rx_consume(packet, d.len);
                 let token = cab.issue(purpose);
                 let req = SdmaRx {
                     packet,
@@ -1137,57 +1097,19 @@ impl Kernel {
         packet: PacketId,
         hdr_len: usize,
     ) {
-        use outboard_wire::tcp::seq;
-        let Some(s) = self.sockets.get_mut(sock) else {
-            return;
-        };
-        let Some(tcb) = s.tcb.as_ref() else { return };
-        let base = tcb.snd_una;
-        // Clamp to the still-queued range.
-        let (skip_front, off_in_q) = if seq::lt(seq_lo, base) {
-            (seq::diff(base, seq_lo) as usize, 0usize)
-        } else {
-            (0usize, seq::diff(seq_lo, base) as usize)
-        };
-        if skip_front >= data_len {
-            return;
-        }
-        let len = (data_len - skip_front).min(s.so_snd.chain.len().saturating_sub(off_in_q));
-        if len == 0 {
-            return;
-        }
-        let chain = std::mem::take(&mut s.so_snd.chain);
-        let (new_chain, removed) = replace_range_take(
-            chain,
-            off_in_q,
-            len,
-            Mbuf::wcab(WcabDesc {
-                cab: iface.0,
-                packet: packet.0,
-                off: hdr_len + skip_front,
-                len,
-                hw_csum: 0,
-                valid_len: len,
-            }),
-        );
-        s.so_snd.chain = new_chain;
-        self.stats.uio_to_wcab += 1;
-        // Credit the UIO counters of the replaced descriptors.
-        let mut wakes: Vec<(TaskId, SockId)> = Vec::new();
-        for m in removed.iter() {
-            if let MbufData::Uio(d) = m.data() {
-                if let Some(c) = d.counter {
-                    if let Some(st) = self.uio.complete(c, d.len) {
-                        wakes.push((st.task, st.sock));
-                    }
-                }
-            }
-        }
-        for (task, wsock) in wakes {
-            if let Some(s) = self.sockets.get_mut(wsock) {
-                s.blocked_write = None;
-            }
-            self.wake(task, wsock, Charge::Interrupt);
+        let converted =
+            self.replace_snd_range(sock, seq_lo, data_len, Charge::Interrupt, |_, skip, len| {
+                Mbuf::wcab(WcabDesc {
+                    cab: iface.0,
+                    packet: packet.0,
+                    off: hdr_len + skip,
+                    len,
+                    hw_csum: 0,
+                    valid_len: len,
+                })
+            });
+        if converted {
+            self.stats.uio_to_wcab += 1;
         }
     }
 
@@ -1252,11 +1174,8 @@ impl Kernel {
             }
             TimerKind::CabRetry { iface, generation } => {
                 let valid = self
-                    .ifaces
-                    .get(iface.0 as usize)
-                    .and_then(|i| i.cab_ref())
-                    .map(|c| c.health.retry_armed && c.health.retry_gen == generation)
-                    .unwrap_or(false);
+                    .cab_health(iface)
+                    .is_some_and(|h| h.retry_armed && h.retry_gen == generation);
                 if valid {
                     self.cpu(self.costs.interrupt, Charge::Interrupt);
                     self.cab_retry_fire(iface, mem, now);
@@ -1264,11 +1183,8 @@ impl Kernel {
             }
             TimerKind::CabProbe { iface, generation } => {
                 let valid = self
-                    .ifaces
-                    .get(iface.0 as usize)
-                    .and_then(|i| i.cab_ref())
-                    .map(|c| c.health.degraded && c.health.probe_gen == generation)
-                    .unwrap_or(false);
+                    .cab_health(iface)
+                    .is_some_and(|h| h.degraded && h.probe_gen == generation);
                 if valid {
                     self.cpu(self.costs.interrupt, Charge::Interrupt);
                     self.cab_probe_fire(iface, now);
@@ -1276,17 +1192,22 @@ impl Kernel {
             }
             TimerKind::CabWatchdog { iface, generation } => {
                 let valid = self
-                    .ifaces
-                    .get(iface.0 as usize)
-                    .and_then(|i| i.cab_ref())
-                    .map(|c| c.health.watchdog_armed && c.health.watchdog_gen == generation)
-                    .unwrap_or(false);
+                    .cab_health(iface)
+                    .is_some_and(|h| h.watchdog_armed && h.watchdog_gen == generation);
                 if valid {
                     self.cab_watchdog_fire(iface, mem, now);
                 }
             }
         }
         self.take_effects()
+    }
+
+    /// Health of a CAB interface (none for another kind of interface).
+    fn cab_health(&self, iface: IfaceId) -> Option<&IfaceHealth> {
+        self.ifaces
+            .get(iface.0 as usize)
+            .and_then(|i| i.cab_ref())
+            .map(|c| &c.health)
     }
 
     /// Zero-window probe: one byte past the window forces the peer to
@@ -1315,64 +1236,7 @@ impl Kernel {
             };
             (local, remote, plan)
         };
-        self.emit_segment_for_probe(sock, local, remote, &plan, mem, now);
-    }
-
-    fn emit_segment_for_probe(
-        &mut self,
-        sock: SockId,
-        local: SockAddr,
-        remote: SockAddr,
-        plan: &SegmentPlan,
-        mem: &mut HostMem,
-        now: Time,
-    ) {
-        // Same machinery as regular emission; lives here to keep the
-        // borrow of the plan local.
-        self.cpu(self.costs.tcp_output, Charge::Interrupt);
-        let data = {
-            let Some(s) = self.sockets.get(sock) else {
-                return;
-            };
-            s.so_snd.chain.copy_range(plan.data_off, plan.data_len)
-        };
-        let mut hdr = outboard_wire::tcp::TcpHeader::new(
-            local.port,
-            remote.port,
-            plan.seq,
-            plan.ack,
-            plan.flags,
-        );
-        hdr.window = plan.window;
-        let flow = if self.spans.on() {
-            let group = FlowId::group_of(
-                local.ip.octets(),
-                local.port,
-                remote.ip.octets(),
-                remote.port,
-            );
-            FlowId::from_parts(group, plan.seq)
-        } else {
-            FlowId::NONE
-        };
-        let meta = TxMeta {
-            sock: Some(sock),
-            seq_lo: plan.seq,
-            retransmit: plan.retransmit,
-            free_after_mdma: plan.data_len == 0,
-            flow,
-        };
-        self.transport_output(
-            local.ip,
-            remote.ip,
-            proto::TCP,
-            hdr.build(),
-            outboard_wire::tcp::TCP_CSUM_OFFSET,
-            data,
-            meta,
-            mem,
-            now,
-        );
+        self.emit_tcp_segment(sock, local, remote, &plan, Charge::Interrupt, mem, now);
     }
 }
 

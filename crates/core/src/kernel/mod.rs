@@ -403,6 +403,68 @@ impl Kernel {
         self.fx.push(Effect::Wake { task, sock });
     }
 
+    /// Replace what is still queued of send-queue range `[seq_lo, seq_lo +
+    /// data_len)` with one mbuf, which `with` builds from the range's
+    /// offset into the segment and its queued length, and credit the UIO
+    /// counters of the `M_UIO` descriptors it replaces. False, with nothing
+    /// changed, when no byte of the range is still queued.
+    pub(crate) fn replace_snd_range(
+        &mut self,
+        sock: SockId,
+        seq_lo: u32,
+        data_len: usize,
+        charge: Charge,
+        with: impl FnOnce(&mut Kernel, usize, usize) -> Mbuf,
+    ) -> bool {
+        use outboard_wire::tcp::seq;
+        let Some(s) = self.sockets.get(sock) else {
+            return false;
+        };
+        let Some(tcb) = s.tcb.as_ref() else {
+            return false;
+        };
+        let base = tcb.snd_una;
+        // Clamp to the still-queued range.
+        let (skip_front, off_in_q) = if seq::lt(seq_lo, base) {
+            (seq::diff(base, seq_lo) as usize, 0usize)
+        } else {
+            (0usize, seq::diff(seq_lo, base) as usize)
+        };
+        if skip_front >= data_len {
+            return false;
+        }
+        let len = (data_len - skip_front).min(s.so_snd.chain.len().saturating_sub(off_in_q));
+        if len == 0 {
+            return false;
+        }
+        let replacement = with(self, skip_front, len);
+        let Some(s) = self.sockets.get_mut(sock) else {
+            return false;
+        };
+        let chain = std::mem::take(&mut s.so_snd.chain);
+        let (new_chain, removed) = replace_range_take(chain, off_in_q, len, replacement);
+        s.so_snd.chain = new_chain;
+        self.credit_uio(&removed, charge);
+        true
+    }
+
+    /// Credit the UIO counters of `chain`'s `M_UIO` descriptors: their
+    /// bytes have been copied. A writer whose write completes is woken.
+    fn credit_uio(&mut self, chain: &Chain, charge: Charge) {
+        for m in chain.iter() {
+            let MbufData::Uio(d) = m.data() else {
+                continue;
+            };
+            let Some(done) = d.counter.and_then(|c| self.uio.complete(c, d.len)) else {
+                continue;
+            };
+            if let Some(s) = self.sockets.get_mut(done.sock) {
+                s.blocked_write = None;
+            }
+            self.wake(done.task, done.sock, charge);
+        }
+    }
+
     /// Temporarily detach a CAB interface so device calls can run while
     /// other kernel state is borrowed.
     #[expect(
@@ -1036,18 +1098,7 @@ impl Kernel {
         let packet = PacketId(d.packet);
         self.with_cab(iface_id, |k, cab| {
             // Free the outboard buffer once every payload byte is out.
-            let free = match cab.rx_remaining.get_mut(packet) {
-                Some(rem) => {
-                    *rem = rem.saturating_sub(d.len);
-                    *rem == 0
-                }
-                // Untracked (e.g. a watchdog reset cleared the table):
-                // never free on this path.
-                None => false,
-            };
-            if free {
-                cab.rx_remaining.remove(packet);
-            }
+            let free = cab.rx_consume(packet, d.len);
             let dst = if aligned {
                 SdmaDst::User {
                     task,
@@ -1349,9 +1400,7 @@ impl Kernel {
                 let iface_id = IfaceId(d.cab);
                 let packet = PacketId(d.packet);
                 self.with_cab(iface_id, |_k, cab| {
-                    cab.tx_remaining.remove(packet);
-                    cab.tx_hdr_len.remove(packet);
-                    cab.rx_remaining.remove(packet);
+                    cab.forget(packet);
                     cab.cab.free_packet(packet, now);
                 });
             }

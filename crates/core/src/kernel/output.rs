@@ -3,15 +3,15 @@
 //! three drivers' output routines.
 
 use super::{Kernel, TxMeta};
-use crate::driver::{IfaceKind, PendingTx, SdmaPurpose};
+use crate::driver::{CabIface, IfaceKind, MdmaJob, PendingTx, SdmaPurpose, TxFrame};
 use crate::ip;
 use crate::socket::Owner;
 use crate::tcp::SegmentPlan;
 use crate::types::{Effect, IfaceId, SockAddr, SockId, TimerKind};
 use bytes::Bytes;
-use outboard_cab::{CabError, ChecksumSpec, PacketId, SdmaTx, SgEntry};
+use outboard_cab::{CabError, CabEvent, ChecksumSpec, PacketId, SdmaTx, SgEntry};
 use outboard_host::{Charge, HostMem, UserMemory};
-use outboard_mbuf::{Chain, CsumPlan, MbufData};
+use outboard_mbuf::{Chain, CsumPlan, Mbuf, MbufData};
 use outboard_sim::span::{FlowId, Stage};
 use outboard_sim::Time;
 use outboard_wire::checksum::{pseudo_header_sum, Accumulator};
@@ -22,6 +22,38 @@ use outboard_wire::tcp::{TcpHeader, TCP_CSUM_OFFSET};
 use outboard_wire::udp::UdpHeader;
 use outboard_wire::{proto, TcpFlags};
 use std::net::Ipv4Addr;
+
+/// The byte counts a traced first launch records on its flow: the copy-in,
+/// the checksum the engine computes on the way (when it does), and the
+/// media transfer.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct TxSpans {
+    flow: FlowId,
+    sdma: u64,
+    checksum: Option<u64>,
+    mdma: u64,
+}
+
+/// The spans of a traced launch of `frame` whose copy-in moves `sdma`
+/// bytes (the whole frame, or only its header on a header-only
+/// retransmit).
+fn tx_spans(frame: &TxFrame, flow: FlowId, sdma: usize) -> TxSpans {
+    TxSpans {
+        flow,
+        sdma: sdma as u64,
+        checksum: frame.csum.map(|_| frame.data_len as u64),
+        mdma: frame.frame_len as u64,
+    }
+}
+
+/// What a launch that stopped short leaves for the retry timer.
+#[derive(Debug)]
+pub(crate) struct Stalled {
+    /// The transmission to retry.
+    pub(crate) entry: PendingTx,
+    /// Network memory ran out: nothing was issued.
+    pub(crate) no_memory: bool,
+}
 
 impl Kernel {
     /// Run tcp_output for a socket: materialize every segment the TCB wants
@@ -46,22 +78,27 @@ impl Kernel {
             )
         };
         for plan in plans.drain(..) {
-            self.emit_tcp_segment(sock, local, remote, &plan, mem, now);
+            self.emit_tcp_segment(sock, local, remote, &plan, Charge::Syscall, mem, now);
         }
         self.plans = plans;
         self.arm_tcp_timers(sock, now);
     }
 
-    fn emit_tcp_segment(
+    /// Materialize one planned segment and push it down through IP, with
+    /// tcp_output's cost charged as `charge` (a syscall, or the timer
+    /// interrupt for a window probe).
+    #[allow(clippy::too_many_arguments, reason = "BSD-shaped parameter list")]
+    pub(crate) fn emit_tcp_segment(
         &mut self,
         sock: SockId,
         local: SockAddr,
         remote: SockAddr,
         plan: &SegmentPlan,
+        charge: Charge,
         mem: &mut HostMem,
         now: Time,
     ) {
-        self.cpu(self.costs.tcp_output, Charge::Syscall);
+        self.cpu(self.costs.tcp_output, charge);
         let data = {
             let Some(s) = self.sockets.get(sock) else {
                 return;
@@ -328,15 +365,9 @@ impl Kernel {
         // Materialize the outgoing chain.
         let mut out = Chain::new();
         out.hdr = data.hdr.clone();
-        let mut credited: Vec<(outboard_mbuf::UioCounterId, usize)> = Vec::new();
         for m in data.iter() {
             match m.data() {
-                MbufData::Uio(d) => {
-                    if let Some(c) = d.counter {
-                        credited.push((c, d.len));
-                    }
-                    out.append(outboard_mbuf::Mbuf::kernel(self.uio_copyin(d, mem)));
-                }
+                MbufData::Uio(d) => out.append(Mbuf::kernel(self.uio_copyin(d, mem))),
                 _ => out.append(m.clone()),
             }
         }
@@ -345,71 +376,19 @@ impl Kernel {
         // retransmissions (and the counter bookkeeping) see regular mbufs.
         // Counters are credited through the queue rewrite to avoid double
         // counting; datagram sockets (nothing retained) credit directly.
-        let mut rewrote_queue = false;
-        if let Some(sock) = meta.sock {
-            if let Some(s) = self.sockets.get_mut(sock) {
-                if let Some(tcb) = s.tcb.as_ref() {
-                    use outboard_wire::tcp::seq;
-                    let base = tcb.snd_una;
-                    let data_len = out.len();
-                    let (skip_front, off_in_q) = if seq::lt(meta.seq_lo, base) {
-                        (seq::diff(base, meta.seq_lo) as usize, 0usize)
-                    } else {
-                        (0usize, seq::diff(meta.seq_lo, base) as usize)
-                    };
-                    if skip_front < data_len {
-                        let len = (data_len - skip_front)
-                            .min(s.so_snd.chain.len().saturating_sub(off_in_q));
-                        if len > 0 {
-                            let flat: Vec<u8> = {
-                                let piece = out.copy_range(skip_front, len);
-                                self.chain_bytes(&piece, mem)
-                            };
-                            if let Some(sref) = self.sockets.get_mut(sock) {
-                                rewrote_queue = true;
-                                let chain = std::mem::take(&mut sref.so_snd.chain);
-                                let (new_chain, removed) = crate::kernel::replace_range_take(
-                                    chain,
-                                    off_in_q,
-                                    len,
-                                    outboard_mbuf::Mbuf::kernel(Bytes::from(flat)),
-                                );
-                                sref.so_snd.chain = new_chain;
-                                let mut wakes = Vec::new();
-                                for m in removed.iter() {
-                                    if let MbufData::Uio(d) = m.data() {
-                                        if let Some(c) = d.counter {
-                                            if let Some(st) = self.uio.complete(c, d.len) {
-                                                wakes.push((st.task, st.sock));
-                                            }
-                                        }
-                                    }
-                                }
-                                for (task, wsock) in wakes {
-                                    if let Some(s) = self.sockets.get_mut(wsock) {
-                                        s.blocked_write = None;
-                                    }
-                                    self.wake(task, wsock, Charge::Syscall);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let rewrote_queue = meta.sock.is_some_and(|sock| {
+            self.replace_snd_range(
+                sock,
+                meta.seq_lo,
+                out.len(),
+                Charge::Syscall,
+                |k, skip, len| {
+                    Mbuf::kernel(Bytes::from(k.chain_bytes(&out.copy_range(skip, len), mem)))
+                },
+            )
+        });
         if !rewrote_queue {
-            let mut wakes = Vec::new();
-            for (c, len) in credited {
-                if let Some(st) = self.uio.complete(c, len) {
-                    wakes.push((st.task, st.sock));
-                }
-            }
-            for (task, wsock) in wakes {
-                if let Some(s) = self.sockets.get_mut(wsock) {
-                    s.blocked_write = None;
-                }
-                self.wake(task, wsock, Charge::Syscall);
-            }
+            self.credit_uio(&data, Charge::Syscall);
         }
         out
     }
@@ -420,34 +399,35 @@ impl Kernel {
     fn chain_bytes(&mut self, chain: &Chain, mem: &HostMem) -> Vec<u8> {
         let mut outb = Vec::with_capacity(chain.len());
         for m in chain.iter() {
-            match m.data() {
-                MbufData::Kernel(b) => outb.extend_from_slice(b),
-                MbufData::Uio(d) => {
-                    // Read straight into the output tail; no temporary.
-                    let at = outb.len();
-                    outb.resize(at + d.len, 0);
-                    if mem
-                        .read_user(d.region.task, d.vaddr(), &mut outb[at..])
-                        .is_err()
-                    {
-                        self.stats.user_mem_faults += 1;
-                    }
+            self.append_bytes(m.data(), mem, &mut outb);
+        }
+        outb
+    }
+
+    /// Append an mbuf's bytes to `out`, reading an external descriptor
+    /// straight into its tail. A user range that faults is counted; it and
+    /// an outboard buffer lost to a board reset read as zeros (the peer's
+    /// checksum rejects a segment built from them, and TCP recovers).
+    fn append_bytes(&mut self, data: &MbufData, mem: &HostMem, out: &mut Vec<u8>) {
+        let at = out.len();
+        match data {
+            MbufData::Kernel(b) => out.extend_from_slice(b),
+            MbufData::Uio(d) => {
+                out.resize(at + d.len, 0);
+                if mem
+                    .read_user(d.region.task, d.vaddr(), &mut out[at..])
+                    .is_err()
+                {
+                    self.stats.user_mem_faults += 1;
                 }
-                MbufData::Wcab(d) => {
-                    // A buffer lost to a board reset reads as zeros; the
-                    // peer's checksum rejects the segment and TCP recovers.
-                    let at = outb.len();
-                    outb.resize(at + d.len, 0);
-                    let iface = &self.ifaces[d.cab as usize];
-                    if let IfaceKind::Cab(c) = &iface.kind {
-                        let _ = c
-                            .cab
-                            .read_packet(PacketId(d.packet), d.off, &mut outb[at..]);
-                    }
+            }
+            MbufData::Wcab(d) => {
+                out.resize(at + d.len, 0);
+                if let IfaceKind::Cab(c) = &self.ifaces[d.cab as usize].kind {
+                    let _ = c.cab.read_packet(PacketId(d.packet), d.off, &mut out[at..]);
                 }
             }
         }
-        outb
     }
 
     /// Software ones-complement sum over a chain, resolving external
@@ -460,24 +440,9 @@ impl Kernel {
         for m in chain.iter() {
             match m.data() {
                 MbufData::Kernel(b) => acc.add_bytes(b),
-                MbufData::Uio(d) => {
+                external => {
                     scratch.clear();
-                    scratch.resize(d.len, 0);
-                    if mem
-                        .read_user(d.region.task, d.vaddr(), &mut scratch)
-                        .is_err()
-                    {
-                        self.stats.user_mem_faults += 1;
-                    }
-                    acc.add_bytes(&scratch);
-                }
-                MbufData::Wcab(d) => {
-                    scratch.clear();
-                    scratch.resize(d.len, 0);
-                    let iface = &self.ifaces[d.cab as usize];
-                    if let IfaceKind::Cab(c) = &iface.kind {
-                        let _ = c.cab.read_packet(PacketId(d.packet), d.off, &mut scratch);
-                    }
+                    self.append_bytes(external, mem, &mut scratch);
                     acc.add_bytes(&scratch);
                 }
             }
@@ -562,360 +527,344 @@ impl Kernel {
     ) {
         self.cpu(self.costs.driver_pkt, Charge::Syscall);
         let csum_plan = transport.hdr.csum_plan;
-        let ip_bytes = ip_hdr.build();
         let frame_len = HIPPI_HEADER_LEN + ip_hdr.total_len as usize;
 
-        // The transport header is the chain's leading kernel mbuf.
-        let thdr_len = transport
-            .iter()
-            .next()
-            .and_then(|m| m.kernel_bytes())
-            .map(|b| b.len())
-            .unwrap_or(0);
-        let data_len = transport.len() - thdr_len;
-        let full_hdr_len = HIPPI_HEADER_LEN + IPV4_HEADER_LEN + thdr_len;
-
         self.with_cab(iface_id, |k, cab| {
-            let Some(&hippi_dst) = cab.arp.get(&ip_hdr.dst) else {
+            let Some(&dst) = cab.arp.get(&ip_hdr.dst) else {
                 k.stats.ip_errors += 1;
                 return;
             };
-            let channel = cab.channel_for(hippi_dst);
-            let hippi =
-                HippiHeader::new(cab.cab.addr, hippi_dst, ip_hdr.total_len as usize, channel);
-            let spec = csum_plan.map(|p| ChecksumSpec {
+            let channel = cab.channel_for(dst);
+            let hippi = HippiHeader::new(cab.cab.addr, dst, ip_hdr.total_len as usize, channel);
+            let csum = csum_plan.map(|p| ChecksumSpec {
                 csum_offset: HIPPI_HEADER_LEN + IPV4_HEADER_LEN + p.csum_offset,
                 skip_words: (HIPPI_HEADER_LEN + IPV4_HEADER_LEN) / 4 + p.skip_words,
             });
 
-            // --- Retransmission fast path (§4.3): data already outboard,
-            // re-DMA only a fresh header and reuse the saved body checksum.
-            if meta.retransmit && data_len > 0 {
-                let descs: Vec<_> = transport.iter().collect();
-                if descs.len() == 2 {
-                    if let MbufData::Wcab(d) = descs[1].data() {
-                        let packet = PacketId(d.packet);
-                        let geom_ok = cab.tx_hdr_len.get(packet).copied() == Some(d.off)
-                            && cab
-                                .cab
-                                .netmem()
-                                .get(packet)
-                                .map(|p| p.cap == d.off + d.len)
-                                .unwrap_or(false)
-                            && d.cab == iface_id.0;
-                        if geom_ok {
-                            // Assemble the fresh header in the kernel's
-                            // scratch buffer: no intermediate chain or
-                            // flatten allocation, and the buffer's capacity
-                            // is recycled across segments.
-                            let mut header = std::mem::take(&mut k.scratch);
-                            header.clear();
-                            header.extend_from_slice(&hippi.build());
-                            header.extend_from_slice(&ip_bytes);
-                            let at = header.len();
-                            header.resize(at + thdr_len, 0);
-                            transport.copy_kernel_out(0, &mut header[at..]);
-                            let hdr_bytes = Bytes::copy_from_slice(&header);
-                            k.scratch = header;
-                            let token = cab.issue(SdmaPurpose::TxPlain);
-                            let req = SdmaTx {
-                                packet,
-                                sg: vec![SgEntry::Inline(hdr_bytes)],
-                                csum: spec,
-                                reuse_body_csum: true,
-                                interrupt_on_complete: false,
-                                token,
-                            };
-                            match cab.cab.sdma_tx(req, now, mem) {
-                                Ok(ev) => {
-                                    let sdma_done = ev.at();
-                                    if k.spans.on() {
-                                        k.spans.span(
-                                            meta.flow,
-                                            Stage::Sdma,
-                                            now,
-                                            sdma_done,
-                                            full_hdr_len as u64,
-                                        );
-                                        if spec.is_some() {
-                                            k.spans.span(
-                                                meta.flow,
-                                                Stage::Checksum,
-                                                now,
-                                                sdma_done,
-                                                data_len as u64,
-                                            );
-                                        }
-                                    }
-                                    k.fx.push(Effect::Cab {
-                                        iface: iface_id,
-                                        event: ev,
-                                    });
-                                    match cab
-                                        .cab
-                                        .mdma_tx(packet, hippi_dst, channel, sdma_done, false)
-                                    {
-                                        Ok(ev) => {
-                                            if k.spans.on() {
-                                                k.spans.span(
-                                                    meta.flow,
-                                                    Stage::MdmaTx,
-                                                    sdma_done,
-                                                    ev.at(),
-                                                    frame_len as u64,
-                                                );
-                                            }
-                                            k.fx.push(Effect::Cab {
-                                                iface: iface_id,
-                                                event: ev,
-                                            })
-                                        }
-                                        Err(e) => {
-                                            // The header is refreshed; only
-                                            // the media transfer is parked.
-                                            Kernel::watchdog_on_wedge(k, cab, iface_id, &e);
-                                            Kernel::park_tx(
-                                                k,
-                                                cab,
-                                                iface_id,
-                                                PendingTx::Mdma {
-                                                    packet,
-                                                    dst: hippi_dst,
-                                                    channel,
-                                                    free_after: false,
-                                                },
-                                                now,
-                                            );
-                                        }
-                                    }
-                                    k.stats.retransmit_header_only += 1;
-                                    return;
-                                }
-                                Err(e) => {
-                                    // Fall through to the slow path, which
-                                    // rebuilds the whole frame.
-                                    cab.complete(token);
-                                    Kernel::watchdog_on_wedge(k, cab, iface_id, &e);
-                                }
-                            }
-                        }
-                    }
+            // The frame header: HIPPI, IP and the transport header, which
+            // is the chain's leading kernel mbuf. It is assembled in the
+            // recycled scratch buffer, restored once frozen into `Bytes`.
+            let mut mbufs = transport.iter().peekable();
+            let mut header = std::mem::take(&mut k.scratch);
+            header.clear();
+            header.extend_from_slice(&hippi.build());
+            header.extend_from_slice(&ip_hdr.build());
+            let first = mbufs.next_if(|m| m.kernel_bytes().is_some());
+            if let Some(b) = first.and_then(|m| m.kernel_bytes()) {
+                header.extend_from_slice(b);
+            }
+            let hdr_len = header.len();
+            // Room for the header and a few payload entries: one
+            // allocation for the common frame.
+            let mut sg = Vec::with_capacity(4);
+            sg.push(SgEntry::Inline(Bytes::copy_from_slice(&header)));
+            let mut frame = TxFrame {
+                frame_len,
+                sg,
+                csum,
+                dst,
+                channel,
+                // A user-data segment's purpose is set once gathered.
+                purpose: SdmaPurpose::TxPlain,
+                free_after_mdma: meta.free_after_mdma,
+                data_len: frame_len - hdr_len,
+                hdr_len,
+            };
+            k.scratch = header;
+
+            if meta.retransmit && frame.data_len > 0 {
+                let trace = tx_spans(&frame, meta.flow, hdr_len);
+                if Kernel::retransmit_header_only(
+                    k, cab, iface_id, &transport, &frame, trace, now, mem,
+                ) {
+                    k.stats.retransmit_header_only += 1;
+                    return;
                 }
                 k.stats.retransmit_slow_path += 1;
             }
 
-            // --- Normal path: gather everything, then allocate and DMA.
-            // The frame header is assembled in the recycled scratch buffer
-            // (restored right after it is frozen into `Bytes` below).
-            let mut header = std::mem::take(&mut k.scratch);
-            header.clear();
-            header.extend_from_slice(&hippi.build());
-            header.extend_from_slice(&ip_bytes);
-            let mut sg: Vec<SgEntry> = Vec::new();
-            let mut uio_bytes = 0usize;
-            let mut pinned: Option<(outboard_host::TaskId, u64, usize)> = None;
-            let mut first_kernel = true;
-            for m in transport.iter() {
-                match m.data() {
-                    MbufData::Kernel(b) => {
-                        if first_kernel {
-                            header.extend_from_slice(b);
-                            first_kernel = false;
-                        } else {
-                            sg.push(SgEntry::Inline(b.clone()));
-                        }
-                    }
-                    MbufData::Uio(d) => {
-                        first_kernel = false;
-                        if d.vaddr() % 4 != 0 {
-                            // §4.5: the device cannot DMA from an unaligned
-                            // start address; fall back to a kernel copy for
-                            // this entry ("the traditional path is used for
-                            // unaligned accesses").
-                            k.stats.aligned_fallbacks += 1;
-                            let copied = k.uio_copyin(d, mem);
-                            let cost = k.memsys.copy_cost(d.len, d.len.max(4096));
-                            k.cpu_dur(cost, Charge::Syscall);
-                            // The bytes are copied, so the write's counter
-                            // can be credited as if DMAed (the completion
-                            // handler will find no UIO descriptor to
-                            // convert, so credit here).
-                            uio_bytes += d.len;
-                            sg.push(SgEntry::Inline(copied));
-                        } else {
-                            uio_bytes += d.len;
-                            match &mut pinned {
-                                None => pinned = Some((d.region.task, d.vaddr(), d.len)),
-                                Some((_, _, l)) => *l += d.len,
-                            }
-                            sg.push(SgEntry::User {
-                                task: d.region.task,
-                                vaddr: d.vaddr(),
-                                len: d.len,
-                            });
-                        }
-                    }
-                    MbufData::Wcab(d) => {
-                        // Cross-packet retransmit slice: resolve outboard
-                        // bytes through the driver (rare; a CPU read). Zeros
-                        // on a lost buffer; the peer's checksum rejects.
-                        first_kernel = false;
-                        let (mut buf, ticket) = k.cluster_alloc(d.len);
-                        let _ = cab.cab.read_packet(PacketId(d.packet), d.off, &mut buf);
-                        let cost = k.memsys.read_cost(d.len, d.len.max(4096));
-                        k.cpu_dur(cost, Charge::Syscall);
-                        sg.push(SgEntry::Inline(k.cluster_freeze(buf, ticket)));
-                    }
-                }
-            }
-            sg.insert(0, SgEntry::Inline(Bytes::copy_from_slice(&header)));
-            k.scratch = header;
-            let mut purpose = match (uio_bytes > 0, meta.sock) {
-                (true, Some(sock)) => SdmaPurpose::TxSegment {
+            // --- Normal path: gather the payload behind the header, then
+            // launch.
+            let (uio_bytes, pinned) = Kernel::gather_payload(k, cab, mbufs, &mut frame.sg, mem);
+            if let (true, Some(sock)) = (uio_bytes > 0, meta.sock) {
+                frame.purpose = SdmaPurpose::TxSegment {
                     sock,
                     seq_lo: meta.seq_lo,
-                    data_len,
-                    // Placeholder until a packet is allocated (the parked
-                    // retry path allocates afresh each round).
+                    data_len: frame.data_len,
+                    // Set by the launch once a packet is allocated.
                     packet: PacketId(0),
-                    hdr_len: full_hdr_len,
+                    hdr_len,
                     pinned,
-                },
-                _ => SdmaPurpose::TxPlain,
-            };
-            let Some(packet) = cab.cab.alloc_packet(frame_len) else {
-                // Out of network memory — the paper's "transient
-                // out-of-resources condition" (§4.4.3): park the gathered
-                // request and retry with backoff instead of dropping.
-                k.stats.tx_nomem_drops += 1;
-                Kernel::park_tx(
-                    k,
-                    cab,
-                    iface_id,
-                    PendingTx::Sdma {
-                        frame_len,
-                        sg,
-                        csum: spec,
-                        dst: hippi_dst,
-                        channel,
-                        purpose,
-                        free_after_mdma: meta.free_after_mdma,
-                        data_len,
-                        hdr_len: full_hdr_len,
-                    },
-                    now,
-                );
-                return;
-            };
-            if let SdmaPurpose::TxSegment { packet: p, .. } = &mut purpose {
-                *p = packet;
+                };
             }
-            let token = cab.issue(purpose);
-            let req = SdmaTx {
-                packet,
-                sg: sg.clone(),
-                csum: spec,
-                reuse_body_csum: false,
-                interrupt_on_complete: uio_bytes > 0,
-                token,
-            };
-            // Geometry for ACK-driven freeing and header-only retransmits.
-            if !meta.free_after_mdma && data_len > 0 {
-                cab.tx_remaining.insert(packet, data_len);
-                cab.tx_hdr_len.insert(packet, full_hdr_len);
-            }
-            match cab.cab.sdma_tx(req, now, mem) {
-                Ok(ev) => {
-                    let sdma_done = ev.at();
-                    if k.spans.on() {
-                        k.spans
-                            .span(meta.flow, Stage::Sdma, now, sdma_done, frame_len as u64);
-                        if spec.is_some() {
-                            k.spans.span(
-                                meta.flow,
-                                Stage::Checksum,
-                                now,
-                                sdma_done,
-                                data_len as u64,
-                            );
-                        }
-                    }
-                    k.fx.push(Effect::Cab {
-                        iface: iface_id,
-                        event: ev,
-                    });
-                    match cab.cab.mdma_tx(
-                        packet,
-                        hippi_dst,
-                        channel,
-                        sdma_done,
-                        meta.free_after_mdma,
-                    ) {
-                        Ok(ev) => {
-                            if k.spans.on() {
-                                k.spans.span(
-                                    meta.flow,
-                                    Stage::MdmaTx,
-                                    sdma_done,
-                                    ev.at(),
-                                    frame_len as u64,
-                                );
-                            }
-                            k.fx.push(Effect::Cab {
-                                iface: iface_id,
-                                event: ev,
-                            })
-                        }
-                        Err(e) => {
-                            // The packet is gathered outboard; only the
-                            // media transfer needs a retry.
-                            Kernel::watchdog_on_wedge(k, cab, iface_id, &e);
-                            Kernel::park_tx(
-                                k,
-                                cab,
-                                iface_id,
-                                PendingTx::Mdma {
-                                    packet,
-                                    dst: hippi_dst,
-                                    channel,
-                                    free_after: meta.free_after_mdma,
-                                },
-                                now,
-                            );
-                        }
-                    }
+            let trace = tx_spans(&frame, meta.flow, frame_len);
+            if let Some(stalled) = Kernel::launch_tx(k, cab, iface_id, frame, Some(trace), now, mem)
+            {
+                // Out of network memory is the paper's "transient
+                // out-of-resources condition" (§4.4.3): like a refused
+                // transfer, the frame is parked and retried with backoff
+                // instead of dropped.
+                if stalled.no_memory {
+                    k.stats.tx_nomem_drops += 1;
                 }
-                Err(e) => {
-                    // Undo the issue and park the whole transfer. A wedged
-                    // engine has seized the buffer mid-gather; the board
-                    // reset reclaims it, so the host must not free it here.
-                    cab.complete(token);
-                    cab.tx_remaining.remove(packet);
-                    cab.tx_hdr_len.remove(packet);
-                    if !matches!(e, CabError::EngineWedged(_)) {
-                        cab.cab.free_packet(packet, now);
-                    }
-                    Kernel::watchdog_on_wedge(k, cab, iface_id, &e);
-                    Kernel::park_tx(
-                        k,
-                        cab,
-                        iface_id,
-                        PendingTx::Sdma {
-                            frame_len,
-                            sg,
-                            csum: spec,
-                            dst: hippi_dst,
-                            channel,
-                            purpose,
-                            free_after_mdma: meta.free_after_mdma,
-                            data_len,
-                            hdr_len: full_hdr_len,
-                        },
-                        now,
-                    );
-                }
+                Kernel::park_tx(k, cab, iface_id, stalled.entry, now);
             }
         });
+    }
+
+    /// Gather a frame's payload mbufs into `sg` for the copy-in. Returns
+    /// the user bytes among them and the user range the DMA reads in place
+    /// (pinned until the copy-in completes).
+    fn gather_payload<'a>(
+        k: &mut Kernel,
+        cab: &mut CabIface,
+        mbufs: impl Iterator<Item = &'a Mbuf>,
+        sg: &mut Vec<SgEntry>,
+        mem: &HostMem,
+    ) -> (usize, Option<(outboard_host::TaskId, u64, usize)>) {
+        let mut uio_bytes = 0usize;
+        let mut pinned: Option<(outboard_host::TaskId, u64, usize)> = None;
+        for m in mbufs {
+            match m.data() {
+                MbufData::Kernel(b) => sg.push(SgEntry::Inline(b.clone())),
+                MbufData::Uio(d) => {
+                    uio_bytes += d.len;
+                    if d.vaddr() % 4 != 0 {
+                        // §4.5: the device cannot DMA from an unaligned
+                        // start address; fall back to a kernel copy for
+                        // this entry ("the traditional path is used for
+                        // unaligned accesses"). The bytes are copied, so
+                        // the write's counter is credited as if DMAed.
+                        k.stats.aligned_fallbacks += 1;
+                        let copied = k.uio_copyin(d, mem);
+                        let cost = k.memsys.copy_cost(d.len, d.len.max(4096));
+                        k.cpu_dur(cost, Charge::Syscall);
+                        sg.push(SgEntry::Inline(copied));
+                    } else {
+                        match &mut pinned {
+                            None => pinned = Some((d.region.task, d.vaddr(), d.len)),
+                            Some((_, _, l)) => *l += d.len,
+                        }
+                        sg.push(SgEntry::User {
+                            task: d.region.task,
+                            vaddr: d.vaddr(),
+                            len: d.len,
+                        });
+                    }
+                }
+                MbufData::Wcab(d) => {
+                    // Cross-packet retransmit slice: resolve outboard bytes
+                    // through the driver (rare; a CPU read). Zeros on a
+                    // lost buffer; the peer's checksum rejects.
+                    let (mut buf, ticket) = k.cluster_alloc(d.len);
+                    let _ = cab.cab.read_packet(PacketId(d.packet), d.off, &mut buf);
+                    let cost = k.memsys.read_cost(d.len, d.len.max(4096));
+                    k.cpu_dur(cost, Charge::Syscall);
+                    sg.push(SgEntry::Inline(k.cluster_freeze(buf, ticket)));
+                }
+            }
+        }
+        (uio_bytes, pinned)
+    }
+
+    /// §4.3's header-only retransmission: the data is still outboard in
+    /// the packet that first carried it, so only `frame`'s fresh header is
+    /// copied over its front, the saved body checksum is reused, and the
+    /// packet goes to the media again. False when the packet's geometry
+    /// does not match or the engine refuses the copy-in; the caller then
+    /// rebuilds the whole frame.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a launch's context: device, frame and its chain, trace, clock, memory"
+    )]
+    fn retransmit_header_only(
+        k: &mut Kernel,
+        cab: &mut CabIface,
+        iface_id: IfaceId,
+        transport: &Chain,
+        frame: &TxFrame,
+        trace: TxSpans,
+        now: Time,
+        mem: &mut HostMem,
+    ) -> bool {
+        let mut mbufs = transport.iter();
+        let (Some(_), Some(body), None) = (mbufs.next(), mbufs.next(), mbufs.next()) else {
+            return false;
+        };
+        let MbufData::Wcab(d) = body.data() else {
+            return false;
+        };
+        let packet = PacketId(d.packet);
+        let geom_ok = cab.held_header_len(packet) == Some(d.off)
+            && cab
+                .cab
+                .netmem()
+                .get(packet)
+                .is_some_and(|p| p.cap == d.off + d.len)
+            && d.cab == iface_id.0;
+        if !geom_ok {
+            return false;
+        }
+        let token = cab.issue(SdmaPurpose::TxPlain);
+        let req = SdmaTx {
+            packet,
+            sg: frame.sg.clone(),
+            csum: frame.csum,
+            reuse_body_csum: true,
+            interrupt_on_complete: false,
+            token,
+        };
+        match cab.cab.sdma_tx(req, now, mem) {
+            Ok(ev) => {
+                let job = MdmaJob {
+                    packet,
+                    dst: frame.dst,
+                    channel: frame.channel,
+                    free_after: false,
+                    ready: now,
+                };
+                if let Err(job) = Kernel::copied_in(k, cab, iface_id, ev, job, now, Some(trace)) {
+                    // The header is refreshed; only the media transfer is
+                    // parked.
+                    Kernel::park_tx(k, cab, iface_id, PendingTx::Mdma(job), now);
+                }
+                true
+            }
+            Err(e) => {
+                cab.complete(token);
+                Kernel::watchdog_on_wedge(k, cab, iface_id, &e);
+                false
+            }
+        }
+    }
+
+    /// Launch a gathered frame, the one transmit sequence: allocate network
+    /// memory, issue the completion token, hold the transmit geometry, SDMA
+    /// the frame through the checksum engine, then MDMA it to the media.
+    /// Whatever must wait comes back to the caller, which parks it (first
+    /// launch) or re-queues it (retry round). Spans are recorded only when
+    /// a `trace` is given, which is first launches only.
+    pub(crate) fn launch_tx(
+        k: &mut Kernel,
+        cab: &mut CabIface,
+        iface_id: IfaceId,
+        mut frame: TxFrame,
+        trace: Option<TxSpans>,
+        now: Time,
+        mem: &mut HostMem,
+    ) -> Option<Stalled> {
+        let Some(packet) = cab.cab.alloc_packet(frame.frame_len) else {
+            return Some(Stalled {
+                entry: PendingTx::Sdma(frame),
+                no_memory: true,
+            });
+        };
+        if let SdmaPurpose::TxSegment { packet: p, .. } = &mut frame.purpose {
+            *p = packet;
+        }
+        let interrupt = matches!(frame.purpose, SdmaPurpose::TxSegment { .. });
+        let token = cab.issue(frame.purpose);
+        // Geometry for ACK-driven freeing and header-only retransmits.
+        if !frame.free_after_mdma && frame.data_len > 0 {
+            cab.hold_tx(packet, frame.data_len, frame.hdr_len);
+        }
+        let req = SdmaTx {
+            packet,
+            sg: frame.sg.clone(),
+            csum: frame.csum,
+            reuse_body_csum: false,
+            interrupt_on_complete: interrupt,
+            token,
+        };
+        match cab.cab.sdma_tx(req, now, mem) {
+            Ok(ev) => {
+                let job = MdmaJob {
+                    packet,
+                    dst: frame.dst,
+                    channel: frame.channel,
+                    free_after: frame.free_after_mdma,
+                    ready: now,
+                };
+                Kernel::copied_in(k, cab, iface_id, ev, job, now, trace)
+                    .err()
+                    .map(|job| Stalled {
+                        entry: PendingTx::Mdma(job),
+                        no_memory: false,
+                    })
+            }
+            Err(e) => {
+                // Undo the issue and hand the whole transfer back. A wedged
+                // engine has seized the buffer mid-gather; the board reset
+                // reclaims it, so the host must not free it here.
+                cab.complete(token);
+                cab.forget(packet);
+                if !matches!(e, CabError::EngineWedged(_)) {
+                    cab.cab.free_packet(packet, now);
+                }
+                Kernel::watchdog_on_wedge(k, cab, iface_id, &e);
+                Some(Stalled {
+                    entry: PendingTx::Sdma(frame),
+                    no_memory: false,
+                })
+            }
+        }
+    }
+
+    /// The tail every transmit shares once the engine has accepted its
+    /// copy-in `sdma`: queue the SDMA completion, then put the packet on
+    /// the media from the moment the copy-in is done. A refused media
+    /// transfer comes back, ready at that moment.
+    fn copied_in(
+        k: &mut Kernel,
+        cab: &mut CabIface,
+        iface: IfaceId,
+        sdma: CabEvent,
+        job: MdmaJob,
+        now: Time,
+        spans: Option<TxSpans>,
+    ) -> Result<(), MdmaJob> {
+        let done = sdma.at();
+        let job = MdmaJob { ready: done, ..job };
+        if let Some(s) = spans.filter(|_| k.spans.on()) {
+            k.spans.span(s.flow, Stage::Sdma, now, done, s.sdma);
+            if let Some(bytes) = s.checksum {
+                k.spans.span(s.flow, Stage::Checksum, now, done, bytes);
+            }
+        }
+        k.fx.push(Effect::Cab { iface, event: sdma });
+        let span = spans.map(|s| (s.flow, s.mdma));
+        Kernel::mdma_out(k, cab, iface, job, now, span).map_err(|_| job)
+    }
+
+    /// Put a packet on the media from `now`, or from when its copy-in
+    /// completes if that is later, recording the MdmaTx span when given
+    /// one. On refusal the watchdog is armed if an engine wedged, and the
+    /// error comes back.
+    pub(crate) fn mdma_out(
+        k: &mut Kernel,
+        cab: &mut CabIface,
+        iface: IfaceId,
+        job: MdmaJob,
+        now: Time,
+        span: Option<(FlowId, u64)>,
+    ) -> Result<(), CabError> {
+        let at = now.max(job.ready);
+        match cab
+            .cab
+            .mdma_tx(job.packet, job.dst, job.channel, at, job.free_after)
+        {
+            Ok(ev) => {
+                if let Some((flow, bytes)) = span.filter(|_| k.spans.on()) {
+                    k.spans.span(flow, Stage::MdmaTx, at, ev.at(), bytes);
+                }
+                k.fx.push(Effect::Cab { iface, event: ev });
+                Ok(())
+            }
+            Err(e) => {
+                Kernel::watchdog_on_wedge(k, cab, iface, &e);
+                Err(e)
+            }
+        }
     }
 
     /// Ethernet output with the thin conversion layer at the driver entry
@@ -976,33 +925,13 @@ impl Kernel {
     /// Resolve a possibly-mixed chain to flat kernel bytes for a legacy
     /// device, charging the conversion copies (§5).
     pub(crate) fn flatten_for_legacy(&mut self, chain: &Chain, mem: &HostMem) -> Vec<u8> {
-        let mut out = Vec::with_capacity(chain.len());
-        let mut uio_copied = 0usize;
-        let mut wcab_copied = 0usize;
+        let out = self.chain_bytes(chain, mem);
+        let (mut uio_copied, mut wcab_copied) = (0usize, 0usize);
         for m in chain.iter() {
             match m.data() {
-                MbufData::Kernel(b) => out.extend_from_slice(b),
-                MbufData::Uio(d) => {
-                    // Resolve straight into the output tail; no temporary.
-                    let at = out.len();
-                    out.resize(at + d.len, 0);
-                    if mem
-                        .read_user(d.region.task, d.vaddr(), &mut out[at..])
-                        .is_err()
-                    {
-                        self.stats.user_mem_faults += 1;
-                    }
-                    uio_copied += d.len;
-                }
-                MbufData::Wcab(d) => {
-                    let at = out.len();
-                    out.resize(at + d.len, 0);
-                    let iface = &self.ifaces[d.cab as usize];
-                    if let IfaceKind::Cab(c) = &iface.kind {
-                        let _ = c.cab.read_packet(PacketId(d.packet), d.off, &mut out[at..]);
-                    }
-                    wcab_copied += d.len;
-                }
+                MbufData::Kernel(_) => {}
+                MbufData::Uio(d) => uio_copied += d.len,
+                MbufData::Wcab(d) => wcab_copied += d.len,
             }
         }
         if uio_copied > 0 {

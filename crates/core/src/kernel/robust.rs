@@ -13,11 +13,11 @@
 use super::Kernel;
 use crate::driver::{CabIface, PendingTx, SdmaPurpose};
 use crate::types::{Effect, IfaceId, SockId, TimerKind};
-use outboard_cab::{CabError, CabEvent, PacketId, SdmaDst, SdmaRx, SdmaTx};
+use outboard_cab::{CabError, CabEvent, PacketId, SdmaDst, SdmaRx};
 use outboard_host::{Charge, HostMem, UserMemory};
 use outboard_mbuf::{Chain, Mbuf, MbufData};
 use outboard_sim::span::Stage;
-use outboard_sim::{Dur, Time};
+use outboard_sim::{Dur, Ticket, Time};
 
 /// Which buffer of a socket the watchdog rescue is walking: the send
 /// queue, the receive queue, or one TCP reassembly chain (by sequence).
@@ -89,9 +89,13 @@ impl Kernel {
     ) {
         cab.retry_q.push_back(entry);
         k.span_detour_open(iface, Stage::RetryDwell, now);
-        if cab.health.retry_armed {
-            return;
+        if !cab.health.retry_armed {
+            Kernel::arm_retry(k, cab, iface);
         }
+    }
+
+    /// Arm the retry-backoff timer for the current round.
+    fn arm_retry(k: &mut Kernel, cab: &mut CabIface, iface: IfaceId) {
         cab.health.retry_armed = true;
         cab.health.retry_gen += 1;
         let after = k.cab_backoff(cab.health.retry_round);
@@ -101,6 +105,29 @@ impl Kernel {
             kind: TimerKind::CabRetry {
                 iface,
                 generation: cab.health.retry_gen,
+            },
+        });
+    }
+
+    /// Enter degraded mode (counted once per stay) and arm the recovery
+    /// probe.
+    fn degrade(k: &mut Kernel, cab: &mut CabIface, iface: IfaceId, now: Time) {
+        if !cab.health.degraded {
+            cab.health.degraded = true;
+            cab.health.stats.degraded_entries += 1;
+            k.span_detour_open(iface, Stage::Degraded, now);
+        }
+        Kernel::arm_probe(k, cab, iface);
+    }
+
+    /// Arm the degraded-mode recovery probe.
+    fn arm_probe(k: &mut Kernel, cab: &mut CabIface, iface: IfaceId) {
+        cab.health.probe_gen += 1;
+        k.fx.push(Effect::Timer {
+            after: k.cfg.cab_probe_interval,
+            kind: TimerKind::CabProbe {
+                iface,
+                generation: cab.health.probe_gen,
             },
         });
     }
@@ -132,115 +159,24 @@ impl Kernel {
     ) {
         k.cpu(k.costs.driver_pkt, Charge::Interrupt);
         match entry {
-            PendingTx::Mdma {
-                packet,
-                dst,
-                channel,
-                free_after,
-            } => match cab.cab.mdma_tx(packet, dst, channel, now, free_after) {
-                Ok(ev) => k.fx.push(Effect::Cab { iface, event: ev }),
-                Err(e) => {
-                    Kernel::watchdog_on_wedge(k, cab, iface, &e);
-                    if e.is_transient() || matches!(e, CabError::EngineWedged(_)) {
-                        cab.retry_q.push_back(PendingTx::Mdma {
-                            packet,
-                            dst,
-                            channel,
-                            free_after,
-                        });
-                    } else {
-                        // The packet vanished (board reset) or the request
-                        // is malformed: nothing a retry can fix.
-                        cab.health.stats.abandoned_tx += 1;
-                        if free_after {
-                            cab.cab.free_packet(packet, now);
-                        }
-                    }
-                }
-            },
-            PendingTx::Sdma {
-                frame_len,
-                sg,
-                csum,
-                dst,
-                channel,
-                mut purpose,
-                free_after_mdma,
-                data_len,
-                hdr_len,
-            } => {
-                let Some(packet) = cab.cab.alloc_packet(frame_len) else {
-                    cab.retry_q.push_back(PendingTx::Sdma {
-                        frame_len,
-                        sg,
-                        csum,
-                        dst,
-                        channel,
-                        purpose,
-                        free_after_mdma,
-                        data_len,
-                        hdr_len,
-                    });
+            PendingTx::Mdma(job) => {
+                let Err(e) = Kernel::mdma_out(k, cab, iface, job, now, None) else {
                     return;
                 };
-                if let SdmaPurpose::TxSegment { packet: p, .. } = &mut purpose {
-                    *p = packet;
-                }
-                let interrupt = matches!(purpose, SdmaPurpose::TxSegment { .. });
-                let token = cab.issue(purpose);
-                if !free_after_mdma && data_len > 0 {
-                    cab.tx_remaining.insert(packet, data_len);
-                    cab.tx_hdr_len.insert(packet, hdr_len);
-                }
-                let req = SdmaTx {
-                    packet,
-                    sg: sg.clone(),
-                    csum,
-                    reuse_body_csum: false,
-                    interrupt_on_complete: interrupt,
-                    token,
-                };
-                match cab.cab.sdma_tx(req, now, mem) {
-                    Ok(ev) => {
-                        let sdma_done = ev.at();
-                        k.fx.push(Effect::Cab { iface, event: ev });
-                        match cab
-                            .cab
-                            .mdma_tx(packet, dst, channel, sdma_done, free_after_mdma)
-                        {
-                            Ok(ev) => k.fx.push(Effect::Cab { iface, event: ev }),
-                            Err(e) => {
-                                Kernel::watchdog_on_wedge(k, cab, iface, &e);
-                                cab.retry_q.push_back(PendingTx::Mdma {
-                                    packet,
-                                    dst,
-                                    channel,
-                                    free_after: free_after_mdma,
-                                });
-                            }
-                        }
+                if e.is_transient() || matches!(e, CabError::EngineWedged(_)) {
+                    cab.retry_q.push_back(PendingTx::Mdma(job));
+                } else {
+                    // The packet vanished (board reset) or the request is
+                    // malformed: nothing a retry can fix.
+                    cab.health.stats.abandoned_tx += 1;
+                    if job.free_after {
+                        cab.cab.free_packet(job.packet, now);
                     }
-                    Err(e) => {
-                        cab.complete(token);
-                        cab.tx_remaining.remove(packet);
-                        cab.tx_hdr_len.remove(packet);
-                        // A wedge seizes the buffer; the reset reclaims it.
-                        if !matches!(e, CabError::EngineWedged(_)) {
-                            cab.cab.free_packet(packet, now);
-                        }
-                        Kernel::watchdog_on_wedge(k, cab, iface, &e);
-                        cab.retry_q.push_back(PendingTx::Sdma {
-                            frame_len,
-                            sg,
-                            csum,
-                            dst,
-                            channel,
-                            purpose,
-                            free_after_mdma,
-                            data_len,
-                            hdr_len,
-                        });
-                    }
+                }
+            }
+            PendingTx::Sdma(frame) => {
+                if let Some(stalled) = Kernel::launch_tx(k, cab, iface, frame, None, now, mem) {
+                    cab.retry_q.push_back(stalled.entry);
                 }
             }
         }
@@ -269,17 +205,7 @@ impl Kernel {
                 return true;
             }
             k.span_detour_open(iface_id, Stage::RetryDwell, now);
-            cab.health.retry_armed = true;
-            cab.health.retry_gen += 1;
-            let after = k.cab_backoff(cab.health.retry_round);
-            cab.health.stats.backoff_us += after.as_nanos() / 1_000;
-            k.fx.push(Effect::Timer {
-                after,
-                kind: TimerKind::CabRetry {
-                    iface: iface_id,
-                    generation: cab.health.retry_gen,
-                },
-            });
+            Kernel::arm_retry(k, cab, iface_id);
             false
         });
         if give_up {
@@ -291,52 +217,41 @@ impl Kernel {
     /// enter degraded mode, and rebuild transmit through the traditional
     /// path so progress continues without the adaptor.
     fn cab_give_up(&mut self, iface_id: IfaceId, mem: &mut HostMem, now: Time) {
-        let mut affected = self.with_cab(iface_id, |k, cab| {
+        let purposes = self.with_cab(iface_id, |k, cab| {
             cab.health.retry_round = 0;
             let parked: Vec<PendingTx> = cab.retry_q.drain(..).collect();
             let mut purposes = Vec::new();
             for entry in parked {
                 cab.health.stats.abandoned_tx += 1;
                 match entry {
-                    PendingTx::Sdma { purpose, .. } => purposes.push(purpose),
-                    PendingTx::Mdma {
-                        packet, free_after, ..
-                    } => {
+                    PendingTx::Sdma(frame) => purposes.push(frame.purpose),
+                    PendingTx::Mdma(job) => {
                         // If an engine is wedged this packet may be seized
                         // mid-transfer; the board reset reclaims it instead.
-                        if free_after && !cab.cab.any_engine_wedged() {
-                            cab.cab.free_packet(packet, now);
+                        if job.free_after && !cab.cab.any_engine_wedged() {
+                            cab.cab.free_packet(job.packet, now);
                         }
                     }
                 }
             }
-            if !cab.health.degraded {
-                cab.health.degraded = true;
-                cab.health.stats.degraded_entries += 1;
-                k.span_detour_open(iface_id, Stage::Degraded, now);
-            }
-            cab.health.probe_gen += 1;
-            k.fx.push(Effect::Timer {
-                after: k.cfg.cab_probe_interval,
-                kind: TimerKind::CabProbe {
-                    iface: iface_id,
-                    generation: cab.health.probe_gen,
-                },
-            });
+            Kernel::degrade(k, cab, iface_id, now);
             purposes
         });
-        let mut socks: Vec<SockId> = Vec::new();
-        for p in affected.drain(..) {
-            if let Some(s) = self.release_purpose_pins(&p) {
-                socks.push(s);
-            }
-        }
-        self.rebuild_transmit(socks, mem, now);
+        self.rebuild_transmit(Vec::new(), &purposes, mem, now);
     }
 
-    /// Rewind each connection to its unacknowledged left edge and push it
-    /// back through the output path (now the traditional one if degraded).
-    fn rebuild_transmit(&mut self, mut socks: Vec<SockId>, mem: &mut HostMem, now: Time) {
+    /// Release the pins of the abandoned transmissions' `purposes`, then
+    /// rewind each connection they or `socks` name to its unacknowledged
+    /// left edge and push it back through the output path (now the
+    /// traditional one if degraded).
+    fn rebuild_transmit(
+        &mut self,
+        mut socks: Vec<SockId>,
+        purposes: &[SdmaPurpose],
+        mem: &mut HostMem,
+        now: Time,
+    ) {
+        socks.extend(purposes.iter().filter_map(|p| self.release_purpose_pins(p)));
         socks.sort();
         socks.dedup();
         for sock in socks {
@@ -368,14 +283,7 @@ impl Kernel {
                 cab.health.stats.degraded_exits += 1;
                 k.span_detour_close_all(iface_id, Stage::Degraded, now);
             } else {
-                cab.health.probe_gen += 1;
-                k.fx.push(Effect::Timer {
-                    after: k.cfg.cab_probe_interval,
-                    kind: TimerKind::CabProbe {
-                        iface: iface_id,
-                        generation: cab.health.probe_gen,
-                    },
-                });
+                Kernel::arm_probe(k, cab, iface_id);
             }
         });
     }
@@ -442,44 +350,24 @@ impl Kernel {
 
         // 2. Drop in-flight transmit conversions and parked retries, then
         //    reset. Their sockets rewind and resend below.
-        let mut more = self.with_cab(iface_id, |k, cab| {
+        let purposes = self.with_cab(iface_id, |k, cab| {
             let mut purposes = cab.drop_pending_tx();
             for entry in std::mem::take(&mut cab.retry_q) {
                 cab.health.stats.abandoned_tx += 1;
                 match entry {
-                    PendingTx::Sdma { purpose, .. } => purposes.push(purpose),
-                    PendingTx::Mdma { .. } => {} // its packet dies with the reset
+                    PendingTx::Sdma(frame) => purposes.push(frame.purpose),
+                    PendingTx::Mdma(_) => {} // its packet dies with the reset
                 }
             }
             cab.health.retry_armed = false;
             cab.health.retry_gen += 1;
             cab.health.retry_round = 0;
-            cab.cab.reset();
-            cab.tx_remaining.clear();
-            cab.tx_hdr_len.clear();
-            cab.rx_remaining.clear();
+            cab.reset();
             cab.health.stats.watchdog_resets += 1;
-            if !cab.health.degraded {
-                cab.health.degraded = true;
-                cab.health.stats.degraded_entries += 1;
-                k.span_detour_open(iface_id, Stage::Degraded, now);
-            }
-            cab.health.probe_gen += 1;
-            k.fx.push(Effect::Timer {
-                after: k.cfg.cab_probe_interval,
-                kind: TimerKind::CabProbe {
-                    iface: iface_id,
-                    generation: cab.health.probe_gen,
-                },
-            });
+            Kernel::degrade(k, cab, iface_id, now);
             purposes
         });
-        for p in more.drain(..) {
-            if let Some(s) = self.release_purpose_pins(&p) {
-                affected.push(s);
-            }
-        }
-        self.rebuild_transmit(affected, mem, now);
+        self.rebuild_transmit(affected, &purposes, mem, now);
     }
 
     /// Replace this interface's outboard descriptors in `sock`'s buffers
@@ -565,11 +453,7 @@ impl Kernel {
         match cab.cab.sdma_rx(req, now, mem) {
             Ok(ev) => k.fx.push(Effect::Cab { iface, event: ev }),
             Err(e) => {
-                Kernel::watchdog_on_wedge(k, cab, iface, &e);
-                let (mut buf, ticket) = k.cluster_alloc(req.len);
-                let _ = cab.cab.read_packet(req.packet, req.src_off, &mut buf);
-                let cost = k.memsys.read_cost(req.len, req.len.max(4096));
-                k.cpu_dur(cost, Charge::Interrupt);
+                let (buf, ticket) = Kernel::pio_read(k, cab, iface, &req, &e, now);
                 let data = match req.dst {
                     SdmaDst::User { task, vaddr } => {
                         if mem.write_user(task, vaddr, &buf).is_err() {
@@ -582,12 +466,6 @@ impl Kernel {
                     }
                     SdmaDst::Kernel => Some(k.cluster_freeze(buf, ticket)),
                 };
-                // A wedged engine holds the buffer until board reset; PIO
-                // may still read the bytes, but the host must not free.
-                if req.free_packet && !matches!(e, CabError::EngineWedged(_)) {
-                    cab.cab.free_packet(req.packet, now);
-                }
-                cab.health.stats.pio_fallbacks += 1;
                 k.span_detour(Stage::PioFallback, now, now, req.len as u64);
                 k.fx.push(Effect::Cab {
                     iface,
@@ -600,5 +478,31 @@ impl Kernel {
                 });
             }
         }
+    }
+
+    /// The programmed-I/O fallback for a receive copy-out the engine
+    /// refused with `e`: the CPU reads the bytes into a kernel cluster,
+    /// and the packet is freed when the request asked for that and no
+    /// wedged engine still owns it.
+    pub(crate) fn pio_read(
+        k: &mut Kernel,
+        cab: &mut CabIface,
+        iface: IfaceId,
+        req: &SdmaRx,
+        e: &CabError,
+        now: Time,
+    ) -> (Vec<u8>, Option<Ticket>) {
+        Kernel::watchdog_on_wedge(k, cab, iface, e);
+        let (mut buf, ticket) = k.cluster_alloc(req.len);
+        let _ = cab.cab.read_packet(req.packet, req.src_off, &mut buf);
+        let cost = k.memsys.read_cost(req.len, req.len.max(4096));
+        k.cpu_dur(cost, Charge::Interrupt);
+        // A wedged engine holds the buffer until board reset; PIO may
+        // still read the bytes, but the host must not free.
+        if req.free_packet && !matches!(e, CabError::EngineWedged(_)) {
+            cab.cab.free_packet(req.packet, now);
+        }
+        cab.health.stats.pio_fallbacks += 1;
+        (buf, ticket)
     }
 }

@@ -3,7 +3,7 @@
 //! effect pump (no testbed).
 
 use super::*;
-use crate::types::{Effect, Proto, ReadResult, SockAddr, StackError, WriteResult};
+use crate::types::{Effect, Proto, ReadResult, SockAddr, StackError, TimerKind, WriteResult};
 use outboard_host::{HostMem, MachineConfig, UserMemory};
 use outboard_mbuf::TaskId;
 use outboard_sim::{Dur, Time};
@@ -330,6 +330,42 @@ fn accept_queue_and_acceptor_registration() {
     rig.pump(fx);
     assert!(rig.wakes.contains(&TaskId(5)), "acceptor woken");
     assert!(rig.k.sys_accept(l, TaskId(5)).unwrap().is_some());
+}
+
+#[test]
+fn window_probe_is_an_emitted_segment() {
+    let mut rig = Rig::loopback(StackConfig::single_copy());
+    let (c, _child) = established_loopback_pair(&mut rig);
+    rig.mem.create_region(TaskId(1), 0x1000, 4096);
+    // Leave the write's segment unpumped: its data stays unacknowledged.
+    let (r, _fx) = rig
+        .k
+        .sys_write(c, TaskId(1), 0x1000, 100, &mut rig.mem, rig.now)
+        .unwrap();
+    assert_eq!(r, WriteResult::Done { bytes: 100 });
+    let s = rig.k.sockets.get_mut(c).unwrap();
+    s.tcb.as_mut().unwrap().snd_wnd = 0;
+    assert!(s.rexmt_armed, "unacknowledged data arms the rexmt timer");
+    let generation = s.rexmt_gen;
+    let (segs, rexmits) = (rig.k.stats.tcp_segs_out, rig.k.stats.tcp_retransmit_segs);
+    let fx = rig.k.timer_fire(
+        TimerKind::TcpRexmt {
+            sock: c,
+            generation,
+        },
+        &mut rig.mem,
+        rig.now + Dur::secs(1),
+    );
+    assert!(
+        fx.iter().any(|e| matches!(e, Effect::Loop { .. })),
+        "the closed window is probed"
+    );
+    assert_eq!(
+        rig.k.stats.tcp_segs_out,
+        segs + 1,
+        "the probe is a segment out"
+    );
+    assert_eq!(rig.k.stats.tcp_retransmit_segs, rexmits + 1);
 }
 
 #[test]

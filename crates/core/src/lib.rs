@@ -39,6 +39,7 @@
 #![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
 #![deny(unreachable_pub)]
 #![cfg_attr(not(test), deny(clippy::float_arithmetic))]
+#![cfg_attr(not(test), deny(clippy::too_many_lines))]
 
 pub mod driver;
 mod ip;

@@ -344,6 +344,10 @@ impl Tcb {
     /// space; `force_ack` requests a pure ACK (delayed-ACK timer fired or
     /// window update). The plans are appended to `plans` — an empty list
     /// whose storage the caller recycles from call to call — and returned.
+    #[expect(
+        clippy::too_many_lines,
+        reason = "BSD tcp_output's send decision, kept as one pass in its published order"
+    )]
     pub fn output(
         &mut self,
         snd_q_len: usize,
@@ -572,6 +576,10 @@ impl Tcb {
     /// Process one inbound segment. `data` is the payload (already trimmed
     /// to the header's claims by the caller); the TCB trims it further to
     /// the receive window and handles reassembly.
+    #[expect(
+        clippy::too_many_lines,
+        reason = "RFC 793's segment-arrival procedure, kept as one pass in its published step order"
+    )]
     pub fn input(
         &mut self,
         hdr: &TcpHeader,

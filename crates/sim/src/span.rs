@@ -27,6 +27,7 @@
 
 use crate::obs::ValueHist;
 use crate::time::Time;
+use crate::timeline::Timeline;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
@@ -541,7 +542,7 @@ pub(crate) fn push_event_head(out: &mut String, ph: char, pid: u32, tid: u32, ns
 const TRACE_HEAD: &str = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
 
 /// Separate trace events: nothing before the first, `,\n` before the rest.
-fn push_sep(out: &mut String) {
+pub(crate) fn push_sep(out: &mut String) {
     if out.len() > TRACE_HEAD.len() {
         out.push_str(",\n");
     }
@@ -554,17 +555,15 @@ fn push_sep(out: &mut String) {
 /// process, each engine lane gets its own thread track. Flow arrows
 /// (`s`/`t`/`f` events) follow each flow group across processes;
 /// `flow_limit` bounds how many groups get arrows (`None` = all), selected
-/// in order of first appearance. `extra_events` are pre-rendered trace
-/// events (one JSON object per string, no separators) appended after the
-/// slices and arrows — the hook the timeline module uses to merge Perfetto
-/// counter tracks (`ph:"C"`) into the same file, sharing the span pid
-/// space.
+/// in order of first appearance. A `timeline`'s counter tracks
+/// (`ph:"C"`, sharing the span pid space) are appended after the slices
+/// and arrows, so one Perfetto file carries both.
 ///
 /// The output is byte-deterministic for identical inputs.
 pub fn export_chrome_trace_with(
     tracks: &[(u32, String, &SpanSink)],
     flow_limit: Option<usize>,
-    extra_events: &[String],
+    timeline: Option<&Timeline>,
 ) -> String {
     let mut out = String::from(TRACE_HEAD);
 
@@ -667,9 +666,8 @@ pub fn export_chrome_trace_with(
         }
     }
 
-    for ev in extra_events {
-        push_sep(&mut out);
-        out.push_str(ev);
+    if let Some(tl) = timeline {
+        tl.push_chrome_counters(&mut out);
     }
 
     out.push_str("\n]}\n");
@@ -935,6 +933,27 @@ mod reference {
         out
     }
 
+    /// The timeline's counter events as the exporter once took them: one
+    /// pre-rendered string per series per retained window.
+    pub(super) fn counter_events(tl: &Timeline) -> Vec<String> {
+        let views: Vec<_> = (0..tl.series_len()).map(|i| tl.series_view(i)).collect();
+        let retained = views.first().map(|v| v.samples.len()).unwrap_or(0);
+        let mut out = Vec::new();
+        for i in 0..retained {
+            let ns = (tl.evicted() + i as u64) * tl.window().as_nanos();
+            for v in &views {
+                let mut ev = String::new();
+                let extra = format!(
+                    ",\"cat\":\"timeline\",\"args\":{{\"{}\":{}}}",
+                    v.unit, v.samples[i]
+                );
+                push_event(&mut ev, 'C', v.pid, 0, ns, v.name, &extra);
+                out.push(ev);
+            }
+        }
+        out
+    }
+
     pub(super) fn critical_path<'a>(
         spans: impl Iterator<Item = &'a Span>,
         group: u32,
@@ -1052,7 +1071,7 @@ mod tests {
             let mut b = SpanSink::enabled(16);
             b.span(f, Stage::Demux, t(4), t(5), 64);
             let tracks = [(1, "host0".into(), &a), (2, "host1".into(), &b)];
-            export_chrome_trace_with(&tracks, None, &[])
+            export_chrome_trace_with(&tracks, None, None)
         };
         let x = build();
         assert_eq!(x, build());
@@ -1175,15 +1194,29 @@ mod proptests {
         #[test]
         fn export_matches_reference(
             a in raw_spans(24), b in raw_spans(24), c in raw_spans(8),
-            limit in 0usize..4, extra in 0usize..3,
+            limit in 0usize..4,
+            windows in proptest::option::of(proptest::collection::vec((0i64..40, -20i64..20), 0..6)),
         ) {
             let (a, b, c) = (sink(&a), sink(&b), sink(&c));
             let tracks = [(0, "host0".to_string(), &a), (1, "host1".to_string(), &b),
                           (2, "fabric".to_string(), &c)];
             let limit = [None, Some(0), Some(1), Some(GROUPS.len())][limit];
-            let extra: Vec<String> = (0..extra).map(|i| format!("{{\"ph\":\"C\",\"n\":{i}}}")).collect();
+            // A counter and a gauge (negative levels included) in a ring
+            // small enough to evict.
+            let tl = windows.map(|w| {
+                let mut tl = Timeline::new(crate::time::Dur::micros(250), 4);
+                tl.declare("host0.tx", crate::SeriesKind::Counter, "bytes", 0, 0);
+                tl.declare("world.level", crate::SeriesKind::Gauge, "n", 2, 0);
+                let mut total = 0;
+                for (delta, level) in w {
+                    total += delta;
+                    tl.record(&[total, level]);
+                }
+                tl
+            });
+            let extra = tl.as_ref().map(reference::counter_events).unwrap_or_default();
             prop_assert_eq!(
-                export_chrome_trace_with(&tracks, limit, &extra),
+                export_chrome_trace_with(&tracks, limit, tl.as_ref()),
                 reference::export_chrome_trace_with(&tracks, limit, &extra)
             );
         }

@@ -22,12 +22,13 @@
 //!   formatting (no floats), so exports are byte-stable.
 //!
 //! Exports: [`Timeline::to_json`] / [`Timeline::to_csv`] for artifacts,
-//! [`Timeline::chrome_counter_events`] for Perfetto counter tracks merged
-//! into the span trace (`ph:"C"` events sharing the span pid space),
+//! Perfetto counter tracks written straight into the span trace by
+//! [`crate::span::export_chrome_trace_with`] (`ph:"C"` events sharing the
+//! span pid space),
 //! [`Timeline::sparklines`] for a terminal summary, and
 //! [`Timeline::tail_json`] for the flight recorder's last-N-windows dump.
 
-use crate::span::{push_event_head, push_u64};
+use crate::span::{push_event_head, push_sep, push_u64};
 use crate::time::Dur;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -332,30 +333,28 @@ impl Timeline {
         out
     }
 
-    /// Pre-rendered Chrome trace-event counter events (`ph:"C"`), one per
-    /// series per retained window, in ascending-timestamp order. Each
-    /// event's `pid` is the series' declared pid, so the tracks merge into
-    /// the span exporter's process space; the `args` key is the unit label.
-    pub fn chrome_counter_events(&self) -> Vec<String> {
+    /// Write the Chrome trace-event counter events (`ph:"C"`) into a
+    /// trace being exported: one per series per retained window, in
+    /// ascending-timestamp order. Each event's `pid` is the series'
+    /// declared pid, so the tracks merge into the span exporter's process
+    /// space; the `args` key is the unit label.
+    pub(crate) fn push_chrome_counters(&self, out: &mut String) {
         let retained = self.series.first().map(|s| s.samples.len()).unwrap_or(0);
-        let mut out = Vec::with_capacity(retained * self.series.len());
         for i in 0..retained {
             let ts_ns = self.window_start_ns(self.evicted + i as u64);
             for s in &self.series {
-                let mut ev = String::with_capacity(128);
-                push_event_head(&mut ev, 'C', s.pid, 0, ts_ns, &s.name);
-                ev.push_str(",\"cat\":\"timeline\",\"args\":{\"");
-                ev.push_str(s.unit);
-                ev.push_str("\":");
+                push_sep(out);
+                push_event_head(out, 'C', s.pid, 0, ts_ns, &s.name);
+                out.push_str(",\"cat\":\"timeline\",\"args\":{\"");
+                out.push_str(s.unit);
+                out.push_str("\":");
                 if s.samples[i] < 0 {
-                    ev.push('-');
+                    out.push('-');
                 }
-                push_u64(&mut ev, s.samples[i].unsigned_abs());
-                ev.push_str("}}");
-                out.push(ev);
+                push_u64(out, s.samples[i].unsigned_abs());
+                out.push_str("}}");
             }
         }
-        out
     }
 
     /// ASCII sparkline summary of every series (last windows, downsampled
@@ -411,6 +410,10 @@ pub(crate) struct SeriesView<'a> {
     pub(crate) hwm: i64,
     /// Retained per-window samples, oldest first.
     pub(crate) samples: &'a VecDeque<i64>,
+    /// Series name, unit label and trace pid, as declared.
+    pub(crate) name: &'a str,
+    pub(crate) unit: &'static str,
+    pub(crate) pid: u32,
 }
 
 #[cfg(test)]
@@ -423,6 +426,9 @@ impl Timeline {
             final_value: s.last,
             hwm: s.hwm,
             samples: &s.samples,
+            name: &s.name,
+            unit: s.unit,
+            pid: s.pid,
         }
     }
 }
@@ -532,12 +538,16 @@ mod tests {
         tl.declare("world.faults", SeriesKind::Counter, "events", 2, 0);
         tl.record(&[10, 1]);
         tl.record(&[30, 1]);
-        let evs = tl.chrome_counter_events();
+        let trace = crate::span::export_chrome_trace_with(&[], None, Some(&tl));
+        let evs: Vec<&str> = trace
+            .lines()
+            .filter(|l| l.contains("\"ph\":\"C\""))
+            .collect();
         assert_eq!(evs.len(), 4);
         assert_eq!(
             evs[0],
             "{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":0.000,\"name\":\"host0.tx_bytes\",\
-             \"cat\":\"timeline\",\"args\":{\"bytes\":10}}"
+             \"cat\":\"timeline\",\"args\":{\"bytes\":10}},"
         );
         assert!(evs[1].contains("\"pid\":2"));
         // Second window starts at 1 ms.

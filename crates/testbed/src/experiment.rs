@@ -54,8 +54,6 @@ pub struct ExperimentConfig {
     /// Enable per-packet causal span tracing (off by default; traced runs
     /// additionally publish `world.spans.*` and can export a timeline).
     pub trace_spans: bool,
-    /// Span ring capacity per host (and for the fabric) when tracing.
-    pub trace_capacity: usize,
     /// Cap on how many flows get Perfetto flow arrows (`None` = all).
     pub trace_flows: Option<usize>,
     /// Render the trace JSON and critical path after a traced run. Turning
@@ -70,8 +68,6 @@ pub struct ExperimentConfig {
     pub timeline_enabled: bool,
     /// Sampling window of the timeline (virtual time).
     pub timeline_window: Dur,
-    /// Retention capacity of the timeline rings, in windows.
-    pub timeline_capacity: usize,
     /// Render timeline JSON/CSV/sparklines after a sampled run. Turning
     /// this off measures the pure recording cost of enabled-but-unexported
     /// sampling (the chaos flight recorder runs this way).
@@ -99,13 +95,11 @@ impl ExperimentConfig {
             verify: true,
             sender_misalign: 0,
             trace_spans: false,
-            trace_capacity: 1 << 16,
             trace_flows: Some(64),
             trace_export: true,
             engine: EngineKind,
             timeline_enabled: false,
             timeline_window: Dur::millis(1),
-            timeline_capacity: 1 << 16,
             timeline_export: true,
         }
     }
@@ -129,12 +123,6 @@ impl ExperimentConfig {
         if self.timeline_enabled && self.timeline_window.is_zero() {
             return Err(outboard_sim::FaultConfigError {
                 knob: "timeline_window",
-                value: 0.0,
-            });
-        }
-        if self.trace_spans && self.trace_capacity == 0 {
-            return Err(outboard_sim::FaultConfigError {
-                knob: "trace_capacity",
                 value: 0.0,
             });
         }
@@ -196,6 +184,10 @@ pub struct Metrics {
 const SENDER_TASK: TaskId = TaskId(1);
 const RECEIVER_TASK: TaskId = TaskId(2);
 const PORT: u16 = 5001;
+/// Span ring capacity per host (and for the fabric) in a traced run.
+const SPAN_CAPACITY: usize = 1 << 16;
+/// Retention capacity of a sampled run's timeline rings, in windows.
+const TIMELINE_CAPACITY: usize = 1 << 16;
 
 /// The sender host's CAB address in ttcp worlds.
 pub const SENDER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -254,10 +246,10 @@ pub fn build_ttcp_world(cfg: &ExperimentConfig) -> World {
     tx.buf_vaddr += cfg.sender_misalign;
     w.add_app(a, Box::new(tx), true);
     if cfg.trace_spans {
-        w.enable_span_tracing(cfg.trace_capacity);
+        w.enable_span_tracing(SPAN_CAPACITY);
     }
     if cfg.timeline_enabled {
-        w.enable_timeline(cfg.timeline_window, cfg.timeline_capacity);
+        w.enable_timeline(cfg.timeline_window, TIMELINE_CAPACITY);
     }
     w
 }

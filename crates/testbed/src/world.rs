@@ -705,12 +705,8 @@ impl World {
                 (pid, name, sink)
             })
             .collect();
-        let counters = self
-            .timeline
-            .as_ref()
-            .map(|st| st.tl.chrome_counter_events())
-            .unwrap_or_default();
-        span::export_chrome_trace_with(&tracks, flow_limit, &counters)
+        let timeline = self.timeline.as_ref().map(|st| &st.tl);
+        span::export_chrome_trace_with(&tracks, flow_limit, timeline)
     }
 
     /// Critical-path attribution for the busiest flow group (most spans;

@@ -296,17 +296,6 @@ fn invalid_fault_probabilities_are_rejected_not_run() {
             .knob,
         "cab_wedge_p"
     );
-
-    // An empty span ring is a config error too, not a panic mid-build.
-    cfg.cab_wedge_p = 0.0;
-    cfg.trace_spans = true;
-    cfg.trace_capacity = 0;
-    let err = cfg
-        .validate()
-        .expect_err("zero trace_capacity must be rejected");
-    assert_eq!(err.knob, "trace_capacity");
-    let outcome = run_chaos(&cfg, &ChaosSchedule::default(), DEFAULT_LIVENESS_BUDGET);
-    assert_eq!(outcome.category().as_deref(), Some("config"));
 }
 
 #[test]
