@@ -31,7 +31,6 @@ use outboard_sim::{BufPool, Dur, PooledBuf, Time};
 use outboard_wire::checksum::{fold, Accumulator};
 use outboard_wire::hippi::HippiAddr;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// One scatter/gather element of a transmit SDMA request.
 #[derive(Clone, Debug)]
@@ -296,7 +295,7 @@ pub struct Cab {
     /// Adaptor-side fault injection (transparent by default).
     pub faults: FaultInjector,
     /// Shared buffer pool behind the packets a transmit gather fills.
-    pool: Option<Arc<BufPool>>,
+    pool: Option<BufPool>,
 }
 
 impl Cab {
@@ -320,7 +319,7 @@ impl Cab {
 
     /// Recycle packet storage through a shared [`BufPool`] so steady-state
     /// transfers stop allocating per packet.
-    pub fn set_pool(&mut self, pool: Arc<BufPool>) {
+    pub fn set_pool(&mut self, pool: BufPool) {
         self.pool = Some(pool);
     }
 
@@ -1002,9 +1001,9 @@ mod tests {
     fn frame_and_packet_share_one_pooled_buffer() {
         let (mut cab_a, hm, task) = setup();
         let mut cab_b = Cab::new(2, CabConfig::default());
-        let pool = Arc::new(BufPool::new());
-        cab_a.set_pool(Arc::clone(&pool));
-        cab_b.set_pool(Arc::clone(&pool));
+        let pool = BufPool::new();
+        cab_a.set_pool(pool.clone());
+        cab_b.set_pool(pool.clone());
 
         let (id, sdma) = tx_packet(&mut cab_a, &hm, task, 0x4242, 0x10000, 8192);
         let CabEvent::FrameOut { frame, .. } = cab_a.mdma_tx(id, 2, 0, sdma.at(), false).unwrap()

@@ -649,7 +649,7 @@ impl Kernel {
                 let kernel_chain = if s.owner == Owner::Kernel {
                     // TCP in-kernel applications read the byte stream via
                     // the ordered conversion queue.
-                    let chain = s.so_rcv.chain.split_front(s.so_rcv.chain.len());
+                    let chain = std::mem::take(&mut s.so_rcv.chain);
                     let from = s.remote.unwrap_or(SockAddr::new(Ipv4Addr::UNSPECIFIED, 0));
                     Some((chain, from))
                 } else {
@@ -1068,12 +1068,9 @@ impl Kernel {
                     let Some(entry) = s.kq.iter_mut().find(|e| e.serial == serial) else {
                         return self.take_effects();
                     };
-                    let chain = std::mem::take(&mut entry.chain);
-                    entry.chain = if chain_off + len <= chain.len() {
-                        replace_range(chain, chain_off, len, Mbuf::kernel(bytes))
-                    } else {
-                        chain
-                    };
+                    if chain_off + len <= entry.chain.len() {
+                        entry.chain.splice(chain_off, len, Mbuf::kernel(bytes));
+                    }
                     entry.converting = entry.converting.saturating_sub(len);
                     entry.converting == 0 && s.kq.front().map(|e| e.serial) == Some(serial)
                 };
@@ -1240,30 +1237,6 @@ impl Kernel {
     }
 }
 
-/// Rebuild `chain` with `[off, off+len)` replaced by `replacement`.
-fn replace_range(chain: Chain, off: usize, len: usize, replacement: Mbuf) -> Chain {
-    replace_range_take(chain, off, len, replacement).0
-}
-
-/// Like [`replace_range`] but also returns the removed middle chain.
-pub(crate) fn replace_range_take(
-    mut chain: Chain,
-    off: usize,
-    len: usize,
-    replacement: Mbuf,
-) -> (Chain, Chain) {
-    assert!(off + len <= chain.len());
-    let mut head = chain.split_front(off);
-    let removed = chain.split_front(len);
-    // split_front migrates the packet header to the first split; restore it
-    // onto the rebuilt chain's front.
-    head.hdr = std::mem::take(&mut chain.hdr);
-    let mut out = head;
-    out.append(replacement);
-    out.concat(chain);
-    (out, removed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1272,18 +1245,18 @@ mod tests {
     fn replace_range_substitutes_descriptors() {
         let mut c = Chain::from_slice(&[1, 2, 3, 4, 5, 6, 7, 8]);
         c.append(Mbuf::kernel_copy(&[9, 10]));
-        let (out, removed) = replace_range_take(c, 2, 5, Mbuf::kernel_copy(&[0xAA; 5]));
-        assert_eq!(out.len(), 10);
+        let removed = c.splice(2, 5, Mbuf::kernel_copy(&[0xAA; 5]));
+        assert_eq!(c.len(), 10);
         assert_eq!(removed.len(), 5);
-        let flat = out.flatten_kernel().unwrap();
+        let flat = c.flatten_kernel().unwrap();
         assert_eq!(flat, vec![1, 2, 0xAA, 0xAA, 0xAA, 0xAA, 0xAA, 8, 9, 10]);
         assert_eq!(removed.flatten_kernel().unwrap(), vec![3, 4, 5, 6, 7]);
     }
 
     #[test]
     fn replace_entire_chain() {
-        let c = Chain::from_slice(&[1, 2, 3]);
-        let out = replace_range(c, 0, 3, Mbuf::kernel_copy(&[7, 7, 7]));
-        assert_eq!(out.flatten_kernel().unwrap(), vec![7, 7, 7]);
+        let mut c = Chain::from_slice(&[1, 2, 3]);
+        c.splice(0, 3, Mbuf::kernel_copy(&[7, 7, 7]));
+        assert_eq!(c.flatten_kernel().unwrap(), vec![7, 7, 7]);
     }
 }

@@ -20,8 +20,6 @@ mod robust;
 #[cfg(test)]
 mod tests;
 
-pub(crate) use input::replace_range_take;
-
 use crate::driver::{CabIface, EthIface, Iface, IfaceKind, SdmaPurpose};
 use crate::ip::Reassembler;
 use crate::route::RouteTable;
@@ -45,7 +43,6 @@ use outboard_wire::ether::MacAddr;
 use outboard_wire::ipv4::IPV4_HEADER_LEN;
 use outboard_wire::udp::UDP_HEADER_LEN;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 /// Kernel-level statistics.
 #[derive(Clone, Copy, Debug, Default)]
@@ -188,7 +185,7 @@ pub struct Kernel {
     pub(crate) scratch: Vec<u8>,
     /// Shared buffer pool for mbuf cluster storage (kernel copies of user
     /// data, PIO fallbacks, rescue reads); `None` keeps plain allocation.
-    pub(crate) pool: Option<Arc<BufPool>>,
+    pub(crate) pool: Option<BufPool>,
 }
 
 impl Kernel {
@@ -228,7 +225,7 @@ impl Kernel {
 
     /// Recycle mbuf cluster storage through a shared [`BufPool`] so the
     /// copy paths stop allocating per segment.
-    pub fn set_pool(&mut self, pool: Arc<BufPool>) {
+    pub fn set_pool(&mut self, pool: BufPool) {
         self.pool = Some(pool);
     }
 
@@ -441,9 +438,7 @@ impl Kernel {
         let Some(s) = self.sockets.get_mut(sock) else {
             return false;
         };
-        let chain = std::mem::take(&mut s.so_snd.chain);
-        let (new_chain, removed) = replace_range_take(chain, off_in_q, len, replacement);
-        s.so_snd.chain = new_chain;
+        let removed = s.so_snd.chain.splice(off_in_q, len, replacement);
         self.credit_uio(&removed, charge);
         true
     }

@@ -321,11 +321,12 @@ impl Kernel {
             None
         };
 
-        // Assemble the transport packet chain: header + data.
-        let mut packet = Chain::new();
-        packet.concat(data);
-        packet.prepend(Bytes::from(thdr));
+        // The transport packet is the data chain with the header prepended,
+        // under a fresh packet header that carries only the checksum plan.
+        let mut packet = data;
+        packet.hdr = Default::default();
         packet.hdr.csum_plan = csum_plan;
+        packet.prepend(Bytes::from(thdr));
         self.ip_output(src, dst, ip_proto, packet, iface_id, meta, mem, now);
     }
 

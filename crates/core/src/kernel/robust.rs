@@ -428,10 +428,7 @@ impl Kernel {
                 let Some(chain) = which.chain_mut(s) else {
                     break;
                 };
-                let taken = std::mem::take(chain);
-                let (new_chain, _removed) =
-                    super::replace_range_take(taken, off, d.len, rescued_mbuf);
-                *chain = new_chain;
+                chain.splice(off, d.len, rescued_mbuf);
                 rescued = true;
             }
         }

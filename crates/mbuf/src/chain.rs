@@ -6,7 +6,10 @@
 //! modified stack leans on — in particular [`Chain::copy_range`], the
 //! "search the transmit queue for a block of data at a specific offset"
 //! routine that replaced TCP's copy-into-fresh-mbufs logic (§4.2), which
-//! must work across regular, `M_UIO`, and `M_WCAB` mbufs alike.
+//! must work across regular, `M_UIO`, and `M_WCAB` mbufs alike. Trims
+//! ([`Chain::drop_front`], [`Chain::truncate`]) and the swap of a byte range
+//! for one descriptor ([`Chain::splice`]) edit the chain in place, as BSD's
+//! `sbdrop` and `m_adj` do, rather than building chains only to drop them.
 
 use crate::mbuf::{CsumPlan, Mbuf, MbufData};
 use crate::{TaskId, UioCounterId};
@@ -147,13 +150,77 @@ impl Chain {
         front
     }
 
-    /// Drop the first `n` bytes (socket-buffer `sbdrop`, used when TCP ACKs
-    /// data or the socket layer consumes a read).
+    /// Drop the first `n` bytes in place (socket-buffer `sbdrop`, used when
+    /// TCP ACKs data or the socket layer consumes a read). The packet
+    /// header stays, and the mbufs drop front to back.
     pub fn drop_front(&mut self, n: usize) {
-        // split_front moves the packet header to the (discarded) front
-        // chain; dropping data must not lose the header, so take it back.
-        let front = self.split_front(n);
-        self.hdr = front.hdr;
+        assert!(
+            n <= self.len,
+            "drop_front({n}) beyond chain len {}",
+            self.len
+        );
+        let mut remaining = n;
+        while remaining > 0 {
+            // `len` counts exactly the bytes in `mbufs`, so the assert above
+            // guarantees a front mbuf exists while `remaining > 0`.
+            let Some(m) = self.mbufs.front_mut() else {
+                break;
+            };
+            if m.len() > remaining {
+                m.advance(remaining);
+                self.len -= remaining;
+                break;
+            }
+            remaining -= m.len();
+            self.len -= m.len();
+            self.mbufs.pop_front();
+        }
+    }
+
+    /// Replace bytes `[off, off+len)` with `replacement` in place and return
+    /// what was there, with a cleared packet header; `self` keeps its own.
+    /// At most two mbufs are cut (where the range starts and ends); the rest
+    /// move as they are. This is how a send-queue `M_UIO` range becomes one
+    /// `M_WCAB` descriptor once its data is outboard (§4.2).
+    pub fn splice(&mut self, off: usize, len: usize, replacement: Mbuf) -> Chain {
+        assert!(
+            off + len <= self.len,
+            "splice({off},{len}) beyond chain len {}",
+            self.len
+        );
+        let start = self.cut(0, off);
+        let end = self.cut(start, len);
+        let removed = Chain {
+            mbufs: self.mbufs.drain(start..end).collect(),
+            len,
+            hdr: PktHdr::default(),
+        };
+        self.len -= len;
+        if !replacement.is_empty() {
+            self.len += replacement.len();
+            self.mbufs.insert(start, replacement);
+        }
+        removed
+    }
+
+    /// Make the byte `skip` bytes past the start of mbuf `from` an mbuf
+    /// boundary, splitting the mbuf it lands in; returns the index of the
+    /// first mbuf at or after it.
+    fn cut(&mut self, from: usize, mut skip: usize) -> usize {
+        let mut i = from;
+        while skip > 0 {
+            let Some(m) = self.mbufs.get_mut(i) else {
+                break;
+            };
+            if skip < m.len() {
+                let front = m.split_front(skip);
+                self.mbufs.insert(i, front);
+                return i + 1;
+            }
+            skip -= m.len();
+            i += 1;
+        }
+        i
     }
 
     /// Keep only the first `n` bytes (BSD `m_adj(-x)`).
@@ -398,9 +465,11 @@ mod tests {
     #[test]
     fn drop_front_models_ack() {
         let mut c = mixed_chain();
+        c.hdr.rx_hw_csum = Some(0x2222);
         c.drop_front(110);
         assert_eq!(c.len(), 50);
         assert!(c.iter().next().unwrap().is_wcab());
+        assert_eq!(c.hdr.rx_hw_csum, Some(0x2222), "the header stays");
     }
 
     #[test]
@@ -440,6 +509,22 @@ mod tests {
         a.concat(b);
         assert_eq!(a.len(), 2);
         assert_eq!(a.hdr.rx_hw_csum, Some(0xBEEF));
+    }
+
+    /// `splice` edits the chain in place, so the chain keeps its own packet
+    /// header and the removed range comes back with a cleared one. Nothing
+    /// reads the header of the chains it edits (socket queues): `csum_plan`
+    /// is the only field any reader consults, on the packet
+    /// `transport_output` builds.
+    #[test]
+    fn splice_keeps_own_pkthdr_and_clears_the_removed_one() {
+        let mut c = mixed_chain();
+        c.hdr.rx_hw_csum = Some(0x3333);
+        let removed = c.splice(10, 100, Mbuf::kernel_copy(&[5; 4]));
+        assert_eq!(c.hdr.rx_hw_csum, Some(0x3333));
+        assert_eq!(removed.hdr, PktHdr::default());
+        assert_eq!((c.len(), removed.len()), (64, 100));
+        assert!(removed.iter().all(|m| m.is_uio()));
     }
 
     #[test]
@@ -539,6 +624,105 @@ mod proptests {
         out
     }
 
+    /// Kernel identities wrap at 256; compare format + low byte.
+    fn cmp(model: &[(u8, u64)]) -> Vec<(u8, u64)> {
+        model
+            .iter()
+            .map(|&(f, id)| if f == 0 { (f, id & 0xFF) } else { (f, id) })
+            .collect()
+    }
+
+    fn some_hdr() -> PktHdr {
+        PktHdr {
+            csum_plan: Some(crate::mbuf::CsumPlan {
+                csum_offset: 16,
+                skip_words: 5,
+                seed: 0x1234,
+            }),
+            notify_task: Some(TaskId(2)),
+            uio_counter: None,
+            rcv_iface: Some(1),
+            rx_hw_csum: Some(0xBEEF),
+        }
+    }
+
+    /// An offset no greater than `max`: an mbuf boundary (`pick` 0, which
+    /// includes 0 and the chain's end), an offset inside an mbuf (1), or
+    /// anywhere (2).
+    fn pick_offset(chain: &Chain, pick: usize, frac: f64, max: usize) -> usize {
+        let mut bounds = vec![0];
+        for m in chain.iter() {
+            bounds.push(bounds[bounds.len() - 1] + m.len());
+        }
+        let at = |v: &[usize]| v[((v.len() as f64 * frac) as usize).min(v.len() - 1)];
+        let off = match pick {
+            0 => at(&bounds),
+            1 => {
+                let inside: Vec<usize> = (0..max).filter(|o| !bounds.contains(o)).collect();
+                if inside.is_empty() {
+                    at(&bounds)
+                } else {
+                    at(&inside)
+                }
+            }
+            _ => (max as f64 * frac) as usize,
+        };
+        off.min(max)
+    }
+
+    /// A replacement mbuf of any kind, or an empty one, with its byte map
+    /// (identities distinct from any `arb_chain` byte).
+    fn arb_replacement() -> impl Strategy<Value = (Mbuf, Vec<(u8, u64)>)> {
+        (0u8..4, 1usize..40).prop_map(|(kind, len)| match kind {
+            0 => (Mbuf::kernel(Bytes::new()), Vec::new()),
+            1 => {
+                let data: Vec<u8> = (0..len).map(|i| (200 + i) as u8).collect();
+                let tags = data.iter().map(|&b| (0, b as u64)).collect();
+                (Mbuf::kernel_copy(&data), tags)
+            }
+            2 => (
+                Mbuf::uio(UioDesc {
+                    region: UioRegion {
+                        task: TaskId(5),
+                        base: 0,
+                    },
+                    off: 1_000_000,
+                    len,
+                    counter: None,
+                }),
+                (0..len).map(|i| (1, 1_000_000 + i as u64)).collect(),
+            ),
+            _ => (
+                Mbuf::wcab(crate::mbuf::WcabDesc {
+                    cab: 1,
+                    packet: 77,
+                    off: 2_000_000,
+                    len,
+                    hw_csum: 0xABCD,
+                    valid_len: usize::MAX,
+                }),
+                (0..len).map(|i| (2, 2_000_000 + i as u64)).collect(),
+            ),
+        })
+    }
+
+    /// The split/split/append/concat rebuild `Chain::splice` replaced, kept
+    /// as its oracle. Both `split_front`s move the header away, so the
+    /// rebuilt chain's header ends up cleared.
+    fn oracle_splice(
+        mut chain: Chain,
+        off: usize,
+        len: usize,
+        replacement: Mbuf,
+    ) -> (Chain, Chain) {
+        let mut head = chain.split_front(off);
+        let removed = chain.split_front(len);
+        head.hdr = std::mem::take(&mut chain.hdr);
+        head.append(replacement);
+        head.concat(chain);
+        (head, removed)
+    }
+
     proptest! {
         /// split_front partitions the chain without altering the byte map.
         #[test]
@@ -589,6 +773,70 @@ mod proptests {
             let model_cmp: Vec<(u8,u64)> = model[lo..hi].iter()
                 .map(|&(f, id)| if f == 0 { (f, id & 0xFF) } else { (f, id) }).collect();
             prop_assert_eq!(tags(&c), model_cmp);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// `drop_front` trims in place exactly as the split-and-discard it
+        /// replaced, and keeps the header.
+        #[test]
+        fn drop_front_matches_split_oracle((chain, model) in arb_chain(),
+                                            pick in 0usize..3, a in 0.0f64..=1.0) {
+            let mut chain = chain;
+            chain.hdr = some_hdr();
+            let n = pick_offset(&chain, pick, a, chain.len());
+            let mut oracle = chain.clone();
+            let front = oracle.split_front(n);
+            oracle.hdr = front.hdr;
+
+            let mut dropped = chain;
+            dropped.drop_front(n);
+            prop_assert_eq!(&dropped, &oracle);
+            prop_assert_eq!(&dropped.hdr, &some_hdr());
+            prop_assert_eq!(dropped.len(), model.len() - n);
+            prop_assert_eq!(tags(&dropped), cmp(&model[n..]));
+        }
+
+        /// `splice` edits in place what the split/split/append/concat
+        /// rebuild produced, cutting at most two mbufs, and keeps the
+        /// chain's header where the rebuild cleared it.
+        #[test]
+        fn splice_matches_rebuild_oracle((chain, model) in arb_chain(),
+                                         pick in 0usize..3,
+                                         a in 0.0f64..=1.0, b in 0.0f64..=1.0,
+                                         (repl, repl_tags) in arb_replacement()) {
+            let mut chain = chain;
+            chain.hdr = some_hdr();
+            let off = pick_offset(&chain, pick, a, chain.len());
+            let len = pick_offset(&chain, pick, b, chain.len()).saturating_sub(off);
+            let (oracle, oracle_removed) = oracle_splice(chain.clone(), off, len, repl.clone());
+
+            let mut spliced = chain.clone();
+            let removed = spliced.splice(off, len, repl.clone());
+            // Same mbufs (kinds, offsets, lengths) and total length.
+            prop_assert_eq!(&spliced.mbufs, &oracle.mbufs);
+            prop_assert_eq!(spliced.len, oracle.len);
+            prop_assert_eq!(&removed, &oracle_removed);
+            // The header: kept here, cleared by the rebuild and on the
+            // removed range in both.
+            prop_assert_eq!(&spliced.hdr, &chain.hdr);
+            prop_assert_eq!(&oracle.hdr, &PktHdr::default());
+            prop_assert_eq!(&removed.hdr, &PktHdr::default());
+            // The byte map.
+            let mut want = cmp(&model[..off]);
+            want.extend(repl_tags);
+            want.extend(cmp(&model[off + len..]));
+            prop_assert_eq!(tags(&spliced), want);
+            prop_assert_eq!(tags(&removed), cmp(&model[off..off + len]));
+            prop_assert_eq!(spliced.len(), model.len() - len + repl.len());
+            prop_assert!(spliced.iter().all(|m| !m.is_empty()));
+            // At most two mbufs were cut.
+            let added = usize::from(!repl.is_empty());
+            prop_assert!(
+                spliced.mbuf_count() + removed.mbuf_count() <= chain.mbuf_count() + 2 + added
+            );
         }
     }
 }

@@ -13,7 +13,7 @@
 //!    retransmittable sent data and in the receive stack for large packets.
 //!
 //! Packetization is performed *symbolically* on these descriptors — chains
-//! are split, cloned and trimmed without touching payload bytes — which is
+//! are split, cloned, trimmed and spliced without touching payload bytes — which is
 //! what collapses all data-touching work into the driver (§3).
 //!
 //! The crate is deliberately independent of the CAB and host models: `M_UIO`

@@ -10,7 +10,6 @@
 
 use bytes::Bytes;
 use outboard_sim::{check_probability, BufPool, Chance, Dur, FaultConfigError, Pcg32};
-use std::sync::Arc;
 
 /// What happened to each frame, cumulatively.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -68,7 +67,7 @@ pub struct FaultInjector {
     pub stats: FaultStats,
     /// Optional buffer pool for corruption copies (the only fates that
     /// rewrite a frame); without one they fall back to plain allocation.
-    pool: Option<Arc<BufPool>>,
+    pool: Option<BufPool>,
 }
 
 impl FaultInjector {
@@ -88,7 +87,7 @@ impl FaultInjector {
     }
 
     /// Recycle corruption-copy storage through `pool`.
-    pub fn set_pool(&mut self, pool: Arc<BufPool>) {
+    pub fn set_pool(&mut self, pool: BufPool) {
         self.pool = Some(pool);
     }
 

@@ -9,7 +9,6 @@ use crate::fault::{Fate, FaultInjector};
 use bytes::Bytes;
 use outboard_sim::obs::Scope;
 use outboard_sim::{BufPool, Dur, Rate, Time};
-use std::sync::Arc;
 
 /// A scheduled arrival at the far end of a link.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -160,7 +159,7 @@ impl Link {
 
     /// Share a buffer pool with this link's fault injector (corruption
     /// copies recycle frame storage instead of allocating).
-    pub fn set_pool(&mut self, pool: Arc<BufPool>) {
+    pub fn set_pool(&mut self, pool: BufPool) {
         self.faults.set_pool(pool);
     }
 

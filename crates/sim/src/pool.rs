@@ -22,7 +22,8 @@
 //! repeated runs of the same seed.
 
 use bytes::{Bytes, StorageHook};
-use std::sync::{Arc, Mutex};
+use std::cell::{RefCell, RefMut};
+use std::rc::Rc;
 
 /// Smallest pooled size class, bytes (log2).
 const MIN_CLASS: u32 = 10; // 1 KiB
@@ -85,11 +86,19 @@ struct PoolInner {
     stats: PoolStats,
 }
 
+/// The pool's state, shared by every handle and every hooked [`Bytes`]:
+/// the last view of a frozen buffer hands its storage back through here.
+struct Shared(RefCell<PoolInner>);
+
 /// A generation-tagged slab/freelist pool for frame and packet storage.
-/// Shared as `Arc<BufPool>`; the mutex is uncontended in a single world and
-/// only exists so frozen frames may outlive their world.
+///
+/// A cheap handle: clones share one pool. The simulator is single-threaded
+/// (DESIGN.md §3), so the state sits in a `RefCell` behind an `Rc`, and no
+/// pool operation re-enters another (releasing storage drops a `Vec`, never
+/// a hooked `Bytes`).
+#[derive(Clone)]
 pub struct BufPool {
-    inner: Mutex<PoolInner>,
+    inner: Rc<Shared>,
 }
 
 impl Default for BufPool {
@@ -108,20 +117,78 @@ fn class_of(len: usize) -> Option<usize> {
     }
 }
 
+impl PoolInner {
+    fn acquire_empty(&mut self, cap: usize) -> (Vec<u8>, Ticket) {
+        let class = class_of(cap);
+        let buf = match class.and_then(|c| self.classes[c].pop()) {
+            Some(mut b) => {
+                self.stats.hits += 1;
+                b.clear();
+                b
+            }
+            None => {
+                self.stats.misses += 1;
+                // Allocate the whole class so the capacity recycles.
+                Vec::with_capacity(class.map_or(cap, |c| 1usize << (c as u32 + MIN_CLASS)))
+            }
+        };
+        let slot = match self.free_slots.pop() {
+            Some(s) => {
+                self.slots[s as usize].live = true;
+                s
+            }
+            None => {
+                self.slots.push(Slot { gen: 0, live: true });
+                (self.slots.len() - 1) as u32
+            }
+        };
+        let gen = self.slots[slot as usize].gen;
+        self.stats.acquires += 1;
+        self.outstanding += 1;
+        self.stats.high_water = self.stats.high_water.max(self.outstanding);
+        (buf, Ticket(((slot as u64) << 32) | gen as u64))
+    }
+
+    fn release(&mut self, buf: Vec<u8>, ticket: Ticket) {
+        let slot = ticket.slot();
+        let valid = self
+            .slots
+            .get(slot)
+            .map(|s| s.live && s.gen == ticket.gen())
+            .unwrap_or(false);
+        if !valid {
+            self.stats.ticket_errors += 1;
+            return;
+        }
+        self.slots[slot].live = false;
+        self.slots[slot].gen = self.slots[slot].gen.wrapping_add(1);
+        self.free_slots.push(slot as u32);
+        self.stats.releases += 1;
+        self.outstanding -= 1;
+        match class_of(buf.capacity()) {
+            Some(c) if self.classes[c].len() < CLASS_DEPTH && buf.capacity().is_power_of_two() => {
+                self.classes[c].push(buf)
+            }
+            _ => self.stats.discards += 1,
+        }
+    }
+}
+
+impl StorageHook for Shared {
+    fn reclaim(&self, buf: Vec<u8>, ticket: u64) {
+        self.0.borrow_mut().release(buf, Ticket(ticket));
+    }
+}
+
 impl BufPool {
-    /// Pool state guard. A panicking holder poisons the mutex, but every
-    /// pool operation leaves the state consistent (counters and free lists
-    /// are updated together), so recover the guard instead of propagating.
-    fn state(&self) -> std::sync::MutexGuard<'_, PoolInner> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn state(&self) -> RefMut<'_, PoolInner> {
+        self.inner.0.borrow_mut()
     }
 
     /// An empty pool.
     pub fn new() -> BufPool {
         BufPool {
-            inner: Mutex::new(PoolInner {
+            inner: Rc::new(Shared(RefCell::new(PoolInner {
                 classes: (0..=(MAX_CLASS - MIN_CLASS) as usize)
                     .map(|_| Vec::new())
                     .collect(),
@@ -129,7 +196,7 @@ impl BufPool {
                 free_slots: Vec::new(),
                 outstanding: 0,
                 stats: PoolStats::default(),
-            }),
+            }))),
         }
     }
 
@@ -147,73 +214,24 @@ impl BufPool {
     /// callers that write every byte themselves (`extend_from_slice`): the
     /// recycled storage is neither zeroed nor readable until written.
     pub fn acquire_empty(&self, cap: usize) -> (Vec<u8>, Ticket) {
-        let mut g = self.state();
-        let class = class_of(cap);
-        let buf = match class.and_then(|c| g.classes[c].pop()) {
-            Some(mut b) => {
-                g.stats.hits += 1;
-                b.clear();
-                b
-            }
-            None => {
-                g.stats.misses += 1;
-                // Allocate the whole class so the capacity recycles.
-                Vec::with_capacity(class.map_or(cap, |c| 1usize << (c as u32 + MIN_CLASS)))
-            }
-        };
-        let slot = match g.free_slots.pop() {
-            Some(s) => {
-                g.slots[s as usize].live = true;
-                s
-            }
-            None => {
-                g.slots.push(Slot { gen: 0, live: true });
-                (g.slots.len() - 1) as u32
-            }
-        };
-        let gen = g.slots[slot as usize].gen;
-        g.stats.acquires += 1;
-        g.outstanding += 1;
-        g.stats.high_water = g.stats.high_water.max(g.outstanding);
-        (buf, Ticket(((slot as u64) << 32) | gen as u64))
+        self.state().acquire_empty(cap)
     }
 
     /// Return a buffer. Invalid tickets (double release, stale generation)
     /// are counted in `ticket_errors` and the storage is freed, not pooled.
     pub fn release(&self, buf: Vec<u8>, ticket: Ticket) {
-        let mut g = self.state();
-        let slot = ticket.slot();
-        let valid = g
-            .slots
-            .get(slot)
-            .map(|s| s.live && s.gen == ticket.gen())
-            .unwrap_or(false);
-        if !valid {
-            g.stats.ticket_errors += 1;
-            return;
-        }
-        g.slots[slot].live = false;
-        g.slots[slot].gen = g.slots[slot].gen.wrapping_add(1);
-        g.free_slots.push(slot as u32);
-        g.stats.releases += 1;
-        g.outstanding -= 1;
-        match class_of(buf.capacity()) {
-            Some(c) if g.classes[c].len() < CLASS_DEPTH && buf.capacity().is_power_of_two() => {
-                g.classes[c].push(buf)
-            }
-            _ => g.stats.discards += 1,
-        }
+        self.state().release(buf, ticket);
     }
 
     /// Freeze an acquired buffer into [`Bytes`] that returns its storage to
     /// this pool automatically when the last view drops.
-    pub fn freeze(self: &Arc<Self>, buf: Vec<u8>, ticket: Ticket) -> Bytes {
-        Bytes::with_hook(buf, Arc::clone(self) as Arc<dyn StorageHook>, ticket.0)
+    pub fn freeze(&self, buf: Vec<u8>, ticket: Ticket) -> Bytes {
+        Bytes::with_hook(buf, Rc::clone(&self.inner) as Rc<dyn StorageHook>, ticket.0)
     }
 
     /// Acquire, fill with `src`, and freeze in one step — the pooled
     /// equivalent of `Bytes::copy_from_slice`.
-    pub fn copy_from_slice(self: &Arc<Self>, src: &[u8]) -> Bytes {
+    pub fn copy_from_slice(&self, src: &[u8]) -> Bytes {
         let (mut buf, ticket) = self.acquire_empty(src.len());
         buf.extend_from_slice(src);
         self.freeze(buf, ticket)
@@ -234,7 +252,7 @@ impl BufPool {
 
 /// A copy of `src` in pooled storage when there is a pool, in plain
 /// storage otherwise (pool-less unit-test devices).
-pub fn pooled_copy(pool: &Option<Arc<BufPool>>, src: &[u8]) -> Bytes {
+pub fn pooled_copy(pool: &Option<BufPool>, src: &[u8]) -> Bytes {
     match pool {
         Some(p) => p.copy_from_slice(src),
         None => Bytes::copy_from_slice(src),
@@ -247,18 +265,18 @@ pub fn pooled_copy(pool: &Option<Arc<BufPool>>, src: &[u8]) -> Bytes {
 #[derive(Debug)]
 pub struct PooledBuf {
     buf: Vec<u8>,
-    home: Option<(Arc<BufPool>, Ticket)>,
+    home: Option<(BufPool, Ticket)>,
 }
 
 impl PooledBuf {
     /// An empty buffer with room for at least `cap` bytes.
-    pub fn with_capacity(pool: &Option<Arc<BufPool>>, cap: usize) -> PooledBuf {
+    pub fn with_capacity(pool: &Option<BufPool>, cap: usize) -> PooledBuf {
         match pool {
             Some(p) => {
                 let (buf, ticket) = p.acquire_empty(cap);
                 PooledBuf {
                     buf,
-                    home: Some((Arc::clone(p), ticket)),
+                    home: Some((p.clone(), ticket)),
                 }
             }
             None => PooledBuf {
@@ -305,12 +323,6 @@ impl std::fmt::Debug for BufPool {
         f.debug_struct("BufPool")
             .field("stats", &self.stats())
             .finish()
-    }
-}
-
-impl StorageHook for BufPool {
-    fn reclaim(&self, buf: Vec<u8>, ticket: u64) {
-        self.release(buf, Ticket(ticket));
     }
 }
 
@@ -378,7 +390,7 @@ mod tests {
 
     #[test]
     fn freeze_returns_storage_when_views_drop() {
-        let p = Arc::new(BufPool::new());
+        let p = BufPool::new();
         let (mut buf, t) = p.acquire(1024);
         buf[0] = 42;
         let b = p.freeze(buf, t);
@@ -392,6 +404,26 @@ mod tests {
         // And the storage actually recycles.
         let (_buf, _t) = p.acquire(1024);
         assert_eq!(p.stats().hits, 1);
+    }
+
+    #[test]
+    fn clones_share_one_pool_and_frames_outlive_every_handle() {
+        let p = BufPool::new();
+        let observer = p.clone();
+        let frame = p.copy_from_slice(b"outlives its world");
+        let view = frame.slice(..8);
+        assert_eq!(observer.stats().acquires, 1, "clones see one pool");
+        drop(p);
+        drop(frame);
+        assert_eq!(observer.stats().releases, 0, "a view is still alive");
+        // The hook holds the pool's state, so the storage still finds its
+        // way home after the world's handle is gone, exactly once.
+        let hook = Rc::clone(&observer.inner);
+        drop(observer);
+        drop(view);
+        let g = hook.0.borrow();
+        assert_eq!((g.stats.releases, g.stats.ticket_errors), (1, 0));
+        assert_eq!(g.outstanding, 0);
     }
 
     #[test]
@@ -421,7 +453,7 @@ mod tests {
 
     #[test]
     fn pooled_buf_freezes_or_returns_its_storage() {
-        let pool = Some(Arc::new(BufPool::new()));
+        let pool = Some(BufPool::new());
         let mut kept = PooledBuf::with_capacity(&pool, 2000);
         kept.extend_from_slice(b"kept");
         let abandoned = PooledBuf::with_capacity(&pool, 2000);
@@ -441,7 +473,7 @@ mod tests {
 
     #[test]
     fn copy_from_slice_matches_contents() {
-        let p = Arc::new(BufPool::new());
+        let p = BufPool::new();
         let b = p.copy_from_slice(b"frame payload");
         assert_eq!(&b[..], b"frame payload");
         drop(b);

@@ -18,7 +18,6 @@ use outboard_sim::{SeriesKind, Timeline};
 use outboard_stack::{Effect, IfaceId, Kernel, SockId, StackConfig, TimerKind};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 /// What a scheduled event does when it fires. (Field meanings follow the
 /// kernel entry points they feed; see [`outboard_stack::Kernel`].)
@@ -251,7 +250,7 @@ pub struct World {
     timers: TimerTable,
     /// Shared frame/cluster buffer pool (every host kernel, CAB, and link
     /// recycles storage through it; see `sim::pool`).
-    pub pool: Arc<BufPool>,
+    pub pool: BufPool,
     /// Directed links keyed by the sending (host, iface).
     pub links: BTreeMap<(usize, IfaceId), Link>,
     /// HIPPI fabric address → (host, iface).
@@ -290,7 +289,7 @@ impl World {
             hosts: Vec::new(),
             queue: EventEngine::default(),
             timers: TimerTable::default(),
-            pool: Arc::new(BufPool::new()),
+            pool: BufPool::new(),
             links: BTreeMap::new(),
             hippi_map: BTreeMap::new(),
             eth_peers: BTreeMap::new(),
@@ -857,7 +856,7 @@ impl World {
     /// Add a host with the given machine and stack configuration.
     pub fn add_host(&mut self, name: &str, machine: MachineConfig, cfg: StackConfig) -> usize {
         let mut kernel = Kernel::new(name, machine.clone(), cfg);
-        kernel.set_pool(Arc::clone(&self.pool));
+        kernel.set_pool(self.pool.clone());
         self.hosts.push(Host {
             kernel,
             mem: HostMem::new(),
@@ -888,10 +887,10 @@ impl World {
         let mtu = 32 * 1024;
 
         let mut cab_a = outboard_cab::Cab::new(addr_a, self.hosts[a].kernel.cab_config());
-        cab_a.set_pool(Arc::clone(&self.pool));
+        cab_a.set_pool(self.pool.clone());
         let if_a = self.hosts[a].kernel.add_cab_iface(ip_a, cab_a, mtu);
         let mut cab_b = outboard_cab::Cab::new(addr_b, self.hosts[b].kernel.cab_config());
-        cab_b.set_pool(Arc::clone(&self.pool));
+        cab_b.set_pool(self.pool.clone());
         let if_b = self.hosts[b].kernel.add_cab_iface(ip_b, cab_b, mtu);
 
         self.hosts[a].kernel.add_route(ip_b, 32, if_a);
@@ -902,9 +901,9 @@ impl World {
         self.hippi_map.insert(addr_a, (a, if_a));
         self.hippi_map.insert(addr_b, (b, if_b));
         let mut link_a = Link::hippi(latency, seed.wrapping_mul(2) + 1);
-        link_a.set_pool(Arc::clone(&self.pool));
+        link_a.set_pool(self.pool.clone());
         let mut link_b = Link::hippi(latency, seed.wrapping_mul(2) + 2);
-        link_b.set_pool(Arc::clone(&self.pool));
+        link_b.set_pool(self.pool.clone());
         self.links.insert((a, if_a), link_a);
         self.links.insert((b, if_b), link_b);
         (if_a, if_b)
@@ -933,10 +932,10 @@ impl World {
         self.eth_peers.insert((b, if_b), (a, if_a));
         let mut link_a =
             Link::serializing(bandwidth_bps, Dur::micros(50), seed.wrapping_mul(3) + 1);
-        link_a.set_pool(Arc::clone(&self.pool));
+        link_a.set_pool(self.pool.clone());
         let mut link_b =
             Link::serializing(bandwidth_bps, Dur::micros(50), seed.wrapping_mul(3) + 2);
-        link_b.set_pool(Arc::clone(&self.pool));
+        link_b.set_pool(self.pool.clone());
         self.links.insert((a, if_a), link_a);
         self.links.insert((b, if_b), link_b);
         (if_a, if_b)

@@ -9,38 +9,41 @@
 //! The test runs in the debug tier-1 build, so the CAB's DMA ownership
 //! journal is armed and checks every transition of both worlds. It is in
 //! the count and adds nothing per transition: each packet's claims are
-//! fixed-size slots in a table that grows by doubling (2.399 and 2.391
-//! allocations per event with it armed).
+//! fixed-size slots in a table that grows by doubling.
 //!
 //! Where the allocations come from — every allocation of one whole
 //! `small_writes` pass (2 MB in 1 KB single-copy writes, 18 482 events;
 //! 20 053 while every timer re-arm was its own event) attributed to its
 //! call site by a backtrace-recording allocator in a scratch build, in
 //! allocations per event: before the per-event budget → with it → once
-//! frames shared storage → now. The third column comes from the traced
-//! benchmark's totals and pool counters (the one site that moved is pool
-//! misses, 803 → 401 a pass, because one buffer backs a packet end to end
-//! where three did). The last column
-//! divides the same per-site counts by the smaller event count, and the
-//! scheduler row takes the measured change of the total (46 182 → 45 364
-//! allocations a pass: a queue of ~7 pending events regrows less than one
-//! of ~640).
+//! frames shared storage → once each timer slot was re-armed in place →
+//! now, with chains trimmed and spliced in place. The third column comes
+//! from the traced benchmark's totals and pool counters (the one site that
+//! moved is pool misses, 803 → 401 a pass, because one buffer backs a
+//! packet end to end where three did). The fourth divides the same
+//! per-site counts by the smaller event count, and the scheduler row takes
+//! the measured change of the total (46 182 → 45 364 allocations a pass: a
+//! queue of ~7 pending events regrows less than one of ~640). The last
+//! column is measured afresh (43 334 → 36 155 allocations a pass); the
+//! `Tcb::input` row had already fallen to 0.111 before it (2.345 in all,
+//! chain storage still 1.000).
 //!
-//! | site | before | budget | shared frames | now |
-//! |---|---|---|---|---|
-//! | `Vec<Effect>`: first push of each kernel entry (`Kernel::cpu`, `frame_arrive`, `arm_tcp_timers`), `SysCtx::absorb` growth | 1.227 | 0 | 0 | 0 |
-//! | map nodes: `BTreeMap` leaf per packet buffer (`NetworkMemory::alloc`), `HashMap` growth | 0.025 | 0 | 0 | 0 |
-//! | mbuf chain storage: `VecDeque` growth in `Chain::{append, prepend}` under `split_front` / `concat` / `copy_range` / `build_rx_chain` | 0.922 | 0.922 | 0.922 | 1.000 |
-//! | header and scatter/gather `Vec`s in `cab_output` (`to_vec`, `push`, `insert`) + `TcpHeader::build` | 0.616 | 0.616 | 0.616 | 0.668 |
-//! | `Bytes` shared headers (`Box` in `transport`, `cab_output`, `BufPool::freeze` — once per packet, now at the gather instead of at `mdma_tx`) | 0.462 | 0.462 | 0.462 | 0.501 |
-//! | `Tcb::output` segment plans (now a list `tcp_send` lends and keeps) | 0.154 | 0 | 0 | 0 |
-//! | `Tcb::input` action lists, `convert_uio` ranges | 0.204 | 0.204 | 0.204 | 0.221 |
-//! | event-queue and timing-wheel growth, pool misses, `World::metrics` names | 0.118 | 0.119 | 0.099 | 0.064 |
-//! | total (`testbed.allocs_per_event`) | 3.728 | 2.324 | 2.303 | 2.454 |
+//! | site | before | budget | shared frames | timer slots | now |
+//! |---|---|---|---|---|---|
+//! | `Vec<Effect>`: first push of each kernel entry (`Kernel::cpu`, `frame_arrive`, `arm_tcp_timers`), `SysCtx::absorb` growth | 1.227 | 0 | 0 | 0 | 0 |
+//! | map nodes: `BTreeMap` leaf per packet buffer (`NetworkMemory::alloc`), `HashMap` growth | 0.025 | 0 | 0 | 0 | 0 |
+//! | mbuf chain storage: `VecDeque` growth in `Chain::{append, prepend}` under `split_front` / `concat` / `copy_range` / `build_rx_chain` (now: `build_rx_chain` 0.167, `copy_range` 0.111, the read's `split_front` 0.111, `splice`'s removed range 0.111, the header `prepend` 0.056, the ACK's `split_front` 0.055) | 0.922 | 0.922 | 0.922 | 1.000 | 0.611 |
+//! | header and scatter/gather `Vec`s in `cab_output` (`to_vec`, `push`, `insert`) + `TcpHeader::build` | 0.616 | 0.616 | 0.616 | 0.668 | 0.668 |
+//! | `Bytes` shared headers (`Box` in `transport`, `cab_output`, `BufPool::freeze` — once per packet, now at the gather instead of at `mdma_tx`; an `Rc` box since the byte path went single-threaded) | 0.462 | 0.462 | 0.462 | 0.501 | 0.501 |
+//! | `Tcb::output` segment plans (now a list `tcp_send` lends and keeps) | 0.154 | 0 | 0 | 0 | 0 |
+//! | `Tcb::input` action lists, `convert_uio` ranges | 0.204 | 0.204 | 0.204 | 0.221 | 0.111 |
+//! | event-queue and timing-wheel growth, pool misses, `World::metrics` names | 0.118 | 0.119 | 0.099 | 0.064 | 0.066 |
+//! | total (`testbed.allocs_per_event`) | 3.728 | 2.324 | 2.303 | 2.454 | 1.956 |
 //!
 //! (`many_flows`, 46 694 events, 48 998 before: 3.758 → 2.388 → 2.317 →
 //! 2.425 on an unchanged total of ~113 250 allocations, pool misses
-//! 6838 → 3329.) Per event the figures rose only because the denominator
+//! 6838 → 3329; then 2.338 → 1.999 now, chain storage 0.904 → 0.566.)
+//! Per event the fourth column rose only because the denominator
 //! fell: the ~1 500 events a `small_writes` pass no longer dispatches were
 //! superseded timers, which allocated nothing. The steady-state figures
 //! this test holds are a little lower than the whole-pass ones because its
@@ -94,10 +97,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Measured on this commit (2.398 and 2.390 while every timer re-arm was
-/// its own event; before the per-event budget: 3.946 and 3.951).
-const SINGLE_FLOW_ALLOCS_PER_EVENT: f64 = 2.396;
-const MANY_FLOWS_ALLOCS_PER_EVENT: f64 = 2.389;
+/// Measured on this commit, with the journal armed (2.396 and 2.389 while
+/// chains were rebuilt by split/concat; 2.398 and 2.390 while every timer
+/// re-arm was its own event; before the per-event budget: 3.946 and
+/// 3.951).
+const SINGLE_FLOW_ALLOCS_PER_EVENT: f64 = 1.907;
+const MANY_FLOWS_ALLOCS_PER_EVENT: f64 = 1.926;
 
 fn single_copy() -> StackConfig {
     let mut s = StackConfig::single_copy();

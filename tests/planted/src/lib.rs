@@ -71,6 +71,15 @@ pub fn environment() -> bool {
     std::env::var("PLANTED").is_ok() //~ clippy::disallowed_methods
 }
 
+// One thread: shared ownership is `Rc`, interior mutability `RefCell`.
+pub type Shared = std::sync::Arc<u32>; //~ clippy::disallowed_types
+pub fn locked(m: &std::sync::Mutex<u32>) -> bool { //~ clippy::disallowed_types
+    m.try_lock().is_ok()
+}
+pub fn single(x: std::rc::Rc<std::cell::RefCell<u32>>) -> u32 {
+    *x.borrow()
+}
+
 // Costs are compiled integers: no float arithmetic outside a compiler or a
 // report (every model crate but sim).
 pub fn per_event(us: f64) -> f64 {

@@ -26,7 +26,6 @@ use outboard::sim::{BufPool, ChaosSchedule, Dur, PoolStats, Time};
 use outboard::stack::StackConfig;
 use outboard::testbed::experiment::build_ttcp_world;
 use outboard::testbed::{run_chaos, ExperimentConfig, World, DEFAULT_LIVENESS_BUDGET};
-use std::sync::Arc;
 
 /// One fault regime of the soak matrix.
 #[derive(Clone)]
@@ -191,7 +190,7 @@ fn assert_steady_state(ps: &PoolStats, name: &str) {
 }
 
 /// After the world and all frames are gone the pool must balance exactly.
-fn assert_conservation(pool: Arc<BufPool>, name: &str) {
+fn assert_conservation(pool: BufPool, name: &str) {
     let ps = pool.stats();
     assert_eq!(
         ps.acquires, ps.releases,
@@ -215,7 +214,7 @@ fn pool_survives_fault_matrix_soak() {
         assert!(done, "case {}: transfer did not complete", case.name);
         assert_steady_state(&w.pool.stats(), case.name);
         assert_journals_clean(&mut w, case.name);
-        let pool = Arc::clone(&w.pool);
+        let pool = w.pool.clone();
         drop(w);
         assert_conservation(pool, case.name);
     }
@@ -262,7 +261,7 @@ fn pool_balances_after_chaos_world_teardown() {
         drive(&mut w, cfg.total_bytes);
         assert_steady_state(&w.pool.stats(), "chaos-teardown");
         assert_journals_clean(&mut w, "chaos-teardown");
-        let pool = Arc::clone(&w.pool);
+        let pool = w.pool.clone();
         drop(w);
         assert_conservation(pool, "chaos-teardown");
     }
@@ -288,9 +287,9 @@ fn gather_req(packet: outboard::cab::PacketId, sg: Vec<SgEntry>) -> SdmaTx {
 fn faulting_gather_leaves_the_packet_untouched() {
     // The gather goes straight into network memory, so every user range
     // must be checked before the first byte moves.
-    let pool = Arc::new(BufPool::new());
+    let pool = BufPool::new();
     let mut cab = Cab::new(1, CabConfig::default());
-    cab.set_pool(Arc::clone(&pool));
+    cab.set_pool(pool.clone());
     let mut hm = HostMem::new();
     let task = TaskId(1);
     hm.create_region(task, 0x1000, 4096);
@@ -334,7 +333,7 @@ fn recycled_storage_never_shows_a_stale_byte() {
     // Packet buffers and frames are not zero-filled: whatever a recycled
     // buffer held must be unreachable past the bytes actually written.
     const LEN: usize = 3000; // shares the 4 KB class with the dirty buffers
-    let pool = Arc::new(BufPool::new());
+    let pool = BufPool::new();
     let dirty: Vec<_> = (0..8)
         .map(|_| {
             let (mut buf, ticket) = pool.acquire(4096);
@@ -347,8 +346,8 @@ fn recycled_storage_never_shows_a_stale_byte() {
     }
     let mut tx = Cab::new(1, CabConfig::default());
     let mut rx = Cab::new(2, CabConfig::default());
-    tx.set_pool(Arc::clone(&pool));
-    rx.set_pool(Arc::clone(&pool));
+    tx.set_pool(pool.clone());
+    rx.set_pool(pool.clone());
     let payload: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
 
     let id = tx.alloc_packet(LEN).unwrap();

@@ -1,6 +1,7 @@
 //! The static gate (DESIGN.md §9). What the model crates promise at compile
 //! time — no panic outside tests, no hash order, no wall clock or
-//! environment read, no payload allocation in `netsim` / `mbuf`, no
+//! environment read, no thread-safe sharing or lock (the simulator is
+//! single-threaded), no payload allocation in `netsim` / `mbuf`, no
 //! exception without a reason — is held by clippy: crate-level `deny` lines
 //! plus three `clippy.toml` files. This keeps that gate honest in tier-1:
 //! clippy must report every planted line of `tests/planted/` and nothing
@@ -170,7 +171,7 @@ fn every_model_crate_is_under_the_same_rules() {
     assert_eq!(netsim, read("crates/mbuf/clippy.toml"));
     let root = read("clippy.toml");
     let entries: Vec<_> = root.lines().filter(|l| l.contains("path =")).collect();
-    assert_eq!(entries.len(), 6);
+    assert_eq!(entries.len(), 9);
     for entry in entries {
         assert!(
             netsim.contains(entry),
