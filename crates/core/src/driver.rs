@@ -157,17 +157,11 @@ pub struct IfaceHealth {
     /// software checksum) until a probe finds the adaptor healthy again.
     pub degraded: bool,
     /// Retry-backoff timer armed.
-    pub retry_armed: bool,
+    pub(crate) retry_armed: bool,
     /// Consecutive unsuccessful retry rounds (drives the backoff exponent).
-    pub retry_round: u32,
-    /// Generation for ignoring stale retry firings.
-    pub retry_gen: u64,
+    pub(crate) retry_round: u32,
     /// Watchdog timer armed.
-    pub watchdog_armed: bool,
-    /// Generation for ignoring stale watchdog firings.
-    pub watchdog_gen: u64,
-    /// Generation for ignoring stale probe firings.
-    pub probe_gen: u64,
+    pub(crate) watchdog_armed: bool,
     /// Robustness counters.
     pub stats: DriverFaultStats,
 }

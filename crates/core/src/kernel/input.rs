@@ -7,7 +7,7 @@ use super::{Kernel, TxMeta};
 use crate::driver::{IfaceHealth, IfaceKind, SdmaPurpose};
 use crate::ip::FragKey;
 use crate::socket::{KqEntry, Owner};
-use crate::tcp::{AckMode, SegmentPlan, TcpState};
+use crate::tcp::{AckMode, SegmentPlan};
 use crate::types::{Effect, IfaceId, Proto, SockAddr, SockId, TimerKind};
 use bytes::Bytes;
 use outboard_cab::{PacketId, SdmaDst, SdmaRx};
@@ -317,7 +317,6 @@ impl Kernel {
                     off: rx.frame_ip_off + kernel_end,
                     len: out_len,
                     hw_csum: rx.hw_csum.unwrap_or(0),
-                    valid_len: out_len,
                 };
                 let m = Mbuf::wcab(desc);
                 self.mbuf_stats.count(&m);
@@ -577,10 +576,6 @@ impl Kernel {
     }
 
     /// Core TCP segment processing against a socket's TCB.
-    #[expect(
-        clippy::too_many_lines,
-        reason = "tcp_input's per-segment tail in BSD's order: TCB input, ACK-driven frees, delivery, wakeups, output"
-    )]
     pub(crate) fn tcp_input_segment(
         &mut self,
         sock: SockId,
@@ -617,7 +612,6 @@ impl Kernel {
             // Restart the retransmission timer from the new left edge.
             if let Some(s) = self.sockets.get_mut(sock) {
                 s.rexmt_armed = false;
-                s.rexmt_gen += 1;
             }
         }
 
@@ -696,34 +690,16 @@ impl Kernel {
         if force || r.need_output || r.writer_space_freed {
             self.tcp_send(sock, mem, now, force);
         } else if r.ack == AckMode::Delayed {
-            self.arm_tcp_timers(sock, now);
+            self.arm_tcp_timers(sock);
         }
 
-        // TIME_WAIT arming.
-        let tw = {
-            let s = self.sockets.get_mut(sock);
-            match s {
-                Some(s) => {
-                    let is_tw = s
-                        .tcb
-                        .as_ref()
-                        .map(|t| t.state == TcpState::TimeWait)
-                        .unwrap_or(false);
-                    if is_tw && !s.time_wait_armed {
-                        s.time_wait_armed = true;
-                        s.rexmt_gen += 1;
-                        Some(s.rexmt_gen)
-                    } else {
-                        None
-                    }
-                }
-                None => None,
-            }
-        };
-        if let Some(generation) = tw {
+        // TIME_WAIT arming; a retransmission timer still pending dies with
+        // the connection's send side.
+        if let Some(s) = self.sockets.get_mut(sock).filter(|_| r.time_wait) {
+            s.rexmt_armed = false;
             self.fx.push(Effect::Timer {
                 after: self.cfg.time_wait,
-                kind: TimerKind::TcpTimeWait { sock, generation },
+                kind: TimerKind::TcpTimeWait { sock },
             });
         }
     }
@@ -1102,7 +1078,6 @@ impl Kernel {
                     off: hdr_len + skip,
                     len,
                     hw_csum: 0,
-                    valid_len: len,
                 })
             });
         if converted {
@@ -1114,84 +1089,66 @@ impl Kernel {
     // timers
     // ------------------------------------------------------------------
 
-    /// A TCP timer fired (harness callback); stale generations are ignored.
+    /// A timer fired (harness callback). The harness delivers only a
+    /// timer's latest arm; whether it does anything is its owner's armed
+    /// state (`rexmt_armed`, the delayed-ACK flag, TIME_WAIT, `retry_armed`,
+    /// `degraded`, `watchdog_armed`), so a timer disarmed since it was set
+    /// is ignored here.
     pub fn timer_fire(&mut self, kind: TimerKind, mem: &mut HostMem, now: Time) -> Vec<Effect> {
         match kind {
-            TimerKind::TcpRexmt { sock, generation } => {
-                let valid = self
-                    .sockets
-                    .get(sock)
-                    .map(|s| s.rexmt_armed && s.rexmt_gen == generation)
-                    .unwrap_or(false);
-                if valid {
+            TimerKind::TcpRexmt { sock } => {
+                let fired = self.sockets.get_mut(sock).filter(|s| s.rexmt_armed);
+                let probe = fired.and_then(|s| {
+                    s.rexmt_armed = false;
+                    let tcb = s.tcb.as_mut()?;
+                    tcb.on_rexmt_timeout();
+                    Some(tcb.snd_wnd == 0 && !s.so_snd.chain.is_empty())
+                });
+                if let Some(probe) = probe {
                     self.cpu(self.costs.interrupt, Charge::Interrupt);
-                    let (window_closed, has_data) = {
-                        let Some(s) = self.sockets.get_mut(sock) else {
-                            return self.take_effects();
-                        };
-                        s.rexmt_armed = false;
-                        let Some(tcb) = s.tcb.as_mut() else {
-                            return self.take_effects();
-                        };
-                        tcb.on_rexmt_timeout();
-                        (tcb.snd_wnd == 0, !s.so_snd.chain.is_empty())
-                    };
-                    if window_closed && has_data {
+                    if probe {
                         self.send_window_probe(sock, mem, now);
                     } else {
                         self.tcp_send(sock, mem, now, false);
                     }
-                    self.arm_tcp_timers(sock, now);
+                    self.arm_tcp_timers(sock);
                 }
             }
-            TimerKind::TcpDelack { sock, generation } => {
+            TimerKind::TcpDelack { sock } => {
                 let fire = self
                     .sockets
                     .get_mut(sock)
-                    .filter(|s| s.delack_gen == generation)
                     .and_then(|s| s.tcb.as_mut())
-                    .map(|t| t.take_delack())
-                    .unwrap_or(false);
+                    .is_some_and(|t| t.take_delack());
                 if fire {
                     self.cpu(self.costs.interrupt, Charge::Interrupt);
                     self.tcp_send(sock, mem, now, true);
                 }
             }
-            TimerKind::TcpTimeWait { sock, generation } => {
+            TimerKind::TcpTimeWait { sock } => {
                 let expire = self
                     .sockets
                     .get_mut(sock)
-                    .filter(|s| s.rexmt_gen == generation)
                     .and_then(|s| s.tcb.as_mut())
-                    .map(|t| t.on_time_wait_expired())
-                    .unwrap_or(false);
+                    .is_some_and(|t| t.on_time_wait_expired());
                 if expire {
                     self.teardown(sock, now);
                 }
             }
-            TimerKind::CabRetry { iface, generation } => {
-                let valid = self
-                    .cab_health(iface)
-                    .is_some_and(|h| h.retry_armed && h.retry_gen == generation);
-                if valid {
+            TimerKind::CabRetry { iface } => {
+                if self.cab_health(iface).is_some_and(|h| h.retry_armed) {
                     self.cpu(self.costs.interrupt, Charge::Interrupt);
                     self.cab_retry_fire(iface, mem, now);
                 }
             }
-            TimerKind::CabProbe { iface, generation } => {
-                let valid = self
-                    .cab_health(iface)
-                    .is_some_and(|h| h.degraded && h.probe_gen == generation);
-                if valid {
+            TimerKind::CabProbe { iface } => {
+                if self.cab_health(iface).is_some_and(|h| h.degraded) {
                     self.cpu(self.costs.interrupt, Charge::Interrupt);
                     self.cab_probe_fire(iface, now);
                 }
             }
-            TimerKind::CabWatchdog { iface, generation } => {
-                let valid = self
-                    .cab_health(iface)
-                    .is_some_and(|h| h.watchdog_armed && h.watchdog_gen == generation);
-                if valid {
+            TimerKind::CabWatchdog { iface } => {
+                if self.cab_health(iface).is_some_and(|h| h.watchdog_armed) {
                     self.cab_watchdog_fire(iface, mem, now);
                 }
             }

@@ -1056,7 +1056,6 @@ impl Kernel {
             let s = self.sock_mut(sock);
             s.blocked_read = Some(BlockedRead {
                 task,
-                bytes: take,
                 counter,
                 pinned_vaddr: vaddr,
                 pinned_len: take,

@@ -81,7 +81,7 @@ impl Kernel {
             self.emit_tcp_segment(sock, local, remote, &plan, Charge::Syscall, mem, now);
         }
         self.plans = plans;
-        self.arm_tcp_timers(sock, now);
+        self.arm_tcp_timers(sock);
     }
 
     /// Materialize one planned segment and push it down through IP, with
@@ -192,37 +192,22 @@ impl Kernel {
     }
 
     /// (Re)arm TCP timers after input/output activity.
-    pub(crate) fn arm_tcp_timers(&mut self, sock: SockId, _now: Time) {
+    pub(crate) fn arm_tcp_timers(&mut self, sock: SockId) {
         let Some(s) = self.sockets.get_mut(sock) else {
             return;
         };
         let Some(tcb) = s.tcb.as_mut() else { return };
-        if tcb.wants_rexmt_timer() {
-            if !s.rexmt_armed {
-                s.rexmt_armed = true;
-                s.rexmt_gen += 1;
-                let kind = TimerKind::TcpRexmt {
-                    sock,
-                    generation: s.rexmt_gen,
-                };
-                let after = tcb.rto;
-                self.fx.push(Effect::Timer { after, kind });
-            }
-        } else {
-            // Everything acknowledged: invalidate the pending timer.
+        if !tcb.wants_rexmt_timer() {
+            // Everything acknowledged: a pending firing does nothing.
             s.rexmt_armed = false;
-            s.rexmt_gen += 1;
+        } else if !s.rexmt_armed {
+            s.rexmt_armed = true;
+            let kind = TimerKind::TcpRexmt { sock };
+            let after = tcb.rto;
+            self.fx.push(Effect::Timer { after, kind });
         }
-        let Some(s) = self.sockets.get_mut(sock) else {
-            return;
-        };
-        let Some(tcb) = s.tcb.as_mut() else { return };
         if tcb.delack_pending {
-            s.delack_gen += 1;
-            let kind = TimerKind::TcpDelack {
-                sock,
-                generation: s.delack_gen,
-            };
+            let kind = TimerKind::TcpDelack { sock };
             let after = self.cfg.delack_timeout;
             self.fx.push(Effect::Timer { after, kind });
         }

@@ -57,13 +57,9 @@ impl Kernel {
             return;
         }
         cab.health.watchdog_armed = true;
-        cab.health.watchdog_gen += 1;
         k.fx.push(Effect::Timer {
             after: k.cfg.cab_watchdog_timeout,
-            kind: TimerKind::CabWatchdog {
-                iface,
-                generation: cab.health.watchdog_gen,
-            },
+            kind: TimerKind::CabWatchdog { iface },
         });
     }
 
@@ -97,15 +93,11 @@ impl Kernel {
     /// Arm the retry-backoff timer for the current round.
     fn arm_retry(k: &mut Kernel, cab: &mut CabIface, iface: IfaceId) {
         cab.health.retry_armed = true;
-        cab.health.retry_gen += 1;
         let after = k.cab_backoff(cab.health.retry_round);
         cab.health.stats.backoff_us += after.as_nanos() / 1_000;
         k.fx.push(Effect::Timer {
             after,
-            kind: TimerKind::CabRetry {
-                iface,
-                generation: cab.health.retry_gen,
-            },
+            kind: TimerKind::CabRetry { iface },
         });
     }
 
@@ -117,18 +109,14 @@ impl Kernel {
             cab.health.stats.degraded_entries += 1;
             k.span_detour_open(iface, Stage::Degraded, now);
         }
-        Kernel::arm_probe(k, cab, iface);
+        Kernel::arm_probe(k, iface);
     }
 
     /// Arm the degraded-mode recovery probe.
-    fn arm_probe(k: &mut Kernel, cab: &mut CabIface, iface: IfaceId) {
-        cab.health.probe_gen += 1;
+    fn arm_probe(k: &mut Kernel, iface: IfaceId) {
         k.fx.push(Effect::Timer {
             after: k.cfg.cab_probe_interval,
-            kind: TimerKind::CabProbe {
-                iface,
-                generation: cab.health.probe_gen,
-            },
+            kind: TimerKind::CabProbe { iface },
         });
     }
 
@@ -283,7 +271,7 @@ impl Kernel {
                 cab.health.stats.degraded_exits += 1;
                 k.span_detour_close_all(iface_id, Stage::Degraded, now);
             } else {
-                Kernel::arm_probe(k, cab, iface_id);
+                Kernel::arm_probe(k, iface_id);
             }
         });
     }
@@ -360,7 +348,6 @@ impl Kernel {
                 }
             }
             cab.health.retry_armed = false;
-            cab.health.retry_gen += 1;
             cab.health.retry_round = 0;
             cab.reset();
             cab.health.stats.watchdog_resets += 1;

@@ -3,7 +3,12 @@
 //! effect pump (no testbed).
 
 use super::*;
-use crate::types::{Effect, Proto, ReadResult, SockAddr, StackError, TimerKind, WriteResult};
+use crate::driver::{MdmaJob, PendingTx};
+use crate::tcp::TcpState;
+use crate::types::{
+    Effect, IfaceId, Proto, ReadResult, SockAddr, StackError, TimerKind, WriteResult,
+};
+use outboard_cab::{CabError, SdmaTx, SgEntry};
 use outboard_host::{HostMem, MachineConfig, UserMemory};
 use outboard_mbuf::TaskId;
 use outboard_sim::{Dur, Time};
@@ -34,8 +39,18 @@ impl Rig {
 
     /// Interpret effects: re-inject loopback frames, fire timers late,
     /// record wakes. Loops until quiescent.
-    fn pump(&mut self, mut fx: Vec<Effect>) {
-        let mut timers = Vec::new();
+    fn pump(&mut self, fx: Vec<Effect>) {
+        self.pump_holding(fx, |_| false);
+    }
+
+    /// [`Rig::pump`], except that the timers `hold` selects stay unfired
+    /// and are returned.
+    fn pump_holding(
+        &mut self,
+        mut fx: Vec<Effect>,
+        hold: impl Fn(TimerKind) -> bool,
+    ) -> Vec<(Time, TimerKind)> {
+        let (mut timers, mut held) = (Vec::new(), Vec::new());
         for _ in 0..10_000 {
             let mut next = Vec::new();
             for e in fx {
@@ -45,6 +60,9 @@ impl Rig {
                         next.extend(self.k.frame_arrive(iface, frame, &mut self.mem, self.now));
                     }
                     Effect::Wake { task, .. } => self.wakes.push(task),
+                    Effect::Timer { after, kind } if hold(kind) => {
+                        held.push((self.now + after, kind));
+                    }
                     Effect::Timer { after, kind } => timers.push((self.now + after, kind)),
                     Effect::Cpu { .. } | Effect::Cab { .. } | Effect::EthTx { .. } => {}
                     Effect::KernelReady { .. } => {}
@@ -57,12 +75,19 @@ impl Rig {
                     self.now = self.now.max(at);
                     next = self.k.timer_fire(kind, &mut self.mem, self.now);
                 } else {
-                    return;
+                    return held;
                 }
             }
             fx = next;
         }
         panic!("pump did not quiesce");
+    }
+
+    /// A CAB interface beside the loopback (its own board, no peer).
+    fn add_cab(&mut self) -> IfaceId {
+        let cab = Cab::new(1, outboard_cab::CabConfig::default());
+        self.k
+            .add_cab_iface(Ipv4Addr::new(10, 0, 0, 1), cab, 65_280)
     }
 }
 
@@ -346,13 +371,9 @@ fn window_probe_is_an_emitted_segment() {
     let s = rig.k.sockets.get_mut(c).unwrap();
     s.tcb.as_mut().unwrap().snd_wnd = 0;
     assert!(s.rexmt_armed, "unacknowledged data arms the rexmt timer");
-    let generation = s.rexmt_gen;
     let (segs, rexmits) = (rig.k.stats.tcp_segs_out, rig.k.stats.tcp_retransmit_segs);
     let fx = rig.k.timer_fire(
-        TimerKind::TcpRexmt {
-            sock: c,
-            generation,
-        },
+        TimerKind::TcpRexmt { sock: c },
         &mut rig.mem,
         rig.now + Dur::secs(1),
     );
@@ -366,6 +387,109 @@ fn window_probe_is_an_emitted_segment() {
         "the probe is a segment out"
     );
     assert_eq!(rig.k.stats.tcp_retransmit_segs, rexmits + 1);
+}
+
+// ----------------------------------------------------------------------
+// timers: the table delivers a timer's latest arm, the armed state decides
+// ----------------------------------------------------------------------
+
+#[test]
+fn time_wait_expires_after_a_retransmitted_fin() {
+    let mut rig = Rig::loopback(StackConfig::single_copy());
+    let (c, child) = established_loopback_pair(&mut rig);
+    let fx = rig.k.sys_close(c, &mut rig.mem, rig.now);
+    rig.pump(fx);
+    let fx = rig.k.sys_close(child, &mut rig.mem, rig.now);
+    let (iface, fin) = fx
+        .iter()
+        .find_map(|e| match e {
+            Effect::Loop { iface, frame } => Some((*iface, frame.clone())),
+            _ => None,
+        })
+        .expect("the passive closer sends its FIN");
+    let expiry = TimerKind::TcpTimeWait { sock: c };
+    let held = rig.pump_holding(fx, |kind| kind == expiry);
+    let tcb = rig.k.socket_ref(c).and_then(|s| s.tcb.as_ref());
+    assert_eq!(tcb.map(|t| t.state), Some(TcpState::TimeWait));
+    let [(at, _)] = held[..] else {
+        panic!("entering TIME_WAIT arms the expiry once: {held:?}");
+    };
+    // The peer's FIN again, as if our ACK were lost: TIME_WAIT re-ACKs it
+    // (and that re-ACK is lost too), then the expiry tears the socket down.
+    let fx = rig.k.frame_arrive(iface, fin, &mut rig.mem, rig.now);
+    assert!(fx.iter().any(|e| matches!(e, Effect::Loop { .. })));
+    rig.k.timer_fire(expiry, &mut rig.mem, at);
+    assert!(rig.k.socket_ref(c).is_none(), "TIME_WAIT expired");
+}
+
+#[test]
+fn rexmt_firing_after_everything_is_acked_does_nothing() {
+    let mut rig = Rig::loopback(StackConfig::single_copy());
+    let (c, _child) = established_loopback_pair(&mut rig);
+    rig.mem.create_region(TaskId(1), 0x1000, 4096);
+    let (_, fx) = rig
+        .k
+        .sys_write(c, TaskId(1), 0x1000, 100, &mut rig.mem, rig.now)
+        .unwrap();
+    let rexmt = TimerKind::TcpRexmt { sock: c };
+    // Deliver the data and its (delayed) ACK; the rexmt arm stays pending.
+    let held = rig.pump_holding(fx, |kind| kind == rexmt);
+    assert_eq!(held.len(), 1);
+    assert!(!rig.k.socket_ref(c).unwrap().rexmt_armed);
+    let fx = rig.k.timer_fire(rexmt, &mut rig.mem, held[0].0);
+    assert!(fx.is_empty(), "no CPU charged, nothing sent: {fx:?}");
+    assert_eq!(rig.k.tcp_stats().rto_events, 0);
+}
+
+/// Wedge `cab`'s SDMA engine with a forced fault on a fresh transfer.
+fn wedge_sdma(cab: &mut Cab, mem: &HostMem, now: Time) {
+    cab.faults.force_sdma_wedge_next();
+    let req = SdmaTx {
+        packet: cab.alloc_packet(64).expect("netmem"),
+        sg: vec![SgEntry::Inline(Bytes::from(vec![0u8; 64]))],
+        csum: None,
+        reuse_body_csum: false,
+        interrupt_on_complete: false,
+        token: 0,
+    };
+    let err = cab.sdma_tx(req, now, mem).unwrap_err();
+    assert!(matches!(err, CabError::EngineWedged(_)), "{err:?}");
+}
+
+#[test]
+fn cab_timers_after_the_watchdog_reset_do_nothing() {
+    let mut rig = Rig::loopback(StackConfig::single_copy());
+    let (iface, now, mem) = (rig.add_cab(), rig.now, &rig.mem);
+    rig.k.with_cab(iface, |k, cab| {
+        let job = MdmaJob {
+            packet: cab.cab.alloc_packet(64).expect("netmem"),
+            dst: 2,
+            channel: 0,
+            free_after: true,
+            ready: now,
+        };
+        Kernel::park_tx(k, cab, iface, PendingTx::Mdma(job), now);
+        Kernel::arm_watchdog(k, cab, iface);
+        wedge_sdma(&mut cab.cab, mem, now);
+    });
+    let (retry, watchdog) = (
+        TimerKind::CabRetry { iface },
+        TimerKind::CabWatchdog { iface },
+    );
+    let fx = rig.k.timer_fire(watchdog, &mut rig.mem, now);
+    assert!(!fx.is_empty(), "the armed watchdog resets the wedged board");
+    // Wedged again, but nothing re-armed either timer: the parked
+    // transmission died with the reset and the watchdog already fired.
+    let mem = &rig.mem;
+    rig.k
+        .with_cab(iface, |_, cab| wedge_sdma(&mut cab.cab, mem, now));
+    for kind in [retry, watchdog] {
+        let fx = rig.k.timer_fire(kind, &mut rig.mem, now);
+        assert!(fx.is_empty(), "{kind:?}: no CPU charged, no effect: {fx:?}");
+    }
+    let stats = rig.k.with_cab(iface, |_, cab| cab.health.stats);
+    assert_eq!((stats.tx_retries, stats.abandoned_tx), (0, 1));
+    assert_eq!(stats.watchdog_resets, 1);
 }
 
 #[test]

@@ -24,7 +24,7 @@ pub enum Owner {
 
 /// A `write` that could not complete synchronously.
 #[derive(Clone, Copy, Debug)]
-pub struct BlockedWrite {
+pub(crate) struct BlockedWrite {
     /// The writing process.
     pub task: TaskId,
     /// The user buffer being written.
@@ -42,22 +42,21 @@ pub struct BlockedWrite {
 
 /// A `read` blocked on outboard copy-out DMA.
 #[derive(Clone, Copy, Debug)]
-pub struct BlockedRead {
+pub(crate) struct BlockedRead {
     /// The reading process.
     pub task: TaskId,
-    /// Bytes the application will find in its buffer once woken.
-    pub bytes: usize,
     /// Outstanding-DMA counter for the copy-out.
     pub counter: UioCounterId,
     /// Pinned range to release on completion.
     pub pinned_vaddr: u64,
-    /// Length of the pinned range.
+    /// Length of the pinned range: the bytes the reader finds in its
+    /// buffer once woken.
     pub pinned_len: usize,
 }
 
 /// A reader waiting for data to arrive at all.
 #[derive(Clone, Copy, Debug)]
-pub struct WaitingReader {
+pub(crate) struct WaitingReader {
     /// The process to wake when data (or EOF) arrives.
     pub task: TaskId,
 }
@@ -66,7 +65,7 @@ pub struct WaitingReader {
 /// the kernel application strictly in arrival order, so a short packet that
 /// needed no conversion DMA can never overtake a long one that did.
 #[derive(Debug)]
-pub struct KqEntry {
+pub(crate) struct KqEntry {
     /// Monotone arrival order tag.
     pub serial: u64,
     /// The delivered data (converted in place as DMAs complete).
@@ -81,54 +80,49 @@ pub struct KqEntry {
 #[derive(Debug)]
 pub struct Socket {
     /// Descriptor.
-    pub id: SockId,
+    pub(crate) id: SockId,
     /// Transport protocol.
-    pub proto: Proto,
+    pub(crate) proto: Proto,
     /// User process or in-kernel application.
-    pub owner: Owner,
+    pub(crate) owner: Owner,
     /// Bound local endpoint.
-    pub local: Option<SockAddr>,
+    pub(crate) local: Option<SockAddr>,
     /// Connected peer.
-    pub remote: Option<SockAddr>,
+    pub(crate) remote: Option<SockAddr>,
     /// Interface chosen by the connect-time route (may be superseded by a
     /// fresh route lookup per packet — §4.1's point).
-    pub iface_hint: Option<IfaceId>,
+    pub(crate) iface_hint: Option<IfaceId>,
     /// Send buffer.
-    pub so_snd: SockBuf,
+    pub(crate) so_snd: SockBuf,
     /// Receive buffer.
     pub so_rcv: SockBuf,
     /// TCP control block (None for UDP).
-    pub tcb: Option<Tcb>,
-    /// Sequence number corresponding to the first byte of `so_snd`.
-    pub snd_base_valid: bool,
+    pub(crate) tcb: Option<Tcb>,
     /// A write awaiting buffer space or DMA completion.
-    pub blocked_write: Option<BlockedWrite>,
+    pub(crate) blocked_write: Option<BlockedWrite>,
     /// A read awaiting copy-out DMA completion.
-    pub blocked_read: Option<BlockedRead>,
+    pub(crate) blocked_read: Option<BlockedRead>,
     /// A reader waiting for any data.
-    pub waiting_reader: Option<WaitingReader>,
+    pub(crate) waiting_reader: Option<WaitingReader>,
     /// Task blocked in `connect`.
-    pub connector: Option<TaskId>,
+    pub(crate) connector: Option<TaskId>,
     /// Task blocked in `accept`.
-    pub acceptor: Option<TaskId>,
+    pub(crate) acceptor: Option<TaskId>,
     /// Listener: established child sockets awaiting `accept`.
-    pub accept_queue: VecDeque<SockId>,
+    pub(crate) accept_queue: VecDeque<SockId>,
     /// Listener this child was spawned from.
-    pub listen_parent: Option<SockId>,
+    pub(crate) listen_parent: Option<SockId>,
     /// Receive-side EOF (peer FIN consumed).
-    pub rcv_eof: bool,
+    pub(crate) rcv_eof: bool,
     /// UDP datagram boundaries in `so_rcv`: (len, source).
-    pub dgram_bounds: VecDeque<(usize, SockAddr)>,
+    pub(crate) dgram_bounds: VecDeque<(usize, SockAddr)>,
     /// In-kernel delivery queue (Owner::Kernel).
-    pub kq: VecDeque<KqEntry>,
-    /// Timer validation generations (stale timer events are ignored).
-    pub rexmt_gen: u64,
-    /// Delayed-ACK timer generation.
-    pub delack_gen: u64,
-    /// A retransmission timer is armed for the current generation.
-    pub rexmt_armed: bool,
-    /// The TIME_WAIT expiry timer has been armed.
-    pub time_wait_armed: bool,
+    pub(crate) kq: VecDeque<KqEntry>,
+    /// The retransmission timer is armed: its slot's latest arm acts when
+    /// it fires. Cleared when everything is acknowledged, when an ACK
+    /// restarts the timer from the new left edge, when it fires, and on
+    /// entering TIME_WAIT; a firing while clear does nothing.
+    pub(crate) rexmt_armed: bool,
 }
 
 impl Socket {
@@ -144,7 +138,6 @@ impl Socket {
             so_snd: SockBuf::new(buf),
             so_rcv: SockBuf::new(buf),
             tcb: None,
-            snd_base_valid: false,
             blocked_write: None,
             blocked_read: None,
             waiting_reader: None,
@@ -155,10 +148,7 @@ impl Socket {
             rcv_eof: false,
             dgram_bounds: VecDeque::new(),
             kq: VecDeque::new(),
-            rexmt_gen: 0,
-            delack_gen: 0,
             rexmt_armed: false,
-            time_wait_armed: false,
         }
     }
 

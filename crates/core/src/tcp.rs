@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 /// Connection states (RFC 793).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[allow(missing_docs, reason = "the RFC 793 state names are the documentation")]
-pub enum TcpState {
+pub(crate) enum TcpState {
     Closed,
     Listen,
     SynSent,
@@ -102,6 +102,8 @@ pub struct InputResult {
     pub connected: bool,
     /// Connection reached `Closed` (reset or final ACK).
     pub closed: bool,
+    /// Connection entered `TimeWait` on this segment: arm the expiry.
+    pub time_wait: bool,
     /// Emit an immediate RST with these (seq, ack, flags).
     pub rst_out: Option<(u32, u32, TcpFlags)>,
     /// Run output again (window opened, retransmit needed, FIN to send...).
@@ -114,93 +116,87 @@ pub struct InputResult {
 #[derive(Debug)]
 pub struct Tcb {
     /// Connection state.
-    pub state: TcpState,
+    pub(crate) state: TcpState,
     // --- send sequence space ---
     /// Initial send sequence number.
-    pub iss: u32,
+    pub(crate) iss: u32,
     /// Oldest unacknowledged sequence.
-    pub snd_una: u32,
+    pub(crate) snd_una: u32,
     /// Next sequence to send.
-    pub snd_nxt: u32,
+    pub(crate) snd_nxt: u32,
     /// Highest sequence ever sent (retransmission does not lower it).
-    pub snd_max: u32,
+    pub(crate) snd_max: u32,
     /// Peer-advertised window (already scaled up).
-    pub snd_wnd: usize,
+    pub(crate) snd_wnd: usize,
     /// Segment sequence of the last window update (RFC 793 SND.WL1).
-    pub snd_wl1: u32,
+    pub(crate) snd_wl1: u32,
     /// Segment ack of the last window update (RFC 793 SND.WL2).
-    pub snd_wl2: u32,
+    pub(crate) snd_wl2: u32,
     // --- congestion ---
     /// Congestion window, bytes (Reno).
-    pub cwnd: usize,
+    pub(crate) cwnd: usize,
     /// Slow-start threshold, bytes.
-    pub ssthresh: usize,
+    pub(crate) ssthresh: usize,
     /// Consecutive duplicate ACKs seen.
-    pub dupacks: u32,
+    pub(crate) dupacks: u32,
     // --- receive sequence space ---
-    /// Initial receive sequence number.
-    pub irs: u32,
     /// Next sequence expected in order.
-    pub rcv_nxt: u32,
+    pub(crate) rcv_nxt: u32,
     /// Last window edge we advertised (for update decisions).
-    pub rcv_adv: u32,
+    pub(crate) rcv_adv: u32,
     // --- options ---
     /// Negotiated maximum segment size, bytes.
-    pub mss: usize,
+    pub(crate) mss: usize,
     /// Scale shift applied to windows the peer advertises.
-    pub snd_scale: u8,
+    pub(crate) snd_scale: u8,
     /// Scale shift we advertise for our windows.
-    pub rcv_scale: u8,
+    pub(crate) rcv_scale: u8,
     request_ws: bool,
     // --- timers/RTT ---
     /// Smoothed round-trip time, once sampled.
-    pub srtt: Option<Dur>,
+    pub(crate) srtt: Option<Dur>,
     /// RTT variance estimate.
-    pub rttvar: Dur,
+    pub(crate) rttvar: Dur,
     /// Current retransmission timeout.
-    pub rto: Dur,
+    pub(crate) rto: Dur,
     rtt_seq: Option<u32>,
     rtt_start: Option<Time>,
     /// Consecutive timeouts (exponential backoff level).
-    pub rexmt_backoff: u32,
-    /// Monotone generation for timer validation.
-    pub timer_gen: u64,
-    /// A retransmission timer is conceptually running.
-    pub rexmt_armed: bool,
+    pub(crate) rexmt_backoff: u32,
     /// An acknowledgment is owed on the delayed-ACK timer.
-    pub delack_pending: bool,
+    pub(crate) delack_pending: bool,
     segs_since_ack: u32,
     // --- flags ---
     /// Our FIN has been transmitted (at `snd_max - 1`).
-    pub fin_sent: bool,
+    pub(crate) fin_sent: bool,
     /// `close(2)` was called; send FIN after the queued data.
-    pub fin_pending: bool,
+    pub(crate) fin_pending: bool,
     /// Received FIN sequence (once rcv side saw it).
     fin_seq: Option<u32>,
     /// Coalesce sub-MSS segments while data is outstanding.
-    pub nagle: bool,
+    pub(crate) nagle: bool,
     /// Reassembly queue: out-of-order segments keyed by sequence.
     reass: BTreeMap<u32, Chain>,
     // --- stats ---
     /// Segments retransmitted.
-    pub retransmits: u64,
+    pub(crate) retransmits: u64,
     /// Fast-retransmit events (3 duplicate ACKs).
-    pub fast_retransmits: u64,
+    pub(crate) fast_retransmits: u64,
     /// Retransmission timeouts taken.
-    pub rto_events: u64,
+    pub(crate) rto_events: u64,
     /// Segments delivered to this connection's input processing.
-    pub segs_in: u64,
+    pub(crate) segs_in: u64,
     /// Duplicate ACKs received.
-    pub dup_acks_rcvd: u64,
+    pub(crate) dup_acks_rcvd: u64,
     /// Times output stalled with data queued but zero usable send window.
-    pub window_stalls: u64,
+    pub(crate) window_stalls: u64,
     /// Payload bytes placed on the wire (first transmissions and
     /// retransmissions both count; FIN sequence slots do not).
-    pub bytes_sent: u64,
+    pub(crate) bytes_sent: u64,
     /// Payload bytes re-sent (already covered by an earlier transmission).
-    pub bytes_retx: u64,
+    pub(crate) bytes_retx: u64,
     /// ACKs released by the delayed-ACK timer.
-    pub delayed_acks: u64,
+    pub(crate) delayed_acks: u64,
     cfg_delack_every: u32,
     cfg_rto_min: Dur,
 }
@@ -241,7 +237,6 @@ impl Tcb {
             cwnd: 0,
             ssthresh: usize::MAX / 2,
             dupacks: 0,
-            irs: 0,
             rcv_nxt: 0,
             rcv_adv: 0,
             mss: 536,
@@ -254,8 +249,6 @@ impl Tcb {
             rtt_seq: None,
             rtt_start: None,
             rexmt_backoff: 0,
-            timer_gen: 0,
-            rexmt_armed: false,
             delack_pending: false,
             segs_since_ack: 0,
             fin_sent: false,
@@ -605,7 +598,6 @@ impl Tcb {
                     return r;
                 }
                 if hdr.flags.syn() {
-                    self.irs = hdr.seq;
                     self.rcv_nxt = hdr.seq.wrapping_add(1);
                     self.state = TcpState::SynRcvd;
                     if let Some(peer_mss) = hdr.mss {
@@ -645,7 +637,6 @@ impl Tcb {
                     return r;
                 }
                 if hdr.flags.syn() {
-                    self.irs = hdr.seq;
                     self.rcv_nxt = hdr.seq.wrapping_add(1);
                     if let Some(peer_mss) = hdr.mss {
                         self.mss = self.mss.min(peer_mss as usize);
@@ -785,6 +776,7 @@ impl Tcb {
                     (TcpState::FinWait1, true) => self.state = TcpState::FinWait2,
                     (TcpState::Closing, true) => {
                         self.state = TcpState::TimeWait;
+                        r.time_wait = true;
                     }
                     (TcpState::LastAck, true) => {
                         self.state = TcpState::Closed;
@@ -909,6 +901,7 @@ impl Tcb {
                     }
                     TcpState::FinWait2 => {
                         self.state = TcpState::TimeWait;
+                        r.time_wait = true;
                     }
                     _ => {}
                 }

@@ -149,42 +149,32 @@ impl StackConfig {
     }
 }
 
-/// Timer identities (owner plus a generation to ignore stale firings).
+/// Timer identities: which timer of which socket or interface. Each
+/// names one slot whose latest arm alone fires (the harness re-arms a slot
+/// in place, as Net/2 resets its one callout per timer); whether a firing
+/// does anything is the owner's armed state, checked in
+/// [`crate::Kernel::timer_fire`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[allow(
     missing_docs,
-    reason = "field names (sock/iface, generation) are the documentation"
+    reason = "field names (sock/iface) are the documentation"
 )]
 pub enum TimerKind {
     /// Retransmission timeout.
-    TcpRexmt { sock: SockId, generation: u64 },
+    TcpRexmt { sock: SockId },
     /// Delayed-ACK (fast) timer.
-    TcpDelack { sock: SockId, generation: u64 },
+    TcpDelack { sock: SockId },
     /// TIME_WAIT expiry.
-    TcpTimeWait { sock: SockId, generation: u64 },
+    TcpTimeWait { sock: SockId },
     /// CAB driver retry backoff: re-attempt transmissions parked after a
     /// transient DMA error or netmem exhaustion.
-    CabRetry { iface: IfaceId, generation: u64 },
+    CabRetry { iface: IfaceId },
     /// Degraded-mode probe: test whether the adaptor has recovered and the
     /// interface can return to the single-copy path.
-    CabProbe { iface: IfaceId, generation: u64 },
+    CabProbe { iface: IfaceId },
     /// Watchdog for a wedged DMA engine: reset the board if it is still
     /// stuck when this fires.
-    CabWatchdog { iface: IfaceId, generation: u64 },
-}
-
-impl TimerKind {
-    /// The socket the timer belongs to, for TCP timers.
-    pub fn sock(&self) -> Option<SockId> {
-        match self {
-            TimerKind::TcpRexmt { sock, .. }
-            | TimerKind::TcpDelack { sock, .. }
-            | TimerKind::TcpTimeWait { sock, .. } => Some(*sock),
-            TimerKind::CabRetry { .. }
-            | TimerKind::CabProbe { .. }
-            | TimerKind::CabWatchdog { .. } => None,
-        }
-    }
+    CabWatchdog { iface: IfaceId },
 }
 
 /// Side effects a kernel entry point hands back to the harness.
@@ -281,20 +271,6 @@ mod tests {
         let un = StackConfig::unmodified();
         assert_eq!(un.mode, StackMode::Unmodified);
         assert_eq!(un.sock_buf, sc.sock_buf);
-    }
-
-    #[test]
-    fn timer_kind_sock_accessor() {
-        let k = TimerKind::TcpRexmt {
-            sock: SockId(3),
-            generation: 9,
-        };
-        assert_eq!(k.sock(), Some(SockId(3)));
-        let w = TimerKind::CabWatchdog {
-            iface: IfaceId(0),
-            generation: 1,
-        };
-        assert_eq!(w.sock(), None);
     }
 
     #[test]

@@ -12,26 +12,17 @@
 //! `sbdrop` and `m_adj` do, rather than building chains only to drop them.
 
 use crate::mbuf::{CsumPlan, Mbuf, MbufData};
-use crate::{TaskId, UioCounterId};
 use bytes::Bytes;
 use std::collections::VecDeque;
 
-/// Per-packet metadata (BSD `M_PKTHDR` plus the paper's `uiowCABhdr`).
+/// Per-packet metadata (BSD `M_PKTHDR`). The paper's `uiowCABhdr` also
+/// names the owning task and the DMA counter; the stack keeps those with
+/// the blocked operation and the DMA request instead.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PktHdr {
     /// Outboard-checksum plan for the CAB driver, set by TCP/UDP output in
     /// place of a software checksum (§4.3).
     pub csum_plan: Option<CsumPlan>,
-    /// Task to notify when the data-touching operation for this packet
-    /// completes (§4.4.2).
-    pub notify_task: Option<TaskId>,
-    /// Socket-layer counter tracking this packet's outstanding DMA.
-    pub uio_counter: Option<UioCounterId>,
-    /// Receive path: interface index the packet arrived on.
-    pub rcv_iface: Option<u32>,
-    /// Receive path: hardware-computed body checksum delivered by the CAB
-    /// with the auto-DMA header (§2.2), consumed by TCP/UDP input.
-    pub rx_hw_csum: Option<u16>,
 }
 
 /// A chain of mbufs with a total length and optional packet header.
@@ -39,7 +30,7 @@ pub struct PktHdr {
 pub struct Chain {
     mbufs: VecDeque<Mbuf>,
     len: usize,
-    /// Packet-level metadata (checksum plan, notification, receive info).
+    /// Packet-level metadata (the outboard checksum plan).
     pub hdr: PktHdr,
 }
 
@@ -364,6 +355,16 @@ impl Chain {
 mod tests {
     use super::*;
     use crate::mbuf::{UioDesc, UioRegion, WcabDesc};
+    use crate::TaskId;
+
+    /// A checksum plan told apart by its seed.
+    fn plan(seed: u16) -> Option<CsumPlan> {
+        Some(CsumPlan {
+            csum_offset: 16,
+            skip_words: 5,
+            seed,
+        })
+    }
 
     fn mixed_chain() -> Chain {
         // 10 bytes kernel header + 100 bytes UIO + 50 bytes WCAB.
@@ -384,7 +385,6 @@ mod tests {
             off: 0,
             len: 50,
             hw_csum: 0,
-            valid_len: 50,
         }));
         c
     }
@@ -465,11 +465,11 @@ mod tests {
     #[test]
     fn drop_front_models_ack() {
         let mut c = mixed_chain();
-        c.hdr.rx_hw_csum = Some(0x2222);
+        c.hdr.csum_plan = plan(0x2222);
         c.drop_front(110);
         assert_eq!(c.len(), 50);
         assert!(c.iter().next().unwrap().is_wcab());
-        assert_eq!(c.hdr.rx_hw_csum, Some(0x2222), "the header stays");
+        assert_eq!(c.hdr.csum_plan, plan(0x2222), "the header stays");
     }
 
     #[test]
@@ -503,25 +503,25 @@ mod tests {
     #[test]
     fn concat_preserves_own_header() {
         let mut a = Chain::from_slice(&[1]);
-        a.hdr.rx_hw_csum = Some(0xBEEF);
+        a.hdr.csum_plan = plan(0xBEEF);
         let mut b = Chain::from_slice(&[2]);
-        b.hdr.rx_hw_csum = Some(0xDEAD);
+        b.hdr.csum_plan = plan(0xDEAD);
         a.concat(b);
         assert_eq!(a.len(), 2);
-        assert_eq!(a.hdr.rx_hw_csum, Some(0xBEEF));
+        assert_eq!(a.hdr.csum_plan, plan(0xBEEF));
     }
 
     /// `splice` edits the chain in place, so the chain keeps its own packet
     /// header and the removed range comes back with a cleared one. Nothing
-    /// reads the header of the chains it edits (socket queues): `csum_plan`
-    /// is the only field any reader consults, on the packet
+    /// reads the header of the chains it edits (socket queues): its one
+    /// field, `csum_plan`, is consulted only on the packet
     /// `transport_output` builds.
     #[test]
     fn splice_keeps_own_pkthdr_and_clears_the_removed_one() {
         let mut c = mixed_chain();
-        c.hdr.rx_hw_csum = Some(0x3333);
+        c.hdr.csum_plan = plan(0x3333);
         let removed = c.splice(10, 100, Mbuf::kernel_copy(&[5; 4]));
-        assert_eq!(c.hdr.rx_hw_csum, Some(0x3333));
+        assert_eq!(c.hdr.csum_plan, plan(0x3333));
         assert_eq!(removed.hdr, PktHdr::default());
         assert_eq!((c.len(), removed.len()), (64, 100));
         assert!(removed.iter().all(|m| m.is_uio()));
@@ -530,10 +530,10 @@ mod tests {
     #[test]
     fn split_front_moves_pkthdr_to_front() {
         let mut c = mixed_chain();
-        c.hdr.rx_hw_csum = Some(0x1111);
+        c.hdr.csum_plan = plan(0x1111);
         let front = c.split_front(10);
-        assert_eq!(front.hdr.rx_hw_csum, Some(0x1111));
-        assert_eq!(c.hdr.rx_hw_csum, None);
+        assert_eq!(front.hdr.csum_plan, plan(0x1111));
+        assert_eq!(c.hdr.csum_plan, None);
     }
 }
 
@@ -541,6 +541,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::mbuf::{UioDesc, UioRegion};
+    use crate::TaskId;
     use proptest::prelude::*;
 
     /// Build a random mixed chain; return it with a reference model: a vec
@@ -584,7 +585,6 @@ mod proptests {
                             off: uio_cursor as usize,
                             len,
                             hw_csum: 0,
-                            valid_len: usize::MAX,
                         }));
                         for i in 0..len {
                             model.push((2, uio_cursor + i as u64));
@@ -639,10 +639,6 @@ mod proptests {
                 skip_words: 5,
                 seed: 0x1234,
             }),
-            notify_task: Some(TaskId(2)),
-            uio_counter: None,
-            rcv_iface: Some(1),
-            rx_hw_csum: Some(0xBEEF),
         }
     }
 
@@ -699,7 +695,6 @@ mod proptests {
                     off: 2_000_000,
                     len,
                     hw_csum: 0xABCD,
-                    valid_len: usize::MAX,
                 }),
                 (0..len).map(|i| (2, 2_000_000 + i as u64)).collect(),
             ),

@@ -40,8 +40,9 @@ impl UioDesc {
 
 /// An `M_WCAB` descriptor: `len` bytes starting at `off` within packet
 /// `packet` in the network memory of CAB `cab`. Mirrors the paper's `wCAB`
-/// structure: packet identifier, packet checksum, and how much of the
-/// outboard data is valid.
+/// structure: packet identifier and packet checksum. Its count of valid
+/// outboard bytes is not kept: a descriptor is made only once its bytes
+/// are in network memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WcabDesc {
     /// Which CAB's network memory holds the packet (interface index).
@@ -54,8 +55,6 @@ pub struct WcabDesc {
     pub len: usize,
     /// Hardware-computed checksum of the packet body (receive side).
     pub hw_csum: u16,
-    /// Bytes of the packet that have arrived in network memory so far.
-    pub valid_len: usize,
 }
 
 /// Checksum plan carried from the transport layer to the CAB driver
@@ -287,7 +286,6 @@ mod tests {
             off: 40,
             len: 2000,
             hw_csum: 0x1234,
-            valid_len: 2040,
         })
     }
 

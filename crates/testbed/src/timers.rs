@@ -1,26 +1,22 @@
 //! One queued wakeup per live timer.
 //!
-//! The kernel re-arms a timer by bumping its generation counter and
-//! returning a fresh [`Effect::Timer`](outboard_stack::Effect::Timer); its
-//! `timer_fire` ignores a stale generation. Net/2 instead resets the one
-//! callout it keeps per connection. The world does that resetting here,
-//! behind the kernel's unchanged interface: each (host, [`TimerKind`]
-//! variant, socket or interface) slot holds its latest arm plus the one
-//! [`Event::Timer`] of that slot in the queue.
+//! Net/2 keeps one callout per connection timer and resets it in place.
+//! The world does the same with the kernel's
+//! [`Effect::Timer`](outboard_stack::Effect::Timer) arms: each (host,
+//! [`TimerKind`]) slot, one timer of one socket or interface, holds its
+//! latest arm plus the one [`Event::Timer`] of that slot in the queue.
 //!
 //! * An arm at or after the queued wakeup only replaces the slot's arm.
 //! * An arm before it queues a new wakeup; the old one is dead and is
 //!   dropped when it pops.
 //! * A wakeup that pops while a later arm is current is queued again at
 //!   that arm's time.
-//! * Only a slot's latest arm reaches the kernel, whose generation check
-//!   still decides whether it does anything.
+//! * Only a slot's latest arm reaches the kernel, whose armed state
+//!   decides whether it does anything.
 //!
-//! Slots are keyed by *variant*, not by generation counter:
-//! `TcpTimeWait` shares `rexmt_gen` with `TcpRexmt`, and the two are
-//! separate timers. Each arm reserves its sequence number when it is made,
-//! so timers and every other event break ties at one instant exactly as
-//! they would if every arm were pushed on the spot.
+//! Each arm reserves its sequence number when it is made, so timers and
+//! every other event break ties at one instant exactly as they would if
+//! every arm were pushed on the spot.
 
 use crate::world::Event;
 use outboard_sim::{EventEngine, Time};
@@ -33,8 +29,6 @@ struct Pending {
     at: Time,
     /// The sequence number the latest arm reserved.
     seq: u64,
-    /// What the latest arm delivers.
-    kind: TimerKind,
     /// `(at, seq)` of the slot's wakeup in the queue; never after the arm.
     wake_at: Time,
     wake_seq: u64,
@@ -58,12 +52,12 @@ pub(crate) struct TimerTable {
 impl TimerTable {
     fn slot(&mut self, host: usize, kind: TimerKind) -> &mut Option<Pending> {
         let (table, id, variant) = match kind {
-            TimerKind::TcpRexmt { sock, .. } => (&mut self.tcp, sock.0, 0),
-            TimerKind::TcpDelack { sock, .. } => (&mut self.tcp, sock.0, 1),
-            TimerKind::TcpTimeWait { sock, .. } => (&mut self.tcp, sock.0, 2),
-            TimerKind::CabRetry { iface, .. } => (&mut self.cab, iface.0, 0),
-            TimerKind::CabProbe { iface, .. } => (&mut self.cab, iface.0, 1),
-            TimerKind::CabWatchdog { iface, .. } => (&mut self.cab, iface.0, 2),
+            TimerKind::TcpRexmt { sock } => (&mut self.tcp, sock.0, 0),
+            TimerKind::TcpDelack { sock } => (&mut self.tcp, sock.0, 1),
+            TimerKind::TcpTimeWait { sock } => (&mut self.tcp, sock.0, 2),
+            TimerKind::CabRetry { iface } => (&mut self.cab, iface.0, 0),
+            TimerKind::CabProbe { iface } => (&mut self.cab, iface.0, 1),
+            TimerKind::CabWatchdog { iface } => (&mut self.cab, iface.0, 2),
         };
         if table.len() <= host {
             table.resize_with(host + 1, Vec::new);
@@ -89,13 +83,12 @@ impl TimerTable {
         let slot = self.slot(host, kind);
         if let Some(p) = slot.as_mut().filter(|p| p.wake_at <= at) {
             // The queued wakeup comes first and re-queues itself for this arm.
-            (p.at, p.seq, p.kind) = (at, seq, kind);
+            (p.at, p.seq) = (at, seq);
             return;
         }
         *slot = Some(Pending {
             at,
             seq,
-            kind,
             wake_at: at,
             wake_seq: seq,
         });
@@ -134,7 +127,7 @@ impl TimerTable {
         (p.wake_at, p.wake_seq) = (p.at, p.seq);
         let ev = Event::Timer {
             host,
-            kind: p.kind,
+            kind,
             seq: p.seq,
         };
         queue.push_seq(p.at, p.seq, ev);
@@ -150,47 +143,25 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    /// The timers the model arms, per host. Keys 0 and 1 share one
-    /// generation counter, as `TcpRexmt` and `TcpTimeWait` share
-    /// `rexmt_gen`; every other key has its own. A generation is
-    /// `counter * KEYS + key`, so a delivered kind names its key.
-    fn kind_of(key: usize, counter: u64) -> TimerKind {
-        let generation = counter * KEYS as u64 + key as u64;
+    /// The timers the model arms, per host: three of one socket, one of
+    /// another, and one interface timer.
+    fn kind_of(key: usize) -> TimerKind {
         let (sock, iface) = (SockId(3), IfaceId(0));
         match key {
-            0 => TimerKind::TcpRexmt { sock, generation },
-            1 => TimerKind::TcpTimeWait { sock, generation },
-            2 => TimerKind::TcpDelack { sock, generation },
-            3 => TimerKind::TcpRexmt {
-                sock: SockId(4),
-                generation,
-            },
-            _ => TimerKind::CabRetry { iface, generation },
+            0 => TimerKind::TcpRexmt { sock },
+            1 => TimerKind::TcpTimeWait { sock },
+            2 => TimerKind::TcpDelack { sock },
+            3 => TimerKind::TcpRexmt { sock: SockId(4) },
+            _ => TimerKind::CabRetry { iface },
         }
     }
     const KEYS: usize = 5;
 
-    /// The key a delivered kind was armed under, and the counter value it
-    /// was armed at.
-    fn key_of(kind: TimerKind) -> (usize, u64) {
-        let g = match kind {
-            TimerKind::TcpRexmt { generation, .. }
-            | TimerKind::TcpDelack { generation, .. }
-            | TimerKind::TcpTimeWait { generation, .. }
-            | TimerKind::CabRetry { generation, .. }
-            | TimerKind::CabProbe { generation, .. }
-            | TimerKind::CabWatchdog { generation, .. } => generation,
-        };
-        ((g % KEYS as u64) as usize, g / KEYS as u64)
-    }
-
-    /// The generation counter a key bumps.
-    fn counter_of(key: usize) -> usize {
-        if key == 1 {
-            0
-        } else {
-            key
-        }
+    /// The key a delivered kind was armed under.
+    fn key_of(kind: TimerKind) -> usize {
+        (0..KEYS)
+            .find(|&key| kind_of(key) == kind)
+            .expect("the model arms only its own keys")
     }
 
     /// What the model does while it handles one delivered event. Every
@@ -198,10 +169,10 @@ mod tests {
     /// as the kernel arms timers only while the world dispatches to it.
     #[derive(Clone, Copy, Debug)]
     enum Op {
-        /// Bump the key's generation and arm it `delay` from now.
+        /// Arm the key `delay` from now.
         Arm { host: usize, key: usize, delay: u64 },
-        /// Bump the key's generation without arming (everything acked).
-        Invalidate { host: usize, key: usize },
+        /// Clear the key's armed flag (everything acked).
+        Disarm { host: usize, key: usize },
         /// A non-timer event for the host, `delay` from now.
         Plain { host: usize, delay: u64 },
         /// The host's CPU-side events defer until `dur` from now.
@@ -210,7 +181,7 @@ mod tests {
         Yield,
     }
 
-    /// Draw one op; `class` weights arm : invalidate : plain : pause :
+    /// Draw one op; `class` weights arm : disarm : plain : pause :
     /// yield as 4 : 1 : 2 : 1 : 3. Delays sit on a coarse grid, so arms at
     /// one instant on different keys, and later, earlier and equal re-arms
     /// of one key, are all common.
@@ -219,7 +190,7 @@ mod tests {
             let delay = d * 40;
             match class {
                 0..=3 => Op::Arm { host, key, delay },
-                4 => Op::Invalidate { host, key },
+                4 => Op::Disarm { host, key },
                 5 | 6 => Op::Plain { host, delay },
                 7 => Op::Pause { host, dur },
                 _ => Op::Yield,
@@ -227,20 +198,21 @@ mod tests {
         })
     }
 
-    /// What was delivered and when: a timer whose generation was current,
-    /// or a plain event.
+    /// What was delivered and when: the latest arm of an armed timer, or a
+    /// plain event.
     type Log = Vec<(Time, usize, Result<TimerKind, u32>)>;
 
-    /// One side of the differential: a queue, the model kernel's
-    /// generations, host pauses, and either the timer table or nothing
-    /// (the reference, which pushes every arm).
+    /// One side of the differential: a queue, the model kernel's armed
+    /// flags, host pauses, and either the timer table or nothing (the
+    /// reference, which pushes every arm).
     struct Side {
         queue: EventEngine<Event>,
         table: Option<TimerTable>,
-        /// `[host][counter]`: the current generation.
-        gens: [[u64; KEYS]; 2],
-        /// `[host][key]`: the latest arm, for the "never superseded" check.
-        latest: [[Option<TimerKind>; KEYS]; 2],
+        /// `[host][key]`: the model kernel's armed flag.
+        armed: [[bool; KEYS]; 2],
+        /// `[host][key]`: the sequence number of the latest arm (in the
+        /// table, where a deferral moves it under a fresh one).
+        latest: [[Option<u64>; KEYS]; 2],
         paused_until: BTreeMap<usize, Time>,
         log: Log,
         plain: u32,
@@ -251,7 +223,7 @@ mod tests {
             Side {
                 queue: engine.build(),
                 table: table.then(TimerTable::default),
-                gens: [[0; KEYS]; 2],
+                armed: [[false; KEYS]; 2],
                 latest: [[None; KEYS]; 2],
                 paused_until: BTreeMap::new(),
                 log: Vec::new(),
@@ -259,11 +231,22 @@ mod tests {
             }
         }
 
-        fn arm(&mut self, host: usize, at: Time, kind: TimerKind) {
-            match &mut self.table {
-                Some(t) => t.arm(&mut self.queue, host, at, kind),
-                None => self.queue.push(at, Event::Timer { host, kind, seq: 0 }),
-            }
+        /// Arm `key`, recording the sequence number the arm reserved.
+        fn arm(&mut self, host: usize, at: Time, key: usize) {
+            let kind = kind_of(key);
+            let seq = match &mut self.table {
+                Some(t) => {
+                    t.arm(&mut self.queue, host, at, kind);
+                    t.slot(host, kind).map(|p| p.seq)
+                }
+                None => {
+                    let seq = self.queue.reserve_seq();
+                    self.queue
+                        .push_seq(at, seq, Event::Timer { host, kind, seq });
+                    Some(seq)
+                }
+            };
+            self.latest[host][key] = seq;
         }
 
         fn plain(&mut self, host: usize, at: Time) {
@@ -276,13 +259,10 @@ mod tests {
             let now = self.queue.now();
             match op {
                 Op::Arm { host, key, delay } => {
-                    let g = &mut self.gens[host][counter_of(key)];
-                    *g += 1;
-                    let kind = kind_of(key, *g);
-                    self.latest[host][key] = Some(kind);
-                    self.arm(host, Time(now.nanos() + delay), kind);
+                    self.armed[host][key] = true;
+                    self.arm(host, Time(now.nanos() + delay), key);
                 }
-                Op::Invalidate { host, key } => self.gens[host][counter_of(key)] += 1,
+                Op::Disarm { host, key } => self.armed[host][key] = false,
                 Op::Plain { host, delay } => self.plain(host, Time(now.nanos() + delay)),
                 Op::Pause { host, dur } => {
                     let until = Time(now.nanos() + dur);
@@ -311,8 +291,8 @@ mod tests {
                 if !t.wakeup(&mut self.queue, host, kind, seq) {
                     return false;
                 }
-                let latest = self.latest[host][key_of(kind).0];
-                assert_eq!(latest, Some(kind), "delivered a superseded arm");
+                let latest = self.latest[host][key_of(kind)];
+                assert_eq!(latest, Some(seq), "delivered a superseded arm");
             }
             let host = match ev {
                 Event::Timer { host, .. } | Event::AppStep { host, .. } => host,
@@ -320,17 +300,29 @@ mod tests {
             };
             if let Some(&until) = self.paused_until.get(&host).filter(|&&u| now < u) {
                 match &mut self.table {
-                    Some(t) => t.defer(&mut self.queue, until, ev),
+                    Some(t) => {
+                        let timer = match ev {
+                            Event::Timer { kind, .. } => Some(kind),
+                            _ => None,
+                        };
+                        t.defer(&mut self.queue, until, ev);
+                        // The deferred arm is still the latest, under a
+                        // fresh sequence number.
+                        if let Some(kind) = timer {
+                            self.latest[host][key_of(kind)] = t.slot(host, kind).map(|p| p.seq);
+                        }
+                    }
                     None => self.queue.push(until, ev),
                 }
                 return false;
             }
             let entry = match ev {
-                Event::Timer { kind, .. } => {
-                    let (key, armed_at) = key_of(kind);
-                    if self.gens[host][counter_of(key)] != armed_at {
+                Event::Timer { kind, seq, .. } => {
+                    let key = key_of(kind);
+                    if self.latest[host][key] != Some(seq) || !self.armed[host][key] {
                         return false;
                     }
+                    self.armed[host][key] = false;
                     Ok(kind)
                 }
                 Event::AppStep { task, .. } => Err(task.0),
@@ -390,7 +382,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-        /// Timers whose generation is current are delivered at the same
+        /// The latest arms of armed timers are delivered at the same
         /// times and in the same order, interleaved identically with other
         /// events and host pauses, in both engine setups; and the table never
         /// delivers an arm that a later one superseded.

@@ -13,7 +13,7 @@
 use outboard::cab::CabFaultInjector;
 use outboard::host::MachineConfig;
 use outboard::sim::{Chance, Dur, Time};
-use outboard::stack::StackConfig;
+use outboard::stack::{SockId, StackConfig};
 use outboard::testbed::apps::TtcpReceiver;
 use outboard::testbed::experiment::build_ttcp_world;
 use outboard::testbed::oracle;
@@ -25,6 +25,17 @@ fn base_cfg(total: usize, seed: u64) -> ExperimentConfig {
     let mut cfg = ExperimentConfig::new(MachineConfig::alpha_3000_400(), stack, 64 * 1024);
     cfg.total_bytes = total;
     cfg.seed = seed;
+    cfg
+}
+
+/// The fault matrix: link drop, corruption and duplication plus CAB
+/// allocation failures.
+fn soak_cfg(total: usize, seed: u64) -> ExperimentConfig {
+    let mut cfg = base_cfg(total, seed);
+    cfg.drop_p = 0.05;
+    cfg.corrupt_p = 0.01;
+    cfg.dup_p = 0.01;
+    cfg.cab_alloc_fail_p = 0.05;
     cfg
 }
 
@@ -46,11 +57,7 @@ fn assert_conserved_under_faults(m: &Metrics, total: usize) {
 #[test]
 fn fault_matrix_soak_survives_and_verifies() {
     const TOTAL: usize = 4 * 1024 * 1024;
-    let mut cfg = base_cfg(TOTAL, 1995);
-    cfg.drop_p = 0.05;
-    cfg.corrupt_p = 0.01;
-    cfg.dup_p = 0.01;
-    cfg.cab_alloc_fail_p = 0.05;
+    let cfg = soak_cfg(TOTAL, 1995);
 
     let m = run_ttcp(&cfg);
     assert_conserved_under_faults(&m, TOTAL);
@@ -108,6 +115,34 @@ fn both_finished(w: &World) -> bool {
     w.hosts
         .iter()
         .all(|h| h.apps[0].as_ref().map(|a| a.finished()).unwrap_or(false))
+}
+
+/// A re-ACK sent from TIME_WAIT (the peer retransmitted its FIN) must not
+/// cancel the TIME_WAIT expiry. On these soak-matrix seeds the sender
+/// re-ACKs such a FIN; five expiry periods after the transfer only the
+/// receiver's listener is left.
+#[test]
+fn time_wait_expires_after_re_acking_a_retransmitted_fin() {
+    for seed in [116, 218] {
+        let cfg = soak_cfg(1024 * 1024, seed);
+        let mut w = build_ttcp_world(&cfg);
+        let done = w.run_while(Time::ZERO + Dur::secs(30), |w| !both_finished(w));
+        assert!(done, "seed {seed}: transfer did not finish");
+        let settled = w.now() + cfg.stack.time_wait * 5;
+        w.run_until(settled);
+        // Socket ids are small: issued in sequence.
+        let open = |h: usize| {
+            let k = &w.hosts[h].kernel;
+            (0..64)
+                .filter(|&i| k.socket_ref(SockId(i)).is_some())
+                .count()
+        };
+        assert_eq!(
+            [open(0), open(1)],
+            [0, 1],
+            "seed {seed}: a socket outlived TIME_WAIT"
+        );
+    }
 }
 
 #[test]
