@@ -6,9 +6,11 @@
 //!   output entry points it provides the *copy-in* and *copy-out* routines
 //!   (§3) that move data between host and network memory, tracks in-flight
 //!   SDMA requests by token, manages per-destination logical channels
-//!   (§2.1), and keeps the maps that tie outboard packet buffers to the
-//!   protocol data referencing them (so transmit buffers are freed on ACK
-//!   and receive buffers after the last copy-out);
+//!   (§2.1), and owns the table of counted handles on its outboard packets
+//!   ([`PacketHolds`]). A packet is freed when its last handle drops — the
+//!   last `M_WCAB` descriptor of acknowledged transmit data or of copied-out
+//!   receive data — through the release list [`CabIface::release`] drains;
+//!   DESIGN.md's "Outboard buffer lifetime" has the rule;
 //! * [`EthIface`] — a conventional Ethernet whose driver copies data and
 //!   leaves checksumming to software; `M_UIO` chains are converted to
 //!   regular mbufs by a thin layer at its entry (§5);
@@ -16,32 +18,35 @@
 
 use crate::types::SockId;
 use outboard_cab::{Cab, ChecksumSpec, PacketId, SgEntry};
+use outboard_mbuf::{PacketHolds, PacketRef};
 use outboard_sim::obs::Scope;
 use outboard_sim::{DetMap, IdTable, Time};
 use outboard_wire::ether::MacAddr;
 use outboard_wire::hippi::HippiAddr;
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
+
+/// A transmit copy-in of socket data. On completion the kernel replaces
+/// the `[seq_lo, seq_lo+data_len)` range of the socket's send queue with an
+/// `M_WCAB` descriptor (the paper's "the mbuf type is changed to M_WCAB
+/// after the data has been copied outboard") and credits the write's UIO
+/// counter.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct TxSegment {
+    pub(crate) sock: SockId,
+    pub(crate) seq_lo: u32,
+    pub(crate) data_len: usize,
+    /// Pinned user range to release (single-copy path).
+    pub(crate) pinned: Option<(outboard_host::TaskId, u64, usize)>,
+}
 
 /// Why an SDMA request was issued; consulted on its completion interrupt.
-#[derive(Clone, Copy, Debug)]
-#[allow(missing_docs, reason = "variant docs describe the payload fields")]
-pub enum SdmaPurpose {
-    /// Transmit copy-in of a data segment. On completion the kernel
-    /// replaces the `[seq_lo, seq_lo+data_len)` range of the socket's send
-    /// queue with an `M_WCAB` descriptor (the paper's "the mbuf type is
-    /// changed to M_WCAB after the data has been copied outboard") and
-    /// credits the write's UIO counter.
-    TxSegment {
-        sock: SockId,
-        seq_lo: u32,
-        data_len: usize,
-        packet: PacketId,
-        /// Framing + IP + transport header bytes in front of the data.
-        hdr_len: usize,
-        /// Pinned user range to release (single-copy path).
-        pinned: Option<(outboard_host::TaskId, u64, usize)>,
-    },
+#[derive(Debug)]
+pub(crate) enum SdmaPurpose {
+    /// A [`TxSegment`] copy-in, holding the packet it fills until the
+    /// send queue's descriptors take over.
+    TxSegment(TxSegment, PacketRef),
     /// Transmit of a packet whose payload needed no conversion (traditional
     /// path, retransmission header refresh, control segments).
     TxPlain,
@@ -69,7 +74,7 @@ pub enum SdmaPurpose {
 /// and all a parked retry keeps. User-memory scatter/gather entries stay
 /// valid because the data is retained in the socket send queue (and its
 /// pages stay pinned) until completion.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct TxFrame {
     /// Full frame length (header + data).
     pub(crate) frame_len: usize,
@@ -81,10 +86,8 @@ pub(crate) struct TxFrame {
     pub(crate) dst: HippiAddr,
     /// Logical channel.
     pub(crate) channel: u16,
-    /// Completion purpose (its `packet` field is rewritten on each alloc).
-    pub(crate) purpose: SdmaPurpose,
-    /// Free the outboard buffer right after the media transfer.
-    pub(crate) free_after_mdma: bool,
+    /// The socket data the copy-in converts, if any.
+    pub(crate) segment: Option<TxSegment>,
     /// Payload bytes in the frame.
     pub(crate) data_len: usize,
     /// Header bytes in front of the payload.
@@ -92,16 +95,15 @@ pub(crate) struct TxFrame {
 }
 
 /// The media transfer of a packet that sits complete in network memory.
-#[derive(Clone, Copy, Debug)]
+#[derive(Debug)]
 pub(crate) struct MdmaJob {
-    /// The outboard packet to put on the media.
-    pub(crate) packet: PacketId,
+    /// The outboard packet to put on the media. The engine frees it after
+    /// the transfer when this is its last handle.
+    pub(crate) packet: PacketRef,
     /// Destination fabric address.
     pub(crate) dst: HippiAddr,
     /// Logical channel.
     pub(crate) channel: u16,
-    /// Free the outboard buffer after the media transfer.
-    pub(crate) free_after: bool,
     /// When the packet's copy-in completes: the media transfer cannot
     /// start earlier, however soon a retry round comes.
     pub(crate) ready: Time,
@@ -111,7 +113,7 @@ pub(crate) struct MdmaJob {
 /// retry-backoff timer. The paper's driver treats outboard exhaustion as a
 /// "transient out-of-resources condition"; these entries are how the
 /// condition stays transient instead of becoming a silent drop.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) enum PendingTx {
     /// The copy-in (SDMA) itself failed or network memory was exhausted:
     /// the frame is launched again from scratch.
@@ -172,20 +174,19 @@ pub struct CabIface {
     /// The device itself.
     pub cab: Cab,
     /// IP → fabric address resolution (static ARP for the simulation).
-    pub arp: DetMap<Ipv4Addr, HippiAddr>,
+    pub(crate) arp: DetMap<Ipv4Addr, HippiAddr>,
     next_token: u64,
     /// In-flight SDMA requests by completion token (issued in sequence).
     pending: IdTable<SdmaPurpose>,
     /// Logical channel assigned per destination (§2.1).
     channels: DetMap<HippiAddr, u16>,
     next_channel: u16,
-    /// Receive packets: payload bytes not yet copied out of network memory.
-    rx_remaining: IdTable<usize>,
-    /// Transmit packets: data bytes not yet acknowledged (the packet stays
-    /// outboard for retransmission until this drains).
-    tx_remaining: IdTable<usize>,
-    /// Transmit packets' header length (for retransmission geometry).
-    tx_hdr_len: IdTable<usize>,
+    /// Handles on the outboard packets and the release list.
+    holds: Rc<PacketHolds>,
+    /// The handles of accepted DMA transfers that did not free their
+    /// packet, each kept until its transfer ends: the host never frees a
+    /// packet inside an engine's window.
+    in_flight: Vec<(Time, PacketRef)>,
     /// Transmissions parked for the retry-backoff timer.
     pub(crate) retry_q: VecDeque<PendingTx>,
     /// Degraded-mode / retry / watchdog state.
@@ -194,7 +195,7 @@ pub struct CabIface {
 
 impl CabIface {
     /// Driver state for a fresh device.
-    pub fn new(cab: Cab) -> CabIface {
+    pub(crate) fn new(cab: Cab) -> CabIface {
         CabIface {
             cab,
             arp: DetMap::new(),
@@ -202,9 +203,8 @@ impl CabIface {
             pending: IdTable::new(),
             channels: DetMap::new(),
             next_channel: 0,
-            rx_remaining: IdTable::new(),
-            tx_remaining: IdTable::new(),
-            tx_hdr_len: IdTable::new(),
+            holds: PacketHolds::new(),
+            in_flight: Vec::new(),
             retry_q: VecDeque::new(),
             health: IfaceHealth::default(),
         }
@@ -229,7 +229,7 @@ impl CabIface {
     }
 
     /// Allocate a completion token for a request with the given purpose.
-    pub fn issue(&mut self, purpose: SdmaPurpose) -> u64 {
+    pub(crate) fn issue(&mut self, purpose: SdmaPurpose) -> u64 {
         let t = self.next_token;
         self.next_token += 1;
         self.pending.insert(t, purpose);
@@ -237,7 +237,7 @@ impl CabIface {
     }
 
     /// Resolve a completion token.
-    pub fn complete(&mut self, token: u64) -> Option<SdmaPurpose> {
+    pub(crate) fn complete(&mut self, token: u64) -> Option<SdmaPurpose> {
         self.pending.remove(token)
     }
 
@@ -247,69 +247,59 @@ impl CabIface {
     /// data in the event itself and stay pending. Tokens are drained in
     /// ascending order (the table's iteration order), so the reset is
     /// deterministic.
-    pub(crate) fn drop_pending_tx(&mut self) -> Vec<SdmaPurpose> {
+    pub(crate) fn drop_pending_tx(&mut self) -> Vec<TxSegment> {
         let tokens: Vec<u64> = self
             .pending
             .iter()
-            .filter(|(_, p)| matches!(p, SdmaPurpose::TxSegment { .. }))
+            .filter(|(_, p)| matches!(p, SdmaPurpose::TxSegment(..)))
             .map(|(t, _)| t)
             .collect();
         tokens
             .into_iter()
-            .filter_map(|t| self.pending.remove(t))
+            .filter_map(|t| match self.pending.remove(t) {
+                Some(SdmaPurpose::TxSegment(seg, _)) => Some(seg),
+                _ => None,
+            })
             .collect()
     }
 
-    /// Hold a received packet outboard until its `len` payload bytes are
-    /// copied out or discarded.
-    pub(crate) fn hold_rx(&mut self, packet: PacketId, len: usize) {
-        self.rx_remaining.insert(packet, len);
+    /// Allocate a packet of `len` bytes whose data starts `hdr_len` bytes
+    /// in, with its first handle. Released packets are freed first, so the
+    /// allocation sees every page their holders gave up.
+    pub(crate) fn alloc(&mut self, len: usize, hdr_len: usize, now: Time) -> Option<PacketRef> {
+        self.release(now);
+        let packet = self.cab.alloc_packet(len)?;
+        Some(self.holds.adopt(packet.0, hdr_len))
     }
 
-    /// Hold a transmitted packet outboard until its `data_len` bytes are
-    /// acknowledged, with the header length a header-only retransmit needs.
-    pub(crate) fn hold_tx(&mut self, packet: PacketId, data_len: usize, hdr_len: usize) {
-        self.tx_remaining.insert(packet, data_len);
-        self.tx_hdr_len.insert(packet, hdr_len);
+    /// The first handle on a packet the board allocated for an arriving
+    /// frame.
+    pub(crate) fn adopt_rx(&self, packet: PacketId) -> PacketRef {
+        self.holds.adopt(packet.0, 0)
     }
 
-    /// Header length of a held transmit packet.
-    pub(crate) fn held_header_len(&self, packet: PacketId) -> Option<usize> {
-        self.tx_hdr_len.get(packet).copied()
-    }
-
-    /// Count `len` bytes of a held receive packet as copied out or
-    /// discarded. True when they were the last: the hold ends and the
-    /// caller frees the packet, itself or through the copy-out. An
-    /// untracked packet (a board reset cleared the holds) is never freed
-    /// here.
-    pub(crate) fn rx_consume(&mut self, packet: PacketId, len: usize) -> bool {
-        countdown(&mut self.rx_remaining, packet, len)
-    }
-
-    /// Count `len` bytes of a held transmit packet as acknowledged, and
-    /// free the packet with the last of them.
-    pub(crate) fn tx_ack(&mut self, packet: PacketId, len: usize, now: Time) {
-        if countdown(&mut self.tx_remaining, packet, len) {
-            self.tx_hdr_len.remove(packet);
-            self.cab.free_packet(packet, now);
+    /// An engine accepted a transfer on `packet` that ends at `end`; when
+    /// `freed`, the engine frees the packet itself and the claim ends here,
+    /// otherwise the handle is held until the transfer is over.
+    pub(crate) fn transfer(&mut self, packet: PacketRef, end: Time, freed: bool) {
+        if freed {
+            packet.disown();
+        } else {
+            self.in_flight.push((end, packet));
         }
     }
 
-    /// End every hold on `packet`; the caller frees it or has lost it.
-    pub(crate) fn forget(&mut self, packet: PacketId) {
-        self.rx_remaining.remove(packet);
-        self.tx_remaining.remove(packet);
-        self.tx_hdr_len.remove(packet);
-    }
-
-    /// Reset the board, which frees every outboard packet and so ends
-    /// every hold.
-    pub(crate) fn reset(&mut self) {
-        self.cab.reset();
-        self.rx_remaining.clear();
-        self.tx_remaining.clear();
-        self.tx_hdr_len.clear();
+    /// Drop the handles of transfers over by `now`, then free every packet
+    /// whose last handle has dropped: the one place the host frees network
+    /// memory. `now` is the time of the event being handled, so the free
+    /// lands in the same event as the drop.
+    pub(crate) fn release(&mut self, now: Time) {
+        if !self.in_flight.is_empty() {
+            self.in_flight.retain(|(end, _)| *end > now);
+        }
+        while let Some(id) = self.holds.pop_released() {
+            self.cab.free_packet(PacketId(id), now);
+        }
     }
 
     /// SDMA requests in flight.
@@ -319,7 +309,7 @@ impl CabIface {
 
     /// The logical channel for a destination: one queue per distinct
     /// destination, assigned round-robin over the hardware's channel set.
-    pub fn channel_for(&mut self, dst: HippiAddr) -> u16 {
+    pub(crate) fn channel_for(&mut self, dst: HippiAddr) -> u16 {
         let n = self.cab.config().num_channels as u16;
         *self.channels.get_or_insert_with(dst, || {
             let c = self.next_channel % n;
@@ -327,19 +317,6 @@ impl CabIface {
             c
         })
     }
-}
-
-/// Take `len` from a hold; true (and the hold ended) when it drains.
-fn countdown(table: &mut IdTable<usize>, packet: PacketId, len: usize) -> bool {
-    let Some(rem) = table.get_mut(packet) else {
-        return false;
-    };
-    *rem = rem.saturating_sub(len);
-    let drained = *rem == 0;
-    if drained {
-        table.remove(packet);
-    }
-    drained
 }
 
 /// Conventional Ethernet interface.
@@ -378,9 +355,9 @@ pub struct Iface {
     /// Index within the kernel's interface table.
     pub id: crate::types::IfaceId,
     /// The interface's IP address.
-    pub ip: Ipv4Addr,
+    pub(crate) ip: Ipv4Addr,
     /// Maximum transmission unit, bytes.
-    pub mtu: usize,
+    pub(crate) mtu: usize,
     /// The device behind it.
     pub kind: IfaceKind,
 }

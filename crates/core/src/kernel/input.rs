@@ -4,7 +4,7 @@
 //! conversion that realizes §4.2), and TCP timers.
 
 use super::{Kernel, TxMeta};
-use crate::driver::{IfaceHealth, IfaceKind, SdmaPurpose};
+use crate::driver::{IfaceHealth, IfaceKind, SdmaPurpose, TxSegment};
 use crate::ip::FragKey;
 use crate::socket::{KqEntry, Owner};
 use crate::tcp::{AckMode, SegmentPlan};
@@ -12,7 +12,7 @@ use crate::types::{Effect, IfaceId, Proto, SockAddr, SockId, TimerKind};
 use bytes::Bytes;
 use outboard_cab::{PacketId, SdmaDst, SdmaRx};
 use outboard_host::{Charge, HostMem, UserMemory};
-use outboard_mbuf::{Chain, Mbuf, MbufData, WcabDesc};
+use outboard_mbuf::{Chain, Mbuf, MbufData, PacketRef, WcabDesc};
 use outboard_sim::span::{FlowId, Stage};
 use outboard_sim::Time;
 use outboard_wire::hippi::{HippiHeader, HIPPI_HEADER_LEN};
@@ -29,8 +29,9 @@ struct RxPacket {
     /// driver delivers the whole packet here; the CAB delivers the auto-DMA
     /// words).
     prefix: Bytes,
-    /// Outboard remainder: packet id and the full frame length.
-    outboard: Option<(PacketId, usize)>,
+    /// Outboard remainder: the handle on its packet and the full frame
+    /// length. Dropping the packet unbuilt releases the buffer.
+    outboard: Option<(PacketRef, usize)>,
     /// Hardware checksum over the transport area, when the frame came
     /// through a CAB.
     hw_csum: Option<u16>,
@@ -104,7 +105,7 @@ impl Kernel {
                 self.ip_input(rx, mem, now);
             }
         }
-        self.take_effects()
+        self.take_effects(now)
     }
 
     /// The CAB's receive interrupt: the first L words are in host memory,
@@ -127,22 +128,23 @@ impl Kernel {
         // checksum verifies against bytes that no longer exist — silent
         // corruption at the application. The frame died with the reset:
         // discard it here and let the transport retransmit.
+        let mut outboard = None;
         if let Some(p) = packet {
-            let stale = self.with_cab(iface, |_k, cab| {
+            outboard = self.with_cab(iface, |_k, cab| {
                 if cab.cab.packet_exists(p) {
-                    false
+                    Some((cab.adopt_rx(p), frame_len))
                 } else {
                     cab.health.stats.stale_rx_drops += 1;
-                    true
+                    None
                 }
             });
-            if stale {
-                return self.take_effects();
+            if outboard.is_none() {
+                return self.take_effects(now);
             }
         }
         if autodma.len() < HIPPI_HEADER_LEN {
             self.stats.ip_errors += 1;
-            return self.take_effects();
+            return self.take_effects(now);
         }
         match HippiHeader::parse(&autodma) {
             Ok(_) => {}
@@ -151,7 +153,7 @@ impl Kernel {
             }
             Err(_) => {
                 self.stats.ip_errors += 1;
-                return self.take_effects();
+                return self.take_effects(now);
             }
         }
         // The unmodified stack ignores the hardware checksum — verifying
@@ -169,13 +171,13 @@ impl Kernel {
         let rx = RxPacket {
             iface,
             prefix: autodma.slice(HIPPI_HEADER_LEN..),
-            outboard: packet.map(|p| (p, frame_len)),
+            outboard,
             hw_csum: hw,
             frame_ip_off: HIPPI_HEADER_LEN,
             trusted: false,
         };
         self.ip_input(rx, mem, now);
-        self.take_effects()
+        self.take_effects(now)
     }
 
     // ------------------------------------------------------------------
@@ -186,18 +188,18 @@ impl Kernel {
         self.ifaces.iter().any(|i| i.ip == ip)
     }
 
-    fn ip_input(&mut self, rx: RxPacket, mem: &mut HostMem, now: Time) {
+    fn ip_input(&mut self, mut rx: RxPacket, mem: &mut HostMem, now: Time) {
         self.cpu(self.costs.ip, Charge::Interrupt);
         self.stats.rx_packets += 1;
         let available = rx
             .outboard
+            .as_ref()
             .map(|(_, flen)| flen - rx.frame_ip_off)
             .unwrap_or(rx.prefix.len());
         let hdr = match Ipv4Header::parse_with_limit(&rx.prefix, available) {
             Ok(h) => h,
             Err(_) => {
                 self.stats.ip_errors += 1;
-                self.discard_outboard(&rx, now);
                 return;
             }
         };
@@ -211,7 +213,7 @@ impl Kernel {
         // Build the payload chain: kernel prefix + outboard remainder.
         let ihl = hdr.header_len as usize;
         let total = hdr.total_len as usize;
-        let payload = self.build_rx_chain(&rx, ihl, total, now);
+        let payload = self.build_rx_chain(&mut rx, ihl, total, now);
 
         if hdr.is_fragment() {
             self.stats.frags_reassembled += 1;
@@ -222,10 +224,7 @@ impl Kernel {
                 id: hdr.id,
             };
             // Per-fragment hardware partials combine across the datagram.
-            let frag_hw = rx
-                .hw_csum
-                .filter(|_| rx.outboard.is_some() || rx.hw_csum.is_some());
-            if let Some(done) = self.reass.feed(key, &hdr, payload, frag_hw) {
+            if let Some(done) = self.reass.feed(key, &hdr, payload, rx.hw_csum) {
                 self.dispatch_transport(
                     rx.iface,
                     hdr.src,
@@ -254,134 +253,100 @@ impl Kernel {
     }
 
     /// Assemble the receive chain: the paper's mbuf holding the first 176
-    /// words, plus an `M_WCAB` descriptor for the outboard remainder.
+    /// words, plus an `M_WCAB` descriptor for the outboard remainder, which
+    /// takes over the packet's handle. A packet with nothing left outboard
+    /// is released as its handle drops here.
     ///
     /// The *unmodified* stack does not know about `M_WCAB`: its driver
     /// DMAs the whole packet into kernel mbufs at receive time (the CAB
     /// used as a conventional device), so the chain it builds is all
     /// kernel-resident.
-    fn build_rx_chain(&mut self, rx: &RxPacket, ihl: usize, total: usize, now: Time) -> Chain {
+    fn build_rx_chain(&mut self, rx: &mut RxPacket, ihl: usize, total: usize, now: Time) -> Chain {
         let mut chain = Chain::new();
         let kernel_end = rx.prefix.len().min(total);
         if kernel_end > ihl {
             chain.append(Mbuf::kernel(rx.prefix.slice(ihl..kernel_end)));
         }
-        if let Some((packet, _flen)) = rx.outboard {
-            let out_len = total - kernel_end;
-            if out_len > 0 && self.cfg.mode == crate::types::StackMode::Unmodified {
-                // Traditional receive: copy-in to kernel buffers via DMA
-                // and free the outboard buffer immediately.
-                let iface = rx.iface;
-                let src_off = rx.frame_ip_off + kernel_end;
-                let data = self.with_cab(iface, |k, cab| {
-                    let token = cab.issue(SdmaPurpose::TxPlain);
-                    let req = SdmaRx {
-                        packet,
-                        src_off,
-                        len: out_len,
-                        dst: SdmaDst::Kernel,
-                        free_packet: true,
-                        interrupt_on_complete: false,
-                        token,
-                    };
-                    let mut dummy = outboard_host::HostMem::new();
-                    match cab.cab.sdma_rx(req, now, &mut dummy) {
-                        Ok(ev) => {
-                            let data = match &ev {
-                                outboard_cab::CabEvent::SdmaDone { data, .. } => {
-                                    data.as_ref().cloned().unwrap_or_default()
-                                }
-                                _ => Bytes::new(),
-                            };
-                            k.fx.push(Effect::Cab { iface, event: ev });
-                            data
-                        }
-                        Err(e) => {
-                            // Engine refused the copy-in: fall back to
-                            // programmed I/O so the packet still arrives.
-                            cab.complete(token);
-                            let (buf, ticket) = Kernel::pio_read(k, cab, iface, &req, &e, now);
-                            k.cluster_freeze(buf, ticket)
-                        }
-                    }
-                });
-                let m = Mbuf::kernel(data);
-                self.mbuf_stats.count(&m);
-                chain.append(m);
-                return chain;
-            }
-            if out_len > 0 {
-                let desc = WcabDesc {
-                    cab: rx.iface.0,
-                    packet: packet.0,
-                    off: rx.frame_ip_off + kernel_end,
-                    len: out_len,
-                    hw_csum: rx.hw_csum.unwrap_or(0),
-                };
-                let m = Mbuf::wcab(desc);
-                self.mbuf_stats.count(&m);
-                chain.append(m);
-                self.with_cab(rx.iface, |_k, cab| cab.hold_rx(packet, out_len));
-            } else {
-                // Nothing left outboard: release immediately.
-                self.with_cab(rx.iface, |_k, cab| {
-                    cab.cab.free_packet(packet, now);
-                });
-            }
+        let Some((packet, _flen)) = rx.outboard.take() else {
+            return chain;
+        };
+        let out_len = total - kernel_end;
+        if out_len == 0 {
+            return chain;
         }
+        let iface = rx.iface;
+        let src_off = rx.frame_ip_off + kernel_end;
+        let m = if self.cfg.mode == crate::types::StackMode::Unmodified {
+            // Traditional receive: copy-in to kernel buffers via DMA, the
+            // engine freeing the outboard buffer.
+            let data = self.with_cab(iface, |k, cab| {
+                let token = cab.issue(SdmaPurpose::TxPlain);
+                let req = SdmaRx {
+                    packet: PacketId(packet.id()),
+                    src_off,
+                    len: out_len,
+                    dst: SdmaDst::Kernel,
+                    free_packet: packet.is_last(),
+                    interrupt_on_complete: false,
+                    token,
+                };
+                let mut dummy = outboard_host::HostMem::new();
+                match cab.cab.sdma_rx(req, now, &mut dummy) {
+                    Ok(ev) => {
+                        cab.transfer(packet, ev.at(), req.free_packet);
+                        let data = match &ev {
+                            outboard_cab::CabEvent::SdmaDone { data, .. } => {
+                                data.as_ref().cloned().unwrap_or_default()
+                            }
+                            _ => Bytes::new(),
+                        };
+                        k.fx.push(Effect::Cab { iface, event: ev });
+                        data
+                    }
+                    Err(e) => {
+                        // Engine refused the copy-in: fall back to
+                        // programmed I/O so the packet still arrives.
+                        cab.complete(token);
+                        let (buf, ticket) = Kernel::pio_read(k, cab, iface, &req, &e, packet);
+                        k.cluster_freeze(buf, ticket)
+                    }
+                }
+            });
+            Mbuf::kernel(data)
+        } else {
+            Mbuf::wcab(WcabDesc {
+                cab: iface.0,
+                packet,
+                off: src_off,
+                len: out_len,
+                hw_csum: rx.hw_csum.unwrap_or(0),
+            })
+        };
+        self.mbuf_stats.count(&m);
+        chain.append(m);
         chain
     }
 
-    /// Free an outboard buffer for a packet we are dropping.
-    fn discard_outboard(&mut self, rx: &RxPacket, now: Time) {
-        if let Some((packet, _)) = rx.outboard {
-            self.with_cab(rx.iface, |_k, cab| {
-                cab.forget(packet);
-                cab.cab.free_packet(packet, now);
-            });
-        }
-    }
-
-    /// Discard a payload chain, releasing any outboard buffers it covers.
-    /// The chain is owned, so its descriptors are walked in place — no
-    /// intermediate `Vec` of descriptors.
-    fn discard_chain(&mut self, chain: Chain, now: Time) {
-        for m in chain.iter() {
-            let MbufData::Wcab(d) = m.data() else {
-                continue;
-            };
-            let d = *d;
-            let packet = PacketId(d.packet);
-            self.with_cab(IfaceId(d.cab), |_k, cab| {
-                if cab.rx_consume(packet, d.len) {
-                    cab.cab.free_packet(packet, now);
-                }
-            });
-        }
-    }
-
     /// Forward a packet between interfaces (§4.1's argument for one stack).
-    fn ip_forward(&mut self, rx: RxPacket, mut hdr: Ipv4Header, mem: &mut HostMem, now: Time) {
+    fn ip_forward(&mut self, mut rx: RxPacket, mut hdr: Ipv4Header, mem: &mut HostMem, now: Time) {
         if hdr.ttl <= 1 {
             self.stats.ip_errors += 1;
-            self.discard_outboard(&rx, now);
             return;
         }
         let Some(out_iface) = self.routes.lookup(hdr.dst) else {
             self.stats.ip_errors += 1;
-            self.discard_outboard(&rx, now);
             return;
         };
         let ihl = hdr.header_len as usize;
         let total = hdr.total_len as usize;
-        let payload = self.build_rx_chain(&rx, ihl, total, now);
+        let payload = self.build_rx_chain(&mut rx, ihl, total, now);
         // Decrement TTL (ip_output rebuilds the header checksum; a real
         // stack would use the RFC 1624 incremental update).
         hdr.ttl -= 1;
         // Materialize through the conversion layer and retransmit. The
         // payload chain may reference outboard memory; flatten reads it.
         let flat = self.flatten_for_legacy(&payload, mem);
-        self.discard_chain(payload, now);
+        drop(payload);
         let chain = Chain::from_slice(&flat);
         self.cpu(self.costs.ip, Charge::Interrupt);
         self.ip_output(
@@ -424,7 +389,6 @@ impl Kernel {
                     self.deliver_to_kernel_queue(sock, payload, from, mem, now);
                 } else {
                     self.stats.no_socket_drops += 1;
-                    self.discard_chain(payload, now);
                 }
             }
         }
@@ -455,12 +419,10 @@ impl Kernel {
         let transport_len = payload.len();
         let Some(hdr_bytes) = self.transport_header_bytes(&payload, 60) else {
             self.stats.ip_errors += 1;
-            self.discard_chain(payload, now);
             return;
         };
         let Ok(thdr) = TcpHeader::parse(&hdr_bytes) else {
             self.stats.ip_errors += 1;
-            self.discard_chain(payload, now);
             return;
         };
         // Checksum verification (§4.3): hardware sum adjusted by the
@@ -485,7 +447,6 @@ impl Kernel {
         };
         if !valid {
             self.stats.csum_errors += 1;
-            self.discard_chain(payload, now);
             return;
         }
         payload.drop_front((thdr.header_len as usize).min(payload.len()));
@@ -509,7 +470,7 @@ impl Kernel {
             });
         let Some(sock) = sock else {
             // No one listening: RST per RFC 793.
-            self.discard_chain(payload, now);
+            drop(payload);
             let data_len = transport_len - thdr.header_len as usize;
             let (seq, ack, flags) = if thdr.flags.ack() {
                 (thdr.ack, 0, TcpFlags::RST)
@@ -530,7 +491,6 @@ impl Kernel {
         let Some((listening, owner)) = self.sockets.get(sock).map(|s| (s.is_listener(), s.owner))
         else {
             self.stats.no_socket_drops += 1;
-            self.discard_chain(payload, now);
             return;
         };
         // A SYN to a listener spawns a child connection (§4.1's single
@@ -586,12 +546,10 @@ impl Kernel {
     ) {
         let r = {
             let Some(s) = self.sockets.get_mut(sock) else {
-                self.discard_chain(data, now);
                 return;
             };
             let rcv_space = s.so_rcv.space();
             let Some(tcb) = s.tcb.as_mut() else {
-                self.discard_chain(data, now);
                 return;
             };
             tcb.input(thdr, data, rcv_space, now)
@@ -608,7 +566,7 @@ impl Kernel {
         // Newly acknowledged data: drop from so_snd, free outboard buffers.
         if r.acked_bytes > 0 {
             self.span_ack(sock, r.acked_bytes as u64, now);
-            self.ack_free(sock, r.acked_bytes, now);
+            self.ack_free(sock, r.acked_bytes);
             // Restart the retransmission timer from the new left edge.
             if let Some(s) = self.sockets.get_mut(sock) {
                 s.rexmt_armed = false;
@@ -713,7 +671,6 @@ impl Kernel {
         now: Time,
     ) {
         let Some(s) = self.sockets.get_mut(sock) else {
-            self.discard_chain(chain, now);
             return;
         };
         let blen = chain.len() as u64;
@@ -753,22 +710,13 @@ impl Kernel {
         }
     }
 
-    /// ACK processing: drop acknowledged bytes from the send queue and free
-    /// the outboard packets they lived in.
-    fn ack_free(&mut self, sock: SockId, bytes: usize, now: Time) {
-        let dropped = {
-            let Some(s) = self.sockets.get_mut(sock) else {
-                return;
-            };
+    /// ACK processing: drop acknowledged bytes from the send queue, which
+    /// releases the outboard packets they were the last to hold.
+    fn ack_free(&mut self, sock: SockId, bytes: usize) {
+        if let Some(s) = self.sockets.get_mut(sock) {
             let n = bytes.min(s.so_snd.chain.len());
-            s.so_snd.chain.split_front(n)
-        };
-        for m in dropped.iter() {
-            if let MbufData::Wcab(d) = m.data() {
-                self.with_cab(IfaceId(d.cab), |_k, cab| {
-                    cab.tx_ack(PacketId(d.packet), d.len, now);
-                });
-            }
+            // Split off and dropped; draining in place measured no faster.
+            drop(s.so_snd.chain.split_front(n));
         }
     }
 
@@ -792,12 +740,10 @@ impl Kernel {
         let transport_len = payload.len();
         let Some(hdr_bytes) = self.transport_header_bytes(&payload, UDP_HEADER_LEN) else {
             self.stats.ip_errors += 1;
-            self.discard_chain(payload, now);
             return;
         };
         let Ok(uhdr) = UdpHeader::parse_with_available(&hdr_bytes, transport_len) else {
             self.stats.ip_errors += 1;
-            self.discard_chain(payload, now);
             return;
         };
         let valid = if trusted || uhdr.checksum == 0 {
@@ -819,7 +765,6 @@ impl Kernel {
         };
         if !valid {
             self.stats.csum_errors += 1;
-            self.discard_chain(payload, now);
             return;
         }
         payload.drop_front(UDP_HEADER_LEN.min(payload.len()));
@@ -827,14 +772,12 @@ impl Kernel {
 
         let Some(&sock) = self.ports.get(&(Proto::Udp, uhdr.dst_port)) else {
             self.stats.no_socket_drops += 1;
-            self.discard_chain(payload, now);
             return;
         };
         // A port binding that outlived its socket drops like an unbound port.
         let Some((owner, space)) = self.sockets.get(sock).map(|s| (s.owner, s.so_rcv.space()))
         else {
             self.stats.no_socket_drops += 1;
-            self.discard_chain(payload, now);
             return;
         };
         let from = SockAddr::new(src, uhdr.src_port);
@@ -845,7 +788,6 @@ impl Kernel {
                 // Respect the receive buffer (datagrams drop when full).
                 if space < payload.len() {
                     self.stats.no_socket_drops += 1;
-                    self.discard_chain(payload, now);
                     return;
                 }
                 self.deliver_data(sock, payload, Some(from), now);
@@ -883,10 +825,8 @@ impl Kernel {
             let MbufData::Wcab(d) = m.data() else {
                 continue;
             };
-            let d = *d;
             converting += d.len;
             self.stats.wcab_to_regular += 1;
-            let packet = PacketId(d.packet);
             let iface = IfaceId(d.cab);
             let purpose = SdmaPurpose::RxToKernel {
                 sock,
@@ -894,19 +834,20 @@ impl Kernel {
                 chain_off: off,
                 len: d.len,
             };
+            // The queued descriptor keeps the packet until the completion
+            // replaces it with the kernel bytes.
             self.with_cab(iface, |k, cab| {
-                let free = cab.rx_consume(packet, d.len);
                 let token = cab.issue(purpose);
                 let req = SdmaRx {
-                    packet,
+                    packet: PacketId(d.packet.id()),
                     src_off: d.off,
                     len: d.len,
                     dst: SdmaDst::Kernel,
-                    free_packet: free,
+                    free_packet: false,
                     interrupt_on_complete: true,
                     token,
                 };
-                Kernel::sdma_rx_resilient(k, cab, iface, req, now, mem);
+                Kernel::sdma_rx_resilient(k, cab, iface, req, d.packet.clone(), now, mem);
             });
         }
         let ready = converting == 0;
@@ -938,7 +879,7 @@ impl Kernel {
     ) {
         // ICMP messages are small; flatten through the conversion layer.
         let flat = self.flatten_for_legacy(&payload, mem);
-        self.discard_chain(payload, now);
+        drop(payload);
         if let Some((kind, ident, seq, data)) = crate::ip::icmp::parse_echo(&flat) {
             if kind == crate::ip::icmp::ECHO_REQUEST {
                 // Reply goes out from our address to the requester.
@@ -969,20 +910,13 @@ impl Kernel {
         }
         let purpose = self.with_cab(iface, |_k, cab| cab.complete(token));
         let Some(purpose) = purpose else {
-            return self.take_effects();
+            return self.take_effects(now);
         };
         match purpose {
             SdmaPurpose::TxPlain => {}
-            SdmaPurpose::TxSegment {
-                sock,
-                seq_lo,
-                data_len,
-                packet,
-                hdr_len,
-                pinned,
-            } => {
-                self.convert_uio_to_wcab(sock, iface, seq_lo, data_len, packet, hdr_len);
-                if let Some((task, vaddr, len)) = pinned {
+            SdmaPurpose::TxSegment(seg, packet) => {
+                self.convert_uio_to_wcab(seg, iface, packet);
+                if let Some((task, vaddr, len)) = seg.pinned {
                     let cost = self.vm.release(task, vaddr, len);
                     self.cpu_dur(cost, Charge::Interrupt);
                 }
@@ -1004,7 +938,7 @@ impl Kernel {
                 }
                 let done = {
                     let Some(s) = self.sockets.get(sock) else {
-                        return self.take_effects();
+                        return self.take_effects(now);
                     };
                     s.blocked_read
                         .map(|br| (br.counter, br.task, br.pinned_vaddr, br.pinned_len))
@@ -1039,10 +973,10 @@ impl Kernel {
                 };
                 let ready = {
                     let Some(s) = self.sockets.get_mut(sock) else {
-                        return self.take_effects();
+                        return self.take_effects(now);
                     };
                     let Some(entry) = s.kq.iter_mut().find(|e| e.serial == serial) else {
-                        return self.take_effects();
+                        return self.take_effects(now);
                     };
                     if chain_off + len <= entry.chain.len() {
                         entry.chain.splice(chain_off, len, Mbuf::kernel(bytes));
@@ -1055,31 +989,30 @@ impl Kernel {
                 }
             }
         }
-        self.take_effects()
+        self.take_effects(now)
     }
 
     /// §4.2: after the data is copied outboard, the `M_UIO` range of the
     /// send queue becomes an `M_WCAB` descriptor (retransmittable without
-    /// host memory), and the write's UIO counter is credited.
-    fn convert_uio_to_wcab(
-        &mut self,
-        sock: SockId,
-        iface: IfaceId,
-        seq_lo: u32,
-        data_len: usize,
-        packet: PacketId,
-        hdr_len: usize,
-    ) {
-        let converted =
-            self.replace_snd_range(sock, seq_lo, data_len, Charge::Interrupt, |_, skip, len| {
+    /// host memory) holding `packet`, and the write's UIO counter is
+    /// credited. A range no longer queued (acknowledged, or the socket
+    /// gone) leaves the packet to be released with its handle.
+    fn convert_uio_to_wcab(&mut self, seg: TxSegment, iface: IfaceId, packet: PacketRef) {
+        let converted = self.replace_snd_range(
+            seg.sock,
+            seg.seq_lo,
+            seg.data_len,
+            Charge::Interrupt,
+            |_, skip, len| {
                 Mbuf::wcab(WcabDesc {
                     cab: iface.0,
-                    packet: packet.0,
-                    off: hdr_len + skip,
+                    off: packet.hdr_len() + skip,
+                    packet,
                     len,
                     hw_csum: 0,
                 })
-            });
+            },
+        );
         if converted {
             self.stats.uio_to_wcab += 1;
         }
@@ -1153,7 +1086,7 @@ impl Kernel {
                 }
             }
         }
-        self.take_effects()
+        self.take_effects(now)
     }
 
     /// Health of a CAB interface (none for another kind of interface).

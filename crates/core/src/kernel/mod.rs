@@ -110,8 +110,6 @@ pub(crate) struct TxMeta {
     pub seq_lo: u32,
     /// True for TCP retransmissions (enables the header-only path).
     pub retransmit: bool,
-    /// Free the outboard buffer right after MDMA (no retransmission need).
-    pub free_after_mdma: bool,
     /// Causal-trace flow id ([`FlowId::NONE`] when tracing is disabled).
     pub flow: FlowId,
 }
@@ -122,7 +120,6 @@ impl TxMeta {
             sock: None,
             seq_lo: 0,
             retransmit: false,
-            free_after_mdma: true,
             flow: FlowId::NONE,
         }
     }
@@ -327,8 +324,14 @@ impl Kernel {
         self.sockets.get(id).map(Box::as_ref)
     }
 
-    /// Take the accumulated effects.
-    pub fn take_effects(&mut self) -> Vec<Effect> {
+    /// End a kernel entry at `now`: free the outboard packets whose last
+    /// handle dropped during it, then take the accumulated effects.
+    pub fn take_effects(&mut self, now: Time) -> Vec<Effect> {
+        for iface in &mut self.ifaces {
+            if let IfaceKind::Cab(cab) = &mut iface.kind {
+                cab.release(now);
+            }
+        }
         std::mem::replace(&mut self.fx, std::mem::take(&mut self.fx_spare))
     }
 
@@ -592,7 +595,7 @@ impl Kernel {
         self.conns.insert((Proto::Tcp, local, dst), sock);
         self.ports.insert((Proto::Tcp, port), sock);
         self.tcp_send(sock, mem, now, false);
-        Ok(self.take_effects())
+        Ok(self.take_effects(now))
     }
 
     /// Accept an established connection from a listener's queue; `None`
@@ -733,7 +736,7 @@ impl Kernel {
             None if self.sockets.contains(sock) => self.teardown(sock, now),
             None => {}
         }
-        self.take_effects()
+        self.take_effects(now)
     }
 
     /// `write(2)`.
@@ -804,20 +807,20 @@ impl Kernel {
         // synchronously (UIO data copied at the driver boundary, counter
         // drained, blocked_write cleared).
         let Some(bw) = s.blocked_write.as_ref().copied() else {
-            return Ok((WriteResult::Done { bytes: len }, self.take_effects()));
+            return Ok((WriteResult::Done { bytes: len }, self.take_effects(now)));
         };
         // Single-copy writes complete only when the DMA counter drains,
         // which is never synchronous; traditional writes complete once the
         // data is copied into the socket buffer.
         if !bw.uio_path && bw.appended == bw.total {
             s.blocked_write = None;
-            Ok((WriteResult::Done { bytes: len }, self.take_effects()))
+            Ok((WriteResult::Done { bytes: len }, self.take_effects(now)))
         } else {
             Ok((
                 WriteResult::Blocked {
                     accepted: bw.appended,
                 },
-                self.take_effects(),
+                self.take_effects(now),
             ))
         }
     }
@@ -978,10 +981,10 @@ impl Kernel {
             }
             if s.so_rcv.is_empty() {
                 if s.rcv_eof {
-                    return Ok((ReadResult::Eof, self.take_effects()));
+                    return Ok((ReadResult::Eof, self.take_effects(now)));
                 }
                 s.waiting_reader = Some(WaitingReader { task });
-                return Ok((ReadResult::WouldBlock, self.take_effects()));
+                return Ok((ReadResult::WouldBlock, self.take_effects(now)));
             }
             match s.proto {
                 Proto::Udp => {
@@ -1013,9 +1016,9 @@ impl Kernel {
 
         let mut dma_bytes = 0usize;
         let mut dst_off = 0usize;
-        for m in chunk.iter() {
+        for m in chunk {
             let mlen = m.len();
-            match m.data() {
+            match m.into_data() {
                 MbufData::Kernel(b) => {
                     let cost = self.memsys.copy_cost(b.len(), take);
                     self.cpu_dur(cost, Charge::Syscall);
@@ -1023,7 +1026,7 @@ impl Kernel {
                         clippy::expect_used,
                         reason = "syscall-time access to the caller's live buffer; zero-fill fault tolerance applies only at DMA time"
                     )]
-                    mem.write_user(task, vaddr + dst_off as u64, b)
+                    mem.write_user(task, vaddr + dst_off as u64, &b)
                         .expect("user read buffer writable");
                 }
                 MbufData::Wcab(d) => {
@@ -1036,7 +1039,7 @@ impl Kernel {
                     } else {
                         self.stats.aligned_fallbacks += 1;
                     }
-                    self.issue_rx_copyout(sock, *d, task, user_dst, aligned, mem, now);
+                    self.issue_rx_copyout(sock, d, task, user_dst, aligned, mem, now);
                 }
                 #[expect(
                     clippy::unreachable,
@@ -1065,13 +1068,16 @@ impl Kernel {
                 self.spans
                     .span_open(sock.0 as u64, flow, Stage::SysRecv, now, take as u64);
             }
-            Ok((ReadResult::BlockedDma { bytes: take }, self.take_effects()))
+            Ok((
+                ReadResult::BlockedDma { bytes: take },
+                self.take_effects(now),
+            ))
         } else {
             if self.spans.on() {
                 let flow = self.flow_id_rx(sock);
                 self.spans.span(flow, Stage::SysRecv, now, now, take as u64);
             }
-            Ok((ReadResult::Done { bytes: take }, self.take_effects()))
+            Ok((ReadResult::Done { bytes: take }, self.take_effects(now)))
         }
     }
 
@@ -1089,10 +1095,7 @@ impl Kernel {
     ) {
         self.cpu(self.costs.driver_pkt, Charge::Syscall);
         let iface_id = IfaceId(d.cab);
-        let packet = PacketId(d.packet);
         self.with_cab(iface_id, |k, cab| {
-            // Free the outboard buffer once every payload byte is out.
-            let free = cab.rx_consume(packet, d.len);
             let dst = if aligned {
                 SdmaDst::User {
                     task,
@@ -1109,15 +1112,16 @@ impl Kernel {
                 copy_dst: (!aligned).then_some((task, user_dst)),
             });
             let req = SdmaRx {
-                packet,
+                packet: PacketId(d.packet.id()),
                 src_off: d.off,
                 len: d.len,
                 dst,
-                free_packet: free,
+                // The last descriptor out frees the outboard buffer.
+                free_packet: d.packet.is_last(),
                 interrupt_on_complete: true,
                 token,
             };
-            Kernel::sdma_rx_resilient(k, cab, iface_id, req, now, mem);
+            Kernel::sdma_rx_resilient(k, cab, iface_id, req, d.packet, now, mem);
         });
     }
 
@@ -1173,7 +1177,7 @@ impl Kernel {
             }
         };
         self.udp_output(sock, local, dst, chain, mem, now);
-        Ok(self.take_effects())
+        Ok(self.take_effects(now))
     }
 
     /// Share-semantics stream send for an in-kernel TCP socket: the chain's
@@ -1242,7 +1246,7 @@ impl Kernel {
         now: Time,
     ) -> Vec<Effect> {
         self.maybe_window_update(sock, mem, now);
-        self.take_effects()
+        self.take_effects(now)
     }
 
     /// Register an in-kernel socket as the raw-IP handler for `proto`.
@@ -1268,7 +1272,7 @@ impl Kernel {
         let src = self.ifaces[iface_id.0 as usize].ip;
         self.cpu(self.costs.ip, Charge::Syscall);
         self.ip_output(src, dst, proto, chain, iface_id, TxMeta::plain(), mem, now);
-        Ok(self.take_effects())
+        Ok(self.take_effects(now))
     }
 
     /// Share-semantics receive: ready (fully converted) chains in arrival
@@ -1355,13 +1359,17 @@ impl Kernel {
                 counter: Some(counter),
                 uio_path: true,
             });
-            Ok((WriteResult::Blocked { accepted: len }, self.take_effects()))
+            Ok((
+                WriteResult::Blocked { accepted: len },
+                self.take_effects(now),
+            ))
         } else {
-            Ok((WriteResult::Done { bytes: len }, self.take_effects()))
+            Ok((WriteResult::Done { bytes: len }, self.take_effects(now)))
         }
     }
 
-    /// Tear a socket down: free outboard buffers, cancel counters, unbind.
+    /// Tear a socket down: cancel counters and unbind; the outboard buffers
+    /// its queues still hold are released as they drop.
     pub(crate) fn teardown(&mut self, sock: SockId, now: Time) {
         let Some(s) = self.sockets.remove(sock) else {
             return;
@@ -1379,24 +1387,6 @@ impl Kernel {
             self.ports.remove(&(s.proto, local.port));
             if let Some(remote) = s.remote {
                 self.conns.remove(&(s.proto, local, remote));
-            }
-        }
-        // Free outboard buffers still referenced by either buffer.
-        for chain in [&s.so_snd.chain, &s.so_rcv.chain] {
-            let descs: Vec<WcabDesc> = chain
-                .iter()
-                .filter_map(|m| match m.data() {
-                    MbufData::Wcab(d) => Some(*d),
-                    _ => None,
-                })
-                .collect();
-            for d in descs {
-                let iface_id = IfaceId(d.cab);
-                let packet = PacketId(d.packet);
-                self.with_cab(iface_id, |_k, cab| {
-                    cab.forget(packet);
-                    cab.cab.free_packet(packet, now);
-                });
             }
         }
         if let Some(bw) = s.blocked_write {

@@ -3,7 +3,7 @@
 //! three drivers' output routines.
 
 use super::{Kernel, TxMeta};
-use crate::driver::{CabIface, IfaceKind, MdmaJob, PendingTx, SdmaPurpose, TxFrame};
+use crate::driver::{CabIface, IfaceKind, MdmaJob, PendingTx, SdmaPurpose, TxFrame, TxSegment};
 use crate::ip;
 use crate::socket::Owner;
 use crate::tcp::SegmentPlan;
@@ -124,11 +124,6 @@ impl Kernel {
             sock: Some(sock),
             seq_lo: plan.seq,
             retransmit: plan.retransmit,
-            // Keep single-copy TCP data outboard until acknowledged (the
-            // M_WCAB conversion frees it on ACK). Control segments and
-            // traditional-path data (which retransmits from kernel mbufs)
-            // free right after MDMA.
-            free_after_mdma: plan.data_len == 0 || !data.has_uio(),
             flow,
         };
         self.stats.tcp_segs_out += 1;
@@ -410,7 +405,9 @@ impl Kernel {
             MbufData::Wcab(d) => {
                 out.resize(at + d.len, 0);
                 if let IfaceKind::Cab(c) = &self.ifaces[d.cab as usize].kind {
-                    let _ = c.cab.read_packet(PacketId(d.packet), d.off, &mut out[at..]);
+                    let _ = c
+                        .cab
+                        .read_packet(PacketId(d.packet.id()), d.off, &mut out[at..]);
                 }
             }
         }
@@ -550,9 +547,8 @@ impl Kernel {
                 csum,
                 dst,
                 channel,
-                // A user-data segment's purpose is set once gathered.
-                purpose: SdmaPurpose::TxPlain,
-                free_after_mdma: meta.free_after_mdma,
+                // A user-data segment is set once gathered.
+                segment: None,
                 data_len: frame_len - hdr_len,
                 hdr_len,
             };
@@ -573,15 +569,12 @@ impl Kernel {
             // launch.
             let (uio_bytes, pinned) = Kernel::gather_payload(k, cab, mbufs, &mut frame.sg, mem);
             if let (true, Some(sock)) = (uio_bytes > 0, meta.sock) {
-                frame.purpose = SdmaPurpose::TxSegment {
+                frame.segment = Some(TxSegment {
                     sock,
                     seq_lo: meta.seq_lo,
                     data_len: frame.data_len,
-                    // Set by the launch once a packet is allocated.
-                    packet: PacketId(0),
-                    hdr_len,
                     pinned,
-                };
+                });
             }
             let trace = tx_spans(&frame, meta.flow, frame_len);
             if let Some(stalled) = Kernel::launch_tx(k, cab, iface_id, frame, Some(trace), now, mem)
@@ -643,7 +636,9 @@ impl Kernel {
                     // through the driver (rare; a CPU read). Zeros on a
                     // lost buffer; the peer's checksum rejects.
                     let (mut buf, ticket) = k.cluster_alloc(d.len);
-                    let _ = cab.cab.read_packet(PacketId(d.packet), d.off, &mut buf);
+                    let _ = cab
+                        .cab
+                        .read_packet(PacketId(d.packet.id()), d.off, &mut buf);
                     let cost = k.memsys.read_cost(d.len, d.len.max(4096));
                     k.cpu_dur(cost, Charge::Syscall);
                     sg.push(SgEntry::Inline(k.cluster_freeze(buf, ticket)));
@@ -680,8 +675,8 @@ impl Kernel {
         let MbufData::Wcab(d) = body.data() else {
             return false;
         };
-        let packet = PacketId(d.packet);
-        let geom_ok = cab.held_header_len(packet) == Some(d.off)
+        let packet = PacketId(d.packet.id());
+        let geom_ok = d.packet.hdr_len() == d.off
             && cab
                 .cab
                 .netmem()
@@ -703,10 +698,9 @@ impl Kernel {
         match cab.cab.sdma_tx(req, now, mem) {
             Ok(ev) => {
                 let job = MdmaJob {
-                    packet,
+                    packet: d.packet.clone(),
                     dst: frame.dst,
                     channel: frame.channel,
-                    free_after: false,
                     ready: now,
                 };
                 if let Err(job) = Kernel::copied_in(k, cab, iface_id, ev, job, now, Some(trace)) {
@@ -725,41 +719,38 @@ impl Kernel {
     }
 
     /// Launch a gathered frame, the one transmit sequence: allocate network
-    /// memory, issue the completion token, hold the transmit geometry, SDMA
-    /// the frame through the checksum engine, then MDMA it to the media.
-    /// Whatever must wait comes back to the caller, which parks it (first
-    /// launch) or re-queues it (retry round). Spans are recorded only when
-    /// a `trace` is given, which is first launches only.
+    /// memory, issue the completion token (a socket segment's holding the
+    /// packet until the send queue takes over), SDMA the frame through the
+    /// checksum engine, then MDMA it to the media. Whatever must wait comes
+    /// back to the caller, which parks it (first launch) or re-queues it
+    /// (retry round). Spans are recorded only when a `trace` is given,
+    /// which is first launches only.
     pub(crate) fn launch_tx(
         k: &mut Kernel,
         cab: &mut CabIface,
         iface_id: IfaceId,
-        mut frame: TxFrame,
+        frame: TxFrame,
         trace: Option<TxSpans>,
         now: Time,
         mem: &mut HostMem,
     ) -> Option<Stalled> {
-        let Some(packet) = cab.cab.alloc_packet(frame.frame_len) else {
+        let Some(packet) = cab.alloc(frame.frame_len, frame.hdr_len, now) else {
             return Some(Stalled {
                 entry: PendingTx::Sdma(frame),
                 no_memory: true,
             });
         };
-        if let SdmaPurpose::TxSegment { packet: p, .. } = &mut frame.purpose {
-            *p = packet;
-        }
-        let interrupt = matches!(frame.purpose, SdmaPurpose::TxSegment { .. });
-        let token = cab.issue(frame.purpose);
-        // Geometry for ACK-driven freeing and header-only retransmits.
-        if !frame.free_after_mdma && frame.data_len > 0 {
-            cab.hold_tx(packet, frame.data_len, frame.hdr_len);
-        }
+        let purpose = match frame.segment {
+            Some(seg) => SdmaPurpose::TxSegment(seg, packet.clone()),
+            None => SdmaPurpose::TxPlain,
+        };
+        let token = cab.issue(purpose);
         let req = SdmaTx {
-            packet,
+            packet: PacketId(packet.id()),
             sg: frame.sg.clone(),
             csum: frame.csum,
             reuse_body_csum: false,
-            interrupt_on_complete: interrupt,
+            interrupt_on_complete: frame.segment.is_some(),
             token,
         };
         match cab.cab.sdma_tx(req, now, mem) {
@@ -768,7 +759,6 @@ impl Kernel {
                     packet,
                     dst: frame.dst,
                     channel: frame.channel,
-                    free_after: frame.free_after_mdma,
                     ready: now,
                 };
                 Kernel::copied_in(k, cab, iface_id, ev, job, now, trace)
@@ -781,11 +771,10 @@ impl Kernel {
             Err(e) => {
                 // Undo the issue and hand the whole transfer back. A wedged
                 // engine has seized the buffer mid-gather; the board reset
-                // reclaims it, so the host must not free it here.
+                // reclaims it, so the host must not release it.
                 cab.complete(token);
-                cab.forget(packet);
-                if !matches!(e, CabError::EngineWedged(_)) {
-                    cab.cab.free_packet(packet, now);
+                if matches!(e, CabError::EngineWedged(_)) {
+                    packet.disown();
                 }
                 Kernel::watchdog_on_wedge(k, cab, iface_id, &e);
                 Some(Stalled {
@@ -819,13 +808,14 @@ impl Kernel {
         }
         k.fx.push(Effect::Cab { iface, event: sdma });
         let span = spans.map(|s| (s.flow, s.mdma));
-        Kernel::mdma_out(k, cab, iface, job, now, span).map_err(|_| job)
+        Kernel::mdma_out(k, cab, iface, job, now, span).map_err(|(job, _)| job)
     }
 
     /// Put a packet on the media from `now`, or from when its copy-in
     /// completes if that is later, recording the MdmaTx span when given
-    /// one. On refusal the watchdog is armed if an engine wedged, and the
-    /// error comes back.
+    /// one. The engine frees the packet after the transfer when the job
+    /// holds its last handle. On refusal the watchdog is armed if an engine
+    /// wedged, and the job comes back with the error.
     pub(crate) fn mdma_out(
         k: &mut Kernel,
         cab: &mut CabIface,
@@ -833,13 +823,16 @@ impl Kernel {
         job: MdmaJob,
         now: Time,
         span: Option<(FlowId, u64)>,
-    ) -> Result<(), CabError> {
+    ) -> Result<(), (MdmaJob, CabError)> {
         let at = now.max(job.ready);
+        let free_after = job.packet.is_last();
+        let packet = PacketId(job.packet.id());
         match cab
             .cab
-            .mdma_tx(job.packet, job.dst, job.channel, at, job.free_after)
+            .mdma_tx(packet, job.dst, job.channel, at, free_after)
         {
             Ok(ev) => {
+                cab.transfer(job.packet, ev.at(), free_after);
                 if let Some((flow, bytes)) = span.filter(|_| k.spans.on()) {
                     k.spans.span(flow, Stage::MdmaTx, at, ev.at(), bytes);
                 }
@@ -848,7 +841,7 @@ impl Kernel {
             }
             Err(e) => {
                 Kernel::watchdog_on_wedge(k, cab, iface, &e);
-                Err(e)
+                Err((job, e))
             }
         }
     }
@@ -968,7 +961,6 @@ impl Kernel {
             sock: Some(sock),
             seq_lo: 0,
             retransmit: false,
-            free_after_mdma: true,
             flow,
         };
         if self.spans.on() {
@@ -1014,7 +1006,7 @@ impl Kernel {
                 now,
             );
         }
-        self.take_effects()
+        self.take_effects(now)
     }
 
     /// ICMP echo reply — the resident in-kernel application (§5).

@@ -11,11 +11,11 @@
 //! panics: a sick adaptor costs throughput, never the kernel.
 
 use super::Kernel;
-use crate::driver::{CabIface, PendingTx, SdmaPurpose};
+use crate::driver::{CabIface, PendingTx, TxSegment};
 use crate::types::{Effect, IfaceId, SockId, TimerKind};
 use outboard_cab::{CabError, CabEvent, PacketId, SdmaDst, SdmaRx};
 use outboard_host::{Charge, HostMem, UserMemory};
-use outboard_mbuf::{Chain, Mbuf, MbufData};
+use outboard_mbuf::{Chain, Mbuf, MbufData, PacketRef};
 use outboard_sim::span::Stage;
 use outboard_sim::{Dur, Ticket, Time};
 
@@ -120,18 +120,14 @@ impl Kernel {
         });
     }
 
-    /// Release a transmit purpose's pinned user pages (the completion that
+    /// Release a transmit segment's pinned user pages (the completion that
     /// would have released them will never run).
-    fn release_purpose_pins(&mut self, purpose: &SdmaPurpose) -> Option<SockId> {
-        if let SdmaPurpose::TxSegment { sock, pinned, .. } = purpose {
-            if let Some((task, vaddr, len)) = *pinned {
-                let cost = self.vm.release(task, vaddr, len);
-                self.cpu_dur(cost, Charge::Interrupt);
-            }
-            Some(*sock)
-        } else {
-            None
+    fn release_segment_pins(&mut self, seg: &TxSegment) -> SockId {
+        if let Some((task, vaddr, len)) = seg.pinned {
+            let cost = self.vm.release(task, vaddr, len);
+            self.cpu_dur(cost, Charge::Interrupt);
         }
+        seg.sock
     }
 
     /// Re-attempt one parked transmission. On failure the entry goes back
@@ -148,18 +144,16 @@ impl Kernel {
         k.cpu(k.costs.driver_pkt, Charge::Interrupt);
         match entry {
             PendingTx::Mdma(job) => {
-                let Err(e) = Kernel::mdma_out(k, cab, iface, job, now, None) else {
+                let Err((job, e)) = Kernel::mdma_out(k, cab, iface, job, now, None) else {
                     return;
                 };
                 if e.is_transient() || matches!(e, CabError::EngineWedged(_)) {
                     cab.retry_q.push_back(PendingTx::Mdma(job));
                 } else {
                     // The packet vanished (board reset) or the request is
-                    // malformed: nothing a retry can fix.
+                    // malformed: nothing a retry can fix, and the job's
+                    // handle goes with it.
                     cab.health.stats.abandoned_tx += 1;
-                    if job.free_after {
-                        cab.cab.free_packet(job.packet, now);
-                    }
                 }
             }
             PendingTx::Sdma(frame) => {
@@ -205,41 +199,38 @@ impl Kernel {
     /// enter degraded mode, and rebuild transmit through the traditional
     /// path so progress continues without the adaptor.
     fn cab_give_up(&mut self, iface_id: IfaceId, mem: &mut HostMem, now: Time) {
-        let purposes = self.with_cab(iface_id, |k, cab| {
+        let segments = self.with_cab(iface_id, |k, cab| {
             cab.health.retry_round = 0;
             let parked: Vec<PendingTx> = cab.retry_q.drain(..).collect();
-            let mut purposes = Vec::new();
+            let mut segments = Vec::new();
             for entry in parked {
                 cab.health.stats.abandoned_tx += 1;
                 match entry {
-                    PendingTx::Sdma(frame) => purposes.push(frame.purpose),
-                    PendingTx::Mdma(job) => {
-                        // If an engine is wedged this packet may be seized
-                        // mid-transfer; the board reset reclaims it instead.
-                        if job.free_after && !cab.cab.any_engine_wedged() {
-                            cab.cab.free_packet(job.packet, now);
-                        }
-                    }
+                    PendingTx::Sdma(frame) => segments.extend(frame.segment),
+                    // If an engine is wedged this packet may be seized
+                    // mid-transfer; the board reset reclaims it instead.
+                    PendingTx::Mdma(job) if cab.cab.any_engine_wedged() => job.packet.disown(),
+                    PendingTx::Mdma(_) => {}
                 }
             }
             Kernel::degrade(k, cab, iface_id, now);
-            purposes
+            segments
         });
-        self.rebuild_transmit(Vec::new(), &purposes, mem, now);
+        self.rebuild_transmit(Vec::new(), &segments, mem, now);
     }
 
-    /// Release the pins of the abandoned transmissions' `purposes`, then
+    /// Release the pins of the abandoned transmissions' `segments`, then
     /// rewind each connection they or `socks` name to its unacknowledged
     /// left edge and push it back through the output path (now the
     /// traditional one if degraded).
     fn rebuild_transmit(
         &mut self,
         mut socks: Vec<SockId>,
-        purposes: &[SdmaPurpose],
+        segments: &[TxSegment],
         mem: &mut HostMem,
         now: Time,
     ) {
-        socks.extend(purposes.iter().filter_map(|p| self.release_purpose_pins(p)));
+        socks.extend(segments.iter().map(|s| self.release_segment_pins(s)));
         socks.sort();
         socks.dedup();
         for sock in socks {
@@ -258,14 +249,8 @@ impl Kernel {
             if !cab.health.degraded {
                 return;
             }
-            let healthy = !cab.cab.any_engine_wedged()
-                && match cab.cab.alloc_packet(1) {
-                    Some(p) => {
-                        cab.cab.free_packet(p, now);
-                        true
-                    }
-                    None => false,
-                };
+            // The probe packet is released as its handle drops.
+            let healthy = !cab.cab.any_engine_wedged() && cab.alloc(1, 0, now).is_some();
             if healthy {
                 cab.health.degraded = false;
                 cab.health.stats.degraded_exits += 1;
@@ -305,13 +290,13 @@ impl Kernel {
     ) -> Vec<Effect> {
         let idx = iface_id.0 as usize;
         if self.ifaces.get_mut(idx).and_then(|i| i.cab()).is_none() {
-            return self.take_effects(); // not a CAB interface: nothing to crash
+            return self.take_effects(now); // not a CAB interface: nothing to crash
         }
         self.with_cab(iface_id, |_k, cab| {
             cab.health.stats.board_crashes += 1;
         });
         self.cab_reset_recover(iface_id, mem, now);
-        self.take_effects()
+        self.take_effects(now)
     }
 
     /// Shared recovery sequence: PIO-rescue outboard socket-buffer bytes,
@@ -338,23 +323,24 @@ impl Kernel {
 
         // 2. Drop in-flight transmit conversions and parked retries, then
         //    reset. Their sockets rewind and resend below.
-        let purposes = self.with_cab(iface_id, |k, cab| {
-            let mut purposes = cab.drop_pending_tx();
+        //    Handles that outlive the reset release ids it already freed,
+        //    which the release drain ignores (ids are never reused).
+        let segments = self.with_cab(iface_id, |k, cab| {
+            let mut segments = cab.drop_pending_tx();
             for entry in std::mem::take(&mut cab.retry_q) {
                 cab.health.stats.abandoned_tx += 1;
-                match entry {
-                    PendingTx::Sdma(frame) => purposes.push(frame.purpose),
-                    PendingTx::Mdma(_) => {} // its packet dies with the reset
+                if let PendingTx::Sdma(frame) = entry {
+                    segments.extend(frame.segment);
                 }
             }
             cab.health.retry_armed = false;
             cab.health.retry_round = 0;
-            cab.reset();
+            cab.cab.reset();
             cab.health.stats.watchdog_resets += 1;
             Kernel::degrade(k, cab, iface_id, now);
-            purposes
+            segments
         });
-        self.rebuild_transmit(affected, &purposes, mem, now);
+        self.rebuild_transmit(affected, &segments, mem, now);
     }
 
     /// Replace this interface's outboard descriptors in `sock`'s buffers
@@ -388,7 +374,7 @@ impl Kernel {
                     for m in chain.iter() {
                         if let MbufData::Wcab(d) = m.data() {
                             if d.cab == iface_id.0 {
-                                hit = Some((off, *d));
+                                hit = Some((off, PacketId(d.packet.id()), d.off, d.len));
                                 break;
                             }
                         }
@@ -396,16 +382,16 @@ impl Kernel {
                     }
                     hit
                 };
-                let Some((off, d)) = found else {
+                let Some((off, packet, src_off, len)) = found else {
                     break;
                 };
-                let (mut buf, ticket) = self.cluster_alloc(d.len);
+                let (mut buf, ticket) = self.cluster_alloc(len);
                 self.with_cab(iface_id, |k, cab| {
                     // A buffer already gone reads as zeros; the peer's
                     // checksum rejects any segment built from it.
-                    let _ = cab.cab.read_packet(PacketId(d.packet), d.off, &mut buf);
-                    cab.health.stats.rescued_bytes += d.len as u64;
-                    let cost = k.memsys.read_cost(d.len, d.len.max(4096));
+                    let _ = cab.cab.read_packet(packet, src_off, &mut buf);
+                    cab.health.stats.rescued_bytes += len as u64;
+                    let cost = k.memsys.read_cost(len, len.max(4096));
                     k.cpu_dur(cost, Charge::Interrupt);
                 });
                 let rescued_mbuf = Mbuf::kernel(self.cluster_freeze(buf, ticket));
@@ -415,29 +401,35 @@ impl Kernel {
                 let Some(chain) = which.chain_mut(s) else {
                     break;
                 };
-                chain.splice(off, d.len, rescued_mbuf);
+                chain.splice(off, len, rescued_mbuf);
                 rescued = true;
             }
         }
         rescued
     }
 
-    /// Issue a receive copy-out, falling back to programmed I/O with a
-    /// synthesized completion event when the engine refuses the request.
-    /// The data still reaches its destination; only the transfer is slower
-    /// (and charged to the CPU instead of the engine).
+    /// Issue a receive copy-out of the packet `packet` holds, falling back
+    /// to programmed I/O with a synthesized completion event when the
+    /// engine refuses the request. The data still reaches its destination;
+    /// only the transfer is slower (and charged to the CPU instead of the
+    /// engine). A request with the free flag set passes the packet to the
+    /// engine.
     pub(crate) fn sdma_rx_resilient(
         k: &mut Kernel,
         cab: &mut CabIface,
         iface: IfaceId,
         req: SdmaRx,
+        packet: PacketRef,
         now: Time,
         mem: &mut HostMem,
     ) {
         match cab.cab.sdma_rx(req, now, mem) {
-            Ok(ev) => k.fx.push(Effect::Cab { iface, event: ev }),
+            Ok(ev) => {
+                cab.transfer(packet, ev.at(), req.free_packet);
+                k.fx.push(Effect::Cab { iface, event: ev });
+            }
             Err(e) => {
-                let (buf, ticket) = Kernel::pio_read(k, cab, iface, &req, &e, now);
+                let (buf, ticket) = Kernel::pio_read(k, cab, iface, &req, &e, packet);
                 let data = match req.dst {
                     SdmaDst::User { task, vaddr } => {
                         if mem.write_user(task, vaddr, &buf).is_err() {
@@ -466,15 +458,15 @@ impl Kernel {
 
     /// The programmed-I/O fallback for a receive copy-out the engine
     /// refused with `e`: the CPU reads the bytes into a kernel cluster,
-    /// and the packet is freed when the request asked for that and no
-    /// wedged engine still owns it.
+    /// and `packet`'s handle drops, releasing the packet if it was the
+    /// last, unless a wedged engine still owns it.
     pub(crate) fn pio_read(
         k: &mut Kernel,
         cab: &mut CabIface,
         iface: IfaceId,
         req: &SdmaRx,
         e: &CabError,
-        now: Time,
+        packet: PacketRef,
     ) -> (Vec<u8>, Option<Ticket>) {
         Kernel::watchdog_on_wedge(k, cab, iface, e);
         let (mut buf, ticket) = k.cluster_alloc(req.len);
@@ -482,9 +474,9 @@ impl Kernel {
         let cost = k.memsys.read_cost(req.len, req.len.max(4096));
         k.cpu_dur(cost, Charge::Interrupt);
         // A wedged engine holds the buffer until board reset; PIO may
-        // still read the bytes, but the host must not free.
-        if req.free_packet && !matches!(e, CabError::EngineWedged(_)) {
-            cab.cab.free_packet(req.packet, now);
+        // still read the bytes, but the host must not release it.
+        if matches!(e, CabError::EngineWedged(_)) {
+            packet.disown();
         }
         cab.health.stats.pio_fallbacks += 1;
         (buf, ticket)

@@ -6,12 +6,13 @@ use super::*;
 use crate::driver::{MdmaJob, PendingTx};
 use crate::tcp::TcpState;
 use crate::types::{
-    Effect, IfaceId, Proto, ReadResult, SockAddr, StackError, TimerKind, WriteResult,
+    Effect, IfaceId, Proto, ReadResult, SockAddr, SockId, StackError, TimerKind, WriteResult,
 };
 use outboard_cab::{CabError, SdmaTx, SgEntry};
 use outboard_host::{HostMem, MachineConfig, UserMemory};
 use outboard_mbuf::TaskId;
 use outboard_sim::{Dur, Time};
+use outboard_wire::TcpFlags;
 use std::net::Ipv4Addr;
 
 const LO: Ipv4Addr = Ipv4Addr::new(127, 0, 0, 1);
@@ -462,10 +463,9 @@ fn cab_timers_after_the_watchdog_reset_do_nothing() {
     let (iface, now, mem) = (rig.add_cab(), rig.now, &rig.mem);
     rig.k.with_cab(iface, |k, cab| {
         let job = MdmaJob {
-            packet: cab.cab.alloc_packet(64).expect("netmem"),
+            packet: cab.alloc(64, 0, now).expect("netmem"),
             dst: 2,
             channel: 0,
-            free_after: true,
             ready: now,
         };
         Kernel::park_tx(k, cab, iface, PendingTx::Mdma(job), now);
@@ -664,7 +664,7 @@ proptest::proptest! {
                 }
             }
         }
-        let fx = k.take_effects();
+        let fx = k.take_effects(Time::ZERO);
         assert!(fx.len() <= plain.len());
         let adjacent_same_charge = fx.windows(2).any(|w| {
             matches!((&w[0], &w[1]), (Effect::Cpu { charge: a, .. }, Effect::Cpu { charge: b, .. }) if a == b)
@@ -690,19 +690,219 @@ fn recycled_effect_storage_is_reused() {
     );
     k.cpu(Some(Dur::micros(5)), Charge::Syscall);
     k.wake(TaskId(1), SockId(1), Charge::Syscall);
-    let fx = k.take_effects();
+    let fx = k.take_effects(Time::ZERO);
     let (ptr, cap) = (fx.as_ptr(), fx.capacity());
     assert_eq!(fx.len(), 2);
     k.recycle_effects(fx);
     // `take_effects` swaps the spare in, so the storage carries the list
     // after the next one.
     k.cpu(Some(Dur::micros(5)), Charge::Syscall);
-    let second = k.take_effects();
+    let second = k.take_effects(Time::ZERO);
     assert_eq!(second.len(), 1);
     k.cpu(Some(Dur::micros(5)), Charge::Interrupt);
-    let third = k.take_effects();
+    let third = k.take_effects(Time::ZERO);
     assert_eq!(
         (third.as_ptr(), third.capacity(), third.len()),
         (ptr, cap, 1)
     );
+}
+
+// ----------------------------------------------------------------------
+// outboard buffers: every drop site releases the packets it drops
+// ----------------------------------------------------------------------
+
+/// Network-memory pages in use on the CAB `cab`.
+fn pages_used(rig: &Rig, cab: IfaceId) -> usize {
+    let nm = rig.k.iface(cab).cab_ref().expect("CAB").cab.netmem();
+    nm.pages_total() - nm.pages_free()
+}
+
+/// Deliver one segment from `to`'s loopback peer through the CAB `cab`:
+/// the bytes past the auto-DMA prefix stay outboard, so TCP receives the
+/// payload's tail as an `M_WCAB` descriptor.
+fn deliver_outboard(
+    rig: &mut Rig,
+    cab: IfaceId,
+    to: SockId,
+    seq: u32,
+    len: usize,
+    flags: TcpFlags,
+) {
+    use outboard_wire::checksum::{pseudo_header_sum, Accumulator};
+    use outboard_wire::hippi::HippiHeader;
+    use outboard_wire::ipv4::Ipv4Header;
+    use outboard_wire::tcp::TcpHeader;
+    let s = rig.k.socket_ref(to).expect("socket");
+    let (local, remote) = (s.local.expect("bound"), s.remote.expect("connected"));
+    let ack = s.tcb.as_ref().expect("tcb").snd_una;
+    let mut th = TcpHeader::new(remote.port, local.port, seq, ack, flags);
+    th.window = 0xffff;
+    let mut seg = th.build();
+    seg.extend((0..len).map(|i| i as u8));
+    let pseudo = pseudo_header_sum(LO.octets(), LO.octets(), 6, seg.len() as u16);
+    let mut acc = Accumulator::from_partial(pseudo);
+    acc.add_bytes(&seg);
+    seg[16..18].copy_from_slice(&acc.finish().to_be_bytes());
+    let ip = Ipv4Header::new(LO, LO, 6, seg.len(), 1);
+    let mut frame = HippiHeader::new(2, 1, IPV4_HEADER_LEN + seg.len(), 0)
+        .build()
+        .to_vec();
+    frame.extend_from_slice(&ip.build());
+    frame.extend_from_slice(&seg);
+    let fx = rig
+        .k
+        .frame_arrive(cab, Bytes::from(frame), &mut rig.mem, rig.now);
+    for e in fx {
+        if let Effect::Cab {
+            event:
+                outboard_cab::CabEvent::RxReady {
+                    at,
+                    packet,
+                    autodma,
+                    hw_csum,
+                    frame_len,
+                },
+            ..
+        } = e
+        {
+            rig.now = rig.now.max(at);
+            rig.k.rx_interrupt(
+                cab,
+                packet,
+                autodma,
+                hw_csum,
+                frame_len,
+                &mut rig.mem,
+                rig.now,
+            );
+        }
+    }
+}
+
+/// Read everything queued on `sock` in one `read(2)`: the outboard bytes
+/// leave by copy-out SDMA.
+fn read_all(rig: &mut Rig, sock: SockId) {
+    let n = rig.k.socket_ref(sock).expect("socket").so_rcv.len();
+    rig.mem.create_region(TaskId(2), 0x10_0000, n.max(4096));
+    rig.k
+        .sys_read(sock, TaskId(2), 0x10_0000, n, &mut rig.mem, rig.now)
+        .expect("read");
+}
+
+/// The completion of a copy-in of `c`'s send-queue range `[seq_lo,
+/// seq_lo + len)` into a fresh packet, as `launch_tx` issues it.
+fn complete_copy_in(rig: &mut Rig, cab: IfaceId, c: SockId, seq_lo: u32, len: usize) {
+    let now = rig.now;
+    let token = rig.k.with_cab(cab, |_k, ci| {
+        let packet = ci.alloc(len + 80, 80, now).expect("netmem");
+        let seg = crate::driver::TxSegment {
+            sock: c,
+            seq_lo,
+            data_len: len,
+            pinned: None,
+        };
+        ci.issue(SdmaPurpose::TxSegment(seg, packet))
+    });
+    rig.k.sdma_done(cab, token, true, None, &mut rig.mem, now);
+}
+
+/// Every place the stack drops `M_WCAB`-backed data releases the outboard
+/// packets it dropped: each row feeds segments whose tails sit in network
+/// memory, lets the connection consume what it keeps, and expects no page
+/// left in use. One row per drop site of `Tcb::input`, the abort of a
+/// connection with out-of-order data queued, and the two send-queue cases
+/// (a copy-in completing over a range an earlier one converted, and one
+/// completing after its range was acknowledged).
+#[test]
+fn every_drop_site_releases_its_outboard_packets() {
+    type Row = fn(&mut Rig, IfaceId, SockId, SockId, u32);
+    const L: usize = 4000;
+    let rows: [(&str, Row); 10] = [
+        ("whole duplicate", |rig, cab, _c, child, r0| {
+            deliver_outboard(rig, cab, child, r0, L, TcpFlags::ACK);
+            let fin = TcpFlags::ACK | TcpFlags::FIN;
+            deliver_outboard(rig, cab, child, r0, L, fin);
+            read_all(rig, child);
+        }),
+        ("partial duplicate", |rig, cab, _c, child, r0| {
+            deliver_outboard(rig, cab, child, r0, L, TcpFlags::ACK);
+            deliver_outboard(rig, cab, child, r0 + 1000, L, TcpFlags::ACK);
+            read_all(rig, child);
+        }),
+        ("beyond the window", |rig, cab, _c, child, r0| {
+            let space = rig.k.socket_ref(child).unwrap().so_rcv.space();
+            deliver_outboard(rig, cab, child, r0, space + L, TcpFlags::ACK);
+            read_all(rig, child);
+        }),
+        ("reassembly whole duplicate", |rig, cab, _c, child, r0| {
+            deliver_outboard(rig, cab, child, r0 + 1000, 2000, TcpFlags::ACK);
+            deliver_outboard(rig, cab, child, r0, L, TcpFlags::ACK);
+            read_all(rig, child);
+        }),
+        ("reassembly partial duplicate", |rig, cab, _c, child, r0| {
+            deliver_outboard(rig, cab, child, r0 + 1000, L, TcpFlags::ACK);
+            deliver_outboard(rig, cab, child, r0, L, TcpFlags::ACK);
+            read_all(rig, child);
+        }),
+        ("reassembly slot taken", |rig, cab, _c, child, r0| {
+            deliver_outboard(rig, cab, child, r0 + 1000, 2000, TcpFlags::ACK);
+            deliver_outboard(rig, cab, child, r0 + 1000, 2000, TcpFlags::ACK);
+            deliver_outboard(rig, cab, child, r0, 1000, TcpFlags::ACK);
+            read_all(rig, child);
+        }),
+        ("reassembly queue full", |rig, cab, _c, child, r0| {
+            // 64 small segments (all in the auto-DMA prefix) fill the queue;
+            // the next one is refused.
+            for i in 0..64 {
+                deliver_outboard(rig, cab, child, r0 + 1000 + 10 * i, 10, TcpFlags::ACK);
+            }
+            deliver_outboard(rig, cab, child, r0 + 2000, 2000, TcpFlags::ACK);
+            deliver_outboard(rig, cab, child, r0, 1000, TcpFlags::ACK);
+            read_all(rig, child);
+        }),
+        ("abort with out-of-order data", |rig, cab, _c, child, r0| {
+            deliver_outboard(rig, cab, child, r0 + 1000, 2000, TcpFlags::ACK);
+            deliver_outboard(rig, cab, child, r0, 0, TcpFlags::RST);
+            assert!(rig.k.socket_ref(child).is_none(), "the RST tears down");
+        }),
+        (
+            "copy-in over a converted range",
+            |rig, cab, c, _child, _r0| {
+                let s = rig.k.sockets.get_mut(c).unwrap();
+                s.so_snd.chain.append(Mbuf::kernel_copy(&[7; L]));
+                let una = s.tcb.as_ref().unwrap().snd_una;
+                complete_copy_in(rig, cab, c, una, L);
+                complete_copy_in(rig, cab, c, una, L);
+                rig.k.teardown(c, rig.now);
+                rig.k.take_effects(rig.now);
+            },
+        ),
+        (
+            "copy-in after its range was acknowledged",
+            |rig, cab, c, _child, _r0| {
+                let una = rig.k.socket_ref(c).unwrap().tcb.as_ref().unwrap().snd_una;
+                complete_copy_in(rig, cab, c, una.wrapping_sub(L as u32), L);
+            },
+        ),
+    ];
+    for (name, row) in rows {
+        let mut cfg = StackConfig::single_copy();
+        // A window small enough for one segment to overrun it.
+        cfg.sock_buf = 16 * 1024;
+        let mut rig = Rig::loopback(cfg);
+        let (c, child) = established_loopback_pair(&mut rig);
+        let cab = rig.add_cab();
+        let r0 = rig
+            .k
+            .socket_ref(child)
+            .unwrap()
+            .tcb
+            .as_ref()
+            .unwrap()
+            .rcv_nxt;
+        row(&mut rig, cab, c, child, r0);
+        let allocs = rig.k.iface(cab).cab_ref().unwrap().cab.netmem().allocs();
+        assert!(allocs > 0, "{name}: no outboard packet");
+        assert_eq!(pages_used(&rig, cab), 0, "{name}: pages left in use");
+    }
 }

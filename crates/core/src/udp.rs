@@ -69,7 +69,7 @@ mod tests {
                 }
                 MbufData::Wcab(d) => {
                     let mut buf = vec![0u8; d.len];
-                    let ok = resolve_wcab(d.cab, d.packet, d.off, d.len, &mut buf);
+                    let ok = resolve_wcab(d.cab, d.packet.id(), d.off, d.len, &mut buf);
                     assert!(ok, "WCAB bytes unavailable for software checksum");
                     acc.add_bytes(&buf);
                 }

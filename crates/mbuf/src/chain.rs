@@ -327,6 +327,16 @@ impl Chain {
     }
 }
 
+impl IntoIterator for Chain {
+    type Item = Mbuf;
+    type IntoIter = std::collections::vec_deque::IntoIter<Mbuf>;
+
+    /// The mbufs front to back, by value.
+    fn into_iter(self) -> Self::IntoIter {
+        self.mbufs.into_iter()
+    }
+}
+
 impl FromIterator<Mbuf> for Chain {
     fn from_iter<T: IntoIterator<Item = Mbuf>>(iter: T) -> Chain {
         let mut c = Chain::new();
@@ -381,7 +391,7 @@ mod tests {
         }));
         c.append(Mbuf::wcab(WcabDesc {
             cab: 0,
-            packet: 7,
+            packet: crate::PacketHolds::new().adopt(7, 0),
             off: 0,
             len: 50,
             hw_csum: 0,
@@ -581,7 +591,7 @@ mod proptests {
                     _ => {
                         chain.append(Mbuf::wcab(crate::mbuf::WcabDesc {
                             cab: 0,
-                            packet: 9,
+                            packet: crate::PacketHolds::new().adopt(9, 0),
                             off: uio_cursor as usize,
                             len,
                             hw_csum: 0,
@@ -691,7 +701,7 @@ mod proptests {
             _ => (
                 Mbuf::wcab(crate::mbuf::WcabDesc {
                     cab: 1,
-                    packet: 77,
+                    packet: crate::PacketHolds::new().adopt(77, 0),
                     off: 2_000_000,
                     len,
                     hw_csum: 0xABCD,

@@ -31,9 +31,11 @@
 #![cfg_attr(not(test), deny(clippy::float_arithmetic))]
 
 mod chain;
+mod hold;
 mod mbuf;
 
 pub use chain::Chain;
+pub use hold::{PacketHolds, PacketRef};
 pub use mbuf::{CsumPlan, Mbuf, MbufData, Segment, UioDesc, UioRegion, WcabDesc};
 
 /// Identifies a simulated task/process (owner of a user address space).

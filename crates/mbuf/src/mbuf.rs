@@ -1,6 +1,6 @@
 //! Individual mbufs and their three storage formats.
 
-use crate::TaskId;
+use crate::{PacketRef, TaskId};
 use bytes::Bytes;
 
 /// A region of a simulated user address space: the buffer named by a
@@ -42,13 +42,15 @@ impl UioDesc {
 /// `packet` in the network memory of CAB `cab`. Mirrors the paper's `wCAB`
 /// structure: packet identifier and packet checksum. Its count of valid
 /// outboard bytes is not kept: a descriptor is made only once its bytes
-/// are in network memory.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// are in network memory. The descriptor holds the packet: cloning it (a
+/// split, a `copy_range`) adds a holder, dropping it removes one.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WcabDesc {
     /// Which CAB's network memory holds the packet (interface index).
     pub cab: u32,
-    /// Opaque packet id assigned by that CAB (see `outboard_cab::PacketId`).
-    pub packet: u64,
+    /// This descriptor's handle on the packet (its id is the CAB's
+    /// `outboard_cab::PacketId`).
+    pub packet: PacketRef,
     /// Offset of this descriptor's data within the packet.
     pub off: usize,
     /// Length of this descriptor's data in bytes.
@@ -139,6 +141,11 @@ impl Mbuf {
         &self.data
     }
 
+    /// The storage variant, by value.
+    pub fn into_data(self) -> MbufData {
+        self.data
+    }
+
     /// A borrowed view suitable for data-touching consumers.
     pub fn segment(&self) -> Segment<'_> {
         match &self.data {
@@ -209,7 +216,7 @@ impl Mbuf {
                 let front = WcabDesc {
                     off: d.off,
                     len: at,
-                    ..*d
+                    ..d.clone()
                 };
                 d.off += at;
                 d.len -= at;
@@ -249,7 +256,7 @@ impl Mbuf {
             MbufData::Wcab(d) => Mbuf::wcab(WcabDesc {
                 off: d.off + off,
                 len,
-                ..*d
+                ..d.clone()
             }),
         }
     }
@@ -282,7 +289,7 @@ mod tests {
     fn wcab_mbuf() -> Mbuf {
         Mbuf::wcab(WcabDesc {
             cab: 0,
-            packet: 42,
+            packet: crate::PacketHolds::new().adopt(42, 40),
             off: 40,
             len: 2000,
             hw_csum: 0x1234,
@@ -322,7 +329,7 @@ mod tests {
             MbufData::Wcab(d) => {
                 assert_eq!(d.off, 140);
                 assert_eq!(d.len, 500);
-                assert_eq!(d.packet, 42, "packet identity preserved");
+                assert_eq!(d.packet.id(), 42, "packet identity preserved");
                 assert_eq!(d.hw_csum, 0x1234, "checksum info preserved");
             }
             _ => panic!("wrong format"),

@@ -256,7 +256,13 @@ pub fn build_ttcp_world(cfg: &ExperimentConfig) -> World {
 
 /// Run one ttcp experiment to completion (or a generous virtual deadline).
 pub fn run_ttcp(cfg: &ExperimentConfig) -> Metrics {
-    let mut w = build_ttcp_world(cfg);
+    run_ttcp_in(&mut build_ttcp_world(cfg), cfg)
+}
+
+/// [`run_ttcp`] on a world [`build_ttcp_world`] built from `cfg`, which is
+/// left as the run ends so a caller can run it on (a settle past the
+/// transfer) and inspect it.
+pub fn run_ttcp_in(w: &mut World, cfg: &ExperimentConfig) -> Metrics {
     // Generous deadline: even 1 Mbit/s would finish in time.
     let deadline = Time::ZERO + Dur::from_secs_f64((cfg.total_bytes as f64 * 8.0 / 1e6).max(30.0));
     let done = w.run_while(deadline, |w| {

@@ -13,7 +13,8 @@
 //!   byte and fault-fate counters summing to the world aggregates.
 //! * **Healed end-state** — once every scheduled fault has healed and the
 //!   probes have run, no interface may still be degraded, wedged, or carrying
-//!   an unbalanced degraded-entry/exit ledger (livelock/leak detector).
+//!   an unbalanced degraded-entry/exit ledger (livelock/leak detector), and
+//!   once the transfer has completed no CAB may hold a network-memory page.
 //!
 //! Violation strings are prefixed with a stable category token
 //! (`integrity:`, `conservation:`, `endstate:`, `liveness:`) so the shrinker
@@ -141,9 +142,15 @@ pub(crate) fn integrity_violations(w: &World, total_bytes: usize) -> Vec<String>
 /// Healed end-state checks: with every scheduled fault healed and probe
 /// timers given time to fire, each CAB interface must be back on the
 /// single-copy path with balanced degraded-mode transitions and no wedged
-/// engine.
-pub(crate) fn endstate_violations(w: &World) -> Vec<String> {
+/// engine. Once every application has finished, each CAB must also hold no
+/// network-memory page: an outboard packet is released when its last
+/// holder drops, so a page still in use after the transfer has leaked.
+pub fn endstate_violations(w: &World) -> Vec<String> {
     let mut v = Vec::new();
+    let finished = w
+        .hosts
+        .iter()
+        .all(|h| h.apps.iter().flatten().all(|a| a.finished()));
     for (h, host) in w.hosts.iter().enumerate() {
         for iface in &host.kernel.ifaces {
             let Some(ci) = iface.cab_ref() else { continue };
@@ -163,6 +170,13 @@ pub(crate) fn endstate_violations(w: &World) -> Vec<String> {
             if ci.cab.any_engine_wedged() {
                 v.push(format!(
                     "endstate: host{h} iface{id} has a wedged DMA engine after heal"
+                ));
+            }
+            let nm = ci.cab.netmem();
+            let pages = nm.pages_total() - nm.pages_free();
+            if finished && pages > 0 {
+                v.push(format!(
+                    "endstate: host{h} iface{id} holds {pages} netmem pages"
                 ));
             }
         }

@@ -281,14 +281,9 @@ fn run_settled_without_leaks(mut w: World, total: usize, what: &str) {
         let ci = w.hosts[host].kernel.ifaces[0].cab().expect("CAB");
         let violations = ci.cab.ownership_violations();
         assert!(violations.is_empty(), "{what}: host {host}: {violations:?}");
-        let key = format!("host{host}.cab0.netmem.pages_used");
-        assert!(r.get(&key).is_some(), "{key} is not published");
-        assert_eq!(
-            r.gauge_value(&key).0,
-            0,
-            "{what}: host {host} leaks network memory"
-        );
     }
+    let endstate = oracle::endstate_violations(&w);
+    assert!(endstate.is_empty(), "{what}: {endstate:?}");
 }
 
 /// Every arm of the CAB transmit path — first launch, header-only
@@ -326,5 +321,43 @@ fn every_transmit_arm_completes_without_leaking_netmem() {
             .cab
             .faults = rx_faults;
         run_settled_without_leaks(w, TOTAL, &format!("unmodified seed {seed}"));
+    }
+}
+
+/// The leak census: 1 MB in 64 KB single-copy writes under one fault kind
+/// at a time, link seeds 1..=40, run to completion and on for 5 s. An
+/// outboard packet is released when its last holder drops, so neither CAB
+/// has a live packet left. (While releases were counted by hand, 38, 17,
+/// 16 and 34 of the 40 seeds leaked, in the order of `kinds`.)
+#[test]
+fn no_fault_kind_leaks_network_memory() {
+    type SetFault = fn(&mut ExperimentConfig);
+    let kinds: [(&str, SetFault); 4] = [
+        ("drop .05", |c| c.drop_p = 0.05),
+        ("corrupt .01", |c| c.corrupt_p = 0.01),
+        ("dup .01", |c| c.dup_p = 0.01),
+        ("cab_alloc_fail .05", |c| c.cab_alloc_fail_p = 0.05),
+    ];
+    for (kind, set) in kinds {
+        let leaking: Vec<(u64, [usize; 2])> = (1..=40)
+            .filter_map(|seed| {
+                let mut cfg = base_cfg(1024 * 1024, seed);
+                set(&mut cfg);
+                let mut w = build_ttcp_world(&cfg);
+                let done = w.run_while(Time::ZERO + Dur::secs(30), |w| !both_finished(w));
+                assert!(done, "{kind} seed {seed}: transfer did not finish");
+                let settled = w.now() + Dur::secs(5);
+                w.run_until(settled);
+                let live = [0, 1].map(|h| {
+                    let ci = w.hosts[h].kernel.ifaces[0].cab_ref().expect("CAB");
+                    ci.cab.netmem().packet_count()
+                });
+                (live != [0, 0]).then_some((seed, live))
+            })
+            .collect();
+        assert!(
+            leaking.is_empty(),
+            "{kind}: seeds leaving live packets (seed, [sender, receiver]): {leaking:?}"
+        );
     }
 }
