@@ -26,7 +26,7 @@ use outboard_host::MachineConfig;
 use outboard_sim::chaos::{ChaosAction, ChaosEvent, ChaosSchedule};
 use outboard_sim::Dur;
 use outboard_stack::StackConfig;
-use outboard_testbed::chaos::{run_chaos, shrink_failure, DEFAULT_LIVENESS_BUDGET};
+use outboard_testbed::chaos::{run_chaos, shrink_failure};
 use outboard_testbed::ExperimentConfig;
 
 fn flag_present(name: &str) -> bool {
@@ -83,7 +83,7 @@ fn sweep_seed(seed: u64, events: usize, total: usize, plant_bug: bool) -> SeedRe
         });
         schedule.events.sort_by_key(|e| e.at);
     }
-    let outcome = run_chaos(&cfg, &schedule, DEFAULT_LIVENESS_BUDGET);
+    let outcome = run_chaos(&cfg, &schedule);
     if outcome.passed() {
         return SeedReport {
             line: format!(
@@ -100,11 +100,10 @@ fn sweep_seed(seed: u64, events: usize, total: usize, plant_bug: bool) -> SeedRe
         };
     }
     let first = outcome.violations[0].clone();
-    let (events_left, runs, repro_json) =
-        match shrink_failure(&cfg, &schedule, DEFAULT_LIVENESS_BUDGET) {
-            Some(r) => (r.schedule.events.len(), r.runs, Some(r.schedule.to_json())),
-            None => (schedule.events.len(), 0, Some(schedule.to_json())),
-        };
+    let (events_left, runs, repro_json) = match shrink_failure(&cfg, &schedule) {
+        Some(r) => (r.schedule.events.len(), r.runs, Some(r.schedule.to_json())),
+        None => (schedule.events.len(), 0, Some(schedule.to_json())),
+    };
     SeedReport {
         line: format!(
             "seed {seed:>5}  FAIL  {first}  (shrunk to {events_left} events in {runs} runs)"
@@ -136,7 +135,7 @@ fn replay(path: &str, total: usize, stats: bool) -> i32 {
         schedule.render()
     );
     let cfg = base_cfg(schedule.seed, total);
-    let outcome = run_chaos(&cfg, &schedule, DEFAULT_LIVENESS_BUDGET);
+    let outcome = run_chaos(&cfg, &schedule);
     if stats {
         print!("{}", outcome.stats.report());
     }

@@ -289,6 +289,13 @@ impl CabIface {
         }
     }
 
+    /// An accepted transfer on `packet` is still running at `now`.
+    pub(crate) fn in_transfer(&self, packet: &PacketRef, now: Time) -> bool {
+        self.in_flight
+            .iter()
+            .any(|(end, p)| *end > now && p.id() == packet.id())
+    }
+
     /// Drop the handles of transfers over by `now`, then free every packet
     /// whose last handle has dropped: the one place the host frees network
     /// memory. `now` is the time of the event being handled, so the free

@@ -652,8 +652,8 @@ impl Kernel {
     /// the packet that first carried it, so only `frame`'s fresh header is
     /// copied over its front, the saved body checksum is reused, and the
     /// packet goes to the media again. False when the packet's geometry
-    /// does not match or the engine refuses the copy-in; the caller then
-    /// rebuilds the whole frame.
+    /// does not match, a transfer of the packet is still in flight, or the
+    /// engine refuses the copy-in; the caller then rebuilds the whole frame.
     #[expect(
         clippy::too_many_arguments,
         reason = "a launch's context: device, frame and its chain, trace, clock, memory"
@@ -683,7 +683,9 @@ impl Kernel {
                 .get(packet)
                 .is_some_and(|p| p.cap == d.off + d.len)
             && d.cab == iface_id.0;
-        if !geom_ok {
+        // A media transfer of the packet still in flight owns its buffer:
+        // the header is not rewritten under it.
+        if !geom_ok || cab.in_transfer(&d.packet, now) {
             return false;
         }
         let token = cab.issue(SdmaPurpose::TxPlain);

@@ -123,6 +123,10 @@ impl App for TtcpSender {
         self.state == TxState::Done
     }
 
+    fn bytes_moved(&self) -> u64 {
+        self.bytes_written as u64
+    }
+
     fn step(&mut self, ctx: &mut SysCtx<'_>) -> Step {
         match self.state {
             TxState::Start => {
@@ -284,6 +288,10 @@ impl App for TtcpReceiver {
 
     fn finished(&self) -> bool {
         self.state == RxState::Done
+    }
+
+    fn bytes_moved(&self) -> u64 {
+        self.bytes_read as u64
     }
 
     fn step(&mut self, ctx: &mut SysCtx<'_>) -> Step {

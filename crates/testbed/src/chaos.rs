@@ -2,28 +2,19 @@
 //! judge the run with the [`crate::oracle`], and delta-debug failing
 //! schedules down to minimal replayable repros.
 //!
-//! The runner steps the world in fixed sim-time chunks with a progress
-//! watchdog: once every scheduled fault has healed
-//! (`World::chaos_quiesce_at`), a run that makes no application-level
-//! progress for the liveness budget is declared livelocked; a drained event
-//! queue with the transfer unfinished is a deadlock. Because the world is a
-//! deterministic discrete-event simulation, the same config + schedule
-//! always produces the same [`ChaosOutcome`], which is what makes
-//! [`shrink_failure`] sound.
+//! The transfer runs under [`World::run_apps`], whose progress watchdog
+//! starts once every scheduled fault has healed; any ending but
+//! [`RunOutcome::Completed`] (a deadlock, a livelock, the deadline) is the
+//! run's `liveness:` violation. Because the world is a deterministic
+//! discrete-event simulation, the same config + schedule always produces
+//! the same [`ChaosOutcome`], which is what makes [`shrink_failure`] sound.
 
 use crate::experiment::{build_ttcp_world, ExperimentConfig};
 use crate::oracle;
+use crate::run::{RunOutcome, DEFAULT_LIVENESS_BUDGET};
 use crate::world::{ChaosStats, World};
 use outboard_sim::chaos::{shrink, ChaosSchedule, ShrinkResult};
 use outboard_sim::{Dur, MetricsRegistry, Time};
-
-/// Default sim-time progress budget after all faults heal. Must exceed TCP's
-/// maximum retransmit backoff (64 s): a partition healed just after a fully
-/// backed-off rexmt timer re-arms legitimately stays silent that long.
-pub const DEFAULT_LIVENESS_BUDGET: Dur = Dur::secs(70);
-
-/// Watchdog polling granularity for the chunked run loop.
-const CHUNK: Dur = Dur::millis(10);
 
 /// Sim-time allowance after quiesce for heal probes and watchdog resets to
 /// land before the end-state oracle runs (probe period is 10 ms).
@@ -34,6 +25,8 @@ const SETTLE: Dur = Dur::millis(100);
 pub struct ChaosOutcome {
     /// Oracle violations, run-phase (liveness) first; empty = clean run.
     pub violations: Vec<String>,
+    /// How the run loop ended (`None` when the config was rejected).
+    pub outcome: Option<RunOutcome>,
     /// The transfer finished and the receiver read every byte.
     pub completed: bool,
     /// Virtual time consumed: [`World::now`] once the settle window has
@@ -69,36 +62,12 @@ impl ChaosOutcome {
     }
 }
 
-fn app_progress(w: &World) -> u64 {
-    use crate::apps::{TtcpReceiver, TtcpSender};
-    let sent = w.hosts[0].apps[0]
-        .as_ref()
-        .and_then(|a| a.as_any().downcast_ref::<TtcpSender>())
-        .map(|s| s.bytes_written)
-        .unwrap_or(0);
-    let read = w.hosts[1].apps[0]
-        .as_ref()
-        .and_then(|a| a.as_any().downcast_ref::<TtcpReceiver>())
-        .map(|r| r.bytes_read)
-        .unwrap_or(0);
-    (sent + read) as u64
-}
-
-fn apps_finished(w: &World) -> bool {
-    w.hosts
-        .iter()
-        .all(|h| h.apps[0].as_ref().map(|a| a.finished()).unwrap_or(false))
-}
-
 /// Run one ttcp transfer under `schedule` and judge it with the oracle.
-pub fn run_chaos(
-    cfg: &ExperimentConfig,
-    schedule: &ChaosSchedule,
-    liveness_budget: Dur,
-) -> ChaosOutcome {
+pub fn run_chaos(cfg: &ExperimentConfig, schedule: &ChaosSchedule) -> ChaosOutcome {
     if let Err(e) = cfg.validate() {
         return ChaosOutcome {
             violations: vec![format!("config: {e}")],
+            outcome: None,
             completed: false,
             elapsed: Dur::ZERO,
             bytes_read: 0,
@@ -114,47 +83,11 @@ pub fn run_chaos(
     // Hard ceiling: a generous bandwidth floor or the schedule's active
     // window plus the liveness budget, whichever is later.
     let floor = Time::ZERO + Dur::from_secs_f64((cfg.total_bytes as f64 * 8.0 / 1e6).max(30.0));
-    let deadline = floor.max(quiesce + liveness_budget) + Dur::secs(5);
-
+    let deadline = floor.max(quiesce + DEFAULT_LIVENESS_BUDGET) + Dur::secs(5);
+    let outcome = w.run_apps(deadline);
     let mut violations: Vec<String> = Vec::new();
-    // `target` is wall sim-time swept by the watchdog; `w.now()` can lag it
-    // when the queue has no events in a chunk.
-    let mut target = w.now();
-    let mut last_progress = app_progress(&w);
-    let mut last_progress_at = target;
-    loop {
-        if apps_finished(&w) {
-            break;
-        }
-        if w.pending_events() == 0 {
-            violations.push(format!(
-                "liveness: event queue drained at {} with the transfer unfinished (deadlock)",
-                w.now()
-            ));
-            break;
-        }
-        if target >= deadline {
-            violations.push(format!(
-                "liveness: transfer unfinished at deadline {deadline} (started stalling at {last_progress_at})"
-            ));
-            break;
-        }
-        target += CHUNK;
-        w.run_until(target);
-        let p = app_progress(&w);
-        if p != last_progress {
-            last_progress = p;
-            last_progress_at = target;
-        } else if target >= quiesce {
-            // All faults healed: silence beyond the budget is a livelock.
-            let anchor = last_progress_at.max(quiesce);
-            if target.since(anchor) > liveness_budget {
-                violations.push(format!(
-                    "liveness: no progress since {anchor} with all faults healed (budget {liveness_budget})"
-                ));
-                break;
-            }
-        }
+    if outcome != RunOutcome::Completed {
+        violations.push(outcome.to_string());
     }
 
     // Let remaining heals, probes, and watchdogs land before judging the
@@ -170,14 +103,10 @@ pub fn run_chaos(
     }
     let elapsed = w.now().since(Time::ZERO);
     let stats = w.metrics(elapsed);
-    let bytes_read = {
-        use crate::apps::TtcpReceiver;
-        w.hosts[1].apps[0]
-            .as_ref()
-            .and_then(|a| a.as_any().downcast_ref::<TtcpReceiver>())
-            .map(|r| r.bytes_read)
-            .unwrap_or(0)
-    };
+    // Host 1 runs the receiver: the bytes it moved are the bytes it read.
+    let bytes_read = w.hosts[1].apps[0]
+        .as_ref()
+        .map_or(0, |rx| rx.bytes_moved() as usize);
 
     violations.extend(oracle::integrity_violations(&w, cfg.total_bytes));
     violations.extend(oracle::conservation_violations(&stats, w.hosts.len()));
@@ -190,7 +119,8 @@ pub fn run_chaos(
     };
 
     ChaosOutcome {
-        completed: apps_finished(&w) && bytes_read >= cfg.total_bytes,
+        outcome: Some(outcome),
+        completed: outcome == RunOutcome::Completed && bytes_read >= cfg.total_bytes,
         elapsed,
         bytes_read,
         chaos: w.chaos_stats().unwrap_or_default(),
@@ -275,13 +205,9 @@ fn flight_json(w: &World, seed: u64, violations: &[String]) -> Option<String> {
 /// failure *category* (so a shrunk liveness repro cannot silently morph
 /// into, say, a conservation repro). Returns `None` when the schedule does
 /// not actually fail under `cfg`.
-pub fn shrink_failure(
-    cfg: &ExperimentConfig,
-    failing: &ChaosSchedule,
-    liveness_budget: Dur,
-) -> Option<ShrinkResult> {
-    let baseline = run_chaos(cfg, failing, liveness_budget).category()?;
+pub fn shrink_failure(cfg: &ExperimentConfig, failing: &ChaosSchedule) -> Option<ShrinkResult> {
+    let baseline = run_chaos(cfg, failing).category()?;
     Some(shrink(failing, |cand| {
-        run_chaos(cfg, cand, liveness_budget).category().as_deref() == Some(baseline.as_str())
+        run_chaos(cfg, cand).category().as_deref() == Some(baseline.as_str())
     }))
 }

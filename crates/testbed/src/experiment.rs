@@ -8,6 +8,7 @@
 //! series: well-formed packets driven straight at the device.
 
 use crate::apps::{TtcpReceiver, TtcpSender};
+use crate::run::RunOutcome;
 use crate::world::World;
 use bytes::Bytes;
 use outboard_cab::{Cab, CabEvent, SdmaDst, SdmaRx, SdmaTx, SgEntry};
@@ -135,6 +136,8 @@ impl ExperimentConfig {
 pub struct Metrics {
     /// Whole transfer delivered within the deadline.
     pub completed: bool,
+    /// How the run loop ended.
+    pub outcome: RunOutcome,
     /// Virtual wall time of the run.
     pub elapsed: Dur,
     /// Bytes delivered to the receiving application.
@@ -265,16 +268,7 @@ pub fn run_ttcp(cfg: &ExperimentConfig) -> Metrics {
 pub fn run_ttcp_in(w: &mut World, cfg: &ExperimentConfig) -> Metrics {
     // Generous deadline: even 1 Mbit/s would finish in time.
     let deadline = Time::ZERO + Dur::from_secs_f64((cfg.total_bytes as f64 * 8.0 / 1e6).max(30.0));
-    let done = w.run_while(deadline, |w| {
-        !(w.hosts[0].apps[0]
-            .as_ref()
-            .map(|a| a.finished())
-            .unwrap_or(true)
-            && w.hosts[1].apps[0]
-                .as_ref()
-                .map(|a| a.finished())
-                .unwrap_or(true))
-    });
+    let outcome = w.run_apps(deadline);
     let elapsed = w.now() - Time::ZERO;
 
     // Dig the apps back out for their counters.
@@ -328,7 +322,8 @@ pub fn run_ttcp_in(w: &mut World, cfg: &ExperimentConfig) -> Metrics {
     };
 
     Metrics {
-        completed: done && bytes_read >= cfg.total_bytes,
+        completed: outcome == RunOutcome::Completed && bytes_read >= cfg.total_bytes,
+        outcome,
         elapsed,
         bytes: bytes_read.min(bytes_written.max(bytes_read)),
         throughput_mbps: throughput,

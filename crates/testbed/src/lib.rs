@@ -5,6 +5,8 @@
 //! * `world` — the discrete-event `World`: hosts (kernel + CPU + user
 //!   memory + apps), links, and the event dispatch loop that interprets
 //!   kernel [`outboard_stack::Effect`]s,
+//! * `run` — [`World::run_apps`], the one loop that runs a world until its
+//!   apps finish, and the [`RunOutcome`] it ends in,
 //! * [`apps`] — `ttcp`-style sender/receiver processes and in-kernel
 //!   applications (file server) with the share-semantics interface,
 //! * [`experiment`] — the §7.1 methodology: run a transfer, account CPU per
@@ -19,9 +21,11 @@ pub mod apps;
 pub mod chaos;
 pub mod experiment;
 pub mod oracle;
+mod run;
 mod timers;
 mod world;
 
-pub use chaos::{run_chaos, shrink_failure, DEFAULT_LIVENESS_BUDGET};
+pub use chaos::{run_chaos, shrink_failure};
 pub use experiment::{raw_hippi_throughput, run_ttcp, ExperimentConfig, Metrics};
+pub use run::RunOutcome;
 pub use world::{SysCtx, World};

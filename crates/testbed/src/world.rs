@@ -121,6 +121,11 @@ pub trait App: std::any::Any {
     }
     /// True when the app has completed its work (for run-to-completion).
     fn finished(&self) -> bool;
+    /// Application bytes written or read so far: the progress
+    /// [`World::run_apps`]'s watchdog looks for.
+    fn bytes_moved(&self) -> u64 {
+        0
+    }
 }
 
 /// One simulated host.
@@ -135,7 +140,6 @@ pub struct Host {
     pub apps: Vec<Option<Box<dyn App>>>,
     /// The process whose syscalls count as `ttcp` in the accounting.
     pub measured_task: Option<TaskId>,
-    finished_apps: usize,
     /// Slot in `apps` of each task's app, filled by [`World::add_app`]; the
     /// first app registered under a task keeps it.
     app_slots: BTreeMap<TaskId, usize>,
@@ -863,7 +867,6 @@ impl World {
             cpu: Cpu::new(machine),
             apps: Vec::new(),
             measured_task: None,
-            finished_apps: 0,
             app_slots: BTreeMap::new(),
             app_fx: Vec::new(),
         });
@@ -1112,7 +1115,6 @@ impl World {
                 if measured {
                     self.hosts[host].cpu.set_ttcp_on_cpu(false);
                 }
-                self.hosts[host].finished_apps += 1;
                 self.hosts[host].apps[idx] = Some(app);
                 return;
             }

@@ -59,7 +59,7 @@ use outboard::sim::{Dur, Time};
 use outboard::stack::{SockAddr, StackConfig};
 use outboard::testbed::apps::{TtcpReceiver, TtcpSender};
 use outboard::testbed::experiment::{build_ttcp_world, RECEIVER_IP, SENDER_IP};
-use outboard::testbed::{ExperimentConfig, World};
+use outboard::testbed::{ExperimentConfig, RunOutcome, World};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -110,21 +110,13 @@ fn single_copy() -> StackConfig {
     s
 }
 
-fn all_finished(w: &World) -> bool {
-    w.hosts
-        .iter()
-        .flat_map(|h| h.apps.iter())
-        .all(|a| a.as_ref().is_none_or(|a| a.finished()))
-}
-
 /// Run `w` to completion; returns (allocations, events) of everything after
 /// the first `warmup` events.
 fn steady_state(mut w: World, warmup: u64) -> (u64, u64) {
     let deadline = Time::ZERO + Dur::secs(60);
     assert!(w.run_while(deadline, |w| w.events_dispatched < warmup));
-    assert!(!all_finished(&w), "warm-up swallowed the whole run");
     let (a0, e0) = (ALLOCS.with(Cell::get), w.events_dispatched);
-    assert!(w.run_while(deadline, |w| !all_finished(w)), "run stalled");
+    assert_eq!(w.run_apps(deadline), RunOutcome::Completed);
     let (a1, e1) = (ALLOCS.with(Cell::get), w.events_dispatched);
     (a1 - a0, e1 - e0)
 }

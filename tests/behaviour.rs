@@ -4,7 +4,8 @@
 //! the gated benchmark workloads, fault soaks, DMA and wedge faults, the
 //! unmodified stack under faults, and the chaos smoke sweep.
 //!
-//! Each line holds the run's name, whether it completed, its elapsed
+//! Each line holds the run's name, how its run loop ended (`completed`,
+//! `deadline`, `drained` or `stalled`, the `RunOutcome`), its elapsed
 //! virtual nanoseconds, the bytes the receivers read, the events dispatched,
 //! a 64-bit FNV-1a digest over the stats JSON, trace, timeline and critical
 //! path, and — after the world has run on for 5 s of virtual time past the
@@ -14,24 +15,23 @@
 //! The file is a change detector, not an oracle: it records what the
 //! simulator does, leaks and stalls included. After an *intended* change of
 //! simulated behaviour, rewrite it with
-//! `cargo test --test behaviour -- --ignored regenerate_behaviour_ledger`
-//! (a debug build, as tier-1 runs it: the armed DMA ownership journal refuses
-//! transfers a release build lets run, so fault runs differ between the two),
-//! list every moved line in CHANGES.md and commit `tests/golden/`.
+//! `cargo test --test behaviour -- --ignored regenerate_behaviour_ledger`,
+//! list every moved line in CHANGES.md and commit `tests/golden/`. Debug and
+//! release builds write the same file; CI checks both.
 
 use outboard::host::{MachineConfig, TaskId};
 use outboard::sim::chaos::ChaosSchedule;
 use outboard::sim::{Dur, Time};
 use outboard::stack::{SockAddr, SockId, StackConfig};
 use outboard::testbed::apps::{TtcpReceiver, TtcpSender};
-use outboard::testbed::chaos::{run_chaos, DEFAULT_LIVENESS_BUDGET};
+use outboard::testbed::chaos::run_chaos;
 use outboard::testbed::experiment::{build_ttcp_world, run_ttcp_in, RECEIVER_IP, SENDER_IP};
 use outboard::testbed::{ExperimentConfig, World};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/behaviour.tsv");
-const HEADER: &str = "run\tcompleted\telapsed_ns\tbytes\tevents\tdigest\tsockets\tnetmem_pages";
+const HEADER: &str = "run\toutcome\telapsed_ns\tbytes\tevents\tdigest\tsockets\tnetmem_pages";
 const KB: usize = 1024;
 const MB: usize = 1024 * 1024;
 /// Virtual time a world runs on past its transfer before it is inspected.
@@ -171,13 +171,6 @@ fn digest<'a>(parts: impl IntoIterator<Item = &'a str>) -> u64 {
     })
 }
 
-fn all_finished(w: &World) -> bool {
-    w.hosts
-        .iter()
-        .flat_map(|h| h.apps.iter())
-        .all(|a| a.as_ref().is_none_or(|a| a.finished()))
-}
-
 /// Open sockets per host and network-memory pages per CAB, after `w` has
 /// run on for [`SETTLE`].
 fn settled(w: &mut World) -> String {
@@ -237,7 +230,7 @@ fn line(name: &str, run: &Run) -> String {
             let tail = settled(&mut w);
             format!(
                 "{name}\t{}\t{}\t{}\t{}\t{:016x}\t{tail}",
-                m.completed,
+                m.outcome.name(),
                 m.elapsed.as_nanos(),
                 m.bytes,
                 m.events_dispatched,
@@ -246,7 +239,7 @@ fn line(name: &str, run: &Run) -> String {
         }
         Run::ManyFlows(cfg) => {
             let mut w = many_flows_world(cfg);
-            let done = w.run_while(Time::ZERO + Dur::secs(60), |w| !all_finished(w));
+            let outcome = w.run_apps(Time::ZERO + Dur::secs(60));
             let elapsed = w.now() - Time::ZERO;
             let bytes: usize = w.hosts[1]
                 .apps
@@ -259,7 +252,8 @@ fn line(name: &str, run: &Run) -> String {
             let events = w.events_dispatched;
             let tail = settled(&mut w);
             format!(
-                "{name}\t{done}\t{}\t{bytes}\t{events}\t{:016x}\t{tail}",
+                "{name}\t{}\t{}\t{bytes}\t{events}\t{:016x}\t{tail}",
+                outcome.name(),
                 elapsed.as_nanos(),
                 digest([stats.as_str()])
             )
@@ -271,14 +265,14 @@ fn line(name: &str, run: &Run) -> String {
             cfg.timeline_enabled = true;
             cfg.timeline_export = false;
             let schedule = ChaosSchedule::generate(*seed, 6, 2);
-            let o = run_chaos(&cfg, &schedule, DEFAULT_LIVENESS_BUDGET);
+            let o = run_chaos(&cfg, &schedule);
             let stats = o.stats.to_json();
             let chaos = format!("{:?}", o.chaos);
             let mut parts = vec![stats.as_str(), chaos.as_str()];
             parts.extend(o.violations.iter().map(String::as_str));
             format!(
                 "{name}\t{}\t{}\t{}\t{}\t{:016x}\t-\t-",
-                o.completed,
+                o.outcome.map_or("-", |o| o.name()),
                 o.elapsed.as_nanos(),
                 o.bytes_read,
                 o.stats.counter_value("world.events_dispatched"),

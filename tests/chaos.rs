@@ -11,7 +11,7 @@ use outboard::host::MachineConfig;
 use outboard::sim::chaos::{ChaosAction, ChaosEvent, ChaosSchedule};
 use outboard::sim::Dur;
 use outboard::stack::StackConfig;
-use outboard::testbed::chaos::{run_chaos, shrink_failure, DEFAULT_LIVENESS_BUDGET};
+use outboard::testbed::chaos::{run_chaos, shrink_failure};
 use outboard::testbed::oracle::violation_category;
 use outboard::testbed::ExperimentConfig;
 
@@ -31,8 +31,8 @@ fn chaos_runs_are_byte_identical_per_seed() {
     let cfg = base_cfg(TOTAL, 77);
     let schedule = ChaosSchedule::generate(77, 5, 2);
 
-    let a = run_chaos(&cfg, &schedule, DEFAULT_LIVENESS_BUDGET);
-    let b = run_chaos(&cfg, &schedule, DEFAULT_LIVENESS_BUDGET);
+    let a = run_chaos(&cfg, &schedule);
+    let b = run_chaos(&cfg, &schedule);
     assert!(
         a.passed(),
         "generated schedule must pass: {:?}",
@@ -48,11 +48,7 @@ fn chaos_runs_are_byte_identical_per_seed() {
         "same seed + schedule must snapshot a byte-identical registry"
     );
 
-    let other = run_chaos(
-        &base_cfg(TOTAL, 78),
-        &ChaosSchedule::generate(78, 5, 2),
-        DEFAULT_LIVENESS_BUDGET,
-    );
+    let other = run_chaos(&base_cfg(TOTAL, 78), &ChaosSchedule::generate(78, 5, 2));
     assert_ne!(
         a.stats.report(),
         other.stats.report(),
@@ -75,7 +71,7 @@ fn planted_stealth_bug_is_caught_shrunk_and_replayed() {
     });
     schedule.events.sort_by_key(|e| e.at);
 
-    let outcome = run_chaos(&cfg, &schedule, DEFAULT_LIVENESS_BUDGET);
+    let outcome = run_chaos(&cfg, &schedule);
     assert!(!outcome.passed(), "the oracle must catch the planted bug");
     assert_eq!(
         outcome.category().as_deref(),
@@ -85,8 +81,7 @@ fn planted_stealth_bug_is_caught_shrunk_and_replayed() {
     );
 
     // Delta-debug to local minimality: the repro must be tiny.
-    let shrunk = shrink_failure(&cfg, &schedule, DEFAULT_LIVENESS_BUDGET)
-        .expect("schedule fails, so it must shrink");
+    let shrunk = shrink_failure(&cfg, &schedule).expect("schedule fails, so it must shrink");
     assert!(
         shrunk.schedule.events.len() <= 3,
         "shrunk to {} events, wanted <= 3:\n{}",
@@ -106,7 +101,7 @@ fn planted_stealth_bug_is_caught_shrunk_and_replayed() {
     let json = shrunk.schedule.to_json();
     let reparsed = ChaosSchedule::from_json(&json).expect("repro round-trips");
     assert_eq!(reparsed, shrunk.schedule);
-    let replay = run_chaos(&cfg, &reparsed, DEFAULT_LIVENESS_BUDGET);
+    let replay = run_chaos(&cfg, &reparsed);
     assert_eq!(
         replay.category().as_deref(),
         Some("integrity"),
@@ -141,7 +136,7 @@ fn netmem_flap_soak_degrades_and_recovers_every_cycle() {
     }
     let schedule = ChaosSchedule { seed: 31, events };
 
-    let outcome = run_chaos(&cfg, &schedule, DEFAULT_LIVENESS_BUDGET);
+    let outcome = run_chaos(&cfg, &schedule);
     assert!(
         outcome.passed(),
         "flap soak failed: {:?}",
@@ -180,7 +175,7 @@ fn partition_heals_after_backoff_ceiling_and_completes() {
         }],
     };
 
-    let outcome = run_chaos(&cfg, &schedule, DEFAULT_LIVENESS_BUDGET);
+    let outcome = run_chaos(&cfg, &schedule);
     assert!(
         outcome.passed(),
         "partition-heal run failed: {:?}",
@@ -256,7 +251,7 @@ fn every_chaos_action_kind_applies_cleanly() {
         ],
     };
 
-    let outcome = run_chaos(&cfg, &schedule, DEFAULT_LIVENESS_BUDGET);
+    let outcome = run_chaos(&cfg, &schedule);
     assert!(
         outcome.passed(),
         "all-kinds run failed: {:?}",
@@ -284,7 +279,7 @@ fn invalid_fault_probabilities_are_rejected_not_run() {
     let err = cfg.validate().expect_err("p > 1 must be rejected");
     assert_eq!(err.knob, "drop_p");
 
-    let outcome = run_chaos(&cfg, &ChaosSchedule::default(), DEFAULT_LIVENESS_BUDGET);
+    let outcome = run_chaos(&cfg, &ChaosSchedule::default());
     assert_eq!(outcome.category().as_deref(), Some("config"));
     assert!(!outcome.completed);
 
@@ -320,7 +315,7 @@ fn receiver_mdma_wedge_reset_drops_stale_rx_instead_of_corrupting() {
         }],
     };
 
-    let outcome = run_chaos(&cfg, &schedule, DEFAULT_LIVENESS_BUDGET);
+    let outcome = run_chaos(&cfg, &schedule);
     assert!(
         outcome.passed(),
         "receiver wedge-reset run failed: {:?}",

@@ -15,9 +15,9 @@ use outboard::host::MachineConfig;
 use outboard::sim::{Chance, Dur, Time};
 use outboard::stack::{SockId, StackConfig};
 use outboard::testbed::apps::TtcpReceiver;
-use outboard::testbed::experiment::build_ttcp_world;
+use outboard::testbed::experiment::{build_ttcp_world, run_ttcp_in};
 use outboard::testbed::oracle;
-use outboard::testbed::{run_ttcp, ExperimentConfig, Metrics, World};
+use outboard::testbed::{run_ttcp, ExperimentConfig, Metrics, RunOutcome, World};
 
 fn base_cfg(total: usize, seed: u64) -> ExperimentConfig {
     let mut stack = StackConfig::single_copy();
@@ -111,12 +111,6 @@ fn receiver_bytes(w: &World) -> usize {
         .unwrap_or(0)
 }
 
-fn both_finished(w: &World) -> bool {
-    w.hosts
-        .iter()
-        .all(|h| h.apps[0].as_ref().map(|a| a.finished()).unwrap_or(false))
-}
-
 /// A re-ACK sent from TIME_WAIT (the peer retransmitted its FIN) must not
 /// cancel the TIME_WAIT expiry. On these soak-matrix seeds the sender
 /// re-ACKs such a FIN; five expiry periods after the transfer only the
@@ -126,8 +120,8 @@ fn time_wait_expires_after_re_acking_a_retransmitted_fin() {
     for seed in [116, 218] {
         let cfg = soak_cfg(1024 * 1024, seed);
         let mut w = build_ttcp_world(&cfg);
-        let done = w.run_while(Time::ZERO + Dur::secs(30), |w| !both_finished(w));
-        assert!(done, "seed {seed}: transfer did not finish");
+        let outcome = w.run_apps(Time::ZERO + Dur::secs(30));
+        assert_eq!(outcome, RunOutcome::Completed, "seed {seed}");
         let settled = w.now() + cfg.stack.time_wait * 5;
         w.run_until(settled);
         // Socket ids are small: issued in sequence.
@@ -142,6 +136,29 @@ fn time_wait_expires_after_re_acking_a_retransmitted_fin() {
             [0, 1],
             "seed {seed}: a socket outlived TIME_WAIT"
         );
+    }
+}
+
+/// A header-only retransmit (§4.3) waits for the packet's media transfer.
+/// Rewriting the header under a transfer still in flight is an overlapping
+/// DMA: the debug journal refused it and a release build let it run, so
+/// the two builds ran different programs. On these soak-matrix seeds a
+/// retransmit fell while the first transmission was still on the wire.
+#[test]
+fn header_only_retransmit_waits_for_the_media_transfer() {
+    for seed in [37, 44, 55, 77] {
+        let cfg = soak_cfg(1024 * 1024, seed);
+        let mut w = build_ttcp_world(&cfg);
+        let outcome = w.run_apps(Time::ZERO + Dur::secs(30));
+        assert_eq!(outcome, RunOutcome::Completed, "seed {seed}");
+        for host in 0..2 {
+            let ci = w.hosts[host].kernel.ifaces[0].cab().expect("CAB");
+            let violations = ci.cab.ownership_violations();
+            assert!(
+                violations.is_empty(),
+                "seed {seed}: host {host}: {violations:?}"
+            );
+        }
     }
 }
 
@@ -186,8 +203,8 @@ fn netmem_starvation_degrades_then_recovers() {
 
     // With memory back, the health probe must re-enable the single-copy
     // path and the transfer must finish intact.
-    let done = w.run_while(deadline, |w| !both_finished(w));
-    assert!(done, "transfer did not finish after memory returned");
+    let outcome = w.run_apps(deadline);
+    assert_eq!(outcome, RunOutcome::Completed, "after memory returned");
     let rx = w.hosts[1].apps[0]
         .as_ref()
         .and_then(|a| a.as_any().downcast_ref::<TtcpReceiver>())
@@ -232,8 +249,8 @@ fn wedged_sdma_engine_is_reset_by_watchdog_without_data_loss() {
         .faults
         .force_sdma_wedge_next();
 
-    let done = w.run_while(deadline, |w| !both_finished(w));
-    assert!(done, "transfer did not finish after the wedge");
+    let outcome = w.run_apps(deadline);
+    assert_eq!(outcome, RunOutcome::Completed, "after the wedge");
     let rx = w.hosts[1].apps[0]
         .as_ref()
         .and_then(|a| a.as_any().downcast_ref::<TtcpReceiver>())
@@ -262,8 +279,8 @@ fn wedged_sdma_engine_is_reset_by_watchdog_without_data_loss() {
 /// sender's driver having relaunched something from its retry queue, and
 /// neither adaptor may hold a network-memory page once it has settled.
 fn run_settled_without_leaks(mut w: World, total: usize, what: &str) {
-    let done = w.run_while(Time::ZERO + Dur::secs(30), |w| !both_finished(w));
-    assert!(done, "{what}: transfer did not finish");
+    let outcome = w.run_apps(Time::ZERO + Dur::secs(30));
+    assert_eq!(outcome, RunOutcome::Completed, "{what}");
     let settled = w.now() + Dur::secs(5);
     w.run_until(settled);
     let rx = w.hosts[1].apps[0]
@@ -344,8 +361,8 @@ fn no_fault_kind_leaks_network_memory() {
                 let mut cfg = base_cfg(1024 * 1024, seed);
                 set(&mut cfg);
                 let mut w = build_ttcp_world(&cfg);
-                let done = w.run_while(Time::ZERO + Dur::secs(30), |w| !both_finished(w));
-                assert!(done, "{kind} seed {seed}: transfer did not finish");
+                let outcome = w.run_apps(Time::ZERO + Dur::secs(30));
+                assert_eq!(outcome, RunOutcome::Completed, "{kind} seed {seed}");
                 let settled = w.now() + Dur::secs(5);
                 w.run_until(settled);
                 let live = [0, 1].map(|h| {
@@ -360,4 +377,40 @@ fn no_fault_kind_leaks_network_memory() {
             "{kind}: seeds leaving live packets (seed, [sender, receiver]): {leaking:?}"
         );
     }
+}
+
+/// Lossy-matrix seeds that are slow, not stuck (4 MB; DESIGN.md §8):
+/// `run_ttcp` stops them at its 33.5 s deadline, and run on they finish.
+/// Seed 204 also shows the watchdog's limit under loss that never heals:
+/// two back-to-back 64 s retransmit backoffs leave 96 s without an
+/// application byte, past the 70 s budget, so the first run on ends
+/// `Stalled` and a second one reaches the end.
+#[test]
+fn slow_lossy_seeds_finish_past_the_deadline() {
+    let run_on = Time::ZERO + Dur::secs(600);
+    let lossy = |seed| {
+        let cfg = soak_cfg(4 * 1024 * 1024, seed);
+        let mut w = build_ttcp_world(&cfg);
+        let m = run_ttcp_in(&mut w, &cfg);
+        (w, m)
+    };
+    let deadline = |last_progress| RunOutcome::Deadline {
+        deadline: Time(33_554_432_000),
+        last_progress: Time(last_progress),
+    };
+
+    let (mut w, m) = lossy(292);
+    assert_eq!(m.outcome, deadline(10_520_000_000));
+    assert_eq!(w.now(), Time(22_509_643_643));
+    assert_eq!(w.run_apps(run_on), RunOutcome::Completed);
+    assert_eq!(w.now(), Time(48_728_138_215));
+
+    let (mut w, m) = lossy(204);
+    assert_eq!(m.outcome, deadline(18_970_000_000));
+    assert_eq!(w.now(), Time(26_965_154_390));
+    let since = Time(42_975_154_390);
+    assert_eq!(w.run_apps(run_on), RunOutcome::Stalled { since });
+    assert_eq!(w.now(), Time(74_965_154_390));
+    assert_eq!(w.run_apps(run_on), RunOutcome::Completed);
+    assert_eq!(w.now(), Time(140_535_948_359));
 }

@@ -6,7 +6,7 @@ use outboard::host::{MachineConfig, TaskId};
 use outboard::sim::{Dur, Time};
 use outboard::stack::{Proto, SockAddr, StackConfig};
 use outboard::testbed::apps::{TtcpReceiver, TtcpSender};
-use outboard::testbed::World;
+use outboard::testbed::{RunOutcome, World};
 use std::net::Ipv4Addr;
 
 const IP_A: Ipv4Addr = Ipv4Addr::new(192, 168, 1, 1);
@@ -29,16 +29,6 @@ fn eth_world() -> World {
     w
 }
 
-fn run_to_completion(w: &mut World, secs: u64) -> bool {
-    w.run_while(Time::ZERO + Dur::secs(secs), |w| {
-        !w.hosts.iter().all(|h| {
-            h.apps
-                .iter()
-                .all(|a| a.as_ref().map(|a| a.finished()).unwrap_or(true))
-        })
-    })
-}
-
 #[test]
 fn tcp_over_conventional_ethernet() {
     // The single-copy stack over a device with no outboard support: the
@@ -59,7 +49,8 @@ fn tcp_over_conventional_ethernet() {
         )),
         true,
     );
-    assert!(run_to_completion(&mut w, 120), "ethernet transfer stalled");
+    let outcome = w.run_apps(Time::ZERO + Dur::secs(120));
+    assert_eq!(outcome, RunOutcome::Completed, "ethernet transfer stalled");
     let rx = w.hosts[1].apps[0]
         .as_ref()
         .unwrap()
@@ -103,7 +94,8 @@ fn loopback_transfer() {
         )),
         true,
     );
-    assert!(run_to_completion(&mut w, 60), "loopback stalled");
+    let outcome = w.run_apps(Time::ZERO + Dur::secs(60));
+    assert_eq!(outcome, RunOutcome::Completed, "loopback stalled");
     let rx = w.hosts[h].apps[0]
         .as_ref()
         .unwrap()
@@ -268,7 +260,8 @@ fn router_forwards_between_cab_and_ethernet() {
         )),
         true,
     );
-    assert!(run_to_completion(&mut w, 200), "routed transfer stalled");
+    let outcome = w.run_apps(Time::ZERO + Dur::secs(200));
+    assert_eq!(outcome, RunOutcome::Completed, "routed transfer stalled");
     let rx = w.hosts[c].apps[0]
         .as_ref()
         .unwrap()
@@ -324,8 +317,8 @@ fn two_connections_share_the_adaptor() {
     tx1.buf_vaddr = 0x10_0000;
     w.add_app(a, Box::new(tx1), true);
     w.add_app(a, Box::new(tx2), false);
-    let ok = run_to_completion(&mut w, 60);
-    assert!(ok, "one of the connections starved");
+    let outcome = w.run_apps(Time::ZERO + Dur::secs(60));
+    assert_eq!(outcome, RunOutcome::Completed, "a connection starved");
     let elapsed = w.now() - Time::ZERO;
     for idx in [0usize, 1] {
         let rx = w.hosts[b].apps[idx]

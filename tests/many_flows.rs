@@ -54,10 +54,7 @@ fn run() -> Run {
     let mut peak_pending = 0;
     let done = w.run_while(Time::ZERO + Dur::secs(60), |w| {
         peak_pending = peak_pending.max(w.pending_events());
-        !w.hosts
-            .iter()
-            .flat_map(|h| h.apps.iter())
-            .all(|a| a.as_ref().is_none_or(|a| a.finished()))
+        !w.every_app_finished()
     });
     assert!(done, "the run stalled");
     let receivers = w.hosts[b].apps.iter().flatten();

@@ -22,10 +22,10 @@ use outboard::cab::{
     Cab, CabConfig, CabError, CabEvent, ChecksumSpec, SdmaDst, SdmaRx, SdmaTx, SgEntry,
 };
 use outboard::host::{HostMem, MachineConfig, TaskId};
-use outboard::sim::{BufPool, ChaosSchedule, Dur, PoolStats, Time};
+use outboard::sim::{BufPool, ChaosSchedule, PoolStats, Time};
 use outboard::stack::StackConfig;
 use outboard::testbed::experiment::build_ttcp_world;
-use outboard::testbed::{run_chaos, ExperimentConfig, World, DEFAULT_LIVENESS_BUDGET};
+use outboard::testbed::{run_chaos, ExperimentConfig, RunOutcome, World};
 
 /// One fault regime of the soak matrix.
 #[derive(Clone)]
@@ -121,22 +121,8 @@ fn config_for(case: &FaultCase, seed: u64) -> ExperimentConfig {
     cfg
 }
 
-/// Drive a built world to transfer completion (or the deadline) — the same
-/// loop `run_ttcp` uses, kept inline so the `World` stays available for
-/// the journal and teardown checks afterwards.
-fn drive(w: &mut World, total_bytes: usize) -> bool {
-    let deadline = Time::ZERO + Dur::from_secs_f64((total_bytes as f64 * 8.0 / 1e6).max(30.0));
-    w.run_while(deadline, |w| {
-        !(w.hosts[0].apps[0]
-            .as_ref()
-            .map(|a| a.finished())
-            .unwrap_or(true)
-            && w.hosts[1].apps[0]
-                .as_ref()
-                .map(|a| a.finished())
-                .unwrap_or(true))
-    })
-}
+/// `run_ttcp`'s deadline for the cases' 512 KB.
+const DEADLINE: Time = Time(30_000_000_000);
 
 /// Every CAB ownership journal in the world must be clean (and must have
 /// actually observed traffic).
@@ -208,10 +194,10 @@ fn pool_survives_fault_matrix_soak() {
     for (i, case) in fault_matrix().into_iter().enumerate() {
         let cfg = config_for(&case, 0xC0FFEE + i as u64);
         let mut w = build_ttcp_world(&cfg);
-        let done = drive(&mut w, cfg.total_bytes);
         // Fault regimes are tuned so TCP always finishes; a hang here is a
         // real robustness regression, not a flaky tuning artifact.
-        assert!(done, "case {}: transfer did not complete", case.name);
+        let outcome = w.run_apps(DEADLINE);
+        assert_eq!(outcome, RunOutcome::Completed, "case {}", case.name);
         assert_steady_state(&w.pool.stats(), case.name);
         assert_journals_clean(&mut w, case.name);
         let pool = w.pool.clone();
@@ -228,7 +214,7 @@ fn pool_survives_chaos_schedules() {
     for seed in [3u64, 11] {
         let cfg = config_for(&FaultCase::clean("chaos"), seed);
         let schedule = ChaosSchedule::generate(seed, 10, 2);
-        let outcome = run_chaos(&cfg, &schedule, DEFAULT_LIVENESS_BUDGET);
+        let outcome = run_chaos(&cfg, &schedule);
         assert!(
             outcome.passed(),
             "chaos seed {seed}: oracle violations: {:?}",
@@ -258,7 +244,7 @@ fn pool_balances_after_chaos_world_teardown() {
         let schedule = ChaosSchedule::generate(seed, 8, 2);
         let mut w = build_ttcp_world(&cfg);
         w.install_chaos(&schedule);
-        drive(&mut w, cfg.total_bytes);
+        w.run_apps(DEADLINE);
         assert_steady_state(&w.pool.stats(), "chaos-teardown");
         assert_journals_clean(&mut w, "chaos-teardown");
         let pool = w.pool.clone();

@@ -5,7 +5,7 @@ use outboard::host::MachineConfig;
 use outboard::sim::{Chance, Dur, Time};
 use outboard::stack::StackConfig;
 use outboard::testbed::experiment::build_ttcp_world;
-use outboard::testbed::{run_ttcp, ExperimentConfig};
+use outboard::testbed::{run_ttcp, ExperimentConfig, RunOutcome};
 
 fn lossy(drop_pct: f64, seed: u64) -> ExperimentConfig {
     let mut stack = StackConfig::single_copy();
@@ -65,17 +65,8 @@ fn corruption_is_caught_by_the_hardware_checksum() {
         .unwrap()
         .faults
         .corrupt_p = Chance::new(0.02);
-    let finished = w.run_while(Time::ZERO + Dur::secs(60), |w| {
-        !(w.hosts[0].apps[0]
-            .as_ref()
-            .map(|a| a.finished())
-            .unwrap_or(true)
-            && w.hosts[1].apps[0]
-                .as_ref()
-                .map(|a| a.finished())
-                .unwrap_or(true))
-    });
-    assert!(finished, "transfer stalled under corruption");
+    let outcome = w.run_apps(Time::ZERO + Dur::secs(60));
+    assert_eq!(outcome, RunOutcome::Completed, "stalled under corruption");
     let rx_stats = &w.hosts[1].kernel.stats;
     assert!(
         rx_stats.csum_errors > 0,
@@ -104,17 +95,8 @@ fn duplication_and_reordering_are_tolerated() {
         link.faults.reorder_p = Chance::new(0.05);
         link.faults.reorder_delay = Dur::millis(2);
     }
-    let finished = w.run_while(Time::ZERO + Dur::secs(60), |w| {
-        !(w.hosts[0].apps[0]
-            .as_ref()
-            .map(|a| a.finished())
-            .unwrap_or(true)
-            && w.hosts[1].apps[0]
-                .as_ref()
-                .map(|a| a.finished())
-                .unwrap_or(true))
-    });
-    assert!(finished, "stalled under dup/reorder");
+    let outcome = w.run_apps(Time::ZERO + Dur::secs(60));
+    assert_eq!(outcome, RunOutcome::Completed, "stalled under dup/reorder");
     let rx = w.hosts[1].apps[0]
         .as_ref()
         .unwrap()
@@ -161,17 +143,8 @@ fn unmodified_stack_detects_corruption_too() {
         .unwrap()
         .faults
         .corrupt_p = Chance::new(0.02);
-    let finished = w.run_while(Time::ZERO + Dur::secs(60), |w| {
-        !(w.hosts[0].apps[0]
-            .as_ref()
-            .map(|a| a.finished())
-            .unwrap_or(true)
-            && w.hosts[1].apps[0]
-                .as_ref()
-                .map(|a| a.finished())
-                .unwrap_or(true))
-    });
-    assert!(finished, "stalled under corruption (unmodified)");
+    let outcome = w.run_apps(Time::ZERO + Dur::secs(60));
+    assert_eq!(outcome, RunOutcome::Completed, "unmodified stack stalled");
     assert!(w.hosts[1].kernel.stats.csum_errors > 0);
     let rx = w.hosts[1].apps[0]
         .as_ref()

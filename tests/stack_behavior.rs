@@ -6,19 +6,11 @@ use outboard::host::{MachineConfig, TaskId, UserMemory};
 use outboard::sim::{Dur, Time};
 use outboard::stack::{SockAddr, StackConfig};
 use outboard::testbed::apps::{ttcp_pattern, TtcpReceiver, TtcpSender};
-use outboard::testbed::World;
+use outboard::testbed::{RunOutcome, World};
 use std::net::Ipv4Addr;
 
 const IP_A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const IP_B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
-
-fn finished(w: &World) -> bool {
-    w.hosts.iter().all(|h| {
-        h.apps
-            .iter()
-            .all(|a| a.as_ref().map(|a| a.finished()).unwrap_or(true))
-    })
-}
 
 /// §4.1: "it is possible for the interface that is used for a given
 /// destination to change over time" — the reason a single stack exists.
@@ -71,7 +63,10 @@ fn mid_connection_interface_switch() {
     );
     // Let roughly a third of the transfer happen over the CAB.
     w.run_until(Time::ZERO + Dur::millis(30));
-    assert!(!finished(&w), "transfer should still be in flight");
+    assert!(
+        !w.every_app_finished(),
+        "transfer should still be in flight"
+    );
 
     // The switch: IP_B now routes over Ethernet on a; IP_A over Ethernet
     // on b. ARP entries for the cross-subnet addresses.
@@ -89,8 +84,8 @@ fn mid_connection_interface_switch() {
 
     // 1 MB over 10 Mbit/s needs ~1 s; allow slack for retransmission of
     // anything lost in the switch window.
-    let ok = w.run_while(Time::ZERO + Dur::secs(60), |w| !finished(w));
-    assert!(ok, "transfer did not survive the interface switch");
+    let outcome = w.run_apps(Time::ZERO + Dur::secs(60));
+    assert_eq!(outcome, RunOutcome::Completed, "interface switch");
     let rx = w.hosts[b].apps[0]
         .as_ref()
         .unwrap()
@@ -235,8 +230,8 @@ fn ragged_partial_reads() {
         )),
         true,
     );
-    let ok = w.run_while(Time::ZERO + Dur::secs(60), |w| !finished(w));
-    assert!(ok, "ragged-read transfer stalled");
+    let outcome = w.run_apps(Time::ZERO + Dur::secs(60));
+    assert_eq!(outcome, RunOutcome::Completed, "ragged reads");
     let rx = w.hosts[b].apps[0]
         .as_ref()
         .unwrap()
@@ -274,8 +269,8 @@ fn cpu_accounting_follows_the_papers_formula() {
         )),
         true,
     );
-    let ok = w.run_while(Time::ZERO + Dur::secs(30), |w| !finished(w));
-    assert!(ok);
+    let outcome = w.run_apps(Time::ZERO + Dur::secs(30));
+    assert_eq!(outcome, RunOutcome::Completed);
     let elapsed = w.now() - Time::ZERO;
     let acct = w.hosts[a].cpu.acct;
     // All three buckets were exercised.
@@ -440,8 +435,8 @@ fn sequential_connections_do_not_leak() {
             )),
             false,
         );
-        let ok = w.run_while(w.now() + Dur::secs(30), |w| !finished(w));
-        assert!(ok, "round {round} stalled");
+        let outcome = w.run_apps(w.now() + Dur::secs(30));
+        assert_eq!(outcome, RunOutcome::Completed, "round {round} stalled");
     }
     // Give TIME_WAIT holds a moment to expire, then check for leaks.
     let end = w.now() + Dur::secs(3);
@@ -480,7 +475,7 @@ fn pending_events_stay_bounded_through_a_transfer() {
     let mut max_pending = 0;
     let done = w.run_while(Time::ZERO + Dur::secs(60), |w| {
         max_pending = max_pending.max(w.pending_events());
-        !finished(w)
+        !w.every_app_finished()
     });
     assert!(done, "transfer stalled");
     assert!(

@@ -9,7 +9,7 @@ use outboard::sim::chaos::json;
 use outboard::sim::chaos::{ChaosAction, ChaosEvent, ChaosSchedule};
 use outboard::sim::Dur;
 use outboard::stack::StackConfig;
-use outboard::testbed::chaos::{run_chaos, DEFAULT_LIVENESS_BUDGET};
+use outboard::testbed::chaos::run_chaos;
 use outboard::testbed::{run_ttcp, ExperimentConfig, Metrics};
 
 const TOTAL: usize = 1024 * 1024;
@@ -233,7 +233,7 @@ fn chaos_failure_dumps_a_consistent_flight_recorder() {
             action: ChaosAction::StealthCorrupt { host: 0 },
         }],
     };
-    let outcome = run_chaos(&cfg, &schedule, DEFAULT_LIVENESS_BUDGET);
+    let outcome = run_chaos(&cfg, &schedule);
     assert!(!outcome.passed(), "the planted bug must be caught");
     let flight = outcome
         .flight_json
@@ -290,7 +290,6 @@ fn chaos_failure_dumps_a_consistent_flight_recorder() {
             seed: 6,
             events: vec![],
         },
-        DEFAULT_LIVENESS_BUDGET,
     );
     assert!(clean.passed(), "{:?}", clean.violations);
     assert!(clean.flight_json.is_none());
