@@ -166,7 +166,7 @@ pub(crate) struct FaultArgs {
     pub cab_sdma_fail_p: f64,
     /// `--fault-cab-mdma`: CAB MDMA transfer-failure probability.
     pub cab_mdma_fail_p: f64,
-    /// `--fault-cab-wedge`: probability a failed transfer wedges an engine.
+    /// `--fault-cab-wedge`: probability a transfer wedges its engine.
     pub cab_wedge_p: f64,
     /// `--fault-cab-csum`: probability of a miscomputed outboard checksum.
     pub cab_csum_error_p: f64,

@@ -14,13 +14,16 @@ use outboard_cab::{PacketId, SdmaDst, SdmaRx};
 use outboard_host::{Charge, HostMem, UserMemory};
 use outboard_mbuf::{Chain, Mbuf, MbufData, PacketRef, WcabDesc};
 use outboard_sim::span::{FlowId, Stage};
-use outboard_sim::Time;
+use outboard_sim::{Dur, Time};
 use outboard_wire::hippi::{HippiHeader, HIPPI_HEADER_LEN};
 use outboard_wire::ipv4::Ipv4Header;
 use outboard_wire::tcp::{TcpFlags, TcpHeader};
 use outboard_wire::udp::{UdpHeader, UDP_HEADER_LEN};
 use outboard_wire::{proto, EtherHeader};
 use std::net::Ipv4Addr;
+
+/// TIME_WAIT hold, shortened from 2MSL for simulation practicality.
+pub const TIME_WAIT: Dur = Dur::secs(1);
 
 /// Everything IP input needs to know about where a packet's bytes are.
 struct RxPacket {
@@ -521,7 +524,7 @@ impl Kernel {
         let buf = self.cfg.sock_buf;
         let nagle = self.effective_nagle();
         let iss = self.next_iss();
-        let mut tcb = crate::tcp::Tcb::new(&self.cfg, iss, nagle);
+        let mut tcb = crate::tcp::Tcb::new(iss, nagle);
         tcb.listen(iface_mss, buf);
         let Some(s) = self.sockets.get_mut(child) else {
             return child;
@@ -656,10 +659,11 @@ impl Kernel {
         if let Some(s) = self.sockets.get_mut(sock).filter(|_| r.time_wait) {
             s.rexmt_armed = false;
             self.fx.push(Effect::Timer {
-                after: self.cfg.time_wait,
+                after: TIME_WAIT,
                 kind: TimerKind::TcpTimeWait { sock },
             });
         }
+        self.debug_assert_rexmt_covered(sock);
     }
 
     /// Append received data to `so_rcv` (datagram bounds for UDP).
@@ -1030,14 +1034,16 @@ impl Kernel {
     pub fn timer_fire(&mut self, kind: TimerKind, mem: &mut HostMem, now: Time) -> Vec<Effect> {
         match kind {
             TimerKind::TcpRexmt { sock } => {
+                let segs_out = self.stats.tcp_segs_out;
                 let fired = self.sockets.get_mut(sock).filter(|s| s.rexmt_armed);
                 let probe = fired.and_then(|s| {
                     s.rexmt_armed = false;
                     let tcb = s.tcb.as_mut()?;
+                    let outstanding = tcb.wants_rexmt_timer();
                     tcb.on_rexmt_timeout();
-                    Some(tcb.snd_wnd == 0 && !s.so_snd.chain.is_empty())
+                    Some((tcb.snd_wnd == 0 && !s.so_snd.chain.is_empty(), outstanding))
                 });
-                if let Some(probe) = probe {
+                if let Some((probe, outstanding)) = probe {
                     self.cpu(self.costs.interrupt, Charge::Interrupt);
                     if probe {
                         self.send_window_probe(sock, mem, now);
@@ -1045,7 +1051,14 @@ impl Kernel {
                         self.tcp_send(sock, mem, now, false);
                     }
                     self.arm_tcp_timers(sock);
+                    debug_assert!(
+                        !outstanding || self.stats.tcp_segs_out > segs_out,
+                        "{}: {sock:?}'s retransmit timer fired with data \
+                         unacknowledged and sent nothing",
+                        self.name
+                    );
                 }
+                self.debug_assert_rexmt_covered(sock);
             }
             TimerKind::TcpDelack { sock } => {
                 let fire = self

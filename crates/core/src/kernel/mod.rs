@@ -20,6 +20,9 @@ mod robust;
 #[cfg(test)]
 mod tests;
 
+pub use input::TIME_WAIT;
+pub use robust::CAB_PROBE_INTERVAL;
+
 use crate::driver::{CabIface, EthIface, Iface, IfaceKind, SdmaPurpose};
 use crate::ip::Reassembler;
 use crate::route::RouteTable;
@@ -43,6 +46,11 @@ use outboard_wire::ether::MacAddr;
 use outboard_wire::ipv4::IPV4_HEADER_LEN;
 use outboard_wire::udp::UDP_HEADER_LEN;
 use std::net::Ipv4Addr;
+
+/// Writes at least this large take the single-copy path; smaller writes
+/// are copied through kernel mbufs (§4.4.3). Ignored under
+/// `StackConfig::force_single_copy` (the paper's measurements force it).
+const UIO_THRESHOLD: usize = 16 * 1024;
 
 /// Kernel-level statistics.
 #[derive(Clone, Copy, Debug, Default)]
@@ -523,7 +531,7 @@ impl Kernel {
     /// sub-MSS tails would deadlock the writer against the delayed-ACK
     /// timer (and §7.2 notes the modified stack "does not coalesce").
     pub(crate) fn effective_nagle(&self) -> bool {
-        self.cfg.nagle && self.cfg.mode == StackMode::Unmodified
+        self.cfg.mode == StackMode::Unmodified
     }
 
     /// `listen(2)`: turn a bound TCP socket into a listener.
@@ -534,7 +542,7 @@ impl Kernel {
         if s.proto != Proto::Tcp {
             return Err(StackError::InvalidState("listen on non-TCP socket"));
         }
-        let mut tcb = Tcb::new(&self.cfg, 0, nagle);
+        let mut tcb = Tcb::new(0, nagle);
         tcb.listen(536, buf);
         let s = self.sockets.get_mut(sock).ok_or(StackError::BadSocket)?;
         s.tcb = Some(tcb);
@@ -581,7 +589,7 @@ impl Kernel {
                 return Err(StackError::AlreadyConnected);
             }
         }
-        let mut tcb = Tcb::new(&self.cfg, iss, nagle);
+        let mut tcb = Tcb::new(iss, nagle);
         {
             let s = self.sockets.get_mut(sock).ok_or(StackError::BadSocket)?;
             let buf = s.so_rcv.hiwat;
@@ -846,15 +854,14 @@ impl Kernel {
         // fragment and DMAs the rest ("might pay off for very large
         // writes"; the paper left it unimplemented).
         if !vaddr.is_multiple_of(4) {
-            if self.cfg.align_split && (self.cfg.force_single_copy || len >= self.cfg.uio_threshold)
-            {
+            if self.cfg.align_split && (self.cfg.force_single_copy || len >= UIO_THRESHOLD) {
                 self.stats.align_splits += 1;
                 return true;
             }
             self.stats.aligned_fallbacks += 1;
             return false;
         }
-        self.cfg.force_single_copy || len >= self.cfg.uio_threshold
+        self.cfg.force_single_copy || len >= UIO_THRESHOLD
     }
 
     /// Move as much as possible of the blocked write into `so_snd`,

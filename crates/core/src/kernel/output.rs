@@ -13,7 +13,7 @@ use outboard_cab::{CabError, CabEvent, ChecksumSpec, PacketId, SdmaTx, SgEntry};
 use outboard_host::{Charge, HostMem, UserMemory};
 use outboard_mbuf::{Chain, CsumPlan, Mbuf, MbufData};
 use outboard_sim::span::{FlowId, Stage};
-use outboard_sim::Time;
+use outboard_sim::{Dur, Time};
 use outboard_wire::checksum::{pseudo_header_sum, Accumulator};
 use outboard_wire::ether::{EtherHeader, ETHER_HEADER_LEN};
 use outboard_wire::hippi::{HippiHeader, HIPPI_HEADER_LEN};
@@ -22,6 +22,9 @@ use outboard_wire::tcp::{TcpHeader, TCP_CSUM_OFFSET};
 use outboard_wire::udp::UdpHeader;
 use outboard_wire::{proto, TcpFlags};
 use std::net::Ipv4Addr;
+
+/// Delayed-ACK timeout (BSD's fast timer, 200 ms).
+const DELACK_TIMEOUT: Dur = Dur::millis(200);
 
 /// The byte counts a traced first launch records on its flow: the copy-in,
 /// the checksum the engine computes on the way (when it does), and the
@@ -203,9 +206,23 @@ impl Kernel {
         }
         if tcb.delack_pending {
             let kind = TimerKind::TcpDelack { sock };
-            let after = self.cfg.delack_timeout;
+            let after = DELACK_TIMEOUT;
             self.fx.push(Effect::Timer { after, kind });
         }
+    }
+
+    /// The liveness invariant, checked in debug builds (DESIGN.md §11):
+    /// unacknowledged data, SYN or FIN has the retransmit timer armed.
+    /// `tcp_send` (every sending syscall, `rebuild_transmit`) establishes
+    /// it in `arm_tcp_timers`; TCP input and the rexmt firing check it.
+    pub(crate) fn debug_assert_rexmt_covered(&self, sock: SockId) {
+        debug_assert!(
+            self.sockets.get(sock).is_none_or(
+                |s| s.rexmt_armed || !s.tcb.as_ref().is_some_and(|t| t.wants_rexmt_timer())
+            ),
+            "{}: {sock:?} has unacknowledged data and no retransmit timer armed",
+            self.name
+        );
     }
 
     /// Shared TCP/UDP transmit tail: checksum strategy, IP, driver.

@@ -19,6 +19,21 @@ use outboard_mbuf::{Chain, Mbuf, MbufData, PacketRef};
 use outboard_sim::span::Stage;
 use outboard_sim::{Dur, Ticket, Time};
 
+/// First retry delay; doubles per round (exponential backoff) while
+/// transmissions fail on transient DMA errors or netmem exhaustion.
+const CAB_RETRY_BASE: Dur = Dur::millis(2);
+
+/// Retry rounds before the driver gives up and degrades the interface to
+/// the traditional (host-buffered, software-checksum) path.
+const CAB_RETRY_MAX: u32 = 5;
+
+/// How often a degraded interface probes the adaptor for recovery.
+pub const CAB_PROBE_INTERVAL: Dur = Dur::millis(10);
+
+/// How long the driver waits for a wedged engine before resetting the
+/// board and rebuilding transmit from the socket send queues.
+const CAB_WATCHDOG_TIMEOUT: Dur = Dur::millis(20);
+
 /// Which buffer of a socket the watchdog rescue is walking: the send
 /// queue, the receive queue, or one TCP reassembly chain (by sequence).
 enum RescueChain {
@@ -46,11 +61,6 @@ impl RescueChain {
 }
 
 impl Kernel {
-    /// Backoff delay for the given retry round (base × 2^round).
-    fn cab_backoff(&self, round: u32) -> Dur {
-        self.cfg.cab_retry_base * (1u64 << round.min(16))
-    }
-
     /// Arm the wedged-engine watchdog (idempotent while armed).
     pub(crate) fn arm_watchdog(k: &mut Kernel, cab: &mut CabIface, iface: IfaceId) {
         if cab.health.watchdog_armed {
@@ -58,7 +68,7 @@ impl Kernel {
         }
         cab.health.watchdog_armed = true;
         k.fx.push(Effect::Timer {
-            after: k.cfg.cab_watchdog_timeout,
+            after: CAB_WATCHDOG_TIMEOUT,
             kind: TimerKind::CabWatchdog { iface },
         });
     }
@@ -90,10 +100,10 @@ impl Kernel {
         }
     }
 
-    /// Arm the retry-backoff timer for the current round.
+    /// Arm the retry-backoff timer for the current round (base × 2^round).
     fn arm_retry(k: &mut Kernel, cab: &mut CabIface, iface: IfaceId) {
         cab.health.retry_armed = true;
-        let after = k.cab_backoff(cab.health.retry_round);
+        let after = CAB_RETRY_BASE * (1u64 << cab.health.retry_round.min(16));
         cab.health.stats.backoff_us += after.as_nanos() / 1_000;
         k.fx.push(Effect::Timer {
             after,
@@ -115,7 +125,7 @@ impl Kernel {
     /// Arm the degraded-mode recovery probe.
     fn arm_probe(k: &mut Kernel, iface: IfaceId) {
         k.fx.push(Effect::Timer {
-            after: k.cfg.cab_probe_interval,
+            after: CAB_PROBE_INTERVAL,
             kind: TimerKind::CabProbe { iface },
         });
     }
@@ -183,7 +193,7 @@ impl Kernel {
                 return false;
             }
             cab.health.retry_round += 1;
-            if cab.health.retry_round >= k.cfg.cab_retry_max {
+            if cab.health.retry_round >= CAB_RETRY_MAX {
                 return true;
             }
             k.span_detour_open(iface_id, Stage::RetryDwell, now);

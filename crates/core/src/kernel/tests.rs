@@ -358,20 +358,29 @@ fn accept_queue_and_acceptor_registration() {
     assert!(rig.k.sys_accept(l, TaskId(5)).unwrap().is_some());
 }
 
-#[test]
-fn window_probe_is_an_emitted_segment() {
-    let mut rig = Rig::loopback(StackConfig::single_copy());
-    let (c, _child) = established_loopback_pair(&mut rig);
+/// A client socket with 100 bytes written and never acknowledged (the
+/// segment is left unpumped).
+fn unacknowledged_write(rig: &mut Rig) -> SockId {
+    let (c, _child) = established_loopback_pair(rig);
     rig.mem.create_region(TaskId(1), 0x1000, 4096);
-    // Leave the write's segment unpumped: its data stays unacknowledged.
     let (r, _fx) = rig
         .k
         .sys_write(c, TaskId(1), 0x1000, 100, &mut rig.mem, rig.now)
         .unwrap();
     assert_eq!(r, WriteResult::Done { bytes: 100 });
+    assert!(
+        rig.k.socket_ref(c).unwrap().rexmt_armed,
+        "unacknowledged data arms the rexmt timer"
+    );
+    c
+}
+
+#[test]
+fn window_probe_is_an_emitted_segment() {
+    let mut rig = Rig::loopback(StackConfig::single_copy());
+    let c = unacknowledged_write(&mut rig);
     let s = rig.k.sockets.get_mut(c).unwrap();
     s.tcb.as_mut().unwrap().snd_wnd = 0;
-    assert!(s.rexmt_armed, "unacknowledged data arms the rexmt timer");
     let (segs, rexmits) = (rig.k.stats.tcp_segs_out, rig.k.stats.tcp_retransmit_segs);
     let fx = rig.k.timer_fire(
         TimerKind::TcpRexmt { sock: c },
@@ -442,6 +451,39 @@ fn rexmt_firing_after_everything_is_acked_does_nothing() {
     assert_eq!(rig.k.tcp_stats().rto_events, 0);
 }
 
+// ----------------------------------------------------------------------
+// the liveness invariant (debug builds): unacknowledged data has a
+// retransmit timer, and its firing sends
+// ----------------------------------------------------------------------
+
+/// Planted defect: the timer is disarmed with the data outstanding, so a
+/// stale firing is ignored and nothing would ever resend it.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "no retransmit timer armed")]
+fn unacknowledged_data_without_a_rexmt_timer_is_caught() {
+    let mut rig = Rig::loopback(StackConfig::single_copy());
+    let c = unacknowledged_write(&mut rig);
+    rig.k.sockets.get_mut(c).unwrap().rexmt_armed = false;
+    let at = rig.now + Dur::secs(1);
+    rig.k
+        .timer_fire(TimerKind::TcpRexmt { sock: c }, &mut rig.mem, at);
+}
+
+/// Planted defect: the socket loses its peer address, so the firing's
+/// output pass cannot address a segment and sends nothing.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "sent nothing")]
+fn rexmt_firing_that_sends_nothing_is_caught() {
+    let mut rig = Rig::loopback(StackConfig::single_copy());
+    let c = unacknowledged_write(&mut rig);
+    rig.k.sockets.get_mut(c).unwrap().remote = None;
+    let at = rig.now + Dur::secs(1);
+    rig.k
+        .timer_fire(TimerKind::TcpRexmt { sock: c }, &mut rig.mem, at);
+}
+
 /// Wedge `cab`'s SDMA engine with a forced fault on a fresh transfer.
 fn wedge_sdma(cab: &mut Cab, mem: &HostMem, now: Time) {
     cab.faults.force_sdma_wedge_next();
@@ -507,10 +549,6 @@ fn effective_nagle_depends_on_mode() {
     assert!(!rig.k.effective_nagle(), "single-copy never coalesces");
     let rig = Rig::loopback(StackConfig::unmodified());
     assert!(rig.k.effective_nagle());
-    let mut cfg = StackConfig::unmodified();
-    cfg.nagle = false;
-    let rig = Rig::loopback(cfg);
-    assert!(!rig.k.effective_nagle());
 }
 
 #[test]

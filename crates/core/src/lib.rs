@@ -51,7 +51,8 @@ mod tcp;
 mod types;
 mod udp;
 
-pub use kernel::Kernel;
+pub use kernel::{Kernel, CAB_PROBE_INTERVAL, TIME_WAIT};
+pub use tcp::RTO_MAX;
 pub use types::{
     Effect, IfaceId, Proto, ReadResult, SockAddr, SockId, StackConfig, StackError, StackMode,
     TimerKind, WriteResult,

@@ -164,7 +164,6 @@ impl Socket {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::StackConfig;
 
     #[test]
     fn new_socket_defaults() {
@@ -177,7 +176,7 @@ mod tests {
     #[test]
     fn listener_flag_follows_tcb_state() {
         let mut s = Socket::new(SockId(1), Proto::Tcp, Owner::User, 1024);
-        let mut tcb = Tcb::new(&StackConfig::single_copy(), 1, true);
+        let mut tcb = Tcb::new(1, true);
         tcb.listen(1460, 1024);
         s.tcb = Some(tcb);
         assert!(s.is_listener());

@@ -10,7 +10,6 @@
 //! queue that may hold regular, `M_UIO`, or `M_WCAB` mbufs (§4.2), which is
 //! how retransmission from outboard memory falls out for free.
 
-use crate::types::StackConfig;
 use outboard_mbuf::Chain;
 use outboard_sim::{Dur, Time};
 use outboard_wire::tcp::{seq, TcpFlags, TcpHeader};
@@ -197,12 +196,29 @@ pub struct Tcb {
     pub(crate) bytes_retx: u64,
     /// ACKs released by the delayed-ACK timer.
     pub(crate) delayed_acks: u64,
-    cfg_delack_every: u32,
-    cfg_rto_min: Dur,
 }
 
 /// Maximum reassembly queue entries (smoltcp-style bounded gaps).
 const MAX_REASS_SEGS: usize = 64;
+
+/// Retransmission timeout before the first RTT sample (RFC 6298's 1 s).
+const RTO_INITIAL: Dur = Dur::secs(1);
+
+/// Minimum RTO. BSD's sits well above the delayed-ACK timer, so an odd
+/// trailing segment never triggers a spurious timeout.
+const RTO_MIN: Dur = Dur::millis(500);
+
+/// Ceiling of the backed-off RTO (Net/2 `TCPTV_REXMTMAX`): the longest a
+/// connection with unacknowledged data waits between retransmissions.
+pub const RTO_MAX: Dur = Dur::secs(64);
+
+/// Ceiling of the backoff level (Net/2 `TCP_MAXRXTSHIFT`, where Net/2
+/// drops the connection instead).
+const MAX_BACKOFF: u32 = 12;
+
+/// ACK every this-many in-order segments at once; otherwise defer to the
+/// delayed-ACK timer (RFC 1122 §4.2.3.2: at least every second segment).
+const DELACK_EVERY: u32 = 2;
 
 impl Tcb {
     /// Sequence keys of the out-of-order reassembly queue. The watchdog's
@@ -224,7 +240,7 @@ impl Tcb {
     }
 
     /// A closed control block with initial send sequence `iss`.
-    pub fn new(cfg: &StackConfig, iss: u32, nagle: bool) -> Tcb {
+    pub fn new(iss: u32, nagle: bool) -> Tcb {
         Tcb {
             state: TcpState::Closed,
             iss,
@@ -245,7 +261,7 @@ impl Tcb {
             request_ws: true,
             srtt: None,
             rttvar: Dur::ZERO,
-            rto: cfg.rto_initial,
+            rto: RTO_INITIAL,
             rtt_seq: None,
             rtt_start: None,
             rexmt_backoff: 0,
@@ -265,8 +281,6 @@ impl Tcb {
             bytes_sent: 0,
             bytes_retx: 0,
             delayed_acks: 0,
-            cfg_delack_every: cfg.delack_every,
-            cfg_rto_min: cfg.rto_min,
         }
     }
 
@@ -518,9 +532,8 @@ impl Tcb {
     /// Retransmission timer fired: shrink to one segment and go again.
     pub(crate) fn on_rexmt_timeout(&mut self) {
         self.rto_events += 1;
-        self.rexmt_backoff = (self.rexmt_backoff + 1).min(12);
-        self.rto =
-            Dur::nanos((self.rto.as_nanos().saturating_mul(2)).min(Dur::secs(64).as_nanos()));
+        self.rexmt_backoff = (self.rexmt_backoff + 1).min(MAX_BACKOFF);
+        self.rto = Dur::nanos((self.rto.as_nanos().saturating_mul(2)).min(RTO_MAX.as_nanos()));
         // Reno: collapse cwnd, halve ssthresh.
         let flight = self.flight_size().max(self.mss);
         self.ssthresh = (flight / 2).max(2 * self.mss);
@@ -562,7 +575,7 @@ impl Tcb {
             }
         };
         self.srtt = Some(srtt);
-        self.rto = (srtt + self.rttvar * 4).max(self.cfg_rto_min);
+        self.rto = (srtt + self.rttvar * 4).max(RTO_MIN);
         self.rexmt_backoff = 0;
     }
 
@@ -865,7 +878,7 @@ impl Tcb {
                         r.deliver.push(c);
                     }
                     self.segs_since_ack += 1;
-                    r.ack = if self.segs_since_ack >= self.cfg_delack_every {
+                    r.ack = if self.segs_since_ack >= DELACK_EVERY {
                         self.segs_since_ack = 0;
                         AckMode::Now
                     } else {
@@ -1018,7 +1031,6 @@ fn rst_for(hdr: &TcpHeader, data_len: usize) -> (u32, u32, TcpFlags) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::StackConfig;
 
     const MSS: usize = 32 * 1024 - 40;
     const BUF: usize = 512 * 1024;
@@ -1036,9 +1048,8 @@ mod tests {
 
     impl Ep {
         fn new(iss: u32) -> Ep {
-            let cfg = StackConfig::single_copy();
             Ep {
-                tcb: Tcb::new(&cfg, iss, false),
+                tcb: Tcb::new(iss, false),
                 snd_q: Vec::new(),
                 rcv: Vec::new(),
                 now: Time::ZERO,
@@ -1276,8 +1287,7 @@ mod tests {
 
     #[test]
     fn rst_for_segment_to_closed_port() {
-        let cfg = StackConfig::single_copy();
-        let mut closed = Tcb::new(&cfg, 1, false);
+        let mut closed = Tcb::new(1, false);
         let mut h = TcpHeader::new(5, 6, 777, 0, TcpFlags::SYN);
         h.window = 100;
         let r = closed.input(&h, Chain::new(), BUF, Time::ZERO);
@@ -1378,7 +1388,6 @@ mod tests {
 #[cfg(test)]
 mod edge_tests {
     use super::*;
-    use crate::types::StackConfig;
     use outboard_wire::tcp::{TcpFlags, TcpHeader};
 
     const BUF: usize = 512 * 1024;
@@ -1392,9 +1401,8 @@ mod edge_tests {
     /// Simultaneous open: both sides send SYN before seeing the other's.
     #[test]
     fn simultaneous_open_reaches_established() {
-        let cfg = StackConfig::single_copy();
-        let mut a = Tcb::new(&cfg, 1000, false);
-        let mut b = Tcb::new(&cfg, 9000, false);
+        let mut a = Tcb::new(1000, false);
+        let mut b = Tcb::new(9000, false);
         a.connect(1460, BUF);
         b.connect(1460, BUF);
         let pa = a.output(0, BUF, false, Time::ZERO, Vec::new());
@@ -1437,9 +1445,8 @@ mod edge_tests {
     /// TIME_WAIT on both sides.
     #[test]
     fn simultaneous_close() {
-        let cfg = StackConfig::single_copy();
-        let mut a = Tcb::new(&cfg, 1000, false);
-        let mut b = Tcb::new(&cfg, 9000, false);
+        let mut a = Tcb::new(1000, false);
+        let mut b = Tcb::new(9000, false);
         // Hand-establish.
         a.connect(1460, BUF);
         b.listen(1460, BUF);
@@ -1506,8 +1513,7 @@ mod edge_tests {
     /// provokes a re-ACK, never a state change.
     #[test]
     fn duplicate_syn_is_reacked() {
-        let cfg = StackConfig::single_copy();
-        let mut b = Tcb::new(&cfg, 9000, false);
+        let mut b = Tcb::new(9000, false);
         b.listen(1460, BUF);
         let syn = {
             let mut h = hdr(5000, 0, TcpFlags::SYN, 1000);
@@ -1533,8 +1539,7 @@ mod edge_tests {
     /// Data arriving in TIME_WAIT / after close is not delivered.
     #[test]
     fn no_delivery_after_fin_consumed() {
-        let cfg = StackConfig::single_copy();
-        let mut b = Tcb::new(&cfg, 9000, false);
+        let mut b = Tcb::new(9000, false);
         b.listen(1460, BUF);
         let mut syn = hdr(5000, 0, TcpFlags::SYN, 1000);
         syn.mss = Some(1460);
@@ -1569,12 +1574,10 @@ mod edge_tests {
 #[cfg(test)]
 mod congestion_tests {
     use super::*;
-    use crate::types::StackConfig;
 
     #[test]
     fn rto_collapses_cwnd_and_backs_off() {
-        let cfg = StackConfig::single_copy();
-        let mut t = Tcb::new(&cfg, 1000, false);
+        let mut t = Tcb::new(1000, false);
         t.connect(1460, 512 * 1024);
         t.state = TcpState::Established;
         t.snd_una = 1001;
@@ -1594,8 +1597,7 @@ mod congestion_tests {
 
     #[test]
     fn slow_start_then_congestion_avoidance() {
-        let cfg = StackConfig::single_copy();
-        let mut t = Tcb::new(&cfg, 1000, false);
+        let mut t = Tcb::new(1000, false);
         t.connect(1000, 512 * 1024);
         t.state = TcpState::Established;
         t.snd_una = 1001;
@@ -1638,8 +1640,7 @@ mod congestion_tests {
 
     #[test]
     fn fast_retransmit_halves_to_ssthresh() {
-        let cfg = StackConfig::single_copy();
-        let mut t = Tcb::new(&cfg, 1000, false);
+        let mut t = Tcb::new(1000, false);
         t.connect(1460, 512 * 1024);
         t.state = TcpState::Established;
         t.snd_una = 1001;

@@ -64,15 +64,12 @@ pub enum StackMode {
     SingleCopy,
 }
 
-/// Stack-level tunables.
+/// Stack-level tunables: the knobs a configuration varies. Timings and
+/// thresholds with one value everywhere are constants beside their readers.
 #[derive(Clone, Debug)]
 pub struct StackConfig {
     /// Which data path this stack uses.
     pub mode: StackMode,
-    /// Writes at least this large take the single-copy path; smaller writes
-    /// are copied through kernel mbufs (§4.4.3). Ignored when
-    /// `force_single_copy` is set (the paper's measurements force it).
-    pub uio_threshold: usize,
     /// Always use the single-copy path regardless of size (§7.2: "the
     /// measurements for the modified stack always use the single-copy
     /// path").
@@ -85,34 +82,8 @@ pub struct StackConfig {
     /// send a first packet of 16 bits ... the remainder of the data can be
     /// DMAed since it is now word aligned".
     pub align_split: bool,
-    /// Nagle coalescing for sub-MSS segments (traditional path only; a
-    /// single-copy write must be transmitted to unblock its writer).
-    pub nagle: bool,
     /// Socket buffer high-water mark / TCP window, bytes (paper: 512 KB).
     pub sock_buf: usize,
-    /// ACK every `delack_every`-th in-order segment immediately; otherwise
-    /// defer to the delayed-ACK timer.
-    pub delack_every: u32,
-    /// Delayed-ACK timeout (BSD fast timer: 200 ms).
-    pub delack_timeout: Dur,
-    /// Initial retransmission timeout.
-    pub rto_initial: Dur,
-    /// Minimum RTO.
-    pub rto_min: Dur,
-    /// TIME_WAIT hold (shortened from 2MSL for simulation practicality).
-    pub time_wait: Dur,
-    /// First CAB driver retry delay; doubles per round (exponential
-    /// backoff) while transmissions fail on transient DMA errors or
-    /// netmem exhaustion.
-    pub cab_retry_base: Dur,
-    /// Retry rounds before the driver gives up and degrades the interface
-    /// to the traditional (host-buffered, software-checksum) path.
-    pub cab_retry_max: u32,
-    /// How often a degraded interface probes the adaptor for recovery.
-    pub cab_probe_interval: Dur,
-    /// How long the driver waits for a wedged engine before resetting the
-    /// board and rebuilding transmit from the socket send queues.
-    pub cab_watchdog_timeout: Dur,
 }
 
 impl StackConfig {
@@ -120,23 +91,10 @@ impl StackConfig {
     pub fn single_copy() -> StackConfig {
         StackConfig {
             mode: StackMode::SingleCopy,
-            uio_threshold: 16 * 1024,
             force_single_copy: false,
             lazy_vm: false,
             align_split: false,
-            nagle: true,
             sock_buf: 512 * 1024,
-            delack_every: 2,
-            delack_timeout: Dur::millis(200),
-            rto_initial: Dur::secs(1),
-            // BSD's minimum RTO sits well above the delayed-ACK timer, so
-            // an odd trailing segment never triggers a spurious timeout.
-            rto_min: Dur::millis(500),
-            time_wait: Dur::secs(1),
-            cab_retry_base: Dur::millis(2),
-            cab_retry_max: 5,
-            cab_probe_interval: Dur::millis(10),
-            cab_watchdog_timeout: Dur::millis(20),
         }
     }
 
@@ -245,8 +203,6 @@ pub enum StackError {
     NoRoute,
     /// Operation not valid in the socket's current state.
     InvalidState(&'static str),
-    /// Peer reset the connection.
-    ConnectionReset,
     /// Datagram exceeds the UDP/IP maximum.
     MessageTooBig,
 }

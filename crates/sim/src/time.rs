@@ -109,7 +109,7 @@ impl Dur {
 
     /// Length in nanoseconds.
     #[inline]
-    pub fn as_nanos(self) -> u64 {
+    pub const fn as_nanos(self) -> u64 {
         self.0
     }
 

@@ -5,7 +5,7 @@ use crate::world::{App, Step, SysCtx};
 use bytes::Bytes;
 use outboard_host::{TaskId, UserMemory};
 use outboard_mbuf::Chain;
-use outboard_sim::Dur;
+use outboard_sim::{Dur, Time};
 use outboard_stack::{Proto, ReadResult, SockAddr, SockId, StackError, WriteResult};
 
 /// Per-write user-mode loop overhead of ttcp — the tiny amount of user
@@ -39,6 +39,8 @@ pub struct TtcpSender {
     pub bytes_written: usize,
     /// write(2) calls completed.
     pub writes: u64,
+    /// When the socket last accepted bytes.
+    last_progress: Option<Time>,
 }
 
 /// The byte every ttcp transfer places at stream offset `i`: a
@@ -101,6 +103,7 @@ impl TtcpSender {
             state: TxState::Start,
             bytes_written: 0,
             writes: 0,
+            last_progress: None,
         }
     }
 
@@ -123,8 +126,8 @@ impl App for TtcpSender {
         self.state == TxState::Done
     }
 
-    fn bytes_moved(&self) -> u64 {
-        self.bytes_written as u64
+    fn last_progress(&self) -> Option<Time> {
+        self.last_progress
     }
 
     fn step(&mut self, ctx: &mut SysCtx<'_>) -> Step {
@@ -191,6 +194,7 @@ impl TtcpSender {
                 ctx.absorb(fx);
                 self.bytes_written += bytes;
                 self.writes += 1;
+                self.last_progress = Some(ctx.now);
                 Step::Continue
             }
             Ok((WriteResult::Blocked { .. }, fx)) => {
@@ -198,6 +202,7 @@ impl TtcpSender {
                 // Copy semantics: when woken, the whole write is accepted.
                 self.bytes_written += len;
                 self.writes += 1;
+                self.last_progress = Some(ctx.now);
                 Step::Wait
             }
             Err(StackError::InvalidState(_)) => {
@@ -239,6 +244,8 @@ pub struct TtcpReceiver {
     pub verify: bool,
     /// Bytes that did not match the pattern.
     pub verify_errors: u64,
+    /// When a read last returned data.
+    last_progress: Option<Time>,
 }
 
 impl TtcpReceiver {
@@ -257,6 +264,7 @@ impl TtcpReceiver {
             pending_dma: None,
             verify: true,
             verify_errors: 0,
+            last_progress: None,
         }
     }
 
@@ -290,8 +298,8 @@ impl App for TtcpReceiver {
         self.state == RxState::Done
     }
 
-    fn bytes_moved(&self) -> u64 {
-        self.bytes_read as u64
+    fn last_progress(&self) -> Option<Time> {
+        self.last_progress
     }
 
     fn step(&mut self, ctx: &mut SysCtx<'_>) -> Step {
@@ -331,6 +339,7 @@ impl App for TtcpReceiver {
                     self.verify_buf(ctx, self.bytes_read, bytes);
                     self.bytes_read += bytes;
                     self.reads += 1;
+                    self.last_progress = Some(ctx.now);
                 }
                 ctx.user_cpu(TTCP_LOOP);
                 let r = ctx.kernel.sys_read(
@@ -347,6 +356,7 @@ impl App for TtcpReceiver {
                         self.verify_buf(ctx, self.bytes_read, bytes);
                         self.bytes_read += bytes;
                         self.reads += 1;
+                        self.last_progress = Some(ctx.now);
                         Step::Continue
                     }
                     Ok((ReadResult::BlockedDma { bytes }, fx)) => {

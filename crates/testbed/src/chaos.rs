@@ -2,23 +2,30 @@
 //! judge the run with the [`crate::oracle`], and delta-debug failing
 //! schedules down to minimal replayable repros.
 //!
-//! The transfer runs under [`World::run_apps`], whose progress watchdog
-//! starts once every scheduled fault has healed; any ending but
-//! [`RunOutcome::Completed`] (a deadlock, a livelock, the deadline) is the
-//! run's `liveness:` violation. Because the world is a deterministic
+//! The transfer runs under [`World::run_apps`] to a deadline that leaves
+//! every scheduled fault time to heal and TCP time to recover from it;
+//! any ending but [`RunOutcome::Completed`] (a deadlock, the deadline) is
+//! the run's `liveness:` violation. Because the world is a deterministic
 //! discrete-event simulation, the same config + schedule always produces
 //! the same [`ChaosOutcome`], which is what makes [`shrink_failure`] sound.
 
+use crate::apps::TtcpReceiver;
 use crate::experiment::{build_ttcp_world, ExperimentConfig};
 use crate::oracle;
-use crate::run::{RunOutcome, DEFAULT_LIVENESS_BUDGET};
+use crate::run::RunOutcome;
 use crate::world::{ChaosStats, World};
 use outboard_sim::chaos::{shrink, ChaosSchedule, ShrinkResult};
 use outboard_sim::{Dur, MetricsRegistry, Time};
+use outboard_stack::{CAB_PROBE_INTERVAL, RTO_MAX};
 
 /// Sim-time allowance after quiesce for heal probes and watchdog resets to
-/// land before the end-state oracle runs (probe period is 10 ms).
-const SETTLE: Dur = Dur::millis(100);
+/// land before the end-state oracle runs: ten recovery-probe periods.
+const SETTLE: Dur = Dur::nanos(10 * CAB_PROBE_INTERVAL.as_nanos());
+
+/// Time a transfer gets after the last fault heals: above TCP's longest
+/// wait between retransmissions, so a partition healed just after a fully
+/// backed-off timer re-armed still recovers.
+const HEALED_ALLOWANCE: Dur = Dur::nanos(RTO_MAX.as_nanos() + Dur::secs(6).as_nanos());
 
 /// The verdict on one chaos run.
 #[derive(Clone, Debug)]
@@ -80,10 +87,10 @@ pub fn run_chaos(cfg: &ExperimentConfig, schedule: &ChaosSchedule) -> ChaosOutco
     w.install_chaos(schedule);
     let quiesce = w.chaos_quiesce_at().unwrap_or(Time::ZERO);
 
-    // Hard ceiling: a generous bandwidth floor or the schedule's active
-    // window plus the liveness budget, whichever is later.
+    // A generous bandwidth floor or the schedule's active window plus the
+    // healed allowance, whichever is later.
     let floor = Time::ZERO + Dur::from_secs_f64((cfg.total_bytes as f64 * 8.0 / 1e6).max(30.0));
-    let deadline = floor.max(quiesce + DEFAULT_LIVENESS_BUDGET) + Dur::secs(5);
+    let deadline = floor.max(quiesce + HEALED_ALLOWANCE) + Dur::secs(5);
     let outcome = w.run_apps(deadline);
     let mut violations: Vec<String> = Vec::new();
     if outcome != RunOutcome::Completed {
@@ -103,10 +110,10 @@ pub fn run_chaos(cfg: &ExperimentConfig, schedule: &ChaosSchedule) -> ChaosOutco
     }
     let elapsed = w.now().since(Time::ZERO);
     let stats = w.metrics(elapsed);
-    // Host 1 runs the receiver: the bytes it moved are the bytes it read.
     let bytes_read = w.hosts[1].apps[0]
         .as_ref()
-        .map_or(0, |rx| rx.bytes_moved() as usize);
+        .and_then(|app| app.as_any().downcast_ref::<TtcpReceiver>())
+        .map_or(0, |rx| rx.bytes_read);
 
     violations.extend(oracle::integrity_violations(&w, cfg.total_bytes));
     violations.extend(oracle::conservation_violations(&stats, w.hosts.len()));

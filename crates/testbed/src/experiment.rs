@@ -44,7 +44,7 @@ pub struct ExperimentConfig {
     pub cab_sdma_fail_p: f64,
     /// CAB MDMA transfer-failure probability (both hosts' adaptors).
     pub cab_mdma_fail_p: f64,
-    /// Probability a failed CAB transfer wedges its engine.
+    /// Probability a CAB transfer wedges its engine instead of completing.
     pub cab_wedge_p: f64,
     /// Probability the CAB miscomputes an outboard checksum.
     pub cab_csum_error_p: f64,
@@ -216,6 +216,7 @@ pub fn build_ttcp_world(cfg: &ExperimentConfig) -> World {
     let cab_faulty = cfg.cab_alloc_fail_p > 0.0
         || cfg.cab_sdma_fail_p > 0.0
         || cfg.cab_mdma_fail_p > 0.0
+        || cfg.cab_wedge_p > 0.0
         || cfg.cab_csum_error_p > 0.0;
     if cab_faulty {
         for (host, iface) in [(a, if_a), (b, if_b)] {
@@ -488,6 +489,26 @@ mod tests {
             "single-copy {:.0} vs unmodified {:.0}",
             sc.sender_efficiency_mbps,
             un.sender_efficiency_mbps
+        );
+    }
+
+    /// A wedge probability installs the CAB fault injector on its own,
+    /// with no other CAB fault set: both adaptors wedge engines.
+    #[test]
+    fn cab_wedge_probability_alone_wedges_engines() {
+        let mut stack = StackConfig::single_copy();
+        stack.force_single_copy = true;
+        let mut cfg = ExperimentConfig::new(MachineConfig::alpha_3000_400(), stack, 64 * 1024);
+        cfg.total_bytes = 1024 * 1024;
+        cfg.cab_wedge_p = 0.1;
+        let m = run_ttcp(&cfg);
+        let wedges = [0, 1].map(|h| {
+            m.stats
+                .counter_value(&format!("host{h}.cab0.faults.wedges"))
+        });
+        assert!(
+            wedges.iter().all(|&n| n > 0),
+            "wedges per adaptor: {wedges:?}"
         );
     }
 

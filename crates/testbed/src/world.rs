@@ -121,10 +121,10 @@ pub trait App: std::any::Any {
     }
     /// True when the app has completed its work (for run-to-completion).
     fn finished(&self) -> bool;
-    /// Application bytes written or read so far: the progress
-    /// [`World::run_apps`]'s watchdog looks for.
-    fn bytes_moved(&self) -> u64 {
-        0
+    /// When the app last moved an application byte, if it ever did: what
+    /// [`World::run_apps`] reports as a deadline run's last progress.
+    fn last_progress(&self) -> Option<Time> {
+        None
     }
 }
 

@@ -5,7 +5,7 @@
 //! unmodified stack under faults, and the chaos smoke sweep.
 //!
 //! Each line holds the run's name, how its run loop ended (`completed`,
-//! `deadline`, `drained` or `stalled`, the `RunOutcome`), its elapsed
+//! `deadline` or `drained`, the `RunOutcome`), its elapsed
 //! virtual nanoseconds, the bytes the receivers read, the events dispatched,
 //! a 64-bit FNV-1a digest over the stats JSON, trace, timeline and critical
 //! path, and — after the world has run on for 5 s of virtual time past the
