@@ -17,6 +17,13 @@
 //!   from the media, and interrupts the host. Large packets stay outboard
 //!   (the stack sees an `M_WCAB` descriptor) until the host issues SDMA
 //!   copy-out requests toward the reading process's buffer.
+//!
+//! The hardware sums each byte once as it moves. The model pays host time
+//! for that sum only where it must: the receive checksum is computed when
+//! the stack reads it ([`Cab::rx_checksum`]), and a frame whose storage a
+//! sending engine summed carries that body sum with it (a memo on the
+//! storage the frame shares with the sender's packet), so the receiver
+//! sums only the transport header in front of it.
 
 use crate::config::CabConfig;
 use crate::cost::EngineCosts;
@@ -73,6 +80,13 @@ fn sg_bytes<'a>(e: &'a SgEntry, mem: &'a dyn UserMemory) -> Result<&'a [u8], Cab
             .user_slice(*task, *vaddr, *len)
             .map_err(CabError::MemFault),
     }
+}
+
+/// The checksum engine's folded ones-complement sum of `bytes`.
+fn partial_sum(bytes: &[u8]) -> u16 {
+    let mut acc = Accumulator::new();
+    acc.add_bytes(bytes);
+    acc.partial()
 }
 
 /// Where the hardware inserts the transport checksum (§4.3).
@@ -166,9 +180,10 @@ pub enum CabEvent {
         /// The serialized frame contents.
         frame: Bytes,
     },
-    /// A frame arrived, its checksum is computed, and the first L words are
-    /// in host memory; the host is being interrupted. `packet` is `None`
-    /// when the whole frame fit in the auto-DMA buffer (small-packet path).
+    /// A frame arrived and the first L words are in host memory; the host
+    /// is being interrupted. `packet` is `None` when the whole frame fit in
+    /// the auto-DMA buffer (small-packet path). The hardware receive
+    /// checksum is read from the frame's bytes with [`Cab::rx_checksum`].
     RxReady {
         /// When the auto-DMA completes and the interrupt is raised.
         at: Time,
@@ -176,8 +191,6 @@ pub enum CabEvent {
         packet: Option<PacketId>,
         /// The first L words, delivered with the interrupt.
         autodma: Bytes,
-        /// Hardware ones-complement sum over the transport area.
-        hw_csum: u16,
         /// Total frame length on the wire.
         frame_len: usize,
     },
@@ -273,6 +286,11 @@ pub struct CabStats {
     pub rx_dropped_wedged: u64,
     /// Board resets performed by the driver's watchdog.
     pub resets: u64,
+    /// Receive checksums that reused a sending engine's body sum (not
+    /// published: the host-time saving has no simulated counterpart).
+    pub rx_csum_reused: u64,
+    /// Receive checksums summed in full over the transport area.
+    pub rx_csum_full: u64,
 }
 
 /// One CAB adaptor.
@@ -291,9 +309,9 @@ pub struct Cab {
     pub stats: CabStats,
     /// Frames transmitted per MAC logical channel (queue-depth proxy for the
     /// HOL analysis in §6: which channels the traffic actually spread over).
-    pub per_channel_tx: BTreeMap<u16, u64>,
+    per_channel_tx: BTreeMap<u16, u64>,
     /// Adaptor-side fault injection (transparent by default).
-    pub faults: FaultInjector,
+    faults: FaultInjector,
     /// Shared buffer pool behind the packets a transmit gather fills.
     pool: Option<BufPool>,
 }
@@ -315,6 +333,22 @@ impl Cab {
             faults: FaultInjector::none(u64::from(addr)),
             pool: None,
         }
+    }
+
+    /// Replace the adaptor-side fault injector (the default one is
+    /// transparent).
+    pub fn install_faults(&mut self, faults: FaultInjector) {
+        self.faults = faults;
+    }
+
+    /// Wedge the SDMA engine on its next transfer (fault scripting).
+    pub fn force_sdma_wedge_next(&mut self) {
+        self.faults.force_sdma_wedge_next();
+    }
+
+    /// Wedge the transmit MDMA engine on its next transfer.
+    pub fn force_mdma_wedge_next(&mut self) {
+        self.faults.force_mdma_wedge_next();
     }
 
     /// Recycle packet storage through a shared [`BufPool`] so steady-state
@@ -526,6 +560,7 @@ impl Cab {
         let Some(pkt) = self.netmem.get_mut(req.packet) else {
             return Err(CabError::UnknownPacket(req.packet));
         };
+        let mut body_memo = None;
         if let Some(spec) = req.csum {
             let skip = spec.skip_words * 4;
             let body_sum = if req.reuse_body_csum {
@@ -535,9 +570,7 @@ impl Cab {
                     None => return Err(CabError::BadRequest("no saved body checksum to reuse")),
                 }
             } else {
-                let mut acc = Accumulator::new();
-                acc.add_bytes(&data[skip..]);
-                let s = acc.partial();
+                let s = partial_sum(&data[skip..]);
                 pkt.saved_body_csum = Some(s);
                 s
             };
@@ -550,8 +583,18 @@ impl Cab {
                 final_csum ^= 0x5555;
             }
             data[spec.csum_offset..spec.csum_offset + 2].copy_from_slice(&final_csum.to_be_bytes());
+            // The body sum describes the frozen bytes only when the
+            // inserted field lies in front of the summed range.
+            if spec.csum_offset + 2 <= skip {
+                body_memo = Some((skip, body_sum));
+            }
         }
         pkt.data = data.freeze();
+        if let Some((skip, body_sum)) = body_memo {
+            // The frame is this storage: the receiver reuses the sum.
+            let end = pkt.data.len();
+            pkt.data.set_memo(skip..end, body_sum);
+        }
 
         self.stats.sdma_tx_requests += 1;
         Ok(CabEvent::SdmaDone {
@@ -704,9 +747,10 @@ impl Cab {
         })
     }
 
-    /// A frame arrives from the media: allocate outboard space, compute the
-    /// receive checksum in hardware, auto-DMA the first L words to the host
-    /// and raise the receive interrupt (§2.2).
+    /// A frame arrives from the media: allocate outboard space, auto-DMA the
+    /// first L words to the host and raise the receive interrupt (§2.2).
+    /// The checksum engine sums the frame as it flows in; the model computes
+    /// that sum only when the host reads it ([`Cab::rx_checksum`]).
     pub fn receive_frame(&mut self, frame: Bytes, now: Time) -> CabEvent {
         let len = frame.len();
         // A wedged engine cannot move the frame off the media; the frame is
@@ -751,12 +795,6 @@ impl Cab {
                 frame_len: len,
             };
         }
-        // Hardware receive checksum from the fixed word offset (§4.3).
-        let skip = (self.cfg.rx_csum_skip_words * 4).min(len);
-        let mut acc = Accumulator::new();
-        acc.add_bytes(&frame[skip..]);
-        let hw_csum = acc.partial();
-
         // Auto-DMA the first L words into host memory (charged to the
         // host-bus engine), then interrupt.
         let auto_len = self.cfg.autodma_bytes().min(len);
@@ -793,9 +831,41 @@ impl Cab {
             at: done,
             packet,
             autodma,
-            hw_csum,
             frame_len: len,
         }
+    }
+
+    /// The hardware receive checksum of `frame` (an arrived frame: its
+    /// outboard packet's bytes, or the auto-DMA bytes when the whole frame
+    /// came with the interrupt): the folded ones-complement sum from the
+    /// fixed receive skip offset to the end (§4.3).
+    ///
+    /// When the frame is the storage a sending engine summed, its memo
+    /// holds that body sum, and only the bytes in front of it (the
+    /// transport header) are summed here. A frame without a usable memo —
+    /// a copy the link made, a packet sent without a checksum spec, a memo
+    /// at an odd distance from the skip — is summed in full. Debug builds
+    /// recompute every reused sum in full and assert the two agree.
+    pub fn rx_checksum(&mut self, frame: &Bytes) -> u16 {
+        let skip = (self.cfg.rx_csum_skip_words * 4).min(frame.len());
+        let body = frame.memo().filter(|(r, _)| {
+            r.end == frame.len() && r.start >= skip && (r.start - skip).is_multiple_of(2)
+        });
+        let Some((r, body_sum)) = body else {
+            self.stats.rx_csum_full += 1;
+            return partial_sum(&frame[skip..]);
+        };
+        self.stats.rx_csum_reused += 1;
+        let mut acc = Accumulator::new();
+        acc.add_bytes(&frame[skip..r.start]);
+        acc.add_partial(body_sum);
+        let sum = acc.partial();
+        debug_assert_eq!(
+            sum,
+            partial_sum(&frame[skip..]),
+            "reused body sum disagrees with the frame's bytes"
+        );
+        sum
     }
 
     /// Direct read of packet bytes (tests and driver header inspection).
@@ -1175,7 +1245,6 @@ mod tests {
         let CabEvent::RxReady {
             packet,
             autodma,
-            hw_csum,
             frame_len,
             ..
         } = rx
@@ -1187,9 +1256,8 @@ mod tests {
         assert_eq!(autodma.len(), cab_b.config().autodma_bytes());
         // Hardware rx checksum equals a software sum from the skip offset.
         let skip = cab_b.config().rx_csum_skip_words * 4;
-        let mut acc = Accumulator::new();
-        acc.add_bytes(&frame[skip..]);
-        assert_eq!(hw_csum, acc.partial());
+        let outboard = cab_b.netmem().get(pkt).unwrap().data.clone();
+        assert_eq!(cab_b.rx_checksum(&outboard), partial_sum(&frame[skip..]));
         // Copy-out to a second process and compare bytes.
         let mut hm2 = HostMem::new();
         let t2 = TaskId(9);
@@ -1337,5 +1405,204 @@ mod tests {
             verify_transport(pseudo, &segment),
             "receiver-side verification of hardware-inserted checksum"
         );
+    }
+
+    /// Deliver `frame` to `cab` and read its receive checksum the way the
+    /// single-copy stack does: from the outboard packet's bytes, or from
+    /// the auto-DMA bytes when the whole frame came with the interrupt.
+    /// Returns the sum and whether it reused a sending engine's body sum.
+    fn peer_rx_checksum(cab: &mut Cab, frame: Bytes, now: Time) -> (u16, bool) {
+        let CabEvent::RxReady {
+            at,
+            packet,
+            autodma,
+            ..
+        } = cab.receive_frame(frame, now)
+        else {
+            panic!("frame dropped")
+        };
+        let bytes = match packet {
+            Some(p) => cab.netmem().get(p).unwrap().data.clone(),
+            None => autodma,
+        };
+        let reused = cab.stats.rx_csum_reused;
+        let sum = cab.rx_checksum(&bytes);
+        let skip = cab.config().rx_csum_skip_words * 4;
+        assert_eq!(
+            sum,
+            partial_sum(&bytes[skip..]),
+            "rx checksum is the full sum"
+        );
+        if let Some(p) = packet {
+            assert!(cab.free_packet(p, at));
+        }
+        (sum, cab.stats.rx_csum_reused > reused)
+    }
+
+    /// The frame `mdma_tx` puts on the media for packet `id`.
+    fn frame_out(cab: &mut Cab, id: PacketId, now: Time) -> Bytes {
+        let CabEvent::FrameOut { frame, .. } = cab.mdma_tx(id, 2, 0, now, false).unwrap() else {
+            panic!()
+        };
+        frame
+    }
+
+    #[test]
+    fn rx_checksum_reuses_the_sending_engines_body_sum() {
+        use outboard_netsim::Link;
+        use outboard_sim::Chance;
+        let (mut cab_a, hm, task) = setup();
+        let mut cab_b = Cab::new(2, CabConfig::default());
+
+        // A fresh frame reuses it, and so do both deliveries of a
+        // duplicate, which share its storage.
+        let (id, sdma) = tx_packet(&mut cab_a, &hm, task, 0x1111, 0x10000, 8192);
+        let frame = frame_out(&mut cab_a, id, sdma.at());
+        let (sum, reused) = peer_rx_checksum(&mut cab_b, frame.clone(), Time(1_000_000));
+        assert!(reused, "fresh frame");
+        let mut link = Link::hippi(Dur::ZERO, 3);
+        link.faults.dup_p = Chance::new(1.0);
+        let twice = link.transmit(frame.clone(), Time(2_000_000));
+        assert_eq!(twice.len(), 2);
+        for d in &twice {
+            assert_eq!(d.payload.as_ptr(), frame.as_ptr());
+            assert_eq!(
+                peer_rx_checksum(&mut cab_b, d.payload.clone(), d.at),
+                (sum, true)
+            );
+        }
+
+        // The link's corruptor and stealth corruptor deliver copies: no memo.
+        let mut link = Link::hippi(Dur::ZERO, 4);
+        link.faults.corrupt_p = Chance::new(1.0);
+        let corrupted = link
+            .transmit(frame.clone(), Time(3_000_000))
+            .into_iter()
+            .next()
+            .unwrap()
+            .payload;
+        assert_ne!(corrupted, frame);
+        let (bad, reused) = peer_rx_checksum(&mut cab_b, corrupted, Time(3_000_000));
+        assert!(!reused, "corrupted copy");
+        assert_ne!(bad, sum, "the corruption shows in the sum");
+        let mut link = Link::hippi(Dur::ZERO, 5);
+        link.faults.force_stealth_corrupt_next();
+        let stealthy = link
+            .transmit(frame.clone(), Time(4_000_000))
+            .into_iter()
+            .next()
+            .unwrap()
+            .payload;
+        assert_ne!(stealthy, frame);
+        assert_eq!(
+            peer_rx_checksum(&mut cab_b, stealthy, Time(4_000_000)),
+            (sum, false),
+            "stealth-corrupted copy: summed in full, to the same sum"
+        );
+
+        // A header-only retransmit's frame carries the saved body sum.
+        retransmit(
+            &mut cab_a,
+            &hm,
+            id,
+            header_with_seed(0x2222),
+            Time(5_000_000),
+        );
+        let again = frame_out(&mut cab_a, id, Time(6_000_000));
+        assert_ne!(again.as_ptr(), frame.as_ptr(), "new storage");
+        assert!(
+            peer_rx_checksum(&mut cab_b, again, Time(7_000_000)).1,
+            "retransmit"
+        );
+
+        // A frame small enough for the auto-DMA buffer reuses it too.
+        let (small, sdma) = tx_packet(&mut cab_a, &hm, task, 0x3333, 0x20000, 256);
+        let frame = frame_out(&mut cab_a, small, sdma.at().max(Time(8_000_000)));
+        assert!(frame.len() <= cab_b.config().autodma_bytes());
+        assert!(
+            peer_rx_checksum(&mut cab_b, frame, Time(9_000_000)).1,
+            "auto-DMA only"
+        );
+
+        // A packet sent without a checksum spec was never summed, and one
+        // whose checksum field lies inside the summed range was summed
+        // before the field was written: neither leaves a memo.
+        let inside = ChecksumSpec {
+            csum_offset: CSUM_OFF,
+            skip_words: SKIP_WORDS - 4,
+        };
+        for (i, csum) in [None, Some(inside)].into_iter().enumerate() {
+            let now = Time(10_000_000 * (i as u64 + 1));
+            let id = cab_a.alloc_packet(HDR + 4096).unwrap();
+            let ev = cab_a
+                .sdma_tx(
+                    SdmaTx {
+                        packet: id,
+                        sg: vec![
+                            SgEntry::Inline(Bytes::from(header_with_seed(0))),
+                            SgEntry::User {
+                                task,
+                                vaddr: 0x10000,
+                                len: 4096,
+                            },
+                        ],
+                        csum,
+                        reuse_body_csum: false,
+                        interrupt_on_complete: false,
+                        token: 0,
+                    },
+                    now,
+                    &hm,
+                )
+                .unwrap();
+            let frame = frame_out(&mut cab_a, id, ev.at());
+            let (_, reused) = peer_rx_checksum(&mut cab_b, frame, now + Dur::millis(5));
+            assert!(!reused, "{csum:?}");
+        }
+
+        assert_eq!(
+            (cab_b.stats.rx_csum_reused, cab_b.stats.rx_csum_full),
+            (5, 4)
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 256, ..Default::default() })]
+
+        /// A memoized receive checksum equals the full sum; a memo at an
+        /// odd distance from the receive skip, or outside the view, is
+        /// ignored.
+        #[test]
+        fn memoized_rx_checksum_equals_the_full_sum(
+            frame in proptest::collection::vec(proptest::prelude::any::<u8>(), 200..2048),
+            skip_words in 0usize..24,
+            thdr_words in 0usize..16,
+            odd in proptest::prelude::any::<bool>(),
+        ) {
+            let mut cab = Cab::new(1, CabConfig {
+                rx_csum_skip_words: skip_words,
+                ..CabConfig::default()
+            });
+            let full = |b: &Bytes| partial_sum(&b[(skip_words * 4).min(b.len())..]);
+            // The memo a sending engine leaves: its body sum, from the end
+            // of the transport header (here perhaps one byte off) to the
+            // end of the frame.
+            let len = frame.len();
+            let start = skip_words * 4 + thdr_words * 4 + usize::from(odd);
+            let mut view = Bytes::from(frame.clone());
+            proptest::prop_assert!(view.set_memo(start..len, partial_sum(&frame[start..])));
+            proptest::prop_assert_eq!(cab.rx_checksum(&view), full(&view));
+            proptest::prop_assert_eq!(cab.stats.rx_csum_reused, u64::from(!odd));
+            // A memo that stops short of the frame's end is ignored.
+            let mut early = Bytes::from(frame.clone());
+            early.set_memo(start..len - 2, partial_sum(&frame[start..len - 2]));
+            proptest::prop_assert_eq!(cab.rx_checksum(&early), full(&early));
+            // Views the memo does not lie inside ignore it.
+            let short = view.slice(..len - 1);
+            proptest::prop_assert_eq!(cab.rx_checksum(&short), full(&short));
+            let late = view.slice(start + 1..);
+            proptest::prop_assert_eq!(cab.rx_checksum(&late), full(&late));
+            proptest::prop_assert_eq!(cab.stats.rx_csum_reused, u64::from(!odd));
+        }
     }
 }

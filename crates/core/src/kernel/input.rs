@@ -112,23 +112,21 @@ impl Kernel {
     }
 
     /// The CAB's receive interrupt: the first L words are in host memory,
-    /// the body checksum is computed, large packets wait outboard (§2.2).
-    #[allow(clippy::too_many_arguments, reason = "BSD-shaped parameter list")]
+    /// large packets wait outboard (§2.2), and the single-copy stack reads
+    /// the hardware body checksum from the frame's bytes.
     pub fn rx_interrupt(
         &mut self,
         iface: IfaceId,
         packet: Option<PacketId>,
         autodma: Bytes,
-        hw_csum: u16,
         frame_len: usize,
         mem: &mut HostMem,
         now: Time,
     ) -> Vec<Effect> {
         self.cpu(self.costs.interrupt, Charge::Interrupt);
         // A board reset between this frame's arrival and its interrupt frees
-        // the outboard buffer, but the interrupt (with its pre-reset hardware
-        // checksum) still lands. Trusting it would queue a descriptor whose
-        // checksum verifies against bytes that no longer exist — silent
+        // the outboard buffer, but the interrupt still lands. Trusting it
+        // would queue a descriptor for bytes that no longer exist — silent
         // corruption at the application. The frame died with the reset:
         // discard it here and let the transport retransmit.
         let mut outboard = None;
@@ -161,8 +159,18 @@ impl Kernel {
         }
         // The unmodified stack ignores the hardware checksum — verifying
         // in software is exactly the per-byte cost the paper measures it
-        // paying.
-        let hw = (self.cfg.mode == crate::types::StackMode::SingleCopy).then_some(hw_csum);
+        // paying — so only the single-copy stack reads it: from the
+        // outboard packet, or from the auto-DMA bytes when the whole frame
+        // came with the interrupt.
+        let hw = (self.cfg.mode == crate::types::StackMode::SingleCopy).then(|| {
+            self.with_cab(iface, |_k, cab| {
+                let frame = match packet.and_then(|p| cab.cab.netmem().get(p)) {
+                    Some(outboard) => outboard.data.clone(),
+                    None => autodma.clone(),
+                };
+                cab.cab.rx_checksum(&frame)
+            })
+        });
         if self.spans.on() {
             // The demux stage covers the interrupt + IP + transport input
             // CPU work charged on this path.

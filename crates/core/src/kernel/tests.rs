@@ -486,7 +486,7 @@ fn rexmt_firing_that_sends_nothing_is_caught() {
 
 /// Wedge `cab`'s SDMA engine with a forced fault on a fresh transfer.
 fn wedge_sdma(cab: &mut Cab, mem: &HostMem, now: Time) {
-    cab.faults.force_sdma_wedge_next();
+    cab.force_sdma_wedge_next();
     let req = SdmaTx {
         packet: cab.alloc_packet(64).expect("netmem"),
         sg: vec![SgEntry::Inline(Bytes::from(vec![0u8; 64]))],
@@ -797,22 +797,14 @@ fn deliver_outboard(
                     at,
                     packet,
                     autodma,
-                    hw_csum,
                     frame_len,
                 },
             ..
         } = e
         {
             rig.now = rig.now.max(at);
-            rig.k.rx_interrupt(
-                cab,
-                packet,
-                autodma,
-                hw_csum,
-                frame_len,
-                &mut rig.mem,
-                rig.now,
-            );
+            rig.k
+                .rx_interrupt(cab, packet, autodma, frame_len, &mut rig.mem, rig.now);
         }
     }
 }

@@ -234,7 +234,7 @@ pub fn build_ttcp_world(cfg: &ExperimentConfig) -> World {
             f.mdma_fail_p = Chance::new(cfg.cab_mdma_fail_p);
             f.wedge_p = Chance::new(cfg.cab_wedge_p);
             f.csum_error_p = Chance::new(cfg.cab_csum_error_p);
-            ci.cab.faults = f;
+            ci.cab.install_faults(f);
         }
     }
     // Receiver first so the listener exists before the SYN arrives.

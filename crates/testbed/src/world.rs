@@ -41,7 +41,6 @@ pub(crate) enum Event {
         iface: IfaceId,
         packet: Option<PacketId>,
         autodma: Bytes,
-        hw_csum: u16,
         frame_len: usize,
     },
     /// A frame leaves a host on a link (fabric ingress).
@@ -416,9 +415,9 @@ impl World {
                     for iface in h.kernel.ifaces.iter_mut() {
                         if let Some(ci) = iface.cab() {
                             if mdma {
-                                ci.cab.faults.force_mdma_wedge_next();
+                                ci.cab.force_mdma_wedge_next();
                             } else {
-                                ci.cab.faults.force_sdma_wedge_next();
+                                ci.cab.force_sdma_wedge_next();
                             }
                             break;
                         }
@@ -1019,7 +1018,6 @@ impl World {
                         at,
                         packet,
                         autodma,
-                        hw_csum,
                         frame_len,
                     } => {
                         self.queue.push(
@@ -1029,7 +1027,6 @@ impl World {
                                 iface,
                                 packet,
                                 autodma,
-                                hw_csum,
                                 frame_len,
                             },
                         );
@@ -1194,13 +1191,12 @@ impl World {
                 iface,
                 packet,
                 autodma,
-                hw_csum,
                 frame_len,
             } => {
                 let fx = {
                     let h = &mut self.hosts[host];
                     h.kernel
-                        .rx_interrupt(iface, packet, autodma, hw_csum, frame_len, &mut h.mem, now)
+                        .rx_interrupt(iface, packet, autodma, frame_len, &mut h.mem, now)
                 };
                 self.apply_effects(host, fx, now);
             }

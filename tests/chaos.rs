@@ -299,10 +299,10 @@ fn receiver_mdma_wedge_reset_drops_stale_rx_instead_of_corrupting() {
     // receiver's MDMA-tx engine wedges while an ACK is outbound, the
     // watchdog board-resets 20 ms later, and the reset lands while a data
     // frame sits between media arrival and its receive interrupt. The stale
-    // interrupt carries a pre-reset hardware checksum that still verifies,
-    // so the driver must discard it (the buffer died with the reset) rather
-    // than queue a descriptor whose copy-out reads freed memory — which
-    // surfaced as ~32 KB of zeros at the application under a valid checksum.
+    // interrupt names a buffer that died with the reset, so the driver must
+    // discard it rather than queue a descriptor whose copy-out reads freed
+    // memory — which surfaced as ~32 KB of zeros at the application under
+    // a checksum that had verified.
     let cfg = base_cfg(8 * 1024 * 1024, 9);
     let schedule = ChaosSchedule {
         seed: 9,

@@ -59,7 +59,7 @@ fn wedged_sdma_seizes_the_buffer_until_reset() {
     let (id, done) = gather(&mut cab, Time::ZERO);
     // Wedge the engine mid-transfer on a second gather into the same
     // buffer (the driver's header-refresh retransmit shape).
-    cab.faults.force_sdma_wedge_next();
+    cab.force_sdma_wedge_next();
     let hm = HostMem::new();
     let err = cab
         .sdma_tx(

@@ -246,7 +246,6 @@ fn wedged_sdma_engine_is_reset_by_watchdog_without_data_loss() {
         .cab()
         .expect("sender CAB")
         .cab
-        .faults
         .force_sdma_wedge_next();
 
     let outcome = w.run_apps(deadline);
@@ -336,7 +335,7 @@ fn every_transmit_arm_completes_without_leaking_netmem() {
             .cab()
             .expect("receiver CAB")
             .cab
-            .faults = rx_faults;
+            .install_faults(rx_faults);
         run_settled_without_leaks(w, TOTAL, &format!("unmodified seed {seed}"));
     }
 }
@@ -428,5 +427,29 @@ fn wedge_runs_finish_in_one_run_on() {
         assert_eq!(outcome, RunOutcome::Completed, "seed {seed}");
         assert_eq!(w.now(), Time(end), "seed {seed}");
         assert_eq!(receiver_bytes(&w), cfg.total_bytes, "seed {seed}");
+    }
+}
+
+/// The receive checksum reuses the sending engine's body sum for every
+/// frame the link delivers as it was sent; under the fault matrix the only
+/// frames summed in full are the link's corruption copies (each perhaps
+/// also duplicated). Link seeds 42-45, as the benchmark's `lossy` cycles.
+#[test]
+fn receive_checksum_is_summed_in_full_only_for_link_copies() {
+    for seed in 42..46 {
+        let mut w = build_ttcp_world(&soak_cfg(4 * 1024 * 1024, seed));
+        let outcome = w.run_apps(Time::ZERO + Dur::secs(60));
+        assert_eq!(outcome, RunOutcome::Completed, "seed {seed}");
+        for (host, from) in [(0usize, 1usize), (1, 0)] {
+            let cab = &w.hosts[host].kernel.ifaces[0].cab().expect("CAB").cab.stats;
+            let f = &w.links[&(from, outboard::stack::IfaceId(0))].faults.stats;
+            let copies = f.corrupted + f.stealth_corrupted;
+            assert!(
+                cab.rx_csum_full <= copies + f.duplicated.min(copies),
+                "seed {seed} host{host}: {} full sums for {copies} link copies",
+                cab.rx_csum_full
+            );
+            assert!(cab.rx_csum_reused > 0, "seed {seed} host{host}");
+        }
     }
 }

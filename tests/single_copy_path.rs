@@ -162,3 +162,36 @@ fn deterministic_across_runs() {
     assert_eq!(a.bytes, b.bytes);
     assert!((a.throughput_mbps - b.throughput_mbps).abs() < 1e-9);
 }
+
+/// Every frame of a fault-free single-copy transfer is the storage its
+/// sending engine summed, so the receiving CAB reuses that body sum for
+/// each one, in both directions; the unmodified stack never reads the
+/// receive checksum at all.
+#[test]
+fn receive_checksums_reuse_the_senders_body_sum() {
+    let mut unmodified = sc_config(64 * 1024, 1024 * 1024);
+    unmodified.stack = StackConfig::unmodified();
+    for (write_size, total) in [(64 * 1024, 1024 * 1024), (1024, 256 * 1024)] {
+        let mut w = build_ttcp_world(&sc_config(write_size, total));
+        w.run_until(Time::ZERO + Dur::secs(20));
+        for host in 0..2 {
+            let s = w.hosts[host].kernel.ifaces[0].cab().expect("CAB").cab.stats;
+            assert_eq!(s.rx_csum_full, 0, "{write_size} B writes, host{host}");
+            assert_eq!(
+                s.rx_csum_reused, s.frames_rx,
+                "{write_size} B writes, host{host}"
+            );
+        }
+    }
+    let mut w = build_ttcp_world(&unmodified);
+    w.run_until(Time::ZERO + Dur::secs(20));
+    for host in 0..2 {
+        let s = w.hosts[host].kernel.ifaces[0].cab().expect("CAB").cab.stats;
+        assert!(s.frames_rx > 0);
+        assert_eq!(
+            (s.rx_csum_reused, s.rx_csum_full),
+            (0, 0),
+            "unmodified host{host}"
+        );
+    }
+}
