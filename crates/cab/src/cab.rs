@@ -312,8 +312,9 @@ pub struct Cab {
     per_channel_tx: BTreeMap<u16, u64>,
     /// Adaptor-side fault injection (transparent by default).
     faults: FaultInjector,
-    /// Shared buffer pool behind the packets a transmit gather fills.
-    pool: Option<BufPool>,
+    /// Buffer pool behind the packets a transmit gather fills: the CAB's
+    /// own until a world shares its pool.
+    pool: BufPool,
 }
 
 impl Cab {
@@ -331,7 +332,7 @@ impl Cab {
             stats: CabStats::default(),
             per_channel_tx: BTreeMap::new(),
             faults: FaultInjector::none(u64::from(addr)),
-            pool: None,
+            pool: BufPool::new(),
         }
     }
 
@@ -351,10 +352,10 @@ impl Cab {
         self.faults.force_mdma_wedge_next();
     }
 
-    /// Recycle packet storage through a shared [`BufPool`] so steady-state
-    /// transfers stop allocating per packet.
+    /// Recycle packet storage through a shared [`BufPool`] instead of the
+    /// CAB's own.
     pub fn set_pool(&mut self, pool: BufPool) {
-        self.pool = Some(pool);
+        self.pool = pool;
     }
 
     /// The device configuration.
@@ -1065,6 +1066,18 @@ mod tests {
             hm,
         )
         .unwrap();
+    }
+
+    #[test]
+    fn standalone_cab_recycles_its_storage() {
+        // A CAB no world has given a pool recycles through its own.
+        let (mut cab, hm, task) = setup();
+        let (first, sdma) = tx_packet(&mut cab, &hm, task, 0x1111, 0x10000, 8192);
+        assert!(cab.free_packet(first, sdma.at()));
+        tx_packet(&mut cab, &hm, task, 0x2222, 0x10000, 8192);
+        let s = cab.pool.stats();
+        assert_eq!((s.acquires, s.misses, s.hits), (2, 1, 1));
+        assert_eq!(s.releases, 1, "the second packet still holds its storage");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use outboard_cab::{PacketId, SdmaDst, SdmaRx};
 use outboard_host::{Charge, HostMem, UserMemory};
 use outboard_mbuf::{Chain, Mbuf, MbufData, PacketRef, WcabDesc};
 use outboard_sim::span::{FlowId, Stage};
-use outboard_sim::{Dur, Time};
+use outboard_sim::{Dur, PooledBuf, Time};
 use outboard_wire::hippi::{HippiHeader, HIPPI_HEADER_LEN};
 use outboard_wire::ipv4::Ipv4Header;
 use outboard_wire::tcp::{TcpFlags, TcpHeader};
@@ -318,8 +318,7 @@ impl Kernel {
                         // Engine refused the copy-in: fall back to
                         // programmed I/O so the packet still arrives.
                         cab.complete(token);
-                        let (buf, ticket) = Kernel::pio_read(k, cab, iface, &req, &e, packet);
-                        k.cluster_freeze(buf, ticket)
+                        Kernel::pio_read(k, cab, iface, &req, &e, packet).freeze()
                     }
                 }
             });
@@ -978,10 +977,7 @@ impl Kernel {
                 // integrity checks reject the content, not the kernel.
                 let bytes = match data {
                     Some(b) if b.len() == len => b,
-                    _ => {
-                        let (buf, ticket) = self.cluster_alloc(len);
-                        self.cluster_freeze(buf, ticket)
-                    }
+                    _ => PooledBuf::zeroed(&self.pool, len).freeze(),
                 };
                 let ready = {
                     let Some(s) = self.sockets.get_mut(sock) else {

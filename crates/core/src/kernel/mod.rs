@@ -41,11 +41,20 @@ use outboard_host::{
 };
 use outboard_mbuf::{Chain, Mbuf, MbufData, MbufStats, UioDesc, UioRegion, WcabDesc};
 use outboard_sim::span::{FlowId, SpanSink, Stage};
-use outboard_sim::{pooled_copy, BufPool, DetMap, Dur, IdTable, Ticket, Time};
+use outboard_sim::{BufPool, DetMap, Dur, IdTable, PooledBuf, Time};
 use outboard_wire::ether::MacAddr;
 use outboard_wire::ipv4::IPV4_HEADER_LEN;
 use outboard_wire::udp::UDP_HEADER_LEN;
 use std::net::Ipv4Addr;
+
+/// `EFAULT` at syscall entry: `[vaddr, vaddr + len)` must lie in `task`'s
+/// address space.
+fn user_range(mem: &HostMem, task: TaskId, vaddr: u64, len: usize) -> Result<(), StackError> {
+    match mem.user_slice(task, vaddr, len) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(StackError::BadAddress),
+    }
+}
 
 /// Writes at least this large take the single-copy path; smaller writes
 /// are copied through kernel mbufs (§4.4.3). Ignored under
@@ -136,15 +145,15 @@ impl TxMeta {
 /// One simulated host's kernel.
 pub struct Kernel {
     /// Host name (diagnostics).
-    pub name: String,
+    pub(crate) name: String,
     /// The machine's Turbochannel speed, for [`Kernel::cab_config`].
     tc_speed_scale: f64,
     /// The machine's per-packet costs, compiled once by [`Kernel::new`].
     pub(crate) costs: PacketCosts,
     /// Stack configuration.
-    pub cfg: StackConfig,
+    pub(crate) cfg: StackConfig,
     /// Per-byte cost model.
-    pub memsys: MemorySystem,
+    pub(crate) memsys: MemorySystem,
     /// VM pin/map bookkeeping and costs.
     pub vm: VmSystem,
     // Socket-table sweeps (degraded-mode rescue, stats rollup) iterate this
@@ -180,7 +189,7 @@ pub struct Kernel {
     /// [`Kernel::tcp_stats`] for the live + closed aggregate).
     pub(crate) tcp_closed: TcpStats,
     /// Mbuf allocation statistics.
-    pub mbuf_stats: MbufStats,
+    pub(crate) mbuf_stats: MbufStats,
     /// Per-packet causal span sink (disabled by default; see `sim::span`).
     pub spans: SpanSink,
     /// Reusable list `tcp_send` lends to `Tcb::output` for its segment plans.
@@ -188,9 +197,10 @@ pub struct Kernel {
     /// Reusable scratch buffer for header assembly and descriptor reads on
     /// the transmit/checksum hot paths (grown once, then recycled).
     pub(crate) scratch: Vec<u8>,
-    /// Shared buffer pool for mbuf cluster storage (kernel copies of user
-    /// data, PIO fallbacks, rescue reads); `None` keeps plain allocation.
-    pub(crate) pool: Option<BufPool>,
+    /// Buffer pool for mbuf cluster storage (kernel copies of user data,
+    /// PIO fallbacks, rescue reads): the kernel's own until a world shares
+    /// its pool.
+    pub(crate) pool: BufPool,
 }
 
 impl Kernel {
@@ -224,35 +234,14 @@ impl Kernel {
             spans: SpanSink::disabled(),
             plans: Vec::new(),
             scratch: Vec::new(),
-            pool: None,
+            pool: BufPool::new(),
         }
     }
 
-    /// Recycle mbuf cluster storage through a shared [`BufPool`] so the
-    /// copy paths stop allocating per segment.
+    /// Recycle mbuf cluster storage through a shared [`BufPool`] instead of
+    /// the kernel's own.
     pub fn set_pool(&mut self, pool: BufPool) {
-        self.pool = Some(pool);
-    }
-
-    /// Zero-filled cluster storage (pooled when a pool is installed) plus
-    /// the ticket [`Kernel::cluster_freeze`] needs to recycle it.
-    pub(crate) fn cluster_alloc(&self, len: usize) -> (Vec<u8>, Option<Ticket>) {
-        match &self.pool {
-            Some(p) => {
-                let (buf, t) = p.acquire(len);
-                (buf, Some(t))
-            }
-            None => (vec![0u8; len], None),
-        }
-    }
-
-    /// Freeze cluster storage into [`Bytes`]; pooled storage returns to the
-    /// pool when the last view drops.
-    pub(crate) fn cluster_freeze(&self, buf: Vec<u8>, ticket: Option<Ticket>) -> Bytes {
-        match (&self.pool, ticket) {
-            (Some(p), Some(t)) => p.freeze(buf, t),
-            _ => Bytes::from(buf),
-        }
+        self.pool = pool;
     }
 
     // ------------------------------------------------------------------
@@ -378,6 +367,20 @@ impl Kernel {
     )]
     fn uio_issue(&mut self, counter: outboard_mbuf::UioCounterId, bytes: usize) {
         self.uio.issue(counter, bytes).expect("live uio counter");
+    }
+
+    /// Copy `len` bytes of `task`'s memory at `vaddr` into a kernel
+    /// cluster. A range that faults is counted and yields zeros of the
+    /// same length: syscalls check their range at entry, so this is a
+    /// region that shrank later, under a blocked write or a DMA descriptor.
+    fn copyin(&mut self, task: TaskId, vaddr: u64, len: usize, mem: &HostMem) -> Bytes {
+        match mem.user_slice(task, vaddr, len) {
+            Ok(src) => self.pool.copy_from_slice(src),
+            Err(_) => {
+                self.stats.user_mem_faults += 1;
+                PooledBuf::zeroed(&self.pool, len).freeze()
+            }
+        }
     }
 
     /// Charge a per-packet cost. A positive cost that rounds to zero
@@ -664,6 +667,7 @@ impl Kernel {
             }
             s.local
         };
+        user_range(mem, task, vaddr, len)?;
         // Ensure a local binding and a per-destination iface hint.
         let iface_id = self.routes.lookup(dst.ip).ok_or(StackError::NoRoute)?;
         let local_ip = self.ifaces[iface_id.0 as usize].ip;
@@ -759,6 +763,7 @@ impl Kernel {
     ) -> Result<(WriteResult, Vec<Effect>), StackError> {
         self.cpu(self.costs.syscall, Charge::Syscall);
         let proto = self.sockets.get(sock).ok_or(StackError::BadSocket)?.proto;
+        user_range(mem, task, vaddr, len)?;
         if self.spans.on() {
             let flow = self.flow_id_tx(sock);
             let end = now + self.costs.syscall.unwrap_or_default();
@@ -897,14 +902,7 @@ impl Kernel {
                 let fix = (4 - (cur_addr % 4) as usize).min(remaining);
                 let cost = self.memsys.copy_cost(fix, fix.max(64));
                 self.cpu_dur(cost, charge);
-                #[expect(
-                    clippy::expect_used,
-                    reason = "syscall-time access to the caller's live buffer; zero-fill fault tolerance applies only at DMA time"
-                )]
-                let src = mem
-                    .user_slice(bw.region.task, cur_addr, fix)
-                    .expect("user write buffer readable");
-                let m = Mbuf::kernel(pooled_copy(&self.pool, src));
+                let m = Mbuf::kernel(self.copyin(bw.region.task, cur_addr, fix, mem));
                 self.mbuf_stats.count(&m);
                 self.sock_mut(sock).so_snd.chain.append(m);
                 // The copy satisfies copy semantics for these bytes now.
@@ -952,14 +950,7 @@ impl Kernel {
                 // Traditional path: copy through kernel buffers.
                 let cost = self.memsys.copy_cost(chunk, bw.total.max(chunk));
                 self.cpu_dur(cost, charge);
-                #[expect(
-                    clippy::expect_used,
-                    reason = "syscall-time access to the caller's live buffer; zero-fill fault tolerance applies only at DMA time"
-                )]
-                let src = mem
-                    .user_slice(bw.region.task, cur_addr, chunk)
-                    .expect("user write buffer readable");
-                let m = Mbuf::kernel(pooled_copy(&self.pool, src));
+                let m = Mbuf::kernel(self.copyin(bw.region.task, cur_addr, chunk, mem));
                 self.mbuf_stats.count(&m);
                 self.sock_mut(sock).so_snd.chain.append(m);
             }
@@ -983,6 +974,7 @@ impl Kernel {
         self.cpu(self.costs.syscall, Charge::Syscall);
         let take = {
             let s = self.sockets.get_mut(sock).ok_or(StackError::BadSocket)?;
+            user_range(mem, task, vaddr, len)?;
             if s.blocked_read.is_some() {
                 return Err(StackError::InvalidState("read already in progress"));
             }
@@ -1029,12 +1021,11 @@ impl Kernel {
                 MbufData::Kernel(b) => {
                     let cost = self.memsys.copy_cost(b.len(), take);
                     self.cpu_dur(cost, Charge::Syscall);
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "syscall-time access to the caller's live buffer; zero-fill fault tolerance applies only at DMA time"
-                    )]
-                    mem.write_user(task, vaddr + dst_off as u64, &b)
-                        .expect("user read buffer writable");
+                    // Inside the range checked at entry; a fault is counted,
+                    // never ignored.
+                    if mem.write_user(task, vaddr + dst_off as u64, &b).is_err() {
+                        self.stats.user_mem_faults += 1;
+                    }
                 }
                 MbufData::Wcab(d) => {
                     let user_dst = vaddr + dst_off as u64;
@@ -1187,46 +1178,6 @@ impl Kernel {
         Ok(self.take_effects(now))
     }
 
-    /// Share-semantics stream send for an in-kernel TCP socket: the chain's
-    /// mbufs are appended to the send queue directly — "the communication
-    /// API of in-kernel applications often has share semantics, with the
-    /// mbufs being the shared buffers" (§5). Returns the bytes accepted
-    /// (bounded by socket-buffer space; kernel apps poll/retry).
-    pub fn kernel_send(
-        &mut self,
-        sock: SockId,
-        mut chain: Chain,
-        mem: &mut HostMem,
-        now: Time,
-    ) -> Result<usize, StackError> {
-        let accepted = {
-            let s = self.sockets.get_mut(sock).ok_or(StackError::BadSocket)?;
-            assert_eq!(s.owner, Owner::Kernel, "kernel_send on a user socket");
-            if s.proto != Proto::Tcp {
-                return Err(StackError::InvalidState("kernel_send is TCP-only"));
-            }
-            let tcb = s.tcb.as_ref().ok_or(StackError::NotConnected)?;
-            if !tcb.state.can_send() {
-                return Err(StackError::NotConnected);
-            }
-            let space = s.so_snd.space();
-            if chain.len() > space {
-                chain.truncate(space);
-            }
-            let n = chain.len();
-            s.so_snd.chain.concat(chain);
-            n
-        };
-        self.cpu(self.costs.socket_pkt, Charge::Syscall);
-        self.tcp_send(sock, mem, now, false);
-        Ok(accepted)
-    }
-
-    /// Close an in-kernel socket's connection (FIN).
-    pub fn kernel_close(&mut self, sock: SockId, mem: &mut HostMem, now: Time) -> Vec<Effect> {
-        self.sys_close(sock, mem, now)
-    }
-
     /// Create a listening in-kernel TCP socket on `port`; established
     /// children appear on its accept queue and are themselves
     /// kernel-owned (their delivery runs through the conversion queue).
@@ -1342,13 +1293,7 @@ impl Kernel {
         } else {
             let cost = self.memsys.copy_cost(len, len.max(4096));
             self.cpu_dur(cost, Charge::Syscall);
-            let (mut buf, ticket) = self.cluster_alloc(len);
-            #[expect(
-                clippy::expect_used,
-                reason = "syscall-time access to the caller's live buffer; zero-fill fault tolerance applies only at DMA time"
-            )]
-            mem.read_user(task, vaddr, &mut buf).expect("readable");
-            chain.append(Mbuf::kernel(self.cluster_freeze(buf, ticket)));
+            chain.append(Mbuf::kernel(self.copyin(task, vaddr, len, mem)));
             None
         };
         self.cpu(self.costs.socket_pkt, Charge::Syscall);

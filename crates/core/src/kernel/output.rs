@@ -13,7 +13,7 @@ use outboard_cab::{CabError, CabEvent, ChecksumSpec, PacketId, SdmaTx, SgEntry};
 use outboard_host::{Charge, HostMem, UserMemory};
 use outboard_mbuf::{Chain, CsumPlan, Mbuf, MbufData};
 use outboard_sim::span::{FlowId, Stage};
-use outboard_sim::{Dur, Time};
+use outboard_sim::{Dur, PooledBuf, Time};
 use outboard_wire::checksum::{pseudo_header_sum, Accumulator};
 use outboard_wire::ether::{EtherHeader, ETHER_HEADER_LEN};
 use outboard_wire::hippi::{HippiHeader, HIPPI_HEADER_LEN};
@@ -327,19 +327,6 @@ impl Kernel {
         self.ip_output(src, dst, ip_proto, packet, iface_id, meta, mem, now);
     }
 
-    /// Copy an `M_UIO` descriptor's bytes into a kernel cluster. A range
-    /// that faults is counted and yields zeros of the same length.
-    fn uio_copyin(&mut self, d: &outboard_mbuf::UioDesc, mem: &HostMem) -> Bytes {
-        match mem.user_slice(d.region.task, d.vaddr(), d.len) {
-            Ok(src) => outboard_sim::pooled_copy(&self.pool, src),
-            Err(_) => {
-                self.stats.user_mem_faults += 1;
-                let (buf, ticket) = self.cluster_alloc(d.len);
-                self.cluster_freeze(buf, ticket)
-            }
-        }
-    }
-
     /// §5's conversion layer for legacy devices, applied at the source: the
     /// user data is copied into kernel mbufs now ("a copy has merely been
     /// delayed"), the send queue's `M_UIO` range becomes regular data, and
@@ -365,7 +352,10 @@ impl Kernel {
         out.hdr = data.hdr.clone();
         for m in data.iter() {
             match m.data() {
-                MbufData::Uio(d) => out.append(Mbuf::kernel(self.uio_copyin(d, mem))),
+                MbufData::Uio(d) => {
+                    let copied = self.copyin(d.region.task, d.vaddr(), d.len, mem);
+                    out.append(Mbuf::kernel(copied));
+                }
                 _ => out.append(m.clone()),
             }
         }
@@ -632,7 +622,7 @@ impl Kernel {
                         // unaligned accesses"). The bytes are copied, so
                         // the write's counter is credited as if DMAed.
                         k.stats.aligned_fallbacks += 1;
-                        let copied = k.uio_copyin(d, mem);
+                        let copied = k.copyin(d.region.task, d.vaddr(), d.len, mem);
                         let cost = k.memsys.copy_cost(d.len, d.len.max(4096));
                         k.cpu_dur(cost, Charge::Syscall);
                         sg.push(SgEntry::Inline(copied));
@@ -652,13 +642,13 @@ impl Kernel {
                     // Cross-packet retransmit slice: resolve outboard bytes
                     // through the driver (rare; a CPU read). Zeros on a
                     // lost buffer; the peer's checksum rejects.
-                    let (mut buf, ticket) = k.cluster_alloc(d.len);
+                    let mut buf = PooledBuf::zeroed(&k.pool, d.len);
                     let _ = cab
                         .cab
                         .read_packet(PacketId(d.packet.id()), d.off, &mut buf);
                     let cost = k.memsys.read_cost(d.len, d.len.max(4096));
                     k.cpu_dur(cost, Charge::Syscall);
-                    sg.push(SgEntry::Inline(k.cluster_freeze(buf, ticket)));
+                    sg.push(SgEntry::Inline(buf.freeze()));
                 }
             }
         }

@@ -17,7 +17,7 @@ use outboard_cab::{CabError, CabEvent, PacketId, SdmaDst, SdmaRx};
 use outboard_host::{Charge, HostMem, UserMemory};
 use outboard_mbuf::{Chain, Mbuf, MbufData, PacketRef};
 use outboard_sim::span::Stage;
-use outboard_sim::{Dur, Ticket, Time};
+use outboard_sim::{Dur, PooledBuf, Time};
 
 /// First retry delay; doubles per round (exponential backoff) while
 /// transmissions fail on transient DMA errors or netmem exhaustion.
@@ -395,7 +395,7 @@ impl Kernel {
                 let Some((off, packet, src_off, len)) = found else {
                     break;
                 };
-                let (mut buf, ticket) = self.cluster_alloc(len);
+                let mut buf = PooledBuf::zeroed(&self.pool, len);
                 self.with_cab(iface_id, |k, cab| {
                     // A buffer already gone reads as zeros; the peer's
                     // checksum rejects any segment built from it.
@@ -404,7 +404,7 @@ impl Kernel {
                     let cost = k.memsys.read_cost(len, len.max(4096));
                     k.cpu_dur(cost, Charge::Interrupt);
                 });
-                let rescued_mbuf = Mbuf::kernel(self.cluster_freeze(buf, ticket));
+                let rescued_mbuf = Mbuf::kernel(buf.freeze());
                 let Some(s) = self.sockets.get_mut(sock) else {
                     break;
                 };
@@ -439,18 +439,15 @@ impl Kernel {
                 k.fx.push(Effect::Cab { iface, event: ev });
             }
             Err(e) => {
-                let (buf, ticket) = Kernel::pio_read(k, cab, iface, &req, &e, packet);
+                let buf = Kernel::pio_read(k, cab, iface, &req, &e, packet);
                 let data = match req.dst {
                     SdmaDst::User { task, vaddr } => {
                         if mem.write_user(task, vaddr, &buf).is_err() {
                             k.stats.user_mem_faults += 1;
                         }
-                        if let (Some(p), Some(t)) = (&k.pool, ticket) {
-                            p.release(buf, t);
-                        }
                         None
                     }
-                    SdmaDst::Kernel => Some(k.cluster_freeze(buf, ticket)),
+                    SdmaDst::Kernel => Some(buf.freeze()),
                 };
                 k.span_detour(Stage::PioFallback, now, now, req.len as u64);
                 k.fx.push(Effect::Cab {
@@ -477,9 +474,9 @@ impl Kernel {
         req: &SdmaRx,
         e: &CabError,
         packet: PacketRef,
-    ) -> (Vec<u8>, Option<Ticket>) {
+    ) -> PooledBuf {
         Kernel::watchdog_on_wedge(k, cab, iface, e);
-        let (mut buf, ticket) = k.cluster_alloc(req.len);
+        let mut buf = PooledBuf::zeroed(&k.pool, req.len);
         let _ = cab.cab.read_packet(req.packet, req.src_off, &mut buf);
         let cost = k.memsys.read_cost(req.len, req.len.max(4096));
         k.cpu_dur(cost, Charge::Interrupt);
@@ -489,6 +486,6 @@ impl Kernel {
             packet.disown();
         }
         cab.health.stats.pio_fallbacks += 1;
-        (buf, ticket)
+        buf
     }
 }

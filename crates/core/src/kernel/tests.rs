@@ -8,6 +8,7 @@ use crate::tcp::TcpState;
 use crate::types::{
     Effect, IfaceId, Proto, ReadResult, SockAddr, SockId, StackError, TimerKind, WriteResult,
 };
+use bytes::Bytes;
 use outboard_cab::{CabError, SdmaTx, SgEntry};
 use outboard_host::{HostMem, MachineConfig, UserMemory};
 use outboard_mbuf::TaskId;
@@ -338,6 +339,88 @@ fn concurrent_writes_are_rejected() {
             StackError::InvalidState(_)
         ));
     }
+}
+
+#[test]
+fn unmapped_user_range_is_efault() {
+    // Every syscall that takes a user range checks it at entry: memory
+    // the task never mapped is `BadAddress`, not an aborted simulator.
+    let mut rig = Rig::loopback(StackConfig::unmodified());
+    let (c, child) = established_loopback_pair(&mut rig);
+    rig.mem.create_region(TaskId(1), 0x1000, 4096);
+    let efault = Err(StackError::BadAddress);
+    let write = |rig: &mut Rig, sock, task, len| {
+        rig.k
+            .sys_write(sock, task, 0x1000, len, &mut rig.mem, rig.now)
+            .map(drop)
+    };
+    assert_eq!(write(&mut rig, c, TaskId(1), 4097), efault, "past the end");
+    assert_eq!(write(&mut rig, c, TaskId(7), 10), efault, "no region");
+    let (_, fx) = rig
+        .k
+        .sys_write(c, TaskId(1), 0x1000, 100, &mut rig.mem, rig.now)
+        .unwrap();
+    rig.pump(fx);
+    let read = rig
+        .k
+        .sys_read(child, TaskId(2), 0x9000, 100, &mut rig.mem, rig.now)
+        .map(drop);
+    assert_eq!(read, efault, "read into an unmapped buffer");
+    assert_eq!(
+        rig.k.socket_ref(child).unwrap().so_rcv.len(),
+        100,
+        "nothing was consumed"
+    );
+
+    let srv = rig.k.sys_socket(Proto::Udp);
+    rig.k.sys_bind(srv, 9000).unwrap();
+    let cli = rig.k.sys_socket(Proto::Udp);
+    rig.k.sys_connect_udp(cli, SockAddr::new(LO, 9000)).unwrap();
+    assert_eq!(write(&mut rig, cli, TaskId(7), 10), efault, "UDP write");
+    let dst = SockAddr::new(LO, 9000);
+    let sendto = rig
+        .k
+        .sys_sendto(srv, TaskId(7), 0x1000, 10, dst, &mut rig.mem, rig.now)
+        .map(drop);
+    assert_eq!(sendto, efault, "sendto");
+}
+
+#[test]
+fn region_shrunk_under_a_blocked_write_zero_fills() {
+    // A range checked at entry can still fault later: here the region
+    // shrinks while the write is blocked on socket-buffer space. The
+    // copy then counts the fault and queues zeros in place of the bytes.
+    let mut rig = Rig::loopback(StackConfig::unmodified());
+    let (c, child) = established_loopback_pair(&mut rig);
+    let big = rig.k.cfg.sock_buf + 8192;
+    rig.mem.create_region(TaskId(1), 0x1000, big);
+    rig.mem.region_mut(TaskId(1)).unwrap().fill(0xab);
+    let (r, fx) = rig
+        .k
+        .sys_write(c, TaskId(1), 0x1000, big, &mut rig.mem, rig.now)
+        .unwrap();
+    assert!(matches!(r, WriteResult::Blocked { .. }), "{r:?}");
+    rig.mem.region_mut(TaskId(1)).unwrap().truncate(4096);
+    rig.pump(fx);
+    assert!(rig.k.stats.user_mem_faults > 0, "the late copy faulted");
+
+    rig.mem.create_region(TaskId(2), 0x10_0000, big);
+    let mut got = 0;
+    while got < big {
+        let at = 0x10_0000 + got as u64;
+        let (r, fx) = rig
+            .k
+            .sys_read(child, TaskId(2), at, big - got, &mut rig.mem, rig.now)
+            .unwrap();
+        let ReadResult::Done { bytes } = r else {
+            panic!("loopback data is queued before the read: {r:?}");
+        };
+        got += bytes;
+        rig.pump(fx);
+    }
+    let data = rig.mem.region(TaskId(2)).unwrap();
+    assert!(data[..4096].iter().all(|&b| b == 0xab), "copied before");
+    assert!(data[big - 8192..].iter().all(|&b| b == 0), "zero-filled");
 }
 
 #[test]

@@ -205,6 +205,9 @@ pub enum StackError {
     InvalidState(&'static str),
     /// Datagram exceeds the UDP/IP maximum.
     MessageTooBig,
+    /// The user range is not mapped in the task's address space
+    /// (`EFAULT`).
+    BadAddress,
 }
 
 impl std::fmt::Display for StackError {

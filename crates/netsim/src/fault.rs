@@ -9,7 +9,7 @@
 //! is compared with.
 
 use bytes::Bytes;
-use outboard_sim::{check_probability, BufPool, Chance, Dur, FaultConfigError, Pcg32};
+use outboard_sim::{check_probability, BufPool, Chance, Dur, FaultConfigError, Pcg32, PooledBuf};
 
 /// What happened to each frame, cumulatively.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -65,9 +65,9 @@ pub struct FaultInjector {
     stealth_pending: u32,
     /// Cumulative fate counts.
     pub stats: FaultStats,
-    /// Optional buffer pool for corruption copies (the only fates that
-    /// rewrite a frame); without one they fall back to plain allocation.
-    pool: Option<BufPool>,
+    /// Buffer pool for corruption copies (the only fates that rewrite a
+    /// frame): the injector's own until a world shares its pool.
+    pool: BufPool,
 }
 
 impl FaultInjector {
@@ -82,35 +82,23 @@ impl FaultInjector {
             rng: Pcg32::new(seed),
             stealth_pending: 0,
             stats: FaultStats::default(),
-            pool: None,
+            pool: BufPool::new(),
         }
     }
 
-    /// Recycle corruption-copy storage through `pool`.
+    /// Recycle corruption-copy storage through `pool` instead of the
+    /// injector's own.
     pub fn set_pool(&mut self, pool: BufPool) {
-        self.pool = Some(pool);
+        self.pool = pool;
     }
 
-    /// Copy `payload` into a mutable buffer (pooled when a pool is shared)
-    /// and freeze the edited bytes back into a frame.
+    /// Copy `payload` into pooled storage and freeze the edited bytes back
+    /// into a frame.
     fn edited_copy(&self, payload: &Bytes, edit: impl FnOnce(&mut [u8])) -> Bytes {
-        match &self.pool {
-            Some(p) => {
-                let (mut buf, ticket) = p.acquire_empty(payload.len());
-                buf.extend_from_slice(payload);
-                edit(&mut buf);
-                p.freeze(buf, ticket)
-            }
-            None => {
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "pool-less fallback for standalone injectors; worlds always share a pool"
-                )]
-                let mut buf = payload.to_vec();
-                edit(&mut buf);
-                Bytes::from(buf)
-            }
-        }
+        let mut buf = PooledBuf::with_capacity(&self.pool, payload.len());
+        buf.extend_from_slice(payload);
+        edit(&mut buf);
+        buf.freeze()
     }
 
     /// An injector with the given drop/corrupt probabilities.
@@ -289,6 +277,21 @@ mod tests {
             }
             Fate::Drop => panic!(),
         }
+    }
+
+    #[test]
+    fn standalone_injector_recycles_corruption_copies() {
+        // Without a shared pool the injector recycles through its own.
+        let mut f = FaultInjector::lossy(3, 0.0, 1.0).unwrap();
+        for _ in 0..3 {
+            let Fate::Deliver { payload, .. } = f.fate(Bytes::from(vec![0u8; 1500])) else {
+                panic!("corruption delivers");
+            };
+            drop(payload);
+        }
+        let s = f.pool.stats();
+        assert_eq!((s.acquires, s.releases, s.misses), (3, 3, 1));
+        assert!(f.pool.balanced());
     }
 
     #[test]

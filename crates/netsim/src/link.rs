@@ -263,6 +263,24 @@ mod tests {
     }
 
     #[test]
+    fn corruption_copy_comes_from_the_links_pool_and_returns_to_it() {
+        let pool = BufPool::new();
+        let mut l = Link::hippi(Dur::ZERO, 4);
+        l.set_pool(pool.clone());
+        l.faults.corrupt_p = Chance::new(1.0);
+        let frame = Bytes::from(vec![0x5a; 2048]);
+        let d = l.transmit(frame.clone(), Time::ZERO);
+        assert_ne!(
+            d[0].payload, frame,
+            "the delivered frame is a corrupted copy"
+        );
+        assert_eq!((pool.stats().acquires, pool.stats().releases), (1, 0));
+        drop(d);
+        assert_eq!(pool.stats().releases, 1);
+        assert!(pool.balanced());
+    }
+
+    #[test]
     fn duplicate_delivers_twice() {
         let mut l = Link::hippi(Dur::ZERO, 2);
         l.faults.dup_p = Chance::new(1.0);

@@ -10,9 +10,10 @@
 //!   with FIFO tie-breaking, so same-time events run in insertion order on
 //!   every platform; one binary heap below 512 pending events, a
 //!   hierarchical timing wheel with O(1) schedule/expire above,
-//! * [`BufPool`] — generation-tagged slab/freelist pools behind the wire
-//!   frame and packet-buffer hot paths (steady-state transfers recycle
-//!   buffers instead of allocating per frame),
+//! * [`BufPool`] — slab/freelist pools behind the wire frame and
+//!   packet-buffer hot paths (steady-state transfers recycle buffers
+//!   instead of allocating per frame); model code owns pooled storage
+//!   through [`PooledBuf`], which returns it when dropped or frozen,
 //! * [`IdTable`] — directly indexed tables for the ids the simulator issues
 //!   in sequence (sockets, packet buffers, DMA tokens): no keyed-map search
 //!   per event, ascending-id iteration for free,
@@ -59,7 +60,7 @@ pub use chaos::{ChaosAction, ChaosEvent, ChaosSchedule};
 pub use detmap::DetMap;
 pub use idtable::IdTable;
 pub use obs::{BusyTracker, MetricsRegistry};
-pub use pool::{pooled_copy, BufPool, PoolStats, PooledBuf, Ticket};
+pub use pool::{BufPool, PoolStats, PooledBuf, Ticket};
 pub use rng::{check_probability, Chance, FaultConfigError, Pcg32};
 pub use span::{FlowId, Span, SpanSink, Stage};
 pub use time::{Dur, Rate, Time};

@@ -54,11 +54,6 @@ impl SeriesKind {
     }
 }
 
-/// Handle returned by [`Timeline::declare`]; values passed to
-/// [`Timeline::record`] follow declaration order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SeriesId(pub usize);
-
 struct Series {
     name: String,
     kind: SeriesKind,
@@ -140,7 +135,7 @@ impl Timeline {
     /// Declare a series. `initial` is the series' absolute value at
     /// declaration time (normally 0); deltas for the first window are
     /// relative to it. Declare everything before the first
-    /// [`record`](Timeline::record).
+    /// [`record`](Timeline::record), whose values follow declaration order.
     pub fn declare(
         &mut self,
         name: &str,
@@ -148,7 +143,7 @@ impl Timeline {
         unit: &'static str,
         pid: u32,
         initial: i64,
-    ) -> SeriesId {
+    ) {
         assert_eq!(self.windows, 0, "declare all series before recording");
         self.series.push(Series {
             name: name.to_string(),
@@ -165,7 +160,6 @@ impl Timeline {
             },
             samples: VecDeque::new(),
         });
-        SeriesId(self.series.len() - 1)
     }
 
     /// Close one full window with the absolute values of every series, in
@@ -444,11 +438,11 @@ mod tests {
     #[test]
     fn counter_deltas_and_conservation() {
         let mut tl = Timeline::new(ms(1), 1024);
-        let c = tl.declare("world.bytes", SeriesKind::Counter, "bytes", 0, 0);
+        tl.declare("world.bytes", SeriesKind::Counter, "bytes", 0, 0);
         tl.record(&[100]);
         tl.record(&[100]);
         tl.record(&[350]);
-        let v = tl.series_view(c.0);
+        let v = tl.series_view(0);
         assert_eq!(v.samples.iter().copied().collect::<Vec<_>>(), [100, 0, 250]);
         assert_eq!(v.final_value, 350);
         assert_eq!(v.hwm, 250, "counter hwm is the peak per-window delta");
@@ -460,11 +454,11 @@ mod tests {
     #[test]
     fn gauge_records_levels_and_hwm() {
         let mut tl = Timeline::new(ms(1), 1024);
-        let g = tl.declare("world.pool_in_use", SeriesKind::Gauge, "bufs", 0, 0);
+        tl.declare("world.pool_in_use", SeriesKind::Gauge, "bufs", 0, 0);
         tl.record(&[5]);
         tl.record(&[12]);
         tl.record(&[3]);
-        let v = tl.series_view(g.0);
+        let v = tl.series_view(0);
         assert_eq!(v.samples.iter().copied().collect::<Vec<_>>(), [5, 12, 3]);
         assert_eq!(v.hwm, 12);
         assert!(tl.conserves());

@@ -815,7 +815,6 @@ impl World {
             p.counter("misses", ps.misses);
             p.counter("discards", ps.discards);
             p.counter("high_water", ps.high_water);
-            p.counter("ticket_errors", ps.ticket_errors);
         }
         // Timeline counters publish only while the windowed sampler is
         // installed, so unsampled runs keep byte-identical registries —

@@ -7,22 +7,24 @@
 //! three recycling invariants:
 //!
 //! * **conservation** — once the world (and every frozen frame it produced)
-//!   is dropped, `acquires == releases` with zero ticket errors: nothing
-//!   leaked, nothing double-freed;
+//!   is dropped, `acquires == releases`: nothing leaked (a buffer returns
+//!   exactly once, when its owner drops or freezes it, so nothing can be
+//!   freed twice);
 //! * **steady state** — `misses` is bounded by `high_water + discards`:
 //!   allocation count tracks peak concurrency, not packet count, so the
 //!   hot path really is recycling rather than allocating;
 //! * **ownership** — the CAB ownership journals (armed in debug builds)
 //!   record no violations: recycled storage never reaches a DMA
-//!   engine while another engine or the host still owns it (the pool's
-//!   generation tags must prevent recycled-handle aliasing).
+//!   engine while another engine or the host still owns it (types keep
+//!   pooled storage from being handed out twice; the journals check the
+//!   DMA timing, which types cannot express).
 
 use bytes::Bytes;
 use outboard::cab::{
     Cab, CabConfig, CabError, CabEvent, ChecksumSpec, SdmaDst, SdmaRx, SdmaTx, SgEntry,
 };
 use outboard::host::{HostMem, MachineConfig, TaskId};
-use outboard::sim::{BufPool, ChaosSchedule, PoolStats, Time};
+use outboard::sim::{BufPool, ChaosSchedule, PoolStats, PooledBuf, Time};
 use outboard::stack::StackConfig;
 use outboard::testbed::experiment::build_ttcp_world;
 use outboard::testbed::{run_chaos, ExperimentConfig, RunOutcome, World};
@@ -172,7 +174,6 @@ fn assert_steady_state(ps: &PoolStats, name: &str) {
         ps.hits,
         ps.misses,
     );
-    assert_eq!(ps.ticket_errors, 0, "case {name}: stale/foreign tickets");
 }
 
 /// After the world and all frames are gone the pool must balance exactly.
@@ -224,14 +225,12 @@ fn pool_survives_chaos_schedules() {
         let misses = outcome.stats.counter_value("world.pool.misses");
         let high_water = outcome.stats.counter_value("world.pool.high_water");
         let discards = outcome.stats.counter_value("world.pool.discards");
-        let ticket_errors = outcome.stats.counter_value("world.pool.ticket_errors");
         assert!(acquires > 0, "chaos seed {seed}: pool never used");
         assert!(
             misses <= POOL_CLASSES * high_water + discards,
             "chaos seed {seed}: {misses} misses exceed {POOL_CLASSES}x \
              high_water {high_water} + discards {discards}",
         );
-        assert_eq!(ticket_errors, 0, "chaos seed {seed}: ticket errors");
     }
 }
 
@@ -322,14 +321,12 @@ fn recycled_storage_never_shows_a_stale_byte() {
     let pool = BufPool::new();
     let dirty: Vec<_> = (0..8)
         .map(|_| {
-            let (mut buf, ticket) = pool.acquire(4096);
+            let mut buf = PooledBuf::zeroed(&pool, 4096);
             buf.fill(0xFF);
-            (buf, ticket)
+            buf
         })
         .collect();
-    for (buf, ticket) in dirty {
-        pool.release(buf, ticket);
-    }
+    drop(dirty);
     let mut tx = Cab::new(1, CabConfig::default());
     let mut rx = Cab::new(2, CabConfig::default());
     tx.set_pool(pool.clone());
