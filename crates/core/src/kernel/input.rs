@@ -7,8 +7,8 @@ use super::{Kernel, TxMeta};
 use crate::driver::{IfaceHealth, IfaceKind, SdmaPurpose, TxSegment};
 use crate::ip::FragKey;
 use crate::socket::{KqEntry, Owner};
-use crate::tcp::{AckMode, SegmentPlan};
-use crate::types::{Effect, IfaceId, Proto, SockAddr, SockId, TimerKind};
+use crate::tcp::{AckMode, Expiry, SegmentPlan};
+use crate::types::{Effect, IfaceId, Proto, SockAddr, SockId, StackError, TimerKind};
 use bytes::Bytes;
 use outboard_cab::{PacketId, SdmaDst, SdmaRx};
 use outboard_host::{Charge, HostMem, UserMemory};
@@ -1040,23 +1040,26 @@ impl Kernel {
             TimerKind::TcpRexmt { sock } => {
                 let segs_out = self.stats.tcp_segs_out;
                 let fired = self.sockets.get_mut(sock).filter(|s| s.rexmt_armed);
-                let probe = fired.and_then(|s| {
+                let expiry = fired.and_then(|s| {
                     s.rexmt_armed = false;
+                    let queued = !s.so_snd.chain.is_empty();
                     let tcb = s.tcb.as_mut()?;
                     let outstanding = tcb.wants_rexmt_timer();
-                    tcb.on_rexmt_timeout();
-                    Some((tcb.snd_wnd == 0 && !s.so_snd.chain.is_empty(), outstanding))
+                    let expiry = tcb.on_rexmt_timeout(tcb.snd_wnd == 0 && queued);
+                    Some((expiry, outstanding))
                 });
-                if let Some((probe, outstanding)) = probe {
+                if let Some((expiry, outstanding)) = expiry {
                     self.cpu(self.costs.interrupt, Charge::Interrupt);
-                    if probe {
-                        self.send_window_probe(sock, mem, now);
-                    } else {
-                        self.tcp_send(sock, mem, now, false);
+                    match expiry {
+                        Expiry::Retransmit => self.tcp_send(sock, mem, now, false),
+                        Expiry::Probe => self.send_window_probe(sock, mem, now),
+                        Expiry::Drop => self.tcp_drop(sock, StackError::TimedOut, mem, now),
                     }
                     self.arm_tcp_timers(sock);
                     debug_assert!(
-                        !outstanding || self.stats.tcp_segs_out > segs_out,
+                        expiry == Expiry::Drop
+                            || !outstanding
+                            || self.stats.tcp_segs_out > segs_out,
                         "{}: {sock:?}'s retransmit timer fired with data \
                          unacknowledged and sent nothing",
                         self.name

@@ -785,7 +785,10 @@ impl Kernel {
         now: Time,
     ) -> Result<(WriteResult, Vec<Effect>), StackError> {
         {
-            let s = self.sockets.get(sock).ok_or(StackError::BadSocket)?;
+            let s = self.sockets.get_mut(sock).ok_or(StackError::BadSocket)?;
+            if let Some(e) = s.so_error.take() {
+                return Err(e);
+            }
             let tcb = s.tcb.as_ref().ok_or(StackError::NotConnected)?;
             if !tcb.state.can_send() {
                 return Err(StackError::NotConnected);
@@ -979,6 +982,8 @@ impl Kernel {
                 return Err(StackError::InvalidState("read already in progress"));
             }
             if s.so_rcv.is_empty() {
+                // A dropped connection's error comes once, before EOF.
+                s.so_error.take().map_or(Ok(()), Err)?;
                 if s.rcv_eof {
                     return Ok((ReadResult::Eof, self.take_effects(now)));
                 }
@@ -1317,6 +1322,55 @@ impl Kernel {
             ))
         } else {
             Ok((WriteResult::Done { bytes: len }, self.take_effects(now)))
+        }
+    }
+
+    /// Net/2's `tcp_drop`: end the connection with `err`. A synchronized
+    /// connection tells its peer with one RST. The send queue goes at once,
+    /// and with it its outboard buffers and a blocked write. A socket the
+    /// application has closed (or never accepted) is torn down; any other
+    /// stays, `Closed`, until the application closes it: its next `read`
+    /// or `write` returns `err`, once, and a writer, reader or connector
+    /// blocked on it is woken to make that call.
+    pub(crate) fn tcp_drop(&mut self, sock: SockId, err: StackError, mem: &mut HostMem, now: Time) {
+        let Some(s) = self.sockets.get_mut(sock) else {
+            return;
+        };
+        let Some(tcb) = s.tcb.as_mut() else {
+            return;
+        };
+        let state = std::mem::replace(&mut tcb.state, TcpState::Closed);
+        tcb.delack_pending = false;
+        let rst = state
+            .is_synchronized()
+            .then_some((tcb.snd_nxt, tcb.rcv_nxt));
+        let orphan = matches!(
+            state,
+            TcpState::FinWait1 | TcpState::FinWait2 | TcpState::Closing | TcpState::LastAck
+        ) || (state == TcpState::SynRcvd && s.listen_parent.is_some());
+        s.so_error = Some(err);
+        s.rcv_eof = true;
+        s.so_snd.chain = Chain::new();
+        let writer = s.blocked_write.take();
+        let blocked = [
+            writer.map(|w| w.task),
+            s.waiting_reader.take().map(|r| r.task),
+            s.connector.take(),
+        ];
+        let endpoints = s.local.zip(s.remote);
+        if let Some(c) = writer.and_then(|w| w.counter) {
+            self.uio.cancel(c);
+        }
+        if let (Some((seq, ack)), Some((local, remote))) = (rst, endpoints) {
+            let flags = outboard_wire::TcpFlags::RST | outboard_wire::TcpFlags::ACK;
+            self.emit_rst(local, remote, seq, ack, flags, mem, now);
+        }
+        if orphan {
+            self.teardown(sock, now);
+            return;
+        }
+        for task in blocked.into_iter().flatten() {
+            self.wake(task, sock, Charge::Interrupt);
         }
     }
 

@@ -4,7 +4,7 @@
 
 use super::*;
 use crate::driver::{MdmaJob, PendingTx};
-use crate::tcp::TcpState;
+use crate::tcp::{TcpState, MAX_BACKOFF, RTO_MAX};
 use crate::types::{
     Effect, IfaceId, Proto, ReadResult, SockAddr, SockId, StackError, TimerKind, WriteResult,
 };
@@ -480,6 +480,116 @@ fn window_probe_is_an_emitted_segment() {
         "the probe is a segment out"
     );
     assert_eq!(rig.k.stats.tcp_retransmit_segs, rexmits + 1);
+}
+
+/// The retransmit timer's next arm among `fx`, if it was armed.
+fn rexmt_arm(fx: &[Effect], sock: SockId) -> Option<Dur> {
+    fx.iter().find_map(|e| match e {
+        Effect::Timer { after, kind } if *kind == TimerKind::TcpRexmt { sock } => Some(*after),
+        _ => None,
+    })
+}
+
+/// Net/2's `tcp_drop`: a peer that never answers again. The first twelve
+/// expiries of the retransmit ladder resend, the 13th drops the connection
+/// with one RST and wakes the blocked writer once; its next write returns
+/// `TimedOut`, the one after does not, and no timer is left armed.
+#[test]
+fn the_thirteenth_timeout_drops_the_connection() {
+    let mut rig = Rig::loopback(StackConfig::single_copy());
+    let (c, _child) = established_loopback_pair(&mut rig);
+    // A write twice the send buffer blocks its writer.
+    let len = 2 * rig.k.socket_ref(c).unwrap().so_snd.hiwat;
+    rig.mem.create_region(TaskId(1), 0x1000, len);
+    let (r, fx) = rig
+        .k
+        .sys_write(c, TaskId(1), 0x1000, len, &mut rig.mem, rig.now)
+        .unwrap();
+    assert!(matches!(r, WriteResult::Blocked { .. }), "{r:?}");
+    // Its segments are never delivered.
+    let mut after = rexmt_arm(&fx, c).expect("the write arms the rexmt timer");
+    let rexmt = TimerKind::TcpRexmt { sock: c };
+    for expiry in 1..=MAX_BACKOFF {
+        rig.now += after;
+        let segs = rig.k.stats.tcp_segs_out;
+        let fx = rig.k.timer_fire(rexmt, &mut rig.mem, rig.now);
+        assert!(rig.k.stats.tcp_segs_out > segs, "expiry {expiry} resends");
+        assert!(!fx.iter().any(|e| matches!(e, Effect::Wake { .. })));
+        after = rexmt_arm(&fx, c).expect("and re-arms");
+    }
+    rig.now += after;
+    let rsts = rig.k.stats.rst_sent;
+    let fx = rig.k.timer_fire(rexmt, &mut rig.mem, rig.now);
+    assert_eq!(rig.k.stats.rst_sent, rsts + 1, "one RST tells the peer");
+    let wakes: Vec<_> = fx
+        .iter()
+        .filter_map(|e| match e {
+            Effect::Wake { task, sock } => Some((*task, *sock)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(wakes, [(TaskId(1), c)], "the blocked writer is woken once");
+    assert_eq!(rexmt_arm(&fx, c), None);
+    let s = rig.k.socket_ref(c).expect("the socket stays until closed");
+    let tcb = s.tcb.as_ref().unwrap();
+    assert_eq!(tcb.state, TcpState::Closed);
+    assert!(!s.rexmt_armed && !tcb.delack_pending && !tcb.wants_rexmt_timer());
+    rig.k.debug_assert_rexmt_covered(c);
+    let write = |rig: &mut Rig| {
+        rig.k
+            .sys_write(c, TaskId(1), 0x1000, 100, &mut rig.mem, rig.now)
+            .map(|(r, _)| r)
+    };
+    assert_eq!(write(&mut rig), Err(StackError::TimedOut));
+    assert_eq!(
+        write(&mut rig),
+        Err(StackError::NotConnected),
+        "reported once"
+    );
+    let (r, _) = rig
+        .k
+        .sys_read(c, TaskId(1), 0x1000, 100, &mut rig.mem, rig.now)
+        .unwrap();
+    assert_eq!(r, ReadResult::Eof);
+    // Nothing fires on the socket any more.
+    let fx = rig
+        .k
+        .timer_fire(rexmt, &mut rig.mem, rig.now + Dur::secs(64));
+    assert!(fx.is_empty(), "{fx:?}");
+}
+
+/// Net/2's persist timer never drops: a sender facing a closed window with
+/// data queued probes on every expiry, 24 of them, and the connection
+/// stays. Once the window opens the timeout count starts afresh: twelve
+/// more expiries resend and only the 13th drops.
+#[test]
+fn window_probes_never_drop_the_connection() {
+    let mut rig = Rig::loopback(StackConfig::single_copy());
+    let c = unacknowledged_write(&mut rig);
+    fn tcb(rig: &mut Rig, c: SockId) -> &mut crate::tcp::Tcb {
+        rig.k.sockets.get_mut(c).unwrap().tcb.as_mut().unwrap()
+    }
+    let wnd = std::mem::take(&mut tcb(&mut rig, c).snd_wnd);
+    let rexmt = TimerKind::TcpRexmt { sock: c };
+    let fire = |rig: &mut Rig| {
+        rig.now += RTO_MAX;
+        let segs = rig.k.stats.tcp_segs_out;
+        let fx = rig.k.timer_fire(rexmt, &mut rig.mem, rig.now);
+        (rig.k.stats.tcp_segs_out - segs, rexmt_arm(&fx, c).is_some())
+    };
+    for probe in 0..24 {
+        assert_eq!(fire(&mut rig), (1, true), "probe {probe}");
+    }
+    assert_eq!(tcb(&mut rig, c).state, TcpState::Established);
+    assert!(rig.k.socket_ref(c).unwrap().so_error.is_none());
+    tcb(&mut rig, c).snd_wnd = wnd;
+    for expiry in 1..=MAX_BACKOFF {
+        assert!(fire(&mut rig).1, "expiry {expiry} after the window opened");
+    }
+    let rsts = rig.k.stats.rst_sent;
+    fire(&mut rig);
+    assert_eq!(rig.k.stats.rst_sent, rsts + 1);
+    assert_eq!(tcb(&mut rig, c).state, TcpState::Closed);
 }
 
 // ----------------------------------------------------------------------

@@ -52,7 +52,7 @@ mod types;
 mod udp;
 
 pub use kernel::{Kernel, CAB_PROBE_INTERVAL, TIME_WAIT};
-pub use tcp::RTO_MAX;
+pub use tcp::{MAX_BACKOFF, RTO_INITIAL, RTO_MAX};
 pub use types::{
     Effect, IfaceId, Proto, ReadResult, SockAddr, SockId, StackConfig, StackError, StackMode,
     TimerKind, WriteResult,

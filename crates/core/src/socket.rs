@@ -8,7 +8,7 @@
 
 use crate::sockbuf::SockBuf;
 use crate::tcp::Tcb;
-use crate::types::{IfaceId, Proto, SockAddr, SockId};
+use crate::types::{IfaceId, Proto, SockAddr, SockId, StackError};
 use outboard_mbuf::{Chain, TaskId, UioCounterId, UioRegion};
 use std::collections::VecDeque;
 
@@ -123,6 +123,9 @@ pub struct Socket {
     /// restarts the timer from the new left edge, when it fires, and on
     /// entering TIME_WAIT; a firing while clear does nothing.
     pub(crate) rexmt_armed: bool,
+    /// Net/2's `so_error`: why the connection was dropped, returned once
+    /// by the next `read` or `write`.
+    pub(crate) so_error: Option<StackError>,
 }
 
 impl Socket {
@@ -149,6 +152,7 @@ impl Socket {
             dgram_bounds: VecDeque::new(),
             kq: VecDeque::new(),
             rexmt_armed: false,
+            so_error: None,
         }
     }
 

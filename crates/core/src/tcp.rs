@@ -84,6 +84,17 @@ pub struct SegmentPlan {
     pub retransmit: bool,
 }
 
+/// What a retransmission-timer expiry does ([`Tcb::on_rexmt_timeout`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Expiry {
+    /// Resend from the first unacknowledged byte.
+    Retransmit,
+    /// Probe the closed window with one byte.
+    Probe,
+    /// Drop the connection with `ETIMEDOUT`.
+    Drop,
+}
+
 /// Everything segment input tells the kernel to do.
 #[derive(Debug, Default)]
 pub struct InputResult {
@@ -160,7 +171,8 @@ pub struct Tcb {
     pub(crate) rto: Dur,
     rtt_seq: Option<u32>,
     rtt_start: Option<Time>,
-    /// Consecutive timeouts (exponential backoff level).
+    /// Consecutive retransmission timeouts since the last RTT sample or
+    /// window probe (Net/2 `t_rxtshift`).
     pub(crate) rexmt_backoff: u32,
     /// An acknowledgment is owed on the delayed-ACK timer.
     pub(crate) delack_pending: bool,
@@ -202,7 +214,7 @@ pub struct Tcb {
 const MAX_REASS_SEGS: usize = 64;
 
 /// Retransmission timeout before the first RTT sample (RFC 6298's 1 s).
-const RTO_INITIAL: Dur = Dur::secs(1);
+pub const RTO_INITIAL: Dur = Dur::secs(1);
 
 /// Minimum RTO. BSD's sits well above the delayed-ACK timer, so an odd
 /// trailing segment never triggers a spurious timeout.
@@ -212,9 +224,9 @@ const RTO_MIN: Dur = Dur::millis(500);
 /// connection with unacknowledged data waits between retransmissions.
 pub const RTO_MAX: Dur = Dur::secs(64);
 
-/// Ceiling of the backoff level (Net/2 `TCP_MAXRXTSHIFT`, where Net/2
-/// drops the connection instead).
-const MAX_BACKOFF: u32 = 12;
+/// Consecutive retransmission timeouts a connection survives (Net/2
+/// `TCP_MAXRXTSHIFT`): the next one drops it with `ETIMEDOUT`.
+pub const MAX_BACKOFF: u32 = 12;
 
 /// ACK every this-many in-order segments at once; otherwise defer to the
 /// delayed-ACK timer (RFC 1122 §4.2.3.2: at least every second segment).
@@ -529,10 +541,22 @@ impl Tcb {
             && !matches!(self.state, TcpState::TimeWait | TcpState::Closed)
     }
 
-    /// Retransmission timer fired: shrink to one segment and go again.
-    pub(crate) fn on_rexmt_timeout(&mut self) {
+    /// Retransmission timer fired. With the peer's window closed and data
+    /// queued it is Net/2's persist timer: it probes and never drops, and
+    /// the backoff count starts again after it, as Net/2's does. Otherwise
+    /// the timeout after [`MAX_BACKOFF`] consecutive ones drops the
+    /// connection (Net/2 `tcp_timer`); any earlier one shrinks to one
+    /// segment and goes again.
+    pub(crate) fn on_rexmt_timeout(&mut self, window_closed: bool) -> Expiry {
+        if !window_closed && self.rexmt_backoff == MAX_BACKOFF {
+            return Expiry::Drop;
+        }
         self.rto_events += 1;
-        self.rexmt_backoff = (self.rexmt_backoff + 1).min(MAX_BACKOFF);
+        self.rexmt_backoff = if window_closed {
+            0
+        } else {
+            self.rexmt_backoff + 1
+        };
         self.rto = Dur::nanos((self.rto.as_nanos().saturating_mul(2)).min(RTO_MAX.as_nanos()));
         // Reno: collapse cwnd, halve ssthresh.
         let flight = self.flight_size().max(self.mss);
@@ -545,6 +569,11 @@ impl Tcb {
         }
         self.rtt_seq = None; // Karn: no sampling across retransmit
         self.dupacks = 0;
+        if window_closed {
+            Expiry::Probe
+        } else {
+            Expiry::Retransmit
+        }
     }
 
     /// Roll the send pointer back to the first unacknowledged byte without
@@ -1229,7 +1258,7 @@ mod tests {
         assert!(b.rcv.is_empty(), "nothing in order yet");
         // RTO fires on the sender.
         assert!(a.tcb.wants_rexmt_timer());
-        a.tcb.on_rexmt_timeout();
+        assert_eq!(a.tcb.on_rexmt_timeout(false), Expiry::Retransmit);
         assert_eq!(a.tcb.snd_nxt, a.tcb.snd_una);
         converge(&mut a, &mut b);
         assert_eq!(b.rcv, data, "reassembly completed after retransmit");
@@ -1586,12 +1615,12 @@ mod congestion_tests {
         t.cwnd = 20 * 1460;
         t.ssthresh = usize::MAX / 2;
         let rto0 = t.rto;
-        t.on_rexmt_timeout();
+        assert_eq!(t.on_rexmt_timeout(false), Expiry::Retransmit);
         assert_eq!(t.cwnd, t.mss, "cwnd collapses to one segment");
         assert_eq!(t.ssthresh, 10 * 1460, "ssthresh = flight/2");
         assert_eq!(t.snd_nxt, t.snd_una, "go-back-N");
         assert_eq!(t.rto, rto0 * 2, "exponential backoff");
-        t.on_rexmt_timeout();
+        t.on_rexmt_timeout(false);
         assert_eq!(t.rto, rto0 * 4);
     }
 

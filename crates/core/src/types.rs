@@ -208,6 +208,9 @@ pub enum StackError {
     /// The user range is not mapped in the task's address space
     /// (`EFAULT`).
     BadAddress,
+    /// The connection was dropped after [`crate::MAX_BACKOFF`] + 1
+    /// consecutive retransmission timeouts (Net/2 `ETIMEDOUT`).
+    TimedOut,
 }
 
 impl std::fmt::Display for StackError {

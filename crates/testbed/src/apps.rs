@@ -5,7 +5,7 @@ use crate::world::{App, Step, SysCtx};
 use bytes::Bytes;
 use outboard_host::{TaskId, UserMemory};
 use outboard_mbuf::Chain;
-use outboard_sim::{Dur, Time};
+use outboard_sim::Dur;
 use outboard_stack::{Proto, ReadResult, SockAddr, SockId, StackError, WriteResult};
 
 /// Per-write user-mode loop overhead of ttcp — the tiny amount of user
@@ -16,9 +16,8 @@ const TTCP_LOOP: Dur = Dur::micros(3);
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum TxState {
     Start,
-    Connecting,
+    /// Connecting (woken on ESTABLISHED), then writing.
     Writing,
-    Closing,
     Done,
 }
 
@@ -39,8 +38,6 @@ pub struct TtcpSender {
     pub bytes_written: usize,
     /// write(2) calls completed.
     pub writes: u64,
-    /// When the socket last accepted bytes.
-    last_progress: Option<Time>,
 }
 
 /// The byte every ttcp transfer places at stream offset `i`: a
@@ -103,7 +100,6 @@ impl TtcpSender {
             state: TxState::Start,
             bytes_written: 0,
             writes: 0,
-            last_progress: None,
         }
     }
 
@@ -126,10 +122,6 @@ impl App for TtcpSender {
         self.state == TxState::Done
     }
 
-    fn last_progress(&self) -> Option<Time> {
-        self.last_progress
-    }
-
     fn step(&mut self, ctx: &mut SysCtx<'_>) -> Step {
         match self.state {
             TxState::Start => {
@@ -137,37 +129,30 @@ impl App for TtcpSender {
                     .create_region(self.task, self.buf_vaddr, self.write_size.max(4096));
                 let sock = ctx.kernel.sys_socket(Proto::Tcp);
                 self.sock = Some(sock);
-                let fx = ctx
+                match ctx
                     .kernel
                     .sys_connect(sock, self.task, self.dst, ctx.mem, ctx.now)
-                    .expect("connect");
-                ctx.absorb(fx);
-                self.state = TxState::Connecting;
+                {
+                    Ok(fx) => ctx.absorb(fx),
+                    Err(e) => return self.give_up(e),
+                }
+                self.state = TxState::Writing;
                 Step::Wait
             }
-            TxState::Connecting => {
-                // Woken on ESTABLISHED.
-                self.state = TxState::Writing;
-                self.step_write(ctx)
-            }
             TxState::Writing => self.step_write(ctx),
-            TxState::Closing => {
-                // Woken when the write drained; issue the close.
-                let fx = ctx.kernel.sys_close(self.sock.unwrap(), ctx.mem, ctx.now);
-                ctx.absorb(fx);
-                self.state = TxState::Done;
-                Step::Done
-            }
             TxState::Done => Step::Done,
         }
     }
 }
 
 impl TtcpSender {
+    fn give_up(&mut self, e: StackError) -> Step {
+        self.state = TxState::Done;
+        Step::GaveUp(e)
+    }
+
     fn step_write(&mut self, ctx: &mut SysCtx<'_>) -> Step {
         if self.bytes_written >= self.total_bytes {
-            self.state = TxState::Closing;
-            // Close immediately in this quantum.
             let fx = ctx.kernel.sys_close(self.sock.unwrap(), ctx.mem, ctx.now);
             ctx.absorb(fx);
             self.state = TxState::Done;
@@ -194,7 +179,6 @@ impl TtcpSender {
                 ctx.absorb(fx);
                 self.bytes_written += bytes;
                 self.writes += 1;
-                self.last_progress = Some(ctx.now);
                 Step::Continue
             }
             Ok((WriteResult::Blocked { .. }, fx)) => {
@@ -202,14 +186,13 @@ impl TtcpSender {
                 // Copy semantics: when woken, the whole write is accepted.
                 self.bytes_written += len;
                 self.writes += 1;
-                self.last_progress = Some(ctx.now);
                 Step::Wait
             }
             Err(StackError::InvalidState(_)) => {
                 // Spurious wake while a write is still pending.
                 Step::Wait
             }
-            Err(e) => panic!("ttcp write failed: {e}"),
+            Err(e) => self.give_up(e),
         }
     }
 }
@@ -244,8 +227,6 @@ pub struct TtcpReceiver {
     pub verify: bool,
     /// Bytes that did not match the pattern.
     pub verify_errors: u64,
-    /// When a read last returned data.
-    last_progress: Option<Time>,
 }
 
 impl TtcpReceiver {
@@ -264,13 +245,17 @@ impl TtcpReceiver {
             pending_dma: None,
             verify: true,
             verify_errors: 0,
-            last_progress: None,
         }
     }
 
     /// The accepted connection, once established.
     pub fn conn(&self) -> Option<SockId> {
         self.conn
+    }
+
+    fn give_up(&mut self, e: StackError) -> Step {
+        self.state = RxState::Done;
+        Step::GaveUp(e)
     }
 
     fn verify_buf(&mut self, ctx: &mut SysCtx<'_>, base_off: usize, len: usize) {
@@ -298,40 +283,28 @@ impl App for TtcpReceiver {
         self.state == RxState::Done
     }
 
-    fn last_progress(&self) -> Option<Time> {
-        self.last_progress
-    }
-
     fn step(&mut self, ctx: &mut SysCtx<'_>) -> Step {
         match self.state {
             RxState::Start => {
                 ctx.mem
                     .create_region(self.task, self.buf_vaddr, self.read_size.max(4096));
                 let l = ctx.kernel.sys_socket(Proto::Tcp);
-                ctx.kernel.sys_bind(l, self.port).expect("bind");
-                ctx.kernel.sys_listen(l).expect("listen");
+                let listening = ctx.kernel.sys_bind(l, self.port);
+                if let Err(e) = listening.and_then(|()| ctx.kernel.sys_listen(l)) {
+                    return self.give_up(e);
+                }
                 self.listener = Some(l);
                 self.state = RxState::Accepting;
-                match ctx.kernel.sys_accept(l, self.task).expect("accept") {
-                    Some(c) => {
-                        self.conn = Some(c);
-                        self.state = RxState::Reading;
-                        self.step(ctx)
-                    }
-                    None => Step::Wait,
-                }
+                self.step(ctx)
             }
-            RxState::Accepting => match ctx
-                .kernel
-                .sys_accept(self.listener.unwrap(), self.task)
-                .expect("accept")
-            {
-                Some(c) => {
+            RxState::Accepting => match ctx.kernel.sys_accept(self.listener.unwrap(), self.task) {
+                Ok(Some(c)) => {
                     self.conn = Some(c);
                     self.state = RxState::Reading;
                     self.step(ctx)
                 }
-                None => Step::Wait,
+                Ok(None) => Step::Wait,
+                Err(e) => self.give_up(e),
             },
             RxState::Reading => {
                 // A DMA-blocked read completes on this wake.
@@ -339,7 +312,6 @@ impl App for TtcpReceiver {
                     self.verify_buf(ctx, self.bytes_read, bytes);
                     self.bytes_read += bytes;
                     self.reads += 1;
-                    self.last_progress = Some(ctx.now);
                 }
                 ctx.user_cpu(TTCP_LOOP);
                 let r = ctx.kernel.sys_read(
@@ -356,7 +328,6 @@ impl App for TtcpReceiver {
                         self.verify_buf(ctx, self.bytes_read, bytes);
                         self.bytes_read += bytes;
                         self.reads += 1;
-                        self.last_progress = Some(ctx.now);
                         Step::Continue
                     }
                     Ok((ReadResult::BlockedDma { bytes }, fx)) => {
@@ -376,7 +347,7 @@ impl App for TtcpReceiver {
                         Step::Done
                     }
                     Err(StackError::InvalidState(_)) => Step::Wait,
-                    Err(e) => panic!("ttcp read failed: {e}"),
+                    Err(e) => self.give_up(e),
                 }
             }
             RxState::Done => Step::Done,
@@ -436,7 +407,9 @@ impl App for KernelFileServer {
     fn step(&mut self, ctx: &mut SysCtx<'_>) -> Step {
         if self.sock.is_none() {
             let s = ctx.kernel.kernel_socket(Proto::Udp);
-            ctx.kernel.sys_bind(s, self.port).expect("bind");
+            if let Err(e) = ctx.kernel.sys_bind(s, self.port) {
+                return Step::GaveUp(e);
+            }
             self.sock = Some(s);
         }
         Step::Wait
@@ -460,11 +433,10 @@ impl App for KernelFileServer {
                 resp.push(file_block_byte(block, i));
             }
             let resp = Chain::from_bytes(Bytes::from(resp));
-            let fx = ctx
-                .kernel
-                .kernel_sendto(sock, resp, from, ctx.mem, ctx.now)
-                .expect("send response");
-            ctx.absorb(fx);
+            match ctx.kernel.kernel_sendto(sock, resp, from, ctx.mem, ctx.now) {
+                Ok(fx) => ctx.absorb(fx),
+                Err(e) => return Step::GaveUp(e),
+            }
             self.requests_served += 1;
         }
         Step::Wait
@@ -510,7 +482,12 @@ impl FileClient {
         }
     }
 
-    fn send_request(&mut self, ctx: &mut SysCtx<'_>) {
+    fn give_up(&mut self, e: StackError) -> Step {
+        self.state = 2;
+        Step::GaveUp(e)
+    }
+
+    fn send_request(&mut self, ctx: &mut SysCtx<'_>) -> Result<(), StackError> {
         let mut req = [0u8; 12];
         req[..2].copy_from_slice(b"RD");
         req[2..6].copy_from_slice(&self.next_block.to_be_bytes());
@@ -518,17 +495,16 @@ impl FileClient {
         ctx.mem
             .write_user(self.task, self.buf_vaddr, &req)
             .expect("client buffer");
-        match ctx.kernel.sys_write(
+        let (_, fx) = ctx.kernel.sys_write(
             self.sock.unwrap(),
             self.task,
             self.buf_vaddr,
             12,
             ctx.mem,
             ctx.now,
-        ) {
-            Ok((_, fx)) => ctx.absorb(fx),
-            Err(e) => panic!("file client request: {e}"),
-        }
+        )?;
+        ctx.absorb(fx);
+        Ok(())
     }
 
     fn check_reply(&mut self, ctx: &mut SysCtx<'_>, bytes: usize) {
@@ -576,9 +552,11 @@ impl App for FileClient {
             ctx.mem
                 .create_region(self.task, self.buf_vaddr, self.count.max(4096) + 64);
             let s = ctx.kernel.sys_socket(Proto::Udp);
-            ctx.kernel.sys_connect_udp(s, self.server).expect("connect");
             self.sock = Some(s);
-            self.send_request(ctx);
+            let sent = ctx.kernel.sys_connect_udp(s, self.server);
+            if let Err(e) = sent.and_then(|()| self.send_request(ctx)) {
+                return self.give_up(e);
+            }
             self.state = 1;
         }
         // Waiting for (or woken by) a reply.
@@ -588,7 +566,9 @@ impl App for FileClient {
                 self.state = 2;
                 return Step::Done;
             }
-            self.send_request(ctx);
+            if let Err(e) = self.send_request(ctx) {
+                return self.give_up(e);
+            }
         }
         match ctx.kernel.sys_read(
             self.sock.unwrap(),
@@ -605,8 +585,10 @@ impl App for FileClient {
                     self.state = 2;
                     return Step::Done;
                 }
-                self.send_request(ctx);
-                Step::Continue
+                match self.send_request(ctx) {
+                    Ok(()) => Step::Continue,
+                    Err(e) => self.give_up(e),
+                }
             }
             Ok((ReadResult::BlockedDma { bytes }, fx)) => {
                 ctx.absorb(fx);
@@ -618,7 +600,7 @@ impl App for FileClient {
                 Step::Wait
             }
             Err(StackError::InvalidState(_)) => Step::Wait,
-            Err(e) => panic!("file client read: {e}"),
+            Err(e) => self.give_up(e),
         }
     }
 }

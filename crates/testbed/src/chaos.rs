@@ -2,30 +2,25 @@
 //! judge the run with the [`crate::oracle`], and delta-debug failing
 //! schedules down to minimal replayable repros.
 //!
-//! The transfer runs under [`World::run_apps`] to a deadline that leaves
-//! every scheduled fault time to heal and TCP time to recover from it;
-//! any ending but [`RunOutcome::Completed`] (a deadlock, the deadline) is
-//! the run's `liveness:` violation. Because the world is a deterministic
-//! discrete-event simulation, the same config + schedule always produces
-//! the same [`ChaosOutcome`], which is what makes [`shrink_failure`] sound.
+//! The transfer runs under [`World::run_apps`] until it completes, gives
+//! up or deadlocks: `completed`, `gave_up` or `drained`. Any ending but
+//! [`RunOutcome::Completed`] is the run's `liveness:` violation. Because
+//! the world is a deterministic discrete-event simulation, the same
+//! config + schedule always produces the same [`ChaosOutcome`], which is
+//! what makes [`shrink_failure`] sound.
 
 use crate::apps::TtcpReceiver;
 use crate::experiment::{build_ttcp_world, ExperimentConfig};
 use crate::oracle;
-use crate::run::RunOutcome;
+use crate::run::{RunError, RunOutcome};
 use crate::world::{ChaosStats, World};
 use outboard_sim::chaos::{shrink, ChaosSchedule, ShrinkResult};
 use outboard_sim::{Dur, MetricsRegistry, Time};
-use outboard_stack::{CAB_PROBE_INTERVAL, RTO_MAX};
+use outboard_stack::CAB_PROBE_INTERVAL;
 
 /// Sim-time allowance after quiesce for heal probes and watchdog resets to
 /// land before the end-state oracle runs: ten recovery-probe periods.
 const SETTLE: Dur = Dur::nanos(10 * CAB_PROBE_INTERVAL.as_nanos());
-
-/// Time a transfer gets after the last fault heals: above TCP's longest
-/// wait between retransmissions, so a partition healed just after a fully
-/// backed-off timer re-armed still recovers.
-const HEALED_ALLOWANCE: Dur = Dur::nanos(RTO_MAX.as_nanos() + Dur::secs(6).as_nanos());
 
 /// The verdict on one chaos run.
 #[derive(Clone, Debug)]
@@ -33,7 +28,7 @@ pub struct ChaosOutcome {
     /// Oracle violations, run-phase (liveness) first; empty = clean run.
     pub violations: Vec<String>,
     /// How the run loop ended (`None` when the config was rejected).
-    pub outcome: Option<RunOutcome>,
+    pub outcome: Option<Result<RunOutcome, RunError>>,
     /// The transfer finished and the receiver read every byte.
     pub completed: bool,
     /// Virtual time consumed: [`World::now`] once the settle window has
@@ -86,15 +81,12 @@ pub fn run_chaos(cfg: &ExperimentConfig, schedule: &ChaosSchedule) -> ChaosOutco
     let mut w = build_ttcp_world(cfg);
     w.install_chaos(schedule);
     let quiesce = w.chaos_quiesce_at().unwrap_or(Time::ZERO);
-
-    // A generous bandwidth floor or the schedule's active window plus the
-    // healed allowance, whichever is later.
-    let floor = Time::ZERO + Dur::from_secs_f64((cfg.total_bytes as f64 * 8.0 / 1e6).max(30.0));
-    let deadline = floor.max(quiesce + HEALED_ALLOWANCE) + Dur::secs(5);
-    let outcome = w.run_apps(deadline);
+    let outcome = w.run_apps();
     let mut violations: Vec<String> = Vec::new();
-    if outcome != RunOutcome::Completed {
-        violations.push(outcome.to_string());
+    match outcome {
+        Ok(RunOutcome::Completed) => {}
+        Ok(o) => violations.push(o.to_string()),
+        Err(e) => violations.push(e.to_string()),
     }
 
     // Let remaining heals, probes, and watchdogs land before judging the
@@ -127,7 +119,7 @@ pub fn run_chaos(cfg: &ExperimentConfig, schedule: &ChaosSchedule) -> ChaosOutco
 
     ChaosOutcome {
         outcome: Some(outcome),
-        completed: outcome == RunOutcome::Completed && bytes_read >= cfg.total_bytes,
+        completed: outcome == Ok(RunOutcome::Completed) && bytes_read >= cfg.total_bytes,
         elapsed,
         bytes_read,
         chaos: w.chaos_stats().unwrap_or_default(),

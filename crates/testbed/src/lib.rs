@@ -6,7 +6,8 @@
 //!   memory + apps), links, and the event dispatch loop that interprets
 //!   kernel [`outboard_stack::Effect`]s,
 //! * `run` — [`World::run_apps`], the one loop that runs a world until its
-//!   apps finish, and the [`RunOutcome`] it ends in,
+//!   apps finish or give up, and the [`RunOutcome`] (or [`RunError`]) it
+//!   ends in,
 //! * [`apps`] — `ttcp`-style sender/receiver processes and in-kernel
 //!   applications (file server) with the share-semantics interface,
 //! * [`experiment`] — the §7.1 methodology: run a transfer, account CPU per
@@ -27,5 +28,5 @@ mod world;
 
 pub use chaos::{run_chaos, shrink_failure};
 pub use experiment::{raw_hippi_throughput, run_ttcp, ExperimentConfig, Metrics};
-pub use run::RunOutcome;
+pub use run::{RunError, RunOutcome};
 pub use world::{SysCtx, World};

@@ -1,8 +1,16 @@
 //! The one loop that runs a world until its apps finish, and how it ends.
 
 use crate::world::World;
-use outboard_sim::Time;
+use outboard_sim::{Dur, Time};
+use outboard_stack::StackError;
 use std::fmt;
+
+/// Sim time a [`World::run_apps`] call may take: a backstop, not a
+/// deadline. Every connection ends by the protocol well within it: with
+/// data unacknowledged, a connection progresses or is dropped within
+/// `MAX_BACKOFF + 1` timeout intervals of silence (at most 13 × 64 s =
+/// 832 s), and an app whose connection drops gives up.
+const RUNAWAY: Dur = Dur::secs(3600);
 
 /// How a run of [`World::run_apps`] ended. `Display` renders the two
 /// unfinished endings as the chaos oracle's `liveness:` violations.
@@ -10,13 +18,14 @@ use std::fmt;
 pub enum RunOutcome {
     /// Every app finished.
     Completed,
-    /// The deadline passed with an app unfinished.
-    Deadline {
-        /// The caller's deadline.
-        deadline: Time,
-        /// The latest `App::last_progress` of any app (the run's start
-        /// when none has one).
-        last_progress: Time,
+    /// An app gave up on a syscall error, and the run stopped there.
+    GaveUp {
+        /// The host the app runs on.
+        host: usize,
+        /// When the app gave up.
+        at: Time,
+        /// The error it gave up on.
+        error: StackError,
     },
     /// The event queue drained with an app unfinished (a deadlock).
     Drained {
@@ -26,11 +35,11 @@ pub enum RunOutcome {
 }
 
 impl RunOutcome {
-    /// The one-word name: `completed`, `deadline` or `drained`.
+    /// The one-word name: `completed`, `gave_up` or `drained`.
     pub fn name(&self) -> &'static str {
         match self {
             RunOutcome::Completed => "completed",
-            RunOutcome::Deadline { .. } => "deadline",
+            RunOutcome::GaveUp { .. } => "gave_up",
             RunOutcome::Drained { .. } => "drained",
         }
     }
@@ -40,12 +49,9 @@ impl fmt::Display for RunOutcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RunOutcome::Completed => f.write_str("completed"),
-            RunOutcome::Deadline {
-                deadline,
-                last_progress,
-            } => write!(
+            RunOutcome::GaveUp { host, at, error } => write!(
                 f,
-                "liveness: transfer unfinished at deadline {deadline} (started stalling at {last_progress})"
+                "liveness: host {host}'s transfer gave up at {at} on {error}"
             ),
             RunOutcome::Drained { at } => write!(
                 f,
@@ -55,32 +61,52 @@ impl fmt::Display for RunOutcome {
     }
 }
 
+/// A run still going an hour of sim time after it started, with an app
+/// unfinished and events queued: a model fault, since the protocol ends
+/// every run well before.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RunError {
+    /// The run was still going at the bound.
+    Runaway {
+        /// The bound's time.
+        at: Time,
+    },
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunError::Runaway { at } => write!(
+                f,
+                "liveness: transfer still running at the runaway bound {at}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
 impl World {
-    /// Run until every app has finished, checked between events so the
-    /// run stops at the finishing event, or until `deadline`. Silence is
-    /// not judged here: a connection with unacknowledged data always has a
-    /// retransmit timer that sends when it fires (checked in debug builds
-    /// by the stack, DESIGN.md §11), so an unfinished run is slow, and the
-    /// deadline is the caller's to choose.
-    pub fn run_apps(&mut self, deadline: Time) -> RunOutcome {
-        let start = self.now();
-        if self.run_while(deadline, |w| !w.every_app_finished()) {
-            return RunOutcome::Completed;
+    /// Run until every app has finished or the first one gives up, checked
+    /// between events so the run stops at the event that decides it, or
+    /// until the event queue drains. No caller picks a deadline: a
+    /// connection with unacknowledged data always has a retransmit timer
+    /// that sends when it fires (checked in debug builds by the stack,
+    /// DESIGN.md §11), and gets dropped after `MAX_BACKOFF` + 1 silent
+    /// timeouts, so a run ends by the protocol; a one-hour runaway bound
+    /// only backs that up.
+    pub fn run_apps(&mut self) -> Result<RunOutcome, RunError> {
+        let bound = self.now() + RUNAWAY;
+        if !self.run_while(bound, |w| w.gave_up.is_none() && !w.every_app_finished()) {
+            if self.pending_events() == 0 {
+                return Ok(RunOutcome::Drained { at: self.now() });
+            }
+            return Err(RunError::Runaway { at: bound });
         }
-        if self.pending_events() == 0 {
-            return RunOutcome::Drained { at: self.now() };
-        }
-        let last_progress = self
-            .hosts
-            .iter()
-            .flat_map(|h| h.apps.iter().flatten())
-            .filter_map(|a| a.last_progress())
-            .max()
-            .unwrap_or(start);
-        RunOutcome::Deadline {
-            deadline,
-            last_progress,
-        }
+        Ok(match self.gave_up {
+            Some((host, at, error)) => RunOutcome::GaveUp { host, at, error },
+            None => RunOutcome::Completed,
+        })
     }
 
     /// Every app on every host has finished.
@@ -96,9 +122,8 @@ mod tests {
     use super::*;
     use crate::apps::TtcpReceiver;
     use crate::experiment::{run_ttcp, ExperimentConfig};
-    use outboard_host::{MachineConfig, TaskId};
-    use outboard_sim::Dur;
-    use outboard_stack::StackConfig;
+    use outboard_host::{MachineConfig, PacketCosts, TaskId};
+    use outboard_stack::{StackConfig, MAX_BACKOFF, RTO_INITIAL, RTO_MAX};
 
     fn mb(drop_p: f64) -> ExperimentConfig {
         let mut cfg = ExperimentConfig::new(
@@ -111,21 +136,39 @@ mod tests {
         cfg
     }
 
-    fn receiver_alone() -> RunOutcome {
+    fn receiver_alone() -> Result<RunOutcome, RunError> {
         let machine = MachineConfig::alpha_3000_400();
         let mut w = World::new();
         let h = w.add_host("receiver", machine, StackConfig::single_copy());
         let rx = TtcpReceiver::new(TaskId(2), 5001, 64 * 1024);
         w.add_app(h, Box::new(rx), true);
-        w.run_apps(Time::ZERO + Dur::secs(30))
+        w.run_apps()
+    }
+
+    /// The backed-off retransmit ladder: `MAX_BACKOFF` + 1 timeouts from
+    /// `RTO_INITIAL`, each twice the last up to `RTO_MAX`.
+    fn give_up_after() -> Dur {
+        let mut rto = RTO_INITIAL;
+        let mut sum = Dur::ZERO;
+        for _ in 0..=MAX_BACKOFF {
+            sum += rto;
+            rto = (rto * 2).min(RTO_MAX);
+        }
+        sum
     }
 
     /// One row per ending, with the `liveness:` line the chaos oracle
-    /// reports for it. A link that drops every frame never connects, so no
-    /// application byte moves before `run_ttcp`'s 30 s deadline for 1 MB.
+    /// reports for it. A link that drops every frame never connects: the
+    /// SYN, sent at 0, follows the retransmit ladder until its 13th
+    /// timeout drops the connection, and the sender, woken by the drop's
+    /// interrupt, gives up on its next call.
     #[test]
     fn every_ending_has_its_outcome() {
-        let rows: [(&str, RunOutcome, RunOutcome, &str); 3] = [
+        assert_eq!(give_up_after(), Dur::secs(511));
+        let costs = PacketCosts::compile(&MachineConfig::alpha_3000_400());
+        let woken = costs.interrupt.unwrap_or_default() + costs.wakeup.unwrap_or_default();
+        let gave_up = Time::ZERO + give_up_after() + woken;
+        let rows: [(&str, Result<RunOutcome, RunError>, RunOutcome, &str); 3] = [
             (
                 "fault-free 1 MB",
                 run_ttcp(&mb(0.0)).outcome,
@@ -135,12 +178,12 @@ mod tests {
             (
                 "run_ttcp, every frame dropped",
                 run_ttcp(&mb(1.0)).outcome,
-                RunOutcome::Deadline {
-                    deadline: Time::ZERO + Dur::secs(30),
-                    last_progress: Time::ZERO,
+                RunOutcome::GaveUp {
+                    host: 0,
+                    at: gave_up,
+                    error: StackError::TimedOut,
                 },
-                "liveness: transfer unfinished at deadline 30.000000s \
-                 (started stalling at 0.000000s)",
+                "liveness: host 0's transfer gave up at 511.000060s on TimedOut",
             ),
             (
                 "a receiver with no sender",
@@ -151,8 +194,8 @@ mod tests {
             ),
         ];
         for (name, got, want, line) in rows {
-            assert_eq!(got, want, "{name}");
-            assert_eq!(got.to_string(), line, "{name}");
+            assert_eq!(got, Ok(want), "{name}");
+            assert_eq!(want.to_string(), line, "{name}");
         }
     }
 }

@@ -15,7 +15,7 @@ use outboard_sim::chaos::{ChaosAction, ChaosSchedule};
 use outboard_sim::span::{self, CriticalPath, Span, SpanSink, Stage};
 use outboard_sim::{BufPool, Dur, EngineKind, EventEngine, MetricsRegistry, Time};
 use outboard_sim::{SeriesKind, Timeline};
-use outboard_stack::{Effect, IfaceId, Kernel, SockId, StackConfig, TimerKind};
+use outboard_stack::{Effect, IfaceId, Kernel, SockId, StackConfig, StackError, TimerKind};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -76,6 +76,9 @@ pub enum Step {
     Wait,
     /// The application finished.
     Done,
+    /// The application gave up on a syscall error; the world keeps the
+    /// first, where [`World::run_apps`] stops.
+    GaveUp(StackError),
 }
 
 /// The syscall context handed to applications: one host's kernel + memory.
@@ -120,11 +123,6 @@ pub trait App: std::any::Any {
     }
     /// True when the app has completed its work (for run-to-completion).
     fn finished(&self) -> bool;
-    /// When the app last moved an application byte, if it ever did: what
-    /// [`World::run_apps`] reports as a deadline run's last progress.
-    fn last_progress(&self) -> Option<Time> {
-        None
-    }
 }
 
 /// One simulated host.
@@ -283,6 +281,9 @@ pub struct World {
     /// Windowed time-series sampler (None unless enabled; see
     /// [`World::enable_timeline`]).
     timeline: Option<Box<TimelineState>>,
+    /// The first app to give up ([`Step::GaveUp`]): its host, when, and
+    /// the error.
+    pub(crate) gave_up: Option<(usize, Time, StackError)>,
 }
 
 impl World {
@@ -305,6 +306,7 @@ impl World {
             wire_spans: SpanSink::disabled(),
             chaos: None,
             timeline: None,
+            gave_up: None,
         }
     }
 
@@ -1107,7 +1109,10 @@ impl World {
                     self.hosts[host].cpu.set_ttcp_on_cpu(false);
                 }
             }
-            Step::Done => {
+            Step::Done | Step::GaveUp(_) => {
+                if let Step::GaveUp(error) = step {
+                    self.gave_up.get_or_insert((host, now, error));
+                }
                 if measured {
                     self.hosts[host].cpu.set_ttcp_on_cpu(false);
                 }

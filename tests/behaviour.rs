@@ -5,8 +5,8 @@
 //! unmodified stack under faults, and the chaos smoke sweep.
 //!
 //! Each line holds the run's name, how its run loop ended (`completed`,
-//! `deadline` or `drained`, the `RunOutcome`), its elapsed
-//! virtual nanoseconds, the bytes the receivers read, the events dispatched,
+//! `gave_up` or `drained`, the `RunOutcome`; `runaway` for a `RunError`),
+//! its elapsed virtual nanoseconds, the bytes the receivers read, the events dispatched,
 //! a 64-bit FNV-1a digest over the stats JSON, trace, timeline and critical
 //! path, and — after the world has run on for 5 s of virtual time past the
 //! transfer — the open sockets on each host and the network-memory pages in
@@ -26,7 +26,7 @@ use outboard::stack::{SockAddr, SockId, StackConfig};
 use outboard::testbed::apps::{TtcpReceiver, TtcpSender};
 use outboard::testbed::chaos::run_chaos;
 use outboard::testbed::experiment::{build_ttcp_world, run_ttcp_in, RECEIVER_IP, SENDER_IP};
-use outboard::testbed::{ExperimentConfig, World};
+use outboard::testbed::{ExperimentConfig, RunError, RunOutcome, World};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -213,6 +213,11 @@ fn many_flows_world(cfg: &ExperimentConfig) -> World {
     w
 }
 
+/// The outcome column: the `RunOutcome`'s name, or `runaway`.
+fn outcome_name(outcome: Result<RunOutcome, RunError>) -> &'static str {
+    outcome.map_or("runaway", |o| o.name())
+}
+
 /// One ledger line (without the trailing newline).
 fn line(name: &str, run: &Run) -> String {
     match run {
@@ -230,7 +235,7 @@ fn line(name: &str, run: &Run) -> String {
             let tail = settled(&mut w);
             format!(
                 "{name}\t{}\t{}\t{}\t{}\t{:016x}\t{tail}",
-                m.outcome.name(),
+                outcome_name(m.outcome),
                 m.elapsed.as_nanos(),
                 m.bytes,
                 m.events_dispatched,
@@ -239,7 +244,7 @@ fn line(name: &str, run: &Run) -> String {
         }
         Run::ManyFlows(cfg) => {
             let mut w = many_flows_world(cfg);
-            let outcome = w.run_apps(Time::ZERO + Dur::secs(60));
+            let outcome = w.run_apps();
             let elapsed = w.now() - Time::ZERO;
             let bytes: usize = w.hosts[1]
                 .apps
@@ -253,7 +258,7 @@ fn line(name: &str, run: &Run) -> String {
             let tail = settled(&mut w);
             format!(
                 "{name}\t{}\t{}\t{bytes}\t{events}\t{:016x}\t{tail}",
-                outcome.name(),
+                outcome_name(outcome),
                 elapsed.as_nanos(),
                 digest([stats.as_str()])
             )
@@ -272,7 +277,7 @@ fn line(name: &str, run: &Run) -> String {
             parts.extend(o.violations.iter().map(String::as_str));
             format!(
                 "{name}\t{}\t{}\t{}\t{}\t{:016x}\t-\t-",
-                o.outcome.map_or("-", |o| o.name()),
+                o.outcome.map_or("-", outcome_name),
                 o.elapsed.as_nanos(),
                 o.bytes_read,
                 o.stats.counter_value("world.events_dispatched"),

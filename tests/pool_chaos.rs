@@ -61,7 +61,7 @@ impl FaultCase {
 
 /// Link faults, CAB faults, and everything at once — each severe enough to
 /// exercise retransmission and fallback paths, mild enough that TCP still
-/// completes the transfer inside the deadline.
+/// completes the transfer.
 fn fault_matrix() -> Vec<FaultCase> {
     vec![
         FaultCase::clean("baseline"),
@@ -122,9 +122,6 @@ fn config_for(case: &FaultCase, seed: u64) -> ExperimentConfig {
     cfg.cab_csum_error_p = case.cab_csum_error_p;
     cfg
 }
-
-/// `run_ttcp`'s deadline for the cases' 512 KB.
-const DEADLINE: Time = Time(30_000_000_000);
 
 /// Every CAB ownership journal in the world must be clean (and must have
 /// actually observed traffic).
@@ -197,8 +194,8 @@ fn pool_survives_fault_matrix_soak() {
         let mut w = build_ttcp_world(&cfg);
         // Fault regimes are tuned so TCP always finishes; a hang here is a
         // real robustness regression, not a flaky tuning artifact.
-        let outcome = w.run_apps(DEADLINE);
-        assert_eq!(outcome, RunOutcome::Completed, "case {}", case.name);
+        let outcome = w.run_apps();
+        assert_eq!(outcome, Ok(RunOutcome::Completed), "case {}", case.name);
         assert_steady_state(&w.pool.stats(), case.name);
         assert_journals_clean(&mut w, case.name);
         let pool = w.pool.clone();
@@ -243,7 +240,8 @@ fn pool_balances_after_chaos_world_teardown() {
         let schedule = ChaosSchedule::generate(seed, 8, 2);
         let mut w = build_ttcp_world(&cfg);
         w.install_chaos(&schedule);
-        w.run_apps(DEADLINE);
+        let outcome = w.run_apps();
+        assert_eq!(outcome, Ok(RunOutcome::Completed), "chaos seed {seed}");
         assert_steady_state(&w.pool.stats(), "chaos-teardown");
         assert_journals_clean(&mut w, "chaos-teardown");
         let pool = w.pool.clone();
