@@ -50,14 +50,15 @@ pub(crate) enum SdmaPurpose {
     /// Transmit of a packet whose payload needed no conversion (traditional
     /// path, retransmission header refresh, control segments).
     TxPlain,
-    /// Receive copy-out toward a user buffer; credits the read's counter.
-    /// `copy_dst` is set on the unaligned fallback: the DMA lands in kernel
-    /// memory and the completion handler finishes with a CPU copy to the
-    /// user address (§4.5).
+    /// Receive copy-out of `bytes` toward the user buffer at `dst`;
+    /// credits the read's counter. `via_kernel` is set on the unaligned
+    /// fallback: the DMA lands in kernel memory and the completion handler
+    /// finishes with a CPU copy to `dst` (§4.5).
     RxToUser {
         sock: SockId,
         bytes: usize,
-        copy_dst: Option<(outboard_host::TaskId, u64)>,
+        dst: (outboard_host::TaskId, u64),
+        via_kernel: bool,
     },
     /// Receive conversion for an in-kernel application (§5): the completion
     /// carries the kernel bytes that replace an `M_WCAB` range of queue
@@ -309,6 +310,20 @@ impl CabIface {
         }
     }
 
+    /// A transmit frame of `sock` that gathers user memory in place has its
+    /// copy-in in flight or is parked for a retry, whose relaunch gathers
+    /// again.
+    pub(crate) fn gathering(&self, sock: SockId) -> bool {
+        let reads = |s: &TxSegment| s.sock == sock && s.pinned.is_some();
+        self.pending
+            .values()
+            .any(|p| matches!(p, SdmaPurpose::TxSegment(s, _) if reads(s)))
+            || self
+                .retry_q
+                .iter()
+                .any(|e| matches!(e, PendingTx::Sdma(f) if f.segment.as_ref().is_some_and(reads)))
+    }
+
     /// SDMA requests in flight.
     pub fn pending_count(&self) -> usize {
         self.pending.len()
@@ -416,7 +431,8 @@ mod tests {
         let t2 = c.issue(SdmaPurpose::RxToUser {
             sock: SockId(1),
             bytes: 100,
-            copy_dst: None,
+            dst: (outboard_host::TaskId(2), 0x1000),
+            via_kernel: false,
         });
         assert_ne!(t1, t2);
         assert_eq!(c.pending_count(), 2);

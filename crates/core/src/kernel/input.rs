@@ -4,10 +4,11 @@
 //! conversion that realizes §4.2), and TCP timers.
 
 use super::{Kernel, TxMeta};
+use crate::claims::ClaimHolder;
 use crate::driver::{IfaceHealth, IfaceKind, SdmaPurpose, TxSegment};
 use crate::ip::FragKey;
 use crate::socket::{KqEntry, Owner};
-use crate::tcp::{AckMode, Expiry, SegmentPlan};
+use crate::tcp::{AckMode, Expiry, SegmentPlan, TcpState};
 use crate::types::{Effect, IfaceId, Proto, SockAddr, SockId, StackError, TimerKind};
 use bytes::Bytes;
 use outboard_cab::{PacketId, SdmaDst, SdmaRx};
@@ -554,7 +555,7 @@ impl Kernel {
         mem: &mut HostMem,
         now: Time,
     ) {
-        let r = {
+        let (r, syn_sent) = {
             let Some(s) = self.sockets.get_mut(sock) else {
                 return;
             };
@@ -562,8 +563,18 @@ impl Kernel {
             let Some(tcb) = s.tcb.as_mut() else {
                 return;
             };
-            tcb.input(thdr, data, rcv_space, now)
+            let syn_sent = tcb.state == TcpState::SynSent;
+            (tcb.input(thdr, data, rcv_space, now), syn_sent)
         };
+        if r.reset {
+            let err = if syn_sent {
+                StackError::ConnRefused
+            } else {
+                StackError::ConnReset
+            };
+            self.tcp_drop(sock, err, false, mem, now);
+            return;
+        }
 
         // RST out for pathological segments.
         if let Some((seq, ack, flags)) = r.rst_out {
@@ -631,20 +642,13 @@ impl Kernel {
         if r.writer_space_freed {
             self.append_write_chunks(sock, mem, Charge::Interrupt, now);
             // Traditional-path writes complete once fully copied.
-            let wake = {
-                match self.sockets.get_mut(sock) {
-                    Some(s) => match s.blocked_write {
-                        Some(bw) if !bw.uio_path && bw.appended == bw.total => {
-                            s.blocked_write = None;
-                            Some(bw.task)
-                        }
-                        _ => None,
-                    },
-                    None => None,
-                }
-            };
-            if let Some(task) = wake {
-                self.wake(task, sock, Charge::Interrupt);
+            let copied = self
+                .sockets
+                .get(sock)
+                .and_then(|s| s.blocked_write)
+                .filter(|bw| !bw.uio_path && bw.appended == bw.total);
+            if let Some(bw) = copied {
+                self.finish_write(bw.task, sock, Charge::Interrupt, now);
             }
         }
 
@@ -727,7 +731,8 @@ impl Kernel {
         if let Some(s) = self.sockets.get_mut(sock) {
             let n = bytes.min(s.so_snd.chain.len());
             // Split off and dropped; draining in place measured no faster.
-            drop(s.so_snd.chain.split_front(n));
+            self.claims
+                .release_descriptors(&s.so_snd.chain.split_front(n));
         }
     }
 
@@ -926,18 +931,25 @@ impl Kernel {
         match purpose {
             SdmaPurpose::TxPlain => {}
             SdmaPurpose::TxSegment(seg, packet) => {
-                self.convert_uio_to_wcab(seg, iface, packet);
+                // The gather is over before the conversion can wake the
+                // writer.
+                if let Some((task, vaddr, len)) = seg.pinned {
+                    self.claims.release(ClaimHolder::Gather, task, vaddr, len);
+                }
+                self.convert_uio_to_wcab(seg, iface, packet, now);
                 if let Some((task, vaddr, len)) = seg.pinned {
                     let cost = self.vm.release(task, vaddr, len);
                     self.cpu_dur(cost, Charge::Interrupt);
+                    self.finish_write_if_done(seg.sock, Charge::Interrupt, now);
                 }
             }
             SdmaPurpose::RxToUser {
                 sock,
                 bytes,
-                copy_dst,
+                dst: (task, vaddr),
+                via_kernel,
             } => {
-                if let (Some(bytes_data), Some((task, vaddr))) = (&data, copy_dst) {
+                if let (Some(bytes_data), true) = (&data, via_kernel) {
                     // §4.5 unaligned fallback: finish with a CPU copy.
                     let cost = self
                         .memsys
@@ -947,6 +959,8 @@ impl Kernel {
                         self.stats.user_mem_faults += 1;
                     }
                 }
+                self.claims
+                    .release(ClaimHolder::CopyOut, task, vaddr, bytes);
                 let done = {
                     let Some(s) = self.sockets.get(sock) else {
                         return self.take_effects(now);
@@ -956,6 +970,7 @@ impl Kernel {
                 };
                 if let Some((counter, task, pv, pl)) = done {
                     if self.uio.complete(counter, bytes).is_some() {
+                        self.claims.check_read_done(task, pv, pl, now);
                         let cost = self.vm.release(task, pv, pl);
                         self.cpu_dur(cost, Charge::Interrupt);
                         if let Some(s) = self.sockets.get_mut(sock) {
@@ -1005,12 +1020,19 @@ impl Kernel {
     /// host memory) holding `packet`, and the write's UIO counter is
     /// credited. A range no longer queued (acknowledged, or the socket
     /// gone) leaves the packet to be released with its handle.
-    fn convert_uio_to_wcab(&mut self, seg: TxSegment, iface: IfaceId, packet: PacketRef) {
+    fn convert_uio_to_wcab(
+        &mut self,
+        seg: TxSegment,
+        iface: IfaceId,
+        packet: PacketRef,
+        now: Time,
+    ) {
         let converted = self.replace_snd_range(
             seg.sock,
             seg.seq_lo,
             seg.data_len,
             Charge::Interrupt,
+            now,
             |_, skip, len| {
                 Mbuf::wcab(WcabDesc {
                     cab: iface.0,
@@ -1053,7 +1075,7 @@ impl Kernel {
                     match expiry {
                         Expiry::Retransmit => self.tcp_send(sock, mem, now, false),
                         Expiry::Probe => self.send_window_probe(sock, mem, now),
-                        Expiry::Drop => self.tcp_drop(sock, StackError::TimedOut, mem, now),
+                        Expiry::Drop => self.tcp_drop(sock, StackError::TimedOut, true, mem, now),
                     }
                     self.arm_tcp_timers(sock);
                     debug_assert!(

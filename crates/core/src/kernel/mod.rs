@@ -23,6 +23,7 @@ mod tests;
 pub use input::TIME_WAIT;
 pub use robust::CAB_PROBE_INTERVAL;
 
+use crate::claims::{ClaimHolder, UserClaims, UserViolation};
 use crate::driver::{CabIface, EthIface, Iface, IfaceKind, SdmaPurpose};
 use crate::ip::Reassembler;
 use crate::route::RouteTable;
@@ -176,6 +177,8 @@ pub struct Kernel {
     pub routes: RouteTable,
     pub(crate) reass: Reassembler,
     pub(crate) uio: UioCounters,
+    /// Copy semantics, checked on user memory (debug builds).
+    pub(crate) claims: UserClaims,
     pub(crate) fx: Vec<Effect>,
     /// An emptied effect list handed back by the harness; `take_effects`
     /// swaps it in so a kernel entry allocates no list of its own.
@@ -223,6 +226,7 @@ impl Kernel {
             routes: RouteTable::new(),
             reass: Reassembler::new(),
             uio: UioCounters::new(),
+            claims: UserClaims::default(),
             fx: Vec::new(),
             fx_spare: Vec::new(),
             ip_id: 1,
@@ -319,6 +323,19 @@ impl Kernel {
     /// Inspect a socket (tests and harnesses).
     pub fn socket_ref(&self, id: SockId) -> Option<&Socket> {
         self.sockets.get(id).map(Box::as_ref)
+    }
+
+    /// An application is about to write `[vaddr, vaddr + len)` of its own
+    /// memory: in debug builds, record a `UserWriteWhileDma` if the stack
+    /// or an engine still claims any of it. Nothing is refused.
+    pub fn note_user_write(&mut self, task: TaskId, vaddr: u64, len: usize, now: Time) {
+        self.claims.check_user_write(task, vaddr, len, now);
+    }
+
+    /// Copy-semantics violations on this host's user memory so far (debug
+    /// builds; a release build records none).
+    pub fn user_violations(&self) -> &[UserViolation] {
+        self.claims.violations()
     }
 
     /// End a kernel entry at `now`: free the outboard packets whose last
@@ -425,6 +442,7 @@ impl Kernel {
         seq_lo: u32,
         data_len: usize,
         charge: Charge,
+        now: Time,
         with: impl FnOnce(&mut Kernel, usize, usize) -> Mbuf,
     ) -> bool {
         use outboard_wire::tcp::seq;
@@ -453,13 +471,14 @@ impl Kernel {
             return false;
         };
         let removed = s.so_snd.chain.splice(off_in_q, len, replacement);
-        self.credit_uio(&removed, charge);
+        self.claims.release_descriptors(&removed);
+        self.credit_uio(&removed, charge, now);
         true
     }
 
     /// Credit the UIO counters of `chain`'s `M_UIO` descriptors: their
     /// bytes have been copied. A writer whose write completes is woken.
-    fn credit_uio(&mut self, chain: &Chain, charge: Charge) {
+    pub(crate) fn credit_uio(&mut self, chain: &Chain, charge: Charge, now: Time) {
         for m in chain.iter() {
             let MbufData::Uio(d) = m.data() else {
                 continue;
@@ -467,10 +486,51 @@ impl Kernel {
             let Some(done) = d.counter.and_then(|c| self.uio.complete(c, d.len)) else {
                 continue;
             };
-            if let Some(s) = self.sockets.get_mut(done.sock) {
-                s.blocked_write = None;
-            }
-            self.wake(done.task, done.sock, charge);
+            self.finish_write(done.task, done.sock, charge, now);
+        }
+    }
+
+    /// `sock`'s blocked write has completed: clear it and wake `task`. In
+    /// debug builds no claim on its buffer may still be open (copy
+    /// semantics, `claims`).
+    ///
+    /// Its bytes have all been copied, but a frame that gathers from the
+    /// buffer may still be parked for a retry (another copy converted its
+    /// range first) or have its copy-in in flight. The write stays open
+    /// until that frame completes or is abandoned, which finishes it
+    /// ([`Kernel::finish_write_if_done`]).
+    pub(crate) fn finish_write(&mut self, task: TaskId, sock: SockId, charge: Charge, now: Time) {
+        let gathering = self
+            .ifaces
+            .iter()
+            .filter_map(Iface::cab_ref)
+            .any(|c| c.gathering(sock));
+        if gathering {
+            return;
+        }
+        let bw = self
+            .sockets
+            .get_mut(sock)
+            .and_then(|s| s.blocked_write.take());
+        if let Some(bw) = bw {
+            let r = bw.region;
+            self.claims.check_write_done(r.task, r.base, bw.total, now);
+        }
+        self.wake(task, sock, charge);
+    }
+
+    /// A frame of `sock` that gathered from user memory is done with it:
+    /// finish a blocked write that was waiting only for that.
+    pub(crate) fn finish_write_if_done(&mut self, sock: SockId, charge: Charge, now: Time) {
+        let done = self
+            .sockets
+            .get(sock)
+            .and_then(|s| s.blocked_write)
+            .filter(|bw| {
+                bw.appended == bw.total && bw.counter.is_none_or(|c| self.uio.get(c).is_none())
+            });
+        if let Some(bw) = done {
+            self.finish_write(bw.task, sock, charge, now);
         }
     }
 
@@ -823,6 +883,7 @@ impl Kernel {
         // synchronously (UIO data copied at the driver boundary, counter
         // drained, blocked_write cleared).
         let Some(bw) = s.blocked_write.as_ref().copied() else {
+            self.claims.check_write_done(task, vaddr, len, now);
             return Ok((WriteResult::Done { bytes: len }, self.take_effects(now)));
         };
         // Single-copy writes complete only when the DMA counter drains,
@@ -830,6 +891,7 @@ impl Kernel {
         // data is copied into the socket buffer.
         if !bw.uio_path && bw.appended == bw.total {
             s.blocked_write = None;
+            self.claims.check_write_done(task, vaddr, len, now);
             Ok((WriteResult::Done { bytes: len }, self.take_effects(now)))
         } else {
             Ok((
@@ -913,9 +975,7 @@ impl Kernel {
                     self.uio_issue(c, fix);
                     if let Some(st) = self.uio.complete(c, fix) {
                         // A sub-word write drained entirely via the copy.
-                        let s = self.sock_mut(sock);
-                        s.blocked_write = None;
-                        self.wake(st.task, st.sock, charge);
+                        self.finish_write(st.task, st.sock, charge, now);
                         return;
                     }
                 }
@@ -946,6 +1006,7 @@ impl Kernel {
                 if let Some(c) = bw.counter {
                     self.uio_issue(c, chunk);
                 }
+                self.claims.claim_descriptor(&desc);
                 let m = Mbuf::uio(desc);
                 self.mbuf_stats.count(&m);
                 self.sock_mut(sock).so_snd.chain.append(m);
@@ -1080,6 +1141,7 @@ impl Kernel {
                 let flow = self.flow_id_rx(sock);
                 self.spans.span(flow, Stage::SysRecv, now, now, take as u64);
             }
+            self.claims.check_read_done(task, vaddr, take, now);
             Ok((ReadResult::Done { bytes: take }, self.take_effects(now)))
         }
     }
@@ -1112,8 +1174,10 @@ impl Kernel {
             let token = cab.issue(SdmaPurpose::RxToUser {
                 sock,
                 bytes: d.len,
-                copy_dst: (!aligned).then_some((task, user_dst)),
+                dst: (task, user_dst),
+                via_kernel: !aligned,
             });
+            k.claims.claim(ClaimHolder::CopyOut, task, user_dst, d.len);
             let req = SdmaRx {
                 packet: PacketId(d.packet.id()),
                 src_off: d.off,
@@ -1288,12 +1352,14 @@ impl Kernel {
             self.uio_issue(counter, len);
             let cost = self.vm.prepare(task, vaddr, len);
             self.cpu_dur(cost, Charge::Syscall);
-            chain.append(Mbuf::uio(UioDesc {
+            let desc = UioDesc {
                 region,
                 off: 0,
                 len,
                 counter: Some(counter),
-            }));
+            };
+            self.claims.claim_descriptor(&desc);
+            chain.append(Mbuf::uio(desc));
             Some(counter)
         } else {
             let cost = self.memsys.copy_cost(len, len.max(4096));
@@ -1321,18 +1387,27 @@ impl Kernel {
                 self.take_effects(now),
             ))
         } else {
+            self.claims.check_write_done(task, vaddr, len, now);
             Ok((WriteResult::Done { bytes: len }, self.take_effects(now)))
         }
     }
 
     /// Net/2's `tcp_drop`: end the connection with `err`. A synchronized
-    /// connection tells its peer with one RST. The send queue goes at once,
-    /// and with it its outboard buffers and a blocked write. A socket the
+    /// connection tells its peer with one RST when `tell_peer` (not when
+    /// the peer's own RST ended it). The send queue goes at once, and with
+    /// it its outboard buffers and a blocked write. A socket the
     /// application has closed (or never accepted) is torn down; any other
     /// stays, `Closed`, until the application closes it: its next `read`
     /// or `write` returns `err`, once, and a writer, reader or connector
     /// blocked on it is woken to make that call.
-    pub(crate) fn tcp_drop(&mut self, sock: SockId, err: StackError, mem: &mut HostMem, now: Time) {
+    pub(crate) fn tcp_drop(
+        &mut self,
+        sock: SockId,
+        err: StackError,
+        tell_peer: bool,
+        mem: &mut HostMem,
+        now: Time,
+    ) {
         let Some(s) = self.sockets.get_mut(sock) else {
             return;
         };
@@ -1341,16 +1416,22 @@ impl Kernel {
         };
         let state = std::mem::replace(&mut tcb.state, TcpState::Closed);
         tcb.delack_pending = false;
-        let rst = state
-            .is_synchronized()
-            .then_some((tcb.snd_nxt, tcb.rcv_nxt));
+        tcb.drop_reass();
+        let rst = (tell_peer && state.is_synchronized()).then_some((tcb.snd_nxt, tcb.rcv_nxt));
         let orphan = matches!(
             state,
-            TcpState::FinWait1 | TcpState::FinWait2 | TcpState::Closing | TcpState::LastAck
+            TcpState::FinWait1
+                | TcpState::FinWait2
+                | TcpState::Closing
+                | TcpState::LastAck
+                | TcpState::TimeWait
         ) || (state == TcpState::SynRcvd && s.listen_parent.is_some());
         s.so_error = Some(err);
         s.rcv_eof = true;
-        s.so_snd.chain = Chain::new();
+        // The receive queue stays: the application reads what arrived
+        // before the error.
+        self.claims
+            .release_descriptors(&std::mem::take(&mut s.so_snd.chain));
         let writer = s.blocked_write.take();
         let blocked = [
             writer.map(|w| w.task),
@@ -1358,8 +1439,12 @@ impl Kernel {
             s.connector.take(),
         ];
         let endpoints = s.local.zip(s.remote);
-        if let Some(c) = writer.and_then(|w| w.counter) {
-            self.uio.cancel(c);
+        if let Some(w) = writer {
+            let r = w.region;
+            self.claims.check_write_done(r.task, r.base, w.total, now);
+            if let Some(c) = w.counter {
+                self.uio.cancel(c);
+            }
         }
         if let (Some((seq, ack)), Some((local, remote))) = (rst, endpoints) {
             let flags = outboard_wire::TcpFlags::RST | outboard_wire::TcpFlags::ACK;
@@ -1380,6 +1465,7 @@ impl Kernel {
         let Some(s) = self.sockets.remove(sock) else {
             return;
         };
+        self.claims.release_descriptors(&s.so_snd.chain);
         // Any sockbuf-dwell or blocked-read spans die with the socket.
         if self.spans.on() {
             while self.spans.span_drop(sock.0 as u64, Stage::Sockbuf, now) {}

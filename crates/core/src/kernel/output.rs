@@ -3,6 +3,7 @@
 //! three drivers' output routines.
 
 use super::{Kernel, TxMeta};
+use crate::claims::ClaimHolder;
 use crate::driver::{CabIface, IfaceKind, MdmaJob, PendingTx, SdmaPurpose, TxFrame, TxSegment};
 use crate::ip;
 use crate::socket::Owner;
@@ -257,7 +258,7 @@ impl Kernel {
         // writer's counter — the copy has merely been delayed.
         let data = if !single_copy && data.has_uio() {
             let m = meta;
-            self.legacy_convert_uio(&m, data, mem)
+            self.legacy_convert_uio(&m, data, mem, now)
         } else {
             data
         };
@@ -332,7 +333,13 @@ impl Kernel {
     /// delayed"), the send queue's `M_UIO` range becomes regular data, and
     /// the write's UIO counter is credited — exactly what the `M_WCAB`
     /// conversion does on the CAB path, with a memory copy in place of DMA.
-    fn legacy_convert_uio(&mut self, meta: &TxMeta, data: Chain, mem: &HostMem) -> Chain {
+    fn legacy_convert_uio(
+        &mut self,
+        meta: &TxMeta,
+        data: Chain,
+        mem: &HostMem,
+        now: Time,
+    ) -> Chain {
         let uio_bytes: usize = data
             .iter()
             .filter_map(|m| match m.data() {
@@ -370,13 +377,15 @@ impl Kernel {
                 meta.seq_lo,
                 out.len(),
                 Charge::Syscall,
+                now,
                 |k, skip, len| {
                     Mbuf::kernel(Bytes::from(k.chain_bytes(&out.copy_range(skip, len), mem)))
                 },
             )
         });
         if !rewrote_queue {
-            self.credit_uio(&data, Charge::Syscall);
+            self.claims.release_descriptors(&data);
+            self.credit_uio(&data, Charge::Syscall, now);
         }
         out
     }
@@ -576,6 +585,11 @@ impl Kernel {
             // launch.
             let (uio_bytes, pinned) = Kernel::gather_payload(k, cab, mbufs, &mut frame.sg, mem);
             if let (true, Some(sock)) = (uio_bytes > 0, meta.sock) {
+                // The frame reads the pinned range in place until its
+                // copy-in completes or the driver abandons it.
+                if let Some((task, vaddr, len)) = pinned {
+                    k.claims.claim(ClaimHolder::Gather, task, vaddr, len);
+                }
                 frame.segment = Some(TxSegment {
                     sock,
                     seq_lo: meta.seq_lo,

@@ -11,6 +11,7 @@
 //! panics: a sick adaptor costs throughput, never the kernel.
 
 use super::Kernel;
+use crate::claims::ClaimHolder;
 use crate::driver::{CabIface, PendingTx, TxSegment};
 use crate::types::{Effect, IfaceId, SockId, TimerKind};
 use outboard_cab::{CabError, CabEvent, PacketId, SdmaDst, SdmaRx};
@@ -130,10 +131,12 @@ impl Kernel {
         });
     }
 
-    /// Release a transmit segment's pinned user pages (the completion that
-    /// would have released them will never run).
+    /// Release a transmit segment's pinned user pages and its frame's claim
+    /// on them (the completion that would have released them will never
+    /// run).
     fn release_segment_pins(&mut self, seg: &TxSegment) -> SockId {
         if let Some((task, vaddr, len)) = seg.pinned {
+            self.claims.release(ClaimHolder::Gather, task, vaddr, len);
             let cost = self.vm.release(task, vaddr, len);
             self.cpu_dur(cost, Charge::Interrupt);
         }
@@ -229,10 +232,11 @@ impl Kernel {
         self.rebuild_transmit(Vec::new(), &segments, mem, now);
     }
 
-    /// Release the pins of the abandoned transmissions' `segments`, then
-    /// rewind each connection they or `socks` name to its unacknowledged
-    /// left edge and push it back through the output path (now the
-    /// traditional one if degraded).
+    /// Release the pins of the abandoned transmissions' `segments` (which
+    /// finishes a write that waited only for them), then rewind each
+    /// connection they or `socks` name to its unacknowledged left edge and
+    /// push it back through the output path (now the traditional one if
+    /// degraded).
     fn rebuild_transmit(
         &mut self,
         mut socks: Vec<SockId>,
@@ -244,6 +248,7 @@ impl Kernel {
         socks.sort();
         socks.dedup();
         for sock in socks {
+            self.finish_write_if_done(sock, Charge::Interrupt, now);
             if let Some(tcb) = self.sockets.get_mut(sock).and_then(|s| s.tcb.as_mut()) {
                 tcb.rewind_for_rebuild();
             }

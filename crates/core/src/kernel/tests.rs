@@ -297,9 +297,49 @@ fn syn_to_closed_port_gets_rst() {
         .unwrap();
     rig.pump(fx);
     assert!(rig.k.stats.rst_sent > 0, "no RST for refused connection");
-    // The connecting socket collapsed back to Closed.
-    let s = rig.k.socket_ref(c);
-    assert!(s.is_none() || s.unwrap().tcb.as_ref().unwrap().state == crate::tcp::TcpState::Closed);
+    // The connecting socket collapsed back to Closed, and the woken
+    // connector learns why: `ECONNREFUSED`, once.
+    let s = rig.k.socket_ref(c).expect("kept until closed");
+    assert_eq!(s.tcb.as_ref().unwrap().state, TcpState::Closed);
+    assert_eq!(rig.wakes, [TaskId(1)]);
+    rig.mem.create_region(TaskId(1), 0x1000, 4096);
+    let mut write = || {
+        rig.k
+            .sys_write(c, TaskId(1), 0x1000, 100, &mut rig.mem, rig.now)
+            .map(|(r, _)| r)
+    };
+    assert_eq!(write(), Err(StackError::ConnRefused));
+    assert_eq!(write(), Err(StackError::NotConnected));
+}
+
+/// A peer's RST on an established connection wakes the blocked reader,
+/// whose next `read` returns `ECONNRESET` once and then EOF; the socket
+/// stays until the application closes it.
+#[test]
+fn a_peer_reset_wakes_the_reader_with_econnreset() {
+    let mut rig = Rig::loopback(StackConfig::single_copy());
+    let (c, child) = established_loopback_pair(&mut rig);
+    rig.mem.create_region(TaskId(2), 0x1000, 4096);
+    let read = |rig: &mut Rig| {
+        rig.k
+            .sys_read(child, TaskId(2), 0x1000, 100, &mut rig.mem, rig.now)
+            .map(|(r, _)| r)
+    };
+    assert_eq!(read(&mut rig), Ok(ReadResult::WouldBlock));
+    // The other end is dropped: its RST reaches the reader.
+    rig.wakes.clear();
+    rig.k
+        .tcp_drop(c, StackError::TimedOut, true, &mut rig.mem, rig.now);
+    let fx = rig.k.take_effects(rig.now);
+    rig.pump(fx);
+    assert_eq!(rig.wakes, [TaskId(2)], "the reader is woken once");
+    assert_eq!(read(&mut rig), Err(StackError::ConnReset));
+    assert_eq!(read(&mut rig), Ok(ReadResult::Eof));
+    let s = rig.k.socket_ref(child).expect("kept until closed");
+    assert_eq!(s.tcb.as_ref().unwrap().state, TcpState::Closed);
+    let fx = rig.k.sys_close(child, &mut rig.mem, rig.now);
+    rig.pump(fx);
+    assert!(rig.k.socket_ref(child).is_none());
 }
 
 #[test]
@@ -1086,7 +1126,8 @@ fn every_drop_site_releases_its_outboard_packets() {
         ("abort with out-of-order data", |rig, cab, _c, child, r0| {
             deliver_outboard(rig, cab, child, r0 + 1000, 2000, TcpFlags::ACK);
             deliver_outboard(rig, cab, child, r0, 0, TcpFlags::RST);
-            assert!(rig.k.socket_ref(child).is_none(), "the RST tears down");
+            let s = rig.k.socket_ref(child).expect("kept for its ECONNRESET");
+            assert_eq!(s.tcb.as_ref().unwrap().state, TcpState::Closed);
         }),
         (
             "copy-in over a converted range",
@@ -1128,4 +1169,121 @@ fn every_drop_site_releases_its_outboard_packets() {
         assert!(allocs > 0, "{name}: no outboard packet");
         assert_eq!(pages_used(&rig, cab), 0, "{name}: pages left in use");
     }
+}
+
+// ----------------------------------------------------------------------
+// copy semantics: the user-memory journal catches planted bugs
+// ----------------------------------------------------------------------
+
+const WRITER: TaskId = TaskId(1);
+const WRITE_BUF: u64 = 0x10_0000;
+
+/// A blocked single-copy write of three full segments on a connection
+/// re-pointed at a CAB (its frames go nowhere): the congestion window lets
+/// two out, whose copy-ins complete, and the third stays queued as an
+/// `M_UIO` descriptor. Returns the socket, the CAB, the mss, and the first
+/// segment's descriptor as it was queued.
+fn write_two_of_three_segments(rig: &mut Rig) -> (SockId, IfaceId, usize, Chain) {
+    let (c, _child) = established_loopback_pair(rig);
+    let cab = rig.add_cab();
+    rig.k.routes.clear();
+    rig.k.add_route(LO, 32, cab);
+    rig.k.add_arp_hippi(cab, LO, 2);
+    let s = rig.k.sockets.get_mut(c).unwrap();
+    s.iface_hint = Some(cab);
+    let mss = s.tcb.as_ref().unwrap().mss;
+    assert_eq!(s.tcb.as_ref().unwrap().cwnd, 2 * mss);
+    rig.mem.create_region(WRITER, WRITE_BUF, 3 * mss);
+    let (r, fx) = rig
+        .k
+        .sys_write(c, WRITER, WRITE_BUF, 3 * mss, &mut rig.mem, rig.now)
+        .unwrap();
+    assert!(matches!(r, WriteResult::Blocked { .. }), "{r:?}");
+    let first = rig.k.socket_ref(c).unwrap().so_snd.chain.copy_range(0, mss);
+    assert!(first.has_uio());
+    let tokens = copy_in_tokens(&fx);
+    assert_eq!(tokens.len(), 2, "two segments in the window");
+    for token in tokens {
+        let fx = rig
+            .k
+            .sdma_done(cab, token, true, None, &mut rig.mem, rig.now);
+        assert!(!fx.iter().any(|e| matches!(e, Effect::Wake { .. })));
+    }
+    (c, cab, mss, first)
+}
+
+/// The copy-in completions among `fx`.
+fn copy_in_tokens(fx: &[Effect]) -> Vec<u64> {
+    fx.iter()
+        .filter_map(|e| match e {
+            Effect::Cab {
+                event: outboard_cab::CabEvent::SdmaDone { token, .. },
+                ..
+            } => Some(*token),
+            _ => None,
+        })
+        .collect()
+}
+
+fn violation_kinds(rig: &Rig) -> Vec<(crate::UserViolationKind, crate::ClaimHolder)> {
+    let vs = rig.k.user_violations();
+    vs.iter().map(|v| (v.kind, v.holder)).collect()
+}
+
+/// The stack as it is: the third segment goes out once the window opens,
+/// and its copy-in completing wakes the writer with nothing claimed.
+#[test]
+fn a_write_completes_after_its_last_copy_in() {
+    let mut rig = Rig::loopback(StackConfig::single_copy());
+    let (c, cab, mss, _) = write_two_of_three_segments(&mut rig);
+    // The peer opens its window.
+    let tcb = rig.k.sockets.get_mut(c).unwrap().tcb.as_mut().unwrap();
+    (tcb.cwnd, tcb.snd_wnd) = (16 * mss, 16 * mss);
+    rig.k.tcp_send(c, &mut rig.mem, rig.now, false);
+    let fx = rig.k.take_effects(rig.now);
+    let [token] = copy_in_tokens(&fx)[..] else {
+        panic!("one more copy-in: {fx:?}");
+    };
+    let fx = rig
+        .k
+        .sdma_done(cab, token, true, None, &mut rig.mem, rig.now);
+    assert!(fx.iter().any(|e| matches!(e, Effect::Wake { .. })));
+    rig.k.note_user_write(WRITER, WRITE_BUF, 3 * mss, rig.now);
+    assert_eq!(violation_kinds(&rig), []);
+}
+
+/// Planted: the writer is woken one copy-in completion early, at the
+/// second of three, and the woken application reuses its buffer. The
+/// third segment's descriptor still claims its bytes: an early wake, then
+/// a user write while they wait for their DMA.
+#[test]
+fn a_wake_one_completion_early_is_caught() {
+    let mut rig = Rig::loopback(StackConfig::single_copy());
+    let (c, _cab, mss, _) = write_two_of_three_segments(&mut rig);
+    rig.k.finish_write(WRITER, c, Charge::Interrupt, rig.now);
+    rig.k.note_user_write(WRITER, WRITE_BUF, 3 * mss, rig.now);
+    use crate::{ClaimHolder::Queued, UserViolationKind::*};
+    assert_eq!(
+        violation_kinds(&rig),
+        [(EarlyWake, Queued), (UserWriteWhileDma, Queued)]
+    );
+}
+
+/// Planted: one descriptor's bytes are credited twice, which drains the
+/// write's UIO counter while the third segment is still queued. The claims
+/// do not follow the counter, so the wake it causes is an early wake.
+#[test]
+fn a_descriptor_credited_twice_is_caught() {
+    let mut rig = Rig::loopback(StackConfig::single_copy());
+    let (_c, _cab, _mss, first) = write_two_of_three_segments(&mut rig);
+    let fx_before = rig.k.fx.len();
+    rig.k.credit_uio(&first, Charge::Interrupt, rig.now);
+    assert!(
+        rig.k.fx[fx_before..]
+            .iter()
+            .any(|e| matches!(e, Effect::Wake { task: WRITER, .. })),
+        "the counter drained early and woke the writer"
+    );
+    use crate::{ClaimHolder::Queued, UserViolationKind::EarlyWake};
+    assert_eq!(violation_kinds(&rig), [(EarlyWake, Queued)]);
 }

@@ -41,6 +41,7 @@
 #![cfg_attr(not(test), deny(clippy::float_arithmetic))]
 #![cfg_attr(not(test), deny(clippy::too_many_lines))]
 
+mod claims;
 pub mod driver;
 mod ip;
 pub mod kernel;
@@ -51,6 +52,7 @@ mod tcp;
 mod types;
 mod udp;
 
+pub use claims::{ClaimHolder, UserViolation, UserViolationKind};
 pub use kernel::{Kernel, CAB_PROBE_INTERVAL, TIME_WAIT};
 pub use tcp::{MAX_BACKOFF, RTO_INITIAL, RTO_MAX};
 pub use types::{

@@ -110,8 +110,12 @@ pub struct InputResult {
     /// Handshake completed on this segment (wake a blocked connector, or
     /// make the accepting socket ready).
     pub connected: bool,
-    /// Connection reached `Closed` (reset or final ACK).
+    /// Connection reached `Closed` (the final ACK of our FIN).
     pub closed: bool,
+    /// The peer reset the connection (an accepted RST). The state is left
+    /// as it was: the kernel drops the connection, as Net/2's `tcp_input`
+    /// does (`ECONNREFUSED` from `SYN_SENT`, `ECONNRESET` after).
+    pub reset: bool,
     /// Connection entered `TimeWait` on this segment: arm the expiry.
     pub time_wait: bool,
     /// Emit an immediate RST with these (seq, ack, flags).
@@ -239,6 +243,12 @@ impl Tcb {
     /// delivered to the application later with no checksum left to object.
     pub(crate) fn reass_keys(&self) -> Vec<u32> {
         self.reass.keys().copied().collect()
+    }
+
+    /// Free the out-of-order reassembly queue, and the outboard buffers it
+    /// holds, with the connection (Net/2's `tcp_close`).
+    pub(crate) fn drop_reass(&mut self) {
+        self.reass.clear();
     }
 
     /// The reassembly chain queued at sequence `seq`, if any.
@@ -672,10 +682,7 @@ impl Tcb {
                     return r;
                 }
                 if hdr.flags.rst() {
-                    if hdr.flags.ack() {
-                        self.state = TcpState::Closed;
-                        r.closed = true;
-                    }
+                    r.reset = hdr.flags.ack();
                     return r;
                 }
                 if hdr.flags.syn() {
@@ -753,8 +760,7 @@ impl Tcb {
         }
 
         if hdr.flags.rst() {
-            self.state = TcpState::Closed;
-            r.closed = true;
+            r.reset = true;
             return r;
         }
 

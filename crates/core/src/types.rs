@@ -211,6 +211,11 @@ pub enum StackError {
     /// The connection was dropped after [`crate::MAX_BACKOFF`] + 1
     /// consecutive retransmission timeouts (Net/2 `ETIMEDOUT`).
     TimedOut,
+    /// The peer reset the connection (`ECONNRESET`).
+    ConnReset,
+    /// The peer answered the connection request with a reset
+    /// (`ECONNREFUSED`).
+    ConnRefused,
 }
 
 impl std::fmt::Display for StackError {

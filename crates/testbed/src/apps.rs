@@ -38,6 +38,11 @@ pub struct TtcpSender {
     pub bytes_written: usize,
     /// write(2) calls completed.
     pub writes: u64,
+    /// The pattern the buffer holds: its phase (stream offset mod 256) and
+    /// how many bytes of it. Nothing but the sender writes the buffer, and
+    /// copy semantics (checked in debug builds) keep the stack off it once
+    /// a write returns, so what it holds stays valid.
+    filled: (usize, usize),
 }
 
 /// The byte every ttcp transfer places at stream offset `i`: a
@@ -100,6 +105,7 @@ impl TtcpSender {
             state: TxState::Start,
             bytes_written: 0,
             writes: 0,
+            filled: (0, 0),
         }
     }
 
@@ -160,12 +166,18 @@ impl TtcpSender {
         }
         ctx.user_cpu(TTCP_LOOP);
         let len = self.write_size.min(self.total_bytes - self.bytes_written);
-        // ttcp reuses one buffer: refill it with this write's stream bytes.
-        let buf = ctx
-            .mem
-            .user_slice_mut(self.task, self.buf_vaddr, len)
-            .expect("sender buffer");
-        ttcp_fill(buf, self.bytes_written);
+        // ttcp fills its one buffer once, as its `pattern()` does. The
+        // pattern repeats every 256 bytes, so the buffer is rewritten only
+        // when this write starts at another phase or needs more of it:
+        // never when the write size is a multiple of 256.
+        let phase = self.bytes_written & 255;
+        if self.filled.0 != phase || self.filled.1 < len {
+            let buf = ctx
+                .user_slice_mut(self.buf_vaddr, len)
+                .expect("sender buffer");
+            ttcp_fill(buf, phase);
+            self.filled = (phase, len);
+        }
         let r = ctx.kernel.sys_write(
             self.sock.unwrap(),
             self.task,
@@ -492,9 +504,9 @@ impl FileClient {
         req[..2].copy_from_slice(b"RD");
         req[2..6].copy_from_slice(&self.next_block.to_be_bytes());
         req[6..8].copy_from_slice(&(self.count as u16).to_be_bytes());
-        ctx.mem
-            .write_user(self.task, self.buf_vaddr, &req)
-            .expect("client buffer");
+        ctx.user_slice_mut(self.buf_vaddr, req.len())
+            .expect("client buffer")
+            .copy_from_slice(&req);
         let (_, fx) = ctx.kernel.sys_write(
             self.sock.unwrap(),
             self.task,

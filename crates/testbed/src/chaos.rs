@@ -110,6 +110,7 @@ pub fn run_chaos(cfg: &ExperimentConfig, schedule: &ChaosSchedule) -> ChaosOutco
     violations.extend(oracle::integrity_violations(&w, cfg.total_bytes));
     violations.extend(oracle::conservation_violations(&stats, w.hosts.len()));
     violations.extend(oracle::endstate_violations(&w));
+    violations.extend(oracle::copy_violations(&w));
 
     let flight_json = if violations.is_empty() {
         None

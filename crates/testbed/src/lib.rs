@@ -29,4 +29,4 @@ mod world;
 pub use chaos::{run_chaos, shrink_failure};
 pub use experiment::{raw_hippi_throughput, run_ttcp, ExperimentConfig, Metrics};
 pub use run::{RunError, RunOutcome};
-pub use world::{SysCtx, World};
+pub use world::{App, Step, SysCtx, World};

@@ -15,9 +15,12 @@
 //!   probes have run, no interface may still be degraded, wedged, or carrying
 //!   an unbalanced degraded-entry/exit ledger (livelock/leak detector), and
 //!   once the transfer has completed no CAB may hold a network-memory page.
+//! * **Copy semantics** — no application wrote a buffer the stack or an
+//!   engine still claimed, and no `write` or `read` completed early (the
+//!   user-memory journal, recording in debug builds only).
 //!
 //! Violation strings are prefixed with a stable category token
-//! (`integrity:`, `conservation:`, `endstate:`, `liveness:`) so the shrinker
+//! (`integrity:`, `conservation:`, `endstate:`, `copy:`, `liveness:`) so the shrinker
 //! can check that a shrunk schedule reproduces the *same kind* of failure.
 
 use crate::apps::{TtcpReceiver, TtcpSender};
@@ -137,6 +140,19 @@ pub(crate) fn integrity_violations(w: &World, total_bytes: usize) -> Vec<String>
         _ => {}
     }
     v
+}
+
+/// Copy-semantics violations the hosts' user-memory journals recorded
+/// (always empty in a release build, which records none).
+pub fn copy_violations(w: &World) -> Vec<String> {
+    w.hosts
+        .iter()
+        .enumerate()
+        .flat_map(|(h, host)| {
+            let vs = host.kernel.user_violations();
+            vs.iter().map(move |v| format!("copy: host{h} {v}"))
+        })
+        .collect()
 }
 
 /// Healed end-state checks: with every scheduled fault healed and probe

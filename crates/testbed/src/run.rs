@@ -198,4 +198,55 @@ mod tests {
             assert_eq!(want.to_string(), line, "{name}");
         }
     }
+
+    /// A peer's RST wakes the reader blocked on the connection, whose next
+    /// `read` fails with `ECONNRESET`, as in Net/2. A 4 MB transfer loses
+    /// its ACK path after 256 KB: the sender gives up with `ETIMEDOUT`
+    /// after its 13th timeout, and the one RST that drop sends reaches the
+    /// receiver, blocked in `read` with everything read.
+    #[test]
+    fn a_peer_reset_ends_the_blocked_reader_with_econnreset() {
+        use crate::experiment::build_ttcp_world;
+        use outboard_sim::Chance;
+        use outboard_stack::IfaceId;
+        let mut cfg = mb(0.0);
+        cfg.total_bytes = 4 * 1024 * 1024;
+        let mut w = build_ttcp_world(&cfg);
+        let read = |w: &World| {
+            let rx = w.hosts[1].apps[0].as_ref().expect("receiver app");
+            let rx = rx.as_any().downcast_ref::<TtcpReceiver>();
+            rx.expect("receiver").bytes_read
+        };
+        let cut = w.run_while(Time::ZERO + Dur::secs(10), |w| read(w) < 256 * 1024);
+        assert!(cut, "256 KB arrive");
+        let ack_path = w.links.get_mut(&(1, IfaceId(0))).expect("ACK path");
+        ack_path.faults.drop_p = Chance::new(1.0);
+        let sender = w.run_apps();
+        assert!(
+            matches!(
+                sender,
+                Ok(RunOutcome::GaveUp {
+                    host: 0,
+                    error: StackError::TimedOut,
+                    ..
+                })
+            ),
+            "{sender:?}"
+        );
+        // Run on past the sender's give-up.
+        w.gave_up = None;
+        let receiver = w.run_apps();
+        assert!(
+            matches!(
+                receiver,
+                Ok(RunOutcome::GaveUp {
+                    host: 1,
+                    error: StackError::ConnReset,
+                    ..
+                })
+            ),
+            "{receiver:?}"
+        );
+        assert_eq!(w.hosts[0].kernel.stats.rst_sent, 1);
+    }
 }

@@ -9,7 +9,7 @@
 use crate::timers::TimerTable;
 use bytes::Bytes;
 use outboard_cab::{CabEvent, PacketId};
-use outboard_host::{Charge, Cpu, HostMem, MachineConfig, TaskId};
+use outboard_host::{Charge, Cpu, HostMem, MachineConfig, MemFault, TaskId, UserMemory};
 use outboard_netsim::{Capture, Framing, Link};
 use outboard_sim::chaos::{ChaosAction, ChaosSchedule};
 use outboard_sim::span::{self, CriticalPath, Span, SpanSink, Stage};
@@ -99,6 +99,15 @@ impl SysCtx<'_> {
     /// Account app-level (user mode) CPU, e.g. the ttcp loop body.
     pub(crate) fn user_cpu(&mut self, dur: Dur) {
         self.user += dur;
+    }
+
+    /// The application's own write access to `[vaddr, vaddr + len)` of its
+    /// memory. Copy semantics are checked here in debug builds: a range the
+    /// stack or an engine still claims is recorded as a `UserWriteWhileDma`
+    /// ([`Kernel::user_violations`]). The access itself goes ahead.
+    pub fn user_slice_mut(&mut self, vaddr: u64, len: usize) -> Result<&mut [u8], MemFault> {
+        self.kernel.note_user_write(self.task, vaddr, len, self.now);
+        self.mem.user_slice_mut(self.task, vaddr, len)
     }
 
     /// Collect effects returned by a kernel call for the harness to apply;

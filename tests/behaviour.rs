@@ -13,7 +13,9 @@
 //! use on each CAB (`-` for chaos runs, whose world the runner keeps).
 //!
 //! The file is a change detector, not an oracle: it records what the
-//! simulator does, leaks and stalls included. After an *intended* change of
+//! simulator does, leaks and stalls included. One oracle check rides along:
+//! no run may break copy semantics (`oracle::copy_violations`, recorded in
+//! debug builds only). After an *intended* change of
 //! simulated behaviour, rewrite it with
 //! `cargo test --test behaviour -- --ignored regenerate_behaviour_ledger`,
 //! list every moved line in CHANGES.md and commit `tests/golden/`. Debug and
@@ -26,6 +28,7 @@ use outboard::stack::{SockAddr, SockId, StackConfig};
 use outboard::testbed::apps::{TtcpReceiver, TtcpSender};
 use outboard::testbed::chaos::run_chaos;
 use outboard::testbed::experiment::{build_ttcp_world, run_ttcp_in, RECEIVER_IP, SENDER_IP};
+use outboard::testbed::oracle::copy_violations;
 use outboard::testbed::{ExperimentConfig, RunError, RunOutcome, World};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -213,6 +216,12 @@ fn many_flows_world(cfg: &ExperimentConfig) -> World {
     w
 }
 
+/// No application wrote a buffer the stack still claimed, and no `write` or
+/// `read` completed early, over the whole run and its settle.
+fn assert_copy_semantics(name: &str, violations: &[String]) {
+    assert!(violations.is_empty(), "{name}: {violations:#?}");
+}
+
 /// The outcome column: the `RunOutcome`'s name, or `runaway`.
 fn outcome_name(outcome: Result<RunOutcome, RunError>) -> &'static str {
     outcome.map_or("runaway", |o| o.name())
@@ -233,6 +242,7 @@ fn line(name: &str, run: &Run) -> String {
                 path.as_deref().unwrap_or(""),
             ];
             let tail = settled(&mut w);
+            assert_copy_semantics(name, &copy_violations(&w));
             format!(
                 "{name}\t{}\t{}\t{}\t{}\t{:016x}\t{tail}",
                 outcome_name(m.outcome),
@@ -256,6 +266,7 @@ fn line(name: &str, run: &Run) -> String {
             let stats = w.metrics(elapsed).to_json();
             let events = w.events_dispatched;
             let tail = settled(&mut w);
+            assert_copy_semantics(name, &copy_violations(&w));
             format!(
                 "{name}\t{}\t{}\t{bytes}\t{events}\t{:016x}\t{tail}",
                 outcome_name(outcome),
@@ -271,6 +282,13 @@ fn line(name: &str, run: &Run) -> String {
             cfg.timeline_export = false;
             let schedule = ChaosSchedule::generate(*seed, 6, 2);
             let o = run_chaos(&cfg, &schedule);
+            let copy: Vec<String> = o
+                .violations
+                .iter()
+                .filter(|v| v.starts_with("copy:"))
+                .cloned()
+                .collect();
+            assert_copy_semantics(name, &copy);
             let stats = o.stats.to_json();
             let chaos = format!("{:?}", o.chaos);
             let mut parts = vec![stats.as_str(), chaos.as_str()];

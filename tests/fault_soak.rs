@@ -17,7 +17,7 @@ use outboard::stack::{SockId, StackConfig, TIME_WAIT};
 use outboard::testbed::apps::TtcpReceiver;
 use outboard::testbed::experiment::{build_ttcp_world, run_ttcp_in};
 use outboard::testbed::oracle;
-use outboard::testbed::{run_ttcp, ExperimentConfig, Metrics, RunOutcome, World};
+use outboard::testbed::{ExperimentConfig, Metrics, RunOutcome, World};
 
 fn base_cfg(total: usize, seed: u64) -> ExperimentConfig {
     let mut stack = StackConfig::single_copy();
@@ -54,12 +54,28 @@ fn assert_conserved_under_faults(m: &Metrics, total: usize) {
     );
 }
 
+/// Copy semantics held over the run: no application wrote a buffer the
+/// stack still claimed, no `write` or `read` completed early (recorded in
+/// debug builds only).
+fn assert_copy_semantics(w: &World, what: &str) {
+    let v = oracle::copy_violations(w);
+    assert!(v.is_empty(), "{what}: {v:#?}");
+}
+
+/// `run_ttcp`, with copy semantics checked on the world it ran.
+fn run_checked(cfg: &ExperimentConfig) -> Metrics {
+    let mut w = build_ttcp_world(cfg);
+    let m = run_ttcp_in(&mut w, cfg);
+    assert_copy_semantics(&w, &format!("seed {}", cfg.seed));
+    m
+}
+
 #[test]
 fn fault_matrix_soak_survives_and_verifies() {
     const TOTAL: usize = 4 * 1024 * 1024;
     let cfg = soak_cfg(TOTAL, 1995);
 
-    let m = run_ttcp(&cfg);
+    let m = run_checked(&cfg);
     assert_conserved_under_faults(&m, TOTAL);
 
     // The matrix actually fired: every configured fate occurred, and the
@@ -84,7 +100,7 @@ fn fault_matrix_soak_survives_and_verifies() {
     assert!(m.retransmits > 0, "link loss should force retransmissions");
 
     // Determinism: an identically-seeded soak reproduces byte-identically.
-    let m2 = run_ttcp(&cfg);
+    let m2 = run_checked(&cfg);
     assert_eq!(
         m.stats.report(),
         m2.stats.report(),
@@ -94,7 +110,7 @@ fn fault_matrix_soak_survives_and_verifies() {
     // And a different seed draws a different fault history.
     let mut other = cfg.clone();
     other.seed = 2025;
-    let m3 = run_ttcp(&other);
+    let m3 = run_checked(&other);
     assert_conserved_under_faults(&m3, TOTAL);
     assert_ne!(
         m.stats.report(),
@@ -300,6 +316,7 @@ fn run_settled_without_leaks(mut w: World, total: usize, what: &str) {
     }
     let endstate = oracle::endstate_violations(&w);
     assert!(endstate.is_empty(), "{what}: {endstate:?}");
+    assert_copy_semantics(&w, what);
 }
 
 /// Every arm of the CAB transmit path — first launch, header-only
@@ -364,6 +381,7 @@ fn no_fault_kind_leaks_network_memory() {
                 assert_eq!(outcome, Ok(RunOutcome::Completed), "{kind} seed {seed}");
                 let settled = w.now() + Dur::secs(5);
                 w.run_until(settled);
+                assert_copy_semantics(&w, &format!("{kind} seed {seed}"));
                 let live = [0, 1].map(|h| {
                     let ci = w.hosts[h].kernel.ifaces[0].cab_ref().expect("CAB");
                     ci.cab.netmem().packet_count()
@@ -392,6 +410,7 @@ fn slow_lossy_seeds_complete_in_one_run() {
         assert_eq!(m.outcome, Ok(RunOutcome::Completed), "seed {seed}");
         assert_eq!(w.now(), Time(end), "seed {seed}");
         assert!(m.completed, "seed {seed}");
+        assert_copy_semantics(&w, &format!("seed {seed}"));
     }
 }
 
@@ -412,6 +431,7 @@ fn wedge_runs_finish_in_one_run_on() {
         assert_eq!(outcome, Ok(RunOutcome::Completed), "seed {seed}");
         assert_eq!(w.now(), Time(end), "seed {seed}");
         assert_eq!(receiver_bytes(&w), cfg.total_bytes, "seed {seed}");
+        assert_copy_semantics(&w, &format!("wedge seed {seed}"));
     }
 }
 
