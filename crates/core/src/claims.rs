@@ -138,8 +138,9 @@ impl UserClaims {
         self.claim(ClaimHolder::Queued, d.region.task, d.vaddr(), d.len);
     }
 
-    /// End one `Gather` or `CopyOut` claim recorded with exactly these
-    /// bounds. Two frames gathering one range hold one claim each.
+    /// End one claim recorded with exactly these bounds: a `Gather`, a
+    /// `CopyOut`, or a datagram's whole `Queued` descriptor. Two frames
+    /// gathering one range hold one claim each.
     pub(crate) fn release(&mut self, holder: ClaimHolder, task: TaskId, vaddr: u64, len: usize) {
         if !ARMED || len == 0 {
             return;

@@ -1019,7 +1019,8 @@ impl Kernel {
     /// send queue becomes an `M_WCAB` descriptor (retransmittable without
     /// host memory) holding `packet`, and the write's UIO counter is
     /// credited. A range no longer queued (acknowledged, or the socket
-    /// gone) leaves the packet to be released with its handle.
+    /// gone) leaves the packet to be released with its handle. A datagram
+    /// has no send queue: its write is credited directly.
     fn convert_uio_to_wcab(
         &mut self,
         seg: TxSegment,
@@ -1027,6 +1028,10 @@ impl Kernel {
         packet: PacketRef,
         now: Time,
     ) {
+        if self.sockets.get(seg.sock).is_some_and(|s| s.tcb.is_none()) {
+            self.datagram_copied(seg.sock, now);
+            return;
+        }
         let converted = self.replace_snd_range(
             seg.sock,
             seg.seq_lo,
@@ -1045,6 +1050,24 @@ impl Kernel {
         );
         if converted {
             self.stats.uio_to_wcab += 1;
+        }
+    }
+
+    /// A single-copy datagram's copy-in completed: the one `M_UIO`
+    /// descriptor `udp_write` queued is consumed, so its claim ends and
+    /// its write's counter is credited, which wakes the writer.
+    fn datagram_copied(&mut self, sock: SockId, now: Time) {
+        let Some(bw) = self.sockets.get(sock).and_then(|s| s.blocked_write) else {
+            return;
+        };
+        let Some(counter) = bw.counter else {
+            return;
+        };
+        let r = bw.region;
+        self.claims
+            .release(ClaimHolder::Queued, r.task, r.base, bw.total);
+        if let Some(done) = self.uio.complete(counter, bw.total) {
+            self.finish_write(done.task, done.sock, Charge::Interrupt, now);
         }
     }
 

@@ -1328,6 +1328,9 @@ impl Kernel {
     ) -> Result<(WriteResult, Vec<Effect>), StackError> {
         let (local, remote, iface_hint) = {
             let s = self.sockets.get(sock).ok_or(StackError::BadSocket)?;
+            if s.blocked_write.is_some() {
+                return Err(StackError::InvalidState("write already in progress"));
+            }
             match (s.local, s.remote) {
                 (Some(l), Some(r)) => (l, r, s.iface_hint),
                 _ => return Err(StackError::NotConnected),

@@ -2,8 +2,10 @@
 //!
 //! Every frame that crosses the simulated fabric used to allocate a fresh
 //! `Vec<u8>` (netsim wire frames, CAB packet buffers, mbuf clusters). A
-//! [`BufPool`] recycles that storage from a power-of-two size-class
-//! freelist (or the allocator on a miss).
+//! [`BufPool`] recycles that storage from a size-class freelist (or the
+//! allocator on a miss). The classes are four to an octave from 1 KiB to
+//! 1 MiB (1, 1.25, 1.5, 1.75, 2 KiB, ...), so a buffer rounds up by at most
+//! a quarter of what it holds: a 4 176-byte frame takes 5 KiB.
 //!
 //! Pooled storage is owned, never promised back. Model code fills it
 //! through a [`PooledBuf`], which returns the storage when it drops or
@@ -31,6 +33,11 @@ const MIN_CLASS: u32 = 10; // 1 KiB
 /// Largest pooled size class, bytes (log2). Larger requests fall through to
 /// the allocator and are dropped on release.
 const MAX_CLASS: u32 = 20; // 1 MiB
+/// Size classes per octave (log2): the class sizes of octave `2^k` are
+/// `2^k * (4 + i) / 4` for `i` in `0..4`.
+const STEPS_LOG: u32 = 2;
+/// Size classes, `1 KiB ..= 1 MiB`: four per octave and the 1 MiB class.
+const CLASSES: usize = (((MAX_CLASS - MIN_CLASS) << STEPS_LOG) + 1) as usize;
 /// Retained buffers per size class; beyond this, released storage is freed
 /// (`discards`) so a burst can't pin memory forever.
 const CLASS_DEPTH: usize = 64;
@@ -90,9 +97,9 @@ pub struct PoolStats {
 }
 
 struct PoolInner {
-    /// One freelist per power-of-two class in `MIN_CLASS..=MAX_CLASS`,
-    /// inline, so a device's own pool costs one allocation.
-    classes: [Vec<Vec<u8>>; (MAX_CLASS - MIN_CLASS + 1) as usize],
+    /// One freelist per size class, inline, so a device's own pool costs
+    /// one allocation.
+    classes: [Vec<Vec<u8>>; CLASSES],
     outstanding: u64,
     stats: PoolStats,
 }
@@ -119,14 +126,26 @@ impl Default for BufPool {
     }
 }
 
+/// The smallest class that holds `len` bytes, or `None` above 1 MiB.
 fn class_of(len: usize) -> Option<usize> {
-    let want = len.max(1).next_power_of_two().max(1 << MIN_CLASS);
-    let log = want.trailing_zeros();
-    if log > MAX_CLASS {
-        None
-    } else {
-        Some((log - MIN_CLASS) as usize)
-    }
+    let steps = 1 << STEPS_LOG;
+    // With `m = len - 1` in `[2^lg, 2^(lg+1))` and `s = 2^(lg - STEPS_LOG)`,
+    // `q = m / s` is in `steps..2 * steps` and `q * s <= m < (q + 1) * s`,
+    // so the smallest class holding `len` is `(q + 1) * s`. Counting
+    // `steps` classes per octave, the 1 KiB class (`q + 1 = 2 * steps` at
+    // `lg = MIN_CLASS - 1`) is number 0.
+    let m = len.max(1 << MIN_CLASS) - 1;
+    let lg = m.ilog2();
+    let q = m >> (lg - STEPS_LOG);
+    let class = (lg + 1 - MIN_CLASS) as usize * steps + q + 1 - 2 * steps;
+    (class < CLASSES).then_some(class)
+}
+
+/// The capacity of class `class`'s buffers.
+fn class_size(class: usize) -> usize {
+    let steps = 1 << STEPS_LOG;
+    let octave = MIN_CLASS - STEPS_LOG + (class >> STEPS_LOG) as u32;
+    (steps + class % steps) << octave
 }
 
 impl PoolInner {
@@ -143,7 +162,7 @@ impl PoolInner {
             None => {
                 self.stats.misses += 1;
                 // Allocate the whole class so the capacity recycles.
-                Vec::with_capacity(class.map_or(cap, |c| 1usize << (c as u32 + MIN_CLASS)))
+                Vec::with_capacity(class.map_or(cap, class_size))
             }
         };
         self.stats.acquires += 1;
@@ -155,8 +174,10 @@ impl PoolInner {
     fn release(&mut self, buf: Vec<u8>) {
         self.stats.releases += 1;
         self.outstanding -= 1;
+        // Only storage of exactly a class's size recycles, into that class:
+        // anything else (grown past its class, or oversized) is freed.
         match class_of(buf.capacity()) {
-            Some(c) if self.classes[c].len() < CLASS_DEPTH && buf.capacity().is_power_of_two() => {
+            Some(c) if class_size(c) == buf.capacity() && self.classes[c].len() < CLASS_DEPTH => {
                 self.classes[c].push(buf)
             }
             _ => self.stats.discards += 1,
@@ -179,7 +200,7 @@ impl BufPool {
     pub fn new() -> BufPool {
         BufPool {
             inner: Rc::new(Shared(RefCell::new(PoolInner {
-                classes: Default::default(),
+                classes: std::array::from_fn(|_| Vec::new()),
                 outstanding: 0,
                 stats: PoolStats::default(),
             }))),
@@ -463,6 +484,51 @@ mod tests {
         assert_eq!(pool.stats().releases, 1, "frozen storage is still out");
         drop(frozen);
         assert!(pool.balanced());
+    }
+
+    #[test]
+    fn classes_round_up_by_at_most_a_quarter() {
+        for n in 1..=1 << MAX_CLASS {
+            let Some(c) = class_of(n) else {
+                panic!("{n} bytes have no class");
+            };
+            let size = class_size(c);
+            assert!(size >= n, "{n} bytes in a {size}-byte class");
+            assert!(
+                4 * size <= 5 * n || size == 1 << MIN_CLASS,
+                "{n} bytes in a {size}-byte class"
+            );
+            if c > 0 {
+                assert!(class_size(c - 1) < n, "{n} bytes fit class {}", c - 1);
+            }
+        }
+        assert_eq!(class_of((1 << MAX_CLASS) + 1), None);
+        assert_eq!(class_size(CLASSES - 1), 1 << MAX_CLASS);
+        for c in 0..CLASSES {
+            assert_eq!(class_of(class_size(c)), Some(c));
+        }
+    }
+
+    #[test]
+    fn storage_of_a_foreign_capacity_is_discarded() {
+        // A 4 176-byte frame takes the 5 KiB class; storage whose capacity
+        // is no class size (here it grew past its class) is not recycled.
+        let p = BufPool::new();
+        let frame = PooledBuf::zeroed(&p, 4176);
+        assert_eq!(frame.capacity(), 5 * 1024);
+        drop(frame);
+        let mut grown = PooledBuf::zeroed(&p, 4176);
+        let room = 5 * 1024 + 1 - grown.len();
+        grown.reserve_exact(room);
+        assert_eq!(class_of(grown.capacity()).map(class_size), Some(6 * 1024));
+        assert_ne!(grown.capacity(), 6 * 1024);
+        drop(grown);
+        let s = p.stats();
+        assert_eq!((s.misses, s.hits, s.discards), (1, 1, 1));
+        assert!(p.balanced());
+        // Nothing was kept: the next acquire allocates again.
+        drop(PooledBuf::zeroed(&p, 4176));
+        assert_eq!(p.stats().misses, 2);
     }
 
     #[test]

@@ -33,6 +33,11 @@
 //!   pending entry, so slots behind the cursor are empty and the lowest
 //!   occupied level's lowest occupied slot is always the global earliest.
 //!
+//! Each slot is a singly linked list through one node slab shared by all
+//! 1 024 slots (a `u32` head per slot, a `next` index per node, freed nodes
+//! on a free list), so the wheel holds no more nodes than the most entries
+//! it has had pending at once, not every slot's own high-water mark.
+//!
 //! # FIFO tie-break proof sketch
 //!
 //! The batch is kept sorted by `(at, seq)` at all times: a slot drain sorts
@@ -57,7 +62,7 @@
 //! Below [`SPILL`] pending entries the slot machinery is bypassed entirely
 //! and the whole schedule lives in the `early` binary heap — at that size
 //! the heap is one or two cache lines and effectively optimal, while every
-//! wheel op touches bitmaps, a slot vector, and the batch (several cold
+//! wheel op touches bitmaps, a slot list, and the batch (several cold
 //! lines once real per-event work has evicted them). The wheel spills into
 //! the slots when the count crosses [`SPILL`] and drops back to heap mode
 //! when it fully drains, so protocol simulations (which idle at tens of
@@ -91,6 +96,8 @@ const GRAIN: u32 = 8;
 /// the wheel's O(1) wins by integer factors) sits in the tens of
 /// thousands.
 const SPILL: usize = 512;
+/// No node: the end of a slot's list or of the free list.
+const NIL: u32 = u32::MAX;
 
 /// A queued event and its `(at, seq)` key: the entry type of every heap,
 /// slot and batch in [`EventEngine`].
@@ -122,6 +129,23 @@ impl<E> Ord for Entry<E> {
             .cmp(&self.at)
             .then_with(|| other.seq.cmp(&self.seq))
     }
+}
+
+/// A slab node: a slot entry (`None` while the node is free) and the next
+/// node of its slot's list or of the free list.
+struct Node<E> {
+    entry: Option<Entry<E>>,
+    next: u32,
+}
+
+/// Where [`EventEngine::place`] puts an entry.
+enum Target {
+    /// The cursor's grain window.
+    Batch,
+    /// The slot at this index of the flattened slot array.
+    Slot(usize),
+    /// Beyond the wheel's window.
+    Overflow,
 }
 
 /// A 256-bit occupancy bitmap over one level's slots.
@@ -167,10 +191,16 @@ impl EngineKind {
 /// `&mut self` because a peek may advance the cursor, never past the
 /// earliest pending event.
 pub struct EventEngine<E> {
-    /// `LEVELS * SLOTS` slot vectors, flattened level-major. Empty until
-    /// the first [`EventEngine::spill`] — heap-mode schedules never pay
-    /// for it.
-    slots: Vec<Vec<Entry<E>>>,
+    /// `LEVELS * SLOTS` list heads into `nodes`, flattened level-major.
+    /// Empty until the first [`EventEngine::spill`] — heap-mode schedules
+    /// never pay for it.
+    heads: Vec<u32>,
+    /// Every slot's entries. A node leaves its slot for the free list, and
+    /// the slab grows only when that list is empty, so it never holds more
+    /// nodes than the most entries pending at once.
+    nodes: Vec<Node<E>>,
+    /// Head of the free-node list through `nodes`.
+    free: u32,
     occupied: [Bitmap; LEVELS],
     /// Entries in the grain window the cursor points at, sorted by
     /// `(at, seq)`.
@@ -201,7 +231,9 @@ impl<E> Default for EventEngine<E> {
     /// An empty engine with the clock at time zero.
     fn default() -> Self {
         EventEngine {
-            slots: Vec::new(),
+            heads: Vec::new(),
+            nodes: Vec::new(),
+            free: NIL,
             occupied: [Bitmap::default(); LEVELS],
             batch: VecDeque::new(),
             small: true,
@@ -348,15 +380,21 @@ impl<E> EventEngine<E> {
     /// Drop every queued event (used when an experiment ends early). Keeps
     /// the clock and the sequence counter.
     pub fn clear(&mut self) {
-        for s in &mut self.slots {
-            s.clear();
-        }
+        self.heads.fill(NIL);
+        self.nodes.clear();
+        self.free = NIL;
         self.occupied = [Bitmap::default(); LEVELS];
         self.batch.clear();
         self.small = true;
         self.early.clear();
         self.overflow.clear();
         self.len = 0;
+    }
+
+    /// Nodes in the slot slab, free or in a slot.
+    #[cfg(test)]
+    fn slab_len(&self) -> usize {
+        self.nodes.len()
     }
 
     /// Leave heap mode: move every entry into the slot hierarchy. Every
@@ -367,8 +405,8 @@ impl<E> EventEngine<E> {
     fn spill(&mut self) {
         self.small = false;
         self.cursor = self.now.nanos();
-        if self.slots.is_empty() {
-            self.slots.resize_with(LEVELS * SLOTS, Vec::new);
+        if self.heads.is_empty() {
+            self.heads.resize(LEVELS * SLOTS, NIL);
         }
         let pending = std::mem::take(&mut self.early).into_vec();
         for e in pending {
@@ -376,31 +414,74 @@ impl<E> EventEngine<E> {
         }
     }
 
+    /// Where an entry at `at >= cursor` belongs: the batch, a wheel slot,
+    /// or the overflow heap.
+    fn target(&self, at: u64) -> Target {
+        debug_assert!(at >= self.cursor);
+        let xor = (at ^ self.cursor) >> GRAIN;
+        if xor == 0 {
+            return Target::Batch;
+        }
+        let level = ((63 - xor.leading_zeros()) / BITS) as usize;
+        if level >= LEVELS {
+            return Target::Overflow;
+        }
+        let slot = ((at >> (GRAIN + BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
+        Target::Slot(level * SLOTS + slot)
+    }
+
     /// Place an entry with `at >= cursor` into the batch, a wheel slot, or
     /// the overflow heap.
     #[inline(never)]
     fn place(&mut self, e: Entry<E>) {
-        let at = e.at.nanos();
-        debug_assert!(at >= self.cursor);
-        let xor = (at ^ self.cursor) >> GRAIN;
-        if xor == 0 {
-            // Inside the cursor's grain window: binary-search insert keeps
-            // the batch sorted by `(at, seq)`. The common case — a push at
-            // the current instant while the window drains — lands at the
-            // back in one probe.
-            let key = (e.at, e.seq);
-            let i = self.batch.partition_point(|x| (x.at, x.seq) < key);
-            self.batch.insert(i, e);
-            return;
+        match self.target(e.at.nanos()) {
+            Target::Batch => {
+                // Inside the cursor's grain window: binary-search insert
+                // keeps the batch sorted by `(at, seq)`. The common case — a
+                // push at the current instant while the window drains —
+                // lands at the back in one probe.
+                let key = (e.at, e.seq);
+                let i = self.batch.partition_point(|x| (x.at, x.seq) < key);
+                self.batch.insert(i, e);
+            }
+            Target::Overflow => self.overflow.push(e),
+            Target::Slot(idx) => {
+                let node = Node {
+                    entry: Some(e),
+                    next: NIL,
+                };
+                let n = match self.nodes.get_mut(self.free as usize) {
+                    Some(free) => {
+                        let n = self.free;
+                        self.free = free.next;
+                        *free = node;
+                        n
+                    }
+                    None => {
+                        // A slab of 2^32 entries would not fit in memory.
+                        self.nodes.push(node);
+                        (self.nodes.len() - 1) as u32
+                    }
+                };
+                self.link(idx, n);
+            }
         }
-        let level = ((63 - xor.leading_zeros()) / BITS) as usize;
-        if level >= LEVELS {
-            self.overflow.push(e);
-            return;
-        }
-        let slot = ((at >> (GRAIN + BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.slots[level * SLOTS + slot].push(e);
-        self.occupied[level].set(slot);
+    }
+
+    /// Push node `n` onto the front of slot `idx`'s list.
+    fn link(&mut self, idx: usize, n: u32) {
+        self.nodes[n as usize].next = self.heads[idx];
+        self.heads[idx] = n;
+        self.occupied[idx / SLOTS].set(idx % SLOTS);
+    }
+
+    /// Take node `n`'s entry and put the node on the free list; returns the
+    /// entry and the node that followed it.
+    fn take(&mut self, n: u32) -> (Option<Entry<E>>, u32) {
+        let node = &mut self.nodes[n as usize];
+        let next = std::mem::replace(&mut node.next, self.free);
+        self.free = n;
+        (node.entry.take(), next)
     }
 
     /// Advance the cursor to the earliest pending grain window and fill the
@@ -418,10 +499,14 @@ impl<E> EventEngine<E> {
                 self.cursor =
                     (self.cursor & !((1u64 << (GRAIN + BITS)) - 1)) | ((j as u64) << GRAIN);
                 self.occupied[0].clear(j);
-                let slot = &mut self.slots[j];
-                // Drain in place so the slot keeps its capacity; the batch
-                // was empty, so this is the full (unsorted) window.
-                self.batch.extend(slot.drain(..));
+                // The batch was empty, so the slot is the full (unsorted)
+                // window.
+                let mut n = std::mem::replace(&mut self.heads[j], NIL);
+                while n != NIL {
+                    let (e, next) = self.take(n);
+                    self.batch.extend(e);
+                    n = next;
+                }
                 debug_assert!(self
                     .batch
                     .iter()
@@ -443,28 +528,42 @@ impl<E> EventEngine<E> {
             for level in 1..LEVELS {
                 if let Some(j) = self.occupied[level].first() {
                     self.occupied[level].clear(j);
-                    let idx = level * SLOTS + j;
-                    let mut entries = std::mem::take(&mut self.slots[idx]);
+                    let head = std::mem::replace(&mut self.heads[level * SLOTS + j], NIL);
                     // `place` / `clear` keep the bitmap bit paired with a
                     // nonempty slot.
-                    debug_assert!(!entries.is_empty());
-                    if let Some(min_at) = entries.iter().map(|e| e.at.nanos()).min() {
-                        // The slot's window start is grain-aligned and
-                        // strictly above the cursor, so this advances
-                        // monotonically.
-                        let next = min_at & !((1u64 << GRAIN) - 1);
-                        debug_assert!(next > self.cursor);
-                        self.cursor = next;
+                    debug_assert!(head != NIL);
+                    let mut min_at = u64::MAX;
+                    let mut n = head;
+                    while n != NIL {
+                        let node = &self.nodes[n as usize];
+                        if let Some(e) = &node.entry {
+                            min_at = min_at.min(e.at.nanos());
+                        }
+                        n = node.next;
                     }
-                    for e in entries.drain(..) {
-                        self.place(e);
+                    // The slot's window start is grain-aligned and strictly
+                    // above the cursor, so this advances monotonically.
+                    let next = min_at & !((1u64 << GRAIN) - 1);
+                    debug_assert!(next > self.cursor);
+                    self.cursor = next;
+                    // The cursor kept this slot's digit at `level`, so every
+                    // entry goes strictly below `level`: a node is relinked
+                    // into its lower slot where one holds it, and gives its
+                    // entry to the batch otherwise.
+                    let mut n = head;
+                    while n != NIL {
+                        let node = &self.nodes[n as usize];
+                        let next = node.next;
+                        match node.entry.as_ref().map(|e| self.target(e.at.nanos())) {
+                            Some(Target::Slot(idx)) => self.link(idx, n),
+                            _ => {
+                                if let (Some(e), _) = self.take(n) {
+                                    self.place(e);
+                                }
+                            }
+                        }
+                        n = next;
                     }
-                    // Hand the emptied allocation back so steady-state
-                    // cascades don't reallocate. The cursor kept this
-                    // slot's digit at `level`, so `place` sends every entry
-                    // strictly below `level` and the slot is still empty.
-                    debug_assert!(self.slots[idx].is_empty());
-                    self.slots[idx] = entries;
                     cascaded = true;
                     break;
                 }
@@ -652,6 +751,42 @@ mod tests {
     fn differential_vs_heap_wheel_mode_only() {
         // Threshold 0: every entry takes the slot-hierarchy paths.
         run_differential(EventEngine::with_spill_threshold(0));
+    }
+
+    #[test]
+    fn slab_never_outgrows_the_peak_pending_count() {
+        // Swing the pending count up past the default threshold and down
+        // again, three times, with offsets on every level: each slot's list
+        // takes its nodes from the one slab, so the slab is bounded by the
+        // most entries ever pending, not by the sum of per-slot peaks.
+        for mut q in [EventEngine::default(), EventEngine::with_spill_threshold(0)] {
+            let mut x = 0x2545f4914f6cdd1du64;
+            let mut peak = 0;
+            for round in 0..3u64 {
+                let target = 600 + 700 * round as usize;
+                while q.len() < target {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let off = match x % 4 {
+                        0 => x % 0x100,
+                        1 => x % 0x1_0000,
+                        2 => x % 0x100_0000,
+                        _ => x % 0x1_0000_0000,
+                    };
+                    q.push(Time(q.now().nanos() + off), x);
+                    peak = peak.max(q.len());
+                    assert!(q.slab_len() <= peak);
+                }
+                while q.len() > 100 {
+                    q.pop();
+                    assert!(q.slab_len() <= peak);
+                }
+            }
+            assert!(q.slab_len() > 0, "the wheel's slots were used");
+            while q.pop().is_some() {}
+            assert!(q.slab_len() <= peak);
+        }
     }
 
     /// Deterministic mixed workload crossing every level boundary.

@@ -42,7 +42,10 @@
 //!
 //! (`many_flows`, 46 694 events, 48 998 before: 3.758 → 2.388 → 2.317 →
 //! 2.425 on an unchanged total of ~113 250 allocations, pool misses
-//! 6838 → 3329; then 2.338 → 1.999 now, chain storage 0.904 → 0.566.)
+//! 6838 → 3329; then 2.338 → 1.999, chain storage 0.904 → 0.566; then
+//! 1.958 now, once the timing wheel's slots became lists through one node
+//! slab and stopped growing a `Vec` per slot. The 16-flow world below
+//! never leaves the scheduler's heap mode, so its 1.926 did not move.)
 //! Per event the fourth column rose only because the denominator
 //! fell: the ~1 500 events a `small_writes` pass no longer dispatches were
 //! superseded timers, which allocated nothing. The steady-state figures
@@ -97,7 +100,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Measured on this commit, with the journal armed (2.396 and 2.389 while
+/// Measured on this commit, with the journal armed; re-measured with the
+/// quarter-octave pool classes and the slab-linked wheel slots, both
+/// unchanged (2.396 and 2.389 while
 /// chains were rebuilt by split/concat; 2.398 and 2.390 while every timer
 /// re-arm was its own event; before the per-event budget: 3.946 and
 /// 3.951).

@@ -3,7 +3,7 @@
 
 use outboard::host::{MachineConfig, TaskId, UserMemory};
 use outboard::sim::{Dur, Time};
-use outboard::stack::{Proto, ReadResult, SockAddr, StackConfig, WriteResult};
+use outboard::stack::{Proto, ReadResult, SockAddr, StackConfig, StackError, WriteResult};
 use outboard::testbed::apps::{file_block_byte, FileClient, KernelFileServer};
 use outboard::testbed::World;
 use std::net::Ipv4Addr;
@@ -209,6 +209,82 @@ fn single_copy_udp_write_blocks_until_dma() {
     // The wake arrives once the SDMA completes.
     w.run_until(w.now() + Dur::millis(50));
     assert!(w.hosts[0].kernel.stats.hw_checksums >= 1);
+}
+
+#[test]
+fn forced_single_copy_datagram_completes_its_write() {
+    // An 8 KB datagram forced onto the single-copy path: UDP has no send
+    // queue for the copy-in to convert, so the completion itself credits
+    // the write and wakes the writer. While the write is blocked, a second
+    // one is refused, not queued over it.
+    let mut forced = StackConfig::single_copy();
+    forced.force_single_copy = true;
+    let mut w = World::new();
+    let a = w.add_host("a", MachineConfig::alpha_3000_400(), forced);
+    let b = w.add_host(
+        "b",
+        MachineConfig::alpha_3000_400(),
+        StackConfig::single_copy(),
+    );
+    w.connect_cab(a, IP_A, b, IP_B, Dur::micros(5), 77);
+    let (task, rx_task, len) = (TaskId(1), TaskId(20), 8192);
+    let rx = {
+        let h = &mut w.hosts[1];
+        let s = h.kernel.sys_socket(Proto::Udp);
+        h.kernel.sys_bind(s, 9200).unwrap();
+        h.mem.create_region(rx_task, 0x9000, 16 * 1024);
+        s
+    };
+    let data: Vec<u8> = (0..len as u32).map(|i| (i * 13 + 5) as u8).collect();
+    let h = &mut w.hosts[0];
+    let tx = h.kernel.sys_socket(Proto::Udp);
+    h.kernel
+        .sys_connect_udp(tx, SockAddr::new(IP_B, 9200))
+        .unwrap();
+    h.mem.create_region(task, 0x4000, 16 * 1024);
+    h.mem.write_user(task, 0x4000, &data).unwrap();
+    let (r, fx) = h
+        .kernel
+        .sys_write(tx, task, 0x4000, len, &mut h.mem, Time::ZERO)
+        .unwrap();
+    assert_eq!(r, WriteResult::Blocked { accepted: len });
+    let again = h
+        .kernel
+        .sys_write(tx, task, 0x4000, len, &mut h.mem, Time::ZERO);
+    assert!(
+        matches!(again, Err(StackError::InvalidState(_))),
+        "a second write while one is blocked: {again:?}"
+    );
+    w.apply_external_effects(0, fx);
+    w.run_until(w.now() + Dur::millis(100));
+
+    // The first write completed, so the socket takes another.
+    let now = w.now();
+    let h = &mut w.hosts[0];
+    let (r, fx) = h
+        .kernel
+        .sys_write(tx, task, 0x4000, len, &mut h.mem, now)
+        .unwrap();
+    assert_eq!(r, WriteResult::Blocked { accepted: len });
+    w.apply_external_effects(0, fx);
+    w.run_until(w.now() + Dur::millis(100));
+    assert!(w.hosts[0].kernel.user_violations().is_empty());
+
+    // The peer received the first datagram intact.
+    let now = w.now();
+    let h = &mut w.hosts[1];
+    let (r, _fx) = h
+        .kernel
+        .sys_read(rx, rx_task, 0x9000, 16 * 1024, &mut h.mem, now)
+        .unwrap();
+    let bytes = match r {
+        ReadResult::Done { bytes } | ReadResult::BlockedDma { bytes } => bytes,
+        other => panic!("no datagram: {other:?}"),
+    };
+    assert_eq!(bytes, len);
+    let mut buf = vec![0u8; len];
+    h.mem.read_user(rx_task, 0x9000, &mut buf).unwrap();
+    assert_eq!(buf, data);
 }
 
 #[test]
