@@ -1,30 +1,32 @@
-//! Deterministic chaos sweep: N seeded fault schedules against the ttcp
+//! Deterministic chaos sweep: N seeded fault plans against the ttcp
 //! testbed, each judged by the end-to-end oracle (stream integrity,
-//! conservation, liveness). Failing schedules are delta-debugged to a
-//! locally minimal repro and written out as `repro_<seed>.json`, replayable
-//! byte-identically with `--replay`.
+//! conservation, liveness). Failing plans are delta-debugged to a locally
+//! minimal repro and written out as `repro_<seed>.faults` (one fault line
+//! per entry, the form of a run's fault log), replayable byte-identically
+//! with `--replay`.
 //!
 //! ```text
 //! chaos [--seeds N] [--start-seed S] [--events K] [--smoke] [--out DIR]
 //!       [--plant-bug] [--replay FILE] [--stats]
 //! ```
 //!
-//! * `--seeds N`      schedules to sweep (default 32, smoke default 8)
+//! * `--seeds N`      plans to sweep (default 32, smoke default 8)
 //! * `--start-seed S` first seed (default 1)
-//! * `--events K`     events per generated schedule (default 6)
+//! * `--events K`     entries per generated plan (default 6)
 //! * `--smoke`        small transfers for CI
 //! * `--out DIR`      where repro files go (default `.`)
-//! * `--plant-bug`    add a checksum-preserving corruption event to every
-//!   schedule — the oracle must catch it (exits 1)
-//! * `--replay FILE`  run one `repro_*.json` schedule and report
+//! * `--plant-bug`    add a checksum-preserving corruption entry to every
+//!   plan — the oracle must catch it (exits 1)
+//! * `--replay FILE`  run one `repro_*.faults` plan (or any run's fault
+//!   log) and report
 //! * `--stats`        print the full metrics registry after a replay
 //!
 //! Exit status: 0 all seeds clean, 1 oracle violation, 2 usage error.
 
 use outboard_bench::arg_value;
 use outboard_host::MachineConfig;
-use outboard_sim::chaos::{ChaosAction, ChaosEvent, ChaosSchedule};
-use outboard_sim::Dur;
+use outboard_sim::fault::{Action, Point, Target};
+use outboard_sim::{Dur, Fault, FaultPlan, Time};
 use outboard_stack::StackConfig;
 use outboard_testbed::chaos::{run_chaos, shrink_failure};
 use outboard_testbed::ExperimentConfig;
@@ -64,7 +66,7 @@ fn base_cfg(seed: u64, total: usize) -> ExperimentConfig {
 struct SeedReport {
     line: String,
     failed: bool,
-    repro_json: Option<String>,
+    repro: Option<String>,
     /// Flight-recorder dump of the original (unshrunk) failure: the last
     /// timeline windows plus the span-ring tail at the moment the oracle
     /// reported violations.
@@ -73,43 +75,44 @@ struct SeedReport {
 
 fn sweep_seed(seed: u64, events: usize, total: usize, plant_bug: bool) -> SeedReport {
     let cfg = base_cfg(seed, total);
-    let mut schedule = ChaosSchedule::generate(seed, events, 2);
+    let mut plan = FaultPlan::generate(seed, events, 2);
     if plant_bug {
         // A corruption the checksum cannot see — exactly what the oracle
         // exists to catch.
-        schedule.events.push(ChaosEvent {
-            at: Dur::millis(8),
-            action: ChaosAction::StealthCorrupt { host: 0 },
-        });
-        schedule.events.sort_by_key(|e| e.at);
+        let at = Time::ZERO + Dur::millis(8);
+        let link = Target::Point(0, Point::Frame);
+        plan.faults
+            .push(Fault::at(at, link, Action::StealthCorrupt));
+        plan.faults.sort_by_key(Fault::time);
     }
-    let outcome = run_chaos(&cfg, &schedule);
+    let outcome = run_chaos(&cfg, &plan);
     if outcome.passed() {
+        let chaos = |key: &str| outcome.stats.counter_value(&format!("world.chaos.{key}"));
         return SeedReport {
             line: format!(
                 "seed {seed:>5}  PASS  {} events applied, {} heals, {} deferred, {} in {}",
-                outcome.chaos.events_applied,
-                outcome.chaos.heals_applied,
-                outcome.chaos.deferred_events,
+                chaos("events_applied"),
+                chaos("heals_applied"),
+                chaos("deferred_events"),
                 outcome.bytes_read,
                 outcome.elapsed,
             ),
             failed: false,
-            repro_json: None,
+            repro: None,
             flight_json: None,
         };
     }
     let first = outcome.violations[0].clone();
-    let (events_left, runs, repro_json) = match shrink_failure(&cfg, &schedule) {
-        Some(r) => (r.schedule.events.len(), r.runs, Some(r.schedule.to_json())),
-        None => (schedule.events.len(), 0, Some(schedule.to_json())),
+    let (events_left, runs, repro) = match shrink_failure(&cfg, &plan) {
+        Some(r) => (r.plan.faults.len(), r.runs, r.plan.render()),
+        None => (plan.faults.len(), 0, plan.render()),
     };
     SeedReport {
         line: format!(
             "seed {seed:>5}  FAIL  {first}  (shrunk to {events_left} events in {runs} runs)"
         ),
         failed: true,
-        repro_json,
+        repro: Some(repro),
         flight_json: outcome.flight_json,
     }
 }
@@ -122,27 +125,29 @@ fn replay(path: &str, total: usize, stats: bool) -> i32 {
             return 2;
         }
     };
-    let schedule = match ChaosSchedule::from_json(&text) {
-        Ok(s) => s,
+    let plan = match FaultPlan::parse(&text) {
+        Ok(p) => p,
         Err(e) => {
             eprintln!("cannot parse {path}: {e}");
             return 2;
         }
     };
     println!(
-        "replaying {path} (seed {}):\n{}",
-        schedule.seed,
-        schedule.render()
+        "replaying {path} ({} entries):\n{}",
+        plan.faults.len(),
+        plan.render()
     );
-    let cfg = base_cfg(schedule.seed, total);
-    let outcome = run_chaos(&cfg, &schedule);
+    let cfg = base_cfg(plan.seed, total);
+    let outcome = run_chaos(&cfg, &plan);
     if stats {
         print!("{}", outcome.stats.report());
     }
     if outcome.passed() {
         println!(
-            "PASS: {} bytes in {}, {} chaos events applied",
-            outcome.bytes_read, outcome.elapsed, outcome.chaos.events_applied
+            "PASS: {} bytes in {}, {} faults fired",
+            outcome.bytes_read,
+            outcome.elapsed,
+            outcome.log.faults.len()
         );
         0
     } else {
@@ -150,7 +155,7 @@ fn replay(path: &str, total: usize, stats: bool) -> i32 {
             println!("VIOLATION: {v}");
         }
         if let Some(flight) = &outcome.flight_json {
-            let fpath = format!("flight_{}.json", schedule.seed);
+            let fpath = format!("flight_{}.json", plan.seed);
             match std::fs::write(&fpath, flight) {
                 Ok(()) => println!("flight recorder written to {fpath}"),
                 Err(e) => eprintln!("cannot write {fpath}: {e}"),
@@ -200,9 +205,9 @@ fn main() {
         println!("{}", r.line);
         if r.failed {
             failures += 1;
-            if let Some(json) = &r.repro_json {
-                let path = format!("{out_dir}/repro_{seed}.json");
-                match std::fs::write(&path, json) {
+            if let Some(repro) = &r.repro {
+                let path = format!("{out_dir}/repro_{seed}.faults");
+                match std::fs::write(&path, repro) {
                     Ok(()) => println!("          repro written to {path}"),
                     Err(e) => eprintln!("          cannot write {path}: {e}"),
                 }

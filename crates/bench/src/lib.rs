@@ -46,7 +46,7 @@ pub fn figure_point(machine: &MachineConfig, single_copy: bool, write_size: usiz
     let mut cfg = ExperimentConfig::new(machine.clone(), stack, write_size);
     cfg.total_bytes = total_for(write_size);
     cfg.verify = false; // checked extensively in tests; keep benches honest
-    fault_args().apply(&mut cfg);
+    apply_fault_flags(&mut cfg);
     timeline_args().apply(&mut cfg);
     run_ttcp(&cfg)
 }
@@ -81,9 +81,14 @@ pub fn compute_figure(machine: &MachineConfig) -> Vec<FigureRow> {
 /// Render one figure (three panels) as aligned text plus CSV.
 pub fn print_figure(machine: &MachineConfig) {
     println!("# {}", machine.name);
-    let faults = fault_args();
-    if faults.any() {
-        println!("# fault injection active: {faults:?}");
+    let mut cfg = ExperimentConfig::new(machine.clone(), StackConfig::single_copy(), 0);
+    apply_fault_flags(&mut cfg);
+    let plan = cfg.fault_plan().map(|p| p.faults).unwrap_or_default();
+    if !plan.is_empty() {
+        println!("# fault injection active:");
+        for fault in plan {
+            println!("#   {fault}");
+        }
     }
     println!("# series: unmodified stack, modified (single-copy) stack, raw HIPPI");
     println!(
@@ -144,54 +149,6 @@ pub fn stats_requested() -> bool {
     std::env::args().any(|a| a == "--stats")
 }
 
-/// Fault-injection knobs shared by every benchmark binary.
-///
-/// Each field maps to one `--fault-*` flag (see `fault_args` for the
-/// spellings) and feeds the matching [`ExperimentConfig`] field, so any
-/// figure can be re-run under loss, corruption, or adaptor faults to watch
-/// the recovery machinery's cost.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub(crate) struct FaultArgs {
-    /// `--fault-drop`: forward-link drop probability.
-    pub drop_p: f64,
-    /// `--fault-corrupt`: forward-link bit-flip probability.
-    pub corrupt_p: f64,
-    /// `--fault-reorder`: forward-link late-delivery probability.
-    pub reorder_p: f64,
-    /// `--fault-dup`: forward-link duplication probability.
-    pub dup_p: f64,
-    /// `--fault-cab-alloc`: CAB netmem allocation-failure probability.
-    pub cab_alloc_fail_p: f64,
-    /// `--fault-cab-sdma`: CAB SDMA transfer-failure probability.
-    pub cab_sdma_fail_p: f64,
-    /// `--fault-cab-mdma`: CAB MDMA transfer-failure probability.
-    pub cab_mdma_fail_p: f64,
-    /// `--fault-cab-wedge`: probability a transfer wedges its engine.
-    pub cab_wedge_p: f64,
-    /// `--fault-cab-csum`: probability of a miscomputed outboard checksum.
-    pub cab_csum_error_p: f64,
-}
-
-impl FaultArgs {
-    /// Copy the knobs into an experiment configuration.
-    pub(crate) fn apply(&self, cfg: &mut ExperimentConfig) {
-        cfg.drop_p = self.drop_p;
-        cfg.corrupt_p = self.corrupt_p;
-        cfg.reorder_p = self.reorder_p;
-        cfg.dup_p = self.dup_p;
-        cfg.cab_alloc_fail_p = self.cab_alloc_fail_p;
-        cfg.cab_sdma_fail_p = self.cab_sdma_fail_p;
-        cfg.cab_mdma_fail_p = self.cab_mdma_fail_p;
-        cfg.cab_wedge_p = self.cab_wedge_p;
-        cfg.cab_csum_error_p = self.cab_csum_error_p;
-    }
-
-    /// True when any knob is non-zero (used to annotate figure headers).
-    pub(crate) fn any(&self) -> bool {
-        *self != FaultArgs::default()
-    }
-}
-
 /// Value of `name` in `argv`, spelled `--flag VAL` or `--flag=VAL` (a
 /// value may itself contain `=`); the first occurrence wins. A flag that
 /// ends `argv` yields `Some("")`, which no caller accepts as a value, so a
@@ -211,33 +168,41 @@ pub fn arg_value(name: &str) -> Option<String> {
     arg_value_in(&argv, name)
 }
 
-/// Parse the shared `--fault-*` flags (`--fault-drop 0.05` or
-/// `--fault-drop=0.05`). Unknown flags are left for the binary; a malformed
-/// probability aborts with a message rather than silently running fault-free.
-pub(crate) fn fault_args() -> FaultArgs {
+/// Apply the shared `--fault-*` flags (`--fault-drop 0.05` or
+/// `--fault-drop=0.05`) to `cfg`, so any figure can be re-run under loss,
+/// corruption, or adaptor faults to watch the recovery machinery's cost.
+/// Each flag sets one probability, which [`ExperimentConfig::fault_plan`]
+/// turns into a `Chance` entry. Unknown flags are left for the binary; a
+/// malformed or out-of-range probability aborts with a message rather than
+/// silently running fault-free.
+pub(crate) fn apply_fault_flags(cfg: &mut ExperimentConfig) {
     let argv: Vec<String> = std::env::args().collect();
-    let prob = |flag: &str| {
+    let flags: [(&str, &mut f64); 9] = [
+        ("--fault-drop", &mut cfg.drop_p),
+        ("--fault-corrupt", &mut cfg.corrupt_p),
+        ("--fault-reorder", &mut cfg.reorder_p),
+        ("--fault-dup", &mut cfg.dup_p),
+        ("--fault-cab-alloc", &mut cfg.cab_alloc_fail_p),
+        ("--fault-cab-sdma", &mut cfg.cab_sdma_fail_p),
+        ("--fault-cab-mdma", &mut cfg.cab_mdma_fail_p),
+        ("--fault-cab-wedge", &mut cfg.cab_wedge_p),
+        ("--fault-cab-csum", &mut cfg.cab_csum_error_p),
+    ];
+    for (flag, p) in flags {
         let Some(val) = arg_value_in(&argv, flag) else {
-            return 0.0;
+            continue;
         };
         match val.parse::<f64>() {
-            Ok(p) if (0.0..=1.0).contains(&p) => p,
-            _ => {
+            Ok(v) => *p = v,
+            Err(_) => {
                 eprintln!("{flag} needs a probability in [0, 1], got {val:?}");
                 std::process::exit(2);
             }
         }
-    };
-    FaultArgs {
-        drop_p: prob("--fault-drop"),
-        corrupt_p: prob("--fault-corrupt"),
-        reorder_p: prob("--fault-reorder"),
-        dup_p: prob("--fault-dup"),
-        cab_alloc_fail_p: prob("--fault-cab-alloc"),
-        cab_sdma_fail_p: prob("--fault-cab-sdma"),
-        cab_mdma_fail_p: prob("--fault-cab-mdma"),
-        cab_wedge_p: prob("--fault-cab-wedge"),
-        cab_csum_error_p: prob("--fault-cab-csum"),
+    }
+    if let Err(e) = cfg.fault_plan() {
+        eprintln!("{e}");
+        std::process::exit(2);
     }
 }
 
@@ -343,7 +308,7 @@ pub fn emit_trace(machine: &MachineConfig) {
     let mut cfg = ExperimentConfig::new(machine.clone(), stack, 64 * 1024);
     cfg.total_bytes = total_for(64 * 1024);
     cfg.verify = false;
-    fault_args().apply(&mut cfg);
+    apply_fault_flags(&mut cfg);
     timeline_args().apply(&mut cfg);
     cfg.trace_spans = true;
     if let Some(flows) = t.flows {

@@ -10,7 +10,7 @@
 //! Two binaries' output files are checked here too: `fig5`'s Perfetto
 //! trace and the flight recording of a `chaos` sweep with a planted bug.
 
-use outboard_sim::chaos::json::{self, Value};
+use outboard_sim::json::{self, Value};
 use std::process::Command;
 
 const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");

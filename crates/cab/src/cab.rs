@@ -28,11 +28,11 @@
 use crate::config::CabConfig;
 use crate::cost::EngineCosts;
 use crate::engine::EngineTimeline;
-use crate::fault::{FaultInjector, TransferFault};
 use crate::netmem::{NetworkMemory, PacketId};
 use crate::ownership::{DmaEngine, DmaOwnershipViolation};
 use bytes::Bytes;
 use outboard_host::{MemFault, TaskId, UserMemory};
+use outboard_sim::fault::{CountKey, Injector, Point};
 use outboard_sim::obs::Scope;
 use outboard_sim::{BufPool, Dur, PooledBuf, Time};
 use outboard_wire::checksum::{fold, Accumulator};
@@ -293,6 +293,23 @@ pub struct CabStats {
     pub rx_csum_full: u64,
 }
 
+/// A CAB's fault counters under their registry names.
+const FAULT_KEYS: [CountKey; 7] = [
+    ("faults.sdma_offered", |c| c.crossed(Point::Sdma)),
+    ("faults.sdma_failed", |c| c.fired(Some(Point::Sdma), "fail")),
+    ("faults.mdma_offered", |c| c.crossed(Point::Mdma)),
+    ("faults.mdma_failed", |c| c.fired(Some(Point::Mdma), "fail")),
+    ("faults.wedges", |c| {
+        c.fired(Some(Point::Sdma), "wedge") + c.fired(Some(Point::Mdma), "wedge")
+    }),
+    ("faults.csum_miscomputed", |c| {
+        c.fired(Some(Point::Csum), "miscompute")
+    }),
+    ("faults.alloc_failed", |c| {
+        c.fired(Some(Point::Alloc), "fail")
+    }),
+];
+
 /// One CAB adaptor.
 #[derive(Debug)]
 pub struct Cab {
@@ -310,8 +327,12 @@ pub struct Cab {
     /// Frames transmitted per MAC logical channel (queue-depth proxy for the
     /// HOL analysis in §6: which channels the traffic actually spread over).
     per_channel_tx: BTreeMap<u16, u64>,
-    /// Adaptor-side fault injection (transparent by default).
-    faults: FaultInjector,
+    /// The faults this adaptor injects: it crosses [`Point::Sdma`] and
+    /// [`Point::Mdma`] once per transfer the engine starts, [`Point::Alloc`]
+    /// once per network-memory allocation and [`Point::Csum`] once per
+    /// checksum insertion. Its chances draw from a stream seeded with the
+    /// fabric address until a world reseeds it.
+    pub faults: Injector,
     /// Buffer pool behind the packets a transmit gather fills: the CAB's
     /// own until a world shares its pool.
     pool: BufPool,
@@ -331,25 +352,9 @@ impl Cab {
             mdma_rx: EngineTimeline::new(),
             stats: CabStats::default(),
             per_channel_tx: BTreeMap::new(),
-            faults: FaultInjector::none(u64::from(addr)),
+            faults: Injector::new(u64::from(addr)),
             pool: BufPool::new(),
         }
-    }
-
-    /// Replace the adaptor-side fault injector (the default one is
-    /// transparent).
-    pub fn install_faults(&mut self, faults: FaultInjector) {
-        self.faults = faults;
-    }
-
-    /// Wedge the SDMA engine on its next transfer (fault scripting).
-    pub fn force_sdma_wedge_next(&mut self) {
-        self.faults.force_sdma_wedge_next();
-    }
-
-    /// Wedge the transmit MDMA engine on its next transfer.
-    pub fn force_mdma_wedge_next(&mut self) {
-        self.faults.force_mdma_wedge_next();
     }
 
     /// Recycle packet storage through a shared [`BufPool`] instead of the
@@ -370,7 +375,7 @@ impl Cab {
 
     /// Host command: allocate a packet buffer for a fully-formed packet.
     pub fn alloc_packet(&mut self, len: usize) -> Option<PacketId> {
-        if len > 0 && self.faults.alloc_fails() {
+        if len > 0 && self.faults.cross(Point::Alloc, len).fail {
             return None;
         }
         self.netmem.alloc(len)
@@ -512,19 +517,17 @@ impl Cab {
 
         // Injected fault draw: after validation (malformed requests never
         // reach the engine), before any state is committed.
-        match self.faults.sdma_fate() {
-            Some(TransferFault::Wedge) => {
-                self.sdma.wedge();
-                // The engine stalled mid-gather: it holds the buffer until
-                // board reset (open-ended window).
-                self.netmem
-                    .journal_record(req.packet, DmaEngine::Sdma, None);
-                return Err(CabError::EngineWedged("sdma"));
-            }
-            Some(TransferFault::Error) => {
-                return Err(CabError::DmaError("sdma transfer fault"));
-            }
-            None => {}
+        let fired = self.faults.cross(Point::Sdma, 0);
+        if fired.wedge {
+            self.sdma.wedge();
+            // The engine stalled mid-gather: it holds the buffer until
+            // board reset (open-ended window).
+            self.netmem
+                .journal_record(req.packet, DmaEngine::Sdma, None);
+            return Err(CabError::EngineWedged("sdma"));
+        }
+        if fired.fail {
+            return Err(CabError::DmaError("sdma transfer fault"));
         }
 
         // Gather into fresh storage: a faulting user range drops it and the
@@ -580,7 +583,7 @@ impl Cab {
             // An injected checksum-engine fault inserts a wrong sum; the
             // receiver's verification catches it and the transport recovers
             // by retransmission.
-            if self.faults.csum_miscomputes() {
+            if self.faults.cross(Point::Csum, 0).miscompute {
                 final_csum ^= 0x5555;
             }
             data[spec.csum_offset..spec.csum_offset + 2].copy_from_slice(&final_csum.to_be_bytes());
@@ -632,21 +635,19 @@ impl Cab {
         self.netmem
             .journal_check_transfer(req.packet, DmaEngine::Sdma, now)
             .map_err(CabError::Ownership)?;
-        match self.faults.sdma_fate() {
-            Some(TransferFault::Wedge) => {
-                self.sdma.wedge();
-                // Stalled mid-copy-out: the buffer stays claimed until
-                // reset. The driver's PIO fallback may still *read* it
-                // (network memory is host-addressable) but must not free
-                // it out from under the engine.
-                self.netmem
-                    .journal_record(req.packet, DmaEngine::Sdma, None);
-                return Err(CabError::EngineWedged("sdma"));
-            }
-            Some(TransferFault::Error) => {
-                return Err(CabError::DmaError("sdma copy-out fault"));
-            }
-            None => {}
+        let fired = self.faults.cross(Point::Sdma, 0);
+        if fired.wedge {
+            self.sdma.wedge();
+            // Stalled mid-copy-out: the buffer stays claimed until
+            // reset. The driver's PIO fallback may still *read* it
+            // (network memory is host-addressable) but must not free
+            // it out from under the engine.
+            self.netmem
+                .journal_record(req.packet, DmaEngine::Sdma, None);
+            return Err(CabError::EngineWedged("sdma"));
+        }
+        if fired.fail {
+            return Err(CabError::DmaError("sdma copy-out fault"));
         }
         let misaligned = match req.dst {
             SdmaDst::User { vaddr, .. } => {
@@ -717,17 +718,15 @@ impl Cab {
         self.netmem
             .journal_check_transfer(packet, DmaEngine::MdmaTx, now)
             .map_err(CabError::Ownership)?;
-        match self.faults.mdma_fate() {
-            Some(TransferFault::Wedge) => {
-                self.mdma_tx.wedge();
-                // Stalled mid-outflow: the buffer is seized until reset.
-                self.netmem.journal_record(packet, DmaEngine::MdmaTx, None);
-                return Err(CabError::EngineWedged("mdma_tx"));
-            }
-            Some(TransferFault::Error) => {
-                return Err(CabError::DmaError("mdma transfer fault"));
-            }
-            None => {}
+        let fired = self.faults.cross(Point::Mdma, 0);
+        if fired.wedge {
+            self.mdma_tx.wedge();
+            // Stalled mid-outflow: the buffer is seized until reset.
+            self.netmem.journal_record(packet, DmaEngine::MdmaTx, None);
+            return Err(CabError::EngineWedged("mdma_tx"));
+        }
+        if fired.fail {
+            return Err(CabError::DmaError("mdma transfer fault"));
         }
         let done = self
             .mdma_tx
@@ -763,7 +762,7 @@ impl Cab {
                 frame_len: len,
             };
         }
-        let id = if self.faults.alloc_fails() {
+        let id = if self.faults.cross(Point::Alloc, len).fail {
             None
         } else {
             self.netmem.alloc(len)
@@ -927,7 +926,7 @@ impl Cab {
         s.counter("autodma_only_rx", self.stats.autodma_only_rx);
         s.counter("rx_dropped_wedged", self.stats.rx_dropped_wedged);
         s.counter("resets", self.stats.resets);
-        self.faults.publish_metrics(s);
+        self.faults.counts().publish(s, &FAULT_KEYS);
         for (ch, n) in &self.per_channel_tx {
             s.counter(&format!("channel.{ch}.frames_tx"), *n);
         }
@@ -1463,7 +1462,10 @@ mod tests {
     #[test]
     fn rx_checksum_reuses_the_sending_engines_body_sum() {
         use outboard_netsim::Link;
-        use outboard_sim::Chance;
+        use outboard_sim::fault::{Action, Fault};
+        let on_first_frame = |link: &mut Link, action| {
+            link.faults.add(Fault::crossing(1, 0, Point::Frame, action));
+        };
         let (mut cab_a, hm, task) = setup();
         let mut cab_b = Cab::new(2, CabConfig::default());
 
@@ -1474,7 +1476,7 @@ mod tests {
         let (sum, reused) = peer_rx_checksum(&mut cab_b, frame.clone(), Time(1_000_000));
         assert!(reused, "fresh frame");
         let mut link = Link::hippi(Dur::ZERO, 3);
-        link.faults.dup_p = Chance::new(1.0);
+        on_first_frame(&mut link, Action::Duplicate);
         let twice = link.transmit(frame.clone(), Time(2_000_000));
         assert_eq!(twice.len(), 2);
         for d in &twice {
@@ -1487,7 +1489,7 @@ mod tests {
 
         // The link's corruptor and stealth corruptor deliver copies: no memo.
         let mut link = Link::hippi(Dur::ZERO, 4);
-        link.faults.corrupt_p = Chance::new(1.0);
+        on_first_frame(&mut link, Action::Corrupt(None));
         let corrupted = link
             .transmit(frame.clone(), Time(3_000_000))
             .into_iter()
@@ -1499,7 +1501,7 @@ mod tests {
         assert!(!reused, "corrupted copy");
         assert_ne!(bad, sum, "the corruption shows in the sum");
         let mut link = Link::hippi(Dur::ZERO, 5);
-        link.faults.force_stealth_corrupt_next();
+        on_first_frame(&mut link, Action::StealthCorrupt);
         let stealthy = link
             .transmit(frame.clone(), Time(4_000_000))
             .into_iter()

@@ -16,10 +16,12 @@
 //!   alloc/free commands, and interrupt raising,
 //! * `mac` — media access control: FIFO versus **logical channels**
 //!   (§2.1), used by the head-of-line-blocking experiment,
-//! * `fault` — seeded adaptor-side **fault injection**: transient
-//!   SDMA/MDMA failures, engine wedges, checksum miscomputations, and
-//!   allocation failures, exercising the driver's "transient
-//!   out-of-resources" recovery paths.
+//!
+//! The CAB is a fault domain too: its SDMA, MDMA, allocation and checksum
+//! insertion are injection points of the fault plan (`outboard_sim::fault`),
+//! where transient failures, engine wedges, miscomputed checksums and
+//! allocation failures exercise the driver's "transient out-of-resources"
+//! recovery paths.
 //!
 //! The model moves real bytes (checksums are computed over actual packet
 //! contents) while engine occupancy advances virtual time according to the
@@ -37,14 +39,12 @@ mod cab;
 mod config;
 mod cost;
 mod engine;
-mod fault;
 mod mac;
 mod netmem;
 mod ownership;
 
 pub use cab::{Cab, CabError, CabEvent, ChecksumSpec, SdmaDst, SdmaRx, SdmaTx, SgEntry};
 pub use config::CabConfig;
-pub use fault::FaultInjector as CabFaultInjector;
 pub use mac::{HolSim, MacMode};
 pub use netmem::{NetworkMemory, PacketId};
 pub use ownership::{DmaEngine, ViolationKind};

@@ -12,6 +12,7 @@ use bytes::Bytes;
 use outboard_cab::{CabError, SdmaTx, SgEntry};
 use outboard_host::{HostMem, MachineConfig, UserMemory};
 use outboard_mbuf::TaskId;
+use outboard_sim::fault::{Action, Fault, Point};
 use outboard_sim::{Dur, Time};
 use outboard_wire::TcpFlags;
 use std::net::Ipv4Addr;
@@ -717,9 +718,11 @@ fn rexmt_firing_that_sends_nothing_is_caught() {
         .timer_fire(TimerKind::TcpRexmt { sock: c }, &mut rig.mem, at);
 }
 
-/// Wedge `cab`'s SDMA engine with a forced fault on a fresh transfer.
+/// Wedge `cab`'s SDMA engine at the crossing of a fresh transfer.
 fn wedge_sdma(cab: &mut Cab, mem: &HostMem, now: Time) {
-    cab.force_sdma_wedge_next();
+    let next = cab.faults.counts().crossed(Point::Sdma) + 1;
+    cab.faults
+        .add(Fault::crossing(next, 0, Point::Sdma, Action::Wedge));
     let req = SdmaTx {
         packet: cab.alloc_packet(64).expect("netmem"),
         sg: vec![SgEntry::Inline(Bytes::from(vec![0u8; 64]))],

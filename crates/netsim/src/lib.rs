@@ -3,10 +3,11 @@
 //! The testbed connects two hosts back-to-back through a HIPPI fabric (the
 //! CAB's MDMA engines pace the media, so the HIPPI link is modelled as pure
 //! propagation latency) and optionally through a conventional 10 Mbit/s
-//! Ethernet (whose link does its own serialization). The [`FaultInjector`]
-//! lets tests and examples exercise loss, corruption, reordering and
-//! duplication — corrupting a frame is how we prove the outboard receive
-//! checksum actually rejects bad data end to end.
+//! Ethernet (whose link does its own serialization). Each link crosses
+//! one fault point per frame (`outboard_sim::fault`), where a plan's entries
+//! drop, corrupt, delay or duplicate it — corrupting a frame is how we
+//! prove the outboard receive checksum actually rejects bad data end to
+//! end.
 
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::disallowed_macros, reason = "tests use vec!"))]
@@ -18,9 +19,7 @@
 #![cfg_attr(not(test), deny(clippy::float_arithmetic))]
 
 mod capture;
-mod fault;
 mod link;
 
 pub use capture::{Capture, Framing};
-pub use fault::{FaultInjector, FaultStats};
-pub use link::Link;
+pub use link::{Link, FAULT_KEYS};

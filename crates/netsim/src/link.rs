@@ -5,10 +5,27 @@
 //! or passes them through with latency only (the HIPPI case — the CAB's
 //! MDMA engine is the pacer, so re-serializing here would double-count).
 
-use crate::fault::{Fate, FaultInjector};
 use bytes::Bytes;
+use outboard_sim::fault::{CountKey, Injector, Point};
 use outboard_sim::obs::Scope;
-use outboard_sim::{BufPool, Dur, Rate, Time};
+use outboard_sim::{BufPool, Dur, PooledBuf, Rate, Time};
+
+/// A link's fault counters under their registry names (also summed over
+/// every link as `world.faults.*`).
+pub const FAULT_KEYS: [CountKey; 6] = [
+    ("faults.offered", |c| c.crossed(Point::Frame)),
+    ("faults.dropped", |c| c.fired(Some(Point::Frame), "drop")),
+    ("faults.corrupted", |c| {
+        c.fired(Some(Point::Frame), "corrupt")
+    }),
+    ("faults.reordered", |c| c.fired(Some(Point::Frame), "delay")),
+    ("faults.duplicated", |c| {
+        c.fired(Some(Point::Frame), "duplicate")
+    }),
+    ("faults.stealth_corrupted", |c| {
+        c.fired(Some(Point::Frame), "stealth_corrupt")
+    }),
+];
 
 /// A scheduled arrival at the far end of a link.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -110,8 +127,12 @@ pub struct Link {
     pub extra_latency: Dur,
     /// Frames offered while the link was down.
     pub down_drops: u64,
-    /// Fault injection applied to every frame.
-    pub faults: FaultInjector,
+    /// The faults this link injects: it crosses [`Point::Frame`] once per
+    /// frame offered while up.
+    pub faults: Injector,
+    /// Buffer pool for corruption copies (the only fates that rewrite a
+    /// frame): the link's own until a world shares its pool.
+    pool: BufPool,
     /// Frames offered to this link.
     pub frames_in: u64,
     /// Payload bytes offered to this link (before faults).
@@ -132,7 +153,8 @@ impl Link {
             up: true,
             extra_latency: Dur::ZERO,
             down_drops: 0,
-            faults: FaultInjector::none(seed),
+            faults: Injector::new(seed),
+            pool: BufPool::new(),
             frames_in: 0,
             bytes_in: 0,
             frames_delivered: 0,
@@ -149,7 +171,8 @@ impl Link {
             up: true,
             extra_latency: Dur::ZERO,
             down_drops: 0,
-            faults: FaultInjector::none(seed),
+            faults: Injector::new(seed),
+            pool: BufPool::new(),
             frames_in: 0,
             bytes_in: 0,
             frames_delivered: 0,
@@ -157,10 +180,53 @@ impl Link {
         }
     }
 
-    /// Share a buffer pool with this link's fault injector (corruption
-    /// copies recycle frame storage instead of allocating).
+    /// Share a buffer pool for corruption copies (they recycle frame
+    /// storage instead of allocating).
     pub fn set_pool(&mut self, pool: BufPool) {
-        self.faults.set_pool(pool);
+        self.pool = pool;
+    }
+
+    /// Copy `payload` into pooled storage and freeze the edited bytes back
+    /// into a frame.
+    fn edited_copy(&self, payload: &Bytes, edit: impl FnOnce(&mut [u8])) -> Bytes {
+        let mut buf = PooledBuf::with_capacity(&self.pool, payload.len());
+        buf.extend_from_slice(payload);
+        edit(&mut buf);
+        buf.freeze()
+    }
+
+    /// Corrupt `payload` without changing its Internet checksum.
+    ///
+    /// The checksum is a ones'-complement sum of big-endian 16-bit words, so
+    /// flipping the same bit index in two bytes that sit at the same parity
+    /// (both high-lane or both low-lane, i.e. an even offset apart) — one
+    /// byte with the bit set, the other with it clear — shifts one word by
+    /// `+d` and the other by `-d`, leaving the sum exactly unchanged. The
+    /// search is restricted to the frame tail (past the link/IP/TCP headers)
+    /// so the flips land in application payload, not in header fields whose
+    /// semantics TCP would notice. If the payload has no such pair (e.g. a
+    /// constant fill), it is delivered untouched and not counted.
+    fn stealth_corrupt(&mut self, payload: Bytes) -> Bytes {
+        const HEADER_SKIP: usize = 128;
+        if payload.len() < HEADER_SKIP + 4 {
+            return payload;
+        }
+        let region = &payload[HEADER_SKIP..];
+        for bit in 0..8u8 {
+            for parity in 0..2usize {
+                let lane = region.iter().enumerate().skip(parity).step_by(2);
+                let set = lane.clone().find(|(_, &b)| b & (1 << bit) != 0);
+                let clear = lane.clone().find(|(_, &b)| b & (1 << bit) == 0);
+                if let (Some((set, _)), Some((clear, _))) = (set, clear) {
+                    self.faults.count_stealth(Point::Frame);
+                    return self.edited_copy(&payload, |buf| {
+                        buf[HEADER_SKIP + set] ^= 1 << bit;
+                        buf[HEADER_SKIP + clear] ^= 1 << bit;
+                    });
+                }
+            }
+        }
+        payload
     }
 
     /// Offer a frame at `now`; returns zero, one, or (duplication) two
@@ -169,20 +235,24 @@ impl Link {
         self.frames_in += 1;
         self.bytes_in += payload.len() as u64;
         if !self.up {
-            // A down link never presents the frame to the fault injector, so
-            // the probabilistic fault stream is unaffected by outage windows.
+            // A down link never crosses its fault point, so the crossing
+            // counts and chance draws are unaffected by outage windows.
             self.down_drops += 1;
             return Deliveries::None;
         }
-        let fate = self.faults.fate(payload);
-        let Fate::Deliver {
-            payload,
-            extra_delay,
-            duplicate,
-        } = fate
-        else {
+        let fired = self.faults.cross(Point::Frame, payload.len());
+        if fired.drop {
             return Deliveries::None;
-        };
+        }
+        let mut payload = payload;
+        if fired.stealth {
+            payload = self.stealth_corrupt(payload);
+        }
+        if let Some(bit) = fired.corrupt_bit {
+            let bit = bit as usize;
+            payload = self.edited_copy(&payload, |buf| buf[bit / 8] ^= 1 << (bit % 8));
+        }
+        let (extra_delay, duplicate) = (fired.delay, fired.duplicate);
         let serialized_at = match &self.rate {
             Some(rate) => {
                 let start = now.max(self.busy_until);
@@ -220,20 +290,22 @@ impl Link {
         s.counter("frames_delivered", self.frames_delivered);
         s.counter("bytes_delivered", self.bytes_delivered);
         s.counter("down_drops", self.down_drops);
-        let f = &self.faults.stats;
-        s.counter("faults.offered", f.offered);
-        s.counter("faults.dropped", f.dropped);
-        s.counter("faults.corrupted", f.corrupted);
-        s.counter("faults.reordered", f.reordered);
-        s.counter("faults.duplicated", f.duplicated);
-        s.counter("faults.stealth_corrupted", f.stealth_corrupted);
+        self.faults.counts().publish(s, &FAULT_KEYS);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use outboard_sim::Chance;
+    use outboard_sim::fault::{Action, Fault, Target};
+
+    const FRAME: Target = Target::Point(0, Point::Frame);
+
+    /// Fire `action` on every frame offered to `l`.
+    fn always(l: &mut Link, action: Action) {
+        l.faults
+            .add(Fault::chance("p", 1.0, FRAME, action).unwrap());
+    }
 
     #[test]
     fn latency_only_link() {
@@ -256,7 +328,7 @@ mod tests {
     #[test]
     fn dropped_frames_produce_no_delivery() {
         let mut l = Link::hippi(Dur::ZERO, 1);
-        l.faults.drop_p = Chance::new(1.0);
+        always(&mut l, Action::Drop);
         assert!(l.transmit(Bytes::from_static(b"x"), Time::ZERO).is_empty());
         assert_eq!(l.frames_in, 1);
         assert_eq!(l.frames_delivered, 0);
@@ -267,12 +339,18 @@ mod tests {
         let pool = BufPool::new();
         let mut l = Link::hippi(Dur::ZERO, 4);
         l.set_pool(pool.clone());
-        l.faults.corrupt_p = Chance::new(1.0);
+        always(&mut l, Action::Corrupt(None));
         let frame = Bytes::from(vec![0x5a; 2048]);
         let d = l.transmit(frame.clone(), Time::ZERO);
-        assert_ne!(
-            d[0].payload, frame,
-            "the delivered frame is a corrupted copy"
+        let flipped: u32 = d[0]
+            .payload
+            .iter()
+            .zip(frame.iter())
+            .map(|(a, b)| (a ^ b).count_ones())
+            .sum();
+        assert_eq!(
+            flipped, 1,
+            "the delivered frame is a copy with one bit flipped"
         );
         assert_eq!((pool.stats().acquires, pool.stats().releases), (1, 0));
         drop(d);
@@ -283,9 +361,11 @@ mod tests {
     #[test]
     fn duplicate_delivers_twice() {
         let mut l = Link::hippi(Dur::ZERO, 2);
-        l.faults.dup_p = Chance::new(1.0);
+        always(&mut l, Action::Delay(Dur::micros(500)));
+        always(&mut l, Action::Duplicate);
         let d = l.transmit(Bytes::from_static(b"x"), Time::ZERO);
         assert_eq!(d.len(), 2);
+        assert_eq!(d[0].at, Time::ZERO + Dur::micros(500));
         assert!(d[1].at > d[0].at);
     }
 
@@ -306,10 +386,11 @@ mod tests {
         assert!(l.transmit(Bytes::from_static(b"x"), Time::ZERO).is_empty());
         assert_eq!(l.down_drops, 1);
         assert_eq!(l.frames_in, 1);
-        assert_eq!(l.faults.stats.offered, 0, "injector never sees the frame");
+        let offered = |l: &Link| l.faults.counts().crossed(Point::Frame);
+        assert_eq!(offered(&l), 0, "the fault point is never crossed");
         l.up = true;
         assert_eq!(l.transmit(Bytes::from_static(b"y"), Time::ZERO).len(), 1);
-        assert_eq!(l.faults.stats.offered, 1);
+        assert_eq!(offered(&l), 1);
     }
 
     #[test]
@@ -326,12 +407,90 @@ mod tests {
     #[test]
     fn bytes_in_counts_dropped_frames_too() {
         let mut l = Link::hippi(Dur::ZERO, 1);
-        l.faults.drop_p = Chance::new(1.0);
+        l.faults
+            .add(Fault::crossing(1, 0, Point::Frame, Action::Drop));
         l.transmit(Bytes::from(vec![0u8; 64]), Time::ZERO);
-        l.faults.drop_p = Chance::NEVER;
         l.transmit(Bytes::from(vec![0u8; 36]), Time::ZERO);
         assert_eq!(l.bytes_in, 100);
         assert_eq!(l.bytes_delivered, 36);
+    }
+
+    #[test]
+    fn standalone_link_recycles_corruption_copies() {
+        // Without a shared pool the link recycles through its own.
+        let mut l = Link::hippi(Dur::ZERO, 3);
+        always(&mut l, Action::Corrupt(None));
+        for _ in 0..3 {
+            drop(l.transmit(Bytes::from(vec![0u8; 1500]), Time::ZERO));
+        }
+        let s = l.pool.stats();
+        assert_eq!((s.acquires, s.releases, s.misses), (3, 3, 1));
+        assert!(l.pool.balanced());
+    }
+
+    /// The folded ones'-complement sum over the whole buffer — any checksum
+    /// computed over any even-offset-aligned sub-range shifts by the same
+    /// amount under the stealth flip, so preserving this global sum (plus
+    /// both lane sums) proves the real TCP checksum is preserved.
+    fn ones_sum(buf: &[u8]) -> u32 {
+        let mut sum: u32 = buf
+            .chunks(2)
+            .map(|w| (u32::from(w[0]) << 8) | w.get(1).map_or(0, |&b| u32::from(b)))
+            .sum();
+        while sum >> 16 != 0 {
+            sum = (sum & 0xffff) + (sum >> 16);
+        }
+        sum
+    }
+
+    #[test]
+    fn stealth_corruption_changes_bytes_but_not_checksum() {
+        let mut l = Link::hippi(Dur::ZERO, 9);
+        always(&mut l, Action::StealthCorrupt);
+        // A varied payload like real application data.
+        let data: Bytes = (0..1024u32)
+            .map(|i| i.wrapping_mul(2654435761).to_le_bytes()[0])
+            .collect::<Vec<u8>>()
+            .into();
+        let payload = l.transmit(data.clone(), Time::ZERO)[0].payload.clone();
+        let diff = payload
+            .iter()
+            .zip(data.iter())
+            .filter(|(a, b)| a != b)
+            .count();
+        assert_eq!(diff, 2, "exactly two bytes flipped");
+        assert_eq!(ones_sum(&payload), ones_sum(&data), "checksum must survive");
+        // Both lane sums individually, so any 16-bit alignment works.
+        let lane = |buf: &[u8], p: usize| -> u64 {
+            buf.iter().skip(p).step_by(2).map(|&b| b as u64).sum()
+        };
+        assert_eq!(lane(&payload, 0), lane(&data, 0));
+        assert_eq!(lane(&payload, 1), lane(&data, 1));
+        // The header region is untouched.
+        assert_eq!(&payload[..128], &data[..128]);
+        assert_eq!(
+            l.faults
+                .counts()
+                .fired(Some(Point::Frame), "stealth_corrupt"),
+            1
+        );
+    }
+
+    #[test]
+    fn stealth_corruption_leaves_uncorruptible_payloads_alone() {
+        let mut l = Link::hippi(Dur::ZERO, 10);
+        always(&mut l, Action::StealthCorrupt);
+        // A constant fill has no set/clear pair; a short frame no payload.
+        for data in [vec![0u8; 512], vec![0x5a; 64]] {
+            let data = Bytes::from(data);
+            assert_eq!(l.transmit(data.clone(), Time::ZERO)[0].payload, data);
+        }
+        assert_eq!(
+            l.faults
+                .counts()
+                .fired(Some(Point::Frame), "stealth_corrupt"),
+            0
+        );
     }
 
     proptest::proptest! {

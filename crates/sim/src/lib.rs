@@ -31,8 +31,15 @@
 //!   high-water marks, netstat-style counters) behind every run report;
 //!   with the span rings it is the one event log (a counter says how
 //!   often, a span says when and for which flow),
-//! * [`chaos`] — deterministic, replayable fault schedules with a
-//!   delta-debugging shrinker for minimal failure repros,
+//! * [`fault`] — the one fault plan: every injected fault is a (trigger,
+//!   target, action) entry — a sim time, the k-th crossing of a link's or
+//!   CAB's injection point, or a seeded per-crossing chance; every fault
+//!   that fires lands in one run log, whose text replays the run,
+//! * [`chaos`] — random plans of survivable faults and the
+//!   delta-debugging shrinker that cuts any failing plan to a minimal
+//!   repro,
+//! * [`json`] — the small JSON reader behind the stats, timeline and
+//!   flight-recorder artifacts' tests,
 //! * [`Timeline`] — windowed time-series telemetry: bounded rings of
 //!   per-window counter deltas and gauge levels with exact conservation,
 //!   exported as Perfetto counter tracks, JSON/CSV, and sparklines.
@@ -46,7 +53,9 @@
 
 pub mod chaos;
 mod detmap;
+pub mod fault;
 mod idtable;
+pub mod json;
 pub mod obs;
 mod pool;
 mod rng;
@@ -56,8 +65,8 @@ mod time;
 mod timeline;
 mod wheel;
 
-pub use chaos::{ChaosAction, ChaosEvent, ChaosSchedule};
 pub use detmap::DetMap;
+pub use fault::{Fault, FaultPlan};
 pub use idtable::IdTable;
 pub use obs::{BusyTracker, MetricsRegistry};
 pub use pool::{BufPool, PoolStats, PooledBuf, Ticket};

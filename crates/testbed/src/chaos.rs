@@ -1,21 +1,21 @@
-//! Chaos runner: execute a ttcp transfer under a scripted fault schedule,
-//! judge the run with the [`crate::oracle`], and delta-debug failing
-//! schedules down to minimal replayable repros.
+//! Chaos runner: execute a ttcp transfer under a fault plan, judge the run
+//! with the [`crate::oracle`], and delta-debug failing plans down to
+//! minimal replayable repros.
 //!
 //! The transfer runs under [`World::run_apps`] until it completes, gives
 //! up or deadlocks: `completed`, `gave_up` or `drained`. Any ending but
 //! [`RunOutcome::Completed`] is the run's `liveness:` violation. Because
 //! the world is a deterministic discrete-event simulation, the same
-//! config + schedule always produces the same [`ChaosOutcome`], which is
-//! what makes [`shrink_failure`] sound.
+//! config + plan always produces the same [`ChaosOutcome`], which is what
+//! makes [`shrink_failure`] sound, and the run's log replays it.
 
 use crate::apps::TtcpReceiver;
-use crate::experiment::{build_ttcp_world, ExperimentConfig};
+use crate::experiment::{ttcp_world, ExperimentConfig};
 use crate::oracle;
 use crate::run::{RunError, RunOutcome};
-use crate::world::{ChaosStats, World};
-use outboard_sim::chaos::{shrink, ChaosSchedule, ShrinkResult};
-use outboard_sim::{Dur, MetricsRegistry, Time};
+use crate::world::World;
+use outboard_sim::chaos::{shrink, ShrinkResult};
+use outboard_sim::{Dur, FaultPlan, MetricsRegistry, Time};
 use outboard_stack::CAB_PROBE_INTERVAL;
 
 /// Sim-time allowance after quiesce for heal probes and watchdog resets to
@@ -23,7 +23,7 @@ use outboard_stack::CAB_PROBE_INTERVAL;
 const SETTLE: Dur = Dur::nanos(10 * CAB_PROBE_INTERVAL.as_nanos());
 
 /// The verdict on one chaos run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ChaosOutcome {
     /// Oracle violations, run-phase (liveness) first; empty = clean run.
     pub violations: Vec<String>,
@@ -36,15 +36,16 @@ pub struct ChaosOutcome {
     pub elapsed: Dur,
     /// Bytes the receiver read.
     pub bytes_read: usize,
-    /// What the chaos driver actually applied.
-    pub chaos: ChaosStats,
+    /// Every fault that fired, in firing order: a plan that replays the
+    /// run with no `Chance` left.
+    pub log: FaultPlan,
     /// Full metrics snapshot (byte-identical per seed — the determinism
     /// contract the repro files rely on).
     pub stats: MetricsRegistry,
     /// Flight-recorder dump (`outboard-flight-v1`): the last windows of the
     /// run's timeline plus the tail of the span ring, rendered only when
     /// the oracle found violations and the world had a timeline installed.
-    /// Written beside the `repro_<seed>.json` so every shrunk repro ships
+    /// Written beside the `repro_<seed>.faults` so every shrunk repro ships
     /// with the telemetry of its own crash.
     pub flight_json: Option<String>,
 }
@@ -64,23 +65,19 @@ impl ChaosOutcome {
     }
 }
 
-/// Run one ttcp transfer under `schedule` and judge it with the oracle.
-pub fn run_chaos(cfg: &ExperimentConfig, schedule: &ChaosSchedule) -> ChaosOutcome {
-    if let Err(e) = cfg.validate() {
+/// Run one ttcp transfer under `plan` and judge it with the oracle. The
+/// plan is all the run's faults: the configuration's probabilities enter
+/// only through [`ExperimentConfig::fault_plan`].
+pub fn run_chaos(cfg: &ExperimentConfig, plan: &FaultPlan) -> ChaosOutcome {
+    if let Err(e) = cfg.fault_plan() {
+        let violations = vec![format!("config: {e}")];
         return ChaosOutcome {
-            violations: vec![format!("config: {e}")],
-            outcome: None,
-            completed: false,
-            elapsed: Dur::ZERO,
-            bytes_read: 0,
-            chaos: ChaosStats::default(),
-            stats: MetricsRegistry::default(),
-            flight_json: None,
+            violations,
+            ..ChaosOutcome::default()
         };
     }
-    let mut w = build_ttcp_world(cfg);
-    w.install_chaos(schedule);
-    let quiesce = w.chaos_quiesce_at().unwrap_or(Time::ZERO);
+    let mut w = ttcp_world(cfg, plan);
+    let quiesce = w.faults_quiesce_at();
     let outcome = w.run_apps();
     let mut violations: Vec<String> = Vec::new();
     match outcome {
@@ -90,7 +87,7 @@ pub fn run_chaos(cfg: &ExperimentConfig, schedule: &ChaosSchedule) -> ChaosOutco
     }
 
     // Let remaining heals, probes, and watchdogs land before judging the
-    // end state (all chaos events sit at or before `quiesce`).
+    // end state (every `At` entry sits at or before `quiesce`).
     let settle = quiesce.max(w.now()) + SETTLE;
     w.run_until(settle);
 
@@ -123,7 +120,7 @@ pub fn run_chaos(cfg: &ExperimentConfig, schedule: &ChaosSchedule) -> ChaosOutco
         completed: outcome == Ok(RunOutcome::Completed) && bytes_read >= cfg.total_bytes,
         elapsed,
         bytes_read,
-        chaos: w.chaos_stats().unwrap_or_default(),
+        log: w.fault_log().plan(cfg.seed),
         stats,
         violations,
         flight_json,
@@ -201,11 +198,11 @@ fn flight_json(w: &World, seed: u64, violations: &[String]) -> Option<String> {
     Some(out)
 }
 
-/// Delta-debug a failing schedule to local minimality, preserving the
-/// failure *category* (so a shrunk liveness repro cannot silently morph
-/// into, say, a conservation repro). Returns `None` when the schedule does
-/// not actually fail under `cfg`.
-pub fn shrink_failure(cfg: &ExperimentConfig, failing: &ChaosSchedule) -> Option<ShrinkResult> {
+/// Delta-debug a failing plan to local minimality, preserving the failure
+/// *category* (so a shrunk liveness repro cannot silently morph into, say,
+/// a conservation repro). Returns `None` when the plan does not actually
+/// fail under `cfg`.
+pub fn shrink_failure(cfg: &ExperimentConfig, failing: &FaultPlan) -> Option<ShrinkResult> {
     let baseline = run_chaos(cfg, failing).category()?;
     Some(shrink(failing, |cand| {
         run_chaos(cfg, cand).category().as_deref() == Some(baseline.as_str())

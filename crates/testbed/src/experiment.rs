@@ -13,7 +13,10 @@ use crate::world::World;
 use bytes::Bytes;
 use outboard_cab::{Cab, CabEvent, SdmaDst, SdmaRx, SdmaTx, SgEntry};
 use outboard_host::{HostMem, MachineConfig, TaskId};
-use outboard_sim::{stats, Chance, Dur, EngineKind, MetricsRegistry, Time};
+use outboard_sim::fault::{Action, Point, Target};
+use outboard_sim::{
+    stats, Dur, EngineKind, Fault, FaultConfigError, FaultPlan, MetricsRegistry, Time,
+};
 use outboard_stack::{SockAddr, StackConfig};
 use std::net::Ipv4Addr;
 
@@ -105,29 +108,41 @@ impl ExperimentConfig {
         }
     }
 
-    /// Validate every fault-probability knob (finite, in `[0, 1]`).
-    ///
-    /// `build_ttcp_world` calls this and refuses to build a world from a
-    /// nonsense config; CLI front-ends call it directly to report the typed
-    /// error instead of crashing mid-run.
-    pub fn validate(&self) -> Result<(), outboard_sim::FaultConfigError> {
-        use outboard_sim::check_probability as chk;
-        chk("drop_p", self.drop_p)?;
-        chk("corrupt_p", self.corrupt_p)?;
-        chk("reorder_p", self.reorder_p)?;
-        chk("dup_p", self.dup_p)?;
-        chk("cab_alloc_fail_p", self.cab_alloc_fail_p)?;
-        chk("cab_sdma_fail_p", self.cab_sdma_fail_p)?;
-        chk("cab_mdma_fail_p", self.cab_mdma_fail_p)?;
-        chk("cab_wedge_p", self.cab_wedge_p)?;
-        chk("cab_csum_error_p", self.cab_csum_error_p)?;
+    /// The run's faults: each nonzero probability as a `Chance` entry on
+    /// host 0's outbound link or both hosts' CABs, in the order each device
+    /// draws them. This is where the configuration is checked (each
+    /// probability finite and in `[0, 1]`).
+    pub fn fault_plan(&self) -> Result<FaultPlan, FaultConfigError> {
+        use Action::{Corrupt, Delay, Drop, Duplicate, Fail, Miscompute, Wedge};
+        use Point::{Alloc, Csum, Frame, Mdma, Sdma};
+        let late = Delay(Dur::millis(1));
+        let knobs = [
+            ("drop_p", self.drop_p, Drop, Frame),
+            ("corrupt_p", self.corrupt_p, Corrupt(None), Frame),
+            ("reorder_p", self.reorder_p, late, Frame),
+            ("dup_p", self.dup_p, Duplicate, Frame),
+            ("cab_alloc_fail_p", self.cab_alloc_fail_p, Fail, Alloc),
+            ("cab_wedge_p", self.cab_wedge_p, Wedge, Sdma),
+            ("cab_wedge_p", self.cab_wedge_p, Wedge, Mdma),
+            ("cab_sdma_fail_p", self.cab_sdma_fail_p, Fail, Sdma),
+            ("cab_mdma_fail_p", self.cab_mdma_fail_p, Fail, Mdma),
+            ("cab_csum_error_p", self.cab_csum_error_p, Miscompute, Csum),
+        ];
+        let mut faults = Vec::new();
+        for (knob, p, action, point) in knobs {
+            for host in 0..if point == Frame { 1 } else { 2 } {
+                let fault = Fault::chance(knob, p, Target::Point(host, point), action)?;
+                faults.extend((p > 0.0).then_some(fault));
+            }
+        }
         if self.timeline_enabled && self.timeline_window.is_zero() {
-            return Err(outboard_sim::FaultConfigError {
+            return Err(FaultConfigError {
                 knob: "timeline_window",
                 value: 0.0,
             });
         }
-        Ok(())
+        let seed = self.seed;
+        Ok(FaultPlan { seed, faults })
     }
 }
 
@@ -197,46 +212,22 @@ pub const SENDER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 /// The receiver host's CAB address in ttcp worlds.
 pub const RECEIVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 
-/// Build the standard two-host CAB world for a ttcp experiment.
+/// Build the standard two-host CAB world for a ttcp experiment, with the
+/// configuration's [`ExperimentConfig::fault_plan`] installed. Panics on an
+/// invalid configuration.
 pub fn build_ttcp_world(cfg: &ExperimentConfig) -> World {
-    if let Err(e) = cfg.validate() {
-        panic!("invalid ExperimentConfig: {e}");
+    match cfg.fault_plan() {
+        Ok(plan) => ttcp_world(cfg, &plan),
+        Err(e) => panic!("invalid ExperimentConfig: {e}"),
     }
+}
+
+/// The ttcp world of `cfg` with the faults of `plan` alone.
+pub(crate) fn ttcp_world(cfg: &ExperimentConfig, plan: &FaultPlan) -> World {
     let mut w = World::new();
     let a = w.add_host("sender", cfg.machine.clone(), cfg.stack.clone());
     let b = w.add_host("receiver", cfg.machine.clone(), cfg.stack.clone());
-    let (if_a, if_b) = w.connect_cab(a, SENDER_IP, b, RECEIVER_IP, Dur::micros(5), cfg.seed);
-    {
-        let f = &mut w.links.get_mut(&(a, if_a)).unwrap().faults;
-        f.drop_p = Chance::new(cfg.drop_p);
-        f.corrupt_p = Chance::new(cfg.corrupt_p);
-        f.reorder_p = Chance::new(cfg.reorder_p);
-        f.dup_p = Chance::new(cfg.dup_p);
-    }
-    let cab_faulty = cfg.cab_alloc_fail_p > 0.0
-        || cfg.cab_sdma_fail_p > 0.0
-        || cfg.cab_mdma_fail_p > 0.0
-        || cfg.cab_wedge_p > 0.0
-        || cfg.cab_csum_error_p > 0.0;
-    if cab_faulty {
-        for (host, iface) in [(a, if_a), (b, if_b)] {
-            let ci = w.hosts[host].kernel.ifaces[iface.0 as usize]
-                .cab()
-                .expect("cab iface");
-            // A fresh injector with a run-derived seed: the CAB's default
-            // injector is seeded from its fabric address, which would make
-            // every run with the same topology draw the same fate stream.
-            let mut f = outboard_cab::CabFaultInjector::none(
-                cfg.seed.wrapping_mul(7).wrapping_add(5 + host as u64),
-            );
-            f.alloc_fail_p = Chance::new(cfg.cab_alloc_fail_p);
-            f.sdma_fail_p = Chance::new(cfg.cab_sdma_fail_p);
-            f.mdma_fail_p = Chance::new(cfg.cab_mdma_fail_p);
-            f.wedge_p = Chance::new(cfg.cab_wedge_p);
-            f.csum_error_p = Chance::new(cfg.cab_csum_error_p);
-            ci.cab.install_faults(f);
-        }
-    }
+    w.connect_cab(a, SENDER_IP, b, RECEIVER_IP, Dur::micros(5), cfg.seed);
     // Receiver first so the listener exists before the SYN arrives.
     let mut rx = TtcpReceiver::new(RECEIVER_TASK, PORT, cfg.write_size);
     rx.verify = cfg.verify;
@@ -255,6 +246,7 @@ pub fn build_ttcp_world(cfg: &ExperimentConfig) -> World {
     if cfg.timeline_enabled {
         w.enable_timeline(cfg.timeline_window, TIMELINE_CAPACITY);
     }
+    w.install_faults(plan);
     w
 }
 
@@ -490,8 +482,8 @@ mod tests {
         );
     }
 
-    /// A wedge probability installs the CAB fault injector on its own,
-    /// with no other CAB fault set: both adaptors wedge engines.
+    /// A wedge probability alone, with no other CAB fault set, wedges
+    /// both adaptors' engines.
     #[test]
     fn cab_wedge_probability_alone_wedges_engines() {
         let mut stack = StackConfig::single_copy();

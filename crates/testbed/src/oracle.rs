@@ -1,9 +1,9 @@
 //! End-to-end oracle: the invariants that must hold after *any* fault
-//! schedule, chaotic or benign.
+//! plan, chaotic or benign.
 //!
 //! Three families of checks, each returning human-readable violation strings
 //! (empty = clean) so callers can assert, aggregate, or feed them to the
-//! schedule shrinker:
+//! plan shrinker:
 //!
 //! * **Stream integrity** — the receiver read exactly the bytes the sender
 //!   wrote, in order, with the expected pattern: no holes, duplicates, or
@@ -11,7 +11,7 @@
 //! * **Conservation** — the `world.*` accounting identities from the fault
 //!   soak suite: every transport packet checksummed exactly once, per-link
 //!   byte and fault-fate counters summing to the world aggregates.
-//! * **Healed end-state** — once every scheduled fault has healed and the
+//! * **Healed end-state** — once every fault window has healed and the
 //!   probes have run, no interface may still be degraded, wedged, or carrying
 //!   an unbalanced degraded-entry/exit ledger (livelock/leak detector), and
 //!   once the transfer has completed no CAB may hold a network-memory page.
@@ -21,7 +21,7 @@
 //!
 //! Violation strings are prefixed with a stable category token
 //! (`integrity:`, `conservation:`, `endstate:`, `copy:`, `liveness:`) so the shrinker
-//! can check that a shrunk schedule reproduces the *same kind* of failure.
+//! can check that a shrunk plan reproduces the *same kind* of failure.
 
 use crate::apps::{TtcpReceiver, TtcpSender};
 use crate::world::World;

@@ -207,8 +207,8 @@ mod tests {
     #[test]
     fn a_peer_reset_ends_the_blocked_reader_with_econnreset() {
         use crate::experiment::build_ttcp_world;
-        use outboard_sim::Chance;
-        use outboard_stack::IfaceId;
+        use outboard_sim::fault::{Action, Point, Target};
+        use outboard_sim::{Fault, FaultPlan};
         let mut cfg = mb(0.0);
         cfg.total_bytes = 4 * 1024 * 1024;
         let mut w = build_ttcp_world(&cfg);
@@ -219,8 +219,12 @@ mod tests {
         };
         let cut = w.run_while(Time::ZERO + Dur::secs(10), |w| read(w) < 256 * 1024);
         assert!(cut, "256 KB arrive");
-        let ack_path = w.links.get_mut(&(1, IfaceId(0))).expect("ACK path");
-        ack_path.faults.drop_p = Chance::new(1.0);
+        let ack_path = Target::Point(1, Point::Frame);
+        let drop = Fault::chance("drop_p", 1.0, ack_path, Action::Drop).expect("a probability");
+        w.install_faults(&FaultPlan {
+            seed: cfg.seed,
+            faults: vec![drop],
+        });
         let sender = w.run_apps();
         assert!(
             matches!(

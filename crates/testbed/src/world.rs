@@ -11,9 +11,12 @@ use bytes::Bytes;
 use outboard_cab::{CabEvent, PacketId};
 use outboard_host::{Charge, Cpu, HostMem, MachineConfig, MemFault, TaskId, UserMemory};
 use outboard_netsim::{Capture, Framing, Link};
-use outboard_sim::chaos::{ChaosAction, ChaosSchedule};
+use outboard_sim::fault::{Action, CountKey, FaultCounts, FaultLog, Injector, Point};
+use outboard_sim::fault::{Target, Trigger};
 use outboard_sim::span::{self, CriticalPath, Span, SpanSink, Stage};
-use outboard_sim::{BufPool, Dur, EngineKind, EventEngine, MetricsRegistry, Time};
+use outboard_sim::{
+    BufPool, Dur, EngineKind, EventEngine, Fault, FaultPlan, MetricsRegistry, Time,
+};
 use outboard_sim::{SeriesKind, Timeline};
 use outboard_stack::{Effect, IfaceId, Kernel, SockId, StackConfig, StackError, TimerKind};
 use std::collections::BTreeMap;
@@ -63,8 +66,8 @@ pub(crate) enum Event {
         kind: TimerKind,
         seq: u64,
     },
-    /// A scheduled chaos action fires (`heal` closes a durable window).
-    Chaos { idx: usize, heal: bool },
+    /// A plan's `At` entry fires (`heal` closes its window).
+    Fault { idx: usize, heal: bool },
 }
 
 /// Application step outcome.
@@ -159,36 +162,6 @@ impl Host {
     }
 }
 
-/// Cumulative chaos-injection counters, published as `world.chaos.*` when a
-/// schedule is installed.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ChaosStats {
-    /// Fault actions applied (window openings and one-shots).
-    pub events_applied: u64,
-    /// Durable windows closed (links back up, squeezes released, ...).
-    pub heals_applied: u64,
-    /// `link_down` windows opened.
-    pub link_downs: u64,
-    /// Full partitions opened.
-    pub partitions: u64,
-    /// Delay spikes opened.
-    pub delay_spikes: u64,
-    /// CAB engine wedges injected.
-    pub cab_wedges: u64,
-    /// CAB board crashes injected.
-    pub board_crashes: u64,
-    /// Netmem squeezes opened.
-    pub netmem_squeezes: u64,
-    /// Host pauses opened.
-    pub host_pauses: u64,
-    /// Stealth (checksum-preserving) corruptions armed.
-    pub stealth_corrupts: u64,
-    /// Events re-queued because their host was paused (a timer counts
-    /// only when it is its slot's latest arm; superseded ones never reach
-    /// the pause check).
-    pub deferred_events: u64,
-}
-
 /// Installed windowed sampler plus its boundary cursor. Boxed behind an
 /// `Option` on [`World`]: the disabled path costs one `is_some` branch per
 /// dispatched event and nothing else (zero-overhead-off, like spans).
@@ -237,11 +210,33 @@ const WORLD_SERIES: [SeriesDef<World>; 2] = [
     ),
 ];
 
-/// Installed chaos schedule plus its runtime bookkeeping.
-struct ChaosState {
-    schedule: ChaosSchedule,
-    stats: ChaosStats,
-    /// Absolute time by which every durable window has closed.
+/// `world.chaos.*` counters read from the `At` entries applied.
+const WINDOW_KEYS: [CountKey; 8] = [
+    ("link_downs", |c| c.fired(None, "link_down")),
+    ("partitions", |c| c.fired(None, "partition")),
+    ("delay_spikes", |c| c.fired(None, "delay_spike")),
+    ("cab_wedges", |c| c.fired(None, "wedge")),
+    ("board_crashes", |c| c.fired(None, "board_crash")),
+    ("netmem_squeezes", |c| c.fired(None, "netmem_squeeze")),
+    ("host_pauses", |c| c.fired(None, "host_pause")),
+    ("stealth_corrupts", |c| c.fired(None, "stealth_corrupt")),
+];
+
+/// A plan's `At` entries and the world-level state of their windows,
+/// present once a plan with an `At` entry is installed.
+#[derive(Default)]
+struct Windows {
+    /// The `At` entries in plan order; [`Event::Fault`] names one by index.
+    faults: Vec<Fault>,
+    /// The entries applied, by kind (the counts' world row).
+    counts: FaultCounts,
+    /// Windows closed (links back up, squeezes released, ...).
+    heals: u64,
+    /// Events re-queued because their host was paused (a timer counts
+    /// only when it is its slot's latest arm; superseded ones never reach
+    /// the pause check).
+    deferred: u64,
+    /// Time by which every entry has fired and every window has closed.
     quiesce: Time,
     /// Active down-window count per link (overlapping outages stack).
     down_count: BTreeMap<(usize, IfaceId), u32>,
@@ -285,8 +280,10 @@ pub struct World {
     /// Wire-transit spans (one sink for the whole fabric; disabled by
     /// default — see `World::enable_span_tracing`).
     pub wire_spans: SpanSink,
-    /// Installed chaos schedule (None for fault-free / knob-only runs).
-    chaos: Option<ChaosState>,
+    /// The installed plan's `At` entries (None without any).
+    windows: Option<Windows>,
+    /// Every fault that fired, in firing order.
+    fault_log: FaultLog,
     /// Windowed time-series sampler (None unless enabled; see
     /// [`World::enable_timeline`]).
     timeline: Option<Box<TimelineState>>,
@@ -313,7 +310,8 @@ impl World {
             capture: None,
             events_dispatched: 0,
             wire_spans: SpanSink::disabled(),
-            chaos: None,
+            windows: None,
+            fault_log: FaultLog::default(),
             timeline: None,
             gave_up: None,
         }
@@ -325,46 +323,69 @@ impl World {
         World::new()
     }
 
-    /// Install a chaos schedule: every event (and, for durable actions, its
-    /// heal) is pushed onto the sim-time event queue relative to the current
-    /// virtual time. Injection is therefore part of the deterministic event
-    /// stream — the same seed replays byte-identically. Call once, before
-    /// running.
-    pub fn install_chaos(&mut self, schedule: &ChaosSchedule) {
-        let base = self.queue.now();
-        for (idx, ev) in schedule.events.iter().enumerate() {
-            self.queue
-                .push(base + ev.at, Event::Chaos { idx, heal: false });
-            if let Some(d) = ev.action.duration() {
-                self.queue
-                    .push(base + ev.at + d, Event::Chaos { idx, heal: true });
+    /// Install a fault plan. `At` entries go onto the sim-time event queue
+    /// (a window with its heal), so injection is part of the deterministic
+    /// event stream; `Crossing` and `Chance` entries go to their target's
+    /// device (host `h`'s outbound link for [`Point::Frame`], its CAB
+    /// otherwise), which consults them at each crossing. Every fault that
+    /// fires is appended to [`World::fault_log`]. Entries of further calls,
+    /// mid-run too, add to the plan.
+    pub fn install_faults(&mut self, plan: &FaultPlan) {
+        let now = self.queue.now();
+        for fault in &plan.faults {
+            let Trigger::At(at) = fault.trigger else {
+                let log = self.fault_log.clone();
+                if let Some(inj) = self.injector(fault.target) {
+                    inj.set_log(log);
+                    inj.add(*fault);
+                }
+                continue;
+            };
+            let w = self.windows.get_or_insert_with(Windows::default);
+            let idx = w.faults.len();
+            w.faults.push(*fault);
+            let at = at.max(now);
+            self.queue.push(at, Event::Fault { idx, heal: false });
+            w.quiesce = w.quiesce.max(at);
+            if let Some(d) = fault.action.window() {
+                self.queue.push(at + d, Event::Fault { idx, heal: true });
+                w.quiesce = w.quiesce.max(at + d);
             }
         }
-        self.chaos = Some(ChaosState {
-            quiesce: base + schedule.quiesce_at(),
-            schedule: schedule.clone(),
-            stats: ChaosStats::default(),
-            down_count: BTreeMap::new(),
-            squeeze_depth: BTreeMap::new(),
-            paused_until: BTreeMap::new(),
-        });
     }
 
-    /// Absolute time by which every durable chaos window has closed (the
-    /// liveness oracle only counts stalls after this point). None without
-    /// an installed schedule.
-    pub(crate) fn chaos_quiesce_at(&self) -> Option<Time> {
-        self.chaos.as_ref().map(|c| c.quiesce)
+    /// Every fault that has fired so far, in firing order: rendered, a plan
+    /// that replays the run.
+    pub fn fault_log(&self) -> &FaultLog {
+        &self.fault_log
     }
 
-    /// Snapshot of the chaos-injection counters.
-    pub(crate) fn chaos_stats(&self) -> Option<ChaosStats> {
-        self.chaos.as_ref().map(|c| c.stats)
+    /// Time by which every `At` entry has fired and every window has
+    /// closed; zero without `At` entries.
+    pub(crate) fn faults_quiesce_at(&self) -> Time {
+        self.windows.as_ref().map_or(Time::ZERO, |w| w.quiesce)
+    }
+
+    /// The injector at `target`'s point: host `h`'s first outbound link for
+    /// [`Point::Frame`], its first CAB otherwise.
+    fn injector(&mut self, target: Target) -> Option<&mut Injector> {
+        let Target::Point(host, point) = target else {
+            return None;
+        };
+        if point == Point::Frame {
+            let mut links = self.links.iter_mut();
+            return links.find(|(k, _)| k.0 == host).map(|(_, l)| &mut l.faults);
+        }
+        let ifaces = self.hosts.get_mut(host)?.kernel.ifaces.iter_mut();
+        ifaces
+            .filter_map(|i| i.cab())
+            .map(|ci| &mut ci.cab.faults)
+            .next()
     }
 
     /// The host whose pause state gates this event, if any. Fabric-side
-    /// events (`FabricTx`: the frame already left the adaptor) and chaos
-    /// injections themselves run even while the host is paused.
+    /// events (`FabricTx`: the frame already left the adaptor) and fault
+    /// entries themselves run even while the host is paused.
     fn cpu_host_of(ev: &Event) -> Option<usize> {
         match ev {
             Event::AppStep { host, .. }
@@ -373,41 +394,43 @@ impl World {
             | Event::RxInterrupt { host, .. }
             | Event::FrameArrive { host, .. }
             | Event::Timer { host, .. } => Some(*host),
-            Event::FabricTx { .. } | Event::Chaos { .. } => None,
+            Event::FabricTx { .. } | Event::Fault { .. } => None,
         }
     }
 
-    /// Apply one chaos action (or heal its window).
-    fn apply_chaos(&mut self, idx: usize, heal: bool, now: Time) {
-        let Some(action) = self
-            .chaos
-            .as_ref()
-            .and_then(|c| c.schedule.events.get(idx))
-            .map(|e| e.action)
-        else {
+    /// Apply `At` entry `idx` (or close its window): a window action acts
+    /// on the world, a point action arms its device's next crossing.
+    fn apply_fault(&mut self, idx: usize, heal: bool, now: Time) {
+        let Some(w) = self.windows.as_mut() else {
             return;
         };
-        if let Some(ch) = self.chaos.as_mut() {
-            if heal {
-                ch.stats.heals_applied += 1;
-            } else {
-                ch.stats.events_applied += 1;
-                match action {
-                    ChaosAction::LinkDown { .. } => ch.stats.link_downs += 1,
-                    ChaosAction::Partition { .. } => ch.stats.partitions += 1,
-                    ChaosAction::DelaySpike { .. } => ch.stats.delay_spikes += 1,
-                    ChaosAction::CabWedge { .. } => ch.stats.cab_wedges += 1,
-                    ChaosAction::BoardCrash { .. } => ch.stats.board_crashes += 1,
-                    ChaosAction::NetmemSqueeze { .. } => ch.stats.netmem_squeezes += 1,
-                    ChaosAction::HostPause { .. } => ch.stats.host_pauses += 1,
-                    ChaosAction::StealthCorrupt { .. } => ch.stats.stealth_corrupts += 1,
+        let Some(&fault) = w.faults.get(idx) else {
+            return;
+        };
+        if heal {
+            w.heals += 1;
+        } else {
+            w.counts.fire(None, fault.action);
+        }
+        let host = match fault.target {
+            Target::Point(h, _) | Target::Host(h) => h,
+            Target::All => 0,
+        };
+        if !heal && !fault.action.on_point() {
+            self.fault_log.push(fault);
+        }
+        match fault.action {
+            // Its device logs it when the next crossing fires it.
+            a if a.on_point() => {
+                let log = self.fault_log.clone();
+                if let Some(inj) = self.injector(fault.target) {
+                    inj.set_log(log);
+                    inj.add(fault);
                 }
             }
-        }
-        match action {
-            ChaosAction::LinkDown { host, .. } => self.chaos_set_links(Some(host), heal),
-            ChaosAction::Partition { .. } => self.chaos_set_links(None, heal),
-            ChaosAction::DelaySpike { host, extra, .. } => {
+            Action::LinkDown(_) => self.set_links_down(Some(host), heal),
+            Action::Partition(_) => self.set_links_down(None, heal),
+            Action::DelaySpike { extra, .. } => {
                 for (key, link) in self.links.iter_mut() {
                     if key.0 == host {
                         link.extra_latency = if heal {
@@ -418,27 +441,7 @@ impl World {
                     }
                 }
             }
-            ChaosAction::CabWedge { host, mdma } => {
-                if heal {
-                    return;
-                }
-                if let Some(h) = self.hosts.get_mut(host) {
-                    for iface in h.kernel.ifaces.iter_mut() {
-                        if let Some(ci) = iface.cab() {
-                            if mdma {
-                                ci.cab.force_mdma_wedge_next();
-                            } else {
-                                ci.cab.force_sdma_wedge_next();
-                            }
-                            break;
-                        }
-                    }
-                }
-            }
-            ChaosAction::BoardCrash { host } => {
-                if heal {
-                    return;
-                }
+            Action::BoardCrash => {
                 let target = self.hosts.get_mut(host).and_then(|h| {
                     h.kernel.ifaces.iter_mut().find_map(|i| {
                         let id = i.id;
@@ -453,19 +456,14 @@ impl World {
                     self.apply_effects(host, fx, now);
                 }
             }
-            ChaosAction::NetmemSqueeze { host, permille, .. } => {
-                let depth = match self.chaos.as_mut() {
-                    Some(ch) => {
-                        let d = ch.squeeze_depth.entry(host).or_insert(0);
-                        if heal {
-                            *d = d.saturating_sub(1);
-                        } else {
-                            *d += 1;
-                        }
-                        *d
-                    }
-                    None => 0,
-                };
+            Action::NetmemSqueeze { permille, .. } => {
+                let d = w.squeeze_depth.entry(host).or_insert(0);
+                if heal {
+                    *d = d.saturating_sub(1);
+                } else {
+                    *d += 1;
+                }
+                let depth = *d;
                 if let Some(h) = self.hosts.get_mut(host) {
                     for iface in h.kernel.ifaces.iter_mut() {
                         if let Some(ci) = iface.cab() {
@@ -482,42 +480,28 @@ impl World {
                     }
                 }
             }
-            ChaosAction::HostPause { host, dur } => {
-                if heal {
-                    return; // the pause expires by time comparison below
-                }
-                if let Some(ch) = self.chaos.as_mut() {
-                    let until = now + dur;
-                    let e = ch.paused_until.entry(host).or_insert(until);
-                    if *e < until {
-                        *e = until;
-                    }
+            // The pause expires by time comparison in `dispatch`.
+            Action::HostPause(dur) if !heal => {
+                let until = now + dur;
+                let e = w.paused_until.entry(host).or_insert(until);
+                if *e < until {
+                    *e = until;
                 }
             }
-            ChaosAction::StealthCorrupt { host } => {
-                if heal {
-                    return;
-                }
-                for (key, link) in self.links.iter_mut() {
-                    if key.0 == host {
-                        link.faults.force_stealth_corrupt_next();
-                        break;
-                    }
-                }
-            }
+            _ => {}
         }
     }
 
     /// Open or close a down window on one host's outbound links (or, with
     /// `host == None`, on every link — a full partition). Overlapping
     /// windows stack: a link comes back up when its last window closes.
-    fn chaos_set_links(&mut self, host: Option<usize>, heal: bool) {
-        let Some(ch) = self.chaos.as_mut() else {
+    fn set_links_down(&mut self, host: Option<usize>, heal: bool) {
+        let Some(w) = self.windows.as_mut() else {
             return;
         };
         for (key, link) in self.links.iter_mut() {
             if host.is_none_or(|h| key.0 == h) {
-                let c = ch.down_count.entry(*key).or_insert(0);
+                let c = w.down_count.entry(*key).or_insert(0);
                 if heal {
                     *c = c.saturating_sub(1);
                     if *c == 0 {
@@ -633,8 +617,11 @@ impl World {
     fn fault_events_total(&self) -> i64 {
         let mut total = 0u64;
         for link in self.links.values() {
-            let f = &link.faults.stats;
-            total += f.dropped + f.corrupted + f.reordered + f.duplicated + f.stealth_corrupted;
+            // Every key but `offered` is a fate.
+            let fates = outboard_netsim::FAULT_KEYS[1..].iter();
+            total += fates
+                .map(|(_, read)| read(link.faults.counts()))
+                .sum::<u64>();
             total += link.down_drops;
         }
         total as i64
@@ -768,50 +755,33 @@ impl World {
             host.cpu
                 .publish_metrics(&mut reg.scope(&format!("{name}.cpu")));
         }
-        let mut faults = outboard_netsim::FaultStats::default();
-        let mut down_drops = 0u64;
         // BTreeMap iterates in sorted key order, so the registry layout is
         // stable without an explicit sort.
         for (key, link) in &self.links {
             let mut s = reg.scope(&format!("link.h{}.if{}", key.0, key.1 .0));
             link.publish_metrics(&mut s);
-            let f = &link.faults.stats;
-            faults.offered += f.offered;
-            faults.dropped += f.dropped;
-            faults.corrupted += f.corrupted;
-            faults.reordered += f.reordered;
-            faults.duplicated += f.duplicated;
-            faults.stealth_corrupted += f.stealth_corrupted;
-            down_drops += link.down_drops;
         }
+        let down_drops = self.links.values().map(|l| l.down_drops).sum();
         let mut w = reg.scope("world");
         w.counter("events_dispatched", self.events_dispatched);
         w.counter("frames_on_fabric", self.frames_on_fabric);
         w.counter("bytes_on_fabric", self.bytes_on_fabric);
-        w.counter("faults.offered", faults.offered);
-        w.counter("faults.dropped", faults.dropped);
-        w.counter("faults.corrupted", faults.corrupted);
-        w.counter("faults.reordered", faults.reordered);
-        w.counter("faults.duplicated", faults.duplicated);
-        w.counter("faults.stealth_corrupted", faults.stealth_corrupted);
-        // Chaos counters publish only when a schedule is installed, so
-        // chaos-free runs keep byte-identical registries (the same gate the
-        // span stats use).
-        if let Some(ch) = &self.chaos {
-            let st = &ch.stats;
+        for (name, read) in outboard_netsim::FAULT_KEYS {
+            w.counter(
+                name,
+                self.links.values().map(|l| read(l.faults.counts())).sum(),
+            );
+        }
+        // `At` counters publish only when a plan has `At` entries, so other
+        // runs keep byte-identical registries (the same gate the span stats
+        // use).
+        if let Some(ws) = &self.windows {
             let mut c = w.sub("chaos");
-            c.counter("events_scheduled", ch.schedule.events.len() as u64);
-            c.counter("events_applied", st.events_applied);
-            c.counter("heals_applied", st.heals_applied);
-            c.counter("link_downs", st.link_downs);
-            c.counter("partitions", st.partitions);
-            c.counter("delay_spikes", st.delay_spikes);
-            c.counter("cab_wedges", st.cab_wedges);
-            c.counter("board_crashes", st.board_crashes);
-            c.counter("netmem_squeezes", st.netmem_squeezes);
-            c.counter("host_pauses", st.host_pauses);
-            c.counter("stealth_corrupts", st.stealth_corrupts);
-            c.counter("deferred_events", st.deferred_events);
+            c.counter("events_scheduled", ws.faults.len() as u64);
+            c.counter("events_applied", ws.counts.applied());
+            c.counter("heals_applied", ws.heals);
+            ws.counts.publish(&mut c, &WINDOW_KEYS);
+            c.counter("deferred_events", ws.deferred);
             c.counter("down_drops", down_drops);
         }
         // Pool counters publish only once the pool has been used, so worlds
@@ -898,10 +868,14 @@ impl World {
         self.next_hippi_addr += 2;
         let mtu = 32 * 1024;
 
+        // Each CAB draws its chances from a stream of the run's seed.
+        let cab_seed = |host: usize| seed.wrapping_mul(7).wrapping_add(5 + host as u64);
         let mut cab_a = outboard_cab::Cab::new(addr_a, self.hosts[a].kernel.cab_config());
+        cab_a.faults = Injector::new(cab_seed(a));
         cab_a.set_pool(self.pool.clone());
         let if_a = self.hosts[a].kernel.add_cab_iface(ip_a, cab_a, mtu);
         let mut cab_b = outboard_cab::Cab::new(addr_b, self.hosts[b].kernel.cab_config());
+        cab_b.faults = Injector::new(cab_seed(b));
         cab_b.set_pool(self.pool.clone());
         let if_b = self.hosts[b].kernel.add_cab_iface(ip_b, cab_b, mtu);
 
@@ -1150,17 +1124,17 @@ impl World {
         }
         // A paused host's CPU-side events are deferred (re-queued at the
         // resume time, preserving FIFO order among deferred events); the
-        // fabric and the chaos injector itself keep running.
-        if let Some(ch) = self.chaos.as_mut() {
+        // fabric and the plan's own entries keep running.
+        if let Some(ws) = self.windows.as_mut() {
             if let Some(h) = Self::cpu_host_of(&ev) {
-                match ch.paused_until.get(&h).copied() {
+                match ws.paused_until.get(&h).copied() {
                     Some(until) if now < until => {
-                        ch.stats.deferred_events += 1;
+                        ws.deferred += 1;
                         self.timers.defer(&mut self.queue, until, ev);
                         return;
                     }
                     Some(_) => {
-                        ch.paused_until.remove(&h);
+                        ws.paused_until.remove(&h);
                     }
                     None => {}
                 }
@@ -1299,8 +1273,8 @@ impl World {
                 };
                 self.apply_effects(host, fx, now);
             }
-            Event::Chaos { idx, heal } => {
-                self.apply_chaos(idx, heal, now);
+            Event::Fault { idx, heal } => {
+                self.apply_fault(idx, heal, now);
             }
         }
     }

@@ -45,7 +45,9 @@
 //! 6838 → 3329; then 2.338 → 1.999, chain storage 0.904 → 0.566; then
 //! 1.958 now, once the timing wheel's slots became lists through one node
 //! slab and stopped growing a `Vec` per slot. The 16-flow world below
-//! never leaves the scheduler's heap mode, so its 1.926 did not move.)
+//! never leaves the scheduler's heap mode, so its 1.926 did not move; the
+//! 256-flow world beside it, 16 KB a flow, has 1 387 events pending when
+//! its count begins and runs on the wheel: 1.824.)
 //! Per event the fourth column rose only because the denominator
 //! fell: the ~1 500 events a `small_writes` pass no longer dispatches were
 //! superseded timers, which allocated nothing. The steady-state figures
@@ -108,6 +110,12 @@ static GLOBAL: Counting = Counting;
 /// 3.951).
 const SINGLE_FLOW_ALLOCS_PER_EVENT: f64 = 1.907;
 const MANY_FLOWS_ALLOCS_PER_EVENT: f64 = 1.926;
+/// The 256-flow world, measured when it was added.
+const WHEEL_FLOWS_ALLOCS_PER_EVENT: f64 = 1.824;
+
+/// Pending events above which the scheduler leaves its heap for the timing
+/// wheel.
+const WHEEL_THRESHOLD: usize = 512;
 
 fn single_copy() -> StackConfig {
     let mut s = StackConfig::single_copy();
@@ -116,19 +124,44 @@ fn single_copy() -> StackConfig {
 }
 
 /// Run `w` to completion; returns (allocations, events) of everything after
-/// the first `warmup` events.
-fn steady_state(mut w: World, warmup: u64) -> (u64, u64) {
+/// the first `warmup` events, and the events pending when counting began.
+fn steady_state(mut w: World, warmup: u64) -> (u64, u64, usize) {
     let deadline = Time::ZERO + Dur::secs(60);
     assert!(w.run_while(deadline, |w| w.events_dispatched < warmup));
+    let pending = w.pending_events();
     let (a0, e0) = (ALLOCS.with(Cell::get), w.events_dispatched);
     assert_eq!(w.run_apps(), Ok(RunOutcome::Completed));
     let (a1, e1) = (ALLOCS.with(Cell::get), w.events_dispatched);
-    (a1 - a0, e1 - e0)
+    (a1 - a0, e1 - e0, pending)
 }
 
-fn assert_budget(name: &str, (allocs, events): (u64, u64), measured: f64) {
+/// `flows` concurrent ttcp pairs of `bytes` each over one CAB link, 4 KB
+/// writes (the `many_flows` shape).
+fn many_flows(flows: u32, bytes: usize) -> World {
+    let machine = MachineConfig::alpha_3000_400();
+    let mut w = World::new();
+    let a = w.add_host("sender", machine.clone(), single_copy());
+    let b = w.add_host("receiver", machine, single_copy());
+    w.connect_cab(a, SENDER_IP, b, RECEIVER_IP, Dur::micros(5), 1);
+    for i in 0..flows {
+        let rx = TtcpReceiver::new(TaskId(2000 + i), 5001 + i as u16, 4096);
+        w.add_app(b, Box::new(rx), i == 0);
+    }
+    for i in 0..flows {
+        let dst = SockAddr::new(RECEIVER_IP, 5001 + i as u16);
+        let mut tx = TtcpSender::new(TaskId(1000 + i), dst, 4096, bytes);
+        tx.buf_vaddr += u64::from(i) * 0x1_0000;
+        w.add_app(a, Box::new(tx), i == 0);
+    }
+    w
+}
+
+fn assert_budget(name: &str, (allocs, events, pending): (u64, u64, usize), measured: f64) {
     let per_event = allocs as f64 / events as f64;
-    println!("{name}: {allocs} allocations over {events} events = {per_event:.3} per event");
+    println!(
+        "{name}: {allocs} allocations over {events} events = {per_event:.3} per event \
+         ({pending} pending when counting began)"
+    );
     assert!(events > 1000, "{name}: too few events to mean anything");
     assert!(
         per_event <= measured * 1.10,
@@ -149,26 +182,24 @@ fn allocations_per_event_stay_within_budget() {
         SINGLE_FLOW_ALLOCS_PER_EVENT,
     );
 
-    // 16 concurrent ttcp pairs over one CAB link, 4 KB writes (the
-    // `many_flows` shape at a sixteenth of its size).
-    let machine = MachineConfig::alpha_3000_400();
-    let mut w = World::new();
-    let a = w.add_host("sender", machine.clone(), single_copy());
-    let b = w.add_host("receiver", machine, single_copy());
-    w.connect_cab(a, SENDER_IP, b, RECEIVER_IP, Dur::micros(5), 1);
-    for i in 0..16u32 {
-        let rx = TtcpReceiver::new(TaskId(2000 + i), 5001 + i as u16, 4096);
-        w.add_app(b, Box::new(rx), i == 0);
-    }
-    for i in 0..16u32 {
-        let dst = SockAddr::new(RECEIVER_IP, 5001 + i as u16);
-        let mut tx = TtcpSender::new(TaskId(1000 + i), dst, 4096, 64 * 1024);
-        tx.buf_vaddr += u64::from(i) * 0x1_0000;
-        w.add_app(a, Box::new(tx), i == 0);
-    }
+    // 16 concurrent pairs of 64 KB (the `many_flows` shape at a sixteenth
+    // of its size): this world never leaves the scheduler's heap.
+    let sixteen = steady_state(many_flows(16, 64 * 1024), 600);
+    assert!(sixteen.2 <= WHEEL_THRESHOLD, "{} pending", sixteen.2);
     assert_budget(
         "16 flows, 4 KB writes",
-        steady_state(w, 600),
+        sixteen,
         MANY_FLOWS_ALLOCS_PER_EVENT,
+    );
+
+    // 256 concurrent pairs of 16 KB (the `many_flows` shape with a
+    // quarter of its bytes per flow): counted from the point where more
+    // than 512 events are pending, so the timing wheel runs it.
+    let wheel = steady_state(many_flows(256, 16 * 1024), 6000);
+    assert!(wheel.2 > WHEEL_THRESHOLD, "{} pending: heap mode", wheel.2);
+    assert_budget(
+        "256 flows, 4 KB writes",
+        wheel,
+        WHEEL_FLOWS_ALLOCS_PER_EVENT,
     );
 }

@@ -1,17 +1,17 @@
-//! Chaos-engine end-to-end tests: deterministic fault schedules against the
+//! Chaos-engine end-to-end tests: deterministic fault plans against the
 //! ttcp testbed, judged by the oracle and delta-debugged on failure.
 //!
 //! Covers the acceptance criteria: (1) a seeded chaos run is byte-identical
 //! per seed; (2) a planted oracle violation — a checksum-preserving
 //! corruption the transport cannot see — is caught, shrunk to a handful of
-//! events, and replays the same failure from its serialized repro; plus the
+//! entries, and replays the same failure from its serialized repro; plus the
 //! degrade/recover flap soak and the partition-heal liveness scenarios.
 
 use outboard::host::MachineConfig;
-use outboard::sim::chaos::{ChaosAction, ChaosEvent, ChaosSchedule};
-use outboard::sim::Dur;
+use outboard::sim::fault::{Action, Point, Target, Trigger};
+use outboard::sim::{Dur, Fault, FaultPlan, Time};
 use outboard::stack::StackConfig;
-use outboard::testbed::chaos::{run_chaos, shrink_failure};
+use outboard::testbed::chaos::{run_chaos, shrink_failure, ChaosOutcome};
 use outboard::testbed::oracle::violation_category;
 use outboard::testbed::ExperimentConfig;
 
@@ -25,19 +25,25 @@ fn base_cfg(total: usize, seed: u64) -> ExperimentConfig {
     cfg
 }
 
+/// An `At` entry `ms` milliseconds into the run.
+fn at_ms(ms: u64, target: Target, action: Action) -> Fault {
+    Fault::at(Time::ZERO + Dur::millis(ms), target, action)
+}
+
+/// A `world.chaos.*` counter of the run.
+fn chaos(o: &ChaosOutcome, key: &str) -> u64 {
+    o.stats.counter_value(&format!("world.chaos.{key}"))
+}
+
 #[test]
 fn chaos_runs_are_byte_identical_per_seed() {
     const TOTAL: usize = 1024 * 1024;
     let cfg = base_cfg(TOTAL, 77);
-    let schedule = ChaosSchedule::generate(77, 5, 2);
+    let plan = FaultPlan::generate(77, 5, 2);
 
-    let a = run_chaos(&cfg, &schedule);
-    let b = run_chaos(&cfg, &schedule);
-    assert!(
-        a.passed(),
-        "generated schedule must pass: {:?}",
-        a.violations
-    );
+    let a = run_chaos(&cfg, &plan);
+    let b = run_chaos(&cfg, &plan);
+    assert!(a.passed(), "generated plan must pass: {:?}", a.violations);
     assert_eq!(
         a.elapsed, b.elapsed,
         "same seed must take identical sim time"
@@ -45,10 +51,11 @@ fn chaos_runs_are_byte_identical_per_seed() {
     assert_eq!(
         a.stats.report(),
         b.stats.report(),
-        "same seed + schedule must snapshot a byte-identical registry"
+        "same seed + plan must snapshot a byte-identical registry"
     );
+    assert_eq!(a.log, b.log, "same seed + plan must log the same faults");
 
-    let other = run_chaos(&base_cfg(TOTAL, 78), &ChaosSchedule::generate(78, 5, 2));
+    let other = run_chaos(&base_cfg(TOTAL, 78), &FaultPlan::generate(78, 5, 2));
     assert_ne!(
         a.stats.report(),
         other.stats.report(),
@@ -64,14 +71,12 @@ fn planted_stealth_bug_is_caught_shrunk_and_replayed() {
     // Benign background chaos plus the planted bug: a two-byte corruption
     // engineered to preserve the Internet checksum, so only the end-to-end
     // pattern oracle can see it.
-    let mut schedule = ChaosSchedule::generate(1995, 5, 2);
-    schedule.events.push(ChaosEvent {
-        at: Dur::millis(8),
-        action: ChaosAction::StealthCorrupt { host: 0 },
-    });
-    schedule.events.sort_by_key(|e| e.at);
+    let mut plan = FaultPlan::generate(1995, 5, 2);
+    let bug = at_ms(8, Target::Point(0, Point::Frame), Action::StealthCorrupt);
+    plan.faults.push(bug);
+    plan.faults.sort_by_key(Fault::time);
 
-    let outcome = run_chaos(&cfg, &schedule);
+    let outcome = run_chaos(&cfg, &plan);
     assert!(!outcome.passed(), "the oracle must catch the planted bug");
     assert_eq!(
         outcome.category().as_deref(),
@@ -81,26 +86,22 @@ fn planted_stealth_bug_is_caught_shrunk_and_replayed() {
     );
 
     // Delta-debug to local minimality: the repro must be tiny.
-    let shrunk = shrink_failure(&cfg, &schedule).expect("schedule fails, so it must shrink");
+    let shrunk = shrink_failure(&cfg, &plan).expect("plan fails, so it must shrink");
     assert!(
-        shrunk.schedule.events.len() <= 3,
-        "shrunk to {} events, wanted <= 3:\n{}",
-        shrunk.schedule.events.len(),
-        shrunk.schedule.render()
+        shrunk.plan.faults.len() <= 3,
+        "shrunk to {} entries, wanted <= 3:\n{}",
+        shrunk.plan.faults.len(),
+        shrunk.plan.render()
     );
     assert!(
-        shrunk
-            .schedule
-            .events
-            .iter()
-            .any(|e| matches!(e.action, ChaosAction::StealthCorrupt { .. })),
-        "the culprit event must survive shrinking"
+        shrunk.plan.faults.contains(&bug),
+        "the culprit entry must survive shrinking"
     );
 
     // The serialized repro replays the same failure category.
-    let json = shrunk.schedule.to_json();
-    let reparsed = ChaosSchedule::from_json(&json).expect("repro round-trips");
-    assert_eq!(reparsed, shrunk.schedule);
+    let text = shrunk.plan.render();
+    let reparsed = FaultPlan::parse(&text).expect("repro round-trips");
+    assert_eq!(reparsed, shrunk.plan);
     let replay = run_chaos(&cfg, &reparsed);
     assert_eq!(
         replay.category().as_deref(),
@@ -123,28 +124,24 @@ fn netmem_flap_soak_degrades_and_recovers_every_cycle() {
     // 100 ms (long enough to ride out the 2 ms-base retry ladder and force
     // the traditional path) every 150 ms, driving repeated degraded-mode
     // entries and probe-driven recoveries.
-    let mut events = Vec::new();
-    for k in 0..4u64 {
-        events.push(ChaosEvent {
-            at: Dur::millis(10 + 150 * k),
-            action: ChaosAction::NetmemSqueeze {
-                host: 0,
-                permille: 1000,
-                dur: Dur::millis(100),
-            },
-        });
-    }
-    let schedule = ChaosSchedule { seed: 31, events };
+    let squeeze = Action::NetmemSqueeze {
+        permille: 1000,
+        dur: Dur::millis(100),
+    };
+    let faults = (0..4u64)
+        .map(|k| at_ms(10 + 150 * k, Target::Host(0), squeeze))
+        .collect();
+    let plan = FaultPlan { seed: 31, faults };
 
-    let outcome = run_chaos(&cfg, &schedule);
+    let outcome = run_chaos(&cfg, &plan);
     assert!(
         outcome.passed(),
         "flap soak failed: {:?}",
         outcome.violations
     );
     assert!(outcome.completed);
-    assert_eq!(outcome.chaos.netmem_squeezes, 4);
-    assert_eq!(outcome.chaos.heals_applied, 4);
+    assert_eq!(chaos(&outcome, "netmem_squeezes"), 4);
+    assert_eq!(chaos(&outcome, "heals_applied"), 4);
 
     // The flapping actually exercised degraded mode, and every entry has a
     // matching exit after the final heal (also enforced by the oracle's
@@ -165,24 +162,19 @@ fn partition_heals_after_backoff_ceiling_and_completes() {
     // Partition the fabric mid-transfer and keep it down for 130 s of sim
     // time — long enough for TCP's retransmit backoff to hit its 64 s
     // ceiling — then heal and require the transfer to finish on its own.
-    let schedule = ChaosSchedule {
+    let plan = FaultPlan {
         seed: 5,
-        events: vec![ChaosEvent {
-            at: Dur::millis(30),
-            action: ChaosAction::Partition {
-                dur: Dur::secs(130),
-            },
-        }],
+        faults: vec![at_ms(30, Target::All, Action::Partition(Dur::secs(130)))],
     };
 
-    let outcome = run_chaos(&cfg, &schedule);
+    let outcome = run_chaos(&cfg, &plan);
     assert!(
         outcome.passed(),
         "partition-heal run failed: {:?}",
         outcome.violations
     );
     assert!(outcome.completed, "transfer did not finish after the heal");
-    assert_eq!(outcome.chaos.partitions, 1);
+    assert_eq!(chaos(&outcome, "partitions"), 1);
     assert!(
         outcome.stats.counter_value("host0.tcp.retransmit_segs") > 0,
         "a 130 s partition must force retransmissions"
@@ -198,73 +190,73 @@ fn every_chaos_action_kind_applies_cleanly() {
     const TOTAL: usize = 2 * 1024 * 1024;
     let cfg = base_cfg(TOTAL, 11);
 
-    let schedule = ChaosSchedule {
+    let plan = FaultPlan {
         seed: 11,
-        events: vec![
-            ChaosEvent {
-                at: Dur::millis(5),
-                action: ChaosAction::DelaySpike {
-                    host: 0,
+        faults: vec![
+            at_ms(
+                5,
+                Target::Host(0),
+                Action::DelaySpike {
                     extra: Dur::micros(400),
                     dur: Dur::millis(20),
                 },
-            },
-            ChaosEvent {
-                at: Dur::millis(10),
-                action: ChaosAction::LinkDown {
-                    host: 1,
-                    dur: Dur::millis(25),
-                },
-            },
-            ChaosEvent {
-                at: Dur::millis(40),
-                action: ChaosAction::CabWedge {
-                    host: 0,
-                    mdma: false,
-                },
-            },
-            ChaosEvent {
-                at: Dur::millis(55),
-                action: ChaosAction::HostPause {
-                    host: 1,
-                    dur: Dur::millis(10),
-                },
-            },
-            ChaosEvent {
-                at: Dur::millis(70),
-                action: ChaosAction::NetmemSqueeze {
-                    host: 0,
+            ),
+            at_ms(10, Target::Host(1), Action::LinkDown(Dur::millis(25))),
+            at_ms(40, Target::Point(0, Point::Sdma), Action::Wedge),
+            at_ms(55, Target::Host(1), Action::HostPause(Dur::millis(10))),
+            at_ms(
+                70,
+                Target::Host(0),
+                Action::NetmemSqueeze {
                     permille: 800,
                     dur: Dur::millis(20),
                 },
-            },
-            ChaosEvent {
-                at: Dur::millis(100),
-                action: ChaosAction::BoardCrash { host: 0 },
-            },
-            ChaosEvent {
-                at: Dur::millis(120),
-                action: ChaosAction::Partition {
-                    dur: Dur::millis(30),
-                },
-            },
+            ),
+            at_ms(100, Target::Host(0), Action::BoardCrash),
+            at_ms(120, Target::All, Action::Partition(Dur::millis(30))),
         ],
     };
 
-    let outcome = run_chaos(&cfg, &schedule);
+    let outcome = run_chaos(&cfg, &plan);
     assert!(
         outcome.passed(),
         "all-kinds run failed: {:?}",
         outcome.violations
     );
-    assert_eq!(outcome.chaos.events_applied, 7);
-    assert_eq!(outcome.chaos.link_downs, 1);
-    assert_eq!(outcome.chaos.partitions, 1);
-    assert_eq!(outcome.chaos.delay_spikes, 1);
-    assert_eq!(outcome.chaos.cab_wedges, 1);
-    assert_eq!(outcome.chaos.board_crashes, 1);
-    assert_eq!(outcome.chaos.netmem_squeezes, 1);
-    assert_eq!(outcome.chaos.host_pauses, 1);
+    assert_eq!(chaos(&outcome, "events_applied"), 7);
+    for key in [
+        "link_downs",
+        "partitions",
+        "delay_spikes",
+        "cab_wedges",
+        "board_crashes",
+        "netmem_squeezes",
+        "host_pauses",
+    ] {
+        assert_eq!(chaos(&outcome, key), 1, "{key}");
+    }
+    // The world's entries are logged as written, when they apply; the
+    // wedge as the SDMA crossing that fired it.
+    let (wedge, world): (Vec<Fault>, Vec<Fault>) =
+        outcome.log.faults.iter().partition(|f| f.action.on_point());
+    let planned: Vec<Fault> = plan
+        .faults
+        .iter()
+        .filter(|f| !f.action.on_point())
+        .copied()
+        .collect();
+    assert_eq!(world, planned);
+    assert!(
+        matches!(
+            wedge[..],
+            [Fault {
+                trigger: Trigger::Crossing(_),
+                target: Target::Point(0, Point::Sdma),
+                action: Action::Wedge,
+            }]
+        ),
+        "{wedge:?}"
+    );
     assert_eq!(
         outcome.stats.counter_value("host0.cab0.drv.board_crashes"),
         1,
@@ -276,17 +268,17 @@ fn every_chaos_action_kind_applies_cleanly() {
 fn invalid_fault_probabilities_are_rejected_not_run() {
     let mut cfg = base_cfg(64 * 1024, 1);
     cfg.drop_p = 1.5;
-    let err = cfg.validate().expect_err("p > 1 must be rejected");
+    let err = cfg.fault_plan().expect_err("p > 1 must be rejected");
     assert_eq!(err.knob, "drop_p");
 
-    let outcome = run_chaos(&cfg, &ChaosSchedule::default());
+    let outcome = run_chaos(&cfg, &FaultPlan::default());
     assert_eq!(outcome.category().as_deref(), Some("config"));
     assert!(!outcome.completed);
 
     cfg.drop_p = 0.01;
     cfg.cab_wedge_p = -0.25;
     assert_eq!(
-        cfg.validate()
+        cfg.fault_plan()
             .expect_err("negative p must be rejected")
             .knob,
         "cab_wedge_p"
@@ -303,35 +295,50 @@ fn receiver_mdma_wedge_reset_drops_stale_rx_instead_of_corrupting() {
     // discard it rather than queue a descriptor whose copy-out reads freed
     // memory — which surfaced as ~32 KB of zeros at the application under
     // a checksum that had verified.
+    //
+    // The timed run logs the wedge as the MDMA crossing it landed on; that
+    // line, as a plan, is the same run.
     let cfg = base_cfg(8 * 1024 * 1024, 9);
-    let schedule = ChaosSchedule {
-        seed: 9,
-        events: vec![ChaosEvent {
-            at: Dur::nanos(73_950_000),
-            action: ChaosAction::CabWedge {
-                host: 1,
-                mdma: true,
-            },
-        }],
-    };
-
-    let outcome = run_chaos(&cfg, &schedule);
-    assert!(
-        outcome.passed(),
-        "receiver wedge-reset run failed: {:?}",
-        outcome.violations
-    );
-    assert!(outcome.completed, "transfer must finish after the reset");
+    let mdma = Target::Point(1, Point::Mdma);
+    let timed = Fault::at(Time(73_950_000), mdma, Action::Wedge);
+    let crossing = Fault::crossing(WEDGE_CROSSING, 1, Point::Mdma, Action::Wedge);
+    let mut runs = Vec::new();
+    for fault in [timed, crossing] {
+        let plan = FaultPlan {
+            seed: 9,
+            faults: vec![fault],
+        };
+        let outcome = run_chaos(&cfg, &plan);
+        assert!(
+            outcome.passed(),
+            "receiver wedge-reset run failed: {:?}",
+            outcome.violations
+        );
+        assert!(outcome.completed, "transfer must finish after the reset");
+        assert_eq!(
+            outcome
+                .stats
+                .counter_value("host1.cab0.drv.watchdog_resets"),
+            1,
+            "the wedge must trigger exactly one watchdog reset"
+        );
+        assert_eq!(
+            outcome.stats.counter_value("host1.cab0.drv.stale_rx_drops"),
+            1,
+            "the reset-crossing frame must be discarded as stale, not delivered"
+        );
+        assert_eq!(outcome.stats.counter_value("host1.cab0.faults.wedges"), 1);
+        runs.push(outcome);
+    }
+    assert_eq!(runs[0].log.faults, [crossing]);
+    assert_eq!(runs[1].log.faults, [crossing]);
+    // The timed run dispatches one event more: its `At` entry's.
+    let events = |o: &ChaosOutcome| o.stats.counter_value("world.events_dispatched");
     assert_eq!(
-        outcome
-            .stats
-            .counter_value("host1.cab0.drv.watchdog_resets"),
-        1,
-        "the wedge must trigger exactly one watchdog reset"
-    );
-    assert_eq!(
-        outcome.stats.counter_value("host1.cab0.drv.stale_rx_drops"),
-        1,
-        "the reset-crossing frame must be discarded as stale, not delivered"
+        (runs[0].elapsed, runs[0].bytes_read, events(&runs[0])),
+        (runs[1].elapsed, runs[1].bytes_read, events(&runs[1]) + 1)
     );
 }
+
+/// The MDMA crossing of host 1's CAB the 73.95 ms wedge lands on.
+const WEDGE_CROSSING: u64 = 39;

@@ -12,7 +12,8 @@
 //! checks the data half with the journal compiled out.
 
 use outboard::host::{MachineConfig, TaskId};
-use outboard::sim::{Chance, Dur};
+use outboard::sim::fault::{Action, Point, Target};
+use outboard::sim::{Dur, Fault, FaultPlan};
 use outboard::stack::{Proto, SockAddr, SockId, StackConfig, StackError, WriteResult};
 use outboard::testbed::apps::{ttcp_pattern, TtcpReceiver};
 use outboard::testbed::experiment::{RECEIVER_IP, SENDER_IP};
@@ -157,18 +158,23 @@ fn run(single_copy: bool, write_size: usize, total: usize, seed: u64, faults: bo
     let mut w = World::new();
     let a = w.add_host("sender", machine.clone(), stack(single_copy));
     let b = w.add_host("receiver", machine, stack(single_copy));
-    let (if_a, if_b) = w.connect_cab(a, SENDER_IP, b, RECEIVER_IP, Dur::micros(5), seed);
+    w.connect_cab(a, SENDER_IP, b, RECEIVER_IP, Dur::micros(5), seed);
     if faults {
-        let f = &mut w.links.get_mut(&(a, if_a)).expect("link").faults;
-        f.drop_p = Chance::new(0.05);
-        f.corrupt_p = Chance::new(0.01);
-        f.dup_p = Chance::new(0.01);
-        for (host, iface) in [(a, if_a), (b, if_b)] {
-            let mut inj = outboard::cab::CabFaultInjector::none(seed * 7 + 5 + host as u64);
-            inj.alloc_fail_p = Chance::new(0.05);
-            let ci = w.hosts[host].kernel.ifaces[iface.0 as usize].cab();
-            ci.expect("CAB").cab.install_faults(inj);
+        let chance = |p, target, action| Fault::chance("p", p, target, action).unwrap();
+        let link = Target::Point(a, Point::Frame);
+        let mut faults = vec![
+            chance(0.05, link, Action::Drop),
+            chance(0.01, link, Action::Corrupt(None)),
+            chance(0.01, link, Action::Duplicate),
+        ];
+        for host in [a, b] {
+            faults.push(chance(
+                0.05,
+                Target::Point(host, Point::Alloc),
+                Action::Fail,
+            ));
         }
+        w.install_faults(&FaultPlan { seed, faults });
     }
     w.add_app(
         b,

@@ -8,7 +8,8 @@
 use bytes::Bytes;
 use outboard::cab::{Cab, CabConfig, CabError, DmaEngine, SdmaTx, SgEntry, ViolationKind};
 use outboard::host::HostMem;
-use outboard::sim::Time;
+use outboard::sim::fault::{Action, Point};
+use outboard::sim::{Fault, Time};
 
 const LEN: usize = 4096;
 
@@ -58,8 +59,10 @@ fn wedged_sdma_seizes_the_buffer_until_reset() {
     let mut cab = Cab::new(1, CabConfig::default());
     let (id, done) = gather(&mut cab, Time::ZERO);
     // Wedge the engine mid-transfer on a second gather into the same
-    // buffer (the driver's header-refresh retransmit shape).
-    cab.force_sdma_wedge_next();
+    // buffer (the driver's header-refresh retransmit shape): its SDMA
+    // crossing is the second.
+    cab.faults
+        .add(Fault::crossing(2, 0, Point::Sdma, Action::Wedge));
     let hm = HostMem::new();
     let err = cab
         .sdma_tx(

@@ -10,11 +10,12 @@
 //! CAB, rescue outboard socket-buffer bytes, and rebuild transmission with
 //! no data loss.
 
-use outboard::cab::CabFaultInjector;
 use outboard::host::MachineConfig;
-use outboard::sim::{Chance, Dur, Time};
+use outboard::sim::fault::{Action, Point, Target, Trigger};
+use outboard::sim::{Dur, Fault, FaultPlan, Time};
 use outboard::stack::{SockId, StackConfig, TIME_WAIT};
 use outboard::testbed::apps::TtcpReceiver;
+use outboard::testbed::chaos::{run_chaos, shrink_failure};
 use outboard::testbed::experiment::{build_ttcp_world, run_ttcp_in};
 use outboard::testbed::oracle;
 use outboard::testbed::{ExperimentConfig, Metrics, RunOutcome, World};
@@ -256,13 +257,17 @@ fn wedged_sdma_engine_is_reset_by_watchdog_without_data_loss() {
     let warmed = w.run_while(deadline, |w| receiver_bytes(w) < 256 * 1024);
     assert!(warmed, "transfer never got going");
 
-    // Wedge the sender's SDMA engine on its next transfer. The engine stays
+    // Wedge the sender's SDMA engine at its next crossing. The engine stays
     // wedged until a reset: only the watchdog can get things moving again.
-    w.hosts[0].kernel.ifaces[0]
-        .cab()
+    let cab = &w.hosts[0].kernel.ifaces[0]
+        .cab_ref()
         .expect("sender CAB")
-        .cab
-        .force_sdma_wedge_next();
+        .cab;
+    let next = cab.faults.counts().crossed(Point::Sdma) + 1;
+    w.install_faults(&FaultPlan {
+        seed: cfg.seed,
+        faults: vec![Fault::crossing(next, 0, Point::Sdma, Action::Wedge)],
+    });
 
     let outcome = w.run_apps();
     assert_eq!(outcome, Ok(RunOutcome::Completed), "after the wedge");
@@ -343,16 +348,15 @@ fn every_transmit_arm_completes_without_leaking_netmem() {
         let mut cfg = base_cfg(TOTAL, seed);
         cfg.stack = StackConfig::unmodified();
         cfg.cab_alloc_fail_p = 0.05;
-        cfg.cab_sdma_fail_p = 0.02;
-        cfg.cab_mdma_fail_p = 0.02;
         let mut w = build_ttcp_world(&cfg);
-        let mut rx_faults = CabFaultInjector::none(seed);
-        rx_faults.alloc_fail_p = Chance::new(0.05);
-        w.hosts[1].kernel.ifaces[0]
-            .cab()
-            .expect("receiver CAB")
-            .cab
-            .install_faults(rx_faults);
+        let sender_dma = [Point::Sdma, Point::Mdma].map(|point| {
+            let target = Target::Point(0, point);
+            Fault::chance("cab_dma_fail_p", 0.02, target, Action::Fail).unwrap()
+        });
+        w.install_faults(&FaultPlan {
+            seed,
+            faults: sender_dma.to_vec(),
+        });
         run_settled_without_leaks(w, TOTAL, &format!("unmodified seed {seed}"));
     }
 }
@@ -447,14 +451,82 @@ fn receive_checksum_is_summed_in_full_only_for_link_copies() {
         assert_eq!(outcome, Ok(RunOutcome::Completed), "seed {seed}");
         for (host, from) in [(0usize, 1usize), (1, 0)] {
             let cab = &w.hosts[host].kernel.ifaces[0].cab().expect("CAB").cab.stats;
-            let f = &w.links[&(from, outboard::stack::IfaceId(0))].faults.stats;
-            let copies = f.corrupted + f.stealth_corrupted;
+            let f = w.links[&(from, outboard::stack::IfaceId(0))]
+                .faults
+                .counts();
+            let fired = |kind| f.fired(Some(Point::Frame), kind);
+            let copies = fired("corrupt") + fired("stealth_corrupt");
             assert!(
-                cab.rx_csum_full <= copies + f.duplicated.min(copies),
+                cab.rx_csum_full <= copies + fired("duplicate").min(copies),
                 "seed {seed} host{host}: {} full sums for {copies} link copies",
                 cab.rx_csum_full
             );
             assert!(cab.rx_csum_reused > 0, "seed {seed} host{host}");
         }
     }
+}
+
+/// A run's log, replayed as a plan, is the run: it gives the same stats
+/// JSON byte for byte, and logs exactly the faults it replayed. Four
+/// soak-matrix seeds, one `lossy` seed, and a run with SDMA, MDMA and wedge
+/// faults on both adaptors.
+#[test]
+fn a_runs_log_replays_the_run() {
+    let mut runs: Vec<(String, ExperimentConfig)> = [3, 37, 116, 218]
+        .map(|seed| (format!("soak {seed}"), soak_cfg(1024 * 1024, seed)))
+        .to_vec();
+    runs.push(("lossy 42".into(), soak_cfg(4 * 1024 * 1024, 42)));
+    let mut cab = base_cfg(1024 * 1024, 1);
+    cab.cab_sdma_fail_p = 0.02;
+    cab.cab_mdma_fail_p = 0.02;
+    cab.cab_wedge_p = 0.1;
+    runs.push(("cab 1".into(), cab));
+    for (name, cfg) in runs {
+        let plan = cfg.fault_plan().expect("valid probabilities");
+        let run = run_chaos(&cfg, &plan);
+        assert!(run.passed(), "{name}: {:?}", run.violations);
+        let log = &run.log;
+        assert!(
+            log.faults
+                .iter()
+                .all(|f| !matches!(f.trigger, Trigger::Chance(_))),
+            "{name}: a log has no chance left"
+        );
+        let kinds = |k: &str| log.faults.iter().filter(|f| f.action.name() == k).count();
+        if name.starts_with("cab") {
+            assert!(kinds("wedge") > 0 && kinds("fail") > 0, "{name}");
+        } else {
+            assert!(kinds("drop") > 0, "{name}");
+        }
+        let text = log.render();
+        let replay = run_chaos(&cfg, &FaultPlan::parse(&text).expect("the log parses"));
+        assert_eq!(run.stats.to_json(), replay.stats.to_json(), "{name}");
+        assert_eq!(replay.log.render(), text, "{name}");
+    }
+}
+
+/// A checksum-preserving corruption planted at one crossing of a
+/// soak-matrix run's sender link: of the run's whole log, shrinking under
+/// the same category keeps exactly that entry.
+#[test]
+fn a_soak_logs_planted_corruption_shrinks_to_that_entry() {
+    let cfg = soak_cfg(1024 * 1024, 37);
+    let mut plan = cfg.fault_plan().expect("valid probabilities");
+    let bug = Fault::crossing(20, 0, Point::Frame, Action::StealthCorrupt);
+    plan.faults.push(bug);
+    let run = run_chaos(&cfg, &plan);
+    assert_eq!(
+        run.category().as_deref(),
+        Some("integrity"),
+        "{:?}",
+        run.violations
+    );
+    let log = &run.log;
+    assert!(
+        log.faults.len() > 1 && log.faults.contains(&bug),
+        "{}",
+        log.render()
+    );
+    let shrunk = shrink_failure(&cfg, log).expect("the log fails too");
+    assert_eq!(shrunk.plan.faults, [bug], "{}", shrunk.plan.render());
 }

@@ -24,7 +24,7 @@ use outboard::cab::{
     Cab, CabConfig, CabError, CabEvent, ChecksumSpec, SdmaDst, SdmaRx, SdmaTx, SgEntry,
 };
 use outboard::host::{HostMem, MachineConfig, TaskId};
-use outboard::sim::{BufPool, ChaosSchedule, PoolStats, PooledBuf, Time};
+use outboard::sim::{BufPool, FaultPlan, PoolStats, PooledBuf, Time};
 use outboard::stack::StackConfig;
 use outboard::testbed::experiment::build_ttcp_world;
 use outboard::testbed::{run_chaos, ExperimentConfig, RunOutcome, World};
@@ -213,8 +213,8 @@ fn pool_survives_chaos_schedules() {
     // and the registry snapshot carries the pool counters.
     for seed in [3u64, 11] {
         let cfg = config_for(&FaultCase::clean("chaos"), seed);
-        let schedule = ChaosSchedule::generate(seed, 10, 2);
-        let outcome = run_chaos(&cfg, &schedule);
+        let plan = FaultPlan::generate(seed, 10, 2);
+        let outcome = run_chaos(&cfg, &plan);
         assert!(
             outcome.passed(),
             "chaos seed {seed}: oracle violations: {:?}",
@@ -239,9 +239,9 @@ fn pool_balances_after_chaos_world_teardown() {
     // driver installed — wedge/heal cycles must not strand buffers.
     for seed in [5u64, 23] {
         let cfg = config_for(&FaultCase::clean("chaos-teardown"), seed);
-        let schedule = ChaosSchedule::generate(seed, 8, 2);
+        let plan = FaultPlan::generate(seed, 8, 2);
         let mut w = build_ttcp_world(&cfg);
-        w.install_chaos(&schedule);
+        w.install_faults(&plan);
         let outcome = w.run_apps();
         assert_eq!(outcome, Ok(RunOutcome::Completed), "chaos seed {seed}");
         assert_steady_state(&w.pool.stats(), "chaos-teardown");

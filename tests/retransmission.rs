@@ -2,7 +2,8 @@
 //! (§4.3) and the hardware receive checksum as an actual error detector.
 
 use outboard::host::MachineConfig;
-use outboard::sim::{Chance, Dur, Time};
+use outboard::sim::fault::{Action, Point, Target};
+use outboard::sim::{Dur, Fault, FaultPlan, Time};
 use outboard::stack::StackConfig;
 use outboard::testbed::experiment::build_ttcp_world;
 use outboard::testbed::{run_ttcp, ExperimentConfig, RunOutcome};
@@ -58,13 +59,9 @@ fn retransmission_reuses_outboard_data() {
 fn corruption_is_caught_by_the_hardware_checksum() {
     let mut cfg = lossy(0.0, 3);
     cfg.total_bytes = 2 * 1024 * 1024;
-    let mut w = build_ttcp_world(&cfg);
     // Corrupt a handful of frames on the forward link.
-    w.links
-        .get_mut(&(0, outboard::stack::IfaceId(0)))
-        .unwrap()
-        .faults
-        .corrupt_p = Chance::new(0.02);
+    cfg.corrupt_p = 0.02;
+    let mut w = build_ttcp_world(&cfg);
     let outcome = w.run_apps();
     assert_eq!(
         outcome,
@@ -93,12 +90,11 @@ fn duplication_and_reordering_are_tolerated() {
     let mut cfg = lossy(0.0, 17);
     cfg.total_bytes = 2 * 1024 * 1024;
     let mut w = build_ttcp_world(&cfg);
-    {
-        let link = w.links.get_mut(&(0, outboard::stack::IfaceId(0))).unwrap();
-        link.faults.dup_p = Chance::new(0.05);
-        link.faults.reorder_p = Chance::new(0.05);
-        link.faults.reorder_delay = Dur::millis(2);
-    }
+    let link = Target::Point(0, Point::Frame);
+    let faults = [Action::Delay(Dur::millis(2)), Action::Duplicate]
+        .map(|action| Fault::chance("p", 0.05, link, action).unwrap())
+        .to_vec();
+    w.install_faults(&FaultPlan { seed: 17, faults });
     let outcome = w.run_apps();
     assert_eq!(
         outcome,
@@ -145,12 +141,8 @@ fn unmodified_stack_detects_corruption_too() {
     let mut cfg = lossy(0.0, 31);
     cfg.stack = StackConfig::unmodified();
     cfg.total_bytes = 1024 * 1024;
+    cfg.corrupt_p = 0.02;
     let mut w = build_ttcp_world(&cfg);
-    w.links
-        .get_mut(&(0, outboard::stack::IfaceId(0)))
-        .unwrap()
-        .faults
-        .corrupt_p = Chance::new(0.02);
     let outcome = w.run_apps();
     assert_eq!(
         outcome,

@@ -9,7 +9,7 @@
 //! component is missing the test says so and passes; CI's `Clippy` step
 //! installs it and is the hard gate.
 
-use outboard::sim::chaos::json::{self, Value};
+use outboard::sim::json::{self, Value};
 use std::collections::BTreeSet;
 use std::process::Command;
 

@@ -5,9 +5,8 @@
 //! `world.timeline.*` keys, byte-identical outputs) when disabled.
 
 use outboard::host::MachineConfig;
-use outboard::sim::chaos::json;
-use outboard::sim::chaos::{ChaosAction, ChaosEvent, ChaosSchedule};
-use outboard::sim::Dur;
+use outboard::sim::fault::{Action, Point, Target};
+use outboard::sim::{json, Dur, Fault, FaultPlan, Time};
 use outboard::stack::StackConfig;
 use outboard::testbed::chaos::run_chaos;
 use outboard::testbed::{run_ttcp, ExperimentConfig, Metrics};
@@ -226,14 +225,13 @@ fn chaos_failure_dumps_a_consistent_flight_recorder() {
     cfg.timeline_enabled = true;
     cfg.timeline_export = false;
     // A checksum-preserving corruption the oracle must catch.
-    let schedule = ChaosSchedule {
+    let at = Time::ZERO + Dur::millis(8);
+    let stealth = Fault::at(at, Target::Point(0, Point::Frame), Action::StealthCorrupt);
+    let plan = FaultPlan {
         seed: 5,
-        events: vec![ChaosEvent {
-            at: Dur::millis(8),
-            action: ChaosAction::StealthCorrupt { host: 0 },
-        }],
+        faults: vec![stealth],
     };
-    let outcome = run_chaos(&cfg, &schedule);
+    let outcome = run_chaos(&cfg, &plan);
     assert!(!outcome.passed(), "the planted bug must be caught");
     let flight = outcome
         .flight_json
@@ -286,9 +284,9 @@ fn chaos_failure_dumps_a_consistent_flight_recorder() {
     // Passing runs stay flight-free.
     let clean = run_chaos(
         &cfg,
-        &ChaosSchedule {
+        &FaultPlan {
             seed: 6,
-            events: vec![],
+            faults: vec![],
         },
     );
     assert!(clean.passed(), "{:?}", clean.violations);
