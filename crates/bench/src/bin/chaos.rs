@@ -1,9 +1,10 @@
 //! Deterministic chaos sweep: N seeded fault plans against the ttcp
 //! testbed, each judged by the end-to-end oracle (stream integrity,
 //! conservation, liveness). Failing plans are delta-debugged to a locally
-//! minimal repro and written out as `repro_<seed>.faults` (one fault line
-//! per entry, the form of a run's fault log), replayable byte-identically
-//! with `--replay`.
+//! minimal repro and written out as `repro_<seed>.faults`: the run's shape
+//! (`total` and `write` lines), then one fault line per entry, the form of
+//! a run's fault log. `--replay` runs such a file again, byte-identically
+//! and traced.
 //!
 //! ```text
 //! chaos [--seeds N] [--start-seed S] [--events K] [--smoke] [--out DIR]
@@ -13,12 +14,14 @@
 //! * `--seeds N`      plans to sweep (default 32, smoke default 8)
 //! * `--start-seed S` first seed (default 1)
 //! * `--events K`     entries per generated plan (default 6)
-//! * `--smoke`        small transfers for CI
+//! * `--smoke`        sweep 2 MB transfers, for CI (default 8 MB)
 //! * `--out DIR`      where repro files go (default `.`)
 //! * `--plant-bug`    add a checksum-preserving corruption entry to every
 //!   plan — the oracle must catch it (exits 1)
-//! * `--replay FILE`  run one `repro_*.faults` plan (or any run's fault
-//!   log) and report
+//! * `--replay FILE`  run one `repro_*.faults` (or any run's fault log:
+//!   without shape lines it runs 8 MB in 64 KB writes) with spans and the
+//!   timeline on, report, and write its Perfetto trace beside it as
+//!   `<FILE minus .faults>.trace.json`
 //! * `--stats`        print the full metrics registry after a replay
 //!
 //! Exit status: 0 all seeds clean, 1 oracle violation, 2 usage error.
@@ -28,8 +31,12 @@ use outboard_host::MachineConfig;
 use outboard_sim::fault::{Action, Point, Target};
 use outboard_sim::{Dur, Fault, FaultPlan, Time};
 use outboard_stack::StackConfig;
-use outboard_testbed::chaos::{run_chaos, shrink_failure};
+use outboard_testbed::chaos::{parse_repro, render_repro, run_chaos, shrink_failure};
 use outboard_testbed::ExperimentConfig;
+
+/// Transfer size of a sweep without `--smoke`, and of a replayed plan
+/// that names no run shape.
+const FULL: usize = 8 * 1024 * 1024;
 
 fn flag_present(name: &str) -> bool {
     std::env::args().any(|a| a == name)
@@ -53,24 +60,13 @@ fn base_cfg(seed: u64, total: usize) -> ExperimentConfig {
     cfg.seed = seed;
     // The integrity oracle needs pattern verification.
     cfg.verify = true;
-    // Flight recorder: chaos runs always sample a timeline so an oracle
-    // failure can dump its last windows as flight_<seed>.json. Export
-    // strings are not rendered (the flight dump reads the world directly).
-    cfg.timeline_enabled = true;
-    cfg.timeline_export = false;
-    outboard_bench::timeline_args().apply(&mut cfg);
     cfg
 }
 
-/// One seed's verdict.
+/// One seed's verdict: its report line, and the repro of a failure.
 struct SeedReport {
     line: String,
-    failed: bool,
     repro: Option<String>,
-    /// Flight-recorder dump of the original (unshrunk) failure: the last
-    /// timeline windows plus the span-ring tail at the moment the oracle
-    /// reported violations.
-    flight_json: Option<String>,
 }
 
 fn sweep_seed(seed: u64, events: usize, total: usize, plant_bug: bool) -> SeedReport {
@@ -97,27 +93,25 @@ fn sweep_seed(seed: u64, events: usize, total: usize, plant_bug: bool) -> SeedRe
                 outcome.bytes_read,
                 outcome.elapsed,
             ),
-            failed: false,
             repro: None,
-            flight_json: None,
         };
     }
-    let first = outcome.violations[0].clone();
-    let (events_left, runs, repro) = match shrink_failure(&cfg, &plan) {
-        Some(r) => (r.plan.faults.len(), r.runs, r.plan.render()),
-        None => (plan.faults.len(), 0, plan.render()),
+    let first = &outcome.violations[0];
+    let (runs, shrunk) = match shrink_failure(&cfg, &plan) {
+        Some(r) => (r.runs, r.plan),
+        None => (0, plan),
     };
     SeedReport {
         line: format!(
-            "seed {seed:>5}  FAIL  {first}  (shrunk to {events_left} events in {runs} runs)"
+            "seed {seed:>5}  FAIL  {first}  (shrunk to {} events in {runs} runs)",
+            shrunk.faults.len()
         ),
-        failed: true,
-        repro: Some(repro),
-        flight_json: outcome.flight_json,
+        repro: Some(render_repro(&cfg, &shrunk)),
     }
 }
 
-fn replay(path: &str, total: usize, stats: bool) -> i32 {
+/// Run the repro at `path` traced and write its trace beside it.
+fn replay(path: &str, stats: bool) -> i32 {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -125,24 +119,27 @@ fn replay(path: &str, total: usize, stats: bool) -> i32 {
             return 2;
         }
     };
-    let plan = match FaultPlan::parse(&text) {
-        Ok(p) => p,
+    let (mut cfg, plan) = match parse_repro(&text, &base_cfg(0, FULL)) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("cannot parse {path}: {e}");
             return 2;
         }
     };
+    cfg.trace_spans = true;
+    cfg.timeline_enabled = true;
+    // The trace carries the timeline's windows as counter tracks.
+    cfg.timeline_export = false;
     println!(
         "replaying {path} ({} entries):\n{}",
         plan.faults.len(),
-        plan.render()
+        render_repro(&cfg, &plan)
     );
-    let cfg = base_cfg(plan.seed, total);
     let outcome = run_chaos(&cfg, &plan);
     if stats {
         print!("{}", outcome.stats.report());
     }
-    if outcome.passed() {
+    let code = if outcome.passed() {
         println!(
             "PASS: {} bytes in {}, {} faults fired",
             outcome.bytes_read,
@@ -154,27 +151,25 @@ fn replay(path: &str, total: usize, stats: bool) -> i32 {
         for v in &outcome.violations {
             println!("VIOLATION: {v}");
         }
-        if let Some(flight) = &outcome.flight_json {
-            let fpath = format!("flight_{}.json", plan.seed);
-            match std::fs::write(&fpath, flight) {
-                Ok(()) => println!("flight recorder written to {fpath}"),
-                Err(e) => eprintln!("cannot write {fpath}: {e}"),
-            }
-        }
         1
+    };
+    let trace = format!(
+        "{}.trace.json",
+        path.strip_suffix(".faults").unwrap_or(path)
+    );
+    match std::fs::write(&trace, outcome.trace_json.unwrap_or_default()) {
+        Ok(()) => println!("trace written to {trace}"),
+        Err(e) => eprintln!("cannot write {trace}: {e}"),
     }
+    code
 }
 
 fn main() {
     let smoke = flag_present("--smoke");
-    let total = if smoke {
-        2 * 1024 * 1024
-    } else {
-        8 * 1024 * 1024
-    };
+    let total = if smoke { 2 * 1024 * 1024 } else { FULL };
 
     if let Some(path) = arg_value("--replay") {
-        std::process::exit(replay(&path, total, flag_present("--stats")));
+        std::process::exit(replay(&path, flag_present("--stats")));
     }
 
     let seeds = arg_value("--seeds")
@@ -203,21 +198,12 @@ fn main() {
     for seed in start..start + seeds {
         let r = sweep_seed(seed, events, total, plant_bug);
         println!("{}", r.line);
-        if r.failed {
+        if let Some(repro) = &r.repro {
             failures += 1;
-            if let Some(repro) = &r.repro {
-                let path = format!("{out_dir}/repro_{seed}.faults");
-                match std::fs::write(&path, repro) {
-                    Ok(()) => println!("          repro written to {path}"),
-                    Err(e) => eprintln!("          cannot write {path}: {e}"),
-                }
-            }
-            if let Some(flight) = &r.flight_json {
-                let path = format!("{out_dir}/flight_{seed}.json");
-                match std::fs::write(&path, flight) {
-                    Ok(()) => println!("          flight recorder written to {path}"),
-                    Err(e) => eprintln!("          cannot write {path}: {e}"),
-                }
+            let path = format!("{out_dir}/repro_{seed}.faults");
+            match std::fs::write(&path, repro) {
+                Ok(()) => println!("          repro written to {path}"),
+                Err(e) => eprintln!("          cannot write {path}: {e}"),
             }
         }
     }

@@ -8,7 +8,8 @@
 //! list the moved points in EXPERIMENTS.md and commit `tests/golden/`.
 //!
 //! Two binaries' output files are checked here too: `fig5`'s Perfetto
-//! trace and the flight recording of a `chaos` sweep with a planted bug.
+//! trace, and the repro of a `chaos` sweep with a planted bug and the
+//! trace its replay writes.
 
 use outboard_sim::json::{self, Value};
 use std::process::Command;
@@ -73,8 +74,6 @@ fn field<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
 /// the binary's own file.)
 #[test]
 fn fig5_timeline_trace_file_parses_and_is_byte_identical() {
-    use std::collections::BTreeSet;
-
     let dir = env!("CARGO_TARGET_TMPDIR");
     let write_trace = |run: u32| {
         let path = format!("{dir}/fig5_timeline_trace_{run}.json");
@@ -93,7 +92,15 @@ fn fig5_timeline_trace_file_parses_and_is_byte_identical() {
         "two fig5 processes wrote different traces"
     );
 
-    let doc = json::parse(&trace).expect("the trace file is JSON");
+    assert_perfetto_trace(&trace);
+}
+
+/// `trace` parses and carries span slices, flow arrows and at least six
+/// counter tracks, every counter on a span pid.
+fn assert_perfetto_trace(trace: &str) {
+    use std::collections::BTreeSet;
+
+    let doc = json::parse(trace).expect("the trace file is JSON");
     let events = field(&doc, "traceEvents").and_then(Value::as_array);
     let events = events.expect("a traceEvents array");
     let of_ph = |ph: &str| -> Vec<&Value> {
@@ -130,59 +137,71 @@ fn fig5_timeline_trace_file_parses_and_is_byte_identical() {
     assert!(tracks.len() >= 6, "counter tracks: {tracks:?}");
 }
 
-/// The flight-recorder smoke: `chaos --smoke --seeds 1 --plant-bug` must
-/// catch the planted checksum-preserving corruption (exit 1) and dump one
-/// `flight_<seed>.json` whose violations are listed, whose counter series
-/// conserve (`base + Σ samples == final`) and which carries a span tail.
-#[test]
-fn planted_bug_fails_the_chaos_smoke_and_dumps_a_flight_recording() {
-    fn get<'a>(v: &'a Value, key: &str) -> &'a Value {
-        field(v, key).unwrap_or_else(|| panic!("no {key}"))
-    }
-
-    let out_dir = format!("{}/flight_smoke", env!("CARGO_TARGET_TMPDIR"));
-    let _ = std::fs::remove_dir_all(&out_dir);
+/// `chaos` exit code and stdout, run in the test's scratch directory.
+fn chaos(args: &[&str]) -> (Option<i32>, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_chaos"))
-        .args(["--smoke", "--seeds", "1", "--plant-bug", "--out", &out_dir])
+        .args(args)
         .current_dir(env!("CARGO_TARGET_TMPDIR"))
         .output()
         .unwrap_or_else(|e| panic!("cannot start chaos: {e}"));
-    assert_eq!(out.status.code(), Some(1), "the planted bug went uncaught");
+    let stdout = String::from_utf8(out.stdout).expect("chaos stdout is UTF-8");
+    (out.status.code(), stdout)
+}
 
-    let flights: Vec<_> = std::fs::read_dir(&out_dir)
-        .unwrap_or_else(|e| panic!("{out_dir}: {e}"))
-        .map(|e| e.expect("directory entry").path())
-        .filter(|p| {
-            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            name.starts_with("flight_") && name.ends_with(".json")
-        })
+/// The files `dir` holds, by name.
+fn files_in(dir: &str) -> Vec<String> {
+    let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{dir}: {e}"));
+    let mut names: Vec<String> = entries
+        .map(|e| e.expect("directory entry").file_name())
+        .map(|n| n.to_string_lossy().into_owned())
         .collect();
-    assert_eq!(flights.len(), 1, "flight files: {flights:?}");
-    let text = std::fs::read_to_string(&flights[0]).expect("flight file is readable");
-    let doc = json::parse(&text).expect("the flight file is JSON");
+    names.sort();
+    names
+}
 
-    assert_eq!(get(&doc, "schema").as_str(), Some("outboard-flight-v1"));
-    let violations = get(&doc, "violations")
-        .as_array()
-        .expect("violations array");
+/// `chaos --smoke --seeds 1 --plant-bug` catches the planted
+/// checksum-preserving corruption (exit 1) and writes only its repro, which
+/// names the 2 MB run it was shrunk under. `chaos --replay` of that file
+/// alone, without `--smoke`, runs that run again: the same `integrity:`
+/// violation, and a trace beside the repro with span slices, flow arrows
+/// and counter tracks.
+#[test]
+fn planted_bug_fails_the_chaos_smoke_and_its_repro_replays_traced() {
+    let out_dir = format!("{}/plant_smoke", env!("CARGO_TARGET_TMPDIR"));
+    let _ = std::fs::remove_dir_all(&out_dir);
+    let sweep = ["--smoke", "--seeds", "1", "--plant-bug", "--out", &out_dir];
+    let (code, stdout) = chaos(&sweep);
+    assert_eq!(code, Some(1), "the planted bug went uncaught:\n{stdout}");
+    assert_eq!(files_in(&out_dir), ["repro_1.faults"]);
+    let repro = format!("{out_dir}/repro_1.faults");
+    let text = std::fs::read_to_string(&repro).expect("the repro is readable");
     assert!(
-        !violations.is_empty(),
-        "flight recording without violations"
+        text.starts_with("total 2097152\nwrite 65536\nseed 1\n"),
+        "{text}"
     );
-    let series = get(get(&doc, "timeline"), "series").as_array();
-    let series = series.expect("timeline series array");
-    assert!(!series.is_empty());
-    for s in series {
-        if get(s, "kind").as_str() != Some("counter") {
-            continue;
-        }
-        let int = |key: &str| get(s, key).as_f64().expect("a number") as i64;
-        let samples = get(s, "samples").as_array().expect("samples array");
-        let sum: i64 = samples
-            .iter()
-            .map(|v| v.as_f64().expect("a number") as i64)
-            .sum();
-        assert_eq!(int("base") + sum, int("final"), "{:?}", get(s, "name"));
-    }
-    assert!(get(get(&doc, "spans"), "tail").as_array().is_some());
+    let violation = stdout
+        .lines()
+        .find_map(|l| l.split_once("FAIL  ")?.1.split("  (").next())
+        .expect("a FAIL line");
+    assert!(violation.starts_with("integrity: "), "{stdout}");
+
+    let (code, replay) = chaos(&["--replay", &repro]);
+    assert_eq!(code, Some(1), "the replay passed:\n{replay}");
+    assert!(
+        replay.contains(&format!("VIOLATION: {violation}\n")),
+        "{replay}"
+    );
+    assert_eq!(files_in(&out_dir), ["repro_1.faults", "repro_1.trace.json"]);
+    let trace = std::fs::read_to_string(format!("{out_dir}/repro_1.trace.json"));
+    assert_perfetto_trace(&trace.expect("the trace is readable"));
+}
+
+/// A seed whose run passes the oracle writes nothing.
+#[test]
+fn a_passing_chaos_seed_writes_no_file() {
+    let out_dir = format!("{}/clean_smoke", env!("CARGO_TARGET_TMPDIR"));
+    let _ = std::fs::remove_dir_all(&out_dir);
+    let (code, stdout) = chaos(&["--smoke", "--seeds", "1", "--out", &out_dir]);
+    assert_eq!(code, Some(0), "{stdout}");
+    assert_eq!(files_in(&out_dir), Vec::<String>::new());
 }

@@ -1002,6 +1002,19 @@ fn deliver_outboard(
     len: usize,
     flags: TcpFlags,
 ) {
+    let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
+    deliver_segment(rig, cab, to, seq, &payload, flags);
+}
+
+/// [`deliver_outboard`] with the segment's payload given.
+fn deliver_segment(
+    rig: &mut Rig,
+    cab: IfaceId,
+    to: SockId,
+    seq: u32,
+    payload: &[u8],
+    flags: TcpFlags,
+) {
     use outboard_wire::checksum::{pseudo_header_sum, Accumulator};
     use outboard_wire::hippi::HippiHeader;
     use outboard_wire::ipv4::Ipv4Header;
@@ -1012,7 +1025,7 @@ fn deliver_outboard(
     let mut th = TcpHeader::new(remote.port, local.port, seq, ack, flags);
     th.window = 0xffff;
     let mut seg = th.build();
-    seg.extend((0..len).map(|i| i as u8));
+    seg.extend_from_slice(payload);
     let pseudo = pseudo_header_sum(LO.octets(), LO.octets(), 6, seg.len() as u16);
     let mut acc = Accumulator::from_partial(pseudo);
     acc.add_bytes(&seg);
@@ -1053,6 +1066,105 @@ fn read_all(rig: &mut Rig, sock: SockId) {
     rig.k
         .sys_read(sock, TaskId(2), 0x10_0000, n, &mut rig.mem, rig.now)
         .expect("read");
+}
+
+/// Bytes of the stream the reassembly proptest delivers.
+const STREAM: u32 = 12_000;
+
+/// The stream's byte at offset `off`. The period is 251, so a segment
+/// placed a multiple of 256 bytes off reads wrong.
+fn stream_byte(off: u32) -> u8 {
+    (off % 251) as u8
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig { cases: 256, ..Default::default() })]
+
+    /// TCP reassembly under adversarial overlap, against a byte map of what
+    /// arrived. Segments of one stream come at any offset and length, in
+    /// any order, overlapping and duplicated, each tail past the auto-DMA
+    /// prefix outboard, with reads between them. The connection never
+    /// delivers past the map's contiguous prefix, every byte read is the
+    /// stream's byte at its offset, and a closing in-order retransmission
+    /// of the whole stream delivers the rest. Once the receiver closes — when
+    /// `abort`, with data still queued out of order — and its peer resets,
+    /// the socket is gone and no network-memory page is held.
+    #[test]
+    fn reassembly_under_adversarial_overlap_matches_a_byte_map(
+        segs in proptest::collection::vec(
+            (
+                (proptest::prelude::any::<bool>(), 0..16u32, 0..STREAM),
+                1..4000u32,
+                proptest::prelude::any::<bool>(),
+            ),
+            1..24,
+        ),
+        abort in proptest::prelude::any::<bool>(),
+    ) {
+        const BUF: u64 = 0x10_0000;
+        let mut rig = Rig::loopback(StackConfig::single_copy());
+        let (_c, child) = established_loopback_pair(&mut rig);
+        let cab = rig.add_cab();
+        let rcv_nxt = |rig: &Rig| rig.k.socket_ref(child).unwrap().tcb.as_ref().unwrap().rcv_nxt;
+        let r0 = rcv_nxt(&rig);
+        rig.mem.create_region(TaskId(2), BUF, STREAM as usize);
+        let mut read = 0usize;
+        // Read what is queued; outboard bytes leave by copy-out SDMA, whose
+        // completions end the read.
+        let read_queued = |rig: &mut Rig, read: &mut usize| {
+            let n = rig.k.socket_ref(child).unwrap().so_rcv.len();
+            if n == 0 {
+                return;
+            }
+            let at = BUF + *read as u64;
+            let (_, fx) = rig.k.sys_read(child, TaskId(2), at, n, &mut rig.mem, rig.now).unwrap();
+            for e in fx {
+                if let Effect::Cab { event: outboard_cab::CabEvent::SdmaDone { at, token, interrupt, data }, .. } = e {
+                    rig.now = rig.now.max(at);
+                    rig.k.sdma_done(cab, token, interrupt, data, &mut rig.mem, rig.now);
+                }
+            }
+            *read += n;
+        };
+        // Stream offsets some segment carried.
+        let mut map = vec![false; STREAM as usize];
+        for ((on_grid, k, anywhere), len, then_read) in segs {
+            // Half the segments start on a coarse grid, so that they meet,
+            // nest and start at the next expected byte.
+            let off = if on_grid { k * 750 } else { anywhere };
+            let end = (off + len).min(STREAM);
+            let payload: Vec<u8> = (off..end).map(stream_byte).collect();
+            deliver_segment(&mut rig, cab, child, r0.wrapping_add(off), &payload, TcpFlags::ACK);
+            map[off as usize..end as usize].fill(true);
+            let delivered = rcv_nxt(&rig).wrapping_sub(r0) as usize;
+            let queued = rig.k.socket_ref(child).unwrap().so_rcv.len();
+            proptest::prop_assert!(delivered <= map.iter().take_while(|&&b| b).count());
+            proptest::prop_assert_eq!(delivered, read + queued);
+            if then_read {
+                read_queued(&mut rig, &mut read);
+            }
+        }
+        if !abort {
+            // The sender's retransmission of the whole stream, MSS by MSS.
+            for off in (0..STREAM).step_by(1460) {
+                let chunk: Vec<u8> = (off..(off + 1460).min(STREAM)).map(stream_byte).collect();
+                deliver_segment(&mut rig, cab, child, r0.wrapping_add(off), &chunk, TcpFlags::ACK);
+            }
+            let delivered = rcv_nxt(&rig).wrapping_sub(r0) as usize;
+            proptest::prop_assert_eq!(delivered, STREAM as usize);
+            read_queued(&mut rig, &mut read);
+        }
+        let mut got = vec![0u8; read];
+        rig.mem.read_user(TaskId(2), BUF, &mut got).unwrap();
+        let want: Vec<u8> = (0..read as u32).map(stream_byte).collect();
+        proptest::prop_assert_eq!(got, want);
+        // The receiver closes; its peer, gone, answers the FIN with a reset.
+        let _fin = rig.k.sys_close(child, &mut rig.mem, rig.now);
+        let seq = rcv_nxt(&rig);
+        deliver_segment(&mut rig, cab, child, seq, &[], TcpFlags::RST);
+        proptest::prop_assert!(rig.k.socket_ref(child).is_none(), "receiver left open");
+        proptest::prop_assert_eq!(pages_used(&rig, cab), 0, "pages held after close");
+    }
 }
 
 /// The completion of a copy-in of `c`'s send-queue range `[seq_lo,

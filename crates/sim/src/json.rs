@@ -1,5 +1,5 @@
 //! Minimal recursive-descent JSON reader for the hand-rolled artifacts
-//! (stats, timeline, flight dumps). The workspace is offline (no serde),
+//! (stats, timeline, traces). The workspace is offline (no serde),
 //! and the formats are small enough that a ~150-line reader keeps the
 //! artifacts human-editable without a dependency.
 

@@ -39,7 +39,7 @@
 //!   delta-debugging shrinker that cuts any failing plan to a minimal
 //!   repro,
 //! * [`json`] — the small JSON reader behind the stats, timeline and
-//!   flight-recorder artifacts' tests,
+//!   trace artifacts' tests,
 //! * [`Timeline`] — windowed time-series telemetry: bounded rings of
 //!   per-window counter deltas and gauge levels with exact conservation,
 //!   exported as Perfetto counter tracks, JSON/CSV, and sparklines.

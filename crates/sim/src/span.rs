@@ -2,8 +2,8 @@
 //!
 //! The metrics registry ([`crate::obs`]) aggregates counters; it cannot show
 //! *where a particular packet's time went* as it moves host memory → CAB
-//! network memory → wire → network memory → host. This module provides the
-//! missing flight recorder:
+//! network memory → wire → network memory → host. This module follows each
+//! packet through those stages:
 //!
 //! * [`FlowId`] — a deterministic identity for a unit of transfer, derived
 //!   from the wire-visible 4-tuple (and, where known, the TCP sequence of

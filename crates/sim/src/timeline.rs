@@ -25,8 +25,7 @@
 //! Perfetto counter tracks written straight into the span trace by
 //! [`crate::span::export_chrome_trace_with`] (`ph:"C"` events sharing the
 //! span pid space),
-//! [`Timeline::sparklines`] for a terminal summary, and
-//! [`Timeline::tail_json`] for the flight recorder's last-N-windows dump.
+//! and [`Timeline::sparklines`] for a terminal summary.
 
 use crate::span::{push_event_head, push_sep, push_u64};
 use crate::time::Dur;
@@ -240,36 +239,15 @@ impl Timeline {
     /// byte-deterministic; conservation is visible in the artifact
     /// (`base + sum == final` per counter series).
     pub fn to_json(&self) -> String {
-        self.render_json(0)
-    }
-
-    /// Like [`to_json`](Timeline::to_json), but only the last `last_n`
-    /// retained windows — the flight-recorder fragment. Per-series `base`
-    /// is re-folded so conservation holds within the fragment.
-    pub fn tail_json(&self, last_n: usize) -> String {
-        let retained = self.series.first().map(|s| s.samples.len()).unwrap_or(0);
-        self.render_json(retained.saturating_sub(last_n))
-    }
-
-    fn render_json(&self, skip: usize) -> String {
         let mut out = String::from("{\n  \"schema\": \"outboard-timeline-v1\",\n");
         let _ = writeln!(out, "  \"window_ns\": {},", self.window.as_nanos());
         let _ = writeln!(out, "  \"windows\": {},", self.windows);
         let _ = writeln!(out, "  \"evicted\": {},", self.evicted);
-        let _ = writeln!(out, "  \"first_retained\": {},", self.evicted + skip as u64);
+        let _ = writeln!(out, "  \"first_retained\": {},", self.evicted);
         let _ = writeln!(out, "  \"end_ns\": {},", self.end_ns);
         out.push_str("  \"series\": [\n");
         for (i, s) in self.series.iter().enumerate() {
-            let skipped: i64 = s.samples.iter().take(skip).sum();
-            let base = match s.kind {
-                SeriesKind::Counter => s.base + skipped,
-                SeriesKind::Gauge => s
-                    .samples
-                    .get(skip.wrapping_sub(1))
-                    .copied()
-                    .unwrap_or(s.base),
-            };
-            let sum: i64 = s.samples.iter().skip(skip).sum();
+            let sum: i64 = s.samples.iter().sum();
             let _ = write!(
                 out,
                 "    {{\"name\": \"{}\", \"kind\": \"{}\", \"unit\": \"{}\", \
@@ -279,12 +257,12 @@ impl Timeline {
                 s.kind.name(),
                 s.unit,
                 s.pid,
-                base,
+                s.base,
                 s.last,
                 sum,
                 s.hwm,
             );
-            for (j, v) in s.samples.iter().skip(skip).enumerate() {
+            for (j, v) in s.samples.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
@@ -504,25 +482,6 @@ mod tests {
         assert!(j.contains("\"window_ns\": 1000000"));
         assert!(j.contains("\"base\": 0, \"final\": 128, \"sum\": 128"));
         assert!(j.contains("\"samples\": [64,64]"));
-    }
-
-    #[test]
-    fn tail_json_refolds_base() {
-        let mut tl = Timeline::new(ms(1), 1024);
-        tl.declare("c", SeriesKind::Counter, "n", 0, 0);
-        tl.declare("g", SeriesKind::Gauge, "n", 0, 0);
-        for i in 1..=8i64 {
-            tl.record(&[i * 5, i]);
-        }
-        let t = tl.tail_json(2);
-        // Counter: base folds the six skipped windows (6 * 5 = 30).
-        assert!(
-            t.contains("\"base\": 30, \"final\": 40, \"sum\": 10"),
-            "{t}"
-        );
-        // Gauge: base carries the level entering the tail.
-        assert!(t.contains("\"base\": 6, \"final\": 8"), "{t}");
-        assert!(t.contains("\"first_retained\": 6"));
     }
 
     #[test]

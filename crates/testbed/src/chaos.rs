@@ -7,15 +7,15 @@
 //! [`RunOutcome::Completed`] is the run's `liveness:` violation. Because
 //! the world is a deterministic discrete-event simulation, the same
 //! config + plan always produces the same [`ChaosOutcome`], which is what
-//! makes [`shrink_failure`] sound, and the run's log replays it.
+//! makes [`shrink_failure`] sound, and the run's log replays it:
+//! [`render_repro`] writes a failure as a file, shape and log, and
+//! `chaos --replay` runs that file again, traced.
 
-use crate::apps::TtcpReceiver;
-use crate::experiment::{ttcp_world, ExperimentConfig};
+use crate::experiment::{finish_ttcp, ttcp_world, ExperimentConfig};
 use crate::oracle;
 use crate::run::{RunError, RunOutcome};
-use crate::world::World;
 use outboard_sim::chaos::{shrink, ShrinkResult};
-use outboard_sim::{Dur, FaultPlan, MetricsRegistry, Time};
+use outboard_sim::{Dur, FaultPlan, MetricsRegistry};
 use outboard_stack::CAB_PROBE_INTERVAL;
 
 /// Sim-time allowance after quiesce for heal probes and watchdog resets to
@@ -31,8 +31,8 @@ pub struct ChaosOutcome {
     pub outcome: Option<Result<RunOutcome, RunError>>,
     /// The transfer finished and the receiver read every byte.
     pub completed: bool,
-    /// Virtual time consumed: [`World::now`] once the settle window has
-    /// run, the last event popped before it closed.
+    /// Virtual time consumed: [`World::now`](crate::World::now) once the
+    /// settle window has run, the last event popped before it closed.
     pub elapsed: Dur,
     /// Bytes the receiver read.
     pub bytes_read: usize,
@@ -42,12 +42,9 @@ pub struct ChaosOutcome {
     /// Full metrics snapshot (byte-identical per seed — the determinism
     /// contract the repro files rely on).
     pub stats: MetricsRegistry,
-    /// Flight-recorder dump (`outboard-flight-v1`): the last windows of the
-    /// run's timeline plus the tail of the span ring, rendered only when
-    /// the oracle found violations and the world had a timeline installed.
-    /// Written beside the `repro_<seed>.faults` so every shrunk repro ships
-    /// with the telemetry of its own crash.
-    pub flight_json: Option<String>,
+    /// Perfetto trace of the run, spans plus the timeline's counter tracks
+    /// (a config with `trace_spans`, as `chaos --replay` runs a repro).
+    pub trace_json: Option<String>,
 }
 
 impl ChaosOutcome {
@@ -90,112 +87,60 @@ pub fn run_chaos(cfg: &ExperimentConfig, plan: &FaultPlan) -> ChaosOutcome {
     // end state (every `At` entry sits at or before `quiesce`).
     let settle = quiesce.max(w.now()) + SETTLE;
     w.run_until(settle);
-
-    if w.span_tracing_on() {
-        w.finish_spans(w.now());
-    }
-    if w.timeline_on() {
-        w.finish_timeline(w.now());
-    }
-    let elapsed = w.now().since(Time::ZERO);
-    let stats = w.metrics(elapsed);
-    let bytes_read = w.hosts[1].apps[0]
-        .as_ref()
-        .and_then(|app| app.as_any().downcast_ref::<TtcpReceiver>())
-        .map_or(0, |rx| rx.bytes_read);
+    let m = finish_ttcp(&mut w, cfg, outcome);
 
     violations.extend(oracle::integrity_violations(&w, cfg.total_bytes));
-    violations.extend(oracle::conservation_violations(&stats, w.hosts.len()));
+    violations.extend(oracle::conservation_violations(&m.stats, w.hosts.len()));
     violations.extend(oracle::endstate_violations(&w));
     violations.extend(oracle::copy_violations(&w));
 
-    let flight_json = if violations.is_empty() {
-        None
-    } else {
-        flight_json(&w, cfg.seed, &violations)
-    };
-
     ChaosOutcome {
         outcome: Some(outcome),
-        completed: outcome == Ok(RunOutcome::Completed) && bytes_read >= cfg.total_bytes,
-        elapsed,
-        bytes_read,
+        completed: m.completed,
+        elapsed: m.elapsed,
+        bytes_read: m.bytes,
         log: w.fault_log().plan(cfg.seed),
-        stats,
+        stats: m.stats,
         violations,
-        flight_json,
+        trace_json: m.trace_json,
     }
 }
 
-/// Windows of timeline history a flight dump retains.
-const FLIGHT_WINDOWS: usize = 64;
-/// Span-ring tail entries a flight dump retains.
-const FLIGHT_SPANS: usize = 64;
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+/// A failing run as a file: its shape (`total` bytes in `write`-byte
+/// writes), then its plan. [`parse_repro`] reads it back.
+pub fn render_repro(cfg: &ExperimentConfig, plan: &FaultPlan) -> String {
+    let (total, write) = (cfg.total_bytes, cfg.write_size);
+    format!("total {total}\nwrite {write}\n{}", plan.render())
 }
 
-/// Render the flight-recorder dump (`outboard-flight-v1`): the violation
-/// list, the last [`FLIGHT_WINDOWS`] windows of the timeline (base-refolded
-/// so conservation holds within the fragment), and the tail of the merged
-/// span ring. `None` when the world has no timeline installed.
-fn flight_json(w: &World, seed: u64, violations: &[String]) -> Option<String> {
-    use std::fmt::Write as _;
-    let tl = w.timeline()?;
-    let mut out = String::from("{\n  \"schema\": \"outboard-flight-v1\",\n");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    let _ = writeln!(out, "  \"end_ns\": {},", w.now().nanos());
-    out.push_str("  \"violations\": [");
-    for (i, v) in violations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// Read [`render_repro`]'s text: its plan, and `base` with the file's run
+/// shape and the plan's seed. A plan without shape lines (any run's fault
+/// log) keeps `base`'s shape.
+pub fn parse_repro(
+    text: &str,
+    base: &ExperimentConfig,
+) -> Result<(ExperimentConfig, FaultPlan), String> {
+    let mut cfg = base.clone();
+    let mut plan_text = String::new();
+    for (i, line) in text.lines().enumerate() {
+        let size = match line.trim().split_once(' ') {
+            Some(("total", n)) => Some((&mut cfg.total_bytes, n)),
+            Some(("write", n)) => Some((&mut cfg.write_size, n)),
+            _ => None,
+        };
+        // A shape line leaves a blank one, so plan errors keep their line.
+        match size {
+            Some((field, n)) => match n.trim().parse() {
+                Ok(n) if n > 0 => *field = n,
+                _ => return Err(format!("line {}: bad size {n:?}", i + 1)),
+            },
+            None => plan_text.push_str(line),
         }
-        let _ = write!(out, "\n    \"{}\"", json_escape(v));
+        plan_text.push('\n');
     }
-    out.push_str("\n  ],\n");
-    // The timeline fragment is itself a complete `outboard-timeline-v1`
-    // object; embed it verbatim (indentation is cosmetic only).
-    let _ = write!(out, "  \"timeline\": {}", tl.tail_json(FLIGHT_WINDOWS));
-    out.truncate(out.trim_end().len());
-    out.push_str(",\n  \"spans\": {");
-    let spans = w.merged_spans();
-    let tail_from = spans.len().saturating_sub(FLIGHT_SPANS);
-    let _ = write!(out, "\n    \"recorded\": {},", spans.len());
-    let _ = write!(out, "\n    \"tail_from\": {tail_from},");
-    out.push_str("\n    \"tail\": [");
-    for (i, s) in spans[tail_from..].iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n      {{\"stage\": \"{}\", \"start_ns\": {}, \"end_ns\": {}, \
-             \"bytes\": {}, \"flow\": \"{:08x}\", \"seq_lo\": {}, \"fate\": \"{}\"}}",
-            s.stage.name(),
-            s.start.nanos(),
-            s.end.nanos(),
-            s.bytes,
-            s.flow.group(),
-            s.flow.seq_lo(),
-            if s.dropped { "dropped" } else { "ok" },
-        );
-    }
-    out.push_str("\n    ]\n  }\n}\n");
-    Some(out)
+    let plan = FaultPlan::parse(&plan_text).map_err(|e| e.to_string())?;
+    cfg.seed = plan.seed;
+    Ok((cfg, plan))
 }
 
 /// Delta-debug a failing plan to local minimality, preserving the failure

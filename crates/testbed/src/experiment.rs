@@ -74,7 +74,7 @@ pub struct ExperimentConfig {
     pub timeline_window: Dur,
     /// Render timeline JSON/CSV/sparklines after a sampled run. Turning
     /// this off measures the pure recording cost of enabled-but-unexported
-    /// sampling (the chaos flight recorder runs this way).
+    /// sampling; a traced run still merges the windows into its trace.
     pub timeline_export: bool,
 }
 
@@ -260,16 +260,29 @@ pub fn run_ttcp(cfg: &ExperimentConfig) -> Metrics {
 /// transfer) and inspect it.
 pub fn run_ttcp_in(w: &mut World, cfg: &ExperimentConfig) -> Metrics {
     let outcome = w.run_apps();
+    finish_ttcp(w, cfg, outcome)
+}
+
+/// Close out a ttcp run at [`World::now`], however long it ran on after
+/// its run loop ended `outcome`: force-close the spans still open and flush
+/// the timeline (so `opened == closed + dropped` and the window-delta sums
+/// hold in the registry), snapshot the metrics, and render the exports
+/// `cfg` asks for. [`run_ttcp_in`] and the chaos runner both end here.
+pub(crate) fn finish_ttcp(
+    w: &mut World,
+    cfg: &ExperimentConfig,
+    outcome: Result<RunOutcome, RunError>,
+) -> Metrics {
     let elapsed = w.now() - Time::ZERO;
 
     // Dig the apps back out for their counters.
-    let (writes, bytes_written) = {
+    let writes = {
         let app = w.hosts[0].apps[0].as_ref().unwrap();
         let tx = app
             .as_any()
             .downcast_ref::<TtcpSender>()
             .expect("sender app");
-        (tx.writes, tx.bytes_written)
+        tx.writes
     };
     let (bytes_read, verify_errors) = {
         let app = w.hosts[1].apps[0].as_ref().unwrap();
@@ -288,19 +301,11 @@ pub fn run_ttcp_in(w: &mut World, cfg: &ExperimentConfig) -> Metrics {
     let header_only = w.hosts[0].kernel.stats.retransmit_header_only;
     let hw_checksums = w.hosts[0].kernel.stats.hw_checksums;
     let sw_checksums = w.hosts[0].kernel.stats.sw_checksums;
-    // Close out in-flight spans before snapshotting so the conservation
-    // identity (opened == closed + dropped) holds in the registry.
-    let traced = w.span_tracing_on();
-    if traced {
-        w.finish_spans(w.now());
-    }
-    // Likewise flush the timeline (remaining boundaries plus a final
-    // partial window) so window-delta sums equal the final counters.
-    if w.timeline_on() {
-        w.finish_timeline(w.now());
-    }
+    let now = w.now();
+    w.finish_spans(now);
+    w.finish_timeline(now);
     let stats = w.metrics(elapsed);
-    let (trace_json, critical_path) = if traced && cfg.trace_export {
+    let (trace_json, critical_path) = if w.span_tracing_on() && cfg.trace_export {
         (Some(w.export_trace(cfg.trace_flows)), w.critical_path())
     } else {
         (None, None)
@@ -316,7 +321,7 @@ pub fn run_ttcp_in(w: &mut World, cfg: &ExperimentConfig) -> Metrics {
         completed: outcome == Ok(RunOutcome::Completed) && bytes_read >= cfg.total_bytes,
         outcome,
         elapsed,
-        bytes: bytes_read.min(bytes_written.max(bytes_read)),
+        bytes: bytes_read,
         throughput_mbps: throughput,
         sender_utilization: sender_util,
         receiver_utilization: receiver_util,

@@ -13,7 +13,7 @@ use outboard_host::{Charge, Cpu, HostMem, MachineConfig, MemFault, TaskId, UserM
 use outboard_netsim::{Capture, Framing, Link};
 use outboard_sim::fault::{Action, CountKey, FaultCounts, FaultLog, Injector, Point};
 use outboard_sim::fault::{Target, Trigger};
-use outboard_sim::span::{self, CriticalPath, Span, SpanSink, Stage};
+use outboard_sim::span::{self, CriticalPath, SpanSink, Stage};
 use outboard_sim::{
     BufPool, Dur, EngineKind, EventEngine, Fault, FaultPlan, MetricsRegistry, Time,
 };
@@ -675,17 +675,6 @@ impl World {
         self.timeline = Some(st);
     }
 
-    /// Every recorded span, merged across hosts and the fabric in stable
-    /// (start-time, track, emission) order.
-    pub(crate) fn merged_spans(&self) -> Vec<Span> {
-        let mut all: Vec<(u32, &Span)> = self
-            .span_sinks()
-            .flat_map(|(pid, sink)| sink.spans().map(move |s| (pid, s)))
-            .collect();
-        all.sort_by_key(|(pid, s)| (s.start, *pid, s.seq));
-        all.into_iter().map(|(_, s)| *s).collect()
-    }
-
     /// Export every recorded span as Chrome trace-event JSON (one process
     /// per host plus one for the fabric). `flow_limit` bounds how many
     /// flow groups get arrows. When the windowed sampler is enabled its
@@ -714,7 +703,6 @@ impl World {
     /// span still yields a path; `None` only when no recorded span carries
     /// a flow group.
     pub fn critical_path(&self) -> Option<CriticalPath> {
-        // Pid order: the order `merged_spans` breaks ties in.
         let sinks = || self.span_sinks().flat_map(|(_, sink)| sink.spans());
         let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
         for s in sinks().filter(|s| s.flow.group() != 0) {

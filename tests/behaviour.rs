@@ -298,7 +298,7 @@ fn line(name: &str, run: &Run) -> String {
         }
         Run::Chaos(seed) => {
             // The `chaos` binary's sweep: 2 MB in 64 KB single-copy writes,
-            // verified, a timeline sampled for the flight recorder.
+            // verified; sampled, because the digest covers `world.timeline.*`.
             let mut cfg = soak(2 * MB, *seed);
             cfg.timeline_enabled = true;
             cfg.timeline_export = false;

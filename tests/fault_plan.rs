@@ -11,7 +11,7 @@ use outboard::host::MachineConfig;
 use outboard::sim::fault::{Action, Point};
 use outboard::sim::{Dur, Fault, FaultPlan};
 use outboard::stack::StackConfig;
-use outboard::testbed::chaos::run_chaos;
+use outboard::testbed::chaos::{parse_repro, render_repro, run_chaos};
 use outboard::testbed::experiment::build_ttcp_world;
 use outboard::testbed::{oracle, ExperimentConfig, RunOutcome};
 
@@ -84,7 +84,8 @@ enum Verdict {
     /// runner's 100 ms settle closed — its last segments, unacknowledged,
     /// wait for their retransmission — and a 5 s settle clears them.
     Late,
-    /// Anything else: the line and what went wrong.
+    /// Anything else: the line and what went wrong, then the run's repro
+    /// (shape and fault log), which `chaos --replay` runs again traced.
     Failed(String),
 }
 
@@ -113,16 +114,18 @@ fn judge(cfg: &ExperimentConfig, faults: Vec<Fault>) -> Verdict {
     }
     let line: Vec<String> = plan.faults.iter().map(Fault::to_string).collect();
     Verdict::Failed(format!(
-        "{}: {:?}: {:?}",
+        "{}: {:?}: {:?}\n{}",
         line.join(" + "),
         o.outcome,
-        o.violations
+        o.violations,
+        render_repro(cfg, &o.log)
     ))
 }
 
 /// The single faults that end [`Verdict::Late`]: the receiver's engine
-/// wedges on its last transfer, the watchdog resets it, and the sender's
-/// last segment keeps its page until its retransmission at 0.50 s.
+/// wedges on its ACK of the transfer's end, the watchdog reset abandons
+/// that ACK, and the sender's last segment keeps its page until its
+/// retransmission at 0.50 s (DESIGN.md §8, "Late page releases").
 const LATE_SINGLES: [&str; 2] = ["crossing 5 host1.sdma wedge", "crossing 3 host1.mdma wedge"];
 
 /// Ordered pairs that end [`Verdict::Late`], each with a receiver wedge
@@ -150,6 +153,25 @@ fn every_single_fault_of_a_64k_transfer_is_survived() {
     );
     assert_eq!(singles.len(), 125);
     assert_eq!(late, LATE_SINGLES);
+}
+
+/// A failing verdict carries its run's repro: parsed from the message, it
+/// replays the failure.
+#[test]
+fn a_failed_verdict_carries_a_replayable_repro() {
+    let cfg = cfg();
+    let stealth = Fault::crossing(3, 0, Point::Frame, Action::StealthCorrupt);
+    let Verdict::Failed(why) = judge(&cfg, vec![stealth]) else {
+        panic!("a stealth corruption must fail the run")
+    };
+    let (head, repro) = why.split_once('\n').expect("a repro after the line");
+    assert!(head.contains("integrity: "), "{why}");
+    let mut base = cfg.clone();
+    (base.total_bytes, base.seed) = (8 << 20, 0);
+    let (replay_cfg, log) = parse_repro(repro, &base).expect("the repro parses");
+    assert_eq!((replay_cfg.total_bytes, replay_cfg.seed), (TOTAL, cfg.seed));
+    let replay = run_chaos(&replay_cfg, &log);
+    assert!(head.ends_with(&format!("{:?}", replay.violations)), "{why}");
 }
 
 /// Every ordered pair of single faults whose second lands within four

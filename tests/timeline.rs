@@ -1,14 +1,14 @@
 //! Windowed-telemetry integration tests: timeline determinism (same seed),
 //! exact conservation against the final registry
 //! counters under the fault matrix, counter-track merging into the span
-//! trace, flight-recorder dumps on chaos failures, and silence (no
+//! trace, a chaos failure's traced replay from its repro, and silence (no
 //! `world.timeline.*` keys, byte-identical outputs) when disabled.
 
 use outboard::host::MachineConfig;
 use outboard::sim::fault::{Action, Point, Target};
 use outboard::sim::{json, Dur, Fault, FaultPlan, Time};
 use outboard::stack::StackConfig;
-use outboard::testbed::chaos::run_chaos;
+use outboard::testbed::chaos::{parse_repro, render_repro, run_chaos};
 use outboard::testbed::{run_ttcp, ExperimentConfig, Metrics};
 
 const TOTAL: usize = 1024 * 1024;
@@ -214,16 +214,18 @@ fn sparklines_summarize_every_series() {
     assert!(s.contains("world.pool_in_use"));
 }
 
+/// A chaos failure's repro — the run's shape and fault log — replays the
+/// run traced from the text alone: the planted bug is caught again, the
+/// trace parses, its counter tracks sum to the registry's final counters,
+/// and the stealth corruption shows in `world.faults`.
 #[test]
-fn chaos_failure_dumps_a_consistent_flight_recorder() {
+fn a_chaos_failure_replays_traced_from_its_repro() {
     let mut stack = StackConfig::single_copy();
     stack.force_single_copy = true;
     let mut cfg = ExperimentConfig::new(MachineConfig::alpha_3000_400(), stack, 64 * 1024);
     cfg.total_bytes = TOTAL;
     cfg.seed = 5;
     cfg.verify = true;
-    cfg.timeline_enabled = true;
-    cfg.timeline_export = false;
     // A checksum-preserving corruption the oracle must catch.
     let at = Time::ZERO + Dur::millis(8);
     let stealth = Fault::at(at, Target::Point(0, Point::Frame), Action::StealthCorrupt);
@@ -231,64 +233,72 @@ fn chaos_failure_dumps_a_consistent_flight_recorder() {
         seed: 5,
         faults: vec![stealth],
     };
-    let outcome = run_chaos(&cfg, &plan);
-    assert!(!outcome.passed(), "the planted bug must be caught");
-    let flight = outcome
-        .flight_json
-        .as_ref()
-        .expect("failed chaos runs dump a flight recorder");
-    let doc = json::parse(flight).expect("flight JSON must parse");
-    let obj = doc.as_object().unwrap();
+    let failed = run_chaos(&cfg, &plan);
+    assert!(!failed.passed(), "the planted bug must be caught");
+    assert!(failed.trace_json.is_none(), "an untraced run renders none");
+
+    // Another shape and seed in the base: the repro's own must win.
+    let mut base = cfg.clone();
+    (base.total_bytes, base.write_size, base.seed) = (8 * TOTAL, 4096, 0);
+    let repro = render_repro(&cfg, &failed.log);
+    let (mut traced, log) = parse_repro(&repro, &base).expect("a repro parses");
     assert_eq!(
-        json::get(obj, "schema").and_then(|v| v.as_str()),
-        Some("outboard-flight-v1")
+        (traced.total_bytes, traced.write_size, traced.seed),
+        (TOTAL, 64 * 1024, 5)
     );
-    assert_eq!(json::get(obj, "seed").and_then(|v| v.as_u64()), Some(5));
-    let violations = json::get(obj, "violations")
+    traced.trace_spans = true;
+    traced.timeline_enabled = true;
+    traced.timeline_export = false;
+    let replay = run_chaos(&traced, &log);
+    assert_eq!(replay.violations, failed.violations);
+    assert!(replay.violations[0].starts_with("integrity"));
+    assert_eq!(replay.elapsed, failed.elapsed);
+    assert_eq!(replay.log.render(), failed.log.render());
+
+    let trace = replay
+        .trace_json
+        .expect("a traced replay renders its trace");
+    let doc = json::parse(&trace).expect("the trace must parse");
+    let events = json::get(doc.as_object().unwrap(), "traceEvents")
         .and_then(|v| v.as_array())
-        .unwrap();
-    assert_eq!(violations.len(), outcome.violations.len());
-    assert!(violations[0].as_str().unwrap().starts_with("integrity"));
-    // The embedded timeline fragment conserves and its last-window state
-    // is consistent with the violation: the stealth corruption surfaces
-    // in the world.faults series.
-    let tl = json::get(obj, "timeline")
-        .and_then(|v| v.as_object())
-        .unwrap();
-    let series = json::get(tl, "series").and_then(|v| v.as_array()).unwrap();
-    let mut saw_faults = false;
-    for s in series {
-        let f = s.as_object().unwrap();
-        let name = json::get(f, "name").and_then(|v| v.as_str()).unwrap();
-        let kind = json::get(f, "kind").and_then(|v| v.as_str()).unwrap();
-        let base = json::get(f, "base").and_then(|v| v.as_f64()).unwrap() as i64;
-        let final_v = json::get(f, "final").and_then(|v| v.as_f64()).unwrap() as i64;
-        let sum = json::get(f, "sum").and_then(|v| v.as_f64()).unwrap() as i64;
-        if kind == "counter" {
-            assert_eq!(base + sum, final_v, "flight fragment conservation: {name}");
-        }
-        if name == "world.faults" {
-            saw_faults = true;
-            assert!(
-                final_v >= 1,
-                "the stealth corruption must appear in world.faults"
-            );
-        }
-    }
-    assert!(saw_faults);
-    // The span tail rides along (empty here — spans were not enabled —
-    // but structurally present).
-    let spans = json::get(obj, "spans").and_then(|v| v.as_object()).unwrap();
-    assert!(json::get(spans, "recorded").is_some());
-    assert!(json::get(spans, "tail").is_some());
-    // Passing runs stay flight-free.
-    let clean = run_chaos(
-        &cfg,
-        &FaultPlan {
-            seed: 6,
-            faults: vec![],
-        },
+        .expect("a traceEvents array");
+    // Every counter series starts at zero, so its window deltas sum to the
+    // final value the registry holds.
+    let sum_of = |track: &str| -> i64 {
+        let counter = |e: &&json::Value| {
+            let e = e.as_object().unwrap();
+            let name = json::get(e, "name").and_then(|v| v.as_str());
+            json::get(e, "ph").and_then(|v| v.as_str()) == Some("C") && name == Some(track)
+        };
+        let value = |e: &json::Value| {
+            let args = json::get(e.as_object().unwrap(), "args").and_then(|v| v.as_object());
+            args.unwrap()[0].1.as_f64().unwrap() as i64
+        };
+        events.iter().filter(counter).map(value).sum()
+    };
+    let reg = |key: &str| replay.stats.counter_value(key) as i64;
+    assert_eq!(sum_of("host0.tx_bytes"), reg("host0.ip.tx_bytes"));
+    assert_eq!(
+        sum_of("host0.retransmits"),
+        reg("host0.tcp.retransmit_segs")
     );
-    assert!(clean.passed(), "{:?}", clean.violations);
-    assert!(clean.flight_json.is_none());
+    let faults = sum_of("world.faults");
+    let fates = [
+        "dropped",
+        "corrupted",
+        "reordered",
+        "duplicated",
+        "stealth_corrupted",
+    ];
+    let reg_faults = fates
+        .iter()
+        .map(|k| reg(&format!("world.faults.{k}")))
+        .sum::<i64>()
+        + reg("world.chaos.down_drops");
+    assert_eq!(faults, reg_faults, "world.faults must conserve");
+    assert!(
+        faults >= 1,
+        "the stealth corruption must appear in world.faults"
+    );
+    assert!(trace.contains("\"ph\":\"X\""), "no span slices");
 }
