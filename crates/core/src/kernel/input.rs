@@ -559,12 +559,12 @@ impl Kernel {
             let Some(s) = self.sockets.get_mut(sock) else {
                 return;
             };
-            let rcv_space = s.so_rcv.space();
             let Some(tcb) = s.tcb.as_mut() else {
                 return;
             };
             let syn_sent = tcb.state == TcpState::SynSent;
-            (tcb.input(thdr, data, rcv_space, now), syn_sent)
+            let r = tcb.input(&mut self.tcpstat, thdr, data, s.so_rcv.space(), now);
+            (r, syn_sent)
         };
         if r.reset {
             let err = if syn_sent {
@@ -1090,7 +1090,8 @@ impl Kernel {
                     let queued = !s.so_snd.chain.is_empty();
                     let tcb = s.tcb.as_mut()?;
                     let outstanding = tcb.wants_rexmt_timer();
-                    let expiry = tcb.on_rexmt_timeout(tcb.snd_wnd == 0 && queued);
+                    let expiry =
+                        tcb.on_rexmt_timeout(&mut self.tcpstat, tcb.snd_wnd == 0 && queued);
                     Some((expiry, outstanding))
                 });
                 if let Some((expiry, outstanding)) = expiry {
@@ -1117,7 +1118,7 @@ impl Kernel {
                     .sockets
                     .get_mut(sock)
                     .and_then(|s| s.tcb.as_mut())
-                    .is_some_and(|t| t.take_delack());
+                    .is_some_and(|t| t.take_delack(&mut self.tcpstat));
                 if fire {
                     self.cpu(self.costs.interrupt, Charge::Interrupt);
                     self.tcp_send(sock, mem, now, true);

@@ -157,7 +157,7 @@ pub struct Kernel {
     pub(crate) memsys: MemorySystem,
     /// VM pin/map bookkeeping and costs.
     pub vm: VmSystem,
-    // Socket-table sweeps (degraded-mode rescue, stats rollup) iterate this
+    // Socket-table sweeps (degraded-mode rescue) iterate this
     // table, so its ascending-id order reaches the event stream. Boxed: a
     // freed slot costs a pointer, not a `Socket`.
     pub(crate) sockets: IdTable<Box<Socket>>,
@@ -188,13 +188,13 @@ pub struct Kernel {
     pub(crate) kq_serial: u64,
     /// Protocol statistics.
     pub stats: KernelStats,
-    /// TCP counters folded in from torn-down connections (see
-    /// [`Kernel::tcp_stats`] for the live + closed aggregate).
-    pub(crate) tcp_closed: TcpStats,
+    /// TCP counters: every control block counts into this one set.
+    pub(crate) tcpstat: TcpStats,
     /// Mbuf allocation statistics.
     pub(crate) mbuf_stats: MbufStats,
-    /// Per-packet causal span sink (disabled by default; see `sim::span`).
-    pub spans: SpanSink,
+    /// This host's handle on the world's span store (disabled by default;
+    /// see `sim::span`).
+    pub(crate) spans: SpanSink,
     /// Reusable list `tcp_send` lends to `Tcb::output` for its segment plans.
     plans: Vec<SegmentPlan>,
     /// Reusable scratch buffer for header assembly and descriptor reads on
@@ -233,9 +233,9 @@ impl Kernel {
             iss: 10_000,
             kq_serial: 1,
             stats: KernelStats::default(),
-            tcp_closed: TcpStats::default(),
+            tcpstat: TcpStats::default(),
             mbuf_stats: MbufStats::default(),
-            spans: SpanSink::disabled(),
+            spans: SpanSink::default(),
             plans: Vec::new(),
             scratch: Vec::new(),
             pool: BufPool::new(),
@@ -246,6 +246,12 @@ impl Kernel {
     /// the kernel's own.
     pub fn set_pool(&mut self, pool: BufPool) {
         self.pool = pool;
+    }
+
+    /// Record spans through `spans`, a handle on the world's span store
+    /// under this host's trace pid.
+    pub fn set_spans(&mut self, spans: SpanSink) {
+        self.spans = spans;
     }
 
     // ------------------------------------------------------------------
@@ -1474,10 +1480,6 @@ impl Kernel {
             while self.spans.span_drop(sock.0 as u64, Stage::Sockbuf, now) {}
             while self.spans.span_drop(sock.0 as u64, Stage::SysRecv, now) {}
         }
-        // Preserve the connection's netstat counters past its lifetime.
-        if let Some(tcb) = &s.tcb {
-            self.tcp_closed.absorb(tcb);
-        }
         if let Some(local) = s.local {
             self.ports.remove(&(s.proto, local.port));
             if let Some(remote) = s.remote {
@@ -1492,22 +1494,6 @@ impl Kernel {
         if let Some(br) = s.blocked_read {
             self.uio.cancel(br.counter);
         }
-    }
-
-    // ------------------------------------------------------------------
-    // observability
-    // ------------------------------------------------------------------
-
-    /// Netstat-style TCP counters: closed connections (folded on teardown)
-    /// plus every live control block.
-    pub fn tcp_stats(&self) -> TcpStats {
-        let mut agg = self.tcp_closed;
-        for s in self.sockets.values() {
-            if let Some(tcb) = &s.tcb {
-                agg.absorb(tcb);
-            }
-        }
-        agg
     }
 
     // ------------------------------------------------------------------
@@ -1616,7 +1602,7 @@ impl Kernel {
         s.counter("ip.tx_nomem_drops", st.tx_nomem_drops);
         s.counter("icmp.echo_replies", st.icmp_echo_replies);
 
-        let t = self.tcp_stats();
+        let t = &self.tcpstat;
         s.counter("tcp.segs_out", st.tcp_segs_out);
         s.counter("tcp.segs_in", t.segs_in);
         s.counter("tcp.retransmit_segs", st.tcp_retransmit_segs);

@@ -78,7 +78,7 @@ impl Kernel {
             (
                 local,
                 remote,
-                tcb.output(snd_q, rcv_space, force_ack, now, plans),
+                tcb.output(&mut self.tcpstat, snd_q, rcv_space, force_ack, now, plans),
             )
         };
         for plan in plans.drain(..) {

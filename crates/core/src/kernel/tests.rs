@@ -682,7 +682,7 @@ fn rexmt_firing_after_everything_is_acked_does_nothing() {
     assert!(!rig.k.socket_ref(c).unwrap().rexmt_armed);
     let fx = rig.k.timer_fire(rexmt, &mut rig.mem, held[0].0);
     assert!(fx.is_empty(), "no CPU charged, nothing sent: {fx:?}");
-    assert_eq!(rig.k.tcp_stats().rto_events, 0);
+    assert_eq!(rig.k.tcpstat.rto_events, 0);
 }
 
 // ----------------------------------------------------------------------

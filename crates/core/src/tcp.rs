@@ -49,7 +49,7 @@ impl TcpState {
 
 /// How urgently an ACK must be emitted after segment input.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum AckMode {
+pub(crate) enum AckMode {
     /// No acknowledgment owed.
     #[default]
     None,
@@ -62,7 +62,7 @@ pub enum AckMode {
 /// A segment the TCB wants transmitted. The kernel materializes the payload
 /// with `so_snd.copy_range(data_off, data_len)` and builds the header.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SegmentPlan {
+pub(crate) struct SegmentPlan {
     /// Sequence number of the first payload byte.
     pub seq: u32,
     /// Acknowledgment number.
@@ -97,7 +97,7 @@ pub(crate) enum Expiry {
 
 /// Everything segment input tells the kernel to do.
 #[derive(Debug, Default)]
-pub struct InputResult {
+pub(crate) struct InputResult {
     /// In-order payload to append to `so_rcv` (after reassembly).
     pub deliver: Vec<Chain>,
     /// Bytes newly acknowledged: drop from the front of `so_snd` and free
@@ -128,7 +128,7 @@ pub struct InputResult {
 
 /// The TCP control block.
 #[derive(Debug)]
-pub struct Tcb {
+pub(crate) struct Tcb {
     /// Connection state.
     pub(crate) state: TcpState,
     // --- send sequence space ---
@@ -192,26 +192,6 @@ pub struct Tcb {
     pub(crate) nagle: bool,
     /// Reassembly queue: out-of-order segments keyed by sequence.
     reass: BTreeMap<u32, Chain>,
-    // --- stats ---
-    /// Segments retransmitted.
-    pub(crate) retransmits: u64,
-    /// Fast-retransmit events (3 duplicate ACKs).
-    pub(crate) fast_retransmits: u64,
-    /// Retransmission timeouts taken.
-    pub(crate) rto_events: u64,
-    /// Segments delivered to this connection's input processing.
-    pub(crate) segs_in: u64,
-    /// Duplicate ACKs received.
-    pub(crate) dup_acks_rcvd: u64,
-    /// Times output stalled with data queued but zero usable send window.
-    pub(crate) window_stalls: u64,
-    /// Payload bytes placed on the wire (first transmissions and
-    /// retransmissions both count; FIN sequence slots do not).
-    pub(crate) bytes_sent: u64,
-    /// Payload bytes re-sent (already covered by an earlier transmission).
-    pub(crate) bytes_retx: u64,
-    /// ACKs released by the delayed-ACK timer.
-    pub(crate) delayed_acks: u64,
 }
 
 /// Maximum reassembly queue entries (smoltcp-style bounded gaps).
@@ -262,7 +242,7 @@ impl Tcb {
     }
 
     /// A closed control block with initial send sequence `iss`.
-    pub fn new(iss: u32, nagle: bool) -> Tcb {
+    pub(crate) fn new(iss: u32, nagle: bool) -> Tcb {
         Tcb {
             state: TcpState::Closed,
             iss,
@@ -294,15 +274,6 @@ impl Tcb {
             fin_seq: None,
             nagle,
             reass: BTreeMap::new(),
-            retransmits: 0,
-            fast_retransmits: 0,
-            rto_events: 0,
-            segs_in: 0,
-            dup_acks_rcvd: 0,
-            window_stalls: 0,
-            bytes_sent: 0,
-            bytes_retx: 0,
-            delayed_acks: 0,
         }
     }
 
@@ -316,7 +287,7 @@ impl Tcb {
     }
 
     /// Begin an active open.
-    pub fn connect(&mut self, mss: usize, rcv_buf: usize) {
+    pub(crate) fn connect(&mut self, mss: usize, rcv_buf: usize) {
         assert_eq!(self.state, TcpState::Closed);
         self.state = TcpState::SynSent;
         self.mss = mss;
@@ -327,7 +298,7 @@ impl Tcb {
 
     /// Begin a passive open. `mss` is the interface-derived maximum segment
     /// we will advertise; `rcv_buf` sizes the window-scale request.
-    pub fn listen(&mut self, mss: usize, rcv_buf: usize) {
+    pub(crate) fn listen(&mut self, mss: usize, rcv_buf: usize) {
         assert_eq!(self.state, TcpState::Closed);
         self.state = TcpState::Listen;
         self.mss = mss;
@@ -336,7 +307,7 @@ impl Tcb {
     }
 
     /// Application close: send FIN after queued data.
-    pub fn close(&mut self) {
+    pub(crate) fn close(&mut self) {
         match self.state {
             TcpState::Established => {
                 self.fin_pending = true;
@@ -373,12 +344,14 @@ impl Tcb {
     /// space; `force_ack` requests a pure ACK (delayed-ACK timer fired or
     /// window update). The plans are appended to `plans` — an empty list
     /// whose storage the caller recycles from call to call — and returned.
+    /// What goes out is counted in `stats`.
     #[expect(
         clippy::too_many_lines,
         reason = "BSD tcp_output's send decision, kept as one pass in its published order"
     )]
-    pub fn output(
+    pub(crate) fn output(
         &mut self,
+        stats: &mut TcpStats,
         snd_q_len: usize,
         rcv_space: usize,
         force_ack: bool,
@@ -457,7 +430,7 @@ impl Tcb {
                 // Data is queued but the (scaled, congestion-clamped) window
                 // has no room: a sender-side window stall.
                 if len == 0 && avail > 0 && usable == 0 {
-                    self.window_stalls += 1;
+                    stats.window_stalls += 1;
                 }
                 // Maybe a pure FIN still needs to go.
                 if self.fin_pending && !self.fin_sent && avail == 0 {
@@ -500,13 +473,13 @@ impl Tcb {
                 retransmit,
             });
             if retransmit {
-                self.retransmits += 1;
+                stats.retransmits += 1;
                 // Bytes below snd_max are re-sent; a segment straddling
                 // snd_max (or carrying the FIN slot) is only partially old.
                 let old = (seq::diff(self.snd_max, self.snd_nxt) as usize).min(len);
-                self.bytes_retx += old as u64;
+                stats.bytes_retx += old as u64;
             }
-            self.bytes_sent += len as u64;
+            stats.bytes_sent += len as u64;
             // RTT sampling: time one segment per window (Karn: never a
             // retransmitted one).
             if self.rtt_seq.is_none() && !retransmit {
@@ -556,12 +529,12 @@ impl Tcb {
     /// the backoff count starts again after it, as Net/2's does. Otherwise
     /// the timeout after [`MAX_BACKOFF`] consecutive ones drops the
     /// connection (Net/2 `tcp_timer`); any earlier one shrinks to one
-    /// segment and goes again.
-    pub(crate) fn on_rexmt_timeout(&mut self, window_closed: bool) -> Expiry {
+    /// segment and goes again. A timeout taken is counted in `stats`.
+    pub(crate) fn on_rexmt_timeout(&mut self, stats: &mut TcpStats, window_closed: bool) -> Expiry {
         if !window_closed && self.rexmt_backoff == MAX_BACKOFF {
             return Expiry::Drop;
         }
-        self.rto_events += 1;
+        stats.rto_events += 1;
         self.rexmt_backoff = if window_closed {
             0
         } else {
@@ -620,20 +593,22 @@ impl Tcb {
 
     /// Process one inbound segment. `data` is the payload (already trimmed
     /// to the header's claims by the caller); the TCB trims it further to
-    /// the receive window and handles reassembly.
+    /// the receive window and handles reassembly. The segment, and a
+    /// duplicate ACK or fast retransmit it causes, is counted in `stats`.
     #[expect(
         clippy::too_many_lines,
         reason = "RFC 793's segment-arrival procedure, kept as one pass in its published step order"
     )]
-    pub fn input(
+    pub(crate) fn input(
         &mut self,
+        stats: &mut TcpStats,
         hdr: &TcpHeader,
         mut data: Chain,
         rcv_space: usize,
         now: Time,
     ) -> InputResult {
         let mut r = InputResult::default();
-        self.segs_in += 1;
+        stats.segs_in += 1;
         let orig_data_len = data.len() as u32;
 
         match self.state {
@@ -842,10 +817,10 @@ impl Tcb {
             {
                 // Duplicate ACK.
                 self.dupacks += 1;
-                self.dup_acks_rcvd += 1;
+                stats.dup_acks_rcvd += 1;
                 if self.dupacks == 3 {
                     // Fast retransmit.
-                    self.fast_retransmits += 1;
+                    stats.fast_retransmits += 1;
                     let flight = self.flight_size().max(self.mss);
                     self.ssthresh = (flight / 2).max(2 * self.mss);
                     self.cwnd = self.ssthresh;
@@ -969,68 +944,41 @@ impl Tcb {
         }
     }
 
-    /// Pull the delayed-ACK flag (delack timer fired).
-    pub(crate) fn take_delack(&mut self) -> bool {
+    /// Pull the delayed-ACK flag (delack timer fired); an ACK it releases
+    /// is counted in `stats`.
+    pub(crate) fn take_delack(&mut self, stats: &mut TcpStats) -> bool {
         let fired = std::mem::take(&mut self.delack_pending);
         if fired {
-            self.delayed_acks += 1;
+            stats.delayed_acks += 1;
         }
         fired
     }
 }
 
-/// Netstat-style aggregate of per-connection TCP counters. The kernel folds
-/// a connection's counters in here on socket teardown and sums the live
-/// control blocks on demand, so reports survive connection close.
+/// Netstat-style TCP counters, one set per kernel (Net/2's `tcpstat`):
+/// every control block counts into it as it goes, so what a connection
+/// counted outlives it with nothing to fold.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TcpStats {
+pub(crate) struct TcpStats {
     /// Segments delivered to connection input processing.
-    pub segs_in: u64,
+    pub(crate) segs_in: u64,
     /// Segments retransmitted.
-    pub retransmits: u64,
+    pub(crate) retransmits: u64,
     /// Fast-retransmit events (3 duplicate ACKs).
-    pub fast_retransmits: u64,
+    pub(crate) fast_retransmits: u64,
     /// Retransmission timeouts taken.
-    pub rto_events: u64,
+    pub(crate) rto_events: u64,
     /// Duplicate ACKs received.
-    pub dup_acks_rcvd: u64,
-    /// Sender stalls on a zero usable window.
-    pub window_stalls: u64,
-    /// Payload bytes placed on the wire.
-    pub bytes_sent: u64,
-    /// Payload bytes re-sent.
-    pub bytes_retx: u64,
+    pub(crate) dup_acks_rcvd: u64,
+    /// Times output stalled with data queued but zero usable send window.
+    pub(crate) window_stalls: u64,
+    /// Payload bytes placed on the wire (first transmissions and
+    /// retransmissions both count; FIN sequence slots do not).
+    pub(crate) bytes_sent: u64,
+    /// Payload bytes re-sent (already covered by an earlier transmission).
+    pub(crate) bytes_retx: u64,
     /// ACKs released by the delayed-ACK timer.
-    pub delayed_acks: u64,
-}
-
-impl TcpStats {
-    /// Fold one control block's counters into this aggregate.
-    pub fn absorb(&mut self, tcb: &Tcb) {
-        self.segs_in += tcb.segs_in;
-        self.retransmits += tcb.retransmits;
-        self.fast_retransmits += tcb.fast_retransmits;
-        self.rto_events += tcb.rto_events;
-        self.dup_acks_rcvd += tcb.dup_acks_rcvd;
-        self.window_stalls += tcb.window_stalls;
-        self.bytes_sent += tcb.bytes_sent;
-        self.bytes_retx += tcb.bytes_retx;
-        self.delayed_acks += tcb.delayed_acks;
-    }
-
-    /// Elementwise sum of two aggregates.
-    pub fn merged(mut self, other: TcpStats) -> TcpStats {
-        self.segs_in += other.segs_in;
-        self.retransmits += other.retransmits;
-        self.fast_retransmits += other.fast_retransmits;
-        self.rto_events += other.rto_events;
-        self.dup_acks_rcvd += other.dup_acks_rcvd;
-        self.window_stalls += other.window_stalls;
-        self.bytes_sent += other.bytes_sent;
-        self.bytes_retx += other.bytes_retx;
-        self.delayed_acks += other.delayed_acks;
-        self
-    }
+    pub(crate) delayed_acks: u64,
 }
 
 /// Helper extension: sequence-space max.
@@ -1070,10 +1018,11 @@ mod tests {
     const MSS: usize = 32 * 1024 - 40;
     const BUF: usize = 512 * 1024;
 
-    /// A minimal in-test endpoint: a TCB plus byte queues standing in for
-    /// the socket buffers.
+    /// A minimal in-test endpoint: a TCB, the counters it counts into, and
+    /// byte queues standing in for the socket buffers.
     struct Ep {
         tcb: Tcb,
+        stats: TcpStats,
         /// Unacknowledged + unsent bytes, front == snd_una.
         snd_q: Vec<u8>,
         /// Delivered in-order payload.
@@ -1085,6 +1034,7 @@ mod tests {
         fn new(iss: u32) -> Ep {
             Ep {
                 tcb: Tcb::new(iss, false),
+                stats: TcpStats::default(),
                 snd_q: Vec::new(),
                 rcv: Vec::new(),
                 now: Time::ZERO,
@@ -1096,9 +1046,11 @@ mod tests {
         }
 
         fn plans(&mut self, force_ack: bool) -> Vec<SegmentPlan> {
+            let space = self.rcv_space();
             self.tcb.output(
+                &mut self.stats,
                 self.snd_q.len(),
-                self.rcv_space(),
+                space,
                 force_ack,
                 self.now,
                 Vec::new(),
@@ -1122,7 +1074,7 @@ mod tests {
 
         fn input(&mut self, hdr: &TcpHeader, data: Chain) -> InputResult {
             let space = self.rcv_space();
-            let r = self.tcb.input(hdr, data, space, self.now);
+            let r = self.tcb.input(&mut self.stats, hdr, data, space, self.now);
             for c in &r.deliver {
                 self.rcv.extend_from_slice(&c.flatten_kernel().unwrap());
             }
@@ -1158,13 +1110,13 @@ mod tests {
                 }
             }
             // Stand-in for the 200 ms delayed-ACK timer.
-            if a.tcb.take_delack() {
+            if a.tcb.take_delack(&mut a.stats) {
                 for (h, d) in a.emit(true) {
                     moved = true;
                     b.input(&h, d);
                 }
             }
-            if b.tcb.take_delack() {
+            if b.tcb.take_delack(&mut b.stats) {
                 for (h, d) in b.emit(true) {
                     moved = true;
                     a.input(&h, d);
@@ -1264,12 +1216,15 @@ mod tests {
         assert!(b.rcv.is_empty(), "nothing in order yet");
         // RTO fires on the sender.
         assert!(a.tcb.wants_rexmt_timer());
-        assert_eq!(a.tcb.on_rexmt_timeout(false), Expiry::Retransmit);
+        assert_eq!(
+            a.tcb.on_rexmt_timeout(&mut a.stats, false),
+            Expiry::Retransmit
+        );
         assert_eq!(a.tcb.snd_nxt, a.tcb.snd_una);
         converge(&mut a, &mut b);
         assert_eq!(b.rcv, data, "reassembly completed after retransmit");
-        assert!(a.tcb.retransmits > 0);
-        assert_eq!(a.tcb.rto_events, 1);
+        assert!(a.stats.retransmits > 0);
+        assert_eq!(a.stats.rto_events, 1);
     }
 
     #[test]
@@ -1295,7 +1250,7 @@ mod tests {
         for (h, d) in dupacks {
             a.input(&h, d);
         }
-        assert!(a.tcb.fast_retransmits >= 1, "fast retransmit triggered");
+        assert!(a.stats.fast_retransmits >= 1, "fast retransmit triggered");
         converge(&mut a, &mut b);
         assert_eq!(b.rcv, data);
     }
@@ -1322,10 +1277,11 @@ mod tests {
 
     #[test]
     fn rst_for_segment_to_closed_port() {
+        let mut st = TcpStats::default();
         let mut closed = Tcb::new(1, false);
         let mut h = TcpHeader::new(5, 6, 777, 0, TcpFlags::SYN);
         h.window = 100;
-        let r = closed.input(&h, Chain::new(), BUF, Time::ZERO);
+        let r = closed.input(&mut st, &h, Chain::new(), BUF, Time::ZERO);
         let (_seq, ack, flags) = r.rst_out.expect("RST for closed port");
         assert!(flags.rst() && flags.ack());
         assert_eq!(ack, 778, "acks the SYN");
@@ -1378,7 +1334,7 @@ mod tests {
             b.tcb.delack_pending,
             "third segment leaves a pending delack"
         );
-        assert!(b.tcb.take_delack());
+        assert!(b.tcb.take_delack(&mut b.stats));
         assert!(!b.tcb.delack_pending);
     }
 
@@ -1436,12 +1392,13 @@ mod edge_tests {
     /// Simultaneous open: both sides send SYN before seeing the other's.
     #[test]
     fn simultaneous_open_reaches_established() {
+        let mut st = TcpStats::default();
         let mut a = Tcb::new(1000, false);
         let mut b = Tcb::new(9000, false);
         a.connect(1460, BUF);
         b.connect(1460, BUF);
-        let pa = a.output(0, BUF, false, Time::ZERO, Vec::new());
-        let pb = b.output(0, BUF, false, Time::ZERO, Vec::new());
+        let pa = a.output(&mut st, 0, BUF, false, Time::ZERO, Vec::new());
+        let pb = b.output(&mut st, 0, BUF, false, Time::ZERO, Vec::new());
         assert!(pa[0].flags.syn() && pb[0].flags.syn());
         // Cross-deliver the SYNs.
         let mut ha = hdr(pa[0].seq, 0, TcpFlags::SYN, pa[0].window);
@@ -1450,14 +1407,14 @@ mod edge_tests {
         let mut hb = hdr(pb[0].seq, 0, TcpFlags::SYN, pb[0].window);
         hb.mss = pb[0].mss_opt;
         hb.window_scale = pb[0].ws_opt;
-        let ra = a.input(&hb, Chain::new(), BUF, Time::ZERO);
-        let rb = b.input(&ha, Chain::new(), BUF, Time::ZERO);
+        let ra = a.input(&mut st, &hb, Chain::new(), BUF, Time::ZERO);
+        let rb = b.input(&mut st, &ha, Chain::new(), BUF, Time::ZERO);
         assert!(ra.need_output && rb.need_output, "both emit SYN|ACK");
         assert_eq!(a.state, TcpState::SynRcvd);
         assert_eq!(b.state, TcpState::SynRcvd);
         // Cross-deliver the SYN|ACKs.
-        let pa2 = a.output(0, BUF, false, Time::ZERO, Vec::new());
-        let pb2 = b.output(0, BUF, false, Time::ZERO, Vec::new());
+        let pa2 = a.output(&mut st, 0, BUF, false, Time::ZERO, Vec::new());
+        let pb2 = b.output(&mut st, 0, BUF, false, Time::ZERO, Vec::new());
         let ha2 = {
             let mut h = hdr(pa2[0].seq, pa2[0].ack, pa2[0].flags, pa2[0].window);
             h.mss = pa2[0].mss_opt;
@@ -1470,8 +1427,8 @@ mod edge_tests {
             h.window_scale = pb2[0].ws_opt;
             h
         };
-        let ra2 = a.input(&hb2, Chain::new(), BUF, Time::ZERO);
-        let rb2 = b.input(&ha2, Chain::new(), BUF, Time::ZERO);
+        let ra2 = a.input(&mut st, &hb2, Chain::new(), BUF, Time::ZERO);
+        let rb2 = b.input(&mut st, &ha2, Chain::new(), BUF, Time::ZERO);
         assert!(ra2.connected || a.state == TcpState::Established);
         assert!(rb2.connected || b.state == TcpState::Established);
     }
@@ -1480,23 +1437,25 @@ mod edge_tests {
     /// TIME_WAIT on both sides.
     #[test]
     fn simultaneous_close() {
+        let mut st = TcpStats::default();
         let mut a = Tcb::new(1000, false);
         let mut b = Tcb::new(9000, false);
         // Hand-establish.
         a.connect(1460, BUF);
         b.listen(1460, BUF);
-        let pa = a.output(0, BUF, false, Time::ZERO, Vec::new());
+        let pa = a.output(&mut st, 0, BUF, false, Time::ZERO, Vec::new());
         let mut syn = hdr(pa[0].seq, 0, TcpFlags::SYN, pa[0].window);
         syn.mss = pa[0].mss_opt;
         syn.window_scale = pa[0].ws_opt;
-        b.input(&syn, Chain::new(), BUF, Time::ZERO);
-        let pb = b.output(0, BUF, false, Time::ZERO, Vec::new());
+        b.input(&mut st, &syn, Chain::new(), BUF, Time::ZERO);
+        let pb = b.output(&mut st, 0, BUF, false, Time::ZERO, Vec::new());
         let mut synack = hdr(pb[0].seq, pb[0].ack, pb[0].flags, pb[0].window);
         synack.mss = pb[0].mss_opt;
         synack.window_scale = pb[0].ws_opt;
-        a.input(&synack, Chain::new(), BUF, Time::ZERO);
-        let pa2 = a.output(0, BUF, true, Time::ZERO, Vec::new());
+        a.input(&mut st, &synack, Chain::new(), BUF, Time::ZERO);
+        let pa2 = a.output(&mut st, 0, BUF, true, Time::ZERO, Vec::new());
         b.input(
+            &mut st,
             &hdr(pa2[0].seq, pa2[0].ack, pa2[0].flags, pa2[0].window),
             Chain::new(),
             BUF,
@@ -1508,16 +1467,18 @@ mod edge_tests {
         // Both close; FINs cross.
         a.close();
         b.close();
-        let fa = a.output(0, BUF, false, Time::ZERO, Vec::new());
-        let fb = b.output(0, BUF, false, Time::ZERO, Vec::new());
+        let fa = a.output(&mut st, 0, BUF, false, Time::ZERO, Vec::new());
+        let fb = b.output(&mut st, 0, BUF, false, Time::ZERO, Vec::new());
         assert!(fa[0].flags.fin() && fb[0].flags.fin());
         a.input(
+            &mut st,
             &hdr(fb[0].seq, fb[0].ack, fb[0].flags, fb[0].window),
             Chain::new(),
             BUF,
             Time::ZERO,
         );
         b.input(
+            &mut st,
             &hdr(fa[0].seq, fa[0].ack, fa[0].flags, fa[0].window),
             Chain::new(),
             BUF,
@@ -1526,15 +1487,17 @@ mod edge_tests {
         assert_eq!(a.state, TcpState::Closing);
         assert_eq!(b.state, TcpState::Closing);
         // Exchange the final ACKs.
-        let aa = a.output(0, BUF, true, Time::ZERO, Vec::new());
-        let ab = b.output(0, BUF, true, Time::ZERO, Vec::new());
+        let aa = a.output(&mut st, 0, BUF, true, Time::ZERO, Vec::new());
+        let ab = b.output(&mut st, 0, BUF, true, Time::ZERO, Vec::new());
         a.input(
+            &mut st,
             &hdr(ab[0].seq, ab[0].ack, ab[0].flags, ab[0].window),
             Chain::new(),
             BUF,
             Time::ZERO,
         );
         b.input(
+            &mut st,
             &hdr(aa[0].seq, aa[0].ack, aa[0].flags, aa[0].window),
             Chain::new(),
             BUF,
@@ -1548,6 +1511,7 @@ mod edge_tests {
     /// provokes a re-ACK, never a state change.
     #[test]
     fn duplicate_syn_is_reacked() {
+        let mut st = TcpStats::default();
         let mut b = Tcb::new(9000, false);
         b.listen(1460, BUF);
         let syn = {
@@ -1555,10 +1519,11 @@ mod edge_tests {
             h.mss = Some(1460);
             h
         };
-        b.input(&syn, Chain::new(), BUF, Time::ZERO);
-        b.output(0, BUF, false, Time::ZERO, Vec::new()); // SYN|ACK out
-                                                         // Complete handshake.
+        b.input(&mut st, &syn, Chain::new(), BUF, Time::ZERO);
+        b.output(&mut st, 0, BUF, false, Time::ZERO, Vec::new()); // SYN|ACK out
+                                                                  // Complete handshake.
         b.input(
+            &mut st,
             &hdr(5001, b.snd_nxt, TcpFlags::ACK, 1000),
             Chain::new(),
             BUF,
@@ -1566,7 +1531,7 @@ mod edge_tests {
         );
         assert_eq!(b.state, TcpState::Established);
         // The duplicate SYN arrives (client never saw the SYN|ACK).
-        let r = b.input(&syn, Chain::new(), BUF, Time::ZERO);
+        let r = b.input(&mut st, &syn, Chain::new(), BUF, Time::ZERO);
         assert_eq!(b.state, TcpState::Established, "no state regression");
         assert_eq!(r.ack, AckMode::Now, "resynchronizing ACK");
     }
@@ -1574,13 +1539,15 @@ mod edge_tests {
     /// Data arriving in TIME_WAIT / after close is not delivered.
     #[test]
     fn no_delivery_after_fin_consumed() {
+        let mut st = TcpStats::default();
         let mut b = Tcb::new(9000, false);
         b.listen(1460, BUF);
         let mut syn = hdr(5000, 0, TcpFlags::SYN, 1000);
         syn.mss = Some(1460);
-        b.input(&syn, Chain::new(), BUF, Time::ZERO);
-        b.output(0, BUF, false, Time::ZERO, Vec::new());
+        b.input(&mut st, &syn, Chain::new(), BUF, Time::ZERO);
+        b.output(&mut st, 0, BUF, false, Time::ZERO, Vec::new());
         b.input(
+            &mut st,
             &hdr(5001, b.snd_nxt, TcpFlags::ACK, 1000),
             Chain::new(),
             BUF,
@@ -1588,6 +1555,7 @@ mod edge_tests {
         );
         // Peer sends FIN.
         let r = b.input(
+            &mut st,
             &hdr(5001, b.snd_nxt, TcpFlags::FIN | TcpFlags::ACK, 1000),
             Chain::new(),
             BUF,
@@ -1597,6 +1565,7 @@ mod edge_tests {
         assert_eq!(b.state, TcpState::CloseWait);
         // Late data beyond the FIN: not deliverable.
         let r = b.input(
+            &mut st,
             &hdr(5002, b.snd_nxt, TcpFlags::ACK, 1000),
             Chain::from_slice(&[1, 2, 3]),
             BUF,
@@ -1612,6 +1581,7 @@ mod congestion_tests {
 
     #[test]
     fn rto_collapses_cwnd_and_backs_off() {
+        let mut st = TcpStats::default();
         let mut t = Tcb::new(1000, false);
         t.connect(1460, 512 * 1024);
         t.state = TcpState::Established;
@@ -1621,17 +1591,18 @@ mod congestion_tests {
         t.cwnd = 20 * 1460;
         t.ssthresh = usize::MAX / 2;
         let rto0 = t.rto;
-        assert_eq!(t.on_rexmt_timeout(false), Expiry::Retransmit);
+        assert_eq!(t.on_rexmt_timeout(&mut st, false), Expiry::Retransmit);
         assert_eq!(t.cwnd, t.mss, "cwnd collapses to one segment");
         assert_eq!(t.ssthresh, 10 * 1460, "ssthresh = flight/2");
         assert_eq!(t.snd_nxt, t.snd_una, "go-back-N");
         assert_eq!(t.rto, rto0 * 2, "exponential backoff");
-        t.on_rexmt_timeout(false);
+        t.on_rexmt_timeout(&mut st, false);
         assert_eq!(t.rto, rto0 * 4);
     }
 
     #[test]
     fn slow_start_then_congestion_avoidance() {
+        let mut st = TcpStats::default();
         let mut t = Tcb::new(1000, false);
         t.connect(1000, 512 * 1024);
         t.state = TcpState::Established;
@@ -1654,7 +1625,7 @@ mod congestion_tests {
             h.window = 0xFFFF;
             h
         };
-        t.input(&h, Chain::new(), 512 * 1024, Time::ZERO);
+        t.input(&mut st, &h, Chain::new(), 512 * 1024, Time::ZERO);
         assert_eq!(t.cwnd, 2000, "slow start: +mss per ACK");
         // Push cwnd past ssthresh: growth becomes ~mss^2/cwnd.
         t.cwnd = 5000;
@@ -1669,12 +1640,13 @@ mod congestion_tests {
             h.window = 0xFFFF;
             h
         };
-        t.input(&h2, Chain::new(), 512 * 1024, Time::ZERO);
+        t.input(&mut st, &h2, Chain::new(), 512 * 1024, Time::ZERO);
         assert_eq!(t.cwnd, 5000 + 1000 * 1000 / 5000, "congestion avoidance");
     }
 
     #[test]
     fn fast_retransmit_halves_to_ssthresh() {
+        let mut st = TcpStats::default();
         let mut t = Tcb::new(1000, false);
         t.connect(1460, 512 * 1024);
         t.state = TcpState::Established;
@@ -1697,9 +1669,9 @@ mod congestion_tests {
             h
         };
         for _ in 0..3 {
-            t.input(&dup, Chain::new(), 512 * 1024, Time::ZERO);
+            t.input(&mut st, &dup, Chain::new(), 512 * 1024, Time::ZERO);
         }
-        assert_eq!(t.fast_retransmits, 1);
+        assert_eq!(st.fast_retransmits, 1);
         assert_eq!(t.ssthresh, 5 * 1460);
         assert_eq!(t.cwnd, t.ssthresh, "Reno: cwnd = ssthresh");
         assert_eq!(t.snd_nxt, t.snd_una, "retransmit from the hole");

@@ -25,11 +25,13 @@
 //!   versions),
 //! * [`stats`] — the least-squares fit used to regenerate Table 2 and the
 //!   bytes-over-time → Mbit/s conversion,
-//! * [`span`] — per-packet causal tracing: bounded span timelines with
+//! * [`span`] — per-packet causal tracing: one bounded span store per
+//!   world, which every host kernel and the fabric record into through a
+//!   [`SpanSink`] handle under a trace pid of its own, with
 //!   Chrome-trace/Perfetto export and critical-path attribution,
 //! * [`obs`] — the workspace-wide metrics registry (busy fractions, queue
 //!   high-water marks, netstat-style counters) behind every run report;
-//!   with the span rings it is the one event log (a counter says how
+//!   with the span store it is the one event log (a counter says how
 //!   often, a span says when and for which flow),
 //! * [`fault`] — the one fault plan: every injected fault is a (trigger,
 //!   target, action) entry — a sim time, the k-th crossing of a link's or

@@ -100,25 +100,6 @@ impl ValueHist {
         }
         self.max
     }
-
-    /// Fold another histogram into this one.
-    pub(crate) fn merge(&mut self, other: &ValueHist) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-    }
 }
 
 /// A busy-until occupancy timeline over virtual time.

@@ -12,24 +12,30 @@
 //! * [`Stage`] — the closed taxonomy of lifecycle stages (syscall entry,
 //!   kernel output, SDMA, checksum engine, MDMA, wire transit, demux,
 //!   socket-buffer dwell, …, plus fault detours);
-//! * [`SpanSink`] — a bounded, ring-buffered store of closed [`Span`]s with
-//!   open/close/drop conservation counters. Disabled sinks do nothing and
-//!   allocate nothing: the hot path stays on the allocation diet.
-//! * exporters — [`export_chrome_trace_with`] renders Chrome trace-event /
-//!   Perfetto JSON (one track per engine lane, flow arrows following a
-//!   [`FlowId`] across hosts), and [`critical_path`] attributes a flow's
-//!   end-to-end latency to stages exactly (the shares sum to the total).
+//! * [`SpanSink`] — a handle on a world's one span store: a bounded ring of
+//!   closed [`Span`]s, the table of open ones, the per-stage statistics and
+//!   the open/close/drop conservation counters. Each host kernel and the
+//!   fabric hold a handle, each recording as its own trace process (pid);
+//!   a disabled handle does nothing and allocates nothing, so the hot path
+//!   stays on the allocation diet.
+//! * exporters — [`SpanSink::export_chrome_trace`] renders Chrome
+//!   trace-event / Perfetto JSON (one process per pid, one track per engine
+//!   lane, flow arrows following a [`FlowId`] across hosts), and
+//!   [`critical_path`] attributes a flow's end-to-end latency to stages
+//!   exactly (the shares sum to the total).
 //!
-//! Determinism is a hard requirement: spans are stamped with virtual time
-//! and a per-sink emission sequence, merged with a stable sort, and all
-//! timestamps render as exact decimal nanoseconds — identical seeds produce
-//! byte-identical trace files.
+//! Determinism is a hard requirement: spans are stamped with virtual time,
+//! their pid and that pid's emission sequence, ordered with a stable sort,
+//! and all timestamps render as exact decimal nanoseconds — identical seeds
+//! produce byte-identical trace files.
 
-use crate::obs::ValueHist;
+use crate::obs::{Scope, ValueHist};
 use crate::time::Time;
 use crate::timeline::Timeline;
+use std::cell::{Ref, RefCell, RefMut};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
+use std::rc::Rc;
 
 /// Number of distinct [`Stage`]s.
 pub(crate) const STAGE_COUNT: usize = 16;
@@ -229,12 +235,15 @@ pub struct Span {
     /// True when the span ended by explicit drop (fault fate, run teardown)
     /// rather than a normal close.
     pub dropped: bool,
-    /// Per-sink emission sequence, for stable merge ordering.
+    /// The trace process that emitted it: a host, or the fabric.
+    pub pid: u32,
+    /// The emission sequence of `pid`, for stable ordering.
     pub seq: u64,
 }
 
 #[derive(Clone, Copy, Debug)]
 struct OpenSpan {
+    pid: u32,
     key: u64,
     stage: Stage,
     flow: FlowId,
@@ -242,20 +251,19 @@ struct OpenSpan {
     bytes: u64,
 }
 
-/// A bounded, deterministic store of spans.
-///
-/// Disabled (the default) every method returns immediately without
-/// allocating. Enabled, closed spans land in a ring of fixed capacity
-/// (oldest evicted, counted); per-stage duration histograms and the
-/// open/close/drop conservation counters are fed on every emission, so the
-/// aggregate statistics stay complete even when the ring wraps.
-#[derive(Clone, Debug, Default)]
-pub struct SpanSink {
-    enabled: bool,
+/// One world's spans, behind every [`SpanSink`] handle on it: the closed
+/// spans of every pid in one ring, the open ones in one table (an open is
+/// found by `(pid, key, stage)`), each pid's emission sequence, and the
+/// statistics, which count every span. Eviction: a span closing into a full
+/// ring (`capacity`) evicts the oldest, whichever pid emitted it; an open
+/// into a full table (`capacity`) force-drops the oldest open.
+#[derive(Debug, Default)]
+struct Store {
     capacity: usize,
     ring: VecDeque<Span>,
     open: VecDeque<OpenSpan>,
-    seq: u64,
+    /// The next emission sequence of each pid, indexed by pid.
+    seq: Vec<u64>,
     evicted: u64,
     opened: u64,
     closed: u64,
@@ -264,224 +272,376 @@ pub struct SpanSink {
     stage_bytes: [u64; STAGE_COUNT],
 }
 
-impl SpanSink {
-    /// A disabled sink (records nothing, allocates nothing).
-    pub fn disabled() -> SpanSink {
-        SpanSink::default()
-    }
-
-    /// An enabled sink holding at most `capacity` closed spans.
-    pub fn enabled(capacity: usize) -> SpanSink {
-        let mut s = SpanSink::default();
-        s.enable(capacity);
-        s
-    }
-
-    /// Enable recording with the given ring capacity.
-    pub fn enable(&mut self, capacity: usize) {
-        assert!(capacity > 0);
-        self.enabled = true;
-        self.capacity = capacity;
-    }
-
-    /// Whether the sink records anything. Callers doing non-trivial work to
-    /// *compute* a span (frame parsing, say) must guard on this.
-    #[inline]
-    pub fn on(&self) -> bool {
-        self.enabled
-    }
-
-    fn emit(&mut self, flow: FlowId, stage: Stage, start: Time, end: Time, bytes: u64, drop: bool) {
-        let i = stage.index();
-        self.stage_ns[i].record(end.since(start).as_nanos());
-        self.stage_bytes[i] += bytes;
+impl Store {
+    /// Record `o` as a span ending at `end`, counted closed or dropped and
+    /// next in its pid's sequence.
+    fn emit(&mut self, o: OpenSpan, end: Time, dropped: bool) {
+        if dropped {
+            self.dropped += 1;
+        } else {
+            self.closed += 1;
+        }
+        let i = o.stage.index();
+        self.stage_ns[i].record(end.since(o.start).as_nanos());
+        self.stage_bytes[i] += o.bytes;
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
             self.evicted += 1;
         }
-        let seq = self.seq;
-        self.seq += 1;
+        let p = o.pid as usize;
+        if p >= self.seq.len() {
+            self.seq.resize(p + 1, 0);
+        }
+        let seq = self.seq[p];
+        self.seq[p] += 1;
         self.ring.push_back(Span {
-            flow,
-            stage,
-            start,
+            flow: o.flow,
+            stage: o.stage,
+            start: o.start,
             end,
-            bytes,
-            dropped: drop,
+            bytes: o.bytes,
+            dropped,
+            pid: o.pid,
             seq,
         });
     }
 
-    /// Record a complete span in one call (open + close).
-    #[inline]
-    pub fn span(&mut self, flow: FlowId, stage: Stage, start: Time, end: Time, bytes: u64) {
-        if !self.enabled {
-            return;
+    /// Where the oldest open of `pid` matching `key` + `stage` sits.
+    fn find(&self, pid: u32, key: u64, stage: Stage) -> Option<usize> {
+        let mut open = self.open.iter();
+        open.position(|o| o.pid == pid && o.key == key && o.stage == stage)
+    }
+}
+
+/// A handle on one world's span store, recording as one trace process.
+///
+/// Handles are shared the way [`crate::BufPool`] is: [`SpanSink::enabled`]
+/// makes a store and its pid-0 handle, [`SpanSink::for_pid`] another
+/// handle on the same store. A disabled handle (the default) returns from
+/// every method at once and allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub struct SpanSink {
+    store: Option<Rc<RefCell<Store>>>,
+    pid: u32,
+}
+
+impl SpanSink {
+    /// A handle, recording as pid 0, on a new store of at most `capacity`
+    /// closed spans (and as many open ones).
+    pub fn enabled(capacity: usize) -> SpanSink {
+        assert!(capacity > 0);
+        let store = Store {
+            capacity,
+            ..Store::default()
+        };
+        SpanSink {
+            store: Some(Rc::new(RefCell::new(store))),
+            pid: 0,
         }
-        self.opened += 1;
-        self.closed += 1;
-        self.emit(flow, stage, start, end, bytes, false);
     }
 
-    /// Open a span to be closed later by `key` + stage (FIFO per key).
-    pub fn span_open(&mut self, key: u64, flow: FlowId, stage: Stage, start: Time, bytes: u64) {
-        if !self.enabled {
-            return;
-        }
-        if self.open.len() == self.capacity {
-            // The open table is bounded like the ring: force-close the
-            // oldest entry as dropped rather than growing without limit.
-            if let Some(o) = self.open.pop_front() {
-                self.dropped += 1;
-                self.emit(o.flow, o.stage, o.start, start, o.bytes, true);
-            }
-        }
-        self.opened += 1;
-        self.open.push_back(OpenSpan {
+    /// Another handle on this store, recording as `pid` (disabled when this
+    /// one is).
+    pub fn for_pid(&self, pid: u32) -> SpanSink {
+        let store = self.store.clone();
+        SpanSink { store, pid }
+    }
+
+    /// The trace process this handle records as.
+    pub fn pid(&self) -> u32 {
+        self.pid
+    }
+
+    /// Whether the handle records anything. Callers doing non-trivial work
+    /// to *compute* a span (frame parsing, say) must guard on this.
+    #[inline]
+    pub fn on(&self) -> bool {
+        self.store.is_some()
+    }
+
+    #[inline]
+    fn store(&self) -> Option<RefMut<'_, Store>> {
+        self.store.as_ref().map(|s| s.borrow_mut())
+    }
+
+    fn read(&self) -> Option<Ref<'_, Store>> {
+        self.store.as_ref().map(|s| s.borrow())
+    }
+
+    /// This pid's open of `stage` under `key`.
+    fn open(&self, key: u64, flow: FlowId, stage: Stage, start: Time, bytes: u64) -> OpenSpan {
+        OpenSpan {
+            pid: self.pid,
             key,
             stage,
             flow,
             start,
             bytes,
-        });
+        }
     }
 
-    /// Close the oldest open span matching `key` + `stage`. Returns whether
-    /// a matching open existed.
-    pub fn span_close(&mut self, key: u64, stage: Stage, end: Time) -> bool {
-        if !self.enabled {
-            return false;
+    /// Record a complete span in one call (open + close).
+    #[inline]
+    pub fn span(&mut self, flow: FlowId, stage: Stage, start: Time, end: Time, bytes: u64) {
+        if let Some(mut st) = self.store() {
+            st.opened += 1;
+            st.emit(self.open(0, flow, stage, start, bytes), end, false);
         }
-        let Some(pos) = self
-            .open
-            .iter()
-            .position(|o| o.key == key && o.stage == stage)
-        else {
+    }
+
+    /// Open a span to be closed later by `key` + stage (FIFO per key).
+    pub fn span_open(&mut self, key: u64, flow: FlowId, stage: Stage, start: Time, bytes: u64) {
+        let Some(mut st) = self.store() else {
+            return;
+        };
+        if st.open.len() == st.capacity {
+            // The open table is bounded like the ring: force-close the
+            // oldest entry as dropped rather than growing without limit.
+            if let Some(o) = st.open.pop_front() {
+                st.emit(o, start, true);
+            }
+        }
+        st.opened += 1;
+        st.open.push_back(self.open(key, flow, stage, start, bytes));
+    }
+
+    /// End this pid's oldest open span matching `key` + `stage` at `end`,
+    /// closed or dropped. Returns whether a matching open existed.
+    fn end_open(&mut self, key: u64, stage: Stage, end: Time, dropped: bool) -> bool {
+        let Some(mut st) = self.store() else {
             return false;
         };
-        let Some(o) = self.open.remove(pos) else {
+        let pos = st.find(self.pid, key, stage);
+        let Some(o) = pos.and_then(|pos| st.open.remove(pos)) else {
             return false;
         };
-        self.closed += 1;
-        self.emit(o.flow, o.stage, o.start, end, o.bytes, false);
+        st.emit(o, end, dropped);
         true
     }
 
-    /// Close open spans matching `key` + `stage` FIFO until `bytes` are
-    /// consumed; a partially consumed open is split (the consumed part is
-    /// emitted, the remainder stays open and counts as a fresh open).
+    /// Close this pid's oldest open span matching `key` + `stage`. Returns
+    /// whether a matching open existed.
+    pub fn span_close(&mut self, key: u64, stage: Stage, end: Time) -> bool {
+        self.end_open(key, stage, end, false)
+    }
+
+    /// Close this pid's open spans matching `key` + `stage` FIFO until
+    /// `bytes` are consumed; a partially consumed open is split (the
+    /// consumed part is emitted, the remainder stays open and counts as a
+    /// fresh open).
     pub fn span_close_bytes(&mut self, key: u64, stage: Stage, end: Time, mut bytes: u64) {
-        if !self.enabled {
+        let Some(mut st) = self.store() else {
             return;
-        }
+        };
         while bytes > 0 {
-            let Some(pos) = self
-                .open
-                .iter()
-                .position(|o| o.key == key && o.stage == stage)
-            else {
+            let Some(pos) = st.find(self.pid, key, stage) else {
                 return;
             };
-            if self.open[pos].bytes > bytes {
-                let o = self.open[pos];
-                self.open[pos].bytes -= bytes;
+            let o = st.open[pos];
+            if o.bytes > bytes {
+                st.open[pos].bytes -= bytes;
                 // The remainder is bookkept as a fresh open so the
                 // conservation identity opened == closed + dropped holds.
-                self.opened += 1;
-                self.closed += 1;
-                self.emit(o.flow, o.stage, o.start, end, bytes, false);
+                st.opened += 1;
+                st.emit(OpenSpan { bytes, ..o }, end, false);
                 return;
             }
-            let Some(o) = self.open.remove(pos) else {
-                return;
-            };
             bytes -= o.bytes;
-            self.closed += 1;
-            self.emit(o.flow, o.stage, o.start, end, o.bytes, false);
+            st.open.remove(pos);
+            st.emit(o, end, false);
         }
     }
 
-    /// Drop the oldest open span matching `key` + `stage` (fault fate).
+    /// Drop this pid's oldest open span matching `key` + `stage` (fault
+    /// fate).
     pub fn span_drop(&mut self, key: u64, stage: Stage, end: Time) -> bool {
-        if !self.enabled {
-            return false;
-        }
-        let Some(pos) = self
-            .open
-            .iter()
-            .position(|o| o.key == key && o.stage == stage)
-        else {
-            return false;
-        };
-        let Some(o) = self.open.remove(pos) else {
-            return false;
-        };
-        self.dropped += 1;
-        self.emit(o.flow, o.stage, o.start, end, o.bytes, true);
-        true
+        self.end_open(key, stage, end, true)
     }
 
-    /// Drop every still-open span (run teardown), stamping `end`.
+    /// Drop every still-open span of every pid (run teardown), stamping
+    /// `end`.
     pub fn drop_all_open(&mut self, end: Time) {
-        if !self.enabled {
+        let Some(mut st) = self.store() else {
             return;
+        };
+        while let Some(o) = st.open.pop_front() {
+            st.emit(o, end.max(o.start), true);
         }
-        while let Some(o) = self.open.pop_front() {
-            self.dropped += 1;
-            self.emit(o.flow, o.stage, o.start, end.max(o.start), o.bytes, true);
+    }
+
+    /// Publish the store's counts into `s`: `opened`, `closed`, `dropped`
+    /// and `evicted` (conservation: `opened == closed + dropped` once every
+    /// open is resolved), and for each stage that saw a span its duration
+    /// histogram `ns` with `p50_ns`, `p99_ns`, `max_ns` and its `bytes`,
+    /// complete across evictions. Nothing when disabled.
+    pub fn publish(&self, s: &mut Scope<'_>) {
+        let Some(st) = self.read() else {
+            return;
+        };
+        s.counter("opened", st.opened);
+        s.counter("closed", st.closed);
+        s.counter("dropped", st.dropped);
+        s.counter("evicted", st.evicted);
+        for stage in Stage::ALL {
+            let hist = &st.stage_ns[stage.index()];
+            if hist.count == 0 {
+                continue;
+            }
+            let mut ss = s.sub(stage.name());
+            ss.hist("ns", hist);
+            ss.counter("p50_ns", hist.quantile(0.5));
+            ss.counter("p99_ns", hist.quantile(0.99));
+            ss.counter("max_ns", hist.max);
+            ss.counter("bytes", st.stage_bytes[stage.index()]);
         }
     }
 
-    /// Closed spans currently held, oldest first.
-    pub fn spans(&self) -> impl Iterator<Item = &Span> {
-        self.ring.iter()
-    }
+    /// Export the store as Chrome trace-event / Perfetto JSON.
+    ///
+    /// `names` names one process per pid (its index), in pid order. Within
+    /// a process, each engine lane gets its own thread track. Flow arrows
+    /// (`s`/`t`/`f` events) follow each flow group across processes;
+    /// `flow_limit` bounds how many groups get arrows (`None` = all),
+    /// selected in order of first appearance. A `timeline`'s counter
+    /// tracks (`ph:"C"`, sharing the span pid space) are appended after the
+    /// slices and arrows, so one Perfetto file carries both.
+    ///
+    /// The output is byte-deterministic for identical inputs.
+    pub fn export_chrome_trace(
+        &self,
+        names: &[String],
+        flow_limit: Option<usize>,
+        timeline: Option<&Timeline>,
+    ) -> String {
+        let store = self.read();
+        // Every span in one stable order: (start, pid, seq).
+        let mut all: Vec<&Span> = store.iter().flat_map(|st| st.ring.iter()).collect();
+        all.sort_by_key(|s| (s.start, s.pid, s.seq));
+        let mut out = String::from(TRACE_HEAD);
 
-    /// Spans evicted from the ring due to capacity.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Spans opened (conservation: `opened() == closed() + dropped()` once
-    /// every open is resolved).
-    pub fn opened(&self) -> u64 {
-        self.opened
-    }
-
-    /// Spans closed normally.
-    pub fn closed(&self) -> u64 {
-        self.closed
-    }
-
-    /// Spans ended by explicit drop.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Per-stage duration histogram (nanoseconds), complete across
-    /// evictions.
-    pub fn stage_hist(&self, stage: Stage) -> &ValueHist {
-        &self.stage_ns[stage.index()]
-    }
-
-    /// Per-stage cumulative bytes.
-    pub fn stage_bytes(&self, stage: Stage) -> u64 {
-        self.stage_bytes[stage.index()]
-    }
-
-    /// Fold another sink's per-stage statistics and conservation counters
-    /// into this one (used by the world-level aggregation).
-    pub fn absorb_stats(&mut self, other: &SpanSink) {
-        for (mine, theirs) in self.stage_ns.iter_mut().zip(&other.stage_ns) {
-            mine.merge(theirs);
+        // Stage → tid per process, deterministic: a process's lanes in
+        // sorted name order, numbered from 0.
+        let mut seen = vec![[false; STAGE_COUNT]; names.len()];
+        for s in &all {
+            if let Some(seen) = seen.get_mut(s.pid as usize) {
+                seen[s.stage.index()] = true;
+            }
         }
-        for (mine, theirs) in self.stage_bytes.iter_mut().zip(&other.stage_bytes) {
-            *mine += theirs;
+        let mut tids: Vec<[u32; STAGE_COUNT]> = Vec::with_capacity(names.len());
+        for (pid, (pname, seen)) in names.iter().zip(&seen).enumerate() {
+            let used = Stage::ALL.iter().filter(|st| seen[st.index()]);
+            let mut lanes: Vec<&'static str> = used.map(|st| st.lane()).collect();
+            lanes.sort_unstable();
+            lanes.dedup();
+            push_sep(&mut out);
+            let _ = write!(
+                out,
+                "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\"args\":{{\"name\":\"{pname}\"}}}}"
+            );
+            for (tid, lane) in lanes.iter().enumerate() {
+                push_sep(&mut out);
+                let _ = write!(
+                    out,
+                    "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"{lane}\"}}}}"
+                );
+            }
+            tids.push(Stage::ALL.map(|st| {
+                let tid = lanes.iter().position(|l| *l == st.lane());
+                tid.unwrap_or(0) as u32
+            }));
         }
-        self.opened += other.opened;
-        self.closed += other.closed;
-        self.dropped += other.dropped;
-        self.evicted += other.evicted;
+        let tid = |s: &Span| tids.get(s.pid as usize).map_or(0, |t| t[s.stage.index()]);
+
+        for s in &all {
+            push_sep(&mut out);
+            push_event_head(
+                &mut out,
+                'X',
+                s.pid,
+                tid(s),
+                s.start.nanos(),
+                s.stage.name(),
+            );
+            out.push_str(",\"cat\":\"span\",\"dur\":");
+            push_ts_us(&mut out, s.end.since(s.start).as_nanos());
+            out.push_str(",\"args\":{\"flow\":\"");
+            push_hex8(&mut out, s.flow.group());
+            out.push_str("\",\"seq_lo\":");
+            push_u64(&mut out, u64::from(s.flow.seq_lo()));
+            out.push_str(",\"bytes\":");
+            push_u64(&mut out, s.bytes);
+            out.push_str(if s.dropped {
+                ",\"fate\":\"dropped\"}}"
+            } else {
+                ",\"fate\":\"ok\"}}"
+            });
+        }
+
+        // Flow arrows, per group, in order of first appearance: one pass gives
+        // each group a chain (none past `flow_limit`) of its spans' indices.
+        let limit = flow_limit.unwrap_or(usize::MAX);
+        let mut slots: BTreeMap<u32, Option<usize>> = BTreeMap::new();
+        let mut chains: Vec<(u32, Vec<usize>)> = Vec::new();
+        for (i, s) in all.iter().enumerate() {
+            let g = s.flow.group();
+            if g == 0 {
+                continue;
+            }
+            let slot = *slots.entry(g).or_insert_with(|| {
+                (chains.len() < limit).then(|| {
+                    chains.push((g, Vec::new()));
+                    chains.len() - 1
+                })
+            });
+            if let Some(slot) = slot {
+                chains[slot].1.push(i);
+            }
+        }
+        for (g, chain) in &chains {
+            let n = chain.len();
+            if n < 2 {
+                continue;
+            }
+            for (i, &at) in chain.iter().enumerate() {
+                let s = all[at];
+                let ph = if i == 0 {
+                    's'
+                } else if i + 1 == n {
+                    'f'
+                } else {
+                    't'
+                };
+                push_sep(&mut out);
+                push_event_head(&mut out, ph, s.pid, tid(s), s.start.nanos(), "flow");
+                out.push_str(",\"cat\":\"flow\",\"id\":\"");
+                push_hex8(&mut out, *g);
+                out.push_str(if ph == 'f' { "\",\"bp\":\"e\"}" } else { "\"}" });
+            }
+        }
+
+        if let Some(tl) = timeline {
+            tl.push_chrome_counters(&mut out);
+        }
+
+        out.push_str("\n]}\n");
+        out
+    }
+
+    /// Critical-path attribution for the busiest flow group (most spans;
+    /// ties break toward the smallest group id). A group with a single
+    /// span still yields a path; `None` only when no recorded span carries
+    /// a flow group.
+    pub fn busiest_path(&self) -> Option<CriticalPath> {
+        let st = self.read()?;
+        let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
+        for s in st.ring.iter().filter(|s| s.flow.group() != 0) {
+            *counts.entry(s.flow.group()).or_insert(0) += 1;
+        }
+        let group = counts
+            .iter()
+            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
+            .map(|(g, _)| *g)?;
+        critical_path(st.ring.iter(), group)
     }
 }
 
@@ -548,132 +708,6 @@ pub(crate) fn push_sep(out: &mut String) {
     }
 }
 
-/// Export a set of sinks as Chrome trace-event / Perfetto JSON.
-///
-/// `tracks` pairs each sink with a process id (distinct per track) and a
-/// process name (one process per host, plus one for the fabric). Within a
-/// process, each engine lane gets its own thread track. Flow arrows
-/// (`s`/`t`/`f` events) follow each flow group across processes;
-/// `flow_limit` bounds how many groups get arrows (`None` = all), selected
-/// in order of first appearance. A `timeline`'s counter tracks
-/// (`ph:"C"`, sharing the span pid space) are appended after the slices
-/// and arrows, so one Perfetto file carries both.
-///
-/// The output is byte-deterministic for identical inputs.
-pub fn export_chrome_trace_with(
-    tracks: &[(u32, String, &SpanSink)],
-    flow_limit: Option<usize>,
-    timeline: Option<&Timeline>,
-) -> String {
-    let mut out = String::from(TRACE_HEAD);
-
-    // Stage → tid per track, deterministic: a track's lanes in sorted name
-    // order, numbered from 0.
-    let mut tids: Vec<[u32; STAGE_COUNT]> = Vec::with_capacity(tracks.len());
-    for (pid, pname, sink) in tracks {
-        let mut seen = [false; STAGE_COUNT];
-        for s in sink.spans() {
-            seen[s.stage.index()] = true;
-        }
-        let used = Stage::ALL.iter().filter(|st| seen[st.index()]);
-        let mut lanes: Vec<&'static str> = used.map(|st| st.lane()).collect();
-        lanes.sort_unstable();
-        lanes.dedup();
-        push_sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\"args\":{{\"name\":\"{pname}\"}}}}"
-        );
-        for (tid, lane) in lanes.iter().enumerate() {
-            push_sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"{lane}\"}}}}"
-            );
-        }
-        tids.push(Stage::ALL.map(|st| {
-            let tid = lanes.iter().position(|l| *l == st.lane());
-            tid.unwrap_or(0) as u32
-        }));
-    }
-
-    // Merge every span with a stable order: (start, pid, seq).
-    let mut all: Vec<(usize, &Span)> = Vec::new();
-    for (track, (_, _, sink)) in tracks.iter().enumerate() {
-        all.extend(sink.spans().map(|s| (track, s)));
-    }
-    all.sort_by_key(|(track, s)| (s.start, tracks[*track].0, s.seq));
-
-    for (track, s) in &all {
-        push_sep(&mut out);
-        let (pid, tid) = (tracks[*track].0, tids[*track][s.stage.index()]);
-        push_event_head(&mut out, 'X', pid, tid, s.start.nanos(), s.stage.name());
-        out.push_str(",\"cat\":\"span\",\"dur\":");
-        push_ts_us(&mut out, s.end.since(s.start).as_nanos());
-        out.push_str(",\"args\":{\"flow\":\"");
-        push_hex8(&mut out, s.flow.group());
-        out.push_str("\",\"seq_lo\":");
-        push_u64(&mut out, u64::from(s.flow.seq_lo()));
-        out.push_str(",\"bytes\":");
-        push_u64(&mut out, s.bytes);
-        out.push_str(if s.dropped {
-            ",\"fate\":\"dropped\"}}"
-        } else {
-            ",\"fate\":\"ok\"}}"
-        });
-    }
-
-    // Flow arrows, per group, in order of first appearance: one pass gives
-    // each group a chain (none past `flow_limit`) of its spans' indices.
-    let limit = flow_limit.unwrap_or(usize::MAX);
-    let mut slots: BTreeMap<u32, Option<usize>> = BTreeMap::new();
-    let mut chains: Vec<(u32, Vec<usize>)> = Vec::new();
-    for (i, (_, s)) in all.iter().enumerate() {
-        let g = s.flow.group();
-        if g == 0 {
-            continue;
-        }
-        let slot = *slots.entry(g).or_insert_with(|| {
-            (chains.len() < limit).then(|| {
-                chains.push((g, Vec::new()));
-                chains.len() - 1
-            })
-        });
-        if let Some(slot) = slot {
-            chains[slot].1.push(i);
-        }
-    }
-    for (g, chain) in &chains {
-        let n = chain.len();
-        if n < 2 {
-            continue;
-        }
-        for (i, &at) in chain.iter().enumerate() {
-            let (track, s) = all[at];
-            let (pid, tid) = (tracks[track].0, tids[track][s.stage.index()]);
-            let ph = if i == 0 {
-                's'
-            } else if i + 1 == n {
-                'f'
-            } else {
-                't'
-            };
-            push_sep(&mut out);
-            push_event_head(&mut out, ph, pid, tid, s.start.nanos(), "flow");
-            out.push_str(",\"cat\":\"flow\",\"id\":\"");
-            push_hex8(&mut out, *g);
-            out.push_str(if ph == 'f' { "\",\"bp\":\"e\"}" } else { "\"}" });
-        }
-    }
-
-    if let Some(tl) = timeline {
-        tl.push_chrome_counters(&mut out);
-    }
-
-    out.push_str("\n]}\n");
-    out
-}
-
 /// One stage's share of a flow's end-to-end latency.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StageShare {
@@ -731,12 +765,12 @@ impl CriticalPath {
 /// Each instant between the group's first span start and last span end is
 /// attributed to the *most recently started* span active at that instant
 /// (latest start wins; ties break toward the span emitted last, and equal
-/// `(start, seq)` from different sinks toward the one later in `spans`), or
-/// to `"idle"` when none covers it. Shares therefore sum to the end-to-end
+/// `(start, seq)` from different pids toward the higher pid), or to
+/// `"idle"` when none covers it. Shares therefore sum to the end-to-end
 /// total exactly. Returns `None` when the group has no spans.
 ///
-/// One sort plus one sweep: spans are pushed in `(start, seq)` order, so
-/// the active set is a stack whose top owns the current instant, and
+/// One sort plus one sweep: spans are pushed in `(start, seq, pid)` order,
+/// so the active set is a stack whose top owns the current instant, and
 /// expired tops are popped lazily.
 pub fn critical_path<'a>(
     spans: impl Iterator<Item = &'a Span>,
@@ -744,7 +778,7 @@ pub fn critical_path<'a>(
 ) -> Option<CriticalPath> {
     const IDLE: usize = STAGE_COUNT;
     let mut flow: Vec<&Span> = spans.filter(|s| s.flow.group() == group).collect();
-    flow.sort_by_key(|s| (s.start, s.seq));
+    flow.sort_by_key(|s| (s.start, s.seq, s.pid));
     let start = flow.first()?.start;
     let mut ns = [0u64; STAGE_COUNT + 1];
     let mut active: Vec<&Span> = Vec::new();
@@ -787,16 +821,16 @@ pub fn critical_path<'a>(
     })
 }
 
-/// The pre-sweep implementations, kept verbatim as the oracle the property
-/// tests hold the linear-time versions to (byte-for-byte, share-for-share).
 #[cfg(test)]
 impl SpanSink {
-    /// Spans still open.
-    pub(crate) fn open_count(&self) -> usize {
-        self.open.len()
+    /// The store behind an enabled handle.
+    fn st(&self) -> Ref<'_, Store> {
+        self.read().expect("an enabled sink")
     }
 }
 
+/// The pre-sweep implementations, kept verbatim as the oracle the property
+/// tests hold the linear-time versions to (byte-for-byte, share-for-share).
 #[cfg(test)]
 mod reference {
     use super::*;
@@ -822,7 +856,7 @@ mod reference {
     }
 
     pub(super) fn export_chrome_trace_with(
-        tracks: &[(u32, String, &SpanSink)],
+        tracks: &[(u32, String, Vec<Span>)],
         flow_limit: Option<usize>,
         extra_events: &[String],
     ) -> String {
@@ -841,7 +875,7 @@ mod reference {
         // Lane → tid assignment, deterministic per process: sorted lane names.
         let mut tids: BTreeMap<(u32, &'static str), u32> = BTreeMap::new();
         for (pid, pname, sink) in tracks {
-            let mut lanes: Vec<&'static str> = sink.spans().map(|s| s.stage.lane()).collect();
+            let mut lanes: Vec<&'static str> = sink.iter().map(|s| s.stage.lane()).collect();
             lanes.sort_unstable();
             lanes.dedup();
             sep(&mut out);
@@ -863,7 +897,7 @@ mod reference {
         // Merge every span with a stable order: (start, pid, seq).
         let mut all: Vec<(u32, &Span)> = Vec::new();
         for (pid, _, sink) in tracks {
-            all.extend(sink.spans().map(|s| (*pid, s)));
+            all.extend(sink.iter().map(|s| (*pid, s)));
         }
         all.sort_by_key(|(pid, s)| (s.start, *pid, s.seq));
 
@@ -1002,6 +1036,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Dur, MetricsRegistry};
 
     fn t(us: u64) -> Time {
         Time(us * 1_000)
@@ -1009,12 +1044,14 @@ mod tests {
 
     #[test]
     fn disabled_sink_records_nothing() {
-        let mut s = SpanSink::disabled();
+        let mut s = SpanSink::default();
         s.span(FlowId::NONE, Stage::Sdma, t(0), t(1), 10);
         s.span_open(1, FlowId::NONE, Stage::Sockbuf, t(0), 10);
-        assert!(!s.on());
-        assert_eq!(s.spans().count(), 0);
-        assert_eq!((s.opened(), s.closed(), s.dropped()), (0, 0, 0));
+        assert!(!s.on() && !s.for_pid(3).on());
+        assert!(s.busiest_path().is_none());
+        let mut reg = MetricsRegistry::new(Dur::ZERO);
+        s.publish(&mut reg.scope("world.spans"));
+        assert_eq!(reg.iter().count(), 0);
     }
 
     #[test]
@@ -1027,9 +1064,10 @@ mod tests {
         assert!(!s.span_close(1, Stage::Sockbuf, t(6)), "no double close");
         s.span_open(2, f, Stage::SysRecv, t(5), 64);
         assert!(s.span_drop(2, Stage::SysRecv, t(9)));
-        assert_eq!(s.opened(), s.closed() + s.dropped());
-        assert_eq!(s.open_count(), 0);
-        assert_eq!(s.spans().count(), 3);
+        let st = s.st();
+        assert_eq!(st.opened, st.closed + st.dropped);
+        assert_eq!(st.open.len(), 0);
+        assert_eq!(st.ring.len(), 3);
     }
 
     #[test]
@@ -1040,11 +1078,15 @@ mod tests {
         s.span_open(1, f, Stage::Sockbuf, t(1), 50);
         // Consume 120: the first open closes whole, the second splits.
         s.span_close_bytes(1, Stage::Sockbuf, t(4), 120);
-        assert_eq!(s.open_count(), 1);
-        assert_eq!(s.opened(), s.closed() + s.dropped() + 1);
+        {
+            let st = s.st();
+            assert_eq!(st.open.len(), 1);
+            assert_eq!(st.opened, st.closed + st.dropped + 1);
+        }
         s.drop_all_open(t(5));
-        assert_eq!(s.opened(), s.closed() + s.dropped());
-        let bytes: Vec<u64> = s.spans().map(|x| x.bytes).collect();
+        let st = s.st();
+        assert_eq!(st.opened, st.closed + st.dropped);
+        let bytes: Vec<u64> = st.ring.iter().map(|x| x.bytes).collect();
         assert_eq!(bytes, vec![100, 20, 30]);
     }
 
@@ -1054,24 +1096,103 @@ mod tests {
         for i in 0..10u64 {
             s.span(FlowId::NONE, Stage::Wire, t(i), t(i + 1), 1);
         }
-        assert_eq!(s.spans().count(), 4);
-        assert_eq!(s.evicted(), 6);
+        let st = s.st();
+        assert_eq!(st.ring.len(), 4);
+        assert_eq!(st.evicted, 6);
         // Stats stay complete across evictions.
-        assert_eq!(s.stage_hist(Stage::Wire).count, 10);
-        assert_eq!(s.stage_bytes(Stage::Wire), 10);
+        assert_eq!(st.stage_ns[Stage::Wire.index()].count, 10);
+        assert_eq!(st.stage_bytes[Stage::Wire.index()], 10);
+    }
+
+    /// Two handles of one store open the same `(key, stage)`: each close
+    /// and drop finds its own pid's open, never the other's older one.
+    #[test]
+    fn open_keys_are_scoped_by_pid() {
+        let mut a = SpanSink::enabled(16);
+        let mut b = a.for_pid(1);
+        let f = FlowId::group_only(3);
+        a.span_open(7, f, Stage::Sockbuf, t(0), 10);
+        b.span_open(7, f, Stage::Sockbuf, t(1), 20);
+        a.span_open(8, f, Stage::SysRecv, t(2), 5);
+        b.span_open(8, f, Stage::SysRecv, t(3), 6);
+        assert!(b.span_close(7, Stage::Sockbuf, t(5)));
+        assert!(
+            !b.span_close(7, Stage::Sockbuf, t(6)),
+            "pid 1 has no open left"
+        );
+        assert!(b.span_drop(8, Stage::SysRecv, t(6)));
+        assert!(a.span_close(7, Stage::Sockbuf, t(8)));
+        assert!(a.span_drop(8, Stage::SysRecv, t(9)));
+        let st = a.st();
+        let spans: Vec<_> = st
+            .ring
+            .iter()
+            .map(|s| (s.pid, s.seq, s.start, s.end, s.bytes, s.dropped))
+            .collect();
+        assert_eq!(
+            spans,
+            [
+                (1, 0, t(1), t(5), 20, false),
+                (1, 1, t(3), t(6), 6, true),
+                (0, 0, t(0), t(8), 10, false),
+                (0, 1, t(2), t(9), 5, true),
+            ]
+        );
+        assert_eq!((st.opened, st.closed, st.dropped), (4, 2, 2));
+        assert_eq!(st.opened, st.closed + st.dropped);
+        assert!(st.open.is_empty());
+        let sockbuf = &st.stage_ns[Stage::Sockbuf.index()];
+        assert_eq!((sockbuf.count, sockbuf.sum), (2, 12_000), "4 µs + 8 µs");
+        assert_eq!(st.stage_bytes[Stage::Sockbuf.index()], 30);
+        assert_eq!(st.stage_ns[Stage::SysRecv.index()].count, 2);
+    }
+
+    /// The eviction rule: `capacity` closed spans world-wide, the oldest
+    /// evicted whichever pid emitted it; `capacity` opens, the oldest
+    /// force-dropped at the next open's start.
+    #[test]
+    fn the_store_evicts_its_oldest_span_of_any_pid() {
+        let mut a = SpanSink::enabled(4);
+        let mut b = a.for_pid(1);
+        for i in 0..3u64 {
+            a.span(FlowId::NONE, Stage::Sdma, t(i), t(i + 1), 1);
+        }
+        for i in 3..10u64 {
+            b.span(FlowId::NONE, Stage::Wire, t(i), t(i + 1), 1);
+        }
+        {
+            let st = a.st();
+            let kept: Vec<(u32, u64)> = st.ring.iter().map(|s| (s.pid, s.seq)).collect();
+            assert_eq!(kept, [(1, 3), (1, 4), (1, 5), (1, 6)]);
+            assert_eq!(st.evicted, 6);
+            // Stats stay complete across evictions.
+            assert_eq!(st.stage_ns[Stage::Sdma.index()].count, 3);
+            assert_eq!(st.stage_bytes[Stage::Wire.index()], 7);
+        }
+        for k in 0..4u64 {
+            a.span_open(k, FlowId::NONE, Stage::Degraded, t(20 + k), 0);
+        }
+        b.span_open(0, FlowId::NONE, Stage::RetryDwell, t(30), 0);
+        let st = a.st();
+        assert_eq!((st.open.len(), st.dropped, st.evicted), (4, 1, 7));
+        let last = st
+            .ring
+            .back()
+            .map(|s| (s.pid, s.stage, s.start, s.end, s.dropped));
+        assert_eq!(last, Some((0, Stage::Degraded, t(20), t(30), true)));
     }
 
     #[test]
     fn export_is_deterministic_and_schema_shaped() {
         let build = || {
             let mut a = SpanSink::enabled(16);
+            let mut b = a.for_pid(1);
             let f = FlowId::from_parts(0xAB, 1);
             a.span(f, Stage::Syscall, t(0), t(1), 64);
-            a.span(f, Stage::Sdma, t(1), t(3), 64);
-            let mut b = SpanSink::enabled(16);
             b.span(f, Stage::Demux, t(4), t(5), 64);
-            let tracks = [(1, "host0".into(), &a), (2, "host1".into(), &b)];
-            export_chrome_trace_with(&tracks, None, None)
+            a.span(f, Stage::Sdma, t(1), t(3), 64);
+            let names = ["host0".to_string(), "host1".to_string()];
+            a.export_chrome_trace(&names, None, None)
         };
         let x = build();
         assert_eq!(x, build());
@@ -1094,7 +1215,7 @@ mod tests {
         s.span(f, Stage::Checksum, t(3), t(5), 0);
         // Gap 6..8, then the wire.
         s.span(f, Stage::Wire, t(8), t(10), 0);
-        let cp = critical_path(s.spans(), 5).unwrap();
+        let cp = critical_path(s.st().ring.iter(), 5).unwrap();
         assert_eq!(cp.total_ns, 10_000);
         let sum: u64 = cp.shares.iter().map(|x| x.ns).sum();
         assert_eq!(sum, cp.total_ns);
@@ -1142,7 +1263,7 @@ mod tests {
         let mut s = SpanSink::enabled(4);
         s.span(FlowId::from_parts(9, 0), Stage::Wire, t(3), t(5), 0);
         s.span(FlowId::NONE, Stage::Degraded, t(0), t(9), 0);
-        let cp = critical_path(s.spans(), 9).unwrap();
+        let cp = critical_path(s.st().ring.iter(), 9).unwrap();
         assert_eq!((cp.start, cp.end, cp.total_ns), (t(3), t(5), 2_000));
         assert_eq!(
             cp.shares,
@@ -1151,7 +1272,7 @@ mod tests {
                 ns: 2_000
             }]
         );
-        assert!(critical_path(s.spans(), 8).is_none());
+        assert!(critical_path(s.st().ring.iter(), 8).is_none());
     }
 }
 
@@ -1161,6 +1282,7 @@ mod proptests {
     use proptest::prelude::*;
 
     const GROUPS: [u32; 4] = [0, 1, 0xAB, 0xdead_beef];
+    const NAMES: [&str; 3] = ["host0", "host1", "fabric"];
 
     /// ((group pick, seq_lo, stage), (start step, length step, bytes, dropped)).
     type Raw = ((usize, u32, usize), (u64, u64, u32, bool));
@@ -1173,19 +1295,43 @@ mod proptests {
         proptest::collection::vec(one, 0..max)
     }
 
+    /// One store, the three lists emitted round-robin as pids 0, 1 and 2.
     /// Few distinct starts, lengths from zero up: overlaps, nesting,
-    /// zero-length spans and equal `(start, seq)` across sinks (`seq` is
-    /// the per-sink emission index) all come up at these sizes; group 0 is
-    /// `FlowId::NONE`, and sinks may be empty.
-    fn sink(raw: &[Raw]) -> SpanSink {
-        let mut s = SpanSink::enabled(64);
-        for &((g, seq_lo, stage), (start, len, bytes, dropped)) in raw {
-            let flow = FlowId::from_parts(GROUPS[g], if GROUPS[g] == 0 { 0 } else { seq_lo });
-            let (start, stage) = (Time(start * 250), Stage::ALL[stage]);
-            let end = Time(start.nanos() + len * 125);
-            s.emit(flow, stage, start, end, u64::from(bytes), dropped);
+    /// zero-length spans and equal `(start, seq)` across pids (`seq` is the
+    /// pid's emission index) all come up at these sizes; group 0 is
+    /// `FlowId::NONE`, and a pid may emit nothing.
+    fn store(raw: [&[Raw]; 3]) -> SpanSink {
+        let sink = SpanSink::enabled(64);
+        let longest = raw.iter().map(|r| r.len()).max().unwrap_or(0);
+        for i in 0..longest {
+            for (pid, list) in raw.iter().enumerate() {
+                let Some(&((g, seq_lo, stage), (start, len, bytes, dropped))) = list.get(i) else {
+                    continue;
+                };
+                let flow = FlowId::from_parts(GROUPS[g], if GROUPS[g] == 0 { 0 } else { seq_lo });
+                let (start, stage) = (Time(start * 250), Stage::ALL[stage]);
+                let end = Time(start.nanos() + len * 125);
+                let o = OpenSpan {
+                    pid: pid as u32,
+                    key: 0,
+                    stage,
+                    flow,
+                    start,
+                    bytes: u64::from(bytes),
+                };
+                sink.store().unwrap().emit(o, end, dropped);
+            }
         }
-        s
+        sink
+    }
+
+    /// Each pid's spans in emission order: the sink it once had alone.
+    fn tracks(sink: &SpanSink) -> Vec<(u32, String, Vec<Span>)> {
+        let st = sink.st();
+        let of = |pid: u32| st.ring.iter().filter(|s| s.pid == pid).copied().collect();
+        (0..3)
+            .map(|pid| (pid, NAMES[pid as usize].to_string(), of(pid)))
+            .collect()
     }
 
     proptest! {
@@ -1197,9 +1343,8 @@ mod proptests {
             limit in 0usize..4,
             windows in proptest::option::of(proptest::collection::vec((0i64..40, -20i64..20), 0..6)),
         ) {
-            let (a, b, c) = (sink(&a), sink(&b), sink(&c));
-            let tracks = [(0, "host0".to_string(), &a), (1, "host1".to_string(), &b),
-                          (2, "fabric".to_string(), &c)];
+            let sink = store([&a, &b, &c]);
+            let names = NAMES.map(String::from);
             let limit = [None, Some(0), Some(1), Some(GROUPS.len())][limit];
             // A counter and a gauge (negative levels included) in a ring
             // small enough to evict.
@@ -1216,28 +1361,25 @@ mod proptests {
             });
             let extra = tl.as_ref().map(reference::counter_events).unwrap_or_default();
             prop_assert_eq!(
-                export_chrome_trace_with(&tracks, limit, tl.as_ref()),
-                reference::export_chrome_trace_with(&tracks, limit, &extra)
+                sink.export_chrome_trace(&names, limit, tl.as_ref()),
+                reference::export_chrome_trace_with(&tracks(&sink), limit, &extra)
             );
         }
 
-        /// The sweep over the sinks chained in pid order against the
-        /// reference over the `(start, pid, seq)`-merged vector, which is
-        /// what `World::critical_path` used to hand over.
+        /// The sweep over the one store's ring (pids interleaved) against
+        /// the reference over the `(start, pid, seq)`-merged vector, which
+        /// is what `World::critical_path` used to hand over.
         #[test]
         fn critical_path_matches_reference(
             a in raw_spans(24), b in raw_spans(24), c in raw_spans(8),
         ) {
-            let sinks = [sink(&a), sink(&b), sink(&c)];
-            let mut merged: Vec<(u32, Span)> = Vec::new();
-            for (pid, s) in sinks.iter().enumerate() {
-                merged.extend(s.spans().map(|x| (pid as u32, *x)));
-            }
-            merged.sort_by_key(|(pid, s)| (s.start, *pid, s.seq));
+            let sink = store([&a, &b, &c]);
+            let mut merged: Vec<Span> = sink.st().ring.iter().copied().collect();
+            merged.sort_by_key(|s| (s.start, s.pid, s.seq));
             for g in GROUPS.into_iter().chain([77]) {
                 prop_assert_eq!(
-                    critical_path(sinks.iter().flat_map(|s| s.spans()), g),
-                    reference::critical_path(merged.iter().map(|(_, s)| s), g)
+                    critical_path(sink.st().ring.iter(), g),
+                    reference::critical_path(merged.iter(), g)
                 );
             }
         }

@@ -12,8 +12,8 @@
 //! the crate:
 //!
 //! * Sampling is driven by virtual time only — the caller samples when the
-//!   event clock crosses a window boundary, so two runs with the same seed
-//!   (on either event engine) produce byte-identical timelines.
+//!   event clock reaches [`Timeline::next_boundary`], so two runs with the
+//!   same seed produce byte-identical timelines.
 //! * Conservation is exact: for every counter series,
 //!   `base + sum(window deltas) == final value`. Ring eviction folds the
 //!   evicted window's delta into `base`, so the identity survives bounded
@@ -23,12 +23,12 @@
 //!
 //! Exports: [`Timeline::to_json`] / [`Timeline::to_csv`] for artifacts,
 //! Perfetto counter tracks written straight into the span trace by
-//! [`crate::span::export_chrome_trace_with`] (`ph:"C"` events sharing the
+//! [`crate::SpanSink::export_chrome_trace`] (`ph:"C"` events sharing the
 //! span pid space),
 //! and [`Timeline::sparklines`] for a terminal summary.
 
 use crate::span::{push_event_head, push_sep, push_u64};
-use crate::time::Dur;
+use crate::time::{Dur, Time};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
@@ -74,10 +74,10 @@ struct Series {
 /// A bounded, windowed, deterministic time-series recorder.
 ///
 /// Usage: [`declare`](Timeline::declare) every series up front, then call
-/// [`record`](Timeline::record) once per closed window with the absolute
-/// values of every series in declaration order (the caller owns the clock
-/// and the boundary-crossing logic). A final partial window goes through
-/// [`record_partial`](Timeline::record_partial).
+/// [`record`](Timeline::record) with the absolute values of every series,
+/// in declaration order, each time the caller's clock reaches
+/// [`next_boundary`](Timeline::next_boundary). [`close`](Timeline::close)
+/// ends the run with a final, possibly partial window.
 pub struct Timeline {
     window: Dur,
     capacity: usize,
@@ -161,19 +161,26 @@ impl Timeline {
         });
     }
 
+    /// The boundary that closes the next window: `(windows + 1) × window`.
+    pub fn next_boundary(&self) -> Time {
+        Time((self.windows + 1) * self.window.as_nanos())
+    }
+
     /// Close one full window with the absolute values of every series, in
     /// declaration order. The window covers
-    /// `[windows * window, (windows + 1) * window)`.
+    /// `[windows * window, next_boundary)`.
     pub fn record(&mut self, values: &[i64]) {
-        let end = (self.windows + 1) * self.window.as_nanos();
+        let end = self.next_boundary().nanos();
         self.record_at(end, values);
     }
 
-    /// Close a final, possibly partial window ending at `end_ns` (run
-    /// teardown). `end_ns` must not precede the last closed boundary.
-    pub fn record_partial(&mut self, end_ns: u64, values: &[i64]) {
-        debug_assert!(end_ns >= self.windows * self.window.as_nanos());
-        self.record_at(end_ns, values);
+    /// End the run at `now`, every boundary up to it recorded: a final
+    /// partial window from the last boundary to `now`, unless `now` is it.
+    pub fn close(&mut self, now: Time, values: &[i64]) {
+        debug_assert!(now < self.next_boundary(), "record every boundary first");
+        if now.nanos() > self.end_ns {
+            self.record_at(now.nanos(), values);
+        }
     }
 
     fn record_at(&mut self, end_ns: u64, values: &[i64]) {
@@ -463,7 +470,7 @@ mod tests {
         let mut tl = Timeline::new(ms(1), 1024);
         tl.declare("c", SeriesKind::Counter, "n", 0, 0);
         tl.record(&[7]);
-        tl.record_partial(1_400_000, &[9]);
+        tl.close(Time(1_400_000), &[9]);
         assert_eq!(tl.end_ns(), 1_400_000);
         assert!(tl.conserves());
         let csv = tl.to_csv();
@@ -491,7 +498,7 @@ mod tests {
         tl.declare("world.faults", SeriesKind::Counter, "events", 2, 0);
         tl.record(&[10, 1]);
         tl.record(&[30, 1]);
-        let trace = crate::span::export_chrome_trace_with(&[], None, Some(&tl));
+        let trace = crate::SpanSink::default().export_chrome_trace(&[], None, Some(&tl));
         let evs: Vec<&str> = trace
             .lines()
             .filter(|l| l.contains("\"ph\":\"C\""))
@@ -530,5 +537,74 @@ mod tests {
         assert_eq!(v.samples[0], 2);
         assert_eq!(v.base, 40);
         assert!(tl.conserves());
+    }
+
+    /// One run driven two ways: by the boundary cursor a caller once kept
+    /// beside the timeline (the reference), and by the timeline's own
+    /// `next_boundary`. `events` are (time, counter value) pairs; the run
+    /// ends at `end`. Both must record the same windows, end and samples.
+    fn both_ways(events: &[(u64, i64)], end: u64) -> [(u64, u64, Vec<i64>, bool); 2] {
+        let fresh = || {
+            let mut tl = Timeline::new(ms(1), 1024);
+            tl.declare("c", SeriesKind::Counter, "n", 0, 0);
+            tl
+        };
+        let summary = |tl: &Timeline| {
+            let v = tl.series_view(0);
+            let samples = v.samples.iter().copied().collect();
+            (tl.windows(), tl.end_ns(), samples, tl.conserves())
+        };
+        // The reference: a cursor from `window`, advanced by one window per
+        // record; a partial window unless the run ended on a boundary.
+        let (mut cursor_tl, mut derived) = (fresh(), fresh());
+        let window = ms(1).as_nanos();
+        let mut cursor = window;
+        let mut value = 0;
+        for &(at, v) in events {
+            while at >= cursor {
+                cursor_tl.record(&[value]);
+                cursor += window;
+            }
+            while Time(at) >= derived.next_boundary() {
+                derived.record(&[value]);
+            }
+            value = v;
+        }
+        while cursor <= end {
+            cursor_tl.record(&[value]);
+            cursor += window;
+        }
+        if end + window > cursor {
+            cursor_tl.record_at(end, &[value]);
+        }
+        while Time(end) >= derived.next_boundary() {
+            derived.record(&[value]);
+        }
+        derived.close(Time(end), &[value]);
+        [summary(&cursor_tl), summary(&derived)]
+    }
+
+    #[test]
+    fn the_derived_boundary_records_what_the_cursor_did() {
+        let ms1 = 1_000_000;
+        // An event exactly on a boundary is after it: its window is the next.
+        let [cursor, derived] = both_ways(&[(500, 1), (ms1, 2), (ms1 + 10, 3)], 1_500_000);
+        assert_eq!(cursor, derived);
+        assert_eq!(derived.2, [1, 2]);
+        // A gap of several empty windows.
+        let [cursor, derived] = both_ways(&[(100, 4), (4 * ms1 + 7, 9)], 5 * ms1 + 300);
+        assert_eq!(cursor, derived);
+        assert_eq!(
+            (derived.0, derived.2.as_slice()),
+            (6, &[4, 0, 0, 0, 5, 0][..])
+        );
+        // The run ends exactly on a boundary: no partial window.
+        let [cursor, derived] = both_ways(&[(100, 4), (ms1 + 5, 6)], 2 * ms1);
+        assert_eq!(cursor, derived);
+        assert_eq!((derived.0, derived.1), (2, 2 * ms1));
+        // The run ends mid-window: one partial window up to its end.
+        let [cursor, derived] = both_ways(&[(100, 4), (ms1 + 5, 6)], 2 * ms1 + 250);
+        assert_eq!(cursor, derived);
+        assert_eq!((derived.0, derived.1, derived.3), (3, 2 * ms1 + 250, true));
     }
 }

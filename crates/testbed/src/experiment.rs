@@ -202,8 +202,8 @@ pub struct Metrics {
 const SENDER_TASK: TaskId = TaskId(1);
 const RECEIVER_TASK: TaskId = TaskId(2);
 const PORT: u16 = 5001;
-/// Span ring capacity per host (and for the fabric) in a traced run.
-const SPAN_CAPACITY: usize = 1 << 16;
+/// Closed spans a traced run's span store holds: the three rings of `1 << 16` it replaced.
+const SPAN_CAPACITY: usize = 3 << 16;
 /// Retention capacity of a sampled run's timeline rings, in windows.
 const TIMELINE_CAPACITY: usize = 1 << 16;
 

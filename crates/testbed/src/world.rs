@@ -13,7 +13,7 @@ use outboard_host::{Charge, Cpu, HostMem, MachineConfig, MemFault, TaskId, UserM
 use outboard_netsim::{Capture, Framing, Link};
 use outboard_sim::fault::{Action, CountKey, FaultCounts, FaultLog, Injector, Point};
 use outboard_sim::fault::{Target, Trigger};
-use outboard_sim::span::{self, CriticalPath, SpanSink, Stage};
+use outboard_sim::span::{CriticalPath, SpanSink, Stage};
 use outboard_sim::{
     BufPool, Dur, EngineKind, EventEngine, Fault, FaultPlan, MetricsRegistry, Time,
 };
@@ -162,18 +162,6 @@ impl Host {
     }
 }
 
-/// Installed windowed sampler plus its boundary cursor. Boxed behind an
-/// `Option` on [`World`]: the disabled path costs one `is_some` branch per
-/// dispatched event and nothing else (zero-overhead-off, like spans).
-struct TimelineState {
-    tl: Timeline,
-    /// Next window boundary to sample at. Sampling happens lazily when the
-    /// event clock reaches or passes it, so the sample at boundary `b`
-    /// reflects exactly the events with time `< b` (events dispatch in
-    /// nondecreasing time order).
-    next_boundary: Time,
-}
-
 /// A windowed series: its name under `host{i}.` or `world.`, its kind, the
 /// unit label, and the read of its absolute value.
 type SeriesDef<T> = (&'static str, SeriesKind, &'static str, fn(&T) -> i64);
@@ -277,16 +265,19 @@ pub struct World {
     /// benchmark's events/sec figure). A timer wakeup counts only when it
     /// delivers its slot's latest arm.
     pub events_dispatched: u64,
-    /// Wire-transit spans (one sink for the whole fabric; disabled by
-    /// default — see `World::enable_span_tracing`).
-    pub wire_spans: SpanSink,
+    /// The fabric's handle on the world's span store, which records the
+    /// wire-transit spans (disabled by default — see
+    /// `World::enable_span_tracing`).
+    spans: SpanSink,
     /// The installed plan's `At` entries (None without any).
     windows: Option<Windows>,
     /// Every fault that fired, in firing order.
     fault_log: FaultLog,
     /// Windowed time-series sampler (None unless enabled; see
-    /// [`World::enable_timeline`]).
-    timeline: Option<Box<TimelineState>>,
+    /// [`World::enable_timeline`]). Boxed behind an `Option`: the disabled
+    /// path costs one `is_some` branch per dispatched event and nothing
+    /// else (zero-overhead-off, like spans).
+    timeline: Option<Box<Timeline>>,
     /// The first app to give up ([`Step::GaveUp`]): its host, when, and
     /// the error.
     pub(crate) gave_up: Option<(usize, Time, StackError)>,
@@ -309,7 +300,7 @@ impl World {
             bytes_on_fabric: 0,
             capture: None,
             events_dispatched: 0,
-            wire_spans: SpanSink::disabled(),
+            spans: SpanSink::default(),
             windows: None,
             fault_log: FaultLog::default(),
             timeline: None,
@@ -515,38 +506,29 @@ impl World {
         }
     }
 
-    /// Turn on per-packet causal tracing: every host kernel plus the
-    /// fabric gets a bounded span ring of `capacity` entries. Call after
-    /// hosts are added; hosts added later stay untraced.
+    /// Turn on per-packet causal tracing: one span store for the world,
+    /// holding at most `capacity` closed spans (and as many open ones; see
+    /// `sim::span` for its eviction rule). Host `i` records into it as
+    /// trace pid `i`, the fabric as the pid after the last host. Call after
+    /// hosts are added: a host added later stays untraced.
     pub(crate) fn enable_span_tracing(&mut self, capacity: usize) {
-        self.wire_spans.enable(capacity);
-        for host in &mut self.hosts {
-            host.kernel.spans.enable(capacity);
+        let fabric = self.hosts.len() as u32;
+        self.spans = SpanSink::enabled(capacity).for_pid(fabric);
+        for (pid, host) in self.hosts.iter_mut().enumerate() {
+            host.kernel.set_spans(self.spans.for_pid(pid as u32));
         }
     }
 
-    /// True when span tracing is enabled anywhere in the world.
+    /// True when span tracing is enabled.
     pub fn span_tracing_on(&self) -> bool {
-        self.span_sinks().any(|(_, sink)| sink.on())
-    }
-
-    /// Every span sink with its trace pid: the hosts in pid order, then the
-    /// fabric (pid = host count). Exports, the critical path and the
-    /// registry all walk the sinks in this one order.
-    fn span_sinks(&self) -> impl Iterator<Item = (u32, &SpanSink)> {
-        let hosts = self.hosts.iter().map(|h| &h.kernel.spans);
-        let sinks = hosts.chain([&self.wire_spans]);
-        sinks.enumerate().map(|(pid, sink)| (pid as u32, sink))
+        self.spans.on()
     }
 
     /// Force-close every span still open (run teardown): in-flight work at
     /// the end of a run is recorded as dropped, keeping the conservation
     /// identity `opened == closed + dropped` exact.
     pub fn finish_spans(&mut self, now: Time) {
-        self.wire_spans.drop_all_open(now);
-        for host in &mut self.hosts {
-            host.kernel.spans.drop_all_open(now);
-        }
+        self.spans.drop_all_open(now);
     }
 
     /// Turn on windowed time-series telemetry: a fixed set of per-host and
@@ -566,10 +548,7 @@ impl World {
         for ((name, kind, unit, pid), initial) in hosts.chain(world).zip(self.timeline_values()) {
             tl.declare(&name, kind, unit, pid as u32, initial);
         }
-        self.timeline = Some(Box::new(TimelineState {
-            next_boundary: Time::ZERO + window,
-            tl,
-        }));
+        self.timeline = Some(Box::new(tl));
     }
 
     /// True when the windowed sampler is installed.
@@ -579,7 +558,7 @@ impl World {
 
     /// The recorded timeline, when sampling is enabled.
     pub fn timeline(&self) -> Option<&Timeline> {
-        self.timeline.as_ref().map(|st| &st.tl)
+        self.timeline.as_deref()
     }
 
     /// Network-memory pages currently in use across a host's CAB ifaces.
@@ -639,19 +618,20 @@ impl World {
     }
 
     /// Record every window boundary at or before `now`. Called from the
-    /// dispatch loop when the clock crosses `next_boundary`; because events
-    /// dispatch in nondecreasing time order, the sample at boundary `b`
-    /// covers exactly the events with time `< b` on either engine.
+    /// dispatch loop when the clock reaches the timeline's next boundary;
+    /// because events dispatch in nondecreasing time order, the sample at
+    /// boundary `b` covers exactly the events with time `< b`.
     fn timeline_catch_up(&mut self, now: Time) {
-        let Some(mut st) = self.timeline.take() else {
-            return;
-        };
-        while now >= st.next_boundary {
+        while self
+            .timeline
+            .as_ref()
+            .is_some_and(|tl| now >= tl.next_boundary())
+        {
             let vals = self.timeline_values();
-            st.tl.record(&vals);
-            st.next_boundary += st.tl.window();
+            if let Some(tl) = &mut self.timeline {
+                tl.record(&vals);
+            }
         }
-        self.timeline = Some(st);
     }
 
     /// Close out the timeline at run teardown: record any boundaries the
@@ -659,43 +639,29 @@ impl World {
     /// `now`, so the conservation identity (window-delta sums == final
     /// counter values) holds exactly over the whole run.
     pub fn finish_timeline(&mut self, now: Time) {
-        let Some(mut st) = self.timeline.take() else {
+        if self.timeline.is_none() {
             return;
-        };
-        while st.next_boundary <= now {
-            let vals = self.timeline_values();
-            st.tl.record(&vals);
-            st.next_boundary += st.tl.window();
         }
-        let window = st.tl.window();
-        if now.nanos() + window.as_nanos() > st.next_boundary.nanos() {
-            let vals = self.timeline_values();
-            st.tl.record_partial(now.nanos(), &vals);
+        self.timeline_catch_up(now);
+        let vals = self.timeline_values();
+        if let Some(tl) = &mut self.timeline {
+            tl.close(now, &vals);
         }
-        self.timeline = Some(st);
     }
 
     /// Export every recorded span as Chrome trace-event JSON (one process
-    /// per host plus one for the fabric). `flow_limit` bounds how many
-    /// flow groups get arrows. When the windowed sampler is enabled its
-    /// counter tracks (`ph:"C"` events) are merged into the same file,
-    /// sharing the span pid space, so spans and system curves line up on
-    /// one Perfetto timeline.
+    /// per traced host, `host{pid}`, plus one for the fabric). `flow_limit`
+    /// bounds how many flow groups get arrows. When the windowed sampler is
+    /// enabled its counter tracks (`ph:"C"` events) are merged into the
+    /// same file, sharing the span pid space, so spans and system curves
+    /// line up on one Perfetto timeline.
     pub fn export_trace(&self, flow_limit: Option<usize>) -> String {
-        let fabric = self.hosts.len() as u32;
-        let tracks: Vec<(u32, String, &SpanSink)> = self
-            .span_sinks()
-            .map(|(pid, sink)| {
-                let name = if pid == fabric {
-                    "fabric".to_string()
-                } else {
-                    format!("host{pid}")
-                };
-                (pid, name, sink)
-            })
-            .collect();
-        let timeline = self.timeline.as_ref().map(|st| &st.tl);
-        span::export_chrome_trace_with(&tracks, flow_limit, timeline)
+        let fabric = self.spans.on().then(|| self.spans.pid());
+        let fabric = fabric.unwrap_or(self.hosts.len() as u32);
+        let hosts = (0..fabric).map(|pid| format!("host{pid}"));
+        let names: Vec<String> = hosts.chain(["fabric".to_string()]).collect();
+        let timeline = self.timeline.as_deref();
+        self.spans.export_chrome_trace(&names, flow_limit, timeline)
     }
 
     /// Critical-path attribution for the busiest flow group (most spans;
@@ -703,16 +669,7 @@ impl World {
     /// span still yields a path; `None` only when no recorded span carries
     /// a flow group.
     pub fn critical_path(&self) -> Option<CriticalPath> {
-        let sinks = || self.span_sinks().flat_map(|(_, sink)| sink.spans());
-        let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
-        for s in sinks().filter(|s| s.flow.group() != 0) {
-            *counts.entry(s.flow.group()).or_insert(0) += 1;
-        }
-        let group = counts
-            .iter()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
-            .map(|(g, _)| *g)?;
-        span::critical_path(sinks(), group)
+        self.spans.busiest_path()
     }
 
     /// Current virtual time: the timestamp of the last event the queue
@@ -788,39 +745,17 @@ impl World {
         // Timeline counters publish only while the windowed sampler is
         // installed, so unsampled runs keep byte-identical registries —
         // the same gate the chaos, pool, and span stats use.
-        if let Some(st) = &self.timeline {
+        if let Some(tl) = &self.timeline {
             let mut t = w.sub("timeline");
-            t.counter("windows", st.tl.windows());
-            t.counter("evicted", st.tl.evicted());
-            t.counter("series", st.tl.series_len() as u64);
-            t.counter("window_ns", st.tl.window().as_nanos());
+            t.counter("windows", tl.windows());
+            t.counter("evicted", tl.evicted());
+            t.counter("series", tl.series_len() as u64);
+            t.counter("window_ns", tl.window().as_nanos());
         }
         // Span stats publish only while tracing is on, so untraced runs
-        // keep byte-identical registries (parallel-sweep gate). This is the
-        // one place span counts are booked: world-wide, summed over sinks.
-        if self.span_tracing_on() {
-            let mut agg = SpanSink::disabled();
-            for (_, sink) in self.span_sinks() {
-                agg.absorb_stats(sink);
-            }
-            let mut sp = w.sub("spans");
-            sp.counter("opened", agg.opened());
-            sp.counter("closed", agg.closed());
-            sp.counter("dropped", agg.dropped());
-            sp.counter("evicted", agg.evicted());
-            for stage in Stage::ALL {
-                let hist = agg.stage_hist(stage);
-                if hist.count == 0 {
-                    continue;
-                }
-                let mut ss = sp.sub(stage.name());
-                ss.hist("ns", hist);
-                ss.counter("p50_ns", hist.quantile(0.5));
-                ss.counter("p99_ns", hist.quantile(0.99));
-                ss.counter("max_ns", hist.max);
-                ss.counter("bytes", agg.stage_bytes(stage));
-            }
-        }
+        // keep byte-identical registries (parallel-sweep gate): the world's
+        // one store, booked once.
+        self.spans.publish(&mut w.sub("spans"));
         reg
     }
 
@@ -1038,7 +973,9 @@ impl World {
 
     /// Run one quantum of the app in slot `idx` of `host`.
     fn run_app(&mut self, host: usize, idx: usize, now: Time, ready_sock: Option<SockId>) {
-        let mut app = self.hosts[host].apps[idx].take().expect("app present");
+        let Some(mut app) = self.hosts[host].apps[idx].take() else {
+            return;
+        };
         let task = app.task();
         let measured = self.hosts[host].measured_task == Some(task);
         if measured {
@@ -1105,8 +1042,8 @@ impl World {
         // Windowed telemetry samples lazily at boundary crossings, before
         // the crossing event mutates any counters. Disabled runs pay only
         // this one branch (zero-overhead-off, byte-identical outputs).
-        if let Some(st) = &self.timeline {
-            if now >= st.next_boundary {
+        if let Some(tl) = &self.timeline {
+            if now >= tl.next_boundary() {
                 self.timeline_catch_up(now);
             }
         }
@@ -1207,7 +1144,7 @@ impl World {
                 let Some(link) = self.links.get_mut(&(host, iface)) else {
                     return;
                 };
-                let (flow, frame_len) = if self.wire_spans.on() {
+                let (flow, frame_len) = if self.spans.on() {
                     let ip_off = if dst_addr != 0 {
                         outboard_wire::hippi::HIPPI_HEADER_LEN
                     } else {
@@ -1221,18 +1158,16 @@ impl World {
                     (outboard_sim::span::FlowId::NONE, 0)
                 };
                 let deliveries = link.transmit(frame, now);
-                if self.wire_spans.on() {
+                if self.spans.on() {
                     if deliveries.is_empty() {
                         // The link's fault model ate the frame: an opened-
                         // then-dropped span records the loss.
                         let key = ((host as u64) << 32) | iface.0 as u64;
-                        self.wire_spans
-                            .span_open(key, flow, Stage::Wire, now, frame_len);
-                        self.wire_spans.span_drop(key, Stage::Wire, now);
+                        self.spans.span_open(key, flow, Stage::Wire, now, frame_len);
+                        self.spans.span_drop(key, Stage::Wire, now);
                     } else {
                         for d in &deliveries {
-                            self.wire_spans
-                                .span(flow, Stage::Wire, now, d.at, frame_len);
+                            self.spans.span(flow, Stage::Wire, now, d.at, frame_len);
                         }
                     }
                 }
@@ -1271,11 +1206,10 @@ impl World {
     /// Returns [`World::now`]: the time of the last event popped, at or
     /// before `deadline`, not `deadline` itself.
     pub fn run_until(&mut self, deadline: Time) -> Time {
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
+        while self.queue.peek_time().is_some_and(|t| t <= deadline) {
+            let Some((now, ev)) = self.queue.pop() else {
                 break;
-            }
-            let (now, ev) = self.queue.pop().unwrap();
+            };
             self.dispatch(ev, now);
         }
         self.queue.now()
@@ -1292,13 +1226,12 @@ impl World {
             if !keep_going(self) {
                 return true;
             }
-            let Some(t) = self.queue.peek_time() else {
-                return !keep_going(self);
-            };
-            if t > deadline {
+            if self.queue.peek_time().is_some_and(|t| t > deadline) {
                 return false;
             }
-            let (now, ev) = self.queue.pop().unwrap();
+            let Some((now, ev)) = self.queue.pop() else {
+                return !keep_going(self);
+            };
             self.dispatch(ev, now);
         }
     }
@@ -1403,16 +1336,66 @@ mod tests {
         let mut w = World::new();
         w.enable_span_tracing(8);
         assert!(w.critical_path().is_none(), "no spans at all");
-        w.wire_spans
+        w.spans
             .span(FlowId::NONE, Stage::Degraded, Time(0), Time(9), 0);
         assert!(w.critical_path().is_none(), "only a group-0 span");
-        w.wire_spans
+        w.spans
             .span(FlowId::group_only(7), Stage::Wire, Time(2), Time(5), 0);
         let cp = w.critical_path().expect("one grouped span is enough");
         assert_eq!((cp.group, cp.total_ns, cp.dominant()), (7, 3, "wire"));
         // Equal span counts: the smallest group id wins.
-        w.wire_spans
+        w.spans
             .span(FlowId::group_only(3), Stage::Ack, Time(4), Time(8), 0);
         assert_eq!(w.critical_path().map(|cp| cp.group), Some(3));
+    }
+
+    /// A host added after `enable_span_tracing` stays untraced: the store
+    /// has the hosts it was enabled with and the fabric (on the pid after
+    /// them), and the late host's spans never reach it.
+    #[test]
+    fn a_host_added_after_tracing_is_enabled_stays_untraced() {
+        use crate::apps::{TtcpReceiver, TtcpSender};
+        use crate::run::RunOutcome;
+        use outboard_stack::SockAddr;
+        let mut stack = StackConfig::single_copy();
+        stack.force_single_copy = true;
+        let machine = MachineConfig::alpha_3000_400;
+        let mut w = World::new();
+        let a = w.add_host("sender", machine(), stack.clone());
+        w.enable_span_tracing(1 << 12);
+        let b = w.add_host("receiver", machine(), stack);
+        let (ip_a, ip_b) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+        w.connect_cab(a, ip_a, b, ip_b, Dur::micros(5), 1);
+        let rx = TtcpReceiver::new(TaskId(2), 5001, 4096);
+        w.add_app(b, Box::new(rx), true);
+        let dst = SockAddr::new(ip_b, 5001);
+        w.add_app(
+            a,
+            Box::new(TtcpSender::new(TaskId(1), dst, 4096, 65536)),
+            true,
+        );
+        assert_eq!(w.run_apps(), Ok(RunOutcome::Completed));
+        w.finish_spans(w.now());
+        let trace = w.export_trace(None);
+        let process = |pid: u32, name: &str| {
+            format!("\"pid\":{pid},\"name\":\"process_name\",\"args\":{{\"name\":\"{name}\"}}")
+        };
+        assert!(trace.contains(&process(0, "host0")));
+        assert!(trace.contains(&process(1, "fabric")));
+        assert!(!trace.contains("\"pid\":2"), "no third process");
+        for stage in ["syscall", "sdma", "wire"] {
+            let slice = format!("\"name\":\"{stage}\",\"cat\":\"span\"");
+            assert!(trace.contains(&slice), "{stage} recorded");
+        }
+        // Only a receiver dwells in its socket buffer and reads.
+        for stage in ["sockbuf", "sys_recv"] {
+            let slice = format!("\"name\":\"{stage}\",\"cat\":\"span\"");
+            assert!(!trace.contains(&slice), "{stage} recorded");
+        }
+        let m = w.metrics(w.now() - Time::ZERO);
+        let opened = m.counter_value("world.spans.opened");
+        assert!(opened > 0);
+        let ended = m.counter_value("world.spans.closed") + m.counter_value("world.spans.dropped");
+        assert_eq!(opened, ended);
     }
 }
