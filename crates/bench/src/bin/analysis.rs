@@ -45,5 +45,5 @@ fn main() {
         "  ratio      : {:6.2}x",
         ms.sender_efficiency_mbps / mu.sender_efficiency_mbps
     );
-    outboard_bench::emit_trace(&m);
+    outboard_bench::observe("analysis", &m);
 }

@@ -19,14 +19,17 @@
 //! * `--plant-bug`    add a checksum-preserving corruption entry to every
 //!   plan — the oracle must catch it (exits 1)
 //! * `--replay FILE`  run one `repro_*.faults` (or any run's fault log:
-//!   without shape lines it runs 8 MB in 64 KB writes) with spans and the
-//!   timeline on, report, and write its Perfetto trace beside it as
-//!   `<FILE minus .faults>.trace.json`
-//! * `--stats`        print the full metrics registry after a replay
+//!   without shape lines it runs 8 MB in 64 KB writes) as an observed run
+//!   (spans and the timeline on), report, and write its Perfetto trace
+//!   beside it as `<FILE minus .faults>.trace.json`
+//! * `--stats`        with `--replay`: also print the metrics registry and
+//!   write `stats_chaos.*` and `timeline_chaos.*`, as the figure binaries do
 //!
-//! Exit status: 0 all seeds clean, 1 oracle violation, 2 usage error.
+//! Exit status: 0 all seeds clean, 1 oracle violation, 2 usage error (or
+//! a replay whose configuration is rejected: it runs nothing and writes no
+//! trace).
 
-use outboard_bench::arg_value;
+use outboard_bench::{arg_value, observed, write_artifacts};
 use outboard_host::MachineConfig;
 use outboard_sim::fault::{Action, Point, Target};
 use outboard_sim::{Dur, Fault, FaultPlan, Time};
@@ -82,16 +85,16 @@ fn sweep_seed(seed: u64, events: usize, total: usize, plant_bug: bool) -> SeedRe
         plan.faults.sort_by_key(Fault::time);
     }
     let outcome = run_chaos(&cfg, &plan);
-    if outcome.passed() {
-        let chaos = |key: &str| outcome.stats.counter_value(&format!("world.chaos.{key}"));
+    if let Some(m) = outcome.metrics.as_ref().filter(|_| outcome.passed()) {
+        let chaos = |key: &str| m.stats.counter_value(&format!("world.chaos.{key}"));
         return SeedReport {
             line: format!(
                 "seed {seed:>5}  PASS  {} events applied, {} heals, {} deferred, {} in {}",
                 chaos("events_applied"),
                 chaos("heals_applied"),
                 chaos("deferred_events"),
-                outcome.bytes_read,
-                outcome.elapsed,
+                m.bytes,
+                m.elapsed,
             ),
             repro: None,
         };
@@ -110,7 +113,8 @@ fn sweep_seed(seed: u64, events: usize, total: usize, plant_bug: bool) -> SeedRe
     }
 }
 
-/// Run the repro at `path` traced and write its trace beside it.
+/// Run the repro at `path` observed and write its artifacts: the trace
+/// beside it, and with `stats` the stats and timeline files.
 fn replay(path: &str, stats: bool) -> i32 {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -126,41 +130,35 @@ fn replay(path: &str, stats: bool) -> i32 {
             return 2;
         }
     };
-    cfg.trace_spans = true;
-    cfg.timeline_enabled = true;
-    // The trace carries the timeline's windows as counter tracks.
-    cfg.timeline_export = false;
+    observed(&mut cfg);
     println!(
         "replaying {path} ({} entries):\n{}",
         plan.faults.len(),
         render_repro(&cfg, &plan)
     );
     let outcome = run_chaos(&cfg, &plan);
-    if stats {
-        print!("{}", outcome.stats.report());
+    for v in &outcome.violations {
+        println!("VIOLATION: {v}");
     }
+    let Some(m) = &outcome.metrics else {
+        return 2;
+    };
     let code = if outcome.passed() {
         println!(
             "PASS: {} bytes in {}, {} faults fired",
-            outcome.bytes_read,
-            outcome.elapsed,
+            m.bytes,
+            m.elapsed,
             outcome.log.faults.len()
         );
         0
     } else {
-        for v in &outcome.violations {
-            println!("VIOLATION: {v}");
-        }
         1
     };
     let trace = format!(
         "{}.trace.json",
         path.strip_suffix(".faults").unwrap_or(path)
     );
-    match std::fs::write(&trace, outcome.trace_json.unwrap_or_default()) {
-        Ok(()) => println!("trace written to {trace}"),
-        Err(e) => eprintln!("cannot write {trace}: {e}"),
-    }
+    write_artifacts(m, stats.then_some("chaos"), Some(&trace));
     code
 }
 

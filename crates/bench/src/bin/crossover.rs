@@ -95,8 +95,5 @@ fn main() {
     }
     println!("\npaper: 'reducing the TCP window increases efficiency slightly,");
     println!("even though the throughput is lower' (a cache effect).");
-    if outboard_bench::stats_requested() {
-        outboard_bench::emit_stats("crossover", &m);
-    }
-    outboard_bench::emit_trace(&m);
+    outboard_bench::observe("crossover", &m);
 }

@@ -9,8 +9,5 @@ fn main() {
     println!("paper anchors: modified ~3x more efficient for large writes;");
     println!("efficiency crossover near 8-16 KB; raw HIPPI ~140 Mbit/s;");
     println!("similar throughput for both stacks at large sizes.");
-    if outboard_bench::stats_requested() {
-        outboard_bench::emit_stats("fig5", &MachineConfig::alpha_3000_400());
-    }
-    outboard_bench::emit_trace(&MachineConfig::alpha_3000_400());
+    outboard_bench::observe("fig5", &MachineConfig::alpha_3000_400());
 }

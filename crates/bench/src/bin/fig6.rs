@@ -8,8 +8,5 @@ fn main() {
     outboard_bench::print_figure(&MachineConfig::alpha_3000_300lx());
     println!("paper anchor: on this slower machine the more efficient");
     println!("single-copy stack yields *higher* throughput at large sizes.");
-    if outboard_bench::stats_requested() {
-        outboard_bench::emit_stats("fig6", &MachineConfig::alpha_3000_300lx());
-    }
-    outboard_bench::emit_trace(&MachineConfig::alpha_3000_300lx());
+    outboard_bench::observe("fig6", &MachineConfig::alpha_3000_300lx());
 }

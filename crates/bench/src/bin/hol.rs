@@ -34,5 +34,5 @@ fn main() {
     }
     println!("\npaper/Hluchyj-Karol anchor: FIFO caps near 58.6 %; queues blow");
     println!("up just past it while logical channels stay stable.");
-    outboard_bench::emit_trace(&outboard_host::MachineConfig::alpha_3000_400());
+    outboard_bench::observe("hol", &outboard_host::MachineConfig::alpha_3000_400());
 }

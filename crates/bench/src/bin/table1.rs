@@ -27,5 +27,5 @@ fn main() {
     }
     println!("\nThe paper's focus cell — Copy/Header over Outboard/DMA+C (sockets");
     println!("over the CAB) — is single-copy with zero CPU data accesses.");
-    outboard_bench::emit_trace(&outboard_host::MachineConfig::alpha_3000_400());
+    outboard_bench::observe("table1", &outboard_host::MachineConfig::alpha_3000_400());
 }

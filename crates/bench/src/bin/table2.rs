@@ -57,5 +57,5 @@ fn main() {
         }
         println!("  lazy={lazy}: {:8.1} us total VM time", total);
     }
-    outboard_bench::emit_trace(&machine);
+    outboard_bench::observe("table2", &machine);
 }

@@ -11,12 +11,21 @@
 //! | `analysis` | §7.3: analytic efficiency estimates vs simulation |
 //! | `hol` | §2.1: FIFO head-of-line blocking vs logical channels |
 //! | `crossover` | §4.4.3/§4.5 ablations: path choice and alignment fallback |
+//! | `chaos` | seeded fault plans judged by the end-to-end oracle, and `--replay` |
+//!
+//! Every figure and table binary ends in [`observe`]: with `--stats` or
+//! `--trace-out FILE` it makes one observed run (single-copy, 64 KB
+//! writes, `--fault-*` applied, spans and the 1 ms timeline on), and
+//! [`write_artifacts`] writes every file from that one [`Metrics`]:
+//! `stats_<name>.{json,csv}`, `timeline_<name>.{json,csv}` and the
+//! Perfetto trace. `chaos --replay` writes a failure's replay through the
+//! same function. The figure runs themselves are never observed, so their
+//! numbers and registries do not depend on `--stats` or `--trace-out`.
 //!
 //! Criterion micro-benches live in `benches/`.
 
 #![deny(unreachable_pub)]
 use outboard_host::MachineConfig;
-use outboard_sim::Dur;
 use outboard_stack::StackConfig;
 use outboard_testbed::{run_ttcp, ExperimentConfig, Metrics};
 
@@ -34,6 +43,15 @@ pub fn total_for(write_size: usize) -> usize {
 
 /// One figure point for a given stack flavor.
 pub fn figure_point(machine: &MachineConfig, single_copy: bool, write_size: usize) -> Metrics {
+    run_ttcp(&figure_config(machine, single_copy, write_size))
+}
+
+/// The configuration of a figure point, with any `--fault-*` flags applied.
+fn figure_config(
+    machine: &MachineConfig,
+    single_copy: bool,
+    write_size: usize,
+) -> ExperimentConfig {
     let stack = if single_copy {
         let mut s = StackConfig::single_copy();
         // §7.2: "the measurements for the modified stack always use the
@@ -47,8 +65,7 @@ pub fn figure_point(machine: &MachineConfig, single_copy: bool, write_size: usiz
     cfg.total_bytes = total_for(write_size);
     cfg.verify = false; // checked extensively in tests; keep benches honest
     apply_fault_flags(&mut cfg);
-    timeline_args().apply(&mut cfg);
-    run_ttcp(&cfg)
+    cfg
 }
 
 /// One rendered row of Figure 5/6: both stacks plus the raw-HIPPI bound
@@ -144,11 +161,6 @@ pub fn print_figure(machine: &MachineConfig) {
     println!("\n-- CSV --\n{csv}");
 }
 
-/// Did the user pass the shared `--stats` flag?
-pub fn stats_requested() -> bool {
-    std::env::args().any(|a| a == "--stats")
-}
-
 /// Value of `name` in `argv`, spelled `--flag VAL` or `--flag=VAL` (a
 /// value may itself contain `=`); the first occurrence wins. A flag that
 /// ends `argv` yields `Some("")`, which no caller accepts as a value, so a
@@ -206,171 +218,104 @@ pub(crate) fn apply_fault_flags(cfg: &mut ExperimentConfig) {
     }
 }
 
-/// Causal-trace knobs shared by every benchmark binary.
-///
-/// `--trace-out FILE` asks the binary to run one representative traced
-/// experiment and write a Chrome trace-event / Perfetto JSON timeline to
-/// `FILE`; `--trace-flows N` caps how many flows get flow arrows (0 = all).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub(crate) struct TraceArgs {
-    /// `--trace-out`: destination file for the Perfetto JSON trace.
-    pub out: Option<String>,
-    /// `--trace-flows`: flow-arrow cap (`None` = the experiment default).
-    pub flows: Option<Option<usize>>,
-}
-
-/// Parse the shared `--trace-*` flags (`--trace-out trace.json` or
-/// `--trace-out=trace.json`). A missing filename or malformed flow count
-/// aborts rather than silently running untraced.
-pub(crate) fn trace_args() -> TraceArgs {
-    let mut t = TraceArgs::default();
-    if let Some(val) = arg_value("--trace-out") {
-        if val.is_empty() || val.starts_with("--") {
-            eprintln!("--trace-out needs a filename, got {val:?}");
+/// Honor `--stats` and `--trace-out FILE`, the observability flags of
+/// every figure and table binary: with either, make one observed run on
+/// `machine` (the single-copy stack, 64 KB writes, any `--fault-*` flags
+/// applied, spans and the 1 ms timeline on) and write its artifacts with
+/// [`write_artifacts`], the stats ones under `tag`; `--trace-flows N` caps
+/// the trace's flow arrows (0 = every flow). A no-op without `--stats` or
+/// `--trace-out`, so every such binary calls it last, unconditionally; a
+/// malformed flag value exits 2 either way.
+pub fn observe(tag: &str, machine: &MachineConfig) {
+    let stats = std::env::args().any(|a| a == "--stats");
+    let trace = arg_value("--trace-out");
+    if let Some(path) = trace
+        .as_deref()
+        .filter(|p| p.is_empty() || p.starts_with("--"))
+    {
+        eprintln!("--trace-out needs a filename, got {path:?}");
+        std::process::exit(2);
+    }
+    let flows = arg_value("--trace-flows").map(|val| match val.parse::<usize>() {
+        Ok(n) => (n > 0).then_some(n),
+        Err(_) => {
+            eprintln!("--trace-flows needs a count (0 = all), got {val:?}");
             std::process::exit(2);
         }
-        t.out = Some(val);
+    });
+    if !stats && trace.is_none() {
+        return;
     }
-    if let Some(val) = arg_value("--trace-flows") {
-        match val.parse::<usize>() {
-            Ok(0) => t.flows = Some(None),
-            Ok(n) => t.flows = Some(Some(n)),
-            Err(_) => {
-                eprintln!("--trace-flows needs a count (0 = all), got {val:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    t
-}
-
-/// Windowed-telemetry knobs shared by every benchmark binary.
-///
-/// `--timeline` turns the sampler on for every experiment the binary runs;
-/// `--timeline-window-us N` overrides the sampling window (default 1000 µs
-/// of virtual time). Timelines surface three ways: counter tracks merged
-/// into any `--trace-out` Perfetto file, `timeline_<tag>.json/.csv`
-/// snapshots next to the `stats_*` files under `--stats`, and an ASCII
-/// sparkline summary on stdout.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TimelineArgs {
-    /// `--timeline`: enable windowed sampling.
-    pub enabled: bool,
-    /// `--timeline-window-us`: sampling window override, microseconds.
-    pub window_us: Option<u64>,
-}
-
-impl TimelineArgs {
-    /// Copy the knobs into an experiment configuration.
-    pub fn apply(&self, cfg: &mut ExperimentConfig) {
-        if self.enabled {
-            cfg.timeline_enabled = true;
-        }
-        if let Some(us) = self.window_us {
-            cfg.timeline_window = Dur::micros(us);
-        }
-    }
-}
-
-/// Parse the shared `--timeline*` flags (`--timeline`,
-/// `--timeline-window-us 500` or `--timeline-window-us=500`). A malformed
-/// window aborts rather than silently sampling on the default.
-pub fn timeline_args() -> TimelineArgs {
-    let mut t = TimelineArgs {
-        enabled: std::env::args().any(|a| a == "--timeline"),
-        window_us: None,
-    };
-    if let Some(val) = arg_value("--timeline-window-us") {
-        match val.parse::<u64>() {
-            Ok(us) if us > 0 => {
-                t.enabled = true;
-                t.window_us = Some(us);
-            }
-            _ => {
-                eprintln!("--timeline-window-us needs a positive count, got {val:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    t
-}
-
-/// Honor `--trace-out`: re-run one representative point (single-copy stack,
-/// 64 KB writes, any `--fault-*` flags still applied) with span tracing
-/// enabled, write the Perfetto/chrome-trace JSON, and print the
-/// critical-path attribution for the busiest flow. A no-op when the flag
-/// was not passed, so every binary can call this unconditionally.
-pub fn emit_trace(machine: &MachineConfig) {
-    let t = trace_args();
-    let Some(path) = t.out else { return };
-    let mut stack = StackConfig::single_copy();
-    stack.force_single_copy = true;
-    let mut cfg = ExperimentConfig::new(machine.clone(), stack, 64 * 1024);
-    cfg.total_bytes = total_for(64 * 1024);
-    cfg.verify = false;
-    apply_fault_flags(&mut cfg);
-    timeline_args().apply(&mut cfg);
-    cfg.trace_spans = true;
-    if let Some(flows) = t.flows {
+    let mut cfg = figure_config(machine, true, 64 * 1024);
+    observed(&mut cfg);
+    if let Some(flows) = flows {
         cfg.trace_flows = flows;
     }
-    let m = run_ttcp(&cfg);
-    println!("\n== causal trace (single-copy stack, 64 KB writes) ==\n");
-    let opened = m.stats.counter_value("world.spans.opened");
-    let evicted = m.stats.counter_value("world.spans.evicted");
-    println!("spans recorded: {opened} (evicted: {evicted})");
-    if m.stats.get("world.timeline.windows").is_some() {
-        println!(
-            "timeline windows: {} ({} series; counter tracks merged into the trace)",
-            m.stats.counter_value("world.timeline.windows"),
-            m.stats.counter_value("world.timeline.series"),
-        );
-    }
-    if let Some(cp) = &m.critical_path {
-        print!("{}", cp.render());
-    }
-    match std::fs::write(&path, m.trace_json.as_deref().unwrap_or_default()) {
-        Ok(()) => println!("wrote {path} (open in https://ui.perfetto.dev or chrome://tracing)"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
+    println!("\n== observed run (single-copy stack, 64 KB writes) ==");
+    write_artifacts(&run_ttcp(&cfg), stats.then_some(tag), trace.as_deref());
+}
+
+/// Make `cfg` an observed run: spans and the timeline on.
+pub fn observed(cfg: &mut ExperimentConfig) {
+    cfg.trace_spans = true;
+    cfg.timeline_enabled = true;
+}
+
+/// Write every artifact of an observed run `m`, the one writer of them all.
+///
+/// With `stats_tag`: the registry report ([`MetricsRegistry::report`]: SDMA/
+/// MDMA busy fractions, page-pool high-water marks, CPU shares,
+/// netstat-style TCP counters, link and fabric totals) and the timeline's
+/// sparklines on stdout, and `stats_<tag>.{json,csv}` and
+/// `timeline_<tag>.{json,csv}` in the current directory. With `trace`: the
+/// span counts and the busiest flow's critical path on stdout, and the
+/// Perfetto trace (spans plus the timeline's counter tracks) at that path.
+/// A file that cannot be written ends the process with status 1.
+///
+/// [`MetricsRegistry::report`]: outboard_sim::MetricsRegistry::report
+pub fn write_artifacts(m: &Metrics, stats_tag: Option<&str>, trace: Option<&str>) {
+    fn write(path: &str, text: &str) {
+        if let Err(e) = std::fs::write(path, text) {
+            eprintln!("cannot write {path}: {e}");
             std::process::exit(1);
         }
     }
-}
-
-/// Render and persist a full metrics snapshot for one representative run.
-///
-/// Runs a single-copy 64 KB-write transfer on `machine`, prints the
-/// deterministic [`MetricsRegistry::report`] (SDMA/MDMA busy fractions,
-/// page-pool high-water marks, CPU shares, netstat-style TCP counters, link
-/// and fabric totals), and writes machine-readable `stats_<tag>.json` and
-/// `stats_<tag>.csv` snapshots into the current directory.
-///
-/// [`MetricsRegistry::report`]: outboard_sim::MetricsRegistry::report
-pub fn emit_stats(tag: &str, machine: &MachineConfig) {
-    let m = figure_point(machine, true, 64 * 1024);
-    println!("\n== per-run stats (single-copy stack, 64 KB writes) ==\n");
-    print!("{}", m.stats.report());
-    let json = format!("stats_{tag}.json");
-    let csv = format!("stats_{tag}.csv");
-    match std::fs::write(&json, m.stats.to_json())
-        .and_then(|()| std::fs::write(&csv, m.stats.to_csv()))
-    {
-        Ok(()) => println!("\nwrote {json} and {csv}"),
-        Err(e) => eprintln!("\nfailed to write stats snapshots: {e}"),
-    }
-    // Timeline artifacts ride along when `--timeline` was passed: the
-    // sparkline summary on stdout, JSON/CSV next to the stats files.
-    if let (Some(tj), Some(tc), Some(ts)) = (&m.timeline_json, &m.timeline_csv, &m.timeline_summary)
-    {
-        println!("\n== timeline (single-copy stack, 64 KB writes) ==\n");
-        print!("{ts}");
-        let tjson = format!("timeline_{tag}.json");
-        let tcsv = format!("timeline_{tag}.csv");
-        match std::fs::write(&tjson, tj).and_then(|()| std::fs::write(&tcsv, tc)) {
-            Ok(()) => println!("\nwrote {tjson} and {tcsv}"),
-            Err(e) => eprintln!("\nfailed to write timeline snapshots: {e}"),
+    if let Some(tag) = stats_tag {
+        println!("\n== per-run stats ==\n");
+        print!("{}", m.stats.report());
+        let (json, csv) = (format!("stats_{tag}.json"), format!("stats_{tag}.csv"));
+        write(&json, &m.stats.to_json());
+        write(&csv, &m.stats.to_csv());
+        println!("\nwrote {json} and {csv}");
+        if let (Some(tj), Some(tc), Some(ts)) =
+            (&m.timeline_json, &m.timeline_csv, &m.timeline_summary)
+        {
+            println!("\n== timeline ==\n");
+            print!("{ts}");
+            let (json, csv) = (
+                format!("timeline_{tag}.json"),
+                format!("timeline_{tag}.csv"),
+            );
+            write(&json, tj);
+            write(&csv, tc);
+            println!("\nwrote {json} and {csv}");
         }
+    }
+    if let Some(path) = trace {
+        println!("\n== causal trace ==\n");
+        let count = |key: &str| m.stats.counter_value(key);
+        let (opened, evicted) = (count("world.spans.opened"), count("world.spans.evicted"));
+        println!("spans recorded: {opened} (evicted: {evicted})");
+        println!(
+            "timeline windows: {} ({} series; counter tracks merged into the trace)",
+            count("world.timeline.windows"),
+            count("world.timeline.series"),
+        );
+        if let Some(cp) = &m.critical_path {
+            print!("{}", cp.render());
+        }
+        write(path, m.trace_json.as_deref().unwrap_or_default());
+        println!("wrote {path} (open in https://ui.perfetto.dev or chrome://tracing)");
     }
 }
 

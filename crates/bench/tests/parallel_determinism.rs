@@ -31,7 +31,7 @@ fn experiment(
 /// the report and JSON the bench binaries print/persist.
 fn canon(m: &Metrics) -> String {
     format!(
-        "{:?}|{:?}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
+        "{:?}|{:?}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{}|{}|{}|{}",
         m.completed,
         m.elapsed,
         m.bytes,
@@ -40,12 +40,8 @@ fn canon(m: &Metrics) -> String {
         m.receiver_utilization,
         m.sender_efficiency_mbps,
         m.receiver_efficiency_mbps,
-        m.retransmits,
         m.verify_errors,
         m.writes,
-        m.header_only_retransmits,
-        m.hw_checksums,
-        m.sw_checksums,
         m.events_dispatched,
         m.stats.report(),
         m.stats.to_json()

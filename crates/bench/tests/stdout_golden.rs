@@ -7,9 +7,9 @@
 //! `cargo test -p outboard-bench --test stdout_golden -- --ignored regenerate_goldens`,
 //! list the moved points in EXPERIMENTS.md and commit `tests/golden/`.
 //!
-//! Two binaries' output files are checked here too: `fig5`'s Perfetto
-//! trace, and the repro of a `chaos` sweep with a planted bug and the
-//! trace its replay writes.
+//! Two binaries' output files are checked here too: the files of `fig5`'s
+//! observed run (its Perfetto trace, stats and timeline), and the repro of
+//! a `chaos` sweep with a planted bug and the trace its replay writes.
 
 use outboard_sim::json::{self, Value};
 use std::process::Command;
@@ -67,18 +67,19 @@ fn field<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
     json::get(v.as_object()?, key)
 }
 
-/// `fig5 --timeline --trace-out FILE` writes one Perfetto file that parses,
-/// is byte-identical across two processes, and carries span slices, flow
-/// arrows and counter tracks on the span pids. (Within one process the
-/// same holds by `tests/span_trace.rs` and `tests/timeline.rs`; this is
-/// the binary's own file.)
+/// `fig5 --trace-out FILE` alone writes one Perfetto file that parses, is
+/// byte-identical across two processes, and carries span slices, flow
+/// arrows and, because the observed run always samples, counter tracks on
+/// the span pids. (Within one process the same holds by
+/// `tests/span_trace.rs` and `tests/timeline.rs`; this is the binary's own
+/// file.)
 #[test]
 fn fig5_timeline_trace_file_parses_and_is_byte_identical() {
     let dir = env!("CARGO_TARGET_TMPDIR");
     let write_trace = |run: u32| {
         let path = format!("{dir}/fig5_timeline_trace_{run}.json");
         let out = Command::new(env!("CARGO_BIN_EXE_fig5"))
-            .args(["--timeline", "--trace-out", &path])
+            .args(["--trace-out", &path])
             .current_dir(dir)
             .output()
             .unwrap_or_else(|e| panic!("cannot start fig5: {e}"));
@@ -93,6 +94,67 @@ fn fig5_timeline_trace_file_parses_and_is_byte_identical() {
     );
 
     assert_perfetto_trace(&trace);
+}
+
+/// The files of `fig5 --stats --trace-out fig5.trace.json`, run in a
+/// directory of its own, by name.
+fn fig5_observed_files(run: u32) -> Vec<(String, String)> {
+    let dir = format!("{}/fig5_observed_{run}", env!("CARGO_TARGET_TMPDIR"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("{dir}: {e}"));
+    let out = Command::new(env!("CARGO_BIN_EXE_fig5"))
+        .args(["--stats", "--trace-out", "fig5.trace.json"])
+        .current_dir(&dir)
+        .output()
+        .unwrap_or_else(|e| panic!("cannot start fig5: {e}"));
+    assert!(out.status.success(), "fig5 exited {}", out.status);
+    let read = |name: String| {
+        let text = std::fs::read_to_string(format!("{dir}/{name}"));
+        let text = text.unwrap_or_else(|e| panic!("{dir}/{name}: {e}"));
+        (name, text)
+    };
+    files_in(&dir).into_iter().map(read).collect()
+}
+
+/// `fig5 --stats --trace-out F` writes all five files from its one observed
+/// run: the trace, the stats and the timeline parse, the timeline has its
+/// 10 series, the registry counts the windows the timeline holds, and two
+/// processes write byte-identical files.
+#[test]
+fn fig5_observed_run_writes_every_file_from_one_run() {
+    let files = fig5_observed_files(0);
+    let names: Vec<&str> = files.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "fig5.trace.json",
+            "stats_fig5.csv",
+            "stats_fig5.json",
+            "timeline_fig5.csv",
+            "timeline_fig5.json"
+        ]
+    );
+    let text = |name: &str| &files[names.iter().position(|n| *n == name).unwrap()].1;
+    assert_perfetto_trace(text("fig5.trace.json"));
+    let stats = json::parse(text("stats_fig5.json")).expect("the stats file is JSON");
+    let timeline = json::parse(text("timeline_fig5.json")).expect("the timeline file is JSON");
+    let series = field(&timeline, "series").and_then(Value::as_array);
+    assert_eq!(series.map(<[Value]>::len), Some(10), "timeline series");
+    let windows = field(&timeline, "windows").and_then(Value::as_u64);
+    let counted = field(&stats, "metrics")
+        .and_then(|m| field(m, "world.timeline.windows"))
+        .and_then(|w| field(w, "value"))
+        .and_then(Value::as_u64);
+    assert!(windows.is_some_and(|n| n > 0), "timeline windows");
+    assert_eq!(
+        counted, windows,
+        "the registry counts the timeline's windows"
+    );
+    // Not `assert_eq!`: a failure would print two multi-megabyte traces.
+    assert!(
+        files == fig5_observed_files(1),
+        "two fig5 processes wrote different files"
+    );
 }
 
 /// `trace` parses and carries span slices, flow arrows and at least six

@@ -256,10 +256,13 @@ struct OpenSpan {
 /// found by `(pid, key, stage)`), each pid's emission sequence, and the
 /// statistics, which count every span. Eviction: a span closing into a full
 /// ring (`capacity`) evicts the oldest, whichever pid emitted it; an open
-/// into a full table (`capacity`) force-drops the oldest open.
+/// into a full table (`capacity`) force-drops the oldest open. A finished
+/// store records nothing more through any handle.
 #[derive(Debug, Default)]
 struct Store {
     capacity: usize,
+    /// Set by [`SpanSink::finish`]: the run is over.
+    finished: bool,
     ring: VecDeque<Span>,
     open: VecDeque<OpenSpan>,
     /// The next emission sequence of each pid, indexed by pid.
@@ -352,16 +355,19 @@ impl SpanSink {
         self.pid
     }
 
-    /// Whether the handle records anything. Callers doing non-trivial work
-    /// to *compute* a span (frame parsing, say) must guard on this.
+    /// Whether the handle is on a store (which records nothing once
+    /// [`finish`](SpanSink::finish)ed). Callers doing non-trivial work to
+    /// *compute* a span (frame parsing, say) must guard on this.
     #[inline]
     pub fn on(&self) -> bool {
         self.store.is_some()
     }
 
+    /// The store to record into, unless there is none or it is finished.
     #[inline]
     fn store(&self) -> Option<RefMut<'_, Store>> {
-        self.store.as_ref().map(|s| s.borrow_mut())
+        let st = self.store.as_ref()?.borrow_mut();
+        (!st.finished).then_some(st)
     }
 
     fn read(&self) -> Option<Ref<'_, Store>> {
@@ -458,15 +464,17 @@ impl SpanSink {
         self.end_open(key, stage, end, true)
     }
 
-    /// Drop every still-open span of every pid (run teardown), stamping
-    /// `end`.
-    pub fn drop_all_open(&mut self, end: Time) {
+    /// End the run (teardown): drop every still-open span of every pid,
+    /// stamping `end`, and finish the store, so that no handle on it
+    /// records anything more. A second call is a no-op.
+    pub fn finish(&mut self, end: Time) {
         let Some(mut st) = self.store() else {
             return;
         };
         while let Some(o) = st.open.pop_front() {
             st.emit(o, end.max(o.start), true);
         }
+        st.finished = true;
     }
 
     /// Publish the store's counts into `s`: `opened`, `closed`, `dropped`
@@ -1083,11 +1091,41 @@ mod tests {
             assert_eq!(st.open.len(), 1);
             assert_eq!(st.opened, st.closed + st.dropped + 1);
         }
-        s.drop_all_open(t(5));
+        s.finish(t(5));
         let st = s.st();
         assert_eq!(st.opened, st.closed + st.dropped);
         let bytes: Vec<u64> = st.ring.iter().map(|x| x.bytes).collect();
         assert_eq!(bytes, vec![100, 20, 30]);
+    }
+
+    /// After `finish`, no handle on the store records: not the one that
+    /// finished it, nor another pid's.
+    #[test]
+    fn a_finished_store_records_nothing_more() {
+        let mut s = SpanSink::enabled(16);
+        let mut other = s.for_pid(1);
+        let f = FlowId::group_only(3);
+        s.span(f, Stage::Sdma, t(0), t(1), 10);
+        other.span_open(1, f, Stage::Sockbuf, t(1), 10);
+        s.finish(t(2));
+        let counts = |s: &SpanSink| {
+            let st = s.st();
+            (
+                st.opened,
+                st.closed,
+                st.dropped,
+                st.ring.len(),
+                st.open.len(),
+            )
+        };
+        let at_finish = counts(&s);
+        assert_eq!(at_finish, (2, 1, 1, 2, 0));
+        other.span(f, Stage::Wire, t(3), t(4), 10);
+        other.span_open(2, f, Stage::Sockbuf, t(3), 10);
+        s.span_open(2, f, Stage::Sockbuf, t(3), 10);
+        assert!(!s.span_close(2, Stage::Sockbuf, t(4)));
+        s.finish(t(5));
+        assert_eq!(counts(&s), at_finish);
     }
 
     #[test]

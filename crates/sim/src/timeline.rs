@@ -89,6 +89,9 @@ pub struct Timeline {
     /// Virtual end of the last recorded window (ns). Equals
     /// `windows * window` except after a partial final window.
     end_ns: u64,
+    /// The boundary that closes the next window: `end_ns + window` while
+    /// open, never once [`close`](Timeline::close) ended the run.
+    next: Time,
 }
 
 impl Timeline {
@@ -103,6 +106,7 @@ impl Timeline {
             windows: 0,
             evicted: 0,
             end_ns: 0,
+            next: Time(window.as_nanos()),
         }
     }
 
@@ -161,26 +165,43 @@ impl Timeline {
         });
     }
 
-    /// The boundary that closes the next window: `(windows + 1) × window`.
+    /// The boundary that closes the next window: `(windows + 1) × window`
+    /// while the run is open, and a time no clock reaches once it is
+    /// closed, so a caller that samples on reaching it records nothing more.
     pub fn next_boundary(&self) -> Time {
-        Time((self.windows + 1) * self.window.as_nanos())
+        self.next
     }
 
     /// Close one full window with the absolute values of every series, in
     /// declaration order. The window covers
-    /// `[windows * window, next_boundary)`.
+    /// `[windows * window, next_boundary)`. A no-op once the timeline is
+    /// closed.
     pub fn record(&mut self, values: &[i64]) {
-        let end = self.next_boundary().nanos();
+        if self.closed() {
+            return;
+        }
+        let end = self.next.nanos();
         self.record_at(end, values);
+        self.next = Time(end + self.window.as_nanos());
     }
 
     /// End the run at `now`, every boundary up to it recorded: a final
     /// partial window from the last boundary to `now`, unless `now` is it.
+    /// Nothing is recorded after it; a second close is a no-op.
     pub fn close(&mut self, now: Time, values: &[i64]) {
-        debug_assert!(now < self.next_boundary(), "record every boundary first");
+        if self.closed() {
+            return;
+        }
+        debug_assert!(now < self.next, "record every boundary first");
         if now.nanos() > self.end_ns {
             self.record_at(now.nanos(), values);
         }
+        self.next = Time(u64::MAX);
+    }
+
+    /// Whether [`close`](Timeline::close) has ended the run.
+    fn closed(&self) -> bool {
+        self.next == Time(u64::MAX)
     }
 
     fn record_at(&mut self, end_ns: u64, values: &[i64]) {
@@ -582,6 +603,23 @@ mod tests {
         }
         derived.close(Time(end), &[value]);
         [summary(&cursor_tl), summary(&derived)]
+    }
+
+    /// A closed timeline's next boundary lies past any clock, and neither a
+    /// record nor a second close adds a window.
+    #[test]
+    fn a_closed_timeline_records_nothing_more() {
+        let mut tl = Timeline::new(ms(1), 8);
+        tl.declare("c", SeriesKind::Counter, "n", 0, 0);
+        tl.record(&[3]);
+        tl.close(Time(1_500_000), &[5]);
+        let closed = (tl.windows(), tl.end_ns(), tl.to_json());
+        assert_eq!((closed.0, closed.1), (2, 1_500_000));
+        assert_eq!(tl.next_boundary(), Time(u64::MAX));
+        tl.record(&[6]);
+        tl.close(Time(9_000_000), &[7]);
+        assert_eq!((tl.windows(), tl.end_ns(), tl.to_json()), closed);
+        assert_eq!(tl.next_boundary(), Time(u64::MAX));
     }
 
     #[test]

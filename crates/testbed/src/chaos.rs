@@ -11,40 +11,31 @@
 //! [`render_repro`] writes a failure as a file, shape and log, and
 //! `chaos --replay` runs that file again, traced.
 
-use crate::experiment::{finish_ttcp, ttcp_world, ExperimentConfig};
+use crate::experiment::{finish_ttcp, ttcp_world, ExperimentConfig, Metrics};
 use crate::oracle;
-use crate::run::{RunError, RunOutcome};
+use crate::run::RunOutcome;
 use outboard_sim::chaos::{shrink, ShrinkResult};
-use outboard_sim::{Dur, FaultPlan, MetricsRegistry};
+use outboard_sim::{Dur, FaultPlan};
 use outboard_stack::CAB_PROBE_INTERVAL;
 
 /// Sim-time allowance after quiesce for heal probes and watchdog resets to
 /// land before the end-state oracle runs: ten recovery-probe periods.
 const SETTLE: Dur = Dur::nanos(10 * CAB_PROBE_INTERVAL.as_nanos());
 
-/// The verdict on one chaos run.
+/// The verdict on one chaos run: the oracle's findings and the fault log
+/// beside the run's own record, its [`Metrics`].
 #[derive(Clone, Debug, Default)]
 pub struct ChaosOutcome {
     /// Oracle violations, run-phase (liveness) first; empty = clean run.
     pub violations: Vec<String>,
-    /// How the run loop ended (`None` when the config was rejected).
-    pub outcome: Option<Result<RunOutcome, RunError>>,
-    /// The transfer finished and the receiver read every byte.
-    pub completed: bool,
-    /// Virtual time consumed: [`World::now`](crate::World::now) once the
-    /// settle window has run, the last event popped before it closed.
-    pub elapsed: Dur,
-    /// Bytes the receiver read.
-    pub bytes_read: usize,
     /// Every fault that fired, in firing order: a plan that replays the
     /// run with no `Chance` left.
     pub log: FaultPlan,
-    /// Full metrics snapshot (byte-identical per seed — the determinism
-    /// contract the repro files rely on).
-    pub stats: MetricsRegistry,
-    /// Perfetto trace of the run, spans plus the timeline's counter tracks
-    /// (a config with `trace_spans`, as `chaos --replay` runs a repro).
-    pub trace_json: Option<String>,
+    /// The run's record, closed out once the settle window has run (so its
+    /// `elapsed` is [`World::now`](crate::World::now) then, and its `stats`
+    /// are byte-identical per seed, the determinism contract the repro
+    /// files rely on). `None` when the configuration was rejected.
+    pub metrics: Option<Metrics>,
 }
 
 impl ChaosOutcome {
@@ -95,14 +86,9 @@ pub fn run_chaos(cfg: &ExperimentConfig, plan: &FaultPlan) -> ChaosOutcome {
     violations.extend(oracle::copy_violations(&w));
 
     ChaosOutcome {
-        outcome: Some(outcome),
-        completed: m.completed,
-        elapsed: m.elapsed,
-        bytes_read: m.bytes,
-        log: w.fault_log().plan(cfg.seed),
-        stats: m.stats,
         violations,
-        trace_json: m.trace_json,
+        log: w.fault_log().plan(cfg.seed),
+        metrics: Some(m),
     }
 }
 

@@ -84,6 +84,24 @@ pub enum Step {
     GaveUp(StackError),
 }
 
+/// [`World::register_kernel_sock`] named a task that runs no app on the
+/// host.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NoSuchApp {
+    /// The host.
+    pub host: usize,
+    /// The task it runs no app for.
+    pub task: TaskId,
+}
+
+impl std::fmt::Display for NoSuchApp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "host {} runs no app for task {:?}", self.host, self.task)
+    }
+}
+
+impl std::error::Error for NoSuchApp {}
+
 /// The syscall context handed to applications: one host's kernel + memory.
 pub struct SysCtx<'a> {
     /// Current virtual time.
@@ -526,9 +544,11 @@ impl World {
 
     /// Force-close every span still open (run teardown): in-flight work at
     /// the end of a run is recorded as dropped, keeping the conservation
-    /// identity `opened == closed + dropped` exact.
+    /// identity `opened == closed + dropped` exact. The store is then
+    /// finished: a world run on past this records no span through any
+    /// handle, while the world still publishes and exports what it holds.
     pub fn finish_spans(&mut self, now: Time) {
-        self.spans.drop_all_open(now);
+        self.spans.finish(now);
     }
 
     /// Turn on windowed time-series telemetry: a fixed set of per-host and
@@ -637,7 +657,9 @@ impl World {
     /// Close out the timeline at run teardown: record any boundaries the
     /// event stream never reached, then one final partial window up to
     /// `now`, so the conservation identity (window-delta sums == final
-    /// counter values) holds exactly over the whole run.
+    /// counter values) holds exactly over the whole run. The closed
+    /// timeline's next boundary is never reached, so a world run on past
+    /// this samples no window; a second call is a no-op.
     pub fn finish_timeline(&mut self, now: Time) {
         if self.timeline.is_none() {
             return;
@@ -863,10 +885,18 @@ impl World {
             .push(self.queue.now(), Event::AppStep { host, task });
     }
 
-    /// Route in-kernel socket readiness to an app.
-    pub fn register_kernel_sock(&mut self, host: usize, sock: SockId, app_task: TaskId) {
-        let idx = self.hosts[host].app_index(app_task).expect("app exists");
+    /// Route in-kernel socket readiness to the app of `task` on `host`; an
+    /// error when the host runs no such app.
+    pub fn register_kernel_sock(
+        &mut self,
+        host: usize,
+        sock: SockId,
+        task: TaskId,
+    ) -> Result<(), NoSuchApp> {
+        let idx = self.hosts[host].app_index(task);
+        let idx = idx.ok_or(NoSuchApp { host, task })?;
         self.kernel_socks.insert((host, sock), idx);
+        Ok(())
     }
 
     /// Apply kernel effects produced on `host` at `now` and hand the emptied

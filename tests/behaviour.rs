@@ -311,16 +311,17 @@ fn line(name: &str, run: &Run) -> String {
                 .cloned()
                 .collect();
             assert_copy_semantics(name, &copy);
-            let stats = o.stats.to_json();
-            let chaos = chaos_counts(&o.stats);
+            let m = o.metrics.as_ref().expect("the sweep's configuration runs");
+            let stats = m.stats.to_json();
+            let chaos = chaos_counts(&m.stats);
             let mut parts = vec![stats.as_str(), chaos.as_str()];
             parts.extend(o.violations.iter().map(String::as_str));
             format!(
                 "{name}\t{}\t{}\t{}\t{}\t{:016x}\t-\t-",
-                o.outcome.map_or("-", outcome_name),
-                o.elapsed.as_nanos(),
-                o.bytes_read,
-                o.stats.counter_value("world.events_dispatched"),
+                outcome_name(m.outcome),
+                m.elapsed.as_nanos(),
+                m.bytes,
+                m.stats.counter_value("world.events_dispatched"),
                 digest(parts)
             )
         }

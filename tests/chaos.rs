@@ -13,7 +13,7 @@ use outboard::sim::{Dur, Fault, FaultPlan, Time};
 use outboard::stack::StackConfig;
 use outboard::testbed::chaos::{run_chaos, shrink_failure, ChaosOutcome};
 use outboard::testbed::oracle::violation_category;
-use outboard::testbed::ExperimentConfig;
+use outboard::testbed::{ExperimentConfig, Metrics};
 
 fn base_cfg(total: usize, seed: u64) -> ExperimentConfig {
     let mut stack = StackConfig::single_copy();
@@ -30,9 +30,14 @@ fn at_ms(ms: u64, target: Target, action: Action) -> Fault {
     Fault::at(Time::ZERO + Dur::millis(ms), target, action)
 }
 
+/// The run's record (its configuration was accepted).
+fn record(o: &ChaosOutcome) -> &Metrics {
+    o.metrics.as_ref().expect("an accepted configuration runs")
+}
+
 /// A `world.chaos.*` counter of the run.
 fn chaos(o: &ChaosOutcome, key: &str) -> u64 {
-    o.stats.counter_value(&format!("world.chaos.{key}"))
+    record(o).stats.counter_value(&format!("world.chaos.{key}"))
 }
 
 #[test]
@@ -45,20 +50,21 @@ fn chaos_runs_are_byte_identical_per_seed() {
     let b = run_chaos(&cfg, &plan);
     assert!(a.passed(), "generated plan must pass: {:?}", a.violations);
     assert_eq!(
-        a.elapsed, b.elapsed,
+        record(&a).elapsed,
+        record(&b).elapsed,
         "same seed must take identical sim time"
     );
     assert_eq!(
-        a.stats.report(),
-        b.stats.report(),
+        record(&a).stats.report(),
+        record(&b).stats.report(),
         "same seed + plan must snapshot a byte-identical registry"
     );
     assert_eq!(a.log, b.log, "same seed + plan must log the same faults");
 
     let other = run_chaos(&base_cfg(TOTAL, 78), &FaultPlan::generate(78, 5, 2));
     assert_ne!(
-        a.stats.report(),
-        other.stats.report(),
+        record(&a).stats.report(),
+        record(&other).stats.report(),
         "different seeds should not collide"
     );
 }
@@ -139,17 +145,19 @@ fn netmem_flap_soak_degrades_and_recovers_every_cycle() {
         "flap soak failed: {:?}",
         outcome.violations
     );
-    assert!(outcome.completed);
+    assert!(record(&outcome).completed);
     assert_eq!(chaos(&outcome, "netmem_squeezes"), 4);
     assert_eq!(chaos(&outcome, "heals_applied"), 4);
 
     // The flapping actually exercised degraded mode, and every entry has a
     // matching exit after the final heal (also enforced by the oracle's
     // end-state pass — re-checked here for the counters' sake).
-    let entries = outcome
+    let entries = record(&outcome)
         .stats
         .counter_value("host0.cab0.drv.degraded_entries");
-    let exits = outcome.stats.counter_value("host0.cab0.drv.degraded_exits");
+    let exits = record(&outcome)
+        .stats
+        .counter_value("host0.cab0.drv.degraded_exits");
     assert!(entries > 0, "squeezes never forced the traditional path");
     assert_eq!(entries, exits, "unbalanced degraded transitions");
 }
@@ -173,14 +181,23 @@ fn partition_heals_after_backoff_ceiling_and_completes() {
         "partition-heal run failed: {:?}",
         outcome.violations
     );
-    assert!(outcome.completed, "transfer did not finish after the heal");
+    assert!(
+        record(&outcome).completed,
+        "transfer did not finish after the heal"
+    );
     assert_eq!(chaos(&outcome, "partitions"), 1);
     assert!(
-        outcome.stats.counter_value("host0.tcp.retransmit_segs") > 0,
+        record(&outcome)
+            .stats
+            .counter_value("host0.tcp.retransmit_segs")
+            > 0,
         "a 130 s partition must force retransmissions"
     );
     assert!(
-        outcome.stats.counter_value("world.chaos.down_drops") > 0,
+        record(&outcome)
+            .stats
+            .counter_value("world.chaos.down_drops")
+            > 0,
         "frames offered during the outage must be counted as down_drops"
     );
 }
@@ -258,7 +275,9 @@ fn every_chaos_action_kind_applies_cleanly() {
         "{wedge:?}"
     );
     assert_eq!(
-        outcome.stats.counter_value("host0.cab0.drv.board_crashes"),
+        record(&outcome)
+            .stats
+            .counter_value("host0.cab0.drv.board_crashes"),
         1,
         "the board crash must reach the driver's counter"
     );
@@ -273,7 +292,10 @@ fn invalid_fault_probabilities_are_rejected_not_run() {
 
     let outcome = run_chaos(&cfg, &FaultPlan::default());
     assert_eq!(outcome.category().as_deref(), Some("config"));
-    assert!(!outcome.completed);
+    assert!(
+        outcome.metrics.is_none(),
+        "a rejected configuration never runs"
+    );
 
     cfg.drop_p = 0.01;
     cfg.cab_wedge_p = -0.25;
@@ -314,29 +336,47 @@ fn receiver_mdma_wedge_reset_drops_stale_rx_instead_of_corrupting() {
             "receiver wedge-reset run failed: {:?}",
             outcome.violations
         );
-        assert!(outcome.completed, "transfer must finish after the reset");
+        assert!(
+            record(&outcome).completed,
+            "transfer must finish after the reset"
+        );
         assert_eq!(
-            outcome
+            record(&outcome)
                 .stats
                 .counter_value("host1.cab0.drv.watchdog_resets"),
             1,
             "the wedge must trigger exactly one watchdog reset"
         );
         assert_eq!(
-            outcome.stats.counter_value("host1.cab0.drv.stale_rx_drops"),
+            record(&outcome)
+                .stats
+                .counter_value("host1.cab0.drv.stale_rx_drops"),
             1,
             "the reset-crossing frame must be discarded as stale, not delivered"
         );
-        assert_eq!(outcome.stats.counter_value("host1.cab0.faults.wedges"), 1);
+        assert_eq!(
+            record(&outcome)
+                .stats
+                .counter_value("host1.cab0.faults.wedges"),
+            1
+        );
         runs.push(outcome);
     }
     assert_eq!(runs[0].log.faults, [crossing]);
     assert_eq!(runs[1].log.faults, [crossing]);
     // The timed run dispatches one event more: its `At` entry's.
-    let events = |o: &ChaosOutcome| o.stats.counter_value("world.events_dispatched");
+    let events = |o: &ChaosOutcome| record(o).stats.counter_value("world.events_dispatched");
     assert_eq!(
-        (runs[0].elapsed, runs[0].bytes_read, events(&runs[0])),
-        (runs[1].elapsed, runs[1].bytes_read, events(&runs[1]) + 1)
+        (
+            record(&runs[0]).elapsed,
+            record(&runs[0]).bytes,
+            events(&runs[0])
+        ),
+        (
+            record(&runs[1]).elapsed,
+            record(&runs[1]).bytes,
+            events(&runs[1]) + 1
+        )
     );
 }
 

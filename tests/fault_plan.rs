@@ -98,11 +98,12 @@ fn judge(cfg: &ExperimentConfig, faults: Vec<Fault>) -> Verdict {
         faults,
     };
     let o = run_chaos(cfg, &plan);
-    if o.completed && o.passed() {
+    let completed = o.metrics.as_ref().is_some_and(|m| m.completed);
+    if completed && o.passed() {
         return Verdict::Clean;
     }
     let held = |v: &String| v.starts_with("endstate: ") && v.ends_with(" netmem pages");
-    if o.completed && o.violations.iter().all(held) {
+    if completed && o.violations.iter().all(held) {
         let mut w = build_ttcp_world(cfg);
         w.install_faults(&plan);
         assert_eq!(w.run_apps(), Ok(RunOutcome::Completed));
@@ -116,7 +117,7 @@ fn judge(cfg: &ExperimentConfig, faults: Vec<Fault>) -> Verdict {
     Verdict::Failed(format!(
         "{}: {:?}: {:?}\n{}",
         line.join(" + "),
-        o.outcome,
+        o.metrics.as_ref().map(|m| m.outcome),
         o.violations,
         render_repro(cfg, &o.log)
     ))

@@ -5,7 +5,7 @@ use outboard::host::{MachineConfig, TaskId, UserMemory};
 use outboard::sim::{Dur, Time};
 use outboard::stack::{Proto, ReadResult, SockAddr, StackConfig, StackError, WriteResult};
 use outboard::testbed::apps::{file_block_byte, FileClient, KernelFileServer};
-use outboard::testbed::World;
+use outboard::testbed::{NoSuchApp, World};
 use std::net::Ipv4Addr;
 
 const IP_A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -40,8 +40,34 @@ fn boot_server(w: &mut World) -> outboard::stack::SockId {
         .unwrap()
         .sock
         .expect("server boots");
-    w.register_kernel_sock(1, sock, task);
+    w.register_kernel_sock(1, sock, task)
+        .expect("the server runs on host 1");
     sock
+}
+
+/// Readiness routes only to an app the host runs: a task with none, or one
+/// that runs on the other host, is an error and routes nothing.
+#[test]
+fn kernel_socket_readiness_needs_an_app() {
+    let mut w = cab_world();
+    let sock = boot_server(&mut w);
+    let missing = NoSuchApp {
+        host: 1,
+        task: TaskId(99),
+    };
+    assert_eq!(w.register_kernel_sock(1, sock, TaskId(99)), Err(missing));
+    assert_eq!(
+        missing.to_string(),
+        "host 1 runs no app for task TaskId(99)"
+    );
+    let elsewhere = w.register_kernel_sock(0, sock, TaskId(50));
+    assert_eq!(
+        elsewhere,
+        Err(NoSuchApp {
+            host: 0,
+            task: TaskId(50)
+        })
+    );
 }
 
 #[test]

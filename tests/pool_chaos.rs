@@ -220,10 +220,11 @@ fn pool_survives_chaos_schedules() {
             "chaos seed {seed}: oracle violations: {:?}",
             outcome.violations
         );
-        let acquires = outcome.stats.counter_value("world.pool.acquires");
-        let misses = outcome.stats.counter_value("world.pool.misses");
-        let high_water = outcome.stats.counter_value("world.pool.high_water");
-        let discards = outcome.stats.counter_value("world.pool.discards");
+        let stats = &outcome.metrics.as_ref().expect("the run ran").stats;
+        let acquires = stats.counter_value("world.pool.acquires");
+        let misses = stats.counter_value("world.pool.misses");
+        let high_water = stats.counter_value("world.pool.high_water");
+        let discards = stats.counter_value("world.pool.discards");
         assert!(acquires > 0, "chaos seed {seed}: pool never used");
         assert!(
             misses <= MISSES_PER_HIGH_WATER * high_water + discards,

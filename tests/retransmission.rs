@@ -25,7 +25,8 @@ fn loss_recovers_with_intact_data() {
         assert!(m.completed, "{pct}% loss: transfer stalled: {m:?}");
         assert_eq!(m.bytes, 4 * 1024 * 1024);
         assert_eq!(m.verify_errors, 0, "{pct}% loss corrupted the stream");
-        assert!(m.retransmits > 0, "{pct}% loss should retransmit");
+        let retransmits = m.stats.counter_value("host0.tcp.retransmit_segs");
+        assert!(retransmits > 0, "{pct}% loss should retransmit");
     }
 }
 
@@ -38,7 +39,7 @@ fn retransmission_reuses_outboard_data() {
     let m = run_ttcp(&cfg);
     assert!(m.completed);
     assert!(
-        m.header_only_retransmits > 0,
+        m.stats.counter_value("host0.tcp.retransmit_header_only") > 0,
         "no header-only retransmissions happened: {m:?}"
     );
 
@@ -121,7 +122,7 @@ fn unmodified_stack_survives_loss_too() {
     assert_eq!(m.verify_errors, 0);
     // Traditional path: no outboard buffers exist, so retransmissions
     // always re-DMA from kernel mbufs (never header-only).
-    assert_eq!(m.header_only_retransmits, 0);
+    assert_eq!(m.stats.counter_value("host0.tcp.retransmit_header_only"), 0);
 }
 
 #[test]

@@ -9,7 +9,8 @@ use outboard::sim::fault::{Action, Point, Target};
 use outboard::sim::{json, Dur, Fault, FaultPlan, Time};
 use outboard::stack::StackConfig;
 use outboard::testbed::chaos::{parse_repro, render_repro, run_chaos};
-use outboard::testbed::{run_ttcp, ExperimentConfig, Metrics};
+use outboard::testbed::experiment::{build_ttcp_world, run_ttcp_in};
+use outboard::testbed::{run_ttcp, ExperimentConfig, Metrics, World};
 
 const TOTAL: usize = 1024 * 1024;
 
@@ -108,10 +109,6 @@ fn window_delta_sums_equal_final_registry_counters_under_faults() {
         m.stats.counter_value("host0.tcp.retransmit_segs"),
         "timeline final must equal the registry's retransmit counter"
     );
-    assert_eq!(
-        retrans.3 as u64, m.retransmits,
-        "and the Metrics-level retransmit count"
-    );
     let faults = find("world.faults");
     let reg_faults = m.stats.counter_value("world.faults.dropped")
         + m.stats.counter_value("world.faults.corrupted")
@@ -186,7 +183,6 @@ fn disabled_timeline_is_silent_and_byte_identical() {
     // the gated world.timeline.* keys are added.
     let on = sampled(7, false, true);
     assert_eq!(off.events_dispatched, on.events_dispatched);
-    assert_eq!(off.retransmits, on.retransmits);
     assert_eq!(off.elapsed, on.elapsed);
     let strip = |s: &str| {
         s.lines()
@@ -200,6 +196,57 @@ fn disabled_timeline_is_silent_and_byte_identical() {
         strip(&off.stats.to_csv()),
         strip(&on.stats.to_csv()),
         "sampling must not change any non-timeline metric"
+    );
+}
+
+/// A closed run records nothing more: the `traced_small` configuration
+/// (1 KB writes, 512 KB, spans and the 1 ms timeline on), run on for 5 s
+/// of virtual time past its close-out, samples no window and records no
+/// span, and its exports are what they were at the close.
+#[test]
+fn a_world_run_on_past_its_close_out_records_nothing() {
+    let mut stack = StackConfig::single_copy();
+    stack.force_single_copy = true;
+    let mut cfg = ExperimentConfig::new(MachineConfig::alpha_3000_400(), stack, 1024);
+    cfg.total_bytes = 512 * 1024;
+    cfg.seed = 7;
+    cfg.verify = false;
+    cfg.trace_spans = true;
+    cfg.timeline_enabled = true;
+    let mut w = build_ttcp_world(&cfg);
+    let m = run_ttcp_in(&mut w, &cfg);
+    let record = |w: &World| {
+        let reg = w.metrics(m.elapsed);
+        let count = |key: &str| reg.counter_value(key);
+        let timeline = w.timeline().map(|tl| tl.to_json());
+        (
+            count("world.timeline.windows"),
+            count("world.spans.opened"),
+            w.export_trace(cfg.trace_flows),
+            timeline.expect("a sampled run"),
+        )
+    };
+    let at_close = record(&w);
+    assert_eq!(
+        (at_close.0, at_close.1),
+        (255, m.stats.counter_value("world.spans.opened"))
+    );
+    assert!(
+        Some(&at_close.2) == m.trace_json.as_ref() && Some(&at_close.3) == m.timeline_json.as_ref()
+    );
+    let events = w.events_dispatched;
+    w.run_until(w.now() + Dur::secs(5));
+    assert!(
+        w.events_dispatched > events,
+        "nothing ran past the close-out"
+    );
+    let after = record(&w);
+    assert_eq!((after.0, after.1), (at_close.0, at_close.1));
+    // Not `assert_eq!`: a failure would print two large files.
+    assert!(after.2 == at_close.2, "the trace moved after the close-out");
+    assert!(
+        after.3 == at_close.3,
+        "the timeline moved after the close-out"
     );
 }
 
@@ -235,7 +282,11 @@ fn a_chaos_failure_replays_traced_from_its_repro() {
     };
     let failed = run_chaos(&cfg, &plan);
     assert!(!failed.passed(), "the planted bug must be caught");
-    assert!(failed.trace_json.is_none(), "an untraced run renders none");
+    let failed_run = failed.metrics.as_ref().expect("the run ran");
+    assert!(
+        failed_run.trace_json.is_none(),
+        "an untraced run renders none"
+    );
 
     // Another shape and seed in the base: the repro's own must win.
     let mut base = cfg.clone();
@@ -252,8 +303,9 @@ fn a_chaos_failure_replays_traced_from_its_repro() {
     let replay = run_chaos(&traced, &log);
     assert_eq!(replay.violations, failed.violations);
     assert!(replay.violations[0].starts_with("integrity"));
-    assert_eq!(replay.elapsed, failed.elapsed);
     assert_eq!(replay.log.render(), failed.log.render());
+    let replay = replay.metrics.expect("the replay ran");
+    assert_eq!(replay.elapsed, failed_run.elapsed);
 
     let trace = replay
         .trace_json
