@@ -12,7 +12,7 @@ use crate::tcp::{AckMode, Expiry, SegmentPlan, TcpState};
 use crate::types::{Effect, IfaceId, Proto, SockAddr, SockId, StackError, TimerKind};
 use bytes::Bytes;
 use outboard_cab::{PacketId, SdmaDst, SdmaRx};
-use outboard_host::{Charge, HostMem, UserMemory};
+use outboard_host::{Charge, HostMem};
 use outboard_mbuf::{Chain, Mbuf, MbufData, PacketRef, WcabDesc};
 use outboard_sim::span::{FlowId, Stage};
 use outboard_sim::{Dur, PooledBuf, Time};
@@ -76,35 +76,28 @@ impl Kernel {
                     k.fx.push(Effect::Cab { iface, event: ev });
                 });
             }
-            IfaceKind::Eth(_) => {
-                // Conventional device: interrupt + copy into mbufs.
+            kind => {
+                // A conventional device interrupts and copies the frame into
+                // mbufs; loopback hands the packet over as it is.
+                let trusted = matches!(kind, IfaceKind::Loopback);
                 self.cpu(self.costs.interrupt, Charge::Interrupt);
-                let copy = self.memsys.copy_cost(frame.len(), frame.len().max(4096));
-                self.cpu_dur(copy, Charge::Interrupt);
-                match EtherHeader::parse(&frame) {
-                    Ok(_) => {
-                        let rx = RxPacket {
-                            iface,
-                            prefix: frame.slice(outboard_wire::ether::ETHER_HEADER_LEN..),
-                            outboard: None,
-                            hw_csum: None,
-                            frame_ip_off: 0,
-                            trusted: false,
-                        };
-                        self.ip_input(rx, mem, now);
+                let prefix = if trusted {
+                    frame
+                } else {
+                    self.legacy_copy(frame.len(), Charge::Interrupt);
+                    if EtherHeader::parse(&frame).is_err() {
+                        self.stats.ip_errors += 1;
+                        return self.take_effects(now);
                     }
-                    Err(_) => self.stats.ip_errors += 1,
-                }
-            }
-            IfaceKind::Loopback => {
-                self.cpu(self.costs.interrupt, Charge::Interrupt);
+                    frame.slice(outboard_wire::ether::ETHER_HEADER_LEN..)
+                };
                 let rx = RxPacket {
                     iface,
-                    prefix: frame,
+                    prefix,
                     outboard: None,
                     hw_csum: None,
                     frame_ip_off: 0,
-                    trusted: true,
+                    trusted,
                 };
                 self.ip_input(rx, mem, now);
             }
@@ -227,7 +220,7 @@ impl Kernel {
         let total = hdr.total_len as usize;
         let payload = self.build_rx_chain(&mut rx, ihl, total, now);
 
-        if hdr.is_fragment() {
+        let (payload, hw_csum) = if hdr.is_fragment() {
             self.stats.frags_reassembled += 1;
             let key = FragKey {
                 src: hdr.src,
@@ -236,28 +229,20 @@ impl Kernel {
                 id: hdr.id,
             };
             // Per-fragment hardware partials combine across the datagram.
-            if let Some(done) = self.reass.feed(key, &hdr, payload, rx.hw_csum) {
-                self.dispatch_transport(
-                    rx.iface,
-                    hdr.src,
-                    hdr.dst,
-                    hdr.protocol,
-                    done.payload,
-                    done.hw_sum,
-                    rx.trusted,
-                    mem,
-                    now,
-                );
-            }
-            return;
-        }
+            let Some(done) = self.reass.feed(key, &hdr, payload, rx.hw_csum) else {
+                return;
+            };
+            (done.payload, done.hw_sum)
+        } else {
+            (payload, rx.hw_csum)
+        };
         self.dispatch_transport(
             rx.iface,
             hdr.src,
             hdr.dst,
             hdr.protocol,
             payload,
-            rx.hw_csum,
+            hw_csum,
             rx.trusted,
             mem,
             now,
@@ -319,7 +304,7 @@ impl Kernel {
                         // Engine refused the copy-in: fall back to
                         // programmed I/O so the packet still arrives.
                         cab.complete(token);
-                        Kernel::pio_read(k, cab, iface, &req, &e, packet).freeze()
+                        Kernel::pio_fallback(k, cab, iface, &req, &e, packet).freeze()
                     }
                 }
             });
@@ -436,27 +421,7 @@ impl Kernel {
             self.stats.ip_errors += 1;
             return;
         };
-        // Checksum verification (§4.3): hardware sum adjusted by the
-        // pseudo-header, or a software read on the traditional path.
-        let valid = if trusted {
-            true
-        } else if let Some(hw) = hw_csum {
-            crate::udp::verify_hw(src, dst, proto::TCP, transport_len, hw)
-        } else {
-            // Freshly-DMAed data is cache-cold: no locality for the read.
-            let cold = self.memsys.config().read_nolocality_at;
-            let cost = self.memsys.read_cost(transport_len, cold);
-            self.cpu_dur(cost, Charge::Interrupt);
-            let pseudo = outboard_wire::checksum::pseudo_header_sum(
-                src.octets(),
-                dst.octets(),
-                proto::TCP,
-                transport_len as u16,
-            );
-            let sum = self.software_chain_sum(&payload, mem);
-            outboard_wire::checksum::add16(pseudo, sum) == 0xFFFF
-        };
-        if !valid {
+        if !trusted && !self.verify_rx(src, dst, proto::TCP, &payload, hw_csum, mem) {
             self.stats.csum_errors += 1;
             return;
         }
@@ -762,24 +727,9 @@ impl Kernel {
             self.stats.ip_errors += 1;
             return;
         };
-        let valid = if trusted || uhdr.checksum == 0 {
-            true
-        } else if let Some(hw) = hw_csum {
-            crate::udp::verify_hw(src, dst, proto::UDP, transport_len, hw)
-        } else {
-            let cold = self.memsys.config().read_nolocality_at;
-            let cost = self.memsys.read_cost(transport_len, cold);
-            self.cpu_dur(cost, Charge::Interrupt);
-            let pseudo = outboard_wire::checksum::pseudo_header_sum(
-                src.octets(),
-                dst.octets(),
-                proto::UDP,
-                transport_len as u16,
-            );
-            let sum = self.software_chain_sum(&payload, mem);
-            outboard_wire::checksum::add16(pseudo, sum) == 0xFFFF
-        };
-        if !valid {
+        // A zero UDP checksum field means the sender computed none.
+        let unchecked = trusted || uhdr.checksum == 0;
+        if !unchecked && !self.verify_rx(src, dst, proto::UDP, &payload, hw_csum, mem) {
             self.stats.csum_errors += 1;
             return;
         }
@@ -951,13 +901,7 @@ impl Kernel {
             } => {
                 if let (Some(bytes_data), true) = (&data, via_kernel) {
                     // §4.5 unaligned fallback: finish with a CPU copy.
-                    let cost = self
-                        .memsys
-                        .copy_cost(bytes_data.len(), bytes_data.len().max(4096));
-                    self.cpu_dur(cost, Charge::Interrupt);
-                    if mem.write_user(task, vaddr, bytes_data).is_err() {
-                        self.stats.user_mem_faults += 1;
-                    }
+                    self.copyout(task, vaddr, bytes_data, None, mem, Charge::Interrupt);
                 }
                 self.claims
                     .release(ClaimHolder::CopyOut, task, vaddr, bytes);

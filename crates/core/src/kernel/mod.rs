@@ -19,6 +19,7 @@ mod output;
 mod robust;
 #[cfg(test)]
 mod tests;
+mod touch;
 
 pub use input::TIME_WAIT;
 pub use robust::CAB_PROBE_INTERVAL;
@@ -34,15 +35,13 @@ use crate::types::{
     Effect, IfaceId, Proto, ReadResult, SockAddr, SockId, StackConfig, StackError, StackMode,
     WriteResult,
 };
-use bytes::Bytes;
 use outboard_cab::{Cab, PacketId, SdmaDst, SdmaRx};
 use outboard_host::{
-    Charge, HostMem, MachineConfig, MemorySystem, PacketCost, PacketCosts, TaskId, UserMemory,
-    VmSystem,
+    Charge, HostMem, MachineConfig, PacketCost, PacketCosts, TaskId, UserMemory, VmSystem,
 };
 use outboard_mbuf::{Chain, Mbuf, MbufData, MbufStats, UioDesc, UioRegion, WcabDesc};
 use outboard_sim::span::{FlowId, SpanSink, Stage};
-use outboard_sim::{BufPool, DetMap, Dur, IdTable, PooledBuf, Time};
+use outboard_sim::{BufPool, DetMap, Dur, IdTable, Time};
 use outboard_wire::ether::MacAddr;
 use outboard_wire::ipv4::IPV4_HEADER_LEN;
 use outboard_wire::udp::UDP_HEADER_LEN;
@@ -153,8 +152,8 @@ pub struct Kernel {
     pub(crate) costs: PacketCosts,
     /// Stack configuration.
     pub(crate) cfg: StackConfig,
-    /// Per-byte cost model.
-    pub(crate) memsys: MemorySystem,
+    /// Per-byte cost model, priced only by the byte touches of `touch`.
+    touch: touch::Touch,
     /// VM pin/map bookkeeping and costs.
     pub vm: VmSystem,
     // Socket-table sweeps (degraded-mode rescue) iterate this
@@ -212,7 +211,7 @@ impl Kernel {
         Kernel {
             name: name.to_string(),
             costs: PacketCosts::compile(&machine),
-            memsys: MemorySystem::new(machine.clone()),
+            touch: touch::Touch::new(machine.clone()),
             tc_speed_scale: machine.tc_speed_scale,
             vm: VmSystem::new(machine, cfg.lazy_vm),
             cfg,
@@ -390,20 +389,6 @@ impl Kernel {
     )]
     fn uio_issue(&mut self, counter: outboard_mbuf::UioCounterId, bytes: usize) {
         self.uio.issue(counter, bytes).expect("live uio counter");
-    }
-
-    /// Copy `len` bytes of `task`'s memory at `vaddr` into a kernel
-    /// cluster. A range that faults is counted and yields zeros of the
-    /// same length: syscalls check their range at entry, so this is a
-    /// region that shrank later, under a blocked write or a DMA descriptor.
-    fn copyin(&mut self, task: TaskId, vaddr: u64, len: usize, mem: &HostMem) -> Bytes {
-        match mem.user_slice(task, vaddr, len) {
-            Ok(src) => self.pool.copy_from_slice(src),
-            Err(_) => {
-                self.stats.user_mem_faults += 1;
-                PooledBuf::zeroed(&self.pool, len).freeze()
-            }
-        }
     }
 
     /// Charge a per-packet cost. A positive cost that rounds to zero
@@ -650,25 +635,17 @@ impl Kernel {
         let port = self.alloc_port(Proto::Tcp);
         let local = SockAddr::new(local_ip, port);
 
-        let nagle = self.effective_nagle();
-        let iss = self.next_iss();
-        {
-            let s = self.sockets.get(sock).ok_or(StackError::BadSocket)?;
-            if s.remote.is_some() {
-                return Err(StackError::AlreadyConnected);
-            }
+        let mut tcb = Tcb::new(self.next_iss(), self.effective_nagle());
+        let s = self.sockets.get_mut(sock).ok_or(StackError::BadSocket)?;
+        if s.remote.is_some() {
+            return Err(StackError::AlreadyConnected);
         }
-        let mut tcb = Tcb::new(iss, nagle);
-        {
-            let s = self.sockets.get_mut(sock).ok_or(StackError::BadSocket)?;
-            let buf = s.so_rcv.hiwat;
-            s.local = Some(local);
-            s.remote = Some(dst);
-            s.iface_hint = Some(iface_id);
-            tcb.connect(mss, buf);
-            s.tcb = Some(tcb);
-            s.connector = Some(task);
-        }
+        tcb.connect(mss, s.so_rcv.hiwat);
+        s.local = Some(local);
+        s.remote = Some(dst);
+        s.iface_hint = Some(iface_id);
+        s.tcb = Some(tcb);
+        s.connector = Some(task);
         self.conns.insert((Proto::Tcp, local, dst), sock);
         self.ports.insert((Proto::Tcp, port), sock);
         self.tcp_send(sock, mem, now, false);
@@ -737,31 +714,24 @@ impl Kernel {
         // Ensure a local binding and a per-destination iface hint.
         let iface_id = self.routes.lookup(dst.ip).ok_or(StackError::NoRoute)?;
         let local_ip = self.ifaces[iface_id.0 as usize].ip;
-        let local = match bound {
-            Some(l) if l.ip != Ipv4Addr::UNSPECIFIED => l,
-            Some(l) => {
-                // Bound port, unspecified address: fill in per route.
-                let local = SockAddr::new(local_ip, l.port);
-                self.sock_mut(sock).local = Some(local);
-                local
-            }
+        let port = match bound {
+            Some(l) if l.ip != Ipv4Addr::UNSPECIFIED => None,
+            // Bound port, unspecified address: fill in per route.
+            Some(l) => Some(l.port),
             None => {
                 let port = self.alloc_port(Proto::Udp);
-                let local = SockAddr::new(local_ip, port);
-                self.sock_mut(sock).local = Some(local);
                 self.ports.insert((Proto::Udp, port), sock);
-                local
+                Some(port)
             }
         };
-        {
-            let s = self.sock_mut(sock);
-            s.iface_hint = Some(iface_id);
-            s.remote = Some(dst);
+        let s = self.sock_mut(sock);
+        if let Some(port) = port {
+            s.local = Some(SockAddr::new(local_ip, port));
         }
+        s.iface_hint = Some(iface_id);
+        s.remote = Some(dst);
         // Reuse the connected-UDP write machinery.
-        let r = self.udp_write(sock, task, vaddr, len, mem, now);
-        let _ = local;
-        r
+        self.udp_write(sock, task, vaddr, len, mem, now)
     }
 
     /// `recvfrom(2)`: like `sys_read` but also reports the datagram's
@@ -964,16 +934,14 @@ impl Kernel {
             let chunk = remaining.min(space).min(mss);
             // Socket-layer per-packet work.
             self.cpu(self.costs.socket_pkt, charge);
-            let cur_addr = bw.region.base + bw.appended as u64;
+            let (task, cur_addr) = (bw.region.task, bw.region.base + bw.appended as u64);
             if bw.uio_path && !cur_addr.is_multiple_of(4) {
                 // Align-split extension (§4.5): copy the 1-3 bytes up to
                 // the next word boundary through a kernel mbuf so the rest
                 // of the write can be DMAed.
                 assert!(self.cfg.align_split, "unaligned UIO without align_split");
                 let fix = (4 - (cur_addr % 4) as usize).min(remaining);
-                let cost = self.memsys.copy_cost(fix, fix.max(64));
-                self.cpu_dur(cost, charge);
-                let m = Mbuf::kernel(self.copyin(bw.region.task, cur_addr, fix, mem));
+                let m = Mbuf::kernel(self.copyin(task, cur_addr, fix, Some(64), mem, charge));
                 self.mbuf_stats.count(&m);
                 self.sock_mut(sock).so_snd.chain.append(m);
                 // The copy satisfies copy semantics for these bytes now.
@@ -997,11 +965,9 @@ impl Kernel {
                 self.tcp_send(sock, mem, now, false);
                 continue;
             }
-            if bw.uio_path {
+            let m = if bw.uio_path {
                 // Pin + map the chunk's pages in the caller's context.
-                let cost =
-                    self.vm
-                        .prepare(bw.region.task, bw.region.base + bw.appended as u64, chunk);
+                let cost = self.vm.prepare(task, cur_addr, chunk);
                 self.cpu_dur(cost, charge);
                 let desc = UioDesc {
                     region: bw.region,
@@ -1013,17 +979,13 @@ impl Kernel {
                     self.uio_issue(c, chunk);
                 }
                 self.claims.claim_descriptor(&desc);
-                let m = Mbuf::uio(desc);
-                self.mbuf_stats.count(&m);
-                self.sock_mut(sock).so_snd.chain.append(m);
+                Mbuf::uio(desc)
             } else {
                 // Traditional path: copy through kernel buffers.
-                let cost = self.memsys.copy_cost(chunk, bw.total.max(chunk));
-                self.cpu_dur(cost, charge);
-                let m = Mbuf::kernel(self.copyin(bw.region.task, cur_addr, chunk, mem));
-                self.mbuf_stats.count(&m);
-                self.sock_mut(sock).so_snd.chain.append(m);
-            }
+                Mbuf::kernel(self.copyin(task, cur_addr, chunk, Some(bw.total), mem, charge))
+            };
+            self.mbuf_stats.count(&m);
+            self.sock_mut(sock).so_snd.chain.append(m);
             let Some(w) = self.sock_mut(sock).blocked_write.as_mut() else {
                 return;
             };
@@ -1089,18 +1051,12 @@ impl Kernel {
         let mut dst_off = 0usize;
         for m in chunk {
             let mlen = m.len();
+            let user_dst = vaddr + dst_off as u64;
             match m.into_data() {
                 MbufData::Kernel(b) => {
-                    let cost = self.memsys.copy_cost(b.len(), take);
-                    self.cpu_dur(cost, Charge::Syscall);
-                    // Inside the range checked at entry; a fault is counted,
-                    // never ignored.
-                    if mem.write_user(task, vaddr + dst_off as u64, &b).is_err() {
-                        self.stats.user_mem_faults += 1;
-                    }
+                    self.copyout(task, user_dst, &b, Some(take), mem, Charge::Syscall);
                 }
                 MbufData::Wcab(d) => {
-                    let user_dst = vaddr + dst_off as u64;
                     dma_bytes += d.len;
                     let aligned = user_dst.is_multiple_of(4);
                     if aligned {
@@ -1371,9 +1327,8 @@ impl Kernel {
             chain.append(Mbuf::uio(desc));
             Some(counter)
         } else {
-            let cost = self.memsys.copy_cost(len, len.max(4096));
-            self.cpu_dur(cost, Charge::Syscall);
-            chain.append(Mbuf::kernel(self.copyin(task, vaddr, len, mem)));
+            let copied = self.copyin(task, vaddr, len, None, mem, Charge::Syscall);
+            chain.append(Mbuf::kernel(copied));
             None
         };
         self.cpu(self.costs.socket_pkt, Charge::Syscall);
@@ -1514,9 +1469,8 @@ impl Kernel {
         let (Some(l), Some(r)) = (s.local, s.remote) else {
             return FlowId::NONE;
         };
-        let group = FlowId::group_of(l.ip.octets(), l.port, r.ip.octets(), r.port);
         let seq = s.tcb.as_ref().map(|t| t.snd_nxt).unwrap_or(0);
-        FlowId::from_parts(group, seq)
+        FlowId::from_parts(flow_group(l, r), seq)
     }
 
     /// Data-direction flow id for bytes this socket is *receiving*
@@ -1529,12 +1483,7 @@ impl Kernel {
         let (Some(l), Some(r)) = (s.local, s.remote) else {
             return FlowId::NONE;
         };
-        FlowId::group_only(FlowId::group_of(
-            r.ip.octets(),
-            r.port,
-            l.ip.octets(),
-            l.port,
-        ))
+        FlowId::group_only(flow_group(r, l))
     }
 
     /// Open a sockbuf-dwell span: `bytes` of in-order data entered
@@ -1644,6 +1593,11 @@ impl Kernel {
             }
         }
     }
+}
+
+/// The causal-trace flow group of the bytes `src` sends to `dst`.
+fn flow_group(src: SockAddr, dst: SockAddr) -> u32 {
+    FlowId::group_of(src.ip.octets(), src.port, dst.ip.octets(), dst.port)
 }
 
 /// Compute the data-direction flow id of a frame from its wire-visible

@@ -11,11 +11,11 @@ use crate::tcp::SegmentPlan;
 use crate::types::{Effect, IfaceId, SockAddr, SockId, TimerKind};
 use bytes::Bytes;
 use outboard_cab::{CabError, CabEvent, ChecksumSpec, PacketId, SdmaTx, SgEntry};
-use outboard_host::{Charge, HostMem, UserMemory};
+use outboard_host::{Charge, HostMem};
 use outboard_mbuf::{Chain, CsumPlan, Mbuf, MbufData};
 use outboard_sim::span::{FlowId, Stage};
-use outboard_sim::{Dur, PooledBuf, Time};
-use outboard_wire::checksum::{pseudo_header_sum, Accumulator};
+use outboard_sim::{Dur, Time};
+use outboard_wire::checksum::pseudo_header_sum;
 use outboard_wire::ether::{EtherHeader, ETHER_HEADER_LEN};
 use outboard_wire::hippi::{HippiHeader, HIPPI_HEADER_LEN};
 use outboard_wire::ipv4::{Ipv4Header, IPV4_HEADER_LEN};
@@ -114,13 +114,7 @@ impl Kernel {
         hdr.mss = plan.mss_opt;
         hdr.window_scale = plan.ws_opt;
         let flow = if self.spans.on() {
-            let group = FlowId::group_of(
-                local.ip.octets(),
-                local.port,
-                remote.ip.octets(),
-                remote.port,
-            );
-            FlowId::from_parts(group, plan.seq)
+            FlowId::from_parts(super::flow_group(local, remote), plan.seq)
         } else {
             FlowId::NONE
         };
@@ -257,8 +251,7 @@ impl Kernel {
         // in flight: convert at the driver boundary (§5), crediting the
         // writer's counter — the copy has merely been delayed.
         let data = if !single_copy && data.has_uio() {
-            let m = meta;
-            self.legacy_convert_uio(&m, data, mem, now)
+            self.legacy_convert_uio(&meta, data, mem, now)
         } else {
             data
         };
@@ -296,21 +289,13 @@ impl Kernel {
             // send queue (§7.3 measures the read over the window size).
             thdr[csum_offset] = 0;
             thdr[csum_offset + 1] = 0;
-            let working_set = meta
+            let send_queue = meta
                 .sock
                 .and_then(|s| self.sockets.get(s))
-                .map(|s| s.so_snd.chain.len())
-                .unwrap_or(0)
-                .max(transport_len);
-            let read_cost = self.memsys.read_cost(transport_len, working_set);
-            self.cpu_dur(read_cost, Charge::Syscall);
+                .map_or(0, |s| s.so_snd.chain.len());
             let pseudo =
                 pseudo_header_sum(src.octets(), dst.octets(), ip_proto, transport_len as u16);
-            let mut acc = Accumulator::from_partial(pseudo);
-            acc.add_bytes(&thdr);
-            let data_sum = self.software_chain_sum(&data, mem);
-            acc.add_partial(data_sum);
-            let mut c = !acc.partial();
+            let mut c = !self.checksum_read(pseudo, &thdr, &data, send_queue, mem);
             if ip_proto == proto::UDP {
                 c = UdpHeader::encode_checksum(c);
             }
@@ -326,128 +311,6 @@ impl Kernel {
         packet.hdr.csum_plan = csum_plan;
         packet.prepend(Bytes::from(thdr));
         self.ip_output(src, dst, ip_proto, packet, iface_id, meta, mem, now);
-    }
-
-    /// §5's conversion layer for legacy devices, applied at the source: the
-    /// user data is copied into kernel mbufs now ("a copy has merely been
-    /// delayed"), the send queue's `M_UIO` range becomes regular data, and
-    /// the write's UIO counter is credited — exactly what the `M_WCAB`
-    /// conversion does on the CAB path, with a memory copy in place of DMA.
-    fn legacy_convert_uio(
-        &mut self,
-        meta: &TxMeta,
-        data: Chain,
-        mem: &HostMem,
-        now: Time,
-    ) -> Chain {
-        let uio_bytes: usize = data
-            .iter()
-            .filter_map(|m| match m.data() {
-                MbufData::Uio(d) => Some(d.len),
-                _ => None,
-            })
-            .sum();
-        if uio_bytes == 0 {
-            return data;
-        }
-        self.stats.uio_to_regular += 1;
-        let cost = self.memsys.copy_cost(uio_bytes, uio_bytes.max(4096));
-        self.cpu_dur(cost, Charge::Syscall);
-
-        // Materialize the outgoing chain.
-        let mut out = Chain::new();
-        out.hdr = data.hdr.clone();
-        for m in data.iter() {
-            match m.data() {
-                MbufData::Uio(d) => {
-                    let copied = self.copyin(d.region.task, d.vaddr(), d.len, mem);
-                    out.append(Mbuf::kernel(copied));
-                }
-                _ => out.append(m.clone()),
-            }
-        }
-
-        // TCP retains data in so_snd: rewrite the queued range so later
-        // retransmissions (and the counter bookkeeping) see regular mbufs.
-        // Counters are credited through the queue rewrite to avoid double
-        // counting; datagram sockets (nothing retained) credit directly.
-        let rewrote_queue = meta.sock.is_some_and(|sock| {
-            self.replace_snd_range(
-                sock,
-                meta.seq_lo,
-                out.len(),
-                Charge::Syscall,
-                now,
-                |k, skip, len| {
-                    Mbuf::kernel(Bytes::from(k.chain_bytes(&out.copy_range(skip, len), mem)))
-                },
-            )
-        });
-        if !rewrote_queue {
-            self.claims.release_descriptors(&data);
-            self.credit_uio(&data, Charge::Syscall, now);
-        }
-        out
-    }
-
-    /// Flatten a chain to bytes, resolving UIO (user memory) and WCAB
-    /// (outboard memory) descriptors without charging costs (helper for
-    /// conversions that have already accounted the copy).
-    fn chain_bytes(&mut self, chain: &Chain, mem: &HostMem) -> Vec<u8> {
-        let mut outb = Vec::with_capacity(chain.len());
-        for m in chain.iter() {
-            self.append_bytes(m.data(), mem, &mut outb);
-        }
-        outb
-    }
-
-    /// Append an mbuf's bytes to `out`, reading an external descriptor
-    /// straight into its tail. A user range that faults is counted; it and
-    /// an outboard buffer lost to a board reset read as zeros (the peer's
-    /// checksum rejects a segment built from them, and TCP recovers).
-    fn append_bytes(&mut self, data: &MbufData, mem: &HostMem, out: &mut Vec<u8>) {
-        let at = out.len();
-        match data {
-            MbufData::Kernel(b) => out.extend_from_slice(b),
-            MbufData::Uio(d) => {
-                out.resize(at + d.len, 0);
-                if mem
-                    .read_user(d.region.task, d.vaddr(), &mut out[at..])
-                    .is_err()
-                {
-                    self.stats.user_mem_faults += 1;
-                }
-            }
-            MbufData::Wcab(d) => {
-                out.resize(at + d.len, 0);
-                if let IfaceKind::Cab(c) = &self.ifaces[d.cab as usize].kind {
-                    let _ = c
-                        .cab
-                        .read_packet(PacketId(d.packet.id()), d.off, &mut out[at..]);
-                }
-            }
-        }
-    }
-
-    /// Software ones-complement sum over a chain, resolving external
-    /// descriptors (traditional path and conversion layers).
-    pub(crate) fn software_chain_sum(&mut self, chain: &Chain, mem: &HostMem) -> u16 {
-        let mut acc = Accumulator::new();
-        // External descriptors resolve through the recycled scratch buffer
-        // instead of a fresh allocation per mbuf.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for m in chain.iter() {
-            match m.data() {
-                MbufData::Kernel(b) => acc.add_bytes(b),
-                external => {
-                    scratch.clear();
-                    self.append_bytes(external, mem, &mut scratch);
-                    acc.add_bytes(&scratch);
-                }
-            }
-        }
-        self.scratch = scratch;
-        acc.partial()
     }
 
     /// IP output: header, fragmentation, dispatch to the driver.
@@ -508,8 +371,8 @@ impl Kernel {
         self.stats.tx_bytes += ip_hdr.total_len as u64;
         match &self.ifaces[iface_id.0 as usize].kind {
             IfaceKind::Cab(_) => self.cab_output(iface_id, ip_hdr, transport, meta, mem, now),
-            IfaceKind::Eth(_) => self.eth_output(iface_id, ip_hdr, transport, mem, now),
-            IfaceKind::Loopback => self.loop_output(iface_id, ip_hdr, transport, mem, now),
+            IfaceKind::Eth(_) => self.eth_output(iface_id, ip_hdr, transport, mem),
+            IfaceKind::Loopback => self.loop_output(iface_id, ip_hdr, transport, mem),
         }
     }
 
@@ -636,9 +499,8 @@ impl Kernel {
                         // unaligned accesses"). The bytes are copied, so
                         // the write's counter is credited as if DMAed.
                         k.stats.aligned_fallbacks += 1;
-                        let copied = k.copyin(d.region.task, d.vaddr(), d.len, mem);
-                        let cost = k.memsys.copy_cost(d.len, d.len.max(4096));
-                        k.cpu_dur(cost, Charge::Syscall);
+                        let copied =
+                            k.copyin(d.region.task, d.vaddr(), d.len, None, mem, Charge::Syscall);
                         sg.push(SgEntry::Inline(copied));
                     } else {
                         match &mut pinned {
@@ -656,12 +518,8 @@ impl Kernel {
                     // Cross-packet retransmit slice: resolve outboard bytes
                     // through the driver (rare; a CPU read). Zeros on a
                     // lost buffer; the peer's checksum rejects.
-                    let mut buf = PooledBuf::zeroed(&k.pool, d.len);
-                    let _ = cab
-                        .cab
-                        .read_packet(PacketId(d.packet.id()), d.off, &mut buf);
-                    let cost = k.memsys.read_cost(d.len, d.len.max(4096));
-                    k.cpu_dur(cost, Charge::Syscall);
+                    let packet = PacketId(d.packet.id());
+                    let buf = k.pio_read(&cab.cab, packet, d.off, d.len, Charge::Syscall);
                     sg.push(SgEntry::Inline(buf.freeze()));
                 }
             }
@@ -878,7 +736,6 @@ impl Kernel {
         ip_hdr: Ipv4Header,
         transport: Chain,
         mem: &HostMem,
-        _now: Time,
     ) {
         self.cpu(self.costs.driver_pkt, Charge::Syscall);
         let flat = self.flatten_for_legacy(&transport, mem);
@@ -898,8 +755,7 @@ impl Kernel {
         frame.extend_from_slice(&ip_hdr.build());
         frame.extend_from_slice(&flat);
         // The conventional device copies the frame over its bus.
-        let copy = self.memsys.copy_cost(frame.len(), frame.len().max(4096));
-        self.cpu_dur(copy, Charge::Syscall);
+        self.legacy_copy(frame.len(), Charge::Syscall);
         self.fx.push(Effect::EthTx {
             iface: iface_id,
             frame: Bytes::from(frame),
@@ -912,7 +768,6 @@ impl Kernel {
         ip_hdr: Ipv4Header,
         transport: Chain,
         mem: &HostMem,
-        _now: Time,
     ) {
         let flat = self.flatten_for_legacy(&transport, mem);
         let mut frame = Vec::with_capacity(IPV4_HEADER_LEN + flat.len());
@@ -922,31 +777,6 @@ impl Kernel {
             iface: iface_id,
             frame: Bytes::from(frame),
         });
-    }
-
-    /// Resolve a possibly-mixed chain to flat kernel bytes for a legacy
-    /// device, charging the conversion copies (§5).
-    pub(crate) fn flatten_for_legacy(&mut self, chain: &Chain, mem: &HostMem) -> Vec<u8> {
-        let out = self.chain_bytes(chain, mem);
-        let (mut uio_copied, mut wcab_copied) = (0usize, 0usize);
-        for m in chain.iter() {
-            match m.data() {
-                MbufData::Kernel(_) => {}
-                MbufData::Uio(d) => uio_copied += d.len,
-                MbufData::Wcab(d) => wcab_copied += d.len,
-            }
-        }
-        if uio_copied > 0 {
-            self.stats.uio_to_regular += 1;
-            let cost = self.memsys.copy_cost(uio_copied, uio_copied.max(4096));
-            self.cpu_dur(cost, Charge::Syscall);
-        }
-        if wcab_copied > 0 {
-            self.stats.wcab_to_regular += 1;
-            let cost = self.memsys.copy_cost(wcab_copied, wcab_copied.max(4096));
-            self.cpu_dur(cost, Charge::Syscall);
-        }
-        out
     }
 
     /// UDP output: header + checksum strategy + IP.
@@ -970,13 +800,7 @@ impl Kernel {
         let hdr = UdpHeader::new(local.port, remote.port, data.len());
         self.stats.udp_datagrams_out += 1;
         let flow = if self.spans.on() {
-            let group = FlowId::group_of(
-                local.ip.octets(),
-                local.port,
-                remote.ip.octets(),
-                remote.port,
-            );
-            FlowId::group_only(group)
+            FlowId::group_only(super::flow_group(local, remote))
         } else {
             FlowId::NONE
         };

@@ -375,49 +375,32 @@ impl Kernel {
             targets.extend(tcb.reass_keys().into_iter().map(RescueChain::Reass));
         }
         for which in targets {
-            loop {
-                // Locate the first outboard descriptor of this interface.
-                let found = {
-                    let Some(s) = self.sockets.get(sock) else {
-                        break;
-                    };
-                    let Some(chain) = which.chain(s) else {
-                        break;
-                    };
-                    let mut off = 0usize;
-                    let mut hit = None;
-                    for m in chain.iter() {
-                        if let MbufData::Wcab(d) = m.data() {
-                            if d.cab == iface_id.0 {
-                                hit = Some((off, PacketId(d.packet.id()), d.off, d.len));
-                                break;
-                            }
-                        }
-                        off += m.len();
+            // This interface's outboard descriptors, by offset: a rescue
+            // replaces each with a kernel mbuf of the same length, so the
+            // offsets of the rest hold.
+            let Some(chain) = self.sockets.get(sock).and_then(|s| which.chain(s)) else {
+                continue;
+            };
+            let mut off = 0usize;
+            let mut found = Vec::new();
+            for m in chain.iter() {
+                match m.data() {
+                    MbufData::Wcab(d) if d.cab == iface_id.0 => {
+                        found.push((off, PacketId(d.packet.id()), d.off, d.len));
                     }
-                    hit
-                };
-                let Some((off, packet, src_off, len)) = found else {
-                    break;
-                };
-                let mut buf = PooledBuf::zeroed(&self.pool, len);
-                self.with_cab(iface_id, |k, cab| {
-                    // A buffer already gone reads as zeros; the peer's
-                    // checksum rejects any segment built from it.
-                    let _ = cab.cab.read_packet(packet, src_off, &mut buf);
+                    _ => {}
+                }
+                off += m.len();
+            }
+            for (off, packet, src_off, len) in found {
+                let buf = self.with_cab(iface_id, |k, cab| {
                     cab.health.stats.rescued_bytes += len as u64;
-                    let cost = k.memsys.read_cost(len, len.max(4096));
-                    k.cpu_dur(cost, Charge::Interrupt);
+                    k.pio_read(&cab.cab, packet, src_off, len, Charge::Interrupt)
                 });
-                let rescued_mbuf = Mbuf::kernel(buf.freeze());
-                let Some(s) = self.sockets.get_mut(sock) else {
-                    break;
-                };
-                let Some(chain) = which.chain_mut(s) else {
-                    break;
-                };
-                chain.splice(off, len, rescued_mbuf);
-                rescued = true;
+                if let Some(chain) = self.sockets.get_mut(sock).and_then(|s| which.chain_mut(s)) {
+                    chain.splice(off, len, Mbuf::kernel(buf.freeze()));
+                    rescued = true;
+                }
             }
         }
         rescued
@@ -444,7 +427,7 @@ impl Kernel {
                 k.fx.push(Effect::Cab { iface, event: ev });
             }
             Err(e) => {
-                let buf = Kernel::pio_read(k, cab, iface, &req, &e, packet);
+                let buf = Kernel::pio_fallback(k, cab, iface, &req, &e, packet);
                 let data = match req.dst {
                     SdmaDst::User { task, vaddr } => {
                         if mem.write_user(task, vaddr, &buf).is_err() {
@@ -472,7 +455,7 @@ impl Kernel {
     /// refused with `e`: the CPU reads the bytes into a kernel cluster,
     /// and `packet`'s handle drops, releasing the packet if it was the
     /// last, unless a wedged engine still owns it.
-    pub(crate) fn pio_read(
+    pub(crate) fn pio_fallback(
         k: &mut Kernel,
         cab: &mut CabIface,
         iface: IfaceId,
@@ -481,10 +464,8 @@ impl Kernel {
         packet: PacketRef,
     ) -> PooledBuf {
         Kernel::watchdog_on_wedge(k, cab, iface, e);
-        let mut buf = PooledBuf::zeroed(&k.pool, req.len);
-        let _ = cab.cab.read_packet(req.packet, req.src_off, &mut buf);
-        let cost = k.memsys.read_cost(req.len, req.len.max(4096));
-        k.cpu_dur(cost, Charge::Interrupt);
+        let (id, off, len) = (req.packet, req.src_off, req.len);
+        let buf = k.pio_read(&cab.cab, id, off, len, Charge::Interrupt);
         // A wedged engine holds the buffer until board reset; PIO may
         // still read the bytes, but the host must not release it.
         if matches!(e, CabError::EngineWedged(_)) {

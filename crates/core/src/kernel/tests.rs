@@ -1402,3 +1402,40 @@ fn a_descriptor_credited_twice_is_caught() {
     use crate::{ClaimHolder::Queued, UserViolationKind::EarlyWake};
     assert_eq!(violation_kinds(&rig), [(EarlyWake, Queued)]);
 }
+
+/// The legacy flatten's `M_UIO` arm, which no world run reaches (a
+/// transmit converts user bytes at the source first): all of a chain's
+/// user bytes are charged as one copy, at a page's locality.
+#[test]
+fn a_legacy_flatten_charges_its_user_bytes_as_one_copy() {
+    let mut rig = Rig::loopback(StackConfig::single_copy());
+    rig.mem.create_region(TaskId(1), 0x1000, 8192);
+    rig.mem.write_user(TaskId(1), 0x1000, &[7; 8192]).unwrap();
+    let region = UioRegion {
+        task: TaskId(1),
+        base: 0x1000,
+    };
+    let mut chain = Chain::from_slice(b"head");
+    for off in [0, 3000] {
+        let desc = UioDesc {
+            region,
+            off,
+            len: 3000,
+            counter: None,
+        };
+        chain.append(Mbuf::uio(desc));
+    }
+    let flat = rig.k.flatten_for_legacy(&chain, &rig.mem);
+    assert_eq!(
+        (flat.len(), flat[4..].iter().all(|&b| b == 7)),
+        (6004, true)
+    );
+    assert_eq!(rig.k.stats.uio_to_regular, 1);
+    let charged: Vec<(u64, Charge)> = (rig.k.take_effects(rig.now).iter())
+        .filter_map(|e| match e {
+            Effect::Cpu { dur, charge } => Some((dur.as_nanos(), *charge)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(charged, [(106_667, Charge::Syscall)]);
+}

@@ -360,37 +360,24 @@ impl Tcb {
     ) -> Vec<SegmentPlan> {
         let win = self.window_field(rcv_space);
         match self.state {
-            TcpState::SynSent => {
-                // (Re)send SYN.
-                if self.snd_max == self.iss {
-                    self.snd_nxt = self.iss;
-                }
+            TcpState::SynSent | TcpState::SynRcvd => {
+                // (Re)send the SYN, or the SYN-ACK; it is a retransmission
+                // once the first one has advanced `snd_max` past `iss`.
+                let (flags, ack) = if self.state == TcpState::SynSent {
+                    (TcpFlags::SYN, 0)
+                } else {
+                    (TcpFlags::SYN | TcpFlags::ACK, self.rcv_nxt)
+                };
                 plans.push(SegmentPlan {
                     seq: self.iss,
-                    ack: 0,
-                    flags: TcpFlags::SYN,
+                    ack,
+                    flags,
                     window: (rcv_space.min(0xFFFF)) as u16, // no scaling on SYN
                     data_off: 0,
                     data_len: 0,
                     mss_opt: Some(self.mss as u16),
                     ws_opt: self.request_ws.then_some(self.rcv_scale),
                     retransmit: self.snd_max != self.iss,
-                });
-                self.snd_nxt = self.iss.wrapping_add(1);
-                self.snd_max = self.snd_max.max_seq(self.snd_nxt);
-                return plans;
-            }
-            TcpState::SynRcvd => {
-                plans.push(SegmentPlan {
-                    seq: self.iss,
-                    ack: self.rcv_nxt,
-                    flags: TcpFlags::SYN | TcpFlags::ACK,
-                    window: (rcv_space.min(0xFFFF)) as u16,
-                    data_off: 0,
-                    data_len: 0,
-                    mss_opt: Some(self.mss as u16),
-                    ws_opt: self.request_ws.then_some(self.rcv_scale),
-                    retransmit: self.snd_max != self.iss.wrapping_add(1),
                 });
                 self.snd_nxt = self.iss.wrapping_add(1);
                 self.snd_max = self.snd_max.max_seq(self.snd_nxt);
@@ -1148,6 +1135,33 @@ mod tests {
         assert_eq!(a.tcb.rcv_scale, 4);
         assert_eq!(a.tcb.snd_scale, 4);
         assert_eq!(b.tcb.snd_scale, 4);
+    }
+
+    #[test]
+    fn only_a_resent_syn_or_syn_ack_is_a_retransmission() {
+        let mut a = Ep::new(1000);
+        let mut b = Ep::new(9000);
+        a.tcb.connect(MSS, BUF);
+        b.tcb.listen(MSS, BUF);
+        let first_syn = a.plans(false);
+        assert!(!first_syn[0].retransmit, "the first SYN");
+        assert_eq!(
+            a.tcb.on_rexmt_timeout(&mut a.stats, false),
+            Expiry::Retransmit
+        );
+        assert!(a.plans(false)[0].retransmit, "the SYN's RTO resend");
+
+        let (syn, _) = a.emit(false).remove(0);
+        b.input(&syn, Chain::new());
+        assert_eq!(b.tcb.state, TcpState::SynRcvd);
+        let first_syn_ack = b.plans(false);
+        assert_eq!(first_syn_ack[0].flags, TcpFlags::SYN | TcpFlags::ACK);
+        assert!(!first_syn_ack[0].retransmit, "the first SYN-ACK");
+        assert_eq!(
+            b.tcb.on_rexmt_timeout(&mut b.stats, false),
+            Expiry::Retransmit
+        );
+        assert!(b.plans(false)[0].retransmit, "the SYN-ACK's RTO resend");
     }
 
     #[test]

@@ -18,6 +18,18 @@ fn lossy(drop_pct: f64, seed: u64) -> ExperimentConfig {
     cfg
 }
 
+/// A fault-free transfer retransmits nothing on either host: the receiver's
+/// one SYN-ACK is a first transmission.
+#[test]
+fn a_fault_free_run_retransmits_nothing() {
+    let m = run_ttcp(&lossy(0.0, 7));
+    assert!(m.completed);
+    for h in 0..2 {
+        let key = format!("host{h}.tcp.retransmit_segs");
+        assert_eq!(m.stats.counter_value(&key), 0, "{key}");
+    }
+}
+
 #[test]
 fn loss_recovers_with_intact_data() {
     for (pct, seed) in [(2.0, 7), (5.0, 11), (10.0, 13)] {

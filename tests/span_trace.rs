@@ -6,9 +6,12 @@
 //! commit *before* the exporters were rewritten (PR 12, 73d7c24), so they
 //! prove the trace file and the critical-path table did not change across
 //! the rewrite, not merely that the exporter agrees with itself. (The two
-//! trace files were rewritten once since, when frames began to share
-//! network-memory storage: only the `args.bufs` of four
-//! `world.pool_in_use` counter events each changed.) To regenerate after
+//! trace files were rewritten twice since: when frames began to share
+//! network-memory storage, only the `args.bufs` of four
+//! `world.pool_in_use` counter events each changed; when the receiver's
+//! first SYN-ACK stopped counting as a retransmission, each lost that
+//! segment's zero-length `retransmit` span and its flow step, and its
+//! `host1.retransmits` series starts at 0 instead of 1.) To regenerate after
 //! an intended format change, run
 //! `cargo test --test span_trace -- --ignored regenerate_goldens` on the
 //! commit whose output is the new reference (copy this file into a checkout
