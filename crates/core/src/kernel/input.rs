@@ -605,15 +605,14 @@ impl Kernel {
 
         // Writers may continue when ACKs freed space.
         if r.writer_space_freed {
-            self.append_write_chunks(sock, mem, Charge::Interrupt, now);
-            // Traditional-path writes complete once fully copied.
-            let copied = self
-                .sockets
-                .get(sock)
-                .and_then(|s| s.blocked_write)
-                .filter(|bw| !bw.uio_path && bw.appended == bw.total);
-            if let Some(bw) = copied {
-                self.finish_write(bw.task, sock, Charge::Interrupt, now);
+            if let Some(mut w) = self.sockets.get(sock).and_then(|s| s.blocked_write) {
+                self.append_write_chunks(sock, &mut w, mem, Charge::Interrupt, now);
+                if let Some(s) = self.sockets.get_mut(sock) {
+                    s.blocked_write = Some(w);
+                }
+            }
+            if let Some(task) = self.settle_write(sock, now) {
+                self.wake(task, sock, Charge::Interrupt);
             }
         }
 
@@ -890,7 +889,9 @@ impl Kernel {
                 if let Some((task, vaddr, len)) = seg.pinned {
                     let cost = self.vm.release(task, vaddr, len);
                     self.cpu_dur(cost, Charge::Interrupt);
-                    self.finish_write_if_done(seg.sock, Charge::Interrupt, now);
+                    if let Some(task) = self.settle_write(seg.sock, now) {
+                        self.wake(task, seg.sock, Charge::Interrupt);
+                    }
                 }
             }
             SdmaPurpose::RxToUser {
@@ -999,7 +1000,7 @@ impl Kernel {
 
     /// A single-copy datagram's copy-in completed: the one `M_UIO`
     /// descriptor `udp_write` queued is consumed, so its claim ends and
-    /// its write's counter is credited, which wakes the writer.
+    /// its write's counter is credited.
     fn datagram_copied(&mut self, sock: SockId, now: Time) {
         let Some(bw) = self.sockets.get(sock).and_then(|s| s.blocked_write) else {
             return;
@@ -1010,9 +1011,7 @@ impl Kernel {
         let r = bw.region;
         self.claims
             .release(ClaimHolder::Queued, r.task, r.base, bw.total);
-        if let Some(done) = self.uio.complete(counter, bw.total) {
-            self.finish_write(done.task, done.sock, Charge::Interrupt, now);
-        }
+        self.credit_write(counter, bw.total, Charge::Interrupt, now);
     }
 
     // ------------------------------------------------------------------

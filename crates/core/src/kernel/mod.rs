@@ -468,61 +468,63 @@ impl Kernel {
     }
 
     /// Credit the UIO counters of `chain`'s `M_UIO` descriptors: their
-    /// bytes have been copied. A writer whose write completes is woken.
+    /// bytes have been copied.
     pub(crate) fn credit_uio(&mut self, chain: &Chain, charge: Charge, now: Time) {
         for m in chain.iter() {
-            let MbufData::Uio(d) = m.data() else {
-                continue;
-            };
-            let Some(done) = d.counter.and_then(|c| self.uio.complete(c, d.len)) else {
-                continue;
-            };
-            self.finish_write(done.task, done.sock, charge, now);
+            if let MbufData::Uio(UioDesc {
+                counter: Some(c),
+                len,
+                ..
+            }) = m.data()
+            {
+                self.credit_write(*c, *len, charge, now);
+            }
         }
     }
 
-    /// `sock`'s blocked write has completed: clear it and wake `task`. In
-    /// debug builds no claim on its buffer may still be open (copy
-    /// semantics, `claims`).
-    ///
-    /// Its bytes have all been copied, but a frame that gathers from the
-    /// buffer may still be parked for a retry (another copy converted its
-    /// range first) or have its copy-in in flight. The write stays open
-    /// until that frame completes or is abandoned, which finishes it
-    /// ([`Kernel::finish_write_if_done`]).
-    pub(crate) fn finish_write(&mut self, task: TaskId, sock: SockId, charge: Charge, now: Time) {
-        let gathering = self
-            .ifaces
-            .iter()
-            .filter_map(Iface::cab_ref)
-            .any(|c| c.gathering(sock));
-        if gathering {
+    /// `bytes` of a write's descriptors have been copied: credit its UIO
+    /// counter, and once it drains settle the write and wake its writer.
+    fn credit_write(
+        &mut self,
+        counter: outboard_mbuf::UioCounterId,
+        bytes: usize,
+        charge: Charge,
+        now: Time,
+    ) {
+        let Some(done) = self.uio.complete(counter, bytes) else {
             return;
+        };
+        if let Some(task) = self.settle_write(done.sock, now) {
+            self.wake(task, done.sock, charge);
         }
-        let bw = self
-            .sockets
-            .get_mut(sock)
-            .and_then(|s| s.blocked_write.take());
-        if let Some(bw) = bw {
-            let r = bw.region;
-            self.claims.check_write_done(r.task, r.base, bw.total, now);
-        }
-        self.wake(task, sock, charge);
     }
 
-    /// A frame of `sock` that gathered from user memory is done with it:
-    /// finish a blocked write that was waiting only for that.
-    pub(crate) fn finish_write_if_done(&mut self, sock: SockId, charge: Charge, now: Time) {
-        let done = self
-            .sockets
-            .get(sock)
-            .and_then(|s| s.blocked_write)
-            .filter(|bw| {
-                bw.appended == bw.total && bw.counter.is_none_or(|c| self.uio.get(c).is_none())
-            });
-        if let Some(bw) = done {
-            self.finish_write(bw.task, sock, charge, now);
+    /// §4.4.2's copy-semantics rule, the one place a write ends. `sock`'s
+    /// write is over once every byte is appended, its UIO counter (if it
+    /// made one) has drained, and no frame still gathers from its buffer:
+    /// one parked for a retry, or with its copy-in in flight. A dropped
+    /// connection appends and credits nothing more, so its write waits for
+    /// those frames alone. The write is cleared, in debug builds no claim
+    /// on its buffer may still be open (`claims`), and its writer is
+    /// returned for a caller on an event path to wake. `write(2)` puts a
+    /// write on its socket only after the call's own send, and returns
+    /// `Done` instead when the rule ends it there: it never wakes itself.
+    fn settle_write(&mut self, sock: SockId, now: Time) -> Option<TaskId> {
+        let s = self.sockets.get(sock)?;
+        let bw = s.blocked_write?;
+        let dropped = s.tcb.as_ref().is_some_and(|t| t.state == TcpState::Closed);
+        let live = |c| self.uio.get(c).is_some();
+        if !dropped && (bw.appended < bw.total || bw.counter.is_some_and(live)) {
+            return None;
         }
+        let mut cabs = self.ifaces.iter().filter_map(Iface::cab_ref);
+        if cabs.any(|c| c.gathering(sock)) {
+            return None;
+        }
+        self.sock_mut(sock).blocked_write = None;
+        let r = bw.region;
+        self.claims.check_write_done(r.task, r.base, bw.total, now);
+        Some(bw.task)
     }
 
     /// Temporarily detach a CAB interface so device calls can run while
@@ -833,50 +835,28 @@ impl Kernel {
                 return Err(StackError::InvalidState("write already in progress"));
             }
         }
-        let uio_path = self.use_uio_path(sock, vaddr, len);
-        let region = UioRegion { task, base: vaddr };
-        let counter = if uio_path {
-            Some(self.uio.create(task, sock, len))
-        } else {
-            None
+        let counter = self
+            .use_uio_path(sock, vaddr, len)
+            .then(|| self.uio.create(sock, len));
+        let mut bw = BlockedWrite {
+            task,
+            region: UioRegion { task, base: vaddr },
+            total: len,
+            appended: 0,
+            counter,
         };
-        {
-            let s = self.sock_mut(sock);
-            s.blocked_write = Some(BlockedWrite {
-                task,
-                region,
-                total: len,
-                appended: 0,
-                counter,
-                uio_path,
-            });
-        }
-        self.append_write_chunks(sock, mem, Charge::Syscall, now);
+        self.append_write_chunks(sock, &mut bw, mem, Charge::Syscall, now);
         self.tcp_send(sock, mem, now, false);
-
-        let s = self.sock_mut(sock);
-        // The legacy conversion layer may have completed the write
-        // synchronously (UIO data copied at the driver boundary, counter
-        // drained, blocked_write cleared).
-        let Some(bw) = s.blocked_write.as_ref().copied() else {
-            self.claims.check_write_done(task, vaddr, len, now);
-            return Ok((WriteResult::Done { bytes: len }, self.take_effects(now)));
+        // On the socket only now: a write that a legacy driver's
+        // conversion copied whole in the send above ends in this return.
+        self.sock_mut(sock).blocked_write = Some(bw);
+        let r = match self.settle_write(sock, now) {
+            Some(_) => WriteResult::Done { bytes: len },
+            None => WriteResult::Blocked {
+                accepted: bw.appended,
+            },
         };
-        // Single-copy writes complete only when the DMA counter drains,
-        // which is never synchronous; traditional writes complete once the
-        // data is copied into the socket buffer.
-        if !bw.uio_path && bw.appended == bw.total {
-            s.blocked_write = None;
-            self.claims.check_write_done(task, vaddr, len, now);
-            Ok((WriteResult::Done { bytes: len }, self.take_effects(now)))
-        } else {
-            Ok((
-                WriteResult::Blocked {
-                    accepted: bw.appended,
-                },
-                self.take_effects(now),
-            ))
-        }
+        Ok((r, self.take_effects(now)))
     }
 
     /// §4.4.3 + §4.5: which path does this write take?
@@ -910,12 +890,13 @@ impl Kernel {
         self.cfg.force_single_copy || len >= UIO_THRESHOLD
     }
 
-    /// Move as much as possible of the blocked write into `so_snd`,
+    /// Move as much as possible of the write `w` into `so_snd`,
     /// mapping/pinning (single-copy) or copying (traditional) as we go —
     /// "one socket buffer worth at a time, as data is handed down" (§4.4.1).
     pub(crate) fn append_write_chunks(
         &mut self,
         sock: SockId,
+        w: &mut BlockedWrite,
         mem: &mut HostMem,
         charge: Charge,
         now: Time,
@@ -924,71 +905,64 @@ impl Kernel {
             let Some(s) = self.sockets.get(sock) else {
                 return;
             };
-            let Some(bw) = s.blocked_write else { return };
-            let space = s.so_snd.space();
-            let remaining = bw.total - bw.appended;
-            if space == 0 || remaining == 0 {
+            let remaining = w.total - w.appended;
+            let mss = s.tcb.as_ref().map(|t| t.mss).unwrap_or(1460);
+            let mut chunk = remaining.min(s.so_snd.space()).min(mss);
+            // A UIO chunk ends on a word boundary unless it is the write's
+            // tail, so the next one starts word-aligned in user space
+            // (§4.5), as `Tcb::output` keeps its segments. With less space
+            // than a word, wait for ACKs to free more.
+            if w.counter.is_some() && chunk < remaining {
+                chunk &= !3;
+            }
+            if chunk == 0 {
                 return;
             }
-            let mss = s.tcb.as_ref().map(|t| t.mss).unwrap_or(1460);
-            let chunk = remaining.min(space).min(mss);
             // Socket-layer per-packet work.
             self.cpu(self.costs.socket_pkt, charge);
-            let (task, cur_addr) = (bw.region.task, bw.region.base + bw.appended as u64);
-            if bw.uio_path && !cur_addr.is_multiple_of(4) {
+            let (task, cur_addr) = (w.region.task, w.region.base + w.appended as u64);
+            let unaligned_start = w.appended == 0 && !cur_addr.is_multiple_of(4);
+            if let Some(c) = w.counter.filter(|_| unaligned_start) {
                 // Align-split extension (§4.5): copy the 1-3 bytes up to
                 // the next word boundary through a kernel mbuf so the rest
-                // of the write can be DMAed.
-                assert!(self.cfg.align_split, "unaligned UIO without align_split");
+                // of the write can be DMAed. The copy satisfies copy
+                // semantics for them now.
                 let fix = (4 - (cur_addr % 4) as usize).min(remaining);
                 let m = Mbuf::kernel(self.copyin(task, cur_addr, fix, Some(64), mem, charge));
                 self.mbuf_stats.count(&m);
                 self.sock_mut(sock).so_snd.chain.append(m);
-                // The copy satisfies copy semantics for these bytes now.
-                if let Some(c) = bw.counter {
-                    self.uio_issue(c, fix);
-                    if let Some(st) = self.uio.complete(c, fix) {
-                        // A sub-word write drained entirely via the copy.
-                        self.finish_write(st.task, st.sock, charge, now);
-                        return;
-                    }
-                }
-                // Installed at sys_write entry; only completion clears it,
-                // which returned above.
-                let Some(w) = self.sock_mut(sock).blocked_write.as_mut() else {
-                    return;
-                };
+                self.uio_issue(c, fix);
                 w.appended += fix;
+                if self.uio.complete(c, fix).is_some() {
+                    // A sub-word write, drained by the copy: the caller
+                    // settles it.
+                    return;
+                }
                 // Flush the fragment as its own short packet (the paper:
                 // "send a first packet of 16 bits") so every subsequent
                 // segment boundary lands word-aligned in user space.
                 self.tcp_send(sock, mem, now, false);
                 continue;
             }
-            let m = if bw.uio_path {
+            let m = if let Some(c) = w.counter {
                 // Pin + map the chunk's pages in the caller's context.
                 let cost = self.vm.prepare(task, cur_addr, chunk);
                 self.cpu_dur(cost, charge);
                 let desc = UioDesc {
-                    region: bw.region,
-                    off: bw.appended as u64,
+                    region: w.region,
+                    off: w.appended as u64,
                     len: chunk,
-                    counter: bw.counter,
+                    counter: Some(c),
                 };
-                if let Some(c) = bw.counter {
-                    self.uio_issue(c, chunk);
-                }
+                self.uio_issue(c, chunk);
                 self.claims.claim_descriptor(&desc);
                 Mbuf::uio(desc)
             } else {
                 // Traditional path: copy through kernel buffers.
-                Mbuf::kernel(self.copyin(task, cur_addr, chunk, Some(bw.total), mem, charge))
+                Mbuf::kernel(self.copyin(task, cur_addr, chunk, Some(w.total), mem, charge))
             };
             self.mbuf_stats.count(&m);
             self.sock_mut(sock).so_snd.chain.append(m);
-            let Some(w) = self.sock_mut(sock).blocked_write.as_mut() else {
-                return;
-            };
             w.appended += chunk;
         }
     }
@@ -1080,7 +1054,7 @@ impl Kernel {
         self.maybe_window_update(sock, mem, now);
 
         if dma_bytes > 0 {
-            let counter = self.uio.create(task, sock, dma_bytes);
+            let counter = self.uio.create(sock, dma_bytes);
             self.uio_issue(counter, dma_bytes);
             let s = self.sock_mut(sock);
             s.blocked_read = Some(BlockedRead {
@@ -1313,7 +1287,7 @@ impl Kernel {
         let region = UioRegion { task, base: vaddr };
         let mut chain = Chain::new();
         let counter = if uio_path {
-            let counter = self.uio.create(task, sock, len);
+            let counter = self.uio.create(sock, len);
             self.uio_issue(counter, len);
             let cost = self.vm.prepare(task, vaddr, len);
             self.cpu_dur(cost, Charge::Syscall);
@@ -1333,33 +1307,28 @@ impl Kernel {
         };
         self.cpu(self.costs.socket_pkt, Charge::Syscall);
         self.udp_output(sock, local, remote, chain, mem, now);
-        // The legacy conversion layer may have drained the counter
-        // synchronously (route fell back to a conventional device).
-        let still_live = counter.map(|c| self.uio.get(c).is_some()).unwrap_or(false);
-        if let (Some(counter), true) = (counter, still_live) {
-            let s = self.sock_mut(sock);
-            s.blocked_write = Some(BlockedWrite {
-                task,
-                region,
-                total: len,
-                appended: len,
-                counter: Some(counter),
-                uio_path: true,
-            });
-            Ok((
-                WriteResult::Blocked { accepted: len },
-                self.take_effects(now),
-            ))
-        } else {
-            self.claims.check_write_done(task, vaddr, len, now);
-            Ok((WriteResult::Done { bytes: len }, self.take_effects(now)))
-        }
+        let s = self.sock_mut(sock);
+        s.blocked_write = Some(BlockedWrite {
+            task,
+            region,
+            total: len,
+            appended: len,
+            counter,
+        });
+        // A legacy driver's conversion may have copied the datagram in
+        // the send above.
+        let r = match self.settle_write(sock, now) {
+            Some(_) => WriteResult::Done { bytes: len },
+            None => WriteResult::Blocked { accepted: len },
+        };
+        Ok((r, self.take_effects(now)))
     }
 
     /// Net/2's `tcp_drop`: end the connection with `err`. A synchronized
     /// connection tells its peer with one RST when `tell_peer` (not when
     /// the peer's own RST ended it). The send queue goes at once, and with
-    /// it its outboard buffers and a blocked write. A socket the
+    /// it its outboard buffers, and a blocked write ends once no frame
+    /// still gathers from its buffer (`settle_write`). A socket the
     /// application has closed (or never accepted) is torn down; any other
     /// stays, `Closed`, until the application closes it: its next `read`
     /// or `write` returns `err`, once, and a writer, reader or connector
@@ -1396,19 +1365,12 @@ impl Kernel {
         // before the error.
         self.claims
             .release_descriptors(&std::mem::take(&mut s.so_snd.chain));
-        let writer = s.blocked_write.take();
-        let blocked = [
-            writer.map(|w| w.task),
-            s.waiting_reader.take().map(|r| r.task),
-            s.connector.take(),
-        ];
+        let counter = s.blocked_write.and_then(|w| w.counter);
+        let reader = s.waiting_reader.take().map(|r| r.task);
+        let connector = s.connector.take();
         let endpoints = s.local.zip(s.remote);
-        if let Some(w) = writer {
-            let r = w.region;
-            self.claims.check_write_done(r.task, r.base, w.total, now);
-            if let Some(c) = w.counter {
-                self.uio.cancel(c);
-            }
+        if let Some(c) = counter {
+            self.uio.cancel(c);
         }
         if let (Some((seq, ack)), Some((local, remote))) = (rst, endpoints) {
             let flags = outboard_wire::TcpFlags::RST | outboard_wire::TcpFlags::ACK;
@@ -1418,7 +1380,8 @@ impl Kernel {
             self.teardown(sock, now);
             return;
         }
-        for task in blocked.into_iter().flatten() {
+        let writer = self.settle_write(sock, now);
+        for task in [writer, reader, connector].into_iter().flatten() {
             self.wake(task, sock, Charge::Interrupt);
         }
     }

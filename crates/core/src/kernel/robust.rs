@@ -233,7 +233,7 @@ impl Kernel {
     }
 
     /// Release the pins of the abandoned transmissions' `segments` (which
-    /// finishes a write that waited only for them), then rewind each
+    /// settles a write that waited only for them), then rewind each
     /// connection they or `socks` name to its unacknowledged left edge and
     /// push it back through the output path (now the traditional one if
     /// degraded).
@@ -248,7 +248,9 @@ impl Kernel {
         socks.sort();
         socks.dedup();
         for sock in socks {
-            self.finish_write_if_done(sock, Charge::Interrupt, now);
+            if let Some(task) = self.settle_write(sock, now) {
+                self.wake(task, sock, Charge::Interrupt);
+            }
             if let Some(tcb) = self.sockets.get_mut(sock).and_then(|s| s.tcb.as_mut()) {
                 tcb.rewind_for_rebuild();
             }

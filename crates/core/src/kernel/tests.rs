@@ -1006,7 +1006,8 @@ fn deliver_outboard(
     deliver_segment(rig, cab, to, seq, &payload, flags);
 }
 
-/// [`deliver_outboard`] with the segment's payload given.
+/// [`deliver_outboard`] with the segment's payload given. Returns the
+/// effects of the receive interrupt.
 fn deliver_segment(
     rig: &mut Rig,
     cab: IfaceId,
@@ -1014,7 +1015,7 @@ fn deliver_segment(
     seq: u32,
     payload: &[u8],
     flags: TcpFlags,
-) {
+) -> Vec<Effect> {
     use outboard_wire::checksum::{pseudo_header_sum, Accumulator};
     use outboard_wire::hippi::HippiHeader;
     use outboard_wire::ipv4::Ipv4Header;
@@ -1039,6 +1040,7 @@ fn deliver_segment(
     let fx = rig
         .k
         .frame_arrive(cab, Bytes::from(frame), &mut rig.mem, rig.now);
+    let mut out = Vec::new();
     for e in fx {
         if let Effect::Cab {
             event:
@@ -1052,10 +1054,13 @@ fn deliver_segment(
         } = e
         {
             rig.now = rig.now.max(at);
-            rig.k
-                .rx_interrupt(cab, packet, autodma, frame_len, &mut rig.mem, rig.now);
+            out.extend(
+                rig.k
+                    .rx_interrupt(cab, packet, autodma, frame_len, &mut rig.mem, rig.now),
+            );
         }
     }
+    out
 }
 
 /// Read everything queued on `sock` in one `read(2)`: the outboard bytes
@@ -1368,14 +1373,17 @@ fn a_write_completes_after_its_last_copy_in() {
 }
 
 /// Planted: the writer is woken one copy-in completion early, at the
-/// second of three, and the woken application reuses its buffer. The
-/// third segment's descriptor still claims its bytes: an early wake, then
-/// a user write while they wait for their DMA.
+/// second of three (its counter is credited the third segment's bytes),
+/// and the woken application reuses its buffer. The third segment's
+/// descriptor still claims its bytes: an early wake, then a user write
+/// while they wait for their DMA.
 #[test]
 fn a_wake_one_completion_early_is_caught() {
     let mut rig = Rig::loopback(StackConfig::single_copy());
     let (c, _cab, mss, _) = write_two_of_three_segments(&mut rig);
-    rig.k.finish_write(WRITER, c, Charge::Interrupt, rig.now);
+    let counter = rig.k.socket_ref(c).unwrap().blocked_write.unwrap().counter;
+    assert!(rig.k.uio.complete(counter.unwrap(), mss).is_some());
+    assert_eq!(rig.k.settle_write(c, rig.now), Some(WRITER));
     rig.k.note_user_write(WRITER, WRITE_BUF, 3 * mss, rig.now);
     use crate::{ClaimHolder::Queued, UserViolationKind::*};
     assert_eq!(
@@ -1401,6 +1409,87 @@ fn a_descriptor_credited_twice_is_caught() {
     );
     use crate::{ClaimHolder::Queued, UserViolationKind::EarlyWake};
     assert_eq!(violation_kinds(&rig), [(EarlyWake, Queued)]);
+}
+
+/// The wakes of `task` among `fx`.
+fn wakes_of(fx: &[Effect], task: TaskId) -> usize {
+    (fx.iter())
+        .filter(|e| matches!(e, Effect::Wake { task: t, .. } if *t == task))
+        .count()
+}
+
+/// A single-copy write that a legacy driver copies whole inside its own
+/// `write(2)` (the socket was written for a CAB, but its route now leads
+/// to the loopback) returns `Done` and wakes nobody: the writer never
+/// blocked. The same holds for a datagram.
+#[test]
+fn a_write_copied_in_its_own_call_wakes_nobody() {
+    let mut cfg = StackConfig::single_copy();
+    cfg.force_single_copy = true;
+    let mut rig = Rig::loopback(cfg);
+    let (c, _child) = established_loopback_pair(&mut rig);
+    let cab = rig.add_cab();
+    let u = rig.k.sys_socket(Proto::Udp);
+    rig.k.sys_connect_udp(u, SockAddr::new(LO, 9)).unwrap();
+    rig.mem.create_region(WRITER, WRITE_BUF, 4096);
+    for (n, sock) in [c, u].into_iter().enumerate() {
+        rig.k.sockets.get_mut(sock).unwrap().iface_hint = Some(cab);
+        let (r, fx) = rig
+            .k
+            .sys_write(sock, WRITER, WRITE_BUF, 4096, &mut rig.mem, rig.now)
+            .unwrap();
+        assert_eq!(r, WriteResult::Done { bytes: 4096 }, "{sock:?}");
+        assert_eq!(rig.k.stats.uio_to_regular, n as u64 + 1, "{sock:?}");
+        assert_eq!(wakes_of(&fx, WRITER), 0, "{sock:?}");
+        assert!(rig.k.socket_ref(sock).unwrap().blocked_write.is_none());
+    }
+    assert_eq!(violation_kinds(&rig), []);
+}
+
+/// The peer resets a connection while the one frame of its blocked write
+/// is parked (the CAB had no network memory for it), still to gather from
+/// the writer's buffer: the writer sleeps on. It is woken once, when the
+/// board crashes and the frame is abandoned, and no claim on its buffer
+/// is open at either point.
+#[test]
+fn a_dropped_write_ends_when_its_parked_frame_is_abandoned() {
+    let mut cfg = StackConfig::single_copy();
+    cfg.force_single_copy = true;
+    let mut rig = Rig::loopback(cfg);
+    let (c, _child) = established_loopback_pair(&mut rig);
+    let cab = rig.add_cab();
+    rig.k.routes.clear();
+    rig.k.add_route(LO, 32, cab);
+    rig.k.add_arp_hippi(cab, LO, 2);
+    rig.k.sockets.get_mut(c).unwrap().iface_hint = Some(cab);
+    rig.k.with_cab(cab, |_, ci| {
+        let next = ci.cab.faults.counts().crossed(Point::Alloc) + 1;
+        (ci.cab.faults).add(Fault::crossing(next, 0, Point::Alloc, Action::Fail));
+    });
+    rig.mem.create_region(WRITER, WRITE_BUF, 4096);
+    let (r, fx) = rig
+        .k
+        .sys_write(c, WRITER, WRITE_BUF, 4096, &mut rig.mem, rig.now)
+        .unwrap();
+    assert!(matches!(r, WriteResult::Blocked { .. }), "{r:?}");
+    assert!(rig.k.iface(cab).cab_ref().unwrap().gathering(c));
+    let mut wakes = wakes_of(&fx, WRITER);
+    let s = rig.k.socket_ref(c).unwrap();
+    let seq = s.tcb.as_ref().unwrap().rcv_nxt;
+    let fx = deliver_segment(&mut rig, cab, c, seq, &[], TcpFlags::RST);
+    wakes += wakes_of(&fx, WRITER);
+    let s = rig.k.socket_ref(c).unwrap();
+    assert_eq!(s.tcb.as_ref().unwrap().state, TcpState::Closed);
+    assert!(s.blocked_write.is_some(), "woken while its frame is parked");
+    assert_eq!((wakes, violation_kinds(&rig)), (0, vec![]));
+    let fx = rig.k.cab_board_crash(cab, &mut rig.mem, rig.now);
+    assert_eq!(wakes_of(&fx, WRITER), 1);
+    assert!(rig.k.socket_ref(c).unwrap().blocked_write.is_none());
+    assert_eq!(violation_kinds(&rig), []);
+    let again = rig
+        .k
+        .sys_write(c, WRITER, WRITE_BUF, 4096, &mut rig.mem, rig.now);
+    assert_eq!(again.err(), Some(StackError::ConnReset));
 }
 
 /// The legacy flatten's `M_UIO` arm, which no world run reaches (a

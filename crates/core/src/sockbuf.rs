@@ -5,11 +5,12 @@
 //! path may only return once *all* of its bytes have been copied outboard
 //! (copy semantics), and a `read` only once all DMAs filling the user buffer
 //! have completed. Each blocked operation owns a counter tracking its
-//! outstanding bytes; drivers decrement it from end-of-DMA handling and the
-//! socket layer wakes the process when it drains.
+//! outstanding bytes; drivers decrement it from end-of-DMA handling. A
+//! drained counter ends a read; a write also waits for the frames that
+//! still gather from its buffer (`Kernel::settle_write`).
 
 use crate::types::{SockId, StackError};
-use outboard_mbuf::{Chain, TaskId, UioCounterId};
+use outboard_mbuf::{Chain, UioCounterId};
 use outboard_sim::IdTable;
 
 /// A bounded socket buffer.
@@ -49,8 +50,6 @@ impl SockBuf {
 /// State of one blocked single-copy operation (§4.4.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct UioState {
-    /// The blocked process.
-    pub task: TaskId,
     /// The socket the operation runs on.
     pub sock: SockId,
     /// Bytes queued/issued but whose DMA has not completed yet.
@@ -82,13 +81,12 @@ impl UioCounters {
     }
 
     /// Register a blocked operation covering `total` bytes.
-    pub(crate) fn create(&mut self, task: TaskId, sock: SockId, total: usize) -> UioCounterId {
+    pub(crate) fn create(&mut self, sock: SockId, total: usize) -> UioCounterId {
         let id = UioCounterId(self.next);
         self.next += 1;
         self.live.insert(
             id.0,
             UioState {
-                task,
                 sock,
                 outstanding: 0,
                 unissued: total,
@@ -113,7 +111,8 @@ impl UioCounters {
     }
 
     /// Record DMA completion of `bytes`; returns the state if the whole
-    /// operation just drained (caller wakes the process and removes it).
+    /// operation just drained (the counter is removed, and the caller ends
+    /// the operation).
     pub(crate) fn complete(&mut self, id: UioCounterId, bytes: usize) -> Option<UioState> {
         let st = self.live.get_mut(id.0)?;
         assert!(st.outstanding >= bytes, "completing more than outstanding");
@@ -159,23 +158,24 @@ mod tests {
     #[test]
     fn counter_lifecycle_models_a_blocked_write() {
         let mut reg = UioCounters::new();
-        let id = reg.create(TaskId(1), SockId(0), 64 * 1024);
+        let id = reg.create(SockId(0), 64 * 1024);
         // Socket layer hands down two 32 KB packets.
         reg.issue(id, 32 * 1024).unwrap();
         reg.issue(id, 32 * 1024).unwrap();
         assert!(!reg.get(id).unwrap().drained());
         // First DMA completes: still outstanding.
         assert!(reg.complete(id, 32 * 1024).is_none());
-        // Second completes: drained, counter removed, caller wakes task 1.
+        // Second completes: drained, counter removed, caller settles the
+        // write on socket 0.
         let st = reg.complete(id, 32 * 1024).expect("drained");
-        assert_eq!(st.task, TaskId(1));
+        assert_eq!(st.sock, SockId(0));
         assert_eq!(reg.live_count(), 0);
     }
 
     #[test]
     fn partial_issue_keeps_blocking() {
         let mut reg = UioCounters::new();
-        let id = reg.create(TaskId(2), SockId(1), 100);
+        let id = reg.create(SockId(1), 100);
         reg.issue(id, 40).unwrap();
         // DMA of the issued part completes, but 60 bytes never got buffer
         // space yet: not drained.
@@ -187,7 +187,7 @@ mod tests {
     #[test]
     fn cancel_removes() {
         let mut reg = UioCounters::new();
-        let id = reg.create(TaskId(1), SockId(0), 10);
+        let id = reg.create(SockId(0), 10);
         reg.cancel(id);
         assert!(reg.get(id).is_none());
         assert!(reg.complete(id, 10).is_none());

@@ -33,11 +33,10 @@ pub(crate) struct BlockedWrite {
     pub total: usize,
     /// Bytes already handed to the transport layer (appended to `so_snd`).
     pub appended: usize,
-    /// Outstanding-DMA counter (single-copy path only).
+    /// Outstanding-DMA counter: made only by a write on the single-copy
+    /// path, which appends `M_UIO` descriptors; a traditional write copies
+    /// and blocks on space alone.
     pub counter: Option<UioCounterId>,
-    /// True when this write uses `M_UIO` descriptors (single-copy path);
-    /// false for the traditional copy path (blocks on space only).
-    pub uio_path: bool,
 }
 
 /// A `read` blocked on outboard copy-out DMA.

@@ -6,7 +6,8 @@
 use outboard::host::MachineConfig;
 use outboard::sim::{Dur, Time};
 use outboard::stack::{StackConfig, StackMode};
-use outboard::testbed::experiment::build_ttcp_world;
+use outboard::testbed::experiment::{build_ttcp_world, run_ttcp_in};
+use outboard::testbed::oracle::copy_violations;
 use outboard::testbed::{run_ttcp, ExperimentConfig};
 
 fn sc_config(write_size: usize, total: usize) -> ExperimentConfig {
@@ -25,6 +26,43 @@ fn bulk_transfer_delivers_exact_bytes() {
         assert!(m.completed, "stalled at write size {write_size}: {m:?}");
         assert_eq!(m.bytes, 2 * 1024 * 1024);
         assert_eq!(m.verify_errors, 0, "corruption at write size {write_size}");
+    }
+}
+
+/// Socket buffers that are no multiple of a word, or of the MSS: ACKs
+/// free space a byte count at a time, but the single-copy path appends
+/// only word-multiple chunks before a write's tail, so each chunk still
+/// starts word-aligned in user space (§4.5) and the sender never falls
+/// back to copying one. Each (buffer, write) pair here frees space that
+/// would start a later chunk unaligned without that rounding. Both stacks
+/// must deliver every byte, with no copy-semantics violation.
+#[test]
+fn odd_socket_buffers_deliver_every_byte() {
+    const PAIRS: [(usize, usize); 4] = [
+        (4096, 10_001),
+        (10_001, 4096),
+        (10_001, 65_536),
+        (65_535, 65_536),
+    ];
+    for (sock_buf, write_size) in PAIRS {
+        for mut stack in [StackConfig::single_copy(), StackConfig::unmodified()] {
+            stack.force_single_copy = stack.mode == StackMode::SingleCopy;
+            stack.sock_buf = sock_buf;
+            let machine = MachineConfig::alpha_3000_400();
+            let mut cfg = ExperimentConfig::new(machine, stack, write_size);
+            cfg.total_bytes = 256 * 1024;
+            let mut w = build_ttcp_world(&cfg);
+            let m = run_ttcp_in(&mut w, &cfg);
+            let run = format!(
+                "{:?}, buffer {sock_buf}, write {write_size}",
+                cfg.stack.mode
+            );
+            assert!(m.completed, "{run}: {:?}", m.outcome);
+            assert_eq!((m.bytes, m.verify_errors), (256 * 1024, 0), "{run}");
+            assert_eq!(copy_violations(&w), Vec::<String>::new(), "{run}");
+            let fallbacks = m.stats.counter_value("host0.csum.aligned_fallbacks");
+            assert_eq!(fallbacks, 0, "{run}");
+        }
     }
 }
 
