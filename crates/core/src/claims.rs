@@ -283,7 +283,9 @@ mod tests {
         j.release_descriptors(&desc(200, 100));
         j.check_write_done(T, 0x1000, 300, Time::ZERO);
         let kinds: Vec<_> = j.violations().iter().map(|v| v.kind).collect();
-        assert_eq!(kinds, [UserViolationKind::EarlyWake], "one wake was early");
+        if ARMED {
+            assert_eq!(kinds, [UserViolationKind::EarlyWake], "one wake was early");
+        }
     }
 
     #[test]
@@ -293,14 +295,14 @@ mod tests {
         j.claim(ClaimHolder::Gather, T, 0x1000, 64);
         j.release(ClaimHolder::Gather, T, 0x1000, 64);
         j.check_user_write(T, 0x1000 + 63, 1, Time::ZERO);
-        let v = j.violations()[0];
-        assert_eq!(
-            (v.kind, v.holder),
-            (UserViolationKind::UserWriteWhileDma, ClaimHolder::Gather)
-        );
+        let first = j.violations().first().map(|v| (v.kind, v.holder));
         j.release(ClaimHolder::Gather, T, 0x1000, 64);
         j.check_write_done(T, 0x1000, 64, Time::ZERO);
-        assert_eq!(j.violations().len(), 1);
+        if ARMED {
+            let write_while_gather = (UserViolationKind::UserWriteWhileDma, ClaimHolder::Gather);
+            assert_eq!(first, Some(write_while_gather));
+            assert_eq!(j.violations().len(), 1);
+        }
     }
 
     #[test]
@@ -314,6 +316,8 @@ mod tests {
         j.check_read_done(TaskId(2), 0x1000, 64, Time::ZERO);
         assert!(j.violations().is_empty(), "another task's address space");
         j.check_read_done(T, 0x1000, 64, Time::ZERO);
-        assert_eq!(j.violations()[0].holder, ClaimHolder::CopyOut);
+        if ARMED {
+            assert_eq!(j.violations()[0].holder, ClaimHolder::CopyOut);
+        }
     }
 }

@@ -264,6 +264,27 @@ impl CabIface {
             .collect()
     }
 
+    /// Abandon every parked transmission to TCP recovery (a give-up or a
+    /// board reset): count each, clear the retry state, and return the
+    /// segments whose user pages the frames still pin. A parked media
+    /// transfer's packet is disowned while an engine is wedged, which may
+    /// have seized it mid-transfer; the board reset reclaims it instead.
+    pub(crate) fn abandon_retries(&mut self) -> Vec<TxSegment> {
+        self.health.retry_armed = false;
+        self.health.retry_round = 0;
+        let wedged = self.cab.any_engine_wedged();
+        let mut segments = Vec::new();
+        for entry in std::mem::take(&mut self.retry_q) {
+            self.health.stats.abandoned_tx += 1;
+            match entry {
+                PendingTx::Sdma(frame) => segments.extend(frame.segment),
+                PendingTx::Mdma(job) if wedged => job.packet.disown(),
+                PendingTx::Mdma(_) => {}
+            }
+        }
+        segments
+    }
+
     /// Allocate a packet of `len` bytes whose data starts `hdr_len` bytes
     /// in, with its first handle. Released packets are freed first, so the
     /// allocation sees every page their holders gave up.

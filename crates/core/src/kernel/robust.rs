@@ -2,8 +2,13 @@
 //! transient DMA failures and network-memory exhaustion, degraded mode
 //! (fall back to the traditional host-buffered, software-checksum path)
 //! with periodic recovery probes, and a watchdog that resets a board whose
-//! engine has wedged and rebuilds transmit state from the socket send
-//! queues.
+//! engine has wedged.
+//!
+//! A reset and a give-up share one recovery rule (`rebuild_transmit`):
+//! what the interface abandons is not traced back to its sockets; every
+//! connection routed over it rewinds to its unacknowledged left edge and
+//! sends again with an ACK forced, so a dropped control frame is resent
+//! like dropped data.
 //!
 //! The paper's driver treats outboard-resource exhaustion as "a transient
 //! out-of-resources condition" (§4.4.3); this module applies that
@@ -13,7 +18,7 @@
 use super::Kernel;
 use crate::claims::ClaimHolder;
 use crate::driver::{CabIface, PendingTx, TxSegment};
-use crate::types::{Effect, IfaceId, SockId, TimerKind};
+use crate::types::{Effect, IfaceId, SockAddr, SockId, TimerKind};
 use outboard_cab::{CabError, CabEvent, PacketId, SdmaDst, SdmaRx};
 use outboard_host::{Charge, HostMem, UserMemory};
 use outboard_mbuf::{Chain, Mbuf, MbufData, PacketRef};
@@ -131,21 +136,8 @@ impl Kernel {
         });
     }
 
-    /// Release a transmit segment's pinned user pages and its frame's claim
-    /// on them (the completion that would have released them will never
-    /// run).
-    fn release_segment_pins(&mut self, seg: &TxSegment) -> SockId {
-        if let Some((task, vaddr, len)) = seg.pinned {
-            self.claims.release(ClaimHolder::Gather, task, vaddr, len);
-            let cost = self.vm.release(task, vaddr, len);
-            self.cpu_dur(cost, Charge::Interrupt);
-        }
-        seg.sock
-    }
-
     /// Re-attempt one parked transmission. On failure the entry goes back
-    /// on the retry queue (without re-arming: the caller owns the timer) or
-    /// is dropped when the device says it can never succeed.
+    /// on the retry queue (without re-arming: the caller owns the timer).
     fn submit_pending(
         k: &mut Kernel,
         cab: &mut CabIface,
@@ -160,12 +152,14 @@ impl Kernel {
                 let Err((job, e)) = Kernel::mdma_out(k, cab, iface, job, now, None) else {
                     return;
                 };
-                if e.is_transient() || matches!(e, CabError::EngineWedged(_)) {
+                // Nothing else refuses it: the job's handle keeps the
+                // packet, a board reset empties the queue first, and no
+                // frame is empty.
+                let retry = e.is_transient() || matches!(e, CabError::EngineWedged(_));
+                debug_assert!(retry, "a parked media transfer refused: {e}");
+                if retry {
                     cab.retry_q.push_back(PendingTx::Mdma(job));
                 } else {
-                    // The packet vanished (board reset) or the request is
-                    // malformed: nothing a retry can fix, and the job's
-                    // handle goes with it.
                     cab.health.stats.abandoned_tx += 1;
                 }
             }
@@ -213,40 +207,37 @@ impl Kernel {
     /// path so progress continues without the adaptor.
     fn cab_give_up(&mut self, iface_id: IfaceId, mem: &mut HostMem, now: Time) {
         let segments = self.with_cab(iface_id, |k, cab| {
-            cab.health.retry_round = 0;
-            let parked: Vec<PendingTx> = cab.retry_q.drain(..).collect();
-            let mut segments = Vec::new();
-            for entry in parked {
-                cab.health.stats.abandoned_tx += 1;
-                match entry {
-                    PendingTx::Sdma(frame) => segments.extend(frame.segment),
-                    // If an engine is wedged this packet may be seized
-                    // mid-transfer; the board reset reclaims it instead.
-                    PendingTx::Mdma(job) if cab.cab.any_engine_wedged() => job.packet.disown(),
-                    PendingTx::Mdma(_) => {}
-                }
-            }
+            let segments = cab.abandon_retries();
             Kernel::degrade(k, cab, iface_id, now);
             segments
         });
-        self.rebuild_transmit(Vec::new(), &segments, mem, now);
+        self.rebuild_transmit(iface_id, &segments, mem, now);
     }
 
-    /// Release the pins of the abandoned transmissions' `segments` (which
-    /// settles a write that waited only for them), then rewind each
-    /// connection they or `socks` name to its unacknowledged left edge and
-    /// push it back through the output path (now the traditional one if
-    /// degraded).
+    /// The one recovery rule. The abandoned `segments` release their pinned
+    /// user pages and their frames' claims on them (the completions that
+    /// would have released them will never run). Then every connection
+    /// routed over `iface` settles its write, rewinds to its
+    /// unacknowledged left edge and goes back through the output path (now
+    /// the traditional one) with an ACK forced. What the interface dropped
+    /// records no connection, and need not: data, a SYN, a FIN, a pure ACK
+    /// or a window update is sent again by the connection it came from.
     fn rebuild_transmit(
         &mut self,
-        mut socks: Vec<SockId>,
+        iface: IfaceId,
         segments: &[TxSegment],
         mem: &mut HostMem,
         now: Time,
     ) {
-        socks.extend(segments.iter().map(|s| self.release_segment_pins(s)));
-        socks.sort();
-        socks.dedup();
+        for (task, vaddr, len) in segments.iter().filter_map(|s| s.pinned) {
+            self.claims.release(ClaimHolder::Gather, task, vaddr, len);
+            let cost = self.vm.release(task, vaddr, len);
+            self.cpu_dur(cost, Charge::Interrupt);
+        }
+        let routed = |r: SockAddr| self.routes.lookup(r.ip) == Some(iface);
+        let socks: Vec<SockId> = (self.sockets.values())
+            .filter_map(|s| s.remote.is_some_and(routed).then_some(s.id))
+            .collect();
         for sock in socks {
             if let Some(task) = self.settle_write(sock, now) {
                 self.wake(task, sock, Charge::Interrupt);
@@ -254,7 +245,7 @@ impl Kernel {
             if let Some(tcb) = self.sockets.get_mut(sock).and_then(|s| s.tcb.as_mut()) {
                 tcb.rewind_for_rebuild();
             }
-            self.tcp_send(sock, mem, now, false);
+            self.tcp_send(sock, mem, now, true);
         }
     }
 
@@ -330,39 +321,28 @@ impl Kernel {
         //    DMA engines stuck, so every M_WCAB descriptor (this interface)
         //    still in a socket buffer is read out by PIO into host mbufs
         //    before the reset frees its backing packet.
-        let to_rescue: Vec<SockId> = self.sockets.values().map(|s| s.id).collect();
-        let mut affected: Vec<SockId> = Vec::new();
-        for sock in to_rescue {
-            if self.rescue_sock_buffers(sock, iface_id) {
-                affected.push(sock);
-            }
+        let socks: Vec<SockId> = self.sockets.values().map(|s| s.id).collect();
+        for sock in socks {
+            self.rescue_sock_buffers(sock, iface_id);
         }
 
         // 2. Drop in-flight transmit conversions and parked retries, then
-        //    reset. Their sockets rewind and resend below.
+        //    reset; `rebuild_transmit` sends again what they carried.
         //    Handles that outlive the reset release ids it already freed,
         //    which the release drain ignores (ids are never reused).
         let segments = self.with_cab(iface_id, |k, cab| {
             let mut segments = cab.drop_pending_tx();
-            for entry in std::mem::take(&mut cab.retry_q) {
-                cab.health.stats.abandoned_tx += 1;
-                if let PendingTx::Sdma(frame) = entry {
-                    segments.extend(frame.segment);
-                }
-            }
-            cab.health.retry_armed = false;
-            cab.health.retry_round = 0;
+            segments.extend(cab.abandon_retries());
             cab.cab.reset();
             cab.health.stats.watchdog_resets += 1;
             Kernel::degrade(k, cab, iface_id, now);
             segments
         });
-        self.rebuild_transmit(affected, &segments, mem, now);
+        self.rebuild_transmit(iface_id, &segments, mem, now);
     }
 
     /// Replace this interface's outboard descriptors in `sock`'s buffers
-    /// with host mbufs read out by programmed I/O. Returns whether anything
-    /// was rescued.
+    /// with host mbufs read out by programmed I/O.
     ///
     /// Covers the send queue, the receive queue, AND the TCP out-of-order
     /// reassembly queue: reassembled chains are appended to `so_rcv` long
@@ -370,8 +350,7 @@ impl Kernel {
     /// lost to a board reset would otherwise surface as silent zeros at
     /// the application (found by chaos seed 9: receiver-side MDMA wedge
     /// while a gap was queued).
-    fn rescue_sock_buffers(&mut self, sock: SockId, iface_id: IfaceId) -> bool {
-        let mut rescued = false;
+    fn rescue_sock_buffers(&mut self, sock: SockId, iface_id: IfaceId) {
         let mut targets = vec![RescueChain::Snd, RescueChain::Rcv];
         if let Some(tcb) = self.sockets.get(sock).and_then(|s| s.tcb.as_ref()) {
             targets.extend(tcb.reass_keys().into_iter().map(RescueChain::Reass));
@@ -401,11 +380,9 @@ impl Kernel {
                 });
                 if let Some(chain) = self.sockets.get_mut(sock).and_then(|s| which.chain_mut(s)) {
                     chain.splice(off, len, Mbuf::kernel(buf.freeze()));
-                    rescued = true;
                 }
             }
         }
-        rescued
     }
 
     /// Issue a receive copy-out of the packet `packet` holds, falling back

@@ -1386,10 +1386,12 @@ fn a_wake_one_completion_early_is_caught() {
     assert_eq!(rig.k.settle_write(c, rig.now), Some(WRITER));
     rig.k.note_user_write(WRITER, WRITE_BUF, 3 * mss, rig.now);
     use crate::{ClaimHolder::Queued, UserViolationKind::*};
-    assert_eq!(
-        violation_kinds(&rig),
-        [(EarlyWake, Queued), (UserWriteWhileDma, Queued)]
-    );
+    if cfg!(debug_assertions) {
+        assert_eq!(
+            violation_kinds(&rig),
+            [(EarlyWake, Queued), (UserWriteWhileDma, Queued)]
+        );
+    }
 }
 
 /// Planted: one descriptor's bytes are credited twice, which drains the
@@ -1408,7 +1410,9 @@ fn a_descriptor_credited_twice_is_caught() {
         "the counter drained early and woke the writer"
     );
     use crate::{ClaimHolder::Queued, UserViolationKind::EarlyWake};
-    assert_eq!(violation_kinds(&rig), [(EarlyWake, Queued)]);
+    if cfg!(debug_assertions) {
+        assert_eq!(violation_kinds(&rig), [(EarlyWake, Queued)]);
+    }
 }
 
 /// The wakes of `task` among `fx`.
@@ -1490,6 +1494,56 @@ fn a_dropped_write_ends_when_its_parked_frame_is_abandoned() {
         .k
         .sys_write(c, WRITER, WRITE_BUF, 4096, &mut rig.mem, rig.now);
     assert_eq!(again.err(), Some(StackError::ConnReset));
+}
+
+/// The pure ACKs among `fx`'s transmitted frames, by source port.
+fn pure_acks_from(fx: &[Effect], port: u16) -> usize {
+    use outboard_wire::{hippi::HIPPI_HEADER_LEN, tcp::TcpHeader};
+    (fx.iter())
+        .filter_map(|e| match e {
+            Effect::Cab {
+                event: outboard_cab::CabEvent::FrameOut { frame, .. },
+                ..
+            } => frame.get(HIPPI_HEADER_LEN + IPV4_HEADER_LEN..),
+            _ => None,
+        })
+        .filter_map(|tcp| Some((TcpHeader::parse(tcp).ok()?, tcp.len())))
+        .filter(|(h, _)| h.src_port == port && h.flags == TcpFlags::ACK)
+        .filter(|(h, len)| *len == usize::from(h.header_len))
+        .count()
+}
+
+/// A receiver's pure ACK parked for a retry (the CAB had no network
+/// memory for it) records no connection and carries no data; a board
+/// crash abandons it. The recovery rebuilds every connection routed over
+/// the CAB with an ACK forced, so the acknowledgement goes out again at
+/// once instead of waiting for the sender's retransmit timer.
+#[test]
+fn a_pure_ack_parked_at_a_reset_is_sent_again() {
+    let mut cfg = StackConfig::single_copy();
+    cfg.force_single_copy = true;
+    let mut rig = Rig::loopback(cfg);
+    let (_c, child) = established_loopback_pair(&mut rig);
+    let cab = rig.add_cab();
+    rig.k.routes.clear();
+    rig.k.add_route(LO, 32, cab);
+    rig.k.add_arp_hippi(cab, LO, 2);
+    rig.k.with_cab(cab, |_, ci| {
+        let next = ci.cab.faults.counts().crossed(Point::Alloc) + 1;
+        (ci.cab.faults).add(Fault::crossing(next, 0, Point::Alloc, Action::Fail));
+    });
+    rig.k.tcp_send(child, &mut rig.mem, rig.now, true);
+    let fx = rig.k.take_effects(rig.now);
+    assert_eq!(pure_acks_from(&fx, 80), 0, "the ACK is parked: {fx:?}");
+    let parked = &rig.k.iface(cab).cab_ref().unwrap().retry_q;
+    assert!(
+        matches!(parked.front(), Some(PendingTx::Sdma(f)) if f.segment.is_none()),
+        "{parked:?}"
+    );
+    let fx = rig.k.cab_board_crash(cab, &mut rig.mem, rig.now);
+    assert_eq!(pure_acks_from(&fx, 80), 1, "{fx:?}");
+    let stats = rig.k.iface(cab).cab_ref().unwrap().health.stats;
+    assert_eq!((stats.abandoned_tx, stats.board_crashes), (1, 1));
 }
 
 /// The legacy flatten's `M_UIO` arm, which no world run reaches (a

@@ -3,7 +3,8 @@
 //! second engine touching a packet while a DMA engine still owns it, and
 //! dangling transfers on freed buffers. These tests provoke each violation
 //! at the device interface and check the typed error surfaces. The journal
-//! is armed in debug builds, so a plain `cargo test` runs them.
+//! is armed in debug builds, so a plain `cargo test` runs them; a release
+//! build compiles it out and checks only what the device does without it.
 
 use bytes::Bytes;
 use outboard::cab::{Cab, CabConfig, CabError, DmaEngine, SdmaTx, SgEntry, ViolationKind};
@@ -12,6 +13,9 @@ use outboard::sim::fault::{Action, Point};
 use outboard::sim::{Fault, Time};
 
 const LEN: usize = 4096;
+
+/// The journal checks and records only in debug builds.
+const ARMED: bool = cfg!(debug_assertions);
 
 /// Gather `LEN` inline bytes into a fresh packet, returning the id and the
 /// SDMA completion time.
@@ -42,14 +46,16 @@ fn mdma_during_sdma_window_is_overlapping_dma() {
     assert!(done > Time::ZERO, "gather must occupy the engine");
     // Starting the media transfer at issue time — inside the gather window
     // — is exactly the overlap the journal must reject.
-    let err = cab.mdma_tx(id, 2, 0, Time::ZERO, false).unwrap_err();
-    let CabError::Ownership(v) = err else {
-        panic!("expected ownership violation, got {err:?}");
-    };
-    assert_eq!(v.kind, ViolationKind::OverlappingDma);
-    assert_eq!(v.actor, DmaEngine::MdmaTx);
-    assert_eq!(v.holder, DmaEngine::Sdma);
-    assert_eq!(cab.ownership_violations().len(), 1);
+    let r = cab.mdma_tx(id, 2, 0, Time::ZERO, false);
+    if ARMED {
+        let Err(CabError::Ownership(v)) = r else {
+            panic!("expected ownership violation, got {r:?}");
+        };
+        assert_eq!(v.kind, ViolationKind::OverlappingDma);
+        assert_eq!(v.actor, DmaEngine::MdmaTx);
+        assert_eq!(v.holder, DmaEngine::Sdma);
+        assert_eq!(cab.ownership_violations().len(), 1);
+    }
     // At the gather's completion time the window has closed.
     cab.mdma_tx(id, 2, 0, done, false).expect("sequential mdma");
 }
@@ -82,24 +88,30 @@ fn wedged_sdma_seizes_the_buffer_until_reset() {
     // The wedged engine holds an open-ended window: the media engine may
     // not touch the packet no matter how much time passes…
     let much_later = done + outboard::sim::Dur::from_secs_f64(1.0);
-    let err = cab.mdma_tx(id, 2, 0, much_later, false).unwrap_err();
-    let CabError::Ownership(v) = err else {
-        panic!("expected ownership violation, got {err:?}");
-    };
-    assert_eq!(v.kind, ViolationKind::OverlappingDma);
-    assert_eq!(v.holder, DmaEngine::Sdma);
+    let r = cab.mdma_tx(id, 2, 0, much_later, false);
+    if ARMED {
+        let Err(CabError::Ownership(v)) = r else {
+            panic!("expected ownership violation, got {r:?}");
+        };
+        assert_eq!(v.kind, ViolationKind::OverlappingDma);
+        assert_eq!(v.holder, DmaEngine::Sdma);
+    }
     // …and the host may not free it: the free is refused and recorded.
     let violations_before = cab.ownership_violations().len();
-    assert!(!cab.free_packet(id, much_later), "free must be refused");
-    let vs = cab.ownership_violations();
-    assert_eq!(vs.len(), violations_before + 1);
-    let v = vs.last().unwrap();
-    assert_eq!(v.kind, ViolationKind::FreeWhileDma);
-    assert_eq!(v.actor, DmaEngine::Host);
-    assert_eq!(v.holder, DmaEngine::Sdma);
-    // The buffer is only reclaimed by the watchdog's board reset, which
-    // clears every window along with the outboard state.
-    assert_eq!(cab.reset(), 1, "reset reclaims the seized packet");
+    let freed = cab.free_packet(id, much_later);
+    let reclaimed = cab.reset();
+    if ARMED {
+        assert!(!freed, "free must be refused");
+        let vs = cab.ownership_violations();
+        assert_eq!(vs.len(), violations_before + 1);
+        let v = vs.last().unwrap();
+        assert_eq!(v.kind, ViolationKind::FreeWhileDma);
+        assert_eq!(v.actor, DmaEngine::Host);
+        assert_eq!(v.holder, DmaEngine::Sdma);
+        // The buffer is only reclaimed by the watchdog's board reset, which
+        // clears every window along with the outboard state.
+        assert_eq!(reclaimed, 1, "reset reclaims the seized packet");
+    }
 }
 
 #[test]
@@ -108,13 +120,15 @@ fn transfer_on_freed_packet_is_use_after_free() {
     let (id, done) = gather(&mut cab, Time::ZERO);
     assert!(cab.free_packet(id, done), "free at window close is clean");
     let err = cab.mdma_tx(id, 2, 0, done, false).unwrap_err();
-    let CabError::Ownership(v) = err else {
-        panic!("expected ownership violation, got {err:?}");
-    };
-    assert_eq!(v.kind, ViolationKind::UseAfterFree);
-    assert_eq!(v.actor, DmaEngine::MdmaTx);
-    // The id was never reused, so the journal knows who held it last.
-    assert_eq!(v.holder, DmaEngine::Sdma);
+    if ARMED {
+        let CabError::Ownership(v) = err else {
+            panic!("expected ownership violation, got {err:?}");
+        };
+        assert_eq!(v.kind, ViolationKind::UseAfterFree);
+        assert_eq!(v.actor, DmaEngine::MdmaTx);
+        // The id was never reused, so the journal knows who held it last.
+        assert_eq!(v.holder, DmaEngine::Sdma);
+    }
 }
 
 #[test]
@@ -141,8 +155,10 @@ fn clean_traffic_records_windows_and_no_violations() {
         assert!(cab.free_packet(id, now), "free after media transfer");
     }
     assert!(cab.ownership_violations().is_empty());
-    assert!(
-        cab.ownership_transitions() >= 16,
-        "journal must have observed the traffic"
-    );
+    if ARMED {
+        assert!(
+            cab.ownership_transitions() >= 16,
+            "journal must have observed the traffic"
+        );
+    }
 }

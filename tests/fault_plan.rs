@@ -123,15 +123,17 @@ fn judge(cfg: &ExperimentConfig, faults: Vec<Fault>) -> Verdict {
     ))
 }
 
-/// The single faults that end [`Verdict::Late`]: the receiver's engine
-/// wedges on its ACK of the transfer's end, the watchdog reset abandons
-/// that ACK, and the sender's last segment keeps its page until its
-/// retransmission at 0.50 s (DESIGN.md §8, "Late page releases").
-const LATE_SINGLES: [&str; 2] = ["crossing 5 host1.sdma wedge", "crossing 3 host1.mdma wedge"];
+/// The single faults that end [`Verdict::Late`]: none. A receiver wedge
+/// on its ACK of the transfer's end no longer is one: the watchdog reset
+/// sends the abandoned ACK again (DESIGN.md §8, "Late page releases").
+const LATE_SINGLES: [&str; 0] = [];
 
-/// Ordered pairs that end [`Verdict::Late`], each with a receiver wedge
-/// or a lost final acknowledgement.
-const LATE_PAIRS: usize = 220;
+/// Ordered pairs that end [`Verdict::Late`]. Each loses both copies of the
+/// receiver's closing acknowledgement, and the sender's last segment keeps
+/// its page until its retransmission at 0.50 s: five lose the receiver's
+/// last ACK and its FIN in transit, four lose the one frame a receiver
+/// wedge's reset sent again in their place.
+const LATE_PAIRS: usize = 9;
 
 #[test]
 fn every_single_fault_of_a_64k_transfer_is_survived() {

@@ -137,11 +137,14 @@ fn assert_journals_clean(w: &mut World, name: &str) {
                     violations.len(),
                     violations[0],
                 );
-                assert!(
-                    ci.cab.ownership_transitions() > 0,
-                    "case {name}: host {h} journal saw no transfers — the \
-                     journal is not wired up",
-                );
+                // The journal records only in debug builds.
+                if cfg!(debug_assertions) {
+                    assert!(
+                        ci.cab.ownership_transitions() > 0,
+                        "case {name}: host {h} journal saw no transfers — the \
+                         journal is not wired up",
+                    );
+                }
             }
         }
     }
