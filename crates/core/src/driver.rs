@@ -23,7 +23,8 @@ use outboard_sim::obs::Scope;
 use outboard_sim::{DetMap, IdTable, Time};
 use outboard_wire::ether::MacAddr;
 use outboard_wire::hippi::HippiAddr;
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
@@ -124,6 +125,36 @@ pub(crate) enum PendingTx {
     Mdma(MdmaJob),
 }
 
+/// The handle an accepted DMA transfer holds on its packet until `end`,
+/// ordered for [`CabIface`]'s min-heap: earliest end first, then first
+/// accepted.
+#[derive(Debug)]
+struct InFlight {
+    end: Time,
+    seq: u64,
+    packet: PacketRef,
+}
+
+impl PartialEq for InFlight {
+    fn eq(&self, other: &Self) -> bool {
+        (self.end, self.seq) == (other.end, other.seq)
+    }
+}
+impl Eq for InFlight {}
+
+impl PartialOrd for InFlight {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for InFlight {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // `BinaryHeap` is a max-heap: invert so the earliest end is on top.
+        (other.end, other.seq).cmp(&(self.end, self.seq))
+    }
+}
+
 /// Robustness counters for one CAB interface's driver.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DriverFaultStats {
@@ -179,6 +210,11 @@ pub struct CabIface {
     next_token: u64,
     /// In-flight SDMA requests by completion token (issued in sequence).
     pending: IdTable<SdmaPurpose>,
+    /// Per socket, the [`SdmaPurpose::TxSegment`]s in `pending` that gather
+    /// pinned user memory: kept by `issue`, `complete` and
+    /// `drop_pending_tx`, so [`CabIface::gathering`] needs no scan. A
+    /// socket with none has no entry.
+    gathers: IdTable<u32>,
     /// Logical channel assigned per destination (§2.1).
     channels: DetMap<HippiAddr, u16>,
     next_channel: u16,
@@ -186,8 +222,11 @@ pub struct CabIface {
     holds: Rc<PacketHolds>,
     /// The handles of accepted DMA transfers that did not free their
     /// packet, each kept until its transfer ends: the host never frees a
-    /// packet inside an engine's window.
-    in_flight: Vec<(Time, PacketRef)>,
+    /// packet inside an engine's window. A min-heap by end, so
+    /// [`CabIface::release`] touches only the transfers that are over.
+    in_flight: BinaryHeap<InFlight>,
+    /// Transfers accepted so far: `in_flight`'s tie-break.
+    transfers: u64,
     /// Transmissions parked for the retry-backoff timer.
     pub(crate) retry_q: VecDeque<PendingTx>,
     /// Degraded-mode / retry / watchdog state.
@@ -202,10 +241,12 @@ impl CabIface {
             arp: DetMap::new(),
             next_token: 1,
             pending: IdTable::new(),
+            gathers: IdTable::new(),
             channels: DetMap::new(),
             next_channel: 0,
             holds: PacketHolds::new(),
-            in_flight: Vec::new(),
+            in_flight: BinaryHeap::new(),
+            transfers: 0,
             retry_q: VecDeque::new(),
             health: IfaceHealth::default(),
         }
@@ -233,13 +274,30 @@ impl CabIface {
     pub(crate) fn issue(&mut self, purpose: SdmaPurpose) -> u64 {
         let t = self.next_token;
         self.next_token += 1;
+        if let Some(sock) = gather_sock(&purpose) {
+            match self.gathers.get_mut(sock) {
+                Some(n) => *n += 1,
+                None => {
+                    self.gathers.insert(sock, 1);
+                }
+            }
+        }
         self.pending.insert(t, purpose);
         t
     }
 
     /// Resolve a completion token.
     pub(crate) fn complete(&mut self, token: u64) -> Option<SdmaPurpose> {
-        self.pending.remove(token)
+        let purpose = self.pending.remove(token)?;
+        if let Some(sock) = gather_sock(&purpose) {
+            if let Some(n) = self.gathers.get_mut(sock) {
+                *n -= 1;
+                if *n == 0 {
+                    self.gathers.remove(sock);
+                }
+            }
+        }
+        Some(purpose)
     }
 
     /// Drop every pending transmit-conversion token (watchdog reset path):
@@ -257,7 +315,7 @@ impl CabIface {
             .collect();
         tokens
             .into_iter()
-            .filter_map(|t| match self.pending.remove(t) {
+            .filter_map(|t| match self.complete(t) {
                 Some(SdmaPurpose::TxSegment(seg, _)) => Some(seg),
                 _ => None,
             })
@@ -307,7 +365,9 @@ impl CabIface {
         if freed {
             packet.disown();
         } else {
-            self.in_flight.push((end, packet));
+            let seq = self.transfers;
+            self.transfers += 1;
+            self.in_flight.push(InFlight { end, seq, packet });
         }
     }
 
@@ -315,7 +375,7 @@ impl CabIface {
     pub(crate) fn in_transfer(&self, packet: &PacketRef, now: Time) -> bool {
         self.in_flight
             .iter()
-            .any(|(end, p)| *end > now && p.id() == packet.id())
+            .any(|t| t.end > now && t.packet.id() == packet.id())
     }
 
     /// Drop the handles of transfers over by `now`, then free every packet
@@ -323,8 +383,8 @@ impl CabIface {
     /// memory. `now` is the time of the event being handled, so the free
     /// lands in the same event as the drop.
     pub(crate) fn release(&mut self, now: Time) {
-        if !self.in_flight.is_empty() {
-            self.in_flight.retain(|(end, _)| *end > now);
+        while self.in_flight.peek().is_some_and(|t| t.end <= now) {
+            self.in_flight.pop();
         }
         while let Some(id) = self.holds.pop_released() {
             self.cab.free_packet(PacketId(id), now);
@@ -333,16 +393,21 @@ impl CabIface {
 
     /// A transmit frame of `sock` that gathers user memory in place has its
     /// copy-in in flight or is parked for a retry, whose relaunch gathers
-    /// again.
+    /// again. `Kernel::settle_write` asks on every write syscall and
+    /// copy-in completion; debug builds hold the count to a scan of
+    /// `pending` here. The retry queue is empty off the fault path.
     pub(crate) fn gathering(&self, sock: SockId) -> bool {
-        let reads = |s: &TxSegment| s.sock == sock && s.pinned.is_some();
-        self.pending
-            .values()
-            .any(|p| matches!(p, SdmaPurpose::TxSegment(s, _) if reads(s)))
-            || self
-                .retry_q
-                .iter()
-                .any(|e| matches!(e, PendingTx::Sdma(f) if f.segment.as_ref().is_some_and(reads)))
+        let copying = self.gathers.contains(sock);
+        debug_assert_eq!(
+            copying,
+            self.pending.values().any(|p| gather_sock(p) == Some(sock)),
+            "gather count of {sock:?} disagrees with the pending tokens"
+        );
+        copying
+            || self.retry_q.iter().any(|e| {
+                matches!(e, PendingTx::Sdma(TxFrame { segment: Some(s), .. })
+                    if s.sock == sock && s.pinned.is_some())
+            })
     }
 
     /// SDMA requests in flight.
@@ -359,6 +424,14 @@ impl CabIface {
             self.next_channel = self.next_channel.wrapping_add(1);
             c
         })
+    }
+}
+
+/// The socket whose pinned user memory a request's copy-in gathers, if any.
+fn gather_sock(purpose: &SdmaPurpose) -> Option<SockId> {
+    match purpose {
+        SdmaPurpose::TxSegment(s, _) if s.pinned.is_some() => Some(s.sock),
+        _ => None,
     }
 }
 
@@ -460,6 +533,98 @@ mod tests {
         assert!(matches!(c.complete(t1), Some(SdmaPurpose::TxPlain)));
         assert!(c.complete(t1).is_none(), "token single-use");
         assert_eq!(c.pending_count(), 1);
+    }
+
+    /// Transfers accepted out of end order (an MDMA transmit, then an rx
+    /// copy-out that ends first) each hold their packet until exactly the
+    /// event at their end.
+    #[test]
+    fn transfers_release_exactly_when_their_end_passes() {
+        let mut c = cab_iface();
+        let tx = c.alloc(4096, 64, Time(0)).unwrap();
+        let rx = c.alloc(4096, 0, Time(0)).unwrap();
+        let (tx_id, rx_id) = (PacketId(tx.id()), PacketId(rx.id()));
+        let probe = tx.clone();
+        c.transfer(tx, Time(300), false);
+        c.transfer(rx, Time(100), false);
+        drop(probe);
+        for (now, tx_held, rx_held) in [
+            (99, true, true),
+            (100, true, false),
+            (299, true, false),
+            (300, false, false),
+        ] {
+            c.release(Time(now));
+            assert_eq!(c.cab.packet_exists(tx_id), tx_held, "tx at {now}");
+            assert_eq!(c.cab.packet_exists(rx_id), rx_held, "rx at {now}");
+            assert_eq!(
+                c.in_flight.len(),
+                usize::from(tx_held) + usize::from(rx_held)
+            );
+        }
+    }
+
+    /// `in_transfer` sees a transfer until its end, in any heap position.
+    #[test]
+    fn in_transfer_sees_every_running_transfer() {
+        let mut c = cab_iface();
+        let a = c.alloc(1024, 0, Time(0)).unwrap();
+        let b = c.alloc(1024, 0, Time(0)).unwrap();
+        let (qa, qb) = (a.clone(), b.clone());
+        c.transfer(a, Time(50), false);
+        c.transfer(b, Time(20), false);
+        assert!(c.in_transfer(&qa, Time(19)) && c.in_transfer(&qb, Time(19)));
+        assert!(c.in_transfer(&qa, Time(20)) && !c.in_transfer(&qb, Time(20)));
+        assert!(!c.in_transfer(&qa, Time(50)));
+    }
+
+    /// The per-socket gather count equals a scan of `pending` after every
+    /// `issue`, `complete` and `drop_pending_tx`.
+    #[test]
+    fn gather_count_matches_a_scan_of_pending() {
+        let mut c = cab_iface();
+        let check = |c: &CabIface| {
+            for sock in (0..4).map(SockId) {
+                let scan = c
+                    .pending
+                    .values()
+                    .filter(|p| gather_sock(p) == Some(sock))
+                    .count() as u32;
+                assert_eq!(c.gathers.get(sock).copied().unwrap_or(0), scan, "{sock:?}");
+                assert_eq!(c.gathering(sock), scan > 0, "{sock:?}");
+            }
+        };
+        let seg = |sock: u32, pinned: bool| TxSegment {
+            sock: SockId(sock),
+            seq_lo: 0,
+            data_len: 1024,
+            pinned: pinned.then_some((outboard_host::TaskId(1), 0x1000, 1024)),
+        };
+        let mut tokens = Vec::new();
+        for (sock, pinned) in [(1, true), (1, true), (2, true), (2, false), (3, true)] {
+            let packet = c.alloc(1024, 64, Time(0)).unwrap();
+            tokens.push(c.issue(SdmaPurpose::TxSegment(seg(sock, pinned), packet)));
+            check(&c);
+        }
+        let rx = c.issue(SdmaPurpose::RxToUser {
+            sock: SockId(1),
+            bytes: 10,
+            dst: (outboard_host::TaskId(1), 0x2000),
+            via_kernel: false,
+        });
+        c.issue(SdmaPurpose::TxPlain);
+        check(&c);
+        assert!(c.complete(tokens[0]).is_some());
+        check(&c);
+        assert!(c.complete(tokens[3]).is_some(), "an unpinned segment");
+        assert!(c.complete(tokens[3]).is_none(), "token single-use");
+        check(&c);
+        let dropped = c.drop_pending_tx();
+        assert_eq!(dropped.len(), 3);
+        check(&c);
+        assert!(c.gathers.is_empty());
+        assert!(c.complete(rx).is_some(), "receive tokens stay pending");
+        check(&c);
     }
 
     #[test]

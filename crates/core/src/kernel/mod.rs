@@ -33,7 +33,7 @@ use crate::socket::{BlockedRead, BlockedWrite, Owner, Socket, WaitingReader};
 use crate::tcp::{SegmentPlan, Tcb, TcpState, TcpStats};
 use crate::types::{
     Effect, IfaceId, Proto, ReadResult, SockAddr, SockId, StackConfig, StackError, StackMode,
-    WriteResult,
+    WriteResult, MIN_SOCK_BUF,
 };
 use outboard_cab::{Cab, PacketId, SdmaDst, SdmaRx};
 use outboard_host::{
@@ -676,9 +676,13 @@ impl Kernel {
 
     /// `setsockopt(SO_SNDBUF/SO_RCVBUF)`: resize both socket buffers. Only
     /// valid before a TCP connection is established (the window scale is
-    /// negotiated from the buffer size on SYN).
+    /// negotiated from the buffer size on SYN), and never below
+    /// [`MIN_SOCK_BUF`].
     pub fn sys_setsockbuf(&mut self, sock: SockId, bytes: usize) -> Result<(), StackError> {
         let s = self.sockets.get_mut(sock).ok_or(StackError::BadSocket)?;
+        if bytes < MIN_SOCK_BUF {
+            return Err(StackError::BufferTooSmall);
+        }
         if s.tcb
             .as_ref()
             .map(|t| t.state.is_synchronized())
@@ -833,6 +837,10 @@ impl Kernel {
             }
             if s.blocked_write.is_some() {
                 return Err(StackError::InvalidState("write already in progress"));
+            }
+            // A buffer `StackConfig::sock_buf` set below a word.
+            if s.so_snd.hiwat < MIN_SOCK_BUF {
+                return Err(StackError::BufferTooSmall);
             }
         }
         let counter = self

@@ -57,5 +57,5 @@ pub use kernel::{Kernel, CAB_PROBE_INTERVAL, TIME_WAIT};
 pub use tcp::{MAX_BACKOFF, RTO_INITIAL, RTO_MAX};
 pub use types::{
     Effect, IfaceId, Proto, ReadResult, SockAddr, SockId, StackConfig, StackError, StackMode,
-    TimerKind, WriteResult,
+    TimerKind, WriteResult, MIN_SOCK_BUF,
 };

@@ -216,7 +216,15 @@ pub enum StackError {
     /// The peer answered the connection request with a reset
     /// (`ECONNREFUSED`).
     ConnRefused,
+    /// A socket buffer smaller than [`MIN_SOCK_BUF`]: refused by
+    /// `setsockopt`, and by a write on a socket created with one.
+    BufferTooSmall,
 }
+
+/// The smallest socket buffer a TCP socket accepts, bytes: one word. The
+/// single-copy path appends word-multiple chunks before a write's tail
+/// (§4.5), so a smaller buffer could never take a first chunk.
+pub const MIN_SOCK_BUF: usize = 4;
 
 impl std::fmt::Display for StackError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -72,6 +72,19 @@
 //! choice of scheduler there is: the queue depth makes it, not a setting.
 //! The slot machinery (`spill`, `place`, `scan`) stays out of line, so heap
 //! mode's push and pop compile to the reference heap's.
+//!
+//! # Next-event register
+//!
+//! In front of all of that sits a one-entry register, `next`, in both
+//! modes. A push that sorts before the held entry by `(at, seq)` (or finds
+//! the register empty) takes it, and the entry it displaces goes into the
+//! engine; any other push goes into the engine. A pop compares the register
+//! with the engine's front by `(at, seq)` and takes the earlier, so pops come
+//! out in exactly the reference heap's order. A protocol schedule often
+//! pushes the very next event just before popping it (a wakeup at the
+//! current instant, a completion a few µs out): that pair then costs two
+//! moves instead of a heap push and pop, or a batch insert and a
+//! `pop_front`.
 
 use crate::time::Time;
 use std::cmp::Ordering;
@@ -117,6 +130,14 @@ impl<E> Eq for Entry<E> {}
 impl<E> PartialOrd for Entry<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+impl<E> Entry<E> {
+    /// The pop-order key: earliest first, then first pushed.
+    #[inline]
+    fn key(&self) -> (Time, u64) {
+        (self.at, self.seq)
     }
 }
 
@@ -191,6 +212,10 @@ impl EngineKind {
 /// `&mut self` because a peek may advance the cursor, never past the
 /// earliest pending event.
 pub struct EventEngine<E> {
+    /// The earliest entry pushed since the register last emptied, when it
+    /// still is not in the engine (see *Next-event register*). Every other
+    /// pending entry is in `early`, the batch, the slots or `overflow`.
+    next: Option<Entry<E>>,
     /// `LEVELS * SLOTS` list heads into `nodes`, flattened level-major.
     /// Empty until the first [`EventEngine::spill`] — heap-mode schedules
     /// never pay for it.
@@ -205,11 +230,12 @@ pub struct EventEngine<E> {
     /// Entries in the grain window the cursor points at, sorted by
     /// `(at, seq)`.
     batch: VecDeque<Entry<E>>,
-    /// Heap mode: all entries live in `early` and the slots are untouched.
-    /// Entered at construction and whenever the queue fully drains; left
-    /// (via [`EventEngine::spill`]) when the count crosses `spill`.
+    /// Heap mode: all entries but the register's live in `early` and the
+    /// slots are untouched. Entered at construction and whenever the
+    /// engine drains (the register may still hold an entry); left (via
+    /// [`EventEngine::spill`]) when `early` grows past `spill`.
     small: bool,
-    /// Pending-entry count above which heap mode spills into the slots
+    /// `early`'s size above which heap mode spills into the slots
     /// ([`SPILL`] unless overridden for tests/benches).
     spill: usize,
     /// In heap mode, the whole schedule. In wheel mode, entries pushed
@@ -224,6 +250,7 @@ pub struct EventEngine<E> {
     cursor: u64,
     now: Time,
     next_seq: u64,
+    /// Pending entries, the register's included.
     len: usize,
 }
 
@@ -231,6 +258,7 @@ impl<E> Default for EventEngine<E> {
     /// An empty engine with the clock at time zero.
     fn default() -> Self {
         EventEngine {
+            next: None,
             heads: Vec::new(),
             nodes: Vec::new(),
             free: NIL,
@@ -256,9 +284,10 @@ impl<E> EventEngine<E> {
     }
 
     /// An empty engine that leaves heap mode once more than `threshold`
-    /// entries are pending (`0` puts the first push straight into the slot
-    /// hierarchy). For tests and benchmarks that need to exercise the
-    /// wheel paths at small queue depths.
+    /// entries are pending behind the register (`0` puts the first entry
+    /// the register passes on straight into the slot hierarchy). For tests
+    /// and benchmarks that need to exercise the wheel paths at small queue
+    /// depths.
     pub fn with_spill_threshold(threshold: usize) -> Self {
         EventEngine {
             spill: threshold,
@@ -309,12 +338,26 @@ impl<E> EventEngine<E> {
         );
         self.len += 1;
         let e = Entry { at, seq, event };
+        let e = match &mut self.next {
+            None => {
+                self.next = Some(e);
+                return;
+            }
+            Some(held) if e.key() < held.key() => std::mem::replace(held, e),
+            Some(_) => e,
+        };
+        self.enqueue(e);
+    }
+
+    /// Put an entry into heap mode's heap, or into the wheel.
+    #[inline]
+    fn enqueue(&mut self, e: Entry<E>) {
         if self.small {
             self.early.push(e);
             if self.early.len() > self.spill {
                 self.spill();
             }
-        } else if at.nanos() < self.cursor {
+        } else if e.at.nanos() < self.cursor {
             self.early.push(e);
         } else {
             self.place(e);
@@ -324,25 +367,17 @@ impl<E> EventEngine<E> {
     /// Pop the earliest event and advance the clock to its timestamp.
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        // `early` is the whole schedule in heap mode, and always earlier
-        // than the wheel otherwise, so it pops first either way.
-        if let Some(e) = self.early.pop() {
-            debug_assert!(e.at >= self.now);
-            self.now = e.at;
-            self.len -= 1;
-            return Some((e.at, e.event));
-        }
-        if self.small {
-            return None;
-        }
-        self.scan();
-        let e = self.batch.pop_front()?;
+        let held = self.next.as_ref().map(Entry::key);
+        let e = match held {
+            Some(k) if self.front().is_none_or(|f| f.key() >= k) => self.next.take(),
+            _ => self.pop_front(),
+        }?;
         debug_assert!(e.at >= self.now);
         self.now = e.at;
         self.len -= 1;
-        if self.len == 0 {
-            // Fully drained: drop back to heap mode so the next quiet
-            // stretch runs on the compact path again.
+        if !self.small && self.len == usize::from(self.next.is_some()) {
+            // The engine has drained: drop back to heap mode so the next
+            // quiet stretch runs on the compact path again.
             self.small = true;
             self.cursor = self.now.nanos();
         }
@@ -355,14 +390,42 @@ impl<E> EventEngine<E> {
     /// the earliest pending event), which is why this takes `&mut self`.
     #[inline]
     pub fn peek_time(&mut self) -> Option<Time> {
-        if let Some(e) = self.early.peek() {
-            return Some(e.at);
+        let front = self.front().map(Entry::key);
+        match (&self.next, front) {
+            (Some(held), Some(f)) => Some(held.key().min(f).0),
+            (Some(held), None) => Some(held.at),
+            (None, f) => f.map(|(at, _)| at),
+        }
+    }
+
+    /// The engine's earliest entry, the register aside. In wheel mode this
+    /// may advance the cursor to it.
+    #[inline]
+    fn front(&mut self) -> Option<&Entry<E>> {
+        // `early` is the whole schedule in heap mode, and always earlier
+        // than the wheel otherwise, so it is the front whenever nonempty.
+        if !self.early.is_empty() || self.small {
+            return self.early.peek();
+        }
+        if self.batch.is_empty() {
+            self.scan();
+        }
+        self.batch.front()
+    }
+
+    /// Take the engine's earliest entry, the register aside.
+    #[inline]
+    fn pop_front(&mut self) -> Option<Entry<E>> {
+        if let Some(e) = self.early.pop() {
+            return Some(e);
         }
         if self.small {
             return None;
         }
-        self.scan();
-        self.batch.front().map(|e| e.at)
+        if self.batch.is_empty() {
+            self.scan();
+        }
+        self.batch.pop_front()
     }
 
     /// Number of scheduled events.
@@ -380,6 +443,7 @@ impl<E> EventEngine<E> {
     /// Drop every queued event (used when an experiment ends early). Keeps
     /// the clock and the sequence counter.
     pub fn clear(&mut self) {
+        self.next = None;
         self.heads.fill(NIL);
         self.nodes.clear();
         self.free = NIL;
@@ -389,6 +453,12 @@ impl<E> EventEngine<E> {
         self.early.clear();
         self.overflow.clear();
         self.len = 0;
+    }
+
+    /// The engine runs as one binary heap (see *Heap mode*).
+    #[cfg(test)]
+    pub(crate) fn in_heap_mode(&self) -> bool {
+        self.small
     }
 
     /// Nodes in the slot slab, free or in a slot.

@@ -16,7 +16,10 @@
 //!   slot that later cascades, or in the overflow heap;
 //! * the heap-mode/wheel-mode transition (exercised both ways: the default
 //!   spill threshold crosses naturally on large pending sets, and a zero
-//!   threshold forces every entry through the slot hierarchy).
+//!   threshold forces every entry through the slot hierarchy);
+//! * the next-event register's hit path: a push a little ahead of the clock,
+//!   then at once a pop, which the register answers when the push sorts
+//!   before everything else pending.
 
 use crate::queue::EventQueue;
 use crate::{EventEngine, Time};
@@ -39,6 +42,8 @@ enum Op {
     /// Queue one of the reserved numbers (picked by index) at `now +
     /// offset`.
     PushReserved(u8, u64),
+    /// Schedule at `now + offset` (under one grain), then pop at once.
+    PushPop(u64),
 }
 
 /// Map a (class, raw) pair to an offset whose class picks the wheel level
@@ -56,17 +61,18 @@ fn offset(class: u8, raw: u64) -> u64 {
 }
 
 /// Generate one op from primitive draws: `kind` weights push, pop, burst,
-/// peek-push-pop, reserve and push-reserved 3:3:1:1:1:1 so sequences both
-/// grow and drain.
+/// peek-push-pop, reserve, push-reserved and push-pop 3:3:1:1:1:1:2 so
+/// sequences both grow and drain.
 fn op_strategy() -> impl Strategy<Value = Op> {
     (any::<u8>(), any::<u8>(), any::<u64>(), any::<u8>()).prop_map(|(kind, class, raw, n)| {
-        match kind % 10 {
+        match kind % 12 {
             0..=2 => Op::Push(offset(class, raw)),
             3..=5 => Op::Pop,
             6 => Op::Burst(offset(class, raw), 1 + n % 11),
             7 => Op::PeekPushPop(offset(class, raw)),
             8 => Op::Reserve,
-            _ => Op::PushReserved(n, offset(class, raw)),
+            9 => Op::PushReserved(n, offset(class, raw)),
+            _ => Op::PushPop(raw % 0x100),
         }
     })
 }
@@ -111,6 +117,13 @@ fn run_differential(ops: Vec<Op>, mut wheel: EventEngine<u64>) {
                 assert_eq!(seq, wheel.reserve_seq());
                 reserved.push(seq);
             }
+            Op::PushPop(off) => {
+                let at = Time(heap.now().nanos() + off);
+                heap.push(at, id);
+                wheel.push(at, id);
+                id += 1;
+                assert_eq!(heap.pop(), wheel.pop());
+            }
             Op::PushReserved(i, off) => {
                 if !reserved.is_empty() {
                     let seq = reserved.swap_remove(usize::from(i) % reserved.len());
@@ -145,6 +158,26 @@ proptest! {
 
     #[test]
     fn wheel_matches_heap_forced_wheel_mode(ops in proptest::collection::vec(op_strategy(), 1..400)) {
+        run_differential(ops, EventEngine::with_spill_threshold(0));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 4096, ..ProptestConfig::default() })]
+
+    /// The default-threshold differential at 16 times the cases, on other
+    /// seeds (the runner seeds by test name). Run in release:
+    /// `cargo test --release -p outboard-sim wheel -- --include-ignored`.
+    #[test]
+    #[ignore = "4 096 cases; run in release"]
+    fn wheel_matches_heap_default_threshold_long(ops in proptest::collection::vec(op_strategy(), 1..400)) {
+        run_differential(ops, EventEngine::default());
+    }
+
+    /// The forced-wheel-mode differential at 4 096 cases.
+    #[test]
+    #[ignore = "4 096 cases; run in release"]
+    fn wheel_matches_heap_forced_wheel_mode_long(ops in proptest::collection::vec(op_strategy(), 1..400)) {
         run_differential(ops, EventEngine::with_spill_threshold(0));
     }
 }
@@ -188,5 +221,103 @@ fn overflow_migration_preserves_order() {
         if a.is_none() {
             break;
         }
+    }
+}
+
+/// Deterministic regression: a push earlier than the entry the register
+/// holds takes the register, and the held entry still pops in its place
+/// from the engine.
+#[test]
+fn a_push_earlier_than_the_held_entry_takes_the_register() {
+    for mut wheel in [EventEngine::default(), EventEngine::with_spill_threshold(0)] {
+        let mut heap = EventQueue::new();
+        for (at, id) in [(500, 0u64), (300, 1), (400, 2), (100, 3), (100, 4)] {
+            heap.push(Time(at), id);
+            wheel.push(Time(at), id);
+        }
+        for _ in 0..5 {
+            assert_eq!(heap.peek_time(), wheel.peek_time());
+            assert_eq!(heap.pop(), wheel.pop());
+        }
+        assert_eq!(wheel.pop(), None);
+    }
+}
+
+/// Deterministic regression: an older reserved `seq` queued at the held
+/// entry's instant sorts before it, in the register or the engine.
+#[test]
+fn an_older_reserved_seq_at_the_held_instant_pops_first() {
+    for mut wheel in [EventEngine::default(), EventEngine::with_spill_threshold(0)] {
+        let mut heap = EventQueue::new();
+        let old = (heap.reserve_seq(), wheel.reserve_seq());
+        assert_eq!(old.0, old.1);
+        let older = (heap.reserve_seq(), wheel.reserve_seq());
+        heap.push(Time(50), 0u64);
+        wheel.push(Time(50), 0u64);
+        // Takes the register from the entry pushed after its number.
+        heap.push_seq(Time(50), older.0, 1);
+        wheel.push_seq(Time(50), older.1, 1);
+        // Older still: takes it again.
+        heap.push_seq(Time(50), old.0, 2);
+        wheel.push_seq(Time(50), old.1, 2);
+        let order: Vec<_> = std::iter::from_fn(|| wheel.pop()).collect();
+        let reference: Vec<_> = std::iter::from_fn(|| heap.pop()).collect();
+        assert_eq!(order, reference);
+        assert_eq!(order.iter().map(|e| e.1).collect::<Vec<_>>(), [2, 1, 0]);
+    }
+}
+
+/// Deterministic regression: `clear()` empties an occupied register.
+#[test]
+fn clear_empties_an_occupied_register() {
+    for mut wheel in [EventEngine::default(), EventEngine::with_spill_threshold(0)] {
+        wheel.push(Time(7), 0u64);
+        wheel.push(Time(9), 1);
+        wheel.clear();
+        assert_eq!(
+            (wheel.len(), wheel.peek_time(), wheel.pop()),
+            (0, None, None)
+        );
+        wheel.push(Time(8), 2);
+        assert_eq!(wheel.len(), 1);
+        assert_eq!(wheel.pop(), Some((Time(8), 2)));
+        assert!(wheel.is_empty());
+    }
+}
+
+/// Deterministic regression: a wheel-mode schedule whose engine drains
+/// while the register still holds an entry drops back to heap mode, and
+/// the held entry pops in order with what follows.
+#[test]
+fn a_wheel_drained_through_the_register_returns_to_heap_mode() {
+    let mut heap = EventQueue::new();
+    let mut wheel = EventEngine::default();
+    let mut id = 0u64;
+    // Past the default spill threshold, so the engine leaves heap mode.
+    for i in 0..600u64 {
+        let at = Time(1_000 + 300 * (i % 37));
+        heap.push(at, id);
+        wheel.push(at, id);
+        id += 1;
+    }
+    assert!(!wheel.in_heap_mode(), "600 pending spill into the wheel");
+    // The first pop empties the register (it held entry 0, the earliest);
+    // the next push, after everything pending, takes it.
+    assert_eq!(heap.pop(), wheel.pop());
+    heap.push(Time(50_000), id);
+    wheel.push(Time(50_000), id);
+    id += 1;
+    while heap.len() > 1 {
+        assert_eq!(heap.pop(), wheel.pop());
+    }
+    assert!(
+        wheel.in_heap_mode(),
+        "a drained engine is back in heap mode"
+    );
+    // A push behind the held entry goes into the heap; both pop in order.
+    heap.push(Time(60_000), id);
+    wheel.push(Time(60_000), id);
+    for _ in 0..3 {
+        assert_eq!(heap.pop(), wheel.pop());
     }
 }

@@ -299,6 +299,11 @@ pub struct World {
     /// The first app to give up ([`Step::GaveUp`]): its host, when, and
     /// the error.
     pub(crate) gave_up: Option<(usize, Time, StackError)>,
+    /// Apps on every host whose `finished()` is false: set by
+    /// [`World::add_app`], kept by `run_app` (an app finishes only in one
+    /// of its own quanta, and never unfinishes), read by
+    /// [`World::every_app_finished`] between events.
+    pub(crate) unfinished_apps: usize,
 }
 
 impl World {
@@ -323,6 +328,7 @@ impl World {
             fault_log: FaultLog::default(),
             timeline: None,
             gave_up: None,
+            unfinished_apps: 0,
         }
     }
 
@@ -878,6 +884,7 @@ impl World {
         if measured {
             self.hosts[host].measured_task = Some(task);
         }
+        self.unfinished_apps += usize::from(!app.finished());
         let h = &mut self.hosts[host];
         h.app_slots.entry(task).or_insert(h.apps.len());
         h.apps.push(Some(app));
@@ -1007,6 +1014,7 @@ impl World {
             return;
         };
         let task = app.task();
+        let was_finished = app.finished();
         let measured = self.hosts[host].measured_task == Some(task);
         if measured {
             self.hosts[host].cpu.set_ttcp_on_cpu(true);
@@ -1027,6 +1035,9 @@ impl World {
             };
             (step, ctx.effects, ctx.user)
         };
+        if !was_finished && app.finished() {
+            self.unfinished_apps -= 1;
+        }
         let mut cursor = now;
         if !user.is_zero() {
             let charge = if measured {

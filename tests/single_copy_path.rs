@@ -5,10 +5,10 @@
 
 use outboard::host::MachineConfig;
 use outboard::sim::{Dur, Time};
-use outboard::stack::{StackConfig, StackMode};
+use outboard::stack::{Kernel, Proto, StackConfig, StackError, StackMode, MIN_SOCK_BUF};
 use outboard::testbed::experiment::{build_ttcp_world, run_ttcp_in};
 use outboard::testbed::oracle::copy_violations;
-use outboard::testbed::{run_ttcp, ExperimentConfig};
+use outboard::testbed::{run_ttcp, ExperimentConfig, RunOutcome};
 
 fn sc_config(write_size: usize, total: usize) -> ExperimentConfig {
     let mut stack = StackConfig::single_copy();
@@ -64,6 +64,40 @@ fn odd_socket_buffers_deliver_every_byte() {
             assert_eq!(fallbacks, 0, "{run}");
         }
     }
+}
+
+/// A socket buffer below one word could never take a single-copy write's
+/// first chunk, which is a word multiple unless it is the write's tail
+/// (§4.5). `setsockopt` refuses one with a typed error, and a write on a
+/// socket created with one (a `StackConfig::sock_buf` default) fails the
+/// same way, so the sender gives up at once instead of blocking until the
+/// run drains.
+#[test]
+fn a_socket_buffer_below_a_word_is_refused() {
+    let machine = MachineConfig::alpha_3000_400();
+    let mut k = Kernel::new("h", machine, StackConfig::single_copy());
+    let s = k.sys_socket(Proto::Tcp);
+    for bytes in 0..MIN_SOCK_BUF {
+        assert_eq!(k.sys_setsockbuf(s, bytes), Err(StackError::BufferTooSmall));
+    }
+    assert_eq!(k.sys_setsockbuf(s, MIN_SOCK_BUF), Ok(()));
+    for sock_buf in [1, 3] {
+        let mut cfg = sc_config(1000, 4000);
+        cfg.stack.sock_buf = sock_buf;
+        let m = run_ttcp(&cfg);
+        let refused = matches!(
+            m.outcome,
+            Ok(RunOutcome::GaveUp { host: 0, at, error: StackError::BufferTooSmall })
+                if at < Time::ZERO + Dur::millis(10)
+        );
+        assert!(refused, "buffer {sock_buf}: {:?}", m.outcome);
+        assert_eq!(m.bytes, 0);
+    }
+    let mut cfg = sc_config(1000, 4000);
+    cfg.stack.sock_buf = MIN_SOCK_BUF;
+    let m = run_ttcp(&cfg);
+    assert!(m.completed, "one word is enough: {:?}", m.outcome);
+    assert_eq!((m.bytes, m.verify_errors), (4000, 0));
 }
 
 #[test]
