@@ -6,10 +6,9 @@
 //! engine's setup and bandwidth model. The caller schedules the completion
 //! event at the returned time.
 //!
-//! The occupancy bookkeeping itself lives in [`outboard_sim::obs::BusyTracker`]
-//! so the same busy-fraction accounting feeds the metrics registry for every
-//! serialized resource in the workspace (DMA engines here, the host CPU in
-//! `outboard-host`).
+//! The occupancy bookkeeping itself lives in [`outboard_sim::obs::BusyTracker`],
+//! whose busy fraction feeds the metrics registry. Only the engines use it:
+//! the host CPU (`outboard-host`'s `Cpu::run`) keeps its own `busy_until`.
 
 use outboard_sim::obs::BusyTracker;
 use outboard_sim::{Dur, Rate, Time};

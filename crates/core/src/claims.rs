@@ -8,7 +8,8 @@
 //! rule. The CAB's journal (`outboard_cab::ownership`) checks the engines
 //! against network-memory packets; this one checks the stack against user
 //! memory, independently of the counters, so a counter bug cannot hide
-//! itself. Three holders claim a user range:
+//! itself. Three holders claim a user range, each begun and ended by
+//! `kernel::hold` together with its pins and counts:
 //!
 //! * [`ClaimHolder::Queued`] — an `M_UIO` descriptor, from the `write` that
 //!   builds it until the copy that consumes it: the SDMA completion that
@@ -38,7 +39,7 @@
 //! once and nothing is stored.
 
 use outboard_host::TaskId;
-use outboard_mbuf::{Chain, MbufData, UioDesc};
+use outboard_mbuf::UioDesc;
 use outboard_sim::Time;
 
 /// The journal checks and records only in debug builds.
@@ -138,9 +139,8 @@ impl UserClaims {
         self.claim(ClaimHolder::Queued, d.region.task, d.vaddr(), d.len);
     }
 
-    /// End one claim recorded with exactly these bounds: a `Gather`, a
-    /// `CopyOut`, or a datagram's whole `Queued` descriptor. Two frames
-    /// gathering one range hold one claim each.
+    /// End one claim recorded with exactly these bounds: a `Gather` or a
+    /// `CopyOut`. Two frames gathering one range hold one claim each.
     pub(crate) fn release(&mut self, holder: ClaimHolder, task: TaskId, vaddr: u64, len: usize) {
         if !ARMED || len == 0 {
             return;
@@ -156,30 +156,25 @@ impl UserClaims {
         }
     }
 
-    /// The `M_UIO` descriptors of `chain` have been consumed (copied) or
-    /// dropped: their bytes leave the `Queued` claims. A descriptor may be
-    /// a piece of the one that claimed, so the range is cut out.
-    pub(crate) fn release_descriptors(&mut self, chain: &Chain) {
+    /// The `M_UIO` descriptor `d` has been consumed (copied) or dropped:
+    /// its bytes leave the `Queued` claims. A descriptor may be a piece of
+    /// the one that claimed, so the range is cut out.
+    pub(crate) fn release_descriptor(&mut self, d: &UioDesc) {
         if !ARMED || self.open.is_empty() {
             return;
         }
-        for m in chain.iter() {
-            let MbufData::Uio(d) = m.data() else {
+        let (task, lo, hi) = (d.region.task, d.vaddr(), d.vaddr() + d.len as u64);
+        let mut i = 0;
+        while i < self.open.len() {
+            let c = self.open[i];
+            if c.holder != ClaimHolder::Queued || !c.meets(task, lo, hi) {
+                i += 1;
                 continue;
-            };
-            let (task, lo, hi) = (d.region.task, d.vaddr(), d.vaddr() + d.len as u64);
-            let mut i = 0;
-            while i < self.open.len() {
-                let c = self.open[i];
-                if c.holder != ClaimHolder::Queued || !c.meets(task, lo, hi) {
-                    i += 1;
-                    continue;
-                }
-                self.open.swap_remove(i);
-                for (l, h) in [(c.lo, lo), (hi, c.hi)] {
-                    if l < h {
-                        self.open.push(Claim { lo: l, hi: h, ..c });
-                    }
+            }
+            self.open.swap_remove(i);
+            for (l, h) in [(c.lo, lo), (hi, c.hi)] {
+                if l < h {
+                    self.open.push(Claim { lo: l, hi: h, ..c });
                 }
             }
         }
@@ -252,13 +247,12 @@ impl UserClaims {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use outboard_mbuf::{Mbuf, UioRegion};
+    use outboard_mbuf::UioRegion;
 
     const T: TaskId = TaskId(1);
 
-    fn desc(off: u64, len: usize) -> Chain {
-        let mut c = Chain::new();
-        c.append(Mbuf::uio(UioDesc {
+    fn desc(off: u64, len: usize) -> UioDesc {
+        UioDesc {
             region: UioRegion {
                 task: T,
                 base: 0x1000,
@@ -266,8 +260,7 @@ mod tests {
             off,
             len,
             counter: None,
-        }));
-        c
+        }
     }
 
     #[test]
@@ -275,12 +268,12 @@ mod tests {
         let mut j = UserClaims::default();
         j.claim(ClaimHolder::Queued, T, 0x1000, 300);
         // The middle 100 bytes are copied out.
-        j.release_descriptors(&desc(100, 100));
+        j.release_descriptor(&desc(100, 100));
         j.check_user_write(T, 0x1000 + 100, 100, Time::ZERO);
         assert!(j.violations().is_empty(), "the copied piece is free");
         j.check_write_done(T, 0x1000, 300, Time::ZERO);
-        j.release_descriptors(&desc(0, 100));
-        j.release_descriptors(&desc(200, 100));
+        j.release_descriptor(&desc(0, 100));
+        j.release_descriptor(&desc(200, 100));
         j.check_write_done(T, 0x1000, 300, Time::ZERO);
         let kinds: Vec<_> = j.violations().iter().map(|v| v.kind).collect();
         if ARMED {

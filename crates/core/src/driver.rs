@@ -210,11 +210,6 @@ pub struct CabIface {
     next_token: u64,
     /// In-flight SDMA requests by completion token (issued in sequence).
     pending: IdTable<SdmaPurpose>,
-    /// Per socket, the [`SdmaPurpose::TxSegment`]s in `pending` that gather
-    /// pinned user memory: kept by `issue`, `complete` and
-    /// `drop_pending_tx`, so [`CabIface::gathering`] needs no scan. A
-    /// socket with none has no entry.
-    gathers: IdTable<u32>,
     /// Logical channel assigned per destination (§2.1).
     channels: DetMap<HippiAddr, u16>,
     next_channel: u16,
@@ -241,7 +236,6 @@ impl CabIface {
             arp: DetMap::new(),
             next_token: 1,
             pending: IdTable::new(),
-            gathers: IdTable::new(),
             channels: DetMap::new(),
             next_channel: 0,
             holds: PacketHolds::new(),
@@ -274,30 +268,13 @@ impl CabIface {
     pub(crate) fn issue(&mut self, purpose: SdmaPurpose) -> u64 {
         let t = self.next_token;
         self.next_token += 1;
-        if let Some(sock) = gather_sock(&purpose) {
-            match self.gathers.get_mut(sock) {
-                Some(n) => *n += 1,
-                None => {
-                    self.gathers.insert(sock, 1);
-                }
-            }
-        }
         self.pending.insert(t, purpose);
         t
     }
 
     /// Resolve a completion token.
     pub(crate) fn complete(&mut self, token: u64) -> Option<SdmaPurpose> {
-        let purpose = self.pending.remove(token)?;
-        if let Some(sock) = gather_sock(&purpose) {
-            if let Some(n) = self.gathers.get_mut(sock) {
-                *n -= 1;
-                if *n == 0 {
-                    self.gathers.remove(sock);
-                }
-            }
-        }
-        Some(purpose)
+        self.pending.remove(token)
     }
 
     /// Drop every pending transmit-conversion token (watchdog reset path):
@@ -391,25 +368,6 @@ impl CabIface {
         }
     }
 
-    /// A transmit frame of `sock` that gathers user memory in place has its
-    /// copy-in in flight or is parked for a retry, whose relaunch gathers
-    /// again. `Kernel::settle_write` asks on every write syscall and
-    /// copy-in completion; debug builds hold the count to a scan of
-    /// `pending` here. The retry queue is empty off the fault path.
-    pub(crate) fn gathering(&self, sock: SockId) -> bool {
-        let copying = self.gathers.contains(sock);
-        debug_assert_eq!(
-            copying,
-            self.pending.values().any(|p| gather_sock(p) == Some(sock)),
-            "gather count of {sock:?} disagrees with the pending tokens"
-        );
-        copying
-            || self.retry_q.iter().any(|e| {
-                matches!(e, PendingTx::Sdma(TxFrame { segment: Some(s), .. })
-                    if s.sock == sock && s.pinned.is_some())
-            })
-    }
-
     /// SDMA requests in flight.
     pub fn pending_count(&self) -> usize {
         self.pending.len()
@@ -424,14 +382,6 @@ impl CabIface {
             self.next_channel = self.next_channel.wrapping_add(1);
             c
         })
-    }
-}
-
-/// The socket whose pinned user memory a request's copy-in gathers, if any.
-fn gather_sock(purpose: &SdmaPurpose) -> Option<SockId> {
-    match purpose {
-        SdmaPurpose::TxSegment(s, _) if s.pinned.is_some() => Some(s.sock),
-        _ => None,
     }
 }
 
@@ -578,22 +528,11 @@ mod tests {
         assert!(!c.in_transfer(&qa, Time(50)));
     }
 
-    /// The per-socket gather count equals a scan of `pending` after every
-    /// `issue`, `complete` and `drop_pending_tx`.
+    /// A board reset's `drop_pending_tx` takes every transmit segment's
+    /// token, pinned or not, and leaves receive and plain tokens pending.
     #[test]
-    fn gather_count_matches_a_scan_of_pending() {
+    fn drop_pending_tx_takes_only_transmit_segments() {
         let mut c = cab_iface();
-        let check = |c: &CabIface| {
-            for sock in (0..4).map(SockId) {
-                let scan = c
-                    .pending
-                    .values()
-                    .filter(|p| gather_sock(p) == Some(sock))
-                    .count() as u32;
-                assert_eq!(c.gathers.get(sock).copied().unwrap_or(0), scan, "{sock:?}");
-                assert_eq!(c.gathering(sock), scan > 0, "{sock:?}");
-            }
-        };
         let seg = |sock: u32, pinned: bool| TxSegment {
             sock: SockId(sock),
             seq_lo: 0,
@@ -601,10 +540,9 @@ mod tests {
             pinned: pinned.then_some((outboard_host::TaskId(1), 0x1000, 1024)),
         };
         let mut tokens = Vec::new();
-        for (sock, pinned) in [(1, true), (1, true), (2, true), (2, false), (3, true)] {
+        for (sock, pinned) in [(1, true), (1, true), (2, false), (3, true)] {
             let packet = c.alloc(1024, 64, Time(0)).unwrap();
             tokens.push(c.issue(SdmaPurpose::TxSegment(seg(sock, pinned), packet)));
-            check(&c);
         }
         let rx = c.issue(SdmaPurpose::RxToUser {
             sock: SockId(1),
@@ -613,18 +551,11 @@ mod tests {
             via_kernel: false,
         });
         c.issue(SdmaPurpose::TxPlain);
-        check(&c);
         assert!(c.complete(tokens[0]).is_some());
-        check(&c);
-        assert!(c.complete(tokens[3]).is_some(), "an unpinned segment");
-        assert!(c.complete(tokens[3]).is_none(), "token single-use");
-        check(&c);
-        let dropped = c.drop_pending_tx();
-        assert_eq!(dropped.len(), 3);
-        check(&c);
-        assert!(c.gathers.is_empty());
+        let dropped: Vec<u32> = c.drop_pending_tx().iter().map(|s| s.sock.0).collect();
+        assert_eq!(dropped, [1, 2, 3]);
+        assert_eq!(c.pending_count(), 2);
         assert!(c.complete(rx).is_some(), "receive tokens stay pending");
-        check(&c);
     }
 
     #[test]

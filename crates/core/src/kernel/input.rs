@@ -3,8 +3,8 @@
 //! input, SDMA completion handling (including the `M_UIO` → `M_WCAB`
 //! conversion that realizes §4.2), and TCP timers.
 
+use super::hold::{uio_descs, Consumed};
 use super::{Kernel, TxMeta};
-use crate::claims::ClaimHolder;
 use crate::driver::{IfaceHealth, IfaceKind, SdmaPurpose, TxSegment};
 use crate::ip::FragKey;
 use crate::socket::{KqEntry, Owner};
@@ -13,7 +13,7 @@ use crate::types::{Effect, IfaceId, Proto, SockAddr, SockId, StackError, TimerKi
 use bytes::Bytes;
 use outboard_cab::{PacketId, SdmaDst, SdmaRx};
 use outboard_host::{Charge, HostMem};
-use outboard_mbuf::{Chain, Mbuf, MbufData, PacketRef, WcabDesc};
+use outboard_mbuf::{Chain, Mbuf, MbufData, PacketRef, UioDesc, WcabDesc};
 use outboard_sim::span::{FlowId, Stage};
 use outboard_sim::{Dur, PooledBuf, Time};
 use outboard_wire::hippi::{HippiHeader, HIPPI_HEADER_LEN};
@@ -552,7 +552,7 @@ impl Kernel {
         // Newly acknowledged data: drop from so_snd, free outboard buffers.
         if r.acked_bytes > 0 {
             self.span_ack(sock, r.acked_bytes as u64, now);
-            self.ack_free(sock, r.acked_bytes);
+            self.ack_free(sock, r.acked_bytes, now);
             // Restart the retransmission timer from the new left edge.
             if let Some(s) = self.sockets.get_mut(sock) {
                 s.rexmt_armed = false;
@@ -691,13 +691,15 @@ impl Kernel {
 
     /// ACK processing: drop acknowledged bytes from the send queue, which
     /// releases the outboard packets they were the last to hold.
-    fn ack_free(&mut self, sock: SockId, bytes: usize) {
-        if let Some(s) = self.sockets.get_mut(sock) {
-            let n = bytes.min(s.so_snd.chain.len());
-            // Split off and dropped; draining in place measured no faster.
-            self.claims
-                .release_descriptors(&s.so_snd.chain.split_front(n));
-        }
+    fn ack_free(&mut self, sock: SockId, bytes: usize, now: Time) {
+        let Some(s) = self.sockets.get_mut(sock) else {
+            return;
+        };
+        let n = bytes.min(s.so_snd.chain.len());
+        // Split off and dropped; draining in place measured no faster.
+        // Acknowledged bytes were copied, whatever their form.
+        let acked = s.so_snd.chain.split_front(n);
+        self.end_queued(uio_descs(&acked), Consumed::Copied, Charge::Interrupt, now);
     }
 
     // ------------------------------------------------------------------
@@ -881,18 +883,15 @@ impl Kernel {
             SdmaPurpose::TxPlain => {}
             SdmaPurpose::TxSegment(seg, packet) => {
                 // The gather is over before the conversion can wake the
-                // writer.
-                if let Some((task, vaddr, len)) = seg.pinned {
-                    self.claims.release(ClaimHolder::Gather, task, vaddr, len);
-                }
+                // writer, and the wake comes before the unpin's charge.
+                let unpin = self.end_gather(&seg);
                 self.convert_uio_to_wcab(seg, iface, packet, now);
-                if let Some((task, vaddr, len)) = seg.pinned {
-                    let cost = self.vm.release(task, vaddr, len);
-                    self.cpu_dur(cost, Charge::Interrupt);
+                if seg.pinned.is_some() {
                     if let Some(task) = self.settle_write(seg.sock, now) {
                         self.wake(task, seg.sock, Charge::Interrupt);
                     }
                 }
+                self.cpu_dur(unpin, Charge::Interrupt);
             }
             SdmaPurpose::RxToUser {
                 sock,
@@ -904,26 +903,9 @@ impl Kernel {
                     // §4.5 unaligned fallback: finish with a CPU copy.
                     self.copyout(task, vaddr, bytes_data, None, mem, Charge::Interrupt);
                 }
-                self.claims
-                    .release(ClaimHolder::CopyOut, task, vaddr, bytes);
-                let done = {
-                    let Some(s) = self.sockets.get(sock) else {
-                        return self.take_effects(now);
-                    };
-                    s.blocked_read
-                        .map(|br| (br.counter, br.task, br.pinned_vaddr, br.pinned_len))
-                };
-                if let Some((counter, task, pv, pl)) = done {
-                    if self.uio.complete(counter, bytes).is_some() {
-                        self.claims.check_read_done(task, pv, pl, now);
-                        let cost = self.vm.release(task, pv, pl);
-                        self.cpu_dur(cost, Charge::Interrupt);
-                        if let Some(s) = self.sockets.get_mut(sock) {
-                            s.blocked_read = None;
-                        }
-                        self.span_recv_complete(sock, now);
-                        self.wake(task, sock, Charge::Interrupt);
-                    }
+                if let Some(reader) = self.end_copyout(sock, (task, vaddr), bytes, now) {
+                    self.span_recv_complete(sock, now);
+                    self.wake(reader, sock, Charge::Interrupt);
                 }
             }
             SdmaPurpose::RxToKernel {
@@ -999,19 +981,23 @@ impl Kernel {
     }
 
     /// A single-copy datagram's copy-in completed: the one `M_UIO`
-    /// descriptor `udp_write` queued is consumed, so its claim ends and
-    /// its write's counter is credited.
+    /// descriptor `udp_write` queued is consumed.
     fn datagram_copied(&mut self, sock: SockId, now: Time) {
         let Some(bw) = self.sockets.get(sock).and_then(|s| s.blocked_write) else {
             return;
         };
-        let Some(counter) = bw.counter else {
+        if bw.counter.is_none() {
             return;
+        }
+        let (region, len, counter) = (bw.region, bw.total, bw.counter);
+        let desc = UioDesc {
+            region,
+            off: 0,
+            len,
+            counter,
         };
-        let r = bw.region;
-        self.claims
-            .release(ClaimHolder::Queued, r.task, r.base, bw.total);
-        self.credit_write(counter, bw.total, Charge::Interrupt, now);
+        let copied = std::iter::once(desc);
+        self.end_queued(copied, Consumed::Copied, Charge::Interrupt, now);
     }
 
     // ------------------------------------------------------------------

@@ -14,6 +14,7 @@
 //! Split across submodules: construction + syscalls here, the transmit path
 //! in `output`, the receive/completion/timer paths in `input`.
 
+mod hold;
 mod input;
 mod output;
 mod robust;
@@ -24,7 +25,7 @@ mod touch;
 pub use input::TIME_WAIT;
 pub use robust::CAB_PROBE_INTERVAL;
 
-use crate::claims::{ClaimHolder, UserClaims, UserViolation};
+use crate::claims::{UserClaims, UserViolation};
 use crate::driver::{CabIface, EthIface, Iface, IfaceKind, SdmaPurpose};
 use crate::ip::Reassembler;
 use crate::route::RouteTable;
@@ -35,6 +36,7 @@ use crate::types::{
     Effect, IfaceId, Proto, ReadResult, SockAddr, SockId, StackConfig, StackError, StackMode,
     WriteResult, MIN_SOCK_BUF,
 };
+use hold::Consumed;
 use outboard_cab::{Cab, PacketId, SdmaDst, SdmaRx};
 use outboard_host::{
     Charge, HostMem, MachineConfig, PacketCost, PacketCosts, TaskId, UserMemory, VmSystem,
@@ -424,9 +426,9 @@ impl Kernel {
 
     /// Replace what is still queued of send-queue range `[seq_lo, seq_lo +
     /// data_len)` with one mbuf, which `with` builds from the range's
-    /// offset into the segment and its queued length, and credit the UIO
-    /// counters of the `M_UIO` descriptors it replaces. False, with nothing
-    /// changed, when no byte of the range is still queued.
+    /// offset into the segment and its queued length: the `M_UIO`
+    /// descriptors it replaces have been copied (`end_queued`). False, with
+    /// nothing changed, when no byte of the range is still queued.
     pub(crate) fn replace_snd_range(
         &mut self,
         sock: SockId,
@@ -462,69 +464,8 @@ impl Kernel {
             return false;
         };
         let removed = s.so_snd.chain.splice(off_in_q, len, replacement);
-        self.claims.release_descriptors(&removed);
-        self.credit_uio(&removed, charge, now);
+        self.end_queued(hold::uio_descs(&removed), Consumed::Copied, charge, now);
         true
-    }
-
-    /// Credit the UIO counters of `chain`'s `M_UIO` descriptors: their
-    /// bytes have been copied.
-    pub(crate) fn credit_uio(&mut self, chain: &Chain, charge: Charge, now: Time) {
-        for m in chain.iter() {
-            if let MbufData::Uio(UioDesc {
-                counter: Some(c),
-                len,
-                ..
-            }) = m.data()
-            {
-                self.credit_write(*c, *len, charge, now);
-            }
-        }
-    }
-
-    /// `bytes` of a write's descriptors have been copied: credit its UIO
-    /// counter, and once it drains settle the write and wake its writer.
-    fn credit_write(
-        &mut self,
-        counter: outboard_mbuf::UioCounterId,
-        bytes: usize,
-        charge: Charge,
-        now: Time,
-    ) {
-        let Some(done) = self.uio.complete(counter, bytes) else {
-            return;
-        };
-        if let Some(task) = self.settle_write(done.sock, now) {
-            self.wake(task, done.sock, charge);
-        }
-    }
-
-    /// §4.4.2's copy-semantics rule, the one place a write ends. `sock`'s
-    /// write is over once every byte is appended, its UIO counter (if it
-    /// made one) has drained, and no frame still gathers from its buffer:
-    /// one parked for a retry, or with its copy-in in flight. A dropped
-    /// connection appends and credits nothing more, so its write waits for
-    /// those frames alone. The write is cleared, in debug builds no claim
-    /// on its buffer may still be open (`claims`), and its writer is
-    /// returned for a caller on an event path to wake. `write(2)` puts a
-    /// write on its socket only after the call's own send, and returns
-    /// `Done` instead when the rule ends it there: it never wakes itself.
-    fn settle_write(&mut self, sock: SockId, now: Time) -> Option<TaskId> {
-        let s = self.sockets.get(sock)?;
-        let bw = s.blocked_write?;
-        let dropped = s.tcb.as_ref().is_some_and(|t| t.state == TcpState::Closed);
-        let live = |c| self.uio.get(c).is_some();
-        if !dropped && (bw.appended < bw.total || bw.counter.is_some_and(live)) {
-            return None;
-        }
-        let mut cabs = self.ifaces.iter().filter_map(Iface::cab_ref);
-        if cabs.any(|c| c.gathering(sock)) {
-            return None;
-        }
-        self.sock_mut(sock).blocked_write = None;
-        let r = bw.region;
-        self.claims.check_write_done(r.task, r.base, bw.total, now);
-        Some(bw.task)
     }
 
     /// Temporarily detach a CAB interface so device calls can run while
@@ -953,18 +894,13 @@ impl Kernel {
                 continue;
             }
             let m = if let Some(c) = w.counter {
-                // Pin + map the chunk's pages in the caller's context.
-                let cost = self.vm.prepare(task, cur_addr, chunk);
-                self.cpu_dur(cost, charge);
                 let desc = UioDesc {
                     region: w.region,
                     off: w.appended as u64,
                     len: chunk,
                     counter: Some(c),
                 };
-                self.uio_issue(c, chunk);
-                self.claims.claim_descriptor(&desc);
-                Mbuf::uio(desc)
+                self.hold_queued(desc, charge)
             } else {
                 // Traditional path: copy through kernel buffers.
                 Mbuf::kernel(self.copyin(task, cur_addr, chunk, Some(w.total), mem, charge))
@@ -1030,6 +966,7 @@ impl Kernel {
             .span_close_bytes(sock.0 as u64, Stage::Sockbuf, now, take as u64);
 
         let mut dma_bytes = 0usize;
+        let mut pins = Vec::new();
         let mut dst_off = 0usize;
         for m in chunk {
             let mlen = m.len();
@@ -1041,12 +978,10 @@ impl Kernel {
                 MbufData::Wcab(d) => {
                     dma_bytes += d.len;
                     let aligned = user_dst.is_multiple_of(4);
-                    if aligned {
-                        let cost = self.vm.prepare(task, user_dst, d.len);
-                        self.cpu_dur(cost, Charge::Syscall);
-                    } else {
+                    if !aligned {
                         self.stats.aligned_fallbacks += 1;
                     }
+                    self.begin_copyout(&mut pins, (task, user_dst), d.len, aligned);
                     self.issue_rx_copyout(sock, d, task, user_dst, aligned, mem, now);
                 }
                 #[expect(
@@ -1068,8 +1003,9 @@ impl Kernel {
             s.blocked_read = Some(BlockedRead {
                 task,
                 counter,
-                pinned_vaddr: vaddr,
-                pinned_len: take,
+                vaddr,
+                len: take,
+                pins,
             });
             if self.spans.on() {
                 let flow = self.flow_id_rx(sock);
@@ -1121,7 +1057,6 @@ impl Kernel {
                 dst: (task, user_dst),
                 via_kernel: !aligned,
             });
-            k.claims.claim(ClaimHolder::CopyOut, task, user_dst, d.len);
             let req = SdmaRx {
                 packet: PacketId(d.packet.id()),
                 src_off: d.off,
@@ -1172,7 +1107,9 @@ impl Kernel {
     ) -> Result<Vec<Effect>, StackError> {
         let bound = {
             let s = self.sockets.get(sock).ok_or(StackError::BadSocket)?;
-            assert_eq!(s.owner, Owner::Kernel, "kernel_sendto on a user socket");
+            if s.owner != Owner::Kernel {
+                return Err(StackError::InvalidState("kernel_sendto on a user socket"));
+            }
             s.local
         };
         let local = match bound {
@@ -1224,7 +1161,9 @@ impl Kernel {
     /// Matching datagrams are queued (with `M_WCAB` conversion) on it.
     pub fn kernel_register_raw(&mut self, proto: u8, sock: SockId) -> Result<(), StackError> {
         let s = self.sockets.get(sock).ok_or(StackError::BadSocket)?;
-        assert_eq!(s.owner, Owner::Kernel, "raw handlers are kernel sockets");
+        if s.owner != Owner::Kernel {
+            return Err(StackError::InvalidState("raw handlers are kernel sockets"));
+        }
         self.raw_protos.insert(proto, sock);
         Ok(())
     }
@@ -1296,17 +1235,13 @@ impl Kernel {
         let mut chain = Chain::new();
         let counter = if uio_path {
             let counter = self.uio.create(sock, len);
-            self.uio_issue(counter, len);
-            let cost = self.vm.prepare(task, vaddr, len);
-            self.cpu_dur(cost, Charge::Syscall);
             let desc = UioDesc {
                 region,
                 off: 0,
                 len,
                 counter: Some(counter),
             };
-            self.claims.claim_descriptor(&desc);
-            chain.append(Mbuf::uio(desc));
+            chain.append(self.hold_queued(desc, Charge::Syscall));
             Some(counter)
         } else {
             let copied = self.copyin(task, vaddr, len, None, mem, Charge::Syscall);
@@ -1371,15 +1306,13 @@ impl Kernel {
         s.rcv_eof = true;
         // The receive queue stays: the application reads what arrived
         // before the error.
-        self.claims
-            .release_descriptors(&std::mem::take(&mut s.so_snd.chain));
+        let queued = std::mem::take(&mut s.so_snd.chain);
         let counter = s.blocked_write.and_then(|w| w.counter);
         let reader = s.waiting_reader.take().map(|r| r.task);
         let connector = s.connector.take();
         let endpoints = s.local.zip(s.remote);
-        if let Some(c) = counter {
-            self.uio.cancel(c);
-        }
+        let dropped = Consumed::Dropped(counter);
+        self.end_queued(hold::uio_descs(&queued), dropped, Charge::Interrupt, now);
         if let (Some((seq, ack)), Some((local, remote))) = (rst, endpoints) {
             let flags = outboard_wire::TcpFlags::RST | outboard_wire::TcpFlags::ACK;
             self.emit_rst(local, remote, seq, ack, flags, mem, now);
@@ -1394,13 +1327,20 @@ impl Kernel {
         }
     }
 
-    /// Tear a socket down: cancel counters and unbind; the outboard buffers
-    /// its queues still hold are released as they drop.
+    /// Tear a socket down: end its queued bytes' holds, cancel its counters
+    /// and unbind; the outboard buffers its queues still hold are released
+    /// as they drop.
     pub(crate) fn teardown(&mut self, sock: SockId, now: Time) {
         let Some(s) = self.sockets.remove(sock) else {
             return;
         };
-        self.claims.release_descriptors(&s.so_snd.chain);
+        let dropped = Consumed::Dropped(s.blocked_write.and_then(|w| w.counter));
+        self.end_queued(
+            hold::uio_descs(&s.so_snd.chain),
+            dropped,
+            Charge::Interrupt,
+            now,
+        );
         // Any sockbuf-dwell or blocked-read spans die with the socket.
         if self.spans.on() {
             while self.spans.span_drop(sock.0 as u64, Stage::Sockbuf, now) {}
@@ -1412,12 +1352,7 @@ impl Kernel {
                 self.conns.remove(&(s.proto, local, remote));
             }
         }
-        if let Some(bw) = s.blocked_write {
-            if let Some(c) = bw.counter {
-                self.uio.cancel(c);
-            }
-        }
-        if let Some(br) = s.blocked_read {
+        if let Some(br) = &s.blocked_read {
             self.uio.cancel(br.counter);
         }
     }

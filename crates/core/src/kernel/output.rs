@@ -3,7 +3,6 @@
 //! three drivers' output routines.
 
 use super::{Kernel, TxMeta};
-use crate::claims::ClaimHolder;
 use crate::driver::{CabIface, IfaceKind, MdmaJob, PendingTx, SdmaPurpose, TxFrame, TxSegment};
 use crate::ip;
 use crate::socket::Owner;
@@ -450,8 +449,8 @@ impl Kernel {
             if let (true, Some(sock)) = (uio_bytes > 0, meta.sock) {
                 // The frame reads the pinned range in place until its
                 // copy-in completes or the driver abandons it.
-                if let Some((task, vaddr, len)) = pinned {
-                    k.claims.claim(ClaimHolder::Gather, task, vaddr, len);
+                if let Some(pinned) = pinned {
+                    k.begin_gather(sock, pinned);
                 }
                 frame.segment = Some(TxSegment {
                     sock,

@@ -16,7 +16,6 @@
 //! panics: a sick adaptor costs throughput, never the kernel.
 
 use super::Kernel;
-use crate::claims::ClaimHolder;
 use crate::driver::{CabIface, PendingTx, TxSegment};
 use crate::types::{Effect, IfaceId, SockAddr, SockId, TimerKind};
 use outboard_cab::{CabError, CabEvent, PacketId, SdmaDst, SdmaRx};
@@ -214,9 +213,9 @@ impl Kernel {
         self.rebuild_transmit(iface_id, &segments, mem, now);
     }
 
-    /// The one recovery rule. The abandoned `segments` release their pinned
-    /// user pages and their frames' claims on them (the completions that
-    /// would have released them will never run). Then every connection
+    /// The one recovery rule. The abandoned `segments` end their gathers
+    /// (the completions that would have ended them will never run). Then
+    /// every connection
     /// routed over `iface` settles its write, rewinds to its
     /// unacknowledged left edge and goes back through the output path (now
     /// the traditional one) with an ACK forced. What the interface dropped
@@ -229,10 +228,9 @@ impl Kernel {
         mem: &mut HostMem,
         now: Time,
     ) {
-        for (task, vaddr, len) in segments.iter().filter_map(|s| s.pinned) {
-            self.claims.release(ClaimHolder::Gather, task, vaddr, len);
-            let cost = self.vm.release(task, vaddr, len);
-            self.cpu_dur(cost, Charge::Interrupt);
+        for seg in segments {
+            let unpin = self.end_gather(seg);
+            self.cpu_dur(unpin, Charge::Interrupt);
         }
         let routed = |r: SockAddr| self.routes.lookup(r.ip) == Some(iface);
         let socks: Vec<SockId> = (self.sockets.values())

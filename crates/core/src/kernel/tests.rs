@@ -1402,7 +1402,13 @@ fn a_descriptor_credited_twice_is_caught() {
     let mut rig = Rig::loopback(StackConfig::single_copy());
     let (_c, _cab, _mss, first) = write_two_of_three_segments(&mut rig);
     let fx_before = rig.k.fx.len();
-    rig.k.credit_uio(&first, Charge::Interrupt, rig.now);
+    let copied = super::hold::uio_descs(&first);
+    (rig.k).end_queued(
+        copied,
+        super::hold::Consumed::Copied,
+        Charge::Interrupt,
+        rig.now,
+    );
     assert!(
         rig.k.fx[fx_before..]
             .iter()
@@ -1476,7 +1482,7 @@ fn a_dropped_write_ends_when_its_parked_frame_is_abandoned() {
         .sys_write(c, WRITER, WRITE_BUF, 4096, &mut rig.mem, rig.now)
         .unwrap();
     assert!(matches!(r, WriteResult::Blocked { .. }), "{r:?}");
-    assert!(rig.k.iface(cab).cab_ref().unwrap().gathering(c));
+    assert_eq!(rig.k.socket_ref(c).unwrap().gathers, 1);
     let mut wakes = wakes_of(&fx, WRITER);
     let s = rig.k.socket_ref(c).unwrap();
     let seq = s.tcb.as_ref().unwrap().rcv_nxt;

@@ -7,6 +7,7 @@
 //! caller cycles through, a page when the caller names none; the receive
 //! checksum read alone has no locality.
 
+use super::hold::{uio_descs, Consumed};
 use super::{Kernel, TxMeta};
 use crate::driver::IfaceKind;
 use bytes::Bytes;
@@ -190,8 +191,7 @@ impl Kernel {
             )
         });
         if !rewrote_queue {
-            self.claims.release_descriptors(&data);
-            self.credit_uio(&data, Charge::Syscall, now);
+            self.end_queued(uio_descs(&data), Consumed::Copied, Charge::Syscall, now);
         }
         out
     }

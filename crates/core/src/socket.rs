@@ -40,17 +40,19 @@ pub(crate) struct BlockedWrite {
 }
 
 /// A `read` blocked on outboard copy-out DMA.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct BlockedRead {
     /// The reading process.
     pub task: TaskId,
     /// Outstanding-DMA counter for the copy-out.
     pub counter: UioCounterId,
-    /// Pinned range to release on completion.
-    pub pinned_vaddr: u64,
-    /// Length of the pinned range: the bytes the reader finds in its
-    /// buffer once woken.
-    pub pinned_len: usize,
+    /// The reader's buffer.
+    pub vaddr: u64,
+    /// The bytes the reader finds in its buffer once woken.
+    pub len: usize,
+    /// The ranges of the buffer the copy-outs pinned (`kernel::hold`),
+    /// unpinned together when the read completes.
+    pub pins: Vec<(u64, usize)>,
 }
 
 /// A reader waiting for data to arrive at all.
@@ -101,6 +103,9 @@ pub struct Socket {
     pub(crate) blocked_write: Option<BlockedWrite>,
     /// A read awaiting copy-out DMA completion.
     pub(crate) blocked_read: Option<BlockedRead>,
+    /// Transmit frames gathering from this socket's queued user bytes:
+    /// copy-ins in flight or parked for a retry (kept by `kernel::hold`).
+    pub(crate) gathers: u32,
     /// A reader waiting for any data.
     pub(crate) waiting_reader: Option<WaitingReader>,
     /// Task blocked in `connect`.
@@ -142,6 +147,7 @@ impl Socket {
             tcb: None,
             blocked_write: None,
             blocked_read: None,
+            gathers: 0,
             waiting_reader: None,
             connector: None,
             acceptor: None,

@@ -12,6 +12,11 @@
 //! keeping the buffers pinned and mapped ... buffers can be unpinned lazily,
 //! thus limiting the number of pages that an application can have pinned at
 //! one time." [`VmSystem`] implements both the eager and the lazy policy.
+//!
+//! A pinned page counts the bytes of it that outstanding operations hold,
+//! not the calls that pinned it: a range released in other pieces than it
+//! was prepared in still balances, and the page is unpinned when its last
+//! held byte is released. The Table 2 costs stay per call.
 
 use crate::config::MachineConfig;
 use crate::TaskId;
@@ -42,8 +47,8 @@ pub struct VmStats {
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum PageState {
-    /// Pinned and mapped, actively in use by an outstanding operation.
-    Active { refs: u32 },
+    /// Pinned and mapped, `bytes` of it held by outstanding operations.
+    Active { bytes: usize },
     /// Lazily released: still pinned+mapped, reusable at cache-hit cost.
     Cached,
 }
@@ -158,12 +163,21 @@ impl VmSystem {
         self.costs(n).map
     }
 
-    fn vpns(&self, vaddr: u64, len: usize) -> std::ops::Range<u64> {
+    /// The pages backing `[vaddr, vaddr+len)`, each with the bytes of the
+    /// range that fall in it.
+    fn spans(&self, vaddr: u64, len: usize) -> impl Iterator<Item = (u64, usize)> {
         let ps = self.cfg.page_size as u64;
-        if len == 0 {
-            return 0..0;
-        }
-        (vaddr / ps)..((vaddr + len as u64 - 1) / ps + 1)
+        let end = vaddr + len as u64;
+        let vpns = if len == 0 {
+            0..0
+        } else {
+            (vaddr / ps)..((end - 1) / ps + 1)
+        };
+        vpns.map(move |vpn| {
+            let lo = vaddr.max(vpn * ps);
+            let hi = end.min((vpn + 1) * ps);
+            (vpn, (hi - lo) as usize)
+        })
     }
 
     /// Number of pages currently pinned (active + cached).
@@ -171,30 +185,49 @@ impl VmSystem {
         self.pages.len()
     }
 
-    /// Pin and map the pages backing `[vaddr, vaddr+len)` for a DMA
-    /// operation, returning the CPU cost. With lazy unpinning, pages still
-    /// cached from a previous operation cost only a lookup.
-    pub fn prepare(&mut self, task: TaskId, vaddr: u64, len: usize) -> Dur {
-        let mut new_pages = 0usize;
-        let mut hits = 0usize;
-        for vpn in self.vpns(vaddr, len) {
+    /// Pages an outstanding operation still holds: every pinned page but
+    /// the lazily cached ones.
+    pub fn held_page_count(&self) -> usize {
+        self.pages.len() - self.cached_lru.len()
+    }
+
+    /// Hold `[vaddr, vaddr+len)` of `task`: returns the pages newly pinned
+    /// and those found pinned already.
+    fn hold_bytes(&mut self, task: TaskId, vaddr: u64, len: usize) -> (usize, usize) {
+        let (mut new_pages, mut hits) = (0usize, 0usize);
+        for (vpn, n) in self.spans(vaddr, len) {
             match self.pages.get_mut(&(task, vpn)) {
-                Some(PageState::Active { refs }) => {
-                    *refs += 1;
+                Some(PageState::Active { bytes }) => {
+                    *bytes += n;
                     hits += 1;
                 }
                 Some(state @ PageState::Cached) => {
-                    *state = PageState::Active { refs: 1 };
+                    *state = PageState::Active { bytes: n };
                     self.cached_lru.retain(|k| k != &(task, vpn));
                     hits += 1;
                 }
                 None => {
                     self.pages
-                        .insert((task, vpn), PageState::Active { refs: 1 });
+                        .insert((task, vpn), PageState::Active { bytes: n });
                     new_pages += 1;
                 }
             }
         }
+        (new_pages, hits)
+    }
+
+    /// Hold `[vaddr, vaddr+len)` for one more operation on pages a
+    /// [`VmSystem::prepare`] has pinned: no Table 2 call, and the pages
+    /// stay pinned until this hold is released too.
+    pub fn hold(&mut self, task: TaskId, vaddr: u64, len: usize) {
+        self.hold_bytes(task, vaddr, len);
+    }
+
+    /// Pin and map the pages backing `[vaddr, vaddr+len)` for a DMA
+    /// operation, returning the CPU cost. With lazy unpinning, pages still
+    /// cached from a previous operation cost only a lookup.
+    pub fn prepare(&mut self, task: TaskId, vaddr: u64, len: usize) -> Dur {
+        let (new_pages, hits) = self.hold_bytes(task, vaddr, len);
         let mut cost = Dur::ZERO;
         if new_pages > 0 {
             self.stats.pin_calls += 1;
@@ -212,26 +245,40 @@ impl VmSystem {
         cost
     }
 
-    /// Release the pages backing `[vaddr, vaddr+len)` after the DMA
-    /// completes. Eager mode unpins immediately (Table 2 cost); lazy mode
-    /// parks the pages in the cache for free and only pays when the pinned
-    /// limit forces eviction.
+    /// Release the held bytes `[vaddr, vaddr+len)` after the DMA
+    /// completes; a page whose last held byte goes is released. Eager mode
+    /// unpins immediately (Table 2 cost); lazy mode parks the pages in the
+    /// cache for free and only pays when the pinned limit forces eviction.
     pub fn release(&mut self, task: TaskId, vaddr: u64, len: usize) -> Dur {
+        self.release_ranges([(task, vaddr, len)])
+    }
+
+    /// [`VmSystem::release`] over several ranges in one call: the pages
+    /// they free are unpinned together, at one Table 2 cost.
+    pub fn release_ranges(
+        &mut self,
+        ranges: impl IntoIterator<Item = (TaskId, u64, usize)>,
+    ) -> Dur {
         let mut released = 0usize;
-        for vpn in self.vpns(vaddr, len) {
-            if let Some(state) = self.pages.get_mut(&(task, vpn)) {
-                if let PageState::Active { refs } = state {
-                    *refs -= 1;
-                    if *refs == 0 {
-                        if self.lazy {
-                            *state = PageState::Cached;
-                            self.cached_lru.push_back((task, vpn));
-                        } else {
-                            self.pages.remove(&(task, vpn));
-                        }
-                        released += 1;
-                    }
+        for (task, vaddr, len) in ranges {
+            for (vpn, n) in self.spans(vaddr, len) {
+                let Some(state) = self.pages.get_mut(&(task, vpn)) else {
+                    continue;
+                };
+                let PageState::Active { bytes } = state else {
+                    continue;
+                };
+                *bytes = bytes.saturating_sub(n);
+                if *bytes > 0 {
+                    continue;
                 }
+                if self.lazy {
+                    *state = PageState::Cached;
+                    self.cached_lru.push_back((task, vpn));
+                } else {
+                    self.pages.remove(&(task, vpn));
+                }
+                released += 1;
             }
         }
         let mut cost = Dur::ZERO;
@@ -408,6 +455,39 @@ mod tests {
         assert_eq!(v.pinned_page_count(), 2);
         v.release(t, 8 * 1024, 16 * 1024);
         assert_eq!(v.pinned_page_count(), 0);
+    }
+
+    /// A page counts held bytes, not calls: two chunks sharing a page
+    /// and released as one range leave nothing pinned, a page released in
+    /// halves stays pinned until the second, and a `hold` is free but
+    /// keeps the page pinned past the release of what `prepare` pinned.
+    #[test]
+    fn holds_balance_under_any_partition() {
+        let mut v = sys(false);
+        let t = TaskId(1);
+        v.prepare(t, 0, 5000);
+        v.prepare(t, 5000, 5000);
+        assert_eq!(v.release(t, 0, 10_000), v.unpin_cost(2));
+        assert_eq!(v.held_page_count(), 0);
+        v.prepare(t, 0, 8192);
+        assert_eq!(v.release(t, 0, 4096), Dur::ZERO);
+        assert_eq!(v.held_page_count(), 1, "half the page is still held");
+        assert_eq!(v.release(t, 4096, 4096), v.unpin_cost(1));
+        let pinned = v.stats();
+        v.prepare(t, 0, 100);
+        v.hold(t, 0, 100);
+        assert_eq!(
+            v.stats().pin_calls,
+            pinned.pin_calls + 1,
+            "a hold pins nothing"
+        );
+        assert_eq!(v.release(t, 0, 100), Dur::ZERO);
+        assert_eq!(v.held_page_count(), 1);
+        assert_eq!(v.release(t, 0, 100), v.unpin_cost(1));
+        let ranges = [(t, 0, 100), (t, 3 * 8192, 100)];
+        v.prepare(t, 0, 100);
+        v.prepare(t, 3 * 8192, 100);
+        assert_eq!(v.release_ranges(ranges), v.unpin_cost(2), "one call");
     }
 
     #[test]

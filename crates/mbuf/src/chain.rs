@@ -65,7 +65,7 @@ impl Chain {
     }
 
     /// Iterate the mbufs front to back.
-    pub fn iter(&self) -> impl Iterator<Item = &Mbuf> {
+    pub fn iter(&self) -> impl Iterator<Item = &Mbuf> + Clone {
         self.mbufs.iter()
     }
 

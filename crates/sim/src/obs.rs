@@ -104,10 +104,12 @@ impl ValueHist {
 
 /// A busy-until occupancy timeline over virtual time.
 ///
-/// This is the shared engine model: work submitted at `now` starts when the
+/// This is the CAB's engine model: work submitted at `now` starts when the
 /// resource frees up and occupies it for a duration; cumulative busy time
-/// over an elapsed window gives the busy fraction. The CAB's DMA engines and
-/// the host CPU both serialize on one of these.
+/// over an elapsed window gives the busy fraction. Each of the CAB's DMA
+/// engines serializes on one of these; the host CPU does not
+/// (`host::Cpu::run` keeps its own `busy_until` beside its per-charge
+/// accounting).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BusyTracker {
     busy_until: Time,

@@ -14,7 +14,8 @@
 //! * **Healed end-state** — once every fault window has healed and the
 //!   probes have run, no interface may still be degraded, wedged, or carrying
 //!   an unbalanced degraded-entry/exit ledger (livelock/leak detector), and
-//!   once the transfer has completed no CAB may hold a network-memory page.
+//!   once the transfer has completed no CAB may hold a network-memory page
+//!   and no host a user page.
 //! * **Copy semantics** — no application wrote a buffer the stack or an
 //!   engine still claimed, and no `write` or `read` completed early (the
 //!   user-memory journal, recording in debug builds only).
@@ -159,14 +160,19 @@ pub fn copy_violations(w: &World) -> Vec<String> {
 /// timers given time to fire, each CAB interface must be back on the
 /// single-copy path with balanced degraded-mode transitions and no wedged
 /// engine. Once every application has finished, each CAB must also hold no
-/// network-memory page: an outboard packet is released when its last
-/// holder drops, so a page still in use after the transfer has leaked.
+/// network-memory page, and each host no user page
+/// ([`held_page_violations`]): an outboard packet is released when its
+/// last holder drops, so a page still in use after the transfer has
+/// leaked.
 pub fn endstate_violations(w: &World) -> Vec<String> {
     let mut v = Vec::new();
     let finished = w
         .hosts
         .iter()
         .all(|h| h.apps.iter().flatten().all(|a| a.finished()));
+    if finished {
+        v.extend(held_page_violations(w));
+    }
     for (h, host) in w.hosts.iter().enumerate() {
         for iface in &host.kernel.ifaces {
             let Some(ci) = iface.cab_ref() else { continue };
@@ -198,4 +204,15 @@ pub fn endstate_violations(w: &World) -> Vec<String> {
         }
     }
     v
+}
+
+/// User pages a host still holds: a pinned page is released when the last
+/// operation holding its bytes ends (a lazily cached page is held by
+/// none), so a page held once no operation is outstanding has leaked.
+pub fn held_page_violations(w: &World) -> Vec<String> {
+    let held = w.hosts.iter().map(|h| h.kernel.vm.held_page_count());
+    (held.enumerate())
+        .filter(|&(_, n)| n > 0)
+        .map(|(h, n)| format!("endstate: host{h} holds {n} user pages"))
+        .collect()
 }

@@ -13,9 +13,10 @@
 //! use on each CAB (`-` for chaos runs, whose world the runner keeps).
 //!
 //! The file is a change detector, not an oracle: it records what the
-//! simulator does, leaks and stalls included. One oracle check rides along:
+//! simulator does, leaks and stalls included. Two oracle checks ride along:
 //! no run may break copy semantics (`oracle::copy_violations`, recorded in
-//! debug builds only). After an *intended* change of
+//! debug builds only), and no host may hold a user page once a ttcp run has
+//! settled (`oracle::held_page_violations`). After an *intended* change of
 //! simulated behaviour, rewrite it with
 //! `cargo test --test behaviour -- --ignored regenerate_behaviour_ledger`,
 //! list every moved line in CHANGES.md and commit `tests/golden/`. Debug and
@@ -27,7 +28,7 @@ use outboard::stack::{SockAddr, SockId, StackConfig};
 use outboard::testbed::apps::{TtcpReceiver, TtcpSender};
 use outboard::testbed::chaos::run_chaos;
 use outboard::testbed::experiment::{build_ttcp_world, run_ttcp_in, RECEIVER_IP, SENDER_IP};
-use outboard::testbed::oracle::copy_violations;
+use outboard::testbed::oracle::{copy_violations, held_page_violations};
 use outboard::testbed::{ExperimentConfig, RunError, RunOutcome, World};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -174,10 +175,12 @@ fn digest<'a>(parts: impl IntoIterator<Item = &'a str>) -> u64 {
 }
 
 /// Open sockets per host and network-memory pages per CAB, after `w` has
-/// run on for [`SETTLE`].
-fn settled(w: &mut World) -> String {
+/// run on for [`SETTLE`], by when no host may hold a user page.
+fn settled(name: &str, w: &mut World) -> String {
     let end = w.now() + SETTLE;
     w.run_until(end);
+    let held = held_page_violations(w);
+    assert!(held.is_empty(), "{name}: {held:?}");
     let sockets: Vec<String> = w
         .hosts
         .iter()
@@ -263,7 +266,7 @@ fn line(name: &str, run: &Run) -> String {
                 m.timeline_json.as_deref().unwrap_or(""),
                 path.as_deref().unwrap_or(""),
             ];
-            let tail = settled(&mut w);
+            let tail = settled(name, &mut w);
             assert_copy_semantics(name, &copy_violations(&w));
             format!(
                 "{name}\t{}\t{}\t{}\t{}\t{:016x}\t{tail}",
@@ -287,7 +290,7 @@ fn line(name: &str, run: &Run) -> String {
                 .sum();
             let stats = w.metrics(elapsed).to_json();
             let events = w.events_dispatched;
-            let tail = settled(&mut w);
+            let tail = settled(name, &mut w);
             assert_copy_semantics(name, &copy_violations(&w));
             format!(
                 "{name}\t{}\t{}\t{bytes}\t{events}\t{:016x}\t{tail}",

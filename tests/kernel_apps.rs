@@ -502,3 +502,23 @@ fn raw_ip_kernel_protocol() {
     w.run_until(w.now() + Dur::millis(10));
     assert!(w.hosts[1].kernel.stats.no_socket_drops > 0);
 }
+
+/// The in-kernel interface refuses a user socket with an error, not a
+/// panic, and sends or registers nothing.
+#[test]
+fn kernel_calls_on_a_user_socket_are_refused() {
+    use outboard::mbuf::Chain;
+    let mut w = cab_world();
+    let h = &mut w.hosts[0];
+    let user = h.kernel.sys_socket(Proto::Udp);
+    let dst = SockAddr::new(IP_B, 9);
+    let chain = Chain::from_slice(&[1, 2, 3, 4]);
+    let sent = h
+        .kernel
+        .kernel_sendto(user, chain, dst, &mut h.mem, Time::ZERO);
+    let refused = StackError::InvalidState("kernel_sendto on a user socket");
+    assert_eq!(sent.err(), Some(refused));
+    assert_eq!(h.kernel.stats.udp_datagrams_out, 0);
+    let raw = StackError::InvalidState("raw handlers are kernel sockets");
+    assert_eq!(h.kernel.kernel_register_raw(253, user), Err(raw));
+}

@@ -59,7 +59,7 @@ fn routed_tcp_charges_the_legacy_copies() {
     w.add_app(0, Box::new(sender), true);
     assert_eq!(w.run_apps(), Ok(RunOutcome::Completed));
     assert!(w.hosts[1].kernel.stats.wcab_to_regular > 0);
-    assert_eq!(pins(&w), [111_619_565, 25_451_500, 22_953_891, 37_440_970]);
+    assert_eq!(pins(&w), [111_619_565, 26_135_400, 22_953_891, 37_440_970]);
 }
 
 /// One 8000-byte datagram through the router: the sub-threshold write is
@@ -127,5 +127,5 @@ fn an_unaligned_gather_charges_its_copy_in() {
     assert!(m.stats.counter_value("host0.csum.aligned_fallbacks") > 0);
     let busy = |h: usize| m.stats.counter_value(&format!("host{h}.cpu.busy_ns"));
     let pins = [m.elapsed.as_nanos(), busy(0), busy(1)];
-    assert_eq!(pins, [42_919_003, 14_552_488, 17_276_488]);
+    assert_eq!(pins, [42_916_790, 14_713_188, 17_228_488]);
 }
