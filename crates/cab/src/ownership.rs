@@ -3,7 +3,7 @@
 //! The paper's single-copy path is safe only because ownership of every
 //! outboard byte is unambiguous: the host, the SDMA engine, and the two
 //! MDMA engines never touch a packet buffer concurrently, and the
-//! `uiowcabhdr` DMA counters (§4.4.2, our `sockbuf::UioCounters`) exist
+//! `uiowcabhdr` DMA counters (§4.4.2, our socket's `uio_queued`) exist
 //! precisely so the host never frees or reuses a buffer an engine is still
 //! working on. On real hardware a violation is silent corruption on the
 //! wire; here it becomes a typed error.

@@ -4,8 +4,8 @@
 //! The single-copy path is legal only because a `write` does not return,
 //! and its blocked writer is not woken, until every byte has left the user
 //! buffer; and a `read` does not complete until every DMA into its buffer
-//! has (§4.4.2). The UIO counters (`sockbuf::UioCounters`) implement that
-//! rule. The CAB's journal (`outboard_cab::ownership`) checks the engines
+//! has (§4.4.2). The UIO counters (a socket's `uio_queued`, a read's
+//! `BlockedRead::outstanding`) implement that rule. The CAB's journal (`outboard_cab::ownership`) checks the engines
 //! against network-memory packets; this one checks the stack against user
 //! memory, independently of the counters, so a counter bug cannot hide
 //! itself. Three holders claim a user range, each begun and ended by

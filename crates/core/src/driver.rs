@@ -31,8 +31,8 @@ use std::rc::Rc;
 /// A transmit copy-in of socket data. On completion the kernel replaces
 /// the `[seq_lo, seq_lo+data_len)` range of the socket's send queue with an
 /// `M_WCAB` descriptor (the paper's "the mbuf type is changed to M_WCAB
-/// after the data has been copied outboard") and credits the write's UIO
-/// counter.
+/// after the data has been copied outboard"), and the write's queued count
+/// loses those bytes.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct TxSegment {
     pub(crate) sock: SockId,
@@ -52,7 +52,7 @@ pub(crate) enum SdmaPurpose {
     /// path, retransmission header refresh, control segments).
     TxPlain,
     /// Receive copy-out of `bytes` toward the user buffer at `dst`;
-    /// credits the read's counter. `via_kernel` is set on the unaligned
+    /// its completion counts against the read's `outstanding`. `via_kernel` is set on the unaligned
     /// fallback: the DMA lands in kernel memory and the completion handler
     /// finishes with a CPU copy to `dst` (§4.5).
     RxToUser {

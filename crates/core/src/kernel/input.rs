@@ -3,12 +3,12 @@
 //! input, SDMA completion handling (including the `M_UIO` → `M_WCAB`
 //! conversion that realizes §4.2), and TCP timers.
 
-use super::hold::{uio_descs, Consumed};
+use super::hold::{uio_descs, write_counter, Consumed};
 use super::{Kernel, TxMeta};
 use crate::driver::{IfaceHealth, IfaceKind, SdmaPurpose, TxSegment};
 use crate::ip::FragKey;
 use crate::socket::{KqEntry, Owner};
-use crate::tcp::{AckMode, Expiry, SegmentPlan, TcpState};
+use crate::tcp::{rst_for, AckMode, Expiry, SegmentPlan, TcpState};
 use crate::types::{Effect, IfaceId, Proto, SockAddr, SockId, StackError, TimerKind};
 use bytes::Bytes;
 use outboard_cab::{PacketId, SdmaDst, SdmaRx};
@@ -448,17 +448,7 @@ impl Kernel {
             // No one listening: RST per RFC 793.
             drop(payload);
             let data_len = transport_len - thdr.header_len as usize;
-            let (seq, ack, flags) = if thdr.flags.ack() {
-                (thdr.ack, 0, TcpFlags::RST)
-            } else {
-                (
-                    0,
-                    thdr.seq
-                        .wrapping_add(data_len as u32)
-                        .wrapping_add(u32::from(thdr.flags.syn())),
-                    TcpFlags::RST | TcpFlags::ACK,
-                )
-            };
+            let (seq, ack, flags) = rst_for(&thdr, data_len);
             self.emit_rst(local, remote, seq, ack, flags, mem, now);
             return;
         };
@@ -986,15 +976,14 @@ impl Kernel {
         let Some(bw) = self.sockets.get(sock).and_then(|s| s.blocked_write) else {
             return;
         };
-        if bw.counter.is_none() {
+        if !bw.uio {
             return;
         }
-        let (region, len, counter) = (bw.region, bw.total, bw.counter);
         let desc = UioDesc {
-            region,
+            region: bw.region,
             off: 0,
-            len,
-            counter,
+            len: bw.total,
+            counter: Some(write_counter(sock)),
         };
         let copied = std::iter::once(desc);
         self.end_queued(copied, Consumed::Copied, Charge::Interrupt, now);

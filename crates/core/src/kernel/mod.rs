@@ -29,7 +29,6 @@ use crate::claims::{UserClaims, UserViolation};
 use crate::driver::{CabIface, EthIface, Iface, IfaceKind, SdmaPurpose};
 use crate::ip::Reassembler;
 use crate::route::RouteTable;
-use crate::sockbuf::UioCounters;
 use crate::socket::{BlockedRead, BlockedWrite, Owner, Socket, WaitingReader};
 use crate::tcp::{SegmentPlan, Tcb, TcpState, TcpStats};
 use crate::types::{
@@ -177,7 +176,6 @@ pub struct Kernel {
     /// The routing table.
     pub routes: RouteTable,
     pub(crate) reass: Reassembler,
-    pub(crate) uio: UioCounters,
     /// Copy semantics, checked on user memory (debug builds).
     pub(crate) claims: UserClaims,
     pub(crate) fx: Vec<Effect>,
@@ -226,7 +224,6 @@ impl Kernel {
             ifaces: Vec::new(),
             routes: RouteTable::new(),
             reass: Reassembler::new(),
-            uio: UioCounters::new(),
             claims: UserClaims::default(),
             fx: Vec::new(),
             fx_spare: Vec::new(),
@@ -382,17 +379,6 @@ impl Kernel {
             .expect("socket present for in-flight syscall")
     }
 
-    /// Issue bytes on a UIO counter created earlier in the same syscall.
-    /// The counter cannot have drained yet: `complete` only runs from DMA
-    /// completions, which are events the current call has not returned to.
-    #[expect(
-        clippy::expect_used,
-        reason = "counter created in this syscall and DMA completions cannot preempt it"
-    )]
-    fn uio_issue(&mut self, counter: outboard_mbuf::UioCounterId, bytes: usize) {
-        self.uio.issue(counter, bytes).expect("live uio counter");
-    }
-
     /// Charge a per-packet cost. A positive cost that rounds to zero
     /// nanoseconds is still pushed: running it moves the harness's cursor
     /// up to the CPU's `busy_until`.
@@ -531,13 +517,18 @@ impl Kernel {
         self.cfg.mode == StackMode::Unmodified
     }
 
-    /// `listen(2)`: turn a bound TCP socket into a listener.
+    /// `listen(2)`: turn a bound TCP socket into a listener. A socket that
+    /// already has a control block (listening, connecting or connected)
+    /// is refused, as FreeBSD's `tcp_usr_listen` refuses one not `CLOSED`.
     pub fn sys_listen(&mut self, sock: SockId) -> Result<(), StackError> {
         let nagle = self.effective_nagle();
         let s = self.sockets.get(sock).ok_or(StackError::BadSocket)?;
         let buf = s.so_rcv.hiwat;
         if s.proto != Proto::Tcp {
             return Err(StackError::InvalidState("listen on non-TCP socket"));
+        }
+        if s.tcb.is_some() {
+            return Err(StackError::InvalidState("listen on an open TCP socket"));
         }
         let mut tcb = Tcb::new(0, nagle);
         tcb.listen(536, buf);
@@ -561,7 +552,9 @@ impl Kernel {
         self.iss
     }
 
-    /// Active open. The caller blocks until the `Wake` for this socket.
+    /// Active open. The caller blocks until the `Wake` for this socket. A
+    /// connected socket is refused with `AlreadyConnected` and a listener
+    /// with `InvalidState`, as Net/2's `soconnect` refuses one.
     pub fn sys_connect(
         &mut self,
         sock: SockId,
@@ -571,6 +564,13 @@ impl Kernel {
         now: Time,
     ) -> Result<Vec<Effect>, StackError> {
         self.cpu(self.costs.syscall, Charge::Syscall);
+        let s = self.sockets.get(sock).ok_or(StackError::BadSocket)?;
+        if s.remote.is_some() {
+            return Err(StackError::AlreadyConnected);
+        }
+        if s.tcb.is_some() {
+            return Err(StackError::InvalidState("connect on a listening socket"));
+        }
         let iface_id = self.routes.lookup(dst.ip).ok_or(StackError::NoRoute)?;
         let iface = &self.ifaces[iface_id.0 as usize];
         let local_ip = iface.ip;
@@ -579,10 +579,7 @@ impl Kernel {
         let local = SockAddr::new(local_ip, port);
 
         let mut tcb = Tcb::new(self.next_iss(), self.effective_nagle());
-        let s = self.sockets.get_mut(sock).ok_or(StackError::BadSocket)?;
-        if s.remote.is_some() {
-            return Err(StackError::AlreadyConnected);
-        }
+        let s = self.sock_mut(sock);
         tcb.connect(mss, s.so_rcv.hiwat);
         s.local = Some(local);
         s.remote = Some(dst);
@@ -784,15 +781,12 @@ impl Kernel {
                 return Err(StackError::BufferTooSmall);
             }
         }
-        let counter = self
-            .use_uio_path(sock, vaddr, len)
-            .then(|| self.uio.create(sock, len));
         let mut bw = BlockedWrite {
             task,
             region: UioRegion { task, base: vaddr },
             total: len,
             appended: 0,
-            counter,
+            uio: self.use_uio_path(sock, vaddr, len),
         };
         self.append_write_chunks(sock, &mut bw, mem, Charge::Syscall, now);
         self.tcp_send(sock, mem, now, false);
@@ -861,7 +855,7 @@ impl Kernel {
             // tail, so the next one starts word-aligned in user space
             // (§4.5), as `Tcb::output` keeps its segments. With less space
             // than a word, wait for ACKs to free more.
-            if w.counter.is_some() && chunk < remaining {
+            if w.uio && chunk < remaining {
                 chunk &= !3;
             }
             if chunk == 0 {
@@ -871,20 +865,19 @@ impl Kernel {
             self.cpu(self.costs.socket_pkt, charge);
             let (task, cur_addr) = (w.region.task, w.region.base + w.appended as u64);
             let unaligned_start = w.appended == 0 && !cur_addr.is_multiple_of(4);
-            if let Some(c) = w.counter.filter(|_| unaligned_start) {
+            if w.uio && unaligned_start {
                 // Align-split extension (§4.5): copy the 1-3 bytes up to
                 // the next word boundary through a kernel mbuf so the rest
                 // of the write can be DMAed. The copy satisfies copy
-                // semantics for them now.
+                // semantics for them now, so they never count as queued.
                 let fix = (4 - (cur_addr % 4) as usize).min(remaining);
                 let m = Mbuf::kernel(self.copyin(task, cur_addr, fix, Some(64), mem, charge));
                 self.mbuf_stats.count(&m);
                 self.sock_mut(sock).so_snd.chain.append(m);
-                self.uio_issue(c, fix);
                 w.appended += fix;
-                if self.uio.complete(c, fix).is_some() {
-                    // A sub-word write, drained by the copy: the caller
-                    // settles it.
+                if w.appended == w.total {
+                    // A sub-word write, copied whole: the caller settles
+                    // it.
                     return;
                 }
                 // Flush the fragment as its own short packet (the paper:
@@ -893,12 +886,12 @@ impl Kernel {
                 self.tcp_send(sock, mem, now, false);
                 continue;
             }
-            let m = if let Some(c) = w.counter {
+            let m = if w.uio {
                 let desc = UioDesc {
                     region: w.region,
                     off: w.appended as u64,
                     len: chunk,
-                    counter: Some(c),
+                    counter: Some(hold::write_counter(sock)),
                 };
                 self.hold_queued(desc, charge)
             } else {
@@ -965,8 +958,13 @@ impl Kernel {
         self.spans
             .span_close_bytes(sock.0 as u64, Stage::Sockbuf, now, take as u64);
 
-        let mut dma_bytes = 0usize;
-        let mut pins = Vec::new();
+        let mut read = BlockedRead {
+            task,
+            vaddr,
+            len: take,
+            pins: Vec::new(),
+            outstanding: 0,
+        };
         let mut dst_off = 0usize;
         for m in chunk {
             let mlen = m.len();
@@ -976,12 +974,11 @@ impl Kernel {
                     self.copyout(task, user_dst, &b, Some(take), mem, Charge::Syscall);
                 }
                 MbufData::Wcab(d) => {
-                    dma_bytes += d.len;
                     let aligned = user_dst.is_multiple_of(4);
                     if !aligned {
                         self.stats.aligned_fallbacks += 1;
                     }
-                    self.begin_copyout(&mut pins, (task, user_dst), d.len, aligned);
+                    self.begin_copyout(&mut read, user_dst, d.len, aligned);
                     self.issue_rx_copyout(sock, d, task, user_dst, aligned, mem, now);
                 }
                 #[expect(
@@ -996,17 +993,8 @@ impl Kernel {
         // Receive-window update: tell the peer about the space we freed.
         self.maybe_window_update(sock, mem, now);
 
-        if dma_bytes > 0 {
-            let counter = self.uio.create(sock, dma_bytes);
-            self.uio_issue(counter, dma_bytes);
-            let s = self.sock_mut(sock);
-            s.blocked_read = Some(BlockedRead {
-                task,
-                counter,
-                vaddr,
-                len: take,
-                pins,
-            });
+        if read.outstanding > 0 {
+            self.sock_mut(sock).blocked_read = Some(read);
             if self.spans.on() {
                 let flow = self.flow_id_rx(sock);
                 self.spans
@@ -1233,21 +1221,18 @@ impl Kernel {
         let uio_path = fits_mtu && self.use_uio_path(sock, vaddr, len);
         let region = UioRegion { task, base: vaddr };
         let mut chain = Chain::new();
-        let counter = if uio_path {
-            let counter = self.uio.create(sock, len);
+        if uio_path {
             let desc = UioDesc {
                 region,
                 off: 0,
                 len,
-                counter: Some(counter),
+                counter: Some(hold::write_counter(sock)),
             };
             chain.append(self.hold_queued(desc, Charge::Syscall));
-            Some(counter)
         } else {
             let copied = self.copyin(task, vaddr, len, None, mem, Charge::Syscall);
             chain.append(Mbuf::kernel(copied));
-            None
-        };
+        }
         self.cpu(self.costs.socket_pkt, Charge::Syscall);
         self.udp_output(sock, local, remote, chain, mem, now);
         let s = self.sock_mut(sock);
@@ -1256,7 +1241,7 @@ impl Kernel {
             region,
             total: len,
             appended: len,
-            counter,
+            uio: uio_path,
         });
         // A legacy driver's conversion may have copied the datagram in
         // the send above.
@@ -1307,12 +1292,15 @@ impl Kernel {
         // The receive queue stays: the application reads what arrived
         // before the error.
         let queued = std::mem::take(&mut s.so_snd.chain);
-        let counter = s.blocked_write.and_then(|w| w.counter);
         let reader = s.waiting_reader.take().map(|r| r.task);
         let connector = s.connector.take();
         let endpoints = s.local.zip(s.remote);
-        let dropped = Consumed::Dropped(counter);
-        self.end_queued(hold::uio_descs(&queued), dropped, Charge::Interrupt, now);
+        self.end_queued(
+            hold::uio_descs(&queued),
+            Consumed::Dropped,
+            Charge::Interrupt,
+            now,
+        );
         if let (Some((seq, ack)), Some((local, remote))) = (rst, endpoints) {
             let flags = outboard_wire::TcpFlags::RST | outboard_wire::TcpFlags::ACK;
             self.emit_rst(local, remote, seq, ack, flags, mem, now);
@@ -1327,20 +1315,15 @@ impl Kernel {
         }
     }
 
-    /// Tear a socket down: end its queued bytes' holds, cancel its counters
-    /// and unbind; the outboard buffers its queues still hold are released
-    /// as they drop.
+    /// Tear a socket down: end its queued bytes' holds and unbind; its
+    /// counts go with it, and the outboard buffers its queues still hold
+    /// are released as they drop.
     pub(crate) fn teardown(&mut self, sock: SockId, now: Time) {
         let Some(s) = self.sockets.remove(sock) else {
             return;
         };
-        let dropped = Consumed::Dropped(s.blocked_write.and_then(|w| w.counter));
-        self.end_queued(
-            hold::uio_descs(&s.so_snd.chain),
-            dropped,
-            Charge::Interrupt,
-            now,
-        );
+        let queued = hold::uio_descs(&s.so_snd.chain);
+        self.end_queued(queued, Consumed::Dropped, Charge::Interrupt, now);
         // Any sockbuf-dwell or blocked-read spans die with the socket.
         if self.spans.on() {
             while self.spans.span_drop(sock.0 as u64, Stage::Sockbuf, now) {}
@@ -1351,9 +1334,6 @@ impl Kernel {
             if let Some(remote) = s.remote {
                 self.conns.remove(&(s.proto, local, remote));
             }
-        }
-        if let Some(br) = &s.blocked_read {
-            self.uio.cancel(br.counter);
         }
     }
 

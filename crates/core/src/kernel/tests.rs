@@ -1298,12 +1298,9 @@ fn every_drop_site_releases_its_outboard_packets() {
 const WRITER: TaskId = TaskId(1);
 const WRITE_BUF: u64 = 0x10_0000;
 
-/// A blocked single-copy write of three full segments on a connection
-/// re-pointed at a CAB (its frames go nowhere): the congestion window lets
-/// two out, whose copy-ins complete, and the third stays queued as an
-/// `M_UIO` descriptor. Returns the socket, the CAB, the mss, and the first
-/// segment's descriptor as it was queued.
-fn write_two_of_three_segments(rig: &mut Rig) -> (SockId, IfaceId, usize, Chain) {
+/// The client of a loopback connection re-pointed at a CAB (its frames go
+/// nowhere), the CAB and the connection's mss.
+fn connection_over_a_cab(rig: &mut Rig) -> (SockId, IfaceId, usize) {
     let (c, _child) = established_loopback_pair(rig);
     let cab = rig.add_cab();
     rig.k.routes.clear();
@@ -1312,7 +1309,20 @@ fn write_two_of_three_segments(rig: &mut Rig) -> (SockId, IfaceId, usize, Chain)
     let s = rig.k.sockets.get_mut(c).unwrap();
     s.iface_hint = Some(cab);
     let mss = s.tcb.as_ref().unwrap().mss;
-    assert_eq!(s.tcb.as_ref().unwrap().cwnd, 2 * mss);
+    (c, cab, mss)
+}
+
+/// A blocked single-copy write of three full segments on a connection
+/// re-pointed at a CAB (its frames go nowhere): the congestion window lets
+/// two out, whose copy-ins complete, and the third stays queued as an
+/// `M_UIO` descriptor. Returns the socket, the CAB, the mss, and the first
+/// segment's descriptor as it was queued.
+fn write_two_of_three_segments(rig: &mut Rig) -> (SockId, IfaceId, usize, Chain) {
+    let (c, cab, mss) = connection_over_a_cab(rig);
+    assert_eq!(
+        rig.k.socket_ref(c).unwrap().tcb.as_ref().unwrap().cwnd,
+        2 * mss
+    );
     rig.mem.create_region(WRITER, WRITE_BUF, 3 * mss);
     let (r, fx) = rig
         .k
@@ -1373,7 +1383,7 @@ fn a_write_completes_after_its_last_copy_in() {
 }
 
 /// Planted: the writer is woken one copy-in completion early, at the
-/// second of three (its counter is credited the third segment's bytes),
+/// second of three (its socket's count loses the third segment's bytes),
 /// and the woken application reuses its buffer. The third segment's
 /// descriptor still claims its bytes: an early wake, then a user write
 /// while they wait for their DMA.
@@ -1381,8 +1391,9 @@ fn a_write_completes_after_its_last_copy_in() {
 fn a_wake_one_completion_early_is_caught() {
     let mut rig = Rig::loopback(StackConfig::single_copy());
     let (c, _cab, mss, _) = write_two_of_three_segments(&mut rig);
-    let counter = rig.k.socket_ref(c).unwrap().blocked_write.unwrap().counter;
-    assert!(rig.k.uio.complete(counter.unwrap(), mss).is_some());
+    let s = rig.k.sockets.get_mut(c).unwrap();
+    assert_eq!(s.uio_queued, mss, "the third segment is queued");
+    s.uio_queued -= mss;
     assert_eq!(rig.k.settle_write(c, rig.now), Some(WRITER));
     rig.k.note_user_write(WRITER, WRITE_BUF, 3 * mss, rig.now);
     use crate::{ClaimHolder::Queued, UserViolationKind::*};
@@ -1394,9 +1405,9 @@ fn a_wake_one_completion_early_is_caught() {
     }
 }
 
-/// Planted: one descriptor's bytes are credited twice, which drains the
-/// write's UIO counter while the third segment is still queued. The claims
-/// do not follow the counter, so the wake it causes is an early wake.
+/// Planted: one descriptor's bytes are credited twice, which empties the
+/// socket's queued count while the third segment is still queued. The
+/// claims do not follow the count, so the wake it causes is an early wake.
 #[test]
 fn a_descriptor_credited_twice_is_caught() {
     let mut rig = Rig::loopback(StackConfig::single_copy());
@@ -1413,12 +1424,134 @@ fn a_descriptor_credited_twice_is_caught() {
         rig.k.fx[fx_before..]
             .iter()
             .any(|e| matches!(e, Effect::Wake { task: WRITER, .. })),
-        "the counter drained early and woke the writer"
+        "the count emptied early and woke the writer"
     );
     use crate::{ClaimHolder::Queued, UserViolationKind::EarlyWake};
     if cfg!(debug_assertions) {
         assert_eq!(violation_kinds(&rig), [(EarlyWake, Queued)]);
     }
+}
+
+/// A single-copy write whose tail waits for socket-buffer space is not
+/// ended when the bytes queued so far are copied: nothing is counted as
+/// queued any more, but not every byte is appended.
+#[test]
+fn a_write_waiting_for_buffer_space_outlives_its_copied_bytes() {
+    let mut rig = Rig::loopback(StackConfig::single_copy());
+    let (c, cab, mss) = connection_over_a_cab(&mut rig);
+    rig.k.sockets.get_mut(c).unwrap().so_snd.hiwat = 2 * mss;
+    rig.mem.create_region(WRITER, WRITE_BUF, 3 * mss);
+    let (r, fx) = rig
+        .k
+        .sys_write(c, WRITER, WRITE_BUF, 3 * mss, &mut rig.mem, rig.now)
+        .unwrap();
+    assert_eq!(r, WriteResult::Blocked { accepted: 2 * mss });
+    let tokens = copy_in_tokens(&fx);
+    assert_eq!(tokens.len(), 2, "both queued segments go out");
+    for token in tokens {
+        let fx = rig
+            .k
+            .sdma_done(cab, token, true, None, &mut rig.mem, rig.now);
+        assert_eq!(wakes_of(&fx, WRITER), 0);
+    }
+    let s = rig.k.socket_ref(c).unwrap();
+    assert_eq!(s.uio_queued, 0, "every queued byte was copied");
+    assert_eq!(s.blocked_write.map(|w| w.appended), Some(2 * mss));
+    assert_eq!(violation_kinds(&rig), []);
+}
+
+/// A peer's reset drops the queued bytes of a blocked write: its writer
+/// is woken exactly once, with nothing left counted or claimed.
+#[test]
+fn a_dropped_write_with_queued_bytes_wakes_its_writer_once() {
+    let mut rig = Rig::loopback(StackConfig::single_copy());
+    let (c, cab, mss, _) = write_two_of_three_segments(&mut rig);
+    assert_eq!(rig.k.socket_ref(c).unwrap().uio_queued, mss);
+    let seq = rig.k.socket_ref(c).unwrap().tcb.as_ref().unwrap().rcv_nxt;
+    let fx = deliver_segment(&mut rig, cab, c, seq, &[], TcpFlags::RST);
+    assert_eq!(wakes_of(&fx, WRITER), 1);
+    let s = rig.k.socket_ref(c).unwrap();
+    assert_eq!((s.uio_queued, s.blocked_write.is_none()), (0, true));
+    assert_eq!(violation_kinds(&rig), []);
+}
+
+/// A read that copies out several outboard descriptors wakes its reader
+/// once, at the last completion.
+#[test]
+fn a_read_with_several_copy_outs_wakes_once_after_the_last() {
+    let mut rig = Rig::loopback(StackConfig::single_copy());
+    let (_c, child) = established_loopback_pair(&mut rig);
+    let cab = rig.add_cab();
+    let r0 = rig
+        .k
+        .socket_ref(child)
+        .unwrap()
+        .tcb
+        .as_ref()
+        .unwrap()
+        .rcv_nxt;
+    for off in [0, 4000, 8000] {
+        let seq = r0.wrapping_add(off);
+        deliver_segment(&mut rig, cab, child, seq, &[7; 4000], TcpFlags::ACK);
+    }
+    let reader = TaskId(2);
+    rig.mem.create_region(reader, 0x10_0000, 12_000);
+    let (r, fx) = rig
+        .k
+        .sys_read(child, reader, 0x10_0000, 12_000, &mut rig.mem, rig.now)
+        .unwrap();
+    assert_eq!(r, ReadResult::BlockedDma { bytes: 12_000 });
+    let mut wakes = Vec::new();
+    for e in fx {
+        if let Effect::Cab {
+            event:
+                outboard_cab::CabEvent::SdmaDone {
+                    at,
+                    token,
+                    interrupt,
+                    data,
+                },
+            ..
+        } = e
+        {
+            rig.now = rig.now.max(at);
+            let fx = (rig.k).sdma_done(cab, token, interrupt, data, &mut rig.mem, rig.now);
+            wakes.push(wakes_of(&fx, reader));
+        }
+    }
+    assert_eq!(wakes, [0, 0, 1]);
+    assert!(rig.k.socket_ref(child).unwrap().blocked_read.is_none());
+    assert_eq!(violation_kinds(&rig), []);
+}
+
+/// `listen` and `connect` refuse a socket that already has a control
+/// block: a connecting or a connected socket cannot listen, a listener
+/// cannot connect or listen again, and each keeps its state.
+#[test]
+fn listen_and_connect_refuse_a_socket_with_a_control_block() {
+    let mut rig = Rig::loopback(StackConfig::single_copy());
+    let (connected, _child) = established_loopback_pair(&mut rig);
+    let state = |rig: &Rig, s| rig.k.socket_ref(s).unwrap().tcb.as_ref().unwrap().state;
+    let refused = |r: Result<_, StackError>| matches!(r, Err(StackError::InvalidState(_)));
+    let connecting = rig.k.sys_socket(Proto::Tcp);
+    let dst = SockAddr::new(LO, 80);
+    (rig.k)
+        .sys_connect(connecting, TaskId(3), dst, &mut rig.mem, rig.now)
+        .unwrap();
+    for (sock, was) in [
+        (connected, TcpState::Established),
+        (connecting, TcpState::SynSent),
+    ] {
+        assert!(refused(rig.k.sys_listen(sock)), "{was:?}");
+        assert_eq!(state(&rig, sock), was);
+    }
+    let l = rig.k.sys_socket(Proto::Tcp);
+    rig.k.sys_bind(l, 81).unwrap();
+    rig.k.sys_listen(l).unwrap();
+    assert!(refused(rig.k.sys_listen(l)));
+    let again = rig.k.sys_connect(l, TaskId(4), dst, &mut rig.mem, rig.now);
+    assert!(refused(again.map(|_| ())));
+    assert_eq!(state(&rig, l), TcpState::Listen);
 }
 
 /// The wakes of `task` among `fx`.
@@ -1466,12 +1599,7 @@ fn a_dropped_write_ends_when_its_parked_frame_is_abandoned() {
     let mut cfg = StackConfig::single_copy();
     cfg.force_single_copy = true;
     let mut rig = Rig::loopback(cfg);
-    let (c, _child) = established_loopback_pair(&mut rig);
-    let cab = rig.add_cab();
-    rig.k.routes.clear();
-    rig.k.add_route(LO, 32, cab);
-    rig.k.add_arp_hippi(cab, LO, 2);
-    rig.k.sockets.get_mut(c).unwrap().iface_hint = Some(cab);
+    let (c, cab, _mss) = connection_over_a_cab(&mut rig);
     rig.k.with_cab(cab, |_, ci| {
         let next = ci.cab.faults.counts().crossed(Point::Alloc) + 1;
         (ci.cab.faults).add(Fault::crossing(next, 0, Point::Alloc, Action::Fail));

@@ -9,7 +9,7 @@
 use crate::sockbuf::SockBuf;
 use crate::tcp::Tcb;
 use crate::types::{IfaceId, Proto, SockAddr, SockId, StackError};
-use outboard_mbuf::{Chain, TaskId, UioCounterId, UioRegion};
+use outboard_mbuf::{Chain, TaskId, UioRegion};
 use std::collections::VecDeque;
 
 /// Who owns a socket: a user process (copy semantics through syscalls) or
@@ -33,10 +33,10 @@ pub(crate) struct BlockedWrite {
     pub total: usize,
     /// Bytes already handed to the transport layer (appended to `so_snd`).
     pub appended: usize,
-    /// Outstanding-DMA counter: made only by a write on the single-copy
-    /// path, which appends `M_UIO` descriptors; a traditional write copies
-    /// and blocks on space alone.
-    pub counter: Option<UioCounterId>,
+    /// The write is on the single-copy path and appends `M_UIO`
+    /// descriptors, counted in its socket's `uio_queued`; a traditional
+    /// write copies and blocks on space alone.
+    pub uio: bool,
 }
 
 /// A `read` blocked on outboard copy-out DMA.
@@ -44,8 +44,6 @@ pub(crate) struct BlockedWrite {
 pub(crate) struct BlockedRead {
     /// The reading process.
     pub task: TaskId,
-    /// Outstanding-DMA counter for the copy-out.
-    pub counter: UioCounterId,
     /// The reader's buffer.
     pub vaddr: u64,
     /// The bytes the reader finds in its buffer once woken.
@@ -53,6 +51,9 @@ pub(crate) struct BlockedRead {
     /// The ranges of the buffer the copy-outs pinned (`kernel::hold`),
     /// unpinned together when the read completes.
     pub pins: Vec<(u64, usize)>,
+    /// Copy-out bytes still in flight (§4.4.2's UIO counter of a read,
+    /// kept by `kernel::hold`): the read ends when it reaches 0.
+    pub outstanding: usize,
 }
 
 /// A reader waiting for data to arrive at all.
@@ -106,6 +107,12 @@ pub struct Socket {
     /// Transmit frames gathering from this socket's queued user bytes:
     /// copy-ins in flight or parked for a retry (kept by `kernel::hold`).
     pub(crate) gathers: u32,
+    /// Bytes of this socket's write queued as `M_UIO` and not yet copied
+    /// or dropped: §4.4.2's UIO counter of a write (kept by
+    /// `kernel::hold`). On the socket, not the write, because `write(2)`
+    /// puts its write there only after its own send, which a legacy
+    /// driver's conversion may already copy.
+    pub(crate) uio_queued: usize,
     /// A reader waiting for any data.
     pub(crate) waiting_reader: Option<WaitingReader>,
     /// Task blocked in `connect`.
@@ -148,6 +155,7 @@ impl Socket {
             blocked_write: None,
             blocked_read: None,
             gathers: 0,
+            uio_queued: 0,
             waiting_reader: None,
             connector: None,
             acceptor: None,

@@ -286,9 +286,9 @@ impl Tcb {
         s
     }
 
-    /// Begin an active open.
+    /// Begin an active open on a fresh control block (`sys_connect`
+    /// refuses a socket that has one).
     pub(crate) fn connect(&mut self, mss: usize, rcv_buf: usize) {
-        assert_eq!(self.state, TcpState::Closed);
         self.state = TcpState::SynSent;
         self.mss = mss;
         self.cwnd = mss;
@@ -296,10 +296,10 @@ impl Tcb {
         self.request_ws = true;
     }
 
-    /// Begin a passive open. `mss` is the interface-derived maximum segment
-    /// we will advertise; `rcv_buf` sizes the window-scale request.
+    /// Begin a passive open on a fresh control block. `mss` is the
+    /// interface-derived maximum segment we will advertise; `rcv_buf`
+    /// sizes the window-scale request.
     pub(crate) fn listen(&mut self, mss: usize, rcv_buf: usize) {
-        assert_eq!(self.state, TcpState::Closed);
         self.state = TcpState::Listen;
         self.mss = mss;
         self.rcv_scale = Self::scale_for(rcv_buf);
@@ -983,8 +983,9 @@ impl SeqMax for u32 {
     }
 }
 
-/// RST reply fields for a segment arriving on a closed connection.
-fn rst_for(hdr: &TcpHeader, data_len: usize) -> (u32, u32, TcpFlags) {
+/// RST reply fields `(seq, ack, flags)` for a segment arriving on a
+/// closed connection or at a port with no listener (RFC 793).
+pub(crate) fn rst_for(hdr: &TcpHeader, data_len: usize) -> (u32, u32, TcpFlags) {
     if hdr.flags.ack() {
         (hdr.ack, 0, TcpFlags::RST)
     } else {

@@ -42,9 +42,9 @@ pub use mbuf::{CsumPlan, Mbuf, MbufData, Segment, UioDesc, UioRegion, WcabDesc};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub u32);
 
-/// Identifies an outstanding-DMA counter in the socket layer (§4.4.2: the
-/// "UIO counter" that tracks how many per-packet DMAs are still in flight
-/// before the process may be woken).
+/// Names the socket-layer UIO counter of a `write` (§4.4.2: its bytes still
+/// to move outboard before the process may be woken). The stack keeps that
+/// count on the writing socket, and the id is the socket's number.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct UioCounterId(pub u64);
 

@@ -26,8 +26,8 @@ pub struct UioDesc {
     /// Length of this descriptor's data in bytes.
     pub len: usize,
     /// The socket-layer UIO counter of the `write` this data belongs to
-    /// (§4.4.2); decremented as the bytes move outboard so the blocked
-    /// writer can be woken at the right moment.
+    /// (§4.4.2), naming the writing socket; decremented as the bytes move
+    /// outboard so the blocked writer can be woken at the right moment.
     pub counter: Option<crate::UioCounterId>,
 }
 
